@@ -1,4 +1,5 @@
-//! The placement-agnostic defense layer: one spec, two backends.
+//! The placement-agnostic defense layer: one spec, one shaping kernel,
+//! two deciders.
 //!
 //! The paper's thesis (§2.3, §4) is that the *same* defense behaves
 //! differently depending on whether it runs at the application layer or
@@ -9,15 +10,20 @@
 //!   deterministic RNG it `build`s a [`FlowDefense`] — an
 //!   [`ObfuscationPolicy`] (size/delay/TSO rules) plus an optional
 //!   [`PadderCore`] (dummy-packet schedule);
-//! - [`emulate_flow`] is the **app-layer backend**: it interprets the
-//!   spec directly over a recorded packet sequence, reproducing the
-//!   trace-level emulation the `defenses` crate has always done;
-//! - [`enforce_flow`] is the **stack backend**: it lowers the same spec
-//!   through [`crate::strategies::build_shaper`] into a live
+//! - the §3 size/delay semantics are written once, in `FlowShaper`: a
+//!   per-flow streaming kernel that owns the loop (direction scope,
+//!   re-fragmenting, shift accumulation) and asks a two-method decider
+//!   for each piece's size and extra delay;
+//! - [`emulate_flow`] is the **app-layer backend**: the kernel folded
+//!   over a recorded packet sequence with a decider that interprets the
+//!   policy directly — the `defenses` crate's trace-level emulation;
+//! - [`enforce_flow`] is the **stack backend**: the same fold with a
+//!   decider that lowers the policy through
+//!   [`crate::strategies::build_shaper`] into a live
 //!   [`Shaper`](stack::Shaper) (inside the §4.2
 //!   [`SafetyCap`](crate::safety::SafetyCap) and the policy's guards)
-//!   and drives it with a replay [`EgressPipeline`] — the decisions the
-//!   stack would have made, applied to the recorded flow.
+//!   behind a replay [`EgressPipeline`]; [`crate::fleet`] drives that
+//!   kernel and decider one generated packet at a time.
 //!
 //! Padding schedules are executed identically by both backends: §4.2
 //! scopes the stack's authority to sizing and departure timing of real
@@ -153,23 +159,15 @@ pub struct FlowDefense {
     pub policy: ObfuscationPolicy,
     /// Dummy-packet schedule, if the defense pads.
     pub padding: Option<Box<dyn PadderCore>>,
-    /// Restrict the policy's size/delay passes to one direction
+    /// Restrict the policy's size/delay stages to one direction
     /// (`None` = both). The §3 countermeasures act server-side only.
     pub apply_dir: Option<Direction>,
-    /// Link rate (Mb/s) used to space split halves by the first half's
-    /// serialization time; 0 keeps halves at the same timestamp.
-    pub split_link_mbps: u64,
 }
 
 impl FlowDefense {
     /// A defense that changes nothing.
     pub fn passthrough(name: &str) -> Self {
-        FlowDefense {
-            policy: ObfuscationPolicy::passthrough(name),
-            padding: None,
-            apply_dir: None,
-            split_link_mbps: 0,
-        }
+        Self::from_policy(ObfuscationPolicy::passthrough(name))
     }
 
     /// Policy rules only, applied to both directions.
@@ -178,7 +176,6 @@ impl FlowDefense {
             policy,
             padding: None,
             apply_dir: None,
-            split_link_mbps: 0,
         }
     }
 }
@@ -229,190 +226,288 @@ pub fn flow_duration(pkts: &[FlowPkt]) -> Nanos {
     }
 }
 
-/// The §3 scoping rule shared by both backends: a policy pass touches
-/// packet `index` iff it is within the first-N window and (when the
-/// defense is direction-scoped) travels in the scoped direction.
-fn affects(first_n: u64, apply_dir: Option<Direction>, index: usize, dir: Direction) -> bool {
-    (first_n == 0 || (index as u64) < first_n) && apply_dir.is_none_or(|d| d == dir)
+// ---------------------------------------------------------------------
+// The shaping kernel
+// ---------------------------------------------------------------------
+
+/// The two decisions a placement makes for [`FlowShaper::step`]. First-N
+/// scoping is the decider's business: the app decider tests the index it
+/// is handed, the stack decider's `FirstNGuard` reads it from the shape
+/// context.
+pub(crate) trait Decider {
+    /// Wire size of piece number `piece` of recorded packet `orig_idx`,
+    /// of which `remaining` bytes are still unsent; in `1..=remaining`.
+    fn piece_size(&mut self, orig_idx: u64, now: Nanos, piece: u32, remaining: u32) -> u32;
+
+    /// Extra departure delay of emitted packet `emit_idx`, due out at
+    /// `intended`, `iat` after its predecessor's pre-shift timestamp.
+    fn extra_delay(&mut self, emit_idx: u64, intended: Nanos, iat: Nanos) -> Nanos;
 }
 
-/// Validate the built policy; an inconsistent one degrades the flow to
-/// pass-through rules (counted) rather than shaping wrongly.
-pub(crate) fn checked_policy(fd: &FlowDefense) -> (bool, bool) {
-    if fd.policy.validate().is_err() {
-        netsim::tm_counter!("stob.registry.degraded").inc();
-        return (false, false);
+/// The per-flow shaping kernel (see the module docs): owns the shaping
+/// state and the loop, generic over the placement's [`Decider`].
+pub(crate) struct FlowShaper<D> {
+    decider: D,
+    size_active: bool,
+    delay_active: bool,
+    /// Restrict both stages to one direction. Tested in the loop, not
+    /// the decider: the stack's guards are direction-blind.
+    apply_dir: Option<Direction>,
+    /// Accumulated departure shift: stretching one inter-arrival time
+    /// moves everything after it.
+    shift: Nanos,
+    /// Pieces emitted so far — the index the delay stage is keyed on.
+    emit_idx: u64,
+    /// Pre-shift timestamp of the previous piece.
+    prev_orig: Nanos,
+}
+
+impl<D: Decider> FlowShaper<D> {
+    /// Validate the built policy and scope the kernel to it; an
+    /// inconsistent policy degrades the flow to pass-through rules
+    /// (counted) rather than shaping wrongly.
+    fn new(fd: &FlowDefense, decider: D) -> Self {
+        let valid = fd.policy.validate().is_ok();
+        if !valid {
+            netsim::tm_counter!("stob.registry.degraded").inc();
+        }
+        FlowShaper {
+            decider,
+            size_active: valid && !matches!(fd.policy.size, SizeSpec::Unchanged),
+            delay_active: valid && !matches!(fd.policy.delay, DelaySpec::Unchanged),
+            apply_dir: fd.apply_dir,
+            shift: Nanos::ZERO,
+            emit_idx: 0,
+            prev_orig: Nanos::ZERO,
+        }
     }
-    let size_active = !matches!(fd.policy.size, SizeSpec::Unchanged);
-    let delay_active = !matches!(fd.policy.delay, DelaySpec::Unchanged);
-    (size_active, delay_active)
+
+    fn active(&self) -> bool {
+        self.size_active || self.delay_active
+    }
+
+    /// The shift accumulated so far: a streaming driver schedules the
+    /// next recorded packet at its own timestamp plus this.
+    pub(crate) fn shift(&self) -> Nanos {
+        self.shift
+    }
+
+    /// Shape recorded packet `orig_idx`. The size stage re-fragments it
+    /// until its bytes are spent, keyed on the recorded index; every
+    /// piece keeps its parent's timestamp. The delay stage then runs per
+    /// piece. `sink` receives each shaped piece together with its
+    /// intended (pre-delay) departure time.
+    pub(crate) fn step(
+        &mut self,
+        pkt: FlowPkt,
+        orig_idx: u64,
+        mut sink: impl FnMut(FlowPkt, Nanos),
+    ) {
+        let scoped = self.apply_dir.is_none_or(|d| d == pkt.dir);
+        if !(self.size_active && scoped) {
+            return self.emit(pkt, scoped, &mut sink);
+        }
+        let mut remaining = pkt.size;
+        let mut piece = 0u32;
+        while remaining > 0 {
+            let size = self.decider.piece_size(orig_idx, pkt.ts, piece, remaining);
+            self.emit(FlowPkt { size, ..pkt }, scoped, &mut sink);
+            remaining -= size;
+            piece += 1;
+        }
+    }
+
+    /// The delay stage, the §3 "stretch inter-arrival times" rule: the
+    /// piece's inter-arrival time, measured against the *pre-shift*
+    /// schedule, is stretched by the decider's answer, and the stretch
+    /// accumulates. Keyed on the emitted index; emitted packet 0 is
+    /// never delayed.
+    fn emit(&mut self, piece: FlowPkt, scoped: bool, sink: &mut impl FnMut(FlowPkt, Nanos)) {
+        let iat = piece.ts.saturating_sub(self.prev_orig);
+        let intended = piece.ts + self.shift;
+        let mut out = intended;
+        if self.delay_active && scoped && self.emit_idx > 0 {
+            let extra = self.decider.extra_delay(self.emit_idx, intended, iat);
+            self.shift += extra;
+            out += extra;
+        }
+        self.prev_orig = piece.ts;
+        self.emit_idx += 1;
+        sink(FlowPkt { ts: out, ..piece }, intended);
+    }
+
+    /// Batch harness: fold [`step`](Self::step) over a recorded flow and
+    /// normalize the result once.
+    fn shape_all(mut self, input: &[FlowPkt]) -> Vec<FlowPkt> {
+        if !self.active() {
+            return input.to_vec();
+        }
+        let mut out = Vec::with_capacity(input.len() + 8);
+        for (i, pkt) in input.iter().enumerate() {
+            self.step(*pkt, i as u64, |shaped, _| out.push(shaped));
+        }
+        normalize_flow(&mut out);
+        out
+    }
+}
+
+/// What the padding close-out added to a flow.
+#[derive(Default)]
+pub(crate) struct Closed {
+    pub dummy_pkts: u64,
+    pub dummy_bytes: u64,
+    /// [`CloseOut::real_done`].
+    pub real_done: Option<Nanos>,
+}
+
+/// The close half every harness shares: run the core's schedule, keep
+/// the packets of `held` whose direction the core does not own (it
+/// re-emits those wholesale), merge its emissions, and count the
+/// dummies. `sink` receives the flow's final packets, kept ones first.
+pub(crate) fn close_padding(
+    core: &mut dyn PadderCore,
+    held: &[FlowPkt],
+    rng: &mut SimRng,
+    mut sink: impl FnMut(FlowPkt),
+) -> Closed {
+    let owned = core.owned_dirs();
+    let close = core.on_close(rng);
+    held.iter()
+        .filter(|p| !owned.contains(&p.dir))
+        .for_each(|p| sink(*p));
+    let mut closed = Closed {
+        real_done: close.real_done,
+        ..Closed::default()
+    };
+    for e in &close.emits {
+        if e.dummy {
+            closed.dummy_pkts += 1;
+            closed.dummy_bytes += u64::from(e.pkt.size);
+        }
+        sink(e.pkt);
+    }
+    closed
+}
+
+/// Batch harness, second half: run the padding schedule (if any) over
+/// the complete shaped stream and assemble the final flow. Padding is
+/// application-layer work at either placement (§4.2), so both backends
+/// end here.
+fn pad_and_close(
+    padding: Option<Box<dyn PadderCore>>,
+    mut pkts: Vec<FlowPkt>,
+    rng: &mut SimRng,
+    pad_counter: &'static str,
+) -> DefendedFlow {
+    let shaped_done = flow_duration(&pkts);
+    let mut closed = Closed::default();
+    if let Some(mut core) = padding {
+        for pkt in &pkts {
+            core.on_data(*pkt, rng);
+        }
+        let stream = std::mem::take(&mut pkts);
+        pkts.reserve(stream.len());
+        closed = close_padding(&mut *core, &stream, rng, |p| pkts.push(p));
+        normalize_flow(&mut pkts);
+        netsim::telemetry::counter(pad_counter).add(closed.dummy_pkts);
+    }
+    DefendedFlow {
+        pkts,
+        dummy_pkts: closed.dummy_pkts as usize,
+        dummy_bytes: closed.dummy_bytes,
+        real_done: closed.real_done.unwrap_or(shaped_done),
+    }
 }
 
 // ---------------------------------------------------------------------
 // App-layer backend
 // ---------------------------------------------------------------------
 
-/// Minimum piece size the generic re-chunking passes will emit; splits
-/// below this stop conveying size information and only inflate packet
-/// counts.
+/// Minimum piece size the generic re-chunking will emit; splits below
+/// this stop conveying size information and only inflate packet counts.
 const MIN_PIECE: u32 = 64;
 
 /// Conventional Ethernet wire MTU the generic chunkers aim at.
 const MTU_WIRE: u32 = 1514;
 
-/// Serialization gap between consecutive pieces of one split packet.
-pub(crate) fn piece_gap(split_link_mbps: u64, piece: u32) -> Nanos {
-    if split_link_mbps > 0 {
-        Nanos::for_bytes_at_rate(u64::from(piece), split_link_mbps * 1_000_000)
-    } else {
-        Nanos::ZERO
-    }
+/// The app placement's [`Decider`]: the policy's rules interpreted
+/// directly, drawing from the flow's own RNG. `SplitAbove` is the exact
+/// §3 emulation (two halves); the other size specs re-chunk greedily
+/// toward the spec's target — a best-effort trace-level reading of
+/// rules that are exact in-stack.
+pub(crate) struct AppDecider<'a> {
+    policy: &'a ObfuscationPolicy,
+    rng: &'a mut SimRng,
+    /// Position in the `IncrementalReduce` walk.
+    inc_idx: u32,
 }
 
-/// The size pass of the app-layer interpreter. `SplitAbove` is the exact
-/// §3 emulation (equal halves, optional serialization gap); the other
-/// specs re-chunk affected packets toward the spec's target size —  a
-/// best-effort trace-level reading of rules that are exact in-stack.
-fn size_pass(input: &[FlowPkt], fd: &FlowDefense, rng: &mut SimRng) -> Vec<FlowPkt> {
-    let p = &fd.policy;
-    let mut out = Vec::with_capacity(input.len() + 8);
-    let mut inc_idx: u32 = 0;
-    for (i, pkt) in input.iter().enumerate() {
-        if !affects(p.first_n_pkts, fd.apply_dir, i, pkt.dir) {
-            out.push(*pkt);
-            continue;
+/// The first-N window of §3's censorship setting (0 = whole flow).
+fn in_window(first_n: u64, index: u64) -> bool {
+    first_n == 0 || index < first_n
+}
+
+impl Decider for AppDecider<'_> {
+    fn piece_size(&mut self, orig_idx: u64, _now: Nanos, piece: u32, remaining: u32) -> u32 {
+        if !in_window(self.policy.first_n_pkts, orig_idx) {
+            return remaining;
         }
-        match &p.size {
-            SizeSpec::Unchanged => out.push(*pkt),
+        let target = match &self.policy.size {
+            SizeSpec::Unchanged => return remaining,
             SizeSpec::SplitAbove { threshold } => {
-                if pkt.size > *threshold {
-                    netsim::tm_counter!("defense.app.split_pkts").inc();
-                    let a = pkt.size / 2 + pkt.size % 2;
-                    let b = pkt.size / 2;
-                    out.push(FlowPkt { size: a, ..*pkt });
-                    out.push(FlowPkt {
-                        ts: pkt.ts + piece_gap(fd.split_link_mbps, a),
-                        dir: pkt.dir,
-                        size: b,
-                    });
-                } else {
-                    out.push(*pkt);
+                // Ceil half, then the rest; the second half is never
+                // re-split.
+                if piece > 0 || remaining <= *threshold {
+                    return remaining;
                 }
+                netsim::tm_counter!("defense.app.split_pkts").inc();
+                return remaining / 2 + remaining % 2;
             }
-            spec => {
-                // Generic greedy re-chunking toward the spec's target.
-                let mut remaining = pkt.size;
-                let mut ts = pkt.ts;
-                let mut first = true;
-                while remaining > 0 {
-                    let target = match spec {
-                        SizeSpec::Fixed { ip_size } => *ip_size,
-                        SizeSpec::IncrementalReduce { step, steps } => {
-                            // Mirror the in-stack walk: MTU, MTU-step,
-                            // ..., MTU-steps*step, then reset.
-                            let reduction = inc_idx * step;
-                            inc_idx += 1;
-                            if inc_idx > *steps {
-                                inc_idx = 0;
-                            }
-                            MTU_WIRE.saturating_sub(reduction)
-                        }
-                        SizeSpec::FromHistogram(h) => {
-                            h.sample(rng.next_f64(), rng.next_f64()).max(1.0) as u32
-                        }
-                        _ => unreachable!("handled above"),
-                    };
-                    let take = remaining.min(target.max(MIN_PIECE));
-                    if !first {
-                        netsim::tm_counter!("defense.app.resized_pkts").inc();
-                    }
-                    out.push(FlowPkt {
-                        ts,
-                        dir: pkt.dir,
-                        size: take,
-                    });
-                    remaining -= take;
-                    if remaining > 0 {
-                        ts += piece_gap(fd.split_link_mbps, take);
-                    }
-                    first = false;
+            SizeSpec::Fixed { ip_size } => *ip_size,
+            SizeSpec::IncrementalReduce { step, steps } => {
+                // Mirror the in-stack walk: MTU, MTU-step, ...,
+                // MTU-steps*step, then reset.
+                let reduction = self.inc_idx * step;
+                self.inc_idx += 1;
+                if self.inc_idx > *steps {
+                    self.inc_idx = 0;
                 }
+                MTU_WIRE.saturating_sub(reduction)
             }
-        }
-    }
-    out
-}
-
-/// The delay pass of the app-layer interpreter: the §3 "stretch
-/// inter-arrival times" loop. Each affected packet's inter-arrival time
-/// (measured against the *pre-shift* schedule) is stretched by a draw
-/// from the policy's delay spec, and the stretch accumulates.
-fn delay_pass(stream: &mut [FlowPkt], fd: &FlowDefense, rng: &mut SimRng) {
-    let p = &fd.policy;
-    let mut shift = Nanos::ZERO;
-    let mut prev_orig = Nanos::ZERO;
-    for (i, pkt) in stream.iter_mut().enumerate() {
-        let orig_ts = pkt.ts;
-        let iat = orig_ts.saturating_sub(prev_orig);
-        if i > 0 && affects(p.first_n_pkts, fd.apply_dir, i, pkt.dir) {
-            netsim::tm_counter!("defense.app.delayed_pkts").inc();
-            shift += sample_delay(&p.delay, iat, rng);
-        }
-        pkt.ts = orig_ts + shift;
-        prev_orig = orig_ts;
-    }
-}
-
-/// Run the padding schedule (if any) over the post-policy stream and
-/// assemble the final flow. Shared verbatim by both backends — padding
-/// is application-layer work at either placement (§4.2).
-fn run_padding(
-    padding: Option<Box<dyn PadderCore>>,
-    stream: Vec<FlowPkt>,
-    rng: &mut SimRng,
-    pad_counter: &'static str,
-) -> DefendedFlow {
-    let default_real_done = flow_duration(&stream);
-    let Some(mut core) = padding else {
-        return DefendedFlow {
-            pkts: stream,
-            dummy_pkts: 0,
-            dummy_bytes: 0,
-            real_done: default_real_done,
+            SizeSpec::FromHistogram(h) => {
+                h.sample(self.rng.next_f64(), self.rng.next_f64()).max(1.0) as u32
+            }
         };
-    };
-    let owned = core.owned_dirs();
-    for pkt in &stream {
-        core.on_data(*pkt, rng);
-    }
-    let close = core.on_close(rng);
-    let mut pkts: Vec<FlowPkt> = stream
-        .iter()
-        .filter(|p| !owned.contains(&p.dir))
-        .copied()
-        .collect();
-    let mut dummy_pkts = 0usize;
-    let mut dummy_bytes = 0u64;
-    for e in &close.emits {
-        if e.dummy {
-            dummy_pkts += 1;
-            dummy_bytes += u64::from(e.pkt.size);
+        if piece > 0 {
+            netsim::tm_counter!("defense.app.resized_pkts").inc();
         }
-        pkts.push(e.pkt);
+        remaining.min(target.max(MIN_PIECE))
     }
-    normalize_flow(&mut pkts);
-    netsim::telemetry::counter(pad_counter).add(dummy_pkts as u64);
-    DefendedFlow {
-        pkts,
-        dummy_pkts,
-        dummy_bytes,
-        real_done: close.real_done.unwrap_or(default_real_done),
+
+    fn extra_delay(&mut self, emit_idx: u64, _intended: Nanos, iat: Nanos) -> Nanos {
+        if !in_window(self.policy.first_n_pkts, emit_idx) {
+            return Nanos::ZERO;
+        }
+        netsim::tm_counter!("defense.app.delayed_pkts").inc();
+        sample_delay(&self.policy.delay, iat, self.rng)
+    }
+}
+
+impl<'a> FlowShaper<AppDecider<'a>> {
+    /// The kernel at app placement, over the flow's own RNG.
+    pub(crate) fn app(fd: &'a FlowDefense, rng: &'a mut SimRng) -> Self {
+        let decider = AppDecider {
+            policy: &fd.policy,
+            rng,
+            inc_idx: 0,
+        };
+        Self::new(fd, decider)
     }
 }
 
 /// **App-layer backend**: interpret a defense directly over a recorded
 /// packet sequence — the trace emulation the `defenses` crate performs,
-/// now driven by the placement-agnostic spec. For the §3 countermeasures
+/// driven by the placement-agnostic spec. For the §3 countermeasures
 /// this reproduces `defenses::emulate::{split,delay}` byte-for-byte.
 pub fn emulate_flow(
     defense: &dyn Defense,
@@ -422,21 +517,8 @@ pub fn emulate_flow(
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.app.flows").inc();
     let fd = defense.build(ctx, rng);
-    let (size_active, delay_active) = checked_policy(&fd);
-    // The size pass produces a fresh stream; copy the input only when it
-    // is skipped. The delay pass re-times in place.
-    let mut stream: Vec<FlowPkt> = if size_active {
-        let mut s = size_pass(input, &fd, rng);
-        normalize_flow(&mut s);
-        s
-    } else {
-        input.to_vec()
-    };
-    if delay_active {
-        delay_pass(&mut stream, &fd, rng);
-        normalize_flow(&mut stream);
-    }
-    run_padding(fd.padding, stream, rng, "defense.app.pad_pkts")
+    let stream = FlowShaper::app(&fd, rng).shape_all(input);
+    pad_and_close(fd.padding, stream, rng, "defense.app.pad_pkts")
 }
 
 // ---------------------------------------------------------------------
@@ -479,52 +561,91 @@ impl StackParams {
     }
 }
 
-/// Shape context for one replayed packet. Replay assumes steady state
-/// (`in_slow_start = false`): a recorded trace carries no live CCA
-/// phase, so slow-start-respecting policies shape the whole flow.
-pub(crate) fn replay_ctx(
-    params: &StackParams,
-    pkts_sent: u64,
-    now: Nanos,
-    rate: Option<u64>,
-) -> ShapeCtx {
-    ShapeCtx {
-        flow: FlowId(1),
-        now,
-        cwnd: u64::MAX,
-        pacing_rate_bps: rate,
-        in_slow_start: false,
-        bytes_sent: 0,
-        pkts_sent,
-        segs_sent: 0,
-        mtu_ip: params.mtu_wire,
-        mss: params.mss,
-    }
-}
-
 /// The synthetic pacing rate under which one recorded inter-arrival
 /// time serializes exactly `2 * mss` bytes — the inverse of
 /// `DelayJitter`'s nominal-gap rule, so the in-stack jitter stretches
-/// recorded gaps by the same fractions the app-layer pass draws.
-pub(crate) fn rate_for_iat(mss: u32, iat: Nanos) -> u64 {
+/// recorded gaps by the same fractions the app decider draws.
+fn rate_for_iat(mss: u32, iat: Nanos) -> u64 {
     if iat.is_zero() {
         // Zero gap: infinite rate. `u64::MAX - 1` keeps DelayJitter on
         // its `for_bytes_at_rate` path (nominal rounds to zero) while
-        // still consuming its draw, mirroring the app pass exactly.
+        // still consuming its draw, mirroring the app decider exactly.
         return u64::MAX - 1;
     }
     let x = u64::from(mss).max(1) * 2 * 8 * 1_000_000_000;
     (x / iat.0).max(1)
 }
 
-/// **Stack backend**: lower the defense's policy into a live shaper
-/// (strategy → §4.2 safety cap → guards, via
+/// The stack placement's [`Decider`]: the policy lowered into a live
+/// shaper (strategy → §4.2 safety cap → guards) behind a replay
+/// [`EgressPipeline`], so sizes are the pipeline's packet-size decision
+/// and departures pass its pacing clock and the shaper's extra delay.
+pub(crate) struct StackDecider {
+    pipe: EgressPipeline,
+    mtu_wire: u32,
+    mss: u32,
+}
+
+impl StackDecider {
+    /// Shape context for one replayed packet. Replay assumes steady
+    /// state (`in_slow_start = false`): a recorded trace carries no live
+    /// CCA phase, so slow-start-respecting policies shape the whole flow.
+    fn ctx(&self, pkts_sent: u64, now: Nanos, rate: Option<u64>) -> ShapeCtx {
+        ShapeCtx {
+            flow: FlowId(1),
+            now,
+            cwnd: u64::MAX,
+            pacing_rate_bps: rate,
+            in_slow_start: false,
+            bytes_sent: 0,
+            pkts_sent,
+            segs_sent: 0,
+            mtu_ip: self.mtu_wire,
+            mss: self.mss,
+        }
+    }
+}
+
+impl Decider for StackDecider {
+    fn piece_size(&mut self, orig_idx: u64, now: Nanos, piece: u32, remaining: u32) -> u32 {
+        let proposed = remaining.min(self.mtu_wire);
+        let sctx = self.ctx(orig_idx, now, None);
+        self.pipe
+            .packet_ip_size(&sctx, piece, proposed, 1, proposed)
+    }
+
+    fn extra_delay(&mut self, emit_idx: u64, intended: Nanos, iat: Nanos) -> Nanos {
+        let rate = rate_for_iat(self.mss, iat);
+        let sctx = self.ctx(emit_idx, intended, Some(rate));
+        self.pipe
+            .pace_replay(&sctx, intended)
+            .saturating_sub(intended)
+    }
+}
+
+impl FlowShaper<StackDecider> {
+    /// The kernel at stack placement. A degraded or inert policy leaves
+    /// the pipeline on its pass-through shaper, which is never consulted.
+    pub(crate) fn stack(fd: &FlowDefense, labels: EgressLabels, params: &StackParams) -> Self {
+        let decider = StackDecider {
+            pipe: EgressPipeline::new(labels),
+            mtu_wire: params.mtu_wire,
+            mss: params.mss,
+        };
+        let mut shaper = Self::new(fd, decider);
+        if shaper.active() {
+            let (live, _audit) =
+                crate::sockopt::assemble_policy_shaper(&fd.policy, params.seed, params.flow_salt);
+            shaper.decider.pipe.set_shaper(live);
+        }
+        shaper
+    }
+}
+
+/// **Stack backend**: lower the defense's policy into a live shaper (via
 /// [`crate::sockopt::assemble_policy_shaper`]) and replay the recorded
-/// flow through an [`EgressPipeline`]: the size stage re-fragments
-/// affected packets through the pipeline's packet-size decision, the
-/// delay stage gates each departure through the pacing clock and the
-/// shaper's extra delay, and the padding schedule runs exactly as in
-/// the app backend.
+/// flow through the same kernel with the [`EgressPipeline`] deciding;
+/// the padding schedule runs exactly as in the app backend.
 pub fn enforce_flow(
     defense: &dyn Defense,
     input: &[FlowPkt],
@@ -534,90 +655,8 @@ pub fn enforce_flow(
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.stack.flows").inc();
     let fd = defense.build(ctx, rng);
-    let (size_active, delay_active) = checked_policy(&fd);
-    let policy = if size_active || delay_active {
-        fd.policy.clone()
-    } else {
-        // Degraded or inert: enforce pass-through rules.
-        ObfuscationPolicy::passthrough(&fd.policy.name)
-    };
-    let (shaper, _audit) =
-        crate::sockopt::assemble_policy_shaper(&policy, params.seed, params.flow_salt);
-    let mut pipe = EgressPipeline::new(EgressLabels::REPLAY);
-    pipe.set_shaper(shaper);
-
-    // Size stage: re-fragment each affected packet through the
-    // pipeline's packet-size decision until its bytes are spent. The
-    // first-N guard sees the recorded packet index; direction scoping
-    // is applied here (guards are direction-blind).
-    let mut stream: Vec<FlowPkt>;
-    if size_active {
-        stream = Vec::with_capacity(input.len() + 8);
-        for (i, pkt) in input.iter().enumerate() {
-            if fd.apply_dir.is_some_and(|d| d != pkt.dir) {
-                stream.push(*pkt);
-                continue;
-            }
-            let sctx = replay_ctx(params, i as u64, pkt.ts, None);
-            let mut remaining = pkt.size;
-            let mut ts = pkt.ts;
-            let mut piece = 0u32;
-            while remaining > 0 {
-                let proposed = remaining.min(params.mtu_wire);
-                let got = pipe.packet_ip_size(&sctx, piece, proposed, 1, proposed);
-                stream.push(FlowPkt {
-                    ts,
-                    dir: pkt.dir,
-                    size: got,
-                });
-                remaining -= got;
-                if remaining > 0 {
-                    ts += piece_gap(fd.split_link_mbps, got);
-                }
-                piece += 1;
-            }
-        }
-        normalize_flow(&mut stream);
-    } else {
-        stream = input.to_vec();
-    }
-
-    // Delay stage: replay each packet through the pacing gate. The
-    // recorded inter-arrival time is converted into the synthetic
-    // pacing rate under which DelayJitter's nominal gap equals it, so
-    // the in-stack draw stretches the recorded gap — the §3 semantics,
-    // now enforced by the stack's own pacing clock and safety clamp.
-    let mut shaped: Vec<FlowPkt>;
-    if delay_active {
-        shaped = Vec::with_capacity(stream.len());
-        let mut shift = Nanos::ZERO;
-        let mut prev_orig = Nanos::ZERO;
-        for (e, pkt) in stream.iter().enumerate() {
-            let iat = pkt.ts.saturating_sub(prev_orig);
-            let intended = pkt.ts + shift;
-            if e > 0 && fd.apply_dir.is_none_or(|d| d == pkt.dir) {
-                let rate = rate_for_iat(params.mss, iat);
-                let sctx = replay_ctx(params, e as u64, intended, Some(rate));
-                let eligible = pipe.pace_replay(&sctx, intended);
-                shift += eligible.saturating_sub(intended);
-                shaped.push(FlowPkt {
-                    ts: eligible,
-                    ..*pkt
-                });
-            } else {
-                shaped.push(FlowPkt {
-                    ts: intended,
-                    ..*pkt
-                });
-            }
-            prev_orig = pkt.ts;
-        }
-        normalize_flow(&mut shaped);
-    } else {
-        shaped = stream;
-    }
-
-    run_padding(fd.padding, shaped, rng, "defense.stack.pad_pkts")
+    let stream = FlowShaper::stack(&fd, EgressLabels::REPLAY, params).shape_all(input);
+    pad_and_close(fd.padding, stream, rng, "defense.stack.pad_pkts")
 }
 
 #[cfg(test)]
@@ -659,7 +698,6 @@ mod tests {
                 policy: self.policy.clone(),
                 padding: None,
                 apply_dir: self.dir,
-                split_link_mbps: 0,
             }
         }
     }
@@ -962,6 +1000,124 @@ mod tests {
             .all(|p| p.ts.0 % Nanos::from_millis(10).0 == 0 && p.size == 1514));
         assert_eq!(out.dummy_pkts, 1);
         assert_eq!(out.real_done, Nanos::from_millis(20));
+    }
+
+    /// Drive the kernel one packet at a time, as the fleet does, checking
+    /// on the way what no decider may break: a piece never leaves before
+    /// its intended time, the shift never runs backwards, and the pieces
+    /// of a packet carry exactly its bytes in its direction.
+    fn stream<D: Decider>(mut kernel: FlowShaper<D>, input: &[FlowPkt]) -> Vec<FlowPkt> {
+        let mut out = Vec::new();
+        for (i, pkt) in input.iter().enumerate() {
+            let mut bytes = 0;
+            kernel.step(*pkt, i as u64, |shaped, intended| {
+                assert!(pkt.ts <= intended && intended <= shaped.ts, "packet {i}");
+                assert_eq!(shaped.dir, pkt.dir);
+                bytes += shaped.size;
+                out.push(shaped);
+            });
+            assert_eq!(bytes, pkt.size, "packet {i} lost or gained bytes");
+        }
+        normalize_flow(&mut out);
+        out
+    }
+
+    /// A normalized page-load-like flow: bursts (zero gaps), both
+    /// directions, sizes on either side of every threshold and the MTU.
+    fn random_flow(seed: u64) -> Vec<FlowPkt> {
+        let mut rng = SimRng::new(seed ^ 0xF10E);
+        let mut ts = Nanos::ZERO;
+        (0..rng.range_u64(12, 40))
+            .map(|i| {
+                if i > 0 && rng.next_below(4) > 0 {
+                    ts += Nanos(rng.range_u64(1, 2_000_000));
+                }
+                let dir = if rng.next_below(100) < 30 {
+                    Direction::Out
+                } else {
+                    Direction::In
+                };
+                FlowPkt {
+                    ts,
+                    dir,
+                    size: rng.range_u64(40, 3_000) as u32,
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn streaming_the_kernel_equals_both_batch_backends() {
+        let mut size_h = netsim::Histogram::new(100.0, 1500.0, 8);
+        [120.0, 300.0, 640.0, 641.0, 1200.0, 1480.0]
+            .into_iter()
+            .for_each(|x| size_h.push(x));
+        let mut delay_h = netsim::Histogram::new(0.0, 400.0, 8);
+        [5.0, 60.0, 61.0, 250.0, 390.0]
+            .into_iter()
+            .for_each(|x| delay_h.push(x));
+        let sizes = [
+            SizeSpec::Unchanged,
+            SizeSpec::SplitAbove { threshold: 1200 },
+            SizeSpec::IncrementalReduce {
+                step: 100,
+                steps: 5,
+            },
+            SizeSpec::FromHistogram(size_h),
+            SizeSpec::Fixed { ip_size: 500 },
+        ];
+        let delays = [
+            DelaySpec::Unchanged,
+            DelaySpec::UniformFraction {
+                lo_frac: 0.10,
+                hi_frac: 0.30,
+            },
+            DelaySpec::UniformAbsolute {
+                lo: Nanos::from_micros(10),
+                hi: Nanos::from_micros(500),
+            },
+            DelaySpec::FromHistogramMicros(delay_h),
+        ];
+        let ctx = DefenseCtx::default();
+        for (size, delay) in sizes
+            .iter()
+            .flat_map(|s| delays.iter().map(move |d| (s, d)))
+        {
+            for (dir, first_n) in [None, Some(Direction::In)]
+                .into_iter()
+                .flat_map(|d| [(d, 0), (d, 7)])
+            {
+                let d = S3 {
+                    policy: ObfuscationPolicy {
+                        name: "prop".into(),
+                        size: size.clone(),
+                        delay: delay.clone(),
+                        tso: TsoSpec::Unchanged,
+                        first_n_pkts: first_n,
+                        respect_slow_start: false,
+                    },
+                    dir,
+                };
+                for seed in 0..50u64 {
+                    let case = format!("{size:?} {delay:?} {dir:?} first_n={first_n} seed={seed}");
+                    let input = random_flow(seed);
+
+                    let batch = emulate_flow(&d, &input, &ctx, &mut SimRng::new(seed));
+                    let mut rng = SimRng::new(seed);
+                    let fd = d.build(&ctx, &mut rng);
+                    let streamed = stream(FlowShaper::app(&fd, &mut rng), &input);
+                    assert_eq!(streamed, batch.pkts, "app: {case}");
+
+                    let params = StackParams {
+                        flow_salt: seed,
+                        ..StackParams::with_seed(seed ^ 0xA5)
+                    };
+                    let batch = enforce_flow(&d, &input, &ctx, &mut SimRng::new(seed), &params);
+                    let kernel = FlowShaper::stack(&fd, EgressLabels::REPLAY, &params);
+                    assert_eq!(stream(kernel, &input), batch.pkts, "stack: {case}");
+                }
+            }
+        }
     }
 
     #[test]

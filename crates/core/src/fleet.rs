@@ -20,15 +20,11 @@
 //!   through the registry (flow → destination → default precedence)
 //!   concurrently from all shards, exactly like a provider fleet
 //!   hitting one control plane.
-//! * **Per-flow egress pipelines.** Each resolved defense is lowered
-//!   through [`assemble_policy_shaper`] into a live shaper driving an
-//!   [`EgressPipeline`] ([`EgressLabels::FLEET`]): the size stage
-//!   re-fragments packets via `packet_ip_size`, the delay stage gates
-//!   departures through `pace_replay` with shift accumulation —
-//!   the same §3 semantics `enforce_flow` applies to recorded traces,
-//!   here applied to generated flows in streaming fashion (no full
-//!   per-flow schedule is ever materialized, which is what keeps 100k+
-//!   resident flows cheap).
+//! * **One shaping kernel per flow.** Each resolved defense becomes a
+//!   `FlowShaper` at stack placement ([`EgressLabels::FLEET`]) — the
+//!   kernel and decider `enforce_flow` folds over recorded traces, here
+//!   driven one generated packet at a time (no full per-flow schedule is
+//!   ever materialized, which is what keeps 100k+ resident flows cheap).
 //!
 //! Workload: flows are synthetic page-load-like packet sequences drawn
 //! lazily from the flow's own RNG (gap, direction, size per packet),
@@ -44,16 +40,15 @@
 //! trajectory to `BENCH_8.json`.
 
 use crate::defense::{
-    checked_policy, piece_gap, rate_for_iat, replay_ctx, CloseOut, DefenseCtx, FlowPkt, PadderCore,
+    close_padding, Closed, DefenseCtx, FlowDefense, FlowPkt, FlowShaper, PadderCore, StackDecider,
     StackParams,
 };
 use crate::registry::PolicyRegistry;
-use crate::sockopt::assemble_policy_shaper;
 use netsim::{
     par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, FlowId, Nanos, SimRng,
     VecPool,
 };
-use stack::egress::{EgressLabels, EgressPipeline};
+use stack::egress::EgressLabels;
 use stack::FlowTable;
 
 /// Fixed shard count the engine defaults to. Chosen comfortably above
@@ -99,7 +94,7 @@ impl Default for FleetConfig {
 /// Aggregate result of a fleet run. Every field is a deterministic
 /// function of `(config, registry contents)` — invariant to thread
 /// count and shard count — except nothing: all of it is.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct FleetReport {
     /// Flows completed.
     pub flows: u64,
@@ -133,16 +128,23 @@ impl FleetReport {
     }
 }
 
-/// One flow's completion record (engine-internal; summarised into
-/// [`FleetReport`]).
-struct FlowDone {
-    start: Nanos,
-    end: Nanos,
+/// Running totals of one flow's final emissions.
+#[derive(Default)]
+struct Tally {
     pkts: u64,
     bytes: u64,
+    checksum: u64,
+    /// Latest emission, relative to the flow start.
+    end_rel: Nanos,
+}
+
+/// One flow's completion record, summarised into [`FleetReport`]. Held
+/// for every flow until the merge, so it carries only what that reads.
+struct FlowDone {
+    start: Nanos,
+    tally: Tally,
     dummy_pkts: u64,
     dummy_bytes: u64,
-    checksum: u64,
 }
 
 /// Per-shard event: either a flow's start deadline or the departure
@@ -169,23 +171,12 @@ struct FlowState {
     start: Nanos,
     /// Original packets still to draw after the pending one.
     remaining: u64,
-    size_active: bool,
-    delay_active: bool,
-    apply_dir: Option<Direction>,
-    split_link_mbps: u64,
-    pipe: EgressPipeline,
+    shaper: FlowShaper<StackDecider>,
     core: Option<Box<dyn PadderCore>>,
-    owned: &'static [Direction],
     /// Pooled emission buffer, only for owned-direction (re-emitting)
     /// padding cores; pure-padding and policy-only flows fold inline.
     buffer: Option<Vec<FlowPkt>>,
-    shift: Nanos,
-    emit_idx: u64,
-    prev_orig_ts: Nanos,
-    pkts: u64,
-    bytes: u64,
-    checksum: u64,
-    end_rel: Nanos,
+    tally: Tally,
 }
 
 /// Order-independent per-emission fold (an FNV-style mix summed with
@@ -227,22 +218,7 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
 
     // Merge. Sums and the checksum are order-independent; the interval
     // sweep for peak residency is global, so shard layout cannot skew it.
-    let mut report = FleetReport {
-        flows: 0,
-        egress_pkts: 0,
-        egress_bytes: 0,
-        dummy_pkts: 0,
-        dummy_bytes: 0,
-        peak_resident: 0,
-        sim_end: Nanos::ZERO,
-        checksum: 0,
-        events: 0,
-        arena_high_water: 0,
-        audit: AuditReport {
-            checks: 0,
-            violations: Vec::new(),
-        },
-    };
+    let mut report = FleetReport::default();
     let mut intervals: Vec<(u64, u64)> = Vec::with_capacity(cfg.flows as usize);
     for out in outs {
         report.events += out.events;
@@ -250,14 +226,15 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
         report.audit.checks += out.audit.checks;
         report.audit.violations.extend(out.audit.violations);
         for d in &out.done {
+            let end = d.start + d.tally.end_rel;
             report.flows += 1;
-            report.egress_pkts += d.pkts;
-            report.egress_bytes += d.bytes;
+            report.egress_pkts += d.tally.pkts;
+            report.egress_bytes += d.tally.bytes;
             report.dummy_pkts += d.dummy_pkts;
             report.dummy_bytes += d.dummy_bytes;
-            report.checksum = report.checksum.wrapping_add(d.checksum);
-            report.sim_end = report.sim_end.max(d.end);
-            intervals.push((d.start.as_nanos(), d.end.as_nanos()));
+            report.checksum = report.checksum.wrapping_add(d.tally.checksum);
+            report.sim_end = report.sim_end.max(end);
+            intervals.push((d.start.as_nanos(), end.as_nanos()));
         }
     }
     report.peak_resident = peak_resident(&mut intervals);
@@ -343,7 +320,7 @@ fn run_shard(
                 if st.remaining > 0 {
                     st.remaining -= 1;
                     let next = draw_packet(&mut st.rng, p.pkt.ts, cfg, false);
-                    let intended = st.start + next.ts + st.shift;
+                    let intended = st.start + next.ts + st.shaper.shift();
                     let h = arena.alloc(Pending {
                         pkt: next,
                         orig_idx: p.orig_idx + 1,
@@ -389,7 +366,7 @@ fn draw_packet(rng: &mut SimRng, prev_ts: Nanos, cfg: &FleetConfig, first: bool)
 }
 
 /// Resolve the flow's defense through the shared registry and set up its
-/// live state: shaper-backed pipeline, padding core, pooled buffer.
+/// live state: the stack-placement kernel, padding core, pooled buffer.
 fn start_flow(
     cfg: &FleetConfig,
     registry: &PolicyRegistry,
@@ -402,184 +379,88 @@ fn start_flow(
     let start = Nanos(rng.range_u64(0, cfg.window.as_nanos().max(1)));
     let dest = (f % u64::from(cfg.sites.max(1))) as u32;
     // One shared control plane, hit concurrently from every shard.
-    let binding = registry.resolve_defense(f as u32, dest);
+    let fd = match registry.resolve_defense(f as u32, dest) {
+        Some(b) => b.defense.build(&DefenseCtx::default(), &mut rng),
+        None => FlowDefense::passthrough(""),
+    };
     let params = StackParams {
         seed: cfg.seed,
         flow_salt: f,
         ..StackParams::default()
     };
-    let mut pipe = EgressPipeline::new(EgressLabels::FLEET);
-    let (mut size_active, mut delay_active) = (false, false);
-    let mut apply_dir = None;
-    let mut split_link_mbps = 0;
-    let mut core = None;
-    if let Some(b) = binding {
-        let fd = b.defense.build(&DefenseCtx::default(), &mut rng);
-        let (sa, da) = checked_policy(&fd);
-        size_active = sa;
-        delay_active = da;
-        apply_dir = fd.apply_dir;
-        split_link_mbps = fd.split_link_mbps;
-        core = fd.padding;
-        if sa || da {
-            let (shaper, _audit) =
-                assemble_policy_shaper(&fd.policy, params.seed, params.flow_salt);
-            pipe.set_shaper(shaper);
-        }
-    }
-    let owned = core.as_ref().map(|c| c.owned_dirs()).unwrap_or(&[]);
-    let buffer = if owned.is_empty() {
-        None
-    } else {
-        Some(pool.take())
-    };
+    let shaper = FlowShaper::stack(&fd, EgressLabels::FLEET, &params);
+    let core = fd.padding;
+    let owns = core.as_ref().is_some_and(|c| !c.owned_dirs().is_empty());
     let npkts = rng.range_u64(cfg.pkts_per_flow.0.max(1), cfg.pkts_per_flow.1.max(1));
     FlowState {
         f,
         rng,
         start,
         remaining: npkts.saturating_sub(1),
-        size_active,
-        delay_active,
-        apply_dir,
-        split_link_mbps,
-        pipe,
+        shaper,
         core,
-        owned,
-        buffer,
-        shift: Nanos::ZERO,
-        emit_idx: 0,
-        prev_orig_ts: Nanos::ZERO,
-        pkts: 0,
-        bytes: 0,
-        checksum: 0,
-        end_rel: Nanos::ZERO,
+        buffer: owns.then(|| pool.take()),
+        tally: Tally::default(),
     }
 }
 
-/// Shape and emit one original packet: the size stage re-fragments it
-/// through the pipeline's packet-size decision, the delay stage gates
-/// each piece through the pacing clock with shift accumulation — the
-/// `enforce_flow` semantics, applied streaming.
+/// Shape and emit one original packet: one [`FlowShaper::step`], each
+/// piece audited, shown to the padding core and folded (or held for an
+/// owned-direction core) as it leaves the kernel.
 fn emit_packet(st: &mut FlowState, p: &Pending, auditor: &mut Auditor) {
-    let params = StackParams {
-        seed: 0, // not consulted by the shape context
-        flow_salt: st.f,
-        ..StackParams::default()
-    };
-    let affected = st.apply_dir.is_none_or(|d| d == p.pkt.dir);
-    // Size stage.
-    let single: [FlowPkt; 1] = [p.pkt];
-    let mut many: Vec<FlowPkt> = Vec::new();
-    let pieces: &[FlowPkt] = if st.size_active && affected {
-        let sctx = replay_ctx(&params, p.orig_idx, p.pkt.ts, None);
-        let mut remaining = p.pkt.size;
-        let mut ts = p.pkt.ts;
-        let mut piece = 0u32;
-        while remaining > 0 {
-            let proposed = remaining.min(params.mtu_wire);
-            let got = st.pipe.packet_ip_size(&sctx, piece, proposed, 1, proposed);
-            many.push(FlowPkt {
-                ts,
-                dir: p.pkt.dir,
-                size: got,
-            });
-            remaining -= got;
-            if remaining > 0 {
-                ts += piece_gap(st.split_link_mbps, got);
-            }
-            piece += 1;
-        }
-        &many
-    } else {
-        &single
-    };
-    // Delay stage + accounting, per piece.
-    for piece in pieces {
-        let iat = piece.ts.saturating_sub(st.prev_orig_ts);
-        let intended = piece.ts + st.shift;
-        let out_ts = if st.delay_active && st.emit_idx > 0 && affected {
-            let rate = rate_for_iat(params.mss, iat);
-            let sctx = replay_ctx(&params, st.emit_idx, intended, Some(rate));
-            let eligible = st.pipe.pace_replay(&sctx, intended);
-            st.shift += eligible.saturating_sub(intended);
-            eligible
-        } else {
-            intended
-        };
+    st.shaper.step(p.pkt, p.orig_idx, |shaped, intended| {
         // No emission may depart before its intended time.
-        auditor.check_release(out_ts, intended, st.f);
-        st.prev_orig_ts = piece.ts;
-        st.emit_idx += 1;
-        let shaped = FlowPkt {
-            ts: out_ts,
-            dir: piece.dir,
-            size: piece.size,
-        };
+        auditor.check_release(shaped.ts, intended, st.f);
         if let Some(c) = &mut st.core {
             c.on_data(shaped, &mut st.rng);
         }
         match &mut st.buffer {
-            // Owned-direction cores re-emit whole directions at close;
-            // hold the stream in the pooled buffer until then.
             Some(buf) => buf.push(shaped),
-            None => fold_emission(st, &shaped),
+            None => st.tally.fold(&shaped),
         }
+    });
+}
+
+impl Tally {
+    /// Account one final emission.
+    fn fold(&mut self, pkt: &FlowPkt) {
+        self.pkts += 1;
+        self.bytes += u64::from(pkt.size);
+        self.checksum = self
+            .checksum
+            .wrapping_add(mix_emission(pkt.ts, pkt.dir, pkt.size));
+        self.end_rel = self.end_rel.max(pkt.ts);
+        netsim::tm_counter!("netsim.fleet.egress_pkts").inc();
+        netsim::tm_counter!("netsim.fleet.egress_bytes").add(u64::from(pkt.size));
     }
 }
 
-/// Account one final emission into the flow's running totals.
-fn fold_emission(st: &mut FlowState, pkt: &FlowPkt) {
-    st.pkts += 1;
-    st.bytes += u64::from(pkt.size);
-    st.checksum = st
-        .checksum
-        .wrapping_add(mix_emission(pkt.ts, pkt.dir, pkt.size));
-    st.end_rel = st.end_rel.max(pkt.ts);
-    netsim::tm_counter!("netsim.fleet.egress_pkts").inc();
-    netsim::tm_counter!("netsim.fleet.egress_bytes").add(u64::from(pkt.size));
-}
-
-/// Close the flow: run the padding core's schedule, merge owned-direction
-/// re-emissions, return the pooled buffer, and summarise.
+/// Close the flow: run the padding core's close-out over the held
+/// stream (empty unless the core owns a direction), return the pooled
+/// buffer, and summarise.
 fn close_flow(mut st: FlowState, pool: &mut VecPool<FlowPkt>) -> FlowDone {
-    let mut dummy_pkts = 0u64;
-    let mut dummy_bytes = 0u64;
+    let held = st.buffer.take();
+    let mut closed = Closed::default();
     if let Some(mut core) = st.core.take() {
-        let CloseOut { emits, .. } = core.on_close(&mut st.rng);
-        for e in &emits {
-            if e.dummy {
-                dummy_pkts += 1;
-                dummy_bytes += u64::from(e.pkt.size);
-                netsim::tm_counter!("netsim.fleet.dummy_pkts").inc();
-            }
-            fold_emission(&mut st, &e.pkt);
-        }
+        let held = held.as_deref().unwrap_or(&[]);
+        closed = close_padding(&mut *core, held, &mut st.rng, |p| st.tally.fold(&p));
     }
-    if let Some(buf) = st.buffer.take() {
-        // Real packets of owned directions were replaced by the core's
-        // re-emissions above; keep the rest.
-        for pkt in &buf {
-            if !st.owned.contains(&pkt.dir) {
-                fold_emission(&mut st, pkt);
-            }
-        }
+    netsim::tm_counter!("netsim.fleet.dummy_pkts").add(closed.dummy_pkts);
+    if let Some(buf) = held {
         pool.put(buf);
     }
     FlowDone {
         start: st.start,
-        end: st.start + st.end_rel,
-        pkts: st.pkts,
-        bytes: st.bytes,
-        dummy_pkts,
-        dummy_bytes,
-        checksum: st.checksum,
+        tally: st.tally,
+        dummy_pkts: closed.dummy_pkts,
+        dummy_bytes: closed.dummy_bytes,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::defense::CloseOut;
     use crate::policy::ObfuscationPolicy;
     use crate::registry::PolicyKey;
     use std::sync::Arc;

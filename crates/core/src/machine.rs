@@ -1564,7 +1564,6 @@ impl Defense for MachineDefense {
             policy,
             padding,
             apply_dir: None,
-            split_link_mbps: 0,
         }
     }
 }

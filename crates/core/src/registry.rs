@@ -101,6 +101,22 @@ impl PolicyKey {
     }
 }
 
+/// The precedence walk every resolution shares: exact flow match, then
+/// its destination, then the host-wide default.
+fn lookup<T>(
+    table: &BTreeMap<PolicyKey, T>,
+    flow: u32,
+    destination: u32,
+) -> Option<(PolicyKey, &T)> {
+    [
+        PolicyKey::Flow(flow),
+        PolicyKey::Destination(destination),
+        PolicyKey::Default,
+    ]
+    .into_iter()
+    .find_map(|key| table.get(&key).map(|v| (key, v)))
+}
+
 impl PolicyRegistry {
     pub fn new() -> Self {
         Self::default()
@@ -151,17 +167,7 @@ impl PolicyRegistry {
         destination: u32,
     ) -> Option<(PolicyKey, Arc<ObfuscationPolicy>)> {
         netsim::tm_counter!("stob.registry.resolutions").inc();
-        let g = self.read();
-        for key in [
-            PolicyKey::Flow(flow),
-            PolicyKey::Destination(destination),
-            PolicyKey::Default,
-        ] {
-            if let Some(p) = g.table.get(&key) {
-                return Some((key, Arc::clone(p)));
-            }
-        }
-        None
+        lookup(&self.read().table, flow, destination).map(|(key, p)| (key, Arc::clone(p)))
     }
 
     /// Bind a defense (with its enforcement placement) under `key`.
@@ -206,28 +212,16 @@ impl PolicyRegistry {
     ) -> Option<(PolicyKey, DefenseBinding)> {
         netsim::tm_counter!("stob.registry.resolutions").inc();
         let g = self.read();
-        let keys = [
-            PolicyKey::Flow(flow),
-            PolicyKey::Destination(destination),
-            PolicyKey::Default,
-        ];
-        for key in keys {
-            if let Some(b) = g.defenses.get(&key) {
-                return Some((key, b.clone()));
-            }
+        if let Some((key, b)) = lookup(&g.defenses, flow, destination) {
+            return Some((key, b.clone()));
         }
-        for key in keys {
-            if let Some(policy) = g.table.get(&key) {
-                return Some((
-                    key,
-                    DefenseBinding {
-                        defense: Arc::clone(policy) as Arc<dyn Defense>,
-                        placement: Placement::Stack,
-                    },
-                ));
-            }
-        }
-        None
+        lookup(&g.table, flow, destination).map(|(key, policy)| {
+            let binding = DefenseBinding {
+                defense: Arc::clone(policy) as Arc<dyn Defense>,
+                placement: Placement::Stack,
+            };
+            (key, binding)
+        })
     }
 
     /// Publish a [`MachineSpec`](crate::machine::MachineSpec) under
@@ -307,17 +301,7 @@ impl PolicyRegistry {
         destination: u32,
     ) -> Option<(PolicyKey, crate::splitter::SplitterSpec)> {
         netsim::tm_counter!("stob.registry.resolutions").inc();
-        let g = self.read();
-        for key in [
-            PolicyKey::Flow(flow),
-            PolicyKey::Destination(destination),
-            PolicyKey::Default,
-        ] {
-            if let Some(s) = g.splitters.get(&key) {
-                return Some((key, s.clone()));
-            }
-        }
-        None
+        lookup(&self.read().splitters, flow, destination).map(|(key, s)| (key, s.clone()))
     }
 
     /// Current mutation counter (for cache invalidation on the datapath).

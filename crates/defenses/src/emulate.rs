@@ -63,11 +63,6 @@ pub struct EmulateConfig {
     pub delay_hi: f64,
     /// Apply to the first N packets only (0 = whole trace).
     pub first_n: usize,
-    /// Optional physical-realism refinement: when nonzero, the second
-    /// half of a split packet is placed one serialization time (at this
-    /// link rate, Mb/s) after the first. The paper's emulation keeps
-    /// both halves at the original timestamp, so the default is 0.
-    pub link_mbps: u64,
     /// Apply only to this direction (the paper: incoming).
     pub direction: Option<Direction>,
 }
@@ -79,7 +74,6 @@ impl Default for EmulateConfig {
             delay_lo: 0.10,
             delay_hi: 0.30,
             first_n: 0,
-            link_mbps: 0,
             direction: Some(Direction::In),
         }
     }
@@ -137,7 +131,6 @@ impl Defense for Section3Defense {
             policy: self.policy(),
             padding: None,
             apply_dir: self.cfg.direction,
-            split_link_mbps: self.cfg.link_mbps,
         }
     }
 }

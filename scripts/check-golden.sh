@@ -7,7 +7,10 @@
 # produced with the exact invocations below; STOB_JSON_NO_TIMINGS strips
 # wall-clock fields so the dumps are deterministic across machines and
 # thread counts. defense_matrix is additionally run at two thread counts
-# to pin the fan-out determinism contract.
+# to pin the fan-out determinism contract. The fleet's quick-mode checks
+# (work counts + emission checksum, no timings) are held the same way:
+# check-bench.sh only compares fresh runs with each other, so this is
+# the fleet's one cross-commit gate.
 #
 # Usage: scripts/check-golden.sh
 # To regenerate after an *intentional* behavior change:
@@ -17,6 +20,8 @@
 #     cargo run --release --locked -p stob-bench --bin defense_matrix -- 6 10 2 7
 #   STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT=tests/golden/multipath.json \
 #     cargo run --release --locked -p stob-bench --bin multipath -- 12 30 10 11
+#   STOB_THREADS=1 cargo run --release --locked -p stob-bench --bin fleet -- \
+#     --quick --checks-out tests/golden/fleet_quick.json >/dev/null
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -54,3 +59,11 @@ check tests/golden/multipath.json "multipath (1 thread)"
 STOB_THREADS=4 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin multipath -- 12 30 10 11
 check tests/golden/multipath.json "multipath (4 threads)"
+
+STOB_THREADS=1 cargo run --release --locked -p stob-bench --bin fleet -- \
+    --quick --checks-out "$out" >/dev/null
+check tests/golden/fleet_quick.json "fleet --quick (1 thread)"
+
+STOB_THREADS=4 cargo run --release --locked -p stob-bench --bin fleet -- \
+    --quick --checks-out "$out" >/dev/null
+check tests/golden/fleet_quick.json "fleet --quick (4 threads)"
