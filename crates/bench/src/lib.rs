@@ -142,23 +142,19 @@ pub fn run_table2_timed(dataset: &Dataset, cfg: &Table2Config) -> (Vec<Table2Cel
             first_n: n,
             ..EmulateConfig::default()
         };
-        // Per-cell root rng; both backends fork it per trace, so the
-        // cell's emulation is deterministic at any thread count.
+        // Per-cell root rng, forked per trace by `defend_all`, so the
+        // cell's emulation is deterministic at any thread count (the
+        // seed argument only reaches the stack backend's shaper).
         let root = SimRng::new(cfg.seed).fork(n as u64).fork(cm as u64);
         let defended = timings.time("emulate", || {
-            let rows = match placement {
-                // The historical path, kept verbatim: golden outputs
-                // byte-compare against it.
-                Placement::App => emulate::apply_all(cm, &dataset.traces, &em, &root),
-                Placement::Stack => defenses::defend_all(
-                    &Section3Defense::new(cm, em),
-                    Placement::Stack,
-                    &dataset.traces,
-                    None,
-                    &root,
-                    cfg.seed ^ ((n as u64) << 32) ^ cm as u64,
-                ),
-            };
+            let rows = defenses::defend_all(
+                &Section3Defense::new(cm, em),
+                placement,
+                &dataset.traces,
+                None,
+                &root,
+                cfg.seed ^ ((n as u64) << 32) ^ cm as u64,
+            );
             Dataset::new(
                 rows.into_iter().map(|d| d.trace).collect(),
                 dataset.class_names.clone(),

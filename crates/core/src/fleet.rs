@@ -8,7 +8,7 @@
 //!
 //! * **Sharded simulation.** Flows are partitioned into a fixed number
 //!   of shards (independent of thread count). Each shard owns a
-//!   wheel-backed [`EventQueue`] interleaving all its flows' departure
+//!   [`EventQueue`] interleaving all its flows' departure
 //!   timers, an [`Arena`] of in-flight emission descriptors
 //!   (generation-checked handles stored inside the timer events), and a
 //!   [`VecPool`] recycling the buffers of padding defenses that re-emit

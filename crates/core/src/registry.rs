@@ -88,8 +88,8 @@ impl PolicyKey {
                 let id = entries[0]
                     .1
                     .as_u64()
-                    .ok_or_else(|| bad("policy key id is not a u32"))?
-                    as u32;
+                    .and_then(|id| u32::try_from(id).ok())
+                    .ok_or_else(|| bad("policy key id is not a u32"))?;
                 match entries[0].0.as_str() {
                     "Flow" => Ok(PolicyKey::Flow(id)),
                     "Destination" => Ok(PolicyKey::Destination(id)),

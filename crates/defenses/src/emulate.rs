@@ -13,10 +13,10 @@
 //! Delays are applied cumulatively: stretching one inter-arrival time
 //! shifts everything after it, as a real in-stack delay would.
 
-use crate::backend::emulate_trace;
+use crate::backend::{defend_all, emulate_trace};
 use crate::overhead::Defended;
-use netsim::{par, Direction, SimRng};
-use stob::defense::{Defense, DefenseCtx, FlowDefense};
+use netsim::{Direction, SimRng};
+use stob::defense::{Defense, DefenseCtx, FlowDefense, Placement};
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
 use traces::Trace;
 
@@ -158,7 +158,8 @@ pub fn apply(cm: CounterMeasure, trace: &Trace, cfg: &EmulateConfig, rng: &mut S
     emulate_trace(&d, trace, &DefenseCtx::default(), rng)
 }
 
-/// Apply one countermeasure to every trace in a corpus, in parallel.
+/// Apply one countermeasure to every trace in a corpus, in parallel:
+/// [`defend_all`] at the app placement.
 ///
 /// Each trace's randomness is forked from `root` by corpus index, so the
 /// output is a pure function of (traces, cfg, root seed) — bit-identical
@@ -171,12 +172,8 @@ pub fn apply_all(
     cfg: &EmulateConfig,
     root: &SimRng,
 ) -> Vec<Defended> {
-    let _sp = netsim::telemetry::span("defenses.emulate.apply_all");
-    netsim::tm_counter!("defenses.emulate.traces").add(traces.len() as u64);
-    par::par_map(traces, |i, t| {
-        let mut rng = root.fork(i as u64 + 1);
-        apply(cm, t, cfg, &mut rng)
-    })
+    let defense = Section3Defense::new(cm, *cfg);
+    defend_all(&defense, Placement::App, traces, None, root, 0)
 }
 
 /// The paper's 16-dataset grid: every countermeasure × every prefix

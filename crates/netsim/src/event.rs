@@ -1,24 +1,48 @@
-//! The discrete-event queue.
+//! The discrete-event queue — the whole event core.
 //!
 //! Determinism matters more than raw speed here: events scheduled for
 //! the same instant are delivered in scheduling order (FIFO tie-break
 //! via a monotone sequence number), so a simulation never depends on
-//! container-internal ordering. Since the fleet-scale rework the queue
-//! is backed by the hierarchical timer wheel in [`crate::wheel`] —
-//! amortized O(1) schedule/pop instead of the original binary heap's
-//! O(log n) — but the contract is unchanged and this module's tests
-//! predate the swap.
+//! container-internal ordering. Delivery order is `(time, seq)`; `seq`
+//! is unique, so the order is total and the committed goldens depend on
+//! nothing else.
+//!
+//! The queue is a binary min-heap of 24-byte `(time, seq, slot)` keys
+//! over a slab that parks the payloads. Keys only, because the events
+//! are large (`stack::net`'s carry a `Packet` by value, ~136 bytes) and
+//! every sift would move them; the queues are small (~32 pending in a
+//! page load, a few thousand per fleet shard), so the heap is 5–14
+//! levels deep and stays in cache.
+//!
+//! ```
+//! use netsim::{EventQueue, Nanos};
+//!
+//! let mut q = EventQueue::new();
+//! q.schedule_at(Nanos(64), "first");
+//! q.schedule_at(Nanos(64), "second");
+//! q.schedule_at(Nanos(10), "earliest");
+//! assert_eq!(q.pop(), Some((Nanos(10), "earliest")));
+//! // FIFO tie-break: same-instant events pop in scheduling order.
+//! assert_eq!(q.pop(), Some((Nanos(64), "first")));
+//! assert_eq!(q.pop(), Some((Nanos(64), "second")));
+//! assert_eq!((q.pop(), q.now()), (None, Nanos(64)));
+//! ```
 
 use crate::time::Nanos;
-use crate::wheel::TimerWheel;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Time-ordered event queue with deterministic FIFO tie-breaking.
 ///
-/// A thin clock-keeping wrapper over [`TimerWheel`]: it tracks `now`
-/// (the timestamp of the last popped event), clamps past-scheduling,
-/// and asserts pop monotonicity. All ordering logic lives in the wheel.
+/// Tracks `now` (the timestamp of the last popped event), clamps
+/// past-scheduling, and asserts pop monotonicity.
 pub struct EventQueue<E> {
-    wheel: TimerWheel<E>,
+    /// `(time, seq, slot)` of every pending event, earliest first.
+    heap: BinaryHeap<Reverse<(Nanos, u64, u32)>>,
+    /// Payloads, indexed by a key's `slot`; `None` while on `free`.
+    slab: Vec<Option<E>>,
+    free: Vec<u32>,
+    next_seq: u64,
     now: Nanos,
 }
 
@@ -31,7 +55,10 @@ impl<E> Default for EventQueue<E> {
 impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
-            wheel: TimerWheel::new(),
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+            next_seq: 0,
             now: Nanos::ZERO,
         }
     }
@@ -47,7 +74,19 @@ impl<E> EventQueue<E> {
     pub fn schedule_at(&mut self, at: Nanos, ev: E) {
         debug_assert!(at >= self.now, "event scheduled in the past");
         let at = at.max(self.now);
-        self.wheel.push(at, ev);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slab[slot as usize] = Some(ev);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 pending events");
+                self.slab.push(Some(ev));
+                slot
+            }
+        };
+        self.heap.push(Reverse((at, self.next_seq, slot)));
+        self.next_seq += 1;
     }
 
     /// Schedule `ev` after a delay relative to `now`.
@@ -57,29 +96,32 @@ impl<E> EventQueue<E> {
 
     /// Pop the earliest event, advancing the clock to its timestamp.
     pub fn pop(&mut self) -> Option<(Nanos, E)> {
-        self.wheel.pop().map(|(at, ev)| {
-            debug_assert!(
-                at >= self.now,
-                "pop time went backwards: {} after {}",
-                at,
-                self.now
-            );
-            self.now = at;
-            (at, ev)
-        })
+        let Reverse((at, _, slot)) = self.heap.pop()?;
+        debug_assert!(
+            at >= self.now,
+            "pop time went backwards: {} after {}",
+            at,
+            self.now
+        );
+        self.now = at;
+        let ev = self.slab[slot as usize]
+            .take()
+            .expect("a heap key owns an occupied slot");
+        self.free.push(slot);
+        Some((at, ev))
     }
 
     /// Timestamp of the next event without popping it.
-    pub fn peek_time(&mut self) -> Option<Nanos> {
-        self.wheel.peek_time()
+    pub fn peek_time(&self) -> Option<Nanos> {
+        self.heap.peek().map(|Reverse((at, _, _))| *at)
     }
 
     pub fn is_empty(&self) -> bool {
-        self.wheel.is_empty()
+        self.heap.is_empty()
     }
 
     pub fn len(&self) -> usize {
-        self.wheel.len()
+        self.heap.len()
     }
 }
 
@@ -209,20 +251,20 @@ mod tests {
         }
     }
 
-    // ----- wheel-backing regression tests (ISSUE 8 satellite) -----
+    // ----- boundary-tick contract tests -----
+    //
+    // Powers of 64 and the 2^36 ns horizon were the level boundaries of
+    // the timer wheel that once backed this queue; the contract at those
+    // ticks is kept as a check on any future backing container.
 
     #[test]
     fn fifo_tie_break_at_wheel_granularity_boundaries() {
-        // Same-instant bursts scheduled exactly at level-boundary ticks
-        // of the backing wheel (64 = level 0→1, 4096 = level 1→2, …)
-        // must still pop in scheduling order: boundary entries live one
-        // level up from their neighbours and reach level 0 by cascade,
-        // a path that could plausibly lose the sequence ordering.
+        // Same-instant bursts scheduled exactly on power-of-64 ticks,
+        // straddled by events one tick before and after with interleaved
+        // scheduling order, must still pop in scheduling order.
         let boundaries = [64u64, 4096, 1 << 18, 1 << 24, 1 << 30];
         for &b in &boundaries {
             let mut q = EventQueue::new();
-            // Straddle the boundary: events just before, exactly on,
-            // and just after, with interleaved scheduling order.
             for i in 0..20u64 {
                 q.schedule_at(Nanos(b), 3 * i); // on the boundary
                 q.schedule_at(Nanos(b - 1), 3 * i + 1);
@@ -247,14 +289,11 @@ mod tests {
 
     #[test]
     fn timer_on_exact_rollover_tick_is_not_lost_or_early() {
-        // Timers scheduled exactly on a wheel-level rollover tick (the
-        // first tick of a new level-k rotation, relative to a non-zero
-        // clock) are the classic off-by-one spot for wheel cursors.
+        // Timers scheduled exactly on a power-of-64 tick relative to a
+        // non-zero clock sitting one tick before it.
         let mut q = EventQueue::new();
-        // Advance the clock to just before a level-1 rotation boundary.
         q.schedule_at(Nanos(4095), "pre");
         assert_eq!(q.pop(), Some((Nanos(4095), "pre")));
-        // Now schedule exactly on the rollover tick and beyond it.
         q.schedule_at(Nanos(4096), "rollover");
         q.schedule_at(Nanos(4096), "rollover-2");
         q.schedule_at(Nanos(8192), "next-rotation");
@@ -267,9 +306,9 @@ mod tests {
 
     #[test]
     fn far_future_timers_take_the_overflow_level_and_return() {
-        // Beyond the wheel span (~68.7 simulated seconds) timers live in
-        // the sorted overflow level; they must deliver at the exact tick
-        // with FIFO ordering intact, interleaved with near timers.
+        // Timers more than 2^36 ns (~68.7 simulated seconds) ahead must
+        // deliver at the exact tick with FIFO ordering intact,
+        // interleaved with near timers.
         let span = 1u64 << 36;
         let mut q = EventQueue::new();
         q.schedule_at(Nanos(2 * span + 7), "far-a");
@@ -279,5 +318,56 @@ mod tests {
         assert_eq!(q.pop(), Some((Nanos(2 * span + 7), "far-a")));
         assert_eq!(q.pop(), Some((Nanos(2 * span + 7), "far-b")));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn schedule_earlier_than_a_peeked_event() {
+        let mut q = EventQueue::new();
+        q.schedule_at(Nanos(1_000_000), 1u32);
+        assert_eq!(q.peek_time(), Some(Nanos(1_000_000)));
+        // Peeking does not move the clock: scheduling earlier than the
+        // peeked event is legal and must still deliver in time order.
+        q.schedule_at(Nanos(500), 2);
+        q.schedule_at(Nanos(400), 3);
+        assert_eq!(q.peek_time(), Some(Nanos(400)));
+        assert_eq!(q.pop(), Some((Nanos(400), 3)));
+        assert_eq!(q.pop(), Some((Nanos(500), 2)));
+        assert_eq!(q.pop(), Some((Nanos(1_000_000), 1)));
+    }
+
+    #[test]
+    fn randomized_against_reference_sort() {
+        // Differential against a model that knows nothing about sequence
+        // numbers: pending `(time, id)` pairs in scheduling order, and a
+        // *stable* sort by time alone picks what must pop next.
+        let span = 1u64 << 36;
+        let mut rng = crate::SimRng::new(0x77EE1);
+        let mut q = EventQueue::new();
+        let mut reference: Vec<(u64, u64)> = Vec::new();
+        let pop_and_check = |q: &mut EventQueue<u64>, reference: &mut Vec<(u64, u64)>| {
+            reference.sort_by_key(|&(at, _)| at);
+            let want = (!reference.is_empty()).then(|| reference.remove(0));
+            assert_eq!(q.peek_time(), want.map(|(at, _)| Nanos(at)));
+            assert_eq!(q.pop(), want.map(|(at, id)| (Nanos(at), id)));
+            assert_eq!(q.len(), reference.len());
+            want.is_some()
+        };
+        for id in 0..2_000u64 {
+            // Mixed horizon: same tick, near, far, beyond 2^36 ns.
+            let spread = match id % 4 {
+                0 => rng.range_u64(0, 64),
+                1 => rng.range_u64(0, 5_000),
+                2 => rng.range_u64(0, span / 2),
+                _ => rng.range_u64(0, 2 * span),
+            };
+            let at = q.now().as_nanos() + spread;
+            q.schedule_at(Nanos(at), id);
+            reference.push((at, id));
+            if id % 3 == 0 {
+                pop_and_check(&mut q, &mut reference);
+            }
+        }
+        while pop_and_check(&mut q, &mut reference) {}
+        assert!(q.is_empty());
     }
 }

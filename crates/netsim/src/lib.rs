@@ -35,7 +35,6 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod wheel;
 
 pub use audit::{AuditReport, Auditor, Invariant, Violation};
 pub use capture::{Capture, CaptureRecord, Direction};

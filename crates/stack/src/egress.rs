@@ -268,7 +268,7 @@ impl EgressLabels {
 
     /// Labels for the fleet engine (`stob::fleet`): many concurrent
     /// defended flows each drive their own pipeline, interleaved on a
-    /// per-shard timer wheel instead of live transport state.
+    /// per-shard `EventQueue` instead of live transport state.
     pub const FLEET: EgressLabels = EgressLabels {
         layer: "fleet",
         reseg_event: "fleet-pkts",

@@ -12,6 +12,8 @@ run() {
 
 run cargo build --workspace --release --locked
 run cargo test --workspace -q --locked
+# benchmark/ is its own workspace; nothing above builds it.
+run cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 run env STOB_THREADS=4 cargo test --workspace -q --locked --test determinism
 
 # Fault suite: every fault scenario x defense with the invariant auditor

@@ -143,7 +143,7 @@ fn thread_count_never_changes_results() {
     }
 
     // Shard count is a perf-only knob: everything but the per-shard
-    // arena high-water (and the shard-local wheel/pool telemetry, not
+    // arena high-water (and the shard-local pool telemetry, not
     // compared here) must match the 16-shard reference exactly.
     par::set_threads(1);
     for shards in [1u64, 5, 64, 2_000] {

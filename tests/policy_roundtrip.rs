@@ -7,6 +7,7 @@
 use netsim::json::Json;
 use netsim::{Histogram, Nanos, SimRng};
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
+use stob::registry::PolicyRegistry;
 
 fn rand_histogram(rng: &mut SimRng) -> Histogram {
     // Integer bounds: bin edges then hold exact f64 values, so the
@@ -203,4 +204,26 @@ fn forged_histogram_mass_deserializes_but_fails_validation() {
         .expect("shape-valid JSON decodes");
     assert_eq!(back, p);
     assert!(back.validate().is_err(), "forged mass must fail validation");
+}
+
+#[test]
+fn policy_key_ids_beyond_u32_are_rejected_not_truncated() {
+    // 2^32 + 1 must not wrap to Flow(1): the import fails whole and
+    // binds nothing; u32::MAX is the largest id that decodes.
+    let policy = ObfuscationPolicy::passthrough("p")
+        .to_json()
+        .to_string_compact();
+    let export = |key: &str| format!("[[{key},{policy}]]");
+    for key in ["Flow", "Destination"] {
+        let r = PolicyRegistry::new();
+        let wide = export(&format!("{{\"{key}\":4294967297}}"));
+        assert!(r.import_json(&wide).is_err(), "{key}: 2^32 + 1 accepted");
+        let edge = export(&format!("{{\"{key}\":4294967296}}"));
+        assert!(r.import_json(&edge).is_err(), "{key}: 2^32 accepted");
+        assert!(r.is_empty(), "{key}: a rejected import bound something");
+        assert!(r.resolve(1, 1).is_none());
+        let max = export(&format!("{{\"{key}\":{}}}", u32::MAX));
+        assert_eq!(r.import_json(&max).expect("u32::MAX decodes"), 1);
+        assert!(r.resolve(u32::MAX, u32::MAX).is_some());
+    }
 }
