@@ -8,7 +8,7 @@
 
 use super::host::Transport;
 use super::{Api, Ev, Network, CLIENT, SERVER};
-use crate::qdisc::SegDesc;
+use crate::qdisc::{Poll, SegDesc};
 use crate::quic::QuicConn;
 use crate::tcp::{TcpAction, TcpConn};
 use netsim::fault::Departure;
@@ -17,24 +17,33 @@ use netsim::{Direction, FlowId, Nanos, Packet, PacketKind};
 impl Network {
     pub(super) fn handle(&mut self, ev: Ev) {
         netsim::tm_counter!("stack.net.events").inc();
+        self.events_handled += 1;
         match ev {
-            Ev::QdiscCheck { host } => {
-                self.hosts[host].next_check = None;
+            Ev::QdiscCheck { host, gen } => {
+                let h = &mut self.hosts[host];
+                if gen != h.check_gen {
+                    // Superseded by an earlier wake-up, which re-arms
+                    // whatever this one was waiting for.
+                    h.superseded_checks += 1;
+                    netsim::tm_counter!("stack.qdisc.superseded_wakeups").inc();
+                    return;
+                }
+                h.next_check = None;
                 self.qdisc_check(host);
             }
             Ev::PktLeaveNic { host, pkt } => self.pkt_leave_nic(host, pkt),
             Ev::SegTxDone { host, flow, wire } => {
                 let now = self.q.now();
-                let acts = {
-                    let h = &mut self.hosts[host];
-                    let Some(conn) = h.conns.get_mut(&flow) else {
-                        return;
-                    };
+                let h = &mut self.hosts[host];
+                if let Some(conn) = h.conns.get_mut(&flow) {
                     let core = conn.core_mut();
                     core.on_nic_release(wire);
-                    core.output(now, &mut h.cpu)
-                };
-                self.apply(host, flow, acts);
+                    let acts = core.output(now, &mut h.cpu);
+                    self.apply(host, flow, acts);
+                }
+                // The NIC frees at this instant: keep feeding it from
+                // here rather than through a wake-up event of its own.
+                self.qdisc_check(host);
             }
             Ev::BnTxDone { dir } => self.bn_tx_done(dir),
             Ev::Arrive { host, pkt } => self.arrive(host, pkt),
@@ -228,15 +237,29 @@ impl Network {
         }
     }
 
+    /// Ask for the qdisc to be examined at `at`. A host has at most one
+    /// live wake-up: a request is already covered if the pending one is
+    /// no later, or if the NIC is busy until `at` or beyond (`SegTxDone`
+    /// checks as it frees); an earlier request supersedes the pending one
+    /// (the stale event is dropped when it fires); and one for this very
+    /// instant runs inline.
     fn schedule_check(&mut self, host: usize, at: Nanos) {
-        let at = at.max(self.q.now());
-        match self.hosts[host].next_check {
-            Some(t) if t <= at => {}
-            _ => {
-                self.hosts[host].next_check = Some(at);
-                self.q.schedule_at(at, Ev::QdiscCheck { host });
-            }
+        let now = self.q.now();
+        let at = at.max(now);
+        let h = &mut self.hosts[host];
+        let free = h.nic.free_at();
+        if matches!(h.next_check, Some(t) if t <= at) || (now < free && at <= free) {
+            return;
         }
+        h.check_gen += 1;
+        if at == now {
+            h.next_check = None;
+            self.qdisc_check(host);
+            return;
+        }
+        h.next_check = Some(at);
+        let gen = h.check_gen;
+        self.q.schedule_at(at, Ev::QdiscCheck { host, gen });
     }
 
     /// Try to feed the NIC from the qdisc.
@@ -244,12 +267,11 @@ impl Network {
         let now = self.q.now();
         let h = &mut self.hosts[host];
         if !h.nic.idle_at(now) {
-            let free = h.nic.free_at();
-            self.schedule_check(host, free);
+            // Busy: the pending `SegTxDone` checks again as it frees.
             return;
         }
-        match h.qdisc.dequeue(now) {
-            Some(seg) => {
+        match h.qdisc.poll(now) {
+            Poll::Ready(seg) => {
                 self.auditor
                     .check_release(now, seg.eligible_at, u64::from(seg.flow.0));
                 // Pacer release delay: how long past its eligible time a
@@ -284,16 +306,11 @@ impl Network {
                 for (t, pkt) in pkts {
                     self.q.schedule_at(t, Ev::PktLeaveNic { host, pkt });
                 }
+                // Its handler checks again: that is when the NIC frees.
                 self.q.schedule_at(done, Ev::SegTxDone { host, flow, wire });
-                // Check again when the NIC frees up.
-                self.schedule_check(host, done);
             }
-            None => {
-                if let Some(t) = h.qdisc.next_eligible() {
-                    let t = t.max(now);
-                    self.schedule_check(host, t);
-                }
-            }
+            Poll::Wait(t) => self.schedule_check(host, t),
+            Poll::Empty => {}
         }
     }
 
@@ -464,6 +481,7 @@ impl Network {
         } else if !self.bn_queue[dir].enqueue(pkt) {
             self.path_stats.overflow_drops += 1;
             self.ledger.dropped += 1;
+            self.default_ledger.dropped += 1;
         }
     }
 

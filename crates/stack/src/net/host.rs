@@ -71,8 +71,16 @@ pub(super) struct Host {
     pub(super) nic: Nic,
     pub(super) qdisc: FqQdisc,
     pub(super) conns: FlowTable<Transport>,
-    /// Earliest pending QdiscCheck, to avoid event storms.
+    /// Due time of the one live `QdiscCheck` event, if any. A request
+    /// for an earlier time replaces it; the replaced event stays in the
+    /// heap and is dropped when it fires (see `check_gen`).
     pub(super) next_check: Option<Nanos>,
+    /// Generation of the live wake-up, bumped by every accepted request:
+    /// a `QdiscCheck` carrying an older one was superseded. Doubles as
+    /// the count of wake-ups requested.
+    pub(super) check_gen: u64,
+    /// `QdiscCheck` events that fired superseded and were dropped.
+    pub(super) superseded_checks: u64,
     /// Armed stall watchdogs, per flow (see `Api::watch`).
     pub(super) watch: FlowTable<Watch>,
     /// Monotonic arm counter feeding `Watch::gen`.
@@ -87,6 +95,8 @@ impl Host {
             qdisc: FqQdisc::new(),
             conns: FlowTable::new(),
             next_check: None,
+            check_gen: 0,
+            superseded_checks: 0,
             watch: FlowTable::new(),
             watch_gen: 0,
             cfg,

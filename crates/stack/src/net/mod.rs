@@ -84,8 +84,9 @@ enum Ev {
     },
     /// Bottleneck transmitter finished the packet in flight.
     BnTxDone { dir: usize },
-    /// Re-examine the qdisc (pacing eligibility or NIC became free).
-    QdiscCheck { host: usize },
+    /// Re-examine the qdisc (a paced segment became eligible). `gen`
+    /// invalidates a wake-up superseded by an earlier one.
+    QdiscCheck { host: usize, gen: u64 },
     /// Transport timer.
     ConnTimer {
         host: usize,
@@ -142,6 +143,8 @@ pub struct Network {
     rng: SimRng,
     next_flow: u32,
     started: bool,
+    /// Events dispatched so far (see [`Network::event_count`]).
+    events_handled: u64,
     /// Fault injector, when a schedule was installed via `set_faults`.
     faults: Option<FaultInjector>,
     /// Packets held during a buffering link flap, per direction.
@@ -194,6 +197,7 @@ impl Network {
             rng: SimRng::new(seed),
             next_flow: 1,
             started: false,
+            events_handled: 0,
             faults: None,
             flap_held: [Vec::new(), Vec::new()],
             auditor: Auditor::new(),
@@ -445,5 +449,19 @@ impl Network {
             self.hosts[host].nic.segments_tx,
             self.hosts[host].nic.packets_tx,
         )
+    }
+
+    /// Events the loop has dispatched — this network's share of the
+    /// process-wide `stack.net.events` counter.
+    pub fn event_count(&self) -> u64 {
+        self.events_handled
+    }
+
+    /// Qdisc wake-ups on `host`: `(requested, superseded)`. A superseded
+    /// wake-up is one that reached the event heap and was overtaken by an
+    /// earlier request before it fired.
+    pub fn qdisc_wakeups(&self, host: usize) -> (u64, u64) {
+        let h = &self.hosts[host];
+        (h.check_gen, h.superseded_checks)
     }
 }

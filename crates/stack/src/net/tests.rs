@@ -412,3 +412,86 @@ fn app_timers_fire_in_order() {
     // We can't reach into the boxed app; assert via time instead.
     assert_eq!(net.now(), Nanos::from_millis(5));
 }
+
+#[test]
+fn event_budget_holds_for_concurrent_paced_request_response() {
+    // A browser-like page: six connections, each fetching eight 150 kB
+    // objects back to back. On the server, paced response segments of
+    // several flows wait in the qdisc while every arriving ACK asks for
+    // an earlier wake-up — the pattern that used to leave a
+    // self-perpetuating chain of no-op `QdiscCheck`s behind each one.
+    const CONNS: usize = 6;
+    const OBJECTS: u32 = 8;
+    const REQUEST: u64 = 400;
+    const RESPONSE: u64 = 150_000;
+    struct Browser {
+        got: std::collections::BTreeMap<u32, (u64, u32)>,
+    }
+    impl App for Browser {
+        fn on_start(&mut self, api: &mut Api) {
+            for _ in 0..CONNS {
+                api.connect();
+            }
+        }
+        fn on_connected(&mut self, api: &mut Api, flow: FlowId) {
+            self.got.insert(flow.0, (0, 0));
+            api.send(flow, REQUEST);
+        }
+        fn on_data(&mut self, api: &mut Api, flow: FlowId, bytes: u64) {
+            let (have, done) = self.got.get_mut(&flow.0).expect("connected flow");
+            *have += bytes;
+            if *have == RESPONSE {
+                *have = 0;
+                *done += 1;
+                if *done < OBJECTS {
+                    api.send(flow, REQUEST);
+                }
+            }
+        }
+    }
+    #[derive(Default)]
+    struct Origin {
+        asked: std::collections::BTreeMap<u32, u64>,
+    }
+    impl App for Origin {
+        fn on_data(&mut self, api: &mut Api, flow: FlowId, bytes: u64) {
+            let asked = self.asked.entry(flow.0).or_insert(0);
+            *asked += bytes;
+            if *asked == REQUEST {
+                *asked = 0;
+                api.send(flow, RESPONSE);
+            }
+        }
+    }
+    let mut net = Network::new(
+        HostConfig::default(),
+        HostConfig::default(),
+        PathConfig::internet(100, 20),
+        Box::new(Browser {
+            got: Default::default(),
+        }),
+        Box::new(Origin::default()),
+        16,
+    );
+    net.run_to_idle();
+    for f in 1..=CONNS as u32 {
+        let st = net.flow_stats(CLIENT, FlowId(f)).expect("client flow");
+        assert_eq!(st.bytes_delivered, RESPONSE * u64::from(OBJECTS));
+    }
+
+    let pkts = net.nic_counters(CLIENT).1 + net.nic_counters(SERVER).1;
+    let events = net.event_count();
+    assert!(
+        events <= 6 * pkts,
+        "{events} events for {pkts} wire packets ({:.1} per packet)",
+        events as f64 / pkts as f64
+    );
+    for host in [CLIENT, SERVER] {
+        let (requested, superseded) = net.qdisc_wakeups(host);
+        assert!(requested > 0);
+        assert!(
+            superseded < requested,
+            "host {host}: {superseded} superseded of {requested} requested wake-ups"
+        );
+    }
+}

@@ -697,3 +697,39 @@ fn auditor_flags_departures_beyond_the_cc_grant() {
         rep.violations
     );
 }
+
+#[test]
+fn bottleneck_overflow_drops_balance_the_multipath_ledgers() {
+    // An untagged bulk flow overflows a shallow bottleneck queue while a
+    // multipath leg is provisioned but idle. Overflow drops belong to
+    // the default path's ledger, or the multipath sum rule (default +
+    // per-pipe == flow ledger) reports a violation that is not there.
+    let (hc, hs) = fast_hosts();
+    let mut path = PathConfig::internet(20, 20);
+    path.queue_bytes = 8 * 1514;
+    let total = 1_000_000;
+    let mut net = Network::new(
+        hc,
+        hs,
+        path,
+        Box::new(BulkSender::new(total)),
+        Box::new(Sink::default()),
+        47,
+    );
+    net.set_audit(true);
+    let idle_leg = netsim::PipeProfile::new(10_000_000, Nanos::from_millis(5));
+    net.provision_pipes(&[idle_leg], 47, Nanos::from_secs(60));
+    net.run_to_idle();
+    assert_eq!(
+        net.flow_stats(SERVER, FlowId(1)).unwrap().bytes_delivered,
+        total
+    );
+    assert!(net.path_stats.overflow_drops > 0, "queue never overflowed");
+    assert_eq!(
+        net.pipe_ledger(0).unwrap().injected,
+        0,
+        "leg must stay idle"
+    );
+    let rep = net.audit_report();
+    assert!(rep.clean(), "violations: {:?}", rep.violations);
+}

@@ -38,17 +38,34 @@ impl SegDesc {
     }
 }
 
+/// One flow's queue: its FIFO of paced segments plus the wire bytes they
+/// hold, kept together so every operation is one map lookup.
+#[derive(Debug, Default)]
+struct FlowQueue {
+    fifo: VecDeque<SegDesc>,
+    backlog: u64,
+}
+
+/// Outcome of one scheduler pass over the qdisc at a given instant.
+#[derive(Debug)]
+pub(crate) enum Poll {
+    /// A segment the NIC may transmit now (already removed).
+    Ready(SegDesc),
+    /// Nothing is eligible yet; the earliest head becomes eligible then.
+    Wait(Nanos),
+    /// Nothing is queued.
+    Empty,
+}
+
 /// FQ-style pacing qdisc.
 #[derive(Debug, Default)]
 pub struct FqQdisc {
-    /// Per-flow FIFO of paced segments. BTreeMap for deterministic
-    /// iteration order.
-    flows: BTreeMap<FlowId, VecDeque<SegDesc>>,
+    /// Per-flow queues of paced segments; only backlogged flows have an
+    /// entry. BTreeMap for deterministic iteration order.
+    flows: BTreeMap<FlowId, FlowQueue>,
     /// Strict-priority band for pure ACKs / handshake packets (Linux
     /// does not pace these either).
     prio: VecDeque<SegDesc>,
-    /// Backlog bytes per flow (for TSQ accounting by the caller).
-    backlog: BTreeMap<FlowId, u64>,
     pub total_segments: u64,
 }
 
@@ -60,13 +77,13 @@ impl FqQdisc {
     /// Enqueue a paced data segment.
     pub fn enqueue(&mut self, seg: SegDesc) {
         netsim::tm_counter!("stack.qdisc.enqueued").inc();
-        let b = self.backlog.entry(seg.flow).or_insert(0);
-        *b += seg.wire_bytes;
+        let q = self.flows.entry(seg.flow).or_default();
+        q.backlog += seg.wire_bytes;
         // fetch_max is order-independent, so the high-water mark stays
         // deterministic even when independent sims share the registry.
-        netsim::tm_gauge!("stack.qdisc.backlog_hwm_bytes").set_max(*b);
+        netsim::tm_gauge!("stack.qdisc.backlog_hwm_bytes").set_max(q.backlog);
+        q.fifo.push_back(seg);
         self.total_segments += 1;
-        self.flows.entry(seg.flow).or_default().push_back(seg);
     }
 
     /// Enqueue into the unpaced priority band.
@@ -76,36 +93,56 @@ impl FqQdisc {
         self.prio.push_back(seg);
     }
 
+    /// One pass over the flow heads: the eligible head with the earliest
+    /// pacing timestamp (ties broken by flow id for determinism), and the
+    /// earliest timestamp among the heads still waiting at `now`.
+    fn scan(&self, now: Nanos) -> (Option<(Nanos, FlowId)>, Option<Nanos>) {
+        let mut ready: Option<(Nanos, FlowId)> = None;
+        let mut wait: Option<Nanos> = None;
+        for (&flow, q) in &self.flows {
+            let Some(head) = q.fifo.front() else { continue };
+            let t = head.eligible_at;
+            if t <= now {
+                if ready.is_none_or(|(best, _)| t < best) {
+                    ready = Some((t, flow));
+                }
+            } else if wait.is_none_or(|w| t < w) {
+                wait = Some(t);
+            }
+        }
+        (ready, wait)
+    }
+
+    /// Take the next segment the NIC may transmit at `now` — priority
+    /// band first, then the earliest eligible flow head — or report when
+    /// to look again, from the same scan that found nothing eligible.
+    pub(crate) fn poll(&mut self, now: Nanos) -> Poll {
+        if let Some(seg) = self.prio.pop_front() {
+            return Poll::Ready(seg);
+        }
+        match self.scan(now) {
+            (Some((_, flow)), _) => {
+                let q = self.flows.get_mut(&flow).expect("flow disappeared");
+                let seg = q.fifo.pop_front().expect("empty eligible flow");
+                q.backlog -= seg.wire_bytes;
+                if q.fifo.is_empty() {
+                    self.flows.remove(&flow);
+                }
+                Poll::Ready(seg)
+            }
+            (None, Some(t)) => Poll::Wait(t),
+            (None, None) => Poll::Empty,
+        }
+    }
+
     /// Dequeue the next segment the NIC may transmit at `now`:
     /// priority band first, then the eligible flow head with the earliest
     /// pacing timestamp (ties broken by flow id for determinism).
     pub fn dequeue(&mut self, now: Nanos) -> Option<SegDesc> {
-        if let Some(seg) = self.prio.pop_front() {
-            return Some(seg);
+        match self.poll(now) {
+            Poll::Ready(seg) => Some(seg),
+            Poll::Wait(_) | Poll::Empty => None,
         }
-        let mut best: Option<(Nanos, FlowId)> = None;
-        for (&flow, q) in &self.flows {
-            if let Some(head) = q.front() {
-                if head.eligible_at <= now {
-                    match best {
-                        Some((t, _)) if t <= head.eligible_at => {}
-                        _ => best = Some((head.eligible_at, flow)),
-                    }
-                }
-            }
-        }
-        let (_, flow) = best?;
-        let q = self.flows.get_mut(&flow).expect("flow disappeared");
-        let seg = q.pop_front().expect("empty eligible flow");
-        if q.is_empty() {
-            self.flows.remove(&flow);
-        }
-        let b = self.backlog.get_mut(&seg.flow).expect("backlog missing");
-        *b -= seg.wire_bytes;
-        if *b == 0 {
-            self.backlog.remove(&seg.flow);
-        }
-        Some(seg)
     }
 
     /// Earliest time at which anything will become eligible, if the qdisc
@@ -114,15 +151,12 @@ impl FqQdisc {
         if !self.prio.is_empty() {
             return Some(Nanos::ZERO);
         }
-        self.flows
-            .values()
-            .filter_map(|q| q.front().map(|s| s.eligible_at))
-            .min()
+        self.scan(Nanos::MAX).0.map(|(t, _)| t)
     }
 
     /// Bytes of `flow` currently sitting in the qdisc (TSQ input).
     pub fn flow_backlog(&self, flow: FlowId) -> u64 {
-        self.backlog.get(&flow).copied().unwrap_or(0)
+        self.flows.get(&flow).map_or(0, |q| q.backlog)
     }
 
     pub fn is_empty(&self) -> bool {
@@ -130,7 +164,7 @@ impl FqQdisc {
     }
 
     pub fn len_segments(&self) -> usize {
-        self.prio.len() + self.flows.values().map(|q| q.len()).sum::<usize>()
+        self.prio.len() + self.flows.values().map(|q| q.fifo.len()).sum::<usize>()
     }
 }
 

@@ -10,7 +10,10 @@
 # to pin the fan-out determinism contract. The fleet's quick-mode checks
 # (work counts + emission checksum, no timings) are held the same way:
 # check-bench.sh only compares fresh runs with each other, so this is
-# the fleet's one cross-commit gate.
+# the fleet's one cross-commit gate. So is the fault suite's report
+# (fault_matrix: every fault scenario x defense through the real stack,
+# auditor on; its JSON never carries timings): CI's fault-suite step only
+# compares 1 vs 4 threads of the same build, this holds it across commits.
 #
 # Usage: scripts/check-golden.sh
 # To regenerate after an *intentional* behavior change:
@@ -22,6 +25,8 @@
 #     cargo run --release --locked -p stob-bench --bin multipath -- 12 30 10 11
 #   STOB_THREADS=1 cargo run --release --locked -p stob-bench --bin fleet -- \
 #     --quick --checks-out tests/golden/fleet_quick.json >/dev/null
+#   STOB_THREADS=1 STOB_JSON_OUT=tests/golden/fault_matrix.json \
+#     cargo run --release --locked -p stob-bench --bin fault_matrix
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -67,3 +72,11 @@ check tests/golden/fleet_quick.json "fleet --quick (1 thread)"
 STOB_THREADS=4 cargo run --release --locked -p stob-bench --bin fleet -- \
     --quick --checks-out "$out" >/dev/null
 check tests/golden/fleet_quick.json "fleet --quick (4 threads)"
+
+STOB_THREADS=1 STOB_JSON_OUT="$out" \
+    cargo run --release --locked -p stob-bench --bin fault_matrix >/dev/null
+check tests/golden/fault_matrix.json "fault_matrix (1 thread)"
+
+STOB_THREADS=4 STOB_JSON_OUT="$out" \
+    cargo run --release --locked -p stob-bench --bin fault_matrix >/dev/null
+check tests/golden/fault_matrix.json "fault_matrix (4 threads)"
