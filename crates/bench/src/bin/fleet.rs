@@ -21,11 +21,11 @@
 //!
 //! The timed work is bit-deterministic: alongside the timings the run
 //! emits a `checks` object (flow/packet/byte counts, the order-free
-//! emission checksum, audit totals) that is a pure function of
-//! `(mode, seed)` — byte-identical at any `STOB_THREADS`, which CI
-//! verifies. The embedded safety auditor runs force-enabled; any
-//! violation fails the run. A quick run must sustain at least 100k
-//! concurrently-resident flows or it exits non-zero.
+//! emission checksum, audit totals, the run's telemetry totals) that is
+//! a pure function of `(mode, seed)` — byte-identical at any
+//! `STOB_THREADS`, which CI verifies. The embedded safety auditor runs
+//! force-enabled; any violation fails the run. A quick run must sustain
+//! at least 100k concurrently-resident flows or it exits non-zero.
 //!
 //! Usage:
 //!   fleet [--quick] [--out PATH] [--checks-out PATH]
@@ -146,6 +146,40 @@ fn checks_json(mode: &str, r: &FleetReport) -> Json {
         .set("checksum", hex(r.checksum))
         .set("audit_checks", r.audit.checks)
         .set("audit_violations", r.audit.violations.len() as u64)
+        .set("telemetry", telemetry_json())
+}
+
+/// The telemetry totals this process's one fleet run left in the global
+/// registry: sums, so as thread-invariant as the report, and held across
+/// commits by `tests/golden/fleet_quick.json` — a change that batches or
+/// moves a telemetry write must leave every total here unchanged.
+/// `netsim.pool.*` is left out: it follows the shard layout.
+fn telemetry_json() -> Json {
+    let mut t = Json::obj();
+    for name in [
+        "netsim.audit.checks",
+        "netsim.fleet.dummy_pkts",
+        "netsim.fleet.egress_bytes",
+        "netsim.fleet.egress_pkts",
+        "netsim.fleet.events",
+        "netsim.fleet.flows",
+        "stack.replay.pkts",
+    ] {
+        t = t.set(name, netsim::telemetry::counter(name).get());
+    }
+    for name in [
+        "stack.egress.shaper_extra_delay_ns",
+        "stack.fleet.extra_delay_ns",
+    ] {
+        let h = netsim::telemetry::histo(name);
+        let summary = Json::obj()
+            .set("count", h.count())
+            .set("sum", h.sum())
+            .set("min", h.min().unwrap_or(0))
+            .set("max", h.max().unwrap_or(0));
+        t = t.set(name, summary);
+    }
+    t
 }
 
 fn env_u64(key: &str) -> Option<u64> {

@@ -9,13 +9,17 @@
 //! * **Sharded simulation.** Flows are partitioned into a fixed number
 //!   of shards (independent of thread count). Each shard owns a
 //!   [`EventQueue`] interleaving all its flows' departure
-//!   timers, an [`Arena`] of in-flight emission descriptors
-//!   (generation-checked handles stored inside the timer events), and a
+//!   timers, an [`Arena`] of its resident flows (one slot per flow from
+//!   its start event to its close, pending packet included; the timer
+//!   event carries the generation-checked handle, so an emission is one
+//!   lookup of one compact record), and a
 //!   [`VecPool`] recycling the buffers of padding defenses that re-emit
 //!   whole directions. Shards run under [`netsim::par`]; per the
 //!   determinism contract each flow forks its RNG from the root seed
 //!   and its stable global index, so results are bit-identical at any
-//!   `STOB_THREADS` *and* any shard count.
+//!   `STOB_THREADS` *and* any shard count (the arena's per-shard peak,
+//!   [`FleetReport::arena_high_water`], is the one layout-dependent
+//!   field).
 //! * **One shared [`PolicyRegistry`].** Every flow resolves its defense
 //!   through the registry (flow → destination → default precedence)
 //!   concurrently from all shards, exactly like a provider fleet
@@ -35,7 +39,10 @@
 //! before its intended time.
 //!
 //! Observability: `netsim.fleet.*` counters (flows, egress packets and
-//! bytes, dummies, events) — see OBSERVABILITY.md. The `fleet` bench
+//! bytes, dummies, events) — see OBSERVABILITY.md. They are sums, added
+//! where the engine already holds the sum (per closed flow, per finished
+//! shard), not per packet: totals are exact once [`run_fleet`] returns,
+//! and a snapshot taken mid-run lags. The `fleet` bench
 //! bin drives this engine at 10k–1M flows and commits its throughput
 //! trajectory to `BENCH_8.json`.
 
@@ -45,16 +52,15 @@ use crate::defense::{
 };
 use crate::registry::PolicyRegistry;
 use netsim::{
-    par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, FlowId, Nanos, SimRng,
-    VecPool,
+    par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, Nanos, SimRng, VecPool,
 };
 use stack::egress::EgressLabels;
-use stack::FlowTable;
 
 /// Fixed shard count the engine defaults to. Chosen comfortably above
 /// any realistic `STOB_THREADS` so thread count only changes which
 /// worker drives a shard, never how flows are grouped. A perf-only
-/// knob: results are invariant to it (see module docs).
+/// knob: results are invariant to it, bar the per-shard arena peak
+/// (see module docs).
 pub const DEFAULT_SHARDS: u64 = 64;
 
 /// Fleet run parameters.
@@ -64,7 +70,8 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Total flows to drive.
     pub flows: u64,
-    /// Shard count (perf knob; results are invariant). 0 = default.
+    /// Shard count (perf knob; of the results only the per-shard
+    /// `arena_high_water` follows it). 0 = default.
     pub shards: u64,
     /// Destination diversity: flow `f` targets destination `f % sites`,
     /// the key its registry resolution uses.
@@ -92,8 +99,10 @@ impl Default for FleetConfig {
 }
 
 /// Aggregate result of a fleet run. Every field is a deterministic
-/// function of `(config, registry contents)` — invariant to thread
-/// count and shard count — except nothing: all of it is.
+/// function of `(config, registry contents)` and invariant to thread
+/// count. All but one are invariant to shard count too; the exception
+/// is `arena_high_water`, a per-shard peak, which follows
+/// [`FleetConfig::shards`].
 #[derive(Debug, Clone, Default)]
 pub struct FleetReport {
     /// Flows completed.
@@ -115,7 +124,8 @@ pub struct FleetReport {
     pub checksum: u64,
     /// Events popped across all shard queues.
     pub events: u64,
-    /// Peak in-flight emission descriptors in any one shard's arena.
+    /// Peak resident flows in any one shard (its arena holds one slot
+    /// per resident flow). Changes with the shard count.
     pub arena_high_water: u64,
     /// Merged invariant report (monotone pops, no early departures).
     pub audit: AuditReport,
@@ -138,37 +148,27 @@ struct Tally {
     end_rel: Nanos,
 }
 
-/// One flow's completion record, summarised into [`FleetReport`]. Held
-/// for every flow until the merge, so it carries only what that reads.
-struct FlowDone {
-    start: Nanos,
-    tally: Tally,
-    dummy_pkts: u64,
-    dummy_bytes: u64,
-}
-
-/// Per-shard event: either a flow's start deadline or the departure
-/// timer of its next original packet, whose descriptor lives in the
-/// shard arena behind a generation-checked handle.
+/// Per-shard event: a flow's start deadline, or the departure timer of
+/// its next original packet — which lives, with the rest of the flow, in
+/// the shard arena behind the generation-checked handle.
 enum Step {
     Start { local: u32 },
-    Emit { local: u32, h: ArenaHandle },
+    Emit { h: ArenaHandle },
 }
 
-/// In-flight emission descriptor: the next original packet (flow-relative
-/// timestamp) and its index in the flow's original sequence.
-struct Pending {
-    pkt: FlowPkt,
-    orig_idx: u64,
-}
-
-/// Live state of one resident flow. Created at the flow's start event,
-/// dropped at close — so a shard's memory tracks its *resident* flow
-/// count, not its total assignment.
+/// Live state of one resident flow: one arena slot from the flow's start
+/// event to its close — so a shard's memory tracks its *resident* flow
+/// count, not its total assignment — and the only record an emission
+/// touches. A flow has exactly one emission pending at any time: the
+/// packet its timer is armed for is a field here.
 struct FlowState {
     f: u64,
     rng: SimRng,
     start: Nanos,
+    /// The pending original packet (flow-relative timestamp)...
+    pkt: FlowPkt,
+    /// ...and its index in the flow's original sequence.
+    orig_idx: u64,
     /// Original packets still to draw after the pending one.
     remaining: u64,
     shaper: FlowShaper<StackDecider>,
@@ -178,6 +178,13 @@ struct FlowState {
     buffer: Option<Vec<FlowPkt>>,
     tally: Tally,
 }
+
+/// The per-flow budget: a shard's working set is this times its
+/// resident flows, and every emission reads one.
+const _: () = assert!(
+    std::mem::size_of::<FlowState>() <= 256,
+    "FlowState outgrew its 256-byte (four cache line) budget"
+);
 
 /// Order-independent per-emission fold (an FNV-style mix summed with
 /// wrapping adds, so shard layout and merge order cannot change it).
@@ -190,11 +197,13 @@ fn mix_emission(ts: Nanos, dir: Direction, size: u32) -> u64 {
     h
 }
 
+/// One shard's share of the result: the report's sums over its flows
+/// (`peak_resident` and `sim_end` are global and left for the merge),
+/// plus every flow's first and last instant for the residency sweep.
 struct ShardOut {
-    done: Vec<FlowDone>,
-    audit: AuditReport,
-    events: u64,
-    arena_high_water: u64,
+    report: FleetReport,
+    starts: Vec<u64>,
+    ends: Vec<u64>,
 }
 
 /// Drive `cfg.flows` defended flows through `registry` and return the
@@ -219,50 +228,50 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
     // Merge. Sums and the checksum are order-independent; the interval
     // sweep for peak residency is global, so shard layout cannot skew it.
     let mut report = FleetReport::default();
-    let mut intervals: Vec<(u64, u64)> = Vec::with_capacity(cfg.flows as usize);
+    let mut starts: Vec<u64> = Vec::with_capacity(cfg.flows as usize);
+    let mut ends: Vec<u64> = Vec::with_capacity(cfg.flows as usize);
     for out in outs {
-        report.events += out.events;
-        report.arena_high_water = report.arena_high_water.max(out.arena_high_water);
-        report.audit.checks += out.audit.checks;
-        report.audit.violations.extend(out.audit.violations);
-        for d in &out.done {
-            let end = d.start + d.tally.end_rel;
-            report.flows += 1;
-            report.egress_pkts += d.tally.pkts;
-            report.egress_bytes += d.tally.bytes;
-            report.dummy_pkts += d.dummy_pkts;
-            report.dummy_bytes += d.dummy_bytes;
-            report.checksum = report.checksum.wrapping_add(d.tally.checksum);
-            report.sim_end = report.sim_end.max(end);
-            intervals.push((d.start.as_nanos(), end.as_nanos()));
-        }
+        let r = out.report;
+        report.flows += r.flows;
+        report.egress_pkts += r.egress_pkts;
+        report.egress_bytes += r.egress_bytes;
+        report.dummy_pkts += r.dummy_pkts;
+        report.dummy_bytes += r.dummy_bytes;
+        report.checksum = report.checksum.wrapping_add(r.checksum);
+        report.events += r.events;
+        report.arena_high_water = report.arena_high_water.max(r.arena_high_water);
+        report.audit.checks += r.audit.checks;
+        report.audit.violations.extend(r.audit.violations);
+        starts.extend(out.starts);
+        ends.extend(out.ends);
     }
-    report.peak_resident = peak_resident(&mut intervals);
+    report.peak_resident = peak_resident(&mut starts, &mut ends);
+    report.sim_end = Nanos(ends.last().copied().unwrap_or(0));
     netsim::tm_gauge!("netsim.fleet.peak_resident").set_max(report.peak_resident);
     netsim::tm_gauge!("netsim.fleet.arena_high_water").set_max(report.arena_high_water);
     sp.sim_window(Nanos::ZERO, report.sim_end);
     report
 }
 
-/// Peak of the residency step function: sweep `(start, end)` intervals,
-/// counting an interval as resident on `[start, end]` (ends processed
-/// before coincident starts).
-fn peak_resident(intervals: &mut [(u64, u64)]) -> u64 {
-    let mut events: Vec<(u64, i64)> = Vec::with_capacity(intervals.len() * 2);
-    for &mut (s, e) in intervals.iter_mut() {
-        events.push((s, 1));
-        // End marker strictly after `e` so a flow is resident through
-        // its final emission instant.
-        events.push((e + 1, -1));
-    }
-    events.sort_unstable();
-    let mut cur = 0i64;
-    let mut peak = 0i64;
-    for (_, d) in events {
-        cur += d;
+/// Peak of the residency step function over flows resident on
+/// `[starts[i], ends[i]]`, ends inclusive: a flow ending where another
+/// starts overlaps it. Only the two multisets matter, so each side is
+/// sorted on its own (both are left sorted) and swept once.
+fn peak_resident(starts: &mut [u64], ends: &mut [u64]) -> u64 {
+    starts.sort_unstable();
+    ends.sort_unstable();
+    let (mut cur, mut peak, mut gone) = (0u64, 0u64, 0usize);
+    for &s in starts.iter() {
+        // Fewer flows have ended before `s` than started before it, so
+        // `gone` stays in range.
+        while ends[gone] < s {
+            gone += 1;
+            cur -= 1;
+        }
+        cur += 1;
         peak = peak.max(cur);
     }
-    peak.max(0) as u64
+    peak
 }
 
 fn run_shard(
@@ -274,13 +283,15 @@ fn run_shard(
 ) -> ShardOut {
     let n = (hi - lo) as usize;
     let mut q: EventQueue<Step> = EventQueue::new();
-    let mut arena: Arena<Pending> = Arena::with_capacity(n.min(4096));
+    let mut arena: Arena<FlowState> = Arena::with_capacity(n.min(4096));
     let mut pool: VecPool<FlowPkt> = VecPool::new();
-    let mut flows: FlowTable<FlowState> = FlowTable::with_capacity(n);
     let mut auditor = Auditor::new();
     auditor.set_enabled(true);
-    let mut done: Vec<FlowDone> = Vec::with_capacity(n);
-    let mut events = 0u64;
+    let mut out = ShardOut {
+        report: FleetReport::default(),
+        starts: Vec::with_capacity(n),
+        ends: Vec::with_capacity(n),
+    };
 
     // Seed every assigned flow's start deadline. Only the start draw is
     // consumed here; the flow's full RNG stream is re-forked at the
@@ -297,51 +308,43 @@ fn run_shard(
     }
 
     while let Some((t, step)) = q.pop() {
-        events += 1;
+        out.report.events += 1;
         auditor.check_monotonic(t);
-        netsim::tm_counter!("netsim.fleet.events").inc();
         match step {
             Step::Start { local } => {
-                let f = lo + u64::from(local);
-                let mut st = start_flow(cfg, registry, root, f, &mut pool);
-                let pkt = draw_packet(&mut st.rng, Nanos::ZERO, cfg, true);
-                let h = arena.alloc(Pending { pkt, orig_idx: 0 });
+                let st = start_flow(cfg, registry, root, lo + u64::from(local), &mut pool);
                 // First original packet departs at flow start.
-                q.schedule_at(st.start, Step::Emit { local, h });
-                flows.insert(FlowId(local), st);
+                let at = st.start;
+                let h = arena.alloc(st);
+                q.schedule_at(at, Step::Emit { h });
             }
-            Step::Emit { local, h } => {
-                let p = arena
-                    .take(h)
-                    .expect("emission descriptor vanished (stale handle)");
-                let fid = FlowId(local);
-                let st = flows.get_mut(&fid).expect("flow state for pending emit");
-                emit_packet(st, &p, &mut auditor);
+            Step::Emit { h } => {
+                let st = arena
+                    .get_mut(h)
+                    .expect("flow state vanished (stale handle)");
+                emit_packet(st, &mut auditor);
                 if st.remaining > 0 {
                     st.remaining -= 1;
-                    let next = draw_packet(&mut st.rng, p.pkt.ts, cfg, false);
-                    let intended = st.start + next.ts + st.shaper.shift();
-                    let h = arena.alloc(Pending {
-                        pkt: next,
-                        orig_idx: p.orig_idx + 1,
-                    });
-                    q.schedule_at(intended, Step::Emit { local, h });
+                    st.pkt = draw_packet(&mut st.rng, st.pkt.ts, cfg, false);
+                    st.orig_idx += 1;
+                    let intended = st.start + st.pkt.ts + st.shaper.shift();
+                    q.schedule_at(intended, Step::Emit { h });
                 } else {
-                    let st = flows.remove(&fid).expect("flow state at close");
-                    done.push(close_flow(st, &mut pool));
+                    let st = arena.take(h).expect("flow state at close");
+                    close_flow(st, &mut pool, &mut out);
                 }
             }
         }
     }
 
-    debug_assert!(flows.is_empty(), "flows left resident after queue drain");
-    debug_assert!(arena.is_empty(), "descriptors leaked in the arena");
-    ShardOut {
-        done,
-        audit: auditor.report(),
-        events,
-        arena_high_water: arena.high_water() as u64,
-    }
+    debug_assert!(arena.is_empty(), "flows left resident after queue drain");
+    // Sums are flushed where they already exist: once per shard here,
+    // once per flow in `close_flow` — never per packet or per event.
+    netsim::tm_counter!("netsim.fleet.events").add(out.report.events);
+    netsim::tm_counter!("netsim.fleet.flows").add(out.report.flows);
+    out.report.audit = auditor.report();
+    out.report.arena_high_water = arena.high_water() as u64;
+    out
 }
 
 /// Draw the next original packet of a flow: inter-packet gap, direction
@@ -366,7 +369,9 @@ fn draw_packet(rng: &mut SimRng, prev_ts: Nanos, cfg: &FleetConfig, first: bool)
 }
 
 /// Resolve the flow's defense through the shared registry and set up its
-/// live state: the stack-placement kernel, padding core, pooled buffer.
+/// live state: the stack-placement kernel, padding core, pooled buffer,
+/// and the first original packet. The draw order (start, defense build,
+/// packet count, first packet) is part of the flow's identity.
 fn start_flow(
     cfg: &FleetConfig,
     registry: &PolicyRegistry,
@@ -374,7 +379,6 @@ fn start_flow(
     f: u64,
     pool: &mut VecPool<FlowPkt>,
 ) -> FlowState {
-    netsim::tm_counter!("netsim.fleet.flows").inc();
     let mut rng = root.fork(f + 1);
     let start = Nanos(rng.range_u64(0, cfg.window.as_nanos().max(1)));
     let dest = (f % u64::from(cfg.sites.max(1))) as u32;
@@ -392,10 +396,13 @@ fn start_flow(
     let core = fd.padding;
     let owns = core.as_ref().is_some_and(|c| !c.owned_dirs().is_empty());
     let npkts = rng.range_u64(cfg.pkts_per_flow.0.max(1), cfg.pkts_per_flow.1.max(1));
+    let pkt = draw_packet(&mut rng, Nanos::ZERO, cfg, true);
     FlowState {
         f,
         rng,
         start,
+        pkt,
+        orig_idx: 0,
         remaining: npkts.saturating_sub(1),
         shaper,
         core,
@@ -404,11 +411,12 @@ fn start_flow(
     }
 }
 
-/// Shape and emit one original packet: one [`FlowShaper::step`], each
-/// piece audited, shown to the padding core and folded (or held for an
-/// owned-direction core) as it leaves the kernel.
-fn emit_packet(st: &mut FlowState, p: &Pending, auditor: &mut Auditor) {
-    st.shaper.step(p.pkt, p.orig_idx, |shaped, intended| {
+/// Shape and emit the flow's pending original packet: one
+/// [`FlowShaper::step`], each piece audited, shown to the padding core
+/// and folded (or held for an owned-direction core) as it leaves the
+/// kernel.
+fn emit_packet(st: &mut FlowState, auditor: &mut Auditor) {
+    st.shaper.step(st.pkt, st.orig_idx, |shaped, intended| {
         // No emission may depart before its intended time.
         auditor.check_release(shaped.ts, intended, st.f);
         if let Some(c) = &mut st.core {
@@ -430,31 +438,35 @@ impl Tally {
             .checksum
             .wrapping_add(mix_emission(pkt.ts, pkt.dir, pkt.size));
         self.end_rel = self.end_rel.max(pkt.ts);
-        netsim::tm_counter!("netsim.fleet.egress_pkts").inc();
-        netsim::tm_counter!("netsim.fleet.egress_bytes").add(u64::from(pkt.size));
     }
 }
 
 /// Close the flow: run the padding core's close-out over the held
 /// stream (empty unless the core owns a direction), return the pooled
-/// buffer, and summarise.
-fn close_flow(mut st: FlowState, pool: &mut VecPool<FlowPkt>) -> FlowDone {
+/// buffer, and fold the flow's totals into the shard's and into the
+/// `netsim.fleet.*` counters.
+fn close_flow(mut st: FlowState, pool: &mut VecPool<FlowPkt>, out: &mut ShardOut) {
     let held = st.buffer.take();
     let mut closed = Closed::default();
     if let Some(mut core) = st.core.take() {
         let held = held.as_deref().unwrap_or(&[]);
         closed = close_padding(&mut *core, held, &mut st.rng, |p| st.tally.fold(&p));
     }
-    netsim::tm_counter!("netsim.fleet.dummy_pkts").add(closed.dummy_pkts);
     if let Some(buf) = held {
         pool.put(buf);
     }
-    FlowDone {
-        start: st.start,
-        tally: st.tally,
-        dummy_pkts: closed.dummy_pkts,
-        dummy_bytes: closed.dummy_bytes,
-    }
+    netsim::tm_counter!("netsim.fleet.egress_pkts").add(st.tally.pkts);
+    netsim::tm_counter!("netsim.fleet.egress_bytes").add(st.tally.bytes);
+    netsim::tm_counter!("netsim.fleet.dummy_pkts").add(closed.dummy_pkts);
+    let r = &mut out.report;
+    r.flows += 1;
+    r.egress_pkts += st.tally.pkts;
+    r.egress_bytes += st.tally.bytes;
+    r.dummy_pkts += closed.dummy_pkts;
+    r.dummy_bytes += closed.dummy_bytes;
+    r.checksum = r.checksum.wrapping_add(st.tally.checksum);
+    out.starts.push(st.start.as_nanos());
+    out.ends.push((st.start + st.tally.end_rel).as_nanos());
 }
 
 #[cfg(test)]
@@ -512,6 +524,9 @@ mod tests {
             par::set_threads(threads);
             let r = run_fleet(&base_cfg, &reg);
             assert_eq!(checks(&r), checks(&reference), "threads={threads}");
+            // The one field that follows the shard layout is still
+            // independent of which worker drives a shard.
+            assert_eq!(r.arena_high_water, reference.arena_high_water);
         }
         par::set_threads(1);
         for shards in [1u64, 3, 64, 800] {
@@ -546,12 +561,15 @@ mod tests {
         let reg = PolicyRegistry::new();
         let cfg = FleetConfig {
             flows: 200,
+            shards: 1,
             window: Nanos(1),
             ..small_cfg()
         };
         let r = run_fleet(&cfg, &reg);
         assert_eq!(r.peak_resident, 200);
-        assert!(r.arena_high_water > 0);
+        // One arena slot per resident flow: with one shard the arena's
+        // peak is the population's.
+        assert_eq!(r.arena_high_water, 200);
     }
 
     /// An owned-direction core: drops the originals of `In` and re-emits
@@ -647,17 +665,41 @@ mod tests {
         assert_eq!(r.peak_resident, 0);
     }
 
+    /// Sweep `(start, end)` pairs through [`peak_resident`].
+    fn sweep(iv: &[(u64, u64)]) -> u64 {
+        let (mut starts, mut ends): (Vec<u64>, Vec<u64>) = iv.iter().copied().unzip();
+        peak_resident(&mut starts, &mut ends)
+    }
+
     #[test]
     fn peak_resident_sweep_counts_overlap() {
-        let mut iv = vec![(0u64, 10), (5, 15), (11, 20), (30, 31)];
-        assert_eq!(peak_resident(&mut iv), 2);
-        let mut nested = vec![(0u64, 100), (10, 20), (12, 14)];
-        assert_eq!(peak_resident(&mut nested), 3);
+        assert_eq!(sweep(&[(0, 10), (5, 15), (11, 20), (30, 31)]), 2);
+        assert_eq!(sweep(&[(0, 100), (10, 20), (12, 14)]), 3);
         // A flow ending exactly where another starts overlaps it (ends
         // are inclusive).
-        let mut touching = vec![(0u64, 10), (10, 20)];
-        assert_eq!(peak_resident(&mut touching), 2);
-        let mut none: Vec<(u64, u64)> = Vec::new();
-        assert_eq!(peak_resident(&mut none), 0);
+        assert_eq!(sweep(&[(0, 10), (10, 20)]), 2);
+        assert_eq!(sweep(&[]), 0);
+    }
+
+    #[test]
+    fn peak_resident_sweep_matches_brute_force() {
+        // Few distinct instants, so coincident starts, coincident ends,
+        // end == start and zero-length flows all occur.
+        let mut rng = SimRng::new(0x5EE9);
+        for round in 0..20 {
+            let iv: Vec<(u64, u64)> = (0..200)
+                .map(|_| {
+                    let s = rng.range_u64(0, 60);
+                    (s, s + rng.range_u64(0, 25))
+                })
+                .collect();
+            // The peak is reached at some flow's start instant.
+            let brute = iv
+                .iter()
+                .map(|&(t, _)| iv.iter().filter(|&&(s, e)| s <= t && t <= e).count() as u64)
+                .max()
+                .unwrap_or(0);
+            assert_eq!(sweep(&iv), brute, "round {round}");
+        }
     }
 }

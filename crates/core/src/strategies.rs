@@ -278,6 +278,10 @@ pub fn build_shaper(policy: &ObfuscationPolicy, seed: u64, flow_salt: u64) -> Bo
         DelaySpec::Unchanged => {}
         spec => stages.push(Box::new(DelayJitter::new(spec.clone(), rng_seed))),
     }
+    // A lone stage is the shaper: `Chain` is for composing two or more.
+    if stages.len() == 1 {
+        return stages.remove(0);
+    }
     Box::new(Chain::new(stages))
 }
 
@@ -452,6 +456,111 @@ mod tests {
         assert!(s.extra_delay(&c) > Nanos::ZERO);
         // TSO untouched for this policy.
         assert_eq!(s.tso_segment_pkts(&c, 44), 44);
+    }
+
+    /// `p.min(n)` per hook: what `TsoSpec::Cap` and `SizeSpec::Fixed` are.
+    struct Min {
+        tso: u32,
+        ip: u32,
+    }
+    impl Shaper for Min {
+        fn tso_segment_pkts(&mut self, _c: &ShapeCtx, p: u32) -> u32 {
+            p.min(self.tso)
+        }
+        fn packet_ip_size(&mut self, _c: &ShapeCtx, _i: u32, p: u32) -> u32 {
+            p.min(self.ip)
+        }
+    }
+
+    #[test]
+    fn a_lone_stage_answers_exactly_as_a_chain_of_it() {
+        let (seed, salt) = (3u64, 4u64);
+        let jitter = |spec: &DelaySpec| -> Box<dyn Shaper> {
+            let rng_seed = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            Box::new(DelayJitter::new(spec.clone(), rng_seed))
+        };
+        let base = ObfuscationPolicy::passthrough;
+        let stretch = DelaySpec::UniformFraction {
+            lo_frac: 0.05,
+            hi_frac: 0.20,
+        };
+        let two = ObfuscationPolicy::split_and_delay("split+delay");
+        let SizeSpec::SplitAbove { threshold } = two.size else {
+            panic!("split_and_delay splits");
+        };
+        // Each policy beside the stages it lowers to; the last one
+        // lowers to two and must still compose.
+        let cases: Vec<(ObfuscationPolicy, Vec<Box<dyn Shaper>>)> = vec![
+            (
+                ObfuscationPolicy {
+                    delay: stretch.clone(),
+                    ..base("delay-only")
+                },
+                vec![jitter(&stretch)],
+            ),
+            (
+                ObfuscationPolicy {
+                    size: SizeSpec::SplitAbove { threshold: 1200 },
+                    ..base("split-only")
+                },
+                vec![Box::new(SplitThreshold::new(1200))],
+            ),
+            (
+                ObfuscationPolicy {
+                    size: SizeSpec::Fixed { ip_size: 900 },
+                    ..base("fixed")
+                },
+                vec![Box::new(Min {
+                    tso: u32::MAX,
+                    ip: 900,
+                })],
+            ),
+            (
+                ObfuscationPolicy {
+                    tso: TsoSpec::Cap { pkts: 8 },
+                    ..base("tso-cap")
+                },
+                vec![Box::new(Min {
+                    tso: 8,
+                    ip: u32::MAX,
+                })],
+            ),
+            (
+                two.clone(),
+                vec![Box::new(SplitThreshold::new(threshold)), jitter(&two.delay)],
+            ),
+        ];
+        for (p, stages) in cases {
+            let mut built = build_shaper(&p, seed, salt);
+            let mut chained = Chain::new(stages);
+            let mut rng = SimRng::new(0xC4A1);
+            for i in 0..1_000 {
+                let c = ShapeCtx {
+                    pacing_rate_bps: match rng.next_below(4) {
+                        0 => None,
+                        1 => Some(u64::MAX),
+                        _ => Some(rng.range_u64(1, 100_000_000_000)),
+                    },
+                    pkts_sent: rng.next_below(200),
+                    mtu_ip: rng.range_u64(576, 9000) as u32,
+                    mss: rng.range_u64(1, 8948) as u32,
+                    ..ctx()
+                };
+                let (burst, ip) = (rng.range_u64(1, 64) as u32, rng.range_u64(1, 9000) as u32);
+                let case = format!("{} #{i}", p.name);
+                assert_eq!(
+                    built.tso_segment_pkts(&c, burst),
+                    chained.tso_segment_pkts(&c, burst),
+                    "{case}"
+                );
+                assert_eq!(
+                    built.packet_ip_size(&c, i, ip),
+                    chained.packet_ip_size(&c, i, ip),
+                    "{case}"
+                );
+                assert_eq!(built.extra_delay(&c), chained.extra_delay(&c), "{case}");
+            }
+        }
     }
 
     #[test]

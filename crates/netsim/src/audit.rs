@@ -37,6 +37,7 @@
 
 use crate::time::Nanos;
 use crate::Json;
+use std::cell::Cell;
 
 /// The invariant classes the auditor knows about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,6 +138,8 @@ pub struct Auditor {
     enabled: bool,
     last_pop: Nanos,
     checks: u64,
+    /// How many of `checks` `netsim.audit.checks` already counts.
+    flushed: Cell<u64>,
     violations: Vec<Violation>,
     /// Cap so a systematically broken run cannot balloon memory.
     max_recorded: usize,
@@ -157,6 +160,7 @@ impl Auditor {
             enabled: cfg!(debug_assertions) || env_enabled(),
             last_pop: Nanos::ZERO,
             checks: 0,
+            flushed: Cell::new(0),
             violations: Vec::new(),
             max_recorded: 256,
             dropped: 0,
@@ -190,7 +194,6 @@ impl Auditor {
             return;
         }
         self.checks += 1;
-        crate::tm_counter!("netsim.audit.checks").inc();
         if now < self.last_pop {
             let last = self.last_pop;
             self.record(
@@ -208,7 +211,6 @@ impl Auditor {
             return;
         }
         self.checks += 1;
-        crate::tm_counter!("netsim.audit.checks").inc();
         if eligible_at > now {
             self.record(
                 Invariant::PacingRelease,
@@ -227,7 +229,6 @@ impl Auditor {
             return;
         }
         self.checks += 1;
-        crate::tm_counter!("netsim.audit.checks").inc();
         if outstanding > allowed {
             self.record(
                 Invariant::SafetyRule,
@@ -249,7 +250,6 @@ impl Auditor {
             return;
         }
         self.checks += 1;
-        crate::tm_counter!("netsim.audit.checks").inc();
         if idle > bound {
             self.record(
                 Invariant::ForwardProgress,
@@ -278,7 +278,6 @@ impl Auditor {
             return;
         }
         self.checks += 1;
-        crate::tm_counter!("netsim.audit.checks").inc();
         if injected != delivered + dropped + in_transit {
             self.record(
                 Invariant::Conservation,
@@ -309,7 +308,6 @@ impl Auditor {
             return;
         }
         self.checks += 1;
-        crate::tm_counter!("netsim.audit.checks").inc();
         if injected != delivered + dropped + in_transit {
             self.record(
                 Invariant::MultipathConservation,
@@ -331,7 +329,6 @@ impl Auditor {
             return;
         }
         self.checks += 1;
-        crate::tm_counter!("netsim.audit.checks").inc();
         if pipe_sum != flow_total {
             self.record(
                 Invariant::MultipathConservation,
@@ -348,7 +345,20 @@ impl Auditor {
         &self.violations
     }
 
+    /// Bring `netsim.audit.checks` up to date with this auditor: checks
+    /// are counted in `self.checks` as they run and added to the
+    /// process-wide counter here, once per report (and at drop), not by
+    /// one shared-line atomic per check. An auditor that checked nothing
+    /// leaves the counter unregistered.
+    fn flush_checks(&self) {
+        let fresh = self.checks - self.flushed.replace(self.checks);
+        if fresh > 0 {
+            crate::tm_counter!("netsim.audit.checks").add(fresh);
+        }
+    }
+
     pub fn report(&self) -> AuditReport {
+        self.flush_checks();
         let mut r = AuditReport {
             checks: self.checks,
             violations: self.violations.clone(),
@@ -362,6 +372,12 @@ impl Auditor {
             });
         }
         r
+    }
+}
+
+impl Drop for Auditor {
+    fn drop(&mut self) {
+        self.flush_checks();
     }
 }
 

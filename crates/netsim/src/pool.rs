@@ -1,7 +1,7 @@
 //! Arena and buffer pooling for the many-flow hot path.
 //!
-//! At fleet scale the simulator keeps tens of thousands of in-flight
-//! packet descriptors and padding buffers alive per shard. Allocating
+//! At fleet scale the simulator keeps thousands of resident flow
+//! records and padding buffers alive per shard. Allocating
 //! each as its own heap object makes the allocator the bottleneck and
 //! scatters the working set; this module provides two deterministic,
 //! single-shard-owned recyclers instead:

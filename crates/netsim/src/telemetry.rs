@@ -146,13 +146,13 @@ const HISTO_BUCKETS: usize = 65;
 
 /// A histogram over `u64` samples (sizes in bytes, delays in sim-ns)
 /// with power-of-two buckets. Every field is an order-independent
-/// aggregate (per-bucket counts, sum, count, min, max), so like
-/// [`Counter`] it is safe to populate from any number of threads without
-/// losing bit-identical snapshots.
+/// aggregate (per-bucket counts, sum, min, max; the sample count is the
+/// sum of the buckets, taken when read), so like [`Counter`] it is safe
+/// to populate from any number of threads without losing bit-identical
+/// snapshots.
 #[derive(Debug)]
 pub struct Histo {
     buckets: [AtomicU64; HISTO_BUCKETS],
-    count: AtomicU64,
     sum: AtomicU64,
     min: AtomicU64,
     max: AtomicU64,
@@ -162,7 +162,6 @@ impl Default for Histo {
     fn default() -> Self {
         Histo {
             buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             min: AtomicU64::new(u64::MAX),
             max: AtomicU64::new(0),
@@ -193,14 +192,19 @@ impl Histo {
             return;
         }
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
-        self.min.fetch_min(v, Ordering::Relaxed);
-        self.max.fetch_max(v, Ordering::Relaxed);
+        // `min` only falls and `max` only rises, so a load that already
+        // bounds `v` proves the read-modify-write would store nothing.
+        if v < self.min.load(Ordering::Relaxed) {
+            self.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
     }
 
     pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
+        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
     }
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
@@ -226,7 +230,6 @@ impl Histo {
         for b in &self.buckets {
             b.store(0, Ordering::Relaxed);
         }
-        self.count.store(0, Ordering::Relaxed);
         self.sum.store(0, Ordering::Relaxed);
         self.min.store(u64::MAX, Ordering::Relaxed);
         self.max.store(0, Ordering::Relaxed);
@@ -806,6 +809,56 @@ mod tests {
         assert_eq!(h.max(), Some(1024));
         let j = h.to_json();
         assert_eq!(j.get("count").and_then(|v| v.as_u64()), Some(3));
+    }
+
+    #[test]
+    fn histo_equals_a_naive_reference_on_one_thread_and_on_four() {
+        let _g = recording_guard();
+        let empty = Histo::default().to_json();
+        assert_eq!(empty.get("count").and_then(|v| v.as_u64()), Some(0));
+        assert_eq!(empty.get("min").and_then(|v| v.as_u64()), Some(0));
+        assert_eq!(empty.get("max").and_then(|v| v.as_u64()), Some(0));
+
+        // A strictly decreasing run first (every sample a new minimum),
+        // then the edge values, repeats, and a seeded spread over forty
+        // octaves.
+        let mut rng = crate::SimRng::new(0x4157);
+        let mut seq: Vec<u64> = (0..64).map(|i| (1u64 << 63) >> i).collect();
+        seq.extend([0, 1, u64::MAX, 1, 0, 7, 7, 7, u64::MAX]);
+        seq.extend((0..600).map(|_| {
+            let octave = rng.next_below(40);
+            rng.next_below(1 << octave)
+        }));
+
+        let mut buckets = [0u64; HISTO_BUCKETS];
+        for &v in &seq {
+            buckets[bucket_index(v)] += 1;
+        }
+        let triples = buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, &n)| {
+                let (lo, hi) = bucket_bounds(i);
+                Json::Arr(vec![Json::from(lo), Json::from(hi), Json::from(n)])
+            });
+        let want = Json::obj()
+            .set("count", seq.len() as u64)
+            .set("sum", seq.iter().fold(0u64, |a, &v| a.wrapping_add(v)))
+            .set("min", *seq.iter().min().unwrap())
+            .set("max", *seq.iter().max().unwrap())
+            .set("buckets", Json::Arr(triples.collect()));
+
+        let serial = Histo::default();
+        seq.iter().for_each(|&v| serial.record(v));
+        assert_eq!(serial.to_json(), want, "one thread");
+
+        let shared = Histo::default();
+        let quarters: Vec<&[u64]> = seq.chunks(seq.len().div_ceil(4)).collect();
+        crate::par::par_map_n(4, &quarters, |_, q| {
+            q.iter().for_each(|&v| shared.record(v))
+        });
+        assert_eq!(shared.to_json(), want, "four workers");
     }
 
     #[test]

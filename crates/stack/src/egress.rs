@@ -194,7 +194,7 @@
 use crate::cpu::Cpu;
 use crate::shaper::{BoxShaper, NoopShaper, ShapeCtx};
 use crate::tcp::{TcpAction, TimerKind};
-use netsim::telemetry::{self, Counter, Histo, Tracer};
+use netsim::telemetry::{Counter, Histo, Tracer};
 use netsim::{Nanos, Packet};
 
 /// Per-transport instrument/trace naming for the shared pipeline.
@@ -204,112 +204,89 @@ use netsim::{Nanos, Packet};
 /// and once under the shared `stack.egress.*` family (so cross-transport
 /// totals need no per-transport summation). Trace events carry `layer`
 /// so a mixed TCP+QUIC trace stays attributable.
+///
+/// A value is one pointer to its label's constant set, so a pipeline
+/// carries eight bytes of naming however many instruments it feeds.
 #[derive(Debug, Clone, Copy)]
-pub struct EgressLabels {
+pub struct EgressLabels(&'static LabelSet);
+
+/// What one [`EgressLabels`] constant points at. The legacy instruments
+/// are getters around `tm_counter!`/`tm_histo!` handles: each resolves
+/// its registry entry on first use, once per process, so merely
+/// constructing a pipeline registers nothing.
+#[derive(Debug)]
+struct LabelSet {
     /// Trace `layer` tag ("tcp", "quic", ...).
-    pub layer: &'static str,
+    layer: &'static str,
     /// Trace event name for stage-② resegmenting ("tso-pkts"/"gso-pkts").
-    pub reseg_event: &'static str,
+    reseg_event: &'static str,
     /// Legacy counter bumped when the shaper shrinks a segment.
-    pub reseg_counter: &'static str,
+    reseg_counter: fn() -> &'static Counter,
     /// Legacy counter bumped when the shaper resizes a packet.
-    pub resize_counter: &'static str,
+    resize_counter: fn() -> &'static Counter,
     /// Legacy histogram of stage-④ extra delays (sim-ns).
-    pub delay_histo: &'static str,
+    delay_histo: fn() -> &'static Histo,
     /// Legacy counter bumped per sized retransmission, if the transport
     /// routes retransmissions through [`EgressPipeline::size_retransmit`].
-    pub retransmit_counter: Option<&'static str>,
+    retransmit_counter: Option<fn() -> &'static Counter>,
 }
 
 impl EgressLabels {
     /// Labels for the TCP transport.
-    pub const TCP: EgressLabels = EgressLabels {
+    pub const TCP: EgressLabels = EgressLabels(&LabelSet {
         layer: "tcp",
         reseg_event: "tso-pkts",
-        reseg_counter: "stack.tcp.tso_resegmented",
-        resize_counter: "stack.tcp.pkts_resized",
-        delay_histo: "stack.tcp.shaper_extra_delay_ns",
-        retransmit_counter: Some("stack.tcp.retransmits"),
-    };
+        reseg_counter: || netsim::tm_counter!("stack.tcp.tso_resegmented"),
+        resize_counter: || netsim::tm_counter!("stack.tcp.pkts_resized"),
+        delay_histo: || netsim::tm_histo!("stack.tcp.shaper_extra_delay_ns"),
+        retransmit_counter: Some(|| netsim::tm_counter!("stack.tcp.retransmits")),
+    });
 
     /// Labels for the QUIC transport.
-    pub const QUIC: EgressLabels = EgressLabels {
+    pub const QUIC: EgressLabels = EgressLabels(&LabelSet {
         layer: "quic",
         reseg_event: "gso-pkts",
-        reseg_counter: "stack.quic.gso_resegmented",
-        resize_counter: "stack.quic.pkts_resized",
-        delay_histo: "stack.quic.shaper_extra_delay_ns",
+        reseg_counter: || netsim::tm_counter!("stack.quic.gso_resegmented"),
+        resize_counter: || netsim::tm_counter!("stack.quic.pkts_resized"),
+        delay_histo: || netsim::tm_histo!("stack.quic.shaper_extra_delay_ns"),
         retransmit_counter: None,
-    };
+    });
 
     /// Labels for trace replay: the stack-placement defense backend
     /// (`stob::defense::enforce_flow`) drives a pipeline over recorded
     /// packet timestamps instead of live transport state.
-    pub const REPLAY: EgressLabels = EgressLabels {
+    pub const REPLAY: EgressLabels = EgressLabels(&LabelSet {
         layer: "replay",
         reseg_event: "replay-pkts",
-        reseg_counter: "stack.replay.resegmented",
-        resize_counter: "stack.replay.pkts_resized",
-        delay_histo: "stack.replay.extra_delay_ns",
+        reseg_counter: || netsim::tm_counter!("stack.replay.resegmented"),
+        resize_counter: || netsim::tm_counter!("stack.replay.pkts_resized"),
+        delay_histo: || netsim::tm_histo!("stack.replay.extra_delay_ns"),
         retransmit_counter: None,
-    };
+    });
 
     /// Labels for the multipath transport (`stack::mux`): sequenced
     /// datagrams split across several provisioned pipes, each leg an
     /// independent path with its own fault schedule.
-    pub const MUX: EgressLabels = EgressLabels {
+    pub const MUX: EgressLabels = EgressLabels(&LabelSet {
         layer: "mux",
         reseg_event: "mux-pkts",
-        reseg_counter: "stack.mux.resegmented",
-        resize_counter: "stack.mux.pkts_resized",
-        delay_histo: "stack.mux.extra_delay_ns",
-        retransmit_counter: Some("stack.mux.retransmits"),
-    };
+        reseg_counter: || netsim::tm_counter!("stack.mux.resegmented"),
+        resize_counter: || netsim::tm_counter!("stack.mux.pkts_resized"),
+        delay_histo: || netsim::tm_histo!("stack.mux.extra_delay_ns"),
+        retransmit_counter: Some(|| netsim::tm_counter!("stack.mux.retransmits")),
+    });
 
     /// Labels for the fleet engine (`stob::fleet`): many concurrent
     /// defended flows each drive their own pipeline, interleaved on a
     /// per-shard `EventQueue` instead of live transport state.
-    pub const FLEET: EgressLabels = EgressLabels {
+    pub const FLEET: EgressLabels = EgressLabels(&LabelSet {
         layer: "fleet",
         reseg_event: "fleet-pkts",
-        reseg_counter: "stack.fleet.resegmented",
-        resize_counter: "stack.fleet.pkts_resized",
-        delay_histo: "stack.fleet.extra_delay_ns",
+        reseg_counter: || netsim::tm_counter!("stack.fleet.resegmented"),
+        resize_counter: || netsim::tm_counter!("stack.fleet.pkts_resized"),
+        delay_histo: || netsim::tm_histo!("stack.fleet.extra_delay_ns"),
         retransmit_counter: None,
-    };
-}
-
-/// A counter handle resolved from the registry on first use, so merely
-/// constructing a pipeline registers nothing.
-struct LazyCounter {
-    name: &'static str,
-    h: Option<&'static Counter>,
-}
-
-impl LazyCounter {
-    fn new(name: &'static str) -> Self {
-        LazyCounter { name, h: None }
-    }
-    fn get(&mut self) -> &'static Counter {
-        let name = self.name;
-        self.h.get_or_insert_with(|| telemetry::counter(name))
-    }
-}
-
-/// Histogram twin of [`LazyCounter`].
-struct LazyHisto {
-    name: &'static str,
-    h: Option<&'static Histo>,
-}
-
-impl LazyHisto {
-    fn new(name: &'static str) -> Self {
-        LazyHisto { name, h: None }
-    }
-    fn get(&mut self) -> &'static Histo {
-        let name = self.name;
-        self.h.get_or_insert_with(|| telemetry::histo(name))
-    }
+    });
 }
 
 /// Outcome of the pacing-delay gate for one segment.
@@ -337,19 +314,15 @@ pub struct EgressPipeline {
     tracer: Option<Tracer>,
     labels: EgressLabels,
     shaped_segs: u64,
-    // Legacy (per-transport) instruments.
-    reseg_counter: LazyCounter,
-    resize_counter: LazyCounter,
-    delay_histo: LazyHisto,
-    retransmit_counter: Option<LazyCounter>,
-    // Shared stack.egress.* family.
-    eg_segments: LazyCounter,
-    eg_reseg: LazyCounter,
-    eg_resize: LazyCounter,
-    eg_retransmits: LazyCounter,
-    eg_delay: LazyHisto,
-    eg_replayed: LazyCounter,
 }
+
+/// One pipeline per connection and per resident fleet flow: it holds
+/// state only; its instruments live behind the label set and in
+/// `tm_counter!` statics.
+const _: () = assert!(
+    std::mem::size_of::<EgressPipeline>() <= 64,
+    "EgressPipeline outgrew its 64-byte (one cache line) budget"
+);
 
 impl EgressPipeline {
     /// A pipeline with the identity shaper and a zeroed pacing clock.
@@ -358,18 +331,8 @@ impl EgressPipeline {
             shaper: Box::new(NoopShaper),
             pacing_next: Nanos::ZERO,
             tracer: None,
-            shaped_segs: 0,
-            reseg_counter: LazyCounter::new(labels.reseg_counter),
-            resize_counter: LazyCounter::new(labels.resize_counter),
-            delay_histo: LazyHisto::new(labels.delay_histo),
-            retransmit_counter: labels.retransmit_counter.map(LazyCounter::new),
-            eg_segments: LazyCounter::new("stack.egress.segments"),
-            eg_reseg: LazyCounter::new("stack.egress.resegmented"),
-            eg_resize: LazyCounter::new("stack.egress.pkts_resized"),
-            eg_retransmits: LazyCounter::new("stack.egress.retransmits"),
-            eg_delay: LazyHisto::new("stack.egress.shaper_extra_delay_ns"),
-            eg_replayed: LazyCounter::new("stack.replay.pkts"),
             labels,
+            shaped_segs: 0,
         }
     }
 
@@ -426,14 +389,14 @@ impl EgressPipeline {
             .tso_segment_pkts(ctx, proposed)
             .clamp(1, proposed);
         if shaped != proposed {
-            self.reseg_counter.get().inc();
-            self.eg_reseg.get().inc();
+            (self.labels.0.reseg_counter)().inc();
+            netsim::tm_counter!("stack.egress.resegmented").inc();
             if let Some(tr) = &self.tracer {
                 tr.rec(
                     ctx.now,
                     u64::from(ctx.flow.0),
-                    self.labels.layer,
-                    self.labels.reseg_event,
+                    self.labels.0.layer,
+                    self.labels.0.reseg_event,
                     u64::from(proposed),
                     u64::from(shaped),
                     "shaper-resegment",
@@ -460,13 +423,13 @@ impl EgressPipeline {
             .packet_ip_size(ctx, pkt_index, proposed_ip)
             .clamp(floor, ceil);
         if ip != proposed_ip {
-            self.resize_counter.get().inc();
-            self.eg_resize.get().inc();
+            (self.labels.0.resize_counter)().inc();
+            netsim::tm_counter!("stack.egress.pkts_resized").inc();
             if let Some(tr) = &self.tracer {
                 tr.rec(
                     ctx.now,
                     u64::from(ctx.flow.0),
-                    self.labels.layer,
+                    self.labels.0.layer,
                     "pkt-size",
                     u64::from(proposed_ip),
                     u64::from(ip),
@@ -492,15 +455,15 @@ impl EgressPipeline {
             .shaper
             .packet_ip_size(ctx, 0, proposed_ip)
             .clamp(floor, ceil);
-        if let Some(c) = &mut self.retransmit_counter {
-            c.get().inc();
+        if let Some(counter) = self.labels.0.retransmit_counter {
+            counter().inc();
         }
-        self.eg_retransmits.get().inc();
+        netsim::tm_counter!("stack.egress.retransmits").inc();
         if let Some(tr) = &self.tracer {
             tr.rec(
                 ctx.now,
                 u64::from(ctx.flow.0),
-                self.labels.layer,
+                self.labels.0.layer,
                 "retransmit",
                 u64::from(proposed_ip),
                 u64::from(ip),
@@ -540,13 +503,13 @@ impl EgressPipeline {
         let extra = self.shaper.extra_delay(ctx);
         let eligible = base + extra;
         if !extra.is_zero() {
-            self.delay_histo.get().record(extra.as_nanos());
-            self.eg_delay.get().record(extra.as_nanos());
+            (self.labels.0.delay_histo)().record(extra.as_nanos());
+            netsim::tm_histo!("stack.egress.shaper_extra_delay_ns").record(extra.as_nanos());
             if let Some(tr) = &self.tracer {
                 tr.rec(
                     now,
                     u64::from(ctx.flow.0),
-                    self.labels.layer,
+                    self.labels.0.layer,
                     "pacing",
                     base.as_nanos(),
                     eligible.as_nanos(),
@@ -566,7 +529,7 @@ impl EgressPipeline {
         if shaped {
             self.shaped_segs += 1;
         }
-        self.eg_segments.get().inc();
+        netsim::tm_counter!("stack.egress.segments").inc();
         PacedSegment { eligible, shaped }
     }
 
@@ -588,13 +551,13 @@ impl EgressPipeline {
         let extra = self.shaper.extra_delay(ctx);
         let eligible = base + extra;
         if !extra.is_zero() {
-            self.delay_histo.get().record(extra.as_nanos());
-            self.eg_delay.get().record(extra.as_nanos());
+            (self.labels.0.delay_histo)().record(extra.as_nanos());
+            netsim::tm_histo!("stack.egress.shaper_extra_delay_ns").record(extra.as_nanos());
             if let Some(tr) = &self.tracer {
                 tr.rec(
                     ctx.now,
                     u64::from(ctx.flow.0),
-                    self.labels.layer,
+                    self.labels.0.layer,
                     "pacing",
                     base.as_nanos(),
                     eligible.as_nanos(),
@@ -603,7 +566,7 @@ impl EgressPipeline {
             }
             self.shaped_segs += 1;
         }
-        self.eg_replayed.get().inc();
+        netsim::tm_counter!("stack.replay.pkts").inc();
         self.pacing_next = eligible;
         eligible
     }
