@@ -10,9 +10,12 @@
 //! The queue is a binary min-heap of 24-byte `(time, seq, slot)` keys
 //! over a slab that parks the payloads. Keys only, because the events
 //! are large (`stack::net`'s carry a `Packet` by value, ~136 bytes) and
-//! every sift would move them; the queues are small (~32 pending in a
-//! page load, a few thousand per fleet shard), so the heap is 5–14
-//! levels deep and stays in cache.
+//! every sift would move them. The queues are small when their owner
+//! keeps no dead events in them: measured means are ≈ 76 pending in a
+//! page load and ≈ 100–170 in a 100 Gb/s bulk flow (packets in flight
+//! plus one timer per connection and kind; PERF.md, "Dead timers"), a
+//! few thousand per fleet shard — a heap 7–14 levels deep that stays in
+//! cache. [`EventQueue::high_water`] reports the most a queue ever held.
 //!
 //! ```
 //! use netsim::{EventQueue, Nanos};
@@ -72,7 +75,27 @@ impl<E> EventQueue<E> {
     /// `now`) is a logic error and panics in debug builds; in release it is
     /// clamped to `now` to keep time monotone.
     pub fn schedule_at(&mut self, at: Nanos, ev: E) {
+        let seq = self.reserve_seq();
+        self.schedule_at_seq(at, seq, ev);
+    }
+
+    /// Take the next tie-break sequence number without scheduling
+    /// anything. An owner that defers an event (one live timer standing
+    /// in for a later request) reserves the number when the request is
+    /// made and passes it to [`schedule_at_seq`](Self::schedule_at_seq)
+    /// when the event finally enters the heap, so the event pops exactly
+    /// where it would have had it been scheduled at once.
+    pub fn reserve_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// [`schedule_at`](Self::schedule_at) under a sequence number taken
+    /// earlier with [`reserve_seq`](Self::reserve_seq).
+    pub fn schedule_at_seq(&mut self, at: Nanos, seq: u64, ev: E) {
         debug_assert!(at >= self.now, "event scheduled in the past");
+        debug_assert!(seq < self.next_seq, "sequence number was never reserved");
         let at = at.max(self.now);
         let slot = match self.free.pop() {
             Some(slot) => {
@@ -85,8 +108,7 @@ impl<E> EventQueue<E> {
                 slot
             }
         };
-        self.heap.push(Reverse((at, self.next_seq, slot)));
-        self.next_seq += 1;
+        self.heap.push(Reverse((at, seq, slot)));
     }
 
     /// Schedule `ev` after a delay relative to `now`.
@@ -122,6 +144,13 @@ impl<E> EventQueue<E> {
 
     pub fn len(&self) -> usize {
         self.heap.len()
+    }
+
+    /// The most events ever pending at once. Free to keep: a slab slot
+    /// is added only when every existing one is occupied, so the slab's
+    /// length is that maximum.
+    pub fn high_water(&self) -> usize {
+        self.slab.len()
     }
 }
 
@@ -178,6 +207,43 @@ mod tests {
         assert_eq!(q.now(), Nanos::ZERO);
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
+    }
+
+    #[test]
+    fn reserved_seq_pops_where_it_was_reserved() {
+        // A deferred event keeps its place among same-instant events: it
+        // sorts by the number reserved for it, not by when it was pushed.
+        let mut q = EventQueue::new();
+        q.schedule_at(Nanos(9), "a");
+        let ticket = q.reserve_seq();
+        q.schedule_at(Nanos(9), "c");
+        q.schedule_at(Nanos(5), "relay");
+        assert_eq!(q.pop(), Some((Nanos(5), "relay")));
+        q.schedule_at_seq(Nanos(9), ticket, "b");
+        q.schedule_at(Nanos(9), "d");
+        let order: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(order, ["a", "b", "c", "d"]);
+    }
+
+    #[test]
+    fn high_water_is_the_most_ever_pending() {
+        let mut q = EventQueue::new();
+        assert_eq!(q.high_water(), 0);
+        for i in 0..5u64 {
+            q.schedule_at(Nanos(i), i);
+        }
+        for _ in 0..3 {
+            q.pop();
+        }
+        // Freed slots are reused before the slab grows.
+        for i in 0..3u64 {
+            q.schedule_at(Nanos(10 + i), i);
+        }
+        assert_eq!((q.len(), q.high_water()), (5, 5));
+        q.schedule_at(Nanos(20), 0);
+        assert_eq!(q.high_water(), 6);
+        while q.pop().is_some() {}
+        assert_eq!((q.len(), q.high_water()), (0, 6));
     }
 
     #[test]

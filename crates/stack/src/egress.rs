@@ -620,7 +620,10 @@ pub trait TransportCore {
     /// Produce as many eligible segments as window/pacing permit.
     fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction>;
 
-    /// A transport timer fired (`gen` disambiguates stale events).
+    /// A transport timer fired (`gen` disambiguates stale events). A call
+    /// carrying an older `gen` than the transport's latest `ArmTimer` of
+    /// that `kind` must do nothing: the driver delivers only the latest
+    /// request of each kind and never fires the ones it outdated.
     fn on_timer(&mut self, _kind: TimerKind, _gen: u64, _now: Nanos) -> Vec<TcpAction> {
         Vec::new()
     }

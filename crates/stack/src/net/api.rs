@@ -3,7 +3,7 @@
 //! (TCP, QUIC, or any custom [`TransportCore`]), socket-style writes,
 //! shaper installation, timers, and per-flow stats.
 
-use super::host::Transport;
+use super::host::{Conn, Transport};
 use super::{Ev, Network, CLIENT};
 use crate::config::StackConfig;
 use crate::egress::{FlowStats, TransportCore};
@@ -62,7 +62,7 @@ impl<'a> Api<'a> {
         let acts = conn.connect(now);
         self.net.hosts[self.host]
             .conns
-            .insert(flow, Transport::Tcp(conn));
+            .insert(flow, Conn::new(Transport::Tcp(conn)));
         self.net.apply(self.host, flow, acts);
         flow
     }
@@ -83,7 +83,7 @@ impl<'a> Api<'a> {
         let acts = conn.connect(now);
         self.net.hosts[self.host]
             .conns
-            .insert(flow, Transport::Quic(conn));
+            .insert(flow, Conn::new(Transport::Quic(conn)));
         self.net.apply(self.host, flow, acts);
         flow
     }
@@ -109,7 +109,7 @@ impl<'a> Api<'a> {
         }
         self.net.hosts[self.host]
             .conns
-            .insert(flow, Transport::Custom(core));
+            .insert(flow, Conn::new(Transport::Custom(core)));
         flow
     }
 
@@ -146,7 +146,7 @@ impl<'a> Api<'a> {
             let h = &mut self.net.hosts[self.host];
             // QUIC-lite models no CONNECTION_CLOSE frame; closing is a
             // TCP-only operation here.
-            match h.conns.get_mut(&flow).and_then(Transport::as_tcp_mut) {
+            match h.conns.get_mut(&flow).and_then(Conn::as_tcp_mut) {
                 Some(conn) => {
                     conn.close();
                     conn.output(now, &mut h.cpu)

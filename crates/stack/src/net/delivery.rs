@@ -6,17 +6,16 @@
 //! [`TransportCore`](crate::egress::TransportCore) — this file contains
 //! no transport-specific code beyond the passive-open constructor choice.
 
-use super::host::Transport;
+use super::host::{Conn, Transport};
 use super::{Api, Ev, Network, CLIENT, SERVER};
 use crate::qdisc::{Poll, SegDesc};
 use crate::quic::QuicConn;
-use crate::tcp::{TcpAction, TcpConn};
+use crate::tcp::{TcpAction, TcpConn, TimerKind};
 use netsim::fault::Departure;
 use netsim::{Direction, FlowId, Nanos, Packet, PacketKind};
 
 impl Network {
     pub(super) fn handle(&mut self, ev: Ev) {
-        netsim::tm_counter!("stack.net.events").inc();
         self.events_handled += 1;
         match ev {
             Ev::QdiscCheck { host, gen } => {
@@ -51,23 +50,8 @@ impl Network {
                 host,
                 flow,
                 kind,
-                gen,
-            } => {
-                let now = self.q.now();
-                let acts = match self.hosts[host].conns.get_mut(&flow) {
-                    Some(conn) => conn.core_mut().on_timer(kind, gen, now),
-                    None => return,
-                };
-                self.apply(host, flow, acts);
-                let more = {
-                    let h = &mut self.hosts[host];
-                    match h.conns.get_mut(&flow) {
-                        Some(conn) => conn.core_mut().output(now, &mut h.cpu),
-                        None => return,
-                    }
-                };
-                self.apply(host, flow, more);
-            }
+                id,
+            } => self.conn_timer(host, flow, kind, id),
             Ev::AppTimer { host, token } => {
                 self.with_app(host, |app, api| app.on_timer(api, token));
             }
@@ -195,17 +179,7 @@ impl Network {
                     self.hosts[host].qdisc.enqueue_prio(seg);
                     self.schedule_check(host, now);
                 }
-                TcpAction::ArmTimer { kind, at, gen } => {
-                    self.q.schedule_at(
-                        at.max(now),
-                        Ev::ConnTimer {
-                            host,
-                            flow,
-                            kind,
-                            gen,
-                        },
-                    );
-                }
+                TcpAction::ArmTimer { kind, at, gen } => self.arm_timer(host, flow, kind, at, gen),
                 TcpAction::Deliver(n) => {
                     self.with_app(host, |app, api| app.on_data(api, flow, n));
                 }
@@ -224,6 +198,84 @@ impl Network {
                 }
             }
         }
+    }
+
+    /// Take a transport's timer request. Only the latest request of a
+    /// kind is ever delivered (all transports treat an `on_timer` for an
+    /// older `gen` as a no-op, so the older ones need not fire), and one
+    /// heap event per connection and kind carries it: a request no
+    /// earlier than the live event schedules nothing — that event, when
+    /// it fires, moves itself to `(at, seq)` — and an earlier one
+    /// replaces it. `seq` is reserved here so that the delivering event
+    /// pops where one scheduled right now would.
+    fn arm_timer(&mut self, host: usize, flow: FlowId, kind: TimerKind, at: Nanos, gen: u64) {
+        let h = &mut self.hosts[host];
+        let Some(conn) = h.conns.get_mut(&flow) else {
+            return; // aborted by an app callback earlier in this batch
+        };
+        let at = at.max(self.q.now());
+        let seq = self.q.reserve_seq();
+        let slot = &mut conn.timers[kind as usize];
+        (slot.at, slot.gen, slot.seq) = (at, gen, seq);
+        h.timer_arms += 1;
+        if matches!(slot.live, Some((due, _)) if due <= at) {
+            return;
+        }
+        slot.live = Some((at, seq));
+        self.schedule_timer(host, flow, kind, at, seq);
+    }
+
+    /// Put the event a timer slot has just named live in the heap.
+    fn schedule_timer(&mut self, host: usize, flow: FlowId, kind: TimerKind, at: Nanos, seq: u64) {
+        self.hosts[host].timer_events += 1;
+        let ev = Ev::ConnTimer {
+            host,
+            flow,
+            kind,
+            id: seq,
+        };
+        self.q.schedule_at_seq(at, seq, ev);
+    }
+
+    /// The `ConnTimer` event `id` fired: drop it if the slot no longer
+    /// calls it live, move it if the transport has asked again since it
+    /// was scheduled, and otherwise deliver the request it was scheduled
+    /// for.
+    fn conn_timer(&mut self, host: usize, flow: FlowId, kind: TimerKind, id: u64) {
+        let now = self.q.now();
+        let h = &mut self.hosts[host];
+        let Some(conn) = h.conns.get_mut(&flow) else {
+            return; // aborted since the event was scheduled
+        };
+        let slot = &mut conn.timers[kind as usize];
+        if !matches!(slot.live, Some((_, live)) if live == id) {
+            // Replaced by an event for an earlier request — or left
+            // behind by a connection this flow id no longer names.
+            h.superseded_timers += 1;
+            return;
+        }
+        let (at, seq) = (slot.at, slot.seq);
+        if (at, seq) != (now, id) {
+            // It stood in for a later request (even one for this same
+            // instant sorts later): take that request's place in the
+            // queue rather than run ahead of what was scheduled between.
+            debug_assert!((at, seq) > (now, id));
+            slot.live = Some((at, seq));
+            self.schedule_timer(host, flow, kind, at, seq);
+            return;
+        }
+        slot.live = None;
+        let gen = slot.gen;
+        let acts = conn.core_mut().on_timer(kind, gen, now);
+        self.apply(host, flow, acts);
+        let more = {
+            let h = &mut self.hosts[host];
+            match h.conns.get_mut(&flow) {
+                Some(conn) => conn.core_mut().output(now, &mut h.cpu),
+                None => return,
+            }
+        };
+        self.apply(host, flow, more);
     }
 
     pub(super) fn with_app(&mut self, host: usize, f: impl FnOnce(&mut dyn super::App, &mut Api)) {
@@ -565,7 +617,7 @@ impl Network {
         // Passive open: a SYN (TCP) or Initial (QUIC) for an unknown
         // flow creates the server connection.
         if !self.hosts[host].conns.contains_key(&flow) {
-            let mut conn = if pkt.kind == PacketKind::TcpSyn && host == SERVER {
+            let mut conn = Conn::new(if pkt.kind == PacketKind::TcpSyn && host == SERVER {
                 let cfg = self.hosts[host].cfg.stack.clone();
                 Transport::Tcp(TcpConn::new(flow, cfg, false))
             } else if pkt.kind == PacketKind::QuicInit && host == SERVER {
@@ -578,7 +630,7 @@ impl Network {
                 }
             } else {
                 return; // stray packet for a dead/unknown flow
-            };
+            });
             if let Some(tr) = &self.tracer {
                 conn.core_mut().set_tracer(tr.clone());
             }

@@ -18,19 +18,60 @@ use netsim::Nanos;
 /// via `Api::connect_custom`.
 ///
 /// The network driver speaks to all variants exclusively through
-/// [`core`](Transport::core) / [`core_mut`](Transport::core_mut); the
-/// `as_*` accessors are the narrow escape hatch for transport-specific
-/// stats and operations (TCP `close`, legacy stats getters).
+/// [`Conn::core`] / [`Conn::core_mut`]; the `as_*` accessors are the
+/// narrow escape hatch for transport-specific stats and operations (TCP
+/// `close`, legacy stats getters).
 pub(super) enum Transport {
     Tcp(TcpConn),
     Quic(QuicConn),
     Custom(Box<dyn TransportCore>),
 }
 
-impl Transport {
+/// The driver's record of one [`TimerKind`](crate::tcp::TimerKind) of
+/// one connection. A transport may arm the same kind over and over (TCP
+/// re-arms its delayed-ACK timer on every other segment, each request
+/// outdating the last); only the latest request is ever delivered to
+/// `on_timer`, and at most one heap event stands for the slot at a time.
+#[derive(Clone, Copy, Default)]
+pub(super) struct TimerSlot {
+    /// Due time of the transport's latest `ArmTimer` request.
+    pub(super) at: Nanos,
+    /// The transport's generation for that request, handed back to
+    /// `on_timer` when it is delivered.
+    pub(super) gen: u64,
+    /// Queue sequence number reserved when the request was made: the
+    /// event that delivers it pops at exactly `(at, seq)`, where an event
+    /// scheduled on the spot would have.
+    pub(super) seq: u64,
+    /// `(due, seq)` of the one live `ConnTimer` event, if any; its `seq`
+    /// is the id the event carries. Never later than `(at, seq)`: a
+    /// request for an earlier time replaces it (the replaced event stays
+    /// in the heap and is dropped when it fires), a later one leaves it
+    /// to fire and move itself to the request's place.
+    pub(super) live: Option<(Nanos, u64)>,
+}
+
+/// One entry of a host's connection table: the transport and the
+/// driver's timer bookkeeping for it. They share an entry so that the
+/// slots cannot outlive the connection (`Api::abort`) and a flow id that
+/// is inserted again starts from clean ones.
+pub(super) struct Conn {
+    transport: Transport,
+    /// Indexed by `TimerKind as usize`.
+    pub(super) timers: [TimerSlot; 3],
+}
+
+impl Conn {
+    pub(super) fn new(transport: Transport) -> Self {
+        Conn {
+            transport,
+            timers: Default::default(),
+        }
+    }
+
     /// The transport-agnostic driver interface.
     pub(super) fn core(&self) -> &dyn TransportCore {
-        match self {
+        match &self.transport {
             Transport::Tcp(c) => c,
             Transport::Quic(c) => c,
             Transport::Custom(c) => c.as_ref(),
@@ -39,7 +80,7 @@ impl Transport {
 
     /// Mutable transport-agnostic driver interface.
     pub(super) fn core_mut(&mut self) -> &mut dyn TransportCore {
-        match self {
+        match &mut self.transport {
             Transport::Tcp(c) => c,
             Transport::Quic(c) => c,
             Transport::Custom(c) => c.as_mut(),
@@ -48,7 +89,7 @@ impl Transport {
 
     /// TCP-specific escape hatch (`close`).
     pub(super) fn as_tcp_mut(&mut self) -> Option<&mut TcpConn> {
-        match self {
+        match &mut self.transport {
             Transport::Tcp(c) => Some(c),
             _ => None,
         }
@@ -70,7 +111,14 @@ pub(super) struct Host {
     pub(super) cpu: Cpu,
     pub(super) nic: Nic,
     pub(super) qdisc: FqQdisc,
-    pub(super) conns: FlowTable<Transport>,
+    pub(super) conns: FlowTable<Conn>,
+    /// `ArmTimer` requests taken from this host's transports.
+    pub(super) timer_arms: u64,
+    /// `ConnTimer` events put in the heap for them.
+    pub(super) timer_events: u64,
+    /// `ConnTimer` events that fired replaced by an earlier one and were
+    /// dropped.
+    pub(super) superseded_timers: u64,
     /// Due time of the one live `QdiscCheck` event, if any. A request
     /// for an earlier time replaces it; the replaced event stays in the
     /// heap and is dropped when it fires (see `check_gen`).
@@ -94,6 +142,9 @@ impl Host {
             nic: Nic::new(cfg.nic_rate_bps),
             qdisc: FqQdisc::new(),
             conns: FlowTable::new(),
+            timer_arms: 0,
+            timer_events: 0,
+            superseded_timers: 0,
             next_check: None,
             check_gen: 0,
             superseded_checks: 0,

@@ -87,12 +87,16 @@ enum Ev {
     /// Re-examine the qdisc (a paced segment became eligible). `gen`
     /// invalidates a wake-up superseded by an earlier one.
     QdiscCheck { host: usize, gen: u64 },
-    /// Transport timer.
+    /// Transport timer: the one live event of `flow`'s `kind` slot on
+    /// `host`. `id` names the event (it is the queue sequence number it
+    /// was scheduled under), not the transport's generation — that is
+    /// read from the slot when the event fires, and an event the slot no
+    /// longer calls live is dropped.
     ConnTimer {
         host: usize,
         flow: FlowId,
         kind: TimerKind,
-        gen: u64,
+        id: u64,
     },
     /// Application timer.
     AppTimer { host: usize, token: u64 },
@@ -145,6 +149,9 @@ pub struct Network {
     started: bool,
     /// Events dispatched so far (see [`Network::event_count`]).
     events_handled: u64,
+    /// `[events, timer arms, timer events]` already added to the
+    /// process-wide telemetry counters (see `publish_counts`).
+    published: [u64; 3],
     /// Fault injector, when a schedule was installed via `set_faults`.
     faults: Option<FaultInjector>,
     /// Packets held during a buffering link flap, per direction.
@@ -198,6 +205,7 @@ impl Network {
             next_flow: 1,
             started: false,
             events_handled: 0,
+            published: [0; 3],
             faults: None,
             flap_held: [Vec::new(), Vec::new()],
             auditor: Auditor::new(),
@@ -237,6 +245,7 @@ impl Network {
             self.handle(ev);
         }
         sp.sim_window(t0, self.q.now());
+        self.publish_counts();
         self.q.now()
     }
 
@@ -254,6 +263,29 @@ impl Network {
             self.handle(ev);
         }
         sp.sim_window(t0, self.q.now());
+        self.publish_counts();
+    }
+
+    /// Add what this network did since the last call to the process-wide
+    /// telemetry. Called as a run returns: the loop itself keeps plain
+    /// integers, not an atomic read-modify-write per event.
+    fn publish_counts(&mut self) {
+        let timers = |f: fn(&Host) -> u64| self.hosts.iter().map(f).sum::<u64>();
+        let totals = [
+            self.events_handled,
+            timers(|h| h.timer_arms),
+            timers(|h| h.timer_events),
+        ];
+        let counters = [
+            netsim::tm_counter!("stack.net.events"),
+            netsim::tm_counter!("stack.net.timer_arms"),
+            netsim::tm_counter!("stack.net.timer_events"),
+        ];
+        for ((counter, total), published) in counters.iter().zip(totals).zip(self.published) {
+            counter.add(total - published);
+        }
+        self.published = totals;
+        netsim::tm_gauge!("stack.net.pending_events_hwm").set_max(self.q.high_water() as u64);
     }
 
     // ------------------------------------------------------------------
@@ -455,6 +487,23 @@ impl Network {
     /// process-wide `stack.net.events` counter.
     pub fn event_count(&self) -> u64 {
         self.events_handled
+    }
+
+    /// The most events this network ever had pending at once — packets
+    /// in flight plus live wake-ups and timers; a figure in the tens of
+    /// thousands means dead events are being parked in the heap.
+    pub fn pending_events_hwm(&self) -> usize {
+        self.q.high_water()
+    }
+
+    /// Transport timers on `host`: `(armed, scheduled, superseded)` —
+    /// `ArmTimer` requests taken from the transports, `ConnTimer` events
+    /// put in the heap for them (one live per connection and kind, so
+    /// far fewer), and events that fired replaced by an earlier one and
+    /// were dropped.
+    pub fn conn_timers(&self, host: usize) -> (u64, u64, u64) {
+        let h = &self.hosts[host];
+        (h.timer_arms, h.timer_events, h.superseded_timers)
     }
 
     /// Qdisc wake-ups on `host`: `(requested, superseded)`. A superseded

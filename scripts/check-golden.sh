@@ -10,10 +10,12 @@
 # to pin the fan-out determinism contract. The fleet's quick-mode checks
 # (work counts + emission checksum, no timings) are held the same way:
 # check-bench.sh only compares fresh runs with each other, so this is
-# the fleet's one cross-commit gate. So is the fault suite's report
+# the fleet's one cross-commit gate. The fault suite's report
 # (fault_matrix: every fault scenario x defense through the real stack,
-# auditor on; its JSON never carries timings): CI's fault-suite step only
-# compares 1 vs 4 threads of the same build, this holds it across commits.
+# auditor on, exit 1 on any violation; its JSON never carries timings) is
+# held here too, and only here: two runs that both equal the committed
+# file are equal to each other, so this is also CI's 1-vs-4-thread
+# determinism check under faults. `set -e` stops on a violation.
 #
 # Usage: scripts/check-golden.sh
 # To regenerate after an *intentional* behavior change:
