@@ -35,6 +35,7 @@
 //! argues about.
 
 use crate::policy::{sample_delay, DelaySpec, ObfuscationPolicy, SizeSpec};
+use netsim::json::{Json, JsonError};
 use netsim::{Direction, FlowId, Nanos, SimRng};
 use stack::egress::{EgressLabels, EgressPipeline};
 use stack::ShapeCtx;
@@ -61,14 +62,60 @@ impl Placement {
     }
 }
 
-/// One packet of a flow as both backends see it: a timestamp relative to
-/// the flow start, a direction, and a wire size in bytes. The `traces`
-/// crate's `TracePacket` converts losslessly to and from this.
+/// One packet of a flow as both backends — and the eavesdropper — see
+/// it: a timestamp relative to the flow start, a direction, and a wire
+/// size in bytes. The `traces` crate re-exports this as `TracePacket`,
+/// so a recorded trace's packets are handed to the kernel as they are.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowPkt {
+    /// Time since the first packet of the flow.
     pub ts: Nanos,
     pub dir: Direction,
+    /// On-wire bytes.
     pub size: u32,
+}
+
+impl FlowPkt {
+    pub fn new(ts: Nanos, dir: Direction, size: u32) -> Self {
+        FlowPkt { ts, dir, size }
+    }
+
+    /// Compact JSON form `[ts_nanos, "i"|"o", size]`.
+    pub fn to_json(&self) -> Json {
+        Json::Arr(vec![
+            Json::from(self.ts.0),
+            Json::from(self.dir.as_str()),
+            Json::from(self.size),
+        ])
+    }
+
+    /// Parse the [`FlowPkt::to_json`] form back.
+    pub fn from_json(v: &Json) -> Result<FlowPkt, JsonError> {
+        let bad = |msg: &str| JsonError {
+            offset: 0,
+            message: msg.to_string(),
+        };
+        let parts = v.as_arr().ok_or_else(|| bad("packet is not an array"))?;
+        if parts.len() != 3 {
+            return Err(bad("packet array is not [ts, dir, size]"));
+        }
+        let ts = parts[0].as_u64().ok_or_else(|| bad("packet ts"))?;
+        let dir = parts[1]
+            .as_str()
+            .and_then(Direction::from_str_code)
+            .ok_or_else(|| bad("packet dir"))?;
+        let size = parts[2]
+            .as_u64()
+            .and_then(|s| u32::try_from(s).ok())
+            .ok_or_else(|| bad("packet size is not a u32"))?;
+        Ok(FlowPkt::new(Nanos(ts), dir, size))
+    }
+
+    /// Signed size: positive outgoing, negative incoming (the WF
+    /// literature's convention).
+    pub fn signed_size(&self) -> i64 {
+        self.dir.sign() as i64 * self.size as i64
+    }
 }
 
 /// A defended flow: the shaped packet sequence plus the padding and
@@ -139,6 +186,11 @@ pub trait ReferenceBank: Sync {
     /// Class label of candidate `i` (defenses avoid mimicking the
     /// flow's own class).
     fn label(&self, i: usize) -> usize;
+    /// How many candidates carry `label`. A bank that knows its label
+    /// histogram answers without the walk.
+    fn count_label(&self, label: usize) -> usize {
+        (0..self.len()).filter(|&i| self.label(i) == label).count()
+    }
     /// Inbound packet times of candidate `i`.
     fn in_times(&self, i: usize) -> Vec<Nanos>;
 }

@@ -1019,6 +1019,75 @@ pub struct MachineCore {
     reg_out: Vec<Nanos>,
 }
 
+/// RegulaTor's decaying surge schedule (Holland & Hopper, PETS 2022),
+/// written once for the native defense and [`Action::Regulate`]: re-emit
+/// `arrivals` (the owned direction's arrival times, in arrival order) as
+/// `size`-byte `dir` packets on slots whose rate starts at `rate`
+/// packets/second and decays by `decay` per second of schedule age
+/// (floored at 10/s), restarting at full rate whenever more than
+/// `surge_threshold` packets are queued; a slot with nothing queued
+/// carries a dummy until `dummy_budget` is spent. Appends to `emits` and
+/// returns when the last real packet left and how many dummies went out.
+///
+/// The backlog is a monotone cursor, so the schedule is linear in its
+/// slots: `t` never decreases and `next_real` advances only while
+/// `next_real < arrived`, so everything in `[next_real, arrived)` stays
+/// `<= t` and `arrived - next_real` is the count a rescan from
+/// `next_real` would return — for any input, sorted or not.
+#[allow(clippy::too_many_arguments)]
+pub fn surge_schedule(
+    arrivals: &[Nanos],
+    rate: f64,
+    decay: f64,
+    surge_threshold: u64,
+    dummy_budget: u64,
+    dir: Direction,
+    size: u32,
+    emits: &mut Vec<Emit>,
+) -> (Nanos, u64) {
+    let mut dummy_pkts = 0u64;
+    let mut next_real = 0usize;
+    let mut arrived = 0usize;
+    let mut schedule_start = arrivals.first().copied().unwrap_or(Nanos::ZERO);
+    let mut t = schedule_start;
+    let mut real_done = Nanos::ZERO;
+    emits.reserve(arrivals.len());
+    while next_real < arrivals.len() {
+        // Current schedule rate with geometric decay.
+        let age = (t.saturating_sub(schedule_start)).as_secs_f64();
+        let cur_rate = (rate * decay.powf(age)).max(10.0);
+        let slot = Nanos::from_secs_f64(1.0 / cur_rate);
+
+        // Queue backlog: real packets that have arrived but not been
+        // re-emitted yet.
+        while arrived < arrivals.len() && arrivals[arrived] <= t {
+            arrived += 1;
+        }
+        let backlog = arrived - next_real;
+        if backlog as u64 > surge_threshold {
+            // New surge: restart the schedule at full rate.
+            schedule_start = t;
+        }
+
+        let emit_real = backlog > 0;
+        if emit_real {
+            real_done = t;
+            next_real += 1;
+        } else if dummy_pkts < dummy_budget {
+            dummy_pkts += 1;
+        } else {
+            t += slot;
+            continue;
+        }
+        emits.push(Emit {
+            pkt: FlowPkt { ts: t, dir, size },
+            dummy: !emit_real,
+        });
+        t += slot;
+    }
+    (real_done, dummy_pkts)
+}
+
 /// Pick a target from a transition row. A single certain target
 /// transitions without consuming randomness (part of the draw-order
 /// contract); `None` means "stay in the current state".
@@ -1093,14 +1162,12 @@ impl MachineCore {
         }
     }
 
-    /// Run every regulate machine's surge schedule over its buffered
+    /// Run every regulate machine's [`surge_schedule`] over its buffered
     /// arrivals, appending emissions; returns when the last re-emitted
-    /// real packet lands (`None` without regulate machines). The loop is
-    /// a faithful transcription of RegulaTor-lite (same float ops in the
-    /// same order), so a single-machine regulate spec reproduces the
-    /// native defense bit for bit. Dummy slots count against the spec's
-    /// global padding cap but not the action budget — a regulate run is
-    /// already bounded by `reals + budget_frac * reals` emissions.
+    /// real packet lands (`None` without regulate machines). Dummy slots
+    /// count against the spec's global padding cap but not the action
+    /// budget — a regulate run is already bounded by
+    /// `reals + budget_frac * reals` emissions.
     fn run_regulate(&mut self) -> Option<Nanos> {
         let spec = Arc::clone(&self.spec);
         let mut done: Option<Nanos> = None;
@@ -1120,44 +1187,20 @@ impl MachineCore {
                 Direction::In => &self.reg_in,
                 Direction::Out => &self.reg_out,
             };
-            let mut dummy_pkts = 0u64;
             let native_budget = (incoming.len() as f64 * budget_frac) as u64;
             let dummy_budget = native_budget.min(spec.max_padding_pkts.saturating_sub(self.padded));
-            let mut next_real = 0usize;
-            let mut schedule_start = incoming.first().copied().unwrap_or(Nanos::ZERO);
-            let mut t = schedule_start;
-            let mut real_done = Nanos::ZERO;
-            let mut emits = Vec::new();
-            while next_real < incoming.len() {
-                let age = (t.saturating_sub(schedule_start)).as_secs_f64();
-                let cur_rate = (rate * decay.powf(age)).max(10.0);
-                let slot = Nanos::from_secs_f64(1.0 / cur_rate);
-                let backlog = incoming[next_real..]
-                    .iter()
-                    .take_while(|&&ts| ts <= t)
-                    .count();
-                if backlog as u64 > surge_threshold {
-                    schedule_start = t;
-                }
-                let emit_real = backlog > 0;
-                if emit_real {
-                    real_done = t;
-                    next_real += 1;
-                } else if dummy_pkts < dummy_budget {
-                    dummy_pkts += 1;
-                } else {
-                    t += slot;
-                    continue;
-                }
-                emits.push(Emit {
-                    pkt: FlowPkt { ts: t, dir, size },
-                    dummy: !emit_real,
-                });
-                t += slot;
-            }
+            let (real_done, dummy_pkts) = surge_schedule(
+                incoming,
+                rate,
+                decay,
+                surge_threshold,
+                dummy_budget,
+                dir,
+                size,
+                &mut self.out,
+            );
             self.padded += dummy_pkts;
             netsim::tm_counter!("defense.machine.pads").add(dummy_pkts);
-            self.out.extend(emits);
             done = Some(done.map_or(real_done, |d: Nanos| d.max(real_done)));
         }
         done
@@ -1571,7 +1614,7 @@ impl Defense for MachineDefense {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defense::{emulate_flow, enforce_flow, StackParams};
+    use crate::defense::{emulate_flow, enforce_flow, flow_duration, StackParams};
 
     fn pkt(ts_us: u64, dir: Direction, size: u32) -> FlowPkt {
         FlowPkt {
@@ -2017,6 +2060,67 @@ mod tests {
         let text = spec.to_json().to_string_compact();
         let back = MachineSpec::from_json(&Json::parse(&text).expect("parse")).expect("decode");
         assert_eq!(back, spec);
+    }
+
+    /// Complexity gate, not a timing test: recounting the backlog per
+    /// slot made this 5 x 10^9 compare steps (over a minute in a debug
+    /// build); with the cursor it is 10^5 slots, milliseconds.
+    #[test]
+    fn regulate_hundred_thousand_packet_burst_is_linear() {
+        let regulate = State {
+            action: Action::Regulate {
+                dir: Direction::In,
+                size: 1514,
+                rate: 300.0,
+                decay: 0.9,
+                surge_threshold: 60,
+                budget_frac: 0.4,
+            },
+            limit: None,
+            transitions: Vec::new(),
+        };
+        let machines = vec![Machine {
+            states: vec![regulate],
+        }];
+        let d = MachineDefense::new(MachineSpec::padding_only(
+            "regulate",
+            machines,
+            MAX_PADDING_CAP,
+        ));
+        assert!(d.is_valid());
+        let burst = vec![pkt(0, Direction::In, 1514); 100_000];
+        let started = std::time::Instant::now();
+        let out = emulate_flow(&d, &burst, &DefenseCtx::default(), &mut SimRng::new(1));
+        let took = started.elapsed();
+        assert!(took.as_secs() < 2, "100k-packet burst took {took:?}");
+        assert_eq!(out.dummy_pkts, 0, "the backlog never empties");
+        assert_eq!(out.pkts.len(), 100_000);
+        assert_eq!(out.real_done, flow_duration(&out.pkts));
+    }
+
+    #[test]
+    fn surge_schedule_restarts_above_the_threshold_not_at_it() {
+        // One early packet ages the schedule, then a burst of `n` lands
+        // at once. A backlog of exactly the threshold keeps decaying; one
+        // more restarts at the full rate, so the burst drains sooner.
+        let drain = |n: usize| {
+            let mut arrivals = vec![Nanos::ZERO];
+            arrivals.resize(1 + n, Nanos::from_secs(2));
+            let mut emits = Vec::new();
+            let (done, dummies) =
+                surge_schedule(&arrivals, 300.0, 0.5, 8, 0, Direction::In, 1514, &mut emits);
+            assert_eq!(dummies, 0);
+            assert_eq!(emits.len(), arrivals.len());
+            assert!(emits.iter().all(|e| !e.dummy && e.pkt.size == 1514));
+            // Mean slot after the burst's first packet (whose own slot
+            // was sized before the backlog was looked at).
+            (done - emits[2].pkt.ts).0 / (n as u64 - 2)
+        };
+        let (at, above) = (drain(8), drain(9));
+        let full_rate_slot = Nanos::from_secs_f64(1.0 / 300.0).0;
+        assert!(above < at, "mean slot {above} ns vs {at} ns");
+        assert!(above < full_rate_slot * 11 / 10, "restarted at ~300/s");
+        assert!(at > full_rate_slot * 3, "2 s of 0.5 decay: ~75/s");
     }
 
     #[test]

@@ -1,47 +1,33 @@
 //! Trace-level adapters for the placement-agnostic defense layer.
 //!
-//! `stob::defense` works on bare packet sequences ([`FlowPkt`]) so the
-//! core stays trace-format-agnostic. This module is the bridge: it
-//! converts [`Trace`]s to and from flows, runs a [`Defense`] at either
-//! [`Placement`], and wraps the result in the [`Defended`] bookkeeping
-//! the overhead metrics consume. The per-defense convenience functions
-//! (`emulate::split`, `front::front`, ...) are thin adapters over these.
+//! `stob::defense` works on bare packet sequences of [`FlowPkt`], which
+//! is also the packet type a [`Trace`] holds (`traces::TracePacket` is a
+//! re-export), so a trace's packets go to the kernel as they are and the
+//! defended sequence is moved into the result. This module runs a
+//! [`Defense`] at either [`Placement`] and wraps the outcome in the
+//! [`Defended`] bookkeeping the overhead metrics consume. The
+//! per-defense convenience functions (`emulate::split`, `front::front`,
+//! ...) are thin adapters over these.
+//!
+//! [`FlowPkt`]: stob::defense::FlowPkt
 
 use crate::overhead::Defended;
 use netsim::{par, Direction, Nanos, SimRng};
+use std::collections::HashMap;
 use stob::defense::{
-    emulate_flow, enforce_flow, DefendedFlow, Defense, DefenseCtx, FlowPkt, Placement,
-    ReferenceBank, StackParams,
+    emulate_flow, enforce_flow, DefendedFlow, Defense, DefenseCtx, Placement, ReferenceBank,
+    StackParams,
 };
-use traces::{Trace, TracePacket};
+use traces::Trace;
 
-/// View a trace as the packet sequence both backends operate on.
-pub fn to_flow(trace: &Trace) -> Vec<FlowPkt> {
-    trace
-        .packets
-        .iter()
-        .map(|p| FlowPkt {
-            ts: p.ts,
-            dir: p.dir,
-            size: p.size,
-        })
-        .collect()
-}
-
-/// Rebuild a trace from a defended flow, keeping the victim's identity.
-pub fn to_trace(label: usize, visit: usize, pkts: &[FlowPkt]) -> Trace {
-    Trace::new(
-        label,
-        visit,
-        pkts.iter()
-            .map(|p| TracePacket::new(p.ts, p.dir, p.size))
-            .collect(),
-    )
-}
-
-fn to_defended(label: usize, visit: usize, flow: DefendedFlow) -> Defended {
+/// Wrap a defended flow as a trace with the victim's identity. The
+/// packet vector is moved, not copied, and exact-sized first: a defended
+/// corpus is long-lived, and the slack a push-grown vector carries would
+/// be resident once per trace.
+fn to_defended(victim: &Trace, mut flow: DefendedFlow) -> Defended {
+    flow.pkts.shrink_to_fit();
     Defended {
-        trace: to_trace(label, visit, &flow.pkts),
+        trace: Trace::new(victim.label, victim.visit, flow.pkts),
         dummy_pkts: flow.dummy_pkts,
         dummy_bytes: flow.dummy_bytes,
         real_done: flow.real_done,
@@ -56,12 +42,7 @@ pub fn emulate_trace(
     ctx: &DefenseCtx,
     rng: &mut SimRng,
 ) -> Defended {
-    let flow = to_flow(trace);
-    to_defended(
-        trace.label,
-        trace.visit,
-        emulate_flow(defense, &flow, ctx, rng),
-    )
+    to_defended(trace, emulate_flow(defense, &trace.packets, ctx, rng))
 }
 
 /// Run a defense over one trace **in the stack**: the same spec, lowered
@@ -73,11 +54,9 @@ pub fn enforce_trace(
     rng: &mut SimRng,
     params: &StackParams,
 ) -> Defended {
-    let flow = to_flow(trace);
     to_defended(
-        trace.label,
-        trace.visit,
-        enforce_flow(defense, &flow, ctx, rng, params),
+        trace,
+        enforce_flow(defense, &trace.packets, ctx, rng, params),
     )
 }
 
@@ -132,10 +111,12 @@ pub fn defend_all(
 /// construction (a struct-of-arrays view of the bank), so the per-flow
 /// hot path — `defend_all` picks and reads a reference per defended
 /// trace — is a memcpy of a ready column instead of a filter walk over
-/// the full packet list.
+/// the full packet list — and so is the label histogram, which the
+/// reference pick asks for once per flow.
 pub struct TraceBank<'a> {
     traces: &'a [Trace],
     in_cols: Vec<Vec<Nanos>>,
+    label_counts: HashMap<usize, usize>,
 }
 
 impl<'a> TraceBank<'a> {
@@ -150,7 +131,15 @@ impl<'a> TraceBank<'a> {
                     .collect()
             })
             .collect();
-        TraceBank { traces, in_cols }
+        let mut label_counts = HashMap::new();
+        for t in traces {
+            *label_counts.entry(t.label).or_default() += 1;
+        }
+        TraceBank {
+            traces,
+            in_cols,
+            label_counts,
+        }
     }
 }
 
@@ -160,6 +149,9 @@ impl ReferenceBank for TraceBank<'_> {
     }
     fn label(&self, i: usize) -> usize {
         self.traces[i].label
+    }
+    fn count_label(&self, label: usize) -> usize {
+        self.label_counts.get(&label).copied().unwrap_or(0)
     }
     fn in_times(&self, i: usize) -> Vec<Nanos> {
         self.in_cols[i].clone()
@@ -173,10 +165,30 @@ mod tests {
     use traces::statgen::generate;
 
     #[test]
-    fn flow_round_trip_is_lossless() {
+    fn passthrough_round_trip_is_lossless_and_exact_sized() {
         let t = generate(&paper_sites()[1], 1, 0, 5);
-        let rt = to_trace(t.label, t.visit, &to_flow(&t));
-        assert_eq!(rt, t);
+        let none = stob::ObfuscationPolicy::passthrough("none");
+        let ctx = DefenseCtx::default();
+        let params = StackParams::with_seed(5);
+        for placement in Placement::ALL {
+            let d = defend_trace(&none, placement, &t, &ctx, &mut SimRng::new(5), &params);
+            assert_eq!(d.trace, t, "{}", placement.name());
+            assert_eq!(d.dummy_pkts, 0);
+        }
+        // The moved vector must not keep its push-growth slack: a split
+        // (grows the stream) and a padder (merges a schedule into it).
+        let split = crate::emulate::Section3Defense::new(
+            crate::emulate::CounterMeasure::Split,
+            crate::emulate::EmulateConfig::default(),
+        );
+        let front = crate::front::FrontDefense::new(crate::front::FrontConfig::default());
+        for defense in [&split as &dyn Defense, &front] {
+            for placement in Placement::ALL {
+                let d = defend_trace(defense, placement, &t, &ctx, &mut SimRng::new(5), &params);
+                assert!(d.trace.len() > t.len(), "{} grew", defense.name());
+                assert_eq!(d.trace.packets.capacity(), d.trace.len());
+            }
+        }
     }
 
     #[test]

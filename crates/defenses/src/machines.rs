@@ -222,10 +222,10 @@ pub fn scrambler_machine(cfg: &ScramblerConfig) -> MachineSpec {
 }
 
 /// RegulaTor-lite as one machine: a single `Regulate` state owning the
-/// inbound direction. The interpreter's surge loop is a faithful
-/// transcription of the native `regulator.rs` schedule (same float ops
-/// in the same order, zero rng draws), so the same per-flow rng — which
-/// neither implementation touches — yields the identical defended flow;
+/// inbound direction. The interpreter and the native `regulator.rs`
+/// core run the same [`stob::machine::surge_schedule`] (zero rng
+/// draws), so the same per-flow rng — which neither touches — yields
+/// the identical defended flow;
 /// `tests::machine_regulator_matches_native_regulator_per_flow` holds
 /// the runtime to that bit-for-bit.
 pub fn regulator_machine(cfg: &RegulatorConfig) -> MachineSpec {

@@ -67,15 +67,19 @@ impl PadderCore for SurakavCore {
         let real_bytes = self.real_bytes;
         let orig_in = &self.orig_in;
         // Causality: the k-th real byte cannot leave before it existed in
-        // the original flow. Earliest time `bytes` of real data exist:
-        let available_at = |bytes: u64| -> Nanos {
-            match orig_in.iter().find(|&&(_, cum)| cum >= bytes) {
-                Some(&(t, _)) => t,
-                None => orig_in.last().map(|&(t, _)| t).unwrap_or(Nanos::ZERO),
+        // the original flow. Earliest time `bytes` of real data exist —
+        // asked for non-decreasing `bytes` against a non-decreasing
+        // cumulative column, so the first index with `cum >= bytes` only
+        // ever moves forward and one cursor serves every lookup.
+        let mut cursor = 0usize;
+        let mut available_at = |bytes: u64| -> Nanos {
+            while cursor < orig_in.len() && orig_in[cursor].1 < bytes {
+                cursor += 1;
             }
+            let at = orig_in.get(cursor).or(orig_in.last());
+            at.map_or(Nanos::ZERO, |&(t, _)| t)
         };
 
-        let mut emits = Vec::new();
         let mut remaining = real_bytes;
         let mut real_done = Nanos::ZERO;
         let mut schedule: Vec<Nanos> = ref_times.clone();
@@ -101,11 +105,27 @@ impl PadderCore for SurakavCore {
                 }
                 replays += 1;
             }
+            if schedule.len() < need {
+                // The replay cap ran out with data left: keep the last
+                // gap's cadence until every real byte has a slot, rather
+                // than dropping what the schedule cannot carry.
+                netsim::tm_counter!("defenses.surakav.tail_extended").inc();
+                let gap = match schedule[..] {
+                    [.., a, b] => b.saturating_sub(a).max(Nanos(1)),
+                    _ => Nanos::from_millis(5),
+                };
+                let mut t = *schedule.last().expect("nonempty");
+                schedule.resize_with(need, || {
+                    t += gap;
+                    t
+                });
+            }
         }
         // When the schedule runs ahead of the data, the whole remaining
         // schedule shifts (the send queue stalls), as in the real system.
         let mut shift = Nanos::ZERO;
         let mut sent_real = 0u64;
+        let mut emits = Vec::with_capacity(schedule.len());
         for &sched_t in &schedule {
             let mut t = sched_t + shift;
             let dummy = remaining == 0;
@@ -140,16 +160,39 @@ impl PadderCore for SurakavCore {
 
 /// Legacy reference choice, shared by [`SurakavDefense`] and
 /// [`surakav_from_bank`]: a uniformly random bank entry with a different
-/// label than the victim when one exists, any entry otherwise.
+/// label than the victim when one exists, any entry otherwise. One draw
+/// either way; the k-th other-label entry is found by walking, not by
+/// collecting the bank's indices per flow.
 pub fn pick_reference(bank: &dyn ReferenceBank, label: usize, rng: &mut SimRng) -> usize {
     assert!(!bank.is_empty(), "empty reference bank");
-    let others: Vec<usize> = (0..bank.len())
+    let n_others = bank.len() - bank.count_label(label);
+    if n_others == 0 {
+        return rng.range_usize(0, bank.len() - 1);
+    }
+    let k = rng.range_usize(0, n_others - 1);
+    (0..bank.len())
         .filter(|&i| bank.label(i) != label)
-        .collect();
-    if others.is_empty() {
-        rng.range_usize(0, bank.len() - 1)
-    } else {
-        others[rng.range_usize(0, others.len() - 1)]
+        .nth(k)
+        .expect("k < number of other-label entries")
+}
+
+/// The per-flow defense enforcing one reference schedule. A reference
+/// with no inbound packets has no schedule to enforce — the core would
+/// own the inbound direction and re-emit none of it — so it degrades the
+/// flow to pass-through (counted), like a missing bank.
+fn flow_defense(cfg: SurakavConfig, ref_times: Vec<Nanos>) -> FlowDefense {
+    if ref_times.is_empty() {
+        netsim::tm_counter!("stob.registry.degraded").inc();
+        return FlowDefense::passthrough("Surakav (lite)");
+    }
+    FlowDefense {
+        padding: Some(Box::new(SurakavCore {
+            cfg,
+            ref_times,
+            orig_in: Vec::new(),
+            real_bytes: 0,
+        })),
+        ..FlowDefense::passthrough("Surakav (lite)")
     }
 }
 
@@ -165,22 +208,15 @@ impl Defense for FixedRefSurakav {
     }
 
     fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
-        FlowDefense {
-            padding: Some(Box::new(SurakavCore {
-                cfg: self.cfg,
-                ref_times: self.ref_times.clone(),
-                orig_in: Vec::new(),
-                real_bytes: 0,
-            })),
-            ..FlowDefense::passthrough("Surakav (lite)")
-        }
+        flow_defense(self.cfg, self.ref_times.clone())
     }
 }
 
 /// Surakav-lite as a placement-agnostic [`Defense`]: per flow, draw a
 /// reference from the context's [`ReferenceBank`] (avoiding the victim's
-/// own label) and enforce its inbound schedule. Without a bank the
-/// defense degrades to a pass-through (and is counted as degraded).
+/// own label) and enforce its inbound schedule. Without a bank, or on a
+/// reference with no inbound packets, the defense degrades to a
+/// pass-through (and is counted as degraded).
 #[derive(Debug, Clone, Copy)]
 pub struct SurakavDefense {
     pub cfg: SurakavConfig,
@@ -203,15 +239,7 @@ impl Defense for SurakavDefense {
             return FlowDefense::passthrough("Surakav (lite)");
         };
         let idx = pick_reference(bank, ctx.label, rng);
-        FlowDefense {
-            padding: Some(Box::new(SurakavCore {
-                cfg: self.cfg,
-                ref_times: bank.in_times(idx),
-                orig_in: Vec::new(),
-                real_bytes: 0,
-            })),
-            ..FlowDefense::passthrough("Surakav (lite)")
-        }
+        flow_defense(self.cfg, bank.in_times(idx))
     }
 }
 
@@ -365,6 +393,129 @@ mod tests {
             after >= before,
             "defense must not reduce agreement: {after:.2} vs {before:.2}"
         );
+    }
+
+    fn without_inbound_beyond(t: &Trace, keep: usize) -> Trace {
+        let mut seen = 0;
+        let mut out = t.clone();
+        out.packets.retain(|p| {
+            p.dir == Direction::Out || {
+                seen += 1;
+                seen <= keep
+            }
+        });
+        out
+    }
+
+    /// A reference too short to carry the data must never cost real
+    /// bytes: with no inbound packets there is no schedule, so the flow
+    /// passes through (counted); with one or two and the replay cap at
+    /// its tightest, the schedule keeps its last gap until the data fits.
+    #[test]
+    fn starved_references_never_drop_real_bytes() {
+        let v = victim();
+        let cfg = SurakavConfig {
+            max_tail_replays: 1,
+            ..SurakavConfig::default()
+        };
+        let degraded = netsim::tm_counter!("stob.registry.degraded");
+        let extended = netsim::tm_counter!("defenses.surakav.tail_extended");
+        for keep in [0usize, 1, 2] {
+            let r = without_inbound_beyond(&reference(), keep);
+            assert_eq!(
+                r.packets.iter().filter(|p| p.dir == Direction::In).count(),
+                keep
+            );
+            let (deg0, ext0) = (degraded.get(), extended.get());
+            let d = surakav(&v, &r, &cfg);
+            if keep == 0 {
+                assert_eq!(d.trace, v, "no schedule: pass-through");
+                assert_eq!(d.dummy_pkts, 0);
+                assert!(degraded.get() > deg0, "pass-through must be counted");
+                continue;
+            }
+            assert!(extended.get() > ext0, "keep={keep}: extension counted");
+            let inbound = d.trace.packets.iter().filter(|p| p.dir == Direction::In);
+            let capacity = inbound.count() as u64 * u64::from(cfg.packet_size);
+            assert!(
+                capacity >= v.bytes(Direction::In),
+                "keep={keep}: {capacity} B of slots for {} B of data",
+                v.bytes(Direction::In)
+            );
+            assert!(d.real_done >= v.duration(), "keep={keep}: causality");
+            assert_eq!(d.dummy_pkts, 0, "keep={keep}: exactly enough slots");
+        }
+        // The bank path degrades the same way when the drawn reference
+        // has no inbound packets.
+        let bank_traces = [without_inbound_beyond(&reference(), 0)];
+        let bank = TraceBank::new(&bank_traces);
+        let ctx = DefenseCtx {
+            label: v.label,
+            bank: Some(&bank),
+        };
+        let deg0 = degraded.get();
+        let d = emulate_trace(&SurakavDefense::new(cfg), &v, &ctx, &mut SimRng::new(3));
+        assert_eq!(d.trace, v);
+        assert!(degraded.get() > deg0);
+    }
+
+    /// Complexity gate, not a timing test: `find` from index 0 per
+    /// scheduled packet made this 5 x 10^9 compare steps (over a minute
+    /// in a debug build); with the cursor it is one pass.
+    #[test]
+    fn hundred_thousand_packet_burst_is_linear() {
+        let pkt = traces::TracePacket::new(Nanos::ZERO, Direction::In, 1514);
+        let burst = Trace::new(0, 0, vec![pkt; 100_000]);
+        let started = std::time::Instant::now();
+        let d = surakav(&burst, &reference(), &SurakavConfig::default());
+        let took = started.elapsed();
+        assert!(took.as_secs() < 2, "100k-packet burst took {took:?}");
+        assert_eq!(d.dummy_pkts, 0, "the tail replay stops at the data");
+        assert_eq!(d.trace.len(), 100_000);
+    }
+
+    /// The pre-rewrite pick: collect every other-label index, draw one.
+    fn pick_reference_by_collecting(
+        bank: &dyn ReferenceBank,
+        label: usize,
+        rng: &mut SimRng,
+    ) -> usize {
+        let others: Vec<usize> = (0..bank.len())
+            .filter(|&i| bank.label(i) != label)
+            .collect();
+        if others.is_empty() {
+            rng.range_usize(0, bank.len() - 1)
+        } else {
+            others[rng.range_usize(0, others.len() - 1)]
+        }
+    }
+
+    #[test]
+    fn pick_reference_matches_the_collecting_pick() {
+        let labelled = |labels: &[usize]| -> Vec<Trace> {
+            labels.iter().map(|&l| Trace::new(l, 0, vec![])).collect()
+        };
+        let skewed: Vec<usize> = (0..60)
+            .map(|i| [0, 0, 0, 0, 3, 0, 7, 0, 0, 3][i % 10])
+            .collect();
+        for labels in [&skewed[..], &[4; 9], &[2]] {
+            let traces = labelled(labels);
+            let bank = TraceBank::new(&traces);
+            let mut fast = SimRng::new(0x51C);
+            let mut slow = fast.clone();
+            for i in 0..1_000 {
+                // Labels in the bank, and some that are not.
+                let label = i % 9;
+                assert_eq!(
+                    pick_reference(&bank, label, &mut fast),
+                    pick_reference_by_collecting(&bank, label, &mut slow),
+                    "pick {i} for label {label} on {} entries",
+                    labels.len()
+                );
+            }
+            // Same number of draws on both sides, too.
+            assert_eq!(fast.next_u64(), slow.next_u64());
+        }
     }
 
     #[test]

@@ -8,54 +8,11 @@
 use netsim::json::{Json, JsonError};
 use netsim::{Capture, Direction, Nanos};
 
-/// One packet as the eavesdropper records it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TracePacket {
-    /// Time since the first packet of the trace.
-    pub ts: Nanos,
-    pub dir: Direction,
-    /// On-wire bytes.
-    pub size: u32,
-}
-
-impl TracePacket {
-    pub fn new(ts: Nanos, dir: Direction, size: u32) -> Self {
-        TracePacket { ts, dir, size }
-    }
-
-    /// Compact JSON form `[ts_nanos, "i"|"o", size]`.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::from(self.ts.0),
-            Json::from(self.dir.as_str()),
-            Json::from(self.size),
-        ])
-    }
-
-    /// Parse the [`TracePacket::to_json`] form back.
-    pub fn from_json(v: &Json) -> Result<TracePacket, JsonError> {
-        let bad = |msg: &str| JsonError {
-            offset: 0,
-            message: msg.to_string(),
-        };
-        let parts = v.as_arr().ok_or_else(|| bad("packet is not an array"))?;
-        if parts.len() != 3 {
-            return Err(bad("packet array is not [ts, dir, size]"));
-        }
-        let ts = parts[0].as_u64().ok_or_else(|| bad("packet ts"))?;
-        let dir = parts[1]
-            .as_str()
-            .and_then(Direction::from_str_code)
-            .ok_or_else(|| bad("packet dir"))?;
-        let size = parts[2].as_u64().ok_or_else(|| bad("packet size"))? as u32;
-        Ok(TracePacket::new(Nanos(ts), dir, size))
-    }
-    /// Signed size: positive outgoing, negative incoming (the WF
-    /// literature's convention).
-    pub fn signed_size(&self) -> i64 {
-        self.dir.sign() as i64 * self.size as i64
-    }
-}
+/// One packet as the eavesdropper records it: the defense layer's
+/// packet type under the name this crate has always used, so a trace's
+/// packets go into and come out of the shaping kernel without a
+/// conversion.
+pub type TracePacket = stob::defense::FlowPkt;
 
 /// A full visit trace with its ground-truth label.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -416,5 +373,29 @@ mod tests {
         assert!(Trace::from_json(&v).is_err(), "bad direction code");
         let v = Json::parse(r#"{"label":0,"packets":[]}"#).expect("parse");
         assert!(Trace::from_json(&v).is_err(), "missing visit");
+    }
+
+    #[test]
+    fn json_rejects_sizes_beyond_u32_instead_of_truncating() {
+        let max = Json::parse(&format!("[0,\"i\",{}]", u32::MAX)).expect("parse");
+        let p = TracePacket::from_json(&max).expect("u32::MAX is a valid size");
+        assert_eq!(p.size, u32::MAX);
+        // 2^32 + 1514 used to parse as a 1,514-byte packet.
+        for too_big in [u64::from(u32::MAX) + 1, (1 << 32) + 1514] {
+            let v = Json::parse(&format!("[0,\"i\",{too_big}]")).expect("parse");
+            assert!(TracePacket::from_json(&v).is_err(), "size {too_big}");
+            let t = Json::parse(&format!(
+                r#"{{"label":0,"visit":0,"packets":[[0,"i",{too_big}]]}}"#
+            ))
+            .expect("parse");
+            assert!(Trace::from_json(&t).is_err(), "trace with size {too_big}");
+        }
+        // The widest legal packet still round-trips through a trace.
+        let t = Trace::new(1, 2, vec![p, TracePacket::new(Nanos(9), Direction::Out, 0)]);
+        let s = t.to_json().to_string_compact();
+        assert_eq!(
+            Trace::from_json(&Json::parse(&s).expect("parse")).expect("de"),
+            t
+        );
     }
 }
