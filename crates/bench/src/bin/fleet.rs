@@ -1,6 +1,5 @@
 //! The fleet campaign: drive 10k–1M concurrent defended flows through
-//! one shared [`PolicyRegistry`] and the sharded [`stob::fleet`] engine,
-//! and commit the throughput trajectory as `BENCH_8.json`.
+//! one shared [`PolicyRegistry`] and the sharded [`stob::fleet`] engine.
 //!
 //! This is the paper's §5 deployment regime measured end to end: a
 //! provider-side stack shaping a whole population of flows behind one
@@ -11,35 +10,31 @@
 //! so the run exercises the policy-only, padding, and size-rewrite
 //! paths at once.
 //!
-//! Metric families:
-//!
-//! * `throughput` — completed flows (visits) per wall second.
-//! * `egress`     — wire packets per wall second across all shards.
-//! * `scale`      — peak simultaneously-resident flows and the
-//!   sim-ns-per-wall-ns ratio (how much simulated time one wall
-//!   nanosecond buys).
-//!
-//! The timed work is bit-deterministic: alongside the timings the run
-//! emits a `checks` object (flow/packet/byte counts, the order-free
-//! emission checksum, audit totals, the run's telemetry totals) that is
-//! a pure function of `(mode, seed)` — byte-identical at any
-//! `STOB_THREADS`, which CI verifies. The embedded safety auditor runs
-//! force-enabled; any violation fails the run. A quick run must sustain
-//! at least 100k concurrently-resident flows or it exits non-zero.
+//! The run is bit-deterministic: its report (flow/packet/byte counts,
+//! the order-free emission checksum, audit totals, the run's telemetry
+//! totals) is a pure function of `(mode, seed)` — byte-identical at any
+//! `STOB_THREADS` — and `scripts/check-golden.sh` holds it against
+//! `tests/golden/fleet_{quick,full}.json`. The embedded safety auditor
+//! runs force-enabled; any violation fails the run. The calibrated quick
+//! run must sustain at least 100k concurrently-resident flows or it
+//! exits non-zero. Wall-clock rates go to stderr only: the fleet's
+//! *speed* is measured by the layered benchmark's `fleet_mixed` workload
+//! (`BENCHMARK.json`, `benchmark/README.md`), not here.
 //!
 //! Usage:
-//!   fleet [--quick] [--out PATH] [--checks-out PATH]
-//!   fleet --validate FILE
-//!   fleet --compare COMMITTED FRESH [--tolerance X]
+//!   fleet [--quick] [--checks-out PATH]
 //!
-//! Env: `STOB_FLEET_OUT` / `STOB_FLEET_CHECKS_OUT` (fallbacks for the
-//! flags), `STOB_FLEET_FLOWS` / `STOB_FLEET_SHARDS` (workload
-//! overrides — these change the checks object, so only use them for
-//! local exploration, never under `scripts/check-bench.sh`).
+//! The report goes to `--checks-out`, or to stdout without it.
+//!
+//! Env: `STOB_FLEET_FLOWS` / `STOB_FLEET_SHARDS` (workload overrides —
+//! a different population is a different report, so only use them for
+//! local exploration, never under `scripts/check-golden.sh`; with
+//! `STOB_FLEET_FLOWS` set the residency floor, calibrated for the
+//! built-in quick population, is not applied).
 //! `STOB_FLEET_MACHINE=<path>` additionally publishes a machine-spec
 //! JSON file (see `stob::machine`) as the host-wide default defense via
 //! the sockopt control plane — the defenses-as-data path at fleet
-//! scale. It also changes the checks object; local exploration only.
+//! scale. It also changes the report; local exploration only.
 
 use defenses::front::FrontConfig;
 use defenses::FrontDefense;
@@ -50,17 +45,14 @@ use stob::defense::Placement;
 use stob::policy::DelaySpec;
 use stob::{run_fleet, FleetConfig, FleetReport, ObfuscationPolicy, PolicyKey, PolicyRegistry};
 
-/// Schema tag every fleet BENCH file carries; bump only with a
-/// migration note in PERF.md.
-const SCHEMA: &str = "stob-fleet-v1";
 /// Seed for the fleet workload.
 const SEED: u64 = 0xF1EE7;
-/// Quick runs must keep at least this many flows resident at peak.
+/// The calibrated quick run must keep at least this many flows resident
+/// at peak.
 const QUICK_RESIDENCY_FLOOR: u64 = 100_000;
 
 /// Fixed workloads per mode. Quick shrinks the population but keeps the
-/// per-flow shape (packet counts, gaps, policy mix) identical, so
-/// per-flow numbers stay comparable — just noisier.
+/// per-flow shape (packet counts, gaps, policy mix) identical.
 fn calibrate(quick: bool) -> (&'static str, FleetConfig) {
     if quick {
         (
@@ -127,10 +119,10 @@ fn hex(h: u64) -> String {
     format!("{h:#018x}")
 }
 
-/// Deterministic portion of a report: pure function of `(mode, seed)`,
-/// invariant to `STOB_THREADS` — CI byte-compares this across thread
-/// counts.
-fn checks_json(mode: &str, r: &FleetReport) -> Json {
+/// The report: pure function of `(mode, seed)`, invariant to
+/// `STOB_THREADS` — `scripts/check-golden.sh` byte-compares it with the
+/// committed goldens.
+fn report_json(mode: &str, r: &FleetReport) -> Json {
     Json::obj()
         .set("mode", mode)
         .set("seed", SEED)
@@ -151,8 +143,9 @@ fn checks_json(mode: &str, r: &FleetReport) -> Json {
 
 /// The telemetry totals this process's one fleet run left in the global
 /// registry: sums, so as thread-invariant as the report, and held across
-/// commits by `tests/golden/fleet_quick.json` — a change that batches or
-/// moves a telemetry write must leave every total here unchanged.
+/// commits by `tests/golden/fleet_{quick,full}.json` — a change that
+/// batches or moves a telemetry write must leave every total here
+/// unchanged.
 /// `netsim.pool.*` is left out: it follows the shard layout.
 fn telemetry_json() -> Json {
     let mut t = Json::obj();
@@ -189,11 +182,12 @@ fn env_u64(key: &str) -> Option<u64> {
     })
 }
 
-fn run(quick: bool, out: Option<String>, checks_out: Option<String>) {
+fn run(quick: bool, checks_out: Option<String>) {
     let (mode, mut cfg) = calibrate(quick);
-    // Local-exploration overrides; they change the checks object, so
-    // check-bench.sh never sets them.
-    if let Some(flows) = env_u64("STOB_FLEET_FLOWS") {
+    // Local-exploration overrides; they change the report, so
+    // check-golden.sh never sets them.
+    let flows_override = env_u64("STOB_FLEET_FLOWS");
+    if let Some(flows) = flows_override {
         cfg.flows = flows;
     }
     if let Some(shards) = env_u64("STOB_FLEET_SHARDS") {
@@ -209,6 +203,14 @@ fn run(quick: bool, out: Option<String>, checks_out: Option<String>) {
         },
         netsim::par::threads()
     );
+    // The floor is calibrated for the built-in quick population only.
+    let floor_applies = quick && flows_override.is_none();
+    if quick && !floor_applies {
+        eprintln!(
+            "[fleet] note: STOB_FLEET_FLOWS overrides the calibrated population; \
+             the {QUICK_RESIDENCY_FLOOR}-flow residency floor is not applied (ungated run)"
+        );
+    }
     let reg = build_registry(cfg.sites);
     // Operator-pushed machine defense: a JSON spec published through the
     // same control plane any live host would use, overriding the default
@@ -233,67 +235,32 @@ fn run(quick: bool, out: Option<String>, checks_out: Option<String>) {
             report.audit.violations.len()
         ));
     }
-    if quick && report.peak_resident < QUICK_RESIDENCY_FLOOR {
+    if floor_applies && report.peak_resident < QUICK_RESIDENCY_FLOOR {
         die(&format!(
             "quick run peaked at {} resident flows, floor is {QUICK_RESIDENCY_FLOOR}",
             report.peak_resident
         ));
     }
 
-    let visits_per_sec = report.flows as f64 / wall;
-    let pkts_per_sec = report.egress_pkts as f64 / wall;
-    let sim_per_wall = report.sim_end.as_nanos() as f64 / (wall * 1e9);
     eprintln!(
         "[fleet] {:.1} visits/s, {:.0} egress pkts/s, peak {} resident, \
          {:.2} sim-ns/wall-ns, {} audit checks, done in {wall:.1}s",
-        visits_per_sec, pkts_per_sec, report.peak_resident, sim_per_wall, report.audit.checks
+        report.flows as f64 / wall,
+        report.egress_pkts as f64 / wall,
+        report.peak_resident,
+        report.sim_end.as_nanos() as f64 / (wall * 1e9),
+        report.audit.checks
     );
 
-    let families = Json::obj()
-        .set(
-            "throughput",
-            Json::obj()
-                .set("unit", "visits_per_sec")
-                .set("current", visits_per_sec),
-        )
-        .set(
-            "egress",
-            Json::obj()
-                .set("unit", "pkts_per_sec")
-                .set("current", pkts_per_sec),
-        )
-        .set(
-            "scale",
-            Json::obj()
-                .set("unit", "flows")
-                .set("peak_resident", report.peak_resident)
-                .set("sim_ns_per_wall_ns", sim_per_wall),
-        );
-    let checks = checks_json(mode, &report);
-    let full = Json::obj()
-        .set("schema", SCHEMA)
-        .set("bench_id", 8u64)
-        .set("mode", mode)
-        .set("families", families)
-        .set("checks", checks.clone());
-
-    if let Some(path) = &checks_out {
-        std::fs::write(path, checks.to_string_pretty()).expect("write checks file");
-        eprintln!("[fleet] wrote checks to {path}");
-    }
-    match &out {
+    let json = report_json(mode, &report).to_string_pretty();
+    match &checks_out {
         Some(path) => {
-            std::fs::write(path, full.to_string_pretty()).expect("write fleet report");
-            eprintln!("[fleet] wrote {path}");
+            std::fs::write(path, json)
+                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
+            eprintln!("[fleet] wrote report to {path}");
         }
-        None => println!("{}", full.to_string_pretty()),
+        None => println!("{json}"),
     }
-}
-
-fn load(path: &str) -> Json {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
-    Json::parse(&text).unwrap_or_else(|e| die(&format!("{path}: invalid JSON: {e:?}")))
 }
 
 fn die(msg: &str) -> ! {
@@ -301,143 +268,21 @@ fn die(msg: &str) -> ! {
     std::process::exit(1)
 }
 
-fn family<'a>(j: &'a Json, name: &str) -> &'a Json {
-    j.get("families")
-        .and_then(|f| f.get(name))
-        .unwrap_or_else(|| die(&format!("missing family \"{name}\"")))
-}
-
-fn req_num(j: &Json, fam: &str, key: &str) -> f64 {
-    j.get(key)
-        .and_then(Json::as_f64)
-        .unwrap_or_else(|| die(&format!("family \"{fam}\" missing numeric \"{key}\"")))
-}
-
-/// Schema validation: both rate families plus the scale family present,
-/// a checks object with zero audit violations, and — for quick-mode
-/// files — the residency floor.
-fn validate(path: &str) {
-    let j = load(path);
-    match j.get("schema").and_then(Json::as_str) {
-        Some(s) if s == SCHEMA => {}
-        other => die(&format!("schema {other:?}, want {SCHEMA:?}")),
-    }
-    for fam in ["throughput", "egress"] {
-        let f = family(&j, fam);
-        req_num(f, fam, "current");
-        f.get("unit")
-            .and_then(Json::as_str)
-            .unwrap_or_else(|| die(&format!("family \"{fam}\" missing unit")));
-    }
-    let scale = family(&j, "scale");
-    req_num(scale, "scale", "sim_ns_per_wall_ns");
-    let checks = j
-        .get("checks")
-        .unwrap_or_else(|| die("missing checks object"));
-    let violations = checks
-        .get("audit_violations")
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| die("checks missing audit_violations"));
-    if violations != 0 {
-        die(&format!(
-            "committed file records {violations} audit violation(s)"
-        ));
-    }
-    let peak = checks
-        .get("peak_resident")
-        .and_then(Json::as_u64)
-        .unwrap_or_else(|| die("checks missing peak_resident"));
-    if checks.get("mode").and_then(Json::as_str) == Some("quick") && peak < QUICK_RESIDENCY_FLOOR {
-        die(&format!(
-            "committed quick file peaked at {peak} resident flows, floor is {QUICK_RESIDENCY_FLOOR}"
-        ));
-    }
-    println!("[fleet] {path}: schema OK ({SCHEMA}, {peak} peak resident, 0 violations)");
-}
-
-/// Regression gate: fresh rates may be at most `tol`x worse than the
-/// committed baseline. Generous by design — CI runners are noisy; the
-/// committed file is refreshed locally per PR.
-fn compare(committed: &str, fresh: &str, tol: f64) {
-    let base = load(committed);
-    let new = load(fresh);
-    let mut failures = Vec::new();
-    for fam in ["throughput", "egress"] {
-        let b = req_num(family(&base, fam), fam, "current");
-        let n = req_num(family(&new, fam), fam, "current");
-        let ratio = b / n;
-        let verdict = if ratio > tol { "FAIL" } else { "ok" };
-        println!("  {fam:<12} {ratio:>6.2}x worse-ratio  {verdict}");
-        if ratio > tol {
-            failures.push(fam);
-        }
-    }
-    if failures.is_empty() {
-        println!("[fleet] compare OK: no rate more than {tol:.1}x worse than {committed}");
-    } else {
-        die(&format!(
-            "{} rate(s) regressed beyond {tol:.1}x: {}",
-            failures.len(),
-            failures.join(", ")
-        ));
-    }
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut quick = false;
-    let mut out = std::env::var("STOB_FLEET_OUT").ok();
-    let mut checks_out = std::env::var("STOB_FLEET_CHECKS_OUT").ok();
-    let mut mode: Option<&str> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut tolerance = 2.5;
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
+    let mut checks_out = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
             "--quick" => quick = true,
-            "--out" => {
-                i += 1;
-                out = Some(
-                    args.get(i)
-                        .cloned()
-                        .unwrap_or_else(|| die("--out needs a path")),
-                );
-            }
             "--checks-out" => {
-                i += 1;
                 checks_out = Some(
-                    args.get(i)
-                        .cloned()
+                    args.next()
                         .unwrap_or_else(|| die("--checks-out needs a path")),
                 );
             }
-            "--tolerance" => {
-                i += 1;
-                tolerance = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--tolerance needs a number"));
-            }
-            "--validate" => mode = Some("validate"),
-            "--compare" => mode = Some("compare"),
-            p if !p.starts_with("--") => paths.push(p.to_string()),
-            other => die(&format!("unknown flag {other}")),
+            other => die(&format!("unknown argument {other}")),
         }
-        i += 1;
     }
-    match mode {
-        Some("validate") => {
-            let p = paths
-                .first()
-                .unwrap_or_else(|| die("--validate needs a file"));
-            validate(p);
-        }
-        Some("compare") => {
-            if paths.len() != 2 {
-                die("--compare needs COMMITTED and FRESH paths");
-            }
-            compare(&paths[0], &paths[1], tolerance);
-        }
-        _ => run(quick, out, checks_out),
-    }
+    run(quick, checks_out);
 }

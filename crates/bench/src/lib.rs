@@ -14,7 +14,6 @@
 //! * [`run_overheads`] — the taxonomy with *measured* bandwidth/latency
 //!   overheads for every implemented defense.
 
-pub mod micro;
 pub mod multipath;
 pub mod suite;
 

@@ -1,14 +1,14 @@
 //! The canonical defense suite: every implemented defense, each
 //! expressed as a placement-agnostic [`Defense`] spec.
 //!
-//! Shared by `defense_matrix` (the accuracy/overhead grid) and `perf`
-//! (the emulate-vs-enforce ns/packet families), so both always cover the
-//! same rows under the same display names — the names are part of
-//! the committed golden (`tests/golden/defense_matrix.json`) and the
-//! `BENCH_<n>.json` schema, so they must not drift between binaries.
-//! `ALL` is the original ten-row suite (the `BENCH_<n>.json` schema);
-//! `WITH_MACHINES` appends the three machine-backed rows the defense
-//! matrix also covers.
+//! Shared by `defense_matrix` (the accuracy/overhead grid) and the
+//! layered benchmark's `defend_suite` workload (the emulate-vs-enforce
+//! ns/packet cells), so both always cover the same rows under the same
+//! names — the display names are part of the committed golden
+//! (`tests/golden/defense_matrix.json`) and the keys are
+//! `BENCHMARK.json` metric names, so they must not drift.
+//! `ALL` is the original ten-row suite; `WITH_MACHINES` appends the
+//! three machine-backed rows both users cover.
 
 use defenses::buflo::{BufloConfig, TamarawConfig};
 use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};

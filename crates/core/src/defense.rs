@@ -105,8 +105,7 @@ impl FlowPkt {
             .and_then(Direction::from_str_code)
             .ok_or_else(|| bad("packet dir"))?;
         let size = parts[2]
-            .as_u64()
-            .and_then(|s| u32::try_from(s).ok())
+            .as_u32()
             .ok_or_else(|| bad("packet size is not a u32"))?;
         Ok(FlowPkt::new(Nanos(ts), dir, size))
     }

@@ -43,8 +43,9 @@
 //! where the engine already holds the sum (per closed flow, per finished
 //! shard), not per packet: totals are exact once [`run_fleet`] returns,
 //! and a snapshot taken mid-run lags. The `fleet` bench
-//! bin drives this engine at 10k–1M flows and commits its throughput
-//! trajectory to `BENCH_8.json`.
+//! bin drives this engine at 10k–1M flows and `scripts/check-golden.sh`
+//! holds its report byte-for-byte; its throughput is the layered
+//! benchmark's `fleet_mixed` workload (`BENCHMARK.json`).
 
 use crate::defense::{
     close_padding, Closed, DefenseCtx, FlowDefense, FlowPkt, FlowShaper, PadderCore, StackDecider,

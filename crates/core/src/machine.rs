@@ -753,9 +753,7 @@ impl Target {
         match variant(v, "Target")? {
             ("End", None) => Ok(Target::End),
             ("State", Some(b)) => Ok(Target::State(
-                b.as_u64()
-                    .and_then(|i| u32::try_from(i).ok())
-                    .ok_or_else(|| bad("State index is not a u32"))?,
+                b.as_u32().ok_or_else(|| bad("State index is not a u32"))?,
             )),
             (tag, _) => Err(bad(format!("unknown Target variant `{tag}`"))),
         }
@@ -862,7 +860,7 @@ impl Action {
             }),
             ("Regulate", Some(b)) => Ok(Action::Regulate {
                 dir: dir_from_json(b.field("dir")?)?,
-                size: b.req_u64("size")? as u32,
+                size: b.req_u32("size")?,
                 rate: b.req_f64("rate")?,
                 decay: b.req_f64("decay")?,
                 surge_threshold: b.req_u64("surge_threshold")?,

@@ -258,15 +258,15 @@ impl SizeSpec {
         match variant(v, "SizeSpec")? {
             ("Unchanged", None) => Ok(SizeSpec::Unchanged),
             ("SplitAbove", Some(b)) => Ok(SizeSpec::SplitAbove {
-                threshold: b.req_u64("threshold")? as u32,
+                threshold: b.req_u32("threshold")?,
             }),
             ("IncrementalReduce", Some(b)) => Ok(SizeSpec::IncrementalReduce {
-                step: b.req_u64("step")? as u32,
-                steps: b.req_u64("steps")? as u32,
+                step: b.req_u32("step")?,
+                steps: b.req_u32("steps")?,
             }),
             ("FromHistogram", Some(b)) => Ok(SizeSpec::FromHistogram(Histogram::from_json(b)?)),
             ("Fixed", Some(b)) => Ok(SizeSpec::Fixed {
-                ip_size: b.req_u64("ip_size")? as u32,
+                ip_size: b.req_u32("ip_size")?,
             }),
             (tag, _) => Err(bad(format!("unknown SizeSpec variant `{tag}`"))),
         }
@@ -326,11 +326,11 @@ impl TsoSpec {
         match variant(v, "TsoSpec")? {
             ("Unchanged", None) => Ok(TsoSpec::Unchanged),
             ("IncrementalReduce", Some(b)) => Ok(TsoSpec::IncrementalReduce {
-                step: b.req_u64("step")? as u32,
-                steps: b.req_u64("steps")? as u32,
+                step: b.req_u32("step")?,
+                steps: b.req_u32("steps")?,
             }),
             ("Cap", Some(b)) => Ok(TsoSpec::Cap {
-                pkts: b.req_u64("pkts")? as u32,
+                pkts: b.req_u32("pkts")?,
             }),
             (tag, _) => Err(bad(format!("unknown TsoSpec variant `{tag}`"))),
         }

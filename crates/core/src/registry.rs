@@ -87,8 +87,7 @@ impl PolicyKey {
             Json::Obj(entries) if entries.len() == 1 => {
                 let id = entries[0]
                     .1
-                    .as_u64()
-                    .and_then(|id| u32::try_from(id).ok())
+                    .as_u32()
                     .ok_or_else(|| bad("policy key id is not a u32"))?;
                 match entries[0].0.as_str() {
                     "Flow" => Ok(PolicyKey::Flow(id)),

@@ -88,6 +88,12 @@ impl Json {
         }
     }
 
+    /// [`Json::as_u64`] narrowed to `u32`: a value past `u32::MAX` is
+    /// `None`, never a silent wrap.
+    pub fn as_u32(&self) -> Option<u32> {
+        self.as_u64().and_then(|x| u32::try_from(x).ok())
+    }
+
     pub fn as_usize(&self) -> Option<usize> {
         self.as_u64().map(|x| x as usize)
     }
@@ -118,6 +124,14 @@ impl Json {
         self.field(key)?
             .as_u64()
             .ok_or_else(|| type_err(key, "u64"))
+    }
+
+    /// A `u32` field. Decoders must use this, not `req_u64(..)? as u32`:
+    /// the cast wraps `2^32 + k` to `k`, which then passes validation.
+    pub fn req_u32(&self, key: &str) -> Result<u32, JsonError> {
+        self.field(key)?
+            .as_u32()
+            .ok_or_else(|| type_err(key, "u32"))
     }
 
     pub fn req_f64(&self, key: &str) -> Result<f64, JsonError> {
@@ -581,5 +595,16 @@ mod tests {
         assert_eq!(Json::Num(5.0).as_u64(), Some(5));
         assert_eq!(Json::Num(5.5).as_u64(), None);
         assert_eq!(Json::Num(-1.0).as_u64(), None);
+    }
+
+    #[test]
+    fn u32_accessors_reject_out_of_range_instead_of_wrapping() {
+        let v = Json::parse(r#"{"max":4294967295,"wrap":4294967298,"frac":1.5}"#).unwrap();
+        assert_eq!(v.req_u32("max"), Ok(u32::MAX));
+        let err = v.req_u32("wrap").unwrap_err();
+        assert!(err.message.contains("`wrap`"), "{err}");
+        assert!(v.req_u32("frac").is_err());
+        assert!(v.req_u32("absent").is_err());
+        assert_eq!(v.field("wrap").unwrap().as_u32(), None);
     }
 }

@@ -68,7 +68,7 @@ use std::time::Instant;
 // ---------------------------------------------------------------------
 
 /// Process-wide metric switch. Recording is on by default; perf-critical
-/// callers (the `perf` bench bin measuring instrumentation overhead, or
+/// callers (a benchmark measuring instrumentation overhead, or
 /// an operator who wants the last few ns/packet back) can turn every
 /// counter/gauge/histogram write into a single relaxed load + branch.
 static ENABLED: AtomicBool = AtomicBool::new(true);

@@ -6,11 +6,15 @@
 # as a diff, even if every unit test still passes. The goldens were
 # produced with the exact invocations below; STOB_JSON_NO_TIMINGS strips
 # wall-clock fields so the dumps are deterministic across machines and
-# thread counts. defense_matrix is additionally run at two thread counts
-# to pin the fan-out determinism contract. The fleet's quick-mode checks
-# (work counts + emission checksum, no timings) are held the same way:
-# check-bench.sh only compares fresh runs with each other, so this is
-# the fleet's one cross-commit gate. The fault suite's report
+# thread counts. table2, defense_matrix and multipath are each run at 1
+# and 4 threads to pin the fan-out determinism contract (table2's pair
+# is what holds the parallel `collect_dataset` stage at the CLI). The
+# fleet's report (work counts + emission checksum + telemetry totals, no
+# timings) is held the same way: the quick population at 1 and 4
+# threads, the full 1M-flow population at 1 thread (thread-invariance
+# stays with the quick pair) — the fleet's cross-commit gate. How fast
+# any of this runs is not checked here: that is the layered benchmark's
+# job (BENCHMARK.json, benchmark/README.md). The fault suite's report
 # (fault_matrix: every fault scenario x defense through the real stack,
 # auditor on, exit 1 on any violation; its JSON never carries timings) is
 # held here too, and only here: two runs that both equal the committed
@@ -26,7 +30,9 @@
 #   STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT=tests/golden/multipath.json \
 #     cargo run --release --locked -p stob-bench --bin multipath -- 12 30 10 11
 #   STOB_THREADS=1 cargo run --release --locked -p stob-bench --bin fleet -- \
-#     --quick --checks-out tests/golden/fleet_quick.json >/dev/null
+#     --quick --checks-out tests/golden/fleet_quick.json
+#   STOB_THREADS=1 cargo run --release --locked -p stob-bench --bin fleet -- \
+#     --checks-out tests/golden/fleet_full.json
 #   STOB_THREADS=1 STOB_JSON_OUT=tests/golden/fault_matrix.json \
 #     cargo run --release --locked -p stob-bench --bin fault_matrix
 set -euo pipefail
@@ -51,6 +57,10 @@ STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin table2 -- 12 25 2 7
 check tests/golden/table2.json "table2 (1 thread)"
 
+STOB_THREADS=4 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
+    cargo run --release --locked -p stob-bench --bin table2 -- 12 25 2 7
+check tests/golden/table2.json "table2 (4 threads)"
+
 STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin defense_matrix -- 6 10 2 7
 check tests/golden/defense_matrix.json "defense_matrix (1 thread)"
@@ -68,12 +78,16 @@ STOB_THREADS=4 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
 check tests/golden/multipath.json "multipath (4 threads)"
 
 STOB_THREADS=1 cargo run --release --locked -p stob-bench --bin fleet -- \
-    --quick --checks-out "$out" >/dev/null
+    --quick --checks-out "$out"
 check tests/golden/fleet_quick.json "fleet --quick (1 thread)"
 
 STOB_THREADS=4 cargo run --release --locked -p stob-bench --bin fleet -- \
-    --quick --checks-out "$out" >/dev/null
+    --quick --checks-out "$out"
 check tests/golden/fleet_quick.json "fleet --quick (4 threads)"
+
+STOB_THREADS=1 cargo run --release --locked -p stob-bench --bin fleet -- \
+    --checks-out "$out"
+check tests/golden/fleet_full.json "fleet full mode (1 thread)"
 
 STOB_THREADS=1 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin fault_matrix >/dev/null

@@ -19,13 +19,9 @@ run env STOB_THREADS=4 cargo test --workspace -q --locked --test determinism
 # Goldens, the fault suite among them: fault_matrix (every fault
 # scenario x defense, invariant auditor on, exit 1 on any violation) runs
 # there at 1 and 4 threads and both reports must equal the committed one.
+# The fleet runs there too (quick at 1 and 4 threads, full at 1) and
+# fails on any auditor violation or a quick peak below 100k resident.
 run scripts/check-golden.sh
-
-# Perf + fleet smoke: committed BENCH schemas + speedup floors,
-# deterministic perf and fleet checks at 1 vs 4 threads (the fleet
-# quick run fails on any auditor violation or <100k peak residency),
-# and the >2.5x regression gates.
-run scripts/check-bench.sh
 
 # Chaos soak: recovery runtime must rescue the fault grid (and the
 # recovery-off blackout baseline must still fail, or the gate is

@@ -2,9 +2,9 @@
 //! at any thread count. `netsim::par`'s contract is that worker count
 //! changes only *where* a work item runs, never *what* it computes —
 //! every item derives its randomness by forking the root rng on its
-//! stable index. This test sweeps thread counts over the three wired
-//! hot paths (forest training, defense emulation, figure-3 fan-out) and
-//! compares against the single-threaded result.
+//! stable index. This test sweeps thread counts over the wired hot
+//! paths (forest training, defense emulation, figure-3 fan-out, the
+//! fleet, §3 collection) and compares against the single-threaded result.
 //!
 //! Everything runs inside ONE test function: `par::set_threads` is a
 //! process-wide override, so concurrent test functions would race on it.
@@ -93,6 +93,7 @@ fn thread_count_never_changes_results() {
     let (_, events_1) = stob_bench::run_figure3_traced(&[0, 20], Nanos::from_millis(2), 1, 4096);
     let fleet_1 = run_fleet(&fleet_cfg(), &fleet_reg);
     assert!(fleet_1.clean(), "{:?}", fleet_1.audit.violations);
+    let collected_1 = stob_bench::collect_dataset(1, 7).dataset.traces;
     let metrics_1 = netsim::telemetry::metrics_json().to_string_pretty();
 
     for threads in [2usize, 4, 8] {
@@ -135,6 +136,17 @@ fn thread_count_never_changes_results() {
             fleet_snapshot(&fleet_n),
             "fleet report at {threads} threads"
         );
+        // The §3 collection stage fans page loads out over the same
+        // pool; nothing else in this file reaches `traces::loader`.
+        let collected_n = stob_bench::collect_dataset(1, 7).dataset.traces;
+        assert_eq!(
+            collected_1.len(),
+            collected_n.len(),
+            "collected dataset size at {threads} threads"
+        );
+        for (a, b) in collected_1.iter().zip(&collected_n) {
+            assert_eq!(a, b, "collected trace at {threads} threads");
+        }
         let metrics_n = netsim::telemetry::metrics_json().to_string_pretty();
         assert_eq!(
             metrics_1, metrics_n,

@@ -7,8 +7,10 @@
 
 use defenses::front::FrontConfig;
 use defenses::machines::{
-    constant_machine, front_machine, scrambler_machine, ConstantConfig, ScramblerConfig,
+    constant_machine, front_machine, regulator_machine, scrambler_machine, ConstantConfig,
+    ScramblerConfig,
 };
+use defenses::regulator::RegulatorConfig;
 use netsim::json::Json;
 use netsim::{Direction, Histogram, Nanos, SimRng};
 use stob::defense::{emulate_flow, DefenseCtx, FlowPkt, Placement};
@@ -289,6 +291,39 @@ fn hostile_specs_degrade_never_panic() {
     // The degradation is counted globally (telemetry), not on `reg`'s
     // private counter; just confirm nothing panicked and reg is stable.
     assert_eq!(reg.degraded_count(), before);
+}
+
+/// A `Regulate` size of `2^32 + 1514` must not pass the `<= 65 535` check
+/// as 1514: it is refused at decode time, before `validate` sees it.
+#[test]
+fn regulate_size_beyond_u32_is_rejected_not_truncated() {
+    let text_with_size = |size: u32| {
+        let cfg = RegulatorConfig {
+            packet_size: size,
+            ..RegulatorConfig::default()
+        };
+        regulator_machine(&cfg).to_json().to_string_compact()
+    };
+    let reg = PolicyRegistry::new();
+    let publish = |text: &str| publish_machine_json(&reg, PolicyKey::Default, text, Placement::App);
+
+    let top = text_with_size(65_535);
+    assert_eq!(top.matches("\"size\":65535").count(), 1, "{top}");
+    let wide = top.replace("\"size\":65535", "\"size\":4294968810");
+    let err = publish(&wide).expect_err("2^32 + 1514 accepted");
+    assert!(
+        err.contains("decode error") && err.contains("`size`"),
+        "{err}"
+    );
+    assert!(reg.resolve_defense(1, 1).is_none(), "nothing was bound");
+
+    // u32::MAX decodes as itself and is then out of `validate`'s range.
+    let err = publish(&text_with_size(u32::MAX)).expect_err("u32::MAX validates");
+    assert!(err.contains("regulate size 4294967295"), "{err}");
+    assert_eq!(reg.degraded_count(), 2);
+
+    publish(&top).expect("65 535 is the largest size validate allows");
+    assert!(reg.resolve_defense(1, 1).is_some());
 }
 
 /// A spec that is shape- and semantics-valid but adversarially cyclic —

@@ -81,8 +81,8 @@ fn batched_prediction_matches_scalar_for_every_seed() {
     let cfg = FeatureConfig::paper();
     let x = wf::features::extract_all(&corpus, &cfg);
     let y: Vec<usize> = corpus.iter().map(|t| t.label).collect();
-    // Every forest seed the committed experiments use: the table2 /
-    // defense_matrix harness seeds plus the perf bin's.
+    // Every forest seed the committed experiments use (the table2 /
+    // defense_matrix harness seeds) plus a few arbitrary ones.
     for seed in [7, 0xDEF, 0xBE6C, 0, 1, 2] {
         let fcfg = ForestConfig {
             n_trees: 60,

@@ -227,3 +227,51 @@ fn policy_key_ids_beyond_u32_are_rejected_not_truncated() {
         assert!(r.resolve(u32::MAX, u32::MAX).is_some());
     }
 }
+
+#[test]
+fn u32_fields_beyond_u32_are_rejected_not_truncated() {
+    // `2^32 + 1200` must not bind as 1200: the import fails whole and
+    // binds nothing; u32::MAX is the largest value any field decodes.
+    const MAX: u32 = u32::MAX;
+    let with_size = |size| ObfuscationPolicy {
+        size,
+        ..ObfuscationPolicy::passthrough("p")
+    };
+    let with_tso = |tso| ObfuscationPolicy {
+        tso,
+        ..ObfuscationPolicy::passthrough("p")
+    };
+    let policies = [
+        with_size(SizeSpec::SplitAbove { threshold: MAX }),
+        with_size(SizeSpec::IncrementalReduce {
+            step: MAX,
+            steps: 1,
+        }),
+        with_size(SizeSpec::IncrementalReduce {
+            step: 1,
+            steps: MAX,
+        }),
+        with_size(SizeSpec::Fixed { ip_size: MAX }),
+        with_tso(TsoSpec::IncrementalReduce {
+            step: MAX,
+            steps: 1,
+        }),
+        with_tso(TsoSpec::IncrementalReduce {
+            step: 1,
+            steps: MAX,
+        }),
+        with_tso(TsoSpec::Cap { pkts: MAX }),
+    ];
+    for p in policies {
+        assert!(p.validate().is_ok(), "{p:?}");
+        let max = format!("[[\"Default\",{}]]", p.to_json().to_string_compact());
+        assert_eq!(max.matches("4294967295").count(), 1, "{max}");
+        let r = PolicyRegistry::new();
+        let wide = max.replace("4294967295", "4294968496");
+        let err = r.import_json(&wide).expect_err("2^32 + 1200 accepted");
+        assert!(err.message.contains("u32"), "{p:?}: {err}");
+        assert!(r.is_empty(), "{p:?}: a rejected import bound something");
+        assert_eq!(r.import_json(&max).expect("u32::MAX decodes"), 1);
+        assert_eq!(*r.resolve(1, 1).expect("bound"), p);
+    }
+}
