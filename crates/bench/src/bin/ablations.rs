@@ -286,14 +286,7 @@ fn main() {
     );
     eprintln!("[ablations] {timings}");
 
-    if let Ok(out) = std::env::var("STOB_JSON_OUT") {
-        let json = Json::obj()
-            .set("cells", Json::Arr(json_cells))
-            .set("timings", timings.to_json());
-        if let Err(e) = std::fs::write(&out, json.to_string_pretty()) {
-            eprintln!("[ablations] could not write {out}: {e}");
-        } else {
-            eprintln!("[ablations] wrote {out}");
-        }
-    }
+    stob_bench::write_json_out("ablations", Some(&timings), || {
+        Json::obj().set("cells", Json::Arr(json_cells))
+    });
 }

@@ -281,9 +281,9 @@ fn main() {
         .find(|r| r.scenario == "blackout-early" && !r.recovery)
         .map_or(0, |r| r.complete);
 
-    if let Ok(path) = std::env::var("STOB_JSON_OUT") {
+    stob_bench::write_json_out("chaos", None, || {
         // Timing-free: CI byte-compares this file across thread counts.
-        let json = Json::obj()
+        Json::obj()
             .set("seed", seed)
             .set("visits", visits as u64)
             .set("quick", quick)
@@ -340,13 +340,8 @@ fn main() {
                     .set("complete", breaker_complete as u64)
                     .set("trips", breaker_trips)
                     .set("shed", breaker_shed),
-            );
-        if let Err(e) = std::fs::write(&path, json.to_string_pretty()) {
-            eprintln!("[chaos] could not write {path}: {e}");
-        } else {
-            eprintln!("[chaos] wrote {path}");
-        }
-    }
+            )
+    });
 
     let mut failed = false;
     if total_violations > 0 {

@@ -143,8 +143,8 @@ fn main() {
     );
     eprintln!("[defense_matrix] {timings}");
 
-    if let Ok(path) = std::env::var("STOB_JSON_OUT") {
-        let mut json = Json::obj().set(
+    stob_bench::write_json_out("defense_matrix", Some(&timings), || {
+        Json::obj().set(
             "cells",
             Json::Arr(
                 cells
@@ -159,16 +159,6 @@ fn main() {
                     })
                     .collect(),
             ),
-        );
-        // Timings are wall-clock noise; goldens drop them so the output
-        // is a pure function of (inputs, seed).
-        if std::env::var("STOB_JSON_NO_TIMINGS").map_or(true, |v| v != "1") {
-            json = json.set("timings", timings.to_json());
-        }
-        if let Err(e) = std::fs::write(&path, json.to_string_pretty()) {
-            eprintln!("[defense_matrix] could not write {path}: {e}");
-        } else {
-            eprintln!("[defense_matrix] wrote {path}");
-        }
-    }
+        )
+    });
 }

@@ -223,10 +223,10 @@ fn main() {
     let total_violations: usize = runs.iter().map(|r| r.violations.len()).sum();
     let incomplete: usize = runs.iter().map(|r| r.loads - r.complete).sum();
 
-    if let Ok(path) = std::env::var("STOB_JSON_OUT") {
+    stob_bench::write_json_out("fault_matrix", None, || {
         // No timings in this file: the CI fault suite byte-compares runs
         // at different thread counts.
-        let json = Json::obj()
+        Json::obj()
             .set("seed", seed)
             .set("visits", visits as u64)
             .set("total_violations", total_violations as u64)
@@ -267,13 +267,8 @@ fn main() {
                         })
                         .collect(),
                 ),
-            );
-        if let Err(e) = std::fs::write(&path, json.to_string_pretty()) {
-            eprintln!("[fault_matrix] could not write {path}: {e}");
-        } else {
-            eprintln!("[fault_matrix] wrote {path}");
-        }
-    }
+            )
+    });
 
     if total_violations > 0 {
         eprintln!("[fault_matrix] FAIL: {total_violations} invariant violation(s)");

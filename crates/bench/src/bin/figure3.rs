@@ -58,8 +58,8 @@ fn main() {
     };
     eprintln!("[figure3] sweep done in {:.1}s", t0.elapsed().as_secs_f64());
 
-    if let Ok(path) = std::env::var("STOB_JSON_OUT") {
-        let json = Json::obj().set("seed", seed).set(
+    stob_bench::write_json_out("figure3", None, || {
+        Json::obj().set("seed", seed).set(
             "points",
             Json::Arr(
                 pts.iter()
@@ -70,12 +70,8 @@ fn main() {
                     })
                     .collect(),
             ),
-        );
-        match std::fs::write(&path, json.to_string_pretty()) {
-            Ok(()) => eprintln!("[figure3] wrote {path}"),
-            Err(e) => eprintln!("[figure3] could not write {path}: {e}"),
-        }
-    }
+        )
+    });
 
     println!("\nFigure 3: packet and TSO size adjustment vs. throughput");
     println!("(single CUBIC flow, 100 Gb/s path, calibrated 1-core CPU model)\n");

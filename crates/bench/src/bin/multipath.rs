@@ -79,15 +79,5 @@ fn main() {
     );
     eprintln!("[multipath] {timings}");
 
-    if let Ok(path) = std::env::var("STOB_JSON_OUT") {
-        let mut json = report.to_json();
-        if std::env::var("STOB_JSON_NO_TIMINGS").map_or(true, |v| v != "1") {
-            json = json.set("timings", timings.to_json());
-        }
-        if let Err(e) = std::fs::write(&path, json.to_string_pretty()) {
-            eprintln!("[multipath] could not write {path}: {e}");
-        } else {
-            eprintln!("[multipath] wrote {path}");
-        }
-    }
+    stob_bench::write_json_out("multipath", Some(&timings), || report.to_json());
 }

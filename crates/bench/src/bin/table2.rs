@@ -54,8 +54,8 @@ fn main() {
     timings.push("collect", collect_secs);
     eprintln!("[table2] {timings}");
 
-    if let Ok(path) = std::env::var("STOB_JSON_OUT") {
-        let mut json = Json::obj().set(
+    stob_bench::write_json_out("table2", Some(&timings), || {
+        Json::obj().set(
             "cells",
             Json::Arr(
                 cells
@@ -69,18 +69,8 @@ fn main() {
                     })
                     .collect(),
             ),
-        );
-        // The golden byte-compare in CI needs a run-to-run stable file, so
-        // wall-clock timings are opt-out via STOB_JSON_NO_TIMINGS=1.
-        if std::env::var("STOB_JSON_NO_TIMINGS").map_or(true, |v| v != "1") {
-            json = json.set("timings", timings.to_json());
-        }
-        if let Err(e) = std::fs::write(&path, json.to_string_pretty()) {
-            eprintln!("[table2] could not write {path}: {e}");
-        } else {
-            eprintln!("[table2] wrote {path}");
-        }
-    }
+        )
+    });
 
     println!("\nTable 2: k-FP Random Forest accuracy rates (9 sites, closed world)");
     println!(

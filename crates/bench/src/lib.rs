@@ -112,10 +112,28 @@ pub fn run_table2(dataset: &Dataset, cfg: &Table2Config) -> Vec<Table2Cell> {
 /// `STOB_PLACEMENT` env var: unset or `app` = trace-level emulation
 /// (the paper's methodology; byte-identical to the golden outputs),
 /// `stack` = the same specs lowered into the in-stack shaper path.
+/// Case-insensitive; anything else warns once and means `app`.
 pub fn placement_from_env() -> Placement {
-    match std::env::var("STOB_PLACEMENT") {
-        Ok(v) if v == "stack" => Placement::Stack,
-        _ => Placement::App,
+    netsim::env::parse("STOB_PLACEMENT").unwrap_or(Placement::App)
+}
+
+/// Dump a bin's results as pretty JSON to the file `STOB_JSON_OUT` names,
+/// if it names one (`build` runs only then). `timings`, when the bin has
+/// them, ride along as a `timings` member unless `STOB_JSON_NO_TIMINGS`
+/// is switched on (any [`netsim::env::flag`] spelling): the golden
+/// byte-compare in CI needs a file that is a pure function of (inputs,
+/// seed). An unwritable path is reported on stderr, not fatal.
+pub fn write_json_out(bin: &str, timings: Option<&Timings>, build: impl FnOnce() -> netsim::Json) {
+    let Some(path) = netsim::env::string("STOB_JSON_OUT") else {
+        return;
+    };
+    let mut json = build();
+    if let Some(t) = timings.filter(|_| !netsim::env::flag("STOB_JSON_NO_TIMINGS", false)) {
+        json = json.set("timings", t.to_json());
+    }
+    match std::fs::write(&path, json.to_string_pretty()) {
+        Ok(()) => eprintln!("[{bin}] wrote {path}"),
+        Err(e) => eprintln!("[{bin}] could not write {path}: {e}"),
     }
 }
 
@@ -374,6 +392,19 @@ mod tests {
         let sites: Vec<_> = paper_sites().into_iter().take(4).collect();
         let names = sites.iter().map(|s| s.name.to_string()).collect();
         Dataset::new(generate_corpus(&sites, 15, 3), names)
+    }
+
+    /// The pure half of [`placement_from_env`]: `STOB_PLACEMENT=Stack`
+    /// used to mean app, silently.
+    #[test]
+    fn placement_knob_parses_case_insensitively_or_falls_back() {
+        let knob = |raw| netsim::env::parse_value::<Placement>("STOB_PLACEMENT", raw);
+        assert_eq!(knob(Some("stack")), Some(Placement::Stack));
+        assert_eq!(knob(Some(" Stack ")), Some(Placement::Stack));
+        assert_eq!(knob(Some("APP")), Some(Placement::App));
+        assert_eq!(knob(Some("kernel")), None);
+        assert_eq!(knob(Some("")), None);
+        assert_eq!(knob(None), None);
     }
 
     #[test]

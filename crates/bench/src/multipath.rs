@@ -593,35 +593,63 @@ pub fn run_multipath(dataset: &Dataset, cfg: &MultipathConfig) -> MultipathRepor
 /// Parse the `STOB_MUX_*` env knobs over a base config:
 /// `STOB_MUX_PIPES=1,2,4` (pipe-count axis), `STOB_MUX_SPLITTER=name`
 /// (restrict to one policy: `roundrobin`, `padded-random`, or
-/// `weighted:3,1,...`), `STOB_MUX_FEC=k` (XOR parity every `k` data
-/// datagrams in the stack placement).
-pub fn config_from_env(mut cfg: MultipathConfig) -> MultipathConfig {
-    if let Ok(v) = std::env::var("STOB_MUX_PIPES") {
-        let pipes: Vec<usize> = v.split(',').filter_map(|s| s.trim().parse().ok()).collect();
-        if !pipes.is_empty() {
-            cfg.pipe_counts = pipes;
-        }
+/// `weighted:3,1,...`), `STOB_MUX_FEC=k` (XOR parity every `k >= 2` data
+/// datagrams in the stack placement). A value that does not parse warns
+/// once and leaves that knob's part of `cfg` alone.
+pub fn config_from_env(cfg: MultipathConfig) -> MultipathConfig {
+    let knob = |name| netsim::env::string(name);
+    apply_mux_knobs(
+        cfg,
+        knob("STOB_MUX_PIPES").as_deref(),
+        knob("STOB_MUX_SPLITTER").as_deref(),
+        knob("STOB_MUX_FEC").as_deref(),
+    )
+}
+
+/// A comma-separated list of `T`s, all or nothing: one bad item makes the
+/// whole knob invalid (warned once) rather than silently shortening it.
+fn parse_csv<T: std::str::FromStr>(name: &str, raw: &str) -> Option<Vec<T>> {
+    raw.split(',')
+        .map(|item| netsim::env::parse_value(name, Some(item)))
+        .collect::<Option<Vec<T>>>()
+        .filter(|items| !items.is_empty())
+}
+
+/// The pure half of [`config_from_env`]: the three knobs' raw values
+/// (`None` = unset) applied over `cfg`.
+fn apply_mux_knobs(
+    mut cfg: MultipathConfig,
+    pipes: Option<&str>,
+    splitter: Option<&str>,
+    fec: Option<&str>,
+) -> MultipathConfig {
+    if let Some(pipes) = pipes.and_then(|v| parse_csv("STOB_MUX_PIPES", v)) {
+        cfg.pipe_counts = pipes;
     }
-    if let Ok(v) = std::env::var("STOB_MUX_SPLITTER") {
-        let spec = match v.as_str() {
+    if let Some(v) = splitter {
+        let spec = match v {
             "roundrobin" => Some(SplitterSpec::RoundRobin),
             "padded-random" => Some(SplitterSpec::PaddedRandom),
-            w if w.starts_with("weighted:") => {
-                let weights: Vec<u64> = w["weighted:".len()..]
-                    .split(',')
-                    .filter_map(|s| s.trim().parse().ok())
-                    .collect();
-                (!weights.is_empty()).then_some(SplitterSpec::Weighted { weights })
-            }
-            _ => None,
+            w => w
+                .strip_prefix("weighted:")
+                .and_then(|ws| parse_csv("STOB_MUX_SPLITTER", ws))
+                .map(|weights| SplitterSpec::Weighted { weights }),
         };
         match spec {
             Some(s) => cfg.splitters = vec![s],
-            None => eprintln!("[multipath] STOB_MUX_SPLITTER={v:?} not recognised; keeping matrix"),
+            None => {
+                let msg = format!("STOB_MUX_SPLITTER={v:?} not recognised; keeping matrix");
+                netsim::env::warn_once("STOB_MUX_SPLITTER", &msg);
+            }
         }
     }
-    if let Ok(v) = std::env::var("STOB_MUX_FEC") {
-        cfg.fec_group = v.trim().parse().ok().filter(|&k: &u32| k >= 2);
+    if let Some(k) = netsim::env::parse_value::<u32>("STOB_MUX_FEC", fec) {
+        if k >= 2 {
+            cfg.fec_group = Some(k);
+        } else {
+            let msg = format!("STOB_MUX_FEC={k} is not a parity group (k >= 2); FEC unchanged");
+            netsim::env::warn_once("STOB_MUX_FEC", &msg);
+        }
     }
     cfg
 }
@@ -651,6 +679,39 @@ mod tests {
         let sites: Vec<_> = paper_sites().into_iter().take(6).collect();
         let names = sites.iter().map(|s| s.name.to_string()).collect();
         Dataset::new(generate_corpus(&sites, 12, 7), names)
+    }
+
+    /// Pure parsing only: no test touches the process environment.
+    #[test]
+    fn mux_knobs_parse_whole_or_keep_the_default() {
+        let base = MultipathConfig::default;
+        let got = apply_mux_knobs(base(), Some("1, 2,8"), Some("weighted:3,1"), Some("4"));
+        assert_eq!(got.pipe_counts, [1, 2, 8]);
+        assert_eq!(
+            got.splitters,
+            [SplitterSpec::Weighted {
+                weights: vec![3, 1]
+            }]
+        );
+        assert_eq!(got.fec_group, Some(4));
+        // One bad item invalidates its knob instead of shortening it; a
+        // parity group needs two members.
+        for (pipes, splitter, fec) in [
+            ("2,x,8", "weighted:3,,1", "1"),
+            (",", "weighted:", "four"),
+            ("-1", "Roundrobin", "0"),
+        ] {
+            let got = apply_mux_knobs(base(), Some(pipes), Some(splitter), Some(fec));
+            assert_eq!(got.pipe_counts, base().pipe_counts, "{pipes:?}");
+            assert_eq!(got.splitters, base().splitters, "{splitter:?}");
+            assert_eq!(got.fec_group, base().fec_group, "{fec:?}");
+        }
+        let unset = apply_mux_knobs(base(), None, None, None);
+        assert_eq!(unset.pipe_counts, base().pipe_counts);
+        assert_eq!(
+            apply_mux_knobs(base(), None, Some("padded-random"), None).splitters,
+            [SplitterSpec::PaddedRandom]
+        );
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! names — the display names are part of the committed golden
 //! (`tests/golden/defense_matrix.json`) and the keys are
 //! `BENCHMARK.json` metric names, so they must not drift.
-//! `ALL` is the original ten-row suite; `WITH_MACHINES` appends the
-//! three machine-backed rows both users cover.
+//! `WITH_MACHINES` is the ten native rows followed by the three
+//! machine-backed rows (`MACHINES`); both users cover all thirteen.
 
 use defenses::buflo::{BufloConfig, TamarawConfig};
 use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
@@ -48,19 +48,6 @@ pub enum DefenseKind {
 }
 
 impl DefenseKind {
-    pub const ALL: [DefenseKind; 10] = [
-        DefenseKind::None,
-        DefenseKind::Split,
-        DefenseKind::Delayed,
-        DefenseKind::Combined,
-        DefenseKind::WtfPad,
-        DefenseKind::Front,
-        DefenseKind::Regulator,
-        DefenseKind::Surakav,
-        DefenseKind::Tamaraw,
-        DefenseKind::Buflo,
-    ];
-
     /// The machine-backed rows (defenses-as-data, JSON-round-tripped
     /// through the wire codec before every run).
     pub const MACHINES: [DefenseKind; 3] = [
@@ -69,9 +56,9 @@ impl DefenseKind {
         DefenseKind::MachineScrambler,
     ];
 
-    /// `ALL` plus the machine rows, machines appended last so the
-    /// original rows keep their grid positions (and per-cell rng forks)
-    /// in the defense matrix.
+    /// The ten native rows plus the machine rows, machines appended last
+    /// so the native rows keep their grid positions (and per-cell rng
+    /// forks) in the defense matrix.
     pub const WITH_MACHINES: [DefenseKind; 13] = [
         DefenseKind::None,
         DefenseKind::Split,
@@ -107,7 +94,9 @@ impl DefenseKind {
         }
     }
 
-    /// ASCII identifier for machine-readable keys (`BENCH_<n>.json`).
+    /// ASCII identifier for machine-readable keys: the `<key>` in the
+    /// layered benchmark's `defenses.<key>.{emulate,enforce}_ns_per_pkt`
+    /// metric names (`BENCHMARK.json`).
     pub fn key(self) -> &'static str {
         match self {
             DefenseKind::None => "none",
@@ -203,10 +192,9 @@ mod tests {
 
     #[test]
     fn with_machines_preserves_the_original_grid_prefix() {
-        assert_eq!(&DefenseKind::WITH_MACHINES[..10], &DefenseKind::ALL[..]);
-        assert_eq!(
-            &DefenseKind::WITH_MACHINES[10..],
-            &DefenseKind::MACHINES[..]
-        );
+        let (native, machines) = DefenseKind::WITH_MACHINES.split_at(10);
+        assert_eq!(native.first(), Some(&DefenseKind::None));
+        assert!(native.iter().all(|k| !DefenseKind::MACHINES.contains(k)));
+        assert_eq!(machines, &DefenseKind::MACHINES[..]);
     }
 }

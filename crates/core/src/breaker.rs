@@ -1,13 +1,13 @@
 //! A circuit breaker for the policy table: stop hammering a policy key
 //! that keeps failing.
 //!
-//! [`attach_policy_checked`](crate::sockopt::attach_policy_checked)
+//! [`attach`](crate::sockopt::attach)
 //! already degrades a single attachment to pass-through when the
 //! resolved policy fails validation. But when a *published policy* is
 //! broken, every new connection to that destination re-resolves it,
 //! re-validates it, and re-degrades — the host burns a resolution and a
 //! validation per flow on a policy that cannot work until someone
-//! republishes it. The breaker sits in front of the checked attach path
+//! republishes it. The breaker sits in front of that attach path
 //! and, after a run of consecutive failures on one [`PolicyKey`], sheds
 //! subsequent attachments outright (counted pass-through, no resolve or
 //! validate) for a cooldown, then lets a single half-open trial probe
@@ -79,7 +79,7 @@ pub struct BreakerStats {
 
 /// Deterministic, count-based circuit breaker keyed by resolved
 /// [`PolicyKey`]. See the module docs for the state machine.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CircuitBreaker {
     cfg: BreakerConfig,
     circuits: BTreeMap<PolicyKey, Circuit>,

@@ -38,6 +38,7 @@ use crate::policy::{sample_delay, DelaySpec, ObfuscationPolicy, SizeSpec};
 use netsim::json::{Json, JsonError};
 use netsim::{Direction, FlowId, Nanos, SimRng};
 use stack::egress::{EgressLabels, EgressPipeline};
+use stack::shaper::BoxShaper;
 use stack::ShapeCtx;
 
 /// Where a defense is enforced.
@@ -47,6 +48,18 @@ pub enum Placement {
     App,
     /// Inside the stack: shaper enforcement via [`enforce_flow`].
     Stack,
+}
+
+/// Parses [`Placement::name`], case-insensitively.
+impl std::str::FromStr for Placement {
+    type Err = ();
+
+    fn from_str(s: &str) -> Result<Self, ()> {
+        Placement::ALL
+            .into_iter()
+            .find(|p| s.eq_ignore_ascii_case(p.name()))
+            .ok_or(())
+    }
 }
 
 impl Placement {
@@ -241,6 +254,13 @@ pub trait Defense: Send + Sync {
     /// picks, budgets); both backends call it exactly once per flow
     /// with the same RNG stream, so placement never changes the draws.
     fn build(&self, ctx: &DefenseCtx, rng: &mut SimRng) -> FlowDefense;
+
+    /// The plain policy this defense *is*, when it is nothing more: the
+    /// registry's policy view and its JSON export read entries through
+    /// this. `None` for every defense that decides per flow.
+    fn as_policy(&self) -> Option<&ObfuscationPolicy> {
+        None
+    }
 }
 
 /// A bare policy is the degenerate defense: no padding schedule, rules
@@ -248,6 +268,10 @@ pub trait Defense: Send + Sync {
 impl Defense for ObfuscationPolicy {
     fn name(&self) -> &str {
         &self.name
+    }
+
+    fn as_policy(&self) -> Option<&ObfuscationPolicy> {
+        Some(self)
     }
 
     fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
@@ -675,9 +699,16 @@ impl Decider for StackDecider {
 }
 
 impl FlowShaper<StackDecider> {
-    /// The kernel at stack placement. A degraded or inert policy leaves
-    /// the pipeline on its pass-through shaper, which is never consulted.
-    pub(crate) fn stack(fd: &FlowDefense, labels: EgressLabels, params: &StackParams) -> Self {
+    /// The kernel at stack placement, deciding through `live()` — the
+    /// policy as [`crate::sockopt::assemble_policy_shaper`] lowers it. A
+    /// degraded or inert policy never asks for it and leaves the pipeline
+    /// on its pass-through shaper, which is never consulted.
+    pub(crate) fn stack(
+        fd: &FlowDefense,
+        labels: EgressLabels,
+        params: &StackParams,
+        live: impl FnOnce() -> BoxShaper,
+    ) -> Self {
         let decider = StackDecider {
             pipe: EgressPipeline::new(labels),
             mtu_wire: params.mtu_wire,
@@ -685,9 +716,7 @@ impl FlowShaper<StackDecider> {
         };
         let mut shaper = Self::new(fd, decider);
         if shaper.active() {
-            let (live, _audit) =
-                crate::sockopt::assemble_policy_shaper(&fd.policy, params.seed, params.flow_salt);
-            shaper.decider.pipe.set_shaper(live);
+            shaper.decider.pipe.set_shaper(live());
         }
         shaper
     }
@@ -706,7 +735,9 @@ pub fn enforce_flow(
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.stack.flows").inc();
     let fd = defense.build(ctx, rng);
-    let stream = FlowShaper::stack(&fd, EgressLabels::REPLAY, params).shape_all(input);
+    let live =
+        || crate::sockopt::assemble_policy_shaper(&fd.policy, params.seed, params.flow_salt).0;
+    let stream = FlowShaper::stack(&fd, EgressLabels::REPLAY, params, live).shape_all(input);
     pad_and_close(fd.padding, stream, rng, "defense.stack.pad_pkts")
 }
 
@@ -1164,7 +1195,9 @@ mod tests {
                         ..StackParams::with_seed(seed ^ 0xA5)
                     };
                     let batch = enforce_flow(&d, &input, &ctx, &mut SimRng::new(seed), &params);
-                    let kernel = FlowShaper::stack(&fd, EgressLabels::REPLAY, &params);
+                    let (seed, salt) = (params.seed, params.flow_salt);
+                    let live = || crate::sockopt::assemble_policy_shaper(&fd.policy, seed, salt).0;
+                    let kernel = FlowShaper::stack(&fd, EgressLabels::REPLAY, &params, live);
                     assert_eq!(stream(kernel, &input), batch.pkts, "stack: {case}");
                 }
             }

@@ -48,14 +48,15 @@
 //! benchmark's `fleet_mixed` workload (`BENCHMARK.json`).
 
 use crate::defense::{
-    close_padding, Closed, DefenseCtx, FlowDefense, FlowPkt, FlowShaper, PadderCore, StackDecider,
-    StackParams,
+    close_padding, Closed, FlowDefense, FlowPkt, FlowShaper, PadderCore, StackDecider, StackParams,
 };
 use crate::registry::PolicyRegistry;
+use crate::sockopt::attach;
 use netsim::{
     par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, Nanos, SimRng, VecPool,
 };
 use stack::egress::EgressLabels;
+use stack::NoopShaper;
 
 /// Fixed shard count the engine defaults to. Chosen comfortably above
 /// any realistic `STOB_THREADS` so thread count only changes which
@@ -369,10 +370,13 @@ fn draw_packet(rng: &mut SimRng, prev_ts: Nanos, cfg: &FleetConfig, first: bool)
     }
 }
 
-/// Resolve the flow's defense through the shared registry and set up its
-/// live state: the stack-placement kernel, padding core, pooled buffer,
-/// and the first original packet. The draw order (start, defense build,
-/// packet count, first packet) is part of the flow's identity.
+/// Attach the flow through the shared control plane — the fleet is the
+/// stack, so anything but an attachment (unbound, app-placed, degraded,
+/// shed) runs pass-through — and set up its live state: the
+/// stack-placement kernel, padding core, pooled buffer, and the first
+/// original packet. The draw order (start, defense build, packet count,
+/// first packet) is part of the flow's identity; the flow id doubles as
+/// the strategy salt, as for any attached connection.
 fn start_flow(
     cfg: &FleetConfig,
     registry: &PolicyRegistry,
@@ -384,16 +388,11 @@ fn start_flow(
     let start = Nanos(rng.range_u64(0, cfg.window.as_nanos().max(1)));
     let dest = (f % u64::from(cfg.sites.max(1))) as u32;
     // One shared control plane, hit concurrently from every shard.
-    let fd = match registry.resolve_defense(f as u32, dest) {
-        Some(b) => b.defense.build(&DefenseCtx::default(), &mut rng),
-        None => FlowDefense::passthrough(""),
+    let (fd, live) = match attach(registry, f as u32, dest, cfg.seed, &mut rng).attached() {
+        Some(a) => (a.defense, a.shaper),
+        None => (FlowDefense::passthrough(""), Box::new(NoopShaper) as _),
     };
-    let params = StackParams {
-        seed: cfg.seed,
-        flow_salt: f,
-        ..StackParams::default()
-    };
-    let shaper = FlowShaper::stack(&fd, EgressLabels::FLEET, &params);
+    let shaper = FlowShaper::stack(&fd, EgressLabels::FLEET, &StackParams::default(), || live);
     let core = fd.padding;
     let owns = core.as_ref().is_some_and(|c| !c.owned_dirs().is_empty());
     let npkts = rng.range_u64(cfg.pkts_per_flow.0.max(1), cfg.pkts_per_flow.1.max(1));
@@ -473,7 +472,7 @@ fn close_flow(mut st: FlowState, pool: &mut VecPool<FlowPkt>, out: &mut ShardOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defense::CloseOut;
+    use crate::defense::{CloseOut, DefenseCtx};
     use crate::policy::ObfuscationPolicy;
     use crate::registry::PolicyKey;
     use std::sync::Arc;
@@ -553,6 +552,18 @@ mod tests {
         // by the per-flow packet range.
         assert!(r.egress_pkts >= cfg.flows * cfg.pkts_per_flow.0);
         assert!(r.egress_pkts <= cfg.flows * cfg.pkts_per_flow.1);
+        // The fleet is the stack: an app-placed binding is the
+        // application's to enforce, and a degraded one is pass-through.
+        let mut bad = ObfuscationPolicy::split_and_delay("bad");
+        bad.size = crate::policy::SizeSpec::SplitAbove { threshold: 0 };
+        reg.publish(PolicyKey::Destination(0), bad);
+        reg.bind_defense(
+            PolicyKey::Default,
+            Arc::new(ObfuscationPolicy::split_and_delay("app-side")),
+            crate::defense::Placement::App,
+        );
+        assert_eq!(checks(&run_fleet(&cfg, &reg)), checks(&r));
+        assert!(reg.degraded_count() > 0);
     }
 
     #[test]

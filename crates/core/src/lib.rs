@@ -28,7 +28,7 @@
 //!   down in CCA phases where pacing is load-bearing (§5.1, BBR).
 //! * **The control surface** ([`sockopt`]) is the `setsockopt`-style API
 //!   (§5.3) apps use to attach a policy to a connection. An optional
-//!   [`breaker::CircuitBreaker`] guards its checked path: a policy key
+//!   [`breaker::CircuitBreaker`] guards [`sockopt::attach`]: a policy key
 //!   that keeps failing validation is shed to pass-through for a
 //!   deterministic cooldown instead of being re-validated per flow.
 //!
@@ -77,8 +77,7 @@ pub use policy::{DelaySpec, ObfuscationPolicy, SizeSpec};
 pub use registry::{DefenseBinding, PolicyKey, PolicyRegistry};
 pub use safety::{SafetyAudit, SafetyCap};
 pub use sockopt::{
-    assemble_policy_shaper, attach_defense, attach_policy, attach_policy_checked,
-    publish_machine_json, AttachResolution, DefenseAttachment,
+    assemble_policy_shaper, attach, publish_machine_json, AttachOutcome, Attachment,
 };
 pub use splitter::{splitter_from_json, splitter_to_json, validate_splitter, SplitterSpec};
 pub use strategies::{Chain, DelayJitter, HistogramSampler, IncrementalReduce, SplitThreshold};

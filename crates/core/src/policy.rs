@@ -119,7 +119,7 @@ impl ObfuscationPolicy {
     /// Check internal consistency before the policy reaches the
     /// datapath. An inconsistent policy (an empty histogram, an inverted
     /// delay range, a zero split threshold) must not drive a live shaper:
-    /// [`crate::sockopt::attach_policy_checked`] consults this and falls
+    /// [`crate::sockopt::attach`] consults this and falls
     /// back to pass-through — shaping wrongly is worse than not shaping,
     /// and crashing the stack is worse than both.
     pub fn validate(&self) -> Result<(), String> {

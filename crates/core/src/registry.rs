@@ -2,21 +2,25 @@
 //!
 //! §4.1: policies "could be maintained in the shared memory between the
 //! application and stack". We model that as a registry protected by an
-//! `RwLock` behind an `Arc`: the application side publishes
-//! and updates policies; the stack side resolves them per flow or per
-//! destination with a read lock on the datapath. Policies are stored as
-//! `Arc<ObfuscationPolicy>` so a resolved policy never blocks behind a
-//! writer.
+//! `RwLock` behind an `Arc`: the application side publishes and updates
+//! entries; the stack side resolves them per flow or per destination
+//! with a read lock on the datapath. There is **one** keyed table of
+//! [`DefenseBinding`]s — a published [`ObfuscationPolicy`] is stored as
+//! the stack-placed defense it already is — so "which defense shapes
+//! this flow" has one answer. Specs sit behind an `Arc`: a resolved
+//! binding never blocks behind a writer.
 
-use crate::breaker::{Admission, BreakerConfig, BreakerStats, CircuitBreaker};
+use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
 use crate::defense::{Defense, Placement};
+use crate::machine::{MachineDefense, MachineSpec};
 use crate::policy::ObfuscationPolicy;
+use crate::splitter::{validate_splitter, SplitterSpec};
 use netsim::json::{Json, JsonError};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock};
 
-/// What a policy is keyed on. Destination-scoped entries let many flows
+/// What an entry is keyed on. Destination-scoped entries let many flows
 /// to the same server share one instance (§4.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum PolicyKey {
@@ -28,13 +32,14 @@ pub enum PolicyKey {
     Default,
 }
 
-/// A defense bound into the registry together with where it is to be
-/// enforced: at the application layer (trace emulation) or inside the
-/// stack (lowered into a shaper). One table serves both placements —
-/// the registry is the single source of truth for "what shape should
-/// this flow have, and who enforces it".
+/// One entry of the table: a defense together with where it is to be
+/// enforced — at the application layer (trace emulation) or inside the
+/// stack (lowered into a shaper) — and the key it sits under.
 #[derive(Clone)]
 pub struct DefenseBinding {
+    /// The key the entry was found under: the flow class the circuit
+    /// breaker tracks attach outcomes against.
+    pub key: PolicyKey,
     /// The placement-agnostic decision spec.
     pub defense: Arc<dyn Defense>,
     /// Which backend enforces it.
@@ -43,13 +48,11 @@ pub struct DefenseBinding {
 
 #[derive(Default)]
 struct Inner {
-    table: BTreeMap<PolicyKey, Arc<ObfuscationPolicy>>,
-    defenses: BTreeMap<PolicyKey, DefenseBinding>,
+    bindings: BTreeMap<PolicyKey, DefenseBinding>,
     /// Multipath splitting policies (see [`crate::splitter`]): which leg
-    /// carries each datagram, resolved with the same precedence as
-    /// policies and defenses.
-    splitters: BTreeMap<PolicyKey, crate::splitter::SplitterSpec>,
-    /// Bumped on every mutation; lets the stack cache resolutions.
+    /// carries each datagram, resolved with the same precedence.
+    splitters: BTreeMap<PolicyKey, SplitterSpec>,
+    /// Bumped once per mutated entry; lets the stack cache resolutions.
     version: u64,
 }
 
@@ -57,15 +60,21 @@ struct Inner {
 #[derive(Clone, Default)]
 pub struct PolicyRegistry {
     inner: Arc<RwLock<Inner>>,
-    /// Connections that resolved a policy but fell back to pass-through
-    /// because it failed validation (shared across clones, like the
-    /// table itself — it is the host's degradation counter).
+    /// Specs rejected at the control plane plus attachments that fell
+    /// back to pass-through (shared across clones, like the table
+    /// itself — it is the host's degradation counter).
     degraded: Arc<AtomicU64>,
-    /// Optional circuit breaker over the checked attach path, keyed by
-    /// resolved [`PolicyKey`] (shared across clones; `None` = disabled,
-    /// which is the default so plain registries behave exactly as
-    /// before).
-    breaker: Arc<Mutex<Option<CircuitBreaker>>>,
+    /// Optional circuit breaker over [`crate::sockopt::attach`], keyed
+    /// by resolved [`PolicyKey`] (shared across clones; unset =
+    /// disabled, the default, and one load per attach — no lock).
+    breaker: Arc<OnceLock<Mutex<CircuitBreaker>>>,
+}
+
+fn bad(message: &str) -> JsonError {
+    JsonError {
+        offset: 0,
+        message: message.to_string(),
+    }
 }
 
 impl PolicyKey {
@@ -78,10 +87,6 @@ impl PolicyKey {
     }
 
     pub fn from_json(v: &Json) -> Result<PolicyKey, JsonError> {
-        let bad = |msg: &str| JsonError {
-            offset: 0,
-            message: msg.to_string(),
-        };
         match v {
             Json::Str(s) if s == "Default" => Ok(PolicyKey::Default),
             Json::Obj(entries) if entries.len() == 1 => {
@@ -100,320 +105,230 @@ impl PolicyKey {
     }
 }
 
-/// The precedence walk every resolution shares: exact flow match, then
-/// its destination, then the host-wide default.
-fn lookup<T>(
-    table: &BTreeMap<PolicyKey, T>,
-    flow: u32,
-    destination: u32,
-) -> Option<(PolicyKey, &T)> {
-    [
-        PolicyKey::Flow(flow),
-        PolicyKey::Destination(destination),
-        PolicyKey::Default,
-    ]
-    .into_iter()
-    .find_map(|key| table.get(&key).map(|v| (key, v)))
-}
-
 impl PolicyRegistry {
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Read the table, recovering from a poisoned lock: the table itself
-    /// is always in a consistent state (mutations are single `insert` /
-    /// `remove` calls), so a panicked writer cannot corrupt it.
-    fn read(&self) -> RwLockReadGuard<'_, Inner> {
-        self.inner.read().unwrap_or_else(|e| e.into_inner())
+    /// Every mutation: `edit` the tables under the write lock and report
+    /// how many entries changed; the version moves by exactly that. A
+    /// poisoned lock is recovered — each edit is a run of `insert` /
+    /// `remove` calls, so a panicked writer cannot tear an entry.
+    fn mutate(&self, edit: impl FnOnce(&mut Inner) -> usize) -> usize {
+        let mut g = self.inner.write().unwrap_or_else(|e| e.into_inner());
+        let changed = edit(&mut g);
+        g.version += changed as u64;
+        changed
     }
 
-    fn write(&self) -> RwLockWriteGuard<'_, Inner> {
-        self.inner.write().unwrap_or_else(|e| e.into_inner())
+    /// Every resolution: one tick, one precedence walk over `table` —
+    /// exact flow match, then its destination, then the host default.
+    fn lookup<T: Clone>(
+        &self,
+        table: impl FnOnce(&Inner) -> &BTreeMap<PolicyKey, T>,
+        flow: u32,
+        destination: u32,
+    ) -> Option<T> {
+        netsim::tm_counter!("stob.registry.resolutions").inc();
+        let g = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        let table = table(&g);
+        let hit = table.get(&PolicyKey::Flow(flow));
+        let hit = hit.or_else(|| table.get(&PolicyKey::Destination(destination)));
+        hit.or_else(|| table.get(&PolicyKey::Default)).cloned()
     }
 
-    /// Publish (or replace) a policy under `key`.
+    /// Publish (or replace) a plain policy under `key`: the entry is the
+    /// policy as a stack-placed defense.
     pub fn publish(&self, key: PolicyKey, policy: ObfuscationPolicy) {
         netsim::tm_counter!("stob.registry.publishes").inc();
-        let mut g = self.write();
-        g.table.insert(key, Arc::new(policy));
-        g.version += 1;
+        self.bind(key, Arc::new(policy), Placement::Stack);
     }
 
-    /// Remove a policy. Returns true if something was removed.
-    pub fn withdraw(&self, key: PolicyKey) -> bool {
-        netsim::tm_counter!("stob.registry.withdrawals").inc();
-        let mut g = self.write();
-        let removed = g.table.remove(&key).is_some();
-        if removed {
-            g.version += 1;
-        }
-        removed
-    }
-
-    /// Resolve the policy for a flow: exact flow match, then its
-    /// destination, then the default.
-    pub fn resolve(&self, flow: u32, destination: u32) -> Option<Arc<ObfuscationPolicy>> {
-        self.resolve_with_key(flow, destination).map(|(_, p)| p)
-    }
-
-    /// Like [`resolve`](Self::resolve), but also reports *which* key the
-    /// policy was found under — the flow class the circuit breaker
-    /// tracks failures against.
-    pub fn resolve_with_key(
-        &self,
-        flow: u32,
-        destination: u32,
-    ) -> Option<(PolicyKey, Arc<ObfuscationPolicy>)> {
-        netsim::tm_counter!("stob.registry.resolutions").inc();
-        lookup(&self.read().table, flow, destination).map(|(key, p)| (key, Arc::clone(p)))
-    }
-
-    /// Bind a defense (with its enforcement placement) under `key`.
+    /// Bind (or replace) a defense with its enforcement placement under
+    /// `key`.
     pub fn bind_defense(&self, key: PolicyKey, defense: Arc<dyn Defense>, placement: Placement) {
         netsim::tm_counter!("stob.registry.defense_binds").inc();
-        let mut g = self.write();
-        g.defenses
-            .insert(key, DefenseBinding { defense, placement });
-        g.version += 1;
+        self.bind(key, defense, placement);
     }
 
-    /// Remove a defense binding. Returns true if something was removed.
-    pub fn unbind_defense(&self, key: PolicyKey) -> bool {
-        let mut g = self.write();
-        let removed = g.defenses.remove(&key).is_some();
-        if removed {
-            g.version += 1;
-        }
-        removed
+    fn bind(&self, key: PolicyKey, defense: Arc<dyn Defense>, placement: Placement) {
+        let entry = DefenseBinding {
+            key,
+            defense,
+            placement,
+        };
+        self.mutate(|g| {
+            g.bindings.insert(key, entry);
+            1
+        });
     }
 
-    /// Resolve the defense binding for a flow with the same precedence
-    /// as [`resolve`](Self::resolve) (flow, destination, default).
-    ///
-    /// A registry holding only plain policies still resolves here: a
-    /// bare [`ObfuscationPolicy`] *is* the degenerate defense (no
-    /// padding schedule), bound at the stack placement — the policy
-    /// table is one instantiation of the defense table.
-    pub fn resolve_defense(&self, flow: u32, destination: u32) -> Option<DefenseBinding> {
-        self.resolve_defense_with_key(flow, destination)
-            .map(|(_, b)| b)
-    }
-
-    /// Like [`resolve_defense`](Self::resolve_defense), but also reports
-    /// *which* key the binding was found under — the flow class the
-    /// circuit breaker tracks attach outcomes against. The plain-policy
-    /// fallback reports the key its policy was found under.
-    pub fn resolve_defense_with_key(
-        &self,
-        flow: u32,
-        destination: u32,
-    ) -> Option<(PolicyKey, DefenseBinding)> {
-        netsim::tm_counter!("stob.registry.resolutions").inc();
-        let g = self.read();
-        if let Some((key, b)) = lookup(&g.defenses, flow, destination) {
-            return Some((key, b.clone()));
-        }
-        lookup(&g.table, flow, destination).map(|(key, policy)| {
-            let binding = DefenseBinding {
-                defense: Arc::clone(policy) as Arc<dyn Defense>,
-                placement: Placement::Stack,
-            };
-            (key, binding)
-        })
-    }
-
-    /// Publish a [`MachineSpec`](crate::machine::MachineSpec) under
-    /// `key`: the defenses-as-data control-plane entry point. The spec
-    /// is validated first — a hostile or malformed spec is rejected (and
-    /// counted as a degradation) rather than bound, so a resolved
-    /// machine binding is always runnable. Re-binding an existing key
-    /// hot-swaps the machine for subsequent flows, like any policy
-    /// update. Returns the bound spec's name.
+    /// Publish a [`MachineSpec`] under `key`: the defenses-as-data
+    /// control-plane entry point. The spec is validated first — a
+    /// hostile or malformed spec is rejected (and counted as a
+    /// degradation) rather than bound, so a resolved machine binding is
+    /// always runnable. Re-binding an existing key hot-swaps the machine
+    /// for subsequent flows, like any update. Returns the spec's name.
     pub fn bind_machine(
         &self,
         key: PolicyKey,
-        spec: crate::machine::MachineSpec,
+        spec: MachineSpec,
         placement: Placement,
     ) -> Result<String, String> {
-        if let Err(e) = spec.validate() {
-            self.note_degraded();
-            return Err(e);
-        }
+        spec.validate().inspect_err(|_| self.note_degraded())?;
         netsim::tm_counter!("stob.registry.machine_binds").inc();
         let name = spec.name.clone();
-        self.bind_defense(
-            key,
-            Arc::new(crate::machine::MachineDefense::new(spec)),
-            placement,
-        );
+        self.bind_defense(key, Arc::new(MachineDefense::new(spec)), placement);
         Ok(name)
     }
 
-    /// Bind a multipath splitting policy under `key`. The spec is
-    /// validated first (like [`bind_machine`](Self::bind_machine)): a
-    /// malformed spec is rejected and counted as a degradation rather
-    /// than bound, so a resolved splitter is always runnable.
-    pub fn bind_splitter(
-        &self,
-        key: PolicyKey,
-        spec: crate::splitter::SplitterSpec,
-    ) -> Result<(), String> {
-        if let Err(e) = crate::splitter::validate_splitter(&spec) {
-            self.note_degraded();
-            return Err(e);
-        }
+    /// Bind a multipath splitting policy under `key`, validated first
+    /// like [`bind_machine`](Self::bind_machine): a malformed spec is
+    /// rejected and counted, never bound. Returns the spec's name.
+    pub fn bind_splitter(&self, key: PolicyKey, spec: SplitterSpec) -> Result<String, String> {
+        validate_splitter(&spec).inspect_err(|_| self.note_degraded())?;
         netsim::tm_counter!("stob.registry.splitter_binds").inc();
-        let mut g = self.write();
-        g.splitters.insert(key, spec);
-        g.version += 1;
-        Ok(())
+        let name = spec.name().to_string();
+        self.mutate(|g| {
+            g.splitters.insert(key, spec);
+            1
+        });
+        Ok(name)
     }
 
-    /// Remove a splitter binding. Returns true if something was removed.
-    pub fn unbind_splitter(&self, key: PolicyKey) -> bool {
-        let mut g = self.write();
-        let removed = g.splitters.remove(&key).is_some();
+    /// Remove whatever sits under `key` — its defense binding and its
+    /// splitter. Returns true (and counts a withdrawal) if something was
+    /// removed.
+    pub fn withdraw(&self, key: PolicyKey) -> bool {
+        let removed = self.mutate(|g| {
+            usize::from(g.bindings.remove(&key).is_some())
+                + usize::from(g.splitters.remove(&key).is_some())
+        }) > 0;
         if removed {
-            g.version += 1;
+            netsim::tm_counter!("stob.registry.withdrawals").inc();
         }
         removed
     }
 
-    /// Resolve the splitting policy for a flow with the standard
-    /// precedence (flow, destination, default). `None` means the flow is
-    /// single-path (or the transport's built-in default applies).
-    pub fn resolve_splitter(
-        &self,
-        flow: u32,
-        destination: u32,
-    ) -> Option<crate::splitter::SplitterSpec> {
-        self.resolve_splitter_with_key(flow, destination)
-            .map(|(_, s)| s)
+    /// The binding that shapes `(flow, destination)`: the one resolution
+    /// every consumer goes through ([`crate::sockopt::attach`], the
+    /// fleet, the policy view below).
+    pub fn resolve_defense(&self, flow: u32, destination: u32) -> Option<DefenseBinding> {
+        self.lookup(|g| &g.bindings, flow, destination)
     }
 
-    /// Like [`resolve_splitter`](Self::resolve_splitter), but also
-    /// reports which key matched.
-    pub fn resolve_splitter_with_key(
-        &self,
-        flow: u32,
-        destination: u32,
-    ) -> Option<(PolicyKey, crate::splitter::SplitterSpec)> {
-        netsim::tm_counter!("stob.registry.resolutions").inc();
-        lookup(&self.read().splitters, flow, destination).map(|(key, s)| (key, s.clone()))
+    /// The policy view of [`resolve_defense`](Self::resolve_defense):
+    /// the resolved entry's plain policy, `None` when nothing is bound
+    /// or the entry is a defense that decides per flow.
+    pub fn resolve(&self, flow: u32, destination: u32) -> Option<ObfuscationPolicy> {
+        let binding = self.resolve_defense(flow, destination)?;
+        binding.defense.as_policy().cloned()
+    }
+
+    /// Resolve the splitting policy for a flow with the standard
+    /// precedence. `None` means the flow is single-path (or the
+    /// transport's built-in default applies).
+    pub fn resolve_splitter(&self, flow: u32, destination: u32) -> Option<SplitterSpec> {
+        self.lookup(|g| &g.splitters, flow, destination)
     }
 
     /// Current mutation counter (for cache invalidation on the datapath).
     pub fn version(&self) -> u64 {
-        self.read().version
+        self.inner.read().unwrap_or_else(|e| e.into_inner()).version
     }
 
-    /// Record one pass-through fallback caused by an invalid policy.
-    pub fn note_degraded(&self) {
+    /// Record one rejected spec or pass-through fallback.
+    pub(crate) fn note_degraded(&self) {
         netsim::tm_counter!("stob.registry.degraded").inc();
         self.degraded.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// How many attachments fell back to pass-through so far.
+    /// How many specs were rejected or attachments degraded so far.
     pub fn degraded_count(&self) -> u64 {
         self.degraded.load(Ordering::Relaxed)
     }
 
-    /// Install a circuit breaker over the checked attach path (see
+    /// Install a circuit breaker over [`crate::sockopt::attach`] (see
     /// [`crate::breaker`]). Disabled by default; installing replaces any
     /// previous breaker and clears its state.
     pub fn set_breaker(&self, cfg: BreakerConfig) {
-        *self.breaker.lock().unwrap_or_else(|e| e.into_inner()) = Some(CircuitBreaker::new(cfg));
+        let slot = self.breaker.get_or_init(Default::default);
+        *slot.lock().unwrap_or_else(|e| e.into_inner()) = CircuitBreaker::new(cfg);
+    }
+
+    /// Run `f` on the breaker; `None` means none is installed (an attach
+    /// attempt always proceeds and has nowhere to report).
+    pub(crate) fn with_breaker<R>(&self, f: impl FnOnce(&mut CircuitBreaker) -> R) -> Option<R> {
+        let slot = self.breaker.get()?;
+        Some(f(&mut slot.lock().unwrap_or_else(|e| e.into_inner())))
     }
 
     /// Lifetime breaker totals, if a breaker is installed.
     pub fn breaker_stats(&self) -> Option<BreakerStats> {
-        self.breaker
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_ref()
-            .map(CircuitBreaker::stats)
+        self.with_breaker(|b| b.stats())
     }
 
-    /// Ask the breaker (if any) whether an attach attempt on `key` may
-    /// proceed. `None` means no breaker is installed — always proceed.
-    pub(crate) fn breaker_admit(&self, key: PolicyKey) -> Option<Admission> {
-        self.breaker
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_mut()
-            .map(|b| b.admit(key))
-    }
-
-    /// Report an admitted attempt's outcome to the breaker, if any.
-    pub(crate) fn breaker_record(&self, key: PolicyKey, ok: bool) {
-        if let Some(b) = self
-            .breaker
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .as_mut()
-        {
-            if ok {
-                b.record_success(key);
-            } else {
-                b.record_failure(key);
-            }
-        }
-    }
-
+    /// Entries in the table: defense bindings plus splitters.
     pub fn len(&self) -> usize {
-        self.read().table.len()
+        let g = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        g.bindings.len() + g.splitters.len()
     }
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// Serialize the whole table — the administrator's view of the
-    /// host's obfuscation configuration (§4.1: policies are compact and
-    /// shareable).
+    /// Serialize the table's plain stack-placed policies as `[key,
+    /// policy]` pairs — the administrator's view of the host's
+    /// obfuscation configuration (§4.1: policies are compact and
+    /// shareable). Machines travel as their own JSON
+    /// ([`crate::sockopt::publish_machine_json`]).
     pub fn export_json(&self) -> String {
-        let g = self.read();
-        let entries: Vec<Json> = g
-            .table
-            .iter()
-            .map(|(k, v)| Json::Arr(vec![k.to_json(), v.to_json()]))
+        let g = self.inner.read().unwrap_or_else(|e| e.into_inner());
+        let entries = g
+            .bindings
+            .values()
+            .filter(|b| b.placement == Placement::Stack)
+            .filter_map(|b| Some((b.key.to_json(), b.defense.as_policy()?.to_json())))
+            .map(|(key, policy)| Json::Arr(vec![key, policy]))
             .collect();
         Json::Arr(entries).to_string_pretty()
     }
 
-    /// Merge policies from a JSON export into this registry.
+    /// Merge the policies of a JSON export into this registry, all or
+    /// nothing: an export with any undecodable entry is rejected whole
+    /// and leaves the table and its version untouched.
     pub fn import_json(&self, json: &str) -> Result<usize, JsonError> {
         let parsed = Json::parse(json)?;
-        let items = parsed.as_arr().ok_or(JsonError {
-            offset: 0,
-            message: "policy export is not an array".to_string(),
-        })?;
+        let items = parsed
+            .as_arr()
+            .ok_or_else(|| bad("policy export is not an array"))?;
         let entries = items
             .iter()
             .map(|item| {
-                let pair = item.as_arr().filter(|p| p.len() == 2).ok_or(JsonError {
-                    offset: 0,
-                    message: "policy entry is not a [key, policy] pair".to_string(),
-                })?;
-                Ok((
-                    PolicyKey::from_json(&pair[0])?,
-                    ObfuscationPolicy::from_json(&pair[1])?,
-                ))
+                let pair = item
+                    .as_arr()
+                    .filter(|p| p.len() == 2)
+                    .ok_or_else(|| bad("policy entry is not a [key, policy] pair"))?;
+                Ok(DefenseBinding {
+                    key: PolicyKey::from_json(&pair[0])?,
+                    defense: Arc::new(ObfuscationPolicy::from_json(&pair[1])?),
+                    placement: Placement::Stack,
+                })
             })
             .collect::<Result<Vec<_>, JsonError>>()?;
-        let n = entries.len();
-        let mut g = self.write();
-        for (k, p) in entries {
-            g.table.insert(k, Arc::new(p));
-        }
-        g.version += 1;
-        Ok(n)
+        Ok(self.mutate(|g| {
+            let n = entries.len();
+            g.bindings.extend(entries.into_iter().map(|b| (b.key, b)));
+            n
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sockopt::{attach, AttachOutcome};
+    use netsim::SimRng;
 
     #[test]
     fn resolution_precedence_flow_then_dest_then_default() {
@@ -436,10 +351,49 @@ mod tests {
         assert_eq!(r.resolve(43, 8).unwrap().name, "default");
     }
 
+    /// The fork this table replaced: a policy published under `Flow(7)`
+    /// and a defense bound under `Default` used to live in two maps, and
+    /// the defense view answered `default-defense` for flow 7 while the
+    /// policy view answered `flow7`. One table, one walk, one answer.
+    #[test]
+    fn every_view_walks_the_same_precedence() {
+        let r = PolicyRegistry::new();
+        r.publish(
+            PolicyKey::Flow(7),
+            ObfuscationPolicy::split_and_delay("flow7"),
+        );
+        r.bind_defense(
+            PolicyKey::Default,
+            Arc::new(ObfuscationPolicy::split_and_delay("default-defense")),
+            Placement::Stack,
+        );
+        assert_eq!((r.len(), r.is_empty()), (2, false));
+        for (flow, key, name) in [
+            (7, PolicyKey::Flow(7), "flow7"),
+            (8, PolicyKey::Default, "default-defense"),
+        ] {
+            let b = r.resolve_defense(flow, 0).expect("binding view");
+            assert_eq!((b.key, b.defense.name()), (key, name));
+            assert_eq!(r.resolve(flow, 0).expect("policy view").name, name);
+            match attach(&r, flow, 0, 42, &mut SimRng::new(9)) {
+                AttachOutcome::Attached(a) => assert_eq!((a.key, a.name()), (key, name)),
+                _ => panic!("flow {flow}: a valid stack binding attaches"),
+            }
+        }
+        // Splitters are entries too.
+        r.bind_splitter(PolicyKey::Default, SplitterSpec::RoundRobin)
+            .expect("valid splitter");
+        assert_eq!(r.len(), 3);
+        assert!(r.withdraw(PolicyKey::Default), "binding and splitter go");
+        assert_eq!(r.len(), 1);
+        assert!(r.resolve_splitter(8, 0).is_none());
+    }
+
     #[test]
     fn empty_registry_resolves_to_none() {
         let r = PolicyRegistry::new();
         assert!(r.resolve(1, 1).is_none());
+        assert!(r.resolve_defense(1, 1).is_none());
         assert!(r.is_empty());
     }
 
@@ -452,7 +406,9 @@ mod tests {
         let v1 = r.version();
         assert!(r.withdraw(PolicyKey::Default));
         assert!(r.version() > v1);
+        let v2 = r.version();
         assert!(!r.withdraw(PolicyKey::Default));
+        assert_eq!(r.version(), v2, "nothing removed, nothing mutated");
         assert!(r.resolve(1, 1).is_none());
     }
 
@@ -477,14 +433,24 @@ mod tests {
             ObfuscationPolicy::split_and_delay("cdn-4"),
         );
         a.publish(PolicyKey::Flow(9), ObfuscationPolicy::incremental("f9", 20));
+        // Not a plain stack-placed policy: has no place in the export.
+        a.bind_defense(
+            PolicyKey::Flow(10),
+            Arc::new(ObfuscationPolicy::passthrough("app-side")),
+            Placement::App,
+        );
         let json = a.export_json();
         let b = PolicyRegistry::new();
         let n = b.import_json(&json).expect("valid export");
-        assert_eq!(n, 3);
+        assert_eq!((n, b.len()), (3, 3));
         assert_eq!(b.resolve(9, 4).expect("flow").name, "f9");
         assert_eq!(b.resolve(1, 4).expect("dest").name, "cdn-4");
         assert_eq!(b.resolve(1, 1).expect("default").name, "d");
+        assert_eq!(b.export_json(), json);
+        let v = b.version();
         assert!(b.import_json("[not json").is_err());
+        assert_eq!(b.import_json("[]").expect("empty export"), 0);
+        assert_eq!(b.version(), v, "zero mutations leave the version alone");
     }
 
     #[test]
@@ -506,30 +472,101 @@ mod tests {
         let b = r.resolve_defense(1, 8).expect("default binding");
         assert_eq!(b.defense.name(), "default-d");
         assert_eq!(b.placement, Placement::App);
-        assert!(r.unbind_defense(PolicyKey::Default));
-        assert!(!r.unbind_defense(PolicyKey::Default));
+        assert!(r.withdraw(PolicyKey::Default));
+        assert!(!r.withdraw(PolicyKey::Default));
         assert!(r.resolve_defense(1, 8).is_none());
     }
 
     #[test]
     fn plain_policy_table_is_the_degenerate_defense_table() {
-        // A registry carrying only ObfuscationPolicy entries still
-        // resolves defenses: the policy is the spec, placed in-stack.
+        // A published ObfuscationPolicy is a defense binding: the policy
+        // is the spec, placed in-stack.
         let r = PolicyRegistry::new();
         r.publish(
             PolicyKey::Destination(3),
             ObfuscationPolicy::split_and_delay("srv3"),
         );
-        let b = r.resolve_defense(9, 3).expect("policy fallback");
+        let b = r.resolve_defense(9, 3).expect("published policy");
         assert_eq!(b.defense.name(), "srv3");
         assert_eq!(b.placement, Placement::Stack);
-        // An explicit defense binding takes precedence over the policy.
+        // Binding a defense under the same key replaces the entry — for
+        // every view.
         r.bind_defense(
             PolicyKey::Destination(3),
             Arc::new(ObfuscationPolicy::passthrough("override")),
             Placement::App,
         );
         assert_eq!(r.resolve_defense(9, 3).unwrap().defense.name(), "override");
+        assert_eq!(r.resolve(9, 3).unwrap().name, "override");
+        assert_eq!(r.len(), 1);
+    }
+
+    /// 200 seeded control-plane histories over a seven-key space, checked
+    /// step by step against the obvious model: a list of `(key, name,
+    /// placement)` and the flow → destination → default walk over it.
+    #[test]
+    fn random_histories_match_the_list_model() {
+        let mut rng = SimRng::new(0x7AB1E);
+        for history in 0..200 {
+            let r = PolicyRegistry::new();
+            let mut model: Vec<(PolicyKey, String, Placement)> = Vec::new();
+            for step in 0..12 {
+                let key = match rng.next_below(7) {
+                    0 => PolicyKey::Default,
+                    n if n % 2 == 0 => PolicyKey::Flow(n as u32 / 2),
+                    n => PolicyKey::Destination(n as u32 / 2),
+                };
+                let name = format!("h{history}s{step}");
+                let placement = Placement::ALL[rng.next_below(2) as usize];
+                let (v0, d0, before) = (r.version(), r.degraded_count(), model.clone());
+                model.retain(|e| e.0 != key);
+                let wrote = match rng.next_below(5) {
+                    0 => {
+                        r.publish(key, ObfuscationPolicy::passthrough(&name));
+                        Some(Placement::Stack)
+                    }
+                    1 => {
+                        let d = Arc::new(ObfuscationPolicy::split_and_delay(&name));
+                        r.bind_defense(key, d, placement);
+                        Some(placement)
+                    }
+                    2 => {
+                        let spec = MachineSpec::padding_only(&name, Vec::new(), 0);
+                        assert_eq!(r.bind_machine(key, spec, placement), Ok(name.clone()));
+                        Some(placement)
+                    }
+                    3 => {
+                        // A nameless machine is rejected and counted.
+                        let spec = MachineSpec::padding_only("", Vec::new(), 0);
+                        assert!(r.bind_machine(key, spec, placement).is_err());
+                        assert_eq!(r.degraded_count(), d0 + 1);
+                        model = before.clone();
+                        None
+                    }
+                    _ => {
+                        assert_eq!(r.withdraw(key), model.len() < before.len());
+                        None
+                    }
+                };
+                model.extend(wrote.map(|placed| (key, name, placed)));
+                assert_eq!(r.version() > v0, model != before, "moves iff the table did");
+                assert_eq!(r.len(), model.len());
+                for _ in 0..50 {
+                    let (flow, dest) = (rng.next_below(4) as u32, rng.next_below(4) as u32);
+                    let walk = [PolicyKey::Flow(flow), PolicyKey::Destination(dest)];
+                    let want = walk
+                        .iter()
+                        .chain([&PolicyKey::Default])
+                        .find_map(|k| model.iter().find(|e| e.0 == *k));
+                    let got = r.resolve_defense(flow, dest);
+                    assert_eq!(
+                        got.map(|b| (b.key, b.defense.name().to_string(), b.placement)),
+                        want.cloned(),
+                        "history {history} step {step}: ({flow}, {dest})"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,61 +4,44 @@
 //! the application-informed policies through setsockopt, including
 //! TCP_NODELAY ... and TCP_CORK" — attaching an obfuscation policy to a
 //! connection is the same kind of cross-layer hint, not a layering
-//! violation. [`attach_policy`] is that one call: resolve the policy from
-//! the shared registry, build the live strategy, wrap it in the safety
-//! cap and the configured guards, and return the shaper plus an audit
-//! handle.
+//! violation. [`attach`] is that one call: resolve the flow's binding
+//! from the shared registry, let the defense decide, validate what it
+//! built, lower it into the live strategy inside the safety cap and the
+//! guards, and hand over the shaper plus an audit handle. It only reads
+//! the table: entries arrive through [`PolicyRegistry::publish`], the
+//! `bind_*` calls, or the JSON wire forms at the bottom of this module.
 
-use crate::defense::{DefenseCtx, Placement};
+use crate::breaker::Admission;
+use crate::defense::{DefenseCtx, FlowDefense, Placement};
 use crate::guard::{CcaPhaseGuard, FirstNGuard};
+use crate::machine::MachineSpec;
 use crate::policy::ObfuscationPolicy;
-use crate::registry::PolicyRegistry;
+use crate::registry::{PolicyKey, PolicyRegistry};
 use crate::safety::{SafetyAudit, SafetyCap};
+use crate::splitter::splitter_from_json;
 use crate::strategies::build_shaper;
-use netsim::{Nanos, SimRng};
-use stack::{ShapeCtx, Shaper};
+use netsim::json::{Json, JsonError};
+use netsim::SimRng;
+use stack::shaper::BoxShaper;
 use std::sync::Arc;
-
-/// A fully assembled per-connection shaper: policy strategy inside a
-/// safety cap inside optional guards.
-pub struct AttachedShaper {
-    inner: Box<dyn Shaper>,
-    pub policy_name: String,
-    pub audit: Arc<SafetyAudit>,
-}
-
-impl Shaper for AttachedShaper {
-    fn tso_segment_pkts(&mut self, ctx: &ShapeCtx, proposed: u32) -> u32 {
-        self.inner.tso_segment_pkts(ctx, proposed)
-    }
-    fn packet_ip_size(&mut self, ctx: &ShapeCtx, pkt_index: u32, proposed: u32) -> u32 {
-        self.inner.packet_ip_size(ctx, pkt_index, proposed)
-    }
-    fn extra_delay(&mut self, ctx: &ShapeCtx) -> Nanos {
-        self.inner.extra_delay(ctx)
-    }
-    fn on_ack(&mut self, ctx: &ShapeCtx) {
-        self.inner.on_ack(ctx);
-    }
-}
 
 /// Assemble the full enforcement stack for one policy: the live strategy
 /// from [`build_shaper`], inside the §4.2 [`SafetyCap`], inside the
-/// guards the policy requests. Shared by [`attach_policy`] (live
-/// connections) and the stack-placement defense backend
+/// guards the policy requests. Shared by [`attach`] (live connections
+/// and the fleet) and the replay backend
 /// ([`crate::defense::enforce_flow`]).
 pub fn assemble_policy_shaper(
     policy: &ObfuscationPolicy,
     seed: u64,
     flow_salt: u64,
-) -> (Box<dyn Shaper>, Arc<SafetyAudit>) {
+) -> (BoxShaper, Arc<SafetyAudit>) {
     let strategy = build_shaper(policy, seed, flow_salt);
     let cap = SafetyCap::new(strategy);
     let audit = cap.audit_handle();
     // Guard order: position guard innermost (counts data packets), CCA
     // phase guard outermost (a policy that must respect slow start is
     // silent there regardless of position).
-    let guarded: Box<dyn Shaper> = match (policy.respect_slow_start, policy.first_n_pkts) {
+    let guarded: BoxShaper = match (policy.respect_slow_start, policy.first_n_pkts) {
         (true, 0) => Box::new(CcaPhaseGuard::new(cap)),
         (true, n) => Box::new(CcaPhaseGuard::new(FirstNGuard::new(cap, n))),
         (false, 0) => Box::new(cap),
@@ -67,220 +50,175 @@ pub fn assemble_policy_shaper(
     (guarded, audit)
 }
 
-/// Resolve and assemble the shaper for `(flow, destination)` from the
-/// registry. Returns `None` when no policy applies.
-pub fn attach_policy(
-    registry: &PolicyRegistry,
-    flow: u32,
-    destination: u32,
-    seed: u64,
-) -> Option<AttachedShaper> {
-    let policy = registry.resolve(flow, destination)?;
-    let (guarded, audit) = assemble_policy_shaper(&policy, seed, flow as u64);
-    Some(AttachedShaper {
-        inner: guarded,
-        policy_name: policy.name.clone(),
-        audit,
-    })
+/// What [`attach`] hands the stack for a flow it is to shape.
+pub struct Attachment {
+    /// The key the binding was found under.
+    pub key: PolicyKey,
+    /// What the defense decided for this flow. The stack enforces
+    /// `defense.policy` (through `shaper`); the padding schedule stays
+    /// with whoever drives the flow — §4.2 scopes the stack's authority
+    /// to sizing and departure timing of real data.
+    pub defense: FlowDefense,
+    /// `defense.policy` lowered: strategy inside the safety cap inside
+    /// the guards. Install it with `set_shaper` / `connect_with`.
+    pub shaper: BoxShaper,
+    /// The safety cap's clamp counters for this connection.
+    pub audit: Arc<SafetyAudit>,
 }
 
-/// Outcome of [`attach_policy_checked`]: either a live shaper, or an
-/// explicit account of why the connection runs unshaped.
-pub enum AttachResolution {
-    /// The policy resolved, validated, and was assembled.
-    Attached(AttachedShaper),
-    /// No policy applies to this flow: pass-through by configuration.
-    NoPolicy,
-    /// A policy resolved but failed [`ObfuscationPolicy::validate`]:
-    /// the stack degrades to pass-through rather than shaping with an
-    /// inconsistent policy (or panicking in the datapath).
-    ///
-    /// [`ObfuscationPolicy::validate`]: crate::policy::ObfuscationPolicy::validate
-    Degraded { policy_name: String, reason: String },
-    /// The registry's circuit breaker is open for the resolved key
-    /// (see [`crate::breaker`]): repeated failures tripped it, and this
-    /// attempt was shed to pass-through without resolving or validating
-    /// the policy again.
-    Shed { key: crate::registry::PolicyKey },
+impl Attachment {
+    /// Name of the policy being enforced.
+    pub fn name(&self) -> &str {
+        &self.defense.policy.name
+    }
 }
 
-impl AttachResolution {
-    /// The shaper, if one was attached (degradation folds to `None`,
-    /// i.e. pass-through — exactly what an unshaped connection uses).
-    pub fn into_shaper(self) -> Option<AttachedShaper> {
+/// Outcome of [`attach`]: a live shaper, or an explicit account of why
+/// the stack runs this flow unshaped.
+pub enum AttachOutcome {
+    /// A stack-placed binding resolved, validated, and was assembled.
+    Attached(Attachment),
+    /// The binding is placed at the application layer: the stack stays
+    /// pass-through and emulation ([`crate::defense::emulate_flow`]) is
+    /// responsible for the flow's shape.
+    AppLayer { key: PolicyKey, name: String },
+    /// Nothing is bound to this flow: pass-through by configuration.
+    Unbound,
+    /// The binding resolved but the policy it built failed
+    /// [`ObfuscationPolicy::validate`]: the stack degrades to
+    /// pass-through (counted in the registry) rather than shaping with
+    /// inconsistent parameters or panicking in the datapath — it must
+    /// never let obfuscation break delivery (§4.2).
+    Degraded {
+        key: PolicyKey,
+        name: String,
+        reason: String,
+    },
+    /// The registry's circuit breaker ([`crate::breaker`]) is open for
+    /// the resolved key: a run of degradations tripped it, and this
+    /// attempt was shed to pass-through without building or validating
+    /// the broken binding again.
+    Shed { key: PolicyKey },
+}
+
+impl AttachOutcome {
+    /// The attachment, if one was made; every other outcome is the
+    /// stack running the flow pass-through.
+    pub fn attached(self) -> Option<Attachment> {
         match self {
-            AttachResolution::Attached(s) => Some(s),
+            AttachOutcome::Attached(a) => Some(a),
             _ => None,
         }
     }
 }
 
-/// Like [`attach_policy`], but an invalid policy degrades gracefully:
-/// the registry's degradation counter is bumped and the connection is
-/// reported as [`AttachResolution::Degraded`] instead of driving a
-/// shaper with inconsistent parameters. This is the §4.2-spirited
-/// failure mode: the stack must never let obfuscation break delivery.
+/// Resolve the binding for `(flow, destination)` and, when it is placed
+/// in the stack, build, validate and lower it. `rng` feeds the defense's
+/// per-flow `build` decisions (reference picks, budgets); `seed` and the
+/// flow id feed the live strategy RNGs.
 ///
-/// When the registry carries a circuit breaker
-/// ([`PolicyRegistry::set_breaker`]), this is the guarded path: a run of
-/// consecutive degradations on one resolved key opens its circuit and
-/// later attempts come back as [`AttachResolution::Shed`] without
-/// re-validating the broken policy.
-pub fn attach_policy_checked(
-    registry: &PolicyRegistry,
-    flow: u32,
-    destination: u32,
-    seed: u64,
-) -> AttachResolution {
-    let Some((key, policy)) = registry.resolve_with_key(flow, destination) else {
-        return AttachResolution::NoPolicy;
-    };
-    if registry.breaker_admit(key) == Some(crate::breaker::Admission::Shed) {
-        return AttachResolution::Shed { key };
-    }
-    if let Err(reason) = policy.validate() {
-        registry.note_degraded();
-        registry.breaker_record(key, false);
-        return AttachResolution::Degraded {
-            policy_name: policy.name.clone(),
-            reason,
-        };
-    }
-    registry.breaker_record(key, true);
-    let (guarded, audit) = assemble_policy_shaper(&policy, seed, flow as u64);
-    AttachResolution::Attached(AttachedShaper {
-        inner: guarded,
-        policy_name: policy.name.clone(),
-        audit,
-    })
-}
-
-/// Outcome of [`attach_defense`]: what the *stack* should do for a flow
-/// whose defense binding may live at either placement.
-pub enum DefenseAttachment {
-    /// A stack-placement defense resolved; install this shaper.
-    Attached(AttachedShaper),
-    /// The defense is bound at the application layer: the stack stays
-    /// pass-through and emulation (`crate::defense::emulate_flow`) is
-    /// responsible for the flow's shape.
-    AppLayer { defense_name: String },
-    /// No defense (or policy) is bound to this flow.
-    Unbound,
-    /// A defense resolved but its built policy failed validation; the
-    /// stack degrades to pass-through (counted in the registry).
-    Degraded {
-        defense_name: String,
-        reason: String,
-    },
-    /// The registry's circuit breaker is open for the resolved key:
-    /// repeated build/validation failures tripped it, and this attempt
-    /// was shed to pass-through without rebuilding the defense.
-    Shed {
-        /// The resolved key whose circuit is open.
-        key: crate::registry::PolicyKey,
-    },
-}
-
-/// Resolve a [`crate::defense::Defense`] binding for `(flow,
-/// destination)` and, when it is placed in the stack, lower its built
-/// [`crate::defense::FlowDefense`] into an attached shaper. `rng` feeds
-/// the defense's per-flow `build` decisions (reference picks, budgets);
-/// `seed` feeds the live strategy RNGs exactly as in [`attach_policy`].
-///
-/// Padding schedules carried by the defense are *not* enforced here:
-/// §4.2 scopes the stack's authority to sizing and departure timing of
-/// real data; dummy-packet injection stays an application concern at
-/// either placement.
-pub fn attach_defense(
+/// With a breaker installed ([`PolicyRegistry::set_breaker`]) every
+/// admitted attempt reports its outcome against the resolved key, so a
+/// run of consecutive degradations opens that key's circuit and later
+/// attempts come back [`AttachOutcome::Shed`].
+pub fn attach(
     registry: &PolicyRegistry,
     flow: u32,
     destination: u32,
     seed: u64,
     rng: &mut SimRng,
-) -> DefenseAttachment {
-    let Some((key, binding)) = registry.resolve_defense_with_key(flow, destination) else {
-        return DefenseAttachment::Unbound;
+) -> AttachOutcome {
+    let Some(binding) = registry.resolve_defense(flow, destination) else {
+        return AttachOutcome::Unbound;
     };
-    if registry.breaker_admit(key) == Some(crate::breaker::Admission::Shed) {
-        return DefenseAttachment::Shed { key };
+    let key = binding.key;
+    if registry.with_breaker(|b| b.admit(key)) == Some(Admission::Shed) {
+        return AttachOutcome::Shed { key };
     }
-    let name = binding.defense.name().to_string();
-    if binding.placement == Placement::App {
-        registry.breaker_record(key, true);
-        return DefenseAttachment::AppLayer { defense_name: name };
-    }
-    let fd = binding.defense.build(&DefenseCtx::default(), rng);
-    if let Err(reason) = fd.policy.validate() {
-        registry.note_degraded();
-        registry.breaker_record(key, false);
-        return DefenseAttachment::Degraded {
-            defense_name: name,
-            reason,
-        };
-    }
-    registry.breaker_record(key, true);
-    let (guarded, audit) = assemble_policy_shaper(&fd.policy, seed, flow as u64);
-    DefenseAttachment::Attached(AttachedShaper {
-        inner: guarded,
-        policy_name: fd.policy.name.clone(),
-        audit,
-    })
+    let name = || binding.defense.name().to_string();
+    let outcome = match binding.placement {
+        Placement::App => AttachOutcome::AppLayer { key, name: name() },
+        Placement::Stack => {
+            let defense = binding.defense.build(&DefenseCtx::default(), rng);
+            match defense.policy.validate() {
+                Ok(()) => {
+                    let (shaper, audit) =
+                        assemble_policy_shaper(&defense.policy, seed, u64::from(flow));
+                    AttachOutcome::Attached(Attachment {
+                        key,
+                        defense,
+                        shaper,
+                        audit,
+                    })
+                }
+                Err(reason) => {
+                    registry.note_degraded();
+                    AttachOutcome::Degraded {
+                        key,
+                        name: name(),
+                        reason,
+                    }
+                }
+            }
+        }
+    };
+    registry.with_breaker(|b| match outcome {
+        AttachOutcome::Degraded { .. } => b.record_failure(key),
+        _ => b.record_success(key),
+    });
+    outcome
 }
 
-/// Publish a machine defense from its JSON wire form: the full
-/// defenses-as-data path an operator exercises — parse, decode, validate
-/// via [`PolicyRegistry::bind_machine`], bind under `key` at `placement`.
-/// No recompile, hot-swappable like any policy. A spec that fails to
-/// parse, decode, or validate is rejected with the registry's
-/// degradation counter bumped; it never reaches the datapath. Returns
-/// the bound machine's name.
+/// The wire half every JSON publish shares: parse `text`, then `decode`
+/// the spec; the caller binds it (which validates). A spec that fails at
+/// any of the three steps is rejected with the registry's degradation
+/// counter bumped once; it never reaches the table.
+fn decode_json<S>(
+    registry: &PolicyRegistry,
+    what: &str,
+    text: &str,
+    decode: impl FnOnce(&Json) -> Result<S, JsonError>,
+) -> Result<S, String> {
+    Json::parse(text)
+        .map_err(|e| format!("{what} JSON parse error at {}: {}", e.offset, e.message))
+        .and_then(|v| decode(&v).map_err(|e| format!("{what} decode error: {}", e.message)))
+        .inspect_err(|_| registry.note_degraded())
+}
+
+/// Publish a machine defense from its JSON wire form — the full
+/// defenses-as-data path an operator exercises: no recompile,
+/// hot-swappable like any entry. Binds under `key` at `placement` via
+/// [`PolicyRegistry::bind_machine`]; returns the bound machine's name.
 pub fn publish_machine_json(
     registry: &PolicyRegistry,
-    key: crate::registry::PolicyKey,
+    key: PolicyKey,
     json_text: &str,
     placement: Placement,
 ) -> Result<String, String> {
-    let parsed = netsim::json::Json::parse(json_text).map_err(|e| {
-        registry.note_degraded();
-        format!("machine JSON parse error at {}: {}", e.offset, e.message)
-    })?;
-    let spec = crate::machine::MachineSpec::from_json(&parsed).map_err(|e| {
-        registry.note_degraded();
-        format!("machine spec decode error: {}", e.message)
-    })?;
+    let spec = decode_json(registry, "machine", json_text, MachineSpec::from_json)?;
     registry.bind_machine(key, spec, placement)
 }
 
-/// Publish a multipath splitting policy from its JSON wire form: parse,
-/// decode, validate via [`PolicyRegistry::bind_splitter`], bind under
-/// `key`. The splitter is resolved at multipath flow setup the same way
-/// policies are (flow, destination, default precedence) and handed to
-/// the `Multiplex` transport. Rejections bump the degradation counter
-/// and never reach the datapath. Returns the bound spec's stable name.
+/// Publish a multipath splitting policy from its JSON wire form, bound
+/// under `key` via [`PolicyRegistry::bind_splitter`]. The splitter is
+/// resolved at multipath flow setup with the usual precedence and handed
+/// to the `Multiplex` transport. Returns the bound spec's stable name.
 pub fn publish_splitter_json(
     registry: &PolicyRegistry,
-    key: crate::registry::PolicyKey,
+    key: PolicyKey,
     json_text: &str,
 ) -> Result<String, String> {
-    let parsed = netsim::json::Json::parse(json_text).map_err(|e| {
-        registry.note_degraded();
-        format!("splitter JSON parse error at {}: {}", e.offset, e.message)
-    })?;
-    let spec = crate::splitter::splitter_from_json(&parsed).map_err(|e| {
-        registry.note_degraded();
-        format!("splitter decode error: {}", e.message)
-    })?;
-    let name = spec.name().to_string();
-    registry.bind_splitter(key, spec)?;
-    Ok(name)
+    let spec = decode_json(registry, "splitter", json_text, splitter_from_json)?;
+    registry.bind_splitter(key, spec)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::ObfuscationPolicy;
-    use crate::registry::PolicyKey;
-    use netsim::FlowId;
+    use crate::breaker::BreakerConfig;
+    use crate::policy::DelaySpec;
+    use netsim::{FlowId, Nanos};
+    use stack::{ShapeCtx, Shaper};
 
     fn ctx(in_ss: bool, pkts_sent: u64) -> ShapeCtx {
         ShapeCtx {
@@ -297,6 +235,29 @@ mod tests {
         }
     }
 
+    /// [`attach`] with the test-wide seed and a fresh build stream.
+    fn att(reg: &PolicyRegistry, flow: u32, destination: u32) -> AttachOutcome {
+        attach(reg, flow, destination, 42, &mut SimRng::new(9))
+    }
+
+    fn attached(reg: &PolicyRegistry, flow: u32, destination: u32) -> Attachment {
+        att(reg, flow, destination)
+            .attached()
+            .expect("a valid stack binding attaches")
+    }
+
+    /// A policy that fails validation (inverted jitter range).
+    fn invalid(name: &str) -> ObfuscationPolicy {
+        let mut bad = ObfuscationPolicy::split_and_delay(name);
+        bad.delay = DelaySpec::UniformFraction {
+            lo_frac: 0.30,
+            hi_frac: 0.10,
+        };
+        bad
+    }
+
+    /// The two ways an entry reaches the table — published as a policy,
+    /// bound as a stack-placed defense — attach alike.
     #[test]
     fn attach_resolves_and_shapes() {
         let reg = PolicyRegistry::new();
@@ -304,16 +265,42 @@ mod tests {
             PolicyKey::Destination(5),
             ObfuscationPolicy::split_and_delay("dest5"),
         );
-        let mut s = attach_policy(&reg, 1, 5, 42).expect("policy resolves");
-        assert_eq!(s.policy_name, "dest5");
-        assert_eq!(s.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
-        assert!(s.extra_delay(&ctx(false, 0)) > Nanos::ZERO);
+        reg.bind_defense(
+            PolicyKey::Destination(6),
+            Arc::new(ObfuscationPolicy::split_and_delay("s3")),
+            Placement::Stack,
+        );
+        for (dest, name) in [(5, "dest5"), (6, "s3")] {
+            let mut a = attached(&reg, 1, dest);
+            assert_eq!((a.name(), a.key), (name, PolicyKey::Destination(dest)));
+            assert_eq!(a.shaper.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
+            assert!(a.shaper.extra_delay(&ctx(false, 0)) > Nanos::ZERO);
+        }
+        assert_eq!(reg.degraded_count(), 0);
     }
 
     #[test]
     fn attach_returns_none_without_policy() {
         let reg = PolicyRegistry::new();
-        assert!(attach_policy(&reg, 1, 5, 42).is_none());
+        assert!(matches!(att(&reg, 1, 5), AttachOutcome::Unbound));
+        assert!(att(&reg, 1, 5).attached().is_none());
+        assert_eq!(reg.degraded_count(), 0);
+    }
+
+    #[test]
+    fn app_placement_defers_to_emulation() {
+        let reg = PolicyRegistry::new();
+        reg.bind_defense(
+            PolicyKey::Default,
+            Arc::new(ObfuscationPolicy::split_and_delay("s3")),
+            Placement::App,
+        );
+        match att(&reg, 1, 1) {
+            AttachOutcome::AppLayer { key, name } => {
+                assert_eq!((key, name.as_str()), (PolicyKey::Default, "s3"));
+            }
+            _ => panic!("app binding must leave the stack pass-through"),
+        }
     }
 
     #[test]
@@ -322,7 +309,7 @@ mod tests {
         let mut p = ObfuscationPolicy::split_and_delay("careful");
         p.respect_slow_start = true;
         reg.publish(PolicyKey::Default, p);
-        let mut s = attach_policy(&reg, 1, 1, 42).expect("resolves");
+        let mut s = attached(&reg, 1, 1).shaper;
         assert_eq!(s.packet_ip_size(&ctx(true, 0), 0, 1500), 1500);
         assert_eq!(s.extra_delay(&ctx(true, 0)), Nanos::ZERO);
         assert_eq!(s.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
@@ -334,76 +321,63 @@ mod tests {
         let mut p = ObfuscationPolicy::split_and_delay("front");
         p.first_n_pkts = 30;
         reg.publish(PolicyKey::Default, p);
-        let mut s = attach_policy(&reg, 1, 1, 42).expect("resolves");
+        let mut s = attached(&reg, 1, 1).shaper;
         assert_eq!(s.packet_ip_size(&ctx(false, 29), 0, 1500), 750);
         assert_eq!(s.packet_ip_size(&ctx(false, 30), 0, 1500), 1500);
     }
 
+    /// Invalid entries degrade and count, however they were written.
     #[test]
     fn checked_attach_degrades_on_an_invalid_policy() {
-        use crate::policy::DelaySpec;
         let reg = PolicyRegistry::new();
-        let mut bad = ObfuscationPolicy::split_and_delay("bad");
-        bad.delay = DelaySpec::UniformFraction {
-            lo_frac: 0.30,
-            hi_frac: 0.10, // inverted: fails validation
-        };
-        reg.publish(PolicyKey::Default, bad);
-        match attach_policy_checked(&reg, 1, 1, 42) {
-            AttachResolution::Degraded {
-                policy_name,
-                reason,
-            } => {
-                assert_eq!(policy_name, "bad");
-                assert!(!reason.is_empty());
+        reg.publish(PolicyKey::Default, invalid("bad"));
+        reg.bind_defense(
+            PolicyKey::Flow(2),
+            Arc::new(invalid("bad-bound")),
+            Placement::Stack,
+        );
+        for (flow, want_key, want_name) in [
+            (1, PolicyKey::Default, "bad"),
+            (2, PolicyKey::Flow(2), "bad-bound"),
+        ] {
+            match att(&reg, flow, 1) {
+                AttachOutcome::Degraded { key, name, reason } => {
+                    assert_eq!((key, name.as_str()), (want_key, want_name));
+                    assert!(!reason.is_empty());
+                }
+                _ => panic!("invalid policy must degrade"),
             }
-            _ => panic!("invalid policy must degrade"),
         }
-        assert_eq!(reg.degraded_count(), 1);
-        // Degradation folds to pass-through.
-        assert!(attach_policy_checked(&reg, 1, 1, 42)
-            .into_shaper()
-            .is_none());
         assert_eq!(reg.degraded_count(), 2);
+        // Degradation folds to pass-through, and is counted every time.
+        assert!(att(&reg, 1, 1).attached().is_none());
+        assert_eq!(reg.degraded_count(), 3);
     }
 
     #[test]
     fn breaker_sheds_attachments_on_a_repeatedly_failing_key() {
-        use crate::breaker::BreakerConfig;
-        use crate::policy::DelaySpec;
         let reg = PolicyRegistry::new();
         reg.set_breaker(BreakerConfig {
             threshold: 3,
             cooldown: 4,
             max_cooldown: 16,
         });
-        let mut bad = ObfuscationPolicy::split_and_delay("bad");
-        bad.delay = DelaySpec::UniformFraction {
-            lo_frac: 0.30,
-            hi_frac: 0.10, // inverted: fails validation
-        };
-        reg.publish(PolicyKey::Destination(5), bad);
+        reg.publish(PolicyKey::Destination(5), invalid("bad"));
         // First three flows degrade normally and trip the circuit.
         for flow in 0..3 {
-            assert!(matches!(
-                attach_policy_checked(&reg, flow, 5, 42),
-                AttachResolution::Degraded { .. }
-            ));
+            assert!(matches!(att(&reg, flow, 5), AttachOutcome::Degraded { .. }));
         }
         assert_eq!(reg.degraded_count(), 3);
         // Cooldown of 4: three shed flows, then the half-open trial —
         // which degrades again (nothing was republished) and re-opens
         // the circuit with a doubled cooldown.
         for flow in 3..6 {
-            match attach_policy_checked(&reg, flow, 5, 42) {
-                AttachResolution::Shed { key } => assert_eq!(key, PolicyKey::Destination(5)),
+            match att(&reg, flow, 5) {
+                AttachOutcome::Shed { key } => assert_eq!(key, PolicyKey::Destination(5)),
                 _ => panic!("open circuit must shed"),
             }
         }
-        assert!(matches!(
-            attach_policy_checked(&reg, 6, 5, 42),
-            AttachResolution::Degraded { .. }
-        ));
+        assert!(matches!(att(&reg, 6, 5), AttachOutcome::Degraded { .. }));
         // Shed flows never touched validation: degradations counted
         // only the admitted attempts.
         assert_eq!(reg.degraded_count(), 4);
@@ -414,128 +388,58 @@ mod tests {
             PolicyKey::Destination(5),
             ObfuscationPolicy::split_and_delay("fixed"),
         );
-        let mut last = AttachResolution::NoPolicy;
-        for flow in 7..30 {
-            last = attach_policy_checked(&reg, flow, 5, 42);
-            if matches!(last, AttachResolution::Attached(_)) {
-                break;
-            }
-        }
-        match last {
-            AttachResolution::Attached(s) => assert_eq!(s.policy_name, "fixed"),
-            _ => panic!("trial with the fixed policy must close the circuit"),
-        }
+        let healed = (7..30)
+            .find_map(|flow| att(&reg, flow, 5).attached())
+            .expect("trial with the fixed policy must close the circuit");
+        assert_eq!(healed.name(), "fixed");
         assert_eq!(reg.breaker_stats().unwrap().closes, 1);
         // Closed circuit: everything attaches again.
-        assert!(matches!(
-            attach_policy_checked(&reg, 40, 5, 42),
-            AttachResolution::Attached(_)
-        ));
+        attached(&reg, 40, 5);
         // Other keys were never affected.
         reg.publish(
             PolicyKey::Destination(9),
             ObfuscationPolicy::split_and_delay("ok"),
         );
-        assert!(matches!(
-            attach_policy_checked(&reg, 41, 9, 42),
-            AttachResolution::Attached(_)
-        ));
+        attached(&reg, 41, 9);
     }
 
+    /// Under an installed breaker, successes — attachments and app-layer
+    /// deferrals alike — never open a circuit.
     #[test]
     fn checked_attach_passes_valid_policies_through() {
         let reg = PolicyRegistry::new();
-        assert!(matches!(
-            attach_policy_checked(&reg, 1, 5, 42),
-            AttachResolution::NoPolicy
-        ));
+        reg.set_breaker(BreakerConfig {
+            threshold: 3,
+            cooldown: 4,
+            max_cooldown: 16,
+        });
         reg.publish(
             PolicyKey::Destination(5),
             ObfuscationPolicy::split_and_delay("dest5"),
         );
-        let mut s = attach_policy_checked(&reg, 1, 5, 42)
-            .into_shaper()
-            .expect("valid policy attaches");
-        assert_eq!(s.policy_name, "dest5");
-        assert_eq!(s.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
-        assert_eq!(reg.degraded_count(), 0);
-    }
-
-    #[test]
-    fn attach_defense_installs_stack_placement_bindings() {
-        let reg = PolicyRegistry::new();
         reg.bind_defense(
-            PolicyKey::Destination(5),
-            Arc::new(ObfuscationPolicy::split_and_delay("s3")),
-            Placement::Stack,
-        );
-        let mut rng = SimRng::new(9);
-        match attach_defense(&reg, 1, 5, 42, &mut rng) {
-            DefenseAttachment::Attached(mut s) => {
-                assert_eq!(s.policy_name, "s3");
-                assert_eq!(s.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
-            }
-            _ => panic!("stack binding must attach a shaper"),
-        }
-    }
-
-    #[test]
-    fn attach_defense_defers_app_placement_to_emulation() {
-        let reg = PolicyRegistry::new();
-        reg.bind_defense(
-            PolicyKey::Default,
-            Arc::new(ObfuscationPolicy::split_and_delay("s3")),
+            PolicyKey::Destination(6),
+            Arc::new(ObfuscationPolicy::split_and_delay("app6")),
             Placement::App,
         );
-        let mut rng = SimRng::new(9);
-        match attach_defense(&reg, 1, 1, 42, &mut rng) {
-            DefenseAttachment::AppLayer { defense_name } => assert_eq!(defense_name, "s3"),
-            _ => panic!("app binding must leave the stack pass-through"),
+        for flow in 0..20 {
+            let mut a = attached(&reg, flow, 5);
+            assert_eq!(a.name(), "dest5");
+            assert_eq!(a.shaper.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
+            assert!(matches!(att(&reg, flow, 6), AttachOutcome::AppLayer { .. }));
         }
-    }
-
-    #[test]
-    fn attach_defense_reports_unbound_flows() {
-        let reg = PolicyRegistry::new();
-        let mut rng = SimRng::new(9);
-        assert!(matches!(
-            attach_defense(&reg, 1, 5, 42, &mut rng),
-            DefenseAttachment::Unbound
-        ));
-    }
-
-    #[test]
-    fn attach_defense_degrades_on_invalid_built_policy() {
-        use crate::policy::DelaySpec;
-        let reg = PolicyRegistry::new();
-        let mut bad = ObfuscationPolicy::split_and_delay("bad");
-        bad.delay = DelaySpec::UniformFraction {
-            lo_frac: 0.30,
-            hi_frac: 0.10, // inverted: fails validation
-        };
-        reg.bind_defense(PolicyKey::Default, Arc::new(bad), Placement::Stack);
-        let mut rng = SimRng::new(9);
-        match attach_defense(&reg, 1, 1, 42, &mut rng) {
-            DefenseAttachment::Degraded {
-                defense_name,
-                reason,
-            } => {
-                assert_eq!(defense_name, "bad");
-                assert!(!reason.is_empty());
-            }
-            _ => panic!("invalid built policy must degrade"),
-        }
-        assert_eq!(reg.degraded_count(), 1);
+        assert_eq!(reg.degraded_count(), 0);
+        let s = reg.breaker_stats().expect("breaker installed");
+        assert_eq!((s.trips, s.shed), (0, 0));
     }
 
     #[test]
     fn audit_survives_attachment() {
         let reg = PolicyRegistry::new();
         reg.publish(PolicyKey::Default, ObfuscationPolicy::split_and_delay("a"));
-        let mut s = attach_policy(&reg, 1, 1, 42).expect("resolves");
-        let audit = Arc::clone(&s.audit);
-        let _ = s.packet_ip_size(&ctx(false, 0), 0, 1500);
-        assert!(audit.decisions.load(std::sync::atomic::Ordering::Relaxed) > 0);
-        assert_eq!(audit.total_clamped(), 0, "benign policy never clamps");
+        let mut a = attached(&reg, 1, 1);
+        let _ = a.shaper.packet_ip_size(&ctx(false, 0), 0, 1500);
+        assert!(a.audit.decisions.load(std::sync::atomic::Ordering::Relaxed) > 0);
+        assert_eq!(a.audit.total_clamped(), 0, "benign policy never clamps");
     }
 }

@@ -17,8 +17,7 @@ use stack::config::CcKind;
 use stack::net::{Api, App, Network};
 use stack::{HostConfig, PathConfig, StackConfig};
 use stob::policy::ObfuscationPolicy;
-use stob::registry::{PolicyKey, PolicyRegistry};
-use stob::sockopt::attach_policy;
+use stob::sockopt::assemble_policy_shaper;
 
 /// Parameters of one bulk-flow sample.
 #[derive(Debug, Clone)]
@@ -77,12 +76,11 @@ pub fn run_flow(sc: &FlowScenario, label: usize, visit: usize, seed: u64) -> Tra
     };
     // BBR needs pacing; window CCAs run it too (Linux default with fq).
     stack_cfg.pacing = true;
-    let shaper: Option<Box<dyn stack::Shaper>> = sc.policy.as_ref().map(|p| {
-        let reg = PolicyRegistry::new();
-        reg.publish(PolicyKey::Default, p.clone());
-        Box::new(attach_policy(&reg, 1, 0, seed).expect("policy published"))
-            as Box<dyn stack::Shaper>
-    });
+    // Flow 1's salt, as an attached connection would carry.
+    let shaper = sc
+        .policy
+        .as_ref()
+        .map(|p| assemble_policy_shaper(p, seed, 1).0);
     let host = HostConfig {
         nic_rate_bps: 10_000_000_000,
         ..HostConfig::default()

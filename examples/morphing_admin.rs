@@ -56,7 +56,7 @@ fn main() {
         0,
         9,
         &LoaderConfig {
-            server_policy: Some((*fitted).clone()),
+            server_policy: Some(fitted),
             ..LoaderConfig::default()
         },
     );

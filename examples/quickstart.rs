@@ -6,13 +6,13 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use netsim::{Direction, FlowId, Nanos, PacketKind};
+use netsim::{Direction, FlowId, PacketKind, SimRng};
 use stack::apps::{BulkSender, Sink};
 use stack::net::{Api, App, Network};
 use stack::{HostConfig, PathConfig, StackConfig};
 use stob::policy::ObfuscationPolicy;
 use stob::registry::{PolicyKey, PolicyRegistry};
-use stob::sockopt::attach_policy;
+use stob::sockopt::attach;
 
 /// A sender that installs a Stob policy at connect time — the
 /// `setsockopt`-style control path of §5.3.
@@ -23,9 +23,11 @@ struct ObfuscatedSender {
 
 impl App for ObfuscatedSender {
     fn on_start(&mut self, api: &mut Api) {
-        let shaper = attach_policy(&self.registry, 1, 0, 42).expect("policy published below");
-        println!("  attached policy: {}", shaper.policy_name);
-        api.connect_with(StackConfig::default(), Some(Box::new(shaper)));
+        let attachment = attach(&self.registry, 1, 0, 42, &mut SimRng::new(42))
+            .attached()
+            .expect("policy published below");
+        println!("  attached policy: {}", attachment.name());
+        api.connect_with(StackConfig::default(), Some(attachment.shaper));
     }
     fn on_connected(&mut self, api: &mut Api, flow: FlowId) {
         self.inner.on_connected(api, flow);
@@ -87,5 +89,4 @@ fn main() {
         (n2 as f64 / n as f64 - 1.0) * 100.0
     );
     println!("the application still wrote the same 2 MB with plain send() calls.");
-    let _ = Nanos::ZERO;
 }

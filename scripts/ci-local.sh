@@ -12,6 +12,8 @@ run() {
 
 run cargo build --workspace --release --locked
 run cargo test --workspace -q --locked
+# The five examples: compiled by the test step, run here.
+run scripts/check-examples.sh
 # benchmark/ is its own workspace; nothing above builds it.
 run cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 run env STOB_THREADS=4 cargo test --workspace -q --locked --test determinism

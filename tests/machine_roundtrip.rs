@@ -17,8 +17,10 @@ use stob::defense::{emulate_flow, DefenseCtx, FlowPkt, Placement};
 use stob::machine::{
     Action, DistSpec, Machine, MachineDefense, MachineEvent, MachineSpec, State, Target, Transition,
 };
+use stob::policy::{ObfuscationPolicy, SizeSpec};
 use stob::registry::{PolicyKey, PolicyRegistry};
-use stob::sockopt::publish_machine_json;
+use stob::sockopt::{publish_machine_json, publish_splitter_json};
+use stob::{splitter_to_json, validate_splitter, SplitterSpec};
 
 fn rand_histogram(rng: &mut SimRng) -> Histogram {
     let lo = rng.range_u64(0, 100) as f64;
@@ -369,6 +371,22 @@ fn hostile_zero_limit_cycle_from_json_terminates() {
     assert_eq!(out.dummy_pkts, 0);
 }
 
+/// One structural mutation of a valid document: a byte overwritten with
+/// a JSON-significant one, dropped, or inserted. `None` when the result
+/// is no longer UTF-8.
+fn mutated(text: &str, rng: &mut SimRng) -> Option<String> {
+    let mut bytes = text.as_bytes().to_vec();
+    let pos = rng.range_usize(0, bytes.len() - 1);
+    match rng.range_usize(0, 2) {
+        0 => bytes[pos] = b"0{}[],:\"xE-"[rng.range_usize(0, 10)],
+        1 => {
+            bytes.remove(pos);
+        }
+        _ => bytes.insert(pos, b"9[{,"[rng.range_usize(0, 3)]),
+    }
+    String::from_utf8(bytes).ok()
+}
+
 /// Fuzz the decoder with structural mutations of valid documents: every
 /// outcome must be a clean `Err` or an equal decode — never a panic.
 #[test]
@@ -377,19 +395,9 @@ fn mutated_documents_never_panic_the_decoder() {
     let texts: Vec<String> = (0..20)
         .map(|i| rand_spec(i, &mut rng).to_json().to_string_compact())
         .collect();
-    for (i, text) in texts.iter().enumerate() {
-        for j in 0..50usize {
-            let mut bytes = text.clone().into_bytes();
-            let pos = rng.range_usize(0, bytes.len() - 1);
-            let mutation = rng.range_usize(0, 2);
-            match mutation {
-                0 => bytes[pos] = b"0{}[],:\"xE-"[rng.range_usize(0, 10)],
-                1 => {
-                    bytes.remove(pos);
-                }
-                _ => bytes.insert(pos, b"9[{,"[rng.range_usize(0, 3)]),
-            }
-            let Ok(s) = String::from_utf8(bytes) else {
+    for text in &texts {
+        for _ in 0..50 {
+            let Some(s) = mutated(text, &mut rng) else {
                 continue;
             };
             if let Ok(v) = Json::parse(&s) {
@@ -400,7 +408,117 @@ fn mutated_documents_never_panic_the_decoder() {
                     let _ = MachineDefense::new(spec);
                 }
             }
-            let _ = (i, j);
         }
     }
+}
+
+/// The same 1000 mutations against the table's bulk entry point. A
+/// mutated export is imported whole or not at all: a rejection leaves the
+/// version, the export and every resolution as they were; an accepted
+/// one binds exactly the keys the document writes, one version step each.
+#[test]
+fn mutated_exports_import_all_or_nothing() {
+    let mut rng = SimRng::new(0xFEED_0001);
+    let keys = |export: &str| -> Vec<PolicyKey> {
+        let doc = Json::parse(export).expect("an export parses");
+        let pairs = doc.as_arr().expect("an export is an array");
+        pairs
+            .iter()
+            .map(|pair| PolicyKey::from_json(&pair.as_arr().expect("pair")[0]).expect("key"))
+            .collect()
+    };
+    let mut accepted = 0;
+    for i in 0..20u32 {
+        let source = PolicyRegistry::new();
+        let mut morph = ObfuscationPolicy::passthrough(&format!("morph-{i}"));
+        morph.size = SizeSpec::FromHistogram(rand_histogram(&mut rng));
+        source.publish(PolicyKey::Flow(i), morph);
+        source.publish(
+            PolicyKey::Destination(i + 1),
+            ObfuscationPolicy::split_and_delay("s3"),
+        );
+        source.publish(
+            PolicyKey::Default,
+            ObfuscationPolicy::incremental("inc", 20),
+        );
+        let text = source.export_json();
+        for _ in 0..50 {
+            let Some(s) = mutated(&text, &mut rng) else {
+                continue;
+            };
+            let reg = PolicyRegistry::new();
+            reg.publish(
+                PolicyKey::Destination(999),
+                ObfuscationPolicy::passthrough("resident"),
+            );
+            let (v0, before) = (reg.version(), reg.export_json());
+            match reg.import_json(&s) {
+                Err(_) => {
+                    assert_eq!((reg.version(), reg.len()), (v0, 1), "{s}");
+                    assert_eq!(reg.export_json(), before, "{s}");
+                    assert!(reg.resolve_defense(i, i + 1).is_none(), "{s}");
+                }
+                Ok(n) => {
+                    accepted += 1;
+                    assert_eq!(reg.version(), v0 + n as u64, "{s}");
+                    let mut written = keys(&s);
+                    assert_eq!(written.len(), n, "{s}");
+                    written.push(PolicyKey::Destination(999));
+                    written.sort();
+                    written.dedup();
+                    assert_eq!(keys(&reg.export_json()), written, "{s}");
+                }
+            }
+            assert_eq!(
+                reg.resolve(u32::MAX, 999).expect("resident").name,
+                "resident"
+            );
+        }
+    }
+    assert!(accepted > 0, "some mutations only touch a value");
+}
+
+/// And against the splitter's JSON publish: rejected-and-counted or
+/// bound under the one key written, never anything else.
+#[test]
+fn mutated_splitters_reject_or_bind_only_their_key() {
+    let mut rng = SimRng::new(0xFEED_0002);
+    let (mut accepted, mut rejected) = (0, 0);
+    for i in 0..20 {
+        let spec = match i % 4 {
+            0 => SplitterSpec::RoundRobin,
+            1 => SplitterSpec::PaddedRandom,
+            _ => SplitterSpec::Weighted {
+                weights: (0..rng.range_usize(1, 6))
+                    .map(|_| rng.range_u64(1, 1_000_000))
+                    .collect(),
+            },
+        };
+        let text = splitter_to_json(&spec).to_string_compact();
+        for _ in 0..50 {
+            let Some(s) = mutated(&text, &mut rng) else {
+                continue;
+            };
+            let reg = PolicyRegistry::new();
+            match publish_splitter_json(&reg, PolicyKey::Destination(3), &s) {
+                Err(_) => {
+                    rejected += 1;
+                    assert_eq!((reg.degraded_count(), reg.version()), (1, 0), "{s}");
+                    assert!(reg.is_empty(), "{s}");
+                    assert!(reg.resolve_splitter(0, 3).is_none(), "{s}");
+                }
+                Ok(name) => {
+                    accepted += 1;
+                    assert_eq!((reg.degraded_count(), reg.version()), (0, 1), "{s}");
+                    assert_eq!(reg.len(), 1, "{s}");
+                    let bound = reg.resolve_splitter(0, 3).expect("bound where written");
+                    assert_eq!(bound.name(), name, "{s}");
+                    assert!(validate_splitter(&bound).is_ok(), "{s}");
+                    assert!(reg.resolve_splitter(3, 4).is_none(), "{s}");
+                    assert!(reg.resolve_defense(0, 3).is_none(), "{s}");
+                }
+            }
+        }
+    }
+    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
 }

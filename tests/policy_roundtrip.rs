@@ -272,6 +272,6 @@ fn u32_fields_beyond_u32_are_rejected_not_truncated() {
         assert!(err.message.contains("u32"), "{p:?}: {err}");
         assert!(r.is_empty(), "{p:?}: a rejected import bound something");
         assert_eq!(r.import_json(&max).expect("u32::MAX decodes"), 1);
-        assert_eq!(*r.resolve(1, 1).expect("bound"), p);
+        assert_eq!(r.resolve(1, 1).expect("bound"), p);
     }
 }

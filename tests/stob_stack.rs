@@ -171,8 +171,10 @@ fn delay_strategy_stretches_wire_gaps() {
     };
     let reg = stob::registry::PolicyRegistry::new();
     reg.publish(stob::registry::PolicyKey::Default, policy);
-    let shaper = stob::sockopt::attach_policy(&reg, 1, 0, 3).expect("policy");
-    let delayed = run(Some(Box::new(shaper)), 11);
+    let attachment = stob::sockopt::attach(&reg, 1, 0, 3, &mut netsim::SimRng::new(3))
+        .attached()
+        .expect("policy");
+    let delayed = run(Some(attachment.shaper), 11);
     assert!(
         delayed > plain * 3,
         "delayed transfer ({delayed}) must be far slower than plain ({plain})"
