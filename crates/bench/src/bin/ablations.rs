@@ -16,8 +16,8 @@
 //! Every cell is an independent simulated network, a pure function of
 //! its configuration and seed, so the sweeps fan out across threads
 //! (`netsim::par`) without changing any number. Set
-//! `STOB_JSON_OUT=<path>` to also write the cells + stage timings as
-//! JSON.
+//! `STOB_JSON_OUT=<path>` to also write the cells as JSON (stage
+//! timings go to stderr).
 
 use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
 use defenses::{emulate_trace, enforce_trace};
@@ -286,7 +286,7 @@ fn main() {
     );
     eprintln!("[ablations] {timings}");
 
-    stob_bench::write_json_out("ablations", Some(&timings), || {
+    stob_bench::write_json_out("ablations", || {
         Json::obj().set("cells", Json::Arr(json_cells))
     });
 }

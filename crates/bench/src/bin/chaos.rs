@@ -21,12 +21,9 @@
 //! `STOB_JSON_OUT=<path>` writes a timing-free JSON report; CI runs it at
 //! `STOB_THREADS=1` and `4` and byte-compares the files.
 
-use defenses::buflo::{buflo, BufloConfig};
-use defenses::front::{front, FrontConfig};
-use defenses::overhead::{bandwidth_overhead, Defended};
-use defenses::regulator::{regulator, RegulatorConfig};
 use netsim::par::{self, Timings};
 use netsim::{FaultSchedule, Json, Nanos, SimRng};
+use stob_bench::{cli, mean_overheads, FAULT_SAMPLE};
 use traces::loader::{load_page, load_page_supervised, LoaderConfig, RecoveryConfig};
 use traces::{paper_sites, Trace};
 
@@ -55,21 +52,9 @@ struct CellRun {
 }
 
 fn main() {
-    let mut want_telemetry = netsim::telemetry::summary_enabled();
-    let mut quick = false;
-    let args: Vec<String> = std::env::args()
-        .filter(|a| match a.as_str() {
-            "--telemetry" => {
-                want_telemetry = true;
-                false
-            }
-            "--quick" => {
-                quick = true;
-                false
-            }
-            _ => true,
-        })
-        .collect();
+    let (mut args, want_telemetry) = cli::args();
+    let quick = args.iter().any(|a| a == "--quick");
+    args.retain(|a| a != "--quick");
     let visits: usize = args
         .get(1)
         .and_then(|s| s.parse().ok())
@@ -164,15 +149,6 @@ fn main() {
     // Defense overhead on the *recovered* traffic: the same trace
     // emulations the fault matrix uses, applied to recovery-on traces.
     let t0 = std::time::Instant::now();
-    type ApplyFn = fn(&Trace, &mut SimRng) -> Defended;
-    let defenses: [(&str, ApplyFn); 4] = [
-        ("none", |t, _| Defended::unpadded(t.clone())),
-        ("FRONT", |t, rng| front(t, &FrontConfig::default(), rng)),
-        ("RegulaTor", |t, _| {
-            regulator(t, &RegulatorConfig::default())
-        }),
-        ("BuFLO", |t, _| buflo(t, &BufloConfig::default())),
-    ];
     let mut defense_cells = Vec::new();
     for run in runs.iter().filter(|r| r.recovery) {
         let scenario_root = root.fork(0xDEF).fork(
@@ -181,22 +157,9 @@ fn main() {
                 .position(|&s| s == run.scenario)
                 .unwrap_or(0) as u64,
         );
-        for (di, (dname, apply)) in defenses.iter().enumerate() {
-            let defense_root = scenario_root.fork(di as u64 + 1);
-            let bw: f64 = run
-                .traces
-                .iter()
-                .enumerate()
-                .map(|(ti, t)| {
-                    let mut rng = defense_root.fork(ti as u64 + 1);
-                    bandwidth_overhead(t, &apply(t, &mut rng))
-                })
-                .sum();
-            defense_cells.push((
-                run.scenario,
-                *dname,
-                bw / run.traces.len().max(1) as f64 * 100.0,
-            ));
+        for (&(defense, kind), di) in FAULT_SAMPLE.iter().zip(1..) {
+            let (bw, _) = mean_overheads(kind, &run.traces, &scenario_root.fork(di));
+            defense_cells.push((run.scenario, defense, bw * 100.0));
         }
     }
     timings.push("defend_wall", t0.elapsed().as_secs_f64());
@@ -281,7 +244,7 @@ fn main() {
         .find(|r| r.scenario == "blackout-early" && !r.recovery)
         .map_or(0, |r| r.complete);
 
-    stob_bench::write_json_out("chaos", None, || {
+    stob_bench::write_json_out("chaos", || {
         // Timing-free: CI byte-compares this file across thread counts.
         Json::obj()
             .set("seed", seed)
@@ -384,8 +347,7 @@ fn main() {
         std::process::exit(1);
     }
     if want_telemetry {
-        println!("\n{}", netsim::telemetry::metrics_summary());
-        eprintln!("{}", netsim::telemetry::wall_profile_summary());
+        cli::print_telemetry();
     }
     eprintln!(
         "[chaos] OK: recovery completed {on_complete}/{on_loads} loads \

@@ -10,8 +10,8 @@
 //! bit-identical at any `STOB_THREADS` setting.
 //!
 //! Usage: `defense_matrix [visits] [trees] [repeats] [seed]`
-//! Set `STOB_JSON_OUT=<path>` to also write results + stage timings as
-//! JSON (`STOB_JSON_NO_TIMINGS=1` drops the timings for golden runs).
+//! Set `STOB_JSON_OUT=<path>` to also write the results as JSON (stage
+//! timings go to stderr).
 
 use defenses::overhead::{bandwidth_overhead, latency_overhead};
 use defenses::{defend_all, TraceBank};
@@ -143,7 +143,7 @@ fn main() {
     );
     eprintln!("[defense_matrix] {timings}");
 
-    stob_bench::write_json_out("defense_matrix", Some(&timings), || {
+    stob_bench::write_json_out("defense_matrix", || {
         Json::obj().set(
             "cells",
             Json::Arr(

@@ -19,51 +19,11 @@
 //! `--telemetry` (or `STOB_TELEMETRY=1`) appends the global metrics
 //! summary — deterministic like the JSON (wall-clock spans go to stderr).
 
-use defenses::buflo::{buflo, BufloConfig};
-use defenses::front::{front, FrontConfig};
-use defenses::overhead::{bandwidth_overhead, Defended};
-use defenses::regulator::{regulator, RegulatorConfig};
 use netsim::par::{self, Timings};
 use netsim::{FaultSchedule, FaultStats, Json, Nanos, SimRng};
+use stob_bench::{cli, mean_overheads, FAULT_SAMPLE};
 use traces::loader::{load_page, LoaderConfig};
 use traces::{paper_sites, Trace};
-
-/// The defense sample: none, a padding defense, a rate-shaping defense,
-/// and a regularizing defense — one representative per family.
-#[derive(Debug, Clone, Copy)]
-enum Defense {
-    None,
-    Front,
-    Regulator,
-    Buflo,
-}
-
-impl Defense {
-    const ALL: [Defense; 4] = [
-        Defense::None,
-        Defense::Front,
-        Defense::Regulator,
-        Defense::Buflo,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            Defense::None => "none",
-            Defense::Front => "FRONT",
-            Defense::Regulator => "RegulaTor",
-            Defense::Buflo => "BuFLO",
-        }
-    }
-
-    fn apply(self, t: &Trace, rng: &mut SimRng) -> Defended {
-        match self {
-            Defense::None => Defended::unpadded(t.clone()),
-            Defense::Front => front(t, &FrontConfig::default(), rng),
-            Defense::Regulator => regulator(t, &RegulatorConfig::default()),
-            Defense::Buflo => buflo(t, &BufloConfig::default()),
-        }
-    }
-}
 
 /// Everything one scenario's page loads produced, before defenses.
 struct ScenarioRun {
@@ -93,17 +53,7 @@ fn add_stats(a: &mut FaultStats, b: &FaultStats) {
 }
 
 fn main() {
-    let mut want_telemetry = netsim::telemetry::summary_enabled();
-    let args: Vec<String> = std::env::args()
-        .filter(|a| {
-            if a == "--telemetry" {
-                want_telemetry = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
+    let (args, want_telemetry) = cli::args();
     let visits: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2);
     let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0xFA17);
 
@@ -168,21 +118,12 @@ fn main() {
     let mut cells = Vec::new();
     for (si, run) in runs.iter().enumerate() {
         let scenario_root = root.fork(si as u64 + 1);
-        for (di, &defense) in Defense::ALL.iter().enumerate() {
-            let defense_root = scenario_root.fork(di as u64 + 1);
-            let bw: f64 = run
-                .traces
-                .iter()
-                .enumerate()
-                .map(|(ti, t)| {
-                    let mut rng = defense_root.fork(ti as u64 + 1);
-                    bandwidth_overhead(t, &defense.apply(t, &mut rng))
-                })
-                .sum();
+        for (&(defense, kind), di) in FAULT_SAMPLE.iter().zip(1..) {
+            let (bw, _) = mean_overheads(kind, &run.traces, &scenario_root.fork(di));
             cells.push(Cell {
                 scenario: run.name,
-                defense: defense.name(),
-                bw_pct: bw / run.traces.len().max(1) as f64 * 100.0,
+                defense,
+                bw_pct: bw * 100.0,
             });
         }
     }
@@ -198,8 +139,8 @@ fn main() {
     for (si, run) in runs.iter().enumerate() {
         let row: Vec<&Cell> = cells
             .iter()
-            .skip(si * Defense::ALL.len())
-            .take(Defense::ALL.len())
+            .skip(si * FAULT_SAMPLE.len())
+            .take(FAULT_SAMPLE.len())
             .collect();
         println!(
             "| {:<9} | {:>5} | {:>8} | {:>7} | {:>10} | {:>5} | {:>4} | {:>7} | {:>4} | {:>7.1}% | {:>4.0}% | {:>8.0}% | {:>4.0}% |",
@@ -223,7 +164,7 @@ fn main() {
     let total_violations: usize = runs.iter().map(|r| r.violations.len()).sum();
     let incomplete: usize = runs.iter().map(|r| r.loads - r.complete).sum();
 
-    stob_bench::write_json_out("fault_matrix", None, || {
+    stob_bench::write_json_out("fault_matrix", || {
         // No timings in this file: the CI fault suite byte-compares runs
         // at different thread counts.
         Json::obj()
@@ -286,8 +227,7 @@ fn main() {
         );
     }
     if want_telemetry {
-        println!("\n{}", netsim::telemetry::metrics_summary());
-        eprintln!("{}", netsim::telemetry::wall_profile_summary());
+        cli::print_telemetry();
     }
     eprintln!("[fault_matrix] OK: all invariants held across every scenario");
 }

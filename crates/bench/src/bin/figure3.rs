@@ -13,20 +13,10 @@
 
 use netsim::telemetry;
 use netsim::{Json, Nanos};
-use stob_bench::{run_figure3, run_figure3_traced};
+use stob_bench::{cli, run_figure3, run_figure3_traced};
 
 fn main() {
-    let mut want_telemetry = telemetry::summary_enabled();
-    let args: Vec<String> = std::env::args()
-        .filter(|a| {
-            if a == "--telemetry" {
-                want_telemetry = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
+    let (args, want_telemetry) = cli::args();
     let alpha_max: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(40);
     let step: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
     let measure_ms: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(50);
@@ -58,7 +48,7 @@ fn main() {
     };
     eprintln!("[figure3] sweep done in {:.1}s", t0.elapsed().as_secs_f64());
 
-    stob_bench::write_json_out("figure3", None, || {
+    stob_bench::write_json_out("figure3", || {
         Json::obj().set("seed", seed).set(
             "points",
             Json::Arr(
@@ -98,8 +88,7 @@ fn main() {
     );
 
     if want_telemetry {
-        println!("\n{}", telemetry::metrics_summary());
-        eprintln!("{}", telemetry::wall_profile_summary());
+        cli::print_telemetry();
     }
 }
 

@@ -7,8 +7,8 @@
 //! Usage: `multipath [visits] [trees] [repeats] [seed]`
 //! Env: `STOB_MUX_PIPES=1,2,4`, `STOB_MUX_SPLITTER=roundrobin`,
 //! `STOB_MUX_FEC=4` restrict/extend the matrix (see `EXPERIMENTS.md`);
-//! `STOB_JSON_OUT=<path>` writes results as JSON
-//! (`STOB_JSON_NO_TIMINGS=1` drops timings for golden runs).
+//! `STOB_JSON_OUT=<path>` writes results as JSON (timings go to
+//! stderr).
 
 use netsim::par::{self, Timings};
 use std::time::Instant;
@@ -79,5 +79,5 @@ fn main() {
     );
     eprintln!("[multipath] {timings}");
 
-    stob_bench::write_json_out("multipath", Some(&timings), || report.to_json());
+    stob_bench::write_json_out("multipath", || report.to_json());
 }

@@ -5,10 +5,12 @@
 //! and packet-size manipulation are (nearly) work-conserving.
 //!
 //! Usage: `table1 [visits] [seed]` (defaults: 20 visits/site, statistical
-//! generator for speed; the taxonomy itself is static).
+//! generator for speed; the taxonomy itself is static). Set
+//! `STOB_JSON_OUT=<path>` to also write the measured rows as JSON.
 
 use defenses::taxonomy::{table1, Implementation};
-use stob_bench::run_overheads;
+use netsim::Json;
+use stob_bench::{run_overheads, OverheadRow};
 use traces::sites::paper_sites;
 use traces::statgen::generate_corpus;
 use traces::Dataset;
@@ -66,7 +68,20 @@ fn main() {
         "|{}|--------------------|------------------|",
         "-".repeat(24)
     );
-    for row in run_overheads(&dataset, seed) {
+    let rows = run_overheads(&dataset, seed);
+    stob_bench::write_json_out("table1", || {
+        let row = |r: &OverheadRow| {
+            Json::obj()
+                .set("system", r.system)
+                .set("bandwidth", r.bandwidth)
+                .set("latency", r.latency)
+        };
+        Json::obj()
+            .set("seed", seed)
+            .set("visits", visits as u64)
+            .set("rows", Json::Arr(rows.iter().map(row).collect()))
+    });
+    for row in &rows {
         println!(
             "| {:<22} | {:>16.1}% | {:>14.1}% |",
             row.system,

@@ -4,29 +4,18 @@
 //!
 //! Usage: `table2 [--telemetry] [visits] [trees] [repeats] [seed]`
 //! (defaults: 100 visits/site — the paper's collection size — 100 trees,
-//! 5 repeats). Set `STOB_JSON_OUT=<path>` to also write the cells plus
-//! per-stage wall-clock timings as JSON; `STOB_JSON_NO_TIMINGS=1` omits
-//! the timings so the file is byte-stable run-to-run (the CI golden
-//! compare uses this); `STOB_THREADS` caps the parallel driver.
+//! 5 repeats). Set `STOB_JSON_OUT=<path>` to also write the cells as
+//! JSON (byte-stable run-to-run — the CI golden compare reads it;
+//! per-stage wall-clock timings go to stderr); `STOB_THREADS` caps the
+//! parallel driver.
 //! `--telemetry` (or `STOB_TELEMETRY=1`) appends the global metrics
 //! summary.
 
-use netsim::telemetry;
 use netsim::Json;
-use stob_bench::{collect_dataset, format_table2, run_table2_timed, Table2Config};
+use stob_bench::{cli, collect_dataset, format_table2, run_table2_timed, Table2Config};
 
 fn main() {
-    let mut want_telemetry = telemetry::summary_enabled();
-    let args: Vec<String> = std::env::args()
-        .filter(|a| {
-            if a == "--telemetry" {
-                want_telemetry = true;
-                false
-            } else {
-                true
-            }
-        })
-        .collect();
+    let (args, want_telemetry) = cli::args();
     let visits: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100);
     let trees: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(100);
     let repeats: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(5);
@@ -54,7 +43,7 @@ fn main() {
     timings.push("collect", collect_secs);
     eprintln!("[table2] {timings}");
 
-    stob_bench::write_json_out("table2", Some(&timings), || {
+    stob_bench::write_json_out("table2", || {
         Json::obj().set(
             "cells",
             Json::Arr(
@@ -86,7 +75,6 @@ fn main() {
     println!("| All | 0.963 ± 0.002 | 0.980 ± 0.008 | 0.980 ± 0.014 | 0.992 ± 0.009 |");
 
     if want_telemetry {
-        println!("\n{}", telemetry::metrics_summary());
-        eprintln!("{}", telemetry::wall_profile_summary());
+        cli::print_telemetry();
     }
 }

@@ -17,6 +17,7 @@
 pub mod multipath;
 pub mod suite;
 
+use defenses::defend_all;
 use defenses::emulate::{self, CounterMeasure, EmulateConfig, Section3Defense};
 use defenses::overhead::{bandwidth_overhead, latency_overhead, Defended};
 use netsim::par::{self, Timings};
@@ -27,10 +28,11 @@ use stack::{HostConfig, PathConfig, StackConfig};
 use stob::defense::Placement;
 use stob::safety::SafetyCap;
 use stob::strategies::IncrementalReduce;
+use suite::DefenseKind;
 use traces::loader::{collect, LoaderConfig};
 use traces::sanitize::sanitize;
 use traces::sites::paper_sites;
-use traces::Dataset;
+use traces::{Dataset, Trace};
 use wf::eval::{evaluate, EvalConfig};
 use wf::forest::ForestConfig;
 
@@ -53,11 +55,11 @@ pub fn collect_dataset(visits: usize, seed: u64) -> CollectionSummary {
     let sites = paper_sites();
     let cfg = LoaderConfig::default();
     let outcomes = collect(&sites, visits, seed, &cfg);
-    let per_site: Vec<(Vec<traces::Trace>, Vec<bool>)> = outcomes
+    let per_site: Vec<(Vec<Trace>, Vec<bool>)> = outcomes
         .into_iter()
         .map(|site_outcomes| {
             let complete: Vec<bool> = site_outcomes.iter().map(|o| o.complete).collect();
-            let traces: Vec<traces::Trace> = site_outcomes.into_iter().map(|o| o.trace).collect();
+            let traces: Vec<Trace> = site_outcomes.into_iter().map(|o| o.trace).collect();
             (traces, complete)
         })
         .collect();
@@ -118,27 +120,48 @@ pub fn placement_from_env() -> Placement {
 }
 
 /// Dump a bin's results as pretty JSON to the file `STOB_JSON_OUT` names,
-/// if it names one (`build` runs only then). `timings`, when the bin has
-/// them, ride along as a `timings` member unless `STOB_JSON_NO_TIMINGS`
-/// is switched on (any [`netsim::env::flag`] spelling): the golden
-/// byte-compare in CI needs a file that is a pure function of (inputs,
-/// seed). An unwritable path is reported on stderr, not fatal.
-pub fn write_json_out(bin: &str, timings: Option<&Timings>, build: impl FnOnce() -> netsim::Json) {
+/// if it names one (`build` runs only then). The file is a pure function
+/// of (inputs, seed) — wall-clock timings go to stderr, never in here —
+/// so CI byte-compares it against a committed golden at any thread
+/// count. An unwritable path is reported on stderr, not fatal.
+pub fn write_json_out(bin: &str, build: impl FnOnce() -> netsim::Json) {
     let Some(path) = netsim::env::string("STOB_JSON_OUT") else {
         return;
     };
-    let mut json = build();
-    if let Some(t) = timings.filter(|_| !netsim::env::flag("STOB_JSON_NO_TIMINGS", false)) {
-        json = json.set("timings", t.to_json());
-    }
-    match std::fs::write(&path, json.to_string_pretty()) {
+    match std::fs::write(&path, build().to_string_pretty()) {
         Ok(()) => eprintln!("[{bin}] wrote {path}"),
         Err(e) => eprintln!("[{bin}] could not write {path}: {e}"),
     }
 }
 
+/// The prelude the telemetry-aware bins (`table2`, `figure3`,
+/// `fault_matrix`, `chaos`) share.
+pub mod cli {
+    /// The process arguments with every `--telemetry` stripped, and
+    /// whether the metrics summary was asked for (by that flag or
+    /// `STOB_TELEMETRY`).
+    pub fn args() -> (Vec<String>, bool) {
+        let mut want_telemetry = netsim::telemetry::summary_enabled();
+        let args = std::env::args()
+            .filter(|a| {
+                let flag = a == "--telemetry";
+                want_telemetry |= flag;
+                !flag
+            })
+            .collect();
+        (args, want_telemetry)
+    }
+
+    /// The deterministic metrics summary on stdout, the wall-clock
+    /// self-profile on stderr.
+    pub fn print_telemetry() {
+        println!("\n{}", netsim::telemetry::metrics_summary());
+        eprintln!("{}", netsim::telemetry::wall_profile_summary());
+    }
+}
+
 /// As [`run_table2`], but also returning per-stage wall-clock timings
-/// (accumulated across the 16 cells) for the bench JSON output.
+/// (accumulated across the 16 cells) for the bin's stderr line.
 pub fn run_table2_timed(dataset: &Dataset, cfg: &Table2Config) -> (Vec<Table2Cell>, Timings) {
     let eval_cfg = EvalConfig {
         forest: ForestConfig {
@@ -164,7 +187,7 @@ pub fn run_table2_timed(dataset: &Dataset, cfg: &Table2Config) -> (Vec<Table2Cel
         // seed argument only reaches the stack backend's shaper).
         let root = SimRng::new(cfg.seed).fork(n as u64).fork(cm as u64);
         let defended = timings.time("emulate", || {
-            let rows = defenses::defend_all(
+            let rows = defend_all(
                 &Section3Defense::new(cm, em),
                 placement,
                 &dataset.traces,
@@ -325,62 +348,59 @@ pub struct OverheadRow {
     pub latency: f64,
 }
 
-/// The implemented defenses in Table 1 order.
-const OVERHEAD_SYSTEMS: [&str; 8] = [
-    "Split (this paper)",
-    "Delayed (this paper)",
-    "Combined (this paper)",
-    "FRONT",
-    "WTF-PAD",
-    "RegulaTor",
-    "Tamaraw",
-    "BuFLO",
+/// The implemented defenses in Table 1 order, under the names the table
+/// prints.
+const OVERHEAD_SYSTEMS: [(&str, DefenseKind); 8] = [
+    ("Split (this paper)", DefenseKind::Split),
+    ("Delayed (this paper)", DefenseKind::Delayed),
+    ("Combined (this paper)", DefenseKind::Combined),
+    ("FRONT", DefenseKind::Front),
+    ("WTF-PAD", DefenseKind::WtfPad),
+    ("RegulaTor", DefenseKind::Regulator),
+    ("Tamaraw", DefenseKind::Tamaraw),
+    ("BuFLO", DefenseKind::Buflo),
 ];
 
-/// Apply one Table 1 defense (by [`OVERHEAD_SYSTEMS`] index) to a trace.
-fn apply_overhead_system(
-    idx: usize,
-    t: &traces::Trace,
-    em: &EmulateConfig,
-    rng: &mut SimRng,
-) -> Defended {
-    match idx {
-        0 => emulate::apply(CounterMeasure::Split, t, em, rng),
-        1 => emulate::apply(CounterMeasure::Delayed, t, em, rng),
-        2 => emulate::apply(CounterMeasure::Combined, t, em, rng),
-        3 => defenses::front::front(t, &Default::default(), rng),
-        4 => defenses::wtfpad::wtfpad(t, &Default::default(), rng),
-        5 => defenses::regulator::regulator(t, &Default::default()),
-        6 => defenses::buflo::tamaraw(t, &Default::default()),
-        7 => defenses::buflo::buflo(t, &Default::default()),
-        _ => unreachable!("unknown overhead system"),
-    }
+/// The robustness harnesses' defense sample (`fault_matrix`, `chaos`):
+/// none, a padding defense, a rate-shaping defense and a regularizing
+/// defense — one representative per family, under the labels their
+/// reports carry.
+pub const FAULT_SAMPLE: [(&str, DefenseKind); 4] = [
+    ("none", DefenseKind::None),
+    ("FRONT", DefenseKind::Front),
+    ("RegulaTor", DefenseKind::Regulator),
+    ("BuFLO", DefenseKind::Buflo),
+];
+
+/// Mean `(bandwidth, latency)` overhead of one suite row over `traces`,
+/// as fractions: the row's spec through [`defend_all`] at the app
+/// placement, trace `i` drawing from `root.fork(i + 1)`, so the means are
+/// thread-count independent.
+pub fn mean_overheads(kind: DefenseKind, traces: &[Trace], root: &SimRng) -> (f64, f64) {
+    let rows = defend_all(kind.spec().as_ref(), Placement::App, traces, None, root, 0);
+    let mean = |overhead: fn(&Trace, &Defended) -> f64| {
+        let sum: f64 = traces.iter().zip(&rows).map(|(t, d)| overhead(t, d)).sum();
+        sum / traces.len().max(1) as f64
+    };
+    (mean(bandwidth_overhead), mean(latency_overhead))
 }
 
-/// Apply every implemented defense to a corpus and average overheads.
-///
-/// The per-trace fan-out runs on the parallel driver: randomness is
-/// forked per (defense, trace index), never drawn from a shared stream,
-/// so the averages are thread-count independent.
+/// Apply every implemented defense to a corpus and average overheads,
+/// each defense on its own fork of the seed.
 pub fn run_overheads(dataset: &Dataset, seed: u64) -> Vec<OverheadRow> {
     let root = SimRng::new(seed);
-    let em = EmulateConfig::default();
-    let mut rows = Vec::new();
-    for (di, name) in OVERHEAD_SYSTEMS.iter().copied().enumerate() {
-        let defense_root = root.fork(di as u64 + 1);
-        let per_trace = par::par_map(&dataset.traces, |i, t| {
-            let mut rng = defense_root.fork(i as u64 + 1);
-            let d = apply_overhead_system(di, t, &em, &mut rng);
-            (bandwidth_overhead(t, &d), latency_overhead(t, &d))
-        });
-        let n = dataset.len() as f64;
-        rows.push(OverheadRow {
-            system: name,
-            bandwidth: per_trace.iter().map(|p| p.0).sum::<f64>() / n,
-            latency: per_trace.iter().map(|p| p.1).sum::<f64>() / n,
-        });
-    }
-    rows
+    OVERHEAD_SYSTEMS
+        .iter()
+        .zip(1..)
+        .map(|(&(system, kind), di)| {
+            let (bandwidth, latency) = mean_overheads(kind, &dataset.traces, &root.fork(di));
+            OverheadRow {
+                system,
+                bandwidth,
+                latency,
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

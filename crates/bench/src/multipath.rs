@@ -122,7 +122,7 @@ pub struct MultipathReport {
 
 impl MultipathReport {
     /// Canonical JSON rendering — the `multipath` bin writes exactly
-    /// this to `STOB_JSON_OUT` (golden runs append no timings), and the
+    /// this to `STOB_JSON_OUT`, and the
     /// determinism sweep compares these bytes across thread counts.
     pub fn to_json(&self) -> netsim::Json {
         use netsim::Json;

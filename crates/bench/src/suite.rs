@@ -39,7 +39,7 @@ pub enum DefenseKind {
     Tamaraw,
     Buflo,
     /// FRONT expressed as a data machine (proven to replay the native
-    /// adapter's rng draws — see `defenses::machines`).
+    /// `FrontDefense`'s rng draws — see `defenses::machines`).
     MachineFront,
     /// Constant-rate cover traffic as a data machine.
     MachineConstant,

@@ -5,9 +5,9 @@
 //! re-export), so a trace's packets go to the kernel as they are and the
 //! defended sequence is moved into the result. This module runs a
 //! [`Defense`] at either [`Placement`] and wraps the outcome in the
-//! [`Defended`] bookkeeping the overhead metrics consume. The
-//! per-defense convenience functions (`emulate::split`, `front::front`,
-//! ...) are thin adapters over these.
+//! [`Defended`] bookkeeping the overhead metrics consume. There is no
+//! per-defense function API beside it: every harness builds the
+//! `*Defense` spec and calls [`defend_trace`] / [`defend_all`].
 //!
 //! [`FlowPkt`]: stob::defense::FlowPkt
 

@@ -6,11 +6,8 @@
 //! the canonical example of §2.3's cost argument: they buy protection
 //! with massive padding bandwidth and added latency.
 
-use crate::backend::emulate_trace;
-use crate::overhead::Defended;
 use netsim::{Direction, Nanos, SimRng};
 use stob::defense::{CloseOut, Defense, DefenseCtx, Emit, FlowDefense, FlowPkt, PadderCore};
-use traces::Trace;
 
 /// BuFLO parameters.
 #[derive(Debug, Clone, Copy)]
@@ -139,17 +136,6 @@ impl Defense for BufloDefense {
     }
 }
 
-/// Apply BuFLO to a trace. Adapter over the app-layer backend; the
-/// schedule is deterministic, so no randomness is consumed.
-pub fn buflo(trace: &Trace, cfg: &BufloConfig) -> Defended {
-    emulate_trace(
-        &BufloDefense::new(*cfg),
-        trace,
-        &DefenseCtx::default(),
-        &mut SimRng::new(0),
-    )
-}
-
 /// Tamaraw parameters.
 #[derive(Debug, Clone, Copy)]
 pub struct TamarawConfig {
@@ -254,23 +240,19 @@ impl Defense for TamarawDefense {
     }
 }
 
-/// Apply Tamaraw to a trace. Adapter over the app-layer backend; the
-/// schedule is deterministic, so no randomness is consumed.
-pub fn tamaraw(trace: &Trace, cfg: &TamarawConfig) -> Defended {
-    emulate_trace(
-        &TamarawDefense::new(*cfg),
-        trace,
-        &DefenseCtx::default(),
-        &mut SimRng::new(0),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overhead::{bandwidth_overhead, latency_overhead};
+    use crate::backend::emulate_trace;
+    use crate::overhead::{bandwidth_overhead, latency_overhead, Defended};
     use traces::sites::paper_sites;
     use traces::statgen::generate;
+    use traces::Trace;
+
+    /// Both schedules are deterministic: no randomness is consumed.
+    fn run(defense: &dyn Defense, t: &Trace) -> Defended {
+        emulate_trace(defense, t, &DefenseCtx::default(), &mut SimRng::new(0))
+    }
 
     fn sample() -> Trace {
         generate(&paper_sites()[0], 0, 0, 1)
@@ -279,7 +261,7 @@ mod tests {
     #[test]
     fn buflo_output_is_perfectly_regular() {
         let t = sample();
-        let d = buflo(&t, &BufloConfig::default());
+        let d = run(&BufloDefense::new(BufloConfig::default()), &t);
         // All packets the same size.
         assert!(d.trace.packets.iter().all(|p| p.size == 1514));
         // Per-direction IATs constant at rho.
@@ -304,14 +286,14 @@ mod tests {
             tau: Nanos::from_secs(12),
             ..BufloConfig::default()
         };
-        let d = buflo(&t, &cfg);
+        let d = run(&BufloDefense::new(cfg), &t);
         assert!(d.trace.duration() >= Nanos::from_secs(11));
     }
 
     #[test]
     fn buflo_pads_heavily() {
         let t = sample();
-        let d = buflo(&t, &BufloConfig::default());
+        let d = run(&BufloDefense::new(BufloConfig::default()), &t);
         assert!(d.dummy_pkts > 0);
         let bw = bandwidth_overhead(&t, &d);
         assert!(bw > 0.5, "BuFLO should be expensive, got {bw}");
@@ -320,7 +302,7 @@ mod tests {
     #[test]
     fn buflo_carries_all_real_bytes() {
         let t = sample();
-        let d = buflo(&t, &BufloConfig::default());
+        let d = run(&BufloDefense::new(BufloConfig::default()), &t);
         let capacity: u64 = d.trace.bytes(Direction::In);
         assert!(capacity >= t.bytes(Direction::In));
     }
@@ -329,7 +311,7 @@ mod tests {
     fn tamaraw_pads_to_multiple_of_l() {
         let t = sample();
         let cfg = TamarawConfig::default();
-        let d = tamaraw(&t, &cfg);
+        let d = run(&TamarawDefense::new(cfg), &t);
         for dir in [Direction::In, Direction::Out] {
             let n = d.trace.packets.iter().filter(|p| p.dir == dir).count();
             assert_eq!(n % cfg.l, 0, "direction count {n} not multiple of L");
@@ -346,8 +328,8 @@ mod tests {
         let a = generate(&sites[6], 6, 0, 1);
         let b = generate(&sites[6], 6, 1, 1);
         let cfg = TamarawConfig::default();
-        let da = tamaraw(&a, &cfg);
-        let db = tamaraw(&b, &cfg);
+        let da = run(&TamarawDefense::new(cfg), &a);
+        let db = run(&TamarawDefense::new(cfg), &b);
         let shape = |d: &Defended| {
             (
                 d.trace
@@ -373,7 +355,7 @@ mod tests {
     #[test]
     fn tamaraw_latency_tracks_slowest_direction() {
         let t = sample();
-        let d = tamaraw(&t, &TamarawConfig::default());
+        let d = run(&TamarawDefense::new(TamarawConfig::default()), &t);
         let lat = latency_overhead(&t, &d);
         assert!(lat.is_finite());
         assert!(d.real_done <= d.trace.duration() + Nanos(1));

@@ -135,24 +135,12 @@ impl Defense for Section3Defense {
     }
 }
 
-/// Split qualifying packets into two equal halves. The second half lands
-/// at the same timestamp (back-to-back on the wire at trace resolution).
-///
-/// Adapter over the app-layer backend; splitting draws no randomness.
-pub fn split(trace: &Trace, cfg: &EmulateConfig) -> Trace {
-    let d = Section3Defense::new(CounterMeasure::Split, *cfg);
-    emulate_trace(&d, trace, &DefenseCtx::default(), &mut SimRng::new(0)).trace
-}
-
-/// Stretch qualifying inter-arrival times by `U(delay_lo, delay_hi)`,
-/// shifting all subsequent packets. Adapter over the app-layer backend.
-pub fn delay(trace: &Trace, cfg: &EmulateConfig, rng: &mut SimRng) -> Trace {
-    let d = Section3Defense::new(CounterMeasure::Delayed, *cfg);
-    emulate_trace(&d, trace, &DefenseCtx::default(), rng).trace
-}
-
-/// Apply one §3 countermeasure, returning the defended trace with
-/// overhead bookkeeping.
+/// Apply one §3 countermeasure at the app placement, returning the
+/// defended trace with overhead bookkeeping. A split's second half lands
+/// at the first's timestamp (back-to-back on the wire at trace
+/// resolution) and draws no randomness; a delay stretches each
+/// qualifying inter-arrival time by `U(delay_lo, delay_hi)`, shifting
+/// every later packet.
 pub fn apply(cm: CounterMeasure, trace: &Trace, cfg: &EmulateConfig, rng: &mut SimRng) -> Defended {
     let d = Section3Defense::new(cm, *cfg);
     emulate_trace(&d, trace, &DefenseCtx::default(), rng)
@@ -195,6 +183,14 @@ mod tests {
     use super::*;
     use netsim::Nanos;
     use traces::TracePacket;
+
+    fn split(t: &Trace, cfg: &EmulateConfig) -> Trace {
+        apply(CounterMeasure::Split, t, cfg, &mut SimRng::new(0)).trace
+    }
+
+    fn delay(t: &Trace, cfg: &EmulateConfig, rng: &mut SimRng) -> Trace {
+        apply(CounterMeasure::Delayed, t, cfg, rng).trace
+    }
 
     fn trace() -> Trace {
         Trace::new(

@@ -8,11 +8,8 @@
 //! timing. §2.3 quotes ≈80 % bandwidth overhead for FRONT; the defaults
 //! below land in that regime on our synthetic pages.
 
-use crate::backend::emulate_trace;
-use crate::overhead::Defended;
 use netsim::{Direction, Nanos, SimRng};
 use stob::defense::{CloseOut, Defense, DefenseCtx, Emit, FlowDefense, FlowPkt, PadderCore};
-use traces::Trace;
 
 #[derive(Debug, Clone, Copy)]
 pub struct FrontConfig {
@@ -104,17 +101,18 @@ impl Defense for FrontDefense {
     }
 }
 
-/// Apply FRONT to a trace. Adapter over the app-layer backend.
-pub fn front(trace: &Trace, cfg: &FrontConfig, rng: &mut SimRng) -> Defended {
-    emulate_trace(&FrontDefense::new(*cfg), trace, &DefenseCtx::default(), rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overhead::{bandwidth_overhead, latency_overhead};
+    use crate::backend::emulate_trace;
+    use crate::overhead::{bandwidth_overhead, latency_overhead, Defended};
     use traces::sites::paper_sites;
     use traces::statgen::generate;
+    use traces::Trace;
+
+    fn run(t: &Trace, cfg: &FrontConfig, rng: &mut SimRng) -> Defended {
+        emulate_trace(&FrontDefense::new(*cfg), t, &DefenseCtx::default(), rng)
+    }
 
     fn sample() -> Trace {
         generate(&paper_sites()[3], 3, 0, 1)
@@ -124,7 +122,7 @@ mod tests {
     fn front_injects_padding_both_directions() {
         let t = sample();
         let mut rng = SimRng::new(1);
-        let d = front(&t, &FrontConfig::default(), &mut rng);
+        let d = run(&t, &FrontConfig::default(), &mut rng);
         assert!(d.dummy_pkts > 0);
         assert!(d.trace.len() > t.len());
         assert!(d.trace.is_well_formed());
@@ -136,7 +134,7 @@ mod tests {
     fn front_is_zero_delay() {
         let t = sample();
         let mut rng = SimRng::new(2);
-        let d = front(&t, &FrontConfig::default(), &mut rng);
+        let d = run(&t, &FrontConfig::default(), &mut rng);
         // No real packet is delayed: latency overhead only from the
         // trailing dummy tail, real_done is the original duration.
         assert!(latency_overhead(&t, &d).abs() < 1e-9);
@@ -152,7 +150,7 @@ mod tests {
         let mut n = 0;
         for v in 0..10 {
             let t = generate(&sites[v % sites.len()], v % sites.len(), v, 7);
-            let d = front(&t, &FrontConfig::default(), &mut rng);
+            let d = run(&t, &FrontConfig::default(), &mut rng);
             total += bandwidth_overhead(&t, &d);
             n += 1;
         }
@@ -168,7 +166,7 @@ mod tests {
         let t = sample();
         let mut rng = SimRng::new(4);
         let cfg = FrontConfig::default();
-        let d = front(&t, &cfg, &mut rng);
+        let d = run(&t, &cfg, &mut rng);
         // Rayleigh mass concentrates early: more than half the dummies
         // land before 1.25 * w_max seconds.
         let cutoff = Nanos::from_secs_f64(cfg.w_max * 1.25);
@@ -189,8 +187,8 @@ mod tests {
     fn budgets_vary_between_runs() {
         let t = sample();
         let mut rng = SimRng::new(5);
-        let a = front(&t, &FrontConfig::default(), &mut rng);
-        let b = front(&t, &FrontConfig::default(), &mut rng);
+        let a = run(&t, &FrontConfig::default(), &mut rng);
+        let b = run(&t, &FrontConfig::default(), &mut rng);
         assert_ne!(a.dummy_pkts, b.dummy_pkts, "budget must be re-sampled");
     }
 
@@ -203,7 +201,7 @@ mod tests {
             ..FrontConfig::default()
         };
         let mut rng = SimRng::new(6);
-        let d = front(&t, &cfg, &mut rng);
+        let d = run(&t, &cfg, &mut rng);
         assert_eq!(d.dummy_pkts, 0);
         assert_eq!(d.trace.len(), t.len());
     }

@@ -4,8 +4,8 @@
 //! These are the reference payloads for the defenses-as-data control
 //! plane: each generator returns a spec that can be serialized, pushed
 //! through `publish_machine_json`, and hot-swapped at runtime — and the
-//! FRONT generator is constructed to *replay the native adapter's RNG
-//! draw sequence bit for bit* (same per-flow rng → identical defended
+//! FRONT generator is constructed to *replay the native `FrontDefense`'s
+//! RNG draw sequence bit for bit* (same per-flow rng → identical defended
 //! flow), which is what lets the defense matrix prove the machine
 //! runtime faithful against `front.rs`.
 
@@ -293,7 +293,7 @@ mod tests {
     }
 
     /// The headline parity claim: the machine FRONT replays the native
-    /// adapter's rng draws, so the same per-flow rng produces the
+    /// `FrontDefense`'s rng draws, so the same per-flow rng produces the
     /// *identical* defended flow — timestamps, directions, sizes.
     #[test]
     fn machine_front_matches_native_front_per_flow() {

@@ -11,12 +11,9 @@
 //! side — there, outgoing packets are sent at a fraction of the
 //! incoming rate; here the core owns only the inbound direction.
 
-use crate::backend::emulate_trace;
-use crate::overhead::Defended;
 use netsim::{Direction, Nanos, SimRng};
 use stob::defense::{CloseOut, Defense, DefenseCtx, FlowDefense, FlowPkt, PadderCore};
 use stob::machine::surge_schedule;
-use traces::Trace;
 
 #[derive(Debug, Clone, Copy)]
 pub struct RegulatorConfig {
@@ -111,23 +108,20 @@ impl Defense for RegulatorDefense {
     }
 }
 
-/// Apply RegulaTor-lite to a trace. Adapter over the app-layer backend;
-/// the schedule is deterministic, so no randomness is consumed.
-pub fn regulator(trace: &Trace, cfg: &RegulatorConfig) -> Defended {
-    emulate_trace(
-        &RegulatorDefense::new(*cfg),
-        trace,
-        &DefenseCtx::default(),
-        &mut SimRng::new(0),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overhead::bandwidth_overhead;
+    use crate::backend::emulate_trace;
+    use crate::buflo::{BufloConfig, BufloDefense};
+    use crate::overhead::{bandwidth_overhead, Defended};
     use traces::sites::paper_sites;
     use traces::statgen::generate;
+    use traces::Trace;
+
+    /// The schedule is deterministic: no randomness is consumed.
+    fn run(defense: &dyn Defense, t: &Trace) -> Defended {
+        emulate_trace(defense, t, &DefenseCtx::default(), &mut SimRng::new(0))
+    }
 
     fn sample() -> Trace {
         generate(&paper_sites()[2], 2, 0, 1)
@@ -136,7 +130,7 @@ mod tests {
     #[test]
     fn all_real_incoming_packets_are_reemitted() {
         let t = sample();
-        let d = regulator(&t, &RegulatorConfig::default());
+        let d = run(&RegulatorDefense::new(RegulatorConfig::default()), &t);
         let n_in_orig = t.packets.iter().filter(|p| p.dir == Direction::In).count();
         let n_in_def = d
             .trace
@@ -150,7 +144,7 @@ mod tests {
     #[test]
     fn incoming_sizes_are_uniform() {
         let t = sample();
-        let d = regulator(&t, &RegulatorConfig::default());
+        let d = run(&RegulatorDefense::new(RegulatorConfig::default()), &t);
         assert!(d
             .trace
             .packets
@@ -162,7 +156,7 @@ mod tests {
     #[test]
     fn outgoing_traffic_is_untouched() {
         let t = sample();
-        let d = regulator(&t, &RegulatorConfig::default());
+        let d = run(&RegulatorDefense::new(RegulatorConfig::default()), &t);
         let orig: Vec<_> = t
             .packets
             .iter()
@@ -185,7 +179,7 @@ mod tests {
         let pkt = traces::TracePacket::new(Nanos::ZERO, Direction::In, 1514);
         let burst = Trace::new(0, 0, vec![pkt; 100_000]);
         let started = std::time::Instant::now();
-        let d = regulator(&burst, &RegulatorConfig::default());
+        let d = run(&RegulatorDefense::new(RegulatorConfig::default()), &burst);
         let took = started.elapsed();
         assert!(took.as_secs() < 2, "100k-packet burst took {took:?}");
         // The backlog never empties, so every slot carries a real packet
@@ -199,7 +193,7 @@ mod tests {
     fn padding_respects_budget() {
         let t = sample();
         let cfg = RegulatorConfig::default();
-        let d = regulator(&t, &cfg);
+        let d = run(&RegulatorDefense::new(cfg), &t);
         let n_in = t.packets.iter().filter(|p| p.dir == Direction::In).count();
         assert!(d.dummy_pkts <= (n_in as f64 * cfg.padding_budget) as usize);
     }
@@ -207,9 +201,9 @@ mod tests {
     #[test]
     fn cheaper_than_buflo_more_than_nothing() {
         let t = sample();
-        let d = regulator(&t, &RegulatorConfig::default());
+        let d = run(&RegulatorDefense::new(RegulatorConfig::default()), &t);
         let bw = bandwidth_overhead(&t, &d);
-        let bf = crate::buflo::buflo(&t, &crate::buflo::BufloConfig::default());
+        let bf = run(&BufloDefense::new(BufloConfig::default()), &t);
         let bw_bf = bandwidth_overhead(&t, &bf);
         assert!(bw > 0.0, "RegulaTor pads at least a little: {bw}");
         assert!(bw < bw_bf, "RegulaTor ({bw}) must undercut BuFLO ({bw_bf})");
@@ -219,7 +213,7 @@ mod tests {
     fn decaying_rate_spreads_the_tail() {
         // Later slots are wider than early ones within one surge.
         let t = sample();
-        let d = regulator(&t, &RegulatorConfig::default());
+        let d = run(&RegulatorDefense::new(RegulatorConfig::default()), &t);
         let times: Vec<Nanos> = d
             .trace
             .packets

@@ -9,13 +9,10 @@
 //!
 //! Table 1 row: Tor, regularization, padding + timing modification.
 
-use crate::backend::{emulate_trace, TraceBank};
-use crate::overhead::Defended;
 use netsim::{Direction, Nanos, SimRng};
 use stob::defense::{
     CloseOut, Defense, DefenseCtx, Emit, FlowDefense, FlowPkt, PadderCore, ReferenceBank,
 };
-use traces::Trace;
 
 #[derive(Debug, Clone, Copy)]
 pub struct SurakavConfig {
@@ -158,11 +155,10 @@ impl PadderCore for SurakavCore {
     }
 }
 
-/// Legacy reference choice, shared by [`SurakavDefense`] and
-/// [`surakav_from_bank`]: a uniformly random bank entry with a different
-/// label than the victim when one exists, any entry otherwise. One draw
-/// either way; the k-th other-label entry is found by walking, not by
-/// collecting the bank's indices per flow.
+/// [`SurakavDefense`]'s reference choice: a uniformly random bank entry
+/// with a different label than the victim when one exists, any entry
+/// otherwise. One draw either way; the k-th other-label entry is found
+/// by walking, not by collecting the bank's indices per flow.
 pub fn pick_reference(bank: &dyn ReferenceBank, label: usize, rng: &mut SimRng) -> usize {
     assert!(!bank.is_empty(), "empty reference bank");
     let n_others = bank.len() - bank.count_label(label);
@@ -174,42 +170,6 @@ pub fn pick_reference(bank: &dyn ReferenceBank, label: usize, rng: &mut SimRng) 
         .filter(|&i| bank.label(i) != label)
         .nth(k)
         .expect("k < number of other-label entries")
-}
-
-/// The per-flow defense enforcing one reference schedule. A reference
-/// with no inbound packets has no schedule to enforce — the core would
-/// own the inbound direction and re-emit none of it — so it degrades the
-/// flow to pass-through (counted), like a missing bank.
-fn flow_defense(cfg: SurakavConfig, ref_times: Vec<Nanos>) -> FlowDefense {
-    if ref_times.is_empty() {
-        netsim::tm_counter!("stob.registry.degraded").inc();
-        return FlowDefense::passthrough("Surakav (lite)");
-    }
-    FlowDefense {
-        padding: Some(Box::new(SurakavCore {
-            cfg,
-            ref_times,
-            orig_in: Vec::new(),
-            real_bytes: 0,
-        })),
-        ..FlowDefense::passthrough("Surakav (lite)")
-    }
-}
-
-/// Surakav-lite with a fixed, pre-chosen reference schedule.
-struct FixedRefSurakav {
-    cfg: SurakavConfig,
-    ref_times: Vec<Nanos>,
-}
-
-impl Defense for FixedRefSurakav {
-    fn name(&self) -> &str {
-        "Surakav (lite)"
-    }
-
-    fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
-        flow_defense(self.cfg, self.ref_times.clone())
-    }
 }
 
 /// Surakav-lite as a placement-agnostic [`Defense`]: per flow, draw a
@@ -234,50 +194,48 @@ impl Defense for SurakavDefense {
     }
 
     fn build(&self, ctx: &DefenseCtx, rng: &mut SimRng) -> FlowDefense {
-        let Some(bank) = ctx.bank.filter(|b| !b.is_empty()) else {
+        let ref_times = match ctx.bank.filter(|b| !b.is_empty()) {
+            Some(bank) => bank.in_times(pick_reference(bank, ctx.label, rng)),
+            None => Vec::new(),
+        };
+        // No bank, or a reference with no inbound packets, is no schedule
+        // to enforce — the core would own the inbound direction and
+        // re-emit none of it.
+        if ref_times.is_empty() {
             netsim::tm_counter!("stob.registry.degraded").inc();
             return FlowDefense::passthrough("Surakav (lite)");
-        };
-        let idx = pick_reference(bank, ctx.label, rng);
-        flow_defense(self.cfg, bank.in_times(idx))
+        }
+        FlowDefense {
+            padding: Some(Box::new(SurakavCore {
+                cfg: self.cfg,
+                ref_times,
+                orig_in: Vec::new(),
+                real_bytes: 0,
+            })),
+            ..FlowDefense::passthrough("Surakav (lite)")
+        }
     }
-}
-
-/// Apply Surakav-lite: re-emit `trace`'s incoming bytes on `reference`'s
-/// incoming schedule. Adapter over the app-layer backend.
-pub fn surakav(trace: &Trace, reference: &Trace, cfg: &SurakavConfig) -> Defended {
-    let ref_times: Vec<Nanos> = reference
-        .packets
-        .iter()
-        .filter(|p| p.dir == Direction::In)
-        .map(|p| p.ts)
-        .collect();
-    let d = FixedRefSurakav {
-        cfg: *cfg,
-        ref_times,
-    };
-    emulate_trace(&d, trace, &DefenseCtx::default(), &mut SimRng::new(0))
-}
-
-/// Convenience: pick a reference from a bank (a different label than the
-/// victim when possible).
-pub fn surakav_from_bank<'a>(
-    trace: &Trace,
-    bank: &'a [Trace],
-    cfg: &SurakavConfig,
-    rng: &mut SimRng,
-) -> (Defended, &'a Trace) {
-    let idx = pick_reference(&TraceBank::new(bank), trace.label, rng);
-    let reference = &bank[idx];
-    (surakav(trace, reference, cfg), reference)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overhead::bandwidth_overhead;
+    use crate::backend::{emulate_trace, TraceBank};
+    use crate::overhead::{bandwidth_overhead, Defended};
     use traces::sites::paper_sites;
     use traces::statgen::{generate, generate_corpus};
+    use traces::Trace;
+
+    /// Re-emit `v`'s incoming bytes on `reference`'s incoming schedule:
+    /// a one-trace bank leaves the pick no choice.
+    fn on_schedule_of(reference: &Trace, v: &Trace, cfg: &SurakavConfig) -> Defended {
+        let bank = TraceBank::new(std::slice::from_ref(reference));
+        let ctx = DefenseCtx {
+            label: v.label,
+            bank: Some(&bank),
+        };
+        emulate_trace(&SurakavDefense::new(*cfg), v, &ctx, &mut SimRng::new(0))
+    }
 
     fn victim() -> Trace {
         generate(&paper_sites()[8], 8, 0, 1) // heavy site
@@ -292,7 +250,7 @@ mod tests {
         // compress it below the reference's spacing.
         let v = victim();
         let r = reference();
-        let d = surakav(&v, &r, &SurakavConfig::default());
+        let d = on_schedule_of(&r, &v, &SurakavConfig::default());
         let gaps = |t: &Trace| {
             let times: Vec<Nanos> = t
                 .packets
@@ -313,7 +271,7 @@ mod tests {
     fn all_real_bytes_are_carried() {
         let v = victim();
         let r = reference();
-        let d = surakav(&v, &r, &SurakavConfig::default());
+        let d = on_schedule_of(&r, &v, &SurakavConfig::default());
         let capacity = d
             .trace
             .packets
@@ -336,7 +294,7 @@ mod tests {
         for p in &mut fast_ref.packets {
             p.ts = Nanos(p.ts.0 / 50); // absurdly fast schedule
         }
-        let d = surakav(&v, &fast_ref, &SurakavConfig::default());
+        let d = on_schedule_of(&fast_ref, &v, &SurakavConfig::default());
         assert!(
             d.real_done >= v.duration(),
             "real data finished at {} before the original {}",
@@ -349,7 +307,7 @@ mod tests {
     fn light_victim_on_heavy_reference_pads() {
         let v = reference(); // light
         let r = victim(); // heavy schedule
-        let d = surakav(&v, &r, &SurakavConfig::default());
+        let d = on_schedule_of(&r, &v, &SurakavConfig::default());
         assert!(d.dummy_pkts > 0, "must pad to fill the reference");
         let bw = bandwidth_overhead(&v, &d);
         assert!(bw > 0.5, "imitating a heavy site is expensive: {bw}");
@@ -366,8 +324,8 @@ mod tests {
         let b = generate(&paper_sites()[4], 4, 0, 3);
         let r = victim();
         let cfg = SurakavConfig::default();
-        let da = surakav(&a, &r, &cfg);
-        let db = surakav(&b, &r, &cfg);
+        let da = on_schedule_of(&r, &a, &cfg);
+        let db = on_schedule_of(&r, &b, &cfg);
         let gaps = |t: &Trace| {
             let times: Vec<Nanos> = t
                 .packets
@@ -427,7 +385,7 @@ mod tests {
                 keep
             );
             let (deg0, ext0) = (degraded.get(), extended.get());
-            let d = surakav(&v, &r, &cfg);
+            let d = on_schedule_of(&r, &v, &cfg);
             if keep == 0 {
                 assert_eq!(d.trace, v, "no schedule: pass-through");
                 assert_eq!(d.dummy_pkts, 0);
@@ -467,7 +425,7 @@ mod tests {
         let pkt = traces::TracePacket::new(Nanos::ZERO, Direction::In, 1514);
         let burst = Trace::new(0, 0, vec![pkt; 100_000]);
         let started = std::time::Instant::now();
-        let d = surakav(&burst, &reference(), &SurakavConfig::default());
+        let d = on_schedule_of(&reference(), &burst, &SurakavConfig::default());
         let took = started.elapsed();
         assert!(took.as_secs() < 2, "100k-packet burst took {took:?}");
         assert_eq!(d.dummy_pkts, 0, "the tail replay stops at the data");
@@ -525,7 +483,7 @@ mod tests {
         let v = generate(&sites[0], 0, 9, 6);
         let mut rng = SimRng::new(4);
         for _ in 0..10 {
-            let (_, r) = surakav_from_bank(&v, &bank, &SurakavConfig::default(), &mut rng);
+            let r = &bank[pick_reference(&TraceBank::new(&bank), v.label, &mut rng)];
             assert_ne!(r.label, v.label);
         }
     }

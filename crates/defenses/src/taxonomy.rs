@@ -97,28 +97,28 @@ pub fn table1() -> Vec<TaxonomyEntry> {
             Tor,
             Regularization,
             &[Padding, Timing],
-            I::Full("defenses::buflo::buflo"),
+            I::Full("defenses::BufloDefense"),
         ),
         e(
             "Tamaraw",
             Tor,
             Regularization,
             &[Padding, Timing],
-            I::Full("defenses::buflo::tamaraw"),
+            I::Full("defenses::TamarawDefense"),
         ),
         e(
             "RegulaTor",
             Tor,
             Regularization,
             &[Padding, Timing],
-            I::Lite("defenses::regulator::regulator"),
+            I::Lite("defenses::RegulatorDefense"),
         ),
         e(
             "Surakav",
             Tor,
             Regularization,
             &[Padding, Timing],
-            I::Lite("defenses::surakav::surakav"),
+            I::Lite("defenses::SurakavDefense"),
         ),
         e("Palette", Tor, Regularization, &[Padding, Timing], I::None),
         e(
@@ -126,14 +126,14 @@ pub fn table1() -> Vec<TaxonomyEntry> {
             Tor,
             Obfuscation,
             &[Padding, Timing],
-            I::Lite("defenses::wtfpad::wtfpad"),
+            I::Lite("defenses::WtfPadDefense"),
         ),
         e(
             "FRONT",
             Tor,
             Obfuscation,
             &[Padding, Timing],
-            I::Full("defenses::front::front"),
+            I::Full("defenses::FrontDefense"),
         ),
         e("BLANKET", Tor, Obfuscation, &[Padding, Timing], I::None),
         e("Morphing", Tls, Obfuscation, &[Timing, PacketSize], I::None),
@@ -142,7 +142,7 @@ pub fn table1() -> Vec<TaxonomyEntry> {
             Tls,
             Obfuscation,
             &[Timing, PacketSize],
-            I::Lite("stob (small rwnd/MSS via StackConfig) + emulate::split"),
+            I::Lite("stob (small rwnd/MSS via StackConfig) + defenses::Section3Defense"),
         ),
         e(
             "Burst Defense",

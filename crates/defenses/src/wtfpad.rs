@@ -8,11 +8,8 @@
 //!
 //! Table 1 row: Tor-class, obfuscation, padding + timing modification.
 
-use crate::backend::emulate_trace;
-use crate::overhead::Defended;
 use netsim::{Direction, Nanos, SimRng};
 use stob::defense::{CloseOut, Defense, DefenseCtx, Emit, FlowDefense, FlowPkt, PadderCore};
-use traces::Trace;
 
 #[derive(Debug, Clone, Copy)]
 pub struct WtfPadConfig {
@@ -117,23 +114,19 @@ impl Defense for WtfPadDefense {
     }
 }
 
-/// Apply WTF-PAD-lite to a trace. Adapter over the app-layer backend.
-pub fn wtfpad(trace: &Trace, cfg: &WtfPadConfig, rng: &mut SimRng) -> Defended {
-    emulate_trace(
-        &WtfPadDefense::new(*cfg),
-        trace,
-        &DefenseCtx::default(),
-        rng,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::overhead::{bandwidth_overhead, latency_overhead};
+    use crate::backend::emulate_trace;
+    use crate::buflo::{BufloConfig, BufloDefense};
+    use crate::overhead::{bandwidth_overhead, latency_overhead, Defended};
     use traces::sites::paper_sites;
     use traces::statgen::generate;
-    use traces::TracePacket;
+    use traces::{Trace, TracePacket};
+
+    fn run(defense: &dyn Defense, t: &Trace, rng: &mut SimRng) -> Defended {
+        emulate_trace(defense, t, &DefenseCtx::default(), rng)
+    }
 
     fn sample() -> Trace {
         generate(&paper_sites()[4], 4, 0, 1)
@@ -143,7 +136,7 @@ mod tests {
     fn fills_large_gaps_with_dummies() {
         let t = sample();
         let mut rng = SimRng::new(1);
-        let d = wtfpad(&t, &WtfPadConfig::default(), &mut rng);
+        let d = run(&WtfPadDefense::new(WtfPadConfig::default()), &t, &mut rng);
         assert!(d.dummy_pkts > 0, "page loads have think-time gaps");
         assert!(d.trace.is_well_formed());
         assert_eq!(d.trace.len(), t.len() + d.dummy_pkts);
@@ -153,7 +146,7 @@ mod tests {
     fn zero_delay_for_real_packets() {
         let t = sample();
         let mut rng = SimRng::new(2);
-        let d = wtfpad(&t, &WtfPadConfig::default(), &mut rng);
+        let d = run(&WtfPadDefense::new(WtfPadConfig::default()), &t, &mut rng);
         assert!(latency_overhead(&t, &d).abs() < 1e-9);
     }
 
@@ -163,8 +156,8 @@ mod tests {
         // padding costs; verify the ordering on the same trace.
         let t = sample();
         let mut rng = SimRng::new(3);
-        let wp = wtfpad(&t, &WtfPadConfig::default(), &mut rng);
-        let bf = crate::buflo::buflo(&t, &crate::buflo::BufloConfig::default());
+        let wp = run(&WtfPadDefense::new(WtfPadConfig::default()), &t, &mut rng);
+        let bf = run(&BufloDefense::new(BufloConfig::default()), &t, &mut rng);
         let bw_wp = bandwidth_overhead(&t, &wp);
         let bw_bf = bandwidth_overhead(&t, &bf);
         assert!(
@@ -180,7 +173,7 @@ mod tests {
         let t = sample();
         let mut rng = SimRng::new(4);
         let cfg = WtfPadConfig::default();
-        let d = wtfpad(&t, &cfg, &mut rng);
+        let d = run(&WtfPadDefense::new(cfg), &t, &mut rng);
         let long_gaps = |tr: &Trace| {
             let times: Vec<Nanos> = tr
                 .packets
@@ -214,7 +207,7 @@ mod tests {
             ..WtfPadConfig::default()
         };
         let mut rng = SimRng::new(5);
-        let d = wtfpad(&t, &cfg, &mut rng);
+        let d = run(&WtfPadDefense::new(cfg), &t, &mut rng);
         assert!(d.dummy_pkts <= 2);
     }
 }

@@ -170,8 +170,9 @@ where
 // Wall-clock stage timing
 // ---------------------------------------------------------------------
 
-/// Lightweight per-stage wall-clock collection, rendered into the bench
-/// JSON output so speedups are measurable run-to-run.
+/// Lightweight per-stage wall-clock collection, rendered on the bench
+/// bins' stderr (never into their JSON reports, which stay
+/// deterministic).
 #[derive(Debug, Default)]
 pub struct Timings {
     stages: Vec<(String, f64)>,
@@ -213,16 +214,6 @@ impl Timings {
 
     pub fn is_empty(&self) -> bool {
         self.stages.is_empty()
-    }
-
-    /// JSON object `{stage: seconds, ..., "total": seconds}` plus the
-    /// thread count the run used.
-    pub fn to_json(&self) -> crate::json::Json {
-        let mut obj = crate::json::Json::obj().set("threads", threads() as u64);
-        for (stage, secs) in &self.stages {
-            obj = obj.set(stage, *secs);
-        }
-        obj.set("total_secs", self.total())
     }
 }
 
@@ -333,9 +324,11 @@ mod tests {
         t.push("emulate", 0.5);
         assert!(t.get("fit").expect("fit stage") >= 1.0);
         assert!(t.total() >= 1.5);
-        let json = t.to_json();
-        assert!(json.get("fit").is_some());
-        assert!(json.get("threads").is_some());
-        assert!(format!("{t}").contains("emulate="));
+        let line = format!("{t}");
+        assert!(line.starts_with("[timings threads="), "{line}");
+        assert!(
+            line.contains(" fit=") && line.contains(" emulate="),
+            "{line}"
+        );
     }
 }

@@ -8,7 +8,8 @@
 //! the pacing clock, the CPU-cost charge, and the tracer hookup, and it
 //! applies the canonical stage order for every transport ([`TcpConn`](crate::tcp::TcpConn)
 //! and [`QuicConn`](crate::quic::QuicConn) both delegate here; a third transport adds zero new
-//! shaping code):
+//! shaping code — and zero driver code, `net::Network` holding every
+//! connection as a boxed [`TransportCore`]):
 //!
 //! ```text
 //!  transport proposal (CC autosize / GSO batch)
@@ -578,10 +579,9 @@ impl EgressPipeline {
     }
 }
 
-/// Summary stats shared by every transport — the fields common to
-/// `ConnStats` (TCP) and `QuicStats`, under one vocabulary. Obtained via
-/// `Network::flow_stats` / `Api::flow_stats` for any flow regardless of
-/// transport.
+/// Summary stats every transport keeps, under one vocabulary. Obtained
+/// via `Network::flow_stats` / `Api::flow_stats` for any flow regardless
+/// of transport.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowStats {
     /// In-order payload bytes handed to the application.
@@ -592,10 +592,11 @@ pub struct FlowStats {
     pub pkts_sent: u64,
     /// Pure ACK packets sent.
     pub acks_sent: u64,
-    /// Loss-repair transmissions (TCP fast retransmits / QUIC
-    /// retransmitted datagrams).
+    /// Loss-repair transmissions (TCP fast retransmits / QUIC and
+    /// multipath retransmitted datagrams).
     pub retransmits: u64,
-    /// Timer-driven recoveries (TCP RTOs / QUIC PTOs).
+    /// Timer-driven recoveries (TCP RTOs / QUIC PTOs / multipath
+    /// failovers).
     pub timeouts: u64,
     /// Segments altered by the egress pipeline (resegmented, resized,
     /// or delayed).
@@ -606,14 +607,19 @@ pub struct FlowStats {
 /// segments, accept packets and timers, expose the congestion state the
 /// §4.2 safety audit needs, and accept NIC release notifications.
 ///
-/// [`TcpConn`](crate::tcp::TcpConn) and [`QuicConn`](crate::quic::QuicConn) implement this; `net::Network` drives
-/// connections exclusively through it (plus a narrow escape hatch for
-/// transport-specific stats). The module-level example shows a minimal
-/// custom implementation.
-///
-/// [`TcpConn`](crate::tcp::TcpConn): crate::tcp::TcpConn
-/// [`QuicConn`](crate::quic::QuicConn): crate::quic::QuicConn
+/// [`TcpConn`](crate::tcp::TcpConn), [`QuicConn`](crate::quic::QuicConn) and
+/// [`Multiplex`](crate::mux::Multiplex) implement this; `net::Network`
+/// holds every connection as a `Box<dyn TransportCore>` and drives it
+/// through nothing else. The module-level example shows a minimal custom
+/// implementation.
 pub trait TransportCore {
+    /// Active open (client side): the packets and timers that start the
+    /// handshake. A transport without one — the flow is usable at once —
+    /// keeps the default.
+    fn connect(&mut self, _now: Nanos) -> Vec<TcpAction> {
+        Vec::new()
+    }
+
     /// Process one arriving packet; returns effects for the driver.
     fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction>;
 
@@ -631,6 +637,11 @@ pub trait TransportCore {
     /// Application write: accept up to `len` bytes into the send buffer;
     /// returns the bytes accepted.
     fn write(&mut self, len: u64) -> u64;
+
+    /// Application close of our direction; the driver calls `output`
+    /// next. A transport that models no close handshake (QUIC-lite has
+    /// no CONNECTION_CLOSE frame) keeps the default.
+    fn close(&mut self) {}
 
     /// The NIC finished serializing `wire_bytes` of this flow (TSQ
     /// release notification). Transports without small-queue

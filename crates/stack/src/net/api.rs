@@ -3,7 +3,7 @@
 //! (TCP, QUIC, or any custom [`TransportCore`]), socket-style writes,
 //! shaper installation, timers, and per-flow stats.
 
-use super::host::{Conn, Transport};
+use super::host::Conn;
 use super::{Ev, Network, CLIENT};
 use crate::config::StackConfig;
 use crate::egress::{FlowStats, TransportCore};
@@ -48,51 +48,20 @@ impl<'a> Api<'a> {
     /// Open a connection with an explicit stack config and optional
     /// shaper (the `setsockopt`-style control surface §5.3 points at).
     pub fn connect_with(&mut self, cfg: StackConfig, shaper: Option<BoxShaper>) -> FlowId {
-        assert_eq!(self.host, CLIENT, "only the client opens connections");
-        let flow = FlowId(self.net.next_flow);
-        self.net.next_flow += 1;
-        let mut conn = TcpConn::new(flow, cfg, true);
-        if let Some(s) = shaper {
-            conn.set_shaper(s);
-        }
-        if let Some(tr) = &self.net.tracer {
-            conn.set_tracer(tr.clone());
-        }
-        let now = self.net.q.now();
-        let acts = conn.connect(now);
-        self.net.hosts[self.host]
-            .conns
-            .insert(flow, Conn::new(Transport::Tcp(conn)));
-        self.net.apply(self.host, flow, acts);
-        flow
+        self.open(|flow| Box::new(TcpConn::new(flow, cfg, true)), shaper)
     }
 
     /// Open a QUIC connection to the other host (client side only).
     pub fn connect_quic(&mut self, cfg: StackConfig, shaper: Option<BoxShaper>) -> FlowId {
-        assert_eq!(self.host, CLIENT, "only the client opens connections");
-        let flow = FlowId(self.net.next_flow);
-        self.net.next_flow += 1;
-        let mut conn = QuicConn::new(flow, cfg, true);
-        if let Some(s) = shaper {
-            conn.set_shaper(s);
-        }
-        if let Some(tr) = &self.net.tracer {
-            conn.set_tracer(tr.clone());
-        }
-        let now = self.net.q.now();
-        let acts = conn.connect(now);
-        self.net.hosts[self.host]
-            .conns
-            .insert(flow, Conn::new(Transport::Quic(conn)));
-        self.net.apply(self.host, flow, acts);
-        flow
+        self.open(|flow| Box::new(QuicConn::new(flow, cfg, true)), shaper)
     }
 
     /// Install a custom transport (client side only). The constructor
     /// receives the allocated flow id; the returned [`TransportCore`] is
     /// driven through the same qdisc/NIC datapath as TCP and QUIC.
     ///
-    /// Custom transports perform no handshake in this model: the flow is
+    /// A custom transport that keeps the default
+    /// [`TransportCore::connect`] performs no handshake: the flow is
     /// usable immediately, and data pushed via [`Api::send`] flows as
     /// soon as the transport's `output` emits segments. See the
     /// crate-level example in [`crate::egress`] for a full walk-through.
@@ -100,16 +69,31 @@ impl<'a> Api<'a> {
         &mut self,
         make: impl FnOnce(FlowId) -> Box<dyn TransportCore>,
     ) -> FlowId {
+        self.open(make, None)
+    }
+
+    /// The one active open: allocate the flow id, build the transport,
+    /// hand it the shaper and tracer, and start its handshake.
+    fn open(
+        &mut self,
+        make: impl FnOnce(FlowId) -> Box<dyn TransportCore>,
+        shaper: Option<BoxShaper>,
+    ) -> FlowId {
         assert_eq!(self.host, CLIENT, "only the client opens connections");
         let flow = FlowId(self.net.next_flow);
         self.net.next_flow += 1;
         let mut core = make(flow);
+        if let Some(s) = shaper {
+            core.set_shaper(s);
+        }
         if let Some(tr) = &self.net.tracer {
             core.set_tracer(tr.clone());
         }
+        let acts = core.connect(self.net.q.now());
         self.net.hosts[self.host]
             .conns
-            .insert(flow, Conn::new(Transport::Custom(core)));
+            .insert(flow, Conn::new(core));
+        self.net.apply(self.host, flow, acts);
         flow
     }
 
@@ -118,7 +102,7 @@ impl<'a> Api<'a> {
     /// accepted connections.
     pub fn set_shaper(&mut self, flow: FlowId, shaper: BoxShaper) {
         if let Some(conn) = self.net.hosts[self.host].conns.get_mut(&flow) {
-            conn.core_mut().set_shaper(shaper);
+            conn.core.set_shaper(shaper);
         }
     }
 
@@ -130,29 +114,25 @@ impl<'a> Api<'a> {
             let Some(conn) = h.conns.get_mut(&flow) else {
                 return 0;
             };
-            let core = conn.core_mut();
-            let accepted = core.write(bytes);
-            let acts = core.output(now, &mut h.cpu);
+            let accepted = conn.core.write(bytes);
+            let acts = conn.core.output(now, &mut h.cpu);
             (accepted, acts)
         };
         self.net.apply(self.host, flow, acts);
         accepted
     }
 
-    /// Close our direction of the connection (FIN after queued data).
+    /// Close our direction of the connection (FIN after queued data, on
+    /// a transport that models one — see [`TransportCore::close`]).
     pub fn close(&mut self, flow: FlowId) {
         let now = self.net.q.now();
         let acts = {
             let h = &mut self.net.hosts[self.host];
-            // QUIC-lite models no CONNECTION_CLOSE frame; closing is a
-            // TCP-only operation here.
-            match h.conns.get_mut(&flow).and_then(Conn::as_tcp_mut) {
-                Some(conn) => {
-                    conn.close();
-                    conn.output(now, &mut h.cpu)
-                }
-                None => return,
-            }
+            let Some(conn) = h.conns.get_mut(&flow) else {
+                return;
+            };
+            conn.core.close();
+            conn.core.output(now, &mut h.cpu)
         };
         self.net.apply(self.host, flow, acts);
     }
@@ -232,7 +212,7 @@ impl<'a> Api<'a> {
         self.net.hosts[self.host]
             .conns
             .get(&flow)
-            .and_then(|t| t.core().srtt())
+            .and_then(|t| t.core.srtt())
     }
 
     /// Deterministic per-app randomness.

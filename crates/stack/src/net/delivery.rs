@@ -2,12 +2,13 @@
 //! queues, fault injection at path entry, and packet arrival (including
 //! passive open of server-side connections).
 //!
-//! Every connection is driven exclusively through
-//! [`TransportCore`](crate::egress::TransportCore) — this file contains
-//! no transport-specific code beyond the passive-open constructor choice.
+//! Every connection is driven exclusively through [`TransportCore`] —
+//! this file contains no transport-specific code beyond the passive-open
+//! constructor choice (`accept`).
 
-use super::host::{Conn, Transport};
+use super::host::Conn;
 use super::{Api, Ev, Network, CLIENT, SERVER};
+use crate::egress::TransportCore;
 use crate::qdisc::{Poll, SegDesc};
 use crate::quic::QuicConn;
 use crate::tcp::{TcpAction, TcpConn, TimerKind};
@@ -35,9 +36,8 @@ impl Network {
                 let now = self.q.now();
                 let h = &mut self.hosts[host];
                 if let Some(conn) = h.conns.get_mut(&flow) {
-                    let core = conn.core_mut();
-                    core.on_nic_release(wire);
-                    let acts = core.output(now, &mut h.cpu);
+                    conn.core.on_nic_release(wire);
+                    let acts = conn.core.output(now, &mut h.cpu);
                     self.apply(host, flow, acts);
                 }
                 // The NIC frees at this instant: keep feeding it from
@@ -126,7 +126,7 @@ impl Network {
         }
         for h in self.hosts.iter_mut() {
             for conn in h.conns.values_mut() {
-                conn.core_mut().set_mtu(new_mtu_ip);
+                conn.core.set_mtu(new_mtu_ip);
             }
         }
     }
@@ -151,10 +151,7 @@ impl Network {
                 .sum();
             if fresh > 0 {
                 let (outstanding, grant) = match self.hosts[host].conns.get(&flow) {
-                    Some(t) => {
-                        let c = t.core();
-                        (c.outstanding().max(fresh), c.cwnd())
-                    }
+                    Some(t) => (t.core.outstanding().max(fresh), t.core.cwnd()),
                     None => (0, u64::MAX),
                 };
                 let s = &self.hosts[host].cfg.stack;
@@ -266,12 +263,12 @@ impl Network {
         }
         slot.live = None;
         let gen = slot.gen;
-        let acts = conn.core_mut().on_timer(kind, gen, now);
+        let acts = conn.core.on_timer(kind, gen, now);
         self.apply(host, flow, acts);
         let more = {
             let h = &mut self.hosts[host];
             match h.conns.get_mut(&flow) {
-                Some(conn) => conn.core_mut().output(now, &mut h.cpu),
+                Some(conn) => conn.core.output(now, &mut h.cpu),
                 None => return,
             }
         };
@@ -614,41 +611,43 @@ impl Network {
                 w.last_progress = now;
             }
         }
-        // Passive open: a SYN (TCP) or Initial (QUIC) for an unknown
-        // flow creates the server connection.
         if !self.hosts[host].conns.contains_key(&flow) {
-            let mut conn = Conn::new(if pkt.kind == PacketKind::TcpSyn && host == SERVER {
-                let cfg = self.hosts[host].cfg.stack.clone();
-                Transport::Tcp(TcpConn::new(flow, cfg, false))
-            } else if pkt.kind == PacketKind::QuicInit && host == SERVER {
-                let cfg = self.hosts[host].cfg.stack.clone();
-                Transport::Quic(QuicConn::new(flow, cfg, false))
-            } else if pkt.kind == PacketKind::MuxInit && host == SERVER {
-                match self.custom_acceptor.as_mut() {
-                    Some(make) => Transport::Custom(make(flow)),
-                    None => return, // no acceptor installed: stray
-                }
-            } else {
+            // Only the server opens passively.
+            let opened = (host == SERVER).then(|| self.accept(pkt.kind, flow));
+            let Some(mut core) = opened.flatten() else {
                 return; // stray packet for a dead/unknown flow
-            });
+            };
             if let Some(tr) = &self.tracer {
-                conn.core_mut().set_tracer(tr.clone());
+                core.set_tracer(tr.clone());
             }
-            self.hosts[host].conns.insert(flow, conn);
+            self.hosts[host].conns.insert(flow, Conn::new(core));
         }
         let acts = {
             let h = &mut self.hosts[host];
             let conn = h.conns.get_mut(&flow).expect("conn just ensured");
-            conn.core_mut().input(&pkt, now, &mut h.cpu)
+            conn.core.input(&pkt, now, &mut h.cpu)
         };
         self.apply(host, flow, acts);
         let more = {
             let h = &mut self.hosts[host];
             match h.conns.get_mut(&flow) {
-                Some(conn) => conn.core_mut().output(now, &mut h.cpu),
+                Some(conn) => conn.core.output(now, &mut h.cpu),
                 None => return,
             }
         };
         self.apply(host, flow, more);
+    }
+
+    /// Passive open: the server's transport for an unknown flow's first
+    /// packet — a SYN (TCP), an Initial (QUIC), or a multipath hello
+    /// through the installed custom acceptor. Anything else is a stray.
+    fn accept(&mut self, kind: PacketKind, flow: FlowId) -> Option<Box<dyn TransportCore>> {
+        let cfg = || self.hosts[SERVER].cfg.stack.clone();
+        match kind {
+            PacketKind::TcpSyn => Some(Box::new(TcpConn::new(flow, cfg(), false))),
+            PacketKind::QuicInit => Some(Box::new(QuicConn::new(flow, cfg(), false))),
+            PacketKind::MuxInit => self.custom_acceptor.as_mut().map(|make| make(flow)),
+            _ => None,
+        }
     }
 }

@@ -8,24 +8,7 @@ use crate::cpu::Cpu;
 use crate::egress::TransportCore;
 use crate::nic::Nic;
 use crate::qdisc::FqQdisc;
-use crate::quic::QuicConn;
-use crate::tcp::TcpConn;
 use netsim::Nanos;
-
-/// A transport endpoint: the stack supports TCP and QUIC side by side
-/// (Figure 1's columns share everything below the transport layer), plus
-/// arbitrary user-supplied [`TransportCore`] implementations installed
-/// via `Api::connect_custom`.
-///
-/// The network driver speaks to all variants exclusively through
-/// [`Conn::core`] / [`Conn::core_mut`]; the `as_*` accessors are the
-/// narrow escape hatch for transport-specific stats and operations (TCP
-/// `close`, legacy stats getters).
-pub(super) enum Transport {
-    Tcp(TcpConn),
-    Quic(QuicConn),
-    Custom(Box<dyn TransportCore>),
-}
 
 /// The driver's record of one [`TimerKind`](crate::tcp::TimerKind) of
 /// one connection. A transport may arm the same kind over and over (TCP
@@ -51,47 +34,22 @@ pub(super) struct TimerSlot {
     pub(super) live: Option<(Nanos, u64)>,
 }
 
-/// One entry of a host's connection table: the transport and the
-/// driver's timer bookkeeping for it. They share an entry so that the
-/// slots cannot outlive the connection (`Api::abort`) and a flow id that
-/// is inserted again starts from clean ones.
+/// One entry of a host's connection table: the transport — TCP, QUIC or
+/// any other [`TransportCore`], all driven through that one interface —
+/// and the driver's timer bookkeeping for it. They share an entry so that
+/// the slots cannot outlive the connection (`Api::abort`) and a flow id
+/// that is inserted again starts from clean ones.
 pub(super) struct Conn {
-    transport: Transport,
+    pub(super) core: Box<dyn TransportCore>,
     /// Indexed by `TimerKind as usize`.
     pub(super) timers: [TimerSlot; 3],
 }
 
 impl Conn {
-    pub(super) fn new(transport: Transport) -> Self {
+    pub(super) fn new(core: Box<dyn TransportCore>) -> Self {
         Conn {
-            transport,
+            core,
             timers: Default::default(),
-        }
-    }
-
-    /// The transport-agnostic driver interface.
-    pub(super) fn core(&self) -> &dyn TransportCore {
-        match &self.transport {
-            Transport::Tcp(c) => c,
-            Transport::Quic(c) => c,
-            Transport::Custom(c) => c.as_ref(),
-        }
-    }
-
-    /// Mutable transport-agnostic driver interface.
-    pub(super) fn core_mut(&mut self) -> &mut dyn TransportCore {
-        match &mut self.transport {
-            Transport::Tcp(c) => c,
-            Transport::Quic(c) => c,
-            Transport::Custom(c) => c.as_mut(),
-        }
-    }
-
-    /// TCP-specific escape hatch (`close`).
-    pub(super) fn as_tcp_mut(&mut self) -> Option<&mut TcpConn> {
-        match &mut self.transport {
-            Transport::Tcp(c) => Some(c),
-            _ => None,
         }
     }
 }

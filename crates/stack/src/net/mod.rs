@@ -170,9 +170,10 @@ pub struct Network {
     /// Provisioned multipath legs (`provision_pipes`); empty = classic
     /// single-path operation.
     pub(super) pipes: Vec<PipeState>,
-    /// Passive-open constructor for custom transports: a MuxInit (or any
-    /// Mux datagram) arriving at the server for an unknown flow is
-    /// accepted through this, mirroring TCP SYN / QUIC Initial handling.
+    /// Passive-open constructor for custom transports: a `MuxInit`
+    /// arriving at the server for an unknown flow is accepted through
+    /// this, mirroring TCP SYN / QUIC Initial handling. No other
+    /// multipath datagram opens a flow.
     pub(super) custom_acceptor: Option<CustomAcceptor>,
     pub path_stats: PathStats,
     /// Vantage point at the client access link (the paper's capture
@@ -342,9 +343,9 @@ impl Network {
     }
 
     /// Install the passive-open constructor for custom transports: a
-    /// multipath datagram arriving at the server for an unknown flow
-    /// creates the connection through `make` (the server-side analogue
-    /// of [`Api::connect_custom`]).
+    /// multipath hello (`MuxInit`) arriving at the server for an unknown
+    /// flow creates the connection through `make` (the server-side
+    /// analogue of [`Api::connect_custom`]).
     pub fn set_custom_acceptor(
         &mut self,
         make: impl FnMut(FlowId) -> Box<dyn TransportCore> + 'static,
@@ -388,7 +389,7 @@ impl Network {
     pub fn set_tracer(&mut self, tracer: Tracer) {
         for h in self.hosts.iter_mut() {
             for conn in h.conns.values_mut() {
-                conn.core_mut().set_tracer(tracer.clone());
+                conn.core.set_tracer(tracer.clone());
             }
         }
         self.tracer = Some(tracer);
@@ -469,7 +470,7 @@ impl Network {
         self.hosts[host]
             .conns
             .get(&flow)
-            .map(|t| t.core().flow_stats())
+            .map(|t| t.core.flow_stats())
     }
 
     pub fn cpu(&self, host: usize) -> &Cpu {

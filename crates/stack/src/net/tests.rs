@@ -2,7 +2,7 @@
 //! transfers, loss recovery, QUIC, and fair sharing. Fault-injection and
 //! auditor tests live in `tests_faults`.
 
-use super::host::{Conn, Transport};
+use super::host::Conn;
 use super::{Api, App, Network, CLIENT, SERVER};
 use crate::apps::{BulkSender, NullApp, Sink};
 use crate::config::{CcKind, HostConfig, PathConfig, StackConfig};
@@ -925,7 +925,7 @@ fn abort_takes_the_timers_with_the_connection() {
             host: CLIENT,
         };
         api.abort(flow);
-        let conn = Conn::new(Transport::Custom(Box::new(armer(delay_ms, fired))));
+        let conn = Conn::new(Box::new(armer(delay_ms, fired)));
         assert!(conn.timers.iter().all(|s| s.live.is_none()));
         api.net.hosts[CLIENT].conns.insert(flow, conn);
         api.send(flow, 0);

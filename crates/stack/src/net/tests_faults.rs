@@ -678,7 +678,7 @@ fn auditor_flags_departures_beyond_the_cc_grant() {
         .conns
         .get(&flow)
         .expect("conn")
-        .core()
+        .core
         .cwnd();
     let mss = 1448u64;
     let total = cwnd + 200_000; // far beyond grant + burst slop

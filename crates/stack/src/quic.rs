@@ -60,16 +60,6 @@ struct SentPacket {
     is_retx: bool,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-pub struct QuicStats {
-    pub pkts_sent: u64,
-    pub batches_sent: u64,
-    pub retransmissions: u64,
-    pub ptos: u64,
-    pub bytes_delivered: u64,
-    pub acks_sent: u64,
-}
-
 /// One endpoint of a QUIC-lite connection (single stream).
 pub struct QuicConn {
     pub flow: FlowId,
@@ -106,7 +96,8 @@ pub struct QuicConn {
     stream_delivered: u64,
     ack_counter: u32,
 
-    pub stats: QuicStats,
+    /// `shaped_segs` is read off the egress pipeline in `flow_stats`.
+    pub stats: FlowStats,
 }
 
 impl QuicConn {
@@ -135,7 +126,7 @@ impl QuicConn {
             stream_recv: BTreeMap::new(),
             stream_delivered: 0,
             ack_counter: 0,
-            stats: QuicStats::default(),
+            stats: FlowStats::default(),
             cfg,
         }
     }
@@ -207,7 +198,7 @@ impl QuicConn {
             in_slow_start: self.cc.in_slow_start(),
             bytes_sent: self.snd_offset,
             pkts_sent: self.stats.pkts_sent,
-            segs_sent: self.stats.batches_sent,
+            segs_sent: self.stats.segs_sent,
             mtu_ip: self.max_datagram + DGRAM_HDR,
             mss: self.max_datagram,
         }
@@ -270,7 +261,7 @@ impl QuicConn {
                         // Shrunk retransmission: requeue the tail.
                         self.retx_queue.push((offset + len as u64, want - len));
                     }
-                    self.stats.retransmissions += 1;
+                    self.stats.retransmits += 1;
                 } else {
                     self.snd_offset += len as u64;
                 }
@@ -288,7 +279,7 @@ impl QuicConn {
                     sent_at: Nanos::ZERO,
                     meta: Default::default(),
                 };
-                p.meta.tso_burst = self.stats.batches_sent + 1;
+                p.meta.tso_burst = self.stats.segs_sent + 1;
                 p.meta.retransmit = is_retx;
                 self.unacked.insert(
                     num,
@@ -307,7 +298,7 @@ impl QuicConn {
             }
             self.inflight_bytes += batch_payload;
             self.stats.pkts_sent += pkts.len() as u64;
-            self.stats.batches_sent += 1;
+            self.stats.segs_sent += 1;
             // Stages ④–⑥: CPU charge, pacing gate, shaper extra delay
             // and pacing-clock advance, all in the shared pipeline.
             let wire: u64 = pkts.iter().map(|p| p.wire_len as u64).sum();
@@ -518,7 +509,7 @@ impl QuicConn {
         if self.unacked.is_empty() {
             return Vec::new();
         }
-        self.stats.ptos += 1;
+        self.stats.timeouts += 1;
         self.cc.on_rto(now);
         // Re-queue the earliest unacked range for retransmission.
         let (&n, &sp) = self.unacked.iter().next().expect("nonempty");
@@ -532,6 +523,9 @@ impl QuicConn {
 }
 
 impl TransportCore for QuicConn {
+    fn connect(&mut self, now: Nanos) -> Vec<TcpAction> {
+        QuicConn::connect(self, now)
+    }
     fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
         QuicConn::input(self, pkt, now, cpu)
     }
@@ -574,13 +568,8 @@ impl TransportCore for QuicConn {
     }
     fn flow_stats(&self) -> FlowStats {
         FlowStats {
-            bytes_delivered: self.stats.bytes_delivered,
-            segs_sent: self.stats.batches_sent,
-            pkts_sent: self.stats.pkts_sent,
-            acks_sent: self.stats.acks_sent,
-            retransmits: self.stats.retransmissions,
-            timeouts: self.stats.ptos,
             shaped_segs: self.egress.shaped_segs(),
+            ..self.stats
         }
     }
 }
@@ -769,14 +758,14 @@ mod tests {
             let _ = c.input(a, Nanos::from_millis(50), &mut cc);
         }
         assert!(
-            !c.retx_queue.is_empty() || c.stats.retransmissions > 0,
+            !c.retx_queue.is_empty() || c.stats.retransmits > 0,
             "loss not detected"
         );
         // Retransmission carries the missing range; recovery completes.
         shuttle(&mut c, &mut s, &mut cc, &mut cs, Nanos::from_millis(60));
         assert_eq!(s.delivered(), 8 * DEFAULT_MAX_DATAGRAM as u64);
         assert!(c.cwnd() <= cwnd_before, "loss must not grow cwnd");
-        assert!(c.stats.retransmissions >= 1);
+        assert!(c.stats.retransmits >= 1);
     }
 
     #[test]
@@ -794,7 +783,7 @@ mod tests {
             .expect("PTO armed");
         // The lone packet is lost; the timer fires.
         let _ = c.on_timer(TimerKind::Rto, gen, at);
-        assert_eq!(c.stats.ptos, 1);
+        assert_eq!(c.stats.timeouts, 1);
         // Next output retransmits.
         let acts = c.output(at, &mut cc);
         let retx: Vec<Packet> = acts
@@ -838,7 +827,7 @@ mod tests {
         let _ = c.input(&ack, Nanos::from_millis(32), &mut cc);
         assert!(c.fully_acked());
         assert!(c.on_timer(TimerKind::Rto, gen, at).is_empty());
-        assert_eq!(c.stats.ptos, 0);
+        assert_eq!(c.stats.timeouts, 0);
     }
 
     #[test]

@@ -78,20 +78,6 @@ pub enum TcpAction {
     PeerClosed,
 }
 
-/// Per-connection counters.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ConnStats {
-    pub bytes_acked: u64,
-    pub bytes_delivered: u64,
-    pub segs_sent: u64,
-    pub pkts_sent: u64,
-    pub acks_sent: u64,
-    pub fast_retransmits: u64,
-    pub rtos: u64,
-    pub max_cwnd: u64,
-    pub shaped_segs: u64,
-}
-
 /// One endpoint of a TCP connection.
 pub struct TcpConn {
     pub flow: FlowId,
@@ -147,7 +133,7 @@ pub struct TcpConn {
     data_pkts_sent: u64,
     data_segs_sent: u64,
 
-    pub stats: ConnStats,
+    pub stats: FlowStats,
 }
 
 impl TcpConn {
@@ -188,7 +174,7 @@ impl TcpConn {
             data_bytes_sent: 0,
             data_pkts_sent: 0,
             data_segs_sent: 0,
-            stats: ConnStats::default(),
+            stats: FlowStats::default(),
             cfg,
         }
     }
@@ -452,7 +438,6 @@ impl TcpConn {
             self.data_segs_sent += 1;
             self.stats.segs_sent += 1;
             self.stats.pkts_sent += npkts as u64;
-            self.stats.max_cwnd = self.stats.max_cwnd.max(self.cc.cwnd());
             self.tsq_bytes += wire_bytes;
             if self.rtt_probes.len() < 64 {
                 self.rtt_probes.insert(self.snd_nxt, now);
@@ -533,7 +518,6 @@ impl TcpConn {
         if pkt.ack > self.snd_una {
             let newly = pkt.ack - self.snd_una;
             self.snd_una = pkt.ack;
-            self.stats.bytes_acked += newly;
             self.dup_acks = 0;
             self.rto_backoff = 0;
             let _ = cpu.charge(now, cpu.model.per_ack_rx);
@@ -594,7 +578,7 @@ impl TcpConn {
                 // Fast retransmit.
                 self.recovery_point = Some(self.snd_nxt);
                 self.cc.on_loss(now, self.pipe());
-                self.stats.fast_retransmits += 1;
+                self.stats.retransmits += 1;
                 acts.push(self.retransmit_head(now));
                 acts.extend(self.arm_rto(now));
             }
@@ -802,7 +786,7 @@ impl TcpConn {
                         acts
                     }
                     _ if self.inflight() > 0 => {
-                        self.stats.rtos += 1;
+                        self.stats.timeouts += 1;
                         self.rto_backoff += 1;
                         self.cc.on_rto(now);
                         self.sacked.clear();
@@ -821,6 +805,12 @@ impl TcpConn {
 }
 
 impl TransportCore for TcpConn {
+    fn connect(&mut self, now: Nanos) -> Vec<TcpAction> {
+        TcpConn::connect(self, now)
+    }
+    fn close(&mut self) {
+        TcpConn::close(self);
+    }
     fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
         TcpConn::input(self, pkt, now, cpu)
     }
@@ -865,15 +855,7 @@ impl TransportCore for TcpConn {
         TcpConn::srtt(self)
     }
     fn flow_stats(&self) -> FlowStats {
-        FlowStats {
-            bytes_delivered: self.stats.bytes_delivered,
-            segs_sent: self.stats.segs_sent,
-            pkts_sent: self.stats.pkts_sent,
-            acks_sent: self.stats.acks_sent,
-            retransmits: self.stats.fast_retransmits,
-            timeouts: self.stats.rtos,
-            shaped_segs: self.stats.shaped_segs,
-        }
+        self.stats
     }
 }
 
@@ -1220,7 +1202,7 @@ mod tests {
         assert_eq!(retx[0].seq, 0);
         assert_eq!(retx[0].payload as u64, MSS);
         assert!(a.cwnd() < cwnd_before, "loss must shrink cwnd");
-        assert_eq!(a.stats.fast_retransmits, 1);
+        assert_eq!(a.stats.retransmits, 1);
         // A 4th dup ACK must not retransmit again (recovery point set).
         let acts = a.input(&dup, Nanos::from_millis(2), &mut ca);
         assert!(acts
@@ -1249,7 +1231,7 @@ mod tests {
         assert!(acts
             .iter()
             .any(|x| matches!(x, TcpAction::SendCtl(p) if p.meta.retransmit && p.seq == 0)));
-        assert_eq!(a.stats.rtos, 1);
+        assert_eq!(a.stats.timeouts, 1);
         assert_eq!(a.cwnd(), MSS, "RTO collapses window");
     }
 
@@ -1281,7 +1263,7 @@ mod tests {
             assert_eq!(intervals[i], expect, "interval {i}");
         }
         assert_eq!(intervals[8], intervals[0] * 32, "cap is 64x base RTO");
-        assert_eq!(a.stats.rtos, 9);
+        assert_eq!(a.stats.timeouts, 9);
     }
 
     #[test]
@@ -1353,11 +1335,11 @@ mod tests {
         }
         assert_eq!(retx.len(), 1, "exactly one fast retransmit");
         assert_eq!(retx[0].seq, 0);
-        assert_eq!(a.stats.fast_retransmits, 1);
+        assert_eq!(a.stats.retransmits, 1);
         // The retransmission is lost too: the RTO fires next.
         let fired_at = a.rto_deadline;
         let acts = a.on_timer(TimerKind::Rto, a.rto_gen, fired_at);
-        assert_eq!(a.stats.rtos, 1);
+        assert_eq!(a.stats.timeouts, 1);
         assert_eq!(a.rto_backoff, 1);
         assert!(a.sacked.is_empty(), "RTO flushes the SACK scoreboard");
         assert!(acts
@@ -1403,7 +1385,7 @@ mod tests {
                 ..
             }
         )));
-        assert_eq!(a.stats.rtos, 0);
+        assert_eq!(a.stats.timeouts, 0);
     }
 
     #[test]

@@ -77,37 +77,54 @@ impl Dataset {
             )
     }
 
-    /// Parse the [`Dataset::to_json`] form back.
-    pub fn from_json(v: &Json) -> Result<Dataset, JsonError> {
-        let class_names = v
-            .req_arr("class_names")?
-            .iter()
+    /// The `class_names` member: every entry must be a string, or every
+    /// later label would name the wrong site.
+    fn class_names_from_json(v: &Json) -> Result<Vec<String>, JsonError> {
+        let names = v.req_arr("class_names")?.iter();
+        names
             .map(|n| {
                 n.as_str().map(str::to_string).ok_or(JsonError {
                     offset: 0,
                     message: "class name is not a string".to_string(),
                 })
             })
-            .collect::<Result<Vec<_>, _>>()?;
+            .collect()
+    }
+
+    /// Parse the [`Dataset::to_json`] form back. A trace labelled outside
+    /// the class list is an error, like any other malformed record.
+    pub fn from_json(v: &Json) -> Result<Dataset, JsonError> {
+        let class_names = Self::class_names_from_json(v)?;
         let traces = v
             .req_arr("traces")?
             .iter()
             .map(Trace::from_json)
             .collect::<Result<Vec<_>, _>>()?;
-        Ok(Dataset::new(traces, class_names))
+        if let Some(t) = traces.iter().find(|t| t.label >= class_names.len()) {
+            return Err(JsonError {
+                offset: 0,
+                message: format!(
+                    "trace label {} is outside the {} class names",
+                    t.label,
+                    class_names.len()
+                ),
+            });
+        }
+        Ok(Dataset {
+            traces,
+            class_names,
+        })
     }
 
     /// Like [`Dataset::from_json`], but malformed trace records are
     /// skipped and counted instead of failing the whole load — a corpus
     /// with one truncated line is still ninety-nine good traces. Only a
-    /// missing/unreadable `class_names` or `traces` field (nothing is
-    /// interpretable without them) fails the parse.
+    /// missing/unreadable `class_names` (one non-string entry makes the
+    /// whole list unreadable: dropping it would shift every later label
+    /// onto another site's name) or `traces` field fails the parse —
+    /// nothing is interpretable without them.
     pub fn from_json_lenient(v: &Json) -> Result<(Dataset, LoadStats), JsonError> {
-        let class_names: Vec<String> = v
-            .req_arr("class_names")?
-            .iter()
-            .filter_map(|n| n.as_str().map(str::to_string))
-            .collect();
+        let class_names = Self::class_names_from_json(v)?;
         let mut stats = LoadStats::default();
         let mut traces = Vec::new();
         for item in v.req_arr("traces")? {

@@ -76,6 +76,56 @@ mod tests {
         fs::remove_file(&path).ok();
     }
 
+    /// Write `json` under the test directory and return its path.
+    fn corpus_file(name: &str, json: &Json) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join("stob-io-test");
+        fs::create_dir_all(&dir).expect("tmp dir");
+        let path = dir.join(name);
+        fs::write(&path, json.to_string_compact()).expect("write");
+        path
+    }
+
+    /// A label outside the class list is outside input, not a broken
+    /// internal condition: the strict load refuses it (it used to panic
+    /// in `Dataset::new`), the lenient one counts and skips it.
+    #[test]
+    fn out_of_range_label_is_an_error_not_a_panic() {
+        let sites: Vec<_> = paper_sites().into_iter().take(2).collect();
+        let names: Vec<String> = sites.iter().map(|s| s.name.to_string()).collect();
+        let mut hostile = Dataset::new(generate_corpus(&sites, 2, 1), names);
+        hostile.traces[1].label = 2;
+        let path = corpus_file("bad-label.json", &hostile.to_json());
+        let err = load_dataset(&path).expect_err("strict load must refuse");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let (back, stats) = load_dataset_lenient(&path).expect("lenient load");
+        assert_eq!((back.len(), stats.bad_labels), (hostile.len() - 1, 1));
+        fs::remove_file(&path).ok();
+    }
+
+    /// A class list with a non-string entry cannot be repaired by
+    /// dropping the entry: every later label would then name the wrong
+    /// site. Both loads refuse the file.
+    #[test]
+    fn non_string_class_name_rejects_the_file() {
+        let sites: Vec<_> = paper_sites().into_iter().take(3).collect();
+        let names: Vec<String> = sites.iter().map(|s| s.name.to_string()).collect();
+        let d = Dataset::new(generate_corpus(&sites, 1, 1), names);
+        let json = d.to_json();
+        let mut class_names = json.req_arr("class_names").expect("names").to_vec();
+        class_names[0] = Json::from(7u64);
+        let json = Json::obj()
+            .set("class_names", Json::Arr(class_names))
+            .set("traces", json.field("traces").expect("traces").clone());
+        let path = corpus_file("bad-class-name.json", &json);
+        for err in [
+            load_dataset(&path).expect_err("strict load must refuse"),
+            load_dataset_lenient(&path).expect_err("lenient load must refuse"),
+        ] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        }
+        fs::remove_file(&path).ok();
+    }
+
     #[test]
     fn load_missing_file_errors() {
         let err = load_dataset(Path::new("/nonexistent/nope.json")).unwrap_err();

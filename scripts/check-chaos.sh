@@ -6,11 +6,15 @@
 #      panics, the recovery-off blackout baseline stops failing (which
 #      would make the gate vacuous), or recovery-on completion drops
 #      below the committed floor.
-#   2. Re-run at STOB_THREADS=4 and byte-compare the deterministic JSON
-#      reports, so the watchdog/backoff/breaker machinery cannot become
-#      thread-count-dependent.
+#   2. Re-run at STOB_THREADS=4 and byte-compare both deterministic JSON
+#      reports with the committed tests/golden/chaos_quick.json, so the
+#      watchdog/backoff/breaker machinery can become neither
+#      thread-count-dependent nor different from the last commit's.
 #
 # Usage: scripts/check-chaos.sh
+# To regenerate after an *intentional* behavior change:
+#   STOB_THREADS=1 STOB_JSON_OUT=tests/golden/chaos_quick.json \
+#     cargo run --release --locked -p stob-bench --bin chaos -- --quick
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,11 +25,13 @@ cargo build --release -q -p stob-bench --bin chaos
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-STOB_THREADS=1 STOB_JSON_OUT="$tmp/chaos_t1.json" "$BIN" --quick >/dev/null
-STOB_THREADS=4 STOB_JSON_OUT="$tmp/chaos_t4.json" "$BIN" --quick >/dev/null
-if ! cmp -s "$tmp/chaos_t1.json" "$tmp/chaos_t4.json"; then
-    echo "check-chaos: FAIL — chaos reports differ between 1 and 4 threads" >&2
-    diff "$tmp/chaos_t1.json" "$tmp/chaos_t4.json" >&2 || true
-    exit 1
-fi
-echo "check-chaos: chaos soak passed, report byte-identical at 1 and 4 threads"
+GOLDEN=tests/golden/chaos_quick.json
+for threads in 1 4; do
+    STOB_THREADS=$threads STOB_JSON_OUT="$tmp/chaos.json" "$BIN" --quick >/dev/null
+    if ! cmp -s "$GOLDEN" "$tmp/chaos.json"; then
+        echo "check-chaos: FAIL — chaos report at $threads thread(s) differs from $GOLDEN" >&2
+        diff "$GOLDEN" "$tmp/chaos.json" >&2 || true
+        exit 1
+    fi
+done
+echo "check-chaos: chaos soak passed, report byte-identical to $GOLDEN at 1 and 4 threads"

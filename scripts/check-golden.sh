@@ -4,11 +4,12 @@
 # Guards the refactor invariants: any change to the shared shaping/pacing
 # path or the defense layer that alters simulated behavior shows up here
 # as a diff, even if every unit test still passes. The goldens were
-# produced with the exact invocations below; STOB_JSON_NO_TIMINGS strips
-# wall-clock fields so the dumps are deterministic across machines and
+# produced with the exact invocations below; a STOB_JSON_OUT dump never
+# carries wall-clock fields, so it is deterministic across machines and
 # thread counts. table2, defense_matrix and multipath are each run at 1
 # and 4 threads to pin the fan-out determinism contract (table2's pair
-# is what holds the parallel `collect_dataset` stage at the CLI). The
+# is what holds the parallel `collect_dataset` stage at the CLI), and so
+# is table1, whose measured-overhead rows hold `run_overheads`. The
 # fleet's report (work counts + emission checksum + telemetry totals, no
 # timings) is held the same way: the quick population at 1 and 4
 # threads, the full 1M-flow population at 1 thread (thread-invariance
@@ -23,11 +24,11 @@
 #
 # Usage: scripts/check-golden.sh
 # To regenerate after an *intentional* behavior change:
-#   STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT=tests/golden/table2.json \
+#   STOB_THREADS=1 STOB_JSON_OUT=tests/golden/table2.json \
 #     cargo run --release --locked -p stob-bench --bin table2 -- 12 25 2 7
-#   STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT=tests/golden/defense_matrix.json \
+#   STOB_THREADS=1 STOB_JSON_OUT=tests/golden/defense_matrix.json \
 #     cargo run --release --locked -p stob-bench --bin defense_matrix -- 6 10 2 7
-#   STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT=tests/golden/multipath.json \
+#   STOB_THREADS=1 STOB_JSON_OUT=tests/golden/multipath.json \
 #     cargo run --release --locked -p stob-bench --bin multipath -- 12 30 10 11
 #   STOB_THREADS=1 cargo run --release --locked -p stob-bench --bin fleet -- \
 #     --quick --checks-out tests/golden/fleet_quick.json
@@ -35,6 +36,8 @@
 #     --checks-out tests/golden/fleet_full.json
 #   STOB_THREADS=1 STOB_JSON_OUT=tests/golden/fault_matrix.json \
 #     cargo run --release --locked -p stob-bench --bin fault_matrix
+#   STOB_THREADS=1 STOB_JSON_OUT=tests/golden/table1.json \
+#     cargo run --release --locked -p stob-bench --bin table1 -- 6 7
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -53,27 +56,27 @@ check() {
     echo "check-golden: $label output is byte-identical to $golden"
 }
 
-STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
+STOB_THREADS=1 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin table2 -- 12 25 2 7
 check tests/golden/table2.json "table2 (1 thread)"
 
-STOB_THREADS=4 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
+STOB_THREADS=4 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin table2 -- 12 25 2 7
 check tests/golden/table2.json "table2 (4 threads)"
 
-STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
+STOB_THREADS=1 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin defense_matrix -- 6 10 2 7
 check tests/golden/defense_matrix.json "defense_matrix (1 thread)"
 
-STOB_THREADS=4 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
+STOB_THREADS=4 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin defense_matrix -- 6 10 2 7
 check tests/golden/defense_matrix.json "defense_matrix (4 threads)"
 
-STOB_THREADS=1 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
+STOB_THREADS=1 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin multipath -- 12 30 10 11
 check tests/golden/multipath.json "multipath (1 thread)"
 
-STOB_THREADS=4 STOB_JSON_NO_TIMINGS=1 STOB_JSON_OUT="$out" \
+STOB_THREADS=4 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin multipath -- 12 30 10 11
 check tests/golden/multipath.json "multipath (4 threads)"
 
@@ -96,3 +99,11 @@ check tests/golden/fault_matrix.json "fault_matrix (1 thread)"
 STOB_THREADS=4 STOB_JSON_OUT="$out" \
     cargo run --release --locked -p stob-bench --bin fault_matrix >/dev/null
 check tests/golden/fault_matrix.json "fault_matrix (4 threads)"
+
+STOB_THREADS=1 STOB_JSON_OUT="$out" \
+    cargo run --release --locked -p stob-bench --bin table1 -- 6 7 >/dev/null
+check tests/golden/table1.json "table1 (1 thread)"
+
+STOB_THREADS=4 STOB_JSON_OUT="$out" \
+    cargo run --release --locked -p stob-bench --bin table1 -- 6 7 >/dev/null
+check tests/golden/table1.json "table1 (4 threads)"

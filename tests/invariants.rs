@@ -4,11 +4,19 @@
 //! `SimRng` generator so the workspace carries no external test deps;
 //! every case is reproducible from the loop index.
 
-use defenses::emulate::{delay, split, EmulateConfig};
+use defenses::emulate::{apply, CounterMeasure, EmulateConfig};
 use netsim::{Direction, Nanos, SimRng};
 use traces::{Trace, TracePacket};
 
 const CASES: u64 = 300;
+
+fn split(t: &Trace, cfg: &EmulateConfig) -> Trace {
+    apply(CounterMeasure::Split, t, cfg, &mut SimRng::new(0)).trace
+}
+
+fn delay(t: &Trace, cfg: &EmulateConfig, rng: &mut SimRng) -> Trace {
+    apply(CounterMeasure::Delayed, t, cfg, rng).trace
+}
 
 /// A random well-formed trace, analogous to the old proptest strategy:
 /// 1-120 packets, raw timestamps below 5 s, sizes in [66, 3000).

@@ -508,7 +508,7 @@ fn surge_schedule_matches_both_rescanning_loops() {
 }
 
 #[test]
-fn surakav_cursor_matches_lookup_by_find() {
+fn cursor_matches_lookup_by_find_in_surakav() {
     let cfgs = [
         SurakavConfig::default(),
         SurakavConfig {
