@@ -167,9 +167,7 @@ impl CongestionControl for Cubic {
     }
 
     fn pacing_rate_bps(&self, srtt: Option<Nanos>) -> Option<u64> {
-        let srtt = srtt?;
-        let gain = if self.in_slow_start() { 2.0 } else { 1.2 };
-        Some(window_pacing_rate(self.cwnd, srtt, gain))
+        Some(window_pacing_rate(self.cwnd, srtt?, self.in_slow_start()))
     }
 
     fn name(&self) -> &'static str {

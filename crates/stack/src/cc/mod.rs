@@ -68,12 +68,22 @@ pub fn make_cc(kind: CcKind, mss: u32, init_cwnd_segs: u32) -> Box<dyn Congestio
     }
 }
 
-/// Window-based pacing rate: cwnd per SRTT, scaled by `gain`.
+/// Pacing gain in slow start (Linux `tcp_pacing_ss_ratio`, 200%).
+const PACING_GAIN_SS: f64 = 2.0;
+/// Pacing gain in congestion avoidance (Linux `tcp_pacing_ca_ratio`, 120%).
+const PACING_GAIN_CA: f64 = 1.2;
+
+/// Window-based pacing rate: cwnd per SRTT, scaled by the phase's gain.
 /// Returns bits/s.
-pub(crate) fn window_pacing_rate(cwnd: u64, srtt: Nanos, gain: f64) -> u64 {
+pub(crate) fn window_pacing_rate(cwnd: u64, srtt: Nanos, slow_start: bool) -> u64 {
     if srtt.is_zero() {
         return u64::MAX;
     }
+    let gain = if slow_start {
+        PACING_GAIN_SS
+    } else {
+        PACING_GAIN_CA
+    };
     let bytes_per_sec = cwnd as f64 / srtt.as_secs_f64();
     (bytes_per_sec * 8.0 * gain) as u64
 }
@@ -98,13 +108,13 @@ mod tests {
 
     #[test]
     fn window_pacing_rate_math() {
-        // 125000 bytes per 100 ms = 1.25 MB/s = 10 Mb/s, gain 1.0.
-        let r = window_pacing_rate(125_000, Nanos::from_millis(100), 1.0);
-        assert_eq!(r, 10_000_000);
-        // Gain 2 doubles it.
-        let r2 = window_pacing_rate(125_000, Nanos::from_millis(100), 2.0);
-        assert_eq!(r2, 20_000_000);
+        // 125000 bytes per 100 ms = 1.25 MB/s = 10 Mb/s, times the phase
+        // gain: 2.0 in slow start, 1.2 in congestion avoidance.
+        let r = window_pacing_rate(125_000, Nanos::from_millis(100), true);
+        assert_eq!(r, 20_000_000);
+        let r2 = window_pacing_rate(125_000, Nanos::from_millis(100), false);
+        assert_eq!(r2, (10_000_000.0 * PACING_GAIN_CA) as u64);
         // Zero SRTT: unlimited.
-        assert_eq!(window_pacing_rate(1, Nanos::ZERO, 1.0), u64::MAX);
+        assert_eq!(window_pacing_rate(1, Nanos::ZERO, false), u64::MAX);
     }
 }

@@ -80,9 +80,7 @@ impl CongestionControl for Reno {
     }
 
     fn pacing_rate_bps(&self, srtt: Option<Nanos>) -> Option<u64> {
-        let srtt = srtt?;
-        let gain = if self.in_slow_start() { 2.0 } else { 1.2 };
-        Some(window_pacing_rate(self.cwnd, srtt, gain))
+        Some(window_pacing_rate(self.cwnd, srtt?, self.in_slow_start()))
     }
 
     fn name(&self) -> &'static str {

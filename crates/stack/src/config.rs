@@ -41,11 +41,9 @@ pub struct StackConfig {
     /// Maximum TSO segment size in packets (Linux: 64 KB => ~44 packets
     /// with a 1448-byte MSS).
     pub tso_max_pkts: u32,
-    /// Enable FQ pacing of data segments.
+    /// Enable FQ pacing of data segments (window-based CCAs pace at the
+    /// phase gains in [`crate::cc`]).
     pub pacing: bool,
-    /// Pacing rate as a fraction of the CC-estimated rate during
-    /// congestion avoidance (Linux default 120%; we use 1.2 as well).
-    pub pacing_gain_ca: f64,
     /// TCP small queues: per-flow cap on bytes sitting in qdisc + NIC.
     pub tsq_limit: u64,
     /// Delayed-ACK: ACK every `delack_segs` full-sized segments...
@@ -82,7 +80,6 @@ impl Default for StackConfig {
             tso: true,
             tso_max_pkts: 44,
             pacing: true,
-            pacing_gain_ca: 1.2,
             tsq_limit: 512 << 10,
             delack_segs: 2,
             delack_timeout: Nanos::from_millis(40),

@@ -32,6 +32,7 @@ pub mod net;
 pub mod nic;
 pub mod qdisc;
 pub mod quic;
+mod seq;
 pub mod shaper;
 pub mod tcp;
 pub mod tls;
@@ -39,6 +40,6 @@ pub mod tls;
 pub use config::{HostConfig, PathConfig, StackConfig};
 pub use cpu::{Cpu, CpuModel};
 pub use egress::{EgressLabels, EgressPipeline, FlowStats, TransportCore};
-pub use mux::{Multiplex, MuxConfig, Pipe, SimPipe, Splitter, SplitterSpec};
+pub use mux::{Multiplex, MuxConfig, Splitter, SplitterSpec};
 pub use net::{Api, App, AppEvent, FlowTable, Network, CLIENT, SERVER};
 pub use shaper::{NoopShaper, ShapeCtx, Shaper};

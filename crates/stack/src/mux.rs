@@ -1,4 +1,4 @@
-//! # mux — a multipath datagram transport (`Multiplex`) over `Pipe` legs
+//! # mux — a multipath datagram transport (`Multiplex`) over several legs
 //!
 //! The paper's stack-placement argument assumes a single on-path vantage
 //! point sees every packet of a flow. This module breaks that assumption:
@@ -12,9 +12,10 @@
 //! Design (after sosistab2's obfuscated-multiplex architecture, scaled to
 //! this simulator): the `Multiplex` owns
 //!
-//! * **sequencing/reassembly** — byte-offset sequence numbers, an
-//!   out-of-order buffer, cumulative-ack-driven retransmission, so the
-//!   application sees a reliable stream over unreliable legs;
+//! * **sequencing/reassembly** — byte-offset sequence numbers, the
+//!   shared (crate-private) `seq` receive frontier, cumulative-ack-driven
+//!   retransmission, so the application sees a reliable stream over
+//!   unreliable legs;
 //! * **liveness scoring + failover** — per-pipe receipt counts echoed in
 //!   [`PacketKind::MuxAck`]; a pipe that stops making progress for
 //!   `liveness_timeout` is declared dead, its unacked datagrams are
@@ -42,6 +43,7 @@
 use crate::cpu::Cpu;
 use crate::egress::{EgressLabels, EgressPipeline, FlowStats, TransportCore};
 use crate::qdisc::SegDesc;
+use crate::seq::{Deadline, Reassembly};
 use crate::shaper::{BoxShaper, ShapeCtx};
 use crate::tcp::{TcpAction, TimerKind};
 use netsim::telemetry::{self, Tracer};
@@ -195,42 +197,6 @@ impl Splitter {
     }
 }
 
-/// One leg a [`Multiplex`] can route datagrams over. The transport only
-/// needs a stable index (stamped into [`netsim::PacketMeta::pipe`] so the
-/// network driver routes the packet over the matching provisioned link)
-/// and a scheduling weight; everything path-like (rate, delay, loss,
-/// faults) lives in the driver's provisioned pipe.
-pub trait Pipe {
-    /// Stable leg index, stamped into `meta.pipe`.
-    fn index(&self) -> u8;
-    /// Relative scheduling weight for the weighted splitter.
-    fn weight(&self) -> u64 {
-        1
-    }
-    /// Tag an outgoing packet as routed over this leg.
-    fn stamp(&self, pkt: &mut Packet) {
-        pkt.meta.pipe = Some(self.index());
-    }
-}
-
-/// The standard simulated leg: index + weight.
-#[derive(Debug, Clone)]
-pub struct SimPipe {
-    /// Leg index, matching the driver's provisioned pipe order.
-    pub index: u8,
-    /// Scheduling weight (1 = equal share).
-    pub weight: u64,
-}
-
-impl Pipe for SimPipe {
-    fn index(&self) -> u8 {
-        self.index
-    }
-    fn weight(&self) -> u64 {
-        self.weight
-    }
-}
-
 /// Tuning knobs for a [`Multiplex`] endpoint. Both ends of a flow must
 /// agree on `n_pipes`; the rest is per-endpoint.
 #[derive(Debug, Clone)]
@@ -332,13 +298,11 @@ pub struct Multiplex {
     fec_accum: u32,
     fec_start: u64,
     last_cum_progress: Nanos,
-    timer_gen: u64,
-    timer_armed: bool,
+    probe: Deadline,
     mtu_ip: u32,
 
     // --- receiver side ---
-    rcv_delivered: u64,
-    ooo: BTreeMap<u64, u32>,
+    rx: Reassembly,
     parity_groups: Vec<(u64, u64)>,
     rx_per_pipe: Vec<u64>,
     rx_acked_per_pipe: Vec<u64>,
@@ -389,11 +353,9 @@ impl Multiplex {
             fec_accum: 0,
             fec_start: 0,
             last_cum_progress: Nanos::ZERO,
-            timer_gen: 0,
-            timer_armed: false,
+            probe: Deadline::new(TimerKind::Probe),
             mtu_ip: 1500,
-            rcv_delivered: 0,
-            ooo: BTreeMap::new(),
+            rx: Reassembly::default(),
             parity_groups: Vec::new(),
             rx_per_pipe: vec![0; cfg.n_pipes],
             rx_acked_per_pipe: vec![0; cfg.n_pipes],
@@ -461,14 +423,8 @@ impl Multiplex {
         let need = (self.is_client && self.hello_sent && !self.connected)
             || !self.unacked.is_empty()
             || self.health.iter().any(|h| !h.alive);
-        if need && !self.timer_armed {
-            self.timer_armed = true;
-            self.timer_gen += 1;
-            acts.push(TcpAction::ArmTimer {
-                kind: TimerKind::Probe,
-                at: now + self.cfg.probe_base,
-                gen: self.timer_gen,
-            });
+        if need {
+            acts.extend(self.probe.arm(now + self.cfg.probe_base));
         }
     }
 
@@ -494,7 +450,7 @@ impl Multiplex {
             len + MUX_HDR_IP
         };
         let len = ip - MUX_HDR_IP;
-        let mut p = self.mk_dgram(PacketKind::MuxData, seq, self.rcv_delivered, len, pipe);
+        let mut p = self.mk_dgram(PacketKind::MuxData, seq, self.rx.next(), len, pipe);
         p.meta.retransmit = retransmit;
         let wire = u64::from(p.wire_len);
         let paced = self
@@ -560,24 +516,17 @@ impl Multiplex {
         self.fec_accum = 0;
     }
 
-    /// Advance in-order delivery; returns delivered byte count.
-    fn advance_delivery(&mut self) -> u64 {
-        let mut total = 0u64;
-        while let Some((&seq, &len)) = self.ooo.iter().next() {
-            if seq > self.rcv_delivered {
-                break;
-            }
-            self.ooo.remove(&seq);
-            let end = seq + u64::from(len);
-            if end > self.rcv_delivered {
-                total += end - self.rcv_delivered;
-                self.rcv_delivered = end;
-            }
+    /// Try FEC recovery, then deliver everything now contiguous;
+    /// `newly` bytes already became in-order on arrival.
+    fn deliver(&mut self, newly: u64, acts: &mut Vec<TcpAction>) {
+        self.try_fec_recover();
+        let n = newly + self.rx.advance();
+        let next = self.rx.next();
+        self.parity_groups.retain(|&(_, end)| end > next);
+        self.stats.bytes_delivered += n;
+        if n > 0 {
+            acts.push(TcpAction::Deliver(n));
         }
-        self.parity_groups
-            .retain(|&(_, end)| end > self.rcv_delivered);
-        self.stats.bytes_delivered += total;
-        total
     }
 
     /// Try XOR-parity recovery: a stored group with exactly one missing
@@ -585,20 +534,20 @@ impl Multiplex {
     fn try_fec_recover(&mut self) {
         let groups = self.parity_groups.clone();
         for (start, end) in groups {
-            let mut cursor = start.max(self.rcv_delivered);
+            let mut cursor = start.max(self.rx.next());
             let mut gaps: Vec<(u64, u64)> = Vec::new();
-            for (&seq, &len) in self.ooo.range(start..end) {
+            for (&seq, &len) in self.rx.ooo().range(start..end) {
                 if seq > cursor {
                     gaps.push((cursor, seq));
                 }
-                cursor = cursor.max(seq + u64::from(len));
+                cursor = cursor.max(seq + len);
             }
             if cursor < end {
                 gaps.push((cursor, end));
             }
             if gaps.len() == 1 {
                 let (lo, hi) = gaps[0];
-                self.ooo.insert(lo, (hi - lo) as u32);
+                self.rx.insert(lo, hi - lo);
                 self.recovered += 1;
                 telemetry::counter("stack.mux.fec_recovered").inc();
                 self.parity_groups.retain(|&(s, _)| s != start);
@@ -612,12 +561,7 @@ impl Multiplex {
     fn emit_acks(&mut self, acts: &mut Vec<TcpAction>) {
         for i in 0..self.cfg.n_pipes {
             if self.rx_per_pipe[i] > self.rx_acked_per_pipe[i] {
-                let p = self.mk_ctl(
-                    PacketKind::MuxAck,
-                    self.rx_per_pipe[i],
-                    self.rcv_delivered,
-                    i,
-                );
+                let p = self.mk_ctl(PacketKind::MuxAck, self.rx_per_pipe[i], self.rx.next(), i);
                 self.rx_acked_per_pipe[i] = self.rx_per_pipe[i];
                 self.stats.acks_sent += 1;
                 telemetry::counter("stack.mux.acks_sent").inc();
@@ -698,14 +642,15 @@ impl Multiplex {
 impl TransportCore for Multiplex {
     fn input(&mut self, pkt: &Packet, now: Nanos, _cpu: &mut Cpu) -> Vec<TcpAction> {
         let mut acts = Vec::new();
+        // Every datagram but an ack is a receipt on the pipe it came over.
+        let pipe = pkt.meta.pipe.map(usize::from);
+        if let Some(n) = pipe.and_then(|i| self.rx_per_pipe.get_mut(i)) {
+            if pkt.kind != PacketKind::MuxAck {
+                *n += 1;
+            }
+        }
         match pkt.kind {
             PacketKind::MuxInit => {
-                if let Some(pi) = pkt.meta.pipe {
-                    let i = pi as usize;
-                    if i < self.rx_per_pipe.len() {
-                        self.rx_per_pipe[i] += 1;
-                    }
-                }
                 if !self.is_client {
                     // Echo the hello once; answer probes with an ack on
                     // the probed pipe either way.
@@ -732,22 +677,11 @@ impl TransportCore for Multiplex {
                 }
             }
             PacketKind::MuxData => {
-                if let Some(pi) = pkt.meta.pipe {
-                    let i = pi as usize;
-                    if i < self.rx_per_pipe.len() {
-                        self.rx_per_pipe[i] += 1;
-                    }
-                }
-                let end = pkt.seq_end();
-                if end <= self.rcv_delivered || self.ooo.contains_key(&pkt.seq) {
+                if pkt.seq_end() <= self.rx.next() || self.rx.ooo().contains_key(&pkt.seq) {
                     telemetry::counter("stack.mux.dup_drops").inc();
                 } else {
-                    self.ooo.insert(pkt.seq, pkt.payload);
-                    self.try_fec_recover();
-                    let n = self.advance_delivery();
-                    if n > 0 {
-                        acts.push(TcpAction::Deliver(n));
-                    }
+                    let newly = self.rx.accept(pkt.seq, u64::from(pkt.payload));
+                    self.deliver(newly.unwrap_or(0), &mut acts);
                 }
                 self.rx_since_ack += 1;
                 if self.rx_since_ack >= self.cfg.ack_every {
@@ -755,22 +689,11 @@ impl TransportCore for Multiplex {
                 }
             }
             PacketKind::MuxParity => {
-                if let Some(pi) = pkt.meta.pipe {
-                    let i = pi as usize;
-                    if i < self.rx_per_pipe.len() {
-                        self.rx_per_pipe[i] += 1;
-                    }
-                }
                 let (start, end) = (pkt.seq, pkt.ack);
-                if end > self.rcv_delivered && !self.parity_groups.iter().any(|&(s, _)| s == start)
-                {
+                if end > self.rx.next() && !self.parity_groups.iter().any(|&(s, _)| s == start) {
                     self.parity_groups.push((start, end));
                 }
-                self.try_fec_recover();
-                let n = self.advance_delivery();
-                if n > 0 {
-                    acts.push(TcpAction::Deliver(n));
-                }
+                self.deliver(0, &mut acts);
             }
             PacketKind::MuxAck => self.on_ack(pkt, now, &mut acts),
             _ => {}
@@ -814,10 +737,9 @@ impl TransportCore for Multiplex {
     }
 
     fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
-        if kind != TimerKind::Probe || gen != self.timer_gen {
+        if kind != TimerKind::Probe || !self.probe.take(gen) {
             return Vec::new();
         }
-        self.timer_armed = false;
         let mut acts = Vec::new();
         // Connection racing: an unanswered hello is retried on the next
         // pipe (rotating), so establishment needs only one working leg
@@ -850,7 +772,7 @@ impl TransportCore for Multiplex {
                 (!h.alive && now >= h.next_probe, h.backoff_exp + 1)
             };
             if probe {
-                let p = self.mk_ctl(PacketKind::MuxInit, 0, self.rcv_delivered, i);
+                let p = self.mk_ctl(PacketKind::MuxInit, 0, self.rx.next(), i);
                 telemetry::counter("stack.mux.probes").inc();
                 acts.push(TcpAction::SendCtl(p));
                 let h = &mut self.health[i];
@@ -888,8 +810,10 @@ impl TransportCore for Multiplex {
         self.egress.set_shaper(shaper);
     }
 
+    /// Shrink-only, like TCP's and QUIC's: a later, larger MTU event
+    /// does not grow the datagram back.
     fn set_mtu(&mut self, mtu_ip: u32) {
-        self.mtu_ip = mtu_ip;
+        self.mtu_ip = self.mtu_ip.min(mtu_ip);
     }
 
     fn set_tracer(&mut self, tracer: Tracer) {
@@ -1067,8 +991,8 @@ mod tests {
         client.write(10_000);
         let got = shuttle(&mut client, &mut server, None, 50);
         assert_eq!(got, 10_000);
-        assert_eq!(server.rcv_delivered, 10_000);
-        assert!(server.ooo.is_empty());
+        assert_eq!(server.rx.next(), 10_000);
+        assert!(server.rx.ooo().is_empty());
     }
 
     #[test]
@@ -1128,7 +1052,7 @@ mod tests {
         }
         assert_eq!(delivered, 4 * 1200, "parity filled the gap");
         assert_eq!(server.fec_recovered(), 1);
-        assert_eq!(server.rcv_delivered, 4 * 1200);
+        assert_eq!(server.rx.next(), 4 * 1200);
     }
 
     #[test]
@@ -1169,6 +1093,14 @@ mod tests {
         assert_eq!(got, 20_000, "stream completes despite dead hello pipe");
         assert!(client.connected, "hello retry raced onto the live pipe");
         assert!(client.hello_attempts >= 2, "the pinned hello was retried");
+    }
+
+    #[test]
+    fn mtu_events_only_shrink_the_datagram() {
+        let mut m = Multiplex::client(FlowId(1), MuxConfig::default(), 11);
+        m.set_mtu(1200);
+        m.set_mtu(1400);
+        assert_eq!(m.mtu_ip(), 1200, "a larger MTU must not grow it back");
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   [`crate::shaper::Shaper`] hooks so Stob policies apply to QUIC too,
 //! * acknowledgments are packet-number based, with packet-threshold loss
 //!   detection (RFC 9002's `kPacketThreshold = 3`) and a PTO timer,
-//! * the congestion-control trait is shared with TCP.
+//! * the congestion-control trait is shared with TCP, and the receive
+//!   frontiers (packet numbers, stream offsets) and the PTO are the
+//!   crate-private `seq` types TCP uses.
 //!
 //! Wire-field conventions (the model is metadata-only): on `QuicData`
 //! packets `seq` is the *packet number* and `ack` carries the *stream
@@ -28,6 +30,7 @@ use crate::config::StackConfig;
 use crate::cpu::Cpu;
 use crate::egress::{EgressLabels, EgressPipeline, FlowStats, TransportCore};
 use crate::qdisc::SegDesc;
+use crate::seq::{Deadline, Due, Reassembly};
 use crate::shaper::{BoxShaper, ShapeCtx};
 use crate::tcp::{TcpAction, TimerKind};
 use netsim::{FlowId, Nanos, Packet, PacketKind};
@@ -81,19 +84,16 @@ pub struct QuicConn {
     /// Stream ranges awaiting retransmission.
     retx_queue: Vec<(u64, u32)>,
     inflight_bytes: u64,
-    pto_gen: u64,
-    pto_armed: bool,
-    pto_deadline: Nanos,
+    pto: Deadline,
     srtt: Option<Nanos>,
 
     // ---- receive side ----
     largest_recv: Option<u64>,
-    /// All packet numbers `< recv_contig` have been received.
-    recv_contig: u64,
-    recv_ooo: BTreeMap<u64, ()>,
-    /// Out-of-order stream fragments: offset -> len.
-    stream_recv: BTreeMap<u64, u64>,
-    stream_delivered: u64,
+    /// Packet numbers, as `(num, 1)` fragments: `pns.next()` is the
+    /// contiguous floor the ACK reports.
+    pns: Reassembly,
+    /// Stream bytes: `stream.next()` is the delivered prefix.
+    stream: Reassembly,
     ack_counter: u32,
 
     /// `shaped_segs` is read off the egress pipeline in `flow_stats`.
@@ -116,47 +116,22 @@ impl QuicConn {
             unacked: BTreeMap::new(),
             retx_queue: Vec::new(),
             inflight_bytes: 0,
-            pto_gen: 0,
-            pto_armed: false,
-            pto_deadline: Nanos::ZERO,
+            pto: Deadline::new(TimerKind::Rto),
             srtt: None,
             largest_recv: None,
-            recv_contig: 0,
-            recv_ooo: BTreeMap::new(),
-            stream_recv: BTreeMap::new(),
-            stream_delivered: 0,
+            pns: Reassembly::default(),
+            stream: Reassembly::default(),
             ack_counter: 0,
             stats: FlowStats::default(),
             cfg,
         }
     }
 
-    pub fn set_shaper(&mut self, shaper: BoxShaper) {
-        self.egress.set_shaper(shaper);
-    }
-
-    /// Install a flow-trace sink: every subsequent packet-size, GSO and
-    /// pacing decision this endpoint makes is recorded as a
-    /// [`netsim::telemetry::FlowEvent`].
-    pub fn set_tracer(&mut self, tracer: netsim::telemetry::Tracer) {
-        self.egress.set_tracer(tracer);
-    }
-
-    /// Mid-flow path-MTU reduction: shrink the datagram size used for
-    /// future packetization (downward-only PMTU re-discovery). A floor
-    /// keeps a pathological schedule from producing degenerate datagrams.
-    pub fn set_mtu(&mut self, mtu_ip: u32) {
-        let dgram = mtu_ip.saturating_sub(DGRAM_HDR).max(256);
-        self.max_datagram = self.max_datagram.min(dgram);
-    }
     pub fn established(&self) -> bool {
         self.state == QuicState::Established
     }
     pub fn delivered(&self) -> u64 {
-        self.stream_delivered
-    }
-    pub fn cwnd(&self) -> u64 {
-        self.cc.cwnd()
+        self.stream.next()
     }
     pub fn inflight(&self) -> u64 {
         self.inflight_bytes
@@ -165,24 +140,13 @@ impl QuicConn {
         self.unacked.is_empty() && self.retx_queue.is_empty()
     }
 
-    /// Client handshake start: a padded Initial datagram (QUIC requires
-    /// Initials to be at least 1200 bytes).
-    pub fn connect(&mut self, _now: Nanos) -> Vec<TcpAction> {
-        assert!(self.is_client && self.state == QuicState::Closed);
-        self.state = QuicState::Connecting;
-        let p = Packet {
-            id: 0,
-            flow: self.flow,
-            kind: PacketKind::QuicInit,
-            seq: 0,
-            ack: 0,
-            payload: 0,
-            wire_len: 1200 + QUIC_WIRE_OVERHEAD,
-            rwnd: self.cfg.recv_wnd,
-            sent_at: Nanos::ZERO,
-            meta: Default::default(),
-        };
-        vec![TcpAction::SendCtl(p)]
+    /// A datagram of `payload` stream bytes on the wire.
+    fn dgram(&self, kind: PacketKind, seq: u64, ack: u64, payload: u32) -> Packet {
+        let mut p = Packet::tcp_data(self.flow, seq, ack, payload);
+        p.kind = kind;
+        p.wire_len = payload + QUIC_WIRE_OVERHEAD;
+        p.rwnd = self.cfg.recv_wnd;
+        p
     }
 
     fn shape_ctx(&self, now: Nanos) -> ShapeCtx {
@@ -190,11 +154,7 @@ impl QuicConn {
             flow: self.flow,
             now,
             cwnd: self.cc.cwnd(),
-            pacing_rate_bps: if self.cfg.pacing {
-                self.cc.pacing_rate_bps(self.srtt)
-            } else {
-                None
-            },
+            pacing_rate_bps: self.pacing_rate_bps(),
             in_slow_start: self.cc.in_slow_start(),
             bytes_sent: self.snd_offset,
             pkts_sent: self.stats.pkts_sent,
@@ -204,16 +164,147 @@ impl QuicConn {
         }
     }
 
-    /// Application write (stream send). The stream buffer is unbounded in
-    /// this model; flow control is congestion control only.
-    pub fn write(&mut self, len: u64) -> u64 {
-        self.app_written += len;
-        len
+    fn arm_pto(&mut self, now: Nanos) -> Option<TcpAction> {
+        let pto = self
+            .srtt
+            .map(|s| s * 2 + Nanos::from_millis(10))
+            .unwrap_or(self.cfg.init_rto);
+        self.pto.arm(now + pto.max(self.cfg.min_rto))
+    }
+
+    fn process_ack(
+        &mut self,
+        largest: u64,
+        contig_floor: u64,
+        now: Nanos,
+        acts: &mut Vec<TcpAction>,
+    ) {
+        let mut newly_acked = 0u64;
+        let mut rtt = None;
+        let acked: Vec<u64> = self
+            .unacked
+            .range(..contig_floor)
+            .map(|(&n, _)| n)
+            .chain(self.unacked.contains_key(&largest).then_some(largest))
+            .collect();
+        for n in acked {
+            if let Some(sp) = self.unacked.remove(&n) {
+                newly_acked += sp.len as u64;
+                self.inflight_bytes = self.inflight_bytes.saturating_sub(sp.len as u64);
+                if n == largest && !sp.is_retx {
+                    rtt = Some(now - sp.sent_at);
+                }
+            }
+        }
+        if let Some(r) = rtt {
+            self.srtt = Some(match self.srtt {
+                None => r,
+                Some(s) => (s * 7 + r) / 8,
+            });
+        }
+        if newly_acked > 0 {
+            self.cc.on_ack(&AckInfo {
+                newly_acked,
+                rtt,
+                now,
+                inflight: self.inflight_bytes,
+            });
+            netsim::tm_histo!("stack.cc.cwnd_bytes").record(self.cc.cwnd());
+            let ctx = self.shape_ctx(now);
+            self.egress.on_ack(&ctx);
+            if self.unacked.is_empty() {
+                self.pto.disarm();
+            } else {
+                acts.extend(self.arm_pto(now));
+            }
+        }
+        // Packet-threshold loss detection, head-hole only: our two-value
+        // ACK cannot distinguish "received above the floor" from "lost
+        // above the floor", so only the *first* unacked packet — the hole
+        // the contiguous floor is stuck on — may be declared lost, and
+        // only once the largest acked is PACKET_THRESHOLD past it
+        // (RFC 9002's reordering window). Holes are repaired head-first,
+        // like NewReno; the floor then jumps and exposes the next hole.
+        if let Some((&head, _)) = self.unacked.iter().next() {
+            if largest >= head + PACKET_THRESHOLD {
+                self.cc.on_loss(now, self.inflight_bytes);
+                let sp = self.unacked.remove(&head).expect("head tracked");
+                self.inflight_bytes = self.inflight_bytes.saturating_sub(sp.len as u64);
+                self.retx_queue.push((sp.offset, sp.len));
+            }
+        }
+    }
+
+    fn make_ack(&self) -> Packet {
+        let largest = self.largest_recv.unwrap_or(0);
+        self.dgram(PacketKind::QuicAck, self.pns.next(), largest, 0)
+    }
+}
+
+impl TransportCore for QuicConn {
+    /// Client handshake start: a padded Initial datagram (QUIC requires
+    /// Initials to be at least 1200 bytes).
+    fn connect(&mut self, _now: Nanos) -> Vec<TcpAction> {
+        assert!(self.is_client && self.state == QuicState::Closed);
+        self.state = QuicState::Connecting;
+        let mut p = self.dgram(PacketKind::QuicInit, 0, 0, 0);
+        p.wire_len = 1200 + QUIC_WIRE_OVERHEAD;
+        vec![TcpAction::SendCtl(p)]
+    }
+
+    fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
+        let mut acts = Vec::new();
+        match pkt.kind {
+            PacketKind::QuicInit => match (self.is_client, self.state) {
+                (false, QuicState::Closed) => {
+                    // Server: respond with its handshake flight and
+                    // consider the connection up (1-RTT model).
+                    self.state = QuicState::Established;
+                    let mut resp = pkt.clone();
+                    resp.wire_len = 3700 + QUIC_WIRE_OVERHEAD;
+                    resp.rwnd = self.cfg.recv_wnd;
+                    acts.push(TcpAction::Connected);
+                    acts.push(TcpAction::SendCtl(resp));
+                }
+                (true, QuicState::Connecting) => {
+                    self.state = QuicState::Established;
+                    acts.push(TcpAction::Connected);
+                }
+                _ => {}
+            },
+            PacketKind::QuicAck => {
+                let _ = cpu.charge(now, cpu.model.per_ack_rx);
+                self.process_ack(pkt.ack, pkt.seq, now, &mut acts);
+            }
+            PacketKind::QuicData => {
+                let _ = cpu.charge(now, cpu.model.per_data_rx);
+                let num = pkt.seq;
+                self.largest_recv = Some(self.largest_recv.map_or(num, |l| l.max(num)));
+                self.pns.accept(num, 1);
+                // Offset-based stream reassembly (`ack` is the offset).
+                let newly = self.stream.accept(pkt.ack, pkt.payload as u64);
+                if let Some(n @ 1..) = newly {
+                    self.stats.bytes_delivered += n;
+                    acts.push(TcpAction::Deliver(n));
+                }
+                self.ack_counter += 1;
+                // Immediate ACK on reordering (RFC 9000 §13.2.1), else
+                // every second packet.
+                let out_of_order = !self.pns.ooo().is_empty() || num + 1 < self.pns.next();
+                if out_of_order || self.ack_counter >= self.cfg.delack_segs {
+                    self.ack_counter = 0;
+                    acts.push(TcpAction::SendCtl(self.make_ack()));
+                    self.stats.acks_sent += 1;
+                }
+            }
+            _ => {}
+        }
+        acts
     }
 
     /// Packetize and emit what congestion control permits, batching up to
     /// a GSO segment at a time.
-    pub fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
+    fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
         let mut acts = Vec::new();
         if self.state != QuicState::Established {
             return acts;
@@ -267,18 +358,8 @@ impl QuicConn {
                 }
                 let num = self.next_pkt_num;
                 self.next_pkt_num += 1;
-                let mut p = Packet {
-                    id: 0,
-                    flow: self.flow,
-                    kind: PacketKind::QuicData,
-                    seq: num,
-                    ack: offset, // stream offset (see module docs)
-                    payload: len,
-                    wire_len: len + QUIC_WIRE_OVERHEAD,
-                    rwnd: self.cfg.recv_wnd,
-                    sent_at: Nanos::ZERO,
-                    meta: Default::default(),
-                };
+                // `ack` carries the stream offset (see module docs).
+                let mut p = self.dgram(PacketKind::QuicData, num, offset, len);
                 p.meta.tso_burst = self.stats.segs_sent + 1;
                 p.meta.retransmit = is_retx;
                 self.unacked.insert(
@@ -313,239 +394,45 @@ impl QuicConn {
         acts
     }
 
-    fn arm_pto(&mut self, now: Nanos) -> Option<TcpAction> {
-        let pto = self
-            .srtt
-            .map(|s| s * 2 + Nanos::from_millis(10))
-            .unwrap_or(self.cfg.init_rto);
-        self.pto_deadline = now + pto.max(self.cfg.min_rto);
-        if self.pto_armed {
-            return None;
-        }
-        self.pto_armed = true;
-        self.pto_gen += 1;
-        Some(TcpAction::ArmTimer {
-            kind: TimerKind::Rto,
-            at: self.pto_deadline,
-            gen: self.pto_gen,
-        })
-    }
-
-    /// Handle an arriving datagram.
-    pub fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        let mut acts = Vec::new();
-        match pkt.kind {
-            PacketKind::QuicInit => {
-                match (self.is_client, self.state) {
-                    (false, QuicState::Closed) => {
-                        // Server: respond with its handshake flight and
-                        // consider the connection up (1-RTT model).
-                        self.state = QuicState::Established;
-                        let mut resp = pkt.clone();
-                        resp.wire_len = 3700 + QUIC_WIRE_OVERHEAD;
-                        resp.rwnd = self.cfg.recv_wnd;
-                        acts.push(TcpAction::Connected);
-                        acts.push(TcpAction::SendCtl(resp));
-                    }
-                    (true, QuicState::Connecting) => {
-                        self.state = QuicState::Established;
-                        acts.push(TcpAction::Connected);
-                    }
-                    _ => {}
-                }
-                acts
-            }
-            PacketKind::QuicAck => {
-                let _ = cpu.charge(now, cpu.model.per_ack_rx);
-                self.process_ack(pkt.ack, pkt.seq, now, &mut acts);
-                acts
-            }
-            PacketKind::QuicData => {
-                let _ = cpu.charge(now, cpu.model.per_data_rx);
-                let num = pkt.seq;
-                self.largest_recv = Some(self.largest_recv.map_or(num, |l| l.max(num)));
-                if num == self.recv_contig {
-                    self.recv_contig += 1;
-                    while self.recv_ooo.remove(&self.recv_contig).is_some() {
-                        self.recv_contig += 1;
-                    }
-                } else if num > self.recv_contig {
-                    self.recv_ooo.insert(num, ());
-                }
-                acts.extend(self.deliver_stream(pkt.ack, pkt.payload as u64));
-                self.ack_counter += 1;
-                // Immediate ACK on reordering (RFC 9000 §13.2.1), else
-                // every second packet.
-                let out_of_order = !self.recv_ooo.is_empty() || num + 1 < self.recv_contig;
-                if out_of_order || self.ack_counter >= self.cfg.delack_segs {
-                    self.ack_counter = 0;
-                    acts.push(TcpAction::SendCtl(self.make_ack()));
-                    self.stats.acks_sent += 1;
-                }
-                acts
-            }
-            _ => acts,
-        }
-    }
-
-    /// Offset-based stream reassembly: buffer the fragment, then advance
-    /// the contiguous delivery frontier.
-    fn deliver_stream(&mut self, offset: u64, len: u64) -> Vec<TcpAction> {
-        if offset + len > self.stream_delivered {
-            self.stream_recv.insert(offset, len);
-        }
-        let mut newly = 0u64;
-        while let Some((&off, &l)) = self.stream_recv.first_key_value() {
-            if off > self.stream_delivered {
-                break;
-            }
-            self.stream_recv.remove(&off);
-            let end = off + l;
-            if end > self.stream_delivered {
-                newly += end - self.stream_delivered;
-                self.stream_delivered = end;
-            }
-        }
-        self.stats.bytes_delivered += newly;
-        if newly > 0 {
-            vec![TcpAction::Deliver(newly)]
-        } else {
-            Vec::new()
-        }
-    }
-
-    fn make_ack(&self) -> Packet {
-        Packet {
-            id: 0,
-            flow: self.flow,
-            kind: PacketKind::QuicAck,
-            seq: self.recv_contig, // contiguous floor
-            ack: self.largest_recv.unwrap_or(0),
-            payload: 0,
-            wire_len: QUIC_WIRE_OVERHEAD,
-            rwnd: self.cfg.recv_wnd,
-            sent_at: Nanos::ZERO,
-            meta: Default::default(),
-        }
-    }
-
-    fn process_ack(
-        &mut self,
-        largest: u64,
-        contig_floor: u64,
-        now: Nanos,
-        acts: &mut Vec<TcpAction>,
-    ) {
-        let mut newly_acked = 0u64;
-        let mut rtt = None;
-        let acked: Vec<u64> = self
-            .unacked
-            .range(..contig_floor)
-            .map(|(&n, _)| n)
-            .chain(self.unacked.contains_key(&largest).then_some(largest))
-            .collect();
-        for n in acked {
-            if let Some(sp) = self.unacked.remove(&n) {
-                newly_acked += sp.len as u64;
-                self.inflight_bytes = self.inflight_bytes.saturating_sub(sp.len as u64);
-                if n == largest && !sp.is_retx {
-                    rtt = Some(now - sp.sent_at);
-                }
-            }
-        }
-        if let Some(r) = rtt {
-            self.srtt = Some(match self.srtt {
-                None => r,
-                Some(s) => (s * 7 + r) / 8,
-            });
-        }
-        if newly_acked > 0 {
-            self.cc.on_ack(&AckInfo {
-                newly_acked,
-                rtt,
-                now,
-                inflight: self.inflight_bytes,
-            });
-            netsim::tm_histo!("stack.cc.cwnd_bytes").record(self.cc.cwnd());
-            let ctx = self.shape_ctx(now);
-            self.egress.on_ack(&ctx);
-            if self.unacked.is_empty() {
-                self.pto_armed = false;
-            } else if let Some(a) = self.arm_pto(now) {
-                acts.push(a);
-            }
-        }
-        // Packet-threshold loss detection, head-hole only: our two-value
-        // ACK cannot distinguish "received above the floor" from "lost
-        // above the floor", so only the *first* unacked packet — the hole
-        // the contiguous floor is stuck on — may be declared lost, and
-        // only once the largest acked is PACKET_THRESHOLD past it
-        // (RFC 9002's reordering window). Holes are repaired head-first,
-        // like NewReno; the floor then jumps and exposes the next hole.
-        if let Some((&head, _)) = self.unacked.iter().next() {
-            if largest >= head + PACKET_THRESHOLD {
-                self.cc.on_loss(now, self.inflight_bytes);
-                let sp = self.unacked.remove(&head).expect("head tracked");
-                self.inflight_bytes = self.inflight_bytes.saturating_sub(sp.len as u64);
-                self.retx_queue.push((sp.offset, sp.len));
-            }
-        }
-    }
-
     /// PTO timer fired.
-    pub fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
-        if kind != TimerKind::Rto || gen != self.pto_gen || !self.pto_armed {
+    fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
+        if kind != TimerKind::Rto {
             return Vec::new();
         }
-        if now < self.pto_deadline {
-            self.pto_gen += 1;
-            return vec![TcpAction::ArmTimer {
-                kind: TimerKind::Rto,
-                at: self.pto_deadline,
-                gen: self.pto_gen,
-            }];
+        match self.pto.due(gen, now) {
+            Due::Stale => return Vec::new(),
+            Due::Rearm(act) => return vec![act],
+            Due::Fire => {}
         }
-        self.pto_armed = false;
-        if self.unacked.is_empty() {
+        // Re-queue the earliest unacked range for retransmission.
+        let Some((_, sp)) = self.unacked.pop_first() else {
             return Vec::new();
-        }
+        };
         self.stats.timeouts += 1;
         self.cc.on_rto(now);
-        // Re-queue the earliest unacked range for retransmission.
-        let (&n, &sp) = self.unacked.iter().next().expect("nonempty");
-        self.unacked.remove(&n);
         self.inflight_bytes = self.inflight_bytes.saturating_sub(sp.len as u64);
         self.retx_queue.push((sp.offset, sp.len));
-        let mut acts = Vec::new();
-        acts.extend(self.arm_pto(now));
-        acts
+        self.arm_pto(now).into_iter().collect()
     }
-}
 
-impl TransportCore for QuicConn {
-    fn connect(&mut self, now: Nanos) -> Vec<TcpAction> {
-        QuicConn::connect(self, now)
-    }
-    fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        QuicConn::input(self, pkt, now, cpu)
-    }
-    fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        QuicConn::output(self, now, cpu)
-    }
-    fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
-        QuicConn::on_timer(self, kind, gen, now)
-    }
+    /// Application write (stream send). The stream buffer is unbounded in
+    /// this model; flow control is congestion control only.
     fn write(&mut self, len: u64) -> u64 {
-        QuicConn::write(self, len)
+        self.app_written += len;
+        len
     }
     fn set_shaper(&mut self, shaper: BoxShaper) {
-        QuicConn::set_shaper(self, shaper);
+        self.egress.set_shaper(shaper);
     }
+    /// Downward-only PMTU re-discovery: shrink the datagram size used for
+    /// future packetization. A floor keeps a pathological schedule from
+    /// producing degenerate datagrams.
     fn set_mtu(&mut self, mtu_ip: u32) {
-        QuicConn::set_mtu(self, mtu_ip);
+        let dgram = mtu_ip.saturating_sub(DGRAM_HDR).max(256);
+        self.max_datagram = self.max_datagram.min(dgram);
     }
     fn set_tracer(&mut self, tracer: netsim::telemetry::Tracer) {
-        QuicConn::set_tracer(self, tracer);
+        self.egress.set_tracer(tracer);
     }
     fn cwnd(&self) -> u64 {
         self.cc.cwnd()

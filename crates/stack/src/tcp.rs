@@ -15,34 +15,38 @@
 //!   completions re-trigger output),
 //! * RTT estimation (RFC 6298), RTO with exponential backoff, fast
 //!   retransmit on three duplicate ACKs with a NewReno-style recovery
-//!   point, delayed ACKs, optional Nagle,
+//!   point, a one-block SACK scoreboard, delayed ACKs, optional Nagle,
 //! * SYN/SYN-ACK establishment and FIN teardown, so captures contain the
 //!   handshake packets a real pcap shows.
 //!
-//! Simplifications (documented for fidelity review): no SACK (recovery is
-//! NewReno-like), no ECN, no window scaling negotiation (windows are byte
-//! counts directly), and the receive buffer is drained instantly by the
-//! application, so the advertised window is constant at `cfg.recv_wnd`.
+//! The receive sequence space is a `Reassembly` and both timers are
+//! `Deadline`s (crate-private `seq` module), shared with QUIC and `Multiplex`.
+//!
+//! Simplifications (documented for fidelity review): no ECN, no window
+//! scaling negotiation (windows are byte counts directly), no ISS (both
+//! directions start at sequence 0), a lost FIN is never retransmitted,
+//! and the receive buffer is drained instantly by the application, so the
+//! advertised window is constant at `cfg.recv_wnd`.
 
 use crate::cc::{make_cc, AckInfo, CongestionControl};
 use crate::config::{StackConfig, IP_TCP_OVERHEAD, MIN_IP_PACKET};
 use crate::cpu::Cpu;
 use crate::egress::{EgressLabels, EgressPipeline, FlowStats, TransportCore};
 use crate::qdisc::SegDesc;
+use crate::seq::{Deadline, Due, Reassembly};
 use crate::shaper::{BoxShaper, ShapeCtx};
 use netsim::{FlowId, Nanos, Packet, PacketKind};
 use std::collections::BTreeMap;
 
-/// Connection lifecycle state.
+/// Handshake state. Teardown needs none of its own: `fin_queued` /
+/// `fin_sent` and `peer_fin_at` / `peer_closed_delivered` carry the close
+/// of each direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TcpState {
     Closed,
     SynSent,
     SynReceived,
     Established,
-    FinWait,
-    CloseWait,
-    Done,
 }
 
 /// What timer kind a scheduled event refers to.
@@ -78,7 +82,7 @@ pub enum TcpAction {
     PeerClosed,
 }
 
-/// One endpoint of a TCP connection.
+/// One endpoint of a TCP connection (its transmission control block).
 pub struct TcpConn {
     pub flow: FlowId,
     pub cfg: StackConfig,
@@ -89,7 +93,7 @@ pub struct TcpConn {
     pub state: TcpState,
     is_client: bool,
 
-    // ---- send side ----
+    // ---- send sequence space ----
     app_written: u64,
     snd_una: u64,
     snd_nxt: u64,
@@ -107,32 +111,25 @@ pub struct TcpConn {
     rttvar: Nanos,
     rto: Nanos,
     rto_backoff: u32,
-    rto_deadline: Nanos,
-    rto_armed: bool,
-    rto_gen: u64,
-    delack_pending: bool,
-    delack_gen: u64,
+    rto_timer: Deadline,
+    delack_timer: Deadline,
     /// Outstanding RTT probes: seq_end -> send time. Multiple probes
     /// approximate per-segment TCP timestamps, giving HyStart and the
     /// RTO estimator sub-RTT reaction time. Cleared by any
     /// retransmission (Karn's algorithm).
     rtt_probes: BTreeMap<u64, Nanos>,
     /// SACK scoreboard: received-above-cumulative ranges reported by
-    /// the peer, as start -> end (RFC 2018-lite, one block per ACK).
+    /// the peer, as start -> end (RFC 2018-lite, one block per ACK);
+    /// disjoint and non-adjacent.
     sacked: BTreeMap<u64, u64>,
 
-    // ---- receive side ----
-    rcv_nxt: u64,
-    ooo: BTreeMap<u64, u64>,
+    // ---- receive sequence space ----
+    rcv: Reassembly,
     delack_count: u32,
     peer_fin_at: Option<u64>,
     peer_closed_delivered: bool,
 
-    // ---- progress counters for ShapeCtx ----
-    data_bytes_sent: u64,
-    data_pkts_sent: u64,
-    data_segs_sent: u64,
-
+    /// `segs_sent` / `pkts_sent` double as the shaper's progress counters.
     pub stats: FlowStats,
 }
 
@@ -159,43 +156,17 @@ impl TcpConn {
             rttvar: Nanos::ZERO,
             rto: cfg.init_rto,
             rto_backoff: 0,
-            rto_deadline: Nanos::ZERO,
-            rto_armed: false,
-            rto_gen: 0,
-            delack_pending: false,
-            delack_gen: 0,
+            rto_timer: Deadline::new(TimerKind::Rto),
+            delack_timer: Deadline::new(TimerKind::DelAck),
             rtt_probes: BTreeMap::new(),
             sacked: BTreeMap::new(),
-            rcv_nxt: 0,
-            ooo: BTreeMap::new(),
+            rcv: Reassembly::default(),
             delack_count: 0,
             peer_fin_at: None,
             peer_closed_delivered: false,
-            data_bytes_sent: 0,
-            data_pkts_sent: 0,
-            data_segs_sent: 0,
             stats: FlowStats::default(),
             cfg,
         }
-    }
-
-    pub fn set_shaper(&mut self, shaper: BoxShaper) {
-        self.egress.set_shaper(shaper);
-    }
-
-    /// Install a flow-trace sink: every subsequent packet-size, TSO and
-    /// pacing decision this endpoint makes is recorded as a
-    /// [`netsim::telemetry::FlowEvent`].
-    pub fn set_tracer(&mut self, tracer: netsim::telemetry::Tracer) {
-        self.egress.set_tracer(tracer);
-    }
-
-    /// Mid-flow path-MTU reduction (the stand-in for an ICMP
-    /// "fragmentation needed"): future packetization uses the smaller
-    /// size. Only shrinks — never grows past the configured MTU — and
-    /// never goes below the RFC 879 minimum packet.
-    pub fn set_mtu(&mut self, mtu_ip: u32) {
-        self.cfg.mtu_ip = mtu_ip.clamp(MIN_IP_PACKET, self.cfg.mtu_ip);
     }
 
     // ---------------------------------------------------------------
@@ -220,38 +191,29 @@ impl TcpConn {
         if hi <= lo || hi <= self.snd_una {
             return;
         }
-        let lo = lo.max(self.snd_una);
-        // Merge with overlapping/adjacent ranges.
-        let mut new_lo = lo;
-        let mut new_hi = hi;
-        let overlapping: Vec<u64> = self
-            .sacked
-            .range(..=hi)
-            .filter(|(&s, &e)| e >= lo && s <= hi)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in overlapping {
-            let e = self.sacked.remove(&s).expect("range present");
-            new_lo = new_lo.min(s);
-            new_hi = new_hi.max(e);
+        // Absorb every range overlapping or touching [lo, hi]: the ranges
+        // are disjoint, so they are the last few starting at or below hi.
+        let (mut lo, mut hi) = (lo.max(self.snd_una), hi);
+        while let Some((&s, &e)) = self.sacked.range(..=hi).next_back() {
+            if e < lo {
+                break;
+            }
+            self.sacked.remove(&s);
+            lo = lo.min(s);
+            hi = hi.max(e);
         }
-        self.sacked.insert(new_lo, new_hi);
+        self.sacked.insert(lo, hi);
     }
     fn drop_sacked_below_una(&mut self) {
         let una = self.snd_una;
-        let stale: Vec<u64> = self
-            .sacked
-            .iter()
-            .filter(|(_, &e)| e <= una)
-            .map(|(&s, _)| s)
-            .collect();
-        for s in stale {
-            self.sacked.remove(&s);
-        }
-        // Trim a range straddling una.
-        if let Some((&s, &e)) = self.sacked.range(..una).next_back() {
+        // Drop every range starting below una; only the last of them can
+        // straddle it, and that one comes back trimmed to start at una.
+        while let Some(range) = self.sacked.first_entry() {
+            if *range.key() >= una {
+                break;
+            }
+            let (_, e) = range.remove_entry();
             if e > una {
-                self.sacked.remove(&s);
                 self.sacked.insert(una, e);
             }
         }
@@ -260,19 +222,7 @@ impl TcpConn {
         self.app_written - self.snd_una
     }
     pub fn established(&self) -> bool {
-        matches!(
-            self.state,
-            TcpState::Established | TcpState::FinWait | TcpState::CloseWait
-        )
-    }
-    pub fn srtt(&self) -> Option<Nanos> {
-        self.srtt
-    }
-    pub fn cwnd(&self) -> u64 {
-        self.cc.cwnd()
-    }
-    pub fn bytes_remaining_to_send(&self) -> u64 {
-        self.app_written - self.snd_nxt
+        self.state == TcpState::Established
     }
     /// All data (and FIN, if requested) sent and acknowledged.
     pub fn send_complete(&self) -> bool {
@@ -284,18 +234,22 @@ impl TcpConn {
             flow: self.flow,
             now,
             cwnd: self.cc.cwnd(),
-            pacing_rate_bps: if self.cfg.pacing {
-                self.cc.pacing_rate_bps(self.srtt)
-            } else {
-                None
-            },
+            pacing_rate_bps: self.pacing_rate_bps(),
             in_slow_start: self.cc.in_slow_start(),
-            bytes_sent: self.data_bytes_sent,
-            pkts_sent: self.data_pkts_sent,
-            segs_sent: self.data_segs_sent,
+            bytes_sent: self.snd_nxt,
+            pkts_sent: self.stats.pkts_sent,
+            segs_sent: self.stats.segs_sent,
             mtu_ip: self.cfg.mtu_ip,
             mss: self.cfg.mss(),
         }
+    }
+
+    /// A control packet (SYN, SYN-ACK, ACK, FIN) advertising our window.
+    fn ctl(&self, kind: PacketKind, seq: u64, ack: u64) -> Packet {
+        let mut p = Packet::tcp_ack(self.flow, seq, ack);
+        p.kind = kind;
+        p.rwnd = self.cfg.recv_wnd;
+        p
     }
 
     // ---------------------------------------------------------------
@@ -308,12 +262,7 @@ impl TcpConn {
         assert!(self.is_client);
         self.state = TcpState::SynSent;
         self.rtt_probes.insert(0, now);
-        let mut pkt = Packet::tcp_ack(self.flow, 0, 0);
-        pkt.kind = PacketKind::TcpSyn;
-        pkt.rwnd = self.cfg.recv_wnd;
-        let mut acts = vec![TcpAction::SendCtl(pkt)];
-        acts.extend(self.arm_rto(now));
-        acts
+        self.send_handshake(now)
     }
 
     /// `send()` syscall: copy up to `len` bytes into the socket buffer.
@@ -327,14 +276,6 @@ impl TcpConn {
             self.blocked = true;
         }
         accepted
-    }
-
-    /// Application close: queue a FIN after all written data.
-    pub fn close(&mut self) {
-        self.fin_queued = true;
-        if self.state == TcpState::Established {
-            self.state = TcpState::FinWait;
-        }
     }
 
     // ---------------------------------------------------------------
@@ -403,11 +344,11 @@ impl TcpConn {
                 let mut pkt = Packet::tcp_data(
                     self.flow,
                     self.snd_nxt + (budget - remaining),
-                    self.rcv_nxt,
+                    self.rcv.next(),
                     payload,
                 );
                 pkt.rwnd = self.cfg.recv_wnd;
-                pkt.meta.tso_burst = self.data_segs_sent + 1;
+                pkt.meta.tso_burst = self.stats.segs_sent + 1;
                 pkt.meta.shaped = shaped;
                 remaining -= payload as u64;
                 pkts.push(pkt);
@@ -433,9 +374,6 @@ impl TcpConn {
             }
 
             self.snd_nxt += payload_total;
-            self.data_bytes_sent += payload_total;
-            self.data_pkts_sent += npkts as u64;
-            self.data_segs_sent += 1;
             self.stats.segs_sent += 1;
             self.stats.pkts_sent += npkts as u64;
             self.tsq_bytes += wire_bytes;
@@ -446,24 +384,12 @@ impl TcpConn {
             acts.extend(self.arm_rto(now));
         }
         // FIN rides after all data has been segmented.
-        if self.fin_queued
-            && !self.fin_sent
-            && self.app_written == self.snd_nxt
-            && self.established()
-        {
+        if self.fin_queued && !self.fin_sent && self.app_written == self.snd_nxt {
             self.fin_sent = true;
-            let mut fin = Packet::tcp_ack(self.flow, self.snd_nxt, self.rcv_nxt);
-            fin.kind = PacketKind::TcpFin;
-            fin.rwnd = self.cfg.recv_wnd;
+            let fin = self.ctl(PacketKind::TcpFin, self.snd_nxt, self.rcv.next());
             acts.push(TcpAction::SendCtl(fin));
         }
         acts
-    }
-
-    /// NIC finished serializing `wire_bytes` of this flow: release TSQ
-    /// budget. Caller should invoke [`TcpConn::output`] afterwards.
-    pub fn tsq_credit(&mut self, wire_bytes: u64) {
-        self.tsq_bytes = self.tsq_bytes.saturating_sub(wire_bytes);
     }
 
     // ---------------------------------------------------------------
@@ -475,15 +401,11 @@ impl TcpConn {
         let mut acts = Vec::new();
         match pkt.kind {
             PacketKind::TcpSyn => {
-                // Passive open.
-                if self.state == TcpState::Closed || self.state == TcpState::SynReceived {
+                // Passive open; a repeated SYN re-sends the SYN-ACK.
+                if matches!(self.state, TcpState::Closed | TcpState::SynReceived) {
                     self.state = TcpState::SynReceived;
                     self.peer_rwnd = pkt.rwnd;
-                    let mut sa = Packet::tcp_ack(self.flow, 0, 0);
-                    sa.kind = PacketKind::TcpSynAck;
-                    sa.rwnd = self.cfg.recv_wnd;
-                    acts.push(TcpAction::SendCtl(sa));
-                    acts.extend(self.arm_rto(now));
+                    acts = self.send_handshake(now);
                 }
                 return acts;
             }
@@ -494,10 +416,9 @@ impl TcpConn {
                     if let Some(t0) = self.rtt_probes.remove(&0) {
                         self.rtt_sample(now - t0);
                     }
-                    self.disarm_rto();
+                    self.rto_timer.disarm();
                     acts.push(TcpAction::Connected);
-                    acts.push(TcpAction::SendCtl(self.make_ack()));
-                    self.stats.acks_sent += 1;
+                    acts.push(self.ack_now());
                 }
                 return acts;
             }
@@ -506,7 +427,7 @@ impl TcpConn {
         // Completing the server side of the handshake.
         if self.state == TcpState::SynReceived {
             self.state = TcpState::Established;
-            self.disarm_rto();
+            self.rto_timer.disarm();
             acts.push(TcpAction::Connected);
         }
         self.peer_rwnd = pkt.rwnd;
@@ -524,11 +445,13 @@ impl TcpConn {
             self.drop_sacked_below_una();
             // Harvest every probe this ACK covers; sample from the most
             // recent one (closest to a per-segment timestamp).
-            let covered: Vec<u64> = self.rtt_probes.range(..=pkt.ack).map(|(&k, _)| k).collect();
             let mut latest: Option<Nanos> = None;
-            for k in covered {
-                let t0 = self.rtt_probes.remove(&k).expect("probe present");
-                latest = Some(latest.map_or(t0, |l: Nanos| l.max(t0)));
+            while let Some(probe) = self.rtt_probes.first_entry() {
+                if *probe.key() > pkt.ack {
+                    break;
+                }
+                let t0 = probe.remove();
+                latest = Some(latest.map_or(t0, |l| l.max(t0)));
             }
             let rtt = latest.map(|t0| {
                 let s = now - t0;
@@ -560,7 +483,7 @@ impl TcpConn {
                 acts.push(self.retransmit_head(now));
             }
             if self.snd_una == self.snd_nxt {
-                self.disarm_rto();
+                self.rto_timer.disarm();
             } else {
                 acts.extend(self.arm_rto(now));
             }
@@ -587,91 +510,49 @@ impl TcpConn {
         // ---- data reassembly ----
         if pkt.payload > 0 {
             let _ = cpu.charge(now, cpu.model.per_data_rx);
-            let delivered_before = self.rcv_nxt;
-            if pkt.seq_end() <= self.rcv_nxt {
-                // Duplicate of old data: ACK immediately.
-                acts.push(TcpAction::SendCtl(self.make_ack()));
-                self.stats.acks_sent += 1;
-            } else if pkt.seq <= self.rcv_nxt {
-                self.rcv_nxt = pkt.seq_end();
-                self.drain_ooo();
-                let newly = self.rcv_nxt - delivered_before;
-                self.stats.bytes_delivered += newly;
-                acts.push(TcpAction::Deliver(newly));
-                acts.extend(self.maybe_ack(now));
-            } else {
-                // Out of order: store and send an immediate dup ACK.
-                self.ooo.insert(pkt.seq, pkt.payload as u64);
-                acts.push(TcpAction::SendCtl(self.make_ack()));
-                self.stats.acks_sent += 1;
+            match self.rcv.accept(pkt.seq, pkt.payload as u64) {
+                Some(newly) if newly > 0 => {
+                    self.stats.bytes_delivered += newly;
+                    acts.push(TcpAction::Deliver(newly));
+                    acts.extend(self.maybe_ack(now));
+                }
+                // Old data, or out of order above a hole: ACK at once (a
+                // duplicate ACK carrying the hole's SACK block).
+                _ => acts.push(self.ack_now()),
             }
         }
 
         // ---- FIN ----
         if pkt.kind == PacketKind::TcpFin {
-            self.peer_fin_at = Some(pkt.seq.max(self.rcv_nxt));
-            if pkt.seq <= self.rcv_nxt {
-                acts.push(TcpAction::SendCtl(self.make_ack()));
-                self.stats.acks_sent += 1;
+            self.peer_fin_at = Some(pkt.seq.max(self.rcv.next()));
+            if pkt.seq <= self.rcv.next() {
+                acts.push(self.ack_now());
             }
         }
-        if let Some(fin_at) = self.peer_fin_at {
-            if self.rcv_nxt >= fin_at && !self.peer_closed_delivered {
-                self.peer_closed_delivered = true;
-                if self.state == TcpState::Established {
-                    self.state = TcpState::CloseWait;
-                }
-                acts.push(TcpAction::PeerClosed);
-            }
+        if !self.peer_closed_delivered && self.peer_fin_at.is_some_and(|f| self.rcv.next() >= f) {
+            self.peer_closed_delivered = true;
+            acts.push(TcpAction::PeerClosed);
         }
         acts
     }
 
-    fn drain_ooo(&mut self) {
-        loop {
-            let mut advanced = false;
-            let keys: Vec<u64> = self.ooo.range(..=self.rcv_nxt).map(|(&s, _)| s).collect();
-            for s in keys {
-                let len = self.ooo.remove(&s).expect("ooo key vanished");
-                let end = s + len;
-                if end > self.rcv_nxt {
-                    self.rcv_nxt = end;
-                    advanced = true;
-                }
-            }
-            if !advanced {
-                break;
-            }
-        }
+    /// An immediate cumulative ACK, reporting the lowest out-of-order
+    /// range as its SACK block.
+    fn ack_now(&mut self) -> TcpAction {
+        self.stats.acks_sent += 1;
+        let mut a = self.ctl(PacketKind::TcpAck, self.snd_nxt, self.rcv.next());
+        a.meta.sack = self.rcv.ooo().first_key_value().map(|(&s, &l)| (s, s + l));
+        TcpAction::SendCtl(a)
     }
 
-    fn make_ack(&self) -> Packet {
-        let mut a = Packet::tcp_ack(self.flow, self.snd_nxt, self.rcv_nxt);
-        a.rwnd = self.cfg.recv_wnd;
-        // Report the lowest out-of-order range as a SACK block.
-        if let Some((&s, &l)) = self.ooo.iter().next() {
-            a.meta.sack = Some((s, s + l));
-        }
-        a
-    }
-
-    fn maybe_ack(&mut self, now: Nanos) -> Vec<TcpAction> {
+    fn maybe_ack(&mut self, now: Nanos) -> Option<TcpAction> {
         self.delack_count += 1;
         if self.delack_count >= self.cfg.delack_segs {
             self.delack_count = 0;
-            self.delack_pending = false;
-            self.stats.acks_sent += 1;
-            vec![TcpAction::SendCtl(self.make_ack())]
-        } else if !self.delack_pending {
-            self.delack_pending = true;
-            self.delack_gen += 1;
-            vec![TcpAction::ArmTimer {
-                kind: TimerKind::DelAck,
-                at: now + self.cfg.delack_timeout,
-                gen: self.delack_gen,
-            }]
+            self.delack_timer.disarm();
+            Some(self.ack_now())
         } else {
-            Vec::new()
+            self.delack_timer.arm(now + self.cfg.delack_timeout)
         }
     }
 
@@ -700,21 +581,21 @@ impl TcpConn {
     }
 
     fn arm_rto(&mut self, now: Nanos) -> Option<TcpAction> {
-        self.rto_deadline = now + self.rto * (1 << self.rto_backoff.min(6));
-        if self.rto_armed {
-            return None; // lazy: the pending event will re-check
-        }
-        self.rto_armed = true;
-        self.rto_gen += 1;
-        Some(TcpAction::ArmTimer {
-            kind: TimerKind::Rto,
-            at: self.rto_deadline,
-            gen: self.rto_gen,
-        })
+        self.rto_timer
+            .arm(now + self.rto * (1 << self.rto_backoff.min(6)))
     }
 
-    fn disarm_rto(&mut self) {
-        self.rto_armed = false;
+    /// (Re)send our half of the handshake — the SYN from `SynSent`, the
+    /// SYN-ACK from `SynReceived` — under the RTO.
+    fn send_handshake(&mut self, now: Nanos) -> Vec<TcpAction> {
+        let kind = if self.state == TcpState::SynSent {
+            PacketKind::TcpSyn
+        } else {
+            PacketKind::TcpSynAck
+        };
+        let mut acts = vec![TcpAction::SendCtl(self.ctl(kind, 0, 0))];
+        acts.extend(self.arm_rto(now));
+        acts
     }
 
     /// Retransmit one MSS from the head of the unacked window.
@@ -732,7 +613,7 @@ impl TcpConn {
             self.cfg.mtu_ip.min(proposed_ip),
         );
         let len = ip - IP_TCP_OVERHEAD;
-        let mut pkt = Packet::tcp_data(self.flow, self.snd_una, self.rcv_nxt, len);
+        let mut pkt = Packet::tcp_data(self.flow, self.snd_una, self.rcv.next(), len);
         pkt.rwnd = self.cfg.recv_wnd;
         pkt.meta.retransmit = true;
         // Retransmissions bypass pacing (Linux sends them immediately).
@@ -742,48 +623,18 @@ impl TcpConn {
     /// A timer event fired.
     pub fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
         match kind {
-            TimerKind::DelAck => {
-                if gen != self.delack_gen || !self.delack_pending {
-                    return Vec::new();
-                }
-                self.delack_pending = false;
+            // One-shot: the shuttles flush a pending delayed ACK early.
+            TimerKind::DelAck if self.delack_timer.take(gen) => {
                 self.delack_count = 0;
-                self.stats.acks_sent += 1;
-                vec![TcpAction::SendCtl(self.make_ack())]
+                vec![self.ack_now()]
             }
-            TimerKind::Rto => {
-                if gen != self.rto_gen || !self.rto_armed {
-                    return Vec::new();
-                }
-                if now < self.rto_deadline {
-                    // Deadline moved forward by ACKs: re-sleep.
-                    self.rto_gen += 1;
-                    return vec![TcpAction::ArmTimer {
-                        kind: TimerKind::Rto,
-                        at: self.rto_deadline,
-                        gen: self.rto_gen,
-                    }];
-                }
-                self.rto_armed = false;
-                match self.state {
-                    TcpState::SynSent => {
-                        // Retransmit SYN.
+            TimerKind::Rto => match self.rto_timer.due(gen, now) {
+                Due::Stale => Vec::new(),
+                Due::Rearm(act) => vec![act],
+                Due::Fire => match self.state {
+                    TcpState::SynSent | TcpState::SynReceived => {
                         self.rto_backoff += 1;
-                        let mut p = Packet::tcp_ack(self.flow, 0, 0);
-                        p.kind = PacketKind::TcpSyn;
-                        p.rwnd = self.cfg.recv_wnd;
-                        let mut acts = vec![TcpAction::SendCtl(p)];
-                        acts.extend(self.arm_rto(now));
-                        acts
-                    }
-                    TcpState::SynReceived => {
-                        self.rto_backoff += 1;
-                        let mut p = Packet::tcp_ack(self.flow, 0, 0);
-                        p.kind = PacketKind::TcpSynAck;
-                        p.rwnd = self.cfg.recv_wnd;
-                        let mut acts = vec![TcpAction::SendCtl(p)];
-                        acts.extend(self.arm_rto(now));
-                        acts
+                        self.send_handshake(now)
                     }
                     _ if self.inflight() > 0 => {
                         self.stats.timeouts += 1;
@@ -796,10 +647,12 @@ impl TcpConn {
                         acts.extend(self.arm_rto(now));
                         acts
                     }
+                    // Nothing in flight, nothing to repair — a lost FIN
+                    // included: it is never retransmitted.
                     _ => Vec::new(),
-                }
-            }
-            TimerKind::Probe => Vec::new(),
+                },
+            },
+            _ => Vec::new(),
         }
     }
 }
@@ -808,8 +661,9 @@ impl TransportCore for TcpConn {
     fn connect(&mut self, now: Nanos) -> Vec<TcpAction> {
         TcpConn::connect(self, now)
     }
+    /// Queue a FIN after all written data.
     fn close(&mut self) {
-        TcpConn::close(self);
+        self.fin_queued = true;
     }
     fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
         TcpConn::input(self, pkt, now, cpu)
@@ -823,17 +677,20 @@ impl TransportCore for TcpConn {
     fn write(&mut self, len: u64) -> u64 {
         TcpConn::write(self, len)
     }
+    /// Release TSQ budget; the driver calls `output` next.
     fn on_nic_release(&mut self, wire_bytes: u64) {
-        self.tsq_credit(wire_bytes);
+        self.tsq_bytes = self.tsq_bytes.saturating_sub(wire_bytes);
     }
     fn set_shaper(&mut self, shaper: BoxShaper) {
-        TcpConn::set_shaper(self, shaper);
+        self.egress.set_shaper(shaper);
     }
+    /// Shrink-only: never grows past the configured MTU, never goes below
+    /// the RFC 879 minimum packet.
     fn set_mtu(&mut self, mtu_ip: u32) {
-        TcpConn::set_mtu(self, mtu_ip);
+        self.cfg.mtu_ip = mtu_ip.clamp(MIN_IP_PACKET, self.cfg.mtu_ip);
     }
     fn set_tracer(&mut self, tracer: netsim::telemetry::Tracer) {
-        TcpConn::set_tracer(self, tracer);
+        self.egress.set_tracer(tracer);
     }
     fn cwnd(&self) -> u64 {
         self.cc.cwnd()
@@ -852,7 +709,7 @@ impl TransportCore for TcpConn {
         self.cfg.mtu_ip
     }
     fn srtt(&self) -> Option<Nanos> {
-        TcpConn::srtt(self)
+        self.srtt
     }
     fn flow_stats(&self) -> FlowStats {
         self.stats
@@ -931,12 +788,12 @@ mod tests {
             if inbox.is_empty() {
                 // Wire idle: flush any pending delayed ACKs, as the
                 // delack timer eventually would.
-                if a.delack_pending {
-                    let acts = a.on_timer(TimerKind::DelAck, a.delack_gen, now);
+                if let Some((_, gen)) = a.delack_timer.pending() {
+                    let acts = a.on_timer(TimerKind::DelAck, gen, now);
                     absorb(acts, true, &mut inbox, &mut delivered);
                 }
-                if b.delack_pending {
-                    let acts = b.on_timer(TimerKind::DelAck, b.delack_gen, now);
+                if let Some((_, gen)) = b.delack_timer.pending() {
+                    let acts = b.on_timer(TimerKind::DelAck, gen, now);
                     absorb(acts, false, &mut inbox, &mut delivered);
                 }
                 if inbox.is_empty() {
@@ -1000,7 +857,7 @@ mod tests {
         );
         assert_eq!(to_b, n, "receiver must get exactly the written bytes");
         assert_eq!(a.snd_una, n);
-        assert_eq!(b.rcv_nxt, n);
+        assert_eq!(b.rcv.next(), n);
         assert!(a.send_complete());
     }
 
@@ -1077,7 +934,7 @@ mod tests {
         assert!(wire <= 3 * 1514 + 1514, "TSQ exceeded: {wire}");
         assert!(wire >= 3 * 1514, "valve closed too early: {wire}");
         // Crediting reopens the valve.
-        a.tsq_credit(wire);
+        a.on_nic_release(wire);
         let acts2 = a.output(Nanos::from_millis(2), &mut ca);
         assert!(
             acts2.iter().any(|x| matches!(x, TcpAction::SendSeg(_))),
@@ -1174,7 +1031,7 @@ mod tests {
             })
             .sum();
         assert_eq!(delivered, 2000, "hole filled: both packets delivered");
-        assert_eq!(b.rcv_nxt, 2000);
+        assert_eq!(b.rcv.next(), 2000);
     }
 
     #[test]
@@ -1246,12 +1103,12 @@ mod tests {
         let _ = a.output(Nanos::from_millis(1), &mut ca);
         let mut intervals = Vec::new();
         for _ in 0..9 {
-            let fired_at = a.rto_deadline;
-            let acts = a.on_timer(TimerKind::Rto, a.rto_gen, fired_at);
+            let (fired_at, gen) = a.rto_timer.pending().expect("rto armed");
+            let acts = a.on_timer(TimerKind::Rto, gen, fired_at);
             assert!(acts
                 .iter()
                 .any(|x| matches!(x, TcpAction::SendCtl(p) if p.meta.retransmit)));
-            intervals.push(a.rto_deadline - fired_at);
+            intervals.push(a.rto_timer.pending().expect("re-armed").0 - fired_at);
         }
         // First firing leaves backoff=1: the next wait is 2x the base RTO.
         for i in 1..intervals.len() {
@@ -1337,8 +1194,8 @@ mod tests {
         assert_eq!(retx[0].seq, 0);
         assert_eq!(a.stats.retransmits, 1);
         // The retransmission is lost too: the RTO fires next.
-        let fired_at = a.rto_deadline;
-        let acts = a.on_timer(TimerKind::Rto, a.rto_gen, fired_at);
+        let (fired_at, gen) = a.rto_timer.pending().expect("rto armed");
+        let acts = a.on_timer(TimerKind::Rto, gen, fired_at);
         assert_eq!(a.stats.timeouts, 1);
         assert_eq!(a.rto_backoff, 1);
         assert!(a.sacked.is_empty(), "RTO flushes the SACK scoreboard");
@@ -1349,11 +1206,11 @@ mod tests {
         let (_, to_b) = shuttle(&mut a, &mut b, &mut ca, &mut cb, fired_at, acts, true);
         assert_eq!(to_b, n, "every byte delivered despite the double loss");
         assert!(a.send_complete());
-        assert_eq!(b.rcv_nxt, n);
+        assert_eq!(b.rcv.next(), n);
     }
 
     #[test]
-    fn rto_deadline_moves_with_acks() {
+    fn rto_timer_moves_with_acks() {
         let (mut a, mut b, mut ca, mut cb) = pair();
         establish(&mut a, &mut b, &mut ca, &mut cb);
         a.write(1_000_000);

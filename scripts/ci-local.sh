@@ -10,6 +10,11 @@ run() {
     "$@"
 }
 
+# Style, lints and docs first, as CI's `lint` job runs them: a typo or a
+# clippy violation fails in seconds instead of after the whole suite.
+run cargo fmt --all --check
+run cargo clippy --workspace --all-targets --locked -- -D warnings
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 run cargo build --workspace --release --locked
 run cargo test --workspace -q --locked
 # The five examples: compiled by the test step, run here.
@@ -29,10 +34,6 @@ run scripts/check-golden.sh
 # recovery-off blackout baseline must still fail, or the gate is
 # vacuous), with the report byte-identical at 1 vs 4 threads.
 run scripts/check-chaos.sh
-
-run cargo fmt --all --check
-run cargo clippy --workspace --all-targets --locked -- -D warnings
-run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 
 echo
 echo "ci-local: all checks passed"
