@@ -66,13 +66,6 @@ impl Link {
     pub fn idle_at(&self, now: Nanos) -> bool {
         self.busy_until <= now
     }
-
-    /// The bandwidth-delay product in bytes (useful for sizing queues and
-    /// receive windows in experiment setups).
-    #[cfg(test)]
-    pub(crate) fn bdp_bytes(&self, rtt: Nanos) -> u64 {
-        ((self.rate_bps as u128 * rtt.as_nanos() as u128) / 8 / 1_000_000_000) as u64
-    }
 }
 
 #[cfg(test)]
@@ -120,13 +113,6 @@ mod tests {
             }
             last = done;
         }
-    }
-
-    #[test]
-    fn bdp() {
-        let l = Link::new(100_000_000_000, Nanos::from_micros(50));
-        // 100 Gb/s * 100 us RTT = 1.25 MB
-        assert_eq!(l.bdp_bytes(Nanos::from_micros(100)), 1_250_000);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //! the `stack` crate's TCP.
 
 use crate::packet::Packet;
-#[cfg(test)]
-use crate::time::Nanos;
 use std::collections::VecDeque;
 
 /// Statistics a queue keeps about itself.
@@ -66,13 +64,6 @@ impl DropTailQueue {
     #[allow(clippy::len_without_is_empty)]
     pub fn len(&self) -> usize {
         self.items.len()
-    }
-
-    /// Queuing delay a newly arriving packet would see at drain rate
-    /// `rate_bps` (used by AQM-style instrumentation and by tests).
-    #[cfg(test)]
-    pub(crate) fn drain_time(&self, rate_bps: u64) -> Nanos {
-        Nanos::for_bytes_at_rate(self.bytes, rate_bps)
     }
 }
 
@@ -137,12 +128,5 @@ mod tests {
         assert_eq!(q.stats.max_pkts, 2);
         assert_eq!(q.stats.max_bytes, 2 * 1066);
         assert_eq!(q.stats.dequeued, 1);
-    }
-
-    #[test]
-    fn drain_time_matches_rate() {
-        let mut q = DropTailQueue::new(1 << 20);
-        q.enqueue(pkt(1184)); // 1250 wire bytes
-        assert_eq!(q.drain_time(1_000_000_000), Nanos::from_micros(10));
     }
 }

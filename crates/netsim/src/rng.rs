@@ -187,21 +187,6 @@ impl SimRng {
             xs.swap(i, j);
         }
     }
-
-    /// Sample an index according to non-negative weights.
-    #[cfg(test)]
-    pub(crate) fn weighted_index(&mut self, weights: &[f64]) -> usize {
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "weighted_index: all weights zero");
-        let mut x = self.next_f64() * total;
-        for (i, &w) in weights.iter().enumerate() {
-            if x < w {
-                return i;
-            }
-            x -= w;
-        }
-        weights.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -320,19 +305,6 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, (0..100).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn weighted_index_respects_weights() {
-        let mut r = SimRng::new(31);
-        let w = [0.0, 1.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..40_000 {
-            counts[r.weighted_index(&w)] += 1;
-        }
-        assert_eq!(counts[0], 0);
-        let ratio = counts[2] as f64 / counts[1] as f64;
-        assert!((ratio - 3.0).abs() < 0.3, "ratio {ratio}");
     }
 
     #[test]

@@ -57,26 +57,6 @@ impl RunningStats {
             self.max
         }
     }
-
-    #[cfg(test)]
-    pub(crate) fn merge(&mut self, other: &RunningStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = *other;
-            return;
-        }
-        let n = self.n + other.n;
-        let d = other.mean - self.mean;
-        let mean = self.mean + d * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + d * d * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
 }
 
 /// Exact percentile by sorting a copy. `p` in [0, 100], linear
@@ -189,18 +169,6 @@ impl Histogram {
             total: v.req_u64("total")?,
         })
     }
-
-    /// Normalized probability mass per bin.
-    #[cfg(test)]
-    pub(crate) fn pmf(&self) -> Vec<f64> {
-        if self.total == 0 {
-            return vec![0.0; self.counts.len()];
-        }
-        self.counts
-            .iter()
-            .map(|&c| c as f64 / self.total as f64)
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -229,21 +197,6 @@ mod tests {
         s1.push(3.0);
         assert_eq!(s1.mean(), 3.0);
         assert_eq!(s1.std_dev(), 0.0);
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut all = RunningStats::new();
-        xs.iter().for_each(|&x| all.push(x));
-        let mut a = RunningStats::new();
-        let mut b = RunningStats::new();
-        xs[..37].iter().for_each(|&x| a.push(x));
-        xs[37..].iter().for_each(|&x| b.push(x));
-        a.merge(&b);
-        assert_eq!(a.n, all.n);
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.std_dev() - all.std_dev()).abs() < 1e-9);
     }
 
     #[test]
@@ -296,15 +249,5 @@ mod tests {
             let x = h.sample(i as f64 / 10.0, 0.5);
             assert!((30.0..40.0).contains(&x), "sample {x}");
         }
-    }
-
-    #[test]
-    fn histogram_pmf_sums_to_one() {
-        let mut h = Histogram::new(0.0, 1.0, 4);
-        for x in [0.1, 0.3, 0.6, 0.9, 0.95] {
-            h.push(x);
-        }
-        let s: f64 = h.pmf().iter().sum();
-        assert!((s - 1.0).abs() < 1e-12);
     }
 }

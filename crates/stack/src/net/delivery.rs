@@ -7,7 +7,7 @@
 //! constructor choice (`accept`).
 
 use super::host::Conn;
-use super::{Api, Ev, Network, CLIENT, SERVER};
+use super::{Api, Ev, Network, CLIENT, LANE_ARRIVE, LANE_BN, LANE_NIC, SERVER};
 use crate::egress::TransportCore;
 use crate::qdisc::{Poll, SegDesc};
 use crate::quic::QuicConn;
@@ -353,10 +353,12 @@ impl Network {
                 }
                 let (done, pkts) = h.nic.transmit_segment(now, seg);
                 for (t, pkt) in pkts {
-                    self.q.schedule_at(t, Ev::PktLeaveNic { host, pkt });
+                    self.q
+                        .schedule_lane(LANE_NIC + host, t, Ev::PktLeaveNic { host, pkt });
                 }
                 // Its handler checks again: that is when the NIC frees.
-                self.q.schedule_at(done, Ev::SegTxDone { host, flow, wire });
+                self.q
+                    .schedule_lane(LANE_NIC + host, done, Ev::SegTxDone { host, flow, wire });
             }
             Poll::Wait(t) => self.schedule_check(host, t),
             Poll::Empty => {}
@@ -526,7 +528,8 @@ impl Network {
         if self.bn_inflight[dir].is_none() {
             let tx = Nanos::for_bytes_at_rate(pkt.wire_len as u64, self.path.bottleneck_bps);
             self.bn_inflight[dir] = Some(pkt);
-            self.q.schedule_at(now + tx, Ev::BnTxDone { dir });
+            self.q
+                .schedule_lane(LANE_BN + dir, now + tx, Ev::BnTxDone { dir });
         } else if !self.bn_queue[dir].enqueue(pkt) {
             self.path_stats.overflow_drops += 1;
             self.ledger.dropped += 1;
@@ -564,12 +567,16 @@ impl Network {
         }
         self.ledger.arrivals_pending += 1;
         self.default_ledger.arrivals_pending += 1;
-        self.q
-            .schedule_at(now + delay, Ev::Arrive { host: dst, pkt });
+        self.q.schedule_lane(
+            LANE_ARRIVE + dst,
+            now + delay,
+            Ev::Arrive { host: dst, pkt },
+        );
         if let Some(next) = self.bn_queue[dir].dequeue() {
             let tx = Nanos::for_bytes_at_rate(next.wire_len as u64, self.path.bottleneck_bps);
             self.bn_inflight[dir] = Some(next);
-            self.q.schedule_at(now + tx, Ev::BnTxDone { dir });
+            self.q
+                .schedule_lane(LANE_BN + dir, now + tx, Ev::BnTxDone { dir });
         }
     }
 

@@ -68,6 +68,18 @@ pub trait App {
     fn on_stall(&mut self, _api: &mut Api, _flow: FlowId, _idle: Nanos) {}
 }
 
+/// `EventQueue` lanes (see `netsim::EventQueue::schedule_lane`), one per
+/// stream whose times never decrease: each host NIC's `PktLeaveNic` and
+/// `SegTxDone` (a segment's last packet leaves as it finishes, and the
+/// next segment starts no earlier), each bottleneck direction's
+/// `BnTxDone`, and each destination host's `Arrive` from the bottleneck
+/// (a fault's extra delay can put one before the lane's tail; the queue
+/// then keeps it in the heap). Indexed by host or direction.
+const LANE_NIC: usize = 0;
+const LANE_BN: usize = 2;
+const LANE_ARRIVE: usize = 4;
+const LANES: usize = 6;
+
 /// Events flowing through the simulator.
 #[derive(Debug)]
 enum Ev {
@@ -192,7 +204,7 @@ impl Network {
         seed: u64,
     ) -> Self {
         Network {
-            q: EventQueue::new(),
+            q: EventQueue::with_lanes(LANES),
             hosts: [Host::new(client), Host::new(server)],
             apps: [Some(client_app), Some(server_app)],
             bn_queue: [
@@ -255,11 +267,7 @@ impl Network {
         self.start();
         let mut sp = netsim::telemetry::span("stack.net.event_loop");
         let t0 = self.q.now();
-        while let Some(t) = self.q.peek_time() {
-            if t > deadline {
-                break;
-            }
-            let (t, ev) = self.q.pop().expect("peeked event vanished");
+        while let Some((t, ev)) = self.q.pop_until(deadline) {
             self.auditor.check_monotonic(t);
             self.handle(ev);
         }

@@ -1,0 +1,100 @@
+#!/usr/bin/env bash
+# Alternating benchmark pairs, parent commit against the working tree
+# (PERF.md, "Measuring a claim"). Builds the parent's `benchmark` binary
+# from `git archive <parent-rev>` in a temporary directory and the
+# working tree's in place, then runs `--workload W --seed S --seconds T
+# --trace 0` on each side `pairs` times, alternating which side goes
+# first, every run from its own empty working directory. Prints every
+# run's throughput / peak_rss_mb / setup_s / sim_digest / failed, then per
+# metric each side's median and quartiles and the pairs the change won.
+# Exits 1 if any two runs' sim_digests differ or any run failed an
+# operation.
+#
+#   scripts/bench-pairs.sh <parent-rev> <workload> <pairs> [seconds] [seed]
+#                                                  (defaults: 30, 12)
+#
+# The temporary directory (parent checkout, its build, the run
+# directories) is made with `mktemp -d`, so TMPDIR chooses where it goes;
+# it is removed on exit.
+set -euo pipefail
+if [[ $# -lt 3 || $# -gt 5 ]]; then
+    echo "usage: $0 <parent-rev> <workload> <pairs> [seconds] [seed]" >&2
+    exit 2
+fi
+rev="$1"
+workload="$2"
+pairs="$3"
+seconds="${4:-30}"
+seed="${5:-12}"
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
+mkdir -p "$tmp/parent"
+git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
+build() {
+    cargo build --release --offline --locked --quiet --manifest-path "$1/benchmark/Cargo.toml"
+}
+build "$tmp/parent"
+build "$root"
+declare -A bin=(
+    [parent]="$tmp/parent/benchmark/target/release/benchmark"
+    [change]="$root/benchmark/target/release/benchmark"
+)
+
+runs="$tmp/runs.jsonl"
+: >"$runs"
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then order=(parent change); else order=(change parent); fi
+    for side in "${order[@]}"; do
+        cwd="$(mktemp -d -p "$tmp")"
+        out="$(cd "$cwd" && "${bin[$side]}" --workload "$workload" --seed "$seed" \
+            --seconds "$seconds" --trace 0)"
+        report="${out%%$'\n'*}" # the first line is the descriptive report
+        printf '{"pair":%d,"side":"%s","report":%s}\n' "$i" "$side" "$report" >>"$runs"
+    done
+done
+
+python3 - "$runs" "$rev" "$workload" "$seed" "$root/BENCHMARK.json" <<'PY'
+import json, sys
+from statistics import median, quantiles
+
+runs = [json.loads(line) for line in open(sys.argv[1])]
+rev, workload, seed = sys.argv[2:5]
+better = {m["name"]: m["better"] for m in json.load(open(sys.argv[5]))["end_to_end"]}
+metrics = ["throughput", "peak_rss_mb", "setup_s"]
+
+print(f"{workload} seed {seed}: parent {rev} against the working tree, {len(runs) // 2} pairs")
+print(f"{'pair':>4} {'side':<7}" + "".join(f"{m:>14}" for m in metrics) + f"{'sim_digest':>20}{'failed':>8}")
+for r in runs:
+    rep = r["report"]
+    cells = "".join(f"{rep['metrics'][m]['value']:>14.4f}" for m in metrics)
+    print(f"{r['pair']:>4} {r['side']:<7}{cells}{rep['sim_digest']:>20}{rep['ops_failed']:>8}")
+
+def values(side, m):
+    return [r["report"]["metrics"][m]["value"] for r in runs if r["side"] == side]
+
+def spread(v):
+    q1, _, q3 = quantiles(v, n=4, method="inclusive") if len(v) > 1 else (v[0], v[0], v[0])
+    return f"{median(v):.4f} ({q1:.4f}-{q3:.4f})"
+
+print()
+print(f"{'metric':<13}{'parent median (quartiles)':>34}{'change median (quartiles)':>34}{'change':>9}{'won':>8}")
+for m in metrics:
+    p, c = values("parent", m), values("change", m)
+    sign = 1 if better[m] == "higher" else -1
+    won = sum(sign * (y - x) > 0 for x, y in zip(p, c))
+    delta = (median(c) - median(p)) / median(p)
+    print(f"{m:<13}{spread(p):>34}{spread(c):>34}{delta:>+9.3f}{won:>5}/{len(p)}")
+
+bad = 0
+digests = sorted({r["report"]["sim_digest"] for r in runs})
+if len(digests) != 1:
+    print(f"FAIL sim_digest differs across runs: {digests}")
+    bad += 1
+failed = sum(r["report"]["ops_failed"] for r in runs)
+if failed:
+    print(f"FAIL {failed} failed operations")
+    bad += 1
+sys.exit(1 if bad else 0)
+PY
