@@ -28,6 +28,18 @@ pub struct SafetyAudit {
     pub decisions: AtomicU64,
 }
 
+/// Add one to an audit counter. Its [`SafetyCap`] is the only writer
+/// (through `&mut self`, and each cap makes its own `Arc`), so a relaxed
+/// load and store count exactly, without a lock-prefixed
+/// read-modify-write; readers holding an `audit_handle` still load it
+/// atomically.
+fn bump(counter: &AtomicU64) {
+    counter.store(
+        counter.load(Ordering::Relaxed).wrapping_add(1),
+        Ordering::Relaxed,
+    );
+}
+
 impl SafetyAudit {
     pub fn total_clamped(&self) -> u64 {
         self.tso_grow_clamped.load(Ordering::Relaxed)
@@ -61,10 +73,10 @@ impl<S: Shaper> SafetyCap<S> {
 
 impl<S: Shaper> Shaper for SafetyCap<S> {
     fn tso_segment_pkts(&mut self, ctx: &ShapeCtx, proposed: u32) -> u32 {
-        self.audit.decisions.fetch_add(1, Ordering::Relaxed);
+        bump(&self.audit.decisions);
         let want = self.inner.tso_segment_pkts(ctx, proposed);
         if want > proposed {
-            self.audit.tso_grow_clamped.fetch_add(1, Ordering::Relaxed);
+            bump(&self.audit.tso_grow_clamped);
             proposed
         } else {
             want.max(1)
@@ -72,10 +84,10 @@ impl<S: Shaper> Shaper for SafetyCap<S> {
     }
 
     fn packet_ip_size(&mut self, ctx: &ShapeCtx, pkt_index: u32, proposed: u32) -> u32 {
-        self.audit.decisions.fetch_add(1, Ordering::Relaxed);
+        bump(&self.audit.decisions);
         let want = self.inner.packet_ip_size(ctx, pkt_index, proposed);
         if want > proposed {
-            self.audit.pkt_grow_clamped.fetch_add(1, Ordering::Relaxed);
+            bump(&self.audit.pkt_grow_clamped);
             proposed
         } else {
             want.max(1)
@@ -83,10 +95,10 @@ impl<S: Shaper> Shaper for SafetyCap<S> {
     }
 
     fn extra_delay(&mut self, ctx: &ShapeCtx) -> Nanos {
-        self.audit.decisions.fetch_add(1, Ordering::Relaxed);
+        bump(&self.audit.decisions);
         let want = self.inner.extra_delay(ctx);
         if want > self.max_delay {
-            self.audit.delay_clamped.fetch_add(1, Ordering::Relaxed);
+            bump(&self.audit.delay_clamped);
             self.max_delay
         } else {
             want

@@ -73,6 +73,8 @@ pub struct EventQueue<E> {
     /// Events pending, heap and lanes together.
     pending: usize,
     high_water: usize,
+    /// Events ever appended to a lane (see [`EventQueue::lane_events`]).
+    lane_events: u64,
     next_seq: u64,
     now: Nanos,
 }
@@ -97,6 +99,7 @@ impl<E> EventQueue<E> {
             lanes: (0..n).map(|_| VecDeque::new()).collect(),
             pending: 0,
             high_water: 0,
+            lane_events: 0,
             next_seq: 0,
             now: Nanos::ZERO,
         }
@@ -128,6 +131,7 @@ impl<E> EventQueue<E> {
             return;
         }
         fifo.push_back((at, seq, ev));
+        self.lane_events += 1;
         self.count_pending();
     }
 
@@ -242,6 +246,12 @@ impl<E> EventQueue<E> {
     /// The most events ever pending at once, heap and lanes together.
     pub fn high_water(&self) -> usize {
         self.high_water
+    }
+
+    /// Events ever appended to a lane rather than pushed on the heap —
+    /// counted as they are scheduled, so a pop costs nothing extra.
+    pub fn lane_events(&self) -> u64 {
+        self.lane_events
     }
 }
 
@@ -600,6 +610,7 @@ mod tests {
         const LANES: usize = 3;
         let mut rng = crate::SimRng::new(0x1A9E5);
         let (mut appended, mut fell_back) = (0u32, 0u32);
+        let mut lane_events = 0;
         for _ in 0..20 {
             let mut q = EventQueue::with_lanes(LANES);
             let mut model = Reference::default();
@@ -667,7 +678,13 @@ mod tests {
             }
             while model.check_pop_until(&mut q, u64::MAX) {}
             assert!(q.is_empty());
+            lane_events += q.lane_events();
         }
+        assert_eq!(
+            lane_events,
+            u64::from(appended),
+            "lane_events counts every append"
+        );
         assert!(
             appended > 1_000 && fell_back > 300,
             "{appended} appended, {fell_back} fell back to the heap"

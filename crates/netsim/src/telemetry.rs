@@ -6,20 +6,22 @@
 //! changed the wire sequence?". This module makes every such decision
 //! observable without giving up the workspace's two core properties:
 //!
-//! * **zero dependencies** — counters are `AtomicU64`, histograms are
-//!   power-of-two atomic buckets, output is [`crate::json::Json`];
+//! * **zero dependencies** — an instrument is an index into per-thread
+//!   blocks of `u64` slots, histograms are power-of-two buckets, output
+//!   is [`crate::json::Json`];
 //! * **determinism** — every value in [`metrics_json`] is an
-//!   order-independent integer aggregate (sums, counts, maxima over
-//!   *simulated* quantities), so the metrics snapshot is bit-identical
-//!   at any `STOB_THREADS` setting. Wall-clock self-profiling is kept in
-//!   a separate [`wall_profile_summary`] that deliberately never mixes
-//!   into the deterministic snapshot.
+//!   order-independent integer aggregate (sums, counts, minima and maxima
+//!   over *simulated* quantities), so the metrics snapshot is
+//!   bit-identical at any `STOB_THREADS` setting. Wall-clock
+//!   self-profiling is kept in a separate [`wall_profile_summary`] that
+//!   deliberately never mixes into the deterministic snapshot.
 //!
 //! Three instruments:
 //!
 //! 1. **Metrics** — a process-wide registry of named [`Counter`]s,
 //!    [`Gauge`]s and [`Histo`]s. Instrumentation sites use the cached
-//!    macros so the steady-state cost is one atomic op:
+//!    macros so the steady-state cost is a plain load and store into the
+//!    recording thread's own shard (below):
 //!
 //!    ```
 //!    netsim::tm_counter!("doc.example.packets").add(3);
@@ -31,6 +33,22 @@
 //!    Names follow `crate.layer.metric` (see `OBSERVABILITY.md` for the
 //!    full catalogue): `stack.tcp.tso_resegmented`,
 //!    `stack.qdisc.release_delay_ns`, `defense.app.split_pkts`, …
+//!
+//!    **Shards.** An instrument is a slot index: one slot for a counter
+//!    or a gauge, 68 for a histogram (sum, min, max and 65 buckets).
+//!    Each thread adopts a shard at its first write — a block of
+//!    `AtomicU64` slots that no other thread writes — and updates it with
+//!    a relaxed load and a relaxed store, never a lock-prefixed
+//!    read-modify-write. A shard grows a page at a time, each page twice
+//!    the last, from zeroed memory, the first time the thread writes a
+//!    slot in it. When the thread exits, its shard goes to a free list
+//!    and the next new thread adopts it with its values intact, so memory
+//!    follows the most threads ever recording at once, not how many were
+//!    spawned. A read merges every shard: counters, buckets and sums add
+//!    (wrapping, as `fetch_add` would), gauges and maxima take the largest
+//!    value, minima the smallest — the same order-free aggregate at any
+//!    thread count. [`reset`] zeroes every shard and is for quiescent
+//!    points: a write racing it may survive it.
 //!
 //! 2. **Spans** — RAII wall-clock + sim-clock timers for the hot paths
 //!    (`Forest::fit`, `predict_batch`, `emulate::apply_all`, the event
@@ -57,9 +75,9 @@
 
 use crate::json::Json;
 use crate::time::Nanos;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
@@ -88,61 +106,303 @@ pub(crate) fn set_enabled(on: bool) {
 }
 
 // ---------------------------------------------------------------------
+// Per-thread shards
+// ---------------------------------------------------------------------
+
+/// A shard's first page holds `PAGE0` slots (4 KiB) and page `k` holds
+/// `PAGE0 << k`, so `PAGES` pages cover every slot index below
+/// `usize::MAX - PAGE0`: there is no capacity to run out of.
+const PAGE0_BITS: u32 = 9;
+const PAGE0: usize = 1 << PAGE0_BITS;
+const PAGES: usize = (usize::BITS - PAGE0_BITS) as usize;
+
+/// First slot index of page `k`.
+fn page_start(k: usize) -> usize {
+    (PAGE0 << k) - PAGE0
+}
+
+/// Page of slot index `i`.
+fn page_of(i: usize) -> usize {
+    ((i >> PAGE0_BITS) + 1).ilog2() as usize
+}
+
+/// Where an instrument's first slot sits in every shard. An instrument's
+/// slots never straddle two pages.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    page: usize,
+    off: usize,
+}
+
+/// One thread's values of every instrument. Only the thread holding the
+/// shard writes it; any thread may read it.
+struct Shard {
+    pages: [OnceLock<Box<[AtomicU64]>>; PAGES],
+}
+
+impl Shard {
+    /// The slots from `at` to the end of its page, if this shard has
+    /// written that page.
+    #[inline]
+    fn written(&self, at: Slot) -> Option<&[AtomicU64]> {
+        Some(&self.pages[at.page].get()?[at.off..])
+    }
+
+    /// The slots from `at` to the end of its page, allocating the page.
+    fn slots(&self, at: Slot) -> &[AtomicU64] {
+        let page = self.pages[at.page].get_or_init(|| {
+            // SAFETY: `AtomicU64` has the same size and bit validity as
+            // `u64`, so all-zero memory is a valid slot holding 0.
+            unsafe { Box::<[AtomicU64]>::new_zeroed_slice(PAGE0 << at.page).assume_init() }
+        });
+        &page[at.off..]
+    }
+
+    /// The value `i` slots after `at`; 0 when its page was never written.
+    fn load(&self, at: Slot, i: usize) -> u64 {
+        self.written(at)
+            .map_or(0, |slots| slots[i].load(Ordering::Relaxed))
+    }
+
+    fn zero(&self) {
+        let slots = self
+            .pages
+            .iter()
+            .filter_map(OnceLock::get)
+            .flat_map(|p| p.iter());
+        // Storing only where a value is leaves untouched memory untouched.
+        for slot in slots.filter(|s| s.load(Ordering::Relaxed) != 0) {
+            slot.store(0, Ordering::Relaxed);
+        }
+    }
+}
+
+/// Every shard ever made (a read merges them all) and those whose thread
+/// has exited, waiting for the next thread that records.
+struct Pool {
+    all: Vec<&'static Shard>,
+    free: Vec<&'static Shard>,
+    /// Threads holding a shard now, and the most that ever did.
+    #[cfg(test)]
+    holders: usize,
+    #[cfg(test)]
+    peak_holders: usize,
+}
+
+static POOL: Mutex<Pool> = Mutex::new(Pool {
+    all: Vec::new(),
+    free: Vec::new(),
+    #[cfg(test)]
+    holders: 0,
+    #[cfg(test)]
+    peak_holders: 0,
+});
+
+/// A shard for the calling thread: an exited thread's, else a new one.
+#[cold]
+fn adopt() -> &'static Shard {
+    let mut pool = lock(&POOL);
+    #[cfg(test)]
+    {
+        pool.holders += 1;
+        pool.peak_holders = pool.peak_holders.max(pool.holders);
+    }
+    if let Some(shard) = pool.free.pop() {
+        return shard;
+    }
+    let shard: &'static Shard = Box::leak(Box::new(Shard {
+        pages: [const { OnceLock::new() }; PAGES],
+    }));
+    pool.all.push(shard);
+    shard
+}
+
+/// Shards ever allocated, and the most threads that held one at once.
+#[cfg(test)]
+fn shard_counts() -> (usize, usize) {
+    let pool = lock(&POOL);
+    (pool.all.len(), pool.peak_holders)
+}
+
+fn release(shard: &'static Shard) {
+    let mut pool = lock(&POOL);
+    #[cfg(test)]
+    {
+        pool.holders -= 1;
+    }
+    pool.free.push(shard);
+}
+
+/// This thread's shard, adopted at its first write and handed back to
+/// the pool when the thread exits.
+struct Local(Cell<Option<&'static Shard>>);
+
+impl Local {
+    #[inline]
+    fn shard(&self) -> &'static Shard {
+        match self.0.get() {
+            Some(shard) => shard,
+            None => {
+                let shard = adopt();
+                self.0.set(Some(shard));
+                shard
+            }
+        }
+    }
+}
+
+impl Drop for Local {
+    fn drop(&mut self) {
+        if let Some(shard) = self.0.take() {
+            release(shard);
+        }
+    }
+}
+
+thread_local! {
+    static LOCAL: Local = const { Local(Cell::new(None)) };
+}
+
+/// Apply `f` to the calling thread's slots from `at` on, unless
+/// recording is off.
+#[inline]
+fn write(at: Slot, f: impl FnOnce(&[AtomicU64])) {
+    if !enabled() {
+        return;
+    }
+    match LOCAL.try_with(|l| l.0.get().and_then(|shard| shard.written(at))) {
+        Ok(Some(slots)) => f(slots),
+        _ => write_cold(at, f),
+    }
+}
+
+/// [`write`] when the thread has no shard yet, its shard lacks the page,
+/// or the thread is exiting.
+#[cold]
+#[inline(never)]
+fn write_cold(at: Slot, f: impl FnOnce(&[AtomicU64])) {
+    match LOCAL.try_with(Local::shard) {
+        Ok(shard) => f(shard.slots(at)),
+        Err(_) => {
+            // The thread is exiting and has handed its shard back (a
+            // write from another thread-local's destructor): borrow one
+            // for this write alone.
+            let shard = adopt();
+            f(shard.slots(at));
+            release(shard);
+        }
+    }
+}
+
+/// Add `n` to a slot only this thread writes: a relaxed load and store,
+/// wrapping as `fetch_add` does.
+#[inline]
+fn bump(slot: &AtomicU64, n: u64) {
+    slot.store(
+        slot.load(Ordering::Relaxed).wrapping_add(n),
+        Ordering::Relaxed,
+    );
+}
+
+/// Raise a slot only this thread writes to `v` if `v` is larger.
+#[inline]
+fn raise(slot: &AtomicU64, v: u64) {
+    if v > slot.load(Ordering::Relaxed) {
+        slot.store(v, Ordering::Relaxed);
+    }
+}
+
+/// Reserve `n <= PAGE0` consecutive slots on one page.
+fn alloc_slots(n: usize) -> Slot {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    let mut base = 0;
+    NEXT.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |next| {
+        let last = page_of(next + n - 1);
+        base = if page_of(next) == last {
+            next
+        } else {
+            page_start(last)
+        };
+        Some(base + n)
+    })
+    .expect("the update always proceeds");
+    let page = page_of(base);
+    Slot {
+        page,
+        off: base - page_start(page),
+    }
+}
+
+/// Slot `at` merged over every shard with `merge`, starting from 0.
+fn merged(at: Slot, merge: fn(u64, u64) -> u64) -> u64 {
+    lock(&POOL)
+        .all
+        .iter()
+        .fold(0, |acc, shard| merge(acc, shard.load(at, 0)))
+}
+
+// ---------------------------------------------------------------------
 // Metric primitives
 // ---------------------------------------------------------------------
 
 /// A monotonically increasing event count. Sums are order-independent,
 /// so a counter incremented from any number of worker threads reads the
 /// same at snapshot time regardless of interleaving.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Counter {
-    v: AtomicU64,
+    at: Slot,
 }
 
 impl Counter {
+    fn new() -> Self {
+        Counter { at: alloc_slots(1) }
+    }
+    #[inline]
     pub fn inc(&self) {
         self.add(1);
     }
+    #[inline]
     pub fn add(&self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        self.v.fetch_add(n, Ordering::Relaxed);
+        write(self.at, |s| bump(&s[0], n));
     }
     pub fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-    fn reset(&self) {
-        self.v.store(0, Ordering::Relaxed);
+        merged(self.at, u64::wrapping_add)
     }
 }
 
 /// A high-water-mark gauge. Only `set_max` is offered — a last-writer-wins
 /// `set` would depend on thread interleaving and break the determinism
 /// contract, while a maximum over simulated quantities does not.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct Gauge {
-    v: AtomicU64,
+    at: Slot,
 }
 
 impl Gauge {
+    fn new() -> Self {
+        Gauge { at: alloc_slots(1) }
+    }
+    #[inline]
     pub fn set_max(&self, n: u64) {
-        if !enabled() {
-            return;
-        }
-        self.v.fetch_max(n, Ordering::Relaxed);
+        write(self.at, |s| raise(&s[0], n));
     }
     pub(crate) fn get(&self) -> u64 {
-        self.v.load(Ordering::Relaxed)
-    }
-    fn reset(&self) {
-        self.v.store(0, Ordering::Relaxed);
+        merged(self.at, u64::max)
     }
 }
 
 /// Number of power-of-two buckets: bucket 0 holds zeros, bucket `i`
 /// holds values in `[2^(i-1), 2^i)`, bucket 64 holds `[2^63, u64::MAX]`.
 const HISTO_BUCKETS: usize = 65;
+
+/// A histogram's slots: the sum, the minimum *complemented* (so that,
+/// like every other slot, it starts at 0 and merges by taking the
+/// largest), the maximum, then the buckets.
+const SUM: usize = 0;
+const NOT_MIN: usize = 1;
+const MAX: usize = 2;
+const BUCKET0: usize = 3;
+const HISTO_SLOTS: usize = BUCKET0 + HISTO_BUCKETS;
 
 /// A histogram over `u64` samples (sizes in bytes, delays in sim-ns)
 /// with power-of-two buckets. Every field is an order-independent
@@ -152,21 +412,16 @@ const HISTO_BUCKETS: usize = 65;
 /// snapshots.
 #[derive(Debug)]
 pub struct Histo {
-    buckets: [AtomicU64; HISTO_BUCKETS],
-    sum: AtomicU64,
-    min: AtomicU64,
-    max: AtomicU64,
+    at: Slot,
 }
 
-impl Default for Histo {
-    fn default() -> Self {
-        Histo {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum: AtomicU64::new(0),
-            min: AtomicU64::new(u64::MAX),
-            max: AtomicU64::new(0),
-        }
-    }
+/// A histogram's slots merged over every shard.
+struct HistoTotals {
+    buckets: [u64; HISTO_BUCKETS],
+    count: u64,
+    sum: u64,
+    min: Option<u64>,
+    max: Option<u64>,
 }
 
 fn bucket_index(v: u64) -> usize {
@@ -187,73 +442,76 @@ fn bucket_bounds(i: usize) -> (u64, u64) {
 }
 
 impl Histo {
+    fn new() -> Self {
+        Histo {
+            at: alloc_slots(HISTO_SLOTS),
+        }
+    }
+
+    #[inline]
     pub fn record(&self, v: u64) {
-        if !enabled() {
-            return;
+        write(self.at, |s| {
+            let s = &s[..HISTO_SLOTS];
+            bump(&s[BUCKET0 + bucket_index(v)], 1);
+            bump(&s[SUM], v);
+            raise(&s[NOT_MIN], !v);
+            raise(&s[MAX], v);
+        });
+    }
+
+    fn totals(&self) -> HistoTotals {
+        let mut slots = [0u64; HISTO_SLOTS];
+        for shard in &lock(&POOL).all {
+            for (i, acc) in slots.iter_mut().enumerate() {
+                let v = shard.load(self.at, i);
+                *acc = match i {
+                    NOT_MIN | MAX => (*acc).max(v),
+                    _ => acc.wrapping_add(v),
+                };
+            }
         }
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
-        // `min` only falls and `max` only rises, so a load that already
-        // bounds `v` proves the read-modify-write would store nothing.
-        if v < self.min.load(Ordering::Relaxed) {
-            self.min.fetch_min(v, Ordering::Relaxed);
-        }
-        if v > self.max.load(Ordering::Relaxed) {
-            self.max.fetch_max(v, Ordering::Relaxed);
+        let buckets: [u64; HISTO_BUCKETS] = std::array::from_fn(|b| slots[BUCKET0 + b]);
+        let count = buckets.iter().sum();
+        HistoTotals {
+            buckets,
+            count,
+            sum: slots[SUM],
+            min: (count > 0).then_some(!slots[NOT_MIN]),
+            max: (count > 0).then_some(slots[MAX]),
         }
     }
 
     pub fn count(&self) -> u64 {
-        self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).sum()
+        self.totals().count
     }
     pub fn sum(&self) -> u64 {
-        self.sum.load(Ordering::Relaxed)
+        self.totals().sum
     }
     pub fn min(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.min.load(Ordering::Relaxed))
+        self.totals().min
     }
     pub fn max(&self) -> Option<u64> {
-        (self.count() > 0).then(|| self.max.load(Ordering::Relaxed))
-    }
-
-    /// Mean of the recorded samples (0.0 when empty).
-    pub(crate) fn mean(&self) -> f64 {
-        let n = self.count();
-        if n == 0 {
-            0.0
-        } else {
-            self.sum() as f64 / n as f64
-        }
-    }
-
-    fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
+        self.totals().max
     }
 
     /// Non-empty buckets as `[lo, hi, count]` triples plus aggregates.
     pub(crate) fn to_json(&self) -> Json {
-        let buckets: Vec<Json> = self
+        let t = self.totals();
+        let buckets: Vec<Json> = t
             .buckets
             .iter()
             .enumerate()
-            .filter_map(|(i, b)| {
-                let n = b.load(Ordering::Relaxed);
-                (n > 0).then(|| {
-                    let (lo, hi) = bucket_bounds(i);
-                    Json::Arr(vec![Json::from(lo), Json::from(hi), Json::from(n)])
-                })
+            .filter(|(_, &n)| n > 0)
+            .map(|(i, &n)| {
+                let (lo, hi) = bucket_bounds(i);
+                Json::Arr(vec![Json::from(lo), Json::from(hi), Json::from(n)])
             })
             .collect();
         Json::obj()
-            .set("count", self.count())
-            .set("sum", self.sum())
-            .set("min", self.min().unwrap_or(0))
-            .set("max", self.max().unwrap_or(0))
+            .set("count", t.count)
+            .set("sum", t.sum)
+            .set("min", t.min.unwrap_or(0))
+            .set("max", t.max.unwrap_or(0))
             .set("buckets", Json::Arr(buckets))
     }
 }
@@ -285,25 +543,25 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 pub fn counter(name: &'static str) -> &'static Counter {
     lock(&registry().counters)
         .entry(name)
-        .or_insert_with(|| Box::leak(Box::default()))
+        .or_insert_with(|| Box::leak(Box::new(Counter::new())))
 }
 
 /// Look up (creating on first use) the gauge registered under `name`.
 pub fn gauge(name: &'static str) -> &'static Gauge {
     lock(&registry().gauges)
         .entry(name)
-        .or_insert_with(|| Box::leak(Box::default()))
+        .or_insert_with(|| Box::leak(Box::new(Gauge::new())))
 }
 
 /// Look up (creating on first use) the histogram registered under `name`.
 pub fn histo(name: &'static str) -> &'static Histo {
     lock(&registry().histos)
         .entry(name)
-        .or_insert_with(|| Box::leak(Box::default()))
+        .or_insert_with(|| Box::leak(Box::new(Histo::new())))
 }
 
 /// Cached counter handle: resolves the registry entry once per call
-/// site, then costs a single atomic load + add.
+/// site, then costs one load and one store into the thread's shard.
 #[macro_export]
 macro_rules! tm_counter {
     ($name:expr) => {{
@@ -333,18 +591,14 @@ macro_rules! tm_histo {
     }};
 }
 
-/// Zero every registered metric and clear the span profile. Handles
-/// stay valid (they are `'static`); only the values reset. Used by the
-/// determinism test to compare fresh runs at different thread counts.
+/// Zero every metric in every shard, live threads' and exited ones',
+/// and clear the span profile. Handles stay valid (they are `'static`);
+/// only the values reset. For quiescent points: a write racing the reset
+/// may survive it. Used by the determinism test to compare fresh runs at
+/// different thread counts.
 pub fn reset() {
-    for c in lock(&registry().counters).values() {
-        c.reset();
-    }
-    for g in lock(&registry().gauges).values() {
-        g.reset();
-    }
-    for h in lock(&registry().histos).values() {
-        h.reset();
+    for shard in &lock(&POOL).all {
+        shard.zero();
     }
     lock(&registry().profile).clear();
 }
@@ -396,14 +650,20 @@ pub fn metrics_summary() -> String {
     if !histos.is_empty() {
         s.push_str("  histograms:\n");
         for (name, h) in histos.iter() {
+            let t = h.totals();
+            let mean = if t.count == 0 {
+                0.0
+            } else {
+                t.sum as f64 / t.count as f64
+            };
             s.push_str(&format!(
                 "    {:<44} n={} sum={} min={} max={} mean={:.1}\n",
                 name,
-                h.count(),
-                h.sum(),
-                h.min().unwrap_or(0),
-                h.max().unwrap_or(0),
-                h.mean()
+                t.count,
+                t.sum,
+                t.min.unwrap_or(0),
+                t.max.unwrap_or(0),
+                mean
             ));
         }
     }
@@ -642,8 +902,9 @@ mod tests {
     use super::*;
 
     /// Tests that record metrics and assert exact values must not overlap
-    /// with the test that flips the global enable switch — serialize them
-    /// on one mutex (poisoning is irrelevant, recover the guard).
+    /// with the test that flips the global enable switch or the one that
+    /// calls `reset` — serialize them on one mutex (poisoning is
+    /// irrelevant, recover the guard).
     fn recording_guard() -> MutexGuard<'static, ()> {
         static M: Mutex<()> = Mutex::new(());
         M.lock().unwrap_or_else(|e| e.into_inner())
@@ -746,7 +1007,7 @@ mod tests {
         assert_eq!(bucket_bounds(0), (0, 0));
         assert_eq!(bucket_bounds(2), (2, 3));
         assert_eq!(bucket_bounds(64).1, u64::MAX);
-        let h = Histo::default();
+        let h = Histo::new();
         h.record(0);
         h.record(3);
         h.record(1024);
@@ -758,10 +1019,24 @@ mod tests {
         assert_eq!(j.get("count").and_then(|v| v.as_u64()), Some(3));
     }
 
+    type Instruments = (Counter, Gauge, Histo);
+
+    fn fresh() -> Instruments {
+        (Counter::new(), Gauge::new(), Histo::new())
+    }
+
+    fn record_all((c, g, h): &Instruments, samples: &[u64]) {
+        for &v in samples {
+            c.add(v);
+            g.set_max(v);
+            h.record(v);
+        }
+    }
+
     #[test]
     fn histo_equals_a_naive_reference_on_one_thread_and_on_four() {
         let _g = recording_guard();
-        let empty = Histo::default().to_json();
+        let empty = Histo::new().to_json();
         assert_eq!(empty.get("count").and_then(|v| v.as_u64()), Some(0));
         assert_eq!(empty.get("min").and_then(|v| v.as_u64()), Some(0));
         assert_eq!(empty.get("max").and_then(|v| v.as_u64()), Some(0));
@@ -796,16 +1071,85 @@ mod tests {
             .set("max", *seq.iter().max().unwrap())
             .set("buckets", Json::Arr(triples.collect()));
 
-        let serial = Histo::default();
-        seq.iter().for_each(|&v| serial.record(v));
-        assert_eq!(serial.to_json(), want, "one thread");
+        // A counter adds every sample, a gauge keeps the largest.
+        let want_sum = seq.iter().fold(0u64, |a, &v| a.wrapping_add(v));
+        let want_max = *seq.iter().max().unwrap();
+        let check = |(c, g, h): &Instruments, how: &str| {
+            assert_eq!(h.to_json(), want, "histogram, {how}");
+            assert_eq!(c.get(), want_sum, "counter, {how}");
+            assert_eq!(g.get(), want_max, "gauge, {how}");
+        };
 
-        let shared = Histo::default();
-        let quarters: Vec<&[u64]> = seq.chunks(seq.len().div_ceil(4)).collect();
-        crate::par::par_map_n(4, &quarters, |_, q| {
-            q.iter().for_each(|&v| shared.record(v))
+        let serial = fresh();
+        record_all(&serial, &seq);
+        check(&serial, "one thread");
+
+        let quarters: Vec<Vec<u64>> = seq
+            .chunks(seq.len().div_ceil(4))
+            .map(<[u64]>::to_vec)
+            .collect();
+        let workers = fresh();
+        crate::par::par_map_n(4, &quarters, |_, q| record_all(&workers, q));
+        check(&workers, "four workers");
+
+        // Plain threads that have exited, shards handed back, by the read.
+        let exited = Arc::new(fresh());
+        let threads: Vec<_> = quarters
+            .into_iter()
+            .map(|q| {
+                let ins = Arc::clone(&exited);
+                std::thread::spawn(move || record_all(&ins, &q))
+            })
+            .collect();
+        for t in threads {
+            t.join().expect("a recording thread");
+        }
+        check(&exited, "four exited threads");
+    }
+
+    #[test]
+    fn exited_threads_hand_their_shards_to_the_next() {
+        let _g = recording_guard();
+        let c = counter("telemetry.test.churn_counter");
+        for _ in 0..256 {
+            std::thread::spawn(move || c.inc())
+                .join()
+                .expect("a recording thread");
+        }
+        assert_eq!(c.get(), 256);
+        let (allocated, peak) = shard_counts();
+        assert!(
+            allocated <= peak + 1,
+            "{allocated} shards allocated for at most {peak} threads recording at once"
+        );
+    }
+
+    #[test]
+    fn reset_zeroes_what_exited_threads_recorded() {
+        let _g = recording_guard();
+        let c = counter("telemetry.test.reset_counter");
+        let g = gauge("telemetry.test.reset_gauge");
+        let h = histo("telemetry.test.reset_histo");
+        let on_a_thread = |f: fn(&'static Counter, &'static Gauge, &'static Histo)| {
+            std::thread::spawn(move || f(c, g, h))
+                .join()
+                .expect("a recording thread");
+        };
+        // This thread holds a shard of its own, so the exited thread's
+        // values sit in another one.
+        c.inc();
+        on_a_thread(|c, g, h| {
+            c.add(7);
+            g.set_max(9);
+            h.record(5);
         });
-        assert_eq!(shared.to_json(), want, "four workers");
+        assert_eq!((c.get(), g.get(), h.count()), (8, 9, 1));
+        reset();
+        assert_eq!((c.get(), g.get()), (0, 0));
+        assert_eq!(h.to_json(), Histo::new().to_json(), "an empty histogram");
+        // The zeroed shards record from scratch, the minimum included.
+        on_a_thread(|_, _, h| h.record(300));
+        assert_eq!((h.count(), h.min(), h.max()), (1, Some(300), Some(300)));
     }
 
     #[test]
@@ -827,6 +1171,7 @@ mod tests {
 
     #[test]
     fn spans_accumulate_hierarchical_profile() {
+        let _g = recording_guard(); // `reset` clears the profile
         {
             let mut outer = span("telemetry.test.outer");
             outer.sim_window(Nanos(100), Nanos(600));

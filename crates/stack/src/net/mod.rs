@@ -160,9 +160,9 @@ pub struct Network {
     started: bool,
     /// Events dispatched so far (see [`Network::event_count`]).
     events_handled: u64,
-    /// `[events, timer arms, timer events]` already added to the
-    /// process-wide telemetry counters (see `publish_counts`).
-    published: [u64; 3],
+    /// `[events, lane events, timer arms, timer events]` already added to
+    /// the process-wide telemetry counters (see `publish_counts`).
+    published: [u64; 4],
     /// Fault injector, when a schedule was installed via `set_faults`.
     faults: Option<FaultInjector>,
     /// Packets held during a buffering link flap, per direction.
@@ -217,7 +217,7 @@ impl Network {
             next_flow: 1,
             started: false,
             events_handled: 0,
-            published: [0; 3],
+            published: [0; 4],
             faults: None,
             flap_held: [Vec::new(), Vec::new()],
             auditor: Auditor::new(),
@@ -282,11 +282,13 @@ impl Network {
         let timers = |f: fn(&Host) -> u64| self.hosts.iter().map(f).sum::<u64>();
         let totals = [
             self.events_handled,
+            self.q.lane_events(),
             timers(|h| h.timer_arms),
             timers(|h| h.timer_events),
         ];
         let counters = [
             netsim::tm_counter!("stack.net.events"),
+            netsim::tm_counter!("stack.net.lane_events"),
             netsim::tm_counter!("stack.net.timer_arms"),
             netsim::tm_counter!("stack.net.timer_events"),
         ];

@@ -38,6 +38,12 @@ fn bulk_transfer_is_exact_over_internet_path() {
     let end = net.run_to_idle();
     let sink_bytes = net.flow_stats(SERVER, FlowId(1)).unwrap().bytes_delivered;
     assert_eq!(sink_bytes, total, "delivery must be exact");
+    // The per-packet hops take lanes; every event appended to one popped.
+    let (lane_events, events) = (net.q.lane_events(), net.event_count());
+    assert!(
+        0 < lane_events && lane_events <= events,
+        "{lane_events} lane events of {events}"
+    );
     // Sanity on elapsed: 5 MB at 50 Mb/s is >= 0.8 s.
     assert!(end > Nanos::from_millis(800), "finished too fast: {end}");
     assert!(end < Nanos::from_secs(10), "took too long: {end}");
@@ -625,7 +631,10 @@ fn bulk_flow_keeps_one_live_timer_per_kind() {
     let hwm = net.pending_events_hwm();
     assert!(hwm <= 4096, "{hwm} events pending at once");
     // A returning run leaves nothing unpublished to telemetry.
-    assert_eq!(net.published, [net.event_count(), armed, scheduled]);
+    assert_eq!(
+        net.published,
+        [net.event_count(), net.q.lane_events(), armed, scheduled]
+    );
 }
 
 #[test]

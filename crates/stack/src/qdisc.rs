@@ -79,7 +79,7 @@ impl FqQdisc {
         netsim::tm_counter!("stack.qdisc.enqueued").inc();
         let q = self.flows.entry(seg.flow).or_default();
         q.backlog += seg.wire_bytes;
-        // fetch_max is order-independent, so the high-water mark stays
+        // A maximum is order-independent, so the high-water mark stays
         // deterministic even when independent sims share the registry.
         netsim::tm_gauge!("stack.qdisc.backlog_hwm_bytes").set_max(q.backlog);
         q.fifo.push_back(seg);

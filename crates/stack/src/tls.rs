@@ -3,11 +3,11 @@
 //! Figure 1's left two columns differ in *where* TLS records are formed:
 //! in the application (userspace TLS) or inside the stack (kTLS). For
 //! traffic analysis what matters is the byte inflation and framing TLS
-//! imposes between application objects and the TCP byte stream, plus the
-//! record-padding facility (TLS 1.3 allows zero-padding records, which is
-//! where the paper expects *application-driven* padding policies to be
-//! implemented — Stob deliberately leaves padding to the application,
-//! §4.2).
+//! imposes between application objects and the TCP byte stream. TLS 1.3
+//! also allows zero-padding records, which is where the paper expects
+//! *application-driven* padding policies to be implemented; Stob
+//! deliberately leaves padding to the application (§4.2), so records
+//! here are never padded.
 //!
 //! We model records as byte accounting: `wrap(n)` returns how many
 //! ciphertext bytes enter the TCP stream for `n` plaintext bytes.
@@ -18,39 +18,19 @@ pub const MAX_RECORD_PLAINTEXT: u64 = 16_384;
 /// type (TLS 1.3 inner type).
 pub const RECORD_OVERHEAD: u64 = 22;
 
-/// Where records are produced (affects which layer may pad).
+/// Where records are produced.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TlsMode {
     /// Records formed by the application library before `send()`.
     Userspace,
     /// Records formed inside the stack (kTLS): the stack sees plaintext
-    /// sizes and may apply record padding itself.
+    /// sizes.
     Kernel,
-}
-
-/// Record padding policy: pad each record's plaintext up to a multiple of
-/// `quantum` bytes (0 or 1 = no padding). This is the TLS 1.3 padding
-/// mechanism several app-level defenses (ALPaCA-style) build on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct RecordPadding {
-    pub(crate) quantum: u64,
-}
-
-impl RecordPadding {
-    pub(crate) const NONE: RecordPadding = RecordPadding { quantum: 0 };
-
-    pub(crate) fn padded_len(&self, plaintext: u64) -> u64 {
-        if self.quantum <= 1 || plaintext == 0 {
-            return plaintext;
-        }
-        plaintext.div_ceil(self.quantum) * self.quantum
-    }
 }
 
 /// A TLS session's record-layer accounting.
 #[derive(Debug, Clone)]
 pub struct TlsSession {
-    pub(crate) padding: RecordPadding,
     /// Total plaintext bytes wrapped.
     pub(crate) plaintext_bytes: u64,
     /// Total ciphertext bytes produced.
@@ -63,18 +43,10 @@ impl TlsSession {
     /// accounting is the same either way.
     pub fn new(_mode: TlsMode) -> Self {
         TlsSession {
-            padding: RecordPadding::NONE,
             plaintext_bytes: 0,
             ciphertext_bytes: 0,
             records: 0,
         }
-    }
-
-    #[cfg(test)]
-    pub(crate) fn with_padding(mode: TlsMode, quantum: u64) -> Self {
-        let mut s = Self::new(mode);
-        s.padding = RecordPadding { quantum };
-        s
     }
 
     /// Wrap `n` plaintext bytes into records; returns ciphertext bytes to
@@ -87,8 +59,7 @@ impl TlsSession {
         let mut out = 0;
         while remaining > 0 {
             let frag = remaining.min(MAX_RECORD_PLAINTEXT);
-            let padded = self.padding.padded_len(frag).min(MAX_RECORD_PLAINTEXT);
-            out += padded + RECORD_OVERHEAD;
+            out += frag + RECORD_OVERHEAD;
             self.records += 1;
             remaining -= frag;
         }
@@ -123,36 +94,6 @@ mod tests {
         let mut s = TlsSession::new(TlsMode::Kernel);
         assert_eq!(s.wrap(0), 0);
         assert_eq!(s.records, 0);
-    }
-
-    #[test]
-    fn padding_rounds_up_to_quantum() {
-        let p = RecordPadding { quantum: 1024 };
-        assert_eq!(p.padded_len(1), 1024);
-        assert_eq!(p.padded_len(1024), 1024);
-        assert_eq!(p.padded_len(1025), 2048);
-        assert_eq!(p.padded_len(0), 0);
-        assert_eq!(RecordPadding::NONE.padded_len(777), 777);
-    }
-
-    #[test]
-    fn padded_session_inflates() {
-        let mut s = TlsSession::with_padding(TlsMode::Kernel, 4096);
-        let out = s.wrap(100);
-        assert_eq!(out, 4096 + RECORD_OVERHEAD);
-        assert_eq!(
-            s.ciphertext_bytes - s.plaintext_bytes,
-            4096 + RECORD_OVERHEAD - 100
-        );
-    }
-
-    #[test]
-    fn padding_never_exceeds_record_max() {
-        // 12000 fits one fragment; padding would round to 20000, which
-        // exceeds the record maximum and clamps to 16384.
-        let mut s = TlsSession::with_padding(TlsMode::Kernel, 10_000);
-        assert_eq!(s.wrap(12_000), 16_384 + RECORD_OVERHEAD);
-        assert_eq!(s.records, 1);
     }
 
     #[test]

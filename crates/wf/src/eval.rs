@@ -5,8 +5,6 @@
 use crate::features::{extract_all, FeatureConfig};
 use crate::forest::{Forest, ForestConfig};
 use crate::knn::{FeatureKnn, KfpKnn, KnnConfig};
-#[cfg(test)]
-use crate::metrics::confusion_matrix;
 use crate::metrics::{accuracy, mean_std};
 use netsim::SimRng;
 use traces::Dataset;
@@ -55,9 +53,6 @@ pub struct EvalResult {
     pub mean: f64,
     pub std: f64,
     pub per_repeat: Vec<f64>,
-    /// Summed confusion matrix across repeats: `cm[truth][pred]`.
-    #[cfg(test)]
-    pub(crate) confusion: Vec<Vec<usize>>,
 }
 
 impl EvalResult {
@@ -105,8 +100,6 @@ fn evaluate_features(dataset: &Dataset, features: Vec<Vec<f64>>, cfg: &EvalConfi
     let k = dataset.n_classes();
     let labels: Vec<usize> = dataset.traces.iter().map(|t| t.label).collect();
     let mut scores = Vec::with_capacity(cfg.repeats);
-    #[cfg(test)]
-    let mut confusion = vec![vec![0usize; k]; k];
     for rep in 0..cfg.repeats {
         let mut rng = SimRng::new(cfg.seed).fork(rep as u64 + 1);
         let (train_idx, test_idx) = dataset.stratified_split(cfg.test_frac, &mut rng);
@@ -135,15 +128,6 @@ fn evaluate_features(dataset: &Dataset, features: Vec<Vec<f64>>, cfg: &EvalConfi
             }
         };
         let truth: Vec<usize> = test_idx.iter().map(|&i| labels[i]).collect();
-        #[cfg(test)]
-        for (row_acc, row) in confusion
-            .iter_mut()
-            .zip(&confusion_matrix(&pred, &truth, k))
-        {
-            for (cell_acc, &cell) in row_acc.iter_mut().zip(row) {
-                *cell_acc += cell;
-            }
-        }
         scores.push(accuracy(&pred, &truth));
     }
     let (mean, std) = mean_std(&scores);
@@ -151,8 +135,6 @@ fn evaluate_features(dataset: &Dataset, features: Vec<Vec<f64>>, cfg: &EvalConfi
         mean,
         std,
         per_repeat: scores,
-        #[cfg(test)]
-        confusion,
     }
 }
 
@@ -216,7 +198,6 @@ mod tests {
             mean: 0.884,
             std: 0.007,
             per_repeat: vec![],
-            confusion: vec![],
         };
         assert_eq!(r.formatted(), "0.884 \u{00B1} 0.007");
     }
@@ -240,19 +221,6 @@ mod tests {
                 r.mean
             );
         }
-    }
-
-    #[test]
-    fn confusion_matrix_accumulates_all_test_samples() {
-        let d = dataset(3, 12);
-        let cfg = quick_cfg();
-        let r = evaluate(&d, &cfg);
-        let total: usize = r.confusion.iter().flatten().sum();
-        // 3 repeats x 3 test samples per class x 3 classes.
-        assert_eq!(total, cfg.repeats * 3 * 3);
-        // Diagonal dominates for separable sites.
-        let diag: usize = (0..3).map(|i| r.confusion[i][i]).sum();
-        assert!(diag * 2 > total, "diagonal {diag} of {total}");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   also expose per-tree leaf identifiers;
 //! * `knn` — k-nearest-neighbours on leaf-agreement distance (the
 //!   "fingerprint" part of k-FP) and on raw features;
-//! * [`metrics`] — accuracy, confusion matrices, per-class P/R;
+//! * [`metrics`] — accuracy and the mean ± std of repeated scores;
 //! * [`eval`] — repeated stratified evaluation producing the
 //!   `mean ± std` numbers Table 2 reports.
 

@@ -7,44 +7,6 @@ pub fn accuracy(pred: &[usize], truth: &[usize]) -> f64 {
     pred.iter().zip(truth).filter(|(p, t)| p == t).count() as f64 / pred.len() as f64
 }
 
-/// `cm[t][p]` = count of class-`t` samples predicted as class `p`.
-#[cfg(test)]
-pub(crate) fn confusion_matrix(
-    pred: &[usize],
-    truth: &[usize],
-    n_classes: usize,
-) -> Vec<Vec<usize>> {
-    let mut cm = vec![vec![0usize; n_classes]; n_classes];
-    for (&p, &t) in pred.iter().zip(truth) {
-        cm[t][p] += 1;
-    }
-    cm
-}
-
-/// Per-class (precision, recall), with 0.0 where undefined.
-#[cfg(test)]
-pub(crate) fn per_class_precision_recall(cm: &[Vec<usize>]) -> Vec<(f64, f64)> {
-    let k = cm.len();
-    (0..k)
-        .map(|c| {
-            let tp = cm[c][c];
-            let pred_c: usize = (0..k).map(|t| cm[t][c]).sum();
-            let true_c: usize = cm[c].iter().sum();
-            let precision = if pred_c > 0 {
-                tp as f64 / pred_c as f64
-            } else {
-                0.0
-            };
-            let recall = if true_c > 0 {
-                tp as f64 / true_c as f64
-            } else {
-                0.0
-            };
-            (precision, recall)
-        })
-        .collect()
-}
-
 /// Mean and sample standard deviation of a set of scores (the Table 2
 /// `mean ± std` presentation).
 pub fn mean_std(scores: &[f64]) -> (f64, f64) {
@@ -66,34 +28,6 @@ mod tests {
     fn accuracy_basic() {
         assert_eq!(accuracy(&[0, 1, 2], &[0, 1, 2]), 1.0);
         assert_eq!(accuracy(&[0, 0, 0], &[0, 1, 2]), 1.0 / 3.0);
-    }
-
-    #[test]
-    fn confusion_matrix_layout() {
-        let cm = confusion_matrix(&[0, 1, 1, 2], &[0, 1, 2, 2], 3);
-        assert_eq!(cm[0][0], 1);
-        assert_eq!(cm[1][1], 1);
-        assert_eq!(cm[2][1], 1); // true 2 predicted 1
-        assert_eq!(cm[2][2], 1);
-        let total: usize = cm.iter().flatten().sum();
-        assert_eq!(total, 4);
-    }
-
-    #[test]
-    fn precision_recall() {
-        // truth:  0 0 1 1; pred: 0 1 1 1
-        let cm = confusion_matrix(&[0, 1, 1, 1], &[0, 0, 1, 1], 2);
-        let pr = per_class_precision_recall(&cm);
-        assert_eq!(pr[0], (1.0, 0.5)); // class 0: precise but misses one
-        assert!((pr[1].0 - 2.0 / 3.0).abs() < 1e-12);
-        assert_eq!(pr[1].1, 1.0);
-    }
-
-    #[test]
-    fn degenerate_class_gets_zeros() {
-        let cm = confusion_matrix(&[0, 0], &[0, 0], 2);
-        let pr = per_class_precision_recall(&cm);
-        assert_eq!(pr[1], (0.0, 0.0));
     }
 
     #[test]

@@ -6,9 +6,11 @@
 # --trace 0` on each side `pairs` times, alternating which side goes
 # first, every run from its own empty working directory. Prints every
 # run's throughput / peak_rss_mb / setup_s / sim_digest / failed, then per
-# metric each side's median and quartiles and the pairs the change won.
-# Exits 1 if any two runs' sim_digests differ or any run failed an
-# operation.
+# metric each side's median and quartiles and the pairs the change won,
+# then per metric whether PERF.md's gain-claim rule holds (ahead in nine
+# tenths of the pairs, medians further apart than the parent's
+# quartiles). Exits 1 if any two runs' sim_digests differ or any run
+# failed an operation; the verdicts do not change the exit status.
 #
 #   scripts/bench-pairs.sh <parent-rev> <workload> <pairs> [seconds] [seed]
 #                                                  (defaults: 30, 12)
@@ -80,12 +82,26 @@ def spread(v):
 
 print()
 print(f"{'metric':<13}{'parent median (quartiles)':>34}{'change median (quartiles)':>34}{'change':>9}{'won':>8}")
+verdicts = []
 for m in metrics:
     p, c = values("parent", m), values("change", m)
     sign = 1 if better[m] == "higher" else -1
     won = sum(sign * (y - x) > 0 for x, y in zip(p, c))
     delta = (median(c) - median(p)) / median(p)
     print(f"{m:<13}{spread(p):>34}{spread(c):>34}{delta:>+9.3f}{won:>5}/{len(p)}")
+    # PERF.md's claim rule: ahead in nine tenths of the pairs (a tie is a
+    # win for neither side), and the medians further apart, in the better
+    # direction, than the parent's quartiles.
+    q1, _, q3 = quantiles(p, n=4, method="inclusive") if len(p) > 1 else (p[0],) * 3
+    gap = sign * (median(c) - median(p))
+    holds = 10 * won >= 9 * len(p) and gap > q3 - q1
+    verdicts.append(
+        f"{m:<13}gain claim {'holds' if holds else 'does not hold'}: "
+        f"won {won}/{len(p)} (needs {-(-9 * len(p) // 10)}), "
+        f"medians {gap:+.4f} apart in the better direction against a parent IQR of {q3 - q1:.4f}"
+    )
+print()
+print("\n".join(verdicts))
 
 bad = 0
 digests = sorted({r["report"]["sim_digest"] for r in runs})
