@@ -31,10 +31,11 @@
 //! local exploration, never under `scripts/check-golden.sh`; with
 //! `STOB_FLEET_FLOWS` set the residency floor, calibrated for the
 //! built-in quick population, is not applied).
-//! `STOB_FLEET_MACHINE=<path>` additionally publishes a machine-spec
-//! JSON file (see `stob::machine`) as the host-wide default defense via
-//! the sockopt control plane — the defenses-as-data path at fleet
-//! scale. It also changes the report; local exploration only.
+//! `STOB_FLEET_MACHINE=<path>` additionally publishes a JSON document —
+//! normally a machine spec (see `stob::machine`) — as the host-wide
+//! default defense through `stob::sockopt::publish_json`: the
+//! defenses-as-data path at fleet scale. A document the control plane
+//! rejects exits 1. It also changes the report; local exploration only.
 
 use defenses::front::FrontConfig;
 use defenses::FrontDefense;
@@ -43,6 +44,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use stob::defense::Placement;
 use stob::policy::DelaySpec;
+use stob::sockopt::publish_json;
 use stob::{run_fleet, FleetConfig, FleetReport, ObfuscationPolicy, PolicyKey, PolicyRegistry};
 
 /// Seed for the fleet workload.
@@ -218,9 +220,9 @@ fn run(quick: bool, checks_out: Option<String>) {
     if let Ok(path) = std::env::var("STOB_FLEET_MACHINE") {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| die(&format!("cannot read STOB_FLEET_MACHINE {path}: {e}")));
-        let name = stob::publish_machine_json(&reg, PolicyKey::Default, &text, Placement::Stack)
+        let name = publish_json(&reg, PolicyKey::Default, &text, Placement::Stack)
             .unwrap_or_else(|e| die(&format!("STOB_FLEET_MACHINE rejected: {e}")));
-        eprintln!("[fleet] machine defense \"{name}\" bound as default from {path}");
+        eprintln!("[fleet] defense \"{name}\" bound as default from {path}");
     }
     let t0 = Instant::now();
     let report = run_fleet(&cfg, &reg);

@@ -31,13 +31,14 @@
 //! its randomness from the run seed by cell index (and per trace by
 //! trace index), so the matrix is byte-identical at any `STOB_THREADS`.
 
+use netsim::json::Wire;
 use netsim::{par, Nanos, PipeProfile, SimRng};
 use stack::mux::{Multiplex, MuxConfig, Splitter, SplitterSpec, MAX_PIPES};
 use stack::net::{Api, App, Network};
 use stack::{HostConfig, PathConfig};
 use stob::defense::Placement;
-use stob::sockopt::publish_splitter_json;
-use stob::{splitter_to_json, PolicyKey, PolicyRegistry};
+use stob::sockopt::publish_json;
+use stob::{PolicyKey, PolicyRegistry};
 use traces::{Dataset, Trace, TracePacket};
 use wf::eval::EvalConfig;
 use wf::forest::ForestConfig;
@@ -491,9 +492,14 @@ pub fn run_multipath(dataset: &Dataset, cfg: &MultipathConfig) -> MultipathRepor
     let mut resolved = Vec::with_capacity(cfg.splitters.len());
     for (i, spec) in cfg.splitters.iter().enumerate() {
         let dest = i as u32 + 1;
-        let text = splitter_to_json(spec).to_string_pretty();
-        publish_splitter_json(&registry, PolicyKey::Destination(dest), &text)
-            .expect("matrix splitter must pass control-plane validation");
+        let text = spec.to_json().to_string_pretty();
+        publish_json(
+            &registry,
+            PolicyKey::Destination(dest),
+            &text,
+            Placement::Stack,
+        )
+        .expect("matrix splitter must pass control-plane validation");
         let spec = registry
             .resolve_splitter(0, dest)
             .expect("just-published splitter resolves");

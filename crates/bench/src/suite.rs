@@ -20,7 +20,7 @@ use defenses::regulator::{RegulatorConfig, RegulatorDefense};
 use defenses::surakav::{SurakavConfig, SurakavDefense};
 use defenses::wtfpad::{WtfPadConfig, WtfPadDefense};
 use defenses::{BufloDefense, TamarawDefense};
-use netsim::json::Json;
+use netsim::json::{Json, Wire};
 use stob::defense::Defense;
 use stob::machine::{MachineDefense, MachineSpec};
 use stob::policy::ObfuscationPolicy;

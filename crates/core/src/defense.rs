@@ -35,7 +35,6 @@
 //! argues about.
 
 use crate::policy::{sample_delay, DelaySpec, ObfuscationPolicy, SizeSpec};
-use netsim::json::{Json, JsonError};
 use netsim::{Direction, FlowId, Nanos, SimRng};
 use stack::egress::{EgressLabels, EgressPipeline};
 use stack::shaper::BoxShaper;
@@ -91,36 +90,6 @@ pub struct FlowPkt {
 impl FlowPkt {
     pub fn new(ts: Nanos, dir: Direction, size: u32) -> Self {
         FlowPkt { ts, dir, size }
-    }
-
-    /// Compact JSON form `[ts_nanos, "i"|"o", size]`.
-    pub fn to_json(&self) -> Json {
-        Json::Arr(vec![
-            Json::from(self.ts.0),
-            Json::from(self.dir.as_str()),
-            Json::from(self.size),
-        ])
-    }
-
-    /// Parse the [`FlowPkt::to_json`] form back.
-    pub fn from_json(v: &Json) -> Result<FlowPkt, JsonError> {
-        let bad = |msg: &str| JsonError {
-            offset: 0,
-            message: msg.to_string(),
-        };
-        let parts = v.as_arr().ok_or_else(|| bad("packet is not an array"))?;
-        if parts.len() != 3 {
-            return Err(bad("packet array is not [ts, dir, size]"));
-        }
-        let ts = parts[0].as_u64().ok_or_else(|| bad("packet ts"))?;
-        let dir = parts[1]
-            .as_str()
-            .and_then(Direction::from_str_code)
-            .ok_or_else(|| bad("packet dir"))?;
-        let size = parts[2]
-            .as_u32()
-            .ok_or_else(|| bad("packet size is not a u32"))?;
-        Ok(FlowPkt::new(Nanos(ts), dir, size))
     }
 
     /// Signed size: positive outgoing, negative incoming (the WF

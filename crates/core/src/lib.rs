@@ -65,5 +65,4 @@ pub use breaker::{BreakerConfig, BreakerStats};
 pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use policy::ObfuscationPolicy;
 pub use registry::{PolicyKey, PolicyRegistry};
-pub use sockopt::publish_machine_json;
-pub use splitter::{splitter_to_json, validate_splitter, SplitterSpec};
+pub use splitter::{validate_splitter, SplitterSpec};

@@ -6,8 +6,10 @@
 //! itself *data*: a [`MachineSpec`] is a serializable set of probabilistic
 //! state machines (in the spirit of the maybenot framework) that an
 //! operator pushes through the registry/sockopt control plane at runtime
-//! — [`crate::registry::PolicyRegistry::bind_machine`] /
-//! [`crate::sockopt::publish_machine_json`] — with no recompile.
+//! — [`crate::registry::PolicyRegistry::bind_machine`], or the JSON text
+//! through [`crate::sockopt::publish_json`] — with no recompile. The wire
+//! form is `netsim::json`'s codec: a key the spec does not declare (a
+//! misspelt `"limt"`) is an error, not a state without a limit.
 //!
 //! **Model.** Each machine is a list of [`State`]s. [`MachineEvent`]s
 //! (real packets, the machine's own padding, blocking windows, timers,
@@ -87,7 +89,7 @@
 //!
 //! // Pushed through the control plane at runtime, like any policy.
 //! let reg = PolicyRegistry::new();
-//! stob::sockopt::publish_machine_json(&reg, PolicyKey::Default, text, Placement::App)
+//! stob::sockopt::publish_json(&reg, PolicyKey::Default, text, Placement::App)
 //!     .expect("valid machine");
 //! let binding = reg.resolve_defense(1, 1).expect("machine resolves");
 //! let flow = [
@@ -101,8 +103,8 @@
 #![deny(missing_docs)]
 
 use crate::defense::{CloseOut, Defense, DefenseCtx, Emit, FlowDefense, FlowPkt, PadderCore};
-use crate::policy::{bad, histogram_ok, tagged, variant, ObfuscationPolicy};
-use netsim::json::{Json, JsonError};
+use crate::policy::{histogram_ok, ObfuscationPolicy};
+use netsim::json::{fields, Json, JsonError, Wire};
 use netsim::{Direction, Histogram, Nanos, SimRng};
 use std::sync::Arc;
 
@@ -357,19 +359,6 @@ impl MachineEvent {
         MachineEvent::TimerExpired,
         MachineEvent::LimitReached,
     ];
-
-    /// Stable JSON tag.
-    pub(crate) fn as_str(self) -> &'static str {
-        match self {
-            MachineEvent::PacketSent => "PacketSent",
-            MachineEvent::PacketReceived => "PacketReceived",
-            MachineEvent::PaddingSent => "PaddingSent",
-            MachineEvent::BlockingBegin => "BlockingBegin",
-            MachineEvent::BlockingEnd => "BlockingEnd",
-            MachineEvent::TimerExpired => "TimerExpired",
-            MachineEvent::LimitReached => "LimitReached",
-        }
-    }
 }
 
 /// Where a transition lands.
@@ -501,7 +490,7 @@ pub struct Machine {
 /// machines plus an optional stack policy, under global safety caps.
 ///
 /// This is the serializable artifact operators ship — see the module
-/// docs and [`crate::sockopt::publish_machine_json`].
+/// docs and [`crate::sockopt::publish_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineSpec {
     /// Registry/display name.
@@ -579,7 +568,8 @@ impl MachineSpec {
                 {
                     if m.states.len() != 1 || !st.transitions.is_empty() || st.limit.is_some() {
                         return Err(format!(
-                            "{what}: a regulate state must be its machine's only state,                              with no limit and no transitions"
+                            "{what}: a regulate state must be its machine's only state, \
+                             with no limit and no transitions"
                         ));
                     }
                     if *size == 0 || *size > 65_535 {
@@ -613,11 +603,11 @@ impl MachineSpec {
                 let mut seen: Vec<MachineEvent> = Vec::new();
                 for tr in &st.transitions {
                     if seen.contains(&tr.on) {
-                        return Err(format!("{what}: duplicate row for {}", tr.on.as_str()));
+                        return Err(format!("{what}: duplicate row for {:?}", tr.on));
                     }
                     seen.push(tr.on);
                     if tr.to.is_empty() {
-                        return Err(format!("{what}: empty target list for {}", tr.on.as_str()));
+                        return Err(format!("{what}: empty target list for {:?}", tr.on));
                     }
                     let mut sum = 0.0;
                     for (t, p) in &tr.to {
@@ -645,313 +635,110 @@ impl MachineSpec {
 }
 
 // ---------------------------------------------------------------------
-// JSON codec (policy-layer style: externally tagged variants)
+// JSON codec (`netsim::json`'s, like every control-plane document)
 // ---------------------------------------------------------------------
 
-fn dir_to_json(d: Direction) -> Json {
-    Json::from(match d {
-        Direction::Out => "Out",
-        Direction::In => "In",
-    })
-}
+netsim::wire_enum!(DistSpec {
+    Fixed { v },
+    Uniform { lo, hi },
+    Normal { mean, std },
+    LogNormal { mu, sigma },
+    Pareto { scale, shape },
+    Geometric { p },
+    Rayleigh { w_min, w_max },
+    FromHistogram(h),
+});
+netsim::wire_enum!(MachineEvent {
+    PacketSent,
+    PacketReceived,
+    PaddingSent,
+    BlockingBegin,
+    BlockingEnd,
+    TimerExpired,
+    LimitReached,
+});
+netsim::wire_enum!(Target { State(i), End });
 
-fn dir_from_json(v: &Json) -> Result<Direction, JsonError> {
-    match v.as_str() {
-        Some("Out") => Ok(Direction::Out),
-        Some("In") => Ok(Direction::In),
-        _ => Err(bad("expected a Direction (\"Out\" or \"In\")")),
-    }
-}
-
-impl DistSpec {
-    /// Encode as externally-tagged JSON.
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            DistSpec::Fixed { v } => tagged("Fixed", Json::obj().set("v", *v)),
-            DistSpec::Uniform { lo, hi } => {
-                tagged("Uniform", Json::obj().set("lo", *lo).set("hi", *hi))
-            }
-            DistSpec::Normal { mean, std } => {
-                tagged("Normal", Json::obj().set("mean", *mean).set("std", *std))
-            }
-            DistSpec::LogNormal { mu, sigma } => {
-                tagged("LogNormal", Json::obj().set("mu", *mu).set("sigma", *sigma))
-            }
-            DistSpec::Pareto { scale, shape } => tagged(
-                "Pareto",
-                Json::obj().set("scale", *scale).set("shape", *shape),
-            ),
-            DistSpec::Geometric { p } => tagged("Geometric", Json::obj().set("p", *p)),
-            DistSpec::Rayleigh { w_min, w_max } => tagged(
-                "Rayleigh",
-                Json::obj().set("w_min", *w_min).set("w_max", *w_max),
-            ),
-            DistSpec::FromHistogram(h) => tagged("FromHistogram", h.to_json()),
-        }
+/// `{"on": event, "to": [[target, prob], ...]}`.
+impl Wire for Transition {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("on", self.on.to_json())
+            .set("to", self.to.to_json())
     }
 
-    /// Decode from [`DistSpec::to_json`]'s encoding.
-    pub(crate) fn from_json(v: &Json) -> Result<DistSpec, JsonError> {
-        match variant(v, "DistSpec")? {
-            ("Fixed", Some(b)) => Ok(DistSpec::Fixed { v: b.req_f64("v")? }),
-            ("Uniform", Some(b)) => Ok(DistSpec::Uniform {
-                lo: b.req_f64("lo")?,
-                hi: b.req_f64("hi")?,
-            }),
-            ("Normal", Some(b)) => Ok(DistSpec::Normal {
-                mean: b.req_f64("mean")?,
-                std: b.req_f64("std")?,
-            }),
-            ("LogNormal", Some(b)) => Ok(DistSpec::LogNormal {
-                mu: b.req_f64("mu")?,
-                sigma: b.req_f64("sigma")?,
-            }),
-            ("Pareto", Some(b)) => Ok(DistSpec::Pareto {
-                scale: b.req_f64("scale")?,
-                shape: b.req_f64("shape")?,
-            }),
-            ("Geometric", Some(b)) => Ok(DistSpec::Geometric { p: b.req_f64("p")? }),
-            ("Rayleigh", Some(b)) => Ok(DistSpec::Rayleigh {
-                w_min: b.req_f64("w_min")?,
-                w_max: b.req_f64("w_max")?,
-            }),
-            ("FromHistogram", Some(b)) => Ok(DistSpec::FromHistogram(Histogram::from_json(b)?)),
-            (tag, _) => Err(bad(format!("unknown DistSpec variant `{tag}`"))),
-        }
-    }
-}
-
-impl MachineEvent {
-    /// Encode as a plain tag string.
-    pub(crate) fn to_json(self) -> Json {
-        Json::from(self.as_str())
-    }
-
-    /// Decode from a tag string.
-    pub(crate) fn from_json(v: &Json) -> Result<MachineEvent, JsonError> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| bad("expected a MachineEvent tag"))?;
-        MachineEvent::ALL
-            .into_iter()
-            .find(|e| e.as_str() == s)
-            .ok_or_else(|| bad(format!("unknown MachineEvent `{s}`")))
-    }
-}
-
-impl Target {
-    /// Encode: `"End"` or `{"State": i}`.
-    pub(crate) fn to_json(self) -> Json {
-        match self {
-            Target::End => Json::from("End"),
-            Target::State(i) => Json::obj().set("State", i),
-        }
-    }
-
-    /// Decode from [`Target::to_json`]'s encoding.
-    pub(crate) fn from_json(v: &Json) -> Result<Target, JsonError> {
-        match variant(v, "Target")? {
-            ("End", None) => Ok(Target::End),
-            ("State", Some(b)) => Ok(Target::State(
-                b.as_u32().ok_or_else(|| bad("State index is not a u32"))?,
-            )),
-            (tag, _) => Err(bad(format!("unknown Target variant `{tag}`"))),
-        }
-    }
-}
-
-impl Transition {
-    /// Encode as `{"on": ..., "to": [[target, prob], ...]}`.
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj().set("on", self.on.to_json()).set(
-            "to",
-            Json::Arr(
-                self.to
-                    .iter()
-                    .map(|(t, p)| Json::Arr(vec![t.to_json(), Json::from(*p)]))
-                    .collect(),
-            ),
-        )
-    }
-
-    /// Decode from [`Transition::to_json`]'s encoding.
-    pub(crate) fn from_json(v: &Json) -> Result<Transition, JsonError> {
-        let mut to = Vec::new();
-        for pair in v.req_arr("to")? {
-            let pair = pair
-                .as_arr()
-                .filter(|p| p.len() == 2)
-                .ok_or_else(|| bad("transition target is not a [target, prob] pair"))?;
-            let p = pair[1]
-                .as_f64()
-                .ok_or_else(|| bad("transition probability is not a number"))?;
-            to.push((Target::from_json(&pair[0])?, p));
-        }
-        Ok(Transition {
-            on: MachineEvent::from_json(v.field("on")?)?,
-            to,
+    fn from_json(v: &Json) -> Result<Transition, JsonError> {
+        fields(v, |f| {
+            let (on, to) = (f.req("on")?, f.req("to")?);
+            Ok(Transition { on, to })
         })
     }
 }
 
-impl Action {
-    /// Encode as externally-tagged JSON.
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            Action::Nop => Json::from("Nop"),
-            Action::Pad {
-                dir,
-                size,
-                timing,
-                absolute,
-            } => tagged(
-                "Pad",
-                Json::obj()
-                    .set("dir", dir_to_json(*dir))
-                    .set("size", size.to_json())
-                    .set("timing", timing.to_json())
-                    .set("absolute", *absolute),
-            ),
-            Action::Timer { timing } => {
-                tagged("Timer", Json::obj().set("timing", timing.to_json()))
-            }
-            Action::Block { timing, duration } => tagged(
-                "Block",
-                Json::obj()
-                    .set("timing", timing.to_json())
-                    .set("duration", duration.to_json()),
-            ),
-            Action::Regulate {
-                dir,
-                size,
-                rate,
-                decay,
-                surge_threshold,
-                budget_frac,
-            } => tagged(
-                "Regulate",
-                Json::obj()
-                    .set("dir", dir_to_json(*dir))
-                    .set("size", *size)
-                    .set("rate", *rate)
-                    .set("decay", *decay)
-                    .set("surge_threshold", *surge_threshold)
-                    .set("budget_frac", *budget_frac),
-            ),
-        }
+netsim::wire_enum!(Action {
+    Nop,
+    Pad { dir, size, timing, absolute },
+    Timer { timing },
+    Block { timing, duration },
+    Regulate { dir, size, rate, decay, surge_threshold, budget_frac },
+});
+
+/// `limit` is written only when set.
+impl Wire for State {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("action", self.action.to_json())
+            .set_opt("limit", self.limit.as_ref().map(Wire::to_json))
+            .set("transitions", self.transitions.to_json())
     }
 
-    /// Decode from [`Action::to_json`]'s encoding.
-    pub(crate) fn from_json(v: &Json) -> Result<Action, JsonError> {
-        match variant(v, "Action")? {
-            ("Nop", None) => Ok(Action::Nop),
-            ("Pad", Some(b)) => Ok(Action::Pad {
-                dir: dir_from_json(b.field("dir")?)?,
-                size: DistSpec::from_json(b.field("size")?)?,
-                timing: DistSpec::from_json(b.field("timing")?)?,
-                absolute: b.req_bool("absolute")?,
-            }),
-            ("Timer", Some(b)) => Ok(Action::Timer {
-                timing: DistSpec::from_json(b.field("timing")?)?,
-            }),
-            ("Block", Some(b)) => Ok(Action::Block {
-                timing: DistSpec::from_json(b.field("timing")?)?,
-                duration: DistSpec::from_json(b.field("duration")?)?,
-            }),
-            ("Regulate", Some(b)) => Ok(Action::Regulate {
-                dir: dir_from_json(b.field("dir")?)?,
-                size: b.req_u32("size")?,
-                rate: b.req_f64("rate")?,
-                decay: b.req_f64("decay")?,
-                surge_threshold: b.req_u64("surge_threshold")?,
-                budget_frac: b.req_f64("budget_frac")?,
-            }),
-            (tag, _) => Err(bad(format!("unknown Action variant `{tag}`"))),
-        }
-    }
-}
-
-impl State {
-    /// Encode; `limit` is omitted when `None`.
-    pub(crate) fn to_json(&self) -> Json {
-        let mut o = Json::obj().set("action", self.action.to_json());
-        if let Some(l) = &self.limit {
-            o = o.set("limit", l.to_json());
-        }
-        o.set(
-            "transitions",
-            Json::Arr(self.transitions.iter().map(Transition::to_json).collect()),
-        )
-    }
-
-    /// Decode from [`State::to_json`]'s encoding.
-    pub(crate) fn from_json(v: &Json) -> Result<State, JsonError> {
-        Ok(State {
-            action: Action::from_json(v.field("action")?)?,
-            limit: match v.get("limit") {
-                Some(l) => Some(DistSpec::from_json(l)?),
-                None => None,
-            },
-            transitions: v
-                .req_arr("transitions")?
-                .iter()
-                .map(Transition::from_json)
-                .collect::<Result<_, _>>()?,
+    fn from_json(v: &Json) -> Result<State, JsonError> {
+        fields(v, |f| {
+            Ok(State {
+                action: f.req("action")?,
+                limit: f.opt("limit")?,
+                transitions: f.req("transitions")?,
+            })
         })
     }
 }
 
-impl Machine {
-    /// Encode as `{"states": [...]}`.
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj().set(
-            "states",
-            Json::Arr(self.states.iter().map(State::to_json).collect()),
-        )
+/// `{"states": [...]}`.
+impl Wire for Machine {
+    fn to_json(&self) -> Json {
+        Json::obj().set("states", self.states.to_json())
     }
 
-    /// Decode from [`Machine::to_json`]'s encoding.
-    pub(crate) fn from_json(v: &Json) -> Result<Machine, JsonError> {
-        Ok(Machine {
-            states: v
-                .req_arr("states")?
-                .iter()
-                .map(State::from_json)
-                .collect::<Result<_, _>>()?,
+    fn from_json(v: &Json) -> Result<Machine, JsonError> {
+        fields(v, |f| {
+            Ok(Machine {
+                states: f.req("states")?,
+            })
         })
     }
 }
 
-impl MachineSpec {
-    /// Encode the whole spec; `policy` is omitted when `None`.
-    pub fn to_json(&self) -> Json {
-        let mut o = Json::obj().set("name", self.name.as_str()).set(
-            "machines",
-            Json::Arr(self.machines.iter().map(Machine::to_json).collect()),
-        );
-        if let Some(p) = &self.policy {
-            o = o.set("policy", p.to_json());
-        }
-        o.set("max_padding_pkts", self.max_padding_pkts)
-            .set("max_blocking_ns", self.max_blocking.0)
+/// `policy` is written only when set. Decoding checks shape only; call
+/// [`MachineSpec::validate`] before running.
+impl Wire for MachineSpec {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("name", self.name.as_str())
+            .set("machines", self.machines.to_json())
+            .set_opt("policy", self.policy.as_ref().map(Wire::to_json))
+            .set("max_padding_pkts", self.max_padding_pkts)
+            .set("max_blocking_ns", self.max_blocking.to_json())
     }
 
-    /// Decode from [`MachineSpec::to_json`]'s encoding. Decoding checks
-    /// shape only; call [`MachineSpec::validate`] before running.
-    pub fn from_json(v: &Json) -> Result<MachineSpec, JsonError> {
-        Ok(MachineSpec {
-            name: v.req_str("name")?.to_string(),
-            machines: v
-                .req_arr("machines")?
-                .iter()
-                .map(Machine::from_json)
-                .collect::<Result<_, _>>()?,
-            policy: match v.get("policy") {
-                Some(p) => Some(ObfuscationPolicy::from_json(p)?),
-                None => None,
-            },
-            max_padding_pkts: v.req_u64("max_padding_pkts")?,
-            max_blocking: Nanos(v.req_u64("max_blocking_ns")?),
+    fn from_json(v: &Json) -> Result<MachineSpec, JsonError> {
+        fields(v, |f| {
+            Ok(MachineSpec {
+                name: f.req("name")?,
+                machines: f.req("machines")?,
+                policy: f.opt("policy")?,
+                max_padding_pkts: f.req("max_padding_pkts")?,
+                max_blocking: f.req("max_blocking_ns")?,
+            })
         })
     }
 }
@@ -1990,12 +1777,34 @@ mod tests {
         s.machines[0].states[0].limit = Some(DistSpec::Geometric { p: 0.0 });
         assert!(s.validate().is_err(), "geometric p = 0");
 
-        let mut s = ok;
+        let mut s = ok.clone();
         s.machines[0].states[0].limit = Some(DistSpec::Rayleigh {
             w_min: 5.0,
             w_max: 1.0,
         });
         assert!(s.validate().is_err(), "inverted rayleigh window");
+
+        // A regulate action owns its machine: one state, no limit, no rows.
+        let mut s = ok;
+        s.machines[0].states[0].action = Action::Regulate {
+            dir: Direction::In,
+            size: 1514,
+            rate: 300.0,
+            decay: 0.9,
+            surge_threshold: 60,
+            budget_frac: 0.4,
+        };
+        assert_eq!(
+            s.validate(),
+            Err(
+                "machine 0 state 0: a regulate state must be its machine's only state, \
+                 with no limit and no transitions"
+                    .to_string()
+            )
+        );
+        s.machines[0].states[0].limit = None;
+        s.machines[0].states[0].transitions.clear();
+        assert_eq!(s.validate(), Ok(()));
     }
 
     #[test]

@@ -12,6 +12,7 @@
 //! Policies validate and round-trip through the workspace's own JSON:
 //!
 //! ```
+//! use netsim::json::Wire;
 //! use stob::policy::ObfuscationPolicy;
 //! let p = ObfuscationPolicy::incremental("fig3", 20);
 //! assert!(p.validate().is_ok());
@@ -19,7 +20,8 @@
 //! assert_eq!(back.name, p.name);
 //! ```
 
-use netsim::json::{Json, JsonError};
+use crate::machine::MAX_DRAW_SECS;
+use netsim::json::{fields, Json, JsonError, Wire};
 use netsim::{Histogram, Nanos, SimRng};
 
 /// How packet sizes should be obfuscated.
@@ -70,6 +72,12 @@ pub enum TsoSpec {
     },
 }
 
+/// Largest [`DelaySpec::UniformFraction`] `hi_frac` that
+/// [`ObfuscationPolicy::validate`] accepts: a delay of 100 times the gap
+/// it stretches. §3 draws 0.1–0.3; a larger fraction is a typo or an
+/// attack on the accumulated shift, not a schedule.
+pub(crate) const MAX_DELAY_FRAC: f64 = 100.0;
+
 /// A complete obfuscation policy, as published to the registry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObfuscationPolicy {
@@ -118,10 +126,13 @@ impl ObfuscationPolicy {
 
     /// Check internal consistency before the policy reaches the
     /// datapath. An inconsistent policy (an empty histogram, an inverted
-    /// delay range, a zero split threshold) must not drive a live shaper:
-    /// [`crate::sockopt::attach`] consults this and falls
-    /// back to pass-through — shaping wrongly is worse than not shaping,
-    /// and crashing the stack is worse than both.
+    /// delay range, a zero split threshold, a delay past its cap) must
+    /// not drive a live shaper: [`crate::sockopt::attach`] consults this
+    /// and falls back to pass-through — shaping wrongly is worse than not
+    /// shaping, and crashing the stack is worse than both. An absolute or
+    /// histogram delay is capped at the machine runtime's per-draw clamp,
+    /// `MAX_DRAW_SECS` (600 s), a fractional one at `MAX_DELAY_FRAC`:
+    /// past them one draw can overflow the flow's accumulated shift.
     pub fn validate(&self) -> Result<(), String> {
         match &self.size {
             SizeSpec::Unchanged => {}
@@ -151,13 +162,31 @@ impl ObfuscationPolicy {
                 if hi_frac < lo_frac {
                     return Err("UniformFraction: hi_frac below lo_frac".into());
                 }
+                if *hi_frac > MAX_DELAY_FRAC {
+                    return Err(format!(
+                        "UniformFraction: hi_frac {hi_frac} exceeds the cap of {MAX_DELAY_FRAC}"
+                    ));
+                }
             }
             DelaySpec::UniformAbsolute { lo, hi } => {
                 if hi < lo {
                     return Err("UniformAbsolute: hi below lo".into());
                 }
+                if hi.as_secs_f64() > MAX_DRAW_SECS {
+                    return Err(format!(
+                        "UniformAbsolute: hi {hi} exceeds the {MAX_DRAW_SECS} s per-draw cap"
+                    ));
+                }
             }
-            DelaySpec::FromHistogramMicros(h) => histogram_ok(h, "delay")?,
+            DelaySpec::FromHistogramMicros(h) => {
+                histogram_ok(h, "delay")?;
+                if h.hi > MAX_DRAW_SECS * 1e6 {
+                    return Err(format!(
+                        "delay histogram hi {} us exceeds the {MAX_DRAW_SECS} s per-draw cap",
+                        h.hi
+                    ));
+                }
+            }
         }
         match &self.tso {
             TsoSpec::Unchanged => {}
@@ -195,9 +224,13 @@ impl ObfuscationPolicy {
 }
 
 /// A histogram deserialized from an external source can claim a mass
-/// (`total`) its bins don't back up; sampling such a histogram silently
-/// skews toward the edge bins. Shared with the machine-spec codec.
-pub(crate) fn histogram_ok(h: &netsim::Histogram, what: &str) -> Result<(), String> {
+/// (`total`) its bins don't back up — sampling such a histogram silently
+/// skews toward the edge bins — or bounds no draw can sit between.
+/// Shared with the machine-spec validator.
+pub(crate) fn histogram_ok(h: &Histogram, what: &str) -> Result<(), String> {
+    if !h.lo.is_finite() || !h.hi.is_finite() || h.lo > h.hi {
+        return Err(format!("{what} histogram needs finite lo <= hi"));
+    }
     if h.total == 0 {
         return Err(format!("{what} histogram has no samples"));
     }
@@ -211,134 +244,27 @@ pub(crate) fn histogram_ok(h: &netsim::Histogram, what: &str) -> Result<(), Stri
     Ok(())
 }
 
-pub(crate) fn bad(msg: impl Into<String>) -> JsonError {
-    JsonError {
-        offset: 0,
-        message: msg.into(),
-    }
-}
+netsim::wire_enum!(SizeSpec {
+    Unchanged,
+    SplitAbove { threshold },
+    IncrementalReduce { step, steps },
+    FromHistogram(h),
+    Fixed { ip_size },
+});
+netsim::wire_enum!(DelaySpec {
+    Unchanged,
+    UniformFraction { lo_frac, hi_frac },
+    UniformAbsolute { lo, hi },
+    FromHistogramMicros(h),
+});
+netsim::wire_enum!(TsoSpec {
+    Unchanged,
+    IncrementalReduce { step, steps },
+    Cap { pkts },
+});
 
-/// Externally-tagged enum encoding: unit variants are plain strings,
-/// struct variants are `{"Variant": {fields...}}` — the same shape a
-/// serde derive would have produced, so exports stay familiar.
-pub(crate) fn variant<'a>(
-    v: &'a Json,
-    what: &str,
-) -> Result<(&'a str, Option<&'a Json>), JsonError> {
-    match v {
-        Json::Str(tag) => Ok((tag.as_str(), None)),
-        Json::Obj(entries) if entries.len() == 1 => {
-            Ok((entries[0].0.as_str(), Some(&entries[0].1)))
-        }
-        _ => Err(bad(format!("{what}: expected a variant tag"))),
-    }
-}
-
-pub(crate) fn tagged(tag: &str, body: Json) -> Json {
-    Json::obj().set(tag, body)
-}
-
-impl SizeSpec {
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            SizeSpec::Unchanged => Json::from("Unchanged"),
-            SizeSpec::SplitAbove { threshold } => {
-                tagged("SplitAbove", Json::obj().set("threshold", *threshold))
-            }
-            SizeSpec::IncrementalReduce { step, steps } => tagged(
-                "IncrementalReduce",
-                Json::obj().set("step", *step).set("steps", *steps),
-            ),
-            SizeSpec::FromHistogram(h) => tagged("FromHistogram", h.to_json()),
-            SizeSpec::Fixed { ip_size } => tagged("Fixed", Json::obj().set("ip_size", *ip_size)),
-        }
-    }
-
-    pub(crate) fn from_json(v: &Json) -> Result<SizeSpec, JsonError> {
-        match variant(v, "SizeSpec")? {
-            ("Unchanged", None) => Ok(SizeSpec::Unchanged),
-            ("SplitAbove", Some(b)) => Ok(SizeSpec::SplitAbove {
-                threshold: b.req_u32("threshold")?,
-            }),
-            ("IncrementalReduce", Some(b)) => Ok(SizeSpec::IncrementalReduce {
-                step: b.req_u32("step")?,
-                steps: b.req_u32("steps")?,
-            }),
-            ("FromHistogram", Some(b)) => Ok(SizeSpec::FromHistogram(Histogram::from_json(b)?)),
-            ("Fixed", Some(b)) => Ok(SizeSpec::Fixed {
-                ip_size: b.req_u32("ip_size")?,
-            }),
-            (tag, _) => Err(bad(format!("unknown SizeSpec variant `{tag}`"))),
-        }
-    }
-}
-
-impl DelaySpec {
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            DelaySpec::Unchanged => Json::from("Unchanged"),
-            DelaySpec::UniformFraction { lo_frac, hi_frac } => tagged(
-                "UniformFraction",
-                Json::obj()
-                    .set("lo_frac", *lo_frac)
-                    .set("hi_frac", *hi_frac),
-            ),
-            DelaySpec::UniformAbsolute { lo, hi } => tagged(
-                "UniformAbsolute",
-                Json::obj().set("lo", lo.0).set("hi", hi.0),
-            ),
-            DelaySpec::FromHistogramMicros(h) => tagged("FromHistogramMicros", h.to_json()),
-        }
-    }
-
-    pub(crate) fn from_json(v: &Json) -> Result<DelaySpec, JsonError> {
-        match variant(v, "DelaySpec")? {
-            ("Unchanged", None) => Ok(DelaySpec::Unchanged),
-            ("UniformFraction", Some(b)) => Ok(DelaySpec::UniformFraction {
-                lo_frac: b.req_f64("lo_frac")?,
-                hi_frac: b.req_f64("hi_frac")?,
-            }),
-            ("UniformAbsolute", Some(b)) => Ok(DelaySpec::UniformAbsolute {
-                lo: Nanos(b.req_u64("lo")?),
-                hi: Nanos(b.req_u64("hi")?),
-            }),
-            ("FromHistogramMicros", Some(b)) => {
-                Ok(DelaySpec::FromHistogramMicros(Histogram::from_json(b)?))
-            }
-            (tag, _) => Err(bad(format!("unknown DelaySpec variant `{tag}`"))),
-        }
-    }
-}
-
-impl TsoSpec {
-    pub(crate) fn to_json(&self) -> Json {
-        match self {
-            TsoSpec::Unchanged => Json::from("Unchanged"),
-            TsoSpec::IncrementalReduce { step, steps } => tagged(
-                "IncrementalReduce",
-                Json::obj().set("step", *step).set("steps", *steps),
-            ),
-            TsoSpec::Cap { pkts } => tagged("Cap", Json::obj().set("pkts", *pkts)),
-        }
-    }
-
-    pub(crate) fn from_json(v: &Json) -> Result<TsoSpec, JsonError> {
-        match variant(v, "TsoSpec")? {
-            ("Unchanged", None) => Ok(TsoSpec::Unchanged),
-            ("IncrementalReduce", Some(b)) => Ok(TsoSpec::IncrementalReduce {
-                step: b.req_u32("step")?,
-                steps: b.req_u32("steps")?,
-            }),
-            ("Cap", Some(b)) => Ok(TsoSpec::Cap {
-                pkts: b.req_u32("pkts")?,
-            }),
-            (tag, _) => Err(bad(format!("unknown TsoSpec variant `{tag}`"))),
-        }
-    }
-}
-
-impl ObfuscationPolicy {
-    pub fn to_json(&self) -> Json {
+impl Wire for ObfuscationPolicy {
+    fn to_json(&self) -> Json {
         Json::obj()
             .set("name", self.name.as_str())
             .set("size", self.size.to_json())
@@ -348,14 +274,16 @@ impl ObfuscationPolicy {
             .set("respect_slow_start", self.respect_slow_start)
     }
 
-    pub fn from_json(v: &Json) -> Result<ObfuscationPolicy, JsonError> {
-        Ok(ObfuscationPolicy {
-            name: v.req_str("name")?.to_string(),
-            size: SizeSpec::from_json(v.field("size")?)?,
-            delay: DelaySpec::from_json(v.field("delay")?)?,
-            tso: TsoSpec::from_json(v.field("tso")?)?,
-            first_n_pkts: v.req_u64("first_n_pkts")?,
-            respect_slow_start: v.req_bool("respect_slow_start")?,
+    fn from_json(v: &Json) -> Result<ObfuscationPolicy, JsonError> {
+        fields(v, |f| {
+            Ok(ObfuscationPolicy {
+                name: f.req("name")?,
+                size: f.req("size")?,
+                delay: f.req("delay")?,
+                tso: f.req("tso")?,
+                first_n_pkts: f.req("first_n_pkts")?,
+                respect_slow_start: f.req("respect_slow_start")?,
+            })
         })
     }
 }
@@ -505,6 +433,56 @@ mod tests {
             hi: Nanos(100),
         };
         assert!(p.validate().is_err(), "inverted absolute range");
+
+        // Each delay cap admits its bound and refuses past it.
+        let cap = Nanos::from_secs_f64(MAX_DRAW_SECS);
+        let mut micros = Histogram::new(0.0, MAX_DRAW_SECS * 1e6, 4);
+        micros.push(1.0);
+        for (at, past) in [
+            (
+                DelaySpec::UniformAbsolute { lo: cap, hi: cap },
+                DelaySpec::UniformAbsolute {
+                    lo: Nanos::ZERO,
+                    hi: cap + Nanos(1),
+                },
+            ),
+            (
+                DelaySpec::UniformFraction {
+                    lo_frac: 0.0,
+                    hi_frac: MAX_DELAY_FRAC,
+                },
+                DelaySpec::UniformFraction {
+                    lo_frac: 0.0,
+                    hi_frac: MAX_DELAY_FRAC * 1.01,
+                },
+            ),
+            (
+                DelaySpec::FromHistogramMicros(micros.clone()),
+                DelaySpec::FromHistogramMicros(Histogram {
+                    hi: MAX_DRAW_SECS * 1e6 + 1.0,
+                    ..micros.clone()
+                }),
+            ),
+        ] {
+            p.delay = at;
+            assert!(p.validate().is_ok(), "{:?}", p.delay);
+            p.delay = past;
+            assert!(p.validate().is_err(), "{:?}", p.delay);
+        }
+        // Bounds no draw can sit between, on either kind of histogram.
+        for (lo, hi) in [(5.0, 1.0), (f64::NAN, 1.0), (0.0, f64::INFINITY)] {
+            let h = Histogram {
+                lo,
+                hi,
+                ..micros.clone()
+            };
+            p.delay = DelaySpec::FromHistogramMicros(h.clone());
+            assert!(p.validate().is_err(), "delay [{lo}, {hi}]");
+            p.delay = DelaySpec::Unchanged;
+            p.size = SizeSpec::FromHistogram(h);
+            assert!(p.validate().is_err(), "size [{lo}, {hi}]");
+            p.size = SizeSpec::Unchanged;
+        }
 
         p.delay = DelaySpec::Unchanged;
         p.tso = TsoSpec::Cap { pkts: 0 };

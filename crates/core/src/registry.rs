@@ -15,7 +15,7 @@ use crate::defense::{Defense, Placement};
 use crate::machine::{MachineDefense, MachineSpec};
 use crate::policy::ObfuscationPolicy;
 use crate::splitter::{validate_splitter, SplitterSpec};
-use netsim::json::{Json, JsonError};
+use netsim::json::{Json, JsonError, Wire};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
@@ -70,40 +70,7 @@ pub struct PolicyRegistry {
     breaker: Arc<OnceLock<Mutex<CircuitBreaker>>>,
 }
 
-fn bad(message: &str) -> JsonError {
-    JsonError {
-        offset: 0,
-        message: message.to_string(),
-    }
-}
-
-impl PolicyKey {
-    pub(crate) fn to_json(self) -> Json {
-        match self {
-            PolicyKey::Flow(id) => Json::obj().set("Flow", id),
-            PolicyKey::Destination(id) => Json::obj().set("Destination", id),
-            PolicyKey::Default => Json::from("Default"),
-        }
-    }
-
-    pub fn from_json(v: &Json) -> Result<PolicyKey, JsonError> {
-        match v {
-            Json::Str(s) if s == "Default" => Ok(PolicyKey::Default),
-            Json::Obj(entries) if entries.len() == 1 => {
-                let id = entries[0]
-                    .1
-                    .as_u32()
-                    .ok_or_else(|| bad("policy key id is not a u32"))?;
-                match entries[0].0.as_str() {
-                    "Flow" => Ok(PolicyKey::Flow(id)),
-                    "Destination" => Ok(PolicyKey::Destination(id)),
-                    tag => Err(bad(&format!("unknown PolicyKey variant `{tag}`"))),
-                }
-            }
-            _ => Err(bad("expected a PolicyKey")),
-        }
-    }
-}
+netsim::wire_enum!(PolicyKey { Flow(id), Destination(id), Default });
 
 impl PolicyRegistry {
     pub fn new() -> Self {
@@ -280,42 +247,44 @@ impl PolicyRegistry {
     /// Serialize the table's plain stack-placed policies as `[key,
     /// policy]` pairs — the administrator's view of the host's
     /// obfuscation configuration (§4.1: policies are compact and
-    /// shareable). Machines travel as their own JSON
-    /// ([`crate::sockopt::publish_machine_json`]).
+    /// shareable). A machine or splitter travels as its own document
+    /// ([`crate::sockopt::publish_json`]).
     pub fn export_json(&self) -> String {
         let g = self.inner.read().unwrap_or_else(|e| e.into_inner());
         let entries = g
             .bindings
             .values()
             .filter(|b| b.placement == Placement::Stack)
-            .filter_map(|b| Some((b.key.to_json(), b.defense.as_policy()?.to_json())))
-            .map(|(key, policy)| Json::Arr(vec![key, policy]))
+            .filter_map(|b| {
+                Some(Json::Arr(vec![
+                    b.key.to_json(),
+                    b.defense.as_policy()?.to_json(),
+                ]))
+            })
             .collect();
         Json::Arr(entries).to_string_pretty()
     }
 
     /// Merge the policies of a JSON export into this registry, all or
-    /// nothing: an export with any undecodable entry is rejected whole
-    /// and leaves the table and its version untouched.
+    /// nothing: an export that does not parse, has an entry that does not
+    /// decode, or a policy that fails [`ObfuscationPolicy::validate`] is
+    /// rejected whole — counted once as a degradation — and leaves the
+    /// table and its version untouched.
     pub fn import_json(&self, json: &str) -> Result<usize, JsonError> {
-        let parsed = Json::parse(json)?;
-        let items = parsed
-            .as_arr()
-            .ok_or_else(|| bad("policy export is not an array"))?;
-        let entries = items
-            .iter()
-            .map(|item| {
-                let pair = item
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| bad("policy entry is not a [key, policy] pair"))?;
-                Ok(DefenseBinding {
-                    key: PolicyKey::from_json(&pair[0])?,
-                    defense: Arc::new(ObfuscationPolicy::from_json(&pair[1])?),
-                    placement: Placement::Stack,
-                })
+        let bind = |(i, (key, policy)): (usize, (PolicyKey, ObfuscationPolicy))| {
+            policy
+                .validate()
+                .map_err(|e| JsonError::new(format!("item {i}: {e}")))?;
+            Ok(DefenseBinding {
+                key,
+                defense: Arc::new(policy),
+                placement: Placement::Stack,
             })
-            .collect::<Result<Vec<_>, JsonError>>()?;
+        };
+        let entries: Vec<DefenseBinding> = Json::parse(json)
+            .and_then(|doc| Vec::<(PolicyKey, ObfuscationPolicy)>::from_json(&doc))
+            .and_then(|pairs| pairs.into_iter().enumerate().map(bind).collect())
+            .inspect_err(|_| self.note_degraded())?;
         Ok(self.mutate(|g| {
             let n = entries.len();
             g.bindings.extend(entries.into_iter().map(|b| (b.key, b)));

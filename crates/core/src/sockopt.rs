@@ -9,7 +9,9 @@
 //! built, lower it into the live strategy inside the safety cap and the
 //! guards, and hand over the shaper plus an audit handle. It only reads
 //! the table: entries arrive through [`PolicyRegistry::publish`], the
-//! `bind_*` calls, or the JSON wire forms at the bottom of this module.
+//! `bind_*` calls, [`PolicyRegistry::import_json`], or [`publish_json`]
+//! at the bottom of this module — the one entry point for a JSON
+//! document of any kind.
 
 use crate::breaker::Admission;
 use crate::defense::{DefenseCtx, FlowDefense, Placement};
@@ -18,9 +20,9 @@ use crate::machine::MachineSpec;
 use crate::policy::ObfuscationPolicy;
 use crate::registry::{PolicyKey, PolicyRegistry};
 use crate::safety::{SafetyAudit, SafetyCap};
-use crate::splitter::splitter_from_json;
+use crate::splitter::SplitterSpec;
 use crate::strategies::build_shaper;
-use netsim::json::{Json, JsonError};
+use netsim::json::{variant, Json, JsonError, Wire};
 use netsim::SimRng;
 use stack::shaper::BoxShaper;
 use std::sync::Arc;
@@ -160,47 +162,54 @@ pub fn attach(
     outcome
 }
 
-/// The wire half every JSON publish shares: parse `text`, then `decode`
-/// the spec; the caller binds it (which validates). A spec that fails at
-/// any of the three steps is rejected with the registry's degradation
-/// counter bumped once; it never reaches the table.
-fn decode_json<S>(
-    registry: &PolicyRegistry,
-    what: &str,
-    text: &str,
-    decode: impl FnOnce(&Json) -> Result<S, JsonError>,
-) -> Result<S, String> {
-    Json::parse(text)
-        .map_err(|e| format!("{what} JSON parse error at {}: {}", e.offset, e.message))
-        .and_then(|v| decode(&v).map_err(|e| format!("{what} decode error: {}", e.message)))
-        .inspect_err(|_| registry.note_degraded())
-}
-
-/// Publish a machine defense from its JSON wire form — the full
-/// defenses-as-data path an operator exercises: no recompile,
-/// hot-swappable like any entry. Binds under `key` at `placement` via
-/// [`PolicyRegistry::bind_machine`]; returns the bound machine's name.
-pub fn publish_machine_json(
+/// Publish a JSON document under `key` — the one JSON entry point, and
+/// the defenses-as-data path an operator exercises: no recompile, and a
+/// re-publish hot-swaps the entry for later flows like any update. The
+/// document says what it is:
+///
+/// - an object with `machines` is a [`MachineSpec`], bound at
+///   `placement` through [`PolicyRegistry::bind_machine`];
+/// - an object with `size` is an [`ObfuscationPolicy`], validated and
+///   bound at `placement`;
+/// - a splitter tag (`"RoundRobin"`, `{"Weighted": ...}`,
+///   `"PaddedRandom"`) is a [`crate::SplitterSpec`], bound through
+///   [`PolicyRegistry::bind_splitter`] (`placement` does not apply).
+///
+/// Anything else, and any document that fails to parse, decode (an
+/// unknown key included) or validate, is rejected with the registry's
+/// degradation counter bumped once; it never reaches the table. Returns
+/// the bound entry's name.
+pub fn publish_json(
     registry: &PolicyRegistry,
     key: PolicyKey,
-    json_text: &str,
+    text: &str,
     placement: Placement,
 ) -> Result<String, String> {
-    let spec = decode_json(registry, "machine", json_text, MachineSpec::from_json)?;
-    registry.bind_machine(key, spec, placement)
-}
-
-/// Publish a multipath splitting policy from its JSON wire form, bound
-/// under `key` via [`PolicyRegistry::bind_splitter`]. The splitter is
-/// resolved at multipath flow setup with the usual precedence and handed
-/// to the `Multiplex` transport. Returns the bound spec's stable name.
-pub fn publish_splitter_json(
-    registry: &PolicyRegistry,
-    key: PolicyKey,
-    json_text: &str,
-) -> Result<String, String> {
-    let spec = decode_json(registry, "splitter", json_text, splitter_from_json)?;
-    registry.bind_splitter(key, spec)
+    let rejected = |reason: String| {
+        registry.note_degraded();
+        reason
+    };
+    let doc = Json::parse(text)
+        .map_err(|e| rejected(format!("JSON parse error at {}: {}", e.offset, e.message)))?;
+    let decode_error =
+        |what: &str, e: JsonError| rejected(format!("{what} decode error: {}", e.message));
+    if doc.get("machines").is_some() {
+        let spec = MachineSpec::from_json(&doc).map_err(|e| decode_error("machine", e))?;
+        registry.bind_machine(key, spec, placement)
+    } else if doc.get("size").is_some() {
+        let policy = ObfuscationPolicy::from_json(&doc).map_err(|e| decode_error("policy", e))?;
+        policy.validate().map_err(rejected)?;
+        let name = policy.name.clone();
+        registry.bind_defense(key, Arc::new(policy), placement);
+        Ok(name)
+    } else if let Ok(("RoundRobin" | "Weighted" | "PaddedRandom", _)) = variant(&doc, "splitter") {
+        let spec = SplitterSpec::from_json(&doc).map_err(|e| decode_error("splitter", e))?;
+        registry.bind_splitter(key, spec)
+    } else {
+        Err(rejected(
+            "not a machine spec (`machines`), a policy (`size`) or a splitter tag".to_string(),
+        ))
+    }
 }
 
 #[cfg(test)]
@@ -435,11 +444,11 @@ mod tests {
             r#"{"Weighted":{"weights":[1e300,1]}}"#,
             r#"{"Weighted":{"weights":[4294967296,1]}}"#,
         ] {
-            let got = publish_splitter_json(&reg, PolicyKey::Default, text);
+            let got = publish_json(&reg, PolicyKey::Default, text, Placement::Stack);
             assert!(got.is_err(), "{text} bound as {got:?}");
         }
         let max = r#"{"Weighted":{"weights":[4294967295,1]}}"#;
-        assert!(publish_splitter_json(&reg, PolicyKey::Default, max).is_ok());
+        assert!(publish_json(&reg, PolicyKey::Default, max, Placement::Stack).is_ok());
     }
 
     #[test]

@@ -4,54 +4,13 @@
 //! traffic-shaping decision exactly like padding or delay, so it lives
 //! in the same place: published into the [`crate::PolicyRegistry`] under
 //! a [`crate::PolicyKey`], resolved per flow, and deployable as data through the
-//! JSON sockopt path ([`crate::sockopt::publish_splitter_json`]). The
-//! runtime itself ([`stack::mux::Splitter`]) stays in the stack; this
-//! module owns validation and the wire codec.
+//! JSON sockopt path ([`crate::sockopt::publish_json`]). The
+//! runtime itself ([`stack::mux::Splitter`]) and its wire form (the
+//! `netsim::json::Wire` impl beside it) stay in the stack; this module
+//! owns validation.
 
-use crate::policy::{bad, tagged, variant};
-use netsim::json::{Json, JsonError};
 pub use stack::mux::SplitterSpec;
 use stack::mux::{MAX_PIPES, MAX_WEIGHT};
-
-/// Encode a splitter spec as externally-tagged JSON, the same shape the
-/// policy vocabulary uses (`"RoundRobin"`, `{"Weighted":{"weights":[..]}}`,
-/// `"PaddedRandom"`).
-pub fn splitter_to_json(spec: &SplitterSpec) -> Json {
-    match spec {
-        SplitterSpec::RoundRobin => Json::from("RoundRobin"),
-        SplitterSpec::Weighted { weights } => {
-            let ws = weights.iter().map(|&w| Json::from(w)).collect::<Vec<_>>();
-            tagged("Weighted", Json::obj().set("weights", Json::Arr(ws)))
-        }
-        SplitterSpec::PaddedRandom => Json::from("PaddedRandom"),
-    }
-}
-
-/// Decode a splitter spec from its externally-tagged JSON form. The
-/// result is syntactically valid but not yet checked against a concrete
-/// pipe count — use [`validate_splitter`] at bind time.
-pub(crate) fn splitter_from_json(v: &Json) -> Result<SplitterSpec, JsonError> {
-    let (tag, body) = variant(v, "splitter")?;
-    match (tag, body) {
-        ("RoundRobin", None) => Ok(SplitterSpec::RoundRobin),
-        ("PaddedRandom", None) => Ok(SplitterSpec::PaddedRandom),
-        ("Weighted", Some(b)) => {
-            let ws = b
-                .get("weights")
-                .and_then(|w| w.as_arr())
-                .ok_or_else(|| bad("Weighted: missing weights array"))?;
-            let weights = ws
-                .iter()
-                .map(|w| {
-                    w.as_u64()
-                        .ok_or_else(|| bad("Weighted: weights must be unsigned integers"))
-                })
-                .collect::<Result<Vec<u64>, JsonError>>()?;
-            Ok(SplitterSpec::Weighted { weights })
-        }
-        (other, _) => Err(bad(format!("splitter: unknown variant {other:?}"))),
-    }
-}
 
 /// Control-plane validation: a hostile or malformed spec must be
 /// rejected at publish time, never at flow setup on the datapath.
@@ -81,6 +40,7 @@ pub fn validate_splitter(spec: &SplitterSpec) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::json::{Json, Wire};
 
     #[test]
     fn round_trips_all_variants() {
@@ -91,8 +51,8 @@ mod tests {
                 weights: vec![3, 1, 2],
             },
         ] {
-            let j = splitter_to_json(&spec);
-            let back = splitter_from_json(&j).expect("decode");
+            let j = spec.to_json();
+            let back = SplitterSpec::from_json(&j).expect("decode");
             assert_eq!(back, spec);
         }
     }
@@ -114,8 +74,12 @@ mod tests {
     #[test]
     fn decode_rejects_unknown_variant() {
         let j = Json::from("ZigZag");
-        assert!(splitter_from_json(&j).is_err());
-        let j = tagged("Weighted", Json::obj().set("weights", Json::from("x")));
-        assert!(splitter_from_json(&j).is_err());
+        assert!(SplitterSpec::from_json(&j).is_err());
+        let weighted = |body: Json| Json::obj().set("Weighted", body);
+        let j = weighted(Json::obj().set("weights", Json::from("x")));
+        assert!(SplitterSpec::from_json(&j).is_err());
+        let j = weighted(Json::obj().set("weights", vec![1u64]).set("wieghts", 1u64));
+        let err = SplitterSpec::from_json(&j).unwrap_err();
+        assert_eq!(err.message, "unknown field `wieghts`");
     }
 }

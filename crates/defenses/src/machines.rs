@@ -3,7 +3,7 @@
 //!
 //! These are the reference payloads for the defenses-as-data control
 //! plane: each generator returns a spec that can be serialized, pushed
-//! through `publish_machine_json`, and hot-swapped at runtime — and the
+//! through `stob::sockopt::publish_json`, and hot-swapped at runtime — and the
 //! FRONT generator is constructed to *replay the native `FrontDefense`'s
 //! RNG draw sequence bit for bit* (same per-flow rng → identical defended
 //! flow), which is what lets the defense matrix prove the machine
@@ -256,6 +256,7 @@ pub fn regulator_machine(cfg: &RegulatorConfig) -> MachineSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::json::{Json, Wire};
     use netsim::SimRng;
     use stob::defense::{emulate_flow, DefenseCtx, FlowPkt};
     use stob::machine::MachineDefense;
@@ -284,10 +285,7 @@ mod tests {
         ] {
             spec.validate().expect("generator output must validate");
             let text = spec.to_json().to_string_compact();
-            let back = stob::machine::MachineSpec::from_json(
-                &netsim::json::Json::parse(&text).expect("parse"),
-            )
-            .expect("decode");
+            let back = MachineSpec::from_json(&Json::parse(&text).expect("parse")).expect("decode");
             assert_eq!(back, spec);
         }
     }
@@ -382,10 +380,7 @@ mod tests {
         let spec = regulator_machine(&RegulatorConfig::default());
         spec.validate().expect("valid");
         let json = spec.to_json().to_string_pretty();
-        let back = stob::machine::MachineSpec::from_json(
-            &netsim::json::Json::parse(&json).expect("parse"),
-        )
-        .expect("decode");
+        let back = MachineSpec::from_json(&Json::parse(&json).expect("parse")).expect("decode");
         assert_eq!(back, spec);
     }
 

@@ -25,23 +25,6 @@ impl Direction {
             Direction::In => -1,
         }
     }
-
-    /// Stable one-letter wire form used by the JSON trace format.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Direction::Out => "o",
-            Direction::In => "i",
-        }
-    }
-
-    /// Parse [`Direction::as_str`]'s form back.
-    pub fn from_str_code(s: &str) -> Option<Direction> {
-        match s {
-            "o" => Some(Direction::Out),
-            "i" => Some(Direction::In),
-            _ => None,
-        }
-    }
 }
 
 /// One captured packet, as the eavesdropper sees it.

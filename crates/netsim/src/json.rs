@@ -11,7 +11,27 @@
 //! surrogate-pair validation beyond basic decoding, and numbers are
 //! `f64` (every quantity we persist — timestamps in nanoseconds, counts,
 //! accuracies — fits in 53 bits of mantissa).
+//!
+//! The control plane's documents — policies, machine specs, splitters,
+//! registry exports — get their wire form from one codec, the [`Wire`]
+//! trait, so the format is decided here and nowhere else: scalars and
+//! [`Nanos`], [`Direction`] (`"Out"` / `"In"`), [`Histogram`], arrays,
+//! `[a, b]` pairs, objects read through [`fields`] (every key the type
+//! declares, no other; an absent optional field is `None`), and enums
+//! tagged externally the way serde would ([`wire_enum!`](crate::wire_enum)):
+//! a unit variant is its name, any other `{"Name": body}`.
+//!
+//! ```
+//! use netsim::json::{Json, Wire};
+//! use netsim::{Direction, Nanos};
+//! let pair = (Direction::In, Nanos(1_500));
+//! assert_eq!(pair.to_json().to_string_compact(), r#"["In",1500]"#);
+//! assert_eq!(Wire::from_json(&Json::parse(r#"["In",1500]"#).unwrap()), Ok(pair));
+//! ```
 
+use crate::capture::Direction;
+use crate::stats::Histogram;
+use crate::time::Nanos;
 use std::fmt;
 
 /// A JSON value. Objects preserve insertion order.
@@ -40,6 +60,21 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+impl JsonError {
+    /// A decoding error (it has no byte offset: the text parsed).
+    pub fn new(message: impl Into<String>) -> JsonError {
+        JsonError {
+            offset: 0,
+            message: message.into(),
+        }
+    }
+
+    /// Prefix the message with where in the document it happened.
+    fn within(self, at: &str) -> JsonError {
+        JsonError::new(format!("{at}: {}", self.message))
+    }
+}
+
 impl Json {
     // -- constructors ------------------------------------------------
 
@@ -55,6 +90,15 @@ impl Json {
             _ => panic!("Json::set on non-object"),
         }
         self
+    }
+
+    /// [`Json::set`] for an optional field: `None` writes no key, which
+    /// is what [`Fields::opt`] reads back as `None`.
+    pub fn set_opt(self, key: &str, value: Option<Json>) -> Json {
+        match value {
+            Some(v) => self.set(key, v),
+            None => self,
+        }
     }
 
     // -- accessors ---------------------------------------------------
@@ -118,19 +162,12 @@ impl Json {
         }
     }
 
-    /// Typed field extraction helpers used by the manual deserializers.
+    /// Typed field extraction for readers of this workspace's reports;
+    /// control-plane documents decode through [`Wire`] instead.
     pub fn req_u64(&self, key: &str) -> Result<u64, JsonError> {
         self.field(key)?
             .as_u64()
             .ok_or_else(|| type_err(key, "u64"))
-    }
-
-    /// A `u32` field. Decoders must use this, not `req_u64(..)? as u32`:
-    /// the cast wraps `2^32 + k` to `k`, which then passes validation.
-    pub fn req_u32(&self, key: &str) -> Result<u32, JsonError> {
-        self.field(key)?
-            .as_u32()
-            .ok_or_else(|| type_err(key, "u32"))
     }
 
     pub fn req_f64(&self, key: &str) -> Result<f64, JsonError> {
@@ -517,6 +554,261 @@ impl<T: Into<Json>> From<Vec<T>> for Json {
     }
 }
 
+// -- the wire codec --------------------------------------------------
+
+/// A type with exactly one JSON wire form, written by `to_json` and read
+/// back by `from_json`: `T::from_json(&x.to_json()) == Ok(x)`.
+pub trait Wire: Sized {
+    fn to_json(&self) -> Json;
+
+    /// Decode, refusing what `to_json` would never write: a wrong type,
+    /// an unknown tag, a missing or an unknown field.
+    fn from_json(v: &Json) -> Result<Self, JsonError>;
+}
+
+fn expected(what: &str) -> JsonError {
+    JsonError::new(format!("expected {what}"))
+}
+
+impl Wire for f64 {
+    fn to_json(&self) -> Json {
+        Json::Num(*self)
+    }
+    fn from_json(v: &Json) -> Result<f64, JsonError> {
+        v.as_f64().ok_or_else(|| expected("a number"))
+    }
+}
+
+impl Wire for u64 {
+    fn to_json(&self) -> Json {
+        Json::from(*self)
+    }
+    fn from_json(v: &Json) -> Result<u64, JsonError> {
+        v.as_u64().ok_or_else(|| expected("a u64"))
+    }
+}
+
+/// Past `u32::MAX` is an error, never a wrap: `2^32 + k` would otherwise
+/// decode as `k` and pass validation.
+impl Wire for u32 {
+    fn to_json(&self) -> Json {
+        Json::from(*self)
+    }
+    fn from_json(v: &Json) -> Result<u32, JsonError> {
+        v.as_u32().ok_or_else(|| expected("a u32"))
+    }
+}
+
+impl Wire for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(v: &Json) -> Result<bool, JsonError> {
+        v.as_bool().ok_or_else(|| expected("a bool"))
+    }
+}
+
+impl Wire for String {
+    fn to_json(&self) -> Json {
+        Json::from(self.as_str())
+    }
+    fn from_json(v: &Json) -> Result<String, JsonError> {
+        v.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| expected("a string"))
+    }
+}
+
+/// Whole nanoseconds.
+impl Wire for Nanos {
+    fn to_json(&self) -> Json {
+        self.0.to_json()
+    }
+    fn from_json(v: &Json) -> Result<Nanos, JsonError> {
+        u64::from_json(v).map(Nanos)
+    }
+}
+
+crate::wire_enum!(Direction { Out, In });
+
+/// `{lo, hi, counts, total}`, the §4.1 policy-sharing form. Decoding
+/// checks shape only: whether the bins back up `total` is the
+/// validator's question.
+impl Wire for Histogram {
+    fn to_json(&self) -> Json {
+        Json::obj()
+            .set("lo", self.lo)
+            .set("hi", self.hi)
+            .set("counts", self.counts.to_json())
+            .set("total", self.total)
+    }
+    fn from_json(v: &Json) -> Result<Histogram, JsonError> {
+        fields(v, |f| {
+            Ok(Histogram {
+                lo: f.req("lo")?,
+                hi: f.req("hi")?,
+                counts: f.req("counts")?,
+                total: f.req("total")?,
+            })
+        })
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::Arr(self.iter().map(T::to_json).collect())
+    }
+    fn from_json(v: &Json) -> Result<Vec<T>, JsonError> {
+        let items = v.as_arr().ok_or_else(|| expected("an array"))?;
+        let item = |(i, x)| T::from_json(x).map_err(|e| e.within(&format!("item {i}")));
+        items.iter().enumerate().map(item).collect()
+    }
+}
+
+/// A two-element array.
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn to_json(&self) -> Json {
+        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
+    }
+    fn from_json(v: &Json) -> Result<(A, B), JsonError> {
+        match v.as_arr() {
+            Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+            _ => Err(expected("a two-element array")),
+        }
+    }
+}
+
+/// Decode the object `v` with `read`, which takes each field the type
+/// declares from a [`Fields`]. Whatever key `read` did not take — a typo
+/// such as `limt` for `limit`, or a key given twice — fails the decode.
+pub fn fields<T>(
+    v: &Json,
+    read: impl FnOnce(&mut Fields<'_>) -> Result<T, JsonError>,
+) -> Result<T, JsonError> {
+    let Json::Obj(entries) = v else {
+        return Err(expected("an object"));
+    };
+    let mut f = Fields {
+        entries,
+        taken: vec![false; entries.len()],
+    };
+    let out = read(&mut f)?;
+    match f.entries.iter().zip(&f.taken).find(|(_, &taken)| !taken) {
+        Some(((key, _), _)) => Err(JsonError::new(format!("unknown field `{key}`"))),
+        None => Ok(out),
+    }
+}
+
+/// An object's fields, taken one key at a time by a [`fields`] reader.
+pub struct Fields<'a> {
+    entries: &'a [(String, Json)],
+    taken: Vec<bool>,
+}
+
+impl Fields<'_> {
+    /// A required field.
+    pub fn req<T: Wire>(&mut self, key: &str) -> Result<T, JsonError> {
+        self.opt(key)?
+            .ok_or_else(|| JsonError::new(format!("missing field `{key}`")))
+    }
+
+    /// An optional field: absent is `None` (what [`Json::set_opt`]
+    /// writes for it); present, it must decode.
+    pub fn opt<T: Wire>(&mut self, key: &str) -> Result<Option<T>, JsonError> {
+        let Some(i) = self.entries.iter().position(|(k, _)| k == key) else {
+            return Ok(None);
+        };
+        self.taken[i] = true;
+        T::from_json(&self.entries[i].1)
+            .map(Some)
+            .map_err(|e| e.within(&format!("field `{key}`")))
+    }
+}
+
+/// Split an externally tagged enum `what` into its variant's name and
+/// body: a string is a unit variant (no body), a one-key object any
+/// other.
+pub fn variant<'a>(v: &'a Json, what: &str) -> Result<(&'a str, Option<&'a Json>), JsonError> {
+    match v {
+        Json::Str(name) => Ok((name, None)),
+        Json::Obj(entries) if entries.len() == 1 => Ok((&entries[0].0, Some(&entries[0].1))),
+        _ => Err(expected(&format!("a {what} variant"))),
+    }
+}
+
+/// Implement [`Wire`] for an enum in the externally tagged form a serde
+/// derive writes: a unit variant is its name, a struct variant
+/// `{"Name": {fields}}` (read through [`fields`]), a one-field tuple
+/// variant `{"Name": inner}`. Name every variant, with its fields in
+/// wire order or its tuple binding; a name or shape the list does not
+/// have decodes to an error.
+///
+/// ```
+/// use netsim::json::{Json, Wire};
+/// #[derive(Debug, PartialEq)]
+/// enum Shape {
+///     Dot,
+///     Disc { r: f64 },
+///     Id(u32),
+/// }
+/// netsim::wire_enum!(Shape { Dot, Disc { r }, Id(id) });
+/// let disc = Shape::Disc { r: 1.5 };
+/// assert_eq!(disc.to_json().to_string_compact(), r#"{"Disc":{"r":1.5}}"#);
+/// assert_eq!(Shape::from_json(&Json::from("Dot")), Ok(Shape::Dot));
+/// assert!(Shape::from_json(&Json::from("Disc")).is_err());
+/// ```
+#[macro_export]
+macro_rules! wire_enum {
+    ($ty:ident { $($var:ident $({ $($field:ident),+ })? $(($inner:ident))?),+ $(,)? }) => {
+        impl $crate::json::Wire for $ty {
+            fn to_json(&self) -> $crate::json::Json {
+                match self {
+                    $($ty::$var $({ $($field),+ })? $(($inner))? => {
+                        $crate::wire_enum!(@encode $var $({ $($field),+ })? $(($inner))?)
+                    })+
+                }
+            }
+
+            fn from_json(v: &$crate::json::Json) -> Result<$ty, $crate::json::JsonError> {
+                let (name, body) = $crate::json::variant(v, stringify!($ty))?;
+                let decoded = match name {
+                    $(n if n == stringify!($var) => {
+                        $crate::wire_enum!(@decode $ty::$var, body $({ $($field),+ })? $(($inner))?)
+                    })+
+                    _ => None,
+                };
+                decoded.unwrap_or_else(|| {
+                    let what = stringify!($ty);
+                    Err($crate::json::JsonError::new(format!("unknown {what} variant `{name}`")))
+                })
+            }
+        }
+    };
+    (@encode $var:ident) => {
+        $crate::json::Json::from(stringify!($var))
+    };
+    (@encode $var:ident { $($field:ident),+ }) => {
+        $crate::json::Json::obj().set(
+            stringify!($var),
+            $crate::json::Json::obj()$(.set(stringify!($field), $crate::json::Wire::to_json($field)))+,
+        )
+    };
+    (@encode $var:ident ($inner:ident)) => {
+        $crate::json::Json::obj().set(stringify!($var), $crate::json::Wire::to_json($inner))
+    };
+    (@decode $ty:ident::$var:ident, $body:ident) => {
+        $body.is_none().then_some(Ok($ty::$var))
+    };
+    (@decode $ty:ident::$var:ident, $body:ident { $($field:ident),+ }) => {
+        $body.map(|b| {
+            $crate::json::fields(b, |f| Ok($ty::$var { $($field: f.req(stringify!($field))?),+ }))
+        })
+    };
+    (@decode $ty:ident::$var:ident, $body:ident ($inner:ident)) => {
+        $body.map(|b| $crate::json::Wire::from_json(b).map($ty::$var))
+    };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -606,11 +898,60 @@ mod tests {
     #[test]
     fn u32_accessors_reject_out_of_range_instead_of_wrapping() {
         let v = Json::parse(r#"{"max":4294967295,"wrap":4294967298,"frac":1.5}"#).unwrap();
-        assert_eq!(v.req_u32("max"), Ok(u32::MAX));
-        let err = v.req_u32("wrap").unwrap_err();
-        assert!(err.message.contains("`wrap`"), "{err}");
-        assert!(v.req_u32("frac").is_err());
-        assert!(v.req_u32("absent").is_err());
-        assert_eq!(v.field("wrap").unwrap().as_u32(), None);
+        let field = |key: &str| v.get(key).map(u32::from_json);
+        assert_eq!(field("max"), Some(Ok(u32::MAX)));
+        assert!(field("frac").unwrap().is_err());
+        assert_eq!(v.get("wrap").unwrap().as_u32(), None);
+        // Read as an object field, the error names the field and the type.
+        let err = fields(&v, |f| f.req::<u32>("wrap")).unwrap_err();
+        assert_eq!(err.message, "field `wrap`: expected a u32");
+        assert!(fields(&v, |f| f.req::<u32>("absent")).is_err());
+    }
+
+    #[test]
+    fn fields_take_declared_keys_only_and_read_absent_as_none() {
+        let read = |text: &str| {
+            let v = Json::parse(text).unwrap();
+            fields(&v, |f| Ok((f.req::<u64>("n")?, f.opt::<Direction>("dir")?)))
+        };
+        assert_eq!(read(r#"{"n":1}"#), Ok((1, None)));
+        assert_eq!(read(r#"{"dir":"In","n":2}"#), Ok((2, Some(Direction::In))));
+        for (text, message) in [
+            (r#"{"n":1,"dri":"In"}"#, "unknown field `dri`"),
+            (r#"{"n":1,"n":2}"#, "unknown field `n`"),
+            (r#"{"dir":"In"}"#, "missing field `n`"),
+            (r#"{"n":1,"dir":null}"#, "field `dir`: expected a Direction"),
+            ("[1]", "expected an object"),
+        ] {
+            let err = read(text).unwrap_err();
+            assert!(err.message.starts_with(message), "{text}: {err}");
+        }
+    }
+
+    #[test]
+    fn wire_forms_round_trip_and_locate_errors() {
+        let mut h = Histogram::new(0.5, 10.0, 3);
+        h.push(2.0);
+        let v = (vec![(Nanos(7), true)], (h, String::from("x\"y")));
+        let text = v.to_json().to_string_compact();
+        let want = r#"[[[7,true]],[{"lo":0.5,"hi":10,"counts":[1,0,0],"total":1},"x\"y"]]"#;
+        assert_eq!(text, want);
+        assert_eq!(Wire::from_json(&Json::parse(&text).unwrap()), Ok(v));
+        let err = Vec::<u32>::from_json(&Json::parse("[1,2,-3]").unwrap()).unwrap_err();
+        assert_eq!(err.message, "item 2: expected a u32");
+        assert!(<(u32, u32)>::from_json(&Json::parse("[1,2,3]").unwrap()).is_err());
+
+        let state = Json::obj().set("State", 3u32);
+        assert_eq!(state.to_string_compact(), r#"{"State":3}"#);
+        assert_eq!(
+            variant(&state, "Target"),
+            Ok(("State", Some(&Json::from(3u32))))
+        );
+        assert_eq!(variant(&Json::from("End"), "Target"), Ok(("End", None)));
+        let two = Json::obj().set("State", 1u32).set("End", 2u32);
+        assert_eq!(
+            variant(&two, "Target").unwrap_err().message,
+            "expected a Target variant"
+        );
     }
 }

@@ -87,8 +87,8 @@ pub fn percentile_sorted(sorted: &[f64], p: f64) -> f64 {
 /// the edge bins, so the histogram always accounts for every sample.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
-    pub(crate) lo: f64,
-    pub(crate) hi: f64,
+    pub lo: f64,
+    pub hi: f64,
     pub counts: Vec<u64>,
     pub total: u64,
 }
@@ -139,35 +139,6 @@ impl Histogram {
         }
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + bin as f64 * w + u2 * w
-    }
-
-    /// JSON form `{lo, hi, counts, total}` (policy exports, §4.1).
-    pub fn to_json(&self) -> crate::json::Json {
-        crate::json::Json::obj()
-            .set("lo", self.lo)
-            .set("hi", self.hi)
-            .set("counts", self.counts.clone())
-            .set("total", self.total)
-    }
-
-    /// Parse the [`Histogram::to_json`] form back.
-    pub fn from_json(v: &crate::json::Json) -> Result<Histogram, crate::json::JsonError> {
-        let counts = v
-            .req_arr("counts")?
-            .iter()
-            .map(|c| {
-                c.as_u64().ok_or(crate::json::JsonError {
-                    offset: 0,
-                    message: "histogram count is not a u64".to_string(),
-                })
-            })
-            .collect::<Result<Vec<u64>, _>>()?;
-        Ok(Histogram {
-            lo: v.req_f64("lo")?,
-            hi: v.req_f64("hi")?,
-            counts,
-            total: v.req_u64("total")?,
-        })
     }
 }
 

@@ -77,33 +77,9 @@ use crate::json::Json;
 use crate::time::Nanos;
 use std::cell::{Cell, RefCell};
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
-
-// ---------------------------------------------------------------------
-// Global enable switch
-// ---------------------------------------------------------------------
-
-/// Process-wide metric switch. Recording is on by default; switched off,
-/// every counter/gauge/histogram write is a single relaxed load + branch.
-/// Only tests flip it today (`set_enabled` is test-only).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Is metric recording currently enabled? One relaxed atomic load.
-#[inline]
-pub(crate) fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enable or disable all metric recording. Handles stay valid and
-/// readable either way; only the write paths ([`Counter::add`],
-/// [`Gauge::set_max`], [`Histo::record`]) become no-ops while disabled.
-/// Spans and flow traces are opt-in at the call site and unaffected.
-#[cfg(test)]
-pub(crate) fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------
 // Per-thread shards
@@ -263,13 +239,9 @@ thread_local! {
     static LOCAL: Local = const { Local(Cell::new(None)) };
 }
 
-/// Apply `f` to the calling thread's slots from `at` on, unless
-/// recording is off.
+/// Apply `f` to the calling thread's slots from `at` on.
 #[inline]
 fn write(at: Slot, f: impl FnOnce(&[AtomicU64])) {
-    if !enabled() {
-        return;
-    }
     match LOCAL.try_with(|l| l.0.get().and_then(|shard| shard.written(at))) {
         Ok(Some(slots)) => f(slots),
         _ => write_cold(at, f),
@@ -902,37 +874,11 @@ mod tests {
     use super::*;
 
     /// Tests that record metrics and assert exact values must not overlap
-    /// with the test that flips the global enable switch or the one that
-    /// calls `reset` — serialize them on one mutex (poisoning is
-    /// irrelevant, recover the guard).
+    /// with the ones that call `reset` — serialize them on one mutex
+    /// (poisoning is irrelevant, recover the guard).
     fn recording_guard() -> MutexGuard<'static, ()> {
         static M: Mutex<()> = Mutex::new(());
         M.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[test]
-    fn disabled_fast_path_drops_writes_and_restores() {
-        let _g = recording_guard();
-        let c = counter("telemetry.test.switch_counter");
-        let h = histo("telemetry.test.switch_histo");
-        let g = gauge("telemetry.test.switch_gauge");
-        c.add(2);
-        assert!(enabled(), "recording is on by default");
-        set_enabled(false);
-        c.add(40);
-        c.inc();
-        h.record(9);
-        g.set_max(77);
-        assert_eq!(c.get(), 2, "disabled counter writes are dropped");
-        assert_eq!(h.count(), 0);
-        assert_eq!(g.get(), 0);
-        set_enabled(true);
-        c.inc();
-        h.record(9);
-        g.set_max(77);
-        assert_eq!(c.get(), 3, "re-enabling restores recording");
-        assert_eq!(h.count(), 1);
-        assert_eq!(g.get(), 77);
     }
 
     #[test]

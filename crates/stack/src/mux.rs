@@ -119,6 +119,11 @@ impl SplitterSpec {
     }
 }
 
+// The control plane's wire form. Decoding checks shape only; the
+// weights are bounded where the spec is bound (`stob`'s
+// `validate_splitter`).
+netsim::wire_enum!(SplitterSpec { RoundRobin, Weighted { weights }, PaddedRandom });
+
 /// Runtime state for one [`SplitterSpec`] over `n` pipes.
 #[derive(Debug)]
 pub struct Splitter {

@@ -1,28 +1,7 @@
 //! Labelled datasets and evaluation splits.
 
 use crate::model::Trace;
-#[cfg(test)]
-use netsim::json::{Json, JsonError};
 use netsim::SimRng;
-
-/// What a lenient load kept and what it had to drop.
-#[cfg(test)]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct LoadStats {
-    /// Trace records parsed and kept.
-    pub(crate) kept: usize,
-    /// Records skipped because they failed to parse.
-    pub(crate) bad_records: usize,
-    /// Records skipped because their label is outside the class list.
-    pub(crate) bad_labels: usize,
-}
-
-#[cfg(test)]
-impl LoadStats {
-    pub(crate) fn skipped(&self) -> usize {
-        self.bad_records + self.bad_labels
-    }
-}
 
 /// A closed-world dataset: traces with labels in `0..n_classes`.
 #[derive(Debug, Clone)]
@@ -58,97 +37,6 @@ impl Dataset {
             counts[t.label] += 1;
         }
         counts
-    }
-
-    /// JSON form `{class_names, traces}` for on-disk persistence.
-    #[cfg(test)]
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj()
-            .set(
-                "class_names",
-                Json::Arr(
-                    self.class_names
-                        .iter()
-                        .map(|n| Json::from(n.as_str()))
-                        .collect(),
-                ),
-            )
-            .set(
-                "traces",
-                Json::Arr(self.traces.iter().map(|t| t.to_json()).collect()),
-            )
-    }
-
-    /// The `class_names` member: every entry must be a string, or every
-    /// later label would name the wrong site.
-    #[cfg(test)]
-    fn class_names_from_json(v: &Json) -> Result<Vec<String>, JsonError> {
-        let names = v.req_arr("class_names")?.iter();
-        names
-            .map(|n| {
-                n.as_str().map(str::to_string).ok_or(JsonError {
-                    offset: 0,
-                    message: "class name is not a string".to_string(),
-                })
-            })
-            .collect()
-    }
-
-    /// Parse the [`Dataset::to_json`] form back. A trace labelled outside
-    /// the class list is an error, like any other malformed record.
-    #[cfg(test)]
-    pub(crate) fn from_json(v: &Json) -> Result<Dataset, JsonError> {
-        let class_names = Self::class_names_from_json(v)?;
-        let traces = v
-            .req_arr("traces")?
-            .iter()
-            .map(Trace::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        if let Some(t) = traces.iter().find(|t| t.label >= class_names.len()) {
-            return Err(JsonError {
-                offset: 0,
-                message: format!(
-                    "trace label {} is outside the {} class names",
-                    t.label,
-                    class_names.len()
-                ),
-            });
-        }
-        Ok(Dataset {
-            traces,
-            class_names,
-        })
-    }
-
-    /// Like [`Dataset::from_json`], but malformed trace records are
-    /// skipped and counted instead of failing the whole load — a corpus
-    /// with one truncated line is still ninety-nine good traces. Only a
-    /// missing/unreadable `class_names` (one non-string entry makes the
-    /// whole list unreadable: dropping it would shift every later label
-    /// onto another site's name) or `traces` field fails the parse —
-    /// nothing is interpretable without them.
-    #[cfg(test)]
-    pub(crate) fn from_json_lenient(v: &Json) -> Result<(Dataset, LoadStats), JsonError> {
-        let class_names = Self::class_names_from_json(v)?;
-        let mut stats = LoadStats::default();
-        let mut traces = Vec::new();
-        for item in v.req_arr("traces")? {
-            match Trace::from_json(item) {
-                Ok(t) if t.label < class_names.len() => {
-                    traces.push(t);
-                    stats.kept += 1;
-                }
-                Ok(_) => stats.bad_labels += 1,
-                Err(_) => stats.bad_records += 1,
-            }
-        }
-        Ok((
-            Dataset {
-                traces,
-                class_names,
-            },
-            stats,
-        ))
     }
 
     /// Apply a per-trace transformation (e.g. a defense) to every trace.
@@ -188,40 +76,6 @@ impl Dataset {
             train.extend(idx);
         }
         (train, test)
-    }
-
-    /// Stratified k-fold indices: returns `k` (train, test) pairs.
-    #[cfg(test)]
-    pub(crate) fn stratified_kfold(
-        &self,
-        k: usize,
-        rng: &mut SimRng,
-    ) -> Vec<(Vec<usize>, Vec<usize>)> {
-        assert!(k >= 2);
-        let mut folds: Vec<Vec<usize>> = vec![Vec::new(); k];
-        for class in 0..self.n_classes() {
-            let mut idx: Vec<usize> = self
-                .traces
-                .iter()
-                .enumerate()
-                .filter(|(_, t)| t.label == class)
-                .map(|(i, _)| i)
-                .collect();
-            rng.shuffle(&mut idx);
-            for (j, i) in idx.into_iter().enumerate() {
-                folds[j % k].push(i);
-            }
-        }
-        (0..k)
-            .map(|t| {
-                let test = folds[t].clone();
-                let train: Vec<usize> = (0..k)
-                    .filter(|&j| j != t)
-                    .flat_map(|j| folds[j].iter().copied())
-                    .collect();
-                (train, test)
-            })
-            .collect()
     }
 }
 
@@ -263,56 +117,11 @@ mod tests {
     }
 
     #[test]
-    fn kfold_covers_everything_exactly_once() {
-        let d = dataset();
-        let mut rng = SimRng::new(3);
-        let folds = d.stratified_kfold(5, &mut rng);
-        assert_eq!(folds.len(), 5);
-        let mut seen = vec![0usize; d.len()];
-        for (train, test) in &folds {
-            assert_eq!(train.len() + test.len(), d.len());
-            for &i in test {
-                seen[i] += 1;
-            }
-        }
-        assert!(seen.iter().all(|&c| c == 1), "each trace tested once");
-    }
-
-    #[test]
     fn truncation_applies_to_all() {
         let d = dataset().truncated(15);
         assert!(d.traces.iter().all(|t| t.len() <= 15));
         let full = dataset().truncated(0);
         assert!(full.traces.iter().any(|t| t.len() > 15));
-    }
-
-    #[test]
-    fn lenient_parse_skips_and_counts_bad_records() {
-        let d = dataset();
-        let json = d.to_json();
-        // Corrupt the persisted form: one record becomes a bare number,
-        // one gets an out-of-range label, one loses its packets field.
-        let mut traces = json.req_arr("traces").expect("traces").to_vec();
-        traces[0] = Json::from(42u64);
-        traces[1] = Json::obj().set("label", 999u64).set("visit", 0u64);
-        let broken = Json::obj()
-            .set(
-                "class_names",
-                json.field("class_names").expect("names").clone(),
-            )
-            .set("traces", Json::Arr(traces));
-        // Strict parsing refuses the whole corpus...
-        assert!(Dataset::from_json(&broken).is_err());
-        // ...lenient parsing keeps the 28 good traces and counts the rest.
-        let (lenient, stats) = Dataset::from_json_lenient(&broken).expect("lenient");
-        assert_eq!(lenient.len(), d.len() - 2);
-        assert_eq!(stats.kept, d.len() - 2);
-        assert_eq!(stats.skipped(), 2);
-        assert!(stats.bad_records >= 1, "{stats:?}");
-        // An intact corpus loads without skips.
-        let (full, stats) = Dataset::from_json_lenient(&json).expect("intact");
-        assert_eq!(full.len(), d.len());
-        assert_eq!(stats.skipped(), 0);
     }
 
     #[test]

@@ -24,8 +24,6 @@
 
 mod dataset;
 pub mod flows;
-#[cfg(test)]
-mod io;
 pub mod loader;
 mod model;
 pub mod sanitize;

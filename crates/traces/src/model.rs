@@ -5,8 +5,6 @@
 //! the defended trace generator needs them), but the attack can be
 //! configured to ignore sizes for strict parity with the paper.
 
-#[cfg(test)]
-use netsim::json::{Json, JsonError};
 use netsim::{Capture, Direction, Nanos};
 
 /// One packet as the eavesdropper records it: the defense layer's
@@ -106,33 +104,6 @@ impl Trace {
             .windows(2)
             .map(|w| (w[1].ts - w[0].ts).as_secs_f64())
             .collect()
-    }
-
-    /// JSON form `{label, visit, packets: [[ts, dir, size], ...]}`.
-    #[cfg(test)]
-    pub(crate) fn to_json(&self) -> Json {
-        Json::obj()
-            .set("label", self.label)
-            .set("visit", self.visit)
-            .set(
-                "packets",
-                Json::Arr(self.packets.iter().map(|p| p.to_json()).collect()),
-            )
-    }
-
-    /// Parse the [`Trace::to_json`] form back.
-    #[cfg(test)]
-    pub(crate) fn from_json(v: &Json) -> Result<Trace, JsonError> {
-        let packets = v
-            .req_arr("packets")?
-            .iter()
-            .map(TracePacket::from_json)
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Trace {
-            packets,
-            label: v.req_u64("label")? as usize,
-            visit: v.req_u64("visit")? as usize,
-        })
     }
 
     /// Re-sort packets by timestamp (stable), then rebase to zero. Used
@@ -337,45 +308,5 @@ mod tests {
         c.fill_from(&empty);
         assert_eq!(c.len(), 0);
         assert_eq!(c.to_trace(), empty);
-    }
-
-    #[test]
-    fn json_round_trip() {
-        let t = trace();
-        let s = t.to_json().to_string_compact();
-        let back = Trace::from_json(&Json::parse(&s).expect("parse")).expect("de");
-        assert_eq!(back, t);
-    }
-
-    #[test]
-    fn json_rejects_malformed_packets() {
-        let v = Json::parse(r#"{"label":0,"visit":0,"packets":[[1,"x",5]]}"#).expect("parse");
-        assert!(Trace::from_json(&v).is_err(), "bad direction code");
-        let v = Json::parse(r#"{"label":0,"packets":[]}"#).expect("parse");
-        assert!(Trace::from_json(&v).is_err(), "missing visit");
-    }
-
-    #[test]
-    fn json_rejects_sizes_beyond_u32_instead_of_truncating() {
-        let max = Json::parse(&format!("[0,\"i\",{}]", u32::MAX)).expect("parse");
-        let p = TracePacket::from_json(&max).expect("u32::MAX is a valid size");
-        assert_eq!(p.size, u32::MAX);
-        // 2^32 + 1514 used to parse as a 1,514-byte packet.
-        for too_big in [u64::from(u32::MAX) + 1, (1 << 32) + 1514] {
-            let v = Json::parse(&format!("[0,\"i\",{too_big}]")).expect("parse");
-            assert!(TracePacket::from_json(&v).is_err(), "size {too_big}");
-            let t = Json::parse(&format!(
-                r#"{{"label":0,"visit":0,"packets":[[0,"i",{too_big}]]}}"#
-            ))
-            .expect("parse");
-            assert!(Trace::from_json(&t).is_err(), "trace with size {too_big}");
-        }
-        // The widest legal packet still round-trips through a trace.
-        let t = Trace::new(1, 2, vec![p, TracePacket::new(Nanos(9), Direction::Out, 0)]);
-        let s = t.to_json().to_string_compact();
-        assert_eq!(
-            Trace::from_json(&Json::parse(&s).expect("parse")).expect("de"),
-            t
-        );
     }
 }

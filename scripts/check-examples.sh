@@ -3,6 +3,12 @@
 # runs them, and two (quickstart, morphing_admin) are the only callers of
 # parts of the control-plane API outside the crates' own tests.
 # Debug build: the artifacts `cargo test` just produced; ~10 s in total.
+#
+# Then run EXPERIMENTS.md's "ship a defense as data" recipe as written:
+# its machine spec (the `<<'JSON'` heredoc) must bind through
+# `publish_json` and run in `fleet --quick` (exit 0), and its hostile
+# document must be refused (exit 1). A small STOB_FLEET_FLOWS keeps the
+# debug-build run to a few seconds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -12,3 +18,24 @@ for example in examples/*.rs; do
     cargo run --quiet --locked --example "$name" >/dev/null
 done
 echo "check-examples: all examples exited 0"
+
+recipe="$(mktemp -d)"
+trap 'rm -rf "$recipe"' EXIT
+awk "/<<'JSON'/ { on = 1; next } /^JSON\$/ { on = 0 } on" EXPERIMENTS.md >"$recipe/machine.json"
+sed -n "s|^echo '\(.*\)' > /tmp/bad.json\$|\1|p" EXPERIMENTS.md >"$recipe/bad.json"
+if [ ! -s "$recipe/machine.json" ] || [ ! -s "$recipe/bad.json" ]; then
+    echo "check-examples: EXPERIMENTS.md no longer has the recipe's two documents" >&2
+    exit 1
+fi
+fleet() {
+    STOB_FLEET_FLOWS=2000 STOB_FLEET_MACHINE="$1" \
+        cargo run --quiet --locked -p stob-bench --bin fleet -- --quick >/dev/null
+}
+fleet "$recipe/machine.json"
+status=0
+fleet "$recipe/bad.json" 2>/dev/null || status=$?
+if [ "$status" -ne 1 ]; then
+    echo "check-examples: the hostile document exited $status, not 1" >&2
+    exit 1
+fi
+echo "check-examples: the defense-as-data recipe binds its spec and refuses the hostile one"

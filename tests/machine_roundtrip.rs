@@ -11,7 +11,7 @@ use defenses::machines::{
     ScramblerConfig,
 };
 use defenses::regulator::RegulatorConfig;
-use netsim::json::Json;
+use netsim::json::{Json, Wire};
 use netsim::{Direction, Histogram, Nanos, SimRng};
 use stob::defense::{emulate_flow, DefenseCtx, FlowPkt, Placement};
 use stob::machine::{
@@ -19,8 +19,8 @@ use stob::machine::{
 };
 use stob::policy::{ObfuscationPolicy, SizeSpec};
 use stob::registry::{PolicyKey, PolicyRegistry};
-use stob::sockopt::{publish_machine_json, publish_splitter_json};
-use stob::{splitter_to_json, validate_splitter, SplitterSpec};
+use stob::sockopt::publish_json;
+use stob::{validate_splitter, SplitterSpec};
 
 fn rand_histogram(rng: &mut SimRng) -> Histogram {
     let lo = rng.range_u64(0, 100) as f64;
@@ -260,14 +260,14 @@ fn hostile_specs_degrade_never_panic() {
     assert_eq!(reg.degraded_count(), d0 + 1);
     assert!(reg.resolve_defense(1, 1).is_none(), "nothing was bound");
 
-    // publish_machine_json refuses decoded-but-invalid...
-    assert!(publish_machine_json(&reg, PolicyKey::Default, &text, Placement::App).is_err());
+    // publish_json refuses decoded-but-invalid...
+    assert!(publish_json(&reg, PolicyKey::Default, &text, Placement::App).is_err());
     assert_eq!(reg.degraded_count(), d0 + 2);
     // ...unparseable...
-    assert!(publish_machine_json(&reg, PolicyKey::Default, "{not json", Placement::App).is_err());
+    assert!(publish_json(&reg, PolicyKey::Default, "{not json", Placement::App).is_err());
     assert_eq!(reg.degraded_count(), d0 + 3);
     // ...and undecodable input.
-    assert!(publish_machine_json(&reg, PolicyKey::Default, "{\"a\":1}", Placement::App).is_err());
+    assert!(publish_json(&reg, PolicyKey::Default, "{\"a\":1}", Placement::App).is_err());
     assert_eq!(reg.degraded_count(), d0 + 4);
 
     // A MachineDefense built around the hostile spec anyway (bypassing
@@ -307,7 +307,7 @@ fn regulate_size_beyond_u32_is_rejected_not_truncated() {
         regulator_machine(&cfg).to_json().to_string_compact()
     };
     let reg = PolicyRegistry::new();
-    let publish = |text: &str| publish_machine_json(&reg, PolicyKey::Default, text, Placement::App);
+    let publish = |text: &str| publish_json(&reg, PolicyKey::Default, text, Placement::App);
 
     let top = text_with_size(65_535);
     assert_eq!(top.matches("\"size\":65535").count(), 1, "{top}");
@@ -346,7 +346,7 @@ fn hostile_zero_limit_cycle_from_json_terminates() {
       "max_blocking_ns": 0
     }"#;
     let reg = PolicyRegistry::new();
-    publish_machine_json(&reg, PolicyKey::Default, text, Placement::App)
+    publish_json(&reg, PolicyKey::Default, text, Placement::App)
         .expect("spec is valid at the control plane");
     let binding = reg.resolve_defense(1, 1).expect("machine resolves");
     let flow = [
@@ -387,35 +387,47 @@ fn mutated(text: &str, rng: &mut SimRng) -> Option<String> {
     String::from_utf8(bytes).ok()
 }
 
-/// Fuzz the decoder with structural mutations of valid documents: every
-/// outcome must be a clean `Err` or an equal decode — never a panic.
+/// Fuzz the machine path of [`publish_json`] with structural mutations
+/// of valid documents: every outcome is a rejection, counted once with
+/// nothing bound, or one entry bound under the key written whose defense
+/// builds — never a panic.
 #[test]
 fn mutated_documents_never_panic_the_decoder() {
     let mut rng = SimRng::new(0xFEED);
     let texts: Vec<String> = (0..20)
         .map(|i| rand_spec(i, &mut rng).to_json().to_string_compact())
         .collect();
+    let (mut accepted, mut rejected) = (0, 0);
     for text in &texts {
         for _ in 0..50 {
             let Some(s) = mutated(text, &mut rng) else {
                 continue;
             };
-            if let Ok(v) = Json::parse(&s) {
-                // Decode may succeed or fail; validate may reject; a
-                // defense over whatever decodes must still build.
-                if let Ok(spec) = MachineSpec::from_json(&v) {
-                    let _ = spec.validate();
-                    let _ = MachineDefense::new(spec);
+            let reg = PolicyRegistry::new();
+            match publish_json(&reg, PolicyKey::Destination(3), &s, Placement::App) {
+                Err(_) => {
+                    rejected += 1;
+                    assert_eq!((reg.degraded_count(), reg.version()), (1, 0), "{s}");
+                    assert!(reg.is_empty(), "{s}");
+                }
+                Ok(name) => {
+                    accepted += 1;
+                    assert_eq!((reg.degraded_count(), reg.len()), (0, 1), "{s}");
+                    let bound = reg.resolve_defense(0, 3).expect("bound where written");
+                    assert_eq!(bound.defense.name(), name, "{s}");
+                    let _ = bound.defense.build(&DefenseCtx::default(), &mut rng);
                 }
             }
         }
     }
+    assert!(accepted > 0 && rejected > 0, "{accepted} / {rejected}");
 }
 
 /// The same 1000 mutations against the table's bulk entry point. A
-/// mutated export is imported whole or not at all: a rejection leaves the
-/// version, the export and every resolution as they were; an accepted
-/// one binds exactly the keys the document writes, one version step each.
+/// mutated export is imported whole or not at all: a rejection is counted
+/// once and leaves the version, the export and every resolution as they
+/// were; an accepted one binds exactly the keys the document writes, one
+/// version step each, and every policy it binds validates.
 #[test]
 fn mutated_exports_import_all_or_nothing() {
     let mut rng = SimRng::new(0xFEED_0001);
@@ -455,12 +467,19 @@ fn mutated_exports_import_all_or_nothing() {
             match reg.import_json(&s) {
                 Err(_) => {
                     assert_eq!((reg.version(), reg.len()), (v0, 1), "{s}");
+                    assert_eq!(reg.degraded_count(), 1, "{s}");
                     assert_eq!(reg.export_json(), before, "{s}");
                     assert!(reg.resolve_defense(i, i + 1).is_none(), "{s}");
                 }
                 Ok(n) => {
                     accepted += 1;
                     assert_eq!(reg.version(), v0 + n as u64, "{s}");
+                    assert_eq!(reg.degraded_count(), 0, "{s}");
+                    let table = Json::parse(&reg.export_json()).expect("an export parses");
+                    let table = Vec::<(PolicyKey, ObfuscationPolicy)>::from_json(&table);
+                    for (_, policy) in table.expect("an export decodes") {
+                        assert_eq!(policy.validate(), Ok(()), "{s}");
+                    }
                     let mut written = keys(&s);
                     assert_eq!(written.len(), n, "{s}");
                     written.push(PolicyKey::Destination(999));
@@ -478,8 +497,8 @@ fn mutated_exports_import_all_or_nothing() {
     assert!(accepted > 0, "some mutations only touch a value");
 }
 
-/// And against the splitter's JSON publish: rejected-and-counted or
-/// bound under the one key written, never anything else.
+/// And against the splitter path of [`publish_json`]: rejected-and-counted
+/// or bound under the one key written, never anything else.
 #[test]
 fn mutated_splitters_reject_or_bind_only_their_key() {
     let mut rng = SimRng::new(0xFEED_0002);
@@ -494,13 +513,13 @@ fn mutated_splitters_reject_or_bind_only_their_key() {
                     .collect(),
             },
         };
-        let text = splitter_to_json(&spec).to_string_compact();
+        let text = spec.to_json().to_string_compact();
         for _ in 0..50 {
             let Some(s) = mutated(&text, &mut rng) else {
                 continue;
             };
             let reg = PolicyRegistry::new();
-            match publish_splitter_json(&reg, PolicyKey::Destination(3), &s) {
+            match publish_json(&reg, PolicyKey::Destination(3), &s, Placement::App) {
                 Err(_) => {
                     rejected += 1;
                     assert_eq!((reg.degraded_count(), reg.version()), (1, 0), "{s}");

@@ -9,14 +9,14 @@ use defenses::front::FrontConfig;
 use defenses::machines::{
     constant_machine, front_machine, scrambler_machine, ConstantConfig, ScramblerConfig,
 };
-use netsim::json::Json;
+use netsim::json::{Json, Wire};
 use netsim::{par, Direction, Nanos, SimRng};
 use stob::defense::{emulate_flow, enforce_flow, DefenseCtx, FlowPkt, Placement, StackParams};
 use stob::machine::{
     Action, DistSpec, Machine, MachineDefense, MachineEvent, MachineSpec, State, Target, Transition,
 };
 use stob::registry::{PolicyKey, PolicyRegistry};
-use stob::sockopt::publish_machine_json;
+use stob::sockopt::publish_json;
 use stob::{run_fleet, FleetConfig, FleetReport};
 
 const SWEEP_CASES: u64 = 120;
@@ -237,8 +237,7 @@ fn json_machine_loads_via_sockopt_runs_both_backends_and_hot_swaps() {
     })
     .to_json()
     .to_string_pretty();
-    let name = publish_machine_json(&reg, PolicyKey::Destination(7), &text, Placement::App)
-        .expect("valid");
+    let name = publish_json(&reg, PolicyKey::Destination(7), &text, Placement::App).expect("valid");
     assert_eq!(name, "mFRONT");
 
     let binding = reg.resolve_defense(3, 7).expect("machine resolves");
@@ -269,8 +268,7 @@ fn json_machine_loads_via_sockopt_runs_both_backends_and_hot_swaps() {
     let text2 = constant_machine(&ConstantConfig::default())
         .to_json()
         .to_string_compact();
-    publish_machine_json(&reg, PolicyKey::Destination(7), &text2, Placement::Stack)
-        .expect("valid swap");
+    publish_json(&reg, PolicyKey::Destination(7), &text2, Placement::Stack).expect("valid swap");
     assert!(reg.version() > v0);
     let swapped = reg.resolve_defense(3, 7).expect("still bound");
     assert_eq!(swapped.defense.name(), "mConstant");
@@ -311,7 +309,7 @@ fn fleet_runs_an_operator_pushed_machine_deterministically() {
     })
     .to_json()
     .to_string_pretty();
-    publish_machine_json(&reg, PolicyKey::Default, &text, Placement::Stack).expect("valid");
+    publish_json(&reg, PolicyKey::Default, &text, Placement::Stack).expect("valid");
     // And a second machine scoped to one destination, exercising
     // precedence under fleet resolution.
     let front = front_machine(&FrontConfig {

@@ -4,8 +4,9 @@
 //! malformed inputs must fail loudly instead of decaying into a
 //! different policy.
 
-use netsim::json::Json;
-use netsim::{Histogram, Nanos, SimRng};
+use netsim::json::{Json, Wire};
+use netsim::{Direction, Histogram, Nanos, SimRng};
+use stob::defense::{emulate_flow, DefenseCtx, FlowPkt};
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
 use stob::registry::PolicyRegistry;
 
@@ -273,5 +274,38 @@ fn u32_fields_beyond_u32_are_rejected_not_truncated() {
         assert!(r.is_empty(), "{p:?}: a rejected import bound something");
         assert_eq!(r.import_json(&max).expect("u32::MAX decodes"), 1);
         assert_eq!(r.resolve(1, 1).expect("bound"), p);
+    }
+}
+
+/// Three delays `validate` used to accept, each large enough that the
+/// app placement's accumulated shift overflowed ("attempt to add with
+/// overflow" in `emulate_flow`), and `import_json` bound without
+/// validating at all. An import now refuses each and counts it; the
+/// emulation below runs only if one slips through.
+#[test]
+fn overflowing_delays_are_rejected_and_counted_at_import() {
+    let flow: Vec<FlowPkt> = (0..20)
+        .map(|i| FlowPkt::new(Nanos::from_millis(i), Direction::In, 1000))
+        .collect();
+    for delay in [
+        r#"{"UniformAbsolute":{"lo":0,"hi":1.8e19}}"#,
+        r#"{"UniformFraction":{"lo_frac":0,"hi_frac":1e301}}"#,
+        r#"{"FromHistogramMicros":{"lo":0,"hi":1e300,"counts":[1],"total":1}}"#,
+    ] {
+        let export = format!(
+            r#"[["Default",{{"name":"huge","size":"Unchanged","delay":{delay},"tso":"Unchanged","first_n_pkts":0,"respect_slow_start":false}}]]"#
+        );
+        let r = PolicyRegistry::new();
+        if r.import_json(&export).is_ok() {
+            let bound = r.resolve_defense(1, 1).expect("imported");
+            let out = emulate_flow(
+                bound.defense.as_ref(),
+                &flow,
+                &DefenseCtx::default(),
+                &mut SimRng::new(1),
+            );
+            panic!("{delay} imported and shaped {} packets", out.pkts.len());
+        }
+        assert_eq!((r.degraded_count(), r.len()), (1, 0), "{delay}");
     }
 }

@@ -12,7 +12,7 @@ use stob::defense::Placement;
 use stob::machine::MachineSpec;
 use stob::policy::ObfuscationPolicy;
 use stob::registry::{PolicyKey, PolicyRegistry};
-use stob::sockopt::{attach, publish_splitter_json};
+use stob::sockopt::{attach, publish_json};
 use stob::SplitterSpec;
 
 #[test]
@@ -48,7 +48,7 @@ fn registry_counters_tick_once_per_event() {
     assert!(reg
         .bind_machine(PolicyKey::Default, nameless, Placement::App)
         .is_err());
-    assert!(publish_splitter_json(&reg, PolicyKey::Default, "{not json").is_err());
+    assert!(publish_json(&reg, PolicyKey::Default, "{not json", Placement::Stack).is_err());
     assert_eq!(counter("stob.registry.degraded").get(), 2);
     assert_eq!(binds(), [1, 1, 1, 1]);
 
