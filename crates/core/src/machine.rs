@@ -312,6 +312,10 @@ impl DistSpec {
         if let DistSpec::Uniform { lo, hi } = self {
             let lo = lo.max(0.0) as u64;
             let hi = (hi.max(0.0) as u64).max(lo);
+            // `[0, u64::MAX]` (any `hi >= 2^64` saturates there) is the one
+            // range whose width does not fit in a u64. Drop its top value,
+            // which the cap clips anyway; every other range draws as is.
+            let hi = hi.min(lo.saturating_add(u64::MAX - 1));
             return rng.range_u64(lo, hi).min(cap);
         }
         let s = self.sample_f64(None, rng);

@@ -10,143 +10,15 @@ use defenses::machines::{
     constant_machine, front_machine, scrambler_machine, ConstantConfig, ScramblerConfig,
 };
 use netsim::json::{Json, Wire};
-use netsim::{par, Direction, Nanos, SimRng};
-use stob::defense::{emulate_flow, enforce_flow, DefenseCtx, FlowPkt, Placement, StackParams};
-use stob::machine::{
-    Action, DistSpec, Machine, MachineDefense, MachineEvent, MachineSpec, State, Target, Transition,
-};
+use netsim::{par, Nanos, SimRng};
+use stob::defense::{emulate_flow, enforce_flow, DefenseCtx, Placement, StackParams};
+use stob::machine::{MachineDefense, MachineSpec};
 use stob::registry::{PolicyKey, PolicyRegistry};
 use stob::sockopt::publish_json;
 use stob::{run_fleet, FleetConfig, FleetReport};
 
-const SWEEP_CASES: u64 = 120;
-
-fn arb_flow(rng: &mut SimRng) -> Vec<FlowPkt> {
-    let n = rng.range_usize(1, 60);
-    let mut pkts: Vec<FlowPkt> = (0..n)
-        .map(|_| FlowPkt {
-            ts: Nanos(rng.next_below(2_000_000_000)),
-            dir: if rng.chance(0.5) {
-                Direction::Out
-            } else {
-                Direction::In
-            },
-            size: rng.range_u64(66, 1514) as u32,
-        })
-        .collect();
-    pkts.sort_by_key(|p| (p.ts, p.size));
-    let t0 = pkts[0].ts;
-    for p in &mut pkts {
-        p.ts -= t0;
-    }
-    pkts
-}
-
-/// A random bounded distribution whose draws stay small (timings under
-/// ~1 s) so sweeps terminate quickly.
-fn arb_dist(rng: &mut SimRng) -> DistSpec {
-    match rng.range_usize(0, 6) {
-        0 => DistSpec::Fixed {
-            v: rng.range_f64(0.0, 0.05),
-        },
-        1 => {
-            let lo = rng.range_f64(0.0, 0.02);
-            DistSpec::Uniform {
-                lo,
-                hi: lo + rng.range_f64(0.0, 0.05),
-            }
-        }
-        2 => DistSpec::Normal {
-            mean: rng.range_f64(0.0, 0.02),
-            std: rng.range_f64(0.0, 0.01),
-        },
-        3 => DistSpec::LogNormal {
-            mu: rng.range_f64(-9.0, -3.0),
-            sigma: rng.range_f64(0.0, 1.0),
-        },
-        4 => DistSpec::Pareto {
-            scale: rng.range_f64(0.0001, 0.01),
-            shape: rng.range_f64(1.0, 4.0),
-        },
-        5 => DistSpec::Geometric {
-            p: rng.range_f64(0.05, 1.0),
-        },
-        _ => {
-            let w_min = rng.range_f64(0.0, 0.5);
-            DistSpec::Rayleigh {
-                w_min,
-                w_max: w_min + rng.range_f64(0.0, 1.0),
-            }
-        }
-    }
-}
-
-/// A random valid padding-only machine spec with every state's action
-/// limited, so schedules are bounded by construction *and* by the
-/// global caps.
-fn arb_spec(i: u64, rng: &mut SimRng) -> MachineSpec {
-    let n_machines = rng.range_usize(1, 3);
-    let machines = (0..n_machines)
-        .map(|_| {
-            let n_states = rng.range_usize(1, 4);
-            let states = (0..n_states)
-                .map(|_| {
-                    let action = match rng.range_usize(0, 3) {
-                        0 => Action::Nop,
-                        1 => Action::Pad {
-                            dir: if rng.chance(0.5) {
-                                Direction::Out
-                            } else {
-                                Direction::In
-                            },
-                            size: arb_dist(rng),
-                            timing: arb_dist(rng),
-                            absolute: rng.chance(0.3),
-                        },
-                        2 => Action::Timer {
-                            timing: arb_dist(rng),
-                        },
-                        _ => Action::Block {
-                            timing: arb_dist(rng),
-                            duration: arb_dist(rng),
-                        },
-                    };
-                    let chosen: Vec<MachineEvent> = MachineEvent::ALL
-                        .into_iter()
-                        .filter(|_| rng.chance(0.5))
-                        .collect();
-                    let transitions = chosen
-                        .into_iter()
-                        .map(|ev| {
-                            let t = if rng.chance(0.25) {
-                                Target::End
-                            } else {
-                                Target::State(rng.range_usize(0, n_states - 1) as u32)
-                            };
-                            Transition {
-                                on: ev,
-                                to: vec![(t, rng.range_f64(0.0, 1.0))],
-                            }
-                        })
-                        .collect();
-                    State {
-                        action,
-                        limit: Some(DistSpec::Uniform {
-                            lo: 0.0,
-                            hi: rng.range_u64(1, 20) as f64,
-                        }),
-                        transitions,
-                    }
-                })
-                .collect();
-            Machine { states }
-        })
-        .collect();
-    let mut spec =
-        MachineSpec::padding_only(&format!("sweep-{i}"), machines, rng.range_u64(0, 300));
-    spec.max_blocking = Nanos(rng.range_u64(0, 200_000_000));
-    spec
-}
+mod common;
+use common::{arb_flow, arb_spec, SWEEP_CASES};
 
 /// Satellite: N random bounded specs enforced through the egress
 /// pipeline. Padding-only machines have no authority over real packets,
@@ -373,4 +245,46 @@ fn wire_form_is_a_fixed_point() {
         let t2 = back.to_json().to_string_compact();
         assert_eq!(t1, t2);
     }
+}
+
+/// A limit of `Uniform {lo: 0, hi: 1e30}` is valid, and its count draw
+/// saturates `hi` to `u64::MAX`: the inclusive range over all of `u64`
+/// has no width that fits in one, so the draw used to panic in the
+/// datapath. It now saturates to the padding cap like any huge count,
+/// and only the global cap stops the machine.
+#[test]
+fn saturating_uniform_limit_from_json_runs_to_the_padding_cap() {
+    let text = r#"{
+      "name": "huge-limit",
+      "machines": [ { "states": [
+        { "action": { "Pad": { "dir": "In",
+                               "size":   { "Fixed": { "v": 700 } },
+                               "timing": { "Fixed": { "v": 0.001 } },
+                               "absolute": false } },
+          "limit": { "Uniform": { "lo": 0, "hi": 1e30 } },
+          "transitions": [ { "on": "PaddingSent", "to": [[ {"State": 0}, 1.0 ]] },
+                           { "on": "LimitReached", "to": [[ "End", 1.0 ]] } ] }
+      ] } ],
+      "max_padding_pkts": 5,
+      "max_blocking_ns": 0
+    }"#;
+    let reg = PolicyRegistry::new();
+    publish_json(&reg, PolicyKey::Default, text, Placement::App).expect("valid machine");
+    let binding = reg.resolve_defense(1, 1).expect("machine resolves");
+    let input = arb_flow(&mut SimRng::new(3));
+    let app = emulate_flow(
+        binding.defense.as_ref(),
+        &input,
+        &DefenseCtx::default(),
+        &mut SimRng::new(4),
+    );
+    let stk = enforce_flow(
+        binding.defense.as_ref(),
+        &input,
+        &DefenseCtx::default(),
+        &mut SimRng::new(4),
+        &StackParams::with_seed(4),
+    );
+    assert_eq!(app.dummy_pkts, 5);
+    assert_eq!(app.pkts, stk.pkts);
 }
