@@ -147,8 +147,10 @@ pub trait PadderCore {
         &[]
     }
 
-    /// Observe one packet of the post-policy stream.
-    fn on_data(&mut self, _pkt: FlowPkt, _rng: &mut SimRng) {}
+    /// Observe the next packets of the post-policy stream: the whole
+    /// stream in one call from the batch backends, one packet per call
+    /// from the fleet. A core must not depend on how the stream is cut.
+    fn on_data(&mut self, _pkts: &[FlowPkt], _rng: &mut SimRng) {}
 
     /// The flow is complete: produce the padding schedule.
     fn on_close(&mut self, rng: &mut SimRng) -> CloseOut;
@@ -404,39 +406,32 @@ pub(crate) struct Closed {
     pub(crate) real_done: Option<Nanos>,
 }
 
-/// The close half every harness shares: run the core's schedule, keep
-/// the packets of `held` whose direction the core does not own (it
-/// re-emits those wholesale), merge its emissions, and count the
-/// dummies. `sink` receives the flow's final packets, kept ones first.
+/// The close half every harness shares: run the core's schedule and
+/// count its dummies. The caller keeps the packets of its held stream
+/// whose direction is not in the returned `owned` list (the core
+/// re-emits those wholesale), then merges the returned emissions.
 pub(crate) fn close_padding(
     core: &mut dyn PadderCore,
-    held: &[FlowPkt],
     rng: &mut SimRng,
-    mut sink: impl FnMut(FlowPkt),
-) -> Closed {
+) -> (Closed, &'static [Direction], Vec<Emit>) {
     let owned = core.owned_dirs();
     let close = core.on_close(rng);
-    held.iter()
-        .filter(|p| !owned.contains(&p.dir))
-        .for_each(|p| sink(*p));
     let mut closed = Closed {
         real_done: close.real_done,
         ..Closed::default()
     };
-    for e in &close.emits {
-        if e.dummy {
-            closed.dummy_pkts += 1;
-            closed.dummy_bytes += u64::from(e.pkt.size);
-        }
-        sink(e.pkt);
+    for e in close.emits.iter().filter(|e| e.dummy) {
+        closed.dummy_pkts += 1;
+        closed.dummy_bytes += u64::from(e.pkt.size);
     }
-    closed
+    (closed, owned, close.emits)
 }
 
 /// Batch harness, second half: run the padding schedule (if any) over
-/// the complete shaped stream and assemble the final flow. Padding is
-/// application-layer work at either placement (§4.2), so both backends
-/// end here.
+/// the complete shaped stream and assemble the final flow in place —
+/// one call into the core for the stream, one for the close-out.
+/// Padding is application-layer work at either placement (§4.2), so
+/// both backends end here.
 fn pad_and_close(
     padding: Option<Box<dyn PadderCore>>,
     mut pkts: Vec<FlowPkt>,
@@ -446,14 +441,15 @@ fn pad_and_close(
     let shaped_done = flow_duration(&pkts);
     let mut closed = Closed::default();
     if let Some(mut core) = padding {
-        for pkt in &pkts {
-            core.on_data(*pkt, rng);
+        core.on_data(&pkts, rng);
+        let (c, owned, emits) = close_padding(&mut *core, rng);
+        if !owned.is_empty() {
+            pkts.retain(|p| !owned.contains(&p.dir));
         }
-        let stream = std::mem::take(&mut pkts);
-        pkts.reserve(stream.len());
-        closed = close_padding(&mut *core, &stream, rng, |p| pkts.push(p));
+        pkts.extend(emits.iter().map(|e| e.pkt));
         normalize_flow(&mut pkts);
-        netsim::telemetry::counter(pad_counter).add(closed.dummy_pkts);
+        netsim::telemetry::counter(pad_counter).add(c.dummy_pkts);
+        closed = c;
     }
     DefendedFlow {
         pkts,
@@ -932,8 +928,8 @@ mod tests {
     }
 
     impl PadderCore for EchoPadder {
-        fn on_data(&mut self, pkt: FlowPkt, rng: &mut SimRng) {
-            if pkt.dir == Direction::In {
+        fn on_data(&mut self, pkts: &[FlowPkt], rng: &mut SimRng) {
+            for pkt in pkts.iter().filter(|p| p.dir == Direction::In) {
                 let jitter = Nanos::from_micros(rng.range_u64(1, 50));
                 self.scheduled.push(pkt.ts + jitter);
             }
@@ -1005,10 +1001,8 @@ mod tests {
             fn owned_dirs(&self) -> &'static [Direction] {
                 &[Direction::In]
             }
-            fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-                if pkt.dir == Direction::In {
-                    self.count += 1;
-                }
+            fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+                self.count += pkts.iter().filter(|p| p.dir == Direction::In).count();
             }
             fn on_close(&mut self, _rng: &mut SimRng) -> CloseOut {
                 let grid = Nanos::from_millis(10);

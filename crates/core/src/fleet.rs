@@ -420,7 +420,7 @@ fn emit_packet(st: &mut FlowState, auditor: &mut Auditor) {
         // No emission may depart before its intended time.
         auditor.check_release(shaped.ts, intended, st.f);
         if let Some(c) = &mut st.core {
-            c.on_data(shaped, &mut st.rng);
+            c.on_data(std::slice::from_ref(&shaped), &mut st.rng);
         }
         match &mut st.buffer {
             Some(buf) => buf.push(shaped),
@@ -449,8 +449,13 @@ fn close_flow(mut st: FlowState, pool: &mut VecPool<FlowPkt>, out: &mut ShardOut
     let held = st.buffer.take();
     let mut closed = Closed::default();
     if let Some(mut core) = st.core.take() {
+        let (c, owned, emits) = close_padding(&mut *core, &mut st.rng);
         let held = held.as_deref().unwrap_or(&[]);
-        closed = close_padding(&mut *core, held, &mut st.rng, |p| st.tally.fold(&p));
+        held.iter()
+            .filter(|p| !owned.contains(&p.dir))
+            .for_each(|p| st.tally.fold(p));
+        emits.iter().for_each(|e| st.tally.fold(&e.pkt));
+        closed = c;
     }
     if let Some(buf) = held {
         pool.put(buf);
@@ -593,10 +598,9 @@ mod tests {
         fn owned_dirs(&self) -> &'static [Direction] {
             &[Direction::In]
         }
-        fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-            if pkt.dir == Direction::In {
-                self.held.push(pkt);
-            }
+        fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+            self.held
+                .extend(pkts.iter().filter(|p| p.dir == Direction::In));
         }
         fn on_close(&mut self, _rng: &mut SimRng) -> CloseOut {
             let mut emits: Vec<crate::defense::Emit> = self

@@ -298,11 +298,7 @@ impl DistSpec {
 
     /// Draw a padding size in bytes, clamped to `[1, MTU]`.
     fn sample_size(&self, scale: Option<f64>, rng: &mut SimRng) -> u32 {
-        let s = self.sample_f64(scale, rng);
-        if !s.is_finite() {
-            return 1;
-        }
-        (s.round().clamp(1.0, f64::from(MTU_WIRE))) as u32
+        wire_size(self.sample_f64(scale, rng))
     }
 
     /// Draw an action count, clamped to `[0, cap]`. A
@@ -324,6 +320,14 @@ impl DistSpec {
         }
         (s.round() as u64).min(cap)
     }
+}
+
+/// A size draw in bytes as a padding size: rounded, clamped to `[1, MTU]`.
+fn wire_size(s: f64) -> u32 {
+    if !s.is_finite() {
+        return 1;
+    }
+    (s.round().clamp(1.0, f64::from(MTU_WIRE))) as u32
 }
 
 /// The events that drive machine transitions.
@@ -751,6 +755,158 @@ impl Wire for MachineSpec {
 // Runtime
 // ---------------------------------------------------------------------
 
+/// A transition row as the runtime reads it. A single target at
+/// probability 1 is [`Row::Certain`] and draws no randomness (part of
+/// the draw-order contract).
+enum Row {
+    Certain(Target),
+    Draw(Box<[(Target, f64)]>),
+}
+
+impl Row {
+    fn compile(row: &Transition) -> Row {
+        match row.to[..] {
+            [(target, p)] if p >= 1.0 - PROB_EPS => Row::Certain(target),
+            _ => Row::Draw(row.to.clone().into_boxed_slice()),
+        }
+    }
+
+    /// Pick a target; `None` means "stay in the current state".
+    fn pick(&self, rng: &mut SimRng) -> Option<Target> {
+        let to = match self {
+            Row::Certain(target) => return Some(*target),
+            Row::Draw(to) => to,
+        };
+        let u = rng.next_f64();
+        let mut acc = 0.0;
+        for (target, p) in to.iter() {
+            acc += p;
+            if u < acc {
+                return Some(*target);
+            }
+        }
+        None
+    }
+}
+
+/// One state as the runtime reads it: the action and limit as
+/// specified, and the transition rows indexed by event.
+struct CompiledState {
+    action: Action,
+    limit: Option<DistSpec>,
+    /// The row for each event, at the event's [`MachineEvent::ALL`]
+    /// position.
+    rows: [Option<Row>; 7],
+    /// The events with a row, as [`event_bit`]s.
+    hears: u8,
+    /// A pad state whose `PaddingSent` row certainly re-enters it — the
+    /// loop every padding schedule runs per dummy, which
+    /// [`MachineCore::fire_pad`] continues in place.
+    pad_loops: bool,
+    /// A pad's size when it is [`DistSpec::Fixed`]: a constant, drawn
+    /// once here instead of per dummy.
+    pad_size: Option<u32>,
+}
+
+impl CompiledState {
+    /// Compile state `index` of its machine.
+    fn new(index: usize, st: &State) -> Self {
+        let rows = MachineEvent::ALL
+            .map(|ev| st.transitions.iter().find(|t| t.on == ev).map(Row::compile));
+        let (pad_loops, pad_size) = match &st.action {
+            Action::Pad { size, .. } => (
+                matches!(
+                    rows[MachineEvent::PaddingSent as usize],
+                    Some(Row::Certain(Target::State(j))) if j as usize == index
+                ),
+                match size {
+                    DistSpec::Fixed { v } => Some(wire_size(*v)),
+                    _ => None,
+                },
+            ),
+            _ => (false, None),
+        };
+        let hears = MachineEvent::ALL
+            .into_iter()
+            .filter(|&ev| rows[ev as usize].is_some())
+            .fold(0, |bits, ev| bits | event_bit(ev));
+        CompiledState {
+            action: st.action.clone(),
+            limit: st.limit.clone(),
+            rows,
+            hears,
+            pad_loops,
+            pad_size,
+        }
+    }
+
+    fn row(&self, ev: MachineEvent) -> Option<&Row> {
+        self.rows[ev as usize].as_ref()
+    }
+}
+
+/// `ev`'s bit in an event mask.
+const fn event_bit(ev: MachineEvent) -> u8 {
+    1 << ev as u8
+}
+
+/// The events a real packet raises.
+const PACKET_EVENTS: u8 =
+    event_bit(MachineEvent::PacketSent) | event_bit(MachineEvent::PacketReceived);
+
+/// A validated [`MachineSpec`] in the form the runtime reads, compiled
+/// once by [`MachineDefense::new`] and shared by every flow's
+/// [`MachineCore`]: a flow builds no table and walks no state.
+struct CompiledSpec {
+    machines: Box<[Box<[CompiledState]>]>,
+    max_padding_pkts: u64,
+    max_blocking: Nanos,
+    /// Per-flow action budget: every pad consumes one action, and any
+    /// useful machine does bounded bookkeeping around each pad; 4x +
+    /// slack catches valid-but-pathological event loops (timer ping-pong
+    /// etc.).
+    budget: u64,
+    /// Directions owned by regulate machines (the backend drops their
+    /// original packets; the surge schedule re-emits them at close).
+    owned: &'static [Direction],
+}
+
+impl CompiledSpec {
+    fn new(spec: &MachineSpec) -> Self {
+        let machines = spec
+            .machines
+            .iter()
+            .map(|m| {
+                m.states
+                    .iter()
+                    .enumerate()
+                    .map(|(i, st)| CompiledState::new(i, st))
+                    .collect()
+            })
+            .collect();
+        let regulates = |d: Direction| {
+            spec.machines
+                .iter()
+                .flat_map(|m| &m.states)
+                .any(|st| matches!(st.action, Action::Regulate { dir, .. } if dir == d))
+        };
+        let owned: &'static [Direction] =
+            match (regulates(Direction::In), regulates(Direction::Out)) {
+                (false, false) => &[],
+                (true, false) => &[Direction::In],
+                (false, true) => &[Direction::Out],
+                (true, true) => &[Direction::In, Direction::Out],
+            };
+        CompiledSpec {
+            machines,
+            max_padding_pkts: spec.max_padding_pkts,
+            max_blocking: spec.max_blocking,
+            budget: spec.max_padding_pkts.saturating_mul(4).saturating_add(4096),
+            owned,
+        }
+    }
+}
+
 /// Per-state-entry scales (see the draw-order contract in the module
 /// docs: limit, then timing scale, then aux scale).
 #[derive(Default, Clone, Copy)]
@@ -775,7 +931,34 @@ struct PendingAction {
     kind: PendingKind,
 }
 
+impl PendingAction {
+    /// The next dummy of a pad state: absolute pads fire at once and are
+    /// stamped `draw` after the flow start (machines start at the
+    /// flow-relative origin); relative pads fire and are stamped `draw`
+    /// after `now`.
+    fn pad(
+        timing: &DistSpec,
+        absolute: bool,
+        scale: Option<f64>,
+        now: Nanos,
+        rng: &mut SimRng,
+    ) -> Self {
+        let d = timing.sample_time(scale, rng);
+        let (fire, stamp) = if absolute {
+            (now, d)
+        } else {
+            (now + d, now + d)
+        };
+        PendingAction {
+            fire,
+            stamp,
+            kind: PendingKind::Pad,
+        }
+    }
+}
+
 /// Live state of one machine within a core.
+#[derive(Default)]
 struct MachineRt {
     /// Current state index; `None` once the machine has ended.
     state: Option<usize>,
@@ -784,13 +967,15 @@ struct MachineRt {
     limit: Option<u64>,
     scales: EntryScales,
     pending: Option<PendingAction>,
+    /// The current state's [`CompiledState::hears`]; 0 once ended.
+    hears: u8,
 }
 
-/// The machine runtime: a [`PadderCore`] interpreting a validated
-/// [`MachineSpec`] over one flow. Construct via [`MachineCore::new`]
-/// (normally indirectly, through [`MachineDefense::build`]).
+/// The machine runtime: a [`PadderCore`] running a [`CompiledSpec`]
+/// over one flow. Construct via [`MachineCore::new`] (normally
+/// indirectly, through [`MachineDefense::build`]).
 pub(crate) struct MachineCore {
-    spec: Arc<MachineSpec>,
+    spec: Arc<CompiledSpec>,
     rts: Vec<MachineRt>,
     out: Vec<Emit>,
     now: Nanos,
@@ -798,14 +983,16 @@ pub(crate) struct MachineCore {
     total_blocking: Nanos,
     padded: u64,
     actions: u64,
-    budget: u64,
     started: bool,
-    /// Directions owned by regulate machines (the backend drops their
-    /// original packets; the surge schedule re-emits them at close).
-    owned: &'static [Direction],
+    /// Set once no machine can act again (see [`Self::is_quiet`]): the
+    /// rest of the flow only feeds the regulate buffers.
+    quiet: bool,
     /// Buffered arrival times for regulated directions.
     reg_in: Vec<Nanos>,
     reg_out: Vec<Nanos>,
+    /// The flow's `defense.machine.transitions`, added once at close
+    /// (with `pad_pkts` / `pad_bytes`, read off the pads in `out`).
+    transitions: u64,
 }
 
 /// RegulaTor's decaying surge schedule (Holland & Hopper, PETS 2022),
@@ -877,77 +1064,25 @@ pub fn surge_schedule(
     (real_done, dummy_pkts)
 }
 
-/// Pick a target from a transition row. A single certain target
-/// transitions without consuming randomness (part of the draw-order
-/// contract); `None` means "stay in the current state".
-fn pick_target(row: &Transition, rng: &mut SimRng) -> Option<Target> {
-    if row.to.len() == 1 && row.to[0].1 >= 1.0 - PROB_EPS {
-        return Some(row.to[0].0);
-    }
-    let u = rng.next_f64();
-    let mut acc = 0.0;
-    for (t, p) in &row.to {
-        acc += p;
-        if u < acc {
-            return Some(*t);
-        }
-    }
-    None
-}
-
 impl MachineCore {
-    /// Build the runtime for one flow. The spec must have passed
-    /// [`MachineSpec::validate`]; [`MachineDefense`] guarantees that.
-    pub(crate) fn new(spec: Arc<MachineSpec>) -> Self {
+    /// Build the runtime for one flow over a compiled spec.
+    fn new(spec: Arc<CompiledSpec>) -> Self {
         netsim::tm_counter!("defense.machine.flows").inc();
-        let n = spec.machines.len();
-        // Budget: every pad consumes one action, and any useful machine
-        // does bounded bookkeeping around each pad; 4x + slack catches
-        // valid-but-pathological event loops (timer ping-pong etc.).
-        let budget = spec.max_padding_pkts.saturating_mul(4).saturating_add(4096);
-        let mut has_in = false;
-        let mut has_out = false;
-        for m in &spec.machines {
-            for st in &m.states {
-                if let Action::Regulate { dir, .. } = st.action {
-                    match dir {
-                        Direction::In => has_in = true,
-                        Direction::Out => has_out = true,
-                    }
-                }
-            }
-        }
-        const NONE: &[Direction] = &[];
-        const IN: &[Direction] = &[Direction::In];
-        const OUT: &[Direction] = &[Direction::Out];
-        const BOTH: &[Direction] = &[Direction::In, Direction::Out];
-        let owned = match (has_in, has_out) {
-            (false, false) => NONE,
-            (true, false) => IN,
-            (false, true) => OUT,
-            (true, true) => BOTH,
-        };
+        let rts = spec.machines.iter().map(|_| MachineRt::default()).collect();
         MachineCore {
             spec,
-            rts: (0..n)
-                .map(|_| MachineRt {
-                    state: None,
-                    limit: None,
-                    scales: EntryScales::default(),
-                    pending: None,
-                })
-                .collect(),
+            rts,
             out: Vec::new(),
             now: Nanos::ZERO,
             blocked_until: None,
             total_blocking: Nanos::ZERO,
             padded: 0,
             actions: 0,
-            budget,
             started: false,
-            owned,
+            quiet: false,
             reg_in: Vec::new(),
             reg_out: Vec::new(),
+            transitions: 0,
         }
     }
 
@@ -958,9 +1093,8 @@ impl MachineCore {
     /// budget — a regulate run is already bounded by
     /// `reals + budget_frac * reals` emissions.
     fn run_regulate(&mut self) -> Option<Nanos> {
-        let spec = Arc::clone(&self.spec);
         let mut done: Option<Nanos> = None;
-        for m in &spec.machines {
+        for m in self.spec.machines.iter() {
             let Action::Regulate {
                 dir,
                 size,
@@ -968,7 +1102,7 @@ impl MachineCore {
                 decay,
                 surge_threshold,
                 budget_frac,
-            } = m.states[0].action
+            } = m[0].action
             else {
                 continue;
             };
@@ -977,13 +1111,13 @@ impl MachineCore {
                 Direction::Out => &self.reg_out,
             };
             let native_budget = (incoming.len() as f64 * budget_frac) as u64;
-            let dummy_budget = native_budget.min(spec.max_padding_pkts.saturating_sub(self.padded));
+            let room = self.spec.max_padding_pkts.saturating_sub(self.padded);
             let (real_done, dummy_pkts) = surge_schedule(
                 incoming,
                 rate,
                 decay,
                 surge_threshold,
-                dummy_budget,
+                native_budget.min(room),
                 dir,
                 size,
                 &mut self.out,
@@ -995,14 +1129,8 @@ impl MachineCore {
         done
     }
 
-    fn state_of(&self, m: usize) -> Option<&State> {
-        let s = self.rts[m].state?;
-        Some(&self.spec.machines[m].states[s])
-    }
-
     fn end_machine(&mut self, m: usize) {
-        self.rts[m].state = None;
-        self.rts[m].pending = None;
+        self.rts[m] = MachineRt::default();
     }
 
     /// Hard stop: the global padding cap or the action budget tripped.
@@ -1012,6 +1140,18 @@ impl MachineCore {
             self.end_machine(m);
         }
         self.blocked_until = None;
+    }
+
+    /// No machine can act again: none has an armed action, no blocking
+    /// window is open, and no current state has a row for a real packet.
+    /// Only a due action, a window's end or a packet event moves a
+    /// machine, so a quiet core stays quiet for the rest of the flow.
+    fn is_quiet(&self) -> bool {
+        self.blocked_until.is_none()
+            && self
+                .rts
+                .iter()
+                .all(|rt| rt.pending.is_none() && rt.hears & PACKET_EVENTS == 0)
     }
 
     /// Enter `s` on machine `m`, sampling limit and entry scales (in
@@ -1027,9 +1167,7 @@ impl MachineCore {
     fn enter_state(&mut self, m: usize, s: usize, rng: &mut SimRng) {
         let mut s = s;
         loop {
-            self.rts[m].state = Some(s);
-            self.rts[m].pending = None;
-            let st = &self.spec.machines[m].states[s];
+            let st = &self.spec.machines[m][s];
             let limit = st
                 .limit
                 .as_ref()
@@ -1038,42 +1176,40 @@ impl MachineCore {
                 timing: st.action.timing().and_then(|d| d.entry_scale(rng)),
                 aux: st.action.aux().and_then(|d| d.entry_scale(rng)),
             };
-            self.rts[m].limit = limit;
-            self.rts[m].scales = scales;
+            self.rts[m] = MachineRt {
+                state: Some(s),
+                limit,
+                scales,
+                pending: None,
+                hears: st.hears,
+            };
             if limit != Some(0) {
                 self.arm(m, rng);
                 return;
             }
             netsim::tm_counter!("defense.machine.limit_hits").inc();
             self.actions += 1;
-            if self.actions > self.budget {
+            if self.actions > self.spec.budget {
                 self.kill_all();
                 return;
             }
-            let st = &self.spec.machines[m].states[s];
-            let Some(row) = st
-                .transitions
-                .iter()
-                .find(|t| t.on == MachineEvent::LimitReached)
-            else {
-                // No row: the machine ends (it can take no further
-                // action).
-                self.end_machine(m);
-                return;
-            };
-            match pick_target(row, rng) {
-                // Stayed by probability. An exhausted limit cannot stay.
-                None => {
+            let target = self.spec.machines[m][s]
+                .row(MachineEvent::LimitReached)
+                .map(|row| row.pick(rng));
+            match target {
+                // No row, or stayed by probability: the machine ends (an
+                // exhausted limit can take no further action).
+                None | Some(None) => {
                     self.end_machine(m);
                     return;
                 }
-                Some(Target::End) => {
-                    netsim::tm_counter!("defense.machine.transitions").inc();
+                Some(Some(Target::End)) => {
+                    self.transitions += 1;
                     self.end_machine(m);
                     return;
                 }
-                Some(Target::State(j)) => {
-                    netsim::tm_counter!("defense.machine.transitions").inc();
+                Some(Some(Target::State(j))) => {
+                    self.transitions += 1;
                     s = j as usize;
                 }
             }
@@ -1082,31 +1218,19 @@ impl MachineCore {
 
     /// Arm the current state's action (draws its timing).
     fn arm(&mut self, m: usize, rng: &mut SimRng) {
-        let Some(st) = self.state_of(m) else { return };
+        let Some(s) = self.rts[m].state else { return };
         let scales = self.rts[m].scales;
-        let pending = match &st.action {
+        let pending = match &self.spec.machines[m][s].action {
             Action::Nop | Action::Regulate { .. } => None,
             Action::Pad {
                 timing, absolute, ..
-            } => {
-                let d = timing.sample_time(scales.timing, rng);
-                if *absolute {
-                    // Offset from the flow start (machines start at the
-                    // flow-relative origin); processed immediately.
-                    Some(PendingAction {
-                        fire: self.now,
-                        stamp: d,
-                        kind: PendingKind::Pad,
-                    })
-                } else {
-                    let f = self.now + d;
-                    Some(PendingAction {
-                        fire: f,
-                        stamp: f,
-                        kind: PendingKind::Pad,
-                    })
-                }
-            }
+            } => Some(PendingAction::pad(
+                timing,
+                *absolute,
+                scales.timing,
+                self.now,
+                rng,
+            )),
             Action::Timer { timing } => Some(PendingAction {
                 fire: self.now + timing.sample_time(scales.timing, rng),
                 stamp: Nanos::ZERO,
@@ -1128,9 +1252,8 @@ impl MachineCore {
 
     /// Deliver `ev` to machine `m` and apply its transition row.
     fn deliver(&mut self, m: usize, ev: MachineEvent, rng: &mut SimRng) {
-        let Some(st) = self.state_of(m) else { return };
-        let cur = self.rts[m].state;
-        let Some(row) = st.transitions.iter().find(|t| t.on == ev) else {
+        let Some(cur) = self.rts[m].state else { return };
+        let Some(target) = self.spec.machines[m][cur].row(ev).map(|row| row.pick(rng)) else {
             // No row: stay put — except an unhandled exhausted limit,
             // which ends the machine (it can take no further action).
             if ev == MachineEvent::LimitReached {
@@ -1138,7 +1261,6 @@ impl MachineCore {
             }
             return;
         };
-        let target = pick_target(row, rng);
         match target {
             None => {
                 // Stayed by probability. An exhausted limit cannot stay.
@@ -1147,13 +1269,13 @@ impl MachineCore {
                 }
             }
             Some(Target::End) => {
-                netsim::tm_counter!("defense.machine.transitions").inc();
+                self.transitions += 1;
                 self.end_machine(m);
             }
             Some(Target::State(j)) => {
-                netsim::tm_counter!("defense.machine.transitions").inc();
+                self.transitions += 1;
                 let j = j as usize;
-                if cur == Some(j) && ev != MachineEvent::LimitReached {
+                if cur == j && ev != MachineEvent::LimitReached {
                     // Self-transition: continue the schedule without
                     // resampling limit or entry scales.
                     self.arm(m, rng);
@@ -1164,9 +1286,13 @@ impl MachineCore {
         }
     }
 
+    /// Deliver `ev` to every machine whose current state has a row for
+    /// it (to the rest it is a no-op: `ev` is never `LimitReached`).
     fn deliver_all(&mut self, ev: MachineEvent, rng: &mut SimRng) {
         for m in 0..self.rts.len() {
-            self.deliver(m, ev, rng);
+            if self.rts[m].hears & event_bit(ev) != 0 {
+                self.deliver(m, ev, rng);
+            }
         }
     }
 
@@ -1176,70 +1302,18 @@ impl MachineCore {
             return;
         };
         self.actions += 1;
-        if self.actions > self.budget {
+        if self.actions > self.spec.budget {
             self.kill_all();
             return;
         }
+        let Some(s) = self.rts[m].state else { return };
         match p.kind {
-            PendingKind::Pad => {
-                if self.padded >= self.spec.max_padding_pkts {
-                    self.kill_all();
-                    return;
-                }
-                let Some(st) = self.state_of(m) else { return };
-                let Action::Pad {
-                    dir,
-                    size,
-                    absolute,
-                    ..
-                } = &st.action
-                else {
-                    return;
-                };
-                // Blocking defers relative padding to the window's end;
-                // absolute schedules are zero-delay by construction.
-                if !absolute {
-                    if let Some(bu) = self.blocked_until {
-                        if p.fire < bu {
-                            self.rts[m].pending = Some(PendingAction {
-                                fire: bu,
-                                stamp: bu,
-                                kind: PendingKind::Pad,
-                            });
-                            return;
-                        }
-                    }
-                }
-                let dir = *dir;
-                let sz = size.sample_size(self.rts[m].scales.aux, rng);
-                self.out.push(Emit {
-                    pkt: FlowPkt {
-                        ts: p.stamp,
-                        dir,
-                        size: sz,
-                    },
-                    dummy: true,
-                });
-                self.padded += 1;
-                netsim::tm_counter!("defense.machine.pad_pkts").inc();
-                netsim::tm_counter!("defense.machine.pad_bytes").add(u64::from(sz));
-                if let Some(l) = &mut self.rts[m].limit {
-                    *l -= 1;
-                    if *l == 0 {
-                        // An exhausted limit pre-empts PaddingSent so a
-                        // self-looping pad state cannot overdraw.
-                        self.limit_reached(m, rng);
-                        return;
-                    }
-                }
-                self.deliver(m, MachineEvent::PaddingSent, rng);
-            }
+            PendingKind::Pad => self.fire_pad(m, s, p, rng),
             PendingKind::Timer => {
                 self.deliver(m, MachineEvent::TimerExpired, rng);
             }
             PendingKind::Block => {
-                let Some(st) = self.state_of(m) else { return };
-                let Action::Block { duration, .. } = &st.action else {
+                let Action::Block { duration, .. } = &self.spec.machines[m][s].action else {
                     return;
                 };
                 let d = duration.sample_time(self.rts[m].scales.aux, rng);
@@ -1254,6 +1328,88 @@ impl MachineCore {
                     self.deliver_all(MachineEvent::BlockingBegin, rng);
                 }
             }
+        }
+    }
+
+    /// Fire the armed pad `p` of machine `m`, in state `s`.
+    ///
+    /// A self-looping absolute pad state fires its next dummy at `now`
+    /// again, and nothing else can have moved since the pump picked this
+    /// machine: its dummies raise `PaddingSent` for it alone, and every
+    /// other candidate was already later than it. The pump would pick it
+    /// again, so the loop fires that dummy here — with the same budget
+    /// and cap checks and the same draws, in the same order.
+    fn fire_pad(&mut self, m: usize, s: usize, p: PendingAction, rng: &mut SimRng) {
+        let st = &self.spec.machines[m][s];
+        let Action::Pad {
+            dir,
+            size,
+            timing,
+            absolute,
+        } = &st.action
+        else {
+            return;
+        };
+        if self.padded >= self.spec.max_padding_pkts {
+            self.kill_all();
+            return;
+        }
+        // Blocking defers relative padding to the window's end;
+        // absolute schedules are zero-delay by construction.
+        if let (false, Some(bu)) = (*absolute, self.blocked_until) {
+            if p.fire < bu {
+                self.rts[m].pending = Some(PendingAction {
+                    fire: bu,
+                    stamp: bu,
+                    kind: PendingKind::Pad,
+                });
+                return;
+            }
+        }
+        let mut stamp = p.stamp;
+        loop {
+            let sz = match st.pad_size {
+                Some(sz) => sz,
+                None => size.sample_size(self.rts[m].scales.aux, rng),
+            };
+            self.out.push(Emit {
+                pkt: FlowPkt {
+                    ts: stamp,
+                    dir: *dir,
+                    size: sz,
+                },
+                dummy: true,
+            });
+            self.padded += 1;
+            if let Some(l) = &mut self.rts[m].limit {
+                *l -= 1;
+                if *l == 0 {
+                    // An exhausted limit pre-empts PaddingSent so a
+                    // self-looping pad state cannot overdraw.
+                    self.limit_reached(m, rng);
+                    return;
+                }
+            }
+            if !st.pad_loops {
+                self.deliver(m, MachineEvent::PaddingSent, rng);
+                return;
+            }
+            // What `deliver(PaddingSent)` does for this row — count the
+            // transition, re-arm without re-entering — without looking
+            // the row and the action up again.
+            self.transitions += 1;
+            let scale = self.rts[m].scales.timing;
+            let next = PendingAction::pad(timing, *absolute, scale, self.now, rng);
+            if !absolute {
+                self.rts[m].pending = Some(next);
+                return;
+            }
+            self.actions += 1;
+            if self.actions > self.spec.budget || self.padded >= self.spec.max_padding_pkts {
+                self.kill_all();
+                return;
+            }
+            stamp = next.stamp;
         }
     }
 
@@ -1305,30 +1461,48 @@ impl MachineCore {
 
 impl PadderCore for MachineCore {
     fn owned_dirs(&self) -> &'static [Direction] {
-        self.owned
+        self.spec.owned
     }
 
-    fn on_data(&mut self, pkt: FlowPkt, rng: &mut SimRng) {
+    fn on_data(&mut self, pkts: &[FlowPkt], rng: &mut SimRng) {
         self.ensure_started(rng);
-        if self.owned.contains(&pkt.dir) {
-            match pkt.dir {
-                Direction::In => self.reg_in.push(pkt.ts),
-                Direction::Out => self.reg_out.push(pkt.ts),
+        let owned = self.spec.owned;
+        if !owned.is_empty() {
+            for pkt in pkts.iter().filter(|p| owned.contains(&p.dir)) {
+                match pkt.dir {
+                    Direction::In => self.reg_in.push(pkt.ts),
+                    Direction::Out => self.reg_out.push(pkt.ts),
+                }
             }
         }
-        self.pump(Some(pkt.ts), rng);
-        self.now = self.now.max(pkt.ts);
-        let ev = match pkt.dir {
-            Direction::Out => MachineEvent::PacketSent,
-            Direction::In => MachineEvent::PacketReceived,
-        };
-        self.deliver_all(ev, rng);
+        for pkt in pkts {
+            if self.quiet {
+                return;
+            }
+            self.pump(Some(pkt.ts), rng);
+            self.now = self.now.max(pkt.ts);
+            let ev = match pkt.dir {
+                Direction::Out => MachineEvent::PacketSent,
+                Direction::In => MachineEvent::PacketReceived,
+            };
+            self.deliver_all(ev, rng);
+            self.quiet = self.is_quiet();
+        }
     }
 
     fn on_close(&mut self, rng: &mut SimRng) -> CloseOut {
         self.ensure_started(rng);
         self.pump(None, rng);
+        // Until the regulate schedules run, `out` holds the pads alone.
+        if !self.out.is_empty() {
+            let bytes = self.out.iter().map(|e| u64::from(e.pkt.size)).sum();
+            netsim::tm_counter!("defense.machine.pad_pkts").add(self.out.len() as u64);
+            netsim::tm_counter!("defense.machine.pad_bytes").add(bytes);
+        }
         let real_done = self.run_regulate();
+        if self.transitions > 0 {
+            netsim::tm_counter!("defense.machine.transitions").add(self.transitions);
+        }
         CloseOut {
             emits: std::mem::take(&mut self.out),
             real_done,
@@ -1340,29 +1514,30 @@ impl PadderCore for MachineCore {
 // Defense adapter
 // ---------------------------------------------------------------------
 
-/// A [`MachineSpec`] as a placement-agnostic [`Defense`]. Validation
-/// happens once at construction; an invalid spec builds pass-through
-/// flows (each counted in `stob.registry.degraded` and
+/// A [`MachineSpec`] as a placement-agnostic [`Defense`]. Validation and
+/// compilation happen once, at construction; an invalid spec builds
+/// pass-through flows (each counted in `stob.registry.degraded` and
 /// `defense.machine.degraded`) — malformed data must never panic or
 /// shape wrongly.
 pub struct MachineDefense {
-    spec: Arc<MachineSpec>,
-    valid: bool,
+    spec: MachineSpec,
+    /// The runtime form every flow shares; `None` for an invalid spec.
+    compiled: Option<Arc<CompiledSpec>>,
 }
 
 impl MachineDefense {
-    /// Wrap a spec, recording its validity.
+    /// Validate a spec and, if it passes, compile it.
     pub fn new(spec: MachineSpec) -> Self {
-        let valid = spec.validate().is_ok();
-        MachineDefense {
-            spec: Arc::new(spec),
-            valid,
-        }
+        let compiled = spec
+            .validate()
+            .is_ok()
+            .then(|| Arc::new(CompiledSpec::new(&spec)));
+        MachineDefense { spec, compiled }
     }
 
     /// Whether the spec passed validation at construction.
     pub fn is_valid(&self) -> bool {
-        self.valid
+        self.compiled.is_some()
     }
 }
 
@@ -1372,20 +1547,20 @@ impl Defense for MachineDefense {
     }
 
     fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
-        if !self.valid {
+        let Some(compiled) = &self.compiled else {
             netsim::tm_counter!("defense.machine.degraded").inc();
             netsim::tm_counter!("stob.registry.degraded").inc();
             return FlowDefense::passthrough(&self.spec.name);
-        }
+        };
         let policy = self
             .spec
             .policy
             .clone()
             .unwrap_or_else(|| ObfuscationPolicy::passthrough(&self.spec.name));
-        let padding: Option<Box<dyn PadderCore>> = if self.spec.machines.is_empty() {
+        let padding: Option<Box<dyn PadderCore>> = if compiled.machines.is_empty() {
             None
         } else {
-            Some(Box::new(MachineCore::new(Arc::clone(&self.spec))))
+            Some(Box::new(MachineCore::new(Arc::clone(compiled))))
         };
         FlowDefense {
             policy,

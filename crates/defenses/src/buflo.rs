@@ -74,10 +74,12 @@ impl PadderCore for BufloCore {
         &[Direction::In, Direction::Out]
     }
 
-    fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-        match pkt.dir {
-            Direction::In => self.in_bytes += u64::from(pkt.size),
-            Direction::Out => self.out_bytes += u64::from(pkt.size),
+    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+        for pkt in pkts {
+            match pkt.dir {
+                Direction::In => self.in_bytes += u64::from(pkt.size),
+                Direction::Out => self.out_bytes += u64::from(pkt.size),
+            }
         }
     }
 
@@ -172,10 +174,12 @@ impl PadderCore for TamarawCore {
         &[Direction::In, Direction::Out]
     }
 
-    fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-        match pkt.dir {
-            Direction::In => self.in_bytes += u64::from(pkt.size),
-            Direction::Out => self.out_bytes += u64::from(pkt.size),
+    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+        for pkt in pkts {
+            match pkt.dir {
+                Direction::In => self.in_bytes += u64::from(pkt.size),
+                Direction::Out => self.out_bytes += u64::from(pkt.size),
+            }
         }
     }
 

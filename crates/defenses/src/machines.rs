@@ -258,8 +258,12 @@ mod tests {
     use super::*;
     use netsim::json::{Json, Wire};
     use netsim::SimRng;
-    use stob::defense::{emulate_flow, DefenseCtx, FlowPkt};
+    use stob::defense::{
+        emulate_flow, enforce_flow, Defense, DefenseCtx, FlowPkt, Placement, StackParams,
+    };
     use stob::machine::MachineDefense;
+    use traces::sites::paper_sites;
+    use traces::statgen::generate;
 
     fn flow() -> Vec<FlowPkt> {
         (0..40)
@@ -290,6 +294,38 @@ mod tests {
         }
     }
 
+    /// Hold `machine` to `native` over a `statgen` corpus slice (two
+    /// visits of every paper site) at both placements: from the same
+    /// per-flow rng and stack seed, the defended flows are identical —
+    /// every timestamp, direction and size, the dummy accounting and
+    /// `real_done`.
+    fn assert_parity_on_corpus(native: &dyn Defense, machine: &dyn Defense) {
+        let sites = paper_sites();
+        for i in 0..2 * sites.len() {
+            let (site, visit) = (i % sites.len(), i / sites.len());
+            let trace = generate(&sites[site], site, visit, 41);
+            let params = StackParams::with_seed(i as u64);
+            let ctx = DefenseCtx::default();
+            for placement in Placement::ALL {
+                let run = |d: &dyn Defense| {
+                    let mut rng = SimRng::new(i as u64);
+                    match placement {
+                        Placement::App => emulate_flow(d, &trace.packets, &ctx, &mut rng),
+                        Placement::Stack => {
+                            enforce_flow(d, &trace.packets, &ctx, &mut rng, &params)
+                        }
+                    }
+                };
+                let (a, b) = (run(native), run(machine));
+                let at = format!("site {site} visit {visit} at {}", placement.name());
+                assert_eq!(a.pkts, b.pkts, "{at}");
+                assert_eq!(a.dummy_pkts, b.dummy_pkts, "{at}");
+                assert_eq!(a.dummy_bytes, b.dummy_bytes, "{at}");
+                assert_eq!(a.real_done, b.real_done, "{at}");
+            }
+        }
+    }
+
     /// The headline parity claim: the machine FRONT replays the native
     /// `FrontDefense`'s rng draws, so the same per-flow rng produces the
     /// *identical* defended flow — timestamps, directions, sizes.
@@ -298,15 +334,7 @@ mod tests {
         let cfg = FrontConfig::default();
         let native = crate::front::FrontDefense::new(cfg);
         let machine = MachineDefense::new(front_machine(&cfg));
-        for seed in 0..20u64 {
-            let mut r1 = SimRng::new(seed);
-            let mut r2 = SimRng::new(seed);
-            let a = emulate_flow(&native, &flow(), &DefenseCtx::default(), &mut r1);
-            let b = emulate_flow(&machine, &flow(), &DefenseCtx::default(), &mut r2);
-            assert_eq!(a.pkts, b.pkts, "seed {seed}");
-            assert_eq!(a.dummy_pkts, b.dummy_pkts);
-            assert_eq!(a.dummy_bytes, b.dummy_bytes);
-        }
+        assert_parity_on_corpus(&native, &machine);
     }
 
     #[test]
@@ -341,23 +369,15 @@ mod tests {
 
     /// RegulaTor parity: the regulate action replicates the native
     /// surge loop exactly — same emission times, sizes, dummy flags and
-    /// `real_done` — across seeds and flows (neither draws rng, so this
-    /// also proves the machine wrapper adds no stray draws).
+    /// `real_done` — over the corpus slice at both placements (neither
+    /// draws rng, so this also proves the machine wrapper adds no stray
+    /// draws).
     #[test]
     fn machine_regulator_matches_native_regulator_per_flow() {
         let cfg = RegulatorConfig::default();
         let native = crate::regulator::RegulatorDefense::new(cfg);
         let machine = MachineDefense::new(regulator_machine(&cfg));
-        for seed in 0..20u64 {
-            let mut r1 = SimRng::new(seed);
-            let mut r2 = SimRng::new(seed);
-            let a = emulate_flow(&native, &flow(), &DefenseCtx::default(), &mut r1);
-            let b = emulate_flow(&machine, &flow(), &DefenseCtx::default(), &mut r2);
-            assert_eq!(a.pkts, b.pkts, "seed {seed}");
-            assert_eq!(a.dummy_pkts, b.dummy_pkts, "seed {seed}");
-            assert_eq!(a.dummy_bytes, b.dummy_bytes, "seed {seed}");
-            assert_eq!(a.real_done, b.real_done, "seed {seed}");
-        }
+        assert_parity_on_corpus(&native, &machine);
         // And on a surge-heavy flow shape (bursty arrivals) that
         // exercises the schedule-restart branch.
         let bursty: Vec<FlowPkt> = (0..200)

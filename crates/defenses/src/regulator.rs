@@ -54,10 +54,9 @@ impl PadderCore for RegulatorCore {
         &[Direction::In]
     }
 
-    fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-        if pkt.dir == Direction::In {
-            self.arrivals.push(pkt.ts);
-        }
+    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+        let inbound = pkts.iter().filter(|p| p.dir == Direction::In);
+        self.arrivals.extend(inbound.map(|p| p.ts));
     }
 
     fn on_close(&mut self, _rng: &mut SimRng) -> CloseOut {

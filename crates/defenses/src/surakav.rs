@@ -51,8 +51,8 @@ impl PadderCore for SurakavCore {
         &[Direction::In]
     }
 
-    fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-        if pkt.dir == Direction::In {
+    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+        for pkt in pkts.iter().filter(|p| p.dir == Direction::In) {
             self.real_bytes += u64::from(pkt.size);
             self.orig_in.push((pkt.ts, self.real_bytes));
         }

@@ -42,10 +42,12 @@ struct WtfPadCore {
 }
 
 impl PadderCore for WtfPadCore {
-    fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-        match pkt.dir {
-            Direction::In => self.in_times.push(pkt.ts),
-            Direction::Out => self.out_times.push(pkt.ts),
+    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+        for pkt in pkts {
+            match pkt.dir {
+                Direction::In => self.in_times.push(pkt.ts),
+                Direction::Out => self.out_times.push(pkt.ts),
+            }
         }
     }
 

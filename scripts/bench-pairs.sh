@@ -12,15 +12,22 @@
 # quartiles). Exits 1 if any two runs' sim_digests differ or any run
 # failed an operation; the verdicts do not change the exit status.
 #
-#   scripts/bench-pairs.sh <parent-rev> <workload> <pairs> [seconds] [seed]
-#                                                  (defaults: 30, 12)
+# Given a metric-name prefix (e.g. `defenses.m`), it then runs one
+# `--trace 1` per side, each as long as a pair's run, and prints every
+# per-layer row whose name starts with the prefix: parent, change and
+# their ratio. Traced rows wobble by ~10 % run to run on a shared host,
+# so read a difference from two such calls, not one. With `pairs` 0 it
+# runs the traced rows only.
+#
+#   scripts/bench-pairs.sh <parent-rev> <workload> <pairs> [seconds] [seed] [prefix]
+#                                                  (defaults: 30, 12, none)
 #
 # The temporary directory (parent checkout, its build, the run
 # directories) is made with `mktemp -d`, so TMPDIR chooses where it goes;
 # it is removed on exit.
 set -euo pipefail
-if [[ $# -lt 3 || $# -gt 5 ]]; then
-    echo "usage: $0 <parent-rev> <workload> <pairs> [seconds] [seed]" >&2
+if [[ $# -lt 3 || $# -gt 6 ]]; then
+    echo "usage: $0 <parent-rev> <workload> <pairs> [seconds] [seed] [prefix]" >&2
     exit 2
 fi
 rev="$1"
@@ -28,6 +35,7 @@ workload="$2"
 pairs="$3"
 seconds="${4:-30}"
 seed="${5:-12}"
+prefix="${6:-}"
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
@@ -43,6 +51,11 @@ declare -A bin=(
     [parent]="$tmp/parent/benchmark/target/release/benchmark"
     [change]="$root/benchmark/target/release/benchmark"
 )
+# A traced run writes here, under the checkout its binary was built from.
+declare -A trace=(
+    [parent]="$tmp/parent/benchmark/out/trace-$workload.json"
+    [change]="$root/benchmark/out/trace-$workload.json"
+)
 
 runs="$tmp/runs.jsonl"
 : >"$runs"
@@ -56,8 +69,16 @@ for ((i = 1; i <= pairs; i++)); do
         printf '{"pair":%d,"side":"%s","report":%s}\n' "$i" "$side" "$report" >>"$runs"
     done
 done
+if [[ -n "$prefix" ]]; then
+    for side in parent change; do
+        cwd="$(mktemp -d -p "$tmp")"
+        (cd "$cwd" && "${bin[$side]}" --workload "$workload" --seed "$seed" \
+            --seconds "$seconds" --trace 1 >/dev/null)
+    done
+fi
 
-python3 - "$runs" "$rev" "$workload" "$seed" "$root/BENCHMARK.json" <<'PY'
+python3 - "$runs" "$rev" "$workload" "$seed" "$root/BENCHMARK.json" "$prefix" \
+    "${trace[parent]}" "${trace[change]}" <<'PY'
 import json, sys
 from statistics import median, quantiles
 
@@ -65,6 +86,25 @@ runs = [json.loads(line) for line in open(sys.argv[1])]
 rev, workload, seed = sys.argv[2:5]
 better = {m["name"]: m["better"] for m in json.load(open(sys.argv[5]))["end_to_end"]}
 metrics = ["throughput", "peak_rss_mb", "setup_s"]
+prefix = sys.argv[6]
+
+def traced_rows():
+    if not prefix:
+        return
+    parent, change = (json.load(open(f))["run"]["metrics"] for f in sys.argv[7:9])
+    rows = sorted(k for k in parent.keys() | change.keys() if k.startswith(prefix))
+    print()
+    print(f"traced rows {prefix}*: one --trace 1 run per side")
+    print(f"{'row':<44}{'parent':>12}{'change':>12}{'ratio':>8}")
+    for k in rows:
+        p, c = (m.get(k, {}).get("value") for m in (parent, change))
+        cells = "".join(f"{v:>12.2f}" if v is not None else f"{'-':>12}" for v in (p, c))
+        ratio = f"{c / p:>8.3f}" if p and c is not None else f"{'-':>8}"
+        print(f"{k:<44}{cells}{ratio}")
+
+if not runs:
+    traced_rows()
+    sys.exit(0)
 
 print(f"{workload} seed {seed}: parent {rev} against the working tree, {len(runs) // 2} pairs")
 print(f"{'pair':>4} {'side':<7}" + "".join(f"{m:>14}" for m in metrics) + f"{'sim_digest':>20}{'failed':>8}")
@@ -102,6 +142,7 @@ for m in metrics:
     )
 print()
 print("\n".join(verdicts))
+traced_rows()
 
 bad = 0
 digests = sorted({r["report"]["sim_digest"] for r in runs})

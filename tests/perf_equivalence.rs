@@ -119,10 +119,9 @@ impl PadderCore for RescanRegulator {
         &[Direction::In]
     }
 
-    fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-        if pkt.dir == Direction::In {
-            self.arrivals.push(pkt.ts);
-        }
+    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+        let inbound = pkts.iter().filter(|p| p.dir == Direction::In);
+        self.arrivals.extend(inbound.map(|p| p.ts));
     }
 
     fn on_close(&mut self, _rng: &mut SimRng) -> CloseOut {
@@ -192,10 +191,9 @@ impl PadderCore for RescanRegulateMachine {
         &[Direction::In]
     }
 
-    fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-        if pkt.dir == Direction::In {
-            self.reg_in.push(pkt.ts);
-        }
+    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+        let inbound = pkts.iter().filter(|p| p.dir == Direction::In);
+        self.reg_in.extend(inbound.map(|p| p.ts));
     }
 
     fn on_close(&mut self, _rng: &mut SimRng) -> CloseOut {
@@ -259,8 +257,8 @@ impl PadderCore for FindSurakav {
         &[Direction::In]
     }
 
-    fn on_data(&mut self, pkt: FlowPkt, _rng: &mut SimRng) {
-        if pkt.dir == Direction::In {
+    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
+        for pkt in pkts.iter().filter(|p| p.dir == Direction::In) {
             self.real_bytes += u64::from(pkt.size);
             self.orig_in.push((pkt.ts, self.real_bytes));
         }
@@ -362,9 +360,7 @@ type Closed = (Vec<(FlowPkt, bool)>, Option<Nanos>);
 fn close_out(defense: &dyn Defense, ctx: &DefenseCtx, flow: &[FlowPkt]) -> Closed {
     let mut rng = SimRng::new(0);
     let mut core = defense.build(ctx, &mut rng).padding.expect("a core");
-    for pkt in flow {
-        core.on_data(*pkt, &mut rng);
-    }
+    core.on_data(flow, &mut rng);
     let out = core.on_close(&mut rng);
     let emits = out.emits.iter().map(|e| (e.pkt, e.dummy)).collect();
     (emits, out.real_done)
