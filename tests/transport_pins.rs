@@ -1,50 +1,100 @@
-//! Pins for the transport with no golden of its own: QUIC page loads
-//! under the fault scenarios that exercise its receive frontier (reorder,
+//! Pins for the live send path, bit for bit.
+//!
+//! QUIC has no golden of its own: its page loads are pinned under the
+//! fault scenarios that exercise its receive frontier (reorder,
 //! duplication), its loss recovery (Gilbert-Elliott bursts) and its PTO
-//! (a blackout over the handshake). Each case folds every captured packet
-//! plus the retry count into one FNV-1a style digest; the expected values
-//! were read at the commit before `stack::seq` replaced QUIC's
-//! hand-written frontier and timer, so a refactor of `quic.rs` that moves
+//! (a blackout over the handshake). TCP page loads, the two Figure 3
+//! points (goodput bits plus the events the loop dispatched) and one
+//! `Multiplex` replay are pinned the same way, so a change to the
+//! transports, the qdisc→NIC feed or the buffers between them that moves
 //! a single packet shows here.
+//!
+//! Each page-load case folds every captured packet plus the retry count
+//! into one FNV-1a style digest. The QUIC values were read at the commit
+//! before `stack::seq` replaced QUIC's hand-written frontier and timer;
+//! the TCP, Figure 3 and `Multiplex` values at the commit before the
+//! transports started writing into caller-owned buffers. Re-read a value
+//! at the parent of the change under test, never from the change.
 
 use netsim::{FaultSchedule, Nanos};
+use stack::mux::SplitterSpec;
+use std::sync::{RwLock, RwLockReadGuard};
+use stob_bench::multipath::replay_multipath;
 use traces::loader::{load_page, LoaderConfig, RecoveryConfig, TransportKind};
 use traces::sites::paper_sites;
 
-fn quic_digest(scenario: Option<&str>, recovery: Option<RecoveryConfig>) -> (u64, usize) {
+/// `figure3_points` reads the process-wide `stack.net.events` counter
+/// around its runs, so it takes this for writing; every other test holds
+/// it for reading while it runs a network.
+static EVENTS: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    EVENTS.read().unwrap_or_else(|e| e.into_inner())
+}
+
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+    fn fold(&mut self, x: u64) {
+        self.0 ^= x;
+        self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    fn trace(&mut self, t: &traces::Trace) {
+        for p in &t.packets {
+            self.fold(p.ts.0);
+            self.fold(u64::from(p.size));
+            self.fold(p.dir as u64);
+        }
+    }
+}
+
+fn page_digest(
+    transport: TransportKind,
+    scenario: Option<&str>,
+    recovery: Option<RecoveryConfig>,
+) -> (u64, usize) {
+    let _g = shared();
     let sites = paper_sites();
     let deadline = Nanos::from_secs(30);
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |x: u64| {
-        h ^= x;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
+    let mut h = Fnv::new();
     let mut complete = 0;
     for (l, site) in sites.iter().enumerate().take(4) {
         let cfg = LoaderConfig {
             deadline,
-            transport: TransportKind::Quic,
+            transport,
             faults: scenario
                 .map(|name| FaultSchedule::scenario(name, 7 + l as u64, deadline).expect(name)),
             recovery,
             ..LoaderConfig::default()
         };
         let out = load_page(site, l, 0, 99, &cfg);
-        for p in &out.trace.packets {
-            fold(p.ts.0);
-            fold(u64::from(p.size));
-            fold(p.dir as u64);
-        }
-        fold(out.progress.retries);
+        h.trace(&out.trace);
+        h.fold(out.progress.retries);
         complete += usize::from(out.complete);
     }
-    (h, complete)
+    (h.0, complete)
+}
+
+fn pin_on(
+    transport: TransportKind,
+    scenario: Option<&str>,
+    recovery: Option<RecoveryConfig>,
+    want: u64,
+) {
+    let (got, complete) = page_digest(transport, scenario, recovery);
+    assert_eq!(complete, 4, "{scenario:?}: every visit completes");
+    assert_eq!(got, want, "{scenario:?}: digest {got:#018x}");
 }
 
 fn pin(scenario: Option<&str>, recovery: Option<RecoveryConfig>, want: u64) {
-    let (got, complete) = quic_digest(scenario, recovery);
-    assert_eq!(complete, 4, "{scenario:?}: every visit completes");
-    assert_eq!(got, want, "{scenario:?}: digest {got:#018x}");
+    pin_on(TransportKind::Quic, scenario, recovery, want);
+}
+
+fn tcp(scenario: Option<&str>, recovery: Option<RecoveryConfig>, want: u64) {
+    pin_on(TransportKind::Tcp, scenario, recovery, want);
 }
 
 fn on() -> Option<RecoveryConfig> {
@@ -81,4 +131,73 @@ fn quic_dup() {
 #[test]
 fn quic_blackout_early() {
     pin(Some("blackout-early"), on(), 0x04db_ba6e_1752_2ec5);
+}
+
+#[test]
+fn tcp_clean() {
+    tcp(None, None, 0x58e7_bfd7_a8f1_cfa2);
+}
+
+#[test]
+fn tcp_reorder() {
+    tcp(Some("reorder"), on(), 0x66ae_cb3b_69e1_e31b);
+}
+
+#[test]
+fn tcp_ge_burst() {
+    tcp(Some("ge-burst"), on(), 0x8855_4a8c_116b_2e54);
+}
+
+#[test]
+fn tcp_ge_burst_recovery_off() {
+    tcp(Some("ge-burst"), None, 0x0a02_eda3_04d7_092b);
+}
+
+/// Both Figure 3 points: the goodput's bits and the events the event
+/// loop dispatched for them, which moves if an event is added or lost
+/// even where the goodput does not.
+#[test]
+fn figure3_points() {
+    let _g = EVENTS.write().unwrap_or_else(|e| e.into_inner());
+    let events = netsim::tm_counter!("stack.net.events");
+    let mut got = Vec::new();
+    for alpha in [0, 40] {
+        let before = events.get();
+        let p = stob_bench::figure3_point(alpha, Nanos::from_millis(20), 12);
+        got.push((alpha, p.goodput_gbps.to_bits(), events.get() - before));
+    }
+    let want = [
+        (0, 0x4045_54ad_d73e_3fd7, 897_728),
+        (40, 0x4033_f144_0ffa_4907, 463_790),
+    ];
+    assert_eq!(got, want, "{got:#x?}");
+}
+
+/// One page load replayed over three `Multiplex` legs with XOR parity
+/// over every four datagrams, the first leg under an outage storm so
+/// failover, probing and retransmission all run.
+#[test]
+fn mux_replay_three_legs_fec4() {
+    let _g = shared();
+    let sites = paper_sites();
+    let cfg = LoaderConfig {
+        deadline: Nanos::from_secs(30),
+        ..LoaderConfig::default()
+    };
+    let page = load_page(&sites[0], 0, 0, 5, &cfg).trace;
+    let (merged, legs) = replay_multipath(
+        &page,
+        &SplitterSpec::PaddedRandom,
+        3,
+        "outage-storm",
+        Some(4),
+        21,
+    );
+    let mut h = Fnv::new();
+    h.trace(&merged);
+    for leg in &legs {
+        h.trace(leg);
+    }
+    let got = (merged.packets.len(), h.0);
+    assert_eq!(got, (689, 0xcbd9_5b0b_572c_75d5), "{got:#x?}");
 }
