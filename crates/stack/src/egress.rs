@@ -51,7 +51,7 @@
 //!
 //! ```
 //! use netsim::{FlowId, Nanos, Packet, PacketKind};
-//! use stack::egress::{EgressLabels, EgressPipeline, FlowStats, TransportCore};
+//! use stack::egress::{Actions, EgressLabels, EgressPipeline, FlowStats, TransportCore};
 //! use stack::qdisc::SegDesc;
 //! use stack::shaper::ShapeCtx;
 //! use stack::tcp::TcpAction;
@@ -98,16 +98,16 @@
 //! }
 //!
 //! impl TransportCore for FixedSender {
-//!     fn input(&mut self, _pkt: &Packet, _now: Nanos, _cpu: &mut Cpu) -> Vec<TcpAction> {
-//!         Vec::new() // fire and forget: nothing comes back
+//!     fn input(&mut self, _pkt: &Packet, _now: Nanos, _cpu: &mut Cpu, _out: &mut Actions) {
+//!         // fire and forget: nothing comes back
 //!     }
-//!     fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-//!         let mut acts = Vec::new();
+//!     fn output(&mut self, now: Nanos, cpu: &mut Cpu, out: &mut Actions) {
 //!         while self.queued >= u64::from(DGRAM_IP - HDR) {
 //!             let ctx = self.ctx(now);
 //!             // One datagram per segment; the shaper may still shrink it.
 //!             let n = self.egress.segment_pkts(&ctx, 1);
-//!             let mut pkts = Vec::new();
+//!             // The driver's recycled buffer: no allocation per segment.
+//!             let mut pkts = out.seg_buf();
 //!             for i in 0..n {
 //!                 let ip = self.egress.packet_ip_size(&ctx, i, DGRAM_IP, HDR + 1, DGRAM_IP);
 //!                 let payload = ip - HDR;
@@ -123,9 +123,8 @@
 //!             let payload: u64 = pkts.iter().map(|p| u64::from(p.payload)).sum();
 //!             let npkts = pkts.len() as u32;
 //!             let paced = self.egress.pace_segment(&ctx, now, cpu, payload, npkts, wire, false);
-//!             acts.push(TcpAction::SendSeg(SegDesc::new(self.flow, pkts, paced.eligible)));
+//!             out.push(TcpAction::SendSeg(SegDesc::new(self.flow, pkts, paced.eligible)));
 //!         }
-//!         acts
 //!     }
 //!     fn write(&mut self, len: u64) -> u64 {
 //!         self.queued += len;
@@ -597,6 +596,72 @@ pub struct FlowStats {
     pub shaped_segs: u64,
 }
 
+/// Spare packet buffers for segments, recycled through one
+/// [`net::Network`](crate::net::Network): the NIC hands each drained
+/// segment's buffer back here, transports build new segments in them.
+#[derive(Default)]
+pub(crate) struct SegPool(Vec<Vec<Packet>>);
+
+impl SegPool {
+    /// An empty buffer — a recycled one when there is one.
+    pub(crate) fn take(&mut self) -> Vec<Packet> {
+        self.0.pop().unwrap_or_default()
+    }
+
+    /// Keep `pkts`' allocation for a later segment.
+    pub(crate) fn give(&mut self, mut pkts: Vec<Packet>) {
+        pkts.clear();
+        self.0.push(pkts);
+    }
+}
+
+/// Where one [`TransportCore`] call writes its effects: the driver's
+/// action list, plus the pool the packet buffers of new segments come
+/// from. The caller owns both — `net::Network` recycles its action lists
+/// through a free list and its packet buffers through the NIC — so a
+/// steady-state call allocates nothing.
+pub struct Actions<'a> {
+    list: &'a mut Vec<TcpAction>,
+    pool: &'a mut SegPool,
+}
+
+impl<'a> Actions<'a> {
+    pub(crate) fn new(list: &'a mut Vec<TcpAction>, pool: &'a mut SegPool) -> Self {
+        Actions { list, pool }
+    }
+
+    /// Run `f` against a fresh list and an empty pool and return what it
+    /// wrote: for callers that drive a transport outside a `Network`.
+    pub(crate) fn collect(f: impl FnOnce(&mut Actions)) -> Vec<TcpAction> {
+        let mut list = Vec::new();
+        f(&mut Actions::new(&mut list, &mut SegPool::default()));
+        list
+    }
+
+    /// Ask the driver to carry out `act`.
+    pub fn push(&mut self, act: TcpAction) {
+        self.list.push(act);
+    }
+
+    /// [`push`](Self::push) each of `acts` (an `Option` pushes zero or one).
+    pub(crate) fn extend(&mut self, acts: impl IntoIterator<Item = TcpAction>) {
+        self.list.extend(acts);
+    }
+
+    /// An empty buffer to build one segment's packets in, for a
+    /// [`TcpAction::SendSeg`]; once the NIC has sent them it comes back
+    /// to the pool.
+    pub fn seg_buf(&mut self) -> Vec<Packet> {
+        self.pool.take()
+    }
+
+    /// Actions in the list so far.
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
+        self.list.len()
+    }
+}
+
 /// The contract a transport owes the network driver: produce eligible
 /// segments, accept packets and timers, expose the congestion state the
 /// §4.2 safety audit needs, and accept NIC release notifications.
@@ -604,29 +669,27 @@ pub struct FlowStats {
 /// [`TcpConn`](crate::tcp::TcpConn), `QuicConn` and
 /// [`Multiplex`](crate::mux::Multiplex) implement this; `net::Network`
 /// holds every connection as a `Box<dyn TransportCore>` and drives it
-/// through nothing else. The module-level example shows a minimal custom
-/// implementation.
+/// through nothing else. The four calls that produce effects write them
+/// into the caller's [`Actions`] rather than returning a list, and build
+/// segments in its [`seg_buf`](Actions::seg_buf)s. The module-level
+/// example shows a minimal custom implementation.
 pub trait TransportCore {
     /// Active open (client side): the packets and timers that start the
     /// handshake. A transport without one — the flow is usable at once —
     /// keeps the default.
-    fn connect(&mut self, _now: Nanos) -> Vec<TcpAction> {
-        Vec::new()
-    }
+    fn connect(&mut self, _now: Nanos, _out: &mut Actions) {}
 
-    /// Process one arriving packet; returns effects for the driver.
-    fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction>;
+    /// Process one arriving packet, writing effects for the driver.
+    fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu, out: &mut Actions);
 
     /// Produce as many eligible segments as window/pacing permit.
-    fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction>;
+    fn output(&mut self, now: Nanos, cpu: &mut Cpu, out: &mut Actions);
 
     /// A transport timer fired (`gen` disambiguates stale events). A call
     /// carrying an older `gen` than the transport's latest `ArmTimer` of
     /// that `kind` must do nothing: the driver delivers only the latest
     /// request of each kind and never fires the ones it outdated.
-    fn on_timer(&mut self, _kind: TimerKind, _gen: u64, _now: Nanos) -> Vec<TcpAction> {
-        Vec::new()
-    }
+    fn on_timer(&mut self, _kind: TimerKind, _gen: u64, _now: Nanos, _out: &mut Actions) {}
 
     /// Application write: accept up to `len` bytes into the send buffer;
     /// returns the bytes accepted.
@@ -671,6 +734,27 @@ pub trait TransportCore {
     /// Transport-agnostic summary stats.
     fn flow_stats(&self) -> FlowStats;
 }
+
+/// `Vec`-returning forms of the [`TransportCore`] calls, for the
+/// in-memory shuttles in this crate's unit tests.
+#[cfg(test)]
+pub(crate) trait Collect: TransportCore {
+    fn connect_acts(&mut self, now: Nanos) -> Vec<TcpAction> {
+        Actions::collect(|out| self.connect(now, out))
+    }
+    fn input_acts(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
+        Actions::collect(|out| self.input(pkt, now, cpu, out))
+    }
+    fn output_acts(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
+        Actions::collect(|out| self.output(now, cpu, out))
+    }
+    fn on_timer_acts(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
+        Actions::collect(|out| self.on_timer(kind, gen, now, out))
+    }
+}
+
+#[cfg(test)]
+impl<T: TransportCore + ?Sized> Collect for T {}
 
 #[cfg(test)]
 mod tests {

@@ -41,7 +41,7 @@
 //! [`EgressLabels::MUX`] instrument family (`stack.mux.*`).
 
 use crate::cpu::Cpu;
-use crate::egress::{EgressLabels, EgressPipeline, FlowStats, TransportCore};
+use crate::egress::{Actions, EgressLabels, EgressPipeline, FlowStats, TransportCore};
 use crate::qdisc::SegDesc;
 use crate::seq::{Deadline, Reassembly};
 use crate::shaper::{BoxShaper, ShapeCtx};
@@ -199,15 +199,15 @@ impl Splitter {
                 best
             }
             SplitterSpec::PaddedRandom => {
-                let live_idx: Vec<usize> = (0..n).filter(|&i| live(i)).collect();
+                let mut live_idx = (0..n).filter(|&i| live(i));
                 if padding {
                     // Least-loaded live pipe (lowest index on ties).
-                    *live_idx
-                        .iter()
-                        .min_by_key(|&&i| (self.sent[i], i))
+                    live_idx
+                        .min_by_key(|&i| (self.sent[i], i))
                         .expect("at least one candidate")
                 } else {
-                    live_idx[self.rng.next_below(live_idx.len() as u64) as usize]
+                    let k = self.rng.next_below(live_idx.clone().count() as u64);
+                    live_idx.nth(k as usize).expect("k below the live count")
                 }
             }
         };
@@ -409,8 +409,13 @@ impl Multiplex {
         self.unacked.values().map(|u| u64::from(u.len)).sum()
     }
 
-    fn alive_mask(&self) -> Vec<bool> {
-        self.health.iter().map(|h| h.alive).collect()
+    /// The splitter's pipe for the next datagram, among the live ones.
+    fn pick_pipe(&mut self, padding: bool) -> usize {
+        let mut alive = [false; MAX_PIPES];
+        for (a, h) in alive.iter_mut().zip(&self.health) {
+            *a = h.alive;
+        }
+        self.splitter.pick(&alive[..self.health.len()], padding)
     }
 
     fn mk_dgram(&self, kind: PacketKind, seq: u64, ack: u64, payload: u32, pipe: usize) -> Packet {
@@ -428,12 +433,12 @@ impl Multiplex {
         p
     }
 
-    fn arm_timer(&mut self, now: Nanos, acts: &mut Vec<TcpAction>) {
+    fn arm_timer(&mut self, now: Nanos, out: &mut Actions) {
         let need = (self.is_client && self.hello_sent && !self.connected)
             || !self.unacked.is_empty()
             || self.health.iter().any(|h| !h.alive);
         if need {
-            acts.extend(self.probe.arm(now + self.cfg.probe_base));
+            out.extend(self.probe.arm(now + self.cfg.probe_base));
         }
     }
 
@@ -446,11 +451,10 @@ impl Multiplex {
         retransmit: bool,
         now: Nanos,
         cpu: &mut Cpu,
-        acts: &mut Vec<TcpAction>,
+        out: &mut Actions,
     ) {
         let ctx = self.ctx(now);
-        let alive = self.alive_mask();
-        let pipe = self.splitter.pick(&alive, false);
+        let pipe = self.pick_pipe(false);
         let ip = if retransmit {
             self.stats.retransmits += 1;
             self.egress
@@ -478,10 +482,12 @@ impl Multiplex {
                 pipe: pipe as u8,
             },
         );
-        telemetry::counter("stack.mux.tx_pkts").inc();
-        acts.push(TcpAction::SendSeg(SegDesc::new(
+        netsim::tm_counter!("stack.mux.tx_pkts").inc();
+        let mut pkts = out.seg_buf();
+        pkts.push(p);
+        out.push(TcpAction::SendSeg(SegDesc::new(
             self.flow,
-            vec![p],
+            pkts,
             paced.eligible,
         )));
         // FEC bookkeeping over fresh data only.
@@ -492,22 +498,15 @@ impl Multiplex {
                 }
                 self.fec_accum += 1;
                 if self.fec_accum >= k {
-                    self.emit_parity(seq + u64::from(len), now, cpu, acts);
+                    self.emit_parity(seq + u64::from(len), now, cpu, out);
                 }
             }
         }
     }
 
-    fn emit_parity(
-        &mut self,
-        group_end: u64,
-        now: Nanos,
-        cpu: &mut Cpu,
-        acts: &mut Vec<TcpAction>,
-    ) {
+    fn emit_parity(&mut self, group_end: u64, now: Nanos, cpu: &mut Cpu, out: &mut Actions) {
         let ctx = self.ctx(now);
-        let alive = self.alive_mask();
-        let pipe = self.splitter.pick(&alive, true);
+        let pipe = self.pick_pipe(true);
         // Parity carries group bounds in seq/ack; its wire size matches a
         // data datagram so it doesn't betray itself by length.
         let mut p = self.mk_dgram(PacketKind::MuxParity, self.fec_start, group_end, 0, pipe);
@@ -516,10 +515,12 @@ impl Multiplex {
         let paced = self.egress.pace_segment(&ctx, now, cpu, 0, 1, wire, false);
         p.meta.shaped = paced.shaped;
         self.stats.pkts_sent += 1;
-        telemetry::counter("stack.mux.parity_pkts").inc();
-        acts.push(TcpAction::SendSeg(SegDesc::new(
+        netsim::tm_counter!("stack.mux.parity_pkts").inc();
+        let mut pkts = out.seg_buf();
+        pkts.push(p);
+        out.push(TcpAction::SendSeg(SegDesc::new(
             self.flow,
-            vec![p],
+            pkts,
             paced.eligible,
         )));
         self.fec_accum = 0;
@@ -527,75 +528,84 @@ impl Multiplex {
 
     /// Try FEC recovery, then deliver everything now contiguous;
     /// `newly` bytes already became in-order on arrival.
-    fn deliver(&mut self, newly: u64, acts: &mut Vec<TcpAction>) {
+    fn deliver(&mut self, newly: u64, out: &mut Actions) {
         self.try_fec_recover();
         let n = newly + self.rx.advance();
         let next = self.rx.next();
         self.parity_groups.retain(|&(_, end)| end > next);
         self.stats.bytes_delivered += n;
         if n > 0 {
-            acts.push(TcpAction::Deliver(n));
+            out.push(TcpAction::Deliver(n));
         }
     }
 
     /// Try XOR-parity recovery: a stored group with exactly one missing
     /// contiguous range can be reconstructed.
     fn try_fec_recover(&mut self) {
-        let groups = self.parity_groups.clone();
-        for (start, end) in groups {
+        let mut i = 0;
+        while let Some(&(start, end)) = self.parity_groups.get(i) {
+            // The group's holes: how many, and the first.
             let mut cursor = start.max(self.rx.next());
-            let mut gaps: Vec<(u64, u64)> = Vec::new();
+            let (mut holes, mut first) = (0, (0, 0));
+            let mut hole = |lo: u64, hi: u64| {
+                if holes == 0 {
+                    first = (lo, hi);
+                }
+                holes += 1;
+            };
             for (&seq, &len) in self.rx.ooo().range(start..end) {
                 if seq > cursor {
-                    gaps.push((cursor, seq));
+                    hole(cursor, seq);
                 }
                 cursor = cursor.max(seq + len);
             }
             if cursor < end {
-                gaps.push((cursor, end));
+                hole(cursor, end);
             }
-            if gaps.len() == 1 {
-                let (lo, hi) = gaps[0];
+            if holes == 1 {
+                let (lo, hi) = first;
                 self.rx.insert(lo, hi - lo);
                 self.recovered += 1;
                 telemetry::counter("stack.mux.fec_recovered").inc();
-                self.parity_groups.retain(|&(s, _)| s != start);
-            } else if gaps.is_empty() {
-                self.parity_groups.retain(|&(s, _)| s != start);
+            }
+            // Group starts are unique: the group done with is this one.
+            if holes <= 1 {
+                self.parity_groups.remove(i);
+            } else {
+                i += 1;
             }
         }
     }
 
     /// Emit acks: one per pipe with unreported receipts.
-    fn emit_acks(&mut self, acts: &mut Vec<TcpAction>) {
+    fn emit_acks(&mut self, out: &mut Actions) {
         for i in 0..self.cfg.n_pipes {
             if self.rx_per_pipe[i] > self.rx_acked_per_pipe[i] {
                 let p = self.mk_ctl(PacketKind::MuxAck, self.rx_per_pipe[i], self.rx.next(), i);
                 self.rx_acked_per_pipe[i] = self.rx_per_pipe[i];
                 self.stats.acks_sent += 1;
-                telemetry::counter("stack.mux.acks_sent").inc();
-                acts.push(TcpAction::SendCtl(p));
+                netsim::tm_counter!("stack.mux.acks_sent").inc();
+                out.push(TcpAction::SendCtl(p));
             }
         }
         self.rx_since_ack = 0;
     }
 
     /// Process a cumulative ack + per-pipe receipt report.
-    fn on_ack(&mut self, pkt: &Packet, now: Nanos, acts: &mut Vec<TcpAction>) {
+    fn on_ack(&mut self, pkt: &Packet, now: Nanos, out: &mut Actions) {
         let was_full = self.outstanding_bytes() + u64::from(self.dgram_ip()) > self.cfg.window;
         // Cumulative ack clears the retransmission ledger.
         let cum = pkt.ack;
-        let cleared: Vec<u64> = self
+        let mut from = 0;
+        while let Some(s) = self
             .unacked
-            .range(..cum)
-            .filter(|(&s, u)| s + u64::from(u.len) <= cum)
+            .range(from..cum)
+            .find(|(&s, u)| s + u64::from(u.len) <= cum)
             .map(|(&s, _)| s)
-            .collect();
-        if !cleared.is_empty() {
-            self.last_cum_progress = now;
-        }
-        for s in cleared {
+        {
             self.unacked.remove(&s);
+            self.last_cum_progress = now;
+            from = s + 1;
         }
         self.retx.retain(|&(s, len)| s + u64::from(len) > cum);
         self.egress.on_ack(&self.ctx(now));
@@ -619,7 +629,7 @@ impl Multiplex {
             }
         }
         if was_full && self.outstanding_bytes() + u64::from(self.dgram_ip()) <= self.cfg.window {
-            acts.push(TcpAction::Sendable);
+            out.push(TcpAction::Sendable);
         }
     }
 
@@ -649,8 +659,7 @@ impl Multiplex {
 }
 
 impl TransportCore for Multiplex {
-    fn input(&mut self, pkt: &Packet, now: Nanos, _cpu: &mut Cpu) -> Vec<TcpAction> {
-        let mut acts = Vec::new();
+    fn input(&mut self, pkt: &Packet, now: Nanos, _cpu: &mut Cpu, out: &mut Actions) {
         // Every datagram but an ack is a receipt on the pipe it came over.
         let pipe = pkt.meta.pipe.map(usize::from);
         if let Some(n) = pipe.and_then(|i| self.rx_per_pipe.get_mut(i)) {
@@ -675,14 +684,14 @@ impl TransportCore for Multiplex {
                             .map(|p| (p as usize).min(self.cfg.n_pipes - 1))
                             .unwrap_or(0);
                         let echo = self.mk_ctl(PacketKind::MuxInit, 0, 0, pipe);
-                        acts.push(TcpAction::SendCtl(echo));
-                        acts.push(TcpAction::Connected);
+                        out.push(TcpAction::SendCtl(echo));
+                        out.push(TcpAction::Connected);
                     }
-                    self.emit_acks(&mut acts);
+                    self.emit_acks(out);
                 } else if !self.connected {
                     self.connected = true;
-                    acts.push(TcpAction::Connected);
-                    acts.push(TcpAction::Sendable);
+                    out.push(TcpAction::Connected);
+                    out.push(TcpAction::Sendable);
                 }
             }
             PacketKind::MuxData => {
@@ -690,11 +699,11 @@ impl TransportCore for Multiplex {
                     telemetry::counter("stack.mux.dup_drops").inc();
                 } else {
                     let newly = self.rx.accept(pkt.seq, u64::from(pkt.payload));
-                    self.deliver(newly.unwrap_or(0), &mut acts);
+                    self.deliver(newly.unwrap_or(0), out);
                 }
                 self.rx_since_ack += 1;
                 if self.rx_since_ack >= self.cfg.ack_every {
-                    self.emit_acks(&mut acts);
+                    self.emit_acks(out);
                 }
             }
             PacketKind::MuxParity => {
@@ -702,34 +711,32 @@ impl TransportCore for Multiplex {
                 if end > self.rx.next() && !self.parity_groups.iter().any(|&(s, _)| s == start) {
                     self.parity_groups.push((start, end));
                 }
-                self.deliver(0, &mut acts);
+                self.deliver(0, out);
             }
-            PacketKind::MuxAck => self.on_ack(pkt, now, &mut acts),
+            PacketKind::MuxAck => self.on_ack(pkt, now, out),
             _ => {}
         }
-        self.arm_timer(now, &mut acts);
-        acts
+        self.arm_timer(now, out);
     }
 
-    fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        let mut acts = Vec::new();
+    fn output(&mut self, now: Nanos, cpu: &mut Cpu, out: &mut Actions) {
         if self.is_client && !self.hello_sent {
             self.hello_sent = true;
             self.hello_attempts = 1;
             let hello = self.mk_ctl(PacketKind::MuxInit, 0, 0, 0);
-            acts.push(TcpAction::SendCtl(hello));
+            out.push(TcpAction::SendCtl(hello));
         }
         if !self.connected {
             // Still arm the probe timer: the hello may have gone down a
             // dead leg, and only the timer can retry it elsewhere.
-            self.arm_timer(now, &mut acts);
-            return acts;
+            self.arm_timer(now, out);
+            return;
         }
         // Drain retransmissions first (failover / tail-loss recovery).
         let retx = std::mem::take(&mut self.retx);
         for (seq, len) in retx {
             if self.unacked.contains_key(&seq) {
-                self.emit_data(seq, len, true, now, cpu, &mut acts);
+                self.emit_data(seq, len, true, now, cpu, out);
             }
         }
         // Fresh data, windowed.
@@ -739,17 +746,15 @@ impl TransportCore for Multiplex {
             let seq = self.snd_nxt;
             self.queued -= u64::from(len);
             self.snd_nxt += u64::from(len);
-            self.emit_data(seq, len, false, now, cpu, &mut acts);
+            self.emit_data(seq, len, false, now, cpu, out);
         }
-        self.arm_timer(now, &mut acts);
-        acts
+        self.arm_timer(now, out);
     }
 
-    fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
+    fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos, out: &mut Actions) {
         if kind != TimerKind::Probe || !self.probe.take(gen) {
-            return Vec::new();
+            return;
         }
-        let mut acts = Vec::new();
         // Connection racing: an unanswered hello is retried on the next
         // pipe (rotating), so establishment needs only one working leg
         // in each direction — the hello itself carries no liveness
@@ -759,7 +764,7 @@ impl TransportCore for Multiplex {
             self.hello_attempts += 1;
             telemetry::counter("stack.mux.hello_retries").inc();
             let hello = self.mk_ctl(PacketKind::MuxInit, 0, 0, pipe);
-            acts.push(TcpAction::SendCtl(hello));
+            out.push(TcpAction::SendCtl(hello));
         }
         // Liveness scoring: a pipe with packets outstanding and no ack
         // progress for liveness_timeout is failed over.
@@ -783,7 +788,7 @@ impl TransportCore for Multiplex {
             if probe {
                 let p = self.mk_ctl(PacketKind::MuxInit, 0, self.rx.next(), i);
                 telemetry::counter("stack.mux.probes").inc();
-                acts.push(TcpAction::SendCtl(p));
+                out.push(TcpAction::SendCtl(p));
                 let h = &mut self.health[i];
                 h.backoff_exp = next_exp;
                 let mut wait = self.cfg.probe_base;
@@ -804,10 +809,9 @@ impl TransportCore for Multiplex {
                 }
             }
             self.last_cum_progress = now;
-            acts.push(TcpAction::Sendable);
+            out.push(TcpAction::Sendable);
         }
-        self.arm_timer(now, &mut acts);
-        acts
+        self.arm_timer(now, out);
     }
 
     fn write(&mut self, len: u64) -> u64 {
@@ -858,6 +862,7 @@ impl TransportCore for Multiplex {
 mod tests {
     use super::*;
     use crate::cpu::CpuModel;
+    use crate::egress::Collect;
 
     fn cpu() -> Cpu {
         Cpu::new(CpuModel::infinitely_fast())
@@ -943,7 +948,7 @@ mod tests {
         let mut inbox: Vec<(bool, Packet)> = Vec::new(); // destined-for-client?
         let mut c = cpu();
 
-        let mut acts = client.output(now, &mut c);
+        let mut acts = client.output_acts(now, &mut c);
         for _ in 0..rounds {
             let mut next: Vec<(bool, Packet)> = Vec::new();
             // `acts` always belongs to the client at loop top; fold in
@@ -979,8 +984,8 @@ mod tests {
             // Deliver queued packets.
             for (to_client, p) in inbox.drain(..) {
                 let ep: &mut Multiplex = if to_client { client } else { server };
-                let mut got = ep.input(&p, now, &mut c);
-                got.extend(ep.output(now, &mut c));
+                let mut got = ep.input_acts(&p, now, &mut c);
+                got.extend(ep.output_acts(now, &mut c));
                 apply(to_client, got, &mut next, &mut timers, &mut delivered);
             }
             // Fire due timers.
@@ -993,8 +998,8 @@ mod tests {
             timers.retain(|&(_, at, _)| at > now);
             for (isc, gen) in due {
                 let ep: &mut Multiplex = if isc { client } else { server };
-                let mut got = ep.on_timer(TimerKind::Probe, gen, now);
-                got.extend(ep.output(now, &mut c));
+                let mut got = ep.on_timer_acts(TimerKind::Probe, gen, now);
+                got.extend(ep.output_acts(now, &mut c));
                 apply(isc, got, &mut next, &mut timers, &mut delivered);
             }
             inbox = next;
@@ -1030,13 +1035,13 @@ mod tests {
         // Hand-deliver: handshake, then drop exactly one data datagram.
         let mut c = cpu();
         let now = Nanos::ZERO;
-        let hello = client.output(now, &mut c);
+        let hello = client.output_acts(now, &mut c);
         let hello_pkt = match &hello[0] {
             TcpAction::SendCtl(p) => p.clone(),
             other => panic!("expected hello, got {other:?}"),
         };
-        let mut sacts = server.input(&hello_pkt, now, &mut c);
-        sacts.extend(server.output(now, &mut c));
+        let mut sacts = server.input_acts(&hello_pkt, now, &mut c);
+        sacts.extend(server.output_acts(now, &mut c));
         let echo = sacts
             .iter()
             .find_map(|a| match a {
@@ -1044,8 +1049,8 @@ mod tests {
                 _ => None,
             })
             .expect("echo");
-        let mut cacts = client.input(&echo, now, &mut c);
-        cacts.extend(client.output(now, &mut c));
+        let mut cacts = client.input_acts(&echo, now, &mut c);
+        cacts.extend(client.output_acts(now, &mut c));
         let mut data: Vec<Packet> = cacts
             .iter()
             .filter_map(|a| match a {
@@ -1067,7 +1072,7 @@ mod tests {
         assert_eq!(victim.kind, PacketKind::MuxData);
         let mut delivered = 0u64;
         for p in &data {
-            for a in server.input(p, now, &mut c) {
+            for a in server.input_acts(p, now, &mut c) {
                 if let TcpAction::Deliver(n) = a {
                     delivered += n;
                 }
@@ -1137,13 +1142,13 @@ mod tests {
         client.write(100_000);
         let mut c = cpu();
         let now = Nanos::ZERO;
-        let hello = client.output(now, &mut c);
+        let hello = client.output_acts(now, &mut c);
         let hello_pkt = match &hello[0] {
             TcpAction::SendCtl(p) => p.clone(),
             _ => panic!(),
         };
-        let mut sacts = server.input(&hello_pkt, now, &mut c);
-        sacts.extend(server.output(now, &mut c));
+        let mut sacts = server.input_acts(&hello_pkt, now, &mut c);
+        sacts.extend(server.output_acts(now, &mut c));
         let echo = sacts
             .iter()
             .find_map(|a| match a {
@@ -1151,8 +1156,8 @@ mod tests {
                 _ => None,
             })
             .unwrap();
-        let mut cacts = client.input(&echo, now, &mut c);
-        cacts.extend(client.output(now, &mut c));
+        let mut cacts = client.input_acts(&echo, now, &mut c);
+        cacts.extend(client.output_acts(now, &mut c));
         let sent: usize = cacts
             .iter()
             .filter(|a| matches!(a, TcpAction::SendSeg(_)))

@@ -76,11 +76,12 @@ impl<'a> Api<'a> {
         if let Some(tr) = &self.net.tracer {
             core.set_tracer(tr.clone());
         }
-        let acts = core.connect(self.net.q.now());
         self.net.hosts[self.host]
             .conns
             .insert(flow, Conn::new(core));
-        self.net.apply(self.host, flow, acts);
+        let now = self.net.q.now();
+        self.net
+            .drive(self.host, flow, |core, _, out| core.connect(now, out));
         flow
     }
 
@@ -96,16 +97,11 @@ impl<'a> Api<'a> {
     /// Write up to `bytes` into the socket buffer; returns bytes accepted.
     pub fn send(&mut self, flow: FlowId, bytes: u64) -> u64 {
         let now = self.net.q.now();
-        let (accepted, acts) = {
-            let h = &mut self.net.hosts[self.host];
-            let Some(conn) = h.conns.get_mut(&flow) else {
-                return 0;
-            };
-            let accepted = conn.core.write(bytes);
-            let acts = conn.core.output(now, &mut h.cpu);
-            (accepted, acts)
-        };
-        self.net.apply(self.host, flow, acts);
+        let mut accepted = 0;
+        self.net.drive(self.host, flow, |core, cpu, out| {
+            accepted = core.write(bytes);
+            core.output(now, cpu, out);
+        });
         accepted
     }
 
@@ -113,15 +109,10 @@ impl<'a> Api<'a> {
     /// a transport that models one — see [`TransportCore::close`]).
     pub fn close(&mut self, flow: FlowId) {
         let now = self.net.q.now();
-        let acts = {
-            let h = &mut self.net.hosts[self.host];
-            let Some(conn) = h.conns.get_mut(&flow) else {
-                return;
-            };
-            conn.core.close();
-            conn.core.output(now, &mut h.cpu)
-        };
-        self.net.apply(self.host, flow, acts);
+        self.net.drive(self.host, flow, |core, cpu, out| {
+            core.close();
+            core.output(now, cpu, out);
+        });
     }
 
     /// Arm an application timer delivering `token` after `delay`.

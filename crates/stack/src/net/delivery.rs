@@ -8,7 +8,8 @@
 
 use super::host::Conn;
 use super::{Api, Ev, Network, CLIENT, LANE_ARRIVE, LANE_BN, LANE_NIC, SERVER};
-use crate::egress::TransportCore;
+use crate::cpu::Cpu;
+use crate::egress::{Actions, TransportCore};
 use crate::qdisc::{Poll, SegDesc};
 use crate::quic::QuicConn;
 use crate::tcp::{TcpAction, TcpConn, TimerKind};
@@ -34,12 +35,10 @@ impl Network {
             Ev::PktLeaveNic { host, pkt } => self.pkt_leave_nic(host, pkt),
             Ev::SegTxDone { host, flow, wire } => {
                 let now = self.q.now();
-                let h = &mut self.hosts[host];
-                if let Some(conn) = h.conns.get_mut(&flow) {
-                    conn.core.on_nic_release(wire);
-                    let acts = conn.core.output(now, &mut h.cpu);
-                    self.apply(host, flow, acts);
-                }
+                self.drive(host, flow, |core, cpu, out| {
+                    core.on_nic_release(wire);
+                    core.output(now, cpu, out);
+                });
                 // The NIC frees at this instant: keep feeding it from
                 // here rather than through a wake-up event of its own.
                 self.qdisc_check(host);
@@ -131,8 +130,31 @@ impl Network {
         }
     }
 
-    /// Apply transport actions produced by conn `flow` on `host`.
-    pub(super) fn apply(&mut self, host: usize, flow: FlowId, acts: Vec<TcpAction>) {
+    /// Make one call into `flow`'s transport on `host` with a recycled
+    /// action list, then apply what it wrote. Does nothing if the flow is
+    /// gone (aborted by an app callback, or never opened).
+    pub(super) fn drive(
+        &mut self,
+        host: usize,
+        flow: FlowId,
+        call: impl FnOnce(&mut dyn TransportCore, &mut Cpu, &mut Actions),
+    ) {
+        let h = &mut self.hosts[host];
+        let Some(conn) = h.conns.get_mut(&flow) else {
+            return;
+        };
+        let mut list = self.act_bufs.pop().unwrap_or_default();
+        call(
+            conn.core.as_mut(),
+            &mut h.cpu,
+            &mut Actions::new(&mut list, &mut self.seg_pool),
+        );
+        self.apply(host, flow, list);
+    }
+
+    /// Apply transport actions produced by conn `flow` on `host`, then
+    /// keep the emptied list for the next call.
+    pub(super) fn apply(&mut self, host: usize, flow: FlowId, mut acts: Vec<TcpAction>) {
         let now = self.q.now();
         // §4.2 audit: the batch of fresh (non-retransmit) departures one
         // output pass authorises must fit within the congestion
@@ -164,7 +186,7 @@ impl Network {
                 );
             }
         }
-        for act in acts {
+        for act in acts.drain(..) {
             match act {
                 TcpAction::SendSeg(seg) => {
                     let at = seg.eligible_at;
@@ -172,7 +194,9 @@ impl Network {
                     self.schedule_check(host, at.max(now));
                 }
                 TcpAction::SendCtl(pkt) => {
-                    let seg = SegDesc::new(flow, vec![pkt], now);
+                    let mut pkts = self.seg_pool.take();
+                    pkts.push(pkt);
+                    let seg = SegDesc::new(flow, pkts, now);
                     self.hosts[host].qdisc.enqueue_prio(seg);
                     self.schedule_check(host, now);
                 }
@@ -195,6 +219,7 @@ impl Network {
                 }
             }
         }
+        self.act_bufs.push(acts);
     }
 
     /// Take a transport's timer request. Only the latest request of a
@@ -263,16 +288,10 @@ impl Network {
         }
         slot.live = None;
         let gen = slot.gen;
-        let acts = conn.core.on_timer(kind, gen, now);
-        self.apply(host, flow, acts);
-        let more = {
-            let h = &mut self.hosts[host];
-            match h.conns.get_mut(&flow) {
-                Some(conn) => conn.core.output(now, &mut h.cpu),
-                None => return,
-            }
-        };
-        self.apply(host, flow, more);
+        self.drive(host, flow, |core, _, out| {
+            core.on_timer(kind, gen, now, out)
+        });
+        self.drive(host, flow, |core, cpu, out| core.output(now, cpu, out));
     }
 
     pub(super) fn with_app(&mut self, host: usize, f: impl FnOnce(&mut dyn super::App, &mut Api)) {
@@ -351,11 +370,11 @@ impl Network {
                         "tso-burst",
                     );
                 }
-                let (done, pkts) = h.nic.transmit_segment(now, seg);
-                for (t, pkt) in pkts {
-                    self.q
-                        .schedule_lane(LANE_NIC + host, t, Ev::PktLeaveNic { host, pkt });
-                }
+                let q = &mut self.q;
+                let (done, emptied) = h.nic.transmit(now, seg, |t, pkt| {
+                    q.schedule_lane(LANE_NIC + host, t, Ev::PktLeaveNic { host, pkt });
+                });
+                self.seg_pool.give(emptied);
                 // Its handler checks again: that is when the NIC frees.
                 self.q
                     .schedule_lane(LANE_NIC + host, done, Ev::SegTxDone { host, flow, wire });
@@ -629,20 +648,8 @@ impl Network {
             }
             self.hosts[host].conns.insert(flow, Conn::new(core));
         }
-        let acts = {
-            let h = &mut self.hosts[host];
-            let conn = h.conns.get_mut(&flow).expect("conn just ensured");
-            conn.core.input(&pkt, now, &mut h.cpu)
-        };
-        self.apply(host, flow, acts);
-        let more = {
-            let h = &mut self.hosts[host];
-            match h.conns.get_mut(&flow) {
-                Some(conn) => conn.core.output(now, &mut h.cpu),
-                None => return,
-            }
-        };
-        self.apply(host, flow, more);
+        self.drive(host, flow, |core, cpu, out| core.input(&pkt, now, cpu, out));
+        self.drive(host, flow, |core, cpu, out| core.output(now, cpu, out));
     }
 
     /// Passive open: the server's transport for an unknown flow's first

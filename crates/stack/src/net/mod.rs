@@ -32,8 +32,8 @@ pub use api::Api;
 
 use crate::config::{HostConfig, PathConfig};
 use crate::cpu::Cpu;
-use crate::egress::{FlowStats, TransportCore};
-use crate::tcp::TimerKind;
+use crate::egress::{FlowStats, SegPool, TransportCore};
+use crate::tcp::{TcpAction, TimerKind};
 use host::Host;
 use netsim::telemetry::Tracer;
 use netsim::{
@@ -187,6 +187,14 @@ pub struct Network {
     /// multipath datagram opens a flow.
     pub(super) custom_acceptor: Option<CustomAcceptor>,
     pub(crate) path_stats: PathStats,
+    /// Emptied action lists. A transport call writes into one taken from
+    /// here and `apply` returns it; `apply` re-enters the transports
+    /// through app callbacks, so a call may need one while another is
+    /// still being applied.
+    pub(super) act_bufs: Vec<Vec<TcpAction>>,
+    /// Packet buffers of segments the NICs have sent, for the transports
+    /// and `apply` to build new segments in.
+    pub(super) seg_pool: SegPool,
     /// Vantage point at the client access link (the paper's capture
     /// position). `Out` = client→server.
     pub client_capture: Capture,
@@ -227,6 +235,8 @@ impl Network {
             pipes: Vec::new(),
             custom_acceptor: None,
             path_stats: PathStats::default(),
+            act_bufs: Vec::new(),
+            seg_pool: SegPool::default(),
             client_capture: Capture::new(),
             server_capture: Capture::new(),
         }

@@ -37,24 +37,39 @@ impl Nic {
         self.link.free_at()
     }
 
-    /// Serialize a whole segment starting no earlier than `now`.
-    ///
-    /// Returns `(tx_done, packets)` where each packet is stamped with the
-    /// time its last bit leaves the NIC. The caller (the event loop)
-    /// schedules network delivery from these times.
-    pub fn transmit_segment(&mut self, now: Nanos, seg: SegDesc) -> (Nanos, Vec<(Nanos, Packet)>) {
-        let mut out = Vec::with_capacity(seg.pkts.len());
+    /// Serialize a whole segment starting no earlier than `now`, handing
+    /// each packet to `emit` stamped with the time its last bit leaves
+    /// the NIC (the event loop schedules its departure from there).
+    /// Returns when the transmitter frees, and the segment's emptied
+    /// packet buffer for the caller to reuse.
+    pub(crate) fn transmit(
+        &mut self,
+        now: Nanos,
+        seg: SegDesc,
+        mut emit: impl FnMut(Nanos, Packet),
+    ) -> (Nanos, Vec<Packet>) {
+        let mut pkts = seg.pkts;
+        let n = pkts.len() as u64;
         let mut done = now;
-        for mut pkt in seg.pkts {
+        for mut pkt in pkts.drain(..) {
             let (tx_done, _) = self.link.transmit(now, pkt.wire_len as u64);
             pkt.sent_at = tx_done;
             done = tx_done;
-            self.packets_tx += 1;
-            out.push((tx_done, pkt));
+            emit(tx_done, pkt);
         }
+        self.packets_tx += n;
         self.segments_tx += 1;
         netsim::tm_counter!("stack.nic.segments_tx").inc();
-        netsim::tm_counter!("stack.nic.packets_tx").add(out.len() as u64);
+        netsim::tm_counter!("stack.nic.packets_tx").add(n);
+        (done, pkts)
+    }
+
+    /// Serialize a whole segment starting no earlier than `now`. Returns
+    /// when the transmitter frees, and each packet with the time its last
+    /// bit leaves the NIC, in a new list.
+    pub fn transmit_segment(&mut self, now: Nanos, seg: SegDesc) -> (Nanos, Vec<(Nanos, Packet)>) {
+        let mut out = Vec::with_capacity(seg.pkts.len());
+        let (done, _) = self.transmit(now, seg, |t, pkt| out.push((t, pkt)));
         (done, out)
     }
 }
@@ -99,6 +114,17 @@ mod tests {
             assert_eq!(p.sent_at, *t);
             assert!(*t > Nanos::from_micros(5));
         }
+    }
+
+    #[test]
+    fn transmit_hands_back_the_emptied_buffer() {
+        let mut nic = Nic::new(100_000_000_000);
+        let mut left = Vec::new();
+        let (done, emptied) = nic.transmit(Nanos::ZERO, burst(4, 1448), |t, p| left.push((t, p)));
+        assert!(emptied.is_empty() && emptied.capacity() >= 4);
+        assert_eq!(left.len(), 4);
+        assert_eq!(done, left[3].0);
+        assert!(left.iter().all(|(t, p)| p.sent_at == *t));
     }
 
     #[test]

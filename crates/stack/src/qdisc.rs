@@ -40,7 +40,7 @@ impl SegDesc {
 
 /// One flow's queue: its FIFO of paced segments plus the wire bytes they
 /// hold, kept together so every operation is one map lookup.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct FlowQueue {
     fifo: VecDeque<SegDesc>,
     backlog: u64,
@@ -63,6 +63,9 @@ pub struct FqQdisc {
     /// Per-flow queues of paced segments; only backlogged flows have an
     /// entry. BTreeMap for deterministic iteration order.
     flows: BTreeMap<FlowId, FlowQueue>,
+    /// Emptied FIFOs of flows that drained, kept for the next flow to
+    /// become backlogged so a backlog episode allocates nothing.
+    spare: Vec<VecDeque<SegDesc>>,
     /// Strict-priority band for pure ACKs / handshake packets (Linux
     /// does not pace these either).
     prio: VecDeque<SegDesc>,
@@ -77,7 +80,11 @@ impl FqQdisc {
     /// Enqueue a paced data segment.
     pub fn enqueue(&mut self, seg: SegDesc) {
         netsim::tm_counter!("stack.qdisc.enqueued").inc();
-        let q = self.flows.entry(seg.flow).or_default();
+        let spare = &mut self.spare;
+        let q = self.flows.entry(seg.flow).or_insert_with(|| FlowQueue {
+            fifo: spare.pop().unwrap_or_default(),
+            backlog: 0,
+        });
         q.backlog += seg.wire_bytes;
         // A maximum is order-independent, so the high-water mark stays
         // deterministic even when independent sims share the registry.
@@ -126,7 +133,8 @@ impl FqQdisc {
                 let seg = q.fifo.pop_front().expect("empty eligible flow");
                 q.backlog -= seg.wire_bytes;
                 if q.fifo.is_empty() {
-                    self.flows.remove(&flow);
+                    let drained = self.flows.remove(&flow).expect("flow just polled");
+                    self.spare.push(drained.fifo);
                 }
                 Poll::Ready(seg)
             }
@@ -250,6 +258,23 @@ mod tests {
         assert_eq!(q.flow_backlog(FlowId(1)), 0);
         assert_eq!(q.flow_backlog(FlowId(2)), 0);
         assert!(q.is_empty());
+    }
+
+    #[test]
+    fn a_drained_flow_leaves_its_fifo_for_the_next_backlog() {
+        let mut q = FqQdisc::new();
+        for _ in 0..8 {
+            q.enqueue(seg(1, 0, 100));
+        }
+        while q.dequeue(Nanos(0)).is_some() {}
+        assert!(q.flows.is_empty(), "only backlogged flows have an entry");
+        assert_eq!(q.spare.len(), 1);
+        q.enqueue(seg(2, 0, 100));
+        assert!(q.spare.is_empty());
+        assert!(
+            q.flows[&FlowId(2)].fifo.capacity() >= 8,
+            "the FIFO was reused"
+        );
     }
 
     #[test]

@@ -28,7 +28,7 @@
 use crate::cc::{make_cc, AckInfo, CongestionControl};
 use crate::config::StackConfig;
 use crate::cpu::Cpu;
-use crate::egress::{EgressLabels, EgressPipeline, FlowStats, TransportCore};
+use crate::egress::{Actions, EgressLabels, EgressPipeline, FlowStats, TransportCore};
 use crate::qdisc::SegDesc;
 use crate::seq::{Deadline, Due, Reassembly};
 use crate::shaper::{BoxShaper, ShapeCtx};
@@ -159,28 +159,20 @@ impl QuicConn {
         self.pto.arm(now + pto.max(self.cfg.min_rto))
     }
 
-    fn process_ack(
-        &mut self,
-        largest: u64,
-        contig_floor: u64,
-        now: Nanos,
-        acts: &mut Vec<TcpAction>,
-    ) {
+    fn process_ack(&mut self, largest: u64, contig_floor: u64, now: Nanos, out: &mut Actions) {
         let mut newly_acked = 0u64;
         let mut rtt = None;
-        let acked: Vec<u64> = self
-            .unacked
-            .range(..contig_floor)
-            .map(|(&n, _)| n)
-            .chain(self.unacked.contains_key(&largest).then_some(largest))
-            .collect();
-        for n in acked {
-            if let Some(sp) = self.unacked.remove(&n) {
-                newly_acked += sp.len as u64;
-                self.inflight_bytes = self.inflight_bytes.saturating_sub(sp.len as u64);
-                if n == largest && !sp.is_retx {
-                    rtt = Some(now - sp.sent_at);
-                }
+        // Everything below the floor in packet-number order, then the
+        // largest acked.
+        let next = |unacked: &mut BTreeMap<u64, SentPacket>| match unacked.first_entry() {
+            Some(first) if *first.key() < contig_floor => Some(first.remove_entry()),
+            _ => unacked.remove_entry(&largest),
+        };
+        while let Some((n, sp)) = next(&mut self.unacked) {
+            newly_acked += sp.len as u64;
+            self.inflight_bytes = self.inflight_bytes.saturating_sub(sp.len as u64);
+            if n == largest && !sp.is_retx {
+                rtt = Some(now - sp.sent_at);
             }
         }
         if let Some(r) = rtt {
@@ -202,7 +194,7 @@ impl QuicConn {
             if self.unacked.is_empty() {
                 self.pto.disarm();
             } else {
-                acts.extend(self.arm_pto(now));
+                out.extend(self.arm_pto(now));
             }
         }
         // Packet-threshold loss detection, head-hole only: our two-value
@@ -231,16 +223,15 @@ impl QuicConn {
 impl TransportCore for QuicConn {
     /// Client handshake start: a padded Initial datagram (QUIC requires
     /// Initials to be at least 1200 bytes).
-    fn connect(&mut self, _now: Nanos) -> Vec<TcpAction> {
+    fn connect(&mut self, _now: Nanos, out: &mut Actions) {
         assert!(self.is_client && self.state == QuicState::Closed);
         self.state = QuicState::Connecting;
         let mut p = self.dgram(PacketKind::QuicInit, 0, 0, 0);
         p.wire_len = 1200 + QUIC_WIRE_OVERHEAD;
-        vec![TcpAction::SendCtl(p)]
+        out.push(TcpAction::SendCtl(p));
     }
 
-    fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        let mut acts = Vec::new();
+    fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu, out: &mut Actions) {
         match pkt.kind {
             PacketKind::QuicInit => match (self.is_client, self.state) {
                 (false, QuicState::Closed) => {
@@ -250,18 +241,18 @@ impl TransportCore for QuicConn {
                     let mut resp = pkt.clone();
                     resp.wire_len = 3700 + QUIC_WIRE_OVERHEAD;
                     resp.rwnd = self.cfg.recv_wnd;
-                    acts.push(TcpAction::Connected);
-                    acts.push(TcpAction::SendCtl(resp));
+                    out.push(TcpAction::Connected);
+                    out.push(TcpAction::SendCtl(resp));
                 }
                 (true, QuicState::Connecting) => {
                     self.state = QuicState::Established;
-                    acts.push(TcpAction::Connected);
+                    out.push(TcpAction::Connected);
                 }
                 _ => {}
             },
             PacketKind::QuicAck => {
                 let _ = cpu.charge(now, cpu.model.per_ack_rx);
-                self.process_ack(pkt.ack, pkt.seq, now, &mut acts);
+                self.process_ack(pkt.ack, pkt.seq, now, out);
             }
             PacketKind::QuicData => {
                 let _ = cpu.charge(now, cpu.model.per_data_rx);
@@ -272,7 +263,7 @@ impl TransportCore for QuicConn {
                 let newly = self.stream.accept(pkt.ack, pkt.payload as u64);
                 if let Some(n @ 1..) = newly {
                     self.stats.bytes_delivered += n;
-                    acts.push(TcpAction::Deliver(n));
+                    out.push(TcpAction::Deliver(n));
                 }
                 self.ack_counter += 1;
                 // Immediate ACK on reordering (RFC 9000 §13.2.1), else
@@ -280,21 +271,19 @@ impl TransportCore for QuicConn {
                 let out_of_order = !self.pns.ooo().is_empty() || num + 1 < self.pns.next();
                 if out_of_order || self.ack_counter >= self.cfg.delack_segs {
                     self.ack_counter = 0;
-                    acts.push(TcpAction::SendCtl(self.make_ack()));
+                    out.push(TcpAction::SendCtl(self.make_ack()));
                     self.stats.acks_sent += 1;
                 }
             }
             _ => {}
         }
-        acts
     }
 
     /// Packetize and emit what congestion control permits, batching up to
     /// a GSO segment at a time.
-    fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        let mut acts = Vec::new();
+    fn output(&mut self, now: Nanos, cpu: &mut Cpu, out: &mut Actions) {
         if self.state != QuicState::Established {
-            return acts;
+            return;
         }
         loop {
             if self.retx_queue.is_empty() && self.app_written == self.snd_offset {
@@ -308,7 +297,7 @@ impl TransportCore for QuicConn {
             // batch proposal is the fixed GSO_BATCH, not CC-autosized).
             let batch_max = self.egress.segment_pkts(&ctx, GSO_BATCH);
             let mut shaped = batch_max != GSO_BATCH;
-            let mut pkts = Vec::new();
+            let mut pkts = out.seg_buf();
             let mut batch_payload = 0u64;
             for i in 0..batch_max {
                 if self.inflight_bytes + batch_payload >= self.cc.cwnd() {
@@ -375,31 +364,33 @@ impl TransportCore for QuicConn {
                 self.egress
                     .pace_segment(&ctx, now, cpu, batch_payload, npkts, wire, shaped);
             let eligible = paced.eligible;
-            acts.push(TcpAction::SendSeg(SegDesc::new(self.flow, pkts, eligible)));
-            acts.extend(self.arm_pto(now));
+            out.push(TcpAction::SendSeg(SegDesc::new(self.flow, pkts, eligible)));
+            out.extend(self.arm_pto(now));
         }
-        acts
     }
 
     /// PTO timer fired.
-    fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
+    fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos, out: &mut Actions) {
         if kind != TimerKind::Rto {
-            return Vec::new();
+            return;
         }
         match self.pto.due(gen, now) {
-            Due::Stale => return Vec::new(),
-            Due::Rearm(act) => return vec![act],
+            Due::Stale => return,
+            Due::Rearm(act) => {
+                out.push(act);
+                return;
+            }
             Due::Fire => {}
         }
         // Re-queue the earliest unacked range for retransmission.
         let Some((_, sp)) = self.unacked.pop_first() else {
-            return Vec::new();
+            return;
         };
         self.stats.timeouts += 1;
         self.cc.on_rto(now);
         self.inflight_bytes = self.inflight_bytes.saturating_sub(sp.len as u64);
         self.retx_queue.push((sp.offset, sp.len));
-        self.arm_pto(now).into_iter().collect()
+        out.extend(self.arm_pto(now));
     }
 
     /// Application write (stream send). The stream buffer is unbounded in
@@ -452,6 +443,7 @@ impl TransportCore for QuicConn {
 mod tests {
     use super::*;
     use crate::cpu::CpuModel;
+    use crate::egress::Collect;
 
     fn pair() -> (QuicConn, QuicConn, Cpu, Cpu) {
         let cfg = StackConfig {
@@ -467,13 +459,13 @@ mod tests {
     }
 
     fn establish(c: &mut QuicConn, s: &mut QuicConn, cc: &mut Cpu, cs: &mut Cpu) {
-        let acts = c.connect(Nanos::ZERO);
+        let acts = c.connect_acts(Nanos::ZERO);
         let init = match &acts[0] {
             TcpAction::SendCtl(p) => p.clone(),
             _ => panic!("expected Initial"),
         };
         assert!(init.wire_len >= 1200, "Initial must be padded");
-        let sacts = s.input(&init, Nanos::from_millis(10), cs);
+        let sacts = s.input_acts(&init, Nanos::from_millis(10), cs);
         let resp = sacts
             .iter()
             .find_map(|a| match a {
@@ -481,7 +473,7 @@ mod tests {
                 _ => None,
             })
             .expect("server flight");
-        let _ = c.input(&resp, Nanos::from_millis(20), cc);
+        let _ = c.input_acts(&resp, Nanos::from_millis(20), cc);
         assert!(c.state == QuicState::Established && s.state == QuicState::Established);
     }
 
@@ -501,8 +493,8 @@ mod tests {
                 }
             }
         }
-        push(c.output(now, cc), true, &mut wire);
-        push(s.output(now, cs), false, &mut wire);
+        push(c.output_acts(now, cc), true, &mut wire);
+        push(s.output_acts(now, cs), false, &mut wire);
         let mut guard = 0;
         loop {
             guard += 1;
@@ -525,11 +517,11 @@ mod tests {
             }
             let (from_client, p) = wire.remove(0);
             if from_client {
-                push(s.input(&p, now, cs), false, &mut wire);
-                push(s.output(now, cs), false, &mut wire);
+                push(s.input_acts(&p, now, cs), false, &mut wire);
+                push(s.output_acts(now, cs), false, &mut wire);
             } else {
-                push(c.input(&p, now, cc), true, &mut wire);
-                push(c.output(now, cc), true, &mut wire);
+                push(c.input_acts(&p, now, cc), true, &mut wire);
+                push(c.output_acts(now, cc), true, &mut wire);
             }
         }
     }
@@ -558,7 +550,7 @@ mod tests {
         let (mut c, mut s, mut cc, mut cs) = pair();
         establish(&mut c, &mut s, &mut cc, &mut cs);
         c.write(100_000);
-        let acts = c.output(Nanos::from_millis(30), &mut cc);
+        let acts = c.output_acts(Nanos::from_millis(30), &mut cc);
         let mut data_pkts = 0;
         for a in &acts {
             if let TcpAction::SendSeg(seg) = a {
@@ -579,7 +571,7 @@ mod tests {
         let (mut c, mut s, mut cc, mut cs) = pair();
         establish(&mut c, &mut s, &mut cc, &mut cs);
         c.write(10_000_000);
-        let _ = c.output(Nanos::from_millis(30), &mut cc);
+        let _ = c.output_acts(Nanos::from_millis(30), &mut cc);
         assert!(c.inflight_bytes <= c.cwnd() + DEFAULT_MAX_DATAGRAM as u64);
         let _ = (&mut s, &mut cs);
     }
@@ -589,7 +581,7 @@ mod tests {
         let (mut c, mut s, mut cc, mut cs) = pair();
         establish(&mut c, &mut s, &mut cc, &mut cs);
         c.write(3 * DEFAULT_MAX_DATAGRAM as u64);
-        let acts = c.output(Nanos::from_millis(30), &mut cc);
+        let acts = c.output_acts(Nanos::from_millis(30), &mut cc);
         let mut pkts: Vec<Packet> = acts
             .iter()
             .filter_map(|a| match a {
@@ -601,7 +593,7 @@ mod tests {
         assert_eq!(pkts.len(), 3);
         pkts.swap(0, 2); // deliver 2,1,0
         for p in &pkts {
-            let _ = s.input(p, Nanos::from_millis(40), &mut cs);
+            let _ = s.input_acts(p, Nanos::from_millis(40), &mut cs);
         }
         assert_eq!(s.stream.next(), 3 * DEFAULT_MAX_DATAGRAM as u64);
     }
@@ -611,7 +603,7 @@ mod tests {
         let (mut c, mut s, mut cc, mut cs) = pair();
         establish(&mut c, &mut s, &mut cc, &mut cs);
         c.write(8 * DEFAULT_MAX_DATAGRAM as u64);
-        let acts = c.output(Nanos::from_millis(30), &mut cc);
+        let acts = c.output_acts(Nanos::from_millis(30), &mut cc);
         let pkts: Vec<Packet> = acts
             .iter()
             .filter_map(|a| match a {
@@ -624,7 +616,7 @@ mod tests {
         // Drop packet 0; deliver the rest; collect the server's ACKs.
         let mut acks = Vec::new();
         for p in &pkts[1..] {
-            for a in s.input(p, Nanos::from_millis(40), &mut cs) {
+            for a in s.input_acts(p, Nanos::from_millis(40), &mut cs) {
                 if let TcpAction::SendCtl(ap) = a {
                     acks.push(ap);
                 }
@@ -632,7 +624,7 @@ mod tests {
         }
         let cwnd_before = c.cwnd();
         for a in &acks {
-            let _ = c.input(a, Nanos::from_millis(50), &mut cc);
+            let _ = c.input_acts(a, Nanos::from_millis(50), &mut cc);
         }
         assert!(
             !c.retx_queue.is_empty() || c.stats.retransmits > 0,
@@ -650,7 +642,7 @@ mod tests {
         let (mut c, mut s, mut cc, mut cs) = pair();
         establish(&mut c, &mut s, &mut cc, &mut cs);
         c.write(1000);
-        let acts = c.output(Nanos::from_millis(30), &mut cc);
+        let acts = c.output_acts(Nanos::from_millis(30), &mut cc);
         let (gen, at) = acts
             .iter()
             .find_map(|a| match a {
@@ -659,10 +651,10 @@ mod tests {
             })
             .expect("PTO armed");
         // The lone packet is lost; the timer fires.
-        let _ = c.on_timer(TimerKind::Rto, gen, at);
+        let _ = c.on_timer_acts(TimerKind::Rto, gen, at);
         assert_eq!(c.stats.timeouts, 1);
         // Next output retransmits.
-        let acts = c.output(at, &mut cc);
+        let acts = c.output_acts(at, &mut cc);
         let retx: Vec<Packet> = acts
             .iter()
             .filter_map(|a| match a {
@@ -673,7 +665,7 @@ mod tests {
             .collect();
         assert!(retx.iter().any(|p| p.meta.retransmit));
         for p in &retx {
-            let _ = s.input(p, at + Nanos::from_millis(10), &mut cs);
+            let _ = s.input_acts(p, at + Nanos::from_millis(10), &mut cs);
         }
         assert_eq!(s.stream.next(), 1000);
     }
@@ -683,7 +675,7 @@ mod tests {
         let (mut c, mut s, mut cc, mut cs) = pair();
         establish(&mut c, &mut s, &mut cc, &mut cs);
         c.write(1000);
-        let acts = c.output(Nanos::from_millis(30), &mut cc);
+        let acts = c.output_acts(Nanos::from_millis(30), &mut cc);
         let (gen, at) = acts
             .iter()
             .find_map(|a| match a {
@@ -699,11 +691,11 @@ mod tests {
                 _ => None,
             })
             .expect("data packet");
-        let _ = s.input(&pkt, Nanos::from_millis(31), &mut cs);
+        let _ = s.input_acts(&pkt, Nanos::from_millis(31), &mut cs);
         let ack = s.make_ack();
-        let _ = c.input(&ack, Nanos::from_millis(32), &mut cc);
+        let _ = c.input_acts(&ack, Nanos::from_millis(32), &mut cc);
         assert!(c.unacked.is_empty() && c.retx_queue.is_empty());
-        assert!(c.on_timer(TimerKind::Rto, gen, at).is_empty());
+        assert!(c.on_timer_acts(TimerKind::Rto, gen, at).is_empty());
         assert_eq!(c.stats.timeouts, 0);
     }
 
@@ -719,7 +711,7 @@ mod tests {
         establish(&mut c, &mut s, &mut cc, &mut cs);
         c.set_shaper(Box::new(Two));
         c.write(10 * DEFAULT_MAX_DATAGRAM as u64);
-        let acts = c.output(Nanos::from_millis(30), &mut cc);
+        let acts = c.output_acts(Nanos::from_millis(30), &mut cc);
         for a in &acts {
             if let TcpAction::SendSeg(seg) = a {
                 assert!(seg.pkts.len() <= 2);

@@ -31,7 +31,7 @@
 use crate::cc::{make_cc, AckInfo, CongestionControl};
 use crate::config::{StackConfig, IP_TCP_OVERHEAD, MIN_IP_PACKET};
 use crate::cpu::Cpu;
-use crate::egress::{EgressLabels, EgressPipeline, FlowStats, TransportCore};
+use crate::egress::{Actions, EgressLabels, EgressPipeline, FlowStats, TransportCore};
 use crate::qdisc::SegDesc;
 use crate::seq::{Deadline, Due, Reassembly};
 use crate::shaper::{BoxShaper, ShapeCtx};
@@ -256,15 +256,6 @@ impl TcpConn {
     // Application interface
     // ---------------------------------------------------------------
 
-    /// Start an active open. Returns the SYN to transmit.
-    pub fn connect(&mut self, now: Nanos) -> Vec<TcpAction> {
-        assert_eq!(self.state, TcpState::Closed);
-        assert!(self.is_client);
-        self.state = TcpState::SynSent;
-        self.rtt_probes.insert(0, now);
-        self.send_handshake(now)
-    }
-
     /// `send()` syscall: copy up to `len` bytes into the socket buffer.
     /// Returns bytes accepted (0 when the buffer is full — the app must
     /// wait for [`TcpAction::Sendable`]).
@@ -279,17 +270,137 @@ impl TcpConn {
     }
 
     // ---------------------------------------------------------------
-    // Output path (transport -> qdisc)
+    // Input path
     // ---------------------------------------------------------------
 
+    /// An immediate cumulative ACK, reporting the lowest out-of-order
+    /// range as its SACK block.
+    fn ack_now(&mut self) -> TcpAction {
+        self.stats.acks_sent += 1;
+        let mut a = self.ctl(PacketKind::TcpAck, self.snd_nxt, self.rcv.next());
+        a.meta.sack = self.rcv.ooo().first_key_value().map(|(&s, &l)| (s, s + l));
+        TcpAction::SendCtl(a)
+    }
+
+    fn maybe_ack(&mut self, now: Nanos) -> Option<TcpAction> {
+        self.delack_count += 1;
+        if self.delack_count >= self.cfg.delack_segs {
+            self.delack_count = 0;
+            self.delack_timer.disarm();
+            Some(self.ack_now())
+        } else {
+            self.delack_timer.arm(now + self.cfg.delack_timeout)
+        }
+    }
+
+    // ---------------------------------------------------------------
+    // Timers
+    // ---------------------------------------------------------------
+
+    fn rtt_sample(&mut self, sample: Nanos) {
+        match self.srtt {
+            None => {
+                self.srtt = Some(sample);
+                self.rttvar = sample / 2;
+            }
+            Some(srtt) => {
+                let err = if sample > srtt {
+                    sample - srtt
+                } else {
+                    srtt - sample
+                };
+                self.rttvar = (self.rttvar * 3 + err) / 4;
+                self.srtt = Some((srtt * 7 + sample) / 8);
+            }
+        }
+        let rto = self.srtt.expect("srtt set above") + self.rttvar * 4;
+        self.rto = rto.max(self.cfg.min_rto).min(Nanos::from_secs(60));
+    }
+
+    fn arm_rto(&mut self, now: Nanos) -> Option<TcpAction> {
+        self.rto_timer
+            .arm(now + self.rto * (1 << self.rto_backoff.min(6)))
+    }
+
+    /// (Re)send our half of the handshake — the SYN from `SynSent`, the
+    /// SYN-ACK from `SynReceived` — under the RTO.
+    fn send_handshake(&mut self, now: Nanos, out: &mut Actions) {
+        let kind = if self.state == TcpState::SynSent {
+            PacketKind::TcpSyn
+        } else {
+            PacketKind::TcpSynAck
+        };
+        out.push(TcpAction::SendCtl(self.ctl(kind, 0, 0)));
+        out.extend(self.arm_rto(now));
+    }
+
+    /// Retransmit one MSS from the head of the unacked window.
+    fn retransmit_head(&mut self, now: Nanos) -> TcpAction {
+        self.rtt_probes.clear(); // Karn
+        let natural = (self.snd_nxt - self.snd_una).min(self.cfg.mss() as u64) as u32;
+        // The shaper's packet-size decision applies to retransmissions
+        // too: the eavesdropper sees them like any other packet.
+        let ctx = self.shape_ctx(now);
+        let proposed_ip = natural + IP_TCP_OVERHEAD;
+        let ip = self.egress.size_retransmit(
+            &ctx,
+            proposed_ip,
+            MIN_IP_PACKET.min(proposed_ip),
+            self.cfg.mtu_ip.min(proposed_ip),
+        );
+        let len = ip - IP_TCP_OVERHEAD;
+        let mut pkt = Packet::tcp_data(self.flow, self.snd_una, self.rcv.next(), len);
+        pkt.rwnd = self.cfg.recv_wnd;
+        pkt.meta.retransmit = true;
+        // Retransmissions bypass pacing (Linux sends them immediately).
+        TcpAction::SendCtl(pkt)
+    }
+}
+
+/// `Vec`-returning forms of the [`TransportCore`] calls, for drivers
+/// that keep no buffers of their own (the benchmark's back-to-back probe,
+/// the unit tests' shuttles).
+impl TcpConn {
+    /// Start an active open: the SYN and its RTO.
+    pub fn connect(&mut self, now: Nanos) -> Vec<TcpAction> {
+        Actions::collect(|out| TransportCore::connect(self, now, out))
+    }
+
+    /// See [`TransportCore::output`].
+    pub fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
+        Actions::collect(|out| TransportCore::output(self, now, cpu, out))
+    }
+
+    /// See [`TransportCore::input`].
+    pub fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
+        Actions::collect(|out| TransportCore::input(self, pkt, now, cpu, out))
+    }
+
+    /// See [`TransportCore::on_timer`].
+    pub fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
+        Actions::collect(|out| TransportCore::on_timer(self, kind, gen, now, out))
+    }
+}
+
+impl TransportCore for TcpConn {
+    fn connect(&mut self, now: Nanos, out: &mut Actions) {
+        assert_eq!(self.state, TcpState::Closed);
+        assert!(self.is_client);
+        self.state = TcpState::SynSent;
+        self.rtt_probes.insert(0, now);
+        self.send_handshake(now, out);
+    }
+    /// Queue a FIN after all written data.
+    fn close(&mut self) {
+        self.fin_queued = true;
+    }
     /// Push as much data as window, TSQ and pacing permit. This is the
     /// routine every ACK/credit/write re-enters; the paper's point is
     /// that *this* code — not the application — decides the final packet
     /// sequence.
-    pub fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        let mut acts = Vec::new();
+    fn output(&mut self, now: Nanos, cpu: &mut Cpu, out: &mut Actions) {
         if !self.established() {
-            return acts;
+            return;
         }
         loop {
             let available = self.app_written - self.snd_nxt;
@@ -323,7 +434,8 @@ impl TcpConn {
 
             // Build the segment's packets, consulting the per-packet
             // sizing hook (flexible TSO, §5.5 — stage ③).
-            let mut pkts: Vec<Packet> = Vec::with_capacity(shaped_pkts as usize);
+            let mut pkts = out.seg_buf();
+            pkts.reserve(shaped_pkts as usize);
             let mut remaining = budget;
             let mut shaped = shaped_pkts != proposed_pkts;
             for i in 0..shaped_pkts {
@@ -380,34 +492,28 @@ impl TcpConn {
             if self.rtt_probes.len() < 64 {
                 self.rtt_probes.insert(self.snd_nxt, now);
             }
-            acts.push(TcpAction::SendSeg(SegDesc::new(self.flow, pkts, eligible)));
-            acts.extend(self.arm_rto(now));
+            out.push(TcpAction::SendSeg(SegDesc::new(self.flow, pkts, eligible)));
+            out.extend(self.arm_rto(now));
         }
         // FIN rides after all data has been segmented.
         if self.fin_queued && !self.fin_sent && self.app_written == self.snd_nxt {
             self.fin_sent = true;
             let fin = self.ctl(PacketKind::TcpFin, self.snd_nxt, self.rcv.next());
-            acts.push(TcpAction::SendCtl(fin));
+            out.push(TcpAction::SendCtl(fin));
         }
-        acts
     }
 
-    // ---------------------------------------------------------------
-    // Input path
-    // ---------------------------------------------------------------
-
     /// Process an arriving packet. `cpu` is the receiving host's CPU.
-    pub fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        let mut acts = Vec::new();
+    fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu, out: &mut Actions) {
         match pkt.kind {
             PacketKind::TcpSyn => {
                 // Passive open; a repeated SYN re-sends the SYN-ACK.
                 if matches!(self.state, TcpState::Closed | TcpState::SynReceived) {
                     self.state = TcpState::SynReceived;
                     self.peer_rwnd = pkt.rwnd;
-                    acts = self.send_handshake(now);
+                    self.send_handshake(now, out);
                 }
-                return acts;
+                return;
             }
             PacketKind::TcpSynAck => {
                 if self.state == TcpState::SynSent {
@@ -417,10 +523,10 @@ impl TcpConn {
                         self.rtt_sample(now - t0);
                     }
                     self.rto_timer.disarm();
-                    acts.push(TcpAction::Connected);
-                    acts.push(self.ack_now());
+                    out.push(TcpAction::Connected);
+                    out.push(self.ack_now());
                 }
-                return acts;
+                return;
             }
             _ => {}
         }
@@ -428,7 +534,7 @@ impl TcpConn {
         if self.state == TcpState::SynReceived {
             self.state = TcpState::Established;
             self.rto_timer.disarm();
-            acts.push(TcpAction::Connected);
+            out.push(TcpAction::Connected);
         }
         self.peer_rwnd = pkt.rwnd;
         if let Some((lo, hi)) = pkt.meta.sack {
@@ -480,16 +586,16 @@ impl TcpConn {
             let ctx = self.shape_ctx(now);
             self.egress.on_ack(&ctx);
             if partial_retx && self.inflight() > 0 {
-                acts.push(self.retransmit_head(now));
+                out.push(self.retransmit_head(now));
             }
             if self.snd_una == self.snd_nxt {
                 self.rto_timer.disarm();
             } else {
-                acts.extend(self.arm_rto(now));
+                out.extend(self.arm_rto(now));
             }
             if self.blocked && self.send_buffered() < self.cfg.send_buf {
                 self.blocked = false;
-                acts.push(TcpAction::Sendable);
+                out.push(TcpAction::Sendable);
             }
         } else if pkt.ack == self.snd_una
             && self.inflight() > 0
@@ -502,8 +608,8 @@ impl TcpConn {
                 self.recovery_point = Some(self.snd_nxt);
                 self.cc.on_loss(now, self.pipe());
                 self.stats.retransmits += 1;
-                acts.push(self.retransmit_head(now));
-                acts.extend(self.arm_rto(now));
+                out.push(self.retransmit_head(now));
+                out.extend(self.arm_rto(now));
             }
         }
 
@@ -513,12 +619,12 @@ impl TcpConn {
             match self.rcv.accept(pkt.seq, pkt.payload as u64) {
                 Some(newly) if newly > 0 => {
                     self.stats.bytes_delivered += newly;
-                    acts.push(TcpAction::Deliver(newly));
-                    acts.extend(self.maybe_ack(now));
+                    out.push(TcpAction::Deliver(newly));
+                    out.extend(self.maybe_ack(now));
                 }
                 // Old data, or out of order above a hole: ACK at once (a
                 // duplicate ACK carrying the hole's SACK block).
-                _ => acts.push(self.ack_now()),
+                _ => out.push(self.ack_now()),
             }
         }
 
@@ -526,115 +632,30 @@ impl TcpConn {
         if pkt.kind == PacketKind::TcpFin {
             self.peer_fin_at = Some(pkt.seq.max(self.rcv.next()));
             if pkt.seq <= self.rcv.next() {
-                acts.push(self.ack_now());
+                out.push(self.ack_now());
             }
         }
         if !self.peer_closed_delivered && self.peer_fin_at.is_some_and(|f| self.rcv.next() >= f) {
             self.peer_closed_delivered = true;
-            acts.push(TcpAction::PeerClosed);
+            out.push(TcpAction::PeerClosed);
         }
-        acts
-    }
-
-    /// An immediate cumulative ACK, reporting the lowest out-of-order
-    /// range as its SACK block.
-    fn ack_now(&mut self) -> TcpAction {
-        self.stats.acks_sent += 1;
-        let mut a = self.ctl(PacketKind::TcpAck, self.snd_nxt, self.rcv.next());
-        a.meta.sack = self.rcv.ooo().first_key_value().map(|(&s, &l)| (s, s + l));
-        TcpAction::SendCtl(a)
-    }
-
-    fn maybe_ack(&mut self, now: Nanos) -> Option<TcpAction> {
-        self.delack_count += 1;
-        if self.delack_count >= self.cfg.delack_segs {
-            self.delack_count = 0;
-            self.delack_timer.disarm();
-            Some(self.ack_now())
-        } else {
-            self.delack_timer.arm(now + self.cfg.delack_timeout)
-        }
-    }
-
-    // ---------------------------------------------------------------
-    // Timers
-    // ---------------------------------------------------------------
-
-    fn rtt_sample(&mut self, sample: Nanos) {
-        match self.srtt {
-            None => {
-                self.srtt = Some(sample);
-                self.rttvar = sample / 2;
-            }
-            Some(srtt) => {
-                let err = if sample > srtt {
-                    sample - srtt
-                } else {
-                    srtt - sample
-                };
-                self.rttvar = (self.rttvar * 3 + err) / 4;
-                self.srtt = Some((srtt * 7 + sample) / 8);
-            }
-        }
-        let rto = self.srtt.expect("srtt set above") + self.rttvar * 4;
-        self.rto = rto.max(self.cfg.min_rto).min(Nanos::from_secs(60));
-    }
-
-    fn arm_rto(&mut self, now: Nanos) -> Option<TcpAction> {
-        self.rto_timer
-            .arm(now + self.rto * (1 << self.rto_backoff.min(6)))
-    }
-
-    /// (Re)send our half of the handshake — the SYN from `SynSent`, the
-    /// SYN-ACK from `SynReceived` — under the RTO.
-    fn send_handshake(&mut self, now: Nanos) -> Vec<TcpAction> {
-        let kind = if self.state == TcpState::SynSent {
-            PacketKind::TcpSyn
-        } else {
-            PacketKind::TcpSynAck
-        };
-        let mut acts = vec![TcpAction::SendCtl(self.ctl(kind, 0, 0))];
-        acts.extend(self.arm_rto(now));
-        acts
-    }
-
-    /// Retransmit one MSS from the head of the unacked window.
-    fn retransmit_head(&mut self, now: Nanos) -> TcpAction {
-        self.rtt_probes.clear(); // Karn
-        let natural = (self.snd_nxt - self.snd_una).min(self.cfg.mss() as u64) as u32;
-        // The shaper's packet-size decision applies to retransmissions
-        // too: the eavesdropper sees them like any other packet.
-        let ctx = self.shape_ctx(now);
-        let proposed_ip = natural + IP_TCP_OVERHEAD;
-        let ip = self.egress.size_retransmit(
-            &ctx,
-            proposed_ip,
-            MIN_IP_PACKET.min(proposed_ip),
-            self.cfg.mtu_ip.min(proposed_ip),
-        );
-        let len = ip - IP_TCP_OVERHEAD;
-        let mut pkt = Packet::tcp_data(self.flow, self.snd_una, self.rcv.next(), len);
-        pkt.rwnd = self.cfg.recv_wnd;
-        pkt.meta.retransmit = true;
-        // Retransmissions bypass pacing (Linux sends them immediately).
-        TcpAction::SendCtl(pkt)
     }
 
     /// A timer event fired.
-    pub fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
+    fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos, out: &mut Actions) {
         match kind {
             // One-shot: the shuttles flush a pending delayed ACK early.
             TimerKind::DelAck if self.delack_timer.take(gen) => {
                 self.delack_count = 0;
-                vec![self.ack_now()]
+                out.push(self.ack_now());
             }
             TimerKind::Rto => match self.rto_timer.due(gen, now) {
-                Due::Stale => Vec::new(),
-                Due::Rearm(act) => vec![act],
+                Due::Stale => {}
+                Due::Rearm(act) => out.push(act),
                 Due::Fire => match self.state {
                     TcpState::SynSent | TcpState::SynReceived => {
                         self.rto_backoff += 1;
-                        self.send_handshake(now)
+                        self.send_handshake(now, out);
                     }
                     _ if self.inflight() > 0 => {
                         self.stats.timeouts += 1;
@@ -643,36 +664,16 @@ impl TcpConn {
                         self.sacked.clear();
                         self.dup_acks = 0;
                         self.recovery_point = Some(self.snd_nxt);
-                        let mut acts = vec![self.retransmit_head(now)];
-                        acts.extend(self.arm_rto(now));
-                        acts
+                        out.push(self.retransmit_head(now));
+                        out.extend(self.arm_rto(now));
                     }
                     // Nothing in flight, nothing to repair — a lost FIN
                     // included: it is never retransmitted.
-                    _ => Vec::new(),
+                    _ => {}
                 },
             },
-            _ => Vec::new(),
+            _ => {}
         }
-    }
-}
-
-impl TransportCore for TcpConn {
-    fn connect(&mut self, now: Nanos) -> Vec<TcpAction> {
-        TcpConn::connect(self, now)
-    }
-    /// Queue a FIN after all written data.
-    fn close(&mut self) {
-        self.fin_queued = true;
-    }
-    fn input(&mut self, pkt: &Packet, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        TcpConn::input(self, pkt, now, cpu)
-    }
-    fn output(&mut self, now: Nanos, cpu: &mut Cpu) -> Vec<TcpAction> {
-        TcpConn::output(self, now, cpu)
-    }
-    fn on_timer(&mut self, kind: TimerKind, gen: u64, now: Nanos) -> Vec<TcpAction> {
-        TcpConn::on_timer(self, kind, gen, now)
     }
     fn write(&mut self, len: u64) -> u64 {
         TcpConn::write(self, len)

@@ -11,7 +11,7 @@
 
 use netsim::telemetry::Tracer;
 use netsim::{FlowId, Nanos, Packet, PacketKind, PipeProfile};
-use stack::egress::{FlowStats, TransportCore};
+use stack::egress::{Actions, FlowStats, TransportCore};
 use stack::mux::{Multiplex, MuxConfig, SplitterSpec};
 use stack::net::{Api, App, Network, CLIENT, SERVER};
 use stack::shaper::BoxShaper;
@@ -195,21 +195,18 @@ struct Recorder {
 }
 
 impl TransportCore for Recorder {
-    fn connect(&mut self, _now: Nanos) -> Vec<TcpAction> {
+    fn connect(&mut self, _now: Nanos, out: &mut Actions) {
         self.calls.borrow_mut().push("connect");
         let mut hello = Packet::tcp_ack(self.flow, 0, 0);
         hello.kind = PacketKind::MuxData; // opens nothing at the server
-        vec![TcpAction::SendCtl(hello)]
+        out.push(TcpAction::SendCtl(hello));
     }
     fn close(&mut self) {
         self.calls.borrow_mut().push("close");
     }
-    fn input(&mut self, _pkt: &Packet, _now: Nanos, _cpu: &mut Cpu) -> Vec<TcpAction> {
-        Vec::new()
-    }
-    fn output(&mut self, _now: Nanos, _cpu: &mut Cpu) -> Vec<TcpAction> {
+    fn input(&mut self, _pkt: &Packet, _now: Nanos, _cpu: &mut Cpu, _out: &mut Actions) {}
+    fn output(&mut self, _now: Nanos, _cpu: &mut Cpu, _out: &mut Actions) {
         self.calls.borrow_mut().push("output");
-        Vec::new()
     }
     fn write(&mut self, len: u64) -> u64 {
         len
