@@ -41,6 +41,15 @@
 //! additionally audits each emitted batch against the CC grant (the
 //! §4.2 runtime check in `netsim::audit`).
 //!
+//! A transport hands its segments to the driver without allocating: each
+//! [`TransportCore`] call writes into an [`Actions`] the caller owns,
+//! and builds each segment's packets in an [`Actions::seg_buf`]. In a
+//! `Network` both are recycled per network — action lists through a free
+//! list that `apply` refills (one list per level of app-callback
+//! re-entry), packet buffers through the NIC, which hands each drained
+//! segment's buffer back as its packets leave — so a connection in
+//! steady state sends without touching the allocator.
+//!
 //! # Example: a custom transport on the shared pipeline
 //!
 //! [`TransportCore`] is the full contract a transport owes the driver.

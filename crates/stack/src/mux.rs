@@ -482,7 +482,7 @@ impl Multiplex {
                 pipe: pipe as u8,
             },
         );
-        netsim::tm_counter!("stack.mux.tx_pkts").inc();
+        telemetry::counter("stack.mux.tx_pkts").inc();
         let mut pkts = out.seg_buf();
         pkts.push(p);
         out.push(TcpAction::SendSeg(SegDesc::new(
@@ -515,7 +515,7 @@ impl Multiplex {
         let paced = self.egress.pace_segment(&ctx, now, cpu, 0, 1, wire, false);
         p.meta.shaped = paced.shaped;
         self.stats.pkts_sent += 1;
-        netsim::tm_counter!("stack.mux.parity_pkts").inc();
+        telemetry::counter("stack.mux.parity_pkts").inc();
         let mut pkts = out.seg_buf();
         pkts.push(p);
         out.push(TcpAction::SendSeg(SegDesc::new(
@@ -584,7 +584,7 @@ impl Multiplex {
                 let p = self.mk_ctl(PacketKind::MuxAck, self.rx_per_pipe[i], self.rx.next(), i);
                 self.rx_acked_per_pipe[i] = self.rx_per_pipe[i];
                 self.stats.acks_sent += 1;
-                netsim::tm_counter!("stack.mux.acks_sent").inc();
+                telemetry::counter("stack.mux.acks_sent").inc();
                 out.push(TcpAction::SendCtl(p));
             }
         }

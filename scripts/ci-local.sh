@@ -16,6 +16,10 @@ run cargo fmt --all --check
 run cargo clippy --workspace --all-targets --locked -- -D warnings
 run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --locked
 run cargo build --workspace --release --locked
+# Among the tests: tests/transport_pins.rs (QUIC and TCP page loads, both
+# Figure 3 points, a Multiplex replay, bit for bit) and
+# tests/alloc_budget.rs (its own binary, a counting allocator: the packet
+# path stays under 0.25 allocations per wire packet).
 run cargo test --workspace -q --locked
 # The five examples: compiled by the test step, run here.
 run scripts/check-examples.sh
