@@ -10,7 +10,8 @@
 //! a single packet shows here.
 //!
 //! Each page-load case folds every captured packet plus the retry count
-//! into one FNV-1a style digest. The QUIC values were read at the commit
+//! into one FNV-1a style digest; `server_wire_bytes` folds the wire bytes
+//! the server sent over a mix of page loads. The QUIC values were read at the commit
 //! before `stack::seq` replaced QUIC's hand-written frontier and timer;
 //! the TCP, Figure 3 and `Multiplex` values at the commit before the
 //! transports started writing into caller-owned buffers. Re-read a value
@@ -151,6 +152,53 @@ fn tcp_ge_burst() {
 #[test]
 fn tcp_ge_burst_recovery_off() {
     tcp(Some("ge-burst"), None, 0x0a02_eda3_04d7_092b);
+}
+
+/// The wire bytes the server sent (`VisitOutcome::server_wire_bytes`)
+/// over four clean TCP visits, four TCP visits under `ge-burst` with
+/// recovery on, one QUIC visit and one TCP visit its 40 ms deadline cuts
+/// while the server's first flight is still on the wire.
+#[test]
+fn server_wire_bytes() {
+    let _g = shared();
+    let sites = paper_sites();
+    let deadline = Nanos::from_secs(30);
+    let mut h = Fnv::new();
+    let mut visit = |l: usize, cfg: &LoaderConfig| {
+        let out = load_page(&sites[l], l, 0, 99, cfg);
+        h.fold(out.server_wire_bytes);
+        out
+    };
+    for l in 0..4 {
+        let clean = LoaderConfig {
+            deadline,
+            ..LoaderConfig::default()
+        };
+        assert!(visit(l, &clean).complete);
+        let burst = LoaderConfig {
+            deadline,
+            faults: FaultSchedule::scenario("ge-burst", 7 + l as u64, deadline),
+            recovery: on(),
+            ..LoaderConfig::default()
+        };
+        assert!(visit(l, &burst).complete);
+    }
+    let quic = LoaderConfig {
+        deadline,
+        transport: TransportKind::Quic,
+        ..LoaderConfig::default()
+    };
+    assert!(visit(0, &quic).complete);
+    let cut = LoaderConfig {
+        deadline: Nanos::from_millis(40),
+        ..LoaderConfig::default()
+    };
+    let out = visit(3, &cut);
+    assert!(!out.complete);
+    // The client saw fewer bytes than the server sent: the cut left some
+    // on the wire.
+    assert!(out.trace.bytes(netsim::Direction::In) < out.server_wire_bytes);
+    assert_eq!(h.0, 0x4806_08b6_595a_6d47, "digest {:#018x}", h.0);
 }
 
 /// Both Figure 3 points: the goodput's bits and the events the event
