@@ -18,9 +18,9 @@
 //! * **Stack placement** replays each trace through a full
 //!   [`Network`] with the [`Multiplex`] transport on both ends over
 //!   provisioned [`PipeProfile`] legs (each with its own rate, delay
-//!   and independently-seeded fault schedule); the per-leg view comes
-//!   from the per-pipe captures, the merged view from the client
-//!   access-link capture.
+//!   and independently-seeded fault schedule); the merged view is the
+//!   client access-link capture, each per-leg view its slice by pipe
+//!   tag ([`netsim::Capture::for_pipe`]).
 //!
 //! Splitting policies are *control-plane data*: the harness publishes
 //! each one into a [`PolicyRegistry`] through the JSON sockopt path and
@@ -34,7 +34,7 @@
 use netsim::json::Wire;
 use netsim::{par, Nanos, PipeProfile, SimRng};
 use stack::mux::{Multiplex, MuxConfig, Splitter, SplitterSpec, MAX_PIPES};
-use stack::net::{Api, App, Network};
+use stack::net::{Api, App, Network, CLIENT};
 use stack::{HostConfig, PathConfig};
 use stob::defense::Placement;
 use stob::sockopt::publish_json;
@@ -422,16 +422,16 @@ pub fn replay_multipath(
         profiles[0].fault_scenario = Some("outage-storm".to_string());
     }
     net.provision_pipes(&profiles, seed, deadline);
+    net.record_capture(CLIENT);
     // A permanently-dead leg keeps the probe timer armed forever, so
     // the replay runs to a deadline rather than to idle.
     net.run_until(deadline);
 
     // All vantage points are colocated at the client access network:
     // the merged observer taps every leg, each per-path observer taps
-    // one. Slicing the client capture by pipe tag (rather than reading
-    // the per-leg link captures, whose server-side timestamps reflect
-    // pre-bottleneck pacing) keeps every leg view a strict sub-record
-    // of the merged view — same packets, same clocks, less of them.
+    // one. Slicing the client capture by pipe tag keeps every leg view
+    // a strict sub-record of the merged view — same packets, same
+    // clocks, less of them.
     let cap = net.client_capture.without_acks();
     let t0 = cap.records.first().map(|r| r.ts).unwrap_or(Nanos::ZERO);
     let rebased = |cap: &netsim::Capture| -> Trace {

@@ -6,7 +6,7 @@
 //! passive on-path eavesdropper gets: wire sizes after all stack
 //! processing, at the instant packets cross the observation point.
 
-use crate::packet::{FlowId, Packet, PacketKind};
+use crate::packet::{Packet, PacketKind};
 use crate::time::Nanos;
 
 /// Direction relative to the monitored client: `Out` = client→server.
@@ -34,12 +34,18 @@ pub struct CaptureRecord {
     pub dir: Direction,
     /// On-wire bytes (headers included) — what a pcap records.
     pub wire_len: u32,
-    pub(crate) flow: FlowId,
     pub kind: PacketKind,
     /// Multipath leg the packet was tagged for, if any — lets a single
     /// vantage point be sliced into per-leg observer views.
     pub(crate) pipe: Option<u8>,
 }
+
+/// A capture holds one record per packet it saw, so a field added here
+/// is paid on every one of them.
+const _: () = assert!(
+    std::mem::size_of::<CaptureRecord>() == 16,
+    "CaptureRecord outgrew its 16 bytes"
+);
 
 /// An append-only capture buffer at one observation point.
 #[derive(Debug, Clone, Default)]
@@ -58,7 +64,6 @@ impl Capture {
             ts,
             dir,
             wire_len: pkt.wire_len,
-            flow: pkt.flow,
             kind: pkt.kind,
             pipe: pkt.meta.pipe,
         });
@@ -126,7 +131,7 @@ impl Capture {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::packet::Packet;
+    use crate::packet::{FlowId, Packet};
 
     #[test]
     fn observe_records_wire_view() {
@@ -138,7 +143,6 @@ mod tests {
         assert_eq!(r.ts, Nanos(100));
         assert_eq!(r.dir, Direction::In);
         assert_eq!(r.wire_len, 1514);
-        assert_eq!(r.flow, FlowId(3));
     }
 
     #[test]

@@ -169,6 +169,7 @@ mod tests {
             Box::new(Sink::default()),
             11,
         );
+        net.record_capture(crate::net::SERVER);
         net.run_to_idle();
         let s = net.flow_stats(crate::net::SERVER, FlowId(1)).unwrap();
         assert_eq!(s.bytes_delivered, 300_000);

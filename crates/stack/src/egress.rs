@@ -182,6 +182,7 @@
 //!     Box::new(stack::apps::NullApp),
 //!     1,
 //! );
+//! net.record_capture(CLIENT);
 //! net.run_to_idle();
 //!
 //! // Five fixed-size datagrams crossed the client vantage point...

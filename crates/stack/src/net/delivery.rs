@@ -384,15 +384,15 @@ impl Network {
         }
     }
 
-    /// A packet's last bit left a host NIC: record it at the local
-    /// vantage point, then enter the bottleneck toward the other host —
+    /// A packet's last bit left a host NIC: count its bytes and record it
+    /// at the local vantage point, then enter the bottleneck toward the other host —
     /// or, for a packet tagged with a provisioned pipe, route it over
     /// that leg instead.
     fn pkt_leave_nic(&mut self, host: usize, pkt: Packet) {
         let now = self.q.now();
-        match host {
-            CLIENT => self.client_capture.observe(now, Direction::Out, &pkt),
-            _ => self.server_capture.observe(now, Direction::Out, &pkt),
+        self.hosts[host].wire_bytes_out += u64::from(pkt.wire_len);
+        if let Some(cap) = self.vantage(host) {
+            cap.observe(now, Direction::Out, &pkt);
         }
         if let Some(pi) = pkt.meta.pipe {
             let i = pi as usize;
@@ -470,8 +470,8 @@ impl Network {
         self.enter_bottleneck(dir, pkt);
     }
 
-    /// Route a tagged packet over provisioned leg `i`: observe it at the
-    /// leg's vantage point, apply the leg's own loss and fault schedule,
+    /// Route a tagged packet over provisioned leg `i`: apply the leg's
+    /// own loss and fault schedule,
     /// serialize it on the leg's directed [`netsim::Link`], and schedule
     /// its arrival. Both the flow ledger and the leg's ledger account
     /// for every outcome, so the auditor's per-pipe conservation and
@@ -480,12 +480,6 @@ impl Network {
         let now = self.q.now();
         let dir = src; // direction index = source host, like the bottleneck
         let p = &mut self.pipes[i];
-        let obs = if src == CLIENT {
-            Direction::Out
-        } else {
-            Direction::In
-        };
-        p.capture.observe(now, obs, &pkt);
         self.ledger.injected += 1;
         p.ledger.injected += 1;
         netsim::tm_counter!("stack.net.pipe_pkts").inc();
@@ -624,9 +618,8 @@ impl Network {
                 in_transit,
             );
         }
-        match host {
-            CLIENT => self.client_capture.observe(now, Direction::In, &pkt),
-            _ => self.server_capture.observe(now, Direction::In, &pkt),
+        if let Some(cap) = self.vantage(host) {
+            cap.observe(now, Direction::In, &pkt);
         }
         let flow = pkt.flow;
         // Any arrival for a watched flow is forward progress: the stall

@@ -91,6 +91,10 @@ pub(super) struct Host {
     pub(super) watch: FlowTable<Watch>,
     /// Monotonic arm counter feeding `Watch::gen`.
     pub(super) watch_gen: u64,
+    /// Whether this host's vantage point records (`record_capture`).
+    pub(super) capture_on: bool,
+    /// On-wire bytes of every packet that left this host's NIC.
+    pub(super) wire_bytes_out: u64,
 }
 
 impl Host {
@@ -108,6 +112,8 @@ impl Host {
             superseded_checks: 0,
             watch: FlowTable::new(),
             watch_gen: 0,
+            capture_on: false,
+            wire_bytes_out: 0,
             cfg,
         }
     }

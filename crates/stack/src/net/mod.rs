@@ -1,10 +1,13 @@
 //! The simulated network: two hosts (client and server) joined by a
 //! symmetric bottleneck, driven by a deterministic event loop.
 //!
-//! A passive vantage point at the client access link records every packet
-//! in both directions — the `tcpdump` of the paper's §3 data collection.
-//! A second vantage point at the server side supports server-side defense
-//! studies (§5.4 argues the server side is the right deployment point).
+//! Each host has a passive vantage point at its access link that records
+//! every packet in both directions once [`Network::record_capture`] turns
+//! it on: the client's is the `tcpdump` of the paper's §3 data collection,
+//! the server's supports server-side defense studies (§5.4 argues the
+//! server side is the right deployment point). A run that reads neither,
+//! such as Figure 3's, records nothing; [`Network::wire_bytes_out`]
+//! counts each host's sent bytes either way.
 //!
 //! The module splits along the datapath:
 //!
@@ -129,8 +132,8 @@ pub(crate) struct PathStats {
 }
 
 /// One provisioned multipath leg: an independent pair of directed links
-/// (client→server, server→client) with its own loss, fault injector,
-/// conservation ledger, and on-path vantage point. Packets whose
+/// (client→server, server→client) with its own loss, fault injector and
+/// conservation ledger. Packets whose
 /// [`netsim::PacketMeta::pipe`] names this leg bypass the default
 /// bottleneck entirely (see `delivery::route_pipe`).
 pub(super) struct PipeState {
@@ -139,9 +142,6 @@ pub(super) struct PipeState {
     pub(super) links: [Link; 2],
     pub(super) faults: Option<FaultInjector>,
     pub(super) ledger: PathLedger,
-    /// Vantage point on this leg: `Out` = client→server. An observer
-    /// here sees only the packets the splitter routed over this leg.
-    pub(super) capture: Capture,
 }
 
 /// Passive-open constructor installed by [`Network::set_custom_acceptor`].
@@ -196,9 +196,11 @@ pub struct Network {
     /// and `apply` to build new segments in.
     pub(super) seg_pool: SegPool,
     /// Vantage point at the client access link (the paper's capture
-    /// position). `Out` = client→server.
+    /// position). `Out` = client→server. Empty unless
+    /// `record_capture(CLIENT)` turned it on.
     pub client_capture: Capture,
     /// Vantage point at the server access link. `Out` = server→client.
+    /// Empty unless `record_capture(SERVER)` turned it on.
     pub server_capture: Capture,
 }
 
@@ -356,7 +358,6 @@ impl Network {
                 ],
                 faults: p.schedule.as_ref().map(FaultInjector::new),
                 ledger: PathLedger::default(),
-                capture: Capture::new(),
                 profile: p.profile,
             })
             .collect();
@@ -376,11 +377,6 @@ impl Network {
     /// Number of provisioned multipath legs.
     pub fn pipe_count(&self) -> usize {
         self.pipes.len()
-    }
-
-    /// The vantage point on leg `i` (packets the splitter routed there).
-    pub fn pipe_capture(&self, i: usize) -> Option<&Capture> {
-        self.pipes.get(i).map(|p| &p.capture)
     }
 
     /// Leg `i`'s conservation ledger.
@@ -405,6 +401,33 @@ impl Network {
             }
         }
         self.tracer = Some(tracer);
+    }
+
+    /// Record `host`'s vantage point (`client_capture` for [`CLIENT`],
+    /// `server_capture` for [`SERVER`]) from now on. A capture nobody
+    /// asked for stays empty: Figure 3's 100 Gb/s runs would otherwise
+    /// hold hundreds of megabytes of records that nothing reads.
+    pub fn record_capture(&mut self, host: usize) {
+        self.hosts[host].capture_on = true;
+    }
+
+    /// `host`'s vantage point, if it records.
+    fn vantage(&mut self, host: usize) -> Option<&mut Capture> {
+        if !self.hosts[host].capture_on {
+            return None;
+        }
+        Some(match host {
+            CLIENT => &mut self.client_capture,
+            _ => &mut self.server_capture,
+        })
+    }
+
+    /// On-wire bytes of every packet that has left `host`'s NIC, counted
+    /// where its vantage point records them: what a recording
+    /// [`Capture`] would report as `bytes(Direction::Out)`, recorded or
+    /// not.
+    pub fn wire_bytes_out(&self, host: usize) -> u64 {
+        self.hosts[host].wire_bytes_out
     }
 
     /// Final invariant report: runs the conservation check over the

@@ -79,6 +79,7 @@ fn handshake_takes_one_rtt() {
         Box::new(NullApp),
         2,
     );
+    net.record_capture(CLIENT);
     net.run_to_idle();
     // Reach into the capture to find when the client learned.
     let synack = net
@@ -105,6 +106,7 @@ fn capture_sees_handshake_then_data_in_order() {
         Box::new(Sink::default()),
         3,
     );
+    net.record_capture(CLIENT);
     net.run_to_idle();
     let recs = &net.client_capture.records;
     assert!(net.client_capture.is_time_ordered());
@@ -158,6 +160,7 @@ fn tso_microburst_visible_at_line_rate() {
         Box::new(Sink::default()),
         5,
     );
+    net.record_capture(CLIENT);
     net.run_until(Nanos::from_millis(50));
     let data: Vec<_> = net
         .client_capture
@@ -267,6 +270,7 @@ fn quic_transfer_end_to_end() {
         Box::new(Sink::default()),
         21,
     );
+    net.record_capture(CLIENT);
     net.run_until(Nanos::from_secs(20));
     let st = net.flow_stats(SERVER, FlowId(1)).expect("server quic conn");
     assert_eq!(st.bytes_delivered, 1_000_000);
@@ -340,6 +344,7 @@ fn quic_shaper_applies_on_the_wire() {
         Box::new(Sink::default()),
         23,
     );
+    net.record_capture(CLIENT);
     net.run_until(Nanos::from_secs(10));
     let st = net.flow_stats(SERVER, FlowId(1)).expect("server conn");
     assert_eq!(st.bytes_delivered, 200_000);
@@ -676,6 +681,7 @@ fn lone_segment_is_acked_at_its_own_delack_deadline() {
         Box::new(NullApp),
         41,
     );
+    net.record_capture(SERVER);
     net.run_to_idle();
     let recs = &net.server_capture.records;
     let data: Vec<Nanos> = recs
@@ -741,6 +747,7 @@ fn earlier_rearm_supersedes_the_live_timer() {
         },
         CLIENT,
     ));
+    net.record_capture(CLIENT);
     net.run_until(Nanos::from_secs(2));
     assert_eq!(net.fault_stats().expect("schedule installed").flap_drops, 1);
     let sent: Vec<Nanos> = net
@@ -946,4 +953,67 @@ fn abort_takes_the_timers_with_the_connection() {
     let t = Nanos::from_millis(40);
     assert_eq!(*new.borrow(), [(t, TimerKind::Rto), (t, TimerKind::DelAck)]);
     assert_eq!(net.conn_timers(CLIENT), (6, 6, 2));
+}
+
+/// A bulk upload under burst loss, reordering and duplication, cut at a
+/// deadline while packets are still on the path. `record` says which
+/// vantage points record.
+fn faulted_cut_run(record: &[usize]) -> Network {
+    let (hc, hs) = fast_hosts();
+    let mut net = Network::new(
+        hc,
+        hs,
+        PathConfig::internet(50, 20),
+        Box::new(BulkSender::new(2_000_000)),
+        Box::new(Sink::default()),
+        43,
+    );
+    let sched = FaultSchedule::new(0xCA)
+        .push(FaultKind::GilbertElliott {
+            p_good_to_bad: 0.05,
+            p_bad_to_good: 0.3,
+            loss_good: 0.0,
+            loss_bad: 0.3,
+        })
+        .push(FaultKind::Reorder {
+            prob: 0.05,
+            max_extra: Nanos::from_millis(2),
+        })
+        .push(FaultKind::Duplicate { prob: 0.02 });
+    net.set_faults(&sched);
+    for &host in record {
+        net.record_capture(host);
+    }
+    net.run_until(Nanos::from_millis(100));
+    assert!(net.in_transit_pkts() > 0, "the cut left nothing in flight");
+    let stats = net.fault_stats().unwrap();
+    assert!(stats.ge_drops > 0 && stats.duplicates > 0, "{stats:?}");
+    net
+}
+
+#[test]
+fn wire_byte_count_matches_each_recorded_vantage_point() {
+    let net = faulted_cut_run(&[CLIENT, SERVER]);
+    for (host, cap) in [(CLIENT, &net.client_capture), (SERVER, &net.server_capture)] {
+        assert!(!cap.is_empty());
+        assert_eq!(cap.bytes(Direction::Out), net.wire_bytes_out(host));
+    }
+    // The client sent data, the server mostly ACKs; both counted.
+    assert!(net.wire_bytes_out(CLIENT) > net.wire_bytes_out(SERVER));
+    assert!(net.wire_bytes_out(SERVER) > 0);
+}
+
+#[test]
+fn unrecorded_run_keeps_empty_captures_and_runs_the_same() {
+    let recorded = faulted_cut_run(&[CLIENT, SERVER]);
+    let bare = faulted_cut_run(&[]);
+    assert!(bare.client_capture.is_empty() && bare.server_capture.is_empty());
+    for host in [CLIENT, SERVER] {
+        assert_eq!(
+            bare.flow_stats(host, FlowId(1)),
+            recorded.flow_stats(host, FlowId(1))
+        );
+        assert_eq!(bare.wire_bytes_out(host), recorded.wire_bytes_out(host));
+    }
+    assert_eq!(bare.event_count(), recorded.event_count());
 }

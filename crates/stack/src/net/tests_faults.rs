@@ -168,6 +168,7 @@ fn mid_flow_mtu_drop_shrinks_packets() {
     });
     net.set_faults(&sched);
     net.set_audit(true);
+    net.record_capture(CLIENT);
     net.run_to_idle();
     assert_eq!(
         net.flow_stats(SERVER, FlowId(1)).unwrap().bytes_delivered,
@@ -282,6 +283,7 @@ fn quic_mid_flow_mtu_drop_shrinks_datagrams() {
     });
     net.set_faults(&sched);
     net.set_audit(true);
+    net.record_capture(CLIENT);
     net.run_until(Nanos::from_secs(30));
     assert_eq!(
         net.flow_stats(SERVER, FlowId(1)).unwrap().bytes_delivered,

@@ -14,7 +14,7 @@ use crate::model::Trace;
 use netsim::{FlowId, Nanos, SimRng};
 use stack::apps::{BulkSender, Sink};
 use stack::config::CcKind;
-use stack::net::{Api, App, Network};
+use stack::net::{Api, App, Network, CLIENT};
 use stack::{HostConfig, PathConfig, StackConfig};
 use stob::policy::ObfuscationPolicy;
 use stob::sockopt::assemble_policy_shaper;
@@ -103,6 +103,7 @@ pub(crate) fn run_flow(sc: &FlowScenario, label: usize, visit: usize, seed: u64)
         Box::new(Sink::default()),
         seed,
     );
+    net.record_capture(CLIENT);
     // Bound runtime: a flow that cannot finish in 120 s is truncated
     // (its prefix is still classifiable).
     net.run_until(Nanos::from_secs(120));

@@ -14,7 +14,7 @@ use crate::model::Trace;
 use crate::sites::{SiteProfile, VisitPlan};
 use netsim::{AuditReport, FaultSchedule, FaultStats, FlowId, Nanos, SimRng};
 use stack::cpu::CpuModel;
-use stack::net::{Api, App, Network};
+use stack::net::{Api, App, Network, CLIENT, SERVER};
 use stack::tls::{MAX_RECORD_PLAINTEXT, RECORD_OVERHEAD};
 use stack::{HostConfig, PathConfig};
 use std::collections::{BTreeMap, VecDeque};
@@ -731,6 +731,7 @@ pub fn load_page(
         Box::new(server),
         seed ^ 0x5157_AB1E,
     );
+    net.record_capture(CLIENT);
     // An explicit schedule wins; otherwise STOB_FAULTS can switch any
     // driver run onto a named scenario without code changes.
     let env_faults = if cfg.faults.is_none() {
@@ -748,7 +749,7 @@ pub fn load_page(
         (sh.done, sh.progress.clone())
     };
     let trace = Trace::from_capture(&net.client_capture, label, visit);
-    let server_wire_bytes = net.server_capture.bytes(netsim::Direction::Out);
+    let server_wire_bytes = net.wire_bytes_out(SERVER);
     let audit = net.audit_report();
     let fault_stats = net.fault_stats();
     VisitOutcome {

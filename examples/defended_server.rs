@@ -51,6 +51,11 @@ fn main() {
     };
     let defended = load_page(site, 2, 0, 99, &defended_cfg);
     assert!(defended.complete);
+    // Zeros here mean a capture or the wire-byte count went unrecorded.
+    for out in [&plain, &defended] {
+        assert!(!out.trace.is_empty(), "the client capture is empty");
+        assert!(out.server_wire_bytes > 0, "no server wire bytes counted");
+    }
 
     println!("eavesdropper's view at the client access link:");
     describe("stock:", &plain.trace);

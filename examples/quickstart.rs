@@ -8,7 +8,7 @@
 
 use netsim::{Direction, FlowId, PacketKind, SimRng};
 use stack::apps::{BulkSender, Sink};
-use stack::net::{Api, App, Network};
+use stack::net::{Api, App, Network, CLIENT};
 use stack::{HostConfig, PathConfig, StackConfig};
 use stob::policy::ObfuscationPolicy;
 use stob::registry::{PolicyKey, PolicyRegistry};
@@ -59,6 +59,7 @@ fn run(policy: Option<ObfuscationPolicy>) -> (usize, f64, u32) {
         Box::new(Sink::default()),
         7,
     );
+    net.record_capture(CLIENT);
     net.run_to_idle();
     let data: Vec<_> = net
         .client_capture
@@ -67,6 +68,8 @@ fn run(policy: Option<ObfuscationPolicy>) -> (usize, f64, u32) {
         .filter(|r| r.kind == PacketKind::TcpData && r.dir == Direction::Out)
         .collect();
     let n = data.len();
+    // An empty capture means the run forgot `record_capture`.
+    assert!(n > 0, "the client vantage point saw no data packets");
     let mean_size = data.iter().map(|r| r.wire_len as f64).sum::<f64>() / n.max(1) as f64;
     let max_size = data.iter().map(|r| r.wire_len).max().unwrap_or(0);
     (n, mean_size, max_size)

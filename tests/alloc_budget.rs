@@ -10,6 +10,11 @@
 //! of an allocation per wire packet; a per-packet or per-segment `Vec`
 //! on that path puts it above one.
 //!
+//! The allocator also sums the bytes it hands out. A Figure 3 point at
+//! α = 0 reads nothing but goodput, so it records no capture and
+//! allocates a few bytes per wire packet; a capture recorded there
+//! again, growing with the run, costs tens.
+//!
 //! One test in its own binary: the allocator and the
 //! `stack.nic.packets_tx` counter are process-wide.
 
@@ -24,21 +29,28 @@ use traces::sites::paper_sites;
 struct Counting;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+}
 
 // SAFETY: every method forwards its arguments unchanged to `System`, so
-// `System`'s guarantees are this allocator's; counting touches only an
-// atomic.
+// `System`'s guarantees are this allocator's; counting touches only
+// atomics.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // A grown buffer costs what it grew by, a shrunk one nothing.
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
@@ -51,6 +63,9 @@ static GLOBAL: Counting = Counting;
 
 /// Most allocations per wire packet the mix may make.
 const BUDGET: f64 = 0.25;
+
+/// Most bytes per wire packet the α = 0 Figure 3 point may allocate.
+const BULK_BYTES_BUDGET: f64 = 8.0;
 
 #[test]
 fn packet_path_stays_under_the_allocation_budget() {
@@ -89,5 +104,18 @@ fn packet_path_stays_under_the_allocation_budget() {
     assert!(
         per_pkt <= BUDGET,
         "{allocs} allocations for {wire} wire packets = {per_pkt:.3} per packet, budget {BUDGET}"
+    );
+
+    let (bytes0, packets0) = (BYTES.load(Ordering::Relaxed), packets.get());
+    let point = stob_bench::figure3_point(0, Nanos::from_millis(10), 12);
+    assert!(point.goodput_gbps > 0.0);
+    let bytes = BYTES.load(Ordering::Relaxed) - bytes0;
+    let wire = packets.get() - packets0;
+    let per_pkt = bytes as f64 / wire as f64;
+    eprintln!("{bytes} bytes for {wire} wire packets at α 0: {per_pkt:.2} per packet");
+    assert!(
+        per_pkt <= BULK_BYTES_BUDGET,
+        "{bytes} bytes for {wire} wire packets = {per_pkt:.2} per packet, \
+         budget {BULK_BYTES_BUDGET}"
     );
 }

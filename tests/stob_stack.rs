@@ -4,7 +4,7 @@
 
 use netsim::{Direction, FlowId, Nanos, PacketKind};
 use stack::apps::{BulkSender, Sink};
-use stack::net::{Api, App, Network, SERVER};
+use stack::net::{Api, App, Network, CLIENT, SERVER};
 use stack::{HostConfig, PathConfig, StackConfig};
 use std::sync::Arc;
 use stob::guard::CcaPhaseGuard;
@@ -98,6 +98,7 @@ fn safety_audit_is_clean_for_shipped_strategies() {
     let cap = SafetyCap::new(IncrementalReduce::with_alpha(40));
     let audit: Arc<SafetyAudit> = cap.audit_handle();
     let mut net = lab_net(Box::new(cap), 5);
+    net.record_capture(CLIENT);
     net.run_until(Nanos::from_millis(50));
     let decisions = audit.decisions.load(std::sync::atomic::Ordering::Relaxed);
     assert!(decisions > 1000, "shaper barely exercised: {decisions}");
@@ -148,6 +149,7 @@ fn delay_strategy_stretches_wire_gaps() {
             Box::new(Sink::default()),
             seed,
         );
+        net.record_capture(CLIENT);
         net.run_to_idle();
         assert_eq!(
             net.flow_stats(SERVER, FlowId(1))
@@ -187,6 +189,7 @@ fn cca_phase_guard_defers_shaping_past_slow_start() {
     // after enough progress the splitter kicks in.
     let guarded = CcaPhaseGuard::new(SplitThreshold::new(1200));
     let mut net = lab_net(Box::new(guarded), 13);
+    net.record_capture(CLIENT);
     net.run_until(Nanos::from_millis(60));
     let data: Vec<_> = net
         .client_capture
@@ -229,6 +232,7 @@ fn client_side_shaping_applies_to_uploads_only() {
         Box::new(Sink::default()),
         17,
     );
+    net.record_capture(CLIENT);
     net.run_to_idle();
     let out_data: Vec<_> = net
         .client_capture

@@ -14,8 +14,10 @@
 //! the server sent over a mix of page loads. The QUIC values were read at the commit
 //! before `stack::seq` replaced QUIC's hand-written frontier and timer;
 //! the TCP, Figure 3 and `Multiplex` values at the commit before the
-//! transports started writing into caller-owned buffers. Re-read a value
-//! at the parent of the change under test, never from the change.
+//! transports started writing into caller-owned buffers; the
+//! `server_wire_bytes` value at the commit before a per-host counter
+//! replaced the sum over the server capture. Re-read a value at the
+//! parent of the change under test, never from the change.
 
 use netsim::{FaultSchedule, Nanos};
 use stack::mux::SplitterSpec;
