@@ -384,10 +384,10 @@ impl Network {
         }
     }
 
-    /// A packet's last bit left a host NIC: count its bytes and record it
-    /// at the local vantage point, then enter the bottleneck toward the other host —
-    /// or, for a packet tagged with a provisioned pipe, route it over
-    /// that leg instead.
+    /// A packet's last bit left a host NIC: count its bytes and record
+    /// it at the local vantage point, then enter the bottleneck toward
+    /// the other host — or, for a packet tagged with a provisioned pipe,
+    /// route it over that leg instead.
     fn pkt_leave_nic(&mut self, host: usize, pkt: Packet) {
         let now = self.q.now();
         self.hosts[host].wire_bytes_out += u64::from(pkt.wire_len);
@@ -471,9 +471,8 @@ impl Network {
     }
 
     /// Route a tagged packet over provisioned leg `i`: apply the leg's
-    /// own loss and fault schedule,
-    /// serialize it on the leg's directed [`netsim::Link`], and schedule
-    /// its arrival. Both the flow ledger and the leg's ledger account
+    /// own loss and fault schedule, serialize it on the leg's directed
+    /// [`netsim::Link`], and schedule its arrival. Both the flow ledger and the leg's ledger account
     /// for every outcome, so the auditor's per-pipe conservation and
     /// multipath-sum invariants can be checked at teardown.
     fn route_pipe(&mut self, src: usize, i: usize, pkt: Packet) {

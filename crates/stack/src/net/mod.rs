@@ -133,9 +133,9 @@ pub(crate) struct PathStats {
 
 /// One provisioned multipath leg: an independent pair of directed links
 /// (client→server, server→client) with its own loss, fault injector and
-/// conservation ledger. Packets whose
-/// [`netsim::PacketMeta::pipe`] names this leg bypass the default
-/// bottleneck entirely (see `delivery::route_pipe`).
+/// conservation ledger. Packets whose [`netsim::PacketMeta::pipe`] names
+/// this leg bypass the default bottleneck entirely (see
+/// `delivery::route_pipe`).
 pub(super) struct PipeState {
     pub(super) profile: PipeProfile,
     /// Directed links, indexed by source host (like the bottleneck).

@@ -12,8 +12,8 @@
 //!
 //! The allocator also sums the bytes it hands out. A Figure 3 point at
 //! α = 0 reads nothing but goodput, so it records no capture and
-//! allocates a few bytes per wire packet; a capture recorded there
-//! again, growing with the run, costs tens.
+//! allocates a few bytes per wire packet; a capture recorded there,
+//! growing with the run, costs tens.
 //!
 //! One test in its own binary: the allocator and the
 //! `stack.nic.packets_tx` counter are process-wide.
