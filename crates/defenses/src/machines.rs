@@ -294,6 +294,127 @@ mod tests {
         }
     }
 
+    /// Bursty inbound arrivals: 80-packet surges 300 ms apart, which
+    /// restart RegulaTor's surge schedule.
+    fn bursty() -> Vec<FlowPkt> {
+        (0..200)
+            .map(|i| FlowPkt {
+                ts: Nanos::from_micros((i / 80) * 300_000 + (i % 80) * 40),
+                dir: Direction::In,
+                size: 1000,
+            })
+            .collect()
+    }
+
+    /// The crate's padding schedules, each folded into one FNV-1a digest
+    /// of every defended flow's packets, dummy count, dummy bytes and
+    /// `real_done`: two `statgen` visits of every paper site, the bursty
+    /// flow, an outbound-only flow and an empty flow (the last two reach
+    /// each constant-rate grid's no-real-data branch), all at both
+    /// placements, flow `i` on `SimRng::new(i)`. The values were read
+    /// before FRONT and RegulaTor ran as machines and BuFLO and Tamaraw
+    /// shared one grid; re-read one only at the parent of a change.
+    #[test]
+    fn padding_schedules_are_pinned() {
+        use crate::buflo::{BufloConfig, BufloDefense, TamarawConfig, TamarawDefense};
+        use crate::front::FrontDefense;
+        use crate::regulator::RegulatorDefense;
+
+        let fleet_front = FrontConfig {
+            n_client: 4,
+            n_server: 10,
+            w_min: 0.5,
+            w_max: 2.0,
+            dummy_size: 1514,
+        };
+        let no_client = FrontConfig {
+            n_client: 0,
+            ..FrontConfig::default()
+        };
+        let cases: [(&str, Box<dyn Defense>, u64); 6] = [
+            (
+                "FRONT",
+                Box::new(FrontDefense::new(FrontConfig::default())),
+                0x907b_ff7c_7372_3559,
+            ),
+            (
+                "FRONT n_client 0",
+                Box::new(FrontDefense::new(no_client)),
+                0x2017_eb36_6dd6_c78b,
+            ),
+            (
+                "FRONT 4/10",
+                Box::new(FrontDefense::new(fleet_front)),
+                0x0be9_45be_84d2_9471,
+            ),
+            (
+                "RegulaTor",
+                Box::new(RegulatorDefense::new(RegulatorConfig::default())),
+                0xe4cc_4e41_35c9_4b3d,
+            ),
+            (
+                "BuFLO",
+                Box::new(BufloDefense::new(BufloConfig::default())),
+                0x4537_59de_d0f6_b645,
+            ),
+            (
+                "Tamaraw",
+                Box::new(TamarawDefense::new(TamarawConfig::default())),
+                0xb923_8f46_106f_8901,
+            ),
+        ];
+        let sites = paper_sites();
+        let mut flows: Vec<Vec<FlowPkt>> = (0..2 * sites.len())
+            .map(|i| {
+                let (site, visit) = (i % sites.len(), i / sites.len());
+                generate(&sites[site], site, visit, 41).packets
+            })
+            .collect();
+        flows.push(bursty());
+        flows.push(
+            flow()
+                .into_iter()
+                .filter(|p| p.dir == Direction::Out)
+                .collect(),
+        );
+        flows.push(Vec::new());
+        let ctx = DefenseCtx::default();
+        let digest = |defense: &dyn Defense| {
+            let mut h = 0xcbf2_9ce4_8422_2325u64;
+            let mut fold = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+            for (i, flow) in flows.iter().enumerate() {
+                for placement in Placement::ALL {
+                    let mut rng = SimRng::new(i as u64);
+                    let out = match placement {
+                        Placement::App => emulate_flow(defense, flow, &ctx, &mut rng),
+                        Placement::Stack => {
+                            let params = StackParams::with_seed(i as u64);
+                            enforce_flow(defense, flow, &ctx, &mut rng, &params)
+                        }
+                    };
+                    for p in &out.pkts {
+                        fold(p.ts.0);
+                        fold(u64::from(p.size));
+                        fold(p.dir as u64);
+                    }
+                    fold(out.dummy_pkts as u64);
+                    fold(out.dummy_bytes);
+                    fold(out.real_done.0);
+                }
+            }
+            h
+        };
+        let got: Vec<String> = cases
+            .iter()
+            .map(|(name, d, _)| format!("{name}: {:#018x}", digest(d.as_ref())))
+            .collect();
+        let want: Vec<String> = cases
+            .iter()
+            .map(|(name, _, h)| format!("{name}: {h:#018x}"))
+            .collect();
+        assert_eq!(got, want);
+    }
+
     /// Hold `machine` to `native` over a `statgen` corpus slice (two
     /// visits of every paper site) at both placements: from the same
     /// per-flow rng and stack seed, the defended flows are identical —
