@@ -38,8 +38,8 @@ pub enum DefenseKind {
     Surakav,
     Tamaraw,
     Buflo,
-    /// FRONT expressed as a data machine (proven to replay the native
-    /// `FrontDefense`'s rng draws — see `defenses::machines`).
+    /// The FRONT machine as a data row: the spec `FrontDefense` runs,
+    /// JSON-round-tripped under its generator name.
     MachineFront,
     /// Constant-rate cover traffic as a data machine.
     MachineConstant,

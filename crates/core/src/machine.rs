@@ -46,9 +46,12 @@
 //! samples its sigma uniformly once per state entry); each scheduled
 //! action then draws its timing, and a padding action draws its size when
 //! it fires. A transition row with a single target at probability 1
-//! transitions without consuming randomness. With those rules the
-//! machine-generated FRONT (see the `defenses` crate's machine
-//! generators) replays the native `front.rs` draw sequence bit for bit.
+//! transitions without consuming randomness. A spec with no
+//! `PacketSent` or `PacketReceived` row (mFRONT, mRegulaTor) starts at
+//! close and until then only buffers the directions it owns: its
+//! schedule depends on the rng alone, so the batch backends draw the
+//! same either way, and in the fleet its draws follow the flow's packet
+//! draws on the shared flow rng.
 //!
 //! **Safety.** Hostile or malformed specs can never panic the datapath:
 //! [`MachineSpec::validate`] bounds machines, states, probabilities and
@@ -143,7 +146,7 @@ pub enum DistSpec {
         v: f64,
     },
     /// Uniform over `[lo, hi)` (count draws use the inclusive integer
-    /// range `[lo, hi]`, matching the native adapters' budget draws).
+    /// range `[lo, hi]`, as FRONT's budget draws).
     Uniform {
         /// Lower bound.
         lo: f64,
@@ -303,7 +306,7 @@ impl DistSpec {
 
     /// Draw an action count, clamped to `[0, cap]`. A
     /// [`DistSpec::Uniform`] count uses the inclusive integer range —
-    /// bit-identical to the native adapters' `range_usize` budget draws.
+    /// bit-identical to `SimRng::range_usize` over the same bounds.
     fn sample_count(&self, cap: u64, rng: &mut SimRng) -> u64 {
         if let DistSpec::Uniform { lo, hi } = self {
             let lo = lo.max(0.0) as u64;
@@ -869,11 +872,13 @@ struct CompiledSpec {
     /// Directions owned by regulate machines (the backend drops their
     /// original packets; the surge schedule re-emits them at close).
     owned: &'static [Direction],
+    /// No state has a row for a real packet: the core starts at close.
+    deaf: bool,
 }
 
 impl CompiledSpec {
     fn new(spec: &MachineSpec) -> Self {
-        let machines = spec
+        let machines: Box<[Box<[CompiledState]>]> = spec
             .machines
             .iter()
             .map(|m| {
@@ -897,8 +902,13 @@ impl CompiledSpec {
                 (false, true) => &[Direction::Out],
                 (true, true) => &[Direction::In, Direction::Out],
             };
+        let deaf = machines
+            .iter()
+            .flat_map(|m| m.iter())
+            .all(|st| st.hears & PACKET_EVENTS == 0);
         CompiledSpec {
             machines,
+            deaf,
             max_padding_pkts: spec.max_padding_pkts,
             max_blocking: spec.max_blocking,
             budget: spec.max_padding_pkts.saturating_mul(4).saturating_add(4096),
@@ -984,8 +994,9 @@ pub(crate) struct MachineCore {
     padded: u64,
     actions: u64,
     started: bool,
-    /// Set once no machine can act again (see [`Self::is_quiet`]): the
-    /// rest of the flow only feeds the regulate buffers.
+    /// Set once no machine can act again (see [`Self::is_quiet`]), and
+    /// from the start for a [`CompiledSpec::deaf`] spec: the rest of the
+    /// flow only feeds the regulate buffers.
     quiet: bool,
     /// Buffered arrival times for regulated directions.
     reg_in: Vec<Nanos>,
@@ -996,7 +1007,7 @@ pub(crate) struct MachineCore {
 }
 
 /// RegulaTor's decaying surge schedule (Holland & Hopper, PETS 2022),
-/// written once for the native defense and [`Action::Regulate`]: re-emit
+/// the schedule of [`Action::Regulate`]: re-emit
 /// `arrivals` (the owned direction's arrival times, in arrival order) as
 /// `size`-byte `dir` packets on slots whose rate starts at `rate`
 /// packets/second and decays by `decay` per second of schedule age
@@ -1011,7 +1022,7 @@ pub(crate) struct MachineCore {
 /// `<= t` and `arrived - next_real` is the count a rescan from
 /// `next_real` would return — for any input, sorted or not.
 #[allow(clippy::too_many_arguments)]
-pub fn surge_schedule(
+fn surge_schedule(
     arrivals: &[Nanos],
     rate: f64,
     decay: f64,
@@ -1069,6 +1080,7 @@ impl MachineCore {
     fn new(spec: Arc<CompiledSpec>) -> Self {
         netsim::tm_counter!("defense.machine.flows").inc();
         let rts = spec.machines.iter().map(|_| MachineRt::default()).collect();
+        let quiet = spec.deaf;
         MachineCore {
             spec,
             rts,
@@ -1079,7 +1091,7 @@ impl MachineCore {
             padded: 0,
             actions: 0,
             started: false,
-            quiet: false,
+            quiet,
             reg_in: Vec::new(),
             reg_out: Vec::new(),
             transitions: 0,
@@ -1465,7 +1477,6 @@ impl PadderCore for MachineCore {
     }
 
     fn on_data(&mut self, pkts: &[FlowPkt], rng: &mut SimRng) {
-        self.ensure_started(rng);
         let owned = self.spec.owned;
         if !owned.is_empty() {
             for pkt in pkts.iter().filter(|p| owned.contains(&p.dir)) {
@@ -1479,6 +1490,7 @@ impl PadderCore for MachineCore {
             if self.quiet {
                 return;
             }
+            self.ensure_started(rng);
             self.pump(Some(pkt.ts), rng);
             self.now = self.now.max(pkt.ts);
             let ev = match pkt.dir {
@@ -1720,6 +1732,85 @@ mod tests {
         let out = emulate_flow(&d, &flow(), &DefenseCtx::default(), &mut rng);
         // Three inbound packets, two dummies per burst.
         assert_eq!(out.dummy_pkts, 6);
+    }
+
+    /// A core's close-out as `(packet, dummy)` pairs plus `real_done`,
+    /// after feeding it `feed` in slices of `chunk` packets, and whether
+    /// the feeding drew from the flow rng.
+    fn fed_close_out(
+        d: &MachineDefense,
+        feed: &[FlowPkt],
+        chunk: usize,
+        seed: u64,
+    ) -> (Vec<(FlowPkt, bool)>, Option<Nanos>, bool) {
+        let mut rng = SimRng::new(seed);
+        let mut core = d
+            .build(&DefenseCtx::default(), &mut rng)
+            .padding
+            .expect("core");
+        let before = rng.clone().next_u64();
+        for part in feed.chunks(chunk.max(1)) {
+            core.on_data(part, &mut rng);
+        }
+        let drew = rng.clone().next_u64() != before;
+        let out = core.on_close(&mut rng);
+        let emits = out.emits.iter().map(|e| (e.pkt, e.dummy)).collect();
+        (emits, out.real_done, drew)
+    }
+
+    #[test]
+    fn packet_deaf_spec_starts_at_close() {
+        // A relative pad state with drawn limit, gaps and sizes, and no
+        // packet row.
+        let mut m = const_machine(Direction::In, 0, 0.0);
+        m.states[0].limit = Some(DistSpec::Uniform { lo: 3.0, hi: 9.0 });
+        m.states[0].action = Action::Pad {
+            dir: Direction::In,
+            size: DistSpec::Uniform {
+                lo: 200.0,
+                hi: 1400.0,
+            },
+            timing: DistSpec::Uniform {
+                lo: 0.0005,
+                hi: 0.003,
+            },
+            absolute: false,
+        };
+        let d = MachineDefense::new(MachineSpec::padding_only("deaf", vec![m], 64));
+        let unfed = fed_close_out(&d, &[], 1, 21);
+        assert!(unfed.0.len() >= 3);
+        for chunk in [1, 2, usize::MAX] {
+            let (emits, real_done, drew) = fed_close_out(&d, &flow(), chunk, 21);
+            assert!(!drew, "on_data drew from the rng (chunk {chunk})");
+            assert_eq!(
+                (emits, real_done),
+                (unfed.0.clone(), unfed.1),
+                "chunk {chunk}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_packet_row_still_draws_at_its_packet() {
+        // The scrambler's shape: idle until an inbound packet, which
+        // starts a burst with probability one half.
+        let mut burst = const_machine(Direction::In, 2, 0.0001);
+        burst.states[0].transitions[0].to = vec![(Target::State(1), 1.0)];
+        let idle = State {
+            action: Action::Nop,
+            limit: None,
+            transitions: vec![Transition {
+                on: MachineEvent::PacketReceived,
+                to: vec![(Target::State(1), 0.5)],
+            }],
+        };
+        let m = Machine {
+            states: vec![idle, burst.states.remove(0)],
+        };
+        let d = MachineDefense::new(MachineSpec::padding_only("react", vec![m], 64));
+        let inbound = [pkt(0, Direction::In, 700)];
+        let (_, _, drew) = fed_close_out(&d, &inbound, 1, 22);
+        assert!(drew, "the PacketReceived row drew nothing at its packet");
     }
 
     #[test]

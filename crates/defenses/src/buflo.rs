@@ -4,7 +4,9 @@
 //!
 //! These are the canonical *regularization* baselines of Table 1 — and
 //! the canonical example of §2.3's cost argument: they buy protection
-//! with massive padding bandwidth and added latency.
+//! with massive padding bandwidth and added latency. Both run one
+//! constant-rate grid; they differ only in its minimum length and in
+//! the multiple its packet count is padded to.
 
 use netsim::{Direction, Nanos, SimRng};
 use stob::defense::{CloseOut, Defense, DefenseCtx, Emit, FlowDefense, FlowPkt, PadderCore};
@@ -26,114 +28,6 @@ impl Default for BufloConfig {
             packet_size: 1514,
             rho: Nanos::from_millis(10),
             tau: Nanos::from_secs(10),
-        }
-    }
-}
-
-/// Regularize one direction's byte stream onto a constant-rate grid,
-/// appending to `emits`. Returns the time real data finished.
-fn constant_rate(
-    emits: &mut Vec<Emit>,
-    total_real_bytes: u64,
-    dir: Direction,
-    size: u32,
-    rho: Nanos,
-    tau: Nanos,
-) -> Nanos {
-    let mut remaining = total_real_bytes;
-    let mut t = Nanos::ZERO;
-    let mut real_done = Nanos::ZERO;
-    while remaining > 0 || t < tau {
-        let dummy = remaining == 0;
-        emits.push(Emit {
-            pkt: FlowPkt { ts: t, dir, size },
-            dummy,
-        });
-        if !dummy {
-            remaining = remaining.saturating_sub(size as u64);
-            if remaining == 0 {
-                real_done = t;
-            }
-        }
-        t += rho;
-    }
-    real_done
-}
-
-/// BuFLO's schedule: count each direction's real bytes, then re-emit
-/// everything on the fixed-size constant-rate grid. Owns both
-/// directions — nothing of the original shape survives.
-struct BufloCore {
-    cfg: BufloConfig,
-    in_bytes: u64,
-    out_bytes: u64,
-}
-
-impl PadderCore for BufloCore {
-    fn owned_dirs(&self) -> &'static [Direction] {
-        &[Direction::In, Direction::Out]
-    }
-
-    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
-        for pkt in pkts {
-            match pkt.dir {
-                Direction::In => self.in_bytes += u64::from(pkt.size),
-                Direction::Out => self.out_bytes += u64::from(pkt.size),
-            }
-        }
-    }
-
-    fn on_close(&mut self, _rng: &mut SimRng) -> CloseOut {
-        let cfg = &self.cfg;
-        let mut emits = Vec::new();
-        let done_in = constant_rate(
-            &mut emits,
-            self.in_bytes,
-            Direction::In,
-            cfg.packet_size,
-            cfg.rho,
-            cfg.tau,
-        );
-        let done_out = constant_rate(
-            &mut emits,
-            self.out_bytes,
-            Direction::Out,
-            cfg.packet_size,
-            cfg.rho,
-            cfg.tau,
-        );
-        CloseOut {
-            emits,
-            real_done: Some(done_in.max(done_out)),
-        }
-    }
-}
-
-/// BuFLO as a placement-agnostic [`Defense`].
-#[derive(Debug, Clone, Copy)]
-pub struct BufloDefense {
-    pub(crate) cfg: BufloConfig,
-}
-
-impl BufloDefense {
-    pub fn new(cfg: BufloConfig) -> Self {
-        BufloDefense { cfg }
-    }
-}
-
-impl Defense for BufloDefense {
-    fn name(&self) -> &str {
-        "BuFLO"
-    }
-
-    fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
-        FlowDefense {
-            padding: Some(Box::new(BufloCore {
-                cfg: self.cfg,
-                in_bytes: 0,
-                out_bytes: 0,
-            })),
-            ..FlowDefense::passthrough("BuFLO")
         }
     }
 }
@@ -161,51 +55,69 @@ impl Default for TamarawConfig {
     }
 }
 
-/// Tamaraw's schedule: per-direction constant-rate grids with the
-/// packet count padded to a multiple of L. Owns both directions.
-struct TamarawCore {
-    cfg: TamarawConfig,
-    in_bytes: u64,
-    out_bytes: u64,
+/// The constant-rate grid: each direction's real bytes re-emitted as
+/// `size`-byte packets, one every `rho` from the flow start, then
+/// dummies until the direction has sent at least `min_pkts` packets and
+/// a multiple of `l`. BuFLO's minimum is its duration τ in slots and its
+/// multiple 1; Tamaraw's minimum is one packet and its multiple L.
+#[derive(Debug, Clone, Copy)]
+struct Grid {
+    size: u32,
+    /// Slot interval, inbound then outbound.
+    rho: [Nanos; 2],
+    min_pkts: u64,
+    l: u64,
 }
 
-impl PadderCore for TamarawCore {
+impl Grid {
+    fn flow(self, name: &str) -> FlowDefense {
+        FlowDefense {
+            padding: Some(Box::new(GridCore {
+                grid: self,
+                bytes: [0; 2],
+            })),
+            ..FlowDefense::passthrough(name)
+        }
+    }
+}
+
+/// One flow on a [`Grid`]: count each direction's real bytes, then
+/// re-emit everything on the grid. Owns both directions — nothing of
+/// the original shape survives.
+struct GridCore {
+    grid: Grid,
+    /// Real bytes seen, inbound then outbound.
+    bytes: [u64; 2],
+}
+
+impl PadderCore for GridCore {
     fn owned_dirs(&self) -> &'static [Direction] {
         &[Direction::In, Direction::Out]
     }
 
     fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
         for pkt in pkts {
-            match pkt.dir {
-                Direction::In => self.in_bytes += u64::from(pkt.size),
-                Direction::Out => self.out_bytes += u64::from(pkt.size),
-            }
+            self.bytes[usize::from(pkt.dir == Direction::Out)] += u64::from(pkt.size);
         }
     }
 
     fn on_close(&mut self, _rng: &mut SimRng) -> CloseOut {
-        let cfg = &self.cfg;
+        let Grid { size, rho, l, .. } = self.grid;
         let mut emits = Vec::new();
         let mut real_done = Nanos::ZERO;
-        for (dir, rho, real_bytes) in [
-            (Direction::In, cfg.rho_in, self.in_bytes),
-            (Direction::Out, cfg.rho_out, self.out_bytes),
-        ] {
-            let n_real = real_bytes.div_ceil(cfg.packet_size as u64) as usize;
-            let n_total = n_real.div_ceil(cfg.l).max(1) * cfg.l;
-            for i in 0..n_total {
-                let t = rho * i as u64;
-                emits.push(Emit {
-                    pkt: FlowPkt {
-                        ts: t,
-                        dir,
-                        size: cfg.packet_size,
-                    },
-                    dummy: i >= n_real,
-                });
-                if i + 1 == n_real {
-                    real_done = real_done.max(t);
-                }
+        for (i, dir) in [Direction::In, Direction::Out].into_iter().enumerate() {
+            let n_real = self.bytes[i].div_ceil(u64::from(size));
+            let n = n_real.max(self.grid.min_pkts).div_ceil(l) * l;
+            emits.extend((0..n).map(|k| Emit {
+                pkt: FlowPkt {
+                    ts: rho[i] * k,
+                    dir,
+                    size,
+                },
+                dummy: k >= n_real,
+            }));
+            if n_real > 0 {
+                real_done = real_done.max(rho[i] * (n_real - 1));
             }
         }
         CloseOut {
@@ -215,15 +127,43 @@ impl PadderCore for TamarawCore {
     }
 }
 
+/// BuFLO as a placement-agnostic [`Defense`].
+#[derive(Debug, Clone, Copy)]
+pub struct BufloDefense(Grid);
+
+impl BufloDefense {
+    pub fn new(cfg: BufloConfig) -> Self {
+        BufloDefense(Grid {
+            size: cfg.packet_size,
+            rho: [cfg.rho; 2],
+            min_pkts: cfg.tau.0.div_ceil(cfg.rho.0.max(1)),
+            l: 1,
+        })
+    }
+}
+
+impl Defense for BufloDefense {
+    fn name(&self) -> &str {
+        "BuFLO"
+    }
+
+    fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
+        self.0.flow("BuFLO")
+    }
+}
+
 /// Tamaraw as a placement-agnostic [`Defense`].
 #[derive(Debug, Clone, Copy)]
-pub struct TamarawDefense {
-    pub(crate) cfg: TamarawConfig,
-}
+pub struct TamarawDefense(Grid);
 
 impl TamarawDefense {
     pub fn new(cfg: TamarawConfig) -> Self {
-        TamarawDefense { cfg }
+        TamarawDefense(Grid {
+            size: cfg.packet_size,
+            rho: [cfg.rho_in, cfg.rho_out],
+            min_pkts: 1,
+            l: cfg.l as u64,
+        })
     }
 }
 
@@ -233,14 +173,7 @@ impl Defense for TamarawDefense {
     }
 
     fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
-        FlowDefense {
-            padding: Some(Box::new(TamarawCore {
-                cfg: self.cfg,
-                in_bytes: 0,
-                out_bytes: 0,
-            })),
-            ..FlowDefense::passthrough("Tamaraw")
-        }
+        self.0.flow("Tamaraw")
     }
 }
 

@@ -7,9 +7,15 @@
 //! Table 1 row: target TLS, strategy obfuscation, manipulation padding +
 //! timing. §2.3 quotes ≈80 % bandwidth overhead for FRONT; the defaults
 //! below land in that regime on our synthetic pages.
+//!
+//! The schedule exists once, as the machine
+//! [`front_machine`] generates;
+//! [`FrontDefense`] runs that machine under the name `FRONT`.
 
-use netsim::{Direction, Nanos, SimRng};
-use stob::defense::{CloseOut, Defense, DefenseCtx, Emit, FlowDefense, FlowPkt, PadderCore};
+use crate::machines::front_machine;
+use netsim::SimRng;
+use stob::defense::{Defense, DefenseCtx, FlowDefense};
+use stob::machine::{MachineDefense, MachineSpec};
 
 #[derive(Debug, Clone, Copy)]
 pub struct FrontConfig {
@@ -36,68 +42,29 @@ impl Default for FrontConfig {
     }
 }
 
-/// FRONT's padding schedule: pure padding (no real packet is touched),
-/// so the core never buffers data and draws its whole schedule at close.
-struct FrontCore {
-    cfg: FrontConfig,
-}
-
-impl PadderCore for FrontCore {
-    fn on_close(&mut self, rng: &mut SimRng) -> CloseOut {
-        let cfg = &self.cfg;
-        let mut emits = Vec::new();
-        for (dir, n_max) in [
-            (Direction::Out, cfg.n_client),
-            (Direction::In, cfg.n_server),
-        ] {
-            if n_max == 0 {
-                continue;
-            }
-            // Sample the padding budget and time window per direction.
-            let n = rng.range_usize(1, n_max);
-            let sigma = rng.range_f64(cfg.w_min, cfg.w_max);
-            for _ in 0..n {
-                let t = Nanos::from_secs_f64(rng.rayleigh(sigma));
-                emits.push(Emit {
-                    pkt: FlowPkt {
-                        ts: t,
-                        dir,
-                        size: cfg.dummy_size,
-                    },
-                    dummy: true,
-                });
-            }
-        }
-        CloseOut {
-            emits,
-            real_done: None,
-        }
-    }
-}
-
 /// FRONT as a placement-agnostic [`Defense`]. Padding-only, so it is
-/// placement-invariant: both backends execute the identical schedule.
-#[derive(Debug, Clone, Copy)]
-pub struct FrontDefense {
-    pub(crate) cfg: FrontConfig,
-}
+/// placement-invariant: both backends execute the identical schedule. A
+/// config the machine refuses (`w_min > w_max`, budgets past
+/// `stob::machine::MAX_PADDING_CAP`) builds pass-through flows, counted
+/// in `defense.machine.degraded`.
+pub struct FrontDefense(MachineDefense);
 
 impl FrontDefense {
     pub fn new(cfg: FrontConfig) -> Self {
-        FrontDefense { cfg }
+        FrontDefense(MachineDefense::new(MachineSpec {
+            name: "FRONT".to_string(),
+            ..front_machine(&cfg)
+        }))
     }
 }
 
 impl Defense for FrontDefense {
     fn name(&self) -> &str {
-        "FRONT"
+        self.0.name()
     }
 
-    fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
-        FlowDefense {
-            padding: Some(Box::new(FrontCore { cfg: self.cfg })),
-            ..FlowDefense::passthrough("FRONT")
-        }
+    fn build(&self, ctx: &DefenseCtx, rng: &mut SimRng) -> FlowDefense {
+        self.0.build(ctx, rng)
     }
 }
 
@@ -106,6 +73,8 @@ mod tests {
     use super::*;
     use crate::backend::emulate_trace;
     use crate::overhead::{bandwidth_overhead, latency_overhead, Defended};
+    use netsim::Nanos;
+    use stob::machine::MAX_PADDING_CAP;
     use traces::sites::paper_sites;
     use traces::statgen::generate;
     use traces::Trace;
@@ -204,5 +173,36 @@ mod tests {
         let d = run(&t, &cfg, &mut rng);
         assert_eq!(d.dummy_pkts, 0);
         assert_eq!(d.trace.len(), t.len());
+    }
+
+    /// A config the machine cannot run degrades the flow to pass-through
+    /// and counts it; nothing panics on the data path.
+    #[test]
+    fn invalid_config_degrades_to_passthrough() {
+        let t = sample();
+        let cap = MAX_PADDING_CAP as usize;
+        for cfg in [
+            FrontConfig {
+                w_min: 7.0,
+                w_max: 1.0,
+                ..FrontConfig::default()
+            },
+            FrontConfig {
+                n_server: cap + 1,
+                ..FrontConfig::default()
+            },
+            FrontConfig {
+                n_client: cap / 2 + 1,
+                n_server: cap / 2,
+                ..FrontConfig::default()
+            },
+        ] {
+            let degraded = || netsim::tm_counter!("defense.machine.degraded").get();
+            let before = degraded();
+            let d = run(&t, &cfg, &mut SimRng::new(8));
+            assert_eq!(d.dummy_pkts, 0, "{cfg:?}");
+            assert_eq!(d.trace, t, "{cfg:?}");
+            assert!(degraded() > before, "{cfg:?}");
+        }
     }
 }

@@ -11,8 +11,11 @@
 //!    ([`emulate`]).
 //! 2. **Literature baselines** from Table 1, for the taxonomy and the
 //!    overhead comparison of §2.3 (padding is expensive; timing-only is
-//!    work-conserving): BuFLO, Tamaraw, WTF-PAD-lite, FRONT,
-//!    RegulaTor-lite and HTTPOS-lite.
+//!    work-conserving): BuFLO and Tamaraw (one constant-rate grid),
+//!    WTF-PAD-lite, FRONT, RegulaTor-lite and Surakav-lite. FRONT and
+//!    RegulaTor run as the machine specs [`machines`] generates, beside
+//!    two schedules that exist only as machines: constant-rate cover
+//!    traffic and a reactive scrambler.
 //!
 //! [`overhead`] measures what §2.3 argues about: bandwidth overhead of
 //! padding vs. the work-conserving cost of timing-only defenses.

@@ -3,11 +3,10 @@
 //!
 //! These are the reference payloads for the defenses-as-data control
 //! plane: each generator returns a spec that can be serialized, pushed
-//! through `stob::sockopt::publish_json`, and hot-swapped at runtime — and the
-//! FRONT generator is constructed to *replay the native `FrontDefense`'s
-//! RNG draw sequence bit for bit* (same per-flow rng → identical defended
-//! flow), which is what lets the defense matrix prove the machine
-//! runtime faithful against `front.rs`.
+//! through `stob::sockopt::publish_json`, and hot-swapped at runtime.
+//! FRONT and RegulaTor exist only here: [`crate::front::FrontDefense`]
+//! and [`crate::regulator::RegulatorDefense`] run the machines
+//! [`front_machine`] and [`regulator_machine`] generate.
 
 use netsim::{Direction, Nanos};
 use stob::machine::{
@@ -90,12 +89,11 @@ fn certain(on: MachineEvent, to: Target) -> Transition {
     }
 }
 
-/// FRONT as one machine: a chain of per-direction padding states, each
-/// drawing its budget `U{1, n}`, its Rayleigh sigma `U(w_min, w_max)`,
-/// and then `budget` absolute pad offsets — exactly the native
-/// `FrontCore::on_close` draw order (Out first, then In, zero-budget
-/// directions skipped), so the same per-flow rng yields the identical
-/// defended flow.
+/// FRONT as one machine: a chain of per-direction padding states (Out
+/// first, then In; a zero-budget direction has no state), each drawing
+/// its budget `U{1, n}`, its Rayleigh sigma `U(w_min, w_max)`, and then
+/// `budget` absolute pad offsets. The spec has no packet row, so the
+/// runtime starts it at close and the whole schedule is drawn there.
 pub fn front_machine(cfg: &FrontConfig) -> MachineSpec {
     let dirs: Vec<(Direction, usize)> = [
         (Direction::Out, cfg.n_client),
@@ -142,7 +140,8 @@ pub fn front_machine(cfg: &FrontConfig) -> MachineSpec {
     } else {
         vec![Machine { states }]
     };
-    MachineSpec::padding_only("mFRONT", machines, (cfg.n_client + cfg.n_server) as u64)
+    let cap = cfg.n_client.saturating_add(cfg.n_server) as u64;
+    MachineSpec::padding_only("mFRONT", machines, cap)
 }
 
 /// Constant-rate padding as two single-state machines (one per
@@ -222,12 +221,8 @@ pub fn scrambler_machine(cfg: &ScramblerConfig) -> MachineSpec {
 }
 
 /// RegulaTor-lite as one machine: a single `Regulate` state owning the
-/// inbound direction. The interpreter and the native `regulator.rs`
-/// core run the same [`stob::machine::surge_schedule`] (zero rng
-/// draws), so the same per-flow rng — which neither touches — yields
-/// the identical defended flow;
-/// `tests::machine_regulator_matches_native_regulator_per_flow` holds
-/// the runtime to that bit-for-bit.
+/// inbound direction, which runs the runtime's surge schedule over the
+/// buffered arrivals at close (zero rng draws).
 pub fn regulator_machine(cfg: &RegulatorConfig) -> MachineSpec {
     let mut spec = MachineSpec::padding_only(
         "mRegulaTor",
@@ -246,7 +241,7 @@ pub fn regulator_machine(cfg: &RegulatorConfig) -> MachineSpec {
             }],
         }],
         // The machine cap must stay above any plausible dummy budget so
-        // it never clips the native schedule (parity would break).
+        // it never clips the schedule's own `budget_frac` budget.
         stob::machine::MAX_PADDING_CAP,
     );
     spec.max_blocking = Nanos::ZERO;
@@ -413,107 +408,6 @@ mod tests {
             .map(|(name, _, h)| format!("{name}: {h:#018x}"))
             .collect();
         assert_eq!(got, want);
-    }
-
-    /// Hold `machine` to `native` over a `statgen` corpus slice (two
-    /// visits of every paper site) at both placements: from the same
-    /// per-flow rng and stack seed, the defended flows are identical —
-    /// every timestamp, direction and size, the dummy accounting and
-    /// `real_done`.
-    fn assert_parity_on_corpus(native: &dyn Defense, machine: &dyn Defense) {
-        let sites = paper_sites();
-        for i in 0..2 * sites.len() {
-            let (site, visit) = (i % sites.len(), i / sites.len());
-            let trace = generate(&sites[site], site, visit, 41);
-            let params = StackParams::with_seed(i as u64);
-            let ctx = DefenseCtx::default();
-            for placement in Placement::ALL {
-                let run = |d: &dyn Defense| {
-                    let mut rng = SimRng::new(i as u64);
-                    match placement {
-                        Placement::App => emulate_flow(d, &trace.packets, &ctx, &mut rng),
-                        Placement::Stack => {
-                            enforce_flow(d, &trace.packets, &ctx, &mut rng, &params)
-                        }
-                    }
-                };
-                let (a, b) = (run(native), run(machine));
-                let at = format!("site {site} visit {visit} at {}", placement.name());
-                assert_eq!(a.pkts, b.pkts, "{at}");
-                assert_eq!(a.dummy_pkts, b.dummy_pkts, "{at}");
-                assert_eq!(a.dummy_bytes, b.dummy_bytes, "{at}");
-                assert_eq!(a.real_done, b.real_done, "{at}");
-            }
-        }
-    }
-
-    /// The headline parity claim: the machine FRONT replays the native
-    /// `FrontDefense`'s rng draws, so the same per-flow rng produces the
-    /// *identical* defended flow — timestamps, directions, sizes.
-    #[test]
-    fn machine_front_matches_native_front_per_flow() {
-        let cfg = FrontConfig::default();
-        let native = crate::front::FrontDefense::new(cfg);
-        let machine = MachineDefense::new(front_machine(&cfg));
-        assert_parity_on_corpus(&native, &machine);
-    }
-
-    #[test]
-    fn machine_front_skips_zero_budget_directions_like_native() {
-        let cfg = FrontConfig {
-            n_client: 0,
-            ..FrontConfig::default()
-        };
-        let native = crate::front::FrontDefense::new(cfg);
-        let machine = MachineDefense::new(front_machine(&cfg));
-        let mut r1 = SimRng::new(11);
-        let mut r2 = SimRng::new(11);
-        let a = emulate_flow(&native, &flow(), &DefenseCtx::default(), &mut r1);
-        let b = emulate_flow(&machine, &flow(), &DefenseCtx::default(), &mut r2);
-        assert_eq!(a.pkts, b.pkts);
-        assert!(b
-            .pkts
-            .iter()
-            .filter(|p| p.size == 1514)
-            .all(|p| p.dir == Direction::In));
-
-        let none = FrontConfig {
-            n_client: 0,
-            n_server: 0,
-            ..FrontConfig::default()
-        };
-        let machine = MachineDefense::new(front_machine(&none));
-        let mut r = SimRng::new(12);
-        let out = emulate_flow(&machine, &flow(), &DefenseCtx::default(), &mut r);
-        assert_eq!(out.dummy_pkts, 0);
-    }
-
-    /// RegulaTor parity: the regulate action replicates the native
-    /// surge loop exactly — same emission times, sizes, dummy flags and
-    /// `real_done` — over the corpus slice at both placements (neither
-    /// draws rng, so this also proves the machine wrapper adds no stray
-    /// draws).
-    #[test]
-    fn machine_regulator_matches_native_regulator_per_flow() {
-        let cfg = RegulatorConfig::default();
-        let native = crate::regulator::RegulatorDefense::new(cfg);
-        let machine = MachineDefense::new(regulator_machine(&cfg));
-        assert_parity_on_corpus(&native, &machine);
-        // And on a surge-heavy flow shape (bursty arrivals) that
-        // exercises the schedule-restart branch.
-        let bursty: Vec<FlowPkt> = (0..200)
-            .map(|i| FlowPkt {
-                ts: Nanos::from_micros((i / 80) * 300_000 + (i % 80) * 40),
-                dir: Direction::In,
-                size: 1000,
-            })
-            .collect();
-        let mut r1 = SimRng::new(99);
-        let mut r2 = SimRng::new(99);
-        let a = emulate_flow(&native, &bursty, &DefenseCtx::default(), &mut r1);
-        let b = emulate_flow(&machine, &bursty, &DefenseCtx::default(), &mut r2);
-        assert_eq!(a.pkts, b.pkts);
-        assert_eq!(a.real_done, b.real_done);
     }
 
     #[test]

@@ -5,15 +5,17 @@
 //! arrives. Slots with no queued real packet emit a dummy, up to a
 //! padding budget. Outgoing traffic passes through untouched.
 //!
-//! "Lite": we keep the surge schedule and dummy fill
-//! ([`stob::machine::surge_schedule`], shared with the machine
-//! runtime's `Action::Regulate`), but skip the full design's upload
-//! side — there, outgoing packets are sent at a fraction of the
-//! incoming rate; here the core owns only the inbound direction.
+//! "Lite": we keep the surge schedule and dummy fill, but skip the full
+//! design's upload side — there, outgoing packets are sent at a fraction
+//! of the incoming rate; here the schedule owns only the inbound
+//! direction. The schedule is the machine runtime's `Action::Regulate`:
+//! [`RegulatorDefense`] runs the machine
+//! [`regulator_machine`] generates.
 
-use netsim::{Direction, Nanos, SimRng};
-use stob::defense::{CloseOut, Defense, DefenseCtx, FlowDefense, FlowPkt, PadderCore};
-use stob::machine::surge_schedule;
+use crate::machines::regulator_machine;
+use netsim::SimRng;
+use stob::defense::{Defense, DefenseCtx, FlowDefense};
+use stob::machine::{MachineDefense, MachineSpec};
 
 #[derive(Debug, Clone, Copy)]
 pub struct RegulatorConfig {
@@ -41,69 +43,28 @@ impl Default for RegulatorConfig {
     }
 }
 
-/// RegulaTor's schedule: buffer the inbound arrival times, then re-emit
-/// the whole inbound stream on the decaying surge schedule. Owns the
-/// inbound direction; outbound packets pass through untouched.
-struct RegulatorCore {
-    cfg: RegulatorConfig,
-    arrivals: Vec<Nanos>,
-}
-
-impl PadderCore for RegulatorCore {
-    fn owned_dirs(&self) -> &'static [Direction] {
-        &[Direction::In]
-    }
-
-    fn on_data(&mut self, pkts: &[FlowPkt], _rng: &mut SimRng) {
-        let inbound = pkts.iter().filter(|p| p.dir == Direction::In);
-        self.arrivals.extend(inbound.map(|p| p.ts));
-    }
-
-    fn on_close(&mut self, _rng: &mut SimRng) -> CloseOut {
-        let cfg = &self.cfg;
-        let mut emits = Vec::new();
-        let (real_done, _dummies) = surge_schedule(
-            &self.arrivals,
-            cfg.rate,
-            cfg.decay,
-            cfg.surge_threshold as u64,
-            (self.arrivals.len() as f64 * cfg.padding_budget) as u64,
-            Direction::In,
-            cfg.packet_size,
-            &mut emits,
-        );
-        CloseOut {
-            emits,
-            real_done: Some(real_done),
-        }
-    }
-}
-
-/// RegulaTor-lite as a placement-agnostic [`Defense`].
-#[derive(Debug, Clone, Copy)]
-pub struct RegulatorDefense {
-    pub(crate) cfg: RegulatorConfig,
-}
+/// RegulaTor-lite as a placement-agnostic [`Defense`]. A config the
+/// machine refuses (a rate that is not positive, a decay outside
+/// `(0, 1]`) builds pass-through flows, counted in
+/// `defense.machine.degraded`.
+pub struct RegulatorDefense(MachineDefense);
 
 impl RegulatorDefense {
     pub fn new(cfg: RegulatorConfig) -> Self {
-        RegulatorDefense { cfg }
+        RegulatorDefense(MachineDefense::new(MachineSpec {
+            name: "RegulaTor (lite)".to_string(),
+            ..regulator_machine(&cfg)
+        }))
     }
 }
 
 impl Defense for RegulatorDefense {
     fn name(&self) -> &str {
-        "RegulaTor (lite)"
+        self.0.name()
     }
 
-    fn build(&self, _ctx: &DefenseCtx, _rng: &mut SimRng) -> FlowDefense {
-        FlowDefense {
-            padding: Some(Box::new(RegulatorCore {
-                cfg: self.cfg,
-                arrivals: Vec::new(),
-            })),
-            ..FlowDefense::passthrough("RegulaTor (lite)")
-        }
+    fn build(&self, ctx: &DefenseCtx, rng: &mut SimRng) -> FlowDefense {
+        self.0.build(ctx, rng)
     }
 }
 
@@ -113,6 +74,7 @@ mod tests {
     use crate::backend::emulate_trace;
     use crate::buflo::{BufloConfig, BufloDefense};
     use crate::overhead::{bandwidth_overhead, Defended};
+    use netsim::{Direction, Nanos};
     use traces::sites::paper_sites;
     use traces::statgen::generate;
     use traces::Trace;
