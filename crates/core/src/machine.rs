@@ -982,9 +982,17 @@ struct MachineRt {
 }
 
 /// The machine runtime: a [`PadderCore`] running a [`CompiledSpec`]
-/// over one flow. Construct via [`MachineCore::new`] (normally
-/// indirectly, through [`MachineDefense::build`]).
+/// over one flow. Until it starts it holds only the regulate buffers.
 pub(crate) struct MachineCore {
+    spec: Arc<CompiledSpec>,
+    /// Buffered arrival times for regulated directions.
+    reg_in: Vec<Nanos>,
+    reg_out: Vec<Nanos>,
+    run: Option<Box<Run>>,
+}
+
+/// A started core's machines and what they have emitted.
+struct Run {
     spec: Arc<CompiledSpec>,
     rts: Vec<MachineRt>,
     out: Vec<Emit>,
@@ -993,14 +1001,9 @@ pub(crate) struct MachineCore {
     total_blocking: Nanos,
     padded: u64,
     actions: u64,
-    started: bool,
-    /// Set once no machine can act again (see [`Self::is_quiet`]), and
-    /// from the start for a [`CompiledSpec::deaf`] spec: the rest of the
-    /// flow only feeds the regulate buffers.
+    /// Set once no machine can act again (see [`Self::is_quiet`]): the
+    /// rest of the flow only feeds the regulate buffers.
     quiet: bool,
-    /// Buffered arrival times for regulated directions.
-    reg_in: Vec<Nanos>,
-    reg_out: Vec<Nanos>,
     /// The flow's `defense.machine.transitions`, added once at close
     /// (with `pad_pkts` / `pad_bytes`, read off the pads in `out`).
     transitions: u64,
@@ -1075,27 +1078,25 @@ fn surge_schedule(
     (real_done, dummy_pkts)
 }
 
-impl MachineCore {
-    /// Build the runtime for one flow over a compiled spec.
-    fn new(spec: Arc<CompiledSpec>) -> Self {
-        netsim::tm_counter!("defense.machine.flows").inc();
-        let rts = spec.machines.iter().map(|_| MachineRt::default()).collect();
-        let quiet = spec.deaf;
-        MachineCore {
-            spec,
-            rts,
+impl Run {
+    /// Start `spec`'s machines for one flow, each in its state 0.
+    fn start(spec: &Arc<CompiledSpec>, rng: &mut SimRng) -> Box<Run> {
+        let mut run = Box::new(Run {
+            spec: Arc::clone(spec),
+            rts: spec.machines.iter().map(|_| MachineRt::default()).collect(),
             out: Vec::new(),
             now: Nanos::ZERO,
             blocked_until: None,
             total_blocking: Nanos::ZERO,
             padded: 0,
             actions: 0,
-            started: false,
-            quiet,
-            reg_in: Vec::new(),
-            reg_out: Vec::new(),
+            quiet: false,
             transitions: 0,
+        });
+        for m in 0..run.rts.len() {
+            run.enter_state(m, 0, rng);
         }
+        run
     }
 
     /// Run every regulate machine's [`surge_schedule`] over its buffered
@@ -1104,7 +1105,7 @@ impl MachineCore {
     /// count against the spec's global padding cap but not the action
     /// budget — a regulate run is already bounded by
     /// `reals + budget_frac * reals` emissions.
-    fn run_regulate(&mut self) -> Option<Nanos> {
+    fn run_regulate(&mut self, reg_in: &[Nanos], reg_out: &[Nanos]) -> Option<Nanos> {
         let mut done: Option<Nanos> = None;
         for m in self.spec.machines.iter() {
             let Action::Regulate {
@@ -1118,9 +1119,9 @@ impl MachineCore {
             else {
                 continue;
             };
-            let incoming: &[Nanos] = match dir {
-                Direction::In => &self.reg_in,
-                Direction::Out => &self.reg_out,
+            let incoming = match dir {
+                Direction::In => reg_in,
+                Direction::Out => reg_out,
             };
             let native_budget = (incoming.len() as f64 * budget_frac) as u64;
             let room = self.spec.max_padding_pkts.saturating_sub(self.padded);
@@ -1459,16 +1460,6 @@ impl MachineCore {
             }
         }
     }
-
-    fn ensure_started(&mut self, rng: &mut SimRng) {
-        if self.started {
-            return;
-        }
-        self.started = true;
-        for m in 0..self.rts.len() {
-            self.enter_state(m, 0, rng);
-        }
-    }
 }
 
 impl PadderCore for MachineCore {
@@ -1486,37 +1477,40 @@ impl PadderCore for MachineCore {
                 }
             }
         }
+        if self.spec.deaf {
+            return;
+        }
+        let run = self.run.get_or_insert_with(|| Run::start(&self.spec, rng));
         for pkt in pkts {
-            if self.quiet {
+            if run.quiet {
                 return;
             }
-            self.ensure_started(rng);
-            self.pump(Some(pkt.ts), rng);
-            self.now = self.now.max(pkt.ts);
+            run.pump(Some(pkt.ts), rng);
+            run.now = run.now.max(pkt.ts);
             let ev = match pkt.dir {
                 Direction::Out => MachineEvent::PacketSent,
                 Direction::In => MachineEvent::PacketReceived,
             };
-            self.deliver_all(ev, rng);
-            self.quiet = self.is_quiet();
+            run.deliver_all(ev, rng);
+            run.quiet = run.is_quiet();
         }
     }
 
     fn on_close(&mut self, rng: &mut SimRng) -> CloseOut {
-        self.ensure_started(rng);
-        self.pump(None, rng);
+        let run = self.run.get_or_insert_with(|| Run::start(&self.spec, rng));
+        run.pump(None, rng);
         // Until the regulate schedules run, `out` holds the pads alone.
-        if !self.out.is_empty() {
-            let bytes = self.out.iter().map(|e| u64::from(e.pkt.size)).sum();
-            netsim::tm_counter!("defense.machine.pad_pkts").add(self.out.len() as u64);
+        if !run.out.is_empty() {
+            let bytes = run.out.iter().map(|e| u64::from(e.pkt.size)).sum();
+            netsim::tm_counter!("defense.machine.pad_pkts").add(run.out.len() as u64);
             netsim::tm_counter!("defense.machine.pad_bytes").add(bytes);
         }
-        let real_done = self.run_regulate();
-        if self.transitions > 0 {
-            netsim::tm_counter!("defense.machine.transitions").add(self.transitions);
+        let real_done = run.run_regulate(&self.reg_in, &self.reg_out);
+        if run.transitions > 0 {
+            netsim::tm_counter!("defense.machine.transitions").add(run.transitions);
         }
         CloseOut {
-            emits: std::mem::take(&mut self.out),
+            emits: std::mem::take(&mut run.out),
             real_done,
         }
     }
@@ -1572,7 +1566,13 @@ impl Defense for MachineDefense {
         let padding: Option<Box<dyn PadderCore>> = if compiled.machines.is_empty() {
             None
         } else {
-            Some(Box::new(MachineCore::new(Arc::clone(compiled))))
+            netsim::tm_counter!("defense.machine.flows").inc();
+            Some(Box::new(MachineCore {
+                spec: Arc::clone(compiled),
+                reg_in: Vec::new(),
+                reg_out: Vec::new(),
+                run: None,
+            }))
         };
         FlowDefense {
             policy,
