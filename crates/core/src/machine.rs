@@ -804,7 +804,7 @@ struct CompiledState {
     hears: u8,
     /// A pad state whose `PaddingSent` row certainly re-enters it — the
     /// loop every padding schedule runs per dummy, which
-    /// [`MachineCore::fire_pad`] continues in place.
+    /// [`Run::fire_pad`] continues in place.
     pad_loops: bool,
     /// A pad's size when it is [`DistSpec::Fixed`]: a constant, drawn
     /// once here instead of per dummy.
