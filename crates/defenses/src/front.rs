@@ -8,8 +8,7 @@
 //! timing. §2.3 quotes ≈80 % bandwidth overhead for FRONT; the defaults
 //! below land in that regime on our synthetic pages.
 //!
-//! The schedule exists once, as the machine
-//! [`front_machine`] generates;
+//! The schedule exists once, as the machine [`front_machine`] generates;
 //! [`FrontDefense`] runs that machine under the name `FRONT`.
 
 use crate::machines::front_machine;

@@ -9,8 +9,7 @@
 //! design's upload side — there, outgoing packets are sent at a fraction
 //! of the incoming rate; here the schedule owns only the inbound
 //! direction. The schedule is the machine runtime's `Action::Regulate`:
-//! [`RegulatorDefense`] runs the machine
-//! [`regulator_machine`] generates.
+//! [`RegulatorDefense`] runs the machine [`regulator_machine`] generates.
 
 use crate::machines::regulator_machine;
 use netsim::SimRng;
