@@ -301,63 +301,10 @@ mod tests {
             .collect()
     }
 
-    /// The crate's padding schedules, each folded into one FNV-1a digest
-    /// of every defended flow's packets, dummy count, dummy bytes and
-    /// `real_done`: two `statgen` visits of every paper site, the bursty
-    /// flow, an outbound-only flow and an empty flow (the last two reach
-    /// each constant-rate grid's no-real-data branch), all at both
-    /// placements, flow `i` on `SimRng::new(i)`. The values were read
-    /// before FRONT and RegulaTor ran as machines and BuFLO and Tamaraw
-    /// shared one grid; re-read one only at the parent of a change.
-    #[test]
-    fn padding_schedules_are_pinned() {
-        use crate::buflo::{BufloConfig, BufloDefense, TamarawConfig, TamarawDefense};
-        use crate::front::FrontDefense;
-        use crate::regulator::RegulatorDefense;
-
-        let fleet_front = FrontConfig {
-            n_client: 4,
-            n_server: 10,
-            w_min: 0.5,
-            w_max: 2.0,
-            dummy_size: 1514,
-        };
-        let no_client = FrontConfig {
-            n_client: 0,
-            ..FrontConfig::default()
-        };
-        let cases: [(&str, Box<dyn Defense>, u64); 6] = [
-            (
-                "FRONT",
-                Box::new(FrontDefense::new(FrontConfig::default())),
-                0x907b_ff7c_7372_3559,
-            ),
-            (
-                "FRONT n_client 0",
-                Box::new(FrontDefense::new(no_client)),
-                0x2017_eb36_6dd6_c78b,
-            ),
-            (
-                "FRONT 4/10",
-                Box::new(FrontDefense::new(fleet_front)),
-                0x0be9_45be_84d2_9471,
-            ),
-            (
-                "RegulaTor",
-                Box::new(RegulatorDefense::new(RegulatorConfig::default())),
-                0xe4cc_4e41_35c9_4b3d,
-            ),
-            (
-                "BuFLO",
-                Box::new(BufloDefense::new(BufloConfig::default())),
-                0x4537_59de_d0f6_b645,
-            ),
-            (
-                "Tamaraw",
-                Box::new(TamarawDefense::new(TamarawConfig::default())),
-                0xb923_8f46_106f_8901,
-            ),
-        ];
+    /// The pinning corpus: two `statgen` visits of every paper site, the
+    /// bursty flow, an outbound-only flow and an empty flow (the last two
+    /// reach each constant-rate grid's no-real-data branch).
+    fn corpus() -> Vec<Vec<FlowPkt>> {
         let sites = paper_sites();
         let mut flows: Vec<Vec<FlowPkt>> = (0..2 * sites.len())
             .map(|i| {
@@ -373,41 +320,161 @@ mod tests {
                 .collect(),
         );
         flows.push(Vec::new());
+        flows
+    }
+
+    /// `defense` over [`corpus`] at both placements, flow `i` on
+    /// `SimRng::new(i)`, folded into one FNV-1a digest of every defended
+    /// flow's packets, dummy count, dummy bytes and `real_done`.
+    fn schedule_digest(defense: &dyn Defense) -> u64 {
         let ctx = DefenseCtx::default();
-        let digest = |defense: &dyn Defense| {
-            let mut h = 0xcbf2_9ce4_8422_2325u64;
-            let mut fold = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
-            for (i, flow) in flows.iter().enumerate() {
-                for placement in Placement::ALL {
-                    let mut rng = SimRng::new(i as u64);
-                    let out = match placement {
-                        Placement::App => emulate_flow(defense, flow, &ctx, &mut rng),
-                        Placement::Stack => {
-                            let params = StackParams::with_seed(i as u64);
-                            enforce_flow(defense, flow, &ctx, &mut rng, &params)
-                        }
-                    };
-                    for p in &out.pkts {
-                        fold(p.ts.0);
-                        fold(u64::from(p.size));
-                        fold(p.dir as u64);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut fold = |x: u64| h = (h ^ x).wrapping_mul(0x0000_0100_0000_01b3);
+        for (i, flow) in corpus().iter().enumerate() {
+            for placement in Placement::ALL {
+                let mut rng = SimRng::new(i as u64);
+                let out = match placement {
+                    Placement::App => emulate_flow(defense, flow, &ctx, &mut rng),
+                    Placement::Stack => {
+                        let params = StackParams::with_seed(i as u64);
+                        enforce_flow(defense, flow, &ctx, &mut rng, &params)
                     }
-                    fold(out.dummy_pkts as u64);
-                    fold(out.dummy_bytes);
-                    fold(out.real_done.0);
+                };
+                for p in &out.pkts {
+                    fold(p.ts.0);
+                    fold(u64::from(p.size));
+                    fold(p.dir as u64);
                 }
+                fold(out.dummy_pkts as u64);
+                fold(out.dummy_bytes);
+                fold(out.real_done.0);
             }
-            h
-        };
+        }
+        h
+    }
+
+    /// Hold each `(name, defense, digest)` case to its [`schedule_digest`].
+    /// Every digest was read before FRONT and RegulaTor ran as machines
+    /// and BuFLO and Tamaraw shared one grid, so it stands for the native
+    /// core that is gone; re-read one only at the parent of a change.
+    fn assert_pinned(cases: &[(&str, &dyn Defense, u64)]) {
         let got: Vec<String> = cases
             .iter()
-            .map(|(name, d, _)| format!("{name}: {:#018x}", digest(d.as_ref())))
+            .map(|(name, d, _)| format!("{name}: {:#018x}", schedule_digest(*d)))
             .collect();
         let want: Vec<String> = cases
             .iter()
             .map(|(name, _, h)| format!("{name}: {h:#018x}"))
             .collect();
         assert_eq!(got, want);
+    }
+
+    /// The machine FRONT replays the native FRONT's rng draws, so the same
+    /// per-flow rng gives the identical defended flow: the shipped
+    /// `FrontDefense` and the bare `front_machine` both hit the native
+    /// digests, at the default budgets and the fleet's 4/10.
+    #[test]
+    fn machine_front_matches_native_front_per_flow() {
+        use crate::front::FrontDefense;
+
+        let fleet = FrontConfig {
+            n_client: 4,
+            n_server: 10,
+            w_min: 0.5,
+            w_max: 2.0,
+            dummy_size: 1514,
+        };
+        let default = FrontConfig::default();
+        assert_pinned(&[
+            ("FRONT", &FrontDefense::new(default), 0x907b_ff7c_7372_3559),
+            (
+                "front_machine",
+                &MachineDefense::new(front_machine(&default)),
+                0x907b_ff7c_7372_3559,
+            ),
+            (
+                "FRONT 4/10",
+                &FrontDefense::new(fleet),
+                0x0be9_45be_84d2_9471,
+            ),
+            (
+                "front_machine 4/10",
+                &MachineDefense::new(front_machine(&fleet)),
+                0x0be9_45be_84d2_9471,
+            ),
+        ]);
+    }
+
+    #[test]
+    fn machine_front_skips_zero_budget_directions_like_native() {
+        let no_client = FrontConfig {
+            n_client: 0,
+            ..FrontConfig::default()
+        };
+        let machine = MachineDefense::new(front_machine(&no_client));
+        assert_pinned(&[("FRONT n_client 0", &machine, 0x2017_eb36_6dd6_c78b)]);
+        let mut rng = SimRng::new(11);
+        let out = emulate_flow(&machine, &flow(), &DefenseCtx::default(), &mut rng);
+        assert!(out.dummy_pkts > 0);
+        assert!(out
+            .pkts
+            .iter()
+            .filter(|p| p.size == 1514)
+            .all(|p| p.dir == Direction::In));
+
+        let none = FrontConfig {
+            n_client: 0,
+            n_server: 0,
+            ..FrontConfig::default()
+        };
+        let machine = MachineDefense::new(front_machine(&none));
+        let mut rng = SimRng::new(12);
+        let out = emulate_flow(&machine, &flow(), &DefenseCtx::default(), &mut rng);
+        assert_eq!(out.dummy_pkts, 0);
+    }
+
+    /// The regulate action replays the native surge loop: the shipped
+    /// `RegulatorDefense` and the bare `regulator_machine` both hit the
+    /// native digest, whose corpus includes the bursty flow that restarts
+    /// the schedule (neither draws rng, so this also shows the machine
+    /// wrapper adds no stray draws).
+    #[test]
+    fn machine_regulator_matches_native_regulator_per_flow() {
+        use crate::regulator::RegulatorDefense;
+
+        let cfg = RegulatorConfig::default();
+        assert_pinned(&[
+            (
+                "RegulaTor",
+                &RegulatorDefense::new(cfg),
+                0xe4cc_4e41_35c9_4b3d,
+            ),
+            (
+                "regulator_machine",
+                &MachineDefense::new(regulator_machine(&cfg)),
+                0xe4cc_4e41_35c9_4b3d,
+            ),
+        ]);
+    }
+
+    /// BuFLO and Tamaraw, two configs of one grid core, each hit the
+    /// digest of its former separate implementation.
+    #[test]
+    fn padding_schedules_are_pinned() {
+        use crate::buflo::{BufloConfig, BufloDefense, TamarawConfig, TamarawDefense};
+
+        assert_pinned(&[
+            (
+                "BuFLO",
+                &BufloDefense::new(BufloConfig::default()),
+                0x4537_59de_d0f6_b645,
+            ),
+            (
+                "Tamaraw",
+                &TamarawDefense::new(TamarawConfig::default()),
+                0xb923_8f46_106f_8901,
+            ),
+        ]);
     }
 
     #[test]
