@@ -6,16 +6,17 @@
 
 use netsim::Nanos;
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
+use stob_bench::cli;
 use traces::flows::{cc_class_names, cc_corpus};
 use traces::Dataset;
 use wf::cc_ident::evaluate_cc_ident;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let per_class: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(12);
-    let trees: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(60);
-    let repeats: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(0xCCA);
+    let args = cli::Positional::new("cc_ident [flows_per_class] [trees] [repeats] [seed]");
+    let per_class = args.count(1, 12);
+    let trees = args.count(2, 60);
+    let repeats = args.count(3, 5);
+    let seed = args.seed(4, 0xCCA);
 
     eprintln!("[cc_ident] generating {per_class} flows per CCA (reno/cubic/bbr)...");
     let t0 = std::time::Instant::now();

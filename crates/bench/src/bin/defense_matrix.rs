@@ -19,8 +19,8 @@ use netsim::par::{self, Timings};
 use netsim::{Json, SimRng};
 use std::time::Instant;
 use stob::defense::Placement;
-use stob_bench::collect_dataset;
 use stob_bench::suite::DefenseKind;
+use stob_bench::{cli, collect_dataset};
 use traces::{Dataset, Trace};
 use wf::eval::{evaluate, EvalConfig};
 use wf::forest::ForestConfig;
@@ -37,11 +37,11 @@ struct Cell {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let visits: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(40);
-    let trees: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(80);
-    let repeats: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(0xDEF);
+    let args = cli::Positional::new("defense_matrix [visits] [trees] [repeats] [seed]");
+    let visits = args.count(1, 40);
+    let trees = args.count(2, 80);
+    let repeats = args.count(3, 4);
+    let seed = args.seed(4, 0xDEF);
 
     let mut timings = Timings::new();
     eprintln!(

@@ -16,8 +16,8 @@
 //! Set `STOB_JSON_OUT=<path>` to also write the report as JSON. The JSON
 //! deliberately contains no wall-clock timings, so two runs at different
 //! thread counts can be byte-compared; timings go to stderr only.
-//! `--telemetry` (or `STOB_TELEMETRY=1`) appends the global metrics
-//! summary — deterministic like the JSON (wall-clock spans go to stderr).
+//! `--telemetry` appends the global metrics summary — deterministic like
+//! the JSON (wall-clock spans go to stderr).
 
 use netsim::par::{self, Timings};
 use netsim::{FaultSchedule, FaultStats, Json, Nanos, SimRng};

@@ -5,8 +5,8 @@
 //!
 //! Usage: `figure3 [--telemetry] [alpha_max] [alpha_step] [measure_ms] [seed]`
 //! (defaults: 0..=40 step 4, 50 ms measurement window after a 30 ms
-//! warm-up). `--telemetry` (or `STOB_TELEMETRY=1`) appends the global
-//! metrics summary; `STOB_TRACE_OUT=<path>` dumps the per-flow
+//! warm-up). `--telemetry` appends the global metrics summary;
+//! `STOB_TRACE_OUT=<path>` dumps the per-flow
 //! shaping-decision trace as JSONL; `STOB_JSON_OUT=<path>` writes the
 //! sweep points as JSON (deterministic: no wall-clock timings, so runs
 //! at different `STOB_THREADS` byte-compare equal).

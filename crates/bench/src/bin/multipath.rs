@@ -12,15 +12,15 @@
 
 use netsim::par::{self, Timings};
 use std::time::Instant;
-use stob_bench::collect_dataset;
 use stob_bench::multipath::{config_from_env, run_multipath, MultipathConfig};
+use stob_bench::{cli, collect_dataset};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let visits: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(40);
-    let trees: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(80);
-    let repeats: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(0xA117);
+    let args = cli::Positional::new("multipath [visits] [trees] [repeats] [seed]");
+    let visits = args.count(1, 40);
+    let trees = args.count(2, 80);
+    let repeats = args.count(3, 4);
+    let seed = args.seed(4, 0xA117);
 
     let mut timings = Timings::new();
     eprintln!(

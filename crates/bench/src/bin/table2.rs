@@ -8,18 +8,17 @@
 //! JSON (byte-stable run-to-run — the CI golden compare reads it;
 //! per-stage wall-clock timings go to stderr); `STOB_THREADS` caps the
 //! parallel driver.
-//! `--telemetry` (or `STOB_TELEMETRY=1`) appends the global metrics
-//! summary.
+//! `--telemetry` appends the global metrics summary.
 
 use netsim::Json;
 use stob_bench::{cli, collect_dataset, format_table2, run_table2_timed, Table2Config};
 
 fn main() {
-    let (args, want_telemetry) = cli::args();
-    let visits: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(100);
-    let trees: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(100);
-    let repeats: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(5);
-    let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(0x7AB1E2);
+    let args = cli::Positional::new("table2 [--telemetry] [visits] [trees] [repeats] [seed]");
+    let visits = args.count(1, 100);
+    let trees = args.count(2, 100);
+    let repeats = args.count(3, 5);
+    let seed = args.seed(4, 0x7AB1E2);
 
     eprintln!("[table2] collecting {visits} visits/site across 9 sites (seed {seed})...");
     let t0 = std::time::Instant::now();
@@ -74,7 +73,7 @@ fn main() {
     println!("| 45  | 0.938 ± 0.016 | 0.897 ± 0.030 | 0.913 ± 0.021 | 0.904 ± 0.004 |");
     println!("| All | 0.963 ± 0.002 | 0.980 ± 0.008 | 0.980 ± 0.014 | 0.992 ± 0.009 |");
 
-    if want_telemetry {
+    if args.telemetry {
         cli::print_telemetry();
     }
 }

@@ -134,14 +134,14 @@ pub fn write_json_out(bin: &str, build: impl FnOnce() -> netsim::Json) {
     }
 }
 
-/// The prelude the telemetry-aware bins (`table2`, `figure3`,
-/// `fault_matrix`, `chaos`) share.
+/// The command-line prelude the bins share: the `--telemetry` flag
+/// (`table2`, `figure3`, `fault_matrix`, `chaos`) and positional integer
+/// arguments checked before any work starts.
 pub mod cli {
     /// The process arguments with every `--telemetry` stripped, and
-    /// whether the metrics summary was asked for (by that flag or
-    /// `STOB_TELEMETRY`).
+    /// whether that flag was given.
     pub fn args() -> (Vec<String>, bool) {
-        let mut want_telemetry = netsim::telemetry::summary_enabled();
+        let mut want_telemetry = false;
         let args = std::env::args()
             .filter(|a| {
                 let flag = a == "--telemetry";
@@ -157,6 +157,75 @@ pub mod cli {
     pub fn print_telemetry() {
         println!("\n{}", netsim::telemetry::metrics_summary());
         eprintln!("{}", netsim::telemetry::wall_profile_summary());
+    }
+
+    /// A bin's positional arguments, read against its usage line. A
+    /// malformed value, a zero count or an argument the usage line does
+    /// not name prints that line and exits 2, so a bad command line
+    /// fails before the corpus is collected, not after.
+    pub struct Positional {
+        args: Vec<String>,
+        usage: &'static str,
+        /// Whether `--telemetry` was given; only a usage line that names
+        /// `[--telemetry]` accepts it.
+        pub telemetry: bool,
+    }
+
+    impl Positional {
+        /// The process arguments, read against `usage`, which names each
+        /// positional as `[name]`.
+        pub fn new(usage: &'static str) -> Positional {
+            let (args, telemetry) = if usage.contains("[--telemetry]") {
+                args()
+            } else {
+                (std::env::args().collect(), false)
+            };
+            let p = Positional {
+                args,
+                usage,
+                telemetry,
+            };
+            if let Some(extra) = p.args.get(p.names().count() + 1) {
+                p.refuse(&format!("unexpected argument `{extra}`"));
+            }
+            p
+        }
+
+        /// Argument `i` (1 = the first after the program name) as a
+        /// positive count, or `default` when it is absent.
+        pub fn count(&self, i: usize, default: usize) -> usize {
+            self.get(i, default, "a positive integer", |s| {
+                s.parse().ok().filter(|&n| n > 0)
+            })
+        }
+
+        /// Argument `i` as a seed, or `default` when it is absent.
+        pub fn seed(&self, i: usize, default: u64) -> u64 {
+            self.get(i, default, "an unsigned integer", |s| s.parse().ok())
+        }
+
+        fn names(&self) -> impl Iterator<Item = &str> {
+            self.usage
+                .split_whitespace()
+                .filter(|w| w.starts_with('[') && !w.starts_with("[-"))
+                .map(|w| w.trim_matches(['[', ']']))
+        }
+
+        fn get<T>(&self, i: usize, default: T, want: &str, parse: impl Fn(&str) -> Option<T>) -> T {
+            let Some(s) = self.args.get(i) else {
+                return default;
+            };
+            parse(s).unwrap_or_else(|| {
+                let name = self.names().nth(i - 1).unwrap_or("argument");
+                self.refuse(&format!("{name} must be {want}, got `{s}`"))
+            })
+        }
+
+        fn refuse(&self, why: &str) -> ! {
+            let bin = self.usage.split_whitespace().next().unwrap_or_default();
+            eprintln!("{bin}: {why}\nusage: {}", self.usage);
+            std::process::exit(2)
+        }
     }
 }
 

@@ -69,9 +69,9 @@
 //!    memory stays bounded on arbitrarily long runs. Bench binaries dump
 //!    it as JSONL via `STOB_TRACE_OUT=<path>`.
 //!
-//! Environment knobs: `STOB_TRACE_OUT=<path>` routes flow traces to a
-//! JSONL file; `STOB_TELEMETRY=1` makes the bench binaries print the
-//! metrics summary (equivalent to their `--telemetry` flag).
+//! Environment knob: `STOB_TRACE_OUT=<path>` routes flow traces to a
+//! JSONL file. The bench binaries print the metrics summary when given
+//! `--telemetry`.
 
 use crate::json::Json;
 use crate::time::Nanos;
@@ -860,13 +860,6 @@ impl Tracer {
 /// JSONL flow trace (`None` when unset or empty).
 pub fn trace_out() -> Option<String> {
     crate::env::string("STOB_TRACE_OUT")
-}
-
-/// `STOB_TELEMETRY=1`: ask the bench binaries for their telemetry
-/// summary section without passing `--telemetry` explicitly.
-/// Unrecognised values warn once on stderr and leave the summary off.
-pub fn summary_enabled() -> bool {
-    crate::env::flag("STOB_TELEMETRY", false)
 }
 
 #[cfg(test)]

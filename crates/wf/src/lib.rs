@@ -21,13 +21,11 @@
 //!   `mean ± std` numbers Table 2 reports.
 
 pub mod cc_ident;
-pub mod dl;
 pub mod eval;
 pub mod features;
 pub mod forest;
 mod knn;
 pub mod metrics;
-pub mod mlp;
 pub mod openworld;
 mod tree;
 pub mod vantage;

@@ -10,11 +10,13 @@
 # each run at 1 and 4 threads to pin the fan-out determinism contract
 # (table2's pair is what holds the parallel `collect_dataset` stage at
 # the CLI), and so is table1, whose measured-overhead rows hold
-# `run_overheads`. The fleet's report (work counts + emission checksum +
-# telemetry totals, no timings) is held the same way: the quick
-# population at 1 and 4 threads, the full 1M-flow population at 1 thread
-# (thread-invariance stays with the quick pair) — the fleet's
-# cross-commit gate. How fast any of this runs is not checked here: that
+# `run_overheads`, and so is attacks, the k-FP RF vote beside full k-FP
+# (leaf k-NN) and feature k-NN that EXPERIMENTS.md's attack table reads
+# (tests/attack_table.rs asserts that reading on the golden). The
+# fleet's report (work counts + emission checksum + telemetry totals, no
+# timings) is held the same way: the quick population at 1 and 4
+# threads, the full 1M-flow population at 1 thread (thread-invariance
+# stays with the quick pair) — the fleet's cross-commit gate. How fast any of this runs is not checked here: that
 # is the layered benchmark's job (BENCHMARK.json, benchmark/README.md).
 # The fault suite's report (fault_matrix: every fault scenario x defense
 # through the real stack, auditor on, exit 1 on any violation; its JSON
@@ -49,6 +51,8 @@ rows=(
     "tests/golden/fault_matrix.json    4  fault_matrix"
     "tests/golden/table1.json          1  table1          6 7"
     "tests/golden/table1.json          4  table1          6 7"
+    "tests/golden/attacks.json         1  attacks         12 25 2 7"
+    "tests/golden/attacks.json         4  attacks         12 25 2 7"
 )
 
 # The command that writes `$1`'s output for bin `$2` with args `$3...`.
