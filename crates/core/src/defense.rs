@@ -251,9 +251,13 @@ impl Defense for ObfuscationPolicy {
 }
 
 /// Normalize a packet sequence exactly as `Trace::normalize` does:
-/// stable time sort, then rebase so the first packet sits at t = 0.
+/// stable time sort, then rebase so the first packet sits at t = 0. A
+/// stable sort of a sorted slice is the identity, so a sorted sequence
+/// skips it.
 pub(crate) fn normalize_flow(pkts: &mut [FlowPkt]) {
-    pkts.sort_by_key(|p| p.ts);
+    if !pkts.is_sorted_by_key(|p| p.ts) {
+        pkts.sort_by_key(|p| p.ts);
+    }
     if let Some(first) = pkts.first() {
         let t0 = first.ts;
         if !t0.is_zero() {
@@ -446,8 +450,7 @@ fn pad_and_close(
         if !owned.is_empty() {
             pkts.retain(|p| !owned.contains(&p.dir));
         }
-        pkts.extend(emits.iter().map(|e| e.pkt));
-        normalize_flow(&mut pkts);
+        merge_close_out(&mut pkts, emits);
         netsim::telemetry::counter(pad_counter).add(c.dummy_pkts);
         closed = c;
     }
@@ -456,6 +459,52 @@ fn pad_and_close(
         dummy_pkts: closed.dummy_pkts as usize,
         dummy_bytes: closed.dummy_bytes,
         real_done: closed.real_done.unwrap_or(shaped_done),
+    }
+}
+
+/// Append a close-out's emissions to the held stream and normalize the
+/// result: what `extend` then [`normalize_flow`] gives, written once.
+///
+/// A time-sorted stream (what the kernel hands over) is merged with the
+/// stably sorted emissions in place, from the back, rebasing as it goes;
+/// a tie goes to the stream, as in a stable sort of the concatenation.
+/// The vector grows by exactly the emissions, so the defended flow holds
+/// no slack. An unsorted stream takes the `extend` and sort.
+fn merge_close_out(pkts: &mut Vec<FlowPkt>, mut emits: Vec<Emit>) {
+    if !pkts.is_sorted_by_key(|p| p.ts) {
+        pkts.extend(emits.iter().map(|e| e.pkt));
+        return normalize_flow(pkts);
+    }
+    if !emits.is_sorted_by_key(|e| e.pkt.ts) {
+        emits.sort_by_key(|e| e.pkt.ts);
+    }
+    let t0 = match (pkts.first(), emits.first()) {
+        (Some(p), Some(e)) => p.ts.min(e.pkt.ts),
+        (Some(p), None) => p.ts,
+        (None, Some(e)) => e.pkt.ts,
+        (None, None) => return,
+    };
+    let (mut i, mut j) = (pkts.len(), emits.len());
+    pkts.reserve_exact(j);
+    pkts.extend(emits.iter().map(|e| e.pkt));
+    // `k` is the next slot to fill from the back; `k == i + j`, so the
+    // stream's unmerged prefix is already where it belongs once the
+    // emissions run out.
+    while j > 0 {
+        let k = i + j - 1;
+        pkts[k] = if i > 0 && pkts[i - 1].ts > emits[j - 1].pkt.ts {
+            i -= 1;
+            pkts[i]
+        } else {
+            j -= 1;
+            emits[j].pkt
+        };
+        pkts[k].ts -= t0;
+    }
+    if !t0.is_zero() {
+        for p in &mut pkts[..i] {
+            p.ts -= t0;
+        }
     }
 }
 
@@ -1165,6 +1214,86 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The close-out as it was assembled before the merge: `extend`,
+    /// stable sort of the concatenation, rebase.
+    fn close_out_by_sort(mut pkts: Vec<FlowPkt>, emits: &[Emit]) -> Vec<FlowPkt> {
+        pkts.extend(emits.iter().map(|e| e.pkt));
+        pkts.sort_by_key(|p| p.ts);
+        if let Some(t0) = pkts.first().map(|p| p.ts) {
+            pkts.iter_mut().for_each(|p| p.ts -= t0);
+        }
+        pkts
+    }
+
+    #[test]
+    fn merged_close_out_equals_extend_sort_and_rebase() {
+        // Timestamps on a coarse grid, so the stream and the emissions
+        // tie often; every packet gets its own size, so an equal result
+        // means an equal order, not only equal keys.
+        let mut id = 0u32;
+        let mut pkt = |rng: &mut SimRng, base: u64| {
+            id += 1;
+            let dir = if rng.next_below(2) == 0 {
+                Direction::In
+            } else {
+                Direction::Out
+            };
+            FlowPkt::new(Nanos(base + 100 * rng.range_u64(0, 40)), dir, id)
+        };
+        // Seeds that hit: an empty stream, empty emissions, an unsorted
+        // stream, unsorted emissions, a stream/emission tie.
+        let mut cases = [0usize; 5];
+        for seed in 0..600u64 {
+            let mut rng = SimRng::new(seed ^ 0xC105E);
+            let base = 100 * rng.range_u64(0, 3);
+            let n = if seed % 6 == 0 {
+                0
+            } else {
+                rng.range_u64(0, 60)
+            };
+            let m = if seed % 6 == 1 {
+                0
+            } else {
+                rng.range_u64(0, 40)
+            };
+            let mut stream: Vec<FlowPkt> = (0..n).map(|_| pkt(&mut rng, base)).collect();
+            let sorted_stream = seed % 6 != 2;
+            if sorted_stream {
+                stream.sort_by_key(|p| p.ts);
+            }
+            let mut emits: Vec<Emit> = (0..m)
+                .map(|_| Emit {
+                    pkt: pkt(&mut rng, base),
+                    dummy: rng.next_below(2) == 0,
+                })
+                .collect();
+            if seed % 2 == 0 {
+                emits.sort_by_key(|e| e.pkt.ts);
+            }
+            let hit = [
+                stream.is_empty(),
+                emits.is_empty(),
+                !stream.is_sorted_by_key(|p| p.ts),
+                !emits.is_sorted_by_key(|e| e.pkt.ts),
+                emits
+                    .iter()
+                    .any(|e| stream.iter().any(|p| p.ts == e.pkt.ts)),
+            ];
+            let want = close_out_by_sort(stream.clone(), &emits);
+            stream.shrink_to_fit();
+            merge_close_out(&mut stream, emits);
+            assert_eq!(stream, want, "seed {seed}");
+            if sorted_stream {
+                // Grown by exactly the emissions: no slack to shrink.
+                assert_eq!(stream.capacity(), stream.len(), "seed {seed}");
+            }
+            for (c, h) in cases.iter_mut().zip(hit) {
+                *c += usize::from(h);
+            }
+        }
+        assert!(cases.iter().all(|&c| c >= 50), "{cases:?}");
     }
 
     #[test]

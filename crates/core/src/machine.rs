@@ -321,7 +321,7 @@ impl DistSpec {
         if !s.is_finite() || s < 0.0 {
             return 0;
         }
-        (s.round() as u64).min(cap)
+        netsim::round_to_u64(s).min(cap)
     }
 }
 
@@ -330,7 +330,7 @@ fn wire_size(s: f64) -> u32 {
     if !s.is_finite() {
         return 1;
     }
-    (s.round().clamp(1.0, f64::from(MTU_WIRE))) as u32
+    netsim::round_to_u64(s).clamp(1, u64::from(MTU_WIRE)) as u32
 }
 
 /// The events that drive machine transitions.

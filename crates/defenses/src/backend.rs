@@ -107,37 +107,24 @@ pub fn defend_all(
 
 /// A slice of traces as a [`ReferenceBank`] for mimicry defenses.
 ///
-/// The inbound timestamp column of every candidate is extracted once at
-/// construction (a struct-of-arrays view of the bank), so the per-flow
-/// hot path — `defend_all` picks and reads a reference per defended
-/// trace — is a memcpy of a ready column instead of a filter walk over
-/// the full packet list — and so is the label histogram, which the
-/// reference pick asks for once per flow.
+/// The bank borrows the corpus and keeps no copy of it: a reference's
+/// inbound schedule is read from its trace when a flow picks it, so the
+/// corpus is resident once however many defenses replay it. Only the
+/// label histogram is built up front, because the reference pick asks
+/// for it once per flow.
 pub struct TraceBank<'a> {
     traces: &'a [Trace],
-    in_cols: Vec<Vec<Nanos>>,
     label_counts: HashMap<usize, usize>,
 }
 
 impl<'a> TraceBank<'a> {
     pub fn new(traces: &'a [Trace]) -> Self {
-        let in_cols = traces
-            .iter()
-            .map(|t| {
-                t.packets
-                    .iter()
-                    .filter(|p| p.dir == Direction::In)
-                    .map(|p| p.ts)
-                    .collect()
-            })
-            .collect();
         let mut label_counts = HashMap::new();
         for t in traces {
             *label_counts.entry(t.label).or_default() += 1;
         }
         TraceBank {
             traces,
-            in_cols,
             label_counts,
         }
     }
@@ -153,8 +140,17 @@ impl ReferenceBank for TraceBank<'_> {
     fn count_label(&self, label: usize) -> usize {
         self.label_counts.get(&label).copied().unwrap_or(0)
     }
+    /// Counted first, so the vector is exact-sized.
     fn in_times(&self, i: usize) -> Vec<Nanos> {
-        self.in_cols[i].clone()
+        let inbound = || {
+            self.traces[i]
+                .packets
+                .iter()
+                .filter(|p| p.dir == Direction::In)
+        };
+        let mut times = Vec::with_capacity(inbound().count());
+        times.extend(inbound().map(|p| p.ts));
+        times
     }
 }
 

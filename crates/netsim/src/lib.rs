@@ -48,4 +48,4 @@ pub use pool::{Arena, ArenaHandle, VecPool};
 pub use queue::DropTailQueue;
 pub use rng::SimRng;
 pub use stats::{percentile, percentile_sorted, Histogram, RunningStats};
-pub use time::Nanos;
+pub use time::{round_to_u64, Nanos};

@@ -35,7 +35,7 @@ impl Nanos {
         if s <= 0.0 {
             Nanos(0)
         } else {
-            Nanos((s * 1e9).round() as u64)
+            Nanos(round_to_u64(s * 1e9))
         }
     }
 
@@ -65,7 +65,7 @@ impl Nanos {
     /// Scale a duration by a floating point factor, rounding to nearest.
     pub fn mul_f64(self, f: f64) -> Nanos {
         debug_assert!(f >= 0.0, "negative time scaling");
-        Nanos((self.0 as f64 * f).round() as u64)
+        Nanos(round_to_u64(self.0 as f64 * f))
     }
 
     /// Time to serialize `bytes` at `rate_bps` bits per second.
@@ -77,6 +77,25 @@ impl Nanos {
         // bits * 1e9 / rate, computed in u128 to avoid overflow at 100 Gb/s.
         let bits = (bytes as u128) * 8;
         Nanos(((bits * 1_000_000_000) / rate_bps as u128) as u64)
+    }
+}
+
+/// `x.round() as u64` for every `f64` (negatives, NaN and ±∞ included),
+/// without the call into a software `round` that baseline x86-64 makes.
+///
+/// Below 2^52 an `f64` may carry a fraction: truncate, and add one when
+/// the fraction is at least a half (ties away from zero, as `round`).
+/// `x - t` is exact there, since `t <= x < 2t` or `t = 0` (Sterbenz). A
+/// negative `x` truncates to 0 and stays there. From 2^52 up every `f64`
+/// is an integer, so the saturating cast alone is `round`'s answer; NaN
+/// takes that branch too and casts to 0.
+pub fn round_to_u64(x: f64) -> u64 {
+    const TWO_52: f64 = 4_503_599_627_370_496.0;
+    if x < TWO_52 {
+        let t = x as u64;
+        t + u64::from(x - t as f64 >= 0.5)
+    } else {
+        x as u64
     }
 }
 
@@ -157,6 +176,60 @@ mod tests {
         assert_eq!(a / 4, Nanos(25));
         assert_eq!(b.saturating_sub(a), Nanos::ZERO);
         assert_eq!(a.mul_f64(0.5), Nanos(50));
+    }
+
+    fn check_round(x: f64) {
+        assert_eq!(
+            round_to_u64(x),
+            x.round() as u64,
+            "{x:e} ({:#018x})",
+            x.to_bits()
+        );
+    }
+
+    #[test]
+    fn round_to_u64_equals_std_round_then_cast() {
+        let two_52 = 2f64.powi(52);
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            0.49999999999999994,
+            1.5,
+            2.5,
+            -0.5,
+            -2.5,
+            -1e300,
+            two_52 - 1.0,
+            two_52 - 0.5,
+            two_52,
+            two_52 + 1.0,
+            2f64.powi(53) + 1.0,
+            2f64.powi(63),
+            2f64.powi(64),
+            f64::MAX,
+            f64::MIN,
+            f64::NAN,
+            -f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MIN_POSITIVE,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::EPSILON,
+        ];
+        edges.into_iter().for_each(check_round);
+        // Random bit patterns cover every exponent; random values below
+        // 2^52 cover the branch that does the arithmetic.
+        let mut rng = crate::SimRng::new(0x0F64);
+        for _ in 0..1_000_000 {
+            check_round(f64::from_bits(rng.next_u64()));
+            check_round(rng.next_f64() * two_52 * 1.01);
+        }
+        for k in 0..4096u64 {
+            check_round(k as f64 / 4.0);
+            check_round(k as f64 / 2.0 + 0.5f64.next_down());
+        }
     }
 
     #[test]

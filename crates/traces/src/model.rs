@@ -107,9 +107,12 @@ impl Trace {
     }
 
     /// Re-sort packets by timestamp (stable), then rebase to zero. Used
-    /// after defenses shift timings.
+    /// after defenses shift timings. A stable sort of a sorted slice is
+    /// the identity, so a sorted trace skips it.
     pub fn normalize(&mut self) {
-        self.packets.sort_by_key(|p| p.ts);
+        if !self.packets.is_sorted_by_key(|p| p.ts) {
+            self.packets.sort_by_key(|p| p.ts);
+        }
         if let Some(first) = self.packets.first() {
             let t0 = first.ts;
             if !t0.is_zero() {
@@ -125,13 +128,13 @@ impl Trace {
 /// columns with the same accessor surface as the row form.
 ///
 /// The row layout ([`Trace`], `Vec<TracePacket>`) is what the defenses
-/// and the stack naturally produce; the hot readers (feature extraction,
-/// emulate-path reference banks) scan one column at a time, where a
-/// columnar layout is cache-friendly — scanning `ts` touches 8 bytes per
-/// packet instead of a 16-byte struct with padding. Conversion is
-/// lossless in both directions ([`TraceCols::from_trace`] /
-/// [`TraceCols::to_trace`]), and `fill_from` reuses the column buffers so
-/// a batch consumer allocates once, not per trace.
+/// and the stack naturally produce; the hot reader (feature extraction)
+/// scans one column at a time, where a columnar layout is cache-friendly
+/// — scanning `ts` touches 8 bytes per packet instead of a 16-byte
+/// struct with padding. Conversion is lossless in both directions
+/// ([`TraceCols::from_trace`] / [`TraceCols::to_trace`]), and `fill_from`
+/// reuses the column buffers so a batch consumer allocates once, not per
+/// trace.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TraceCols {
     pub(crate) label: usize,

@@ -19,7 +19,20 @@ const REQ_WIRE: u32 = 576;
 pub fn generate(site: &SiteProfile, label: usize, visit: usize, seed: u64) -> Trace {
     let mut rng = SimRng::new(seed).fork(label as u64).fork(visit as u64 + 1);
     let plan = site.plan_visit(&mut rng);
-    let mut pkts: Vec<TracePacket> = Vec::new();
+    let mut sizes = vec![plan.main_doc];
+    sizes.extend(&plan.objects);
+    // Sized from the plan, so a long-lived corpus carries no push-growth
+    // slack: the handshake's seven packets, then per object a request,
+    // the full segments with an ACK every other one, and the remainder
+    // with its ACK.
+    let capacity = 7 + sizes
+        .iter()
+        .map(|&obj| {
+            let n_full = (obj / 1448) as usize;
+            1 + n_full + n_full / 2 + if obj % 1448 > 0 { 2 } else { 0 }
+        })
+        .sum::<usize>();
+    let mut pkts: Vec<TracePacket> = Vec::with_capacity(capacity);
     let mut now = Nanos::ZERO;
     let rtt = plan.rtt;
     let rate = plan.bottleneck_mbps * 1_000_000;
@@ -36,8 +49,6 @@ pub fn generate(site: &SiteProfile, label: usize, visit: usize, seed: u64) -> Tr
     }
     pkts.push(TracePacket::new(now, Direction::Out, 146)); // FIN'd hs
 
-    let mut sizes = vec![plan.main_doc];
-    sizes.extend(&plan.objects);
     for (i, &obj) in sizes.iter().enumerate() {
         // Request after a think-ish gap.
         now += plan.thinks[i.min(plan.thinks.len() - 1)] + rtt / 2;
@@ -60,6 +71,7 @@ pub fn generate(site: &SiteProfile, label: usize, visit: usize, seed: u64) -> Tr
             pkts.push(TracePacket::new(now, Direction::Out, ACK_WIRE));
         }
     }
+    debug_assert_eq!(pkts.len(), capacity);
     let mut t = Trace::new(label, visit, pkts);
     t.normalize();
     t

@@ -12,6 +12,12 @@
 # quartiles). Exits 1 if any two runs' sim_digests differ or any run
 # failed an operation; the verdicts do not change the exit status.
 #
+# Both sides run from paths of one length: the binaries are copied to
+# `$tmp/bin/parent` and `$tmp/bin/change`, and the runs work in
+# `$tmp/run/001`, `002`, …. `fleet_mixed`'s peak_rss_mb has two modes
+# ~1.1 MiB apart, and which one a run lands in follows the length of the
+# binary's path and of its working directory.
+#
 # Given a metric-name prefix (e.g. `defenses.m`), it then runs one
 # `--trace 1` per side, each as long as a pair's run, and prints every
 # per-layer row whose name starts with the prefix: parent, change and
@@ -47,10 +53,17 @@ build() {
 }
 build "$tmp/parent"
 build "$root"
-declare -A bin=(
-    [parent]="$tmp/parent/benchmark/target/release/benchmark"
-    [change]="$root/benchmark/target/release/benchmark"
-)
+mkdir -p "$tmp/bin" "$tmp/run"
+cp "$tmp/parent/benchmark/target/release/benchmark" "$tmp/bin/parent"
+cp "$root/benchmark/target/release/benchmark" "$tmp/bin/change"
+declare -A bin=([parent]="$tmp/bin/parent" [change]="$tmp/bin/change")
+# One fresh working directory per run, all of one depth and name length.
+nrun=0
+rundir() {
+    nrun=$((nrun + 1))
+    cwd="$(printf '%s/run/%03d' "$tmp" "$nrun")"
+    mkdir "$cwd"
+}
 # A traced run writes here, under the checkout its binary was built from.
 declare -A trace=(
     [parent]="$tmp/parent/benchmark/out/trace-$workload.json"
@@ -62,7 +75,7 @@ runs="$tmp/runs.jsonl"
 for ((i = 1; i <= pairs; i++)); do
     if ((i % 2)); then order=(parent change); else order=(change parent); fi
     for side in "${order[@]}"; do
-        cwd="$(mktemp -d -p "$tmp")"
+        rundir
         out="$(cd "$cwd" && "${bin[$side]}" --workload "$workload" --seed "$seed" \
             --seconds "$seconds" --trace 0)"
         report="${out%%$'\n'*}" # the first line is the descriptive report
@@ -71,7 +84,7 @@ for ((i = 1; i <= pairs; i++)); do
 done
 if [[ -n "$prefix" ]]; then
     for side in parent change; do
-        cwd="$(mktemp -d -p "$tmp")"
+        rundir
         (cd "$cwd" && "${bin[$side]}" --workload "$workload" --seed "$seed" \
             --seconds "$seconds" --trace 1 >/dev/null)
     done
