@@ -465,15 +465,14 @@ fn pad_and_close(
 /// Append a close-out's emissions to the held stream and normalize the
 /// result: what `extend` then [`normalize_flow`] gives, written once.
 ///
-/// A time-sorted stream (what the kernel hands over) is merged with the
-/// stably sorted emissions in place, from the back, rebasing as it goes;
-/// a tie goes to the stream, as in a stable sort of the concatenation.
-/// The vector grows by exactly the emissions, so the defended flow holds
-/// no slack. An unsorted stream takes the `extend` and sort.
+/// The stream and the emissions are each stably sorted (the kernel hands
+/// over a time-sorted stream, so that is usually a scan) and merged in
+/// place, from the back, rebasing as it goes; a tie goes to the stream,
+/// as in a stable sort of the concatenation. The vector grows by exactly
+/// the emissions, so the defended flow holds no slack.
 fn merge_close_out(pkts: &mut Vec<FlowPkt>, mut emits: Vec<Emit>) {
     if !pkts.is_sorted_by_key(|p| p.ts) {
-        pkts.extend(emits.iter().map(|e| e.pkt));
-        return normalize_flow(pkts);
+        pkts.sort_by_key(|p| p.ts);
     }
     if !emits.is_sorted_by_key(|e| e.pkt.ts) {
         emits.sort_by_key(|e| e.pkt.ts);
@@ -1259,8 +1258,7 @@ mod tests {
                 rng.range_u64(0, 40)
             };
             let mut stream: Vec<FlowPkt> = (0..n).map(|_| pkt(&mut rng, base)).collect();
-            let sorted_stream = seed % 6 != 2;
-            if sorted_stream {
+            if seed % 6 != 2 {
                 stream.sort_by_key(|p| p.ts);
             }
             let mut emits: Vec<Emit> = (0..m)
@@ -1285,10 +1283,8 @@ mod tests {
             stream.shrink_to_fit();
             merge_close_out(&mut stream, emits);
             assert_eq!(stream, want, "seed {seed}");
-            if sorted_stream {
-                // Grown by exactly the emissions: no slack to shrink.
-                assert_eq!(stream.capacity(), stream.len(), "seed {seed}");
-            }
+            // Grown by exactly the emissions: no slack to shrink.
+            assert_eq!(stream.capacity(), stream.len(), "seed {seed}");
             for (c, h) in cases.iter_mut().zip(hit) {
                 *c += usize::from(h);
             }

@@ -24,7 +24,10 @@ pub fn generate(site: &SiteProfile, label: usize, visit: usize, seed: u64) -> Tr
     // Sized from the plan, so a long-lived corpus carries no push-growth
     // slack: the handshake's seven packets, then per object a request,
     // the full segments with an ACK every other one, and the remainder
-    // with its ACK.
+    // with its ACK. Growing and then `shrink_to_fit` costs `defend_suite`
+    // set-up and throughput (PERF.md, "One copy of the corpus"). A count
+    // that drifts from the loop below fails the `debug_assert` and
+    // `tests/corpus_footprint.rs`, which checks `capacity() == len()`.
     let capacity = 7 + sizes
         .iter()
         .map(|&obj| {
