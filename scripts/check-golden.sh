@@ -12,7 +12,10 @@
 # the CLI), and so is table1, whose measured-overhead rows hold
 # `run_overheads`, and so is attacks, the k-FP RF vote beside full k-FP
 # (leaf k-NN) and feature k-NN that EXPERIMENTS.md's attack table reads
-# (tests/attack_table.rs asserts that reading on the golden). The
+# (tests/attack_table.rs asserts that reading on the golden), and so are
+# figure3 and ablations at their defaults, the goodput sweeps behind
+# Figure 3's 19.7 Gb/s floor and §2.3's small-window argument
+# (tests/goodput_claims.rs asserts those claims on the goldens). The
 # fleet's report (work counts + emission checksum + telemetry totals, no
 # timings) is held the same way: the quick population at 1 and 4
 # threads, the full 1M-flow population at 1 thread (thread-invariance
@@ -53,6 +56,10 @@ rows=(
     "tests/golden/table1.json          4  table1          6 7"
     "tests/golden/attacks.json         1  attacks         12 25 2 7"
     "tests/golden/attacks.json         4  attacks         12 25 2 7"
+    "tests/golden/figure3.json         1  figure3"
+    "tests/golden/figure3.json         4  figure3"
+    "tests/golden/ablations.json       1  ablations"
+    "tests/golden/ablations.json       4  ablations"
 )
 
 # The command that writes `$1`'s output for bin `$2` with args `$3...`.
