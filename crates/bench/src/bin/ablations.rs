@@ -22,55 +22,19 @@
 use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
 use defenses::{emulate_trace, enforce_trace};
 use netsim::par::{self, Timings};
-use netsim::{FlowId, Json, Nanos, SimRng};
-use stack::apps::{BulkSender, ShapedSender, Sink};
+use netsim::{Json, Nanos, SimRng};
 use stack::config::CcKind;
-use stack::net::{Network, SERVER};
-use stack::{HostConfig, PathConfig, StackConfig};
+use stack::{PathConfig, StackConfig};
 use stob::defense::{DefenseCtx, StackParams};
 use stob::guard::CcaPhaseGuard;
 use stob::safety::SafetyCap;
 use stob::strategies::{DelayJitter, IncrementalReduce};
-
-fn goodput(
-    cfg: StackConfig,
-    shaper: Option<Box<dyn stack::Shaper>>,
-    path: PathConfig,
-    server_cfg: Option<StackConfig>,
-    measure: Nanos,
-    seed: u64,
-) -> f64 {
-    let mut server_host = HostConfig::default();
-    if let Some(sc) = server_cfg {
-        server_host.stack = sc;
-    }
-    let mut net = Network::new(
-        HostConfig::default(),
-        server_host,
-        path,
-        Box::new(ShapedSender::new(BulkSender::endless(), cfg, shaper)),
-        Box::new(Sink::default()),
-        seed,
-    );
-    let warmup = Nanos::from_millis(30);
-    net.run_until(warmup);
-    let base = net
-        .flow_stats(SERVER, FlowId(1))
-        .map(|s| s.bytes_delivered)
-        .unwrap_or(0);
-    net.run_until(warmup + measure);
-    let bytes = net
-        .flow_stats(SERVER, FlowId(1))
-        .map(|s| s.bytes_delivered)
-        .unwrap_or(0)
-        - base;
-    bytes as f64 * 8.0 / measure.as_secs_f64() / 1e9
-}
+use stob_bench::{bulk_goodput, cli};
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let measure_ms: u64 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(40);
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(3);
+    let args = cli::Positional::new("ablations [measure_ms] [seed]");
+    let measure_ms = args.count(1, 40) as u64;
+    let seed = args.uint(2, 3u64);
     let measure = Nanos::from_millis(measure_ms);
     let mut timings = Timings::new();
     let mut json_cells: Vec<Json> = Vec::new();
@@ -91,13 +55,14 @@ fn main() {
                 1 => Box::new(SafetyCap::new(IncrementalReduce::new(0, 0, alpha / 4, 8))),
                 _ => Box::new(SafetyCap::new(IncrementalReduce::with_alpha(alpha))),
             };
-            goodput(
+            bulk_goodput(
+                StackConfig::default(),
                 StackConfig::default(),
                 Some(shaper),
                 PathConfig::lab_100g(),
-                None,
                 measure,
                 seed,
+                None,
             )
         })
     });
@@ -141,21 +106,21 @@ fn main() {
     ];
     let window_goodputs = timings.time("ablation2", || {
         par::par_map(&windows, |_, &(_, rwnd)| {
-            let cfg = StackConfig {
+            // The *receiver* (server here, since our sender is the
+            // client) advertises the small window, which caps the
+            // client sender's peer window.
+            let server = StackConfig {
                 recv_wnd: rwnd,
                 ..StackConfig::default()
             };
-            // The *receiver* (server here, since our sender is the
-            // client) advertises the small window; emulate by capping
-            // the client sender's peer window via the server stack
-            // config.
-            goodput(
+            bulk_goodput(
                 StackConfig::default(),
+                server,
                 None,
                 path.clone(),
-                Some(cfg),
                 Nanos::from_secs(2),
                 seed,
+                None,
             )
         })
     });
@@ -208,7 +173,15 @@ fn main() {
                 1 => Some(Box::new(SafetyCap::new(jitter()))),
                 _ => Some(Box::new(CcaPhaseGuard::new(SafetyCap::new(jitter())))),
             };
-            goodput(bbr_cfg.clone(), shaper, bbr_path.clone(), None, early, seed)
+            bulk_goodput(
+                bbr_cfg.clone(),
+                StackConfig::default(),
+                shaper,
+                bbr_path.clone(),
+                early,
+                seed,
+                None,
+            )
         })
     });
     let (unshaped, naive, guarded) = (bbr_goodputs[0], bbr_goodputs[1], bbr_goodputs[2]);

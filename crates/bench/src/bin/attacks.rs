@@ -17,7 +17,7 @@ fn main() {
     let visits = args.count(1, 40);
     let trees = args.count(2, 80);
     let repeats = args.count(3, 3);
-    let seed = args.seed(4, 0xA77AC);
+    let seed = args.uint(4, 0xA77ACu64);
 
     eprintln!("[attacks] collecting {visits} visits/site...");
     let summary = collect_dataset(visits, seed);

@@ -16,7 +16,7 @@ fn main() {
     let per_class = args.count(1, 12);
     let trees = args.count(2, 60);
     let repeats = args.count(3, 5);
-    let seed = args.seed(4, 0xCCA);
+    let seed = args.uint(4, 0xCCAu64);
 
     eprintln!("[cc_ident] generating {per_class} flows per CCA (reno/cubic/bbr)...");
     let t0 = std::time::Instant::now();

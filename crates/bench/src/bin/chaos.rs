@@ -23,9 +23,9 @@
 
 use netsim::par::{self, Timings};
 use netsim::{FaultSchedule, Json, Nanos, SimRng};
-use stob_bench::{cli, mean_overheads, FAULT_SAMPLE};
-use traces::loader::{load_page, load_page_supervised, LoaderConfig, RecoveryConfig};
-use traces::{paper_sites, Trace};
+use stob_bench::{cli, mean_overheads, soak, Soak, FAULT_SAMPLE};
+use traces::loader::{LoaderConfig, RecoveryConfig};
+use traces::paper_sites;
 
 /// Committed floor on the recovery-on completion rate across the whole
 /// grid (fraction of loads). Measured headroom: the grid completes every
@@ -38,28 +38,14 @@ const COMPLETION_FLOOR: f64 = 0.90;
 struct CellRun {
     scenario: &'static str,
     recovery: bool,
-    loads: usize,
-    complete: usize,
-    /// Visits that panicked inside the simulator (caught per visit).
-    errors: usize,
-    stalls: u64,
-    retries: u64,
-    reconnects: u64,
-    gave_up: u64,
-    checks: u64,
-    violations: Vec<String>,
-    traces: Vec<Trace>,
+    soak: Soak,
 }
 
 fn main() {
-    let (mut args, want_telemetry) = cli::args();
-    let quick = args.iter().any(|a| a == "--quick");
-    args.retain(|a| a != "--quick");
-    let visits: usize = args
-        .get(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(if quick { 1 } else { 2 });
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0xC4A0);
+    let args = cli::Positional::new("chaos [--quick] [--telemetry] [visits] [seed]");
+    let quick = args.flag("--quick");
+    let visits = args.count(1, if quick { 1 } else { 2 });
+    let seed = args.uint(2, 0xC4A0u64);
 
     // Page loads must be able to fail: the deadline doubles as the fault
     // horizon, and blackout-early is tuned so TCP's SYN retransmit
@@ -106,43 +92,11 @@ fn main() {
             recovery: recovery.then(RecoveryConfig::default),
             ..LoaderConfig::default()
         };
-        let mut run = CellRun {
+        CellRun {
             scenario: name,
             recovery,
-            loads: 0,
-            complete: 0,
-            errors: 0,
-            stalls: 0,
-            retries: 0,
-            reconnects: 0,
-            gave_up: 0,
-            checks: 0,
-            violations: Vec::new(),
-            traces: Vec::new(),
-        };
-        for (label, site) in sites.iter().enumerate() {
-            for visit in 0..visits {
-                run.loads += 1;
-                match load_page_supervised(site, label, visit, seed, &cfg) {
-                    Ok(out) => {
-                        run.complete += usize::from(out.complete);
-                        run.stalls += out.progress.stalls;
-                        run.retries += out.progress.retries;
-                        run.reconnects += out.progress.reconnects;
-                        run.gave_up += out.progress.gave_up;
-                        run.checks += out.audit.checks;
-                        run.violations
-                            .extend(out.audit.violations.iter().map(|v| v.to_string()));
-                        run.traces.push(out.trace);
-                    }
-                    Err(e) => {
-                        run.errors += 1;
-                        run.violations.push(e.to_string());
-                    }
-                }
-            }
+            soak: soak(sites, visits, seed, &cfg),
         }
-        run
     });
     timings.push("soak_wall", t0.elapsed().as_secs_f64());
 
@@ -158,7 +112,7 @@ fn main() {
                 .unwrap_or(0) as u64,
         );
         for (&(defense, kind), di) in FAULT_SAMPLE.iter().zip(1..) {
-            let (bw, _) = mean_overheads(kind, &run.traces, &scenario_root.fork(di));
+            let (bw, _) = mean_overheads(kind, &run.soak.traces, &scenario_root.fork(di));
             defense_cells.push((run.scenario, defense, bw * 100.0));
         }
     }
@@ -181,19 +135,7 @@ fn main() {
         breaker: Some(stob::BreakerConfig::default()),
         ..LoaderConfig::default()
     };
-    let mut breaker_loads = 0usize;
-    let mut breaker_complete = 0usize;
-    let mut breaker_trips = 0u64;
-    let mut breaker_shed = 0u64;
-    for (label, site) in sites.iter().enumerate() {
-        let out = load_page(site, label, 0, seed, &breaker_cfg);
-        breaker_loads += 1;
-        breaker_complete += usize::from(out.complete);
-        if let Some(b) = out.breaker {
-            breaker_trips += b.trips;
-            breaker_shed += b.shed;
-        }
-    }
+    let breaker = soak(sites, 1, seed, &breaker_cfg);
     timings.push("breaker_wall", t0.elapsed().as_secs_f64());
 
     println!("\nChaos soak ({visits} visits/site, deadline {deadline})\n");
@@ -203,11 +145,12 @@ fn main() {
     println!(
         "|----------------|----------|-------|----------|--------|--------|---------|------------|---------|--------|"
     );
-    for r in &runs {
+    for c in &runs {
+        let r = &c.soak;
         println!(
             "| {:<14} | {:>8} | {:>5} | {:>8} | {:>6} | {:>6} | {:>7} | {:>10} | {:>7} | {:>6} |",
-            r.scenario,
-            if r.recovery { "on" } else { "off" },
+            c.scenario,
+            if c.recovery { "on" } else { "off" },
             r.loads,
             r.complete,
             r.errors,
@@ -227,22 +170,22 @@ fn main() {
         );
     }
     println!(
-        "\nbreaker soak: {breaker_complete}/{breaker_loads} loads complete, \
-         {breaker_trips} trip(s), {breaker_shed} shed attach(es)"
+        "\nbreaker soak: {}/{} loads complete, {} trip(s), {} shed attach(es)",
+        breaker.complete, breaker.loads, breaker.breaker_trips, breaker.breaker_shed
     );
     eprintln!("[chaos] {timings}");
 
-    let total_violations: usize = runs.iter().map(|r| r.violations.len()).sum();
-    let total_errors: usize = runs.iter().map(|r| r.errors).sum();
+    let total_violations: usize = runs.iter().map(|r| r.soak.violations.len()).sum();
+    let total_errors: usize = runs.iter().map(|r| r.soak.errors).sum();
     let (on_loads, on_complete) = runs
         .iter()
         .filter(|r| r.recovery)
-        .fold((0, 0), |(l, c), r| (l + r.loads, c + r.complete));
+        .fold((0, 0), |(l, c), r| (l + r.soak.loads, c + r.soak.complete));
     let on_rate = on_complete as f64 / on_loads.max(1) as f64;
     let blackout_off_complete = runs
         .iter()
         .find(|r| r.scenario == "blackout-early" && !r.recovery)
-        .map_or(0, |r| r.complete);
+        .map_or(0, |r| r.soak.complete);
 
     stob_bench::write_json_out("chaos", || {
         // Timing-free: CI byte-compares this file across thread counts.
@@ -250,34 +193,27 @@ fn main() {
             .set("seed", seed)
             .set("visits", visits as u64)
             .set("quick", quick)
-            .set("total_violations", total_violations as u64)
-            .set("total_errors", total_errors as u64)
+            .set("total_violations", total_violations)
+            .set("total_errors", total_errors)
             .set("recovery_on_completion_rate", on_rate)
             .set(
                 "cells",
                 Json::Arr(
                     runs.iter()
-                        .map(|r| {
+                        .map(|c| {
+                            let r = &c.soak;
                             Json::obj()
-                                .set("scenario", r.scenario)
-                                .set("recovery", r.recovery)
-                                .set("loads", r.loads as u64)
-                                .set("complete", r.complete as u64)
-                                .set("errors", r.errors as u64)
+                                .set("scenario", c.scenario)
+                                .set("recovery", c.recovery)
+                                .set("loads", r.loads)
+                                .set("complete", r.complete)
+                                .set("errors", r.errors)
                                 .set("stalls", r.stalls)
                                 .set("retries", r.retries)
                                 .set("reconnects", r.reconnects)
                                 .set("gave_up", r.gave_up)
                                 .set("checks", r.checks)
-                                .set(
-                                    "violations",
-                                    Json::Arr(
-                                        r.violations
-                                            .iter()
-                                            .map(|v| Json::from(v.as_str()))
-                                            .collect(),
-                                    ),
-                                )
+                                .set("violations", r.violations.clone())
                         })
                         .collect(),
                 ),
@@ -299,10 +235,10 @@ fn main() {
             .set(
                 "breaker",
                 Json::obj()
-                    .set("loads", breaker_loads as u64)
-                    .set("complete", breaker_complete as u64)
-                    .set("trips", breaker_trips)
-                    .set("shed", breaker_shed),
+                    .set("loads", breaker.loads)
+                    .set("complete", breaker.complete)
+                    .set("trips", breaker.breaker_trips)
+                    .set("shed", breaker.breaker_shed),
             )
     });
 
@@ -310,7 +246,7 @@ fn main() {
     if total_violations > 0 {
         eprintln!("[chaos] FAIL: {total_violations} invariant violation(s)");
         for r in &runs {
-            for v in &r.violations {
+            for v in &r.soak.violations {
                 eprintln!("  [{} recovery={}] {v}", r.scenario, r.recovery);
             }
         }
@@ -336,17 +272,18 @@ fn main() {
         );
         failed = true;
     }
-    if breaker_complete < breaker_loads || breaker_trips == 0 {
+    if breaker.complete < breaker.loads || breaker.breaker_trips == 0 || breaker.errors > 0 {
         eprintln!(
-            "[chaos] FAIL: breaker soak: {breaker_complete}/{breaker_loads} complete, \
-             {breaker_trips} trips (want all complete and at least one trip)"
+            "[chaos] FAIL: breaker soak: {}/{} complete, {} trips, {} panics \
+             (want all complete, at least one trip and no panic)",
+            breaker.complete, breaker.loads, breaker.breaker_trips, breaker.errors
         );
         failed = true;
     }
     if failed {
         std::process::exit(1);
     }
-    if want_telemetry {
+    if args.flag("--telemetry") {
         cli::print_telemetry();
     }
     eprintln!(

@@ -41,7 +41,7 @@ fn main() {
     let visits = args.count(1, 40);
     let trees = args.count(2, 80);
     let repeats = args.count(3, 4);
-    let seed = args.seed(4, 0xDEF);
+    let seed = args.uint(4, 0xDEFu64);
 
     let mut timings = Timings::new();
     eprintln!(

@@ -5,7 +5,8 @@
 //! fault, do the stack/defense invariants hold (byte conservation, pacing
 //! release order, time monotonicity, the §4.2 safety rule), and what does
 //! the defense cost on the faulted traffic? Any invariant violation fails
-//! the whole run (exit 1) — this binary is the fault suite CI gate.
+//! the whole run (exit 1) — this binary is the fault suite CI gate. A
+//! visit that panics is contained and counted as a violation.
 //!
 //! The scenario cells are independent, so they fan out across threads
 //! (`netsim::par`); all randomness is forked from the run seed by
@@ -20,42 +21,15 @@
 //! the JSON (wall-clock spans go to stderr).
 
 use netsim::par::{self, Timings};
-use netsim::{FaultSchedule, FaultStats, Json, Nanos, SimRng};
-use stob_bench::{cli, mean_overheads, FAULT_SAMPLE};
-use traces::loader::{load_page, LoaderConfig};
-use traces::{paper_sites, Trace};
-
-/// Everything one scenario's page loads produced, before defenses.
-struct ScenarioRun {
-    name: &'static str,
-    loads: usize,
-    complete: usize,
-    checks: u64,
-    violations: Vec<String>,
-    faults: FaultStats,
-    traces: Vec<Trace>,
-}
-
-struct Cell {
-    scenario: &'static str,
-    defense: &'static str,
-    bw_pct: f64,
-}
-
-fn add_stats(a: &mut FaultStats, b: &FaultStats) {
-    a.ge_drops += b.ge_drops;
-    a.duplicates += b.duplicates;
-    a.reorder_delayed += b.reorder_delayed;
-    a.flap_drops += b.flap_drops;
-    a.flap_held += b.flap_held;
-    a.rtt_spiked += b.rtt_spiked;
-    a.mtu_changes += b.mtu_changes;
-}
+use netsim::{FaultSchedule, Json, Nanos, SimRng};
+use stob_bench::{cli, mean_overheads, soak, Soak, FAULT_SAMPLE};
+use traces::loader::LoaderConfig;
+use traces::paper_sites;
 
 fn main() {
-    let (args, want_telemetry) = cli::args();
-    let visits: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(2);
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(0xFA17);
+    let args = cli::Positional::new("fault_matrix [--telemetry] [visits] [seed]");
+    let visits = args.count(1, 2);
+    let seed = args.uint(2, 0xFA17u64);
 
     // All named scenarios, plus the mid-flow MTU drop (recognised by
     // `scenario()` but kept out of the default env-knob list).
@@ -77,7 +51,7 @@ fn main() {
     let mut timings = Timings::new();
     let t0 = std::time::Instant::now();
 
-    let runs: Vec<ScenarioRun> = par::par_map(&scenarios, |si, &name| {
+    let runs: Vec<Soak> = par::par_map(&scenarios, |si, &name| {
         let mut sched_rng = root.fork(si as u64 + 1);
         let sched = FaultSchedule::scenario(name, sched_rng.next_u64(), horizon)
             .expect("known scenario name");
@@ -86,47 +60,23 @@ fn main() {
             loss: 0.0,
             ..LoaderConfig::default()
         };
-        let mut run = ScenarioRun {
-            name,
-            loads: 0,
-            complete: 0,
-            checks: 0,
-            violations: Vec::new(),
-            faults: FaultStats::default(),
-            traces: Vec::new(),
-        };
-        for (label, site) in sites.iter().enumerate() {
-            for visit in 0..visits {
-                let out = load_page(site, label, visit, seed, &cfg);
-                run.loads += 1;
-                run.complete += usize::from(out.complete);
-                run.checks += out.audit.checks;
-                run.violations
-                    .extend(out.audit.violations.iter().map(|v| v.to_string()));
-                if let Some(fs) = &out.fault_stats {
-                    add_stats(&mut run.faults, fs);
-                }
-                run.traces.push(out.trace);
-            }
-        }
-        run
+        soak(&sites, visits, seed, &cfg)
     });
     timings.push("load_wall", t0.elapsed().as_secs_f64());
 
     // Defense rows ride on the captured traces: cheap, pure functions.
     let t0 = std::time::Instant::now();
-    let mut cells = Vec::new();
-    for (si, run) in runs.iter().enumerate() {
-        let scenario_root = root.fork(si as u64 + 1);
-        for (&(defense, kind), di) in FAULT_SAMPLE.iter().zip(1..) {
-            let (bw, _) = mean_overheads(kind, &run.traces, &scenario_root.fork(di));
-            cells.push(Cell {
-                scenario: run.name,
-                defense,
-                bw_pct: bw * 100.0,
-            });
-        }
-    }
+    let bw_pct: Vec<Vec<f64>> = runs
+        .iter()
+        .enumerate()
+        .map(|(si, run)| {
+            let scenario_root = root.fork(si as u64 + 1);
+            let bw = |(&(_, kind), di)| {
+                mean_overheads(kind, &run.traces, &scenario_root.fork(di)).0 * 100.0
+            };
+            FAULT_SAMPLE.iter().zip(1..).map(bw).collect()
+        })
+        .collect();
     timings.push("defend_wall", t0.elapsed().as_secs_f64());
 
     println!("\nFault scenarios x defenses (audited; {visits} visits/site)\n");
@@ -136,15 +86,10 @@ fn main() {
     println!(
         "|-----------|-------|----------|---------|------------|-------|------|---------|------|----------|-------|-----------|-------|"
     );
-    for (si, run) in runs.iter().enumerate() {
-        let row: Vec<&Cell> = cells
-            .iter()
-            .skip(si * FAULT_SAMPLE.len())
-            .take(FAULT_SAMPLE.len())
-            .collect();
+    for ((run, name), row) in runs.iter().zip(&scenarios).zip(&bw_pct) {
         println!(
             "| {:<9} | {:>5} | {:>8} | {:>7} | {:>10} | {:>5} | {:>4} | {:>7} | {:>4} | {:>7.1}% | {:>4.0}% | {:>8.0}% | {:>4.0}% |",
-            run.name,
+            name,
             run.loads,
             run.complete,
             run.checks,
@@ -153,10 +98,10 @@ fn main() {
             run.faults.duplicates,
             run.faults.reorder_delayed,
             run.faults.flap_held,
-            row[0].bw_pct,
-            row[1].bw_pct,
-            row[2].bw_pct,
-            row[3].bw_pct,
+            row[0],
+            row[1],
+            row[2],
+            row[3],
         );
     }
     eprintln!("[fault_matrix] {timings}");
@@ -170,26 +115,19 @@ fn main() {
         Json::obj()
             .set("seed", seed)
             .set("visits", visits as u64)
-            .set("total_violations", total_violations as u64)
+            .set("total_violations", total_violations)
             .set(
                 "scenarios",
                 Json::Arr(
                     runs.iter()
-                        .map(|r| {
+                        .zip(&scenarios)
+                        .map(|(r, &name)| {
                             Json::obj()
-                                .set("scenario", r.name)
-                                .set("loads", r.loads as u64)
-                                .set("complete", r.complete as u64)
+                                .set("scenario", name)
+                                .set("loads", r.loads)
+                                .set("complete", r.complete)
                                 .set("checks", r.checks)
-                                .set(
-                                    "violations",
-                                    Json::Arr(
-                                        r.violations
-                                            .iter()
-                                            .map(|v| Json::from(v.as_str()))
-                                            .collect(),
-                                    ),
-                                )
+                                .set("violations", r.violations.clone())
                                 .set("faults", r.faults.to_json())
                         })
                         .collect(),
@@ -198,13 +136,19 @@ fn main() {
             .set(
                 "cells",
                 Json::Arr(
-                    cells
+                    scenarios
                         .iter()
-                        .map(|c| {
-                            Json::obj()
-                                .set("scenario", c.scenario)
-                                .set("defense", c.defense)
-                                .set("bandwidth_overhead_pct", c.bw_pct)
+                        .zip(&bw_pct)
+                        .flat_map(|(&scenario, row)| {
+                            FAULT_SAMPLE
+                                .iter()
+                                .zip(row)
+                                .map(move |(&(defense, _), &bw)| {
+                                    Json::obj()
+                                        .set("scenario", scenario)
+                                        .set("defense", defense)
+                                        .set("bandwidth_overhead_pct", bw)
+                                })
                         })
                         .collect(),
                 ),
@@ -213,9 +157,9 @@ fn main() {
 
     if total_violations > 0 {
         eprintln!("[fault_matrix] FAIL: {total_violations} invariant violation(s)");
-        for r in &runs {
+        for (r, name) in runs.iter().zip(&scenarios) {
             for v in &r.violations {
-                eprintln!("  [{}] {v}", r.name);
+                eprintln!("  [{name}] {v}");
             }
         }
         std::process::exit(1);
@@ -226,7 +170,7 @@ fn main() {
              (expected for hard outages; not a failure)"
         );
     }
-    if want_telemetry {
+    if args.flag("--telemetry") {
         cli::print_telemetry();
     }
     eprintln!("[fault_matrix] OK: all invariants held across every scenario");

@@ -16,13 +16,14 @@ use netsim::{Json, Nanos};
 use stob_bench::{cli, run_figure3, run_figure3_traced};
 
 fn main() {
-    let (args, want_telemetry) = cli::args();
-    let alpha_max: u32 = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(40);
-    let step: u32 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(4);
-    let measure_ms: u64 = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(50);
-    let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(3);
+    let args =
+        cli::Positional::new("figure3 [--telemetry] [alpha_max] [alpha_step] [measure_ms] [seed]");
+    let alpha_max = args.uint(1, 40u32);
+    let step = args.count(2, 4);
+    let measure_ms = args.count(3, 50) as u64;
+    let seed = args.uint(4, 3u64);
 
-    let alphas: Vec<u32> = (0..=alpha_max).step_by(step.max(1) as usize).collect();
+    let alphas: Vec<u32> = (0..=alpha_max).step_by(step).collect();
     eprintln!("[figure3] sweeping alpha over {alphas:?} ({measure_ms} ms window, seed {seed})...");
     let t0 = std::time::Instant::now();
     let trace_path = telemetry::trace_out();
@@ -87,7 +88,7 @@ fn main() {
          (paper: \"preserves 19.7 Gb/s or higher\")"
     );
 
-    if want_telemetry {
+    if args.flag("--telemetry") {
         cli::print_telemetry();
     }
 }

@@ -21,10 +21,9 @@
 //! *speed* is measured by the layered benchmark's `fleet_mixed` workload
 //! (`BENCHMARK.json`, `benchmark/README.md`), not here.
 //!
-//! Usage:
-//!   fleet [--quick] [--checks-out PATH]
+//! Usage: `fleet [--quick]`
 //!
-//! The report goes to `--checks-out`, or to stdout without it.
+//! The report goes to stdout, and to the file `STOB_JSON_OUT` names.
 //!
 //! Env: `STOB_FLEET_FLOWS` / `STOB_FLEET_SHARDS` (workload overrides —
 //! a different population is a different report, so only use them for
@@ -46,6 +45,7 @@ use stob::defense::Placement;
 use stob::policy::DelaySpec;
 use stob::sockopt::publish_json;
 use stob::{run_fleet, FleetConfig, FleetReport, ObfuscationPolicy, PolicyKey, PolicyRegistry};
+use stob_bench::cli;
 
 /// Seed for the fleet workload.
 const SEED: u64 = 0xF1EE7;
@@ -184,7 +184,8 @@ fn env_u64(key: &str) -> Option<u64> {
     })
 }
 
-fn run(quick: bool, checks_out: Option<String>) {
+fn main() {
+    let quick = cli::Positional::new("fleet [--quick]").flag("--quick");
     let (mode, mut cfg) = calibrate(quick);
     // Local-exploration overrides; they change the report, so
     // check-golden.sh never sets them.
@@ -254,37 +255,12 @@ fn run(quick: bool, checks_out: Option<String>) {
         report.audit.checks
     );
 
-    let json = report_json(mode, &report).to_string_pretty();
-    match &checks_out {
-        Some(path) => {
-            std::fs::write(path, json)
-                .unwrap_or_else(|e| die(&format!("cannot write {path}: {e}")));
-            eprintln!("[fleet] wrote report to {path}");
-        }
-        None => println!("{json}"),
-    }
+    let json = report_json(mode, &report);
+    println!("{}", json.to_string_pretty());
+    stob_bench::write_json_out("fleet", || json);
 }
 
 fn die(msg: &str) -> ! {
     eprintln!("[fleet] FAIL: {msg}");
     std::process::exit(1)
-}
-
-fn main() {
-    let mut quick = false;
-    let mut checks_out = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--quick" => quick = true,
-            "--checks-out" => {
-                checks_out = Some(
-                    args.next()
-                        .unwrap_or_else(|| die("--checks-out needs a path")),
-                );
-            }
-            other => die(&format!("unknown argument {other}")),
-        }
-    }
-    run(quick, checks_out);
 }

@@ -20,7 +20,7 @@ fn main() {
     let visits = args.count(1, 40);
     let trees = args.count(2, 80);
     let repeats = args.count(3, 4);
-    let seed = args.seed(4, 0xA117);
+    let seed = args.uint(4, 0xA117u64);
 
     let mut timings = Timings::new();
     eprintln!(

@@ -5,8 +5,11 @@
 //!
 //! Usage: `openworld [monitored_visits] [bg_sites] [trees] [seed]`
 
-use defenses::emulate::{apply, CounterMeasure, EmulateConfig};
+use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
+use defenses::emulate_trace;
 use netsim::SimRng;
+use stob::defense::DefenseCtx;
+use stob_bench::cli;
 use traces::loader::{collect, LoaderConfig};
 use traces::sites::{background_sites, paper_sites};
 use traces::Trace;
@@ -23,11 +26,11 @@ fn flatten(outcomes: Vec<Vec<traces::loader::VisitOutcome>>) -> Vec<Trace> {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let visits: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(30);
-    let n_bg: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(80);
-    let trees: usize = args.get(3).and_then(|s| s.parse().ok()).unwrap_or(100);
-    let seed: u64 = args.get(4).and_then(|s| s.parse().ok()).unwrap_or(0x09E4);
+    let args = cli::Positional::new("openworld [monitored_visits] [bg_sites] [trees] [seed]");
+    let visits = args.count(1, 30);
+    let n_bg = args.count(2, 80);
+    let trees = args.count(3, 100);
+    let seed = args.uint(4, 0x09E4u64);
 
     let cfg = LoaderConfig::default();
     eprintln!("[openworld] collecting {visits} visits x 9 monitored sites...");
@@ -62,16 +65,17 @@ fn main() {
         "| undefended         | {:.3} \u{00B1} {:.3} | {:.3} \u{00B1} {:.3} |",
         plain.tpr_mean, plain.tpr_std, plain.fpr_mean, plain.fpr_std
     );
-    let em = EmulateConfig::default();
+    let combined = Section3Defense::new(CounterMeasure::Combined, EmulateConfig::default());
+    let ctx = DefenseCtx::default();
     let mut rng = SimRng::new(seed).fork(77);
-    let def_mon: Vec<Trace> = monitored
-        .iter()
-        .map(|t| apply(CounterMeasure::Combined, t, &em, &mut rng).trace)
-        .collect();
-    let def_bg: Vec<Trace> = background
-        .iter()
-        .map(|t| apply(CounterMeasure::Combined, t, &em, &mut rng).trace)
-        .collect();
+    let mut defend = |traces: &[Trace]| -> Vec<Trace> {
+        traces
+            .iter()
+            .map(|t| emulate_trace(&combined, t, &ctx, &mut rng).trace)
+            .collect()
+    };
+    let def_mon = defend(&monitored);
+    let def_bg = defend(&background);
     let defended = evaluate_open_world(&def_mon, 9, &def_bg, &ow_cfg);
     println!(
         "| split+delay (§3)   | {:.3} \u{00B1} {:.3} | {:.3} \u{00B1} {:.3} |",

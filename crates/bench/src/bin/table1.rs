@@ -10,15 +10,15 @@
 
 use defenses::taxonomy::{table1, Implementation};
 use netsim::Json;
-use stob_bench::{run_overheads, OverheadRow};
+use stob_bench::{cli, run_overheads, OverheadRow};
 use traces::sites::paper_sites;
 use traces::statgen::generate_corpus;
 use traces::Dataset;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let visits: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(20);
-    let seed: u64 = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(7);
+    let args = cli::Positional::new("table1 [visits] [seed]");
+    let visits = args.count(1, 20);
+    let seed = args.uint(2, 7u64);
 
     println!("Table 1: WF defense summary (taxonomy)\n");
     println!(

@@ -18,7 +18,7 @@ fn main() {
     let visits = args.count(1, 100);
     let trees = args.count(2, 100);
     let repeats = args.count(3, 5);
-    let seed = args.seed(4, 0x7AB1E2);
+    let seed = args.uint(4, 0x7AB1E2u64);
 
     eprintln!("[table2] collecting {visits} visits/site across 9 sites (seed {seed})...");
     let t0 = std::time::Instant::now();
@@ -73,7 +73,7 @@ fn main() {
     println!("| 45  | 0.938 ± 0.016 | 0.897 ± 0.030 | 0.913 ± 0.021 | 0.904 ± 0.004 |");
     println!("| All | 0.963 ± 0.002 | 0.980 ± 0.008 | 0.980 ± 0.014 | 0.992 ± 0.009 |");
 
-    if args.telemetry {
+    if args.flag("--telemetry") {
         cli::print_telemetry();
     }
 }

@@ -21,17 +21,18 @@ use defenses::defend_all;
 use defenses::emulate::{self, CounterMeasure, EmulateConfig, Section3Defense};
 use defenses::overhead::{bandwidth_overhead, latency_overhead, Defended};
 use netsim::par::{self, Timings};
-use netsim::{FlowId, Nanos, SimRng};
+use netsim::telemetry::Tracer;
+use netsim::{FaultStats, FlowId, Nanos, SimRng};
 use stack::apps::{BulkSender, ShapedSender, Sink};
 use stack::net::{Network, SERVER};
-use stack::{HostConfig, PathConfig, StackConfig};
+use stack::{HostConfig, PathConfig, Shaper, StackConfig};
 use stob::defense::Placement;
 use stob::safety::SafetyCap;
 use stob::strategies::IncrementalReduce;
 use suite::DefenseKind;
-use traces::loader::{collect, LoaderConfig};
+use traces::loader::{collect, load_page_supervised, LoaderConfig};
 use traces::sanitize::sanitize;
-use traces::sites::paper_sites;
+use traces::sites::{paper_sites, SiteProfile};
 use traces::{Dataset, Trace};
 use wf::eval::{evaluate, EvalConfig};
 use wf::forest::ForestConfig;
@@ -134,23 +135,11 @@ pub fn write_json_out(bin: &str, build: impl FnOnce() -> netsim::Json) {
     }
 }
 
-/// The command-line prelude the bins share: the `--telemetry` flag
-/// (`table2`, `figure3`, `fault_matrix`, `chaos`) and positional integer
-/// arguments checked before any work starts.
+/// The command line every bin reads through [`cli::Positional`]: the
+/// flags its usage line declares (`--telemetry`, `--quick`) and
+/// positional arguments, checked before any work starts.
 pub mod cli {
-    /// The process arguments with every `--telemetry` stripped, and
-    /// whether that flag was given.
-    pub fn args() -> (Vec<String>, bool) {
-        let mut want_telemetry = false;
-        let args = std::env::args()
-            .filter(|a| {
-                let flag = a == "--telemetry";
-                want_telemetry |= flag;
-                !flag
-            })
-            .collect();
-        (args, want_telemetry)
-    }
+    use std::str::FromStr;
 
     /// The deterministic metrics summary on stdout, the wall-clock
     /// self-profile on stderr.
@@ -159,36 +148,38 @@ pub mod cli {
         eprintln!("{}", netsim::telemetry::wall_profile_summary());
     }
 
-    /// A bin's positional arguments, read against its usage line. A
-    /// malformed value, a zero count or an argument the usage line does
-    /// not name prints that line and exits 2, so a bad command line
-    /// fails before the corpus is collected, not after.
+    /// A bin's command line, read against its usage line. A malformed
+    /// value, a zero count, a flag or an argument the usage line does not
+    /// name prints that line and exits 2, so a bad command line fails
+    /// before the corpus is collected, not after.
     pub struct Positional {
         args: Vec<String>,
+        flags: Vec<String>,
         usage: &'static str,
-        /// Whether `--telemetry` was given; only a usage line that names
-        /// `[--telemetry]` accepts it.
-        pub telemetry: bool,
     }
 
     impl Positional {
         /// The process arguments, read against `usage`, which names each
-        /// positional as `[name]`.
+        /// flag as `[--flag]` and each positional as `[name]`. Flags may
+        /// stand anywhere on the line.
         pub fn new(usage: &'static str) -> Positional {
-            let (args, telemetry) = if usage.contains("[--telemetry]") {
-                args()
-            } else {
-                (std::env::args().collect(), false)
-            };
-            let p = Positional {
-                args,
-                usage,
-                telemetry,
-            };
-            if let Some(extra) = p.args.get(p.names().count() + 1) {
+            let (flags, args) = std::env::args().partition(|a| a.starts_with("--"));
+            let p = Positional { args, flags, usage };
+            let declared = |f: &String| usage.contains(&format!("[{f}]"));
+            if let Some(extra) = p
+                .flags
+                .iter()
+                .find(|f| !declared(f))
+                .or_else(|| p.args.get(p.names().count() + 1))
+            {
                 p.refuse(&format!("unexpected argument `{extra}`"));
             }
             p
+        }
+
+        /// Whether `flag` (one the usage line declares) was given.
+        pub fn flag(&self, flag: &str) -> bool {
+            self.flags.iter().any(|f| f == flag)
         }
 
         /// Argument `i` (1 = the first after the program name) as a
@@ -199,8 +190,9 @@ pub mod cli {
             })
         }
 
-        /// Argument `i` as a seed, or `default` when it is absent.
-        pub fn seed(&self, i: usize, default: u64) -> u64 {
+        /// Argument `i` as an unsigned integer (a seed, say; zero
+        /// allowed), or `default` when it is absent.
+        pub fn uint<T: FromStr>(&self, i: usize, default: T) -> T {
             self.get(i, default, "an unsigned integer", |s| s.parse().ok())
         }
 
@@ -322,58 +314,63 @@ pub fn figure3_point(alpha: u32, measure: Nanos, seed: u64) -> Figure3Point {
     figure3_run(alpha, measure, seed, None)
 }
 
-/// [`figure3_point`] with a flow-trace attached: returns the point plus
-/// every shaping decision (TSO resegmentation, packet resize, pacing
-/// delay, qdisc release, NIC burst) the stack made during the run.
-pub(crate) fn figure3_point_traced(
-    alpha: u32,
-    measure: Nanos,
-    seed: u64,
-    trace_cap: usize,
-) -> (Figure3Point, Vec<netsim::telemetry::FlowEvent>) {
-    let tracer = netsim::telemetry::Tracer::new(trace_cap);
-    let p = figure3_run(alpha, measure, seed, Some(tracer.clone()));
-    (p, tracer.take().into_events())
+fn figure3_run(alpha: u32, measure: Nanos, seed: u64, tracer: Option<Tracer>) -> Figure3Point {
+    let shaper = SafetyCap::new(IncrementalReduce::with_alpha(alpha));
+    let goodput_gbps = bulk_goodput(
+        StackConfig::default(),
+        StackConfig::default(),
+        Some(Box::new(shaper)),
+        PathConfig::lab_100g(),
+        measure,
+        seed,
+        tracer,
+    );
+    Figure3Point {
+        alpha,
+        goodput_gbps,
+    }
 }
 
-fn figure3_run(
-    alpha: u32,
+/// Goodput in Gb/s of one endless bulk flow from the client, which sends
+/// through `client` and `shaper`, to a sink on a server running `server`
+/// (whose advertised window caps the sender), both on the calibrated
+/// CPU model and a 100 GbE NIC. The flow warms up past slow start for
+/// 30 ms, then is measured over `measure`. Figure 3 and the ablations
+/// run this.
+pub fn bulk_goodput(
+    client: StackConfig,
+    server: StackConfig,
+    shaper: Option<Box<dyn Shaper>>,
+    path: PathConfig,
     measure: Nanos,
     seed: u64,
-    tracer: Option<netsim::telemetry::Tracer>,
-) -> Figure3Point {
-    let host = HostConfig::default(); // calibrated CPU model, 100 GbE NIC
-    let stack_cfg = StackConfig::default();
-    let shaper = SafetyCap::new(IncrementalReduce::with_alpha(alpha));
-    let sender = ShapedSender::new(BulkSender::endless(), stack_cfg, Some(Box::new(shaper)));
+    tracer: Option<Tracer>,
+) -> f64 {
+    let server_host = HostConfig {
+        stack: server,
+        ..HostConfig::default()
+    };
     let mut net = Network::new(
-        host.clone(),
-        host,
-        PathConfig::lab_100g(),
-        Box::new(sender),
+        HostConfig::default(),
+        server_host,
+        path,
+        Box::new(ShapedSender::new(BulkSender::endless(), client, shaper)),
         Box::new(Sink::default()),
         seed,
     );
     if let Some(tr) = tracer {
         net.set_tracer(tr);
     }
-    // Warm up past slow start, then measure a steady-state window.
     let warmup = Nanos::from_millis(30);
     net.run_until(warmup);
-    let base = net
-        .flow_stats(SERVER, FlowId(1))
-        .map(|s| s.bytes_delivered)
-        .unwrap_or(0);
+    let delivered = |net: &Network| {
+        net.flow_stats(SERVER, FlowId(1))
+            .map_or(0, |s| s.bytes_delivered)
+    };
+    let base = delivered(&net);
     net.run_until(warmup + measure);
-    let bytes = net
-        .flow_stats(SERVER, FlowId(1))
-        .map(|s| s.bytes_delivered)
-        .unwrap_or(0)
-        - base;
-    Figure3Point {
-        alpha,
-        goodput_gbps: bytes as f64 * 8.0 / measure.as_secs_f64() / 1e9,
-    }
+    let bytes = delivered(&net) - base;
+    bytes as f64 * 8.0 / measure.as_secs_f64() / 1e9
 }
 
 /// Sweep alpha as in Figure 3. Each point simulates an independent
@@ -383,10 +380,12 @@ pub fn run_figure3(alphas: &[u32], measure: Nanos, seed: u64) -> Vec<Figure3Poin
     par::par_map(alphas, |_, &a| figure3_point(a, measure, seed))
 }
 
-/// [`run_figure3`] with a bounded flow trace per point. Events are
-/// concatenated in alpha order, so the combined trace is bit-identical
-/// at any thread count (each point's simulation is independent and its
-/// tracer is private to that point).
+/// [`run_figure3`] with a bounded flow trace per point: every shaping
+/// decision (TSO resegmentation, packet resize, pacing delay, qdisc
+/// release, NIC burst) the stack made. Events are concatenated in alpha
+/// order, so the combined trace is bit-identical at any thread count
+/// (each point's simulation is independent and its tracer is private to
+/// that point).
 pub fn run_figure3_traced(
     alphas: &[u32],
     measure: Nanos,
@@ -394,7 +393,9 @@ pub fn run_figure3_traced(
     trace_cap: usize,
 ) -> (Vec<Figure3Point>, Vec<netsim::telemetry::FlowEvent>) {
     let results = par::par_map(alphas, |_, &a| {
-        figure3_point_traced(a, measure, seed, trace_cap)
+        let tracer = Tracer::new(trace_cap);
+        let p = figure3_run(a, measure, seed, Some(tracer.clone()));
+        (p, tracer.take().into_events())
     });
     let mut points = Vec::with_capacity(results.len());
     let mut events = Vec::new();
@@ -440,6 +441,72 @@ pub const FAULT_SAMPLE: [(&str, DefenseKind); 4] = [
     ("RegulaTor", DefenseKind::Regulator),
     ("BuFLO", DefenseKind::Buflo),
 ];
+
+/// What a site × visit soak of page loads added up to (`fault_matrix`,
+/// `chaos`): each bin reports the fields it needs.
+#[derive(Debug, Default)]
+pub struct Soak {
+    pub loads: usize,
+    pub complete: usize,
+    /// Visits that panicked inside the simulator (caught per visit).
+    pub errors: usize,
+    pub checks: u64,
+    /// Every audit violation and visit panic, as text.
+    pub violations: Vec<String>,
+    pub faults: FaultStats,
+    pub stalls: u64,
+    pub retries: u64,
+    pub reconnects: u64,
+    pub gave_up: u64,
+    pub breaker_trips: u64,
+    pub breaker_shed: u64,
+    /// The traces of the visits that did not panic, in load order.
+    pub traces: Vec<Trace>,
+}
+
+/// Load `visits` pages of each of `sites` under `cfg`, site by site,
+/// each visit panic-contained by [`load_page_supervised`], and total
+/// what the loads report: a panicking visit is an error and a violation,
+/// not an abort of the caller's fan-out.
+pub fn soak(sites: &[SiteProfile], visits: usize, seed: u64, cfg: &LoaderConfig) -> Soak {
+    let mut s = Soak::default();
+    for (label, site) in sites.iter().enumerate() {
+        for visit in 0..visits {
+            s.loads += 1;
+            let out = match load_page_supervised(site, label, visit, seed, cfg) {
+                Ok(out) => out,
+                Err(e) => {
+                    s.errors += 1;
+                    s.violations.push(e.to_string());
+                    continue;
+                }
+            };
+            s.complete += usize::from(out.complete);
+            s.checks += out.audit.checks;
+            s.violations
+                .extend(out.audit.violations.iter().map(|v| v.to_string()));
+            if let Some(f) = out.fault_stats {
+                s.faults.ge_drops += f.ge_drops;
+                s.faults.duplicates += f.duplicates;
+                s.faults.reorder_delayed += f.reorder_delayed;
+                s.faults.flap_drops += f.flap_drops;
+                s.faults.flap_held += f.flap_held;
+                s.faults.rtt_spiked += f.rtt_spiked;
+                s.faults.mtu_changes += f.mtu_changes;
+            }
+            s.stalls += out.progress.stalls;
+            s.retries += out.progress.retries;
+            s.reconnects += out.progress.reconnects;
+            s.gave_up += out.progress.gave_up;
+            if let Some(b) = out.breaker {
+                s.breaker_trips += b.trips;
+                s.breaker_shed += b.shed;
+            }
+            s.traces.push(out.trace);
+        }
+    }
+    s
+}
 
 /// Mean `(bandwidth, latency)` overhead of one suite row over `traces`,
 /// as fractions: the row's spec through [`defend_all`] at the app

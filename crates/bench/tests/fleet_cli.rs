@@ -36,14 +36,29 @@ fn overridden_quick_population_runs_ungated() {
 }
 
 /// The timing half (`--out`, `--validate`, `--compare`, `--tolerance`)
-/// moved to the layered benchmark; nothing is silently ignored.
+/// moved to the layered benchmark, and the report file is the one
+/// `STOB_JSON_OUT` names, as for every bin (`--checks-out` is gone):
+/// nothing is silently ignored, and the usage line says what is taken.
 #[test]
 fn retired_flags_are_rejected_before_any_run() {
-    for flag in ["--out", "--validate", "--compare", "--tolerance"] {
+    for flag in [
+        "--out",
+        "--validate",
+        "--compare",
+        "--tolerance",
+        "--checks-out",
+    ] {
         let out = fleet().args([flag, "x"]).output().expect("spawn fleet");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(1), "{flag}: {stderr}");
-        assert!(stderr.contains("unknown argument"), "{flag}: {stderr}");
+        assert_eq!(out.status.code(), Some(2), "{flag}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unexpected argument `{flag}`")),
+            "{flag}: {stderr}"
+        );
+        assert!(
+            stderr.contains("usage: fleet [--quick]"),
+            "{flag}: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{flag} printed a report");
     }
 }

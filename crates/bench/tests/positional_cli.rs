@@ -1,14 +1,22 @@
-//! The experiment bins' positional arguments: a command line that cannot
-//! run is refused with the usage line before the corpus is collected.
+//! Every experiment bin's command line: one that cannot run is refused
+//! with the usage line before the corpus is collected or any network is
+//! simulated.
 
 use std::process::{Command, Output};
 
 fn run(bin: &str, args: &[&str]) -> Output {
     let exe = match bin {
+        "ablations" => env!("CARGO_BIN_EXE_ablations"),
         "attacks" => env!("CARGO_BIN_EXE_attacks"),
         "cc_ident" => env!("CARGO_BIN_EXE_cc_ident"),
+        "chaos" => env!("CARGO_BIN_EXE_chaos"),
         "defense_matrix" => env!("CARGO_BIN_EXE_defense_matrix"),
+        "fault_matrix" => env!("CARGO_BIN_EXE_fault_matrix"),
+        "figure3" => env!("CARGO_BIN_EXE_figure3"),
+        "fleet" => env!("CARGO_BIN_EXE_fleet"),
         "multipath" => env!("CARGO_BIN_EXE_multipath"),
+        "openworld" => env!("CARGO_BIN_EXE_openworld"),
+        "table1" => env!("CARGO_BIN_EXE_table1"),
         "table2" => env!("CARGO_BIN_EXE_table2"),
         _ => unreachable!("{bin}"),
     };
@@ -32,22 +40,33 @@ fn assert_refused(bin: &str, args: &[&str], why: &str) {
     assert!(out.stdout.is_empty(), "{bin} {args:?} printed a table");
 }
 
-/// Zero repeats leaves no score to average; it used to panic in
-/// `wf::metrics` after the whole collection.
+/// A zero count leaves nothing to run. Zero repeats used to panic in
+/// `wf::metrics` after the whole collection, zero monitored visits in
+/// `wf::openworld`; a zero measurement window printed `NaN Gb/s`; zero
+/// chaos visits failed the completion floor after the breaker soak.
 #[test]
 fn zero_repeats_is_refused_before_any_work() {
-    for (bin, args) in [
-        ("table2", &["6", "10", "0", "7"][..]),
-        ("defense_matrix", &["6", "10", "0", "7"]),
-        ("multipath", &["6", "10", "0", "11"]),
-        ("cc_ident", &["4", "10", "0"]),
-        ("attacks", &["6", "10", "0", "7"]),
+    for (bin, args, why) in [
+        ("table2", &["6", "10", "0", "7"][..], "repeats must be"),
+        ("defense_matrix", &["6", "10", "0", "7"], "repeats must be"),
+        ("multipath", &["6", "10", "0", "11"], "repeats must be"),
+        ("cc_ident", &["4", "10", "0"], "repeats must be"),
+        ("attacks", &["6", "10", "0", "7"], "repeats must be"),
+        ("openworld", &["0"], "monitored_visits must be"),
+        ("ablations", &["0"], "measure_ms must be"),
+        ("table1", &["0"], "visits must be"),
+        ("chaos", &["--quick", "0"], "visits must be"),
+        ("fault_matrix", &["0"], "visits must be"),
+        ("figure3", &["40", "0"], "alpha_step must be"),
+        ("figure3", &["40", "4", "0"], "measure_ms must be"),
     ] {
-        assert_refused(bin, args, "repeats must be a positive integer, got `0`");
+        assert_refused(bin, args, &format!("{why} a positive integer, got `0`"));
     }
 }
 
-/// A value that does not parse used to mean the default, silently.
+/// A value that does not parse used to mean the default, silently; an
+/// extra argument or a flag the usage line does not declare was ignored
+/// by some bins.
 #[test]
 fn malformed_values_are_refused() {
     assert_refused(
@@ -62,4 +81,41 @@ fn malformed_values_are_refused() {
         &["1", "2", "3", "4", "5"],
         "unexpected argument `5`",
     );
+    for (bin, args, why) in [
+        ("fault_matrix", &["abc"][..], "visits must be"),
+        ("figure3", &["x", "y"], "alpha_max must be"),
+        ("figure3", &["-4"], "alpha_max must be"),
+        ("table1", &["x"], "visits must be"),
+        ("ablations", &["40", "s"], "seed must be"),
+        ("openworld", &["2", "two"], "bg_sites must be"),
+        ("chaos", &["--quick", "1", "-1"], "seed must be"),
+        ("defense_matrix", &["6", "1.5"], "trees must be"),
+    ] {
+        assert_refused(bin, args, why);
+    }
+    // One argument too many, and a flag the usage line does not name.
+    for (bin, args, extra) in [
+        ("ablations", &["40", "3", "9"][..], "9"),
+        ("chaos", &["1", "2", "3"], "3"),
+        ("fault_matrix", &["1", "2", "3"], "3"),
+        ("figure3", &["0", "4", "10", "3", "5"], "5"),
+        ("fleet", &["1"], "1"),
+        ("openworld", &["1", "2", "3", "4", "5"], "5"),
+        ("table1", &["1", "2", "3"], "3"),
+        ("table2", &["1", "2", "3", "4", "5"], "5"),
+        ("fleet", &["--checks-out", "x"], "--checks-out"),
+        ("figure3", &["--quick"], "--quick"),
+        ("table1", &["--telemetry"], "--telemetry"),
+        ("attacks", &["6", "--verbose"], "--verbose"),
+        ("cc_ident", &["--telemetry", "4"], "--telemetry"),
+        ("defense_matrix", &["--quick"], "--quick"),
+        ("multipath", &["--telemetry"], "--telemetry"),
+        ("openworld", &["--quick"], "--quick"),
+        ("ablations", &["--telemetry"], "--telemetry"),
+        ("chaos", &["--full"], "--full"),
+        ("fault_matrix", &["--quick"], "--quick"),
+        ("table2", &["--quick"], "--quick"),
+    ] {
+        assert_refused(bin, args, &format!("unexpected argument `{extra}`"));
+    }
 }

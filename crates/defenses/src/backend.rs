@@ -79,11 +79,11 @@ pub(crate) fn defend_trace(
 /// Apply one defense to every trace in a corpus, in parallel, at the
 /// given placement.
 ///
-/// Same determinism contract as `emulate::apply_all`: each trace's
-/// randomness is forked from `root` by corpus index (`root.fork(i + 1)`),
-/// and the stack backend's shaper seed is derived from the root seed and
-/// the corpus index, so output is a pure function of
-/// (traces, defense, placement, root) at any thread count.
+/// Each trace's randomness is forked from `root` by corpus index
+/// (`root.fork(i + 1)`), and the stack backend's shaper seed is derived
+/// from the root seed and the corpus index, so output is a pure function
+/// of (traces, defense, placement, root) at any thread count. This is the
+/// determinism contract every `netsim::par` fan-out relies on.
 pub fn defend_all(
     defense: &(dyn Defense + Sync),
     placement: Placement,

@@ -51,7 +51,7 @@
 //!    points: a write racing it may survive it.
 //!
 //! 2. **Spans** — RAII wall-clock + sim-clock timers for the hot paths
-//!    (`Forest::fit`, `predict_batch`, `emulate::apply_all`, the event
+//!    (`Forest::fit`, `predict_batch`, `defend_all`, the event
 //!    loop). They accumulate into a per-path profile that extends the
 //!    per-stage [`crate::par::Timings`] story:
 //!

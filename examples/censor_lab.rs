@@ -8,8 +8,10 @@
 //! cargo run --release --example censor_lab -- 30   # visits per site
 //! ```
 
-use defenses::emulate::{apply, CounterMeasure, EmulateConfig};
+use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
+use defenses::emulate_trace;
 use netsim::SimRng;
+use stob::defense::DefenseCtx;
 use wf::eval::{evaluate, EvalConfig};
 use wf::forest::ForestConfig;
 
@@ -52,9 +54,10 @@ fn main() {
             first_n: n,
             ..EmulateConfig::default()
         };
+        let combined = Section3Defense::new(CounterMeasure::Combined, em);
         let mut rng = SimRng::new(seed).fork(n as u64);
         let defended = dataset
-            .map_traces(|t| apply(CounterMeasure::Combined, t, &em, &mut rng).trace)
+            .map_traces(|t| emulate_trace(&combined, t, &DefenseCtx::default(), &mut rng).trace)
             .truncated(n);
         let def = evaluate(&defended, &eval_cfg);
         let label = if n == 0 {

@@ -4,29 +4,32 @@
 # Guards the refactor invariants: any change to the shared shaping/pacing
 # path or the defense layer that alters simulated behavior shows up here
 # as a diff, even if every unit test still passes. The goldens were
-# produced with the exact invocations in the table below; a STOB_JSON_OUT
-# dump never carries wall-clock fields, so it is deterministic across
-# machines and thread counts. table2, defense_matrix and multipath are
-# each run at 1 and 4 threads to pin the fan-out determinism contract
-# (table2's pair is what holds the parallel `collect_dataset` stage at
-# the CLI), and so is table1, whose measured-overhead rows hold
-# `run_overheads`, and so is attacks, the k-FP RF vote beside full k-FP
-# (leaf k-NN) and feature k-NN that EXPERIMENTS.md's attack table reads
-# (tests/attack_table.rs asserts that reading on the golden), and so are
-# figure3 and ablations at their defaults, the goodput sweeps behind
-# Figure 3's 19.7 Gb/s floor and §2.3's small-window argument
-# (tests/goodput_claims.rs asserts those claims on the goldens). The
-# fleet's report (work counts + emission checksum + telemetry totals, no
-# timings) is held the same way: the quick population at 1 and 4
-# threads, the full 1M-flow population at 1 thread (thread-invariance
-# stays with the quick pair) — the fleet's cross-commit gate. How fast any of this runs is not checked here: that
-# is the layered benchmark's job (BENCHMARK.json, benchmark/README.md).
-# The fault suite's report (fault_matrix: every fault scenario x defense
-# through the real stack, auditor on, exit 1 on any violation; its JSON
-# never carries timings) is held here too, and only here: two runs that
-# both equal the committed file are equal to each other, so this is also
-# CI's 1-vs-4-thread determinism check under faults. `set -e` stops on a
-# violation.
+# produced with the exact invocations in the table below; every bin
+# writes its report to the file STOB_JSON_OUT names, and that dump never
+# carries wall-clock fields, so it is deterministic across machines and
+# thread counts. Each golden is run at 1 and 4 threads (the full 1M-flow
+# fleet at 1 only: thread-invariance stays with the quick pair), and two
+# runs that both equal the committed file are equal to each other, so
+# this is also the fan-out determinism check of every harness:
+#
+# - table2, defense_matrix, multipath, attacks: the k-FP experiments
+#   (table2's pair holds the parallel `collect_dataset` stage at the
+#   CLI; tests/attack_table.rs asserts EXPERIMENTS.md's attack-table
+#   reading on attacks.json);
+# - table1: the measured-overhead rows of `run_overheads`;
+# - figure3, ablations: the goodput sweeps of Figure 3 and the ablations
+#   (tests/goodput_claims.rs asserts the paper's claims on them);
+# - fleet: the fleet's report (work counts + emission checksum +
+#   telemetry totals), the fleet's cross-commit gate;
+# - fault_matrix: the fault suite, every fault scenario x defense through
+#   the real stack, auditor on;
+# - chaos --quick: the recovery soak, which exits 1 on a violation, a
+#   visit panic, a recovery-on completion rate below its floor or a
+#   recovery-off blackout baseline that stops failing.
+#
+# `set -e` stops on any bin's own failing exit. How fast any of this runs
+# is not checked here: that is the layered benchmark's job
+# (BENCHMARK.json, benchmark/README.md).
 #
 # Usage: scripts/check-golden.sh
 # On a mismatch it prints the command that regenerates that golden; run
@@ -38,8 +41,6 @@ out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
 
 # One comparison per row: golden, STOB_THREADS, stob-bench bin, its args.
-# The fleet writes its report through --checks-out, every other bin
-# through STOB_JSON_OUT.
 rows=(
     "tests/golden/table2.json          1  table2          12 25 2 7"
     "tests/golden/table2.json          4  table2          12 25 2 7"
@@ -60,18 +61,15 @@ rows=(
     "tests/golden/figure3.json         4  figure3"
     "tests/golden/ablations.json       1  ablations"
     "tests/golden/ablations.json       4  ablations"
+    "tests/golden/chaos_quick.json     1  chaos           --quick"
+    "tests/golden/chaos_quick.json     4  chaos           --quick"
 )
 
 # The command that writes `$1`'s output for bin `$2` with args `$3...`.
 command_for() {
     local dest="$1" bin="$2"
     shift 2
-    local run=(cargo run --release --locked -p stob-bench --bin "$bin" -- "$@")
-    if [[ $bin == fleet ]]; then
-        echo "${run[*]} --checks-out $dest"
-    else
-        echo "STOB_JSON_OUT=$dest ${run[*]}"
-    fi
+    echo "STOB_JSON_OUT=$dest cargo run --release --locked -p stob-bench --bin $bin -- $*"
 }
 
 for row in "${rows[@]}"; do

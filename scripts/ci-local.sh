@@ -31,13 +31,11 @@ run env STOB_THREADS=4 cargo test --workspace -q --locked --test determinism
 # scenario x defense, invariant auditor on, exit 1 on any violation) runs
 # there at 1 and 4 threads and both reports must equal the committed one.
 # The fleet runs there too (quick at 1 and 4 threads, full at 1) and
-# fails on any auditor violation or a quick peak below 100k resident.
+# fails on any auditor violation or a quick peak below 100k resident, and
+# so does the chaos soak (`chaos --quick`), which fails unless recovery
+# rescues the fault grid while the recovery-off blackout baseline still
+# fails.
 run scripts/check-golden.sh
-
-# Chaos soak: recovery runtime must rescue the fault grid (and the
-# recovery-off blackout baseline must still fail, or the gate is
-# vacuous), with the report byte-identical at 1 vs 4 threads.
-run scripts/check-chaos.sh
 
 echo
 echo "ci-local: all checks passed"

@@ -3,8 +3,10 @@
 //! attack (wf), and the countermeasures (defenses) — at a small but real
 //! scale.
 
-use defenses::emulate::{apply, CounterMeasure, EmulateConfig};
+use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
+use defenses::emulate_trace;
 use netsim::SimRng;
+use stob::defense::DefenseCtx;
 use traces::loader::{collect, LoaderConfig};
 use traces::sanitize::sanitize;
 use traces::sites::paper_sites;
@@ -76,9 +78,10 @@ fn countermeasures_change_the_attack_surface_without_breaking_it() {
         first_n: 30,
         ..EmulateConfig::default()
     };
+    let combined = Section3Defense::new(CounterMeasure::Combined, em);
     let mut rng = SimRng::new(5);
     let defended = d
-        .map_traces(|t| apply(CounterMeasure::Combined, t, &em, &mut rng).trace)
+        .map_traces(|t| emulate_trace(&combined, t, &DefenseCtx::default(), &mut rng).trace)
         .truncated(30);
     let plain = evaluate(&d.truncated(30), &cfg);
     let def = evaluate(&defended, &cfg);

@@ -4,18 +4,25 @@
 //! `SimRng` generator so the workspace carries no external test deps;
 //! every case is reproducible from the loop index.
 
-use defenses::emulate::{apply, CounterMeasure, EmulateConfig};
+use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
+use defenses::emulate_trace;
 use netsim::{Direction, Nanos, SimRng};
+use stob::defense::DefenseCtx;
 use traces::{Trace, TracePacket};
 
 const CASES: u64 = 300;
 
+fn apply(cm: CounterMeasure, t: &Trace, cfg: &EmulateConfig, rng: &mut SimRng) -> Trace {
+    let d = Section3Defense::new(cm, *cfg);
+    emulate_trace(&d, t, &DefenseCtx::default(), rng).trace
+}
+
 fn split(t: &Trace, cfg: &EmulateConfig) -> Trace {
-    apply(CounterMeasure::Split, t, cfg, &mut SimRng::new(0)).trace
+    apply(CounterMeasure::Split, t, cfg, &mut SimRng::new(0))
 }
 
 fn delay(t: &Trace, cfg: &EmulateConfig, rng: &mut SimRng) -> Trace {
-    apply(CounterMeasure::Delayed, t, cfg, rng).trace
+    apply(CounterMeasure::Delayed, t, cfg, rng)
 }
 
 /// A random well-formed trace, analogous to the old proptest strategy:
