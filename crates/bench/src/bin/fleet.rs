@@ -162,19 +162,14 @@ fn telemetry_json() -> Json {
     ] {
         t = t.set(name, netsim::telemetry::counter(name).get());
     }
-    for name in [
-        "stack.egress.shaper_extra_delay_ns",
-        "stack.fleet.extra_delay_ns",
-    ] {
-        let h = netsim::telemetry::histo(name);
-        let summary = Json::obj()
-            .set("count", h.count())
-            .set("sum", h.sum())
-            .set("min", h.min().unwrap_or(0))
-            .set("max", h.max().unwrap_or(0));
-        t = t.set(name, summary);
-    }
-    t
+    let name = "stack.egress.shaper_extra_delay_ns";
+    let h = netsim::telemetry::histo(name);
+    let summary = Json::obj()
+        .set("count", h.count())
+        .set("sum", h.sum())
+        .set("min", h.min().unwrap_or(0))
+        .set("max", h.max().unwrap_or(0));
+    t.set(name, summary)
 }
 
 fn env_u64(key: &str) -> Option<u64> {

@@ -124,15 +124,18 @@ pub(crate) fn placement_from_env() -> Placement {
 /// if it names one (`build` runs only then). The file is a pure function
 /// of (inputs, seed) — wall-clock timings go to stderr, never in here —
 /// so CI byte-compares it against a committed golden at any thread
-/// count. An unwritable path is reported on stderr, not fatal.
+/// count. A path that cannot be written is reported on stderr and the
+/// bin exits 1: a caller that trusts the exit status must not read a
+/// missing or stale report as this run's.
 pub fn write_json_out(bin: &str, build: impl FnOnce() -> netsim::Json) {
     let Some(path) = netsim::env::string("STOB_JSON_OUT") else {
         return;
     };
-    match std::fs::write(&path, build().to_string_pretty()) {
-        Ok(()) => eprintln!("[{bin}] wrote {path}"),
-        Err(e) => eprintln!("[{bin}] could not write {path}: {e}"),
+    if let Err(e) = std::fs::write(&path, build().to_string_pretty()) {
+        eprintln!("[{bin}] could not write {path}: {e}");
+        std::process::exit(1);
     }
+    eprintln!("[{bin}] wrote {path}");
 }
 
 /// The command line every bin reads through [`cli::Positional`]: the

@@ -119,3 +119,19 @@ fn malformed_values_are_refused() {
         assert_refused(bin, args, &format!("unexpected argument `{extra}`"));
     }
 }
+
+/// A report that cannot be written fails the run: an unwritable
+/// `STOB_JSON_OUT` used to be a warning on stderr and exit 0. The path
+/// runs through the bin itself, a file, so no directory can exist there.
+#[test]
+fn unwritable_report_path_exits_1() {
+    let exe = env!("CARGO_BIN_EXE_table1");
+    let out = Command::new(exe)
+        .args(["1", "7"])
+        .env("STOB_JSON_OUT", format!("{exe}/report.json"))
+        .output()
+        .unwrap_or_else(|e| panic!("spawn table1: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("[table1] could not write"), "{stderr}");
+}

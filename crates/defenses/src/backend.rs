@@ -93,7 +93,6 @@ pub fn defend_all(
     seed: u64,
 ) -> Vec<Defended> {
     let _sp = netsim::telemetry::span("defenses.backend.defend_all");
-    netsim::tm_counter!("defenses.emulate.traces").add(traces.len() as u64);
     par::par_map(traces, |i, t| {
         let mut rng = root.fork(i as u64 + 1);
         let ctx = DefenseCtx {

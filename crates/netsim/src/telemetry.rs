@@ -31,7 +31,7 @@
 //!    ```
 //!
 //!    Names follow `crate.layer.metric` (see `OBSERVABILITY.md` for the
-//!    full catalogue): `stack.tcp.tso_resegmented`,
+//!    full catalogue): `stack.egress.resegmented`,
 //!    `stack.qdisc.release_delay_ns`, `defense.app.split_pkts`, …
 //!
 //!    **Shards.** An instrument is a slot index: one slot for a counter

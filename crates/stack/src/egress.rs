@@ -30,7 +30,7 @@
 //!  ⑤ safety clamp ───────────── departures only ever move *later*;
 //!        │                      sizes never exceed the CC proposal
 //!        ▼
-//!  ⑥ telemetry / trace emission (legacy + `stack.egress.*` instruments)
+//!  ⑥ telemetry / trace emission (one `stack.egress.*` add per decision)
 //! ```
 //!
 //! The safety clamp (stage ⑤) is structural: `segment_pkts` clips to the
@@ -203,41 +203,29 @@
 use crate::cpu::Cpu;
 use crate::shaper::{BoxShaper, NoopShaper, ShapeCtx};
 use crate::tcp::{TcpAction, TimerKind};
-use netsim::telemetry::{Counter, Histo, Tracer};
+use netsim::telemetry::Tracer;
 use netsim::{Nanos, Packet};
 
-/// Per-transport instrument/trace naming for the shared pipeline.
+/// Per-transport trace naming for the shared pipeline.
 ///
-/// The pipeline emits every decision twice: once under the transport's
-/// legacy instrument name (so existing dashboards and docs keep working)
-/// and once under the shared `stack.egress.*` family (so cross-transport
-/// totals need no per-transport summation). Trace events carry `layer`
-/// so a mixed TCP+QUIC trace stays attributable.
+/// Every decision is counted once, under the shared `stack.egress.*`
+/// family, whichever transport made it; trace events carry `layer` so a
+/// mixed TCP+QUIC trace stays attributable. Retransmission is a
+/// transport decision, so a transport that retransmits (TCP, mux)
+/// counts it under its own name.
 ///
 /// A value is one pointer to its label's constant set, so a pipeline
-/// carries eight bytes of naming however many instruments it feeds.
+/// carries eight bytes of naming.
 #[derive(Debug, Clone, Copy)]
 pub struct EgressLabels(&'static LabelSet);
 
-/// What one [`EgressLabels`] constant points at. The legacy instruments
-/// are getters around `tm_counter!`/`tm_histo!` handles: each resolves
-/// its registry entry on first use, once per process, so merely
-/// constructing a pipeline registers nothing.
+/// What one [`EgressLabels`] constant points at: the trace tags.
 #[derive(Debug)]
 struct LabelSet {
     /// Trace `layer` tag ("tcp", "quic", ...).
     layer: &'static str,
     /// Trace event name for stage-② resegmenting ("tso-pkts"/"gso-pkts").
     reseg_event: &'static str,
-    /// Legacy counter bumped when the shaper shrinks a segment.
-    reseg_counter: fn() -> &'static Counter,
-    /// Legacy counter bumped when the shaper resizes a packet.
-    resize_counter: fn() -> &'static Counter,
-    /// Legacy histogram of stage-④ extra delays (sim-ns).
-    delay_histo: fn() -> &'static Histo,
-    /// Legacy counter bumped per sized retransmission, if the transport
-    /// routes retransmissions through [`EgressPipeline::size_retransmit`].
-    retransmit_counter: Option<fn() -> &'static Counter>,
 }
 
 impl EgressLabels {
@@ -245,20 +233,12 @@ impl EgressLabels {
     pub const TCP: EgressLabels = EgressLabels(&LabelSet {
         layer: "tcp",
         reseg_event: "tso-pkts",
-        reseg_counter: || netsim::tm_counter!("stack.tcp.tso_resegmented"),
-        resize_counter: || netsim::tm_counter!("stack.tcp.pkts_resized"),
-        delay_histo: || netsim::tm_histo!("stack.tcp.shaper_extra_delay_ns"),
-        retransmit_counter: Some(|| netsim::tm_counter!("stack.tcp.retransmits")),
     });
 
     /// Labels for the QUIC transport.
     pub const QUIC: EgressLabels = EgressLabels(&LabelSet {
         layer: "quic",
         reseg_event: "gso-pkts",
-        reseg_counter: || netsim::tm_counter!("stack.quic.gso_resegmented"),
-        resize_counter: || netsim::tm_counter!("stack.quic.pkts_resized"),
-        delay_histo: || netsim::tm_histo!("stack.quic.shaper_extra_delay_ns"),
-        retransmit_counter: None,
     });
 
     /// Labels for trace replay: the stack-placement defense backend
@@ -267,10 +247,6 @@ impl EgressLabels {
     pub const REPLAY: EgressLabels = EgressLabels(&LabelSet {
         layer: "replay",
         reseg_event: "replay-pkts",
-        reseg_counter: || netsim::tm_counter!("stack.replay.resegmented"),
-        resize_counter: || netsim::tm_counter!("stack.replay.pkts_resized"),
-        delay_histo: || netsim::tm_histo!("stack.replay.extra_delay_ns"),
-        retransmit_counter: None,
     });
 
     /// Labels for the multipath transport (`stack::mux`): sequenced
@@ -279,10 +255,6 @@ impl EgressLabels {
     pub const MUX: EgressLabels = EgressLabels(&LabelSet {
         layer: "mux",
         reseg_event: "mux-pkts",
-        reseg_counter: || netsim::tm_counter!("stack.mux.resegmented"),
-        resize_counter: || netsim::tm_counter!("stack.mux.pkts_resized"),
-        delay_histo: || netsim::tm_histo!("stack.mux.extra_delay_ns"),
-        retransmit_counter: Some(|| netsim::tm_counter!("stack.mux.retransmits")),
     });
 
     /// Labels for the fleet engine (`stob::fleet`): many concurrent
@@ -291,10 +263,6 @@ impl EgressLabels {
     pub const FLEET: EgressLabels = EgressLabels(&LabelSet {
         layer: "fleet",
         reseg_event: "fleet-pkts",
-        reseg_counter: || netsim::tm_counter!("stack.fleet.resegmented"),
-        resize_counter: || netsim::tm_counter!("stack.fleet.pkts_resized"),
-        delay_histo: || netsim::tm_histo!("stack.fleet.extra_delay_ns"),
-        retransmit_counter: None,
     });
 }
 
@@ -326,8 +294,8 @@ pub struct EgressPipeline {
 }
 
 /// One pipeline per connection and per resident fleet flow: it holds
-/// state only; its instruments live behind the label set and in
-/// `tm_counter!` statics.
+/// state only; its instruments live in `tm_counter!`/`tm_histo!`
+/// statics.
 const _: () = assert!(
     std::mem::size_of::<EgressPipeline>() <= 64,
     "EgressPipeline outgrew its 64-byte (one cache line) budget"
@@ -393,7 +361,6 @@ impl EgressPipeline {
             .tso_segment_pkts(ctx, proposed)
             .clamp(1, proposed);
         if shaped != proposed {
-            (self.labels.0.reseg_counter)().inc();
             netsim::tm_counter!("stack.egress.resegmented").inc();
             if let Some(tr) = &self.tracer {
                 tr.rec(
@@ -427,7 +394,6 @@ impl EgressPipeline {
             .packet_ip_size(ctx, pkt_index, proposed_ip)
             .clamp(floor, ceil);
         if ip != proposed_ip {
-            (self.labels.0.resize_counter)().inc();
             netsim::tm_counter!("stack.egress.pkts_resized").inc();
             if let Some(tr) = &self.tracer {
                 tr.rec(
@@ -446,9 +412,9 @@ impl EgressPipeline {
 
     /// Stage ③ for retransmissions: the shaper's packet-size decision
     /// applies to loss repair too (the eavesdropper sees retransmitted
-    /// packets like any other), but the event is recorded under the
-    /// transport's retransmit instrument, unconditionally.
-    pub(crate) fn size_retransmit(
+    /// packets like any other). The transport counts the retransmission
+    /// itself; this records only its trace event, unconditionally.
+    pub fn size_retransmit(
         &mut self,
         ctx: &ShapeCtx,
         proposed_ip: u32,
@@ -459,10 +425,6 @@ impl EgressPipeline {
             .shaper
             .packet_ip_size(ctx, 0, proposed_ip)
             .clamp(floor, ceil);
-        if let Some(counter) = self.labels.0.retransmit_counter {
-            counter().inc();
-        }
-        netsim::tm_counter!("stack.egress.retransmits").inc();
         if let Some(tr) = &self.tracer {
             tr.rec(
                 ctx.now,
@@ -507,19 +469,7 @@ impl EgressPipeline {
         let extra = self.shaper.extra_delay(ctx);
         let eligible = base + extra;
         if !extra.is_zero() {
-            (self.labels.0.delay_histo)().record(extra.as_nanos());
-            netsim::tm_histo!("stack.egress.shaper_extra_delay_ns").record(extra.as_nanos());
-            if let Some(tr) = &self.tracer {
-                tr.rec(
-                    now,
-                    u64::from(ctx.flow.0),
-                    self.labels.0.layer,
-                    "pacing",
-                    base.as_nanos(),
-                    eligible.as_nanos(),
-                    "shaper-delay",
-                );
-            }
+            self.record_delay(now, ctx, extra, base, eligible);
         }
         if let Some(rate) = ctx.pacing_rate_bps {
             if rate > 0 && rate < u64::MAX {
@@ -546,33 +496,38 @@ impl EgressPipeline {
     /// `intended` is the packet's departure time as computed so far
     /// (recorded timestamp plus accumulated shift). The eligible time is
     /// `max(pacing clock, intended) + extra_delay`, the pacing clock
-    /// advances to it, and the delay is recorded under this pipeline's
-    /// delay instruments. The stack-placement defense backend
-    /// (`stob::defense::enforce_flow`) is the intended caller, with
-    /// [`EgressLabels::REPLAY`].
+    /// advances to it, and the delay is recorded as in
+    /// [`pace_segment`](Self::pace_segment). The stack-placement defense
+    /// backend (`stob::defense::enforce_flow`) is the intended caller,
+    /// with [`EgressLabels::REPLAY`].
     pub fn pace_replay(&mut self, ctx: &ShapeCtx, intended: Nanos) -> Nanos {
         let base = self.pacing_next.max(intended);
         let extra = self.shaper.extra_delay(ctx);
         let eligible = base + extra;
         if !extra.is_zero() {
-            (self.labels.0.delay_histo)().record(extra.as_nanos());
-            netsim::tm_histo!("stack.egress.shaper_extra_delay_ns").record(extra.as_nanos());
-            if let Some(tr) = &self.tracer {
-                tr.rec(
-                    ctx.now,
-                    u64::from(ctx.flow.0),
-                    self.labels.0.layer,
-                    "pacing",
-                    base.as_nanos(),
-                    eligible.as_nanos(),
-                    "shaper-delay",
-                );
-            }
+            self.record_delay(ctx.now, ctx, extra, base, eligible);
             self.shaped_segs += 1;
         }
         netsim::tm_counter!("stack.replay.pkts").inc();
         self.pacing_next = eligible;
         eligible
+    }
+
+    /// Stage ⑥ for a non-zero extra delay: one histogram sample and, with
+    /// a tracer, one `pacing` event from `base` to `eligible` stamped `at`.
+    fn record_delay(&self, at: Nanos, ctx: &ShapeCtx, extra: Nanos, base: Nanos, eligible: Nanos) {
+        netsim::tm_histo!("stack.egress.shaper_extra_delay_ns").record(extra.as_nanos());
+        if let Some(tr) = &self.tracer {
+            tr.rec(
+                at,
+                u64::from(ctx.flow.0),
+                self.labels.0.layer,
+                "pacing",
+                base.as_nanos(),
+                eligible.as_nanos(),
+                "shaper-delay",
+            );
+        }
     }
 
     /// ACK passthrough: lets stateful shaping strategies observe flow

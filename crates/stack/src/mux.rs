@@ -37,8 +37,10 @@
 //! [`Api::connect_custom`](crate::net::Api::connect_custom) as a third
 //! transport beside TCP and QUIC, and the shared [`EgressPipeline`] gives
 //! every datagram the same shaper hooks (TSO sizing, per-packet sizing,
-//! departure delay) the paper's §4.2 names — under the
-//! [`EgressLabels::MUX`] instrument family (`stack.mux.*`).
+//! departure delay) the paper's §4.2 names, counted under the shared
+//! `stack.egress.*` family and traced with the [`EgressLabels::MUX`]
+//! `layer`; the transport's own decisions (retransmits, failovers,
+//! parity, ...) count under `stack.mux.*`.
 
 use crate::cpu::Cpu;
 use crate::egress::{Actions, EgressLabels, EgressPipeline, FlowStats, TransportCore};
@@ -457,6 +459,7 @@ impl Multiplex {
         let pipe = self.pick_pipe(false);
         let ip = if retransmit {
             self.stats.retransmits += 1;
+            netsim::tm_counter!("stack.mux.retransmits").inc();
             self.egress
                 .size_retransmit(&ctx, len + MUX_HDR_IP, MUX_HDR_IP + 1, self.dgram_ip())
         } else {

@@ -337,6 +337,7 @@ impl TcpConn {
     /// Retransmit one MSS from the head of the unacked window.
     fn retransmit_head(&mut self, now: Nanos) -> TcpAction {
         self.rtt_probes.clear(); // Karn
+        netsim::tm_counter!("stack.tcp.retransmits").inc();
         let natural = (self.snd_nxt - self.snd_una).min(self.cfg.mss() as u64) as u32;
         // The shaper's packet-size decision applies to retransmissions
         // too: the eavesdropper sees them like any other packet.

@@ -16,10 +16,7 @@ use wf::eval::{evaluate, EvalConfig};
 use wf::forest::ForestConfig;
 
 fn main() {
-    let visits: usize = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(30);
+    let visits = stob_bench::cli::Positional::new("censor_lab [visits]").count(1, 30);
     let seed = 0xCE2502;
 
     println!("censor lab: collecting {visits} visits/site for 9 sites (full-stack sim)...");

@@ -35,10 +35,7 @@ impl App for Iperf {
 }
 
 fn main() {
-    let alpha: u32 = std::env::args()
-        .nth(1)
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(0);
+    let alpha: u32 = stob_bench::cli::Positional::new("iperf [alpha]").uint(1, 0);
 
     let cap = SafetyCap::new(IncrementalReduce::with_alpha(alpha));
     let audit = cap.audit_handle();

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Alternating benchmark pairs, parent commit against the working tree
 # (PERF.md, "Measuring a claim"). Builds the parent's `benchmark` binary
-# from `git archive <parent-rev>` in a temporary directory and the
-# working tree's in place, then runs `--workload W --seed S --seconds T
+# from `git archive <parent-rev>` in `$tmp/parent` and the working tree's
+# from a snapshot of it (tracked files plus untracked ones git does not
+# ignore, as they stand on disk) in `$tmp/change`, then runs `--workload W --seed S --seconds T
 # --trace 0` on each side `pairs` times, alternating which side goes
 # first, every run from its own empty working directory. Prints every
 # run's throughput / peak_rss_mb / setup_s / sim_digest / failed, then per
@@ -12,7 +13,10 @@
 # quartiles). Exits 1 if any two runs' sim_digests differ or any run
 # failed an operation; the verdicts do not change the exit status.
 #
-# Both sides run from paths of one length: the binaries are copied to
+# Both sides are built from checkouts of one path length, since the
+# benchmark bakes its checkout path in at compile time: a change built in
+# place and a parent built elsewhere read apart on identical code. Both
+# sides run from paths of one length too: the binaries are copied to
 # `$tmp/bin/parent` and `$tmp/bin/change`, and the runs work in
 # `$tmp/run/001`, `002`, …. `fleet_mixed`'s peak_rss_mb has two modes
 # ~1.1 MiB apart, and which one a run lands in follows the length of the
@@ -28,7 +32,7 @@
 #   scripts/bench-pairs.sh <parent-rev> <workload> <pairs> [seconds] [seed] [prefix]
 #                                                  (defaults: 30, 12, none)
 #
-# The temporary directory (parent checkout, its build, the run
+# The temporary directory (both checkouts, their builds, the run
 # directories) is made with `mktemp -d`, so TMPDIR chooses where it goes;
 # it is removed on exit.
 set -euo pipefail
@@ -46,16 +50,21 @@ root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
-mkdir -p "$tmp/parent"
+mkdir -p "$tmp/parent" "$tmp/change"
 git -C "$root" archive "$rev" | tar -x -C "$tmp/parent"
+# The working tree as it stands: a file deleted on disk but still in the
+# index is left out.
+(cd "$root" && git ls-files -z --cached --others --exclude-standard |
+    while IFS= read -r -d '' f; do if [[ -e "$f" ]]; then printf '%s\0' "$f"; fi; done |
+    tar --null -T - -cf -) | tar -x -C "$tmp/change"
 build() {
     cargo build --release --offline --locked --quiet --manifest-path "$1/benchmark/Cargo.toml"
 }
 build "$tmp/parent"
-build "$root"
+build "$tmp/change"
 mkdir -p "$tmp/bin" "$tmp/run"
 cp "$tmp/parent/benchmark/target/release/benchmark" "$tmp/bin/parent"
-cp "$root/benchmark/target/release/benchmark" "$tmp/bin/change"
+cp "$tmp/change/benchmark/target/release/benchmark" "$tmp/bin/change"
 declare -A bin=([parent]="$tmp/bin/parent" [change]="$tmp/bin/change")
 # One fresh working directory per run, all of one depth and name length.
 nrun=0
@@ -67,7 +76,7 @@ rundir() {
 # A traced run writes here, under the checkout its binary was built from.
 declare -A trace=(
     [parent]="$tmp/parent/benchmark/out/trace-$workload.json"
-    [change]="$root/benchmark/out/trace-$workload.json"
+    [change]="$tmp/change/benchmark/out/trace-$workload.json"
 )
 
 runs="$tmp/runs.jsonl"

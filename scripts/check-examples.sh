@@ -3,6 +3,7 @@
 # runs them, and two (quickstart, morphing_admin) are the only callers of
 # parts of the control-plane API outside the crates' own tests.
 # Debug build: the artifacts `cargo test` just produced; ~10 s in total.
+# Then check that `censor_lab abc` is refused (exit 2).
 #
 # Then run EXPERIMENTS.md's "ship a defense as data" recipe as written:
 # its machine spec (the `<<'JSON'` heredoc) must bind through
@@ -18,6 +19,15 @@ for example in examples/*.rs; do
     cargo run --quiet --locked --example "$name" >/dev/null
 done
 echo "check-examples: all examples exited 0"
+# An example reads its arguments like a bench bin: one it cannot use is
+# refused with exit 2 before any simulation, not replaced by the default.
+status=0
+cargo run --quiet --locked --example censor_lab -- abc >/dev/null 2>&1 || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "check-examples: censor_lab abc exited $status, not 2" >&2
+    exit 1
+fi
+echo "check-examples: censor_lab refuses a malformed visit count"
 
 recipe="$(mktemp -d)"
 trap 'rm -rf "$recipe"' EXIT
