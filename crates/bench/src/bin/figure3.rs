@@ -3,21 +3,26 @@
 //! 1500 by α (10 steps, then reset) and TSO size down from 44 packets by
 //! α/4 (8 steps, clamped at 1, then reset).
 //!
-//! Usage: `figure3 [--telemetry] [alpha_max] [alpha_step] [measure_ms] [seed]`
-//! (defaults: 0..=40 step 4, 50 ms measurement window after a 30 ms
-//! warm-up). `--telemetry` appends the global metrics summary;
-//! `STOB_TRACE_OUT=<path>` dumps the per-flow
+//! Usage: `figure3 [--telemetry] [--trace-out=<path>] [alpha_max]
+//! [alpha_step] [measure_ms] [seed]` (defaults: 0..=40 step 4, 50 ms
+//! measurement window after a 30 ms warm-up). `--telemetry` appends the
+//! global metrics summary; `--trace-out=<path>` dumps the per-flow
 //! shaping-decision trace as JSONL; `STOB_JSON_OUT=<path>` writes the
 //! sweep points as JSON (deterministic: no wall-clock timings, so runs
-//! at different `STOB_THREADS` byte-compare equal).
+//! at different `STOB_THREADS` byte-compare equal). Either file that
+//! cannot be written exits 1.
 
 use netsim::telemetry;
 use netsim::{Json, Nanos};
-use stob_bench::{cli, run_figure3, run_figure3_traced};
+use stob_bench::{cli, run_figure3};
 
 fn main() {
-    let args =
-        cli::Positional::new("figure3 [--telemetry] [alpha_max] [alpha_step] [measure_ms] [seed]");
+    let args = cli::Positional::new(
+        "figure3 [--telemetry] [--trace-out=<path>] [alpha_max] [alpha_step] [measure_ms] [seed]",
+    );
+    let trace_path = args.value("--trace-out", "a path", |s| {
+        (!s.is_empty()).then(|| s.to_string())
+    });
     let alpha_max = args.uint(1, 40u32);
     let step = args.count(2, 4);
     let measure_ms = args.count(3, 50) as u64;
@@ -26,27 +31,16 @@ fn main() {
     let alphas: Vec<u32> = (0..=alpha_max).step_by(step).collect();
     eprintln!("[figure3] sweeping alpha over {alphas:?} ({measure_ms} ms window, seed {seed})...");
     let t0 = std::time::Instant::now();
-    let trace_path = telemetry::trace_out();
-    let pts = if let Some(path) = &trace_path {
-        let (pts, events) = run_figure3_traced(
-            &alphas,
-            Nanos::from_millis(measure_ms),
-            seed,
-            telemetry::DEFAULT_TRACE_CAP,
-        );
-        let mut out = String::new();
-        for ev in &events {
-            out.push_str(&ev.to_json().to_string_compact());
-            out.push('\n');
-        }
-        match std::fs::write(path, out) {
-            Ok(()) => eprintln!("[figure3] wrote {} flow events to {path}", events.len()),
-            Err(e) => eprintln!("[figure3] could not write {path}: {e}"),
-        }
-        pts
-    } else {
-        run_figure3(&alphas, Nanos::from_millis(measure_ms), seed)
-    };
+    let cap = trace_path.as_ref().map(|_| telemetry::DEFAULT_TRACE_CAP);
+    let (pts, events) = run_figure3(&alphas, Nanos::from_millis(measure_ms), seed, cap);
+    if let Some(path) = &trace_path {
+        let out: String = events
+            .iter()
+            .map(|ev| ev.to_json().to_string_compact() + "\n")
+            .collect();
+        eprintln!("[figure3] {} flow events traced", events.len());
+        stob_bench::write_out("figure3", path, &out);
+    }
     eprintln!("[figure3] sweep done in {:.1}s", t0.elapsed().as_secs_f64());
 
     stob_bench::write_json_out("figure3", || {

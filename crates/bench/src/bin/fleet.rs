@@ -21,20 +21,20 @@
 //! *speed* is measured by the layered benchmark's `fleet_mixed` workload
 //! (`BENCHMARK.json`, `benchmark/README.md`), not here.
 //!
-//! Usage: `fleet [--quick]`
+//! Usage: `fleet [--quick] [--flows=<n>] [--shards=<n>] [--machine=<path>]`
 //!
 //! The report goes to stdout, and to the file `STOB_JSON_OUT` names.
 //!
-//! Env: `STOB_FLEET_FLOWS` / `STOB_FLEET_SHARDS` (workload overrides —
-//! a different population is a different report, so only use them for
-//! local exploration, never under `scripts/check-golden.sh`; with
-//! `STOB_FLEET_FLOWS` set the residency floor, calibrated for the
-//! built-in quick population, is not applied).
-//! `STOB_FLEET_MACHINE=<path>` additionally publishes a JSON document —
-//! normally a machine spec (see `stob::machine`) — as the host-wide
-//! default defense through `stob::sockopt::publish_json`: the
-//! defenses-as-data path at fleet scale. A document the control plane
-//! rejects exits 1. It also changes the report; local exploration only.
+//! `--flows=<n>` / `--shards=<n>` (at most one shard per flow) override
+//! the workload — a different population is a different report, so only
+//! use them for local exploration, never under `scripts/check-golden.sh`;
+//! with `--flows` the residency floor, calibrated for the built-in quick
+//! population, is not applied. `--machine=<path>` additionally publishes
+//! a JSON document — normally a machine spec (see `stob::machine`) — as
+//! the host-wide default defense through `stob::sockopt::publish_json`:
+//! the defenses-as-data path at fleet scale. A document that cannot be
+//! read or that the control plane rejects exits 1. It also changes the
+//! report; local exploration only.
 
 use defenses::front::FrontConfig;
 use defenses::FrontDefense;
@@ -62,7 +62,7 @@ fn calibrate(quick: bool) -> (&'static str, FleetConfig) {
             FleetConfig {
                 seed: SEED,
                 flows: 120_000,
-                shards: 0, // engine default (64)
+                shards: stob::fleet::DEFAULT_SHARDS,
                 sites: 256,
                 pkts_per_flow: (12, 24),
                 gap_ns: (20_000, 400_000),
@@ -77,7 +77,7 @@ fn calibrate(quick: bool) -> (&'static str, FleetConfig) {
             FleetConfig {
                 seed: SEED,
                 flows: 1_000_000,
-                shards: 0,
+                shards: stob::fleet::DEFAULT_SHARDS,
                 sites: 1024,
                 pkts_per_flow: (12, 24),
                 gap_ns: (20_000, 400_000),
@@ -172,40 +172,36 @@ fn telemetry_json() -> Json {
     t.set(name, summary)
 }
 
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok().map(|v| {
-        v.parse()
-            .unwrap_or_else(|_| die(&format!("{key} must be an integer, got {v:?}")))
-    })
-}
-
 fn main() {
-    let quick = cli::Positional::new("fleet [--quick]").flag("--quick");
+    let args =
+        cli::Positional::new("fleet [--quick] [--flows=<n>] [--shards=<n>] [--machine=<path>]");
+    let quick = args.flag("--quick");
     let (mode, mut cfg) = calibrate(quick);
     // Local-exploration overrides; they change the report, so
     // check-golden.sh never sets them.
-    let flows_override = env_u64("STOB_FLEET_FLOWS");
-    if let Some(flows) = flows_override {
-        cfg.flows = flows;
-    }
-    if let Some(shards) = env_u64("STOB_FLEET_SHARDS") {
-        cfg.shards = shards;
-    }
+    let flows = args.value("--flows", "a positive integer", |s| {
+        s.parse().ok().filter(|&n| n > 0)
+    });
+    cfg.flows = flows.unwrap_or(cfg.flows);
+    let want = format!("a positive integer no larger than the {} flows", cfg.flows);
+    let shards = args.value("--shards", &want, |s| {
+        s.parse().ok().filter(|n| (1..=cfg.flows).contains(n))
+    });
+    cfg.shards = shards.unwrap_or(cfg.shards);
+    let machine = args.value("--machine", "a path", |s| {
+        (!s.is_empty()).then(|| s.to_string())
+    });
     eprintln!(
         "[fleet] mode={mode} flows={} shards={} threads={} seed={SEED:#x}",
         cfg.flows,
-        if cfg.shards == 0 {
-            stob::fleet::DEFAULT_SHARDS
-        } else {
-            cfg.shards
-        },
+        cfg.shards,
         netsim::par::threads()
     );
     // The floor is calibrated for the built-in quick population only.
-    let floor_applies = quick && flows_override.is_none();
+    let floor_applies = quick && flows.is_none();
     if quick && !floor_applies {
         eprintln!(
-            "[fleet] note: STOB_FLEET_FLOWS overrides the calibrated population; \
+            "[fleet] note: --flows overrides the calibrated population; \
              the {QUICK_RESIDENCY_FLOOR}-flow residency floor is not applied (ungated run)"
         );
     }
@@ -213,11 +209,11 @@ fn main() {
     // Operator-pushed machine defense: a JSON spec published through the
     // same control plane any live host would use, overriding the default
     // binding for this run. No recompile — the point of the exercise.
-    if let Ok(path) = std::env::var("STOB_FLEET_MACHINE") {
+    if let Some(path) = machine {
         let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| die(&format!("cannot read STOB_FLEET_MACHINE {path}: {e}")));
+            .unwrap_or_else(|e| die(&format!("cannot read --machine={path}: {e}")));
         let name = publish_json(&reg, PolicyKey::Default, &text, Placement::Stack)
-            .unwrap_or_else(|e| die(&format!("STOB_FLEET_MACHINE rejected: {e}")));
+            .unwrap_or_else(|e| die(&format!("--machine={path} rejected: {e}")));
         eprintln!("[fleet] defense \"{name}\" bound as default from {path}");
     }
     let t0 = Instant::now();

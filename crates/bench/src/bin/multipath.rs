@@ -4,23 +4,34 @@
 //! placements. The matrix the `stack::mux` transport exists to answer:
 //! how much does an adversary lose by only tapping one leg?
 //!
-//! Usage: `multipath [visits] [trees] [repeats] [seed]`
-//! Env: `STOB_MUX_PIPES=1,2,4`, `STOB_MUX_SPLITTER=roundrobin`,
-//! `STOB_MUX_FEC=4` restrict/extend the matrix (see `EXPERIMENTS.md`);
+//! Usage: `multipath [--pipes=<csv>] [--splitter=<spec>] [--fec=<k>]
+//! [visits] [trees] [repeats] [seed]`. `--pipes=1,2,4`,
+//! `--splitter=roundrobin` and `--fec=4` restrict/extend the matrix
+//! (see `EXPERIMENTS.md` and [`MultipathConfig::with_flags`]);
 //! `STOB_JSON_OUT=<path>` writes results as JSON (timings go to
 //! stderr).
 
 use netsim::par::{self, Timings};
 use std::time::Instant;
-use stob_bench::multipath::{config_from_env, run_multipath, MultipathConfig};
+use stob_bench::multipath::{run_multipath, MultipathConfig};
 use stob_bench::{cli, collect_dataset};
 
 fn main() {
-    let args = cli::Positional::new("multipath [visits] [trees] [repeats] [seed]");
+    let args = cli::Positional::new(
+        "multipath [--pipes=<csv>] [--splitter=<spec>] [--fec=<k>] \
+         [visits] [trees] [repeats] [seed]",
+    );
     let visits = args.count(1, 40);
     let trees = args.count(2, 80);
     let repeats = args.count(3, 4);
     let seed = args.uint(4, 0xA117u64);
+    let cfg = MultipathConfig {
+        trees,
+        repeats,
+        seed,
+        ..MultipathConfig::default()
+    }
+    .with_flags(&args);
 
     let mut timings = Timings::new();
     eprintln!(
@@ -34,12 +45,6 @@ fn main() {
         summary.per_class
     );
 
-    let cfg = config_from_env(MultipathConfig {
-        trees,
-        repeats,
-        seed,
-        ..MultipathConfig::default()
-    });
     let t0 = Instant::now();
     let report = run_multipath(&dataset, &cfg);
     timings.push("matrix_wall", t0.elapsed().as_secs_f64());

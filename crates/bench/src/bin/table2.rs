@@ -2,19 +2,27 @@
 //! closed world, for each §3 countermeasure applied to (and evaluated
 //! on) the first N ∈ {15, 30, 45, All} packets.
 //!
-//! Usage: `table2 [--telemetry] [visits] [trees] [repeats] [seed]`
-//! (defaults: 100 visits/site — the paper's collection size — 100 trees,
-//! 5 repeats). Set `STOB_JSON_OUT=<path>` to also write the cells as
-//! JSON (byte-stable run-to-run — the CI golden compare reads it;
-//! per-stage wall-clock timings go to stderr); `STOB_THREADS` caps the
-//! parallel driver.
-//! `--telemetry` appends the global metrics summary.
+//! Usage: `table2 [--telemetry] [--placement=<app|stack>] [visits]
+//! [trees] [repeats] [seed]` (defaults: app placement — trace-level
+//! emulation, the paper's methodology; `stack` runs the same defenses in
+//! the in-stack shaper path — 100 visits/site, the paper's collection
+//! size, 100 trees, 5 repeats). Set `STOB_JSON_OUT=<path>` to also write
+//! the placement and the cells as JSON (byte-stable run-to-run — the CI
+//! golden compare reads it; per-stage wall-clock timings go to stderr);
+//! `STOB_THREADS` caps the parallel driver. `--telemetry` appends the
+//! global metrics summary.
 
 use netsim::Json;
+use stob::defense::Placement;
 use stob_bench::{cli, collect_dataset, format_table2, run_table2_timed, Table2Config};
 
 fn main() {
-    let args = cli::Positional::new("table2 [--telemetry] [visits] [trees] [repeats] [seed]");
+    let args = cli::Positional::new(
+        "table2 [--telemetry] [--placement=<app|stack>] [visits] [trees] [repeats] [seed]",
+    );
+    let placement = args
+        .value("--placement", "app or stack", |s| s.parse().ok())
+        .unwrap_or(Placement::App);
     let visits = args.count(1, 100);
     let trees = args.count(2, 100);
     let repeats = args.count(3, 5);
@@ -37,13 +45,13 @@ fn main() {
     };
     eprintln!("[table2] running the 16-dataset grid ({trees} trees x {repeats} repeats)...");
     let t1 = std::time::Instant::now();
-    let (cells, mut timings) = run_table2_timed(&summary.dataset, &cfg);
+    let (cells, mut timings) = run_table2_timed(&summary.dataset, &cfg, placement);
     eprintln!("[table2] grid done in {:.1}s", t1.elapsed().as_secs_f64());
     timings.push("collect", collect_secs);
     eprintln!("[table2] {timings}");
 
     stob_bench::write_json_out("table2", || {
-        Json::obj().set(
+        Json::obj().set("placement", placement.name()).set(
             "cells",
             Json::Arr(
                 cells
@@ -62,8 +70,9 @@ fn main() {
 
     println!("\nTable 2: k-FP Random Forest accuracy rates (9 sites, closed world)");
     println!(
-        "(reproduction: {} traces/site, {} trees, {} repeats, seed {seed})\n",
-        summary.per_class, trees, repeats
+        "(reproduction: {} traces/site, {trees} trees, {repeats} repeats, seed {seed}, {} placement)\n",
+        summary.per_class,
+        placement.name()
     );
     print!("{}", format_table2(&cells));
     println!("\nPaper's Table 2 for comparison:");

@@ -96,42 +96,27 @@ pub struct Table2Config {
     pub seed: u64,
 }
 
-impl Default for Table2Config {
-    fn default() -> Self {
-        Table2Config {
-            trees: 100,
-            repeats: 5,
-            seed: 0x7AB1E2,
-        }
-    }
-}
-
-/// Run the 16-dataset grid on a collected dataset.
+/// Run the 16-dataset grid on a collected dataset, the defenses
+/// emulated at the app layer (the paper's methodology).
 pub fn run_table2(dataset: &Dataset, cfg: &Table2Config) -> Vec<Table2Cell> {
-    run_table2_timed(dataset, cfg).0
-}
-
-/// Which backend the benchmarks route defenses through, from the
-/// `STOB_PLACEMENT` env var: unset or `app` = trace-level emulation
-/// (the paper's methodology; byte-identical to the golden outputs),
-/// `stack` = the same specs lowered into the in-stack shaper path.
-/// Case-insensitive; anything else warns once and means `app`.
-pub(crate) fn placement_from_env() -> Placement {
-    netsim::env::parse("STOB_PLACEMENT").unwrap_or(Placement::App)
+    run_table2_timed(dataset, cfg, Placement::App).0
 }
 
 /// Dump a bin's results as pretty JSON to the file `STOB_JSON_OUT` names,
 /// if it names one (`build` runs only then). The file is a pure function
-/// of (inputs, seed) — wall-clock timings go to stderr, never in here —
-/// so CI byte-compares it against a committed golden at any thread
-/// count. A path that cannot be written is reported on stderr and the
-/// bin exits 1: a caller that trusts the exit status must not read a
-/// missing or stale report as this run's.
+/// of (inputs, seed) — wall-clock timings go to stderr — so CI
+/// byte-compares it against a committed golden at any thread count.
 pub fn write_json_out(bin: &str, build: impl FnOnce() -> netsim::Json) {
-    let Some(path) = netsim::env::string("STOB_JSON_OUT") else {
-        return;
-    };
-    if let Err(e) = std::fs::write(&path, build().to_string_pretty()) {
+    if let Some(path) = netsim::env::string("STOB_JSON_OUT") {
+        write_out(bin, &path, &build().to_string_pretty());
+    }
+}
+
+/// Write a bin's output file. A path that cannot be written is reported
+/// on stderr and the bin exits 1: a caller that trusts the exit status
+/// must not read a missing or stale file as this run's.
+pub fn write_out(bin: &str, path: &str, contents: &str) {
+    if let Err(e) = std::fs::write(path, contents) {
         eprintln!("[{bin}] could not write {path}: {e}");
         std::process::exit(1);
     }
@@ -139,10 +124,25 @@ pub fn write_json_out(bin: &str, build: impl FnOnce() -> netsim::Json) {
 }
 
 /// The command line every bin reads through [`cli::Positional`]: the
-/// flags its usage line declares (`--telemetry`, `--quick`) and
-/// positional arguments, checked before any work starts.
+/// flags its usage line declares, positional arguments and the `STOB_*`
+/// environment, checked before any work starts.
 pub mod cli {
     use std::str::FromStr;
+
+    /// The environment knobs library code reads under every bin.
+    const ENV_KNOBS: [&str; 4] = ["STOB_THREADS", "STOB_JSON_OUT", "STOB_FAULTS", "STOB_AUDIT"];
+
+    /// Retired per-bin knobs and the flag that replaced each.
+    const RETIRED: [(&str, &str); 8] = [
+        ("STOB_PLACEMENT", "table2 --placement=<app|stack>"),
+        ("STOB_MUX_PIPES", "multipath --pipes=<csv>"),
+        ("STOB_MUX_SPLITTER", "multipath --splitter=<spec>"),
+        ("STOB_MUX_FEC", "multipath --fec=<k>"),
+        ("STOB_FLEET_FLOWS", "fleet --flows=<n>"),
+        ("STOB_FLEET_SHARDS", "fleet --shards=<n>"),
+        ("STOB_FLEET_MACHINE", "fleet --machine=<path>"),
+        ("STOB_TRACE_OUT", "figure3 --trace-out=<path>"),
+    ];
 
     /// The deterministic metrics summary on stdout, the wall-clock
     /// self-profile on stderr.
@@ -152,9 +152,9 @@ pub mod cli {
     }
 
     /// A bin's command line, read against its usage line. A malformed
-    /// value, a zero count, a flag or an argument the usage line does not
-    /// name prints that line and exits 2, so a bad command line fails
-    /// before the corpus is collected, not after.
+    /// or out-of-range value, a flag or an argument the usage line does
+    /// not name, or a `STOB_*` variable other than the four env knobs prints
+    /// that line and exits 2 before any work.
     pub struct Positional {
         args: Vec<String>,
         flags: Vec<String>,
@@ -162,41 +162,79 @@ pub mod cli {
     }
 
     impl Positional {
-        /// The process arguments, read against `usage`, which names each
-        /// flag as `[--flag]` and each positional as `[name]`. Flags may
-        /// stand anywhere on the line.
+        /// The process arguments against `usage`, which names each boolean
+        /// flag `[--flag]`, each valued one `[--flag=<what>]` and each
+        /// positional `[name]`. Flags may stand anywhere.
         pub fn new(usage: &'static str) -> Positional {
             let (flags, args) = std::env::args().partition(|a| a.starts_with("--"));
             let p = Positional { args, flags, usage };
-            let declared = |f: &String| usage.contains(&format!("[{f}]"));
-            if let Some(extra) = p
-                .flags
-                .iter()
-                .find(|f| !declared(f))
-                .or_else(|| p.args.get(p.names().count() + 1))
-            {
+            for (key, _) in std::env::vars_os() {
+                let key = key.to_string_lossy();
+                if key.starts_with("STOB_") && !ENV_KNOBS.contains(&&*key) {
+                    p.refuse(&match RETIRED.iter().find(|(k, _)| *k == key) {
+                        Some((_, flag)) => format!("{key} is no longer read; use `{flag}`"),
+                        None => format!("{key} is not an environment knob: {ENV_KNOBS:?}"),
+                    });
+                }
+            }
+            for (i, f) in p.flags.iter().enumerate() {
+                let name = f.split('=').next().unwrap_or_default();
+                let twice = p.flags[..i]
+                    .iter()
+                    .any(|g| g.split('=').next() == Some(name));
+                // `[--flag]` declares "", `[--flag=<what>]` declares "=<what>".
+                let declared = usage.split_whitespace().find_map(|w| {
+                    let rest = w.strip_prefix('[')?.strip_prefix(name)?.strip_suffix(']')?;
+                    (rest.is_empty() || rest.starts_with('=')).then_some(rest)
+                });
+                p.refuse(&match declared {
+                    _ if twice => format!("{name} given twice"),
+                    None => format!("unexpected argument `{f}`"),
+                    Some(d) if d.is_empty() == (f == name) => continue,
+                    Some("") => format!("{name} takes no value, got `{f}`"),
+                    Some(d) => format!("{name} needs a value: {name}{d}"),
+                });
+            }
+            if let Some(extra) = p.args.get(p.names().count() + 1) {
                 p.refuse(&format!("unexpected argument `{extra}`"));
             }
             p
         }
 
-        /// Whether `flag` (one the usage line declares) was given.
+        /// Whether boolean `flag` was given.
         pub fn flag(&self, flag: &str) -> bool {
             self.flags.iter().any(|f| f == flag)
+        }
+
+        /// The value of `--flag=<what>` as `parse` reads it, or `None`
+        /// when the flag is absent; a value `parse` refuses exits 2.
+        pub fn value<T>(
+            &self,
+            flag: &str,
+            want: &str,
+            parse: impl Fn(&str) -> Option<T>,
+        ) -> Option<T> {
+            let raw = self
+                .flags
+                .iter()
+                .find_map(|f| f.strip_prefix(flag)?.strip_prefix('='));
+            self.read(flag, raw, want, parse)
         }
 
         /// Argument `i` (1 = the first after the program name) as a
         /// positive count, or `default` when it is absent.
         pub fn count(&self, i: usize, default: usize) -> usize {
-            self.get(i, default, "a positive integer", |s| {
+            self.get(i, "a positive integer", |s| {
                 s.parse().ok().filter(|&n| n > 0)
             })
+            .unwrap_or(default)
         }
 
         /// Argument `i` as an unsigned integer (a seed, say; zero
         /// allowed), or `default` when it is absent.
         pub fn uint<T: FromStr>(&self, i: usize, default: T) -> T {
-            self.get(i, default, "an unsigned integer", |s| s.parse().ok())
+            self.get(i, "an unsigned integer", |s| s.parse().ok())
+                .unwrap_or(default)
         }
 
         fn names(&self) -> impl Iterator<Item = &str> {
@@ -206,14 +244,21 @@ pub mod cli {
                 .map(|w| w.trim_matches(['[', ']']))
         }
 
-        fn get<T>(&self, i: usize, default: T, want: &str, parse: impl Fn(&str) -> Option<T>) -> T {
-            let Some(s) = self.args.get(i) else {
-                return default;
-            };
-            parse(s).unwrap_or_else(|| {
-                let name = self.names().nth(i - 1).unwrap_or("argument");
-                self.refuse(&format!("{name} must be {want}, got `{s}`"))
-            })
+        fn get<T>(&self, i: usize, want: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
+            let name = self.names().nth(i - 1).unwrap_or("argument");
+            self.read(name, self.args.get(i).map(String::as_str), want, parse)
+        }
+
+        /// The one parse-or-refuse path, for positionals and flag values.
+        fn read<T>(
+            &self,
+            name: &str,
+            raw: Option<&str>,
+            want: &str,
+            parse: impl Fn(&str) -> Option<T>,
+        ) -> Option<T> {
+            let refuse = |s| self.refuse(&format!("{name} must be {want}, got `{s}`"));
+            raw.map(|s| parse(s).unwrap_or_else(|| refuse(s)))
         }
 
         fn refuse(&self, why: &str) -> ! {
@@ -224,9 +269,15 @@ pub mod cli {
     }
 }
 
-/// As [`run_table2`], but also returning per-stage wall-clock timings
-/// (accumulated across the 16 cells) for the bin's stderr line.
-pub fn run_table2_timed(dataset: &Dataset, cfg: &Table2Config) -> (Vec<Table2Cell>, Timings) {
+/// As [`run_table2`], with the defenses at `placement` (`Stack` lowers
+/// the same specs into the in-stack shaper path), also returning
+/// per-stage wall-clock timings (accumulated across the 16 cells) for
+/// the bin's stderr line.
+pub fn run_table2_timed(
+    dataset: &Dataset,
+    cfg: &Table2Config,
+    placement: Placement,
+) -> (Vec<Table2Cell>, Timings) {
     let eval_cfg = EvalConfig {
         forest: ForestConfig {
             n_trees: cfg.trees,
@@ -236,7 +287,6 @@ pub fn run_table2_timed(dataset: &Dataset, cfg: &Table2Config) -> (Vec<Table2Cel
         seed: cfg.seed,
         ..EvalConfig::default()
     };
-    let placement = placement_from_env();
     let mut out = Vec::new();
     let mut timings = Timings::new();
     for (cm, n) in emulate::section3_grid() {
@@ -376,37 +426,26 @@ pub fn bulk_goodput(
     bytes as f64 * 8.0 / measure.as_secs_f64() / 1e9
 }
 
-/// Sweep alpha as in Figure 3. Each point simulates an independent
-/// network (pure function of its inputs), so the sweep fans out across
-/// threads without affecting results.
-pub fn run_figure3(alphas: &[u32], measure: Nanos, seed: u64) -> Vec<Figure3Point> {
-    par::par_map(alphas, |_, &a| figure3_point(a, measure, seed))
-}
-
-/// [`run_figure3`] with a bounded flow trace per point: every shaping
-/// decision (TSO resegmentation, packet resize, pacing delay, qdisc
-/// release, NIC burst) the stack made. Events are concatenated in alpha
-/// order, so the combined trace is bit-identical at any thread count
-/// (each point's simulation is independent and its tracer is private to
-/// that point).
-pub fn run_figure3_traced(
+/// Sweep alpha as in Figure 3, each point with a flow trace of at most
+/// `trace_cap` events if one is asked for: every shaping decision (TSO
+/// resegmentation, packet resize, pacing delay, qdisc release, NIC
+/// burst) the stack made. Each point simulates an independent network
+/// (pure function of its inputs) with its own tracer, so the sweep fans
+/// out across threads without affecting results, and the events,
+/// concatenated in alpha order, are bit-identical at any thread count.
+pub fn run_figure3(
     alphas: &[u32],
     measure: Nanos,
     seed: u64,
-    trace_cap: usize,
+    trace_cap: Option<usize>,
 ) -> (Vec<Figure3Point>, Vec<netsim::telemetry::FlowEvent>) {
     let results = par::par_map(alphas, |_, &a| {
-        let tracer = Tracer::new(trace_cap);
-        let p = figure3_run(a, measure, seed, Some(tracer.clone()));
-        (p, tracer.take().into_events())
+        let tracer = trace_cap.map(Tracer::new);
+        let p = figure3_run(a, measure, seed, tracer.clone());
+        (p, tracer.map_or_else(Vec::new, |t| t.take().into_events()))
     });
-    let mut points = Vec::with_capacity(results.len());
-    let mut events = Vec::new();
-    for (p, evs) in results {
-        points.push(p);
-        events.extend(evs);
-    }
-    (points, events)
+    let (points, events): (_, Vec<_>) = results.into_iter().unzip();
+    (points, events.concat())
 }
 
 // ---------------------------------------------------------------------
@@ -553,17 +592,17 @@ mod tests {
         Dataset::new(generate_corpus(&sites, 15, 3), names)
     }
 
-    /// The pure half of [`placement_from_env`]: `STOB_PLACEMENT=Stack`
-    /// used to mean app, silently.
+    /// What `table2 --placement=` accepts: `STOB_PLACEMENT=Stack` used
+    /// to mean app, silently, and `stak` warned and ran at app.
     #[test]
-    fn placement_knob_parses_case_insensitively_or_falls_back() {
-        let knob = |raw| netsim::env::parse_value::<Placement>("STOB_PLACEMENT", raw);
-        assert_eq!(knob(Some("stack")), Some(Placement::Stack));
-        assert_eq!(knob(Some(" Stack ")), Some(Placement::Stack));
-        assert_eq!(knob(Some("APP")), Some(Placement::App));
-        assert_eq!(knob(Some("kernel")), None);
-        assert_eq!(knob(Some("")), None);
-        assert_eq!(knob(None), None);
+    fn placement_flag_parses_case_insensitively_or_refuses() {
+        let flag = |raw: &str| raw.parse::<Placement>().ok();
+        assert_eq!(flag("stack"), Some(Placement::Stack));
+        assert_eq!(flag("Stack"), Some(Placement::Stack));
+        assert_eq!(flag("APP"), Some(Placement::App));
+        for refused in ["stak", "kernel", "", " stack"] {
+            assert_eq!(flag(refused), None, "{refused:?}");
+        }
     }
 
     #[test]

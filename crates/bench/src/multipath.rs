@@ -31,6 +31,7 @@
 //! its randomness from the run seed by cell index (and per trace by
 //! trace index), so the matrix is byte-identical at any `STOB_THREADS`.
 
+use crate::cli;
 use netsim::json::Wire;
 use netsim::{par, Nanos, PipeProfile, SimRng};
 use stack::mux::{Multiplex, MuxConfig, Splitter, SplitterSpec, MAX_PIPES};
@@ -596,86 +597,51 @@ pub fn run_multipath(dataset: &Dataset, cfg: &MultipathConfig) -> MultipathRepor
     MultipathReport { cells, open_world }
 }
 
-/// Parse the `STOB_MUX_*` env knobs over a base config:
-/// `STOB_MUX_PIPES=1,2,4` (pipe-count axis), `STOB_MUX_SPLITTER=name`
-/// (restrict to one policy: `roundrobin`, `padded-random`, or
-/// `weighted:3,1,...`), `STOB_MUX_FEC=k` (XOR parity every `k >= 2` data
-/// datagrams in the stack placement). A value that does not parse, or
-/// parses to something the `Multiplex` transport cannot run (a pipe
-/// count outside `1..=MAX_PIPES`, weights that do not fit every pipe
-/// count), warns once and leaves that knob's part of `cfg` alone.
-pub fn config_from_env(cfg: MultipathConfig) -> MultipathConfig {
-    let knob = |name| netsim::env::string(name);
-    apply_mux_knobs(
-        cfg,
-        knob("STOB_MUX_PIPES").as_deref(),
-        knob("STOB_MUX_SPLITTER").as_deref(),
-        knob("STOB_MUX_FEC").as_deref(),
-    )
+impl MultipathConfig {
+    /// The `multipath` bin's matrix flags over `self`: `--pipes=1,2,4`
+    /// (the pipe-count axis, each in `1..=MAX_PIPES`), `--splitter=<spec>`
+    /// (one policy: `roundrobin`, `padded-random`, or `weighted:3,1,...`
+    /// with one weight per pipe of every count), `--fec=<k>` (XOR parity
+    /// every `k >= 2` data datagrams in the stack placement). A value the
+    /// `Multiplex` transport cannot run is refused with exit 2.
+    pub fn with_flags(mut self, args: &cli::Positional) -> MultipathConfig {
+        let want = format!("pipe counts in 1..={MAX_PIPES}, comma-separated");
+        let pipes = args.value("--pipes", &want, parse_pipes);
+        self.pipe_counts = pipes.unwrap_or(self.pipe_counts);
+        let counts = &self.pipe_counts;
+        let want = format!("roundrobin, padded-random or weighted:<w,...> for pipes {counts:?}");
+        let splitter = args.value("--splitter", &want, |s| parse_splitter(s, counts));
+        self.splitters = splitter.map_or(self.splitters, |s| vec![s]);
+        let fec = args.value("--fec", "a parity group size k >= 2", parse_fec);
+        self.fec_group = fec.or(self.fec_group);
+        self
+    }
 }
 
-/// A comma-separated list of `T`s, all or nothing: one bad item makes the
-/// whole knob invalid (warned once) rather than silently shortening it.
-fn parse_csv<T: std::str::FromStr>(name: &str, raw: &str) -> Option<Vec<T>> {
+/// `--pipes`: every item a pipe count the transport runs, or nothing.
+fn parse_pipes(raw: &str) -> Option<Vec<usize>> {
     raw.split(',')
-        .map(|item| netsim::env::parse_value(name, Some(item)))
-        .collect::<Option<Vec<T>>>()
-        .filter(|items| !items.is_empty())
+        .map(|n| n.parse().ok().filter(|n| (1..=MAX_PIPES).contains(n)))
+        .collect()
 }
 
-/// The pure half of [`config_from_env`]: the three knobs' raw values
-/// (`None` = unset) applied over `cfg`.
-fn apply_mux_knobs(
-    mut cfg: MultipathConfig,
-    pipes: Option<&str>,
-    splitter: Option<&str>,
-    fec: Option<&str>,
-) -> MultipathConfig {
-    if let Some(v) = pipes {
-        match parse_csv::<usize>("STOB_MUX_PIPES", v) {
-            Some(p) if p.iter().all(|n| (1..=MAX_PIPES).contains(n)) => cfg.pipe_counts = p,
-            Some(_) => {
-                let msg =
-                    format!("STOB_MUX_PIPES={v:?} leaves 1..={MAX_PIPES}; keeping the pipe axis");
-                netsim::env::warn_once("STOB_MUX_PIPES", &msg);
-            }
-            None => {}
-        }
-    }
-    if let Some(v) = splitter {
-        let spec = match v {
-            "roundrobin" => Some(SplitterSpec::RoundRobin),
-            "padded-random" => Some(SplitterSpec::PaddedRandom),
-            w => w
-                .strip_prefix("weighted:")
-                .and_then(|ws| parse_csv("STOB_MUX_SPLITTER", ws))
-                .map(|weights| SplitterSpec::Weighted { weights }),
-        };
-        let fits = |s: &SplitterSpec| cfg.pipe_counts.iter().all(|&n| s.validate(n).is_ok());
-        match spec {
-            Some(s) if fits(&s) => cfg.splitters = vec![s],
-            Some(_) => {
-                let msg = format!(
-                    "STOB_MUX_SPLITTER={v:?} does not fit pipe counts {:?}; keeping matrix",
-                    cfg.pipe_counts
-                );
-                netsim::env::warn_once("STOB_MUX_SPLITTER", &msg);
-            }
-            None => {
-                let msg = format!("STOB_MUX_SPLITTER={v:?} not recognised; keeping matrix");
-                netsim::env::warn_once("STOB_MUX_SPLITTER", &msg);
-            }
-        }
-    }
-    if let Some(k) = netsim::env::parse_value::<u32>("STOB_MUX_FEC", fec) {
-        if k >= 2 {
-            cfg.fec_group = Some(k);
-        } else {
-            let msg = format!("STOB_MUX_FEC={k} is not a parity group (k >= 2); FEC unchanged");
-            netsim::env::warn_once("STOB_MUX_FEC", &msg);
-        }
-    }
-    cfg
+/// `--splitter`: a policy that fits every count in `pipe_counts`.
+fn parse_splitter(raw: &str, pipe_counts: &[usize]) -> Option<SplitterSpec> {
+    let spec = match raw {
+        "roundrobin" => SplitterSpec::RoundRobin,
+        "padded-random" => SplitterSpec::PaddedRandom,
+        w => SplitterSpec::Weighted {
+            weights: (w.strip_prefix("weighted:")?.split(','))
+                .map(|w| w.parse().ok())
+                .collect::<Option<_>>()?,
+        },
+    };
+    (pipe_counts.iter().all(|&n| spec.validate(n).is_ok())).then_some(spec)
+}
+
+/// `--fec`: a parity group has at least two members.
+fn parse_fec(raw: &str) -> Option<u32> {
+    raw.parse().ok().filter(|&k| k >= 2)
 }
 
 #[cfg(test)]
@@ -690,45 +656,42 @@ mod tests {
         Dataset::new(generate_corpus(&sites, 12, 7), names)
     }
 
-    /// Pure parsing only: no test touches the process environment.
+    /// The flags' parsers take a whole value or none of it: one bad
+    /// item used to be warned about and the default axis kept.
     #[test]
-    fn mux_knobs_parse_whole_or_keep_the_default() {
-        let base = MultipathConfig::default;
-        let got = apply_mux_knobs(base(), Some("1, 2,8"), Some("padded-random"), Some("4"));
-        assert_eq!(got.pipe_counts, [1, 2, 8]);
-        assert_eq!(got.splitters, [SplitterSpec::PaddedRandom]);
-        assert_eq!(got.fec_group, Some(4));
+    fn mux_flags_parse_whole_or_refuse() {
+        assert_eq!(parse_pipes("1,2,8"), Some(vec![1, 2, 8]));
+        assert_eq!(
+            parse_splitter("padded-random", &[1, 2, 8]),
+            Some(SplitterSpec::PaddedRandom)
+        );
+        assert_eq!(parse_fec("4"), Some(4));
         // A weighted splitter carries one weight per pipe, so it needs a
         // single pipe count.
-        let got = apply_mux_knobs(base(), Some(" 2"), Some("weighted:3,1"), None);
         assert_eq!(
-            got.splitters,
-            [SplitterSpec::Weighted {
+            parse_splitter("weighted:3,1", &[2]),
+            Some(SplitterSpec::Weighted {
                 weights: vec![3, 1]
-            }]
+            })
         );
-        // One bad item invalidates its knob instead of shortening it; a
-        // parity group needs two members; a value that parses but that the
-        // transport cannot run (a pipe count outside 1..=MAX_PIPES, two
-        // weights for the 1/2/4-pipe axis) is refused the same way.
+        // One bad item refuses the whole value; a parity group needs two
+        // members; a value that parses but that the transport cannot run
+        // (a pipe count outside 1..=MAX_PIPES, two weights for the
+        // 1/2/4-pipe axis) is refused the same way.
+        let axis = MultipathConfig::default().pipe_counts;
         for (pipes, splitter, fec) in [
             ("2,x,8", "weighted:3,,1", "1"),
             (",", "weighted:", "four"),
             ("-1", "Roundrobin", "0"),
             ("0", "weighted:3,1", "1"),
             ("2,17", "weighted:0,1", "0"),
+            (" 2", "roundrobin ", " 4"),
+            ("", "", ""),
         ] {
-            let got = apply_mux_knobs(base(), Some(pipes), Some(splitter), Some(fec));
-            assert_eq!(got.pipe_counts, base().pipe_counts, "{pipes:?}");
-            assert_eq!(got.splitters, base().splitters, "{splitter:?}");
-            assert_eq!(got.fec_group, base().fec_group, "{fec:?}");
+            assert_eq!(parse_pipes(pipes), None, "{pipes:?}");
+            assert_eq!(parse_splitter(splitter, &axis), None, "{splitter:?}");
+            assert_eq!(parse_fec(fec), None, "{fec:?}");
         }
-        let unset = apply_mux_knobs(base(), None, None, None);
-        assert_eq!(unset.pipe_counts, base().pipe_counts);
-        assert_eq!(
-            apply_mux_knobs(base(), None, Some("padded-random"), None).splitters,
-            [SplitterSpec::PaddedRandom]
-        );
     }
 
     /// The corpus for the knob fuzz: the edge values each parser meets
@@ -791,52 +754,53 @@ mod tests {
         out
     }
 
-    /// Every `STOB_*` knob read, fed hostile strings through its pure
-    /// half: each rejects or degrades to something runnable, never
-    /// panics.
+    /// Every `STOB_*` knob read and every flag parser, fed hostile
+    /// strings: each knob degrades to something runnable, each flag
+    /// parser accepts or refuses, and none panics. Every accepted mux
+    /// config builds a `Multiplex`.
     #[test]
     fn stob_knob_parsers_reject_or_degrade_never_panic() {
         let corpus = knob_corpus(1200, 0x5EED);
         assert!(corpus.len() >= 1000);
         let pick = |rng: &mut SimRng| {
-            let i = rng.next_below(corpus.len() as u64 + 1) as usize;
-            corpus.get(i).map(String::as_str)
+            let i = rng.next_below(corpus.len() as u64) as usize;
+            corpus[i].as_str()
         };
         let mut rng = SimRng::new(7);
+        // Values of --pipes, --splitter and --fec accepted.
+        let mut accepted = [0; 3];
         for raw in &corpus {
-            let v = Some(raw.as_str());
-            let _ = netsim::env::parse_value::<usize>("STOB_FUZZ_USIZE", v);
-            let _ = netsim::env::parse_value::<u32>("STOB_FUZZ_U32", v);
-            let _ = netsim::env::parse_value::<u64>("STOB_FUZZ_U64", v);
-            let _ = netsim::env::parse_value::<f64>("STOB_FUZZ_F64", v);
-            let _ = netsim::env::flag_value("STOB_FUZZ_FLAG", v);
-            let _ = raw.parse::<Placement>();
+            // The environment knobs: STOB_THREADS, STOB_AUDIT, STOB_FAULTS.
+            let _ = netsim::env::parse_value::<usize>("STOB_FUZZ_USIZE", Some(raw));
+            let _ = netsim::env::flag_value("STOB_FUZZ_FLAG", Some(raw));
             let _ = netsim::FaultSchedule::scenario(raw, 1, Nanos::from_secs(3));
+            // table2 --placement, fleet --flows / --shards.
+            let _ = raw.parse::<Placement>();
+            let _ = raw.parse::<u64>();
 
-            let cfg = apply_mux_knobs(
-                MultipathConfig::default(),
-                pick(&mut rng),
-                v,
-                pick(&mut rng),
-            );
-            assert!(
-                cfg.pipe_counts.iter().all(|n| (1..=MAX_PIPES).contains(n)),
-                "{raw:?}: pipe counts {:?}",
-                cfg.pipe_counts
-            );
-            assert!(cfg.fec_group.is_none_or(|k| k >= 2), "{raw:?}");
-            for spec in &cfg.splitters {
-                for &n in &cfg.pipe_counts {
+            let base = MultipathConfig::default();
+            let pipes = parse_pipes(pick(&mut rng));
+            let pipe_counts = pipes.clone().unwrap_or(base.pipe_counts);
+            let splitter = parse_splitter(raw, &pipe_counts);
+            let fec = parse_fec(pick(&mut rng));
+            accepted[0] += usize::from(pipes.is_some());
+            accepted[1] += usize::from(splitter.is_some());
+            accepted[2] += usize::from(fec.is_some());
+            let splitters = splitter.map_or(base.splitters, |s| vec![s]);
+            let fec_group = fec.or(base.fec_group);
+            for spec in &splitters {
+                for &n in &pipe_counts {
                     let mux = MuxConfig {
                         n_pipes: n,
                         splitter: spec.clone(),
-                        fec_group: cfg.fec_group,
+                        fec_group,
                         ..MuxConfig::default()
                     };
                     Multiplex::client(FlowId(1), mux, 1);
                 }
             }
         }
+        assert!(accepted.iter().all(|&n| n > 0), "accepted {accepted:?}");
     }
 
     #[test]
@@ -987,13 +951,5 @@ mod tests {
         let c = &report.cells[0];
         assert_eq!(c.per_path_mean.len(), 1);
         assert_eq!(c.per_path_mean[0], c.merged_mean);
-    }
-
-    #[test]
-    fn env_knobs_override_matrix() {
-        // Parsing only — no env mutation (tests run in one process).
-        let cfg = config_from_env(MultipathConfig::default());
-        assert!(!cfg.pipe_counts.is_empty());
-        assert!(!cfg.splitters.is_empty());
     }
 }

@@ -4,15 +4,7 @@ use netsim::Json;
 use std::process::Command;
 
 fn fleet() -> Command {
-    let mut cmd = Command::new(env!("CARGO_BIN_EXE_fleet"));
-    for key in [
-        "STOB_FLEET_FLOWS",
-        "STOB_FLEET_SHARDS",
-        "STOB_FLEET_MACHINE",
-    ] {
-        cmd.env_remove(key);
-    }
-    cmd
+    Command::new(env!("CARGO_BIN_EXE_fleet"))
 }
 
 /// EXPERIMENTS.md's exploration recipe. The 100k residency floor is
@@ -21,8 +13,7 @@ fn fleet() -> Command {
 #[test]
 fn overridden_quick_population_runs_ungated() {
     let out = fleet()
-        .arg("--quick")
-        .env("STOB_FLEET_FLOWS", "10000")
+        .args(["--quick", "--flows=10000"])
         .output()
         .expect("spawn fleet");
     let stderr = String::from_utf8_lossy(&out.stderr);

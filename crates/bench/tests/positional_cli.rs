@@ -4,7 +4,7 @@
 
 use std::process::{Command, Output};
 
-fn run(bin: &str, args: &[&str]) -> Output {
+fn command(bin: &str) -> Command {
     let exe = match bin {
         "ablations" => env!("CARGO_BIN_EXE_ablations"),
         "attacks" => env!("CARGO_BIN_EXE_attacks"),
@@ -20,15 +20,18 @@ fn run(bin: &str, args: &[&str]) -> Output {
         "table2" => env!("CARGO_BIN_EXE_table2"),
         _ => unreachable!("{bin}"),
     };
-    Command::new(exe)
-        .args(args)
-        .env_remove("STOB_JSON_OUT")
-        .output()
-        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"))
+    let mut cmd = Command::new(exe);
+    cmd.env_remove("STOB_JSON_OUT");
+    cmd
 }
 
 fn assert_refused(bin: &str, args: &[&str], why: &str) {
-    let out = run(bin, args);
+    let out = command(bin).args(args).output();
+    assert_output_refused(bin, args, out, why);
+}
+
+fn assert_output_refused(bin: &str, args: &[&str], out: std::io::Result<Output>, why: &str) {
+    let out = out.unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{bin} {args:?}: {stderr}");
     assert!(stderr.contains(why), "{bin} {args:?}: {stderr}");
@@ -59,6 +62,7 @@ fn zero_repeats_is_refused_before_any_work() {
         ("fault_matrix", &["0"], "visits must be"),
         ("figure3", &["40", "0"], "alpha_step must be"),
         ("figure3", &["40", "4", "0"], "measure_ms must be"),
+        ("fleet", &["--quick", "--flows=0"], "--flows must be"),
     ] {
         assert_refused(bin, args, &format!("{why} a positive integer, got `0`"));
     }
@@ -118,11 +122,99 @@ fn malformed_values_are_refused() {
     ] {
         assert_refused(bin, args, &format!("unexpected argument `{extra}`"));
     }
+    // Each valued flag: malformed, out of range, given bare; each boolean
+    // flag given a value. At the parent of the flags every one of these
+    // was an unexpected argument.
+    for (bin, args, why) in [
+        (
+            "table2",
+            &["--placement=stak"][..],
+            "--placement must be app or stack, got `stak`",
+        ),
+        ("table2", &["--placement", "6"], "--placement needs a value"),
+        ("multipath", &["--pipes=2,x"], "--pipes must be"),
+        ("multipath", &["--pipes=17"], "--pipes must be"),
+        ("multipath", &["--pipes"], "--pipes needs a value"),
+        ("multipath", &["--splitter=rr"], "--splitter must be"),
+        (
+            "multipath",
+            &["--pipes=2", "--splitter=weighted:3,1,1"],
+            "--splitter must be",
+        ),
+        ("multipath", &["--splitter"], "--splitter needs a value"),
+        ("multipath", &["--fec=four"], "--fec must be"),
+        ("multipath", &["--fec=1"], "--fec must be"),
+        ("multipath", &["--fec"], "--fec needs a value"),
+        ("fleet", &["--flows=1e4"], "--flows must be"),
+        ("fleet", &["--flows=-1"], "--flows must be"),
+        ("fleet", &["--flows"], "--flows needs a value"),
+        ("fleet", &["--shards=x"], "--shards must be"),
+        ("fleet", &["--flows=10", "--shards=11"], "--shards must be"),
+        ("fleet", &["--shards"], "--shards needs a value"),
+        ("fleet", &["--machine="], "--machine must be a path"),
+        ("fleet", &["--machine"], "--machine needs a value"),
+        ("figure3", &["--trace-out="], "--trace-out must be a path"),
+        ("figure3", &["--trace-out"], "--trace-out needs a value"),
+        (
+            "fleet",
+            &["--flows=10", "--flows=20"],
+            "--flows given twice",
+        ),
+        ("fleet", &["--quick=1"], "--quick takes no value"),
+        ("table2", &["--telemetry=yes"], "--telemetry takes no value"),
+        ("figure3", &["--telemetry=1"], "--telemetry takes no value"),
+        ("chaos", &["--quick=0"], "--quick takes no value"),
+    ] {
+        assert_refused(bin, args, why);
+    }
+}
+
+/// A per-bin setting is a flag on that bin's command line. The
+/// environment variables it replaced used to warn and fall back, exit 1,
+/// or apply silently; one left in a shell now stops the bin and names
+/// the flag. Any other `STOB_*` variable that is not one of the four
+/// environment knobs is refused the same way.
+#[test]
+fn retired_env_knobs_are_refused_naming_their_flag() {
+    for (bin, key, flag) in [
+        ("multipath", "STOB_MUX_PIPES", "`multipath --pipes=<csv>`"),
+        (
+            "multipath",
+            "STOB_MUX_SPLITTER",
+            "`multipath --splitter=<spec>`",
+        ),
+        ("multipath", "STOB_MUX_FEC", "`multipath --fec=<k>`"),
+        (
+            "table2",
+            "STOB_PLACEMENT",
+            "`table2 --placement=<app|stack>`",
+        ),
+        ("fleet", "STOB_FLEET_FLOWS", "`fleet --flows=<n>`"),
+        ("fleet", "STOB_FLEET_SHARDS", "`fleet --shards=<n>`"),
+        ("fleet", "STOB_FLEET_MACHINE", "`fleet --machine=<path>`"),
+        ("figure3", "STOB_TRACE_OUT", "`figure3 --trace-out=<path>`"),
+        (
+            "table1",
+            "STOB_PLACEMENT",
+            "`table2 --placement=<app|stack>`",
+        ),
+    ] {
+        let out = command(bin).env(key, "2").output();
+        assert_output_refused(
+            bin,
+            &[],
+            out,
+            &format!("{key} is no longer read; use {flag}"),
+        );
+    }
+    let out = command("table1").env("STOB_THREAD", "2").output();
+    assert_output_refused("table1", &[], out, "STOB_THREAD is not an environment knob");
 }
 
 /// A report that cannot be written fails the run: an unwritable
-/// `STOB_JSON_OUT` used to be a warning on stderr and exit 0. The path
-/// runs through the bin itself, a file, so no directory can exist there.
+/// `STOB_JSON_OUT` used to be a warning on stderr and exit 0, and so was
+/// an unwritable `figure3` flow trace. The path runs through the bin
+/// itself, a file, so no directory can exist there.
 #[test]
 fn unwritable_report_path_exits_1() {
     let exe = env!("CARGO_BIN_EXE_table1");
@@ -134,4 +226,13 @@ fn unwritable_report_path_exits_1() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(1), "{stderr}");
     assert!(stderr.contains("[table1] could not write"), "{stderr}");
+
+    let exe = env!("CARGO_BIN_EXE_figure3");
+    let out = command("figure3")
+        .args([&format!("--trace-out={exe}/trace.jsonl"), "0", "4", "1"])
+        .output()
+        .unwrap_or_else(|e| panic!("spawn figure3: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("[figure3] could not write"), "{stderr}");
 }

@@ -1,18 +1,12 @@
-//! Unified parsing for the `STOB_*` environment knobs.
-//!
-//! Before this module each consumer of an environment knob rolled its own
-//! parsing with its own failure behavior: `STOB_THREADS=abc` was silently
-//! ignored by [`crate::par`], `STOB_AUDIT=yes` silently meant *off*, and an
-//! unknown `STOB_FAULTS` scenario silently ran the experiment un-faulted —
-//! the worst possible failure mode for a knob whose whole point is changing
-//! what the experiment does. All knob reads now route through here: an
-//! invalid value falls back to the documented default **and warns once per
-//! knob on stderr**, so a typo surfaces in the log exactly once instead of
-//! never (or ten thousand times).
-//!
-//! The parsing core is pure ([`parse_value`], [`flag_value`]) so tests can
-//! exercise every malformed input without mutating process-global
-//! environment state (which is unsafe under the parallel test harness).
+//! Parsing for the four `STOB_*` environment knobs library code reads
+//! under every bin: `STOB_THREADS`, `STOB_AUDIT`, `STOB_FAULTS` and
+//! `STOB_JSON_OUT` (a bin's own settings are flags, and a bin refuses any
+//! other `STOB_*` variable: `stob_bench::cli::Positional`). An invalid
+//! value falls back to the documented default and warns once per knob
+//! on stderr, so a typo surfaces in the log exactly once instead of
+//! silently changing what the experiment does. The parsing core is pure
+//! ([`parse_value`], [`flag_value`]) so tests can feed it malformed input
+//! without mutating the process environment.
 //!
 //! ```
 //! use netsim::env::{flag_value, parse_value};
@@ -31,7 +25,7 @@ static WARNED: Mutex<BTreeSet<String>> = Mutex::new(BTreeSet::new());
 
 /// Emit `msg` for `name` on stderr unless `name` already warned.
 /// Returns whether the warning was actually printed (used by tests).
-pub fn warn_once(name: &str, msg: &str) -> bool {
+pub(crate) fn warn_once(name: &str, msg: &str) -> bool {
     let mut warned = match WARNED.lock() {
         Ok(g) => g,
         // A panic while holding the guard only loses dedup state.
@@ -89,7 +83,7 @@ pub fn flag_value(name: &str, raw: Option<&str>) -> Option<bool> {
 
 /// Read and parse the environment knob `name` as a `T`, warning once on
 /// invalid values. `None` when unset, empty, or invalid.
-pub fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
+pub(crate) fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
     let raw = std::env::var(name).ok();
     parse_value(name, raw.as_deref())
 }

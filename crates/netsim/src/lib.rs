@@ -17,7 +17,7 @@
 //! The [`telemetry`] module is the observability layer over all of it:
 //! a global registry of deterministic counters/gauges/histograms, RAII
 //! profiling spans, and bounded per-flow shaping-decision traces
-//! (dumpable as JSONL via `STOB_TRACE_OUT`). See `OBSERVABILITY.md`.
+//! (dumpable as JSONL via `figure3 --trace-out`). See `OBSERVABILITY.md`.
 
 mod audit;
 mod capture;

@@ -66,11 +66,10 @@
 //!    [`Tracer`]) of [`FlowEvent`]s, one per shaping decision: which
 //!    layer, at what sim-time, turned `before` into `after`, and why.
 //!    When full it drops the *oldest* event and counts the drop, so
-//!    memory stays bounded on arbitrarily long runs. Bench binaries dump
-//!    it as JSONL via `STOB_TRACE_OUT=<path>`.
+//!    memory stays bounded on arbitrarily long runs. `figure3
+//!    --trace-out=<path>` dumps it as JSONL.
 //!
-//! Environment knob: `STOB_TRACE_OUT=<path>` routes flow traces to a
-//! JSONL file. The bench binaries print the metrics summary when given
+//! The bench binaries print the metrics summary when given
 //! `--telemetry`.
 
 use crate::json::Json;
@@ -850,16 +849,6 @@ impl Tracer {
         let cap = g.cap;
         std::mem::replace(&mut g, FlowTrace::new(cap))
     }
-}
-
-// ---------------------------------------------------------------------
-// Environment knobs
-// ---------------------------------------------------------------------
-
-/// `STOB_TRACE_OUT=<path>`: where the bench binaries should write the
-/// JSONL flow trace (`None` when unset or empty).
-pub fn trace_out() -> Option<String> {
-    crate::env::string("STOB_TRACE_OUT")
 }
 
 #[cfg(test)]

@@ -7,9 +7,11 @@
 #
 # Then run EXPERIMENTS.md's "ship a defense as data" recipe as written:
 # its machine spec (the `<<'JSON'` heredoc) must bind through
-# `publish_json` and run in `fleet --quick` (exit 0), and its hostile
-# document must be refused (exit 1). A small STOB_FLEET_FLOWS keeps the
-# debug-build run to a few seconds.
+# `publish_json` and run in `fleet --quick --machine=<path>` (exit 0),
+# and its hostile document must be refused (exit 1). A small `--flows`
+# keeps the debug-build run to a few seconds. Last, check that the
+# environment variable `--flows` replaced is refused (exit 2), not
+# silently ignored.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -38,14 +40,20 @@ if [ ! -s "$recipe/machine.json" ] || [ ! -s "$recipe/bad.json" ]; then
     exit 1
 fi
 fleet() {
-    STOB_FLEET_FLOWS=2000 STOB_FLEET_MACHINE="$1" \
-        cargo run --quiet --locked -p stob-bench --bin fleet -- --quick >/dev/null
+    cargo run --quiet --locked -p stob-bench --bin fleet -- --quick "$@" >/dev/null
 }
-fleet "$recipe/machine.json"
+fleet --flows=2000 --machine="$recipe/machine.json"
 status=0
-fleet "$recipe/bad.json" 2>/dev/null || status=$?
+fleet --flows=2000 --machine="$recipe/bad.json" 2>/dev/null || status=$?
 if [ "$status" -ne 1 ]; then
     echo "check-examples: the hostile document exited $status, not 1" >&2
     exit 1
 fi
 echo "check-examples: the defense-as-data recipe binds its spec and refuses the hostile one"
+status=0
+STOB_FLEET_FLOWS=2000 fleet 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "check-examples: STOB_FLEET_FLOWS=2000 fleet --quick exited $status, not 2" >&2
+    exit 1
+fi
+echo "check-examples: fleet refuses the retired STOB_FLEET_FLOWS"

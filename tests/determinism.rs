@@ -89,8 +89,8 @@ fn thread_count_never_changes_results() {
     let preds_1 = forest_1.predict_batch(&x);
     let leaves_1: Vec<Vec<u32>> = x.iter().map(|s| forest_1.leaf_vector(s)).collect();
     let defended_1 = apply_all(CounterMeasure::Combined, &corpus, &em, &root);
-    let fig3_1 = stob_bench::run_figure3(&[0, 20, 40], Nanos::from_millis(2), 1);
-    let (_, events_1) = stob_bench::run_figure3_traced(&[0, 20], Nanos::from_millis(2), 1, 4096);
+    let (fig3_1, _) = stob_bench::run_figure3(&[0, 20, 40], Nanos::from_millis(2), 1, None);
+    let (_, events_1) = stob_bench::run_figure3(&[0, 20], Nanos::from_millis(2), 1, Some(4096));
     let fleet_1 = run_fleet(&fleet_cfg(), &fleet_reg);
     assert!(fleet_1.clean(), "{:?}", fleet_1.audit.violations);
     let collected_1 = stob_bench::collect_dataset(1, 7).dataset.traces;
@@ -118,7 +118,7 @@ fn thread_count_never_changes_results() {
         for (a, b) in defended_1.iter().zip(&defended_n) {
             assert_eq!(a.trace, b.trace, "emulated trace at {threads} threads");
         }
-        let fig3_n = stob_bench::run_figure3(&[0, 20, 40], Nanos::from_millis(2), 1);
+        let (fig3_n, _) = stob_bench::run_figure3(&[0, 20, 40], Nanos::from_millis(2), 1, None);
         for (a, b) in fig3_1.iter().zip(&fig3_n) {
             assert_eq!(a.alpha, b.alpha);
             assert_eq!(
@@ -127,8 +127,7 @@ fn thread_count_never_changes_results() {
                 "figure3 goodput at {threads} threads"
             );
         }
-        let (_, events_n) =
-            stob_bench::run_figure3_traced(&[0, 20], Nanos::from_millis(2), 1, 4096);
+        let (_, events_n) = stob_bench::run_figure3(&[0, 20], Nanos::from_millis(2), 1, Some(4096));
         assert_eq!(events_1, events_n, "flow-trace events at {threads} threads");
         let fleet_n = run_fleet(&fleet_cfg(), &fleet_reg);
         assert_eq!(
