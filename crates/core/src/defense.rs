@@ -10,10 +10,12 @@
 //!   deterministic RNG it `build`s a [`FlowDefense`] — an
 //!   [`ObfuscationPolicy`] (size/delay/TSO rules) plus an optional
 //!   [`PadderCore`] (dummy-packet schedule);
-//! - the §3 size/delay semantics are written once, in `FlowShaper`: a
-//!   per-flow streaming kernel that owns the loop (direction scope,
-//!   re-fragmenting, shift accumulation) and asks a two-method decider
-//!   for each piece's size and extra delay;
+//! - the §3 size/delay semantics and the padding close-out are written
+//!   once, in `FlowShaper`: a per-flow streaming kernel built from the
+//!   whole [`FlowDefense`] that owns the loop (direction scope,
+//!   re-fragmenting, shift accumulation) and the padding core, asks a
+//!   two-method decider for each piece's size and extra delay, and ends
+//!   every harness in the same `FlowShaper::close`;
 //! - [`emulate_flow`] is the **app-layer backend**: the kernel folded
 //!   over a recorded packet sequence with a decider that interprets the
 //!   policy directly — the `defenses` crate's trace-level emulation;
@@ -23,9 +25,9 @@
 //!   [`Shaper`](stack::Shaper) (inside the §4.2
 //!   [`SafetyCap`](crate::safety::SafetyCap) and the policy's guards)
 //!   behind a replay [`EgressPipeline`]; [`crate::fleet`] drives that
-//!   kernel and decider one generated packet at a time.
+//!   kernel one generated packet at a time and closes it the same way.
 //!
-//! Padding schedules are executed identically by both backends: §4.2
+//! Padding schedules are executed identically by every harness: §4.2
 //! scopes the stack's authority to sizing and departure timing of real
 //! data, so dummy-packet injection remains an application-layer concern
 //! at either placement. A defense that only pads (FRONT, WTF-PAD) is
@@ -148,8 +150,9 @@ pub trait PadderCore {
     }
 
     /// Observe the next packets of the post-policy stream: the whole
-    /// stream in one call from the batch backends, one packet per call
-    /// from the fleet. A core must not depend on how the stream is cut.
+    /// stream in one call from the batch backends, one piece per call
+    /// from the fleet. A core must not depend on how the stream is cut
+    /// (`tests/invariants.rs` holds every library core to that).
     fn on_data(&mut self, _pkts: &[FlowPkt], _rng: &mut SimRng) {}
 
     /// The flow is complete: produce the padding schedule.
@@ -283,19 +286,34 @@ pub(crate) fn flow_duration(pkts: &[FlowPkt]) -> Nanos {
 /// The two decisions a placement makes for [`FlowShaper::step`]. First-N
 /// scoping is the decider's business: the app decider tests the index it
 /// is handed, the stack decider's `FirstNGuard` reads it from the shape
-/// context.
+/// context. Both are handed the flow's RNG; only the app decider draws
+/// on it (the stack's strategies own their streams).
 pub(crate) trait Decider {
     /// Wire size of piece number `piece` of recorded packet `orig_idx`,
     /// of which `remaining` bytes are still unsent; in `1..=remaining`.
-    fn piece_size(&mut self, orig_idx: u64, now: Nanos, piece: u32, remaining: u32) -> u32;
+    fn piece_size(
+        &mut self,
+        orig_idx: u64,
+        now: Nanos,
+        piece: u32,
+        remaining: u32,
+        rng: &mut SimRng,
+    ) -> u32;
 
     /// Extra departure delay of emitted packet `emit_idx`, due out at
     /// `intended`, `iat` after its predecessor's pre-shift timestamp.
-    fn extra_delay(&mut self, emit_idx: u64, intended: Nanos, iat: Nanos) -> Nanos;
+    fn extra_delay(
+        &mut self,
+        emit_idx: u64,
+        intended: Nanos,
+        iat: Nanos,
+        rng: &mut SimRng,
+    ) -> Nanos;
 }
 
 /// The per-flow shaping kernel (see the module docs): owns the shaping
-/// state and the loop, generic over the placement's [`Decider`].
+/// state, the loop and the flow's padding core, generic over the
+/// placement's [`Decider`].
 pub(crate) struct FlowShaper<D> {
     decider: D,
     size_active: bool,
@@ -310,25 +328,45 @@ pub(crate) struct FlowShaper<D> {
     emit_idx: u64,
     /// Pre-shift timestamp of the previous piece.
     prev_orig: Nanos,
+    /// The padding schedule, shown every shaped piece.
+    core: Option<Box<dyn PadderCore>>,
+    /// The core's [`PadderCore::owned_dirs`]: a piece in one of them does
+    /// not survive, because the core re-emits it at close.
+    owned: &'static [Direction],
+}
+
+/// What the padding close-out added to a flow.
+#[derive(Default)]
+pub(crate) struct Closed {
+    pub(crate) dummy_pkts: u64,
+    pub(crate) dummy_bytes: u64,
+    /// [`CloseOut::real_done`].
+    pub(crate) real_done: Option<Nanos>,
 }
 
 impl<D: Decider> FlowShaper<D> {
-    /// Validate the built policy and scope the kernel to it; an
-    /// inconsistent policy degrades the flow to pass-through rules
-    /// (counted) rather than shaping wrongly.
-    fn new(fd: &FlowDefense, decider: D) -> Self {
+    /// Build the kernel from the whole flow defense: validate the policy
+    /// and scope the stages to it (an inconsistent policy degrades the
+    /// flow to pass-through rules, counted, rather than shaping wrongly),
+    /// hand the policy and whether any stage is active to `decider`, and
+    /// take over the padding core.
+    fn new(fd: FlowDefense, decider: impl FnOnce(ObfuscationPolicy, bool) -> D) -> Self {
         let valid = fd.policy.validate().is_ok();
         if !valid {
             netsim::tm_counter!("stob.registry.degraded").inc();
         }
+        let size_active = valid && !matches!(fd.policy.size, SizeSpec::Unchanged);
+        let delay_active = valid && !matches!(fd.policy.delay, DelaySpec::Unchanged);
         FlowShaper {
-            decider,
-            size_active: valid && !matches!(fd.policy.size, SizeSpec::Unchanged),
-            delay_active: valid && !matches!(fd.policy.delay, DelaySpec::Unchanged),
+            decider: decider(fd.policy, size_active || delay_active),
+            size_active,
+            delay_active,
             apply_dir: fd.apply_dir,
             shift: Nanos::ZERO,
             emit_idx: 0,
             prev_orig: Nanos::ZERO,
+            owned: fd.padding.as_ref().map_or(&[], |c| c.owned_dirs()),
+            core: fd.padding,
         }
     }
 
@@ -345,23 +383,27 @@ impl<D: Decider> FlowShaper<D> {
     /// Shape recorded packet `orig_idx`. The size stage re-fragments it
     /// until its bytes are spent, keyed on the recorded index; every
     /// piece keeps its parent's timestamp. The delay stage then runs per
-    /// piece. `sink` receives each shaped piece together with its
-    /// intended (pre-delay) departure time.
+    /// piece, and the padding core sees the piece. `sink` receives each
+    /// shaped piece, its intended (pre-delay) departure time, and whether
+    /// it survives: a piece in a direction the core owns does not.
     pub(crate) fn step(
         &mut self,
         pkt: FlowPkt,
         orig_idx: u64,
-        mut sink: impl FnMut(FlowPkt, Nanos),
+        rng: &mut SimRng,
+        mut sink: impl FnMut(FlowPkt, Nanos, bool),
     ) {
         let scoped = self.apply_dir.is_none_or(|d| d == pkt.dir);
         if !(self.size_active && scoped) {
-            return self.emit(pkt, scoped, &mut sink);
+            return self.emit(pkt, scoped, rng, &mut sink);
         }
         let mut remaining = pkt.size;
         let mut piece = 0u32;
         while remaining > 0 {
-            let size = self.decider.piece_size(orig_idx, pkt.ts, piece, remaining);
-            self.emit(FlowPkt { size, ..pkt }, scoped, &mut sink);
+            let size = self
+                .decider
+                .piece_size(orig_idx, pkt.ts, piece, remaining, rng);
+            self.emit(FlowPkt { size, ..pkt }, scoped, rng, &mut sink);
             remaining -= size;
             piece += 1;
         }
@@ -372,93 +414,92 @@ impl<D: Decider> FlowShaper<D> {
     /// schedule, is stretched by the decider's answer, and the stretch
     /// accumulates. Keyed on the emitted index; emitted packet 0 is
     /// never delayed.
-    fn emit(&mut self, piece: FlowPkt, scoped: bool, sink: &mut impl FnMut(FlowPkt, Nanos)) {
+    fn emit(
+        &mut self,
+        piece: FlowPkt,
+        scoped: bool,
+        rng: &mut SimRng,
+        sink: &mut impl FnMut(FlowPkt, Nanos, bool),
+    ) {
         let iat = piece.ts.saturating_sub(self.prev_orig);
         let intended = piece.ts + self.shift;
         let mut out = intended;
         if self.delay_active && scoped && self.emit_idx > 0 {
-            let extra = self.decider.extra_delay(self.emit_idx, intended, iat);
+            let extra = self.decider.extra_delay(self.emit_idx, intended, iat, rng);
             self.shift += extra;
             out += extra;
         }
         self.prev_orig = piece.ts;
         self.emit_idx += 1;
-        sink(FlowPkt { ts: out, ..piece }, intended);
-    }
-
-    /// Batch harness: fold [`step`](Self::step) over a recorded flow and
-    /// normalize the result once.
-    fn shape_all(mut self, input: &[FlowPkt]) -> Vec<FlowPkt> {
-        if !self.active() {
-            return input.to_vec();
+        let shaped = FlowPkt { ts: out, ..piece };
+        if let Some(core) = &mut self.core {
+            core.on_data(std::slice::from_ref(&shaped), rng);
         }
-        let mut out = Vec::with_capacity(input.len() + 8);
-        for (i, pkt) in input.iter().enumerate() {
-            self.step(*pkt, i as u64, |shaped, _| out.push(shaped));
+        sink(shaped, intended, !self.owned.contains(&piece.dir));
+    }
+
+    /// The flow is complete: run the padding core's close-out, hand every
+    /// emission to `sink`, and count the dummies. `None` when the defense
+    /// does not pad.
+    pub(crate) fn close(self, rng: &mut SimRng, mut sink: impl FnMut(Emit)) -> Option<Closed> {
+        let close = self.core?.on_close(rng);
+        let mut closed = Closed {
+            real_done: close.real_done,
+            ..Closed::default()
+        };
+        for e in close.emits {
+            if e.dummy {
+                closed.dummy_pkts += 1;
+                closed.dummy_bytes += u64::from(e.pkt.size);
+            }
+            sink(e);
         }
-        normalize_flow(&mut out);
-        out
+        Some(closed)
     }
-}
 
-/// What the padding close-out added to a flow.
-#[derive(Default)]
-pub(crate) struct Closed {
-    pub(crate) dummy_pkts: u64,
-    pub(crate) dummy_bytes: u64,
-    /// [`CloseOut::real_done`].
-    pub(crate) real_done: Option<Nanos>,
-}
-
-/// The close half every harness shares: run the core's schedule and
-/// count its dummies. The caller keeps the packets of its held stream
-/// whose direction is not in the returned `owned` list (the core
-/// re-emits those wholesale), then merges the returned emissions.
-pub(crate) fn close_padding(
-    core: &mut dyn PadderCore,
-    rng: &mut SimRng,
-) -> (Closed, &'static [Direction], Vec<Emit>) {
-    let owned = core.owned_dirs();
-    let close = core.on_close(rng);
-    let mut closed = Closed {
-        real_done: close.real_done,
-        ..Closed::default()
-    };
-    for e in close.emits.iter().filter(|e| e.dummy) {
-        closed.dummy_pkts += 1;
-        closed.dummy_bytes += u64::from(e.pkt.size);
-    }
-    (closed, owned, close.emits)
-}
-
-/// Batch harness, second half: run the padding schedule (if any) over
-/// the complete shaped stream and assemble the final flow in place —
-/// one call into the core for the stream, one for the close-out.
-/// Padding is application-layer work at either placement (§4.2), so
-/// both backends end here.
-fn pad_and_close(
-    padding: Option<Box<dyn PadderCore>>,
-    mut pkts: Vec<FlowPkt>,
-    rng: &mut SimRng,
-    pad_counter: &'static str,
-) -> DefendedFlow {
-    let shaped_done = flow_duration(&pkts);
-    let mut closed = Closed::default();
-    if let Some(mut core) = padding {
-        core.on_data(&pkts, rng);
-        let (c, owned, emits) = close_padding(&mut *core, rng);
-        if !owned.is_empty() {
+    /// The batch harness both backends run over a recorded flow: fold
+    /// [`step`](Self::step) over it and normalize the result once; only
+    /// then show the padding core the shaped stream, as one slice (the
+    /// app decider draws on the flow RNG, so interleaving the core's
+    /// draws with its own would move every padded flow with a policy),
+    /// close, and merge the close-out into the surviving pieces.
+    fn defend(
+        mut self,
+        input: &[FlowPkt],
+        rng: &mut SimRng,
+        pad_counter: &'static str,
+    ) -> DefendedFlow {
+        let mut pkts = if self.active() {
+            let core = self.core.take();
+            let mut out = Vec::with_capacity(input.len() + 8);
+            for (i, pkt) in input.iter().enumerate() {
+                self.step(*pkt, i as u64, rng, |shaped, _, _| out.push(shaped));
+            }
+            self.core = core;
+            normalize_flow(&mut out);
+            out
+        } else {
+            input.to_vec()
+        };
+        let shaped_done = flow_duration(&pkts);
+        let owned = self.owned;
+        if let Some(core) = &mut self.core {
+            core.on_data(&pkts, rng);
             pkts.retain(|p| !owned.contains(&p.dir));
         }
-        merge_close_out(&mut pkts, emits);
-        netsim::telemetry::counter(pad_counter).add(c.dummy_pkts);
-        closed = c;
-    }
-    DefendedFlow {
-        pkts,
-        dummy_pkts: closed.dummy_pkts as usize,
-        dummy_bytes: closed.dummy_bytes,
-        real_done: closed.real_done.unwrap_or(shaped_done),
+        let mut emits = Vec::new();
+        let closed = self.close(rng, |e| emits.push(e));
+        if let Some(c) = &closed {
+            merge_close_out(&mut pkts, emits);
+            netsim::telemetry::counter(pad_counter).add(c.dummy_pkts);
+        }
+        let closed = closed.unwrap_or_default();
+        DefendedFlow {
+            pkts,
+            dummy_pkts: closed.dummy_pkts as usize,
+            dummy_bytes: closed.dummy_bytes,
+            real_done: closed.real_done.unwrap_or(shaped_done),
+        }
     }
 }
 
@@ -523,9 +564,8 @@ const MTU_WIRE: u32 = 1514;
 /// §3 emulation (two halves); the other size specs re-chunk greedily
 /// toward the spec's target — a best-effort trace-level reading of
 /// rules that are exact in-stack.
-pub(crate) struct AppDecider<'a> {
-    policy: &'a ObfuscationPolicy,
-    rng: &'a mut SimRng,
+pub(crate) struct AppDecider {
+    policy: ObfuscationPolicy,
     /// Position in the `IncrementalReduce` walk.
     inc_idx: u32,
 }
@@ -535,8 +575,15 @@ fn in_window(first_n: u64, index: u64) -> bool {
     first_n == 0 || index < first_n
 }
 
-impl Decider for AppDecider<'_> {
-    fn piece_size(&mut self, orig_idx: u64, _now: Nanos, piece: u32, remaining: u32) -> u32 {
+impl Decider for AppDecider {
+    fn piece_size(
+        &mut self,
+        orig_idx: u64,
+        _now: Nanos,
+        piece: u32,
+        remaining: u32,
+        rng: &mut SimRng,
+    ) -> u32 {
         if !in_window(self.policy.first_n_pkts, orig_idx) {
             return remaining;
         }
@@ -562,9 +609,7 @@ impl Decider for AppDecider<'_> {
                 }
                 MTU_WIRE.saturating_sub(reduction)
             }
-            SizeSpec::FromHistogram(h) => {
-                h.sample(self.rng.next_f64(), self.rng.next_f64()).max(1.0) as u32
-            }
+            SizeSpec::FromHistogram(h) => h.sample(rng.next_f64(), rng.next_f64()).max(1.0) as u32,
         };
         if piece > 0 {
             netsim::tm_counter!("defense.app.resized_pkts").inc();
@@ -572,24 +617,25 @@ impl Decider for AppDecider<'_> {
         remaining.min(target.max(MIN_PIECE))
     }
 
-    fn extra_delay(&mut self, emit_idx: u64, _intended: Nanos, iat: Nanos) -> Nanos {
+    fn extra_delay(
+        &mut self,
+        emit_idx: u64,
+        _intended: Nanos,
+        iat: Nanos,
+        rng: &mut SimRng,
+    ) -> Nanos {
         if !in_window(self.policy.first_n_pkts, emit_idx) {
             return Nanos::ZERO;
         }
         netsim::tm_counter!("defense.app.delayed_pkts").inc();
-        sample_delay(&self.policy.delay, iat, self.rng)
+        sample_delay(&self.policy.delay, iat, rng)
     }
 }
 
-impl<'a> FlowShaper<AppDecider<'a>> {
-    /// The kernel at app placement, over the flow's own RNG.
-    pub(crate) fn app(fd: &'a FlowDefense, rng: &'a mut SimRng) -> Self {
-        let decider = AppDecider {
-            policy: &fd.policy,
-            rng,
-            inc_idx: 0,
-        };
-        Self::new(fd, decider)
+impl FlowShaper<AppDecider> {
+    /// The kernel at app placement, interpreting the policy itself.
+    pub(crate) fn app(fd: FlowDefense) -> Self {
+        Self::new(fd, |policy, _| AppDecider { policy, inc_idx: 0 })
     }
 }
 
@@ -605,8 +651,7 @@ pub fn emulate_flow(
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.app.flows").inc();
     let fd = defense.build(ctx, rng);
-    let stream = FlowShaper::app(&fd, rng).shape_all(input);
-    pad_and_close(fd.padding, stream, rng, "defense.app.pad_pkts")
+    FlowShaper::app(fd).defend(input, rng, "defense.app.pad_pkts")
 }
 
 // ---------------------------------------------------------------------
@@ -695,14 +740,27 @@ impl StackDecider {
 }
 
 impl Decider for StackDecider {
-    fn piece_size(&mut self, orig_idx: u64, now: Nanos, piece: u32, remaining: u32) -> u32 {
+    fn piece_size(
+        &mut self,
+        orig_idx: u64,
+        now: Nanos,
+        piece: u32,
+        remaining: u32,
+        _rng: &mut SimRng,
+    ) -> u32 {
         let proposed = remaining.min(self.mtu_wire);
         let sctx = self.ctx(orig_idx, now, None);
         self.pipe
             .packet_ip_size(&sctx, piece, proposed, 1, proposed)
     }
 
-    fn extra_delay(&mut self, emit_idx: u64, intended: Nanos, iat: Nanos) -> Nanos {
+    fn extra_delay(
+        &mut self,
+        emit_idx: u64,
+        intended: Nanos,
+        iat: Nanos,
+        _rng: &mut SimRng,
+    ) -> Nanos {
         let rate = rate_for_iat(self.mss, iat);
         let sctx = self.ctx(emit_idx, intended, Some(rate));
         self.pipe
@@ -712,26 +770,27 @@ impl Decider for StackDecider {
 }
 
 impl FlowShaper<StackDecider> {
-    /// The kernel at stack placement, deciding through `live()` — the
-    /// policy as [`crate::sockopt::assemble_policy_shaper`] lowers it. A
-    /// degraded or inert policy never asks for it and leaves the pipeline
-    /// on its pass-through shaper, which is never consulted.
+    /// The kernel at stack placement, deciding through `live(policy)` —
+    /// the policy as [`crate::sockopt::assemble_policy_shaper`] lowers
+    /// it. A degraded or inert policy never asks for it and leaves the
+    /// pipeline on its pass-through shaper, which is never consulted.
     pub(crate) fn stack(
-        fd: &FlowDefense,
+        fd: FlowDefense,
         labels: EgressLabels,
         params: &StackParams,
-        live: impl FnOnce() -> BoxShaper,
+        live: impl FnOnce(&ObfuscationPolicy) -> BoxShaper,
     ) -> Self {
-        let decider = StackDecider {
-            pipe: EgressPipeline::new(labels),
-            mtu_wire: params.mtu_wire,
-            mss: params.mss,
-        };
-        let mut shaper = Self::new(fd, decider);
-        if shaper.active() {
-            shaper.decider.pipe.set_shaper(live());
-        }
-        shaper
+        Self::new(fd, |policy, active| {
+            let mut pipe = EgressPipeline::new(labels);
+            if active {
+                pipe.set_shaper(live(&policy));
+            }
+            StackDecider {
+                pipe,
+                mtu_wire: params.mtu_wire,
+                mss: params.mss,
+            }
+        })
     }
 }
 
@@ -748,10 +807,14 @@ pub fn enforce_flow(
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.stack.flows").inc();
     let fd = defense.build(ctx, rng);
-    let live =
-        || crate::sockopt::assemble_policy_shaper(&fd.policy, params.seed, params.flow_salt).0;
-    let stream = FlowShaper::stack(&fd, EgressLabels::REPLAY, params, live).shape_all(input);
-    pad_and_close(fd.padding, stream, rng, "defense.stack.pad_pkts")
+    let live = |p: &ObfuscationPolicy| {
+        crate::sockopt::assemble_policy_shaper(p, params.seed, params.flow_salt).0
+    };
+    FlowShaper::stack(fd, EgressLabels::REPLAY, params, live).defend(
+        input,
+        rng,
+        "defense.stack.pad_pkts",
+    )
 }
 
 #[cfg(test)]
@@ -1099,11 +1162,15 @@ mod tests {
     /// on the way what no decider may break: a piece never leaves before
     /// its intended time, the shift never runs backwards, and the pieces
     /// of a packet carry exactly its bytes in its direction.
-    fn stream<D: Decider>(mut kernel: FlowShaper<D>, input: &[FlowPkt]) -> Vec<FlowPkt> {
+    fn stream<D: Decider>(
+        mut kernel: FlowShaper<D>,
+        input: &[FlowPkt],
+        rng: &mut SimRng,
+    ) -> Vec<FlowPkt> {
         let mut out = Vec::new();
         for (i, pkt) in input.iter().enumerate() {
             let mut bytes = 0;
-            kernel.step(*pkt, i as u64, |shaped, intended| {
+            kernel.step(*pkt, i as u64, rng, |shaped, intended, _| {
                 assert!(pkt.ts <= intended && intended <= shaped.ts, "packet {i}");
                 assert_eq!(shaped.dir, pkt.dir);
                 bytes += shaped.size;
@@ -1198,18 +1265,26 @@ mod tests {
                     let batch = emulate_flow(&d, &input, &ctx, &mut SimRng::new(seed));
                     let mut rng = SimRng::new(seed);
                     let fd = d.build(&ctx, &mut rng);
-                    let streamed = stream(FlowShaper::app(&fd, &mut rng), &input);
+                    let streamed = stream(FlowShaper::app(fd), &input, &mut rng);
                     assert_eq!(streamed, batch.pkts, "app: {case}");
 
                     let params = StackParams {
                         flow_salt: seed,
                         ..StackParams::with_seed(seed ^ 0xA5)
                     };
-                    let batch = enforce_flow(&d, &input, &ctx, &mut SimRng::new(seed), &params);
+                    let mut rng = SimRng::new(seed);
+                    let batch = enforce_flow(&d, &input, &ctx, &mut rng.clone(), &params);
+                    let fd = d.build(&ctx, &mut rng);
                     let (seed, salt) = (params.seed, params.flow_salt);
-                    let live = || crate::sockopt::assemble_policy_shaper(&fd.policy, seed, salt).0;
-                    let kernel = FlowShaper::stack(&fd, EgressLabels::REPLAY, &params, live);
-                    assert_eq!(stream(kernel, &input), batch.pkts, "stack: {case}");
+                    let live = |p: &ObfuscationPolicy| {
+                        crate::sockopt::assemble_policy_shaper(p, seed, salt).0
+                    };
+                    let kernel = FlowShaper::stack(fd, EgressLabels::REPLAY, &params, live);
+                    assert_eq!(
+                        stream(kernel, &input, &mut rng),
+                        batch.pkts,
+                        "stack: {case}"
+                    );
                 }
             }
         }

@@ -12,11 +12,9 @@
 //!   timers, an [`Arena`] of its resident flows (one slot per flow from
 //!   its start event to its close, pending packet included; the timer
 //!   event carries the generation-checked handle, so an emission is one
-//!   lookup of one compact record), and a
-//!   [`VecPool`] recycling the buffers of padding defenses that re-emit
-//!   whole directions. Shards run under [`netsim::par`]; per the
-//!   determinism contract each flow forks its RNG from the root seed
-//!   and its stable global index, so results are bit-identical at any
+//!   lookup of one compact record). Shards run under [`netsim::par`];
+//!   per the determinism contract each flow forks its RNG from the root
+//!   seed and its stable global index, so results are bit-identical at any
 //!   `STOB_THREADS` *and* any shard count (the arena's per-shard peak,
 //!   [`FleetReport::arena_high_water`], is the one layout-dependent
 //!   field).
@@ -26,9 +24,11 @@
 //!   hitting one control plane.
 //! * **One shaping kernel per flow.** Each resolved defense becomes a
 //!   `FlowShaper` at stack placement ([`EgressLabels::FLEET`]) — the
-//!   kernel and decider `enforce_flow` folds over recorded traces, here
-//!   driven one generated packet at a time (no full per-flow schedule is
-//!   ever materialized, which is what keeps 100k+ resident flows cheap).
+//!   kernel, decider and close-out `enforce_flow` runs over recorded
+//!   traces, here driven one generated packet at a time. Each surviving
+//!   piece is folded as it leaves the kernel and the padding close-out
+//!   at the flow's end, so no per-flow schedule or buffer is ever
+//!   materialized, which is what keeps 100k+ resident flows cheap.
 //!
 //! Workload: flows are synthetic page-load-like packet sequences drawn
 //! lazily from the flow's own RNG (gap, direction, size per packet),
@@ -47,14 +47,10 @@
 //! holds its report byte-for-byte; its throughput is the layered
 //! benchmark's `fleet_mixed` workload (`BENCHMARK.json`).
 
-use crate::defense::{
-    close_padding, Closed, FlowDefense, FlowPkt, FlowShaper, PadderCore, StackDecider, StackParams,
-};
+use crate::defense::{FlowDefense, FlowPkt, FlowShaper, StackDecider, StackParams};
 use crate::registry::PolicyRegistry;
 use crate::sockopt::attach;
-use netsim::{
-    par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, Nanos, SimRng, VecPool,
-};
+use netsim::{par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, Nanos, SimRng};
 use stack::egress::EgressLabels;
 use stack::NoopShaper;
 
@@ -173,11 +169,8 @@ struct FlowState {
     orig_idx: u64,
     /// Original packets still to draw after the pending one.
     remaining: u64,
+    /// The shaping kernel, padding core included.
     shaper: FlowShaper<StackDecider>,
-    core: Option<Box<dyn PadderCore>>,
-    /// Pooled emission buffer, only for owned-direction (re-emitting)
-    /// padding cores; pure-padding and policy-only flows fold inline.
-    buffer: Option<Vec<FlowPkt>>,
     tally: Tally,
 }
 
@@ -286,7 +279,6 @@ fn run_shard(
     let n = (hi - lo) as usize;
     let mut q: EventQueue<Step> = EventQueue::new();
     let mut arena: Arena<FlowState> = Arena::with_capacity(n.min(4096));
-    let mut pool: VecPool<FlowPkt> = VecPool::new();
     let mut auditor = Auditor::new();
     auditor.set_enabled(true);
     let mut out = ShardOut {
@@ -314,7 +306,7 @@ fn run_shard(
         auditor.check_monotonic(t);
         match step {
             Step::Start { local } => {
-                let st = start_flow(cfg, registry, root, lo + u64::from(local), &mut pool);
+                let st = start_flow(cfg, registry, root, lo + u64::from(local));
                 // First original packet departs at flow start.
                 let at = st.start;
                 let h = arena.alloc(st);
@@ -333,7 +325,7 @@ fn run_shard(
                     q.schedule_at(intended, Step::Emit { h });
                 } else {
                     let st = arena.take(h).expect("flow state at close");
-                    close_flow(st, &mut pool, &mut out);
+                    close_flow(st, &mut out);
                 }
             }
         }
@@ -373,17 +365,11 @@ fn draw_packet(rng: &mut SimRng, prev_ts: Nanos, cfg: &FleetConfig, first: bool)
 /// Attach the flow through the shared control plane — the fleet is the
 /// stack, so anything but an attachment (unbound, app-placed, degraded,
 /// shed) runs pass-through — and set up its live state: the
-/// stack-placement kernel, padding core, pooled buffer, and the first
+/// stack-placement kernel (padding core included) and the first
 /// original packet. The draw order (start, defense build, packet count,
 /// first packet) is part of the flow's identity; the flow id doubles as
 /// the strategy salt, as for any attached connection.
-fn start_flow(
-    cfg: &FleetConfig,
-    registry: &PolicyRegistry,
-    root: &SimRng,
-    f: u64,
-    pool: &mut VecPool<FlowPkt>,
-) -> FlowState {
+fn start_flow(cfg: &FleetConfig, registry: &PolicyRegistry, root: &SimRng, f: u64) -> FlowState {
     let mut rng = root.fork(f + 1);
     let start = Nanos(rng.range_u64(0, cfg.window.as_nanos().max(1)));
     let dest = (f % u64::from(cfg.sites.max(1))) as u32;
@@ -392,9 +378,7 @@ fn start_flow(
         Some(a) => (a.defense, a.shaper),
         None => (FlowDefense::passthrough(""), Box::new(NoopShaper) as _),
     };
-    let shaper = FlowShaper::stack(&fd, EgressLabels::FLEET, &StackParams::default(), || live);
-    let core = fd.padding;
-    let owns = core.as_ref().is_some_and(|c| !c.owned_dirs().is_empty());
+    let shaper = FlowShaper::stack(fd, EgressLabels::FLEET, &StackParams::default(), |_| live);
     let npkts = rng.range_u64(cfg.pkts_per_flow.0.max(1), cfg.pkts_per_flow.1.max(1));
     let pkt = draw_packet(&mut rng, Nanos::ZERO, cfg, true);
     FlowState {
@@ -405,28 +389,27 @@ fn start_flow(
         orig_idx: 0,
         remaining: npkts.saturating_sub(1),
         shaper,
-        core,
-        buffer: owns.then(|| pool.take()),
         tally: Tally::default(),
     }
 }
 
 /// Shape and emit the flow's pending original packet: one
-/// [`FlowShaper::step`], each piece audited, shown to the padding core
-/// and folded (or held for an owned-direction core) as it leaves the
-/// kernel.
+/// [`FlowShaper::step`], each piece audited (owned-direction pieces
+/// included) and, if it survives, folded as it leaves the kernel — the
+/// fold is order-independent, so nothing waits for the close.
 fn emit_packet(st: &mut FlowState, auditor: &mut Auditor) {
-    st.shaper.step(st.pkt, st.orig_idx, |shaped, intended| {
-        // No emission may depart before its intended time.
-        auditor.check_release(shaped.ts, intended, st.f);
-        if let Some(c) = &mut st.core {
-            c.on_data(std::slice::from_ref(&shaped), &mut st.rng);
-        }
-        match &mut st.buffer {
-            Some(buf) => buf.push(shaped),
-            None => st.tally.fold(&shaped),
-        }
-    });
+    st.shaper.step(
+        st.pkt,
+        st.orig_idx,
+        &mut st.rng,
+        |shaped, intended, survives| {
+            // No emission may depart before its intended time.
+            auditor.check_release(shaped.ts, intended, st.f);
+            if survives {
+                st.tally.fold(&shaped);
+            }
+        },
+    );
 }
 
 impl Tally {
@@ -441,25 +424,15 @@ impl Tally {
     }
 }
 
-/// Close the flow: run the padding core's close-out over the held
-/// stream (empty unless the core owns a direction), return the pooled
-/// buffer, and fold the flow's totals into the shard's and into the
+/// Close the flow: fold the padding core's close-out into its tally,
+/// then fold the flow's totals into the shard's and into the
 /// `netsim.fleet.*` counters.
-fn close_flow(mut st: FlowState, pool: &mut VecPool<FlowPkt>, out: &mut ShardOut) {
-    let held = st.buffer.take();
-    let mut closed = Closed::default();
-    if let Some(mut core) = st.core.take() {
-        let (c, owned, emits) = close_padding(&mut *core, &mut st.rng);
-        let held = held.as_deref().unwrap_or(&[]);
-        held.iter()
-            .filter(|p| !owned.contains(&p.dir))
-            .for_each(|p| st.tally.fold(p));
-        emits.iter().for_each(|e| st.tally.fold(&e.pkt));
-        closed = c;
-    }
-    if let Some(buf) = held {
-        pool.put(buf);
-    }
+fn close_flow(mut st: FlowState, out: &mut ShardOut) {
+    let tally = &mut st.tally;
+    let closed = st
+        .shaper
+        .close(&mut st.rng, |e| tally.fold(&e.pkt))
+        .unwrap_or_default();
     netsim::tm_counter!("netsim.fleet.egress_pkts").add(st.tally.pkts);
     netsim::tm_counter!("netsim.fleet.egress_bytes").add(st.tally.bytes);
     netsim::tm_counter!("netsim.fleet.dummy_pkts").add(closed.dummy_pkts);
@@ -477,7 +450,7 @@ fn close_flow(mut st: FlowState, pool: &mut VecPool<FlowPkt>, out: &mut ShardOut
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defense::{CloseOut, DefenseCtx};
+    use crate::defense::{CloseOut, DefenseCtx, PadderCore};
     use crate::policy::ObfuscationPolicy;
     use crate::registry::PolicyKey;
     use std::sync::Arc;
@@ -590,7 +563,7 @@ mod tests {
     }
 
     /// An owned-direction core: drops the originals of `In` and re-emits
-    /// them shifted, plus one dummy — exercising the pooled buffer path.
+    /// them shifted, plus one dummy.
     struct Reemit {
         held: Vec<FlowPkt>,
     }

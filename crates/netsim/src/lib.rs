@@ -44,7 +44,7 @@ pub use json::Json;
 pub use link::Link;
 pub use multilink::{provision, PathLedger, PipeProfile};
 pub use packet::{FlowId, Packet, PacketKind};
-pub use pool::{Arena, ArenaHandle, VecPool};
+pub use pool::{Arena, ArenaHandle};
 pub use queue::DropTailQueue;
 pub use rng::SimRng;
 pub use stats::{percentile, percentile_sorted, Histogram, RunningStats};

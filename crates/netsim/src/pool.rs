@@ -1,27 +1,22 @@
-//! Arena and buffer pooling for the many-flow hot path.
+//! Slot storage for the many-flow hot path.
 //!
 //! At fleet scale the simulator keeps thousands of resident flow
-//! records and padding buffers alive per shard. Allocating
-//! each as its own heap object makes the allocator the bottleneck and
-//! scatters the working set; this module provides two deterministic,
-//! single-shard-owned recyclers instead:
+//! records alive per shard. Allocating each as its own heap object makes
+//! the allocator the bottleneck and scatters the working set; this
+//! module provides one deterministic, single-shard-owned recycler
+//! instead, [`Arena<T>`]: slot-addressed storage with
+//! *generation-checked* handles. Freed slots are recycled in LIFO order,
+//! and every free bumps the slot's generation so a stale [`ArenaHandle`]
+//! held by a forgotten timer can never alias the slot's next occupant:
+//! lookups through an outdated handle return `None` rather than someone
+//! else's live packet. `tests/determinism.rs` pins this property.
 //!
-//! * [`Arena<T>`] — slot-addressed storage with *generation-checked*
-//!   handles. Freed slots are recycled in LIFO order, and every free
-//!   bumps the slot's generation so a stale [`ArenaHandle`] held by a
-//!   forgotten timer can never alias the slot's next occupant: lookups
-//!   through an outdated handle return `None` rather than someone
-//!   else's live packet. `tests/determinism.rs` pins this property.
-//! * [`VecPool<T>`] — recycles `Vec` capacity across checkouts, so a
-//!   flow that buffers and flushes padding bursts reuses one heap
-//!   allocation for its whole lifetime instead of one per burst.
-//!
-//! Both are plain single-threaded values: at fleet scale each shard
-//! owns its own arena/pool (shared-nothing, like the shard's
+//! An arena is a plain single-threaded value: at fleet scale each shard
+//! owns its own (shared-nothing, like the shard's
 //! [`crate::EventQueue`]), so recycling order is a pure function of the
 //! shard's event sequence and results stay bit-identical at any
-//! `STOB_THREADS`. Telemetry: `netsim.pool.*` counters (allocations,
-//! reuses, stale lookups) — order-independent sums, see
+//! `STOB_THREADS`. Telemetry: `netsim.pool.arena_*` and
+//! `netsim.pool.stale_lookups` counters — order-independent sums, see
 //! OBSERVABILITY.md.
 //!
 //! ```
@@ -177,52 +172,6 @@ impl<T> Arena<T> {
     }
 }
 
-/// A recycler for `Vec<T>` buffers: checkouts reuse the capacity of
-/// previously returned buffers instead of allocating fresh ones.
-///
-/// Buffers come back cleared ([`take`](Self::take) always returns an
-/// empty `Vec`), so no data leaks between users — only capacity is
-/// shared. Like [`Arena`], a `VecPool` is owned by one shard; recycling
-/// order is deterministic.
-pub struct VecPool<T> {
-    free: Vec<Vec<T>>,
-}
-
-impl<T> Default for VecPool<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> VecPool<T> {
-    /// An empty pool.
-    pub fn new() -> Self {
-        VecPool { free: Vec::new() }
-    }
-
-    /// Check out an empty buffer, reusing pooled capacity when present.
-    pub fn take(&mut self) -> Vec<T> {
-        match self.free.pop() {
-            Some(v) => {
-                debug_assert!(v.is_empty());
-                crate::tm_counter!("netsim.pool.vec_reuses").inc();
-                v
-            }
-            None => {
-                crate::tm_counter!("netsim.pool.vec_allocs").inc();
-                Vec::new()
-            }
-        }
-    }
-
-    /// Return a buffer to the pool. Its contents are dropped here; its
-    /// capacity survives for the next [`take`](Self::take).
-    pub fn put(&mut self, mut v: Vec<T>) {
-        v.clear();
-        self.free.push(v);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,19 +228,5 @@ mod tests {
         assert_eq!(a.high_water(), 10);
         a.alloc(0);
         assert_eq!(a.high_water(), 10);
-    }
-
-    #[test]
-    fn vec_pool_recycles_capacity_and_clears_contents() {
-        let mut p: VecPool<u64> = VecPool::new();
-        let mut v = p.take();
-        v.extend(0..100);
-        let cap = v.capacity();
-        p.put(v);
-        assert_eq!(p.free.len(), 1);
-        let v2 = p.take();
-        assert!(v2.is_empty(), "recycled buffer must come back cleared");
-        assert_eq!(v2.capacity(), cap, "capacity survives the round trip");
-        assert_eq!(p.free.len(), 0);
     }
 }
