@@ -5,9 +5,10 @@
 //! every case is reproducible from the loop index.
 
 use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
-use defenses::emulate_trace;
+use defenses::{emulate_trace, TraceBank};
 use netsim::{Direction, Nanos, SimRng};
-use stob::defense::DefenseCtx;
+use stob::defense::{DefenseCtx, FlowPkt};
+use stob_bench::suite::DefenseKind;
 use traces::{Trace, TracePacket};
 
 const CASES: u64 = 300;
@@ -216,4 +217,63 @@ fn split_then_delay_commutes_with_byte_conservation() {
     let bytes = |x: &Trace| x.packets.iter().map(|p| p.size as u64).sum::<u64>();
     assert_eq!(bytes(&a), bytes(&b));
     assert_eq!(a.len(), b.len());
+}
+
+/// `PadderCore::on_data` promises that a core does not depend on how the
+/// stream is cut, and the fleet relies on it: the batch backends show a
+/// core the whole shaped stream in one call, the fleet one piece per
+/// call. Every library core that pads, fed the same shaped stream (§3
+/// split, so halves share a timestamp) both ways, must emit the same
+/// close-out, report the same `real_done` and leave the flow RNG in the
+/// same state.
+#[test]
+fn every_padding_core_is_cut_invariant() {
+    let corpus = traces::statgen::generate_corpus(&traces::sites::paper_sites(), 2, 0xC07);
+    let bank = TraceBank::new(&corpus);
+    let mut padded = Vec::new();
+    for kind in DefenseKind::WITH_MACHINES {
+        let spec = kind.spec();
+        for (i, t) in corpus.iter().enumerate() {
+            let shaped = split(t, &EmulateConfig::default()).packets;
+            let ctx = DefenseCtx {
+                label: t.label,
+                bank: Some(&bank),
+            };
+            let run = |per_piece: bool| {
+                let mut rng = SimRng::new(0xC07 ^ i as u64);
+                let mut core = spec.build(&ctx, &mut rng).padding?;
+                if per_piece {
+                    for p in &shaped {
+                        core.on_data(std::slice::from_ref(p), &mut rng);
+                    }
+                } else {
+                    core.on_data(&shaped, &mut rng);
+                }
+                let out = core.on_close(&mut rng);
+                let emits: Vec<(FlowPkt, bool)> =
+                    out.emits.iter().map(|e| (e.pkt, e.dummy)).collect();
+                Some((emits, out.real_done, format!("{rng:?}")))
+            };
+            let whole = run(false);
+            assert_eq!(run(true), whole, "{} trace {i}", kind.key());
+            if whole.is_some_and(|(emits, ..)| emits.iter().any(|&(_, dummy)| dummy)) {
+                padded.push(kind);
+            }
+        }
+    }
+    padded.dedup();
+    use DefenseKind::*;
+    for kind in [
+        WtfPad,
+        Front,
+        Regulator,
+        Surakav,
+        Tamaraw,
+        Buflo,
+        MachineFront,
+        MachineConstant,
+        MachineScrambler,
+    ] {
+        assert!(padded.contains(&kind), "{} never padded", kind.key());
+    }
 }
