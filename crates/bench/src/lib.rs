@@ -127,6 +127,8 @@ pub fn write_out(bin: &str, path: &str, contents: &str) {
 /// flags its usage line declares, positional arguments and the `STOB_*`
 /// environment, checked before any work starts.
 pub mod cli {
+    use netsim::env::{flag_value, parse_value};
+    use netsim::{FaultSchedule, Nanos};
     use std::str::FromStr;
 
     /// The environment knobs library code reads under every bin.
@@ -153,8 +155,9 @@ pub mod cli {
 
     /// A bin's command line, read against its usage line. A malformed
     /// or out-of-range value, a flag or an argument the usage line does
-    /// not name, or a `STOB_*` variable other than the four env knobs prints
-    /// that line and exits 2 before any work.
+    /// not name, a `STOB_*` variable other than the four env knobs, or an
+    /// env knob set to a value its library reader would fall back from
+    /// prints that line and exits 2 before any work.
     pub struct Positional {
         args: Vec<String>,
         flags: Vec<String>,
@@ -177,6 +180,17 @@ pub mod cli {
                     });
                 }
             }
+            // Through the knobs' own parsers: a value library code would
+            // warn about and fall back from is refused here instead.
+            p.knob("STOB_THREADS", "a positive integer", |s| {
+                parse_value::<usize>(Some(s)).filter(|&n| n > 0)
+            });
+            p.knob("STOB_AUDIT", "1/0/true/false/yes/no/on/off", |s| {
+                flag_value(Some(s))
+            });
+            p.knob("STOB_FAULTS", "a known fault scenario", |s| {
+                FaultSchedule::scenario(s, 0, Nanos::from_secs(1))
+            });
             for (i, f) in p.flags.iter().enumerate() {
                 let name = f.split('=').next().unwrap_or_default();
                 let twice = p.flags[..i]
@@ -249,7 +263,13 @@ pub mod cli {
             self.read(name, self.args.get(i).map(String::as_str), want, parse)
         }
 
-        /// The one parse-or-refuse path, for positionals and flag values.
+        /// Environment knob `key` on the parse-or-refuse path.
+        fn knob<T>(&self, key: &str, want: &str, parse: impl Fn(&str) -> Option<T>) {
+            self.read(key, netsim::env::string(key).as_deref(), want, parse);
+        }
+
+        /// The one parse-or-refuse path, for positionals, flag values and
+        /// environment knobs.
         fn read<T>(
             &self,
             name: &str,

@@ -771,8 +771,8 @@ mod tests {
         let mut accepted = [0; 3];
         for raw in &corpus {
             // The environment knobs: STOB_THREADS, STOB_AUDIT, STOB_FAULTS.
-            let _ = netsim::env::parse_value::<usize>("STOB_FUZZ_USIZE", Some(raw));
-            let _ = netsim::env::flag_value("STOB_FUZZ_FLAG", Some(raw));
+            let _ = netsim::env::parse_value::<usize>(Some(raw));
+            let _ = netsim::env::flag_value(Some(raw));
             let _ = netsim::FaultSchedule::scenario(raw, 1, Nanos::from_secs(3));
             // table2 --placement, fleet --flows / --shards.
             let _ = raw.parse::<Placement>();

@@ -211,6 +211,66 @@ fn retired_env_knobs_are_refused_naming_their_flag() {
     assert_output_refused("table1", &[], out, "STOB_THREAD is not an environment knob");
 }
 
+/// The four environment knobs are read by library code, which warns and
+/// falls back on a value it cannot use: `STOB_FAULTS=ge-bust` used to run
+/// un-faulted and `STOB_THREADS=abc` on every core, both exiting 0. A bin
+/// refuses such a value before any work, through the knob's own parser;
+/// an empty one still reads as unset, and valid ones run.
+#[test]
+fn malformed_env_knobs_are_refused() {
+    for (bin, args, key, value, why) in [
+        (
+            "table2",
+            &["2", "2", "2", "7"][..],
+            "STOB_FAULTS",
+            "ge-bust",
+            "a known fault scenario",
+        ),
+        (
+            "table1",
+            &["1", "7"],
+            "STOB_THREADS",
+            "abc",
+            "a positive integer",
+        ),
+        (
+            "table1",
+            &["1", "7"],
+            "STOB_THREADS",
+            "0",
+            "a positive integer",
+        ),
+        (
+            "fleet",
+            &["--quick"],
+            "STOB_THREADS",
+            "-3",
+            "a positive integer",
+        ),
+        (
+            "fault_matrix",
+            &["1"],
+            "STOB_AUDIT",
+            "maybe",
+            "1/0/true/false/yes/no/on/off",
+        ),
+    ] {
+        let out = command(bin).args(args).env(key, value).output();
+        let why = format!("{key} must be {why}, got `{value}`");
+        assert_output_refused(bin, args, out, &why);
+    }
+    let out = command("table1")
+        .args(["1", "7"])
+        .env("STOB_THREADS", " 2 ")
+        .env("STOB_AUDIT", "off")
+        .env("STOB_FAULTS", "")
+        .output()
+        .unwrap_or_else(|e| panic!("spawn table1: {e}"));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
+    assert!(!stderr.contains("warning"), "{stderr}");
+}
+
 /// A report that cannot be written fails the run: an unwritable
 /// `STOB_JSON_OUT` used to be a warning on stderr and exit 0, and so was
 /// an unwritable `figure3` flow trace. The path runs through the bin

@@ -11,7 +11,8 @@
 # and its hostile document must be refused (exit 1). A small `--flows`
 # keeps the debug-build run to a few seconds. Last, check that the
 # environment variable `--flows` replaced is refused (exit 2), not
-# silently ignored.
+# silently ignored, and so is an unknown `STOB_FAULTS` scenario, which
+# used to run un-faulted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -57,3 +58,10 @@ if [ "$status" -ne 2 ]; then
     exit 1
 fi
 echo "check-examples: fleet refuses the retired STOB_FLEET_FLOWS"
+status=0
+STOB_FAULTS=ge-bust fleet --flows=2000 2>/dev/null || status=$?
+if [ "$status" -ne 2 ]; then
+    echo "check-examples: STOB_FAULTS=ge-bust fleet --quick exited $status, not 2" >&2
+    exit 1
+fi
+echo "check-examples: fleet refuses an unknown STOB_FAULTS scenario"
