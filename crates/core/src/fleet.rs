@@ -428,10 +428,9 @@ impl Tally {
 /// then fold the flow's totals into the shard's and into the
 /// `netsim.fleet.*` counters.
 fn close_flow(mut st: FlowState, out: &mut ShardOut) {
-    let tally = &mut st.tally;
     let closed = st
         .shaper
-        .close(&mut st.rng, |e| tally.fold(&e.pkt))
+        .close(&mut st.rng, |e| st.tally.fold(&e.pkt))
         .unwrap_or_default();
     netsim::tm_counter!("netsim.fleet.egress_pkts").add(st.tally.pkts);
     netsim::tm_counter!("netsim.fleet.egress_bytes").add(st.tally.bytes);
