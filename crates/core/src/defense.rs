@@ -438,22 +438,21 @@ impl<D: Decider> FlowShaper<D> {
         sink(shaped, intended, !self.owned.contains(&piece.dir));
     }
 
-    /// The flow is complete: run the padding core's close-out, hand every
-    /// emission to `sink`, and count the dummies. `None` when the defense
-    /// does not pad.
-    pub(crate) fn close(self, rng: &mut SimRng, mut sink: impl FnMut(Emit)) -> Option<Closed> {
+    /// The flow is complete: run the padding core's close-out, count its
+    /// dummies, and hand every emission to `sink`, as the core's own
+    /// vector (the batch harnesses merge it in place). `None` when the
+    /// defense does not pad.
+    pub(crate) fn close(self, rng: &mut SimRng, sink: impl FnOnce(Vec<Emit>)) -> Option<Closed> {
         let close = self.core?.on_close(rng);
         let mut closed = Closed {
             real_done: close.real_done,
             ..Closed::default()
         };
-        for e in close.emits {
-            if e.dummy {
-                closed.dummy_pkts += 1;
-                closed.dummy_bytes += u64::from(e.pkt.size);
-            }
-            sink(e);
+        for e in close.emits.iter().filter(|e| e.dummy) {
+            closed.dummy_pkts += 1;
+            closed.dummy_bytes += u64::from(e.pkt.size);
         }
+        sink(close.emits);
         Some(closed)
     }
 
@@ -485,12 +484,12 @@ impl<D: Decider> FlowShaper<D> {
         let owned = self.owned;
         if let Some(core) = &mut self.core {
             core.on_data(&pkts, rng);
-            pkts.retain(|p| !owned.contains(&p.dir));
+            if !owned.is_empty() {
+                pkts.retain(|p| !owned.contains(&p.dir));
+            }
         }
-        let mut emits = Vec::new();
-        let closed = self.close(rng, |e| emits.push(e));
+        let closed = self.close(rng, |emits| merge_close_out(&mut pkts, emits));
         if let Some(c) = &closed {
-            merge_close_out(&mut pkts, emits);
             netsim::telemetry::counter(pad_counter).add(c.dummy_pkts);
         }
         let closed = closed.unwrap_or_default();

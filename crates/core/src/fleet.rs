@@ -430,7 +430,9 @@ impl Tally {
 fn close_flow(mut st: FlowState, out: &mut ShardOut) {
     let closed = st
         .shaper
-        .close(&mut st.rng, |e| st.tally.fold(&e.pkt))
+        .close(&mut st.rng, |emits| {
+            emits.iter().for_each(|e| st.tally.fold(&e.pkt))
+        })
         .unwrap_or_default();
     netsim::tm_counter!("netsim.fleet.egress_pkts").add(st.tally.pkts);
     netsim::tm_counter!("netsim.fleet.egress_bytes").add(st.tally.bytes);
