@@ -53,6 +53,7 @@ use crate::sockopt::attach;
 use netsim::{par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, Nanos, SimRng};
 use stack::egress::EgressLabels;
 use stack::NoopShaper;
+use std::sync::Mutex;
 
 /// Fixed shard count the engine defaults to. Chosen comfortably above
 /// any realistic `STOB_THREADS` so thread count only changes which
@@ -192,15 +193,6 @@ fn mix_emission(ts: Nanos, dir: Direction, size: u32) -> u64 {
     h
 }
 
-/// One shard's share of the result: the report's sums over its flows
-/// (`peak_resident` and `sim_end` are global and left for the merge),
-/// plus every flow's first and last instant for the residency sweep.
-struct ShardOut {
-    report: FleetReport,
-    starts: Vec<u64>,
-    ends: Vec<u64>,
-}
-
 /// Drive `cfg.flows` defended flows through `registry` and return the
 /// aggregate report. See the module docs for the execution model.
 pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
@@ -211,22 +203,30 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
     }
     .min(cfg.flows.max(1));
     let root = SimRng::new(cfg.seed);
-    let per = cfg.flows.div_ceil(shards);
-    let shard_ids: Vec<u64> = (0..shards).collect();
+    let per = cfg.flows.div_ceil(shards).max(1);
+    // The run's one residency table, every flow's first and last instant:
+    // shard `s` drives flows `s * per ..` and writes their rows in place
+    // (the trailing shards of an uneven split get none).
+    let (mut starts, mut ends) = (vec![0; cfg.flows as usize], vec![0; cfg.flows as usize]);
     let mut sp = netsim::telemetry::span("fleet.run");
-    let outs = par::par_map(&shard_ids, |_, &s| {
-        let lo = (s * per).min(cfg.flows);
-        let hi = ((s + 1) * per).min(cfg.flows);
-        run_shard(cfg, registry, &root, lo, hi)
-    });
+    let reports = {
+        let rows: Vec<Mutex<(&mut [u64], &mut [u64])>> = starts
+            .chunks_mut(per as usize)
+            .zip(ends.chunks_mut(per as usize))
+            .map(Mutex::new)
+            .chain(std::iter::repeat_with(Mutex::default))
+            .take(shards as usize)
+            .collect();
+        par::par_map(&rows, |s, rows| {
+            let mut rows = rows.lock().expect("a shard's rows are its own");
+            run_shard(cfg, registry, &root, s as u64 * per, &mut rows)
+        })
+    };
 
     // Merge. Sums and the checksum are order-independent; the interval
     // sweep for peak residency is global, so shard layout cannot skew it.
     let mut report = FleetReport::default();
-    let mut starts: Vec<u64> = Vec::with_capacity(cfg.flows as usize);
-    let mut ends: Vec<u64> = Vec::with_capacity(cfg.flows as usize);
-    for out in outs {
-        let r = out.report;
+    for r in reports {
         report.flows += r.flows;
         report.egress_pkts += r.egress_pkts;
         report.egress_bytes += r.egress_bytes;
@@ -237,8 +237,6 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
         report.arena_high_water = report.arena_high_water.max(r.arena_high_water);
         report.audit.checks += r.audit.checks;
         report.audit.violations.extend(r.audit.violations);
-        starts.extend(out.starts);
-        ends.extend(out.ends);
     }
     report.peak_resident = peak_resident(&mut starts, &mut ends);
     report.sim_end = Nanos(ends.last().copied().unwrap_or(0));
@@ -269,40 +267,32 @@ fn peak_resident(starts: &mut [u64], ends: &mut [u64]) -> u64 {
     peak
 }
 
+/// Drive flows `lo..` (one per row of `rows`) and return the report's
+/// sums over them (`peak_resident` and `sim_end` are global and left for
+/// the merge); each flow's interval goes to its row as it closes.
 fn run_shard(
     cfg: &FleetConfig,
     registry: &PolicyRegistry,
     root: &SimRng,
     lo: u64,
-    hi: u64,
-) -> ShardOut {
-    let n = (hi - lo) as usize;
+    (starts, ends): &mut (&mut [u64], &mut [u64]),
+) -> FleetReport {
+    let n = starts.len();
     let mut q: EventQueue<Step> = EventQueue::new();
     let mut arena: Arena<FlowState> = Arena::with_capacity(n.min(4096));
     let mut auditor = Auditor::new();
     auditor.set_enabled(true);
-    let mut out = ShardOut {
-        report: FleetReport::default(),
-        starts: Vec::with_capacity(n),
-        ends: Vec::with_capacity(n),
-    };
+    let mut report = FleetReport::default();
 
-    // Seed every assigned flow's start deadline. Only the start draw is
-    // consumed here; the flow's full RNG stream is re-forked at the
-    // start event (same fork, same order — identical stream).
-    for f in lo..hi {
-        let mut rng = root.fork(f + 1);
-        let start = Nanos(rng.range_u64(0, cfg.window.as_nanos().max(1)));
-        q.schedule_at(
-            start,
-            Step::Start {
-                local: (f - lo) as u32,
-            },
-        );
+    // Seed every assigned flow's start deadline; the flow's RNG is
+    // re-forked at the start event.
+    for local in 0..n as u32 {
+        let (_, start) = flow_start(cfg, root, lo + u64::from(local));
+        q.schedule_at(start, Step::Start { local });
     }
 
     while let Some((t, step)) = q.pop() {
-        out.report.events += 1;
+        report.events += 1;
         auditor.check_monotonic(t);
         match step {
             Step::Start { local } => {
@@ -325,7 +315,8 @@ fn run_shard(
                     q.schedule_at(intended, Step::Emit { h });
                 } else {
                     let st = arena.take(h).expect("flow state at close");
-                    close_flow(st, &mut out);
+                    let i = (st.f - lo) as usize;
+                    (starts[i], ends[i]) = close_flow(st, &mut report);
                 }
             }
         }
@@ -334,11 +325,11 @@ fn run_shard(
     debug_assert!(arena.is_empty(), "flows left resident after queue drain");
     // Sums are flushed where they already exist: once per shard here,
     // once per flow in `close_flow` — never per packet or per event.
-    netsim::tm_counter!("netsim.fleet.events").add(out.report.events);
-    netsim::tm_counter!("netsim.fleet.flows").add(out.report.flows);
-    out.report.audit = auditor.report();
-    out.report.arena_high_water = arena.high_water() as u64;
-    out
+    netsim::tm_counter!("netsim.fleet.events").add(report.events);
+    netsim::tm_counter!("netsim.fleet.flows").add(report.flows);
+    report.audit = auditor.report();
+    report.arena_high_water = arena.high_water() as u64;
+    report
 }
 
 /// Draw the next original packet of a flow: inter-packet gap, direction
@@ -362,6 +353,15 @@ fn draw_packet(rng: &mut SimRng, prev_ts: Nanos, cfg: &FleetConfig, first: bool)
     }
 }
 
+/// Flow `f`'s RNG, forked from the root by its global index, and its
+/// start instant, that RNG's first draw. Seeding the start deadline and
+/// starting the flow both draw it here, so they agree.
+fn flow_start(cfg: &FleetConfig, root: &SimRng, f: u64) -> (SimRng, Nanos) {
+    let mut rng = root.fork(f + 1);
+    let start = Nanos(rng.range_u64(0, cfg.window.as_nanos().max(1)));
+    (rng, start)
+}
+
 /// Attach the flow through the shared control plane — the fleet is the
 /// stack, so anything but an attachment (unbound, app-placed, degraded,
 /// shed) runs pass-through — and set up its live state: the
@@ -370,8 +370,7 @@ fn draw_packet(rng: &mut SimRng, prev_ts: Nanos, cfg: &FleetConfig, first: bool)
 /// first packet) is part of the flow's identity; the flow id doubles as
 /// the strategy salt, as for any attached connection.
 fn start_flow(cfg: &FleetConfig, registry: &PolicyRegistry, root: &SimRng, f: u64) -> FlowState {
-    let mut rng = root.fork(f + 1);
-    let start = Nanos(rng.range_u64(0, cfg.window.as_nanos().max(1)));
+    let (mut rng, start) = flow_start(cfg, root, f);
     let dest = (f % u64::from(cfg.sites.max(1))) as u32;
     // One shared control plane, hit concurrently from every shard.
     let (fd, live) = match attach(registry, f as u32, dest, cfg.seed, &mut rng).attached() {
@@ -425,9 +424,9 @@ impl Tally {
 }
 
 /// Close the flow: fold the padding core's close-out into its tally,
-/// then fold the flow's totals into the shard's and into the
-/// `netsim.fleet.*` counters.
-fn close_flow(mut st: FlowState, out: &mut ShardOut) {
+/// then fold the flow's totals into the shard's report and into the
+/// `netsim.fleet.*` counters. Returns the flow's first and last instant.
+fn close_flow(mut st: FlowState, r: &mut FleetReport) -> (u64, u64) {
     let closed = st
         .shaper
         .close(&mut st.rng, |emits| {
@@ -437,15 +436,14 @@ fn close_flow(mut st: FlowState, out: &mut ShardOut) {
     netsim::tm_counter!("netsim.fleet.egress_pkts").add(st.tally.pkts);
     netsim::tm_counter!("netsim.fleet.egress_bytes").add(st.tally.bytes);
     netsim::tm_counter!("netsim.fleet.dummy_pkts").add(closed.dummy_pkts);
-    let r = &mut out.report;
     r.flows += 1;
     r.egress_pkts += st.tally.pkts;
     r.egress_bytes += st.tally.bytes;
     r.dummy_pkts += closed.dummy_pkts;
     r.dummy_bytes += closed.dummy_bytes;
     r.checksum = r.checksum.wrapping_add(st.tally.checksum);
-    out.starts.push(st.start.as_nanos());
-    out.ends.push((st.start + st.tally.end_rel).as_nanos());
+    let end = st.start + st.tally.end_rel;
+    (st.start.as_nanos(), end.as_nanos())
 }
 
 #[cfg(test)]
@@ -479,13 +477,14 @@ mod tests {
         reg
     }
 
-    fn checks(r: &FleetReport) -> (u64, u64, u64, u64, u64, u64) {
+    fn checks(r: &FleetReport) -> (u64, u64, u64, u64, u64, u64, u64) {
         (
             r.flows,
             r.egress_pkts,
             r.egress_bytes,
             r.checksum,
             r.peak_resident,
+            r.sim_end.as_nanos(),
             r.audit.checks,
         )
     }
@@ -515,6 +514,27 @@ mod tests {
             };
             let r = run_fleet(&cfg, &reg);
             assert_eq!(checks(&r), checks(&reference), "shards={shards}");
+        }
+        // Uneven splits: 9 flows over 4 shards leave the last shard no
+        // rows of the residency table, 10 over 4 leave it one.
+        for flows in [9u64, 10] {
+            let cfg = |shards| FleetConfig {
+                flows,
+                shards,
+                ..small_cfg()
+            };
+            let whole = run_fleet(&cfg(1), &reg);
+            assert_eq!(whole.flows, flows);
+            assert!(whole.peak_resident > 0);
+            for threads in [1usize, 4] {
+                par::set_threads(threads);
+                let r = run_fleet(&cfg(4), &reg);
+                assert_eq!(
+                    checks(&r),
+                    checks(&whole),
+                    "{flows} flows, threads={threads}"
+                );
+            }
         }
         par::set_threads(0);
     }
