@@ -6,8 +6,10 @@
 //!
 //! The (defense, placement) cells are independent, so they fan out
 //! across threads (`netsim::par`); each cell's randomness is forked
-//! from the run seed by (cell index, trace index), so the table is
-//! bit-identical at any `STOB_THREADS` setting.
+//! from the run seed by (defense row, trace index), so the table is
+//! bit-identical at any `STOB_THREADS` setting, and the two cells of one
+//! defense draw the same schedules: what differs between them is what
+//! the placement changes.
 //!
 //! Usage: `defense_matrix [visits] [trees] [repeats] [seed]`
 //! Set `STOB_JSON_OUT=<path>` to also write the results as JSON (stage
@@ -69,16 +71,17 @@ fn main() {
     let bank = TraceBank::new(&dataset.traces);
 
     // Placement axis: every defense runs once per placement. The grid is
-    // flattened so each (defense, placement) cell is one fan-out job.
-    let grid: Vec<(DefenseKind, Placement)> = DefenseKind::WITH_MACHINES
-        .iter()
-        .flat_map(|&k| Placement::ALL.iter().map(move |&p| (k, p)))
+    // flattened so each (defense, placement) cell is one fan-out job, and
+    // carries its defense's row index.
+    let grid: Vec<(u64, DefenseKind, Placement)> = (1u64..)
+        .zip(DefenseKind::WITH_MACHINES)
+        .flat_map(|(row, k)| Placement::ALL.iter().map(move |&p| (row, k, p)))
         .collect();
 
-    // Cell fan-out: one independent (defend + evaluate) job per cell.
+    // Cell fan-out: one independent (defend + evaluate) job per cell,
+    // its randomness keyed on the defense row alone.
     let fanout = Instant::now();
-    let cells: Vec<Cell> = par::par_map(&grid, |ci, &(kind, placement)| {
-        let cell_root = root.fork(ci as u64 + 1);
+    let cells: Vec<Cell> = par::par_map(&grid, |_, &(row, kind, placement)| {
         let t0 = Instant::now();
         let spec = kind.spec();
         let rows = defend_all(
@@ -86,8 +89,8 @@ fn main() {
             placement,
             &dataset.traces,
             Some(&bank),
-            &cell_root,
-            seed ^ ((ci as u64 + 1) << 32),
+            &root.fork(row),
+            seed ^ (row << 32),
         );
         let mut bw = 0.0;
         let mut lat = 0.0;
