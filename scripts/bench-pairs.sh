@@ -22,12 +22,15 @@
 # ~1.1 MiB apart, and which one a run lands in follows the length of the
 # binary's path and of its working directory.
 #
-# Given a metric-name prefix (e.g. `defenses.m`), it then runs one
-# `--trace 1` per side, each as long as a pair's run, and prints every
-# per-layer row whose name starts with the prefix: parent, change and
-# their ratio. Traced rows wobble by ~10 % run to run on a shared host,
-# so read a difference from two such calls, not one. With `pairs` 0 it
-# runs the traced rows only.
+# Given a metric-name prefix (e.g. `defenses.m`), it then makes three
+# `--trace 1` runs per side, each as long as a pair's run, alternating
+# which side goes first, and prints every per-layer row whose name
+# starts with the prefix: each side's median and min-max over its three
+# runs, and the ratio of the medians. One traced run per side is no
+# comparison: on a shared 2-core host a row can read several times
+# apart between two runs of one binary, so read a difference only where
+# the two sides' ranges stay apart. With `pairs` 0 it runs the traced
+# rows only.
 #
 #   scripts/bench-pairs.sh <parent-rev> <workload> <pairs> [seconds] [seed] [prefix]
 #                                                  (defaults: 30, 12, none)
@@ -91,17 +94,24 @@ for ((i = 1; i <= pairs; i++)); do
         printf '{"pair":%d,"side":"%s","report":%s}\n' "$i" "$side" "$report" >>"$runs"
     done
 done
+traced=3
+mkdir -p "$tmp/traces"
 if [[ -n "$prefix" ]]; then
-    for side in parent change; do
-        rundir
-        (cd "$cwd" && "${bin[$side]}" --workload "$workload" --seed "$seed" \
-            --seconds "$seconds" --trace 1 >/dev/null)
+    for ((i = 1; i <= traced; i++)); do
+        if ((i % 2)); then order=(parent change); else order=(change parent); fi
+        for side in "${order[@]}"; do
+            rundir
+            (cd "$cwd" && "${bin[$side]}" --workload "$workload" --seed "$seed" \
+                --seconds "$seconds" --trace 1 >/dev/null)
+            cp "${trace[$side]}" "$tmp/traces/$side-$i.json"
+        done
     done
 fi
 
 python3 - "$runs" "$rev" "$workload" "$seed" "$root/BENCHMARK.json" "$prefix" \
-    "${trace[parent]}" "${trace[change]}" <<'PY'
+    "$tmp/traces" <<'PY'
 import json, sys
+from glob import glob
 from statistics import median, quantiles
 
 runs = [json.loads(line) for line in open(sys.argv[1])]
@@ -113,14 +123,23 @@ prefix = sys.argv[6]
 def traced_rows():
     if not prefix:
         return
-    parent, change = (json.load(open(f))["run"]["metrics"] for f in sys.argv[7:9])
-    rows = sorted(k for k in parent.keys() | change.keys() if k.startswith(prefix))
+    side_runs = {
+        side: [json.load(open(f))["run"]["metrics"] for f in sorted(glob(f"{sys.argv[7]}/{side}-*.json"))]
+        for side in ("parent", "change")
+    }
+    rows = sorted({k for runs in side_runs.values() for m in runs for k in m if k.startswith(prefix)})
+    n = len(side_runs["parent"])
     print()
-    print(f"traced rows {prefix}*: one --trace 1 run per side")
-    print(f"{'row':<44}{'parent':>12}{'change':>12}{'ratio':>8}")
+    print(f"traced rows {prefix}*: {n} --trace 1 runs per side, median (min-max)")
+    print(f"{'row':<44}{'parent':>36}{'change':>36}{'ratio':>8}")
     for k in rows:
-        p, c = (m.get(k, {}).get("value") for m in (parent, change))
-        cells = "".join(f"{v:>12.2f}" if v is not None else f"{'-':>12}" for v in (p, c))
+        meds, cells = [], ""
+        for side in ("parent", "change"):
+            v = [m[k]["value"] for m in side_runs[side] if k in m]
+            meds.append(median(v) if v else None)
+            cell = f"{median(v):.2f} ({min(v):.2f}-{max(v):.2f})" if v else "-"
+            cells += f"{cell:>36}"
+        p, c = meds
         ratio = f"{c / p:>8.3f}" if p and c is not None else f"{'-':>8}"
         print(f"{k:<44}{cells}{ratio}")
 
