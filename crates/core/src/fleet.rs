@@ -8,16 +8,18 @@
 //!
 //! * **Sharded simulation.** Flows are partitioned into a fixed number
 //!   of shards (independent of thread count). Each shard owns a
-//!   [`EventQueue`] interleaving all its flows' departure
-//!   timers, an [`Arena`] of its resident flows (one slot per flow from
-//!   its start event to its close, pending packet included; the timer
-//!   event carries the generation-checked handle, so an emission is one
-//!   lookup of one compact record). Shards run under [`netsim::par`];
-//!   per the determinism contract each flow forks its RNG from the root
-//!   seed and its stable global index, so results are bit-identical at any
-//!   `STOB_THREADS` *and* any shard count (the arena's per-shard peak,
-//!   [`FleetReport::arena_high_water`], is the one layout-dependent
-//!   field).
+//!   [`EventQueue`] interleaving all its flows' departure timers, an
+//!   [`Arena`] of its resident flows (one slot per flow from its start
+//!   event to its close, pending packet included; the timer event carries
+//!   the generation-checked handle, so an emission is one lookup of one
+//!   compact record), and its flows' rows of the run's one residency
+//!   table, where a flow's `(start, end)` lands as it closes — 16 B per
+//!   flow, the only memory that follows the population rather than the
+//!   residency. The merge sums reports and copies no intervals. Shards
+//!   run under [`netsim::par`]; each flow forks its RNG from the root seed
+//!   and its stable global index, so results are bit-identical at any
+//!   `STOB_THREADS` *and* any shard count (bar the arena's per-shard
+//!   peak, [`FleetReport::arena_high_water`]).
 //! * **One shared [`PolicyRegistry`].** Every flow resolves its defense
 //!   through the registry (flow → destination → default precedence)
 //!   concurrently from all shards, exactly like a provider fleet
@@ -204,9 +206,8 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
     .min(cfg.flows.max(1));
     let root = SimRng::new(cfg.seed);
     let per = cfg.flows.div_ceil(shards).max(1);
-    // The run's one residency table, every flow's first and last instant:
-    // shard `s` drives flows `s * per ..` and writes their rows in place
-    // (the trailing shards of an uneven split get none).
+    // The residency table: shard `s` writes the rows of flows `s * per ..`
+    // in place (the trailing shards of an uneven split get none).
     let (mut starts, mut ends) = (vec![0; cfg.flows as usize], vec![0; cfg.flows as usize]);
     let mut sp = netsim::telemetry::span("fleet.run");
     let reports = {
