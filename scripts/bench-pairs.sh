@@ -18,9 +18,10 @@
 # place and a parent built elsewhere read apart on identical code. Both
 # sides run from paths of one length too: the binaries are copied to
 # `$tmp/bin/parent` and `$tmp/bin/change`, and the runs work in
-# `$tmp/run/001`, `002`, …. `fleet_mixed`'s peak_rss_mb has two modes
-# ~1.1 MiB apart, and which one a run lands in follows the length of the
-# binary's path and of its working directory.
+# `$tmp/run/001`, `002`, …. A program's peak_rss_mb can follow the
+# length of the binary's path and of its working directory:
+# `fleet_mixed`'s had two modes ~1.1 MiB apart while its shards kept
+# per-shard residency vectors (PERF.md, PR 34's and PR 42's sections).
 #
 # Given a metric-name prefix (e.g. `defenses.m`), it then makes three
 # `--trace 1` runs per side, each as long as a pair's run, alternating
