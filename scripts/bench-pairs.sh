@@ -21,7 +21,8 @@
 # `$tmp/run/001`, `002`, …. A program's peak_rss_mb can follow the
 # length of the binary's path and of its working directory:
 # `fleet_mixed`'s had two modes ~1.1 MiB apart while its shards kept
-# per-shard residency vectors (PERF.md, PR 34's and PR 42's sections).
+# per-shard residency vectors (PERF.md, "One residency table per fleet
+# run").
 #
 # Given a metric-name prefix (e.g. `defenses.m`), it then makes three
 # `--trace 1` runs per side, each as long as a pair's run, alternating
