@@ -26,9 +26,10 @@ use netsim::{Json, Nanos, SimRng};
 use stack::config::CcKind;
 use stack::{PathConfig, StackConfig};
 use stob::defense::{DefenseCtx, StackParams};
-use stob::guard::CcaPhaseGuard;
+use stob::policy::{DelaySpec, ObfuscationPolicy};
 use stob::safety::SafetyCap;
-use stob::strategies::{DelayJitter, IncrementalReduce};
+use stob::sockopt::assemble_policy_shaper;
+use stob::strategies::IncrementalReduce;
 use stob_bench::{bulk_goodput, cli};
 
 fn main() {
@@ -155,23 +156,22 @@ fn main() {
         queue_bytes: 4 << 20,
         loss: 0.0,
     };
-    let jitter = || {
-        DelayJitter::new(
-            stob::policy::DelaySpec::UniformFraction {
-                lo_frac: 0.3,
-                hi_frac: 0.8,
-            },
-            seed,
-        )
+    // A 30-80 % gap stretch, shaped through startup or after it only.
+    let stretch = |respect_slow_start| ObfuscationPolicy {
+        delay: DelaySpec::UniformFraction {
+            lo_frac: 0.3,
+            hi_frac: 0.8,
+        },
+        respect_slow_start,
+        ..ObfuscationPolicy::passthrough("bbr-stretch")
     };
     let early = Nanos::from_millis(150);
     let variants = [0usize, 1, 2];
     let bbr_goodputs = timings.time("ablation3", || {
         par::par_map(&variants, |_, &v| {
-            let shaper: Option<Box<dyn stack::Shaper>> = match v {
+            let shaper = match v {
                 0 => None,
-                1 => Some(Box::new(SafetyCap::new(jitter()))),
-                _ => Some(Box::new(CcaPhaseGuard::new(SafetyCap::new(jitter())))),
+                v => Some(assemble_policy_shaper(&stretch(v == 2), seed, 0).0),
             };
             bulk_goodput(
                 bbr_cfg.clone(),
@@ -187,7 +187,7 @@ fn main() {
     let (unshaped, naive, guarded) = (bbr_goodputs[0], bbr_goodputs[1], bbr_goodputs[2]);
     println!("  unshaped BBR:              {unshaped:>6.2} Gb/s");
     println!("  shaped through startup:    {naive:>6.2} Gb/s");
-    println!("  shaped after startup only: {guarded:>6.2} Gb/s (CcaPhaseGuard)");
+    println!("  shaped after startup only: {guarded:>6.2} Gb/s (slow-start hold)");
     println!(
         "\nreading: standing the policy down during BBR's startup (the guard) \n\
          preserves the bandwidth probe; §5.1's co-design question is how much \n\

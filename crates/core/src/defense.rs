@@ -20,11 +20,9 @@
 //!   over a recorded packet sequence with a decider that interprets the
 //!   policy directly — the `defenses` crate's trace-level emulation;
 //! - [`enforce_flow`] is the **stack backend**: the same fold with a
-//!   decider that lowers the policy through
-//!   `crate::strategies::build_shaper` into a live
-//!   [`Shaper`](stack::Shaper) (inside the §4.2
-//!   [`SafetyCap`](crate::safety::SafetyCap) and the policy's guards)
-//!   behind a replay [`EgressPipeline`]; [`crate::fleet`] drives that
+//!   decider that lowers the policy into one live
+//!   [`Shaper`](stack::Shaper) (`crate::strategies::PolicyShaper`, inside
+//!   the §4.2 [`SafetyCap`](crate::safety::SafetyCap)) behind a replay [`EgressPipeline`]; [`crate::fleet`] drives that
 //!   kernel one generated packet at a time and closes it the same way.
 //!
 //! Padding schedules are executed identically by every harness: §4.2
@@ -32,8 +30,8 @@
 //! data, so dummy-packet injection remains an application-layer concern
 //! at either placement. A defense that only pads (FRONT, WTF-PAD) is
 //! therefore placement-invariant by construction, while size/delay
-//! defenses inherit the stack's pacing clock, safety clamp, and guard
-//! semantics when placed in-stack — exactly the difference the paper
+//! defenses inherit the stack's pacing clock, safety clamp, first-N
+//! window and slow-start hold when placed in-stack — exactly the difference the paper
 //! argues about.
 
 use crate::policy::{sample_delay, DelaySpec, ObfuscationPolicy, SizeSpec};
@@ -285,7 +283,7 @@ pub(crate) fn flow_duration(pkts: &[FlowPkt]) -> Nanos {
 
 /// The two decisions a placement makes for [`FlowShaper::step`]. First-N
 /// scoping is the decider's business: the app decider tests the index it
-/// is handed, the stack decider's `FirstNGuard` reads it from the shape
+/// is handed, the stack decider's `PolicyShaper` reads it from the shape
 /// context. Both are handed the flow's RNG; only the app decider draws
 /// on it (the stack's strategies own their streams).
 pub(crate) trait Decider {
@@ -319,7 +317,7 @@ pub(crate) struct FlowShaper<D> {
     size_active: bool,
     delay_active: bool,
     /// Restrict both stages to one direction. Tested in the loop, not
-    /// the decider: the stack's guards are direction-blind.
+    /// the decider: the stack's shaper is direction-blind.
     apply_dir: Option<Direction>,
     /// Accumulated departure shift: stretching one inter-arrival time
     /// moves everything after it.
@@ -660,15 +658,15 @@ pub fn emulate_flow(
 /// Stack parameters for the replay enforcement backend.
 #[derive(Debug, Clone, Copy)]
 pub struct StackParams {
-    /// Seed feeding the live strategy RNGs (as in `build_shaper`).
+    /// Seed feeding the live strategy RNGs (as in `PolicyShaper::new`).
     pub(crate) seed: u64,
     /// Flow salt decorrelating flows that share one policy.
     pub(crate) flow_salt: u64,
     /// Wire MTU: the largest packet the replay pipeline will emit.
     pub(crate) mtu_wire: u32,
     /// MSS used to recover a per-packet pacing rate from recorded
-    /// inter-arrival times (`DelayJitter` keys its nominal gap on
-    /// `2 * mss` serialized at the pacing rate).
+    /// inter-arrival times (`PolicyShaper`'s delay rule keys its nominal
+    /// gap on `2 * mss` serialized at the pacing rate).
     pub(crate) mss: u32,
 }
 
@@ -695,11 +693,11 @@ impl StackParams {
 
 /// The synthetic pacing rate under which one recorded inter-arrival
 /// time serializes exactly `2 * mss` bytes — the inverse of
-/// `DelayJitter`'s nominal-gap rule, so the in-stack jitter stretches
+/// `PolicyShaper`'s nominal-gap rule, so the in-stack jitter stretches
 /// recorded gaps by the same fractions the app decider draws.
 fn rate_for_iat(mss: u32, iat: Nanos) -> u64 {
     if iat.is_zero() {
-        // Zero gap: infinite rate. `u64::MAX - 1` keeps DelayJitter on
+        // Zero gap: infinite rate. `u64::MAX - 1` keeps the delay rule on
         // its `for_bytes_at_rate` path (nominal rounds to zero) while
         // still consuming its draw, mirroring the app decider exactly.
         return u64::MAX - 1;
@@ -709,7 +707,7 @@ fn rate_for_iat(mss: u32, iat: Nanos) -> u64 {
 }
 
 /// The stack placement's [`Decider`]: the policy lowered into a live
-/// shaper (strategy → §4.2 safety cap → guards) behind a replay
+/// shaper (its `PolicyShaper` inside the §4.2 safety cap) behind a replay
 /// [`EgressPipeline`], so sizes are the pipeline's packet-size decision
 /// and departures pass its pacing clock and the shaper's extra delay.
 pub(crate) struct StackDecider {
@@ -983,7 +981,7 @@ mod tests {
     #[test]
     fn stack_absolute_delay_matches_app_exactly() {
         // UniformAbsolute draws are nominal-independent, so the stack
-        // backend (DelayJitter seeded seed ^ 0) replays the app pass's
+        // backend (its delay RNG seeded seed ^ 0) replays the app pass's
         // RNG stream bit-for-bit.
         let input = sample_flow();
         let d = S3 {

@@ -17,15 +17,16 @@
 //!   (or an administrator) publish policies, the stack looks them up per
 //!   flow/destination. It stands in for the shared memory region of the
 //!   paper's design.
-//! * **Strategies** ([`strategies`]) turn a policy into a live
-//!   [`stack::Shaper`]: the Figure 3 `IncrementalReduce`, in-stack
-//!   split/delay equivalents (`SplitThreshold`, `DelayJitter`), a
-//!   histogram sampler, and combinators.
+//! * **Strategies** ([`strategies`]) turn a policy into one live
+//!   [`stack::Shaper`] holding its TSO, size and delay rules (the
+//!   Figure 3 [`strategies::IncrementalReduce`] walk, §3 split and
+//!   delay, histogram sampling), its first-N window, and its slow-start
+//!   hold, which stands the policy down in CCA phases where pacing is
+//!   load-bearing (§5.1, BBR).
 //! * **The safety envelope** ([`safety::SafetyCap`]) enforces the §4.2
 //!   invariant: obfuscation may only *reduce* segment/packet sizes and
 //!   *delay* departures — never send more aggressively than the CCA
-//!   decided. [`guard::CcaPhaseGuard`] additionally stands the policy
-//!   down in CCA phases where pacing is load-bearing (§5.1, BBR).
+//!   decided.
 //! * **The control surface** ([`sockopt`]) is the `setsockopt`-style API
 //!   (§5.3) apps use to attach a policy to a connection. An optional
 //!   circuit breaker guards [`sockopt::attach`]: a policy key
@@ -52,7 +53,6 @@ mod breaker;
 pub mod defense;
 pub mod fit;
 pub mod fleet;
-pub mod guard;
 pub mod machine;
 pub mod policy;
 pub mod registry;

@@ -104,10 +104,6 @@ impl<S: Shaper> Shaper for SafetyCap<S> {
             want
         }
     }
-
-    fn on_ack(&mut self, ctx: &ShapeCtx) {
-        self.inner.on_ack(ctx);
-    }
 }
 
 #[cfg(test)]

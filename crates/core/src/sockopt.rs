@@ -6,50 +6,38 @@
 //! connection is the same kind of cross-layer hint, not a layering
 //! violation. [`attach`] is that one call: resolve the flow's binding
 //! from the shared registry, let the defense decide, validate what it
-//! built, lower it into the live strategy inside the safety cap and the
-//! guards, and hand over the shaper plus an audit handle. It only reads
-//! the table: entries arrive through [`PolicyRegistry::publish`], the
+//! built, lower it into its one live shaper inside the safety cap, and
+//! hand over the shaper plus an audit handle. It only reads the table:
+//! entries arrive through [`PolicyRegistry::publish`], the
 //! `bind_*` calls, [`PolicyRegistry::import_json`], or [`publish_json`]
 //! at the bottom of this module — the one entry point for a JSON
 //! document of any kind.
 
 use crate::breaker::Admission;
 use crate::defense::{DefenseCtx, FlowDefense, Placement};
-use crate::guard::{CcaPhaseGuard, FirstNGuard};
 use crate::machine::MachineSpec;
 use crate::policy::ObfuscationPolicy;
 use crate::registry::{PolicyKey, PolicyRegistry};
 use crate::safety::{SafetyAudit, SafetyCap};
 use crate::splitter::SplitterSpec;
-use crate::strategies::build_shaper;
+use crate::strategies::PolicyShaper;
 use netsim::json::{variant, Json, JsonError, Wire};
 use netsim::SimRng;
 use stack::shaper::BoxShaper;
 use std::sync::Arc;
 
-/// Assemble the full enforcement stack for one policy: the live strategy
-/// from `build_shaper`, inside the §4.2 [`SafetyCap`], inside the
-/// guards the policy requests. Shared by [`attach`] (live connections
-/// and the fleet) and the replay backend
-/// ([`crate::defense::enforce_flow`]).
+/// Assemble the enforcement of one policy: its `PolicyShaper` (rules,
+/// first-N window and slow-start hold) inside the §4.2 [`SafetyCap`].
+/// Shared by [`attach`] (live connections and the fleet) and the replay
+/// backend ([`crate::defense::enforce_flow`]).
 pub fn assemble_policy_shaper(
     policy: &ObfuscationPolicy,
     seed: u64,
     flow_salt: u64,
 ) -> (BoxShaper, Arc<SafetyAudit>) {
-    let strategy = build_shaper(policy, seed, flow_salt);
-    let cap = SafetyCap::new(strategy);
+    let cap = SafetyCap::new(PolicyShaper::new(policy, seed, flow_salt));
     let audit = cap.audit_handle();
-    // Guard order: position guard innermost (counts data packets), CCA
-    // phase guard outermost (a policy that must respect slow start is
-    // silent there regardless of position).
-    let guarded: BoxShaper = match (policy.respect_slow_start, policy.first_n_pkts) {
-        (true, 0) => Box::new(CcaPhaseGuard::new(cap)),
-        (true, n) => Box::new(CcaPhaseGuard::new(FirstNGuard::new(cap, n))),
-        (false, 0) => Box::new(cap),
-        (false, n) => Box::new(FirstNGuard::new(cap, n)),
-    };
-    (guarded, audit)
+    (Box::new(cap), audit)
 }
 
 /// What [`attach`] hands the stack for a flow it is to shape.
@@ -59,8 +47,8 @@ pub struct Attachment {
     /// with whoever drives the flow — §4.2 scopes the stack's authority
     /// to sizing and departure timing of real data.
     pub(crate) defense: FlowDefense,
-    /// `defense.policy` lowered: strategy inside the safety cap inside
-    /// the guards. Install it with `set_shaper` / `connect_with`.
+    /// `defense.policy` lowered: its shaper inside the safety cap.
+    /// Install it with `set_shaper` / `connect_with`.
     pub shaper: BoxShaper,
 }
 
@@ -218,7 +206,7 @@ mod tests {
     use crate::breaker::BreakerConfig;
     use crate::policy::DelaySpec;
     use netsim::{FlowId, Nanos};
-    use stack::{ShapeCtx, Shaper};
+    use stack::ShapeCtx;
 
     fn ctx(in_ss: bool, pkts_sent: u64) -> ShapeCtx {
         ShapeCtx {

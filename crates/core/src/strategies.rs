@@ -1,5 +1,6 @@
-//! Live shaping strategies: [`stack::Shaper`] implementations that
-//! enforce a policy on the datapath.
+//! Live shaping: [`stack::Shaper`] implementations that enforce a policy
+//! on the datapath — Figure 3's [`IncrementalReduce`], and the one shaper
+//! every policy lowers to, `PolicyShaper`.
 
 use crate::policy::{sample_delay, DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
 use netsim::{Histogram, Nanos, SimRng};
@@ -76,206 +77,149 @@ impl Shaper for IncrementalReduce {
     }
 }
 
-/// The §3 splitting countermeasure, enforced in-stack: any packet that
-/// would exceed `threshold_ip` bytes is emitted as two halves. Enforced
-/// by halving the per-packet size decision, which doubles the packet
-/// count of the byte stream without copying or padding.
-#[derive(Debug, Clone)]
-pub struct SplitThreshold {
-    pub(crate) threshold_ip: u32,
+/// A policy's packet-size rule. The Figure 3 walk keeps its counters
+/// in [`PolicyShaper`]'s shared [`IncrementalReduce`].
+enum SizeRule {
+    Unchanged,
+    /// `SizeSpec::IncrementalReduce`: the walk's packet-size half.
+    Walk,
+    /// The §3 splitting countermeasure, enforced in-stack: a packet above
+    /// the threshold leaves as two equal halves. Halving the size decision
+    /// doubles the packet count of the byte stream without copying or
+    /// padding; the TSO budget stays in packets, so a burst carries half
+    /// the bytes and stays CC-conformant.
+    SplitAbove(u32),
+    /// At most this IP size.
+    Fixed(u32),
+    /// Sizes drawn from an empirical histogram (the §4.1 policy
+    /// representation) with the rule's own RNG.
+    Histogram(Box<(Histogram, SimRng)>),
+    /// A histogram with no mass (or a forged `total` its bins do not back
+    /// up) cannot be sampled: the rule passes sizes through and counted
+    /// itself in `stob.registry.degraded` when built, rather than
+    /// panicking on the datapath.
+    Degraded,
 }
 
-impl SplitThreshold {
-    pub fn new(threshold_ip: u32) -> Self {
-        SplitThreshold { threshold_ip }
+/// The live shaper one policy lowers to (§4): its TSO rule, size rule and
+/// delay rule, behind the policy's first-N window (§3: the fight is over
+/// the first tens of packets) and slow-start hold (§5.1: "do not perform
+/// any action in certain phases", where BBR paces to measure). Both are
+/// tested before any rule, so a held decision passes the proposal
+/// through and draws nothing.
+pub(crate) struct PolicyShaper {
+    /// The Figure 3 walks, TSO and packet size; a zero step is identity.
+    walk: IncrementalReduce,
+    /// `TsoSpec::Cap` (`u32::MAX`: none).
+    tso_cap: u32,
+    size: SizeRule,
+    delay: DelaySpec,
+    delay_rng: SimRng,
+    /// Shape only the first `first_n` data packets (0 = the whole flow).
+    first_n: u64,
+    respect_slow_start: bool,
+}
+
+// Every resident fleet flow holds one of these behind its `Box`, so its
+// size is paid per resident flow.
+const _: () = assert!(std::mem::size_of::<crate::safety::SafetyCap<PolicyShaper>>() <= 160);
+
+impl PolicyShaper {
+    /// Lower `policy`. Each stochastic rule gets its own RNG, seeded
+    /// `seed ^ flow_salt·φ` so flows sharing one policy decorrelate.
+    pub(crate) fn new(policy: &ObfuscationPolicy, seed: u64, flow_salt: u64) -> Self {
+        let rng_seed = seed ^ flow_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (tso_step, tso_steps, tso_cap) = match policy.tso {
+            TsoSpec::Unchanged => (0, 0, u32::MAX),
+            TsoSpec::IncrementalReduce { step, steps } => (step, steps, u32::MAX),
+            TsoSpec::Cap { pkts } => (0, 0, pkts),
+        };
+        let (pkt_step, pkt_steps) = match policy.size {
+            SizeSpec::IncrementalReduce { step, steps } => (step, steps),
+            _ => (0, 0),
+        };
+        let size = match &policy.size {
+            SizeSpec::Unchanged => SizeRule::Unchanged,
+            SizeSpec::IncrementalReduce { .. } => SizeRule::Walk,
+            SizeSpec::SplitAbove { threshold } => SizeRule::SplitAbove(*threshold),
+            SizeSpec::Fixed { ip_size } => SizeRule::Fixed(*ip_size),
+            SizeSpec::FromHistogram(h) => {
+                if h.total == 0 || h.counts.iter().sum::<u64>() != h.total {
+                    netsim::tm_counter!("stob.registry.degraded").inc();
+                    SizeRule::Degraded
+                } else {
+                    SizeRule::Histogram(Box::new((h.clone(), SimRng::new(rng_seed))))
+                }
+            }
+        };
+        PolicyShaper {
+            walk: IncrementalReduce::new(pkt_step, pkt_steps, tso_step, tso_steps),
+            tso_cap,
+            size,
+            delay: policy.delay.clone(),
+            delay_rng: SimRng::new(rng_seed),
+            first_n: policy.first_n_pkts,
+            respect_slow_start: policy.respect_slow_start,
+        }
+    }
+
+    fn held(&self, ctx: &ShapeCtx) -> bool {
+        (self.respect_slow_start && ctx.in_slow_start)
+            || (self.first_n != 0 && ctx.pkts_sent >= self.first_n)
     }
 }
 
-impl Shaper for SplitThreshold {
+impl Shaper for PolicyShaper {
     fn tso_segment_pkts(&mut self, ctx: &ShapeCtx, proposed: u32) -> u32 {
-        // Splitting doubles packet count; keep the burst's *byte* length
-        // by keeping the packet budget unchanged (the stack will fit
-        // half as many bytes per segment, preserving CC conformance).
-        let _ = ctx;
-        proposed
+        if self.held(ctx) {
+            return proposed;
+        }
+        self.walk.tso_segment_pkts(ctx, proposed).min(self.tso_cap)
     }
 
-    fn packet_ip_size(&mut self, _ctx: &ShapeCtx, _pkt_index: u32, proposed: u32) -> u32 {
-        if proposed > self.threshold_ip {
-            // Halve the payload so the two halves are equal-sized, as in
-            // the paper's trace emulation.
-            proposed / 2 + proposed % 2
-        } else {
-            proposed
+    fn packet_ip_size(&mut self, ctx: &ShapeCtx, pkt_index: u32, proposed: u32) -> u32 {
+        if self.held(ctx) {
+            return proposed;
+        }
+        match &mut self.size {
+            SizeRule::Unchanged | SizeRule::Degraded => proposed,
+            SizeRule::Walk => self.walk.packet_ip_size(ctx, pkt_index, proposed),
+            // Round up, as the paper's trace emulation does.
+            SizeRule::SplitAbove(t) if proposed > *t => proposed / 2 + proposed % 2,
+            SizeRule::SplitAbove(_) => proposed,
+            SizeRule::Fixed(ip) => proposed.min(*ip),
+            SizeRule::Histogram(h) => {
+                let (sizes, rng) = &mut **h;
+                let s = sizes.sample(rng.next_f64(), rng.next_f64());
+                (s.max(1.0) as u32).min(proposed)
+            }
         }
     }
-}
 
-/// The §3 delaying countermeasure, enforced in-stack: every segment's
-/// departure is pushed back by a uniformly drawn fraction of its nominal
-/// serialization interval (the in-stack analogue of stretching
-/// inter-arrival times by 10-30%).
-#[derive(Debug)]
-pub struct DelayJitter {
-    pub(crate) spec: DelaySpec,
-    rng: SimRng,
-}
-
-impl DelayJitter {
-    pub fn new(spec: DelaySpec, seed: u64) -> Self {
-        DelayJitter {
-            spec,
-            rng: SimRng::new(seed),
-        }
-    }
-}
-
-impl Shaper for DelayJitter {
+    /// The §3 delaying countermeasure, enforced in-stack: a draw from the
+    /// delay rule, a fraction of which is of the segment's nominal gap —
+    /// the wire time of two MSS at the pacing rate (1 Gb/s if unpaced, a
+    /// conservative stand-in; 10 µs at an infinite rate).
     fn extra_delay(&mut self, ctx: &ShapeCtx) -> Nanos {
-        // Nominal gap: the wire time of one full segment at the pacing
-        // rate (or at 1 Gb/s if unpaced, a conservative stand-in).
+        if self.held(ctx) || matches!(self.delay, DelaySpec::Unchanged) {
+            return Nanos::ZERO;
+        }
         let rate = ctx.pacing_rate_bps.unwrap_or(1_000_000_000).max(1);
-        let seg_bytes = (ctx.mss as u64).max(1) * 2;
         let nominal = if rate == u64::MAX {
             Nanos::from_micros(10)
         } else {
-            Nanos::for_bytes_at_rate(seg_bytes, rate)
+            Nanos::for_bytes_at_rate((ctx.mss as u64).max(1) * 2, rate)
         };
-        sample_delay(&self.spec, nominal, &mut self.rng)
+        sample_delay(&self.delay, nominal, &mut self.delay_rng)
     }
-}
-
-/// Sample packet sizes from an empirical histogram (the §4.1 policy
-/// representation). Sizes are clamped by the stack to the CC-safe range.
-///
-/// A histogram with no mass (or a forged `total` its bins don't back up)
-/// cannot be sampled; constructing a sampler from one degrades to
-/// pass-through and bumps the registry's degraded counter rather than
-/// panicking on the datapath.
-#[derive(Debug)]
-pub(crate) struct HistogramSampler {
-    pub(crate) sizes: Histogram,
-    rng: SimRng,
-    degraded: bool,
-}
-
-impl HistogramSampler {
-    pub(crate) fn new(sizes: Histogram, seed: u64) -> Self {
-        let degraded = sizes.total == 0 || sizes.counts.iter().sum::<u64>() != sizes.total;
-        if degraded {
-            netsim::tm_counter!("stob.registry.degraded").inc();
-        }
-        HistogramSampler {
-            sizes,
-            rng: SimRng::new(seed),
-            degraded,
-        }
-    }
-}
-
-impl Shaper for HistogramSampler {
-    fn packet_ip_size(&mut self, _ctx: &ShapeCtx, _pkt_index: u32, proposed: u32) -> u32 {
-        if self.degraded {
-            return proposed;
-        }
-        let s = self.sizes.sample(self.rng.next_f64(), self.rng.next_f64());
-        (s.max(1.0) as u32).min(proposed)
-    }
-}
-
-/// Compose strategies: each hook threads the previous stage's output into
-/// the next, so reductions compose and delays add.
-pub(crate) struct Chain {
-    pub(crate) stages: Vec<Box<dyn Shaper>>,
-}
-
-impl Chain {
-    pub(crate) fn new(stages: Vec<Box<dyn Shaper>>) -> Self {
-        Chain { stages }
-    }
-}
-
-impl Shaper for Chain {
-    fn tso_segment_pkts(&mut self, ctx: &ShapeCtx, proposed: u32) -> u32 {
-        self.stages
-            .iter_mut()
-            .fold(proposed, |p, s| s.tso_segment_pkts(ctx, p))
-    }
-    fn packet_ip_size(&mut self, ctx: &ShapeCtx, pkt_index: u32, proposed: u32) -> u32 {
-        self.stages
-            .iter_mut()
-            .fold(proposed, |p, s| s.packet_ip_size(ctx, pkt_index, p))
-    }
-    fn extra_delay(&mut self, ctx: &ShapeCtx) -> Nanos {
-        self.stages.iter_mut().map(|s| s.extra_delay(ctx)).sum()
-    }
-    fn on_ack(&mut self, ctx: &ShapeCtx) {
-        for s in &mut self.stages {
-            s.on_ack(ctx);
-        }
-    }
-}
-
-/// Build the live shaper a policy describes. `seed` feeds the stochastic
-/// strategies; `flow_salt` decorrelates flows sharing one policy.
-pub(crate) fn build_shaper(
-    policy: &ObfuscationPolicy,
-    seed: u64,
-    flow_salt: u64,
-) -> Box<dyn Shaper> {
-    let rng_seed = seed ^ flow_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut stages: Vec<Box<dyn Shaper>> = Vec::new();
-    match &policy.tso {
-        TsoSpec::Unchanged => {}
-        TsoSpec::IncrementalReduce { step, steps } => {
-            stages.push(Box::new(IncrementalReduce::new(0, 0, *step, *steps)));
-        }
-        TsoSpec::Cap { pkts } => {
-            struct Cap(u32);
-            impl Shaper for Cap {
-                fn tso_segment_pkts(&mut self, _c: &ShapeCtx, p: u32) -> u32 {
-                    p.min(self.0)
-                }
-            }
-            stages.push(Box::new(Cap(*pkts)));
-        }
-    }
-    match &policy.size {
-        SizeSpec::Unchanged => {}
-        SizeSpec::SplitAbove { threshold } => {
-            stages.push(Box::new(SplitThreshold::new(*threshold)));
-        }
-        SizeSpec::IncrementalReduce { step, steps } => {
-            stages.push(Box::new(IncrementalReduce::new(*step, *steps, 0, 0)));
-        }
-        SizeSpec::FromHistogram(h) => {
-            stages.push(Box::new(HistogramSampler::new(h.clone(), rng_seed)));
-        }
-        SizeSpec::Fixed { ip_size } => {
-            struct Fixed(u32);
-            impl Shaper for Fixed {
-                fn packet_ip_size(&mut self, _c: &ShapeCtx, _i: u32, p: u32) -> u32 {
-                    p.min(self.0)
-                }
-            }
-            stages.push(Box::new(Fixed(*ip_size)));
-        }
-    }
-    match &policy.delay {
-        DelaySpec::Unchanged => {}
-        spec => stages.push(Box::new(DelayJitter::new(spec.clone(), rng_seed))),
-    }
-    // A lone stage is the shaper: `Chain` is for composing two or more.
-    if stages.len() == 1 {
-        return stages.remove(0);
-    }
-    Box::new(Chain::new(stages))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sockopt::assemble_policy_shaper;
     use netsim::FlowId;
+    use std::sync::atomic::Ordering;
 
     fn ctx() -> ShapeCtx {
         ShapeCtx {
@@ -290,6 +234,37 @@ mod tests {
             mtu_ip: 1500,
             mss: 1448,
         }
+    }
+
+    fn at(in_slow_start: bool, pkts_sent: u64) -> ShapeCtx {
+        ShapeCtx {
+            in_slow_start,
+            pkts_sent,
+            ..ctx()
+        }
+    }
+
+    fn shaper(size: SizeSpec, delay: DelaySpec) -> PolicyShaper {
+        let p = ObfuscationPolicy {
+            size,
+            delay,
+            ..ObfuscationPolicy::passthrough("t")
+        };
+        PolicyShaper::new(&p, 1, 0)
+    }
+
+    fn split(threshold: u32) -> PolicyShaper {
+        shaper(SizeSpec::SplitAbove { threshold }, DelaySpec::Unchanged)
+    }
+
+    fn guarded(first_n_pkts: u64, respect_slow_start: bool) -> PolicyShaper {
+        let p = ObfuscationPolicy {
+            size: SizeSpec::SplitAbove { threshold: 1200 },
+            first_n_pkts,
+            respect_slow_start,
+            ..ObfuscationPolicy::passthrough("guarded")
+        };
+        PolicyShaper::new(&p, 1, 0)
     }
 
     #[test]
@@ -333,7 +308,7 @@ mod tests {
 
     #[test]
     fn split_threshold_halves_large_packets_only() {
-        let mut s = SplitThreshold::new(1200);
+        let mut s = split(1200);
         let c = ctx();
         assert_eq!(s.packet_ip_size(&c, 0, 1500), 750);
         assert_eq!(s.packet_ip_size(&c, 0, 1201), 601); // odd: round up
@@ -345,7 +320,7 @@ mod tests {
     fn split_halves_stay_above_min_mss_for_default_mtu() {
         // §3: the 1200-byte threshold is chosen so halves never fall
         // below the minimum TCP MSS of 536 payload bytes.
-        let mut s = SplitThreshold::new(1200);
+        let mut s = split(1200);
         let c = ctx();
         for ip in 1201..=1500 {
             let half = s.packet_ip_size(&c, 0, ip);
@@ -360,7 +335,7 @@ mod tests {
             lo_frac: 0.10,
             hi_frac: 0.30,
         };
-        let mut s = DelayJitter::new(spec, 7);
+        let mut s = shaper(SizeSpec::Unchanged, spec);
         let c = ctx();
         // Nominal: 2*1448 bytes at 1 Gb/s = 23168 ns.
         for _ in 0..500 {
@@ -379,7 +354,7 @@ mod tests {
         for _ in 0..100 {
             h.push(2_500.0); // wants jumbo sizes
         }
-        let mut s = HistogramSampler::new(h, 1);
+        let mut s = shaper(SizeSpec::FromHistogram(h), DelaySpec::Unchanged);
         let c = ctx();
         for _ in 0..100 {
             assert!(s.packet_ip_size(&c, 0, 1500) <= 1500);
@@ -389,13 +364,15 @@ mod tests {
     #[test]
     fn histogram_sampler_empty_histogram_degrades_to_passthrough() {
         // Regression: an all-zero histogram used to reach
-        // `Histogram::sample` and panic. It must degrade instead.
+        // `Histogram::sample` and panic. It must degrade instead. The
+        // counter is process-wide and other tests bump it concurrently,
+        // so only its rise is this test's to assert.
         let before = netsim::tm_counter!("stob.registry.degraded").get();
-        let mut s = HistogramSampler::new(Histogram::new(0.0, 1500.0, 10), 1);
-        assert!(s.degraded);
-        assert_eq!(
-            netsim::tm_counter!("stob.registry.degraded").get(),
-            before + 1,
+        let empty = Histogram::new(0.0, 1500.0, 10);
+        let mut s = shaper(SizeSpec::FromHistogram(empty), DelaySpec::Unchanged);
+        assert!(matches!(s.size, SizeRule::Degraded));
+        assert!(
+            netsim::tm_counter!("stob.registry.degraded").get() > before,
             "degradation must be observable"
         );
         let c = ctx();
@@ -409,40 +386,35 @@ mod tests {
         let mut h = Histogram::new(0.0, 1500.0, 10);
         h.push(700.0);
         h.total = 99; // bins hold one sample; the claimed mass lies
-        let mut s = HistogramSampler::new(h, 1);
-        assert!(s.degraded);
+        let mut s = shaper(SizeSpec::FromHistogram(h), DelaySpec::Unchanged);
+        assert!(matches!(s.size, SizeRule::Degraded));
         let c = ctx();
         assert_eq!(s.packet_ip_size(&c, 0, 1200), 1200);
     }
 
     #[test]
-    fn chain_composes_reductions_and_adds_delays() {
-        let mut chain = Chain::new(vec![
-            Box::new(SplitThreshold::new(1200)),
-            Box::new(DelayJitter::new(
-                DelaySpec::UniformAbsolute {
-                    lo: Nanos(100),
-                    hi: Nanos(100),
-                },
-                1,
-            )),
-            Box::new(DelayJitter::new(
-                DelaySpec::UniformAbsolute {
-                    lo: Nanos(50),
-                    hi: Nanos(50),
-                },
-                2,
-            )),
-        ]);
+    fn policy_shaper_composes_its_three_rules() {
+        let p = ObfuscationPolicy {
+            size: SizeSpec::SplitAbove { threshold: 1200 },
+            delay: DelaySpec::UniformAbsolute {
+                lo: Nanos(150),
+                hi: Nanos(150),
+            },
+            tso: TsoSpec::Cap { pkts: 8 },
+            ..ObfuscationPolicy::passthrough("three")
+        };
+        let mut s = PolicyShaper::new(&p, 1, 0);
         let c = ctx();
-        assert_eq!(chain.packet_ip_size(&c, 0, 1500), 750);
-        assert_eq!(chain.extra_delay(&c), Nanos(150));
+        assert_eq!(s.tso_segment_pkts(&c, 44), 8);
+        assert_eq!(s.tso_segment_pkts(&c, 5), 5);
+        assert_eq!(s.packet_ip_size(&c, 0, 1500), 750);
+        assert_eq!(s.extra_delay(&c), Nanos(150));
     }
 
     #[test]
-    fn build_shaper_from_policy_spec() {
+    fn policy_shaper_from_policy_spec() {
         let p = ObfuscationPolicy::split_and_delay("x");
-        let mut s = build_shaper(&p, 1, 2);
+        let mut s = PolicyShaper::new(&p, 1, 2);
         let c = ctx();
         assert_eq!(s.packet_ip_size(&c, 0, 1500), 750);
         assert!(s.extra_delay(&c) > Nanos::ZERO);
@@ -450,115 +422,10 @@ mod tests {
         assert_eq!(s.tso_segment_pkts(&c, 44), 44);
     }
 
-    /// `p.min(n)` per hook: what `TsoSpec::Cap` and `SizeSpec::Fixed` are.
-    struct Min {
-        tso: u32,
-        ip: u32,
-    }
-    impl Shaper for Min {
-        fn tso_segment_pkts(&mut self, _c: &ShapeCtx, p: u32) -> u32 {
-            p.min(self.tso)
-        }
-        fn packet_ip_size(&mut self, _c: &ShapeCtx, _i: u32, p: u32) -> u32 {
-            p.min(self.ip)
-        }
-    }
-
     #[test]
-    fn a_lone_stage_answers_exactly_as_a_chain_of_it() {
-        let (seed, salt) = (3u64, 4u64);
-        let jitter = |spec: &DelaySpec| -> Box<dyn Shaper> {
-            let rng_seed = seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            Box::new(DelayJitter::new(spec.clone(), rng_seed))
-        };
-        let base = ObfuscationPolicy::passthrough;
-        let stretch = DelaySpec::UniformFraction {
-            lo_frac: 0.05,
-            hi_frac: 0.20,
-        };
-        let two = ObfuscationPolicy::split_and_delay("split+delay");
-        let SizeSpec::SplitAbove { threshold } = two.size else {
-            panic!("split_and_delay splits");
-        };
-        // Each policy beside the stages it lowers to; the last one
-        // lowers to two and must still compose.
-        let cases: Vec<(ObfuscationPolicy, Vec<Box<dyn Shaper>>)> = vec![
-            (
-                ObfuscationPolicy {
-                    delay: stretch.clone(),
-                    ..base("delay-only")
-                },
-                vec![jitter(&stretch)],
-            ),
-            (
-                ObfuscationPolicy {
-                    size: SizeSpec::SplitAbove { threshold: 1200 },
-                    ..base("split-only")
-                },
-                vec![Box::new(SplitThreshold::new(1200))],
-            ),
-            (
-                ObfuscationPolicy {
-                    size: SizeSpec::Fixed { ip_size: 900 },
-                    ..base("fixed")
-                },
-                vec![Box::new(Min {
-                    tso: u32::MAX,
-                    ip: 900,
-                })],
-            ),
-            (
-                ObfuscationPolicy {
-                    tso: TsoSpec::Cap { pkts: 8 },
-                    ..base("tso-cap")
-                },
-                vec![Box::new(Min {
-                    tso: 8,
-                    ip: u32::MAX,
-                })],
-            ),
-            (
-                two.clone(),
-                vec![Box::new(SplitThreshold::new(threshold)), jitter(&two.delay)],
-            ),
-        ];
-        for (p, stages) in cases {
-            let mut built = build_shaper(&p, seed, salt);
-            let mut chained = Chain::new(stages);
-            let mut rng = SimRng::new(0xC4A1);
-            for i in 0..1_000 {
-                let c = ShapeCtx {
-                    pacing_rate_bps: match rng.next_below(4) {
-                        0 => None,
-                        1 => Some(u64::MAX),
-                        _ => Some(rng.range_u64(1, 100_000_000_000)),
-                    },
-                    pkts_sent: rng.next_below(200),
-                    mtu_ip: rng.range_u64(576, 9000) as u32,
-                    mss: rng.range_u64(1, 8948) as u32,
-                    ..ctx()
-                };
-                let (burst, ip) = (rng.range_u64(1, 64) as u32, rng.range_u64(1, 9000) as u32);
-                let case = format!("{} #{i}", p.name);
-                assert_eq!(
-                    built.tso_segment_pkts(&c, burst),
-                    chained.tso_segment_pkts(&c, burst),
-                    "{case}"
-                );
-                assert_eq!(
-                    built.packet_ip_size(&c, i, ip),
-                    chained.packet_ip_size(&c, i, ip),
-                    "{case}"
-                );
-                assert_eq!(built.extra_delay(&c), chained.extra_delay(&c), "{case}");
-            }
-        }
-    }
-
-    #[test]
-    fn build_shaper_passthrough_is_identity() {
+    fn passthrough_policy_is_identity() {
         let p = ObfuscationPolicy::passthrough("id");
-        let mut s = build_shaper(&p, 1, 2);
+        let mut s = PolicyShaper::new(&p, 1, 2);
         let c = ctx();
         assert_eq!(s.packet_ip_size(&c, 0, 1500), 1500);
         assert_eq!(s.tso_segment_pkts(&c, 44), 44);
@@ -568,11 +435,67 @@ mod tests {
     #[test]
     fn flows_sharing_policy_are_decorrelated() {
         let p = ObfuscationPolicy::split_and_delay("shared");
-        let mut a = build_shaper(&p, 1, 1);
-        let mut b = build_shaper(&p, 1, 2);
+        let mut a = PolicyShaper::new(&p, 1, 1);
+        let mut b = PolicyShaper::new(&p, 1, 2);
         let c = ctx();
         let da: Vec<u64> = (0..8).map(|_| a.extra_delay(&c).0).collect();
         let db: Vec<u64> = (0..8).map(|_| b.extra_delay(&c).0).collect();
         assert_ne!(da, db, "flow salt must decorrelate jitter streams");
+    }
+
+    #[test]
+    fn guard_suppresses_in_slow_start() {
+        let mut g = guarded(0, true);
+        let ss = at(true, 0);
+        assert_eq!(g.packet_ip_size(&ss, 0, 1500), 1500, "untouched in SS");
+        assert_eq!(g.extra_delay(&ss), Nanos::ZERO);
+        assert_eq!(
+            g.packet_ip_size(&at(false, 0), 0, 1500),
+            750,
+            "active in CA"
+        );
+    }
+
+    #[test]
+    fn first_n_guard_limits_scope() {
+        let mut g = guarded(15, false);
+        assert_eq!(g.packet_ip_size(&at(false, 0), 0, 1500), 750);
+        assert_eq!(g.packet_ip_size(&at(false, 14), 0, 1500), 750);
+        assert_eq!(g.packet_ip_size(&at(false, 15), 0, 1500), 1500);
+        assert_eq!(g.packet_ip_size(&at(false, 1000), 0, 1500), 1500);
+    }
+
+    #[test]
+    fn first_n_zero_means_whole_flow() {
+        let mut g = guarded(0, false);
+        assert_eq!(g.packet_ip_size(&at(false, 1 << 40), 0, 1500), 750);
+    }
+
+    #[test]
+    fn guards_compose() {
+        // Slow-start hold and first-N window on one policy.
+        let mut g = guarded(10, true);
+        assert_eq!(g.packet_ip_size(&at(true, 5), 0, 1500), 1500);
+        assert_eq!(g.packet_ip_size(&at(false, 5), 0, 1500), 750);
+        assert_eq!(g.packet_ip_size(&at(false, 50), 0, 1500), 1500);
+    }
+
+    #[test]
+    fn held_decisions_draw_nothing_but_are_audited() {
+        let p = ObfuscationPolicy {
+            respect_slow_start: true,
+            ..ObfuscationPolicy::split_and_delay("held")
+        };
+        let (mut held, audit) = assemble_policy_shaper(&p, 5, 6);
+        let mut fresh = PolicyShaper::new(&p, 5, 6);
+        for _ in 0..10 {
+            assert_eq!(held.extra_delay(&at(true, 0)), Nanos::ZERO);
+        }
+        assert_eq!(audit.decisions.load(Ordering::Relaxed), 10);
+        // The held draws left the RNG where a fresh shaper's is.
+        let c = at(false, 0);
+        for _ in 0..10 {
+            assert_eq!(held.extra_delay(&c), fresh.extra_delay(&c));
+        }
     }
 }

@@ -3,9 +3,10 @@
 //! BBR matters to this reproduction because §5.1 of the paper singles it
 //! out: BBR *uses pacing as a sensing instrument* (ACK spacing reveals
 //! bottleneck queueing), so a Stob policy that perturbs departure times
-//! can corrupt its model. The `stob` crate's `CcaPhaseGuard` exists for
-//! exactly this controller. We implement the structural skeleton of BBRv1:
-//! startup/drain/probe-bandwidth/probe-RTT states, a windowed-max
+//! can corrupt its model. A `stob` policy's slow-start hold
+//! (`respect_slow_start`) exists for exactly this controller. We
+//! implement the structural skeleton of BBRv1: startup/drain/
+//! probe-bandwidth/probe-RTT states, a windowed-max
 //! bandwidth filter, a windowed-min RTT filter, and gain cycling.
 
 use super::{AckInfo, CongestionControl};

@@ -529,12 +529,6 @@ impl EgressPipeline {
             );
         }
     }
-
-    /// ACK passthrough: lets stateful shaping strategies observe flow
-    /// progress without a separate feedback channel.
-    pub(crate) fn on_ack(&mut self, ctx: &ShapeCtx) {
-        self.shaper.on_ack(ctx);
-    }
 }
 
 /// Summary stats every transport keeps, under one vocabulary. Obtained

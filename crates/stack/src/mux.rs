@@ -611,7 +611,6 @@ impl Multiplex {
             from = s + 1;
         }
         self.retx.retain(|&(s, len)| s + u64::from(len) > cum);
-        self.egress.on_ack(&self.ctx(now));
         // Per-pipe liveness: the peer reports how many datagrams it has
         // received over the ack's pipe.
         if let Some(pi) = pkt.meta.pipe {

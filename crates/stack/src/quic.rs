@@ -189,8 +189,6 @@ impl QuicConn {
                 inflight: self.inflight_bytes,
             });
             netsim::tm_histo!("stack.cc.cwnd_bytes").record(self.cc.cwnd());
-            let ctx = self.shape_ctx(now);
-            self.egress.on_ack(&ctx);
             if self.unacked.is_empty() {
                 self.pto.disarm();
             } else {

@@ -11,10 +11,11 @@
 //! 3. **departure timing** — extra pacing delay applied to a segment on
 //!    top of what the congestion controller requested.
 //!
-//! The `stack` crate calls a [`Shaper`] at exactly those three points. The
-//! default [`NoopShaper`] changes nothing; the `stob` crate provides the
-//! policy implementations plus the safety envelope ("never more aggressive
-//! than the CCA decided").
+//! The `stack` crate calls a [`Shaper`] at exactly those three points and
+//! nowhere else: a shaper sees flow progress through the [`ShapeCtx`] of
+//! each decision. The default [`NoopShaper`] changes nothing; the `stob`
+//! crate lowers each policy to one shaper inside its safety envelope
+//! ("never more aggressive than the CCA decided").
 
 use netsim::{FlowId, Nanos};
 
@@ -75,10 +76,6 @@ pub trait Shaper {
     fn extra_delay(&mut self, _ctx: &ShapeCtx) -> Nanos {
         Nanos::ZERO
     }
-
-    /// Called once per ACK processed, letting stateful strategies observe
-    /// flow progress without a separate feedback channel.
-    fn on_ack(&mut self, _ctx: &ShapeCtx) {}
 }
 
 /// The identity shaper: stock Linux behaviour.
@@ -86,24 +83,6 @@ pub trait Shaper {
 pub struct NoopShaper;
 
 impl Shaper for NoopShaper {}
-
-/// Forwarding impl so a boxed shaper can sit inside generic wrappers
-/// (`SafetyCap<S>`, guards, chains) without an extra newtype at every
-/// call site.
-impl Shaper for Box<dyn Shaper> {
-    fn tso_segment_pkts(&mut self, ctx: &ShapeCtx, proposed: u32) -> u32 {
-        (**self).tso_segment_pkts(ctx, proposed)
-    }
-    fn packet_ip_size(&mut self, ctx: &ShapeCtx, pkt_index: u32, proposed: u32) -> u32 {
-        (**self).packet_ip_size(ctx, pkt_index, proposed)
-    }
-    fn extra_delay(&mut self, ctx: &ShapeCtx) -> Nanos {
-        (**self).extra_delay(ctx)
-    }
-    fn on_ack(&mut self, ctx: &ShapeCtx) {
-        (**self).on_ack(ctx)
-    }
-}
 
 /// Boxed shaper alias used throughout the stack.
 pub type BoxShaper = Box<dyn Shaper>;

@@ -584,8 +584,6 @@ impl TransportCore for TcpConn {
             };
             self.cc.on_ack(&info);
             netsim::tm_histo!("stack.cc.cwnd_bytes").record(self.cc.cwnd());
-            let ctx = self.shape_ctx(now);
-            self.egress.on_ack(&ctx);
             if partial_retx && self.inflight() > 0 {
                 out.push(self.retransmit_head(now));
             }

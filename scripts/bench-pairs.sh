@@ -122,6 +122,13 @@ better = {m["name"]: m["better"] for m in json.load(open(sys.argv[5]))["end_to_e
 metrics = ["throughput", "peak_rss_mb", "setup_s"]
 prefix = sys.argv[6]
 
+def table(heads, rows):
+    """Print `rows` under `heads`, each column as wide as its widest
+    cell: the first left-aligned, the rest right-aligned two apart."""
+    widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(heads)]
+    for cells in [heads, *rows]:
+        print(cells[0].ljust(widths[0]) + "".join(f"  {c:>{w}}" for c, w in zip(cells[1:], widths[1:])))
+
 def traced_rows():
     if not prefix:
         return
@@ -133,17 +140,17 @@ def traced_rows():
     n = len(side_runs["parent"])
     print()
     print(f"traced rows {prefix}*: {n} --trace 1 runs per side, median (min-max)")
-    print(f"{'row':<44}{'parent':>36}{'change':>36}{'ratio':>8}")
+    lines = []
     for k in rows:
-        meds, cells = [], ""
+        meds, cells = [], [k]
         for side in ("parent", "change"):
             v = [m[k]["value"] for m in side_runs[side] if k in m]
             meds.append(median(v) if v else None)
-            cell = f"{median(v):.2f} ({min(v):.2f}-{max(v):.2f})" if v else "-"
-            cells += f"{cell:>36}"
+            cells.append(f"{median(v):.2f} ({min(v):.2f}-{max(v):.2f})" if v else "-")
         p, c = meds
-        ratio = f"{c / p:>8.3f}" if p and c is not None else f"{'-':>8}"
-        print(f"{k:<44}{cells}{ratio}")
+        cells.append(f"{c / p:.3f}" if p and c is not None else "-")
+        lines.append(cells)
+    table(["row", "parent", "change", "ratio"], lines)
 
 if not runs:
     traced_rows()
@@ -164,14 +171,13 @@ def spread(v):
     return f"{median(v):.4f} ({q1:.4f}-{q3:.4f})"
 
 print()
-print(f"{'metric':<13}{'parent median (quartiles)':>34}{'change median (quartiles)':>34}{'change':>9}{'won':>8}")
-verdicts = []
+summary, verdicts = [], []
 for m in metrics:
     p, c = values("parent", m), values("change", m)
     sign = 1 if better[m] == "higher" else -1
     won = sum(sign * (y - x) > 0 for x, y in zip(p, c))
     delta = (median(c) - median(p)) / median(p)
-    print(f"{m:<13}{spread(p):>34}{spread(c):>34}{delta:>+9.3f}{won:>5}/{len(p)}")
+    summary.append([m, spread(p), spread(c), f"{delta:+.3f}", f"{won}/{len(p)}"])
     # PERF.md's claim rule: ahead in nine tenths of the pairs (a tie is a
     # win for neither side), and the medians further apart, in the better
     # direction, than the parent's quartiles.
@@ -183,6 +189,7 @@ for m in metrics:
         f"won {won}/{len(p)} (needs {-(-9 * len(p) // 10)}), "
         f"medians {gap:+.4f} apart in the better direction against a parent IQR of {q3 - q1:.4f}"
     )
+table(["metric", "parent median (quartiles)", "change median (quartiles)", "change", "won"], summary)
 print()
 print("\n".join(verdicts))
 traced_rows()

@@ -7,9 +7,20 @@ use stack::apps::{BulkSender, Sink};
 use stack::net::{Api, App, Network, CLIENT, SERVER};
 use stack::{HostConfig, PathConfig, StackConfig};
 use std::sync::Arc;
-use stob::guard::CcaPhaseGuard;
+use stob::policy::{ObfuscationPolicy, SizeSpec};
 use stob::safety::{SafetyAudit, SafetyCap};
-use stob::strategies::{IncrementalReduce, SplitThreshold};
+use stob::sockopt::assemble_policy_shaper;
+use stob::strategies::IncrementalReduce;
+
+/// The §3 splitting rule alone, lowered as a live connection gets it.
+fn split_above(threshold: u32, respect_slow_start: bool) -> Box<dyn stack::Shaper> {
+    let policy = ObfuscationPolicy {
+        size: SizeSpec::SplitAbove { threshold },
+        respect_slow_start,
+        ..ObfuscationPolicy::passthrough("split")
+    };
+    assemble_policy_shaper(&policy, 1, 0).0
+}
 
 struct Shaped {
     inner: BulkSender,
@@ -187,8 +198,7 @@ fn delay_strategy_stretches_wire_gaps() {
 fn cca_phase_guard_defers_shaping_past_slow_start() {
     // With the guard, the first packets (slow start) are full-sized;
     // after enough progress the splitter kicks in.
-    let guarded = CcaPhaseGuard::new(SplitThreshold::new(1200));
-    let mut net = lab_net(Box::new(guarded), 13);
+    let mut net = lab_net(split_above(1200, true), 13);
     net.record_capture(CLIENT);
     net.run_until(Nanos::from_millis(60));
     let data: Vec<_> = net
@@ -225,10 +235,7 @@ fn client_side_shaping_applies_to_uploads_only() {
         HostConfig::default(),
         HostConfig::default(),
         PathConfig::internet(100, 20),
-        Box::new(Shaped::new(
-            Some(3_000_000),
-            Box::new(SafetyCap::new(SplitThreshold::new(1000))),
-        )),
+        Box::new(Shaped::new(Some(3_000_000), split_above(1000, false))),
         Box::new(Sink::default()),
         17,
     );
