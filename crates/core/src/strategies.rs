@@ -196,10 +196,10 @@ impl Shaper for PolicyShaper {
         }
     }
 
-    /// The §3 delaying countermeasure, enforced in-stack: a draw from the
-    /// delay rule, a fraction of which is of the segment's nominal gap —
-    /// the wire time of two MSS at the pacing rate (1 Gb/s if unpaced, a
-    /// conservative stand-in; 10 µs at an infinite rate).
+    /// The §3 delaying countermeasure, enforced in-stack: one draw from
+    /// the delay rule. A fractional rule stretches the segment's nominal
+    /// gap, the wire time of two MSS at the pacing rate (1 Gb/s if
+    /// unpaced, a conservative stand-in; 10 µs at an infinite rate).
     fn extra_delay(&mut self, ctx: &ShapeCtx) -> Nanos {
         if self.held(ctx) || matches!(self.delay, DelaySpec::Unchanged) {
             return Nanos::ZERO;
