@@ -22,7 +22,7 @@
 //! - [`enforce_flow`] is the **stack backend**: the same fold with a
 //!   decider that lowers the policy into one live
 //!   [`Shaper`](stack::Shaper) (`crate::strategies::PolicyShaper`, inside
-//!   the §4.2 [`SafetyCap`](crate::safety::SafetyCap)) behind a replay [`EgressPipeline`]; [`crate::fleet`] drives that
+//!   the §4.2 [`SafetyCap`]) behind a replay [`EgressPipeline`]; [`crate::fleet`] drives that
 //!   kernel one generated packet at a time and closes it the same way.
 //!
 //! Padding schedules are executed identically by every harness: §4.2
@@ -34,7 +34,9 @@
 //! window and slow-start hold when placed in-stack — exactly the difference the paper
 //! argues about.
 
-use crate::policy::{sample_delay, DelaySpec, ObfuscationPolicy, SizeSpec};
+use crate::policy::{sample_delay, DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
+use crate::safety::SafetyCap;
+use crate::strategies::PolicyShaper;
 use netsim::{Direction, FlowId, Nanos, SimRng};
 use stack::egress::{EgressLabels, EgressPipeline};
 use stack::shaper::BoxShaper;
@@ -343,18 +345,14 @@ pub(crate) struct Closed {
 }
 
 impl<D: Decider> FlowShaper<D> {
-    /// Build the kernel from the whole flow defense: validate the policy
-    /// and scope the stages to it (an inconsistent policy degrades the
-    /// flow to pass-through rules, counted, rather than shaping wrongly),
-    /// hand the policy and whether any stage is active to `decider`, and
+    /// Build the kernel from the whole flow defense, its policy already
+    /// validated where it was built ([`build_checked`] for replay,
+    /// [`crate::sockopt::attach`] for the fleet): scope the stages to the
+    /// policy, hand it and whether any stage is active to `decider`, and
     /// take over the padding core.
     fn new(fd: FlowDefense, decider: impl FnOnce(ObfuscationPolicy, bool) -> D) -> Self {
-        let valid = fd.policy.validate().is_ok();
-        if !valid {
-            netsim::tm_counter!("stob.registry.degraded").inc();
-        }
-        let size_active = valid && !matches!(fd.policy.size, SizeSpec::Unchanged);
-        let delay_active = valid && !matches!(fd.policy.delay, DelaySpec::Unchanged);
+        let size_active = !matches!(fd.policy.size, SizeSpec::Unchanged);
+        let delay_active = !matches!(fd.policy.delay, DelaySpec::Unchanged);
         FlowShaper {
             decider: decider(fd.policy, size_active || delay_active),
             size_active,
@@ -599,7 +597,7 @@ impl Decider for AppDecider {
             SizeSpec::IncrementalReduce { step, steps } => {
                 // Mirror the in-stack walk: MTU, MTU-step, ...,
                 // MTU-steps*step, then reset.
-                let reduction = self.inc_idx * step;
+                let reduction = self.inc_idx.saturating_mul(*step);
                 self.inc_idx += 1;
                 if self.inc_idx > *steps {
                     self.inc_idx = 0;
@@ -647,8 +645,23 @@ pub fn emulate_flow(
     rng: &mut SimRng,
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.app.flows").inc();
-    let fd = defense.build(ctx, rng);
+    let fd = build_checked(defense, ctx, rng);
     FlowShaper::app(fd).defend(input, rng, "defense.app.pad_pkts")
+}
+
+/// Build `defense` for one replayed flow and validate its policy, once.
+/// An inconsistent policy keeps its padding core but has its rules
+/// turned off, counted in `stob.registry.degraded`: the flow replays
+/// pass-through rather than shaping wrongly or panicking.
+fn build_checked(defense: &dyn Defense, ctx: &DefenseCtx, rng: &mut SimRng) -> FlowDefense {
+    let mut fd = defense.build(ctx, rng);
+    if fd.policy.validate().is_err() {
+        netsim::tm_counter!("stob.registry.degraded").inc();
+        fd.policy.size = SizeSpec::Unchanged;
+        fd.policy.delay = DelaySpec::Unchanged;
+        fd.policy.tso = TsoSpec::Unchanged;
+    }
+    fd
 }
 
 // ---------------------------------------------------------------------
@@ -688,6 +701,18 @@ impl StackParams {
             seed,
             ..StackParams::default()
         }
+    }
+
+    /// The one lowering of a validated policy: moved into its
+    /// `PolicyShaper`, RNGs seeded from `seed` and `flow_salt`, inside
+    /// the §4.2 [`SafetyCap`]. One heap block, plus whatever the policy
+    /// already owned.
+    pub(crate) fn shaper(&self, policy: ObfuscationPolicy) -> BoxShaper {
+        Box::new(SafetyCap::new(PolicyShaper::new(
+            policy,
+            self.seed,
+            self.flow_salt,
+        )))
     }
 }
 
@@ -767,20 +792,15 @@ impl Decider for StackDecider {
 }
 
 impl FlowShaper<StackDecider> {
-    /// The kernel at stack placement, deciding through `live(policy)` —
-    /// the policy as [`crate::sockopt::assemble_policy_shaper`] lowers
-    /// it. A degraded or inert policy never asks for it and leaves the
-    /// pipeline on its pass-through shaper, which is never consulted.
-    pub(crate) fn stack(
-        fd: FlowDefense,
-        labels: EgressLabels,
-        params: &StackParams,
-        live: impl FnOnce(&ObfuscationPolicy) -> BoxShaper,
-    ) -> Self {
+    /// The kernel at stack placement, deciding through the policy's live
+    /// shaper ([`StackParams::shaper`]). A policy whose size and delay
+    /// stages are both off is never lowered: the pipeline keeps its
+    /// pass-through shaper, which is never consulted.
+    pub(crate) fn stack(fd: FlowDefense, labels: EgressLabels, params: &StackParams) -> Self {
         Self::new(fd, |policy, active| {
             let mut pipe = EgressPipeline::new(labels);
             if active {
-                pipe.set_shaper(live(&policy));
+                pipe.set_shaper(params.shaper(policy));
             }
             StackDecider {
                 pipe,
@@ -791,10 +811,10 @@ impl FlowShaper<StackDecider> {
     }
 }
 
-/// **Stack backend**: lower the defense's policy into a live shaper (via
-/// [`crate::sockopt::assemble_policy_shaper`]) and replay the recorded
-/// flow through the same kernel with the [`EgressPipeline`] deciding;
-/// the padding schedule runs exactly as in the app backend.
+/// **Stack backend**: lower the defense's policy into a live shaper
+/// (`StackParams::shaper`) and replay the recorded flow through the
+/// same kernel with the [`EgressPipeline`] deciding; the padding
+/// schedule runs exactly as in the app backend.
 pub fn enforce_flow(
     defense: &dyn Defense,
     input: &[FlowPkt],
@@ -803,21 +823,13 @@ pub fn enforce_flow(
     params: &StackParams,
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.stack.flows").inc();
-    let fd = defense.build(ctx, rng);
-    let live = |p: &ObfuscationPolicy| {
-        crate::sockopt::assemble_policy_shaper(p, params.seed, params.flow_salt).0
-    };
-    FlowShaper::stack(fd, EgressLabels::REPLAY, params, live).defend(
-        input,
-        rng,
-        "defense.stack.pad_pkts",
-    )
+    let fd = build_checked(defense, ctx, rng);
+    FlowShaper::stack(fd, EgressLabels::REPLAY, params).defend(input, rng, "defense.stack.pad_pkts")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::TsoSpec;
 
     fn mk(ts_us: u64, dir: Direction, size: u32) -> FlowPkt {
         FlowPkt {
@@ -1261,7 +1273,7 @@ mod tests {
 
                     let batch = emulate_flow(&d, &input, &ctx, &mut SimRng::new(seed));
                     let mut rng = SimRng::new(seed);
-                    let fd = d.build(&ctx, &mut rng);
+                    let fd = build_checked(&d, &ctx, &mut rng);
                     let streamed = stream(FlowShaper::app(fd), &input, &mut rng);
                     assert_eq!(streamed, batch.pkts, "app: {case}");
 
@@ -1271,12 +1283,8 @@ mod tests {
                     };
                     let mut rng = SimRng::new(seed);
                     let batch = enforce_flow(&d, &input, &ctx, &mut rng.clone(), &params);
-                    let fd = d.build(&ctx, &mut rng);
-                    let (seed, salt) = (params.seed, params.flow_salt);
-                    let live = |p: &ObfuscationPolicy| {
-                        crate::sockopt::assemble_policy_shaper(p, seed, salt).0
-                    };
-                    let kernel = FlowShaper::stack(fd, EgressLabels::REPLAY, &params, live);
+                    let fd = build_checked(&d, &ctx, &mut rng);
+                    let kernel = FlowShaper::stack(fd, EgressLabels::REPLAY, &params);
                     assert_eq!(
                         stream(kernel, &input, &mut rng),
                         batch.pkts,

@@ -105,7 +105,7 @@ mod tests {
         // Target: a site that sends mostly ~700-byte packets.
         let target: Vec<u32> = (0..500).map(|i| 650 + (i % 100)).collect();
         let policy = fit_size_policy("morph", &target, 20);
-        let mut shaper = PolicyShaper::new(&policy, 7, 1);
+        let mut shaper = PolicyShaper::new(policy, 7, 1);
         let c = ctx();
         let sampled: Vec<u32> = (0..500)
             .map(|_| shaper.packet_ip_size(&c, 0, 1500))
@@ -123,7 +123,7 @@ mod tests {
         // Target has jumbo sizes; the shaper must clamp to proposed.
         let target: Vec<u32> = vec![8000; 100];
         let policy = fit_size_policy("jumbo", &target, 10);
-        let mut shaper = PolicyShaper::new(&policy, 7, 1);
+        let mut shaper = PolicyShaper::new(policy, 7, 1);
         let c = ctx();
         for _ in 0..100 {
             assert!(shaper.packet_ip_size(&c, 0, 1500) <= 1500);
@@ -134,7 +134,7 @@ mod tests {
     fn fitted_delay_policy_samples_in_target_range() {
         let gaps: Vec<f64> = (0..300).map(|i| 100.0 + (i % 50) as f64).collect();
         let policy = fit_delay_policy("slowmorph", &gaps, 15);
-        let mut shaper = PolicyShaper::new(&policy, 9, 2);
+        let mut shaper = PolicyShaper::new(policy, 9, 2);
         let c = ctx();
         for _ in 0..200 {
             let d = shaper.extra_delay(&c);
@@ -152,7 +152,7 @@ mod tests {
         let p = fit_morphing_policy("full", &sizes, &gaps, 10);
         assert!(matches!(p.size, SizeSpec::FromHistogram(_)));
         assert!(matches!(p.delay, DelaySpec::FromHistogramMicros(_)));
-        let mut shaper = PolicyShaper::new(&p, 3, 4);
+        let mut shaper = PolicyShaper::new(p, 3, 4);
         let c = ctx();
         let s = shaper.packet_ip_size(&c, 0, 1500);
         assert!((590..=615).contains(&s), "size {s}");

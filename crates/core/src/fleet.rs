@@ -54,7 +54,6 @@ use crate::registry::PolicyRegistry;
 use crate::sockopt::attach;
 use netsim::{par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, Nanos, SimRng};
 use stack::egress::EgressLabels;
-use stack::NoopShaper;
 use std::sync::Mutex;
 
 /// Fixed shard count the engine defaults to. Chosen comfortably above
@@ -366,19 +365,21 @@ fn flow_start(cfg: &FleetConfig, root: &SimRng, f: u64) -> (SimRng, Nanos) {
 /// Attach the flow through the shared control plane — the fleet is the
 /// stack, so anything but an attachment (unbound, app-placed, degraded,
 /// shed) runs pass-through — and set up its live state: the
-/// stack-placement kernel (padding core included) and the first
-/// original packet. The draw order (start, defense build, packet count,
-/// first packet) is part of the flow's identity; the flow id doubles as
-/// the strategy salt, as for any attached connection.
+/// stack-placement kernel, handed the attachment's validated defense
+/// (padding core included) and its seed and salt, and the first original
+/// packet. The kernel lowers the policy once, and only when its size or
+/// delay stage is active. The draw order (start, defense build, packet
+/// count, first packet) is part of the flow's identity; the flow id
+/// doubles as the strategy salt, as for any attached connection.
 fn start_flow(cfg: &FleetConfig, registry: &PolicyRegistry, root: &SimRng, f: u64) -> FlowState {
     let (mut rng, start) = flow_start(cfg, root, f);
     let dest = (f % u64::from(cfg.sites.max(1))) as u32;
     // One shared control plane, hit concurrently from every shard.
-    let (fd, live) = match attach(registry, f as u32, dest, cfg.seed, &mut rng).attached() {
-        Some(a) => (a.defense, a.shaper),
-        None => (FlowDefense::passthrough(""), Box::new(NoopShaper) as _),
+    let (fd, params) = match attach(registry, f as u32, dest, cfg.seed, &mut rng).attached() {
+        Some(a) => (a.defense, a.params),
+        None => (FlowDefense::passthrough(""), StackParams::default()),
     };
-    let shaper = FlowShaper::stack(fd, EgressLabels::FLEET, &StackParams::default(), |_| live);
+    let shaper = FlowShaper::stack(fd, EgressLabels::FLEET, &params);
     let npkts = rng.range_u64(cfg.pkts_per_flow.0.max(1), cfg.pkts_per_flow.1.max(1));
     let pkt = draw_packet(&mut rng, Nanos::ZERO, cfg, true);
     FlowState {

@@ -7,8 +7,10 @@
 //! shrink relative to the stack's proposal, and departure delays can only
 //! be non-negative (the type system already forbids negative delays; the
 //! cap additionally bounds pathological delays that would stall the
-//! connection). Every clamped decision is counted in a [`SafetyAudit`]
-//! so misbehaving policies are observable.
+//! connection). A caller that wants to observe a misbehaving policy asks
+//! the cap for an audit handle ([`SafetyCap::audit_handle`]); from then
+//! on every decision, and every clamped one, is counted in that
+//! [`SafetyAudit`]. A cap nobody asked allocates and counts nothing.
 
 use netsim::Nanos;
 use stack::{ShapeCtx, Shaper};
@@ -54,29 +56,44 @@ pub struct SafetyCap<S> {
     /// Upper bound on a single extra delay (default 1 s): a policy must
     /// obfuscate, not stall.
     pub(crate) max_delay: Nanos,
-    pub(crate) audit: Arc<SafetyAudit>,
+    /// Made by the first [`audit_handle`](Self::audit_handle) call.
+    audit: Option<Arc<SafetyAudit>>,
 }
 
 impl<S: Shaper> SafetyCap<S> {
+    /// Cap `inner`. Allocates nothing: there is no audit until a caller
+    /// asks for one.
     pub fn new(inner: S) -> Self {
         SafetyCap {
             inner,
             max_delay: Nanos::from_secs(1),
-            audit: Arc::new(SafetyAudit::default()),
+            audit: None,
         }
     }
 
-    pub fn audit_handle(&self) -> Arc<SafetyAudit> {
-        Arc::clone(&self.audit)
+    /// A handle on this cap's audit, made on the first call. It counts
+    /// the decisions taken from then on, so ask before installing the
+    /// cap.
+    pub fn audit_handle(&mut self) -> Arc<SafetyAudit> {
+        Arc::clone(self.audit.get_or_insert_default())
+    }
+
+    /// Count one decision, and whether it was clamped, if audited.
+    fn note(&self, clamped: impl FnOnce(&SafetyAudit) -> &AtomicU64, was_clamped: bool) {
+        if let Some(audit) = &self.audit {
+            bump(&audit.decisions);
+            if was_clamped {
+                bump(clamped(audit));
+            }
+        }
     }
 }
 
 impl<S: Shaper> Shaper for SafetyCap<S> {
     fn tso_segment_pkts(&mut self, ctx: &ShapeCtx, proposed: u32) -> u32 {
-        bump(&self.audit.decisions);
         let want = self.inner.tso_segment_pkts(ctx, proposed);
+        self.note(|a| &a.tso_grow_clamped, want > proposed);
         if want > proposed {
-            bump(&self.audit.tso_grow_clamped);
             proposed
         } else {
             want.max(1)
@@ -84,10 +101,9 @@ impl<S: Shaper> Shaper for SafetyCap<S> {
     }
 
     fn packet_ip_size(&mut self, ctx: &ShapeCtx, pkt_index: u32, proposed: u32) -> u32 {
-        bump(&self.audit.decisions);
         let want = self.inner.packet_ip_size(ctx, pkt_index, proposed);
+        self.note(|a| &a.pkt_grow_clamped, want > proposed);
         if want > proposed {
-            bump(&self.audit.pkt_grow_clamped);
             proposed
         } else {
             want.max(1)
@@ -95,10 +111,9 @@ impl<S: Shaper> Shaper for SafetyCap<S> {
     }
 
     fn extra_delay(&mut self, ctx: &ShapeCtx) -> Nanos {
-        bump(&self.audit.decisions);
         let want = self.inner.extra_delay(ctx);
+        self.note(|a| &a.delay_clamped, want > self.max_delay);
         if want > self.max_delay {
-            bump(&self.audit.delay_clamped);
             self.max_delay
         } else {
             want
@@ -143,12 +158,13 @@ mod tests {
     #[test]
     fn hostile_strategy_is_fully_clamped() {
         let mut cap = SafetyCap::new(Hostile);
+        let audit = cap.audit_handle();
         let c = ctx();
         assert_eq!(cap.tso_segment_pkts(&c, 44), 44);
         assert_eq!(cap.packet_ip_size(&c, 0, 1500), 1500);
         assert_eq!(cap.extra_delay(&c), Nanos::from_secs(1));
-        assert_eq!(cap.audit.total_clamped(), 3);
-        assert_eq!(cap.audit.decisions.load(Ordering::Relaxed), 3);
+        assert_eq!(audit.total_clamped(), 3);
+        assert_eq!(audit.decisions.load(Ordering::Relaxed), 3);
     }
 
     #[test]
@@ -166,11 +182,13 @@ mod tests {
             }
         }
         let mut cap = SafetyCap::new(Benign);
+        let audit = cap.audit_handle();
         let c = ctx();
         assert_eq!(cap.tso_segment_pkts(&c, 44), 22);
         assert_eq!(cap.packet_ip_size(&c, 0, 1500), 1400);
         assert_eq!(cap.extra_delay(&c), Nanos::from_micros(50));
-        assert_eq!(cap.audit.total_clamped(), 0);
+        assert_eq!(audit.total_clamped(), 0);
+        assert_eq!(audit.decisions.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -5,18 +5,20 @@
 //! TCP_NODELAY ... and TCP_CORK" — attaching an obfuscation policy to a
 //! connection is the same kind of cross-layer hint, not a layering
 //! violation. [`attach`] is that one call: resolve the flow's binding
-//! from the shared registry, let the defense decide, validate what it
-//! built, lower it into its one live shaper inside the safety cap, and
-//! hand over the shaper plus an audit handle. It only reads the table:
+//! from the shared registry, let the defense decide and validate what it
+//! built, once. The [`Attachment`] it hands over lowers the policy into
+//! its one live shaper inside the safety cap when the stack asks
+//! ([`Attachment::into_shaper`]), and the fleet drives the same lowering
+//! through its replay kernel. It only reads the table:
 //! entries arrive through [`PolicyRegistry::publish`], the
 //! `bind_*` calls, [`PolicyRegistry::import_json`], or [`publish_json`]
 //! at the bottom of this module — the one entry point for a JSON
 //! document of any kind.
 
 use crate::breaker::Admission;
-use crate::defense::{DefenseCtx, FlowDefense, Placement};
+use crate::defense::{DefenseCtx, FlowDefense, Placement, StackParams};
 use crate::machine::MachineSpec;
-use crate::policy::ObfuscationPolicy;
+use crate::policy::{DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
 use crate::registry::{PolicyKey, PolicyRegistry};
 use crate::safety::{SafetyAudit, SafetyCap};
 use crate::splitter::SplitterSpec;
@@ -26,30 +28,39 @@ use netsim::SimRng;
 use stack::shaper::BoxShaper;
 use std::sync::Arc;
 
-/// Assemble the enforcement of one policy: its `PolicyShaper` (rules,
-/// first-N window and slow-start hold) inside the §4.2 [`SafetyCap`].
-/// Shared by [`attach`] (live connections and the fleet) and the replay
-/// backend ([`crate::defense::enforce_flow`]).
+/// Assemble the enforcement of a borrowed policy, audited: its
+/// `PolicyShaper` (rules, first-N window and slow-start hold) inside the
+/// §4.2 [`SafetyCap`], plus the cap's audit handle. It copies the rules
+/// it lowers (not the name). For harnesses that hold a policy of their
+/// own; an attached flow's policy lowers through
+/// [`Attachment::into_shaper`] instead, moved and unaudited.
 pub fn assemble_policy_shaper(
     policy: &ObfuscationPolicy,
     seed: u64,
     flow_salt: u64,
 ) -> (BoxShaper, Arc<SafetyAudit>) {
-    let cap = SafetyCap::new(PolicyShaper::new(policy, seed, flow_salt));
+    let rules = ObfuscationPolicy {
+        name: String::new(),
+        size: policy.size.clone(),
+        delay: policy.delay.clone(),
+        tso: policy.tso.clone(),
+        ..*policy
+    };
+    let mut cap = SafetyCap::new(PolicyShaper::new(rules, seed, flow_salt));
     let audit = cap.audit_handle();
     (Box::new(cap), audit)
 }
 
-/// What [`attach`] hands the stack for a flow it is to shape.
+/// What [`attach`] hands the stack for a flow it is to shape: the built,
+/// validated defense, not yet lowered.
 pub struct Attachment {
     /// What the defense decided for this flow. The stack enforces
-    /// `defense.policy` (through `shaper`); the padding schedule stays
-    /// with whoever drives the flow — §4.2 scopes the stack's authority
-    /// to sizing and departure timing of real data.
+    /// `defense.policy`; the padding schedule stays with whoever drives
+    /// the flow — §4.2 scopes the stack's authority to sizing and
+    /// departure timing of real data.
     pub(crate) defense: FlowDefense,
-    /// `defense.policy` lowered: its shaper inside the safety cap.
-    /// Install it with `set_shaper` / `connect_with`.
-    pub shaper: BoxShaper,
+    /// The seed and flow salt (the flow id) the policy's RNGs draw from.
+    pub(crate) params: StackParams,
 }
 
 impl Attachment {
@@ -57,12 +68,26 @@ impl Attachment {
     pub fn name(&self) -> &str {
         &self.defense.policy.name
     }
+
+    /// The flow's live shaper: the policy moved into its `PolicyShaper`
+    /// inside the safety cap. Install it with `set_shaper` /
+    /// `connect_with`. `None` for a policy without a rule (size, delay
+    /// and TSO all `Unchanged`, as for a padding-only defense): the
+    /// transport keeps its pass-through shaper, which answers as the
+    /// capped pass-through policy would.
+    pub fn into_shaper(self) -> Option<BoxShaper> {
+        let p = &self.defense.policy;
+        let rule_less = matches!(p.size, SizeSpec::Unchanged)
+            && matches!(p.delay, DelaySpec::Unchanged)
+            && matches!(p.tso, TsoSpec::Unchanged);
+        (!rule_less).then(|| self.params.shaper(self.defense.policy))
+    }
 }
 
 /// Outcome of [`attach`]: a live shaper, or an explicit account of why
 /// the stack runs this flow unshaped.
 pub enum AttachOutcome {
-    /// A stack-placed binding resolved, validated, and was assembled.
+    /// A stack-placed binding resolved, built and validated.
     Attached(Attachment),
     /// The binding is placed at the application layer: the stack stays
     /// pass-through and emulation ([`crate::defense::emulate_flow`]) is
@@ -99,9 +124,9 @@ impl AttachOutcome {
 }
 
 /// Resolve the binding for `(flow, destination)` and, when it is placed
-/// in the stack, build, validate and lower it. `rng` feeds the defense's
+/// in the stack, build and validate it. `rng` feeds the defense's
 /// per-flow `build` decisions (reference picks, budgets); `seed` and the
-/// flow id feed the live strategy RNGs.
+/// flow id feed the live strategy RNGs when the attachment is lowered.
 ///
 /// With a breaker installed ([`PolicyRegistry::set_breaker`]) every
 /// admitted attempt reports its outcome against the resolved key, so a
@@ -127,11 +152,13 @@ pub fn attach(
         Placement::Stack => {
             let defense = binding.defense.build(&DefenseCtx::default(), rng);
             match defense.policy.validate() {
-                Ok(()) => {
-                    let (shaper, _) =
-                        assemble_policy_shaper(&defense.policy, seed, u64::from(flow));
-                    AttachOutcome::Attached(Attachment { defense, shaper })
-                }
+                Ok(()) => AttachOutcome::Attached(Attachment {
+                    defense,
+                    params: StackParams {
+                        flow_salt: u64::from(flow),
+                        ..StackParams::with_seed(seed)
+                    },
+                }),
                 Err(reason) => {
                     registry.note_degraded();
                     AttachOutcome::Degraded {
@@ -234,6 +261,10 @@ mod tests {
             .expect("a valid stack binding attaches")
     }
 
+    fn shaper(a: Attachment) -> BoxShaper {
+        a.into_shaper().expect("a policy with a rule lowers")
+    }
+
     /// A policy that fails validation (inverted jitter range).
     fn invalid(name: &str) -> ObfuscationPolicy {
         let mut bad = ObfuscationPolicy::split_and_delay(name);
@@ -259,10 +290,11 @@ mod tests {
             Placement::Stack,
         );
         for (dest, name) in [(5, "dest5"), (6, "s3")] {
-            let mut a = attached(&reg, 1, dest);
+            let a = attached(&reg, 1, dest);
             assert_eq!(a.name(), name);
-            assert_eq!(a.shaper.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
-            assert!(a.shaper.extra_delay(&ctx(false, 0)) > Nanos::ZERO);
+            let mut s = shaper(a);
+            assert_eq!(s.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
+            assert!(s.extra_delay(&ctx(false, 0)) > Nanos::ZERO);
         }
         assert_eq!(reg.degraded_count(), 0);
     }
@@ -297,7 +329,7 @@ mod tests {
         let mut p = ObfuscationPolicy::split_and_delay("careful");
         p.respect_slow_start = true;
         reg.publish(PolicyKey::Default, p);
-        let mut s = attached(&reg, 1, 1).shaper;
+        let mut s = shaper(attached(&reg, 1, 1));
         assert_eq!(s.packet_ip_size(&ctx(true, 0), 0, 1500), 1500);
         assert_eq!(s.extra_delay(&ctx(true, 0)), Nanos::ZERO);
         assert_eq!(s.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
@@ -309,7 +341,7 @@ mod tests {
         let mut p = ObfuscationPolicy::split_and_delay("front");
         p.first_n_pkts = 30;
         reg.publish(PolicyKey::Default, p);
-        let mut s = attached(&reg, 1, 1).shaper;
+        let mut s = shaper(attached(&reg, 1, 1));
         assert_eq!(s.packet_ip_size(&ctx(false, 29), 0, 1500), 750);
         assert_eq!(s.packet_ip_size(&ctx(false, 30), 0, 1500), 1500);
     }
@@ -411,9 +443,9 @@ mod tests {
             Placement::App,
         );
         for flow in 0..20 {
-            let mut a = attached(&reg, flow, 5);
+            let a = attached(&reg, flow, 5);
             assert_eq!(a.name(), "dest5");
-            assert_eq!(a.shaper.packet_ip_size(&ctx(false, 0), 0, 1500), 750);
+            assert_eq!(shaper(a).packet_ip_size(&ctx(false, 0), 0, 1500), 750);
             assert!(matches!(att(&reg, flow, 6), AttachOutcome::AppLayer { .. }));
         }
         assert_eq!(reg.degraded_count(), 0);
@@ -437,6 +469,17 @@ mod tests {
         }
         let max = r#"{"Weighted":{"weights":[4294967295,1]}}"#;
         assert!(publish_json(&reg, PolicyKey::Default, max, Placement::Stack).is_ok());
+    }
+
+    /// A pass-through policy attaches, but lowers to nothing: the
+    /// transport keeps its own pass-through shaper.
+    #[test]
+    fn a_rule_less_policy_lowers_to_no_shaper() {
+        let reg = PolicyRegistry::new();
+        reg.publish(PolicyKey::Default, ObfuscationPolicy::passthrough("id"));
+        let a = attached(&reg, 1, 1);
+        assert_eq!(a.name(), "id");
+        assert!(a.into_shaper().is_none());
     }
 
     #[test]

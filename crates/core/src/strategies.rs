@@ -53,7 +53,9 @@ impl Shaper for IncrementalReduce {
         if self.tso_step == 0 {
             return proposed;
         }
-        let reduction = self.seg_idx * self.tso_step;
+        // Saturating: a validated policy bounds `steps`, not `step`, and a
+        // wrapped product would make the walk non-monotone.
+        let reduction = self.seg_idx.saturating_mul(self.tso_step);
         self.seg_idx += 1;
         if self.seg_idx > self.tso_steps {
             self.seg_idx = 0; // reset to default and repeat
@@ -65,7 +67,7 @@ impl Shaper for IncrementalReduce {
         if self.pkt_step == 0 {
             return proposed;
         }
-        let reduction = self.pkt_idx * self.pkt_step;
+        let reduction = self.pkt_idx.saturating_mul(self.pkt_step);
         self.pkt_idx += 1;
         if self.pkt_idx > self.pkt_steps {
             self.pkt_idx = 0;
@@ -125,9 +127,11 @@ pub(crate) struct PolicyShaper {
 const _: () = assert!(std::mem::size_of::<crate::safety::SafetyCap<PolicyShaper>>() <= 160);
 
 impl PolicyShaper {
-    /// Lower `policy`. Each stochastic rule gets its own RNG, seeded
-    /// `seed ^ flow_salt·φ` so flows sharing one policy decorrelate.
-    pub(crate) fn new(policy: &ObfuscationPolicy, seed: u64, flow_salt: u64) -> Self {
+    /// Lower `policy`, moving its rules in: a histogram's bins become
+    /// the rule's own, uncopied. Each stochastic rule gets its own RNG,
+    /// seeded `seed ^ flow_salt·φ` so flows sharing one policy
+    /// decorrelate.
+    pub(crate) fn new(policy: ObfuscationPolicy, seed: u64, flow_salt: u64) -> Self {
         let rng_seed = seed ^ flow_salt.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let (tso_step, tso_steps, tso_cap) = match policy.tso {
             TsoSpec::Unchanged => (0, 0, u32::MAX),
@@ -138,17 +142,17 @@ impl PolicyShaper {
             SizeSpec::IncrementalReduce { step, steps } => (step, steps),
             _ => (0, 0),
         };
-        let size = match &policy.size {
+        let size = match policy.size {
             SizeSpec::Unchanged => SizeRule::Unchanged,
             SizeSpec::IncrementalReduce { .. } => SizeRule::Walk,
-            SizeSpec::SplitAbove { threshold } => SizeRule::SplitAbove(*threshold),
-            SizeSpec::Fixed { ip_size } => SizeRule::Fixed(*ip_size),
+            SizeSpec::SplitAbove { threshold } => SizeRule::SplitAbove(threshold),
+            SizeSpec::Fixed { ip_size } => SizeRule::Fixed(ip_size),
             SizeSpec::FromHistogram(h) => {
                 if h.total == 0 || h.counts.iter().sum::<u64>() != h.total {
                     netsim::tm_counter!("stob.registry.degraded").inc();
                     SizeRule::Degraded
                 } else {
-                    SizeRule::Histogram(Box::new((h.clone(), SimRng::new(rng_seed))))
+                    SizeRule::Histogram(Box::new((h, SimRng::new(rng_seed))))
                 }
             }
         };
@@ -156,7 +160,7 @@ impl PolicyShaper {
             walk: IncrementalReduce::new(pkt_step, pkt_steps, tso_step, tso_steps),
             tso_cap,
             size,
-            delay: policy.delay.clone(),
+            delay: policy.delay,
             delay_rng: SimRng::new(rng_seed),
             first_n: policy.first_n_pkts,
             respect_slow_start: policy.respect_slow_start,
@@ -250,7 +254,7 @@ mod tests {
             delay,
             ..ObfuscationPolicy::passthrough("t")
         };
-        PolicyShaper::new(&p, 1, 0)
+        PolicyShaper::new(p, 1, 0)
     }
 
     fn split(threshold: u32) -> PolicyShaper {
@@ -264,7 +268,7 @@ mod tests {
             respect_slow_start,
             ..ObfuscationPolicy::passthrough("guarded")
         };
-        PolicyShaper::new(&p, 1, 0)
+        PolicyShaper::new(p, 1, 0)
     }
 
     #[test]
@@ -403,7 +407,7 @@ mod tests {
             tso: TsoSpec::Cap { pkts: 8 },
             ..ObfuscationPolicy::passthrough("three")
         };
-        let mut s = PolicyShaper::new(&p, 1, 0);
+        let mut s = PolicyShaper::new(p, 1, 0);
         let c = ctx();
         assert_eq!(s.tso_segment_pkts(&c, 44), 8);
         assert_eq!(s.tso_segment_pkts(&c, 5), 5);
@@ -413,8 +417,7 @@ mod tests {
 
     #[test]
     fn policy_shaper_from_policy_spec() {
-        let p = ObfuscationPolicy::split_and_delay("x");
-        let mut s = PolicyShaper::new(&p, 1, 2);
+        let mut s = PolicyShaper::new(ObfuscationPolicy::split_and_delay("x"), 1, 2);
         let c = ctx();
         assert_eq!(s.packet_ip_size(&c, 0, 1500), 750);
         assert!(s.extra_delay(&c) > Nanos::ZERO);
@@ -424,8 +427,7 @@ mod tests {
 
     #[test]
     fn passthrough_policy_is_identity() {
-        let p = ObfuscationPolicy::passthrough("id");
-        let mut s = PolicyShaper::new(&p, 1, 2);
+        let mut s = PolicyShaper::new(ObfuscationPolicy::passthrough("id"), 1, 2);
         let c = ctx();
         assert_eq!(s.packet_ip_size(&c, 0, 1500), 1500);
         assert_eq!(s.tso_segment_pkts(&c, 44), 44);
@@ -435,8 +437,8 @@ mod tests {
     #[test]
     fn flows_sharing_policy_are_decorrelated() {
         let p = ObfuscationPolicy::split_and_delay("shared");
-        let mut a = PolicyShaper::new(&p, 1, 1);
-        let mut b = PolicyShaper::new(&p, 1, 2);
+        let mut a = PolicyShaper::new(p.clone(), 1, 1);
+        let mut b = PolicyShaper::new(p, 1, 2);
         let c = ctx();
         let da: Vec<u64> = (0..8).map(|_| a.extra_delay(&c).0).collect();
         let db: Vec<u64> = (0..8).map(|_| b.extra_delay(&c).0).collect();
@@ -487,7 +489,7 @@ mod tests {
             ..ObfuscationPolicy::split_and_delay("held")
         };
         let (mut held, audit) = assemble_policy_shaper(&p, 5, 6);
-        let mut fresh = PolicyShaper::new(&p, 5, 6);
+        let mut fresh = PolicyShaper::new(p, 5, 6);
         for _ in 0..10 {
             assert_eq!(held.extra_delay(&at(true, 0)), Nanos::ZERO);
         }

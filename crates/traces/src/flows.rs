@@ -11,10 +11,10 @@
 //! randomly drawn path, optionally shaped by a Stob policy.
 
 use crate::model::Trace;
-use netsim::{FlowId, Nanos, SimRng};
-use stack::apps::{BulkSender, Sink};
+use netsim::{Nanos, SimRng};
+use stack::apps::{BulkSender, ShapedSender, Sink};
 use stack::config::CcKind;
-use stack::net::{Api, App, Network, CLIENT};
+use stack::net::{Network, CLIENT};
 use stack::{HostConfig, PathConfig, StackConfig};
 use stob::policy::ObfuscationPolicy;
 use stob::sockopt::assemble_policy_shaper;
@@ -49,25 +49,6 @@ impl FlowScenario {
     }
 }
 
-struct CcSender {
-    inner: BulkSender,
-    cfg: StackConfig,
-    shaper: Option<Box<dyn stack::Shaper>>,
-}
-
-impl App for CcSender {
-    fn on_start(&mut self, api: &mut Api) {
-        let s = self.shaper.take();
-        api.connect_with(self.cfg.clone(), s);
-    }
-    fn on_connected(&mut self, api: &mut Api, flow: FlowId) {
-        self.inner.on_connected(api, flow);
-    }
-    fn on_sendable(&mut self, api: &mut Api, flow: FlowId) {
-        self.inner.on_sendable(api, flow);
-    }
-}
-
 /// Run one scenario and capture the sender-side wire view.
 pub(crate) fn run_flow(sc: &FlowScenario, label: usize, visit: usize, seed: u64) -> Trace {
     let mut stack_cfg = StackConfig {
@@ -95,11 +76,11 @@ pub(crate) fn run_flow(sc: &FlowScenario, label: usize, visit: usize, seed: u64)
         host.clone(),
         host,
         path,
-        Box::new(CcSender {
-            inner: BulkSender::new(sc.bytes),
-            cfg: stack_cfg,
+        Box::new(ShapedSender::new(
+            BulkSender::new(sc.bytes),
+            stack_cfg,
             shaper,
-        }),
+        )),
         Box::new(Sink::default()),
         seed,
     );

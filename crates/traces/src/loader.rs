@@ -21,7 +21,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use stob::policy::ObfuscationPolicy;
 use stob::registry::{PolicyKey, PolicyRegistry};
-use stob::sockopt::attach;
+use stob::sockopt::{attach, Attachment};
 
 /// TLS ClientHello size (ciphertext bytes on the stream).
 const CLIENT_HELLO: u64 = 517;
@@ -604,8 +604,8 @@ impl App for WebServer {
         // RNG, so attaching cannot move a packet of the simulation.
         let mut build_rng = SimRng::new(self.seed).fork(u64::from(flow.0));
         let outcome = attach(&self.registry, flow.0, 0, self.seed, &mut build_rng);
-        if let Some(a) = outcome.attached() {
-            api.set_shaper(flow, a.shaper);
+        if let Some(shaper) = outcome.attached().and_then(Attachment::into_shaper) {
+            api.set_shaper(flow, shaper);
         }
     }
 

@@ -37,7 +37,7 @@ impl App for Iperf {
 fn main() {
     let alpha: u32 = stob_bench::cli::Positional::new("iperf [alpha]").uint(1, 0);
 
-    let cap = SafetyCap::new(IncrementalReduce::with_alpha(alpha));
+    let mut cap = SafetyCap::new(IncrementalReduce::with_alpha(alpha));
     let audit = cap.audit_handle();
     let mut net = Network::new(
         HostConfig::default(),

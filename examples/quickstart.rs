@@ -6,50 +6,33 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use netsim::{Direction, FlowId, PacketKind, SimRng};
-use stack::apps::{BulkSender, Sink};
-use stack::net::{Api, App, Network, CLIENT};
+use netsim::{Direction, PacketKind, SimRng};
+use stack::apps::{BulkSender, ShapedSender, Sink};
+use stack::net::{App, Network, CLIENT};
 use stack::{HostConfig, PathConfig, StackConfig};
 use stob::policy::ObfuscationPolicy;
 use stob::registry::{PolicyKey, PolicyRegistry};
 use stob::sockopt::attach;
 
-/// A sender that installs a Stob policy at connect time — the
-/// `setsockopt`-style control path of §5.3.
-struct ObfuscatedSender {
-    inner: BulkSender,
-    registry: PolicyRegistry,
-}
-
-impl App for ObfuscatedSender {
-    fn on_start(&mut self, api: &mut Api) {
-        let attachment = attach(&self.registry, 1, 0, 42, &mut SimRng::new(42))
-            .attached()
-            .expect("policy published below");
-        println!("  attached policy: {}", attachment.name());
-        api.connect_with(StackConfig::default(), Some(attachment.shaper));
-    }
-    fn on_connected(&mut self, api: &mut Api, flow: FlowId) {
-        self.inner.on_connected(api, flow);
-    }
-    fn on_sendable(&mut self, api: &mut Api, flow: FlowId) {
-        self.inner.on_sendable(api, flow);
-    }
-}
-
 fn run(policy: Option<ObfuscationPolicy>) -> (usize, f64, u32) {
-    let registry = PolicyRegistry::new();
-    let label = policy.as_ref().map(|p| p.name.clone());
-    if let Some(p) = policy {
-        registry.publish(PolicyKey::Default, p);
-    }
-    let app: Box<dyn App> = if label.is_some() {
-        Box::new(ObfuscatedSender {
-            inner: BulkSender::new(2_000_000),
-            registry,
-        })
-    } else {
-        Box::new(BulkSender::new(2_000_000))
+    let app: Box<dyn App> = match policy {
+        Some(p) => {
+            // The `setsockopt`-style control path of §5.3: publish the
+            // policy, attach it to flow 1, and open the connection with
+            // its shaper installed.
+            let registry = PolicyRegistry::new();
+            registry.publish(PolicyKey::Default, p);
+            let attachment = attach(&registry, 1, 0, 42, &mut SimRng::new(42))
+                .attached()
+                .expect("policy published above");
+            println!("  attached policy: {}", attachment.name());
+            Box::new(ShapedSender::new(
+                BulkSender::new(2_000_000),
+                StackConfig::default(),
+                attachment.into_shaper(),
+            ))
+        }
+        None => Box::new(BulkSender::new(2_000_000)),
     };
     let mut net = Network::new(
         HostConfig::default(),

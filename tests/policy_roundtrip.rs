@@ -5,10 +5,12 @@
 //! different policy.
 
 use netsim::json::{Json, Wire};
-use netsim::{Direction, Histogram, Nanos, SimRng};
-use stob::defense::{emulate_flow, DefenseCtx, FlowPkt};
+use netsim::{Direction, FlowId, Histogram, Nanos, SimRng};
+use stack::ShapeCtx;
+use stob::defense::{emulate_flow, DefenseCtx, FlowPkt, Placement};
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
-use stob::registry::PolicyRegistry;
+use stob::registry::{PolicyKey, PolicyRegistry};
+use stob::sockopt::{attach, publish_json, Attachment};
 
 fn rand_histogram(rng: &mut SimRng) -> Histogram {
     // Integer bounds: bin edges then hold exact f64 values, so the
@@ -308,4 +310,63 @@ fn overflowing_delays_are_rejected_and_counted_at_import() {
         }
         assert_eq!((r.degraded_count(), r.len()), (1, 0), "{delay}");
     }
+}
+
+/// A Figure 3 walk whose step passes validation (`validate` bounds
+/// `steps`, not `step`) but whose `index × step` product does not fit a
+/// `u32`. The reduction saturates: the walk drops to the floor and
+/// resets, as any step past the MTU does, instead of panicking ("attempt
+/// to multiply with overflow") or wrapping into a non-monotone walk.
+#[test]
+fn an_oversized_walk_step_saturates_at_both_placements() {
+    let walk = |step: u64| {
+        format!(
+            r#"{{"name":"big-step","size":{{"IncrementalReduce":{{"step":{step},"steps":3}}}},"delay":"Unchanged","tso":{{"IncrementalReduce":{{"step":{step},"steps":3}}}},"first_n_pkts":0,"respect_slow_start":false}}"#
+        )
+    };
+    let reg = PolicyRegistry::new();
+    let key = PolicyKey::Default;
+    let published = publish_json(&reg, key, &walk(2_147_483_649), Placement::Stack);
+    assert_eq!(published.as_deref(), Ok("big-step"));
+
+    // In-stack, through the attached connection's shaper.
+    let mut shaper = attach(&reg, 1, 1, 7, &mut SimRng::new(7))
+        .attached()
+        .and_then(Attachment::into_shaper)
+        .expect("a valid walk attaches with a shaper");
+    let ctx = ShapeCtx {
+        flow: FlowId(1),
+        now: Nanos::ZERO,
+        cwnd: 64 * 1448,
+        pacing_rate_bps: None,
+        in_slow_start: false,
+        bytes_sent: 0,
+        pkts_sent: 0,
+        segs_sent: 0,
+        mtu_ip: 1500,
+        mss: 1448,
+    };
+    let sizes: Vec<u32> = (0..8)
+        .map(|i| shaper.packet_ip_size(&ctx, i, 1500))
+        .collect();
+    let tso: Vec<u32> = (0..8).map(|_| shaper.tso_segment_pkts(&ctx, 44)).collect();
+    assert_eq!(sizes, [1500, 1, 1, 1, 1500, 1, 1, 1]);
+    assert_eq!(tso, [44, 1, 1, 1, 44, 1, 1, 1]);
+
+    // At the application layer: the same pieces as a walk whose step
+    // just clears the wire MTU, with no overflow in sight.
+    let flow: Vec<FlowPkt> = (0..6)
+        .map(|i| FlowPkt::new(Nanos::from_millis(i), Direction::In, 1000))
+        .collect();
+    let emulate = |text: &str| {
+        let policy =
+            ObfuscationPolicy::from_json(&Json::parse(text).expect("parses")).expect("decodes");
+        emulate_flow(&policy, &flow, &DefenseCtx::default(), &mut SimRng::new(1)).pkts
+    };
+    let big = emulate(&walk(2_147_483_649));
+    assert_eq!(big, emulate(&walk(1514)));
+    assert!(
+        big.iter().any(|p| p.size == 64),
+        "the walk reached its floor"
+    );
 }

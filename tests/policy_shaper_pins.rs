@@ -15,11 +15,17 @@
 //! The digest was read at the commit before the guards and strategy
 //! stages became one shaper; re-read it at the parent of the change
 //! under test, never from the change.
+//!
+//! A connection gets its shaper another way: `attach` builds and
+//! validates the policy, and the attachment moves it into its shaper.
+//! Every shape that validates must answer the same along that path, and
+//! a shape without a rule must lower to no shaper at all.
 
 use netsim::{FlowId, Histogram, Nanos, SimRng};
-use stack::ShapeCtx;
+use stack::{ShapeCtx, Shaper};
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
-use stob::sockopt::assemble_policy_shaper;
+use stob::registry::{PolicyKey, PolicyRegistry};
+use stob::sockopt::{assemble_policy_shaper, attach};
 
 const PINNED: u64 = 0x1016_052b_450c_cae5;
 
@@ -84,11 +90,39 @@ fn tsos() -> [TsoSpec; 3] {
     ]
 }
 
-/// Drive one shaper through the fixed context sequence and fold its
-/// answers into `h`. Each step asks for a burst, sizes its packets (the
+/// The (seed, salt) pairs every shape is lowered at.
+const SEEDS: [(u64, u64); 3] = [(1, 0), (12, 1), (0xDEAD_BEEF, 977)];
+
+/// Every `SizeSpec` × `DelaySpec` × `TsoSpec` variant × first-N window ×
+/// slow-start hold, in the order the digest folds them.
+fn grid() -> Vec<ObfuscationPolicy> {
+    let mut out = Vec::new();
+    for size in sizes() {
+        for delay in delays() {
+            for tso in tsos() {
+                for first_n_pkts in [0, 7] {
+                    for respect_slow_start in [false, true] {
+                        out.push(ObfuscationPolicy {
+                            size: size.clone(),
+                            delay: delay.clone(),
+                            tso: tso.clone(),
+                            first_n_pkts,
+                            respect_slow_start,
+                            ..ObfuscationPolicy::passthrough("pin")
+                        });
+                    }
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Drive one shaper through the fixed context sequence and return its
+/// answers in order. Each step asks for a burst, sizes its packets (the
 /// count follows the answer, as in the stack) and delays the segment.
-fn drive(policy: &ObfuscationPolicy, seed: u64, salt: u64, h: &mut Fnv) {
-    let (mut shaper, audit) = assemble_policy_shaper(policy, seed, salt);
+fn answers(shaper: &mut dyn Shaper) -> Vec<u64> {
+    let mut out = Vec::new();
     let mut rng = SimRng::new(0x5EED_C7A5);
     let mut pkts_sent = 0u64;
     for step in 0..40u64 {
@@ -110,45 +144,75 @@ fn drive(policy: &ObfuscationPolicy, seed: u64, salt: u64, h: &mut Fnv) {
             mss: mtu_ip - 52,
         };
         let burst = shaper.tso_segment_pkts(&ctx, rng.range_u64(1, 44) as u32);
-        h.add(u64::from(burst));
+        out.push(u64::from(burst));
         for i in 0..burst.min(3) {
             let proposed = rng.range_u64(1, u64::from(mtu_ip)) as u32;
-            h.add(u64::from(shaper.packet_ip_size(&ctx, i, proposed)));
+            out.push(u64::from(shaper.packet_ip_size(&ctx, i, proposed)));
         }
-        h.add(shaper.extra_delay(&ctx).0);
+        out.push(shaper.extra_delay(&ctx).0);
         // One or two packets a step: `pkts_sent` reads 6 and then 7, on
         // both sides of the first-N window's edge.
         pkts_sent += 1 + step % 2;
     }
-    h.add(audit.total_clamped());
+    out
 }
 
 #[test]
 fn every_policy_shape_answers_as_pinned() {
     let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     let mut shapers = 0;
-    for size in sizes() {
-        for delay in delays() {
-            for tso in tsos() {
-                for first_n_pkts in [0, 7] {
-                    for respect_slow_start in [false, true] {
-                        let policy = ObfuscationPolicy {
-                            size: size.clone(),
-                            delay: delay.clone(),
-                            tso: tso.clone(),
-                            first_n_pkts,
-                            respect_slow_start,
-                            ..ObfuscationPolicy::passthrough("pin")
-                        };
-                        for (seed, salt) in [(1, 0), (12, 1), (0xDEAD_BEEF, 977)] {
-                            drive(&policy, seed, salt, &mut h);
-                            shapers += 1;
-                        }
-                    }
-                }
-            }
+    for policy in grid() {
+        for (seed, salt) in SEEDS {
+            let (mut shaper, audit) = assemble_policy_shaper(&policy, seed, salt);
+            answers(&mut *shaper).into_iter().for_each(|a| h.add(a));
+            h.add(audit.total_clamped());
+            shapers += 1;
         }
     }
     assert_eq!(shapers, 6 * 4 * 3 * 2 * 2 * 3);
     assert_eq!(h.0, PINNED, "digest {:#018x}", h.0);
+}
+
+/// Publish, attach to the flow whose id is the salt, lower: the same
+/// answers as `assemble_policy_shaper`, and no shaper exactly for the
+/// shapes without a rule.
+#[test]
+fn every_valid_shape_attaches_to_the_same_answers() {
+    let (mut lowered, mut rule_less) = (0, 0);
+    for policy in grid().into_iter().filter(|p| p.validate().is_ok()) {
+        let has_rule = !matches!(
+            (&policy.size, &policy.delay, &policy.tso),
+            (
+                SizeSpec::Unchanged,
+                DelaySpec::Unchanged,
+                TsoSpec::Unchanged
+            )
+        );
+        let reg = PolicyRegistry::new();
+        reg.publish(PolicyKey::Default, policy.clone());
+        for (seed, salt) in SEEDS {
+            let flow = u32::try_from(salt).expect("salts are flow ids");
+            let attached = attach(&reg, flow, 0, seed, &mut SimRng::new(seed))
+                .attached()
+                .expect("a valid policy attaches");
+            match attached.into_shaper() {
+                Some(mut shaper) => {
+                    assert!(has_rule, "{policy:?} lowered to a shaper");
+                    let (mut assembled, _) = assemble_policy_shaper(&policy, seed, salt);
+                    assert_eq!(
+                        answers(&mut *shaper),
+                        answers(&mut *assembled),
+                        "{policy:?} at seed {seed}, flow {flow}"
+                    );
+                    lowered += 1;
+                }
+                None => {
+                    assert!(!has_rule, "{policy:?} lowered to no shaper");
+                    rule_less += 1;
+                }
+            }
+        }
+    }
+    // The empty histogram fails validation; every other shape attaches.
+    assert_eq!((lowered, rule_less), ((5 * 4 * 3 * 2 * 2 - 4) * 3, 4 * 3));
 }

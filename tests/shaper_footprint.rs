@@ -1,17 +1,28 @@
-//! What attaching a policy allocates: two heap blocks.
+//! What attaching a policy allocates.
 //!
 //! Every flow a stack shapes holds its policy's shaper for as long as
 //! the flow lives, so a fleet pays each block once per resident flow. A
 //! counting global allocator, per thread so the tests in this binary do
-//! not see each other's allocations, holds `assemble_policy_shaper` to
-//! the boxed capped shaper and its audit handle for the policies the
-//! fleet attaches most: a delay-only default and the §3 split+delay
-//! pair.
+//! not see each other's allocations, holds `attach` plus the
+//! attachment's shaper to the blocks the flow keeps for each binding of
+//! the fleet mix: the built policy's name (and a padding core, or a
+//! histogram's bins, where the defense has them) and one boxed capped
+//! shaper for a policy with a rule. It holds `assemble_policy_shaper`,
+//! which audits, to the boxed capped shaper and its audit handle, and a
+//! bare `SafetyCap` to none.
 
+use defenses::front::FrontConfig;
+use defenses::FrontDefense;
+use netsim::{Histogram, SimRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use stob::policy::{DelaySpec, ObfuscationPolicy};
-use stob::sockopt::assemble_policy_shaper;
+use std::sync::Arc;
+use stob::defense::{Defense, Placement};
+use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec};
+use stob::registry::{PolicyKey, PolicyRegistry};
+use stob::safety::SafetyCap;
+use stob::sockopt::{assemble_policy_shaper, attach, Attachment};
+use stob::strategies::IncrementalReduce;
 
 struct Counting;
 
@@ -49,13 +60,19 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Allocations `f` makes on this thread; what it returns is dropped
+/// after counting.
+fn allocs<T>(f: impl FnOnce() -> T) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    let kept = f();
+    let n = ALLOCS.with(Cell::get) - before;
+    drop(kept);
+    n
+}
+
 /// Allocations `assemble_policy_shaper` makes on this thread for `p`.
 fn assemble_allocs(p: &ObfuscationPolicy) -> u64 {
-    let before = ALLOCS.with(Cell::get);
-    let assembled = assemble_policy_shaper(p, 12, 1);
-    let n = ALLOCS.with(Cell::get) - before;
-    drop(assembled);
-    n
+    allocs(|| assemble_policy_shaper(p, 12, 1))
 }
 
 /// The fleet's host-wide default shape: delay jitter of 5–20 % of the
@@ -84,4 +101,66 @@ fn a_delay_only_policy_attaches_in_two_blocks() {
 fn split_and_delay_attaches_in_two_blocks() {
     let p = ObfuscationPolicy::split_and_delay("s3");
     assert_eq!(assemble_allocs(&p), 2);
+}
+
+/// A histogram of `bins` bins with mass in every one.
+fn full_histogram(lo: f64, hi: f64, bins: usize) -> Histogram {
+    let mut h = Histogram::new(lo, hi, bins);
+    let width = (hi - lo) / bins as f64;
+    for b in 0..bins {
+        h.push(lo + (b as f64 + 0.5) * width);
+    }
+    h
+}
+
+/// The fleet mix's bindings, plus a morphing policy of 64 size bins and
+/// 64 delay bins, and what `attach` plus the attachment's shaper leave
+/// the flow holding: the name the policy was built with, FRONT's
+/// padding core (its pass-through policy lowers to no shaper), the two
+/// histograms' bins moved into their rules and the size rule's box,
+/// and one boxed capped shaper per policy with a rule.
+#[test]
+fn attaching_the_fleet_mix_allocates_only_what_the_flow_keeps() {
+    let front = FrontDefense::new(FrontConfig {
+        n_client: 4,
+        n_server: 10,
+        w_min: 0.5,
+        w_max: 2.0,
+        dummy_size: 1514,
+    });
+    let morphing = ObfuscationPolicy {
+        size: SizeSpec::FromHistogram(full_histogram(0.0, 1500.0, 64)),
+        delay: DelaySpec::FromHistogramMicros(full_histogram(0.0, 640.0, 64)),
+        ..ObfuscationPolicy::passthrough("morph-64")
+    };
+    let bindings: [(Arc<dyn Defense>, u64); 4] = [
+        (Arc::new(delay_only(false, 0)), 2),
+        (Arc::new(front), 2),
+        (
+            Arc::new(ObfuscationPolicy::split_and_delay("fleet-split")),
+            2,
+        ),
+        (Arc::new(morphing), 5),
+    ];
+    for (defense, want) in bindings {
+        let name = defense.name().to_string();
+        let reg = PolicyRegistry::new();
+        reg.bind_defense(PolicyKey::Default, defense, Placement::Stack);
+        let attach_and_lower = |flow: u32| {
+            attach(&reg, flow, 0, 12, &mut SimRng::new(u64::from(flow)))
+                .attached()
+                .map(Attachment::into_shaper)
+        };
+        // Warm-up: the first attach registers the counters it touches.
+        assert!(attach_and_lower(1).is_some(), "{name} attaches");
+        assert_eq!(allocs(|| attach_and_lower(2)), want, "{name}");
+    }
+}
+
+#[test]
+fn a_safety_cap_allocates_nothing() {
+    assert_eq!(
+        allocs(|| SafetyCap::new(IncrementalReduce::with_alpha(40))),
+        0
+    );
 }

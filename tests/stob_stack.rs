@@ -106,7 +106,7 @@ fn figure3_throughput_decreases_with_alpha_and_keeps_the_floor() {
 
 #[test]
 fn safety_audit_is_clean_for_shipped_strategies() {
-    let cap = SafetyCap::new(IncrementalReduce::with_alpha(40));
+    let mut cap = SafetyCap::new(IncrementalReduce::with_alpha(40));
     let audit: Arc<SafetyAudit> = cap.audit_handle();
     let mut net = lab_net(Box::new(cap), 5);
     net.record_capture(CLIENT);
@@ -187,7 +187,7 @@ fn delay_strategy_stretches_wire_gaps() {
     let attachment = stob::sockopt::attach(&reg, 1, 0, 3, &mut netsim::SimRng::new(3))
         .attached()
         .expect("policy");
-    let delayed = run(Some(attachment.shaper), 11);
+    let delayed = run(attachment.into_shaper(), 11);
     assert!(
         delayed > plain * 3,
         "delayed transfer ({delayed}) must be far slower than plain ({plain})"
