@@ -471,17 +471,6 @@ mod tests {
         assert!(publish_json(&reg, PolicyKey::Default, max, Placement::Stack).is_ok());
     }
 
-    /// A pass-through policy attaches, but lowers to nothing: the
-    /// transport keeps its own pass-through shaper.
-    #[test]
-    fn a_rule_less_policy_lowers_to_no_shaper() {
-        let reg = PolicyRegistry::new();
-        reg.publish(PolicyKey::Default, ObfuscationPolicy::passthrough("id"));
-        let a = attached(&reg, 1, 1);
-        assert_eq!(a.name(), "id");
-        assert!(a.into_shaper().is_none());
-    }
-
     #[test]
     fn audit_survives_attachment() {
         let policy = ObfuscationPolicy::split_and_delay("a");

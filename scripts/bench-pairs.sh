@@ -10,8 +10,13 @@
 # metric each side's median and quartiles and the pairs the change won,
 # then per metric whether PERF.md's gain-claim rule holds (ahead in nine
 # tenths of the pairs, medians further apart than the parent's
-# quartiles). Exits 1 if any two runs' sim_digests differ or any run
-# failed an operation; the verdicts do not change the exit status.
+# quartiles), and the no-regression verdict: whether the change's median
+# is worse than the parent's, relative to the parent's, by no more than
+# the metric's `bound` in BENCHMARK.json — "unresolved" where the
+# parent's inter-quartile range, relative to its median, is wider than
+# the bound, unless every change run reads better than every parent
+# run. Exits 1 if any two runs' sim_digests differ or any run failed an
+# operation; the verdicts do not change the exit status.
 #
 # Both sides are built from checkouts of one path length, since the
 # benchmark bakes its checkout path in at compile time: a change built in
@@ -118,7 +123,7 @@ from statistics import median, quantiles
 
 runs = [json.loads(line) for line in open(sys.argv[1])]
 rev, workload, seed = sys.argv[2:5]
-better = {m["name"]: m["better"] for m in json.load(open(sys.argv[5]))["end_to_end"]}
+end_to_end = {m["name"]: m for m in json.load(open(sys.argv[5]))["end_to_end"]}
 metrics = ["throughput", "peak_rss_mb", "setup_s"]
 prefix = sys.argv[6]
 
@@ -174,7 +179,7 @@ print()
 summary, verdicts = [], []
 for m in metrics:
     p, c = values("parent", m), values("change", m)
-    sign = 1 if better[m] == "higher" else -1
+    sign = 1 if end_to_end[m]["better"] == "higher" else -1
     won = sum(sign * (y - x) > 0 for x, y in zip(p, c))
     delta = (median(c) - median(p)) / median(p)
     summary.append([m, spread(p), spread(c), f"{delta:+.3f}", f"{won}/{len(p)}"])
@@ -188,6 +193,21 @@ for m in metrics:
         f"{m:<13}gain claim {'holds' if holds else 'does not hold'}: "
         f"won {won}/{len(p)} (needs {-(-9 * len(p) // 10)}), "
         f"medians {gap:+.4f} apart in the better direction against a parent IQR of {q3 - q1:.4f}"
+    )
+    # The no-regression rule: the change's median worse than the
+    # parent's, as a share of the parent's, by no more than the bound;
+    # unresolved where the parent's own spread is wider than the bound,
+    # unless every change run reads better than every parent run.
+    bound = end_to_end[m]["bound"]
+    worse = -gap / median(p)
+    iqr = (q3 - q1) / median(p)
+    if iqr > bound and not min(sign * y for y in c) > max(sign * x for x in p):
+        bound_verdict = "unresolved"
+    else:
+        bound_verdict = "holds" if worse <= bound else "FAILS"
+    verdicts.append(
+        f"{m:<13}no-regression bound {bound_verdict}: median worse by {worse:+.4f} of the "
+        f"parent's against a bound of {bound:.2f}, parent IQR {iqr:.4f} of its median"
     )
 table(["metric", "parent median (quartiles)", "change median (quartiles)", "change", "won"], summary)
 print()
