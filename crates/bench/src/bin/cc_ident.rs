@@ -3,8 +3,10 @@
 //!
 //! Usage: `cc_ident [flows_per_class] [trees] [repeats] [seed]`
 //! (defaults: 12 flows per CCA, 60 trees, 5 repeats).
+//! Set `STOB_JSON_OUT=<path>` to also write the arguments and each row's
+//! mean, std and per-repeat accuracies as JSON (timings go to stderr).
 
-use netsim::Nanos;
+use netsim::{Json, Nanos};
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
 use stob_bench::cli;
 use traces::flows::{cc_class_names, cc_corpus};
@@ -66,4 +68,23 @@ fn main() {
          model while fully hiding it remains an open design problem — macro rate \n\
          dynamics (slow-start shape, loss response) survive naive jitter."
     );
+
+    stob_bench::write_json_out("cc_ident", || {
+        let rows = [("plain", r_plain), ("cc-hide", r_hidden)].map(|(traffic, r)| {
+            Json::obj()
+                .set("traffic", traffic)
+                .set("mean", r.mean)
+                .set("std", r.std)
+                .set(
+                    "per_repeat",
+                    Json::Arr(r.per_repeat.into_iter().map(Json::from).collect()),
+                )
+        });
+        Json::obj()
+            .set("flows_per_class", per_class)
+            .set("trees", trees)
+            .set("repeats", repeats)
+            .set("seed", seed)
+            .set("rows", Json::Arr(rows.into()))
+    });
 }

@@ -4,10 +4,13 @@
 //! attack success").
 //!
 //! Usage: `openworld [monitored_visits] [bg_sites] [trees] [seed]`
+//! Set `STOB_JSON_OUT=<path>` to also write the arguments and each row's
+//! TPR and FPR mean, std and per-repeat values as JSON (timings go to
+//! stderr).
 
 use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
 use defenses::emulate_trace;
-use netsim::SimRng;
+use netsim::{Json, SimRng};
 use stob::defense::DefenseCtx;
 use stob_bench::cli;
 use traces::loader::{collect, LoaderConfig};
@@ -86,4 +89,24 @@ fn main() {
          Table 2's closed world — every recall point costs false positives, \n\
          which is collateral blocking."
     );
+
+    stob_bench::write_json_out("openworld", || {
+        let per_repeat = |v: Vec<f64>| Json::Arr(v.into_iter().map(Json::from).collect());
+        let rows = [("undefended", plain), ("split+delay", defended)].map(|(traffic, r)| {
+            Json::obj()
+                .set("traffic", traffic)
+                .set("tpr_mean", r.tpr_mean)
+                .set("tpr_std", r.tpr_std)
+                .set("fpr_mean", r.fpr_mean)
+                .set("fpr_std", r.fpr_std)
+                .set("tpr_per_repeat", per_repeat(r.tpr_per_repeat))
+                .set("fpr_per_repeat", per_repeat(r.fpr_per_repeat))
+        });
+        Json::obj()
+            .set("monitored_visits", visits)
+            .set("bg_sites", n_bg)
+            .set("trees", trees)
+            .set("seed", seed)
+            .set("rows", Json::Arr(rows.into()))
+    });
 }

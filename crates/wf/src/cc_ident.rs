@@ -171,6 +171,7 @@ pub(crate) fn cc_features(trace: &Trace) -> Vec<f64> {
 pub struct CcIdentResult {
     pub mean: f64,
     pub std: f64,
+    pub per_repeat: Vec<f64>,
 }
 
 /// Closed-world CC identification with repeated stratified splits.
@@ -198,7 +199,11 @@ pub fn evaluate_cc_ident(
         scores.push(accuracy(&pred, &truth));
     }
     let (mean, std) = mean_std(&scores);
-    CcIdentResult { mean, std }
+    CcIdentResult {
+        mean,
+        std,
+        per_repeat: scores,
+    }
 }
 
 #[cfg(test)]

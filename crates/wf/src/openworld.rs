@@ -26,6 +26,9 @@ pub struct OpenWorldResult {
     /// monitored site.
     pub fpr_mean: f64,
     pub fpr_std: f64,
+    /// Each repeat's TPR and FPR, in repeat order.
+    pub tpr_per_repeat: Vec<f64>,
+    pub fpr_per_repeat: Vec<f64>,
 }
 
 /// Configuration for the open-world evaluation.
@@ -125,6 +128,8 @@ pub fn evaluate_open_world(
         tpr_std,
         fpr_mean,
         fpr_std,
+        tpr_per_repeat: tprs,
+        fpr_per_repeat: fprs,
     }
 }
 

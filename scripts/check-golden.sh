@@ -16,6 +16,9 @@
 #   (table2's pair holds the parallel `collect_dataset` stage at the
 #   CLI; tests/attack_table.rs asserts EXPERIMENTS.md's attack-table
 #   reading on attacks.json);
+# - cc_ident, openworld: the extension attacks, CC identification
+#   (§5.2) and open-world k-FP, plain and defended
+#   (tests/extension_claims.rs asserts EXPERIMENTS.md's reading of both);
 # - table1: the measured-overhead rows of `run_overheads`;
 # - figure3, ablations: the goodput sweeps of Figure 3 and the ablations
 #   (tests/goodput_claims.rs asserts the paper's claims on them);
@@ -63,6 +66,10 @@ rows=(
     "tests/golden/ablations.json       4  ablations"
     "tests/golden/chaos_quick.json     1  chaos           --quick"
     "tests/golden/chaos_quick.json     4  chaos           --quick"
+    "tests/golden/cc_ident.json        1  cc_ident"
+    "tests/golden/cc_ident.json        4  cc_ident"
+    "tests/golden/openworld.json       1  openworld"
+    "tests/golden/openworld.json       4  openworld"
 )
 
 # The command that writes `$1`'s output for bin `$2` with args `$3...`.
