@@ -253,11 +253,11 @@ impl Defense for ObfuscationPolicy {
     }
 }
 
-/// Normalize a packet sequence exactly as `Trace::normalize` does:
-/// stable time sort, then rebase so the first packet sits at t = 0. A
-/// stable sort of a sorted slice is the identity, so a sorted sequence
-/// skips it.
-pub(crate) fn normalize_flow(pkts: &mut [FlowPkt]) {
+/// Normalize a packet sequence (`Trace::normalize` runs this): stable
+/// time sort, then rebase so the first packet sits at t = 0. A stable
+/// sort of a sorted slice is the identity, so a sorted sequence skips
+/// it.
+pub fn normalize_flow(pkts: &mut [FlowPkt]) {
     if !pkts.is_sorted_by_key(|p| p.ts) {
         pkts.sort_by_key(|p| p.ts);
     }
@@ -271,8 +271,9 @@ pub(crate) fn normalize_flow(pkts: &mut [FlowPkt]) {
     }
 }
 
-/// Duration of a time-sorted packet sequence (`Trace::duration`).
-pub(crate) fn flow_duration(pkts: &[FlowPkt]) -> Nanos {
+/// Duration of a time-sorted packet sequence (`Trace::duration` returns
+/// this).
+pub fn flow_duration(pkts: &[FlowPkt]) -> Nanos {
     match (pkts.first(), pkts.last()) {
         (Some(a), Some(b)) => b.ts - a.ts,
         _ => Nanos::ZERO,

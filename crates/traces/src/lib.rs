@@ -31,5 +31,5 @@ pub mod sites;
 pub mod statgen;
 
 pub use dataset::Dataset;
-pub use model::{Trace, TraceCols, TracePacket};
+pub use model::{Trace, TracePacket};
 pub use sites::paper_sites;

@@ -6,6 +6,7 @@
 //! configured to ignore sizes for strict parity with the paper.
 
 use netsim::{Capture, Direction, Nanos};
+use stob::defense::{flow_duration, normalize_flow};
 
 /// One packet as the eavesdropper records it: the defense layer's
 /// packet type under the name this crate has always used, so a trace's
@@ -70,10 +71,7 @@ impl Trace {
     }
 
     pub fn duration(&self) -> Nanos {
-        match (self.packets.first(), self.packets.last()) {
-            (Some(a), Some(b)) => b.ts - a.ts,
-            _ => Nanos::ZERO,
-        }
+        flow_duration(&self.packets)
     }
 
     /// First `n` packets (the censorship-setting truncation of §3).
@@ -107,98 +105,9 @@ impl Trace {
     }
 
     /// Re-sort packets by timestamp (stable), then rebase to zero. Used
-    /// after defenses shift timings. A stable sort of a sorted slice is
-    /// the identity, so a sorted trace skips it.
+    /// after defenses shift timings.
     pub fn normalize(&mut self) {
-        if !self.packets.is_sorted_by_key(|p| p.ts) {
-            self.packets.sort_by_key(|p| p.ts);
-        }
-        if let Some(first) = self.packets.first() {
-            let t0 = first.ts;
-            if !t0.is_zero() {
-                for p in &mut self.packets {
-                    p.ts -= t0;
-                }
-            }
-        }
-    }
-}
-
-/// Struct-of-arrays view of a [`Trace`]: parallel `ts`/`dir`/`size`
-/// columns with the same accessor surface as the row form.
-///
-/// The row layout ([`Trace`], `Vec<TracePacket>`) is what the defenses
-/// and the stack naturally produce; the hot reader (feature extraction)
-/// scans one column at a time, where a columnar layout is cache-friendly
-/// — scanning `ts` touches 8 bytes per packet instead of a 16-byte
-/// struct with padding. Conversion is lossless in both directions
-/// ([`TraceCols::from_trace`] / [`TraceCols::to_trace`]), and `fill_from`
-/// reuses the column buffers so a batch consumer allocates once, not per
-/// trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TraceCols {
-    pub(crate) label: usize,
-    pub(crate) visit: usize,
-    ts: Vec<Nanos>,
-    dir: Vec<Direction>,
-    size: Vec<u32>,
-}
-
-impl TraceCols {
-    pub fn new() -> Self {
-        TraceCols::default()
-    }
-
-    pub fn from_trace(t: &Trace) -> Self {
-        let mut c = TraceCols::new();
-        c.fill_from(t);
-        c
-    }
-
-    /// Refill the columns from `t`, reusing the existing allocations.
-    pub fn fill_from(&mut self, t: &Trace) {
-        self.label = t.label;
-        self.visit = t.visit;
-        self.ts.clear();
-        self.dir.clear();
-        self.size.clear();
-        self.ts.reserve(t.len());
-        self.dir.reserve(t.len());
-        self.size.reserve(t.len());
-        for p in &t.packets {
-            self.ts.push(p.ts);
-            self.dir.push(p.dir);
-            self.size.push(p.size);
-        }
-    }
-
-    /// Back to the row representation (exact inverse of `from_trace`).
-    pub fn to_trace(&self) -> Trace {
-        Trace {
-            packets: (0..self.len()).map(|i| self.packet(i)).collect(),
-            label: self.label,
-            visit: self.visit,
-        }
-    }
-
-    #[allow(clippy::len_without_is_empty)]
-    pub fn len(&self) -> usize {
-        self.ts.len()
-    }
-
-    pub fn ts(&self) -> &[Nanos] {
-        &self.ts
-    }
-    pub fn dirs(&self) -> &[Direction] {
-        &self.dir
-    }
-    pub fn sizes(&self) -> &[u32] {
-        &self.size
-    }
-
-    /// Row view of packet `i`.
-    pub fn packet(&self, i: usize) -> TracePacket {
-        TracePacket::new(self.ts[i], self.dir[i], self.size[i])
+        normalize_flow(&mut self.packets);
     }
 }
 
@@ -283,33 +192,5 @@ mod tests {
         let iats = t.iats();
         assert_eq!(iats.len(), 3);
         assert!((iats[0] - 1e-6).abs() < 1e-12);
-    }
-
-    #[test]
-    fn soa_round_trips_losslessly_and_matches_accessors() {
-        let t = trace();
-        let c = TraceCols::from_trace(&t);
-        assert_eq!(c.len(), t.len());
-        assert_eq!(c.to_trace(), t, "row -> columns -> row is lossless");
-        for i in 0..t.len() {
-            assert_eq!(c.packet(i), t.packets[i]);
-            assert_eq!(c.ts()[i], t.packets[i].ts);
-            assert_eq!(c.dirs()[i], t.packets[i].dir);
-            assert_eq!(c.sizes()[i], t.packets[i].size);
-        }
-    }
-
-    #[test]
-    fn soa_fill_from_reuses_and_replaces() {
-        let t = trace();
-        let mut c = TraceCols::from_trace(&t);
-        let small = t.truncated(1);
-        c.fill_from(&small);
-        assert_eq!(c.len(), 1);
-        assert_eq!(c.to_trace(), small);
-        let empty = Trace::new(7, 3, vec![]);
-        c.fill_from(&empty);
-        assert_eq!(c.len(), 0);
-        assert_eq!(c.to_trace(), empty);
     }
 }

@@ -18,9 +18,9 @@
 //! same Stob policies can be pointed at this classifier — the §5.2
 //! counter-measure experiment lives in `stob-bench`'s `cc_ident` bin.
 
-use crate::forest::{Forest, ForestConfig};
-use crate::metrics::{accuracy, mean_std};
-use netsim::{percentile, Direction, RunningStats, SimRng};
+use crate::eval::{evaluate_features, EvalConfig, EvalResult};
+use crate::forest::ForestConfig;
+use netsim::{percentile, Direction, RunningStats};
 use traces::{Dataset, Trace};
 
 /// Rate-trajectory windows kept as raw features.
@@ -166,44 +166,27 @@ pub(crate) fn cc_features(trace: &Trace) -> Vec<f64> {
     f
 }
 
-/// Evaluation result for the CC-identification task.
-#[derive(Debug, Clone)]
-pub struct CcIdentResult {
-    pub mean: f64,
-    pub std: f64,
-    pub per_repeat: Vec<f64>,
-}
-
-/// Closed-world CC identification with repeated stratified splits.
+/// Closed-world CC identification: the Table 2 harness
+/// ([`evaluate_features`]) over the CC-dynamics features, with 30 % of
+/// each class held out per repeat.
 pub fn evaluate_cc_ident(
     dataset: &Dataset,
     n_trees: usize,
     repeats: usize,
     seed: u64,
-) -> CcIdentResult {
-    let features: Vec<Vec<f64>> = dataset.traces.iter().map(cc_features).collect();
-    let labels: Vec<usize> = dataset.traces.iter().map(|t| t.label).collect();
-    let cfg = ForestConfig {
-        n_trees,
-        ..ForestConfig::default()
+) -> EvalResult {
+    let features = dataset.traces.iter().map(cc_features).collect();
+    let cfg = EvalConfig {
+        forest: ForestConfig {
+            n_trees,
+            ..ForestConfig::default()
+        },
+        repeats,
+        seed,
+        test_frac: 0.3,
+        ..EvalConfig::default()
     };
-    let mut scores = Vec::with_capacity(repeats);
-    for rep in 0..repeats {
-        let mut rng = SimRng::new(seed).fork(rep as u64 + 1);
-        let (train, test) = dataset.stratified_split(0.3, &mut rng);
-        let x: Vec<Vec<f64>> = train.iter().map(|&i| features[i].clone()).collect();
-        let y: Vec<usize> = train.iter().map(|&i| labels[i]).collect();
-        let forest = Forest::fit(&x, &y, dataset.n_classes(), &cfg, &mut rng);
-        let pred: Vec<usize> = test.iter().map(|&i| forest.predict(&features[i])).collect();
-        let truth: Vec<usize> = test.iter().map(|&i| labels[i]).collect();
-        scores.push(accuracy(&pred, &truth));
-    }
-    let (mean, std) = mean_std(&scores);
-    CcIdentResult {
-        mean,
-        std,
-        per_repeat: scores,
-    }
+    evaluate_features(dataset, features, &cfg)
 }
 
 #[cfg(test)]

@@ -92,7 +92,14 @@ pub(crate) fn evaluate_joint(views: &[&Dataset], cfg: &EvalConfig) -> EvalResult
     evaluate_features(base, features, cfg)
 }
 
-fn evaluate_features(dataset: &Dataset, features: Vec<Vec<f64>>, cfg: &EvalConfig) -> EvalResult {
+/// The closed-world loop over precomputed feature rows, one per trace
+/// of `dataset`: per repeat, a stratified split from the repeat's own
+/// RNG fork, then the configured attack fitted and scored on it.
+pub(crate) fn evaluate_features(
+    dataset: &Dataset,
+    features: Vec<Vec<f64>>,
+    cfg: &EvalConfig,
+) -> EvalResult {
     assert!(
         dataset.len() >= 2 * dataset.n_classes(),
         "dataset too small"

@@ -11,8 +11,8 @@
 //! features are OFF by default ([`FeatureConfig::paper`]); they can be
 //! enabled for the size-aware ablations.
 
-use netsim::{par, percentile, percentile_sorted, Direction, Nanos, RunningStats};
-use traces::{Trace, TraceCols};
+use netsim::{par, percentile, percentile_sorted, Direction, RunningStats};
+use traces::Trace;
 
 /// Concentration chunks kept as raw features.
 const N_CHUNKS: usize = 50;
@@ -20,6 +20,12 @@ const N_CHUNKS: usize = 50;
 const N_RATE_BINS: usize = 20;
 /// Width of one rate bin in seconds.
 const RATE_BIN_SECS: f64 = 0.5;
+/// Packets per concentration chunk.
+const CHUNK_PKTS: usize = 20;
+/// Burst-length thresholds for the `gt5`/`gt10`/`gt15` burst features.
+const BURST_GT: [usize; 3] = [5, 10, 15];
+/// Wire size at or above which a packet counts as full (MTU-sized).
+const FULL_SIZE: u32 = 1514;
 
 /// Fixed length of the feature vector.
 pub const N_FEATURES: usize = 5    // counts
@@ -242,35 +248,6 @@ pub fn extract_features(trace: &Trace, cfg: &FeatureConfig) -> Vec<f64> {
     f
 }
 
-/// Config-derived extraction constants, computed once per corpus and
-/// shared (by copy) across the parallel fan-out instead of being
-/// re-derived per trace: bucket geometry for the rate bins, chunk width,
-/// burst thresholds, and the full-packet size cutoff.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FeatureTables {
-    use_sizes: bool,
-    /// Width of one packet-rate bin in seconds.
-    rate_bin_secs: f64,
-    /// Packets per concentration chunk.
-    chunk_pkts: usize,
-    /// Burst-length thresholds for the `gt5`/`gt10`/`gt15` features.
-    burst_gt: [usize; 3],
-    /// Wire size at or above which a packet counts as "full" (MTU-sized).
-    full_size: u32,
-}
-
-impl FeatureTables {
-    pub(crate) fn new(cfg: &FeatureConfig) -> Self {
-        FeatureTables {
-            use_sizes: cfg.use_sizes,
-            rate_bin_secs: RATE_BIN_SECS,
-            chunk_pkts: 20,
-            burst_gt: [5, 10, 15],
-            full_size: 1514,
-        }
-    }
-}
-
 /// Reusable per-worker buffers: one allocation set per extractor, not
 /// per trace. Every buffer is cleared (capacity retained) per trace.
 #[derive(Debug, Default)]
@@ -289,7 +266,7 @@ struct FeatureScratch {
 }
 
 impl FeatureScratch {
-    fn reset(&mut self, n: usize, tables: &FeatureTables) {
+    fn reset(&mut self, n: usize) {
         self.times.clear();
         self.times_in.clear();
         self.times_out.clear();
@@ -297,7 +274,7 @@ impl FeatureScratch {
         self.iats_in.clear();
         self.iats_out.clear();
         self.chunks.clear();
-        self.chunks.resize(n.div_ceil(tables.chunk_pkts), 0.0);
+        self.chunks.resize(n.div_ceil(CHUNK_PKTS), 0.0);
         self.bins = [0.0; N_RATE_BINS];
         self.sz_in.clear();
         self.sz_out.clear();
@@ -315,11 +292,11 @@ struct BurstAcc {
 }
 
 impl BurstAcc {
-    fn flush(&mut self, run: usize, gt: &[usize; 3]) {
+    fn flush(&mut self, run: usize) {
         self.count += 1;
         self.max = self.max.max(run);
         self.sum += run;
-        for (acc, &thr) in self.gt.iter_mut().zip(gt) {
+        for (acc, &thr) in self.gt.iter_mut().zip(&BURST_GT) {
             if run > thr {
                 *acc += 1;
             }
@@ -383,211 +360,188 @@ fn quantiles4_sorting(buf: &mut [f64]) -> [f64; 4] {
 /// Produces exactly the same vector as [`extract_features`] (pinned by
 /// `tests/perf_equivalence.rs` and the goldens) but folds the counts,
 /// rate bins, ordering moments, concentration chunks, bursts, prefix/
-/// suffix composition and size sums into one walk over a columnar
-/// [`TraceCols`] view, and sorts each stat buffer once instead of
-/// copy-sorting per percentile. Construct once per worker and feed it
-/// many traces; the scratch buffers amortize to zero allocations.
+/// suffix composition and size sums into one walk over the trace's
+/// packets, and sorts each stat buffer once instead of copy-sorting per
+/// percentile. Construct once per worker and feed it many traces; the
+/// scratch buffers amortize to zero allocations.
 #[derive(Debug)]
 pub struct FeatureExtractor {
-    tables: FeatureTables,
+    cfg: FeatureConfig,
     scratch: FeatureScratch,
-    cols: TraceCols,
 }
 
 impl FeatureExtractor {
     pub fn new(cfg: &FeatureConfig) -> Self {
-        Self::with_tables(FeatureTables::new(cfg))
-    }
-
-    pub(crate) fn with_tables(tables: FeatureTables) -> Self {
         FeatureExtractor {
-            tables,
+            cfg: *cfg,
             scratch: FeatureScratch::default(),
-            cols: TraceCols::new(),
         }
     }
 
-    /// Extract from a row-form trace (columnarizes into the reused view).
+    /// The feature vector of `trace`.
     pub fn extract(&mut self, trace: &Trace) -> Vec<f64> {
-        self.cols.fill_from(trace);
-        extract_cols_inner(&self.tables, &mut self.scratch, &self.cols)
-    }
-}
+        let n = trace.len();
+        let sc = &mut self.scratch;
+        sc.reset(n);
+        let mut f = Vec::with_capacity(N_FEATURES);
 
-fn extract_cols_inner(tb: &FeatureTables, sc: &mut FeatureScratch, cols: &TraceCols) -> Vec<f64> {
-    let (ts, dirs, sizes): (&[Nanos], &[Direction], &[u32]) =
-        (cols.ts(), cols.dirs(), cols.sizes());
-    let n = ts.len();
-    sc.reset(n, tb);
-    let mut f = Vec::with_capacity(N_FEATURES);
-
-    // ---- the one walk: fold everything that streams ----
-    let mut n_out = 0usize;
-    let mut prev_t = 0.0f64;
-    let mut prev_in: Option<f64> = None;
-    let mut prev_out: Option<f64> = None;
-    let mut ord_in = RunningStats::new();
-    let mut ord_out = RunningStats::new();
-    let mut burst_in = BurstAcc::default();
-    let mut burst_out = BurstAcc::default();
-    let mut run_dir = Direction::Out;
-    let mut run = 0usize;
-    let mut first30 = [0usize; 2]; // [in, out]
-    let mut last30 = [0usize; 2];
-    // -0.0 is what `iter::Sum for f64` starts from (so an empty sum is
-    // -0.0); match it exactly for bitwise parity with the reference.
-    let mut sum_in = -0.0f64;
-    let mut sum_out = -0.0f64;
-    let mut n_full = 0usize;
-    for i in 0..n {
-        let t = ts[i].as_secs_f64();
-        let dir = dirs[i];
-        let out = dir == Direction::Out;
-        sc.times.push(t);
-        if i > 0 {
-            sc.iats_all.push(t - prev_t);
-        }
-        prev_t = t;
-        if out {
-            n_out += 1;
-            if let Some(p) = prev_out {
-                sc.iats_out.push(t - p);
+        // ---- the one walk: fold everything that streams ----
+        let mut n_out = 0usize;
+        let mut prev_t = 0.0f64;
+        let mut prev_in: Option<f64> = None;
+        let mut prev_out: Option<f64> = None;
+        let mut ord_in = RunningStats::new();
+        let mut ord_out = RunningStats::new();
+        let mut bursts = [BurstAcc::default(); 2]; // [in, out]
+        let mut run_dir = Direction::Out;
+        let mut run = 0usize;
+        let mut first30 = [0usize; 2]; // [in, out]
+        let mut last30 = [0usize; 2];
+        // -0.0 is what `iter::Sum for f64` starts from (so an empty sum is
+        // -0.0); match it exactly for bitwise parity with the reference.
+        let mut sum_in = -0.0f64;
+        let mut sum_out = -0.0f64;
+        let mut n_full = 0usize;
+        for (i, p) in trace.packets.iter().enumerate() {
+            let t = p.ts.as_secs_f64();
+            let dir = p.dir;
+            let out = dir == Direction::Out;
+            sc.times.push(t);
+            if i > 0 {
+                sc.iats_all.push(t - prev_t);
             }
-            prev_out = Some(t);
-            sc.times_out.push(t);
-            ord_out.push(i as f64);
-            sc.chunks[i / tb.chunk_pkts] += 1.0;
-        } else {
-            if let Some(p) = prev_in {
-                sc.iats_in.push(t - p);
-            }
-            prev_in = Some(t);
-            sc.times_in.push(t);
-            ord_in.push(i as f64);
-        }
-        let b = (t / tb.rate_bin_secs) as usize;
-        if b < N_RATE_BINS {
-            sc.bins[b] += 1.0;
-        }
-        if dir == run_dir {
-            run += 1;
-        } else {
-            if run > 0 {
-                let acc = if run_dir == Direction::Out {
-                    &mut burst_out
-                } else {
-                    &mut burst_in
-                };
-                acc.flush(run, &tb.burst_gt);
-            }
-            run_dir = dir;
-            run = 1;
-        }
-        if i < 30 {
-            first30[out as usize] += 1;
-        }
-        if i + 30 >= n {
-            last30[out as usize] += 1;
-        }
-        if tb.use_sizes {
-            let sz = sizes[i];
+            prev_t = t;
             if out {
-                sum_out += sz as f64;
-                sc.sz_out.push(sz as f64);
+                n_out += 1;
+                if let Some(prev) = prev_out {
+                    sc.iats_out.push(t - prev);
+                }
+                prev_out = Some(t);
+                sc.times_out.push(t);
+                ord_out.push(i as f64);
+                sc.chunks[i / CHUNK_PKTS] += 1.0;
             } else {
-                sum_in += sz as f64;
-                sc.sz_in.push(sz as f64);
+                if let Some(prev) = prev_in {
+                    sc.iats_in.push(t - prev);
+                }
+                prev_in = Some(t);
+                sc.times_in.push(t);
+                ord_in.push(i as f64);
             }
-            sc.uniq.push(sz);
-            if sz >= tb.full_size {
-                n_full += 1;
+            let b = (t / RATE_BIN_SECS) as usize;
+            if b < N_RATE_BINS {
+                sc.bins[b] += 1.0;
+            }
+            if dir == run_dir {
+                run += 1;
+            } else {
+                if run > 0 {
+                    bursts[(run_dir == Direction::Out) as usize].flush(run);
+                }
+                run_dir = dir;
+                run = 1;
+            }
+            if i < 30 {
+                first30[out as usize] += 1;
+            }
+            if i + 30 >= n {
+                last30[out as usize] += 1;
+            }
+            if self.cfg.use_sizes {
+                let sz = p.size;
+                if out {
+                    sum_out += sz as f64;
+                    sc.sz_out.push(sz as f64);
+                } else {
+                    sum_in += sz as f64;
+                    sc.sz_in.push(sz as f64);
+                }
+                sc.uniq.push(sz);
+                if sz >= FULL_SIZE {
+                    n_full += 1;
+                }
             }
         }
-    }
-    if run > 0 {
-        let acc = if run_dir == Direction::Out {
-            &mut burst_out
+        if run > 0 {
+            bursts[(run_dir == Direction::Out) as usize].flush(run);
+        }
+        let n_in = n - n_out;
+
+        // ---- counts (5) ----
+        f.push(n as f64);
+        f.push(n_in as f64);
+        f.push(n_out as f64);
+        f.push(if n > 0 { n_in as f64 / n as f64 } else { 0.0 });
+        f.push(if n > 0 { n_out as f64 / n as f64 } else { 0.0 });
+
+        // ---- duration (1) ----
+        f.push(sc.times.last().copied().unwrap_or(0.0));
+
+        // ---- inter-arrival stats (12) ----
+        f.extend(stats4_sorting(&mut sc.iats_all));
+        f.extend(stats4_sorting(&mut sc.iats_in));
+        f.extend(stats4_sorting(&mut sc.iats_out));
+
+        // ---- timestamp quantiles (12); rates and IATs are already folded,
+        // so sorting the time buffers in place is safe ----
+        f.extend(quantiles4_sorting(&mut sc.times));
+        f.extend(quantiles4_sorting(&mut sc.times_in));
+        f.extend(quantiles4_sorting(&mut sc.times_out));
+
+        // ---- per-interval packet rates (20 + 5) ----
+        f.extend_from_slice(&sc.bins);
+        let s = stats4_sorting(&mut sc.bins);
+        let med = percentile_sorted(&sc.bins, 50.0);
+        f.extend([s[0], s[1], s[2], s[3], med]);
+
+        // ---- ordering (4) ----
+        f.push(ord_out.mean());
+        f.push(ord_out.std_dev());
+        f.push(ord_in.mean());
+        f.push(ord_in.std_dev());
+
+        // ---- concentration of outgoing packets (50 + 6) ----
+        for i in 0..N_CHUNKS {
+            f.push(sc.chunks.get(i).copied().unwrap_or(0.0));
+        }
+        if sc.chunks.is_empty() {
+            f.extend([0.0; 6]);
         } else {
-            &mut burst_in
-        };
-        acc.flush(run, &tb.burst_gt);
+            // Integer-valued, so the sum is exact in any order; taken before
+            // the stats sort all the same.
+            let sum: f64 = sc.chunks.iter().sum();
+            let s = stats4_sorting(&mut sc.chunks);
+            let med = percentile_sorted(&sc.chunks, 50.0);
+            f.extend([s[0], s[1], s[2], s[3], med, sum]);
+        }
+
+        // ---- bursts (12) ----
+        f.extend(bursts[0].features());
+        f.extend(bursts[1].features());
+
+        // ---- first/last 30 composition (4) ----
+        f.push(first30[0] as f64);
+        f.push(first30[1] as f64);
+        f.push(last30[0] as f64);
+        f.push(last30[1] as f64);
+
+        // ---- sizes (12, zeroed when disabled) ----
+        if self.cfg.use_sizes {
+            f.push(sum_in);
+            f.push(sum_out);
+            f.extend(stats4_sorting(&mut sc.sz_in));
+            f.extend(stats4_sorting(&mut sc.sz_out));
+            sc.uniq.sort_unstable();
+            sc.uniq.dedup();
+            f.push(sc.uniq.len() as f64);
+            f.push(if n > 0 { n_full as f64 / n as f64 } else { 0.0 });
+        } else {
+            f.extend(std::iter::repeat_n(0.0, 12));
+        }
+
+        debug_assert_eq!(f.len(), N_FEATURES);
+        f
     }
-    let n_in = n - n_out;
-
-    // ---- counts (5) ----
-    f.push(n as f64);
-    f.push(n_in as f64);
-    f.push(n_out as f64);
-    f.push(if n > 0 { n_in as f64 / n as f64 } else { 0.0 });
-    f.push(if n > 0 { n_out as f64 / n as f64 } else { 0.0 });
-
-    // ---- duration (1) ----
-    f.push(sc.times.last().copied().unwrap_or(0.0));
-
-    // ---- inter-arrival stats (12) ----
-    f.extend(stats4_sorting(&mut sc.iats_all));
-    f.extend(stats4_sorting(&mut sc.iats_in));
-    f.extend(stats4_sorting(&mut sc.iats_out));
-
-    // ---- timestamp quantiles (12); rates and IATs are already folded,
-    // so sorting the time columns in place is safe ----
-    f.extend(quantiles4_sorting(&mut sc.times));
-    f.extend(quantiles4_sorting(&mut sc.times_in));
-    f.extend(quantiles4_sorting(&mut sc.times_out));
-
-    // ---- per-interval packet rates (20 + 5) ----
-    f.extend_from_slice(&sc.bins);
-    let s = stats4_sorting(&mut sc.bins);
-    let med = percentile_sorted(&sc.bins, 50.0);
-    f.extend([s[0], s[1], s[2], s[3], med]);
-
-    // ---- ordering (4) ----
-    f.push(ord_out.mean());
-    f.push(ord_out.std_dev());
-    f.push(ord_in.mean());
-    f.push(ord_in.std_dev());
-
-    // ---- concentration of outgoing packets (50 + 6) ----
-    for i in 0..N_CHUNKS {
-        f.push(sc.chunks.get(i).copied().unwrap_or(0.0));
-    }
-    if sc.chunks.is_empty() {
-        f.extend([0.0; 6]);
-    } else {
-        // Integer-valued, so the sum is exact in any order; taken before
-        // the stats sort all the same.
-        let sum: f64 = sc.chunks.iter().sum();
-        let s = stats4_sorting(&mut sc.chunks);
-        let med = percentile_sorted(&sc.chunks, 50.0);
-        f.extend([s[0], s[1], s[2], s[3], med, sum]);
-    }
-
-    // ---- bursts (12) ----
-    f.extend(burst_in.features());
-    f.extend(burst_out.features());
-
-    // ---- first/last 30 composition (4) ----
-    f.push(first30[0] as f64);
-    f.push(first30[1] as f64);
-    f.push(last30[0] as f64);
-    f.push(last30[1] as f64);
-
-    // ---- sizes (12, zeroed when disabled) ----
-    if tb.use_sizes {
-        f.push(sum_in);
-        f.push(sum_out);
-        f.extend(stats4_sorting(&mut sc.sz_in));
-        f.extend(stats4_sorting(&mut sc.sz_out));
-        sc.uniq.sort_unstable();
-        sc.uniq.dedup();
-        f.push(sc.uniq.len() as f64);
-        f.push(if n > 0 { n_full as f64 / n as f64 } else { 0.0 });
-    } else {
-        f.extend(std::iter::repeat_n(0.0, 12));
-    }
-
-    debug_assert_eq!(f.len(), N_FEATURES);
-    f
 }
 
 /// Traces per parallel work item in [`extract_all`]: big enough to
@@ -597,18 +551,15 @@ const EXTRACT_BLOCK: usize = 32;
 
 /// Extract features for a whole corpus, in parallel.
 ///
-/// The config-derived `FeatureTables` are computed once and shared
-/// across the fan-out; each worker block reuses one [`FeatureExtractor`].
-/// Extraction is a pure function per trace, so the output is identical
+/// Each worker block reuses one [`FeatureExtractor`]. Extraction is a pure function per trace, so the output is identical
 /// at any `STOB_THREADS` setting and to the serial
 /// [`extract_features`] loop.
 pub fn extract_all(traces: &[Trace], cfg: &FeatureConfig) -> Vec<Vec<f64>> {
     let _sp = netsim::telemetry::span("wf.features.extract_all");
-    let tables = FeatureTables::new(cfg);
     let blocks: Vec<usize> = (0..traces.len()).step_by(EXTRACT_BLOCK).collect();
     let per_block = par::par_map(&blocks, |_, &lo| {
         let hi = (lo + EXTRACT_BLOCK).min(traces.len());
-        let mut ex = FeatureExtractor::with_tables(tables);
+        let mut ex = FeatureExtractor::new(cfg);
         traces[lo..hi]
             .iter()
             .map(|t| ex.extract(t))

@@ -1,9 +1,9 @@
 //! The hot-path rewrites' equivalence suite: every speed-motivated
-//! rewrite (single-pass feature extraction, SoA trace columns, batched
-//! forest prediction, cursor-driven close-out schedules) must be
-//! **bit-identical** to the code it replaced. The goldens pin end-to-end behavior; these tests pin each
-//! rewrite in isolation, on the full nine-site dataset, so a divergence
-//! points at the exact layer that drifted.
+//! rewrite (single-pass feature extraction, batched forest prediction,
+//! cursor-driven close-out schedules) must be **bit-identical** to the
+//! code it replaced. The goldens pin end-to-end behavior; these tests
+//! pin each rewrite in isolation, on the full nine-site dataset, so a
+//! divergence points at the exact layer that drifted.
 
 use defenses::machines::regulator_machine;
 use defenses::regulator::{RegulatorConfig, RegulatorDefense};
@@ -17,7 +17,7 @@ use stob::machine::MachineDefense;
 use stob_bench::collect_dataset;
 use traces::sites::paper_sites;
 use traces::statgen::generate_corpus;
-use traces::{Trace, TraceCols};
+use traces::Trace;
 use wf::features::{extract_features, FeatureConfig, FeatureExtractor};
 use wf::forest::{Forest, ForestConfig};
 
@@ -55,22 +55,6 @@ fn single_pass_features_match_reference_on_full_dataset() {
                     .all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "trace {i} prefix {keep} diverged");
             }
-        }
-    }
-}
-
-#[test]
-fn soa_columns_round_trip_traces_losslessly() {
-    let traces = collect_dataset(4, EQ_SEED ^ 1).dataset.traces;
-    let mut cols = TraceCols::default();
-    for t in &traces {
-        assert_eq!(TraceCols::from_trace(t).to_trace(), *t);
-        // The reusable fill path must behave like a fresh conversion.
-        cols.fill_from(t);
-        assert_eq!(cols.to_trace(), *t);
-        assert_eq!(cols.len(), t.len());
-        for (i, p) in t.packets.iter().enumerate() {
-            assert_eq!(cols.packet(i), *p);
         }
     }
 }
