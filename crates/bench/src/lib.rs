@@ -238,10 +238,23 @@ pub mod cli {
         /// Argument `i` (1 = the first after the program name) as a
         /// positive count, or `default` when it is absent.
         pub fn count(&self, i: usize, default: usize) -> usize {
-            self.get(i, "a positive integer", |s| {
+            self.count_from(i, 1, default)
+        }
+
+        /// Argument `i` as a count of at least `floor`, or `default` when
+        /// it is absent. A stratified split needs two traces of every
+        /// class, one to train on and one to test.
+        pub fn count_from(&self, i: usize, floor: usize, default: usize) -> usize {
+            let n = self.get(i, "a positive integer", |s| {
                 s.parse().ok().filter(|&n| n > 0)
-            })
-            .unwrap_or(default)
+            });
+            match n {
+                Some(n) if n < floor => {
+                    let name = self.name(i);
+                    self.refuse(&format!("{name} must be at least {floor}, got `{n}`"))
+                }
+                n => n.unwrap_or(default),
+            }
         }
 
         /// Argument `i` as an unsigned integer (a seed, say; zero
@@ -258,9 +271,17 @@ pub mod cli {
                 .map(|w| w.trim_matches(['[', ']']))
         }
 
+        fn name(&self, i: usize) -> &str {
+            self.names().nth(i - 1).unwrap_or("argument")
+        }
+
         fn get<T>(&self, i: usize, want: &str, parse: impl Fn(&str) -> Option<T>) -> Option<T> {
-            let name = self.names().nth(i - 1).unwrap_or("argument");
-            self.read(name, self.args.get(i).map(String::as_str), want, parse)
+            self.read(
+                self.name(i),
+                self.args.get(i).map(String::as_str),
+                want,
+                parse,
+            )
         }
 
         /// Environment knob `key` on the parse-or-refuse path.

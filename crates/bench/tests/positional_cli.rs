@@ -68,6 +68,22 @@ fn zero_repeats_is_refused_before_any_work() {
     }
 }
 
+/// One trace per class leaves a stratified split nothing to train on:
+/// these used to exit 101 after the whole collection, on "dataset too
+/// small" in `wf::eval` or an empty training set in `wf::forest`.
+#[test]
+fn one_trace_per_class_is_refused_before_any_work() {
+    for (bin, args, name) in [
+        ("table2", &["1", "5", "1", "7"][..], "visits"),
+        ("attacks", &["1", "5", "1", "7"], "visits"),
+        ("defense_matrix", &["1", "5", "1", "7"], "visits"),
+        ("multipath", &["1", "5", "1", "7"], "visits"),
+        ("cc_ident", &["1", "10", "2"], "flows_per_class"),
+    ] {
+        assert_refused(bin, args, &format!("{name} must be at least 2, got `1`"));
+    }
+}
+
 /// A value that does not parse used to mean the default, silently; an
 /// extra argument or a flag the usage line does not declare was ignored
 /// by some bins.
