@@ -459,11 +459,14 @@ impl<D: Decider> FlowShaper<D> {
     /// app decider draws on the flow RNG, so interleaving the core's
     /// draws with its own would move every padded flow with a policy),
     /// close, and merge the close-out into the surviving pieces.
+    /// `pad_counter` hands over the cached handle of the counter the
+    /// dummies are added to; it is called only for a padded flow, so a
+    /// run without padding registers no pad counter.
     fn defend(
         mut self,
         input: &[FlowPkt],
         rng: &mut SimRng,
-        pad_counter: &'static str,
+        pad_counter: fn() -> &'static netsim::telemetry::Counter,
     ) -> DefendedFlow {
         let mut pkts = if self.active() {
             let core = self.core.take();
@@ -487,7 +490,7 @@ impl<D: Decider> FlowShaper<D> {
         }
         let closed = self.close(rng, |emits| merge_close_out(&mut pkts, emits));
         if let Some(c) = &closed {
-            netsim::telemetry::counter(pad_counter).add(c.dummy_pkts);
+            pad_counter().add(c.dummy_pkts);
         }
         let closed = closed.unwrap_or_default();
         DefendedFlow {
@@ -647,7 +650,7 @@ pub fn emulate_flow(
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.app.flows").inc();
     let fd = build_checked(defense, ctx, rng);
-    FlowShaper::app(fd).defend(input, rng, "defense.app.pad_pkts")
+    FlowShaper::app(fd).defend(input, rng, || netsim::tm_counter!("defense.app.pad_pkts"))
 }
 
 /// Build `defense` for one replayed flow and validate its policy, once.
@@ -825,7 +828,8 @@ pub fn enforce_flow(
 ) -> DefendedFlow {
     netsim::tm_counter!("defense.stack.flows").inc();
     let fd = build_checked(defense, ctx, rng);
-    FlowShaper::stack(fd, EgressLabels::REPLAY, params).defend(input, rng, "defense.stack.pad_pkts")
+    FlowShaper::stack(fd, EgressLabels::REPLAY, params)
+        .defend(input, rng, || netsim::tm_counter!("defense.stack.pad_pkts"))
 }
 
 #[cfg(test)]

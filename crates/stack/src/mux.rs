@@ -48,7 +48,7 @@ use crate::qdisc::SegDesc;
 use crate::seq::{Deadline, Reassembly};
 use crate::shaper::{BoxShaper, ShapeCtx};
 use crate::tcp::{TcpAction, TimerKind};
-use netsim::telemetry::{self, Tracer};
+use netsim::telemetry::Tracer;
 use netsim::{FlowId, Nanos, Packet, PacketKind, SimRng};
 use std::collections::BTreeMap;
 
@@ -485,7 +485,7 @@ impl Multiplex {
                 pipe: pipe as u8,
             },
         );
-        telemetry::counter("stack.mux.tx_pkts").inc();
+        netsim::tm_counter!("stack.mux.tx_pkts").inc();
         let mut pkts = out.seg_buf();
         pkts.push(p);
         out.push(TcpAction::SendSeg(SegDesc::new(
@@ -518,7 +518,7 @@ impl Multiplex {
         let paced = self.egress.pace_segment(&ctx, now, cpu, 0, 1, wire, false);
         p.meta.shaped = paced.shaped;
         self.stats.pkts_sent += 1;
-        telemetry::counter("stack.mux.parity_pkts").inc();
+        netsim::tm_counter!("stack.mux.parity_pkts").inc();
         let mut pkts = out.seg_buf();
         pkts.push(p);
         out.push(TcpAction::SendSeg(SegDesc::new(
@@ -569,7 +569,7 @@ impl Multiplex {
                 let (lo, hi) = first;
                 self.rx.insert(lo, hi - lo);
                 self.recovered += 1;
-                telemetry::counter("stack.mux.fec_recovered").inc();
+                netsim::tm_counter!("stack.mux.fec_recovered").inc();
             }
             // Group starts are unique: the group done with is this one.
             if holes <= 1 {
@@ -587,7 +587,7 @@ impl Multiplex {
                 let p = self.mk_ctl(PacketKind::MuxAck, self.rx_per_pipe[i], self.rx.next(), i);
                 self.rx_acked_per_pipe[i] = self.rx_per_pipe[i];
                 self.stats.acks_sent += 1;
-                telemetry::counter("stack.mux.acks_sent").inc();
+                netsim::tm_counter!("stack.mux.acks_sent").inc();
                 out.push(TcpAction::SendCtl(p));
             }
         }
@@ -626,7 +626,7 @@ impl Multiplex {
                     h.alive = true;
                     h.backoff_exp = 0;
                     h.last_progress = now;
-                    telemetry::counter("stack.mux.revives").inc();
+                    netsim::tm_counter!("stack.mux.revives").inc();
                 }
             }
         }
@@ -644,7 +644,7 @@ impl Multiplex {
         h.backoff_exp = 0;
         h.next_probe = now + self.cfg.probe_base;
         self.stats.timeouts += 1;
-        telemetry::counter("stack.mux.failovers").inc();
+        netsim::tm_counter!("stack.mux.failovers").inc();
         let drained: Vec<(u64, u32)> = self
             .unacked
             .iter()
@@ -698,7 +698,7 @@ impl TransportCore for Multiplex {
             }
             PacketKind::MuxData => {
                 if pkt.seq_end() <= self.rx.next() || self.rx.ooo().contains_key(&pkt.seq) {
-                    telemetry::counter("stack.mux.dup_drops").inc();
+                    netsim::tm_counter!("stack.mux.dup_drops").inc();
                 } else {
                     let newly = self.rx.accept(pkt.seq, u64::from(pkt.payload));
                     self.deliver(newly.unwrap_or(0), out);
@@ -764,7 +764,7 @@ impl TransportCore for Multiplex {
         if self.is_client && !self.connected {
             let pipe = (self.hello_attempts as usize) % self.cfg.n_pipes;
             self.hello_attempts += 1;
-            telemetry::counter("stack.mux.hello_retries").inc();
+            netsim::tm_counter!("stack.mux.hello_retries").inc();
             let hello = self.mk_ctl(PacketKind::MuxInit, 0, 0, pipe);
             out.push(TcpAction::SendCtl(hello));
         }
@@ -789,7 +789,7 @@ impl TransportCore for Multiplex {
             };
             if probe {
                 let p = self.mk_ctl(PacketKind::MuxInit, 0, self.rx.next(), i);
-                telemetry::counter("stack.mux.probes").inc();
+                netsim::tm_counter!("stack.mux.probes").inc();
                 out.push(TcpAction::SendCtl(p));
                 let h = &mut self.health[i];
                 h.backoff_exp = next_exp;
