@@ -17,8 +17,9 @@ use stack::cpu::CpuModel;
 use stack::net::{Api, App, Network, CLIENT, SERVER};
 use stack::tls::{MAX_RECORD_PLAINTEXT, RECORD_OVERHEAD};
 use stack::{HostConfig, PathConfig};
+use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
+use std::rc::Rc;
 use stob::policy::ObfuscationPolicy;
 use stob::registry::{PolicyKey, PolicyRegistry};
 use stob::sockopt::{attach, Attachment};
@@ -192,7 +193,9 @@ struct Shared {
     progress: VisitProgress,
 }
 
-type SharedRef = Arc<Mutex<Shared>>;
+/// Both apps run inside one `Network`, on one thread, and `load_page`
+/// reads the state only after the run.
+type SharedRef = Rc<RefCell<Shared>>;
 
 // ---------------------------------------------------------------------
 // Client (browser) application
@@ -279,11 +282,7 @@ impl Browser {
         for (i, &obj) in plan.objects.iter().enumerate() {
             queue.push_back((i + 1, obj, plan.thinks[i + 1]));
         }
-        shared
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .progress
-            .objects_total = 1 + plan.objects.len();
+        shared.borrow_mut().progress.objects_total = 1 + plan.objects.len();
         Browser {
             plan,
             transport,
@@ -306,11 +305,7 @@ impl Browser {
     }
 
     fn with_progress(&self, f: impl FnOnce(&mut VisitProgress)) {
-        f(&mut self
-            .shared
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .progress);
+        f(&mut self.shared.borrow_mut().progress);
     }
 
     fn open_conn(&mut self, api: &mut Api) {
@@ -351,7 +346,7 @@ impl Browser {
             return;
         };
         {
-            let mut sh = self.shared.lock().unwrap_or_else(|e| e.into_inner());
+            let mut sh = self.shared.borrow_mut();
             sh.pending
                 .entry(flow)
                 .or_default()
@@ -408,7 +403,7 @@ impl Browser {
                 api.unwatch(FlowId(f));
                 api.close(FlowId(f));
             }
-            let mut sh = self.shared.lock().unwrap_or_else(|e| e.into_inner());
+            let mut sh = self.shared.borrow_mut();
             // Abandoned objects mean the page did not fully load.
             sh.done = sh.progress.gave_up == 0;
         }
@@ -627,8 +622,7 @@ impl App for WebServer {
             entry.1 -= req;
             let popped = self
                 .shared
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
+                .borrow_mut()
                 .pending
                 .get_mut(&flow.0)
                 .and_then(|q| q.pop_front());
@@ -671,7 +665,7 @@ pub fn load_page(
     // stream leaves the plan and network RNGs untouched: default runs
     // (recovery off) are bit-identical to the historical loader.
     let recovery_rng = rng.fork(0x07EC_04E7);
-    let shared: SharedRef = Arc::new(Mutex::new(Shared {
+    let shared: SharedRef = Rc::new(RefCell::new(Shared {
         pending: BTreeMap::new(),
         done: false,
         progress: VisitProgress::default(),
@@ -704,7 +698,7 @@ pub fn load_page(
         plan,
         cfg.transport,
         cfg.record_pad_quantum,
-        Arc::clone(&shared),
+        Rc::clone(&shared),
         cfg.recovery,
         recovery_rng,
     );
@@ -716,7 +710,7 @@ pub fn load_page(
         registry.set_breaker(bc);
     }
     let server = WebServer::new(
-        Arc::clone(&shared),
+        Rc::clone(&shared),
         registry.clone(),
         seed,
         server_flight,
@@ -745,7 +739,7 @@ pub fn load_page(
     }
     net.run_until(cfg.deadline);
     let (complete, progress) = {
-        let sh = shared.lock().unwrap_or_else(|e| e.into_inner());
+        let sh = shared.borrow();
         (sh.done, sh.progress.clone())
     };
     let trace = Trace::from_capture(&net.client_capture, label, visit);
