@@ -14,7 +14,7 @@ use wf::forest::ForestConfig;
 
 fn main() {
     let args = cli::Positional::new("attacks [visits] [trees] [repeats] [seed]");
-    let visits = args.count_from(1, 2, 40);
+    let visits = args.count_at_least(1, 2, 40);
     let trees = args.count(2, 80);
     let repeats = args.count(3, 3);
     let seed = args.uint(4, 0xA77ACu64);

@@ -15,7 +15,7 @@ use wf::cc_ident::evaluate_cc_ident;
 
 fn main() {
     let args = cli::Positional::new("cc_ident [flows_per_class] [trees] [repeats] [seed]");
-    let per_class = args.count_from(1, 2, 12);
+    let per_class = args.count_at_least(1, 2, 12);
     let trees = args.count(2, 60);
     let repeats = args.count(3, 5);
     let seed = args.uint(4, 0xCCAu64);

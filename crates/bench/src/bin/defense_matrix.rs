@@ -40,7 +40,7 @@ struct Cell {
 
 fn main() {
     let args = cli::Positional::new("defense_matrix [visits] [trees] [repeats] [seed]");
-    let visits = args.count_from(1, 2, 40);
+    let visits = args.count_at_least(1, 2, 40);
     let trees = args.count(2, 80);
     let repeats = args.count(3, 4);
     let seed = args.uint(4, 0xDEFu64);

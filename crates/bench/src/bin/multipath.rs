@@ -21,7 +21,7 @@ fn main() {
         "multipath [--pipes=<csv>] [--splitter=<spec>] [--fec=<k>] \
          [visits] [trees] [repeats] [seed]",
     );
-    let visits = args.count_from(1, 2, 40);
+    let visits = args.count_at_least(1, 2, 40);
     let trees = args.count(2, 80);
     let repeats = args.count(3, 4);
     let seed = args.uint(4, 0xA117u64);

@@ -23,7 +23,7 @@ fn main() {
     let placement = args
         .value("--placement", "app or stack", |s| s.parse().ok())
         .unwrap_or(Placement::App);
-    let visits = args.count_from(1, 2, 100);
+    let visits = args.count_at_least(1, 2, 100);
     let trees = args.count(2, 100);
     let repeats = args.count(3, 5);
     let seed = args.uint(4, 0x7AB1E2u64);

@@ -238,13 +238,13 @@ pub mod cli {
         /// Argument `i` (1 = the first after the program name) as a
         /// positive count, or `default` when it is absent.
         pub fn count(&self, i: usize, default: usize) -> usize {
-            self.count_from(i, 1, default)
+            self.count_at_least(i, 1, default)
         }
 
         /// Argument `i` as a count of at least `floor`, or `default` when
         /// it is absent. A stratified split needs two traces of every
         /// class, one to train on and one to test.
-        pub fn count_from(&self, i: usize, floor: usize, default: usize) -> usize {
+        pub fn count_at_least(&self, i: usize, floor: usize, default: usize) -> usize {
             let n = self.get(i, "a positive integer", |s| {
                 s.parse().ok().filter(|&n| n > 0)
             });

@@ -166,9 +166,9 @@ pub(crate) fn cc_features(trace: &Trace) -> Vec<f64> {
     f
 }
 
-/// Closed-world CC identification: the Table 2 harness
-/// ([`evaluate_features`]) over the CC-dynamics features, with 30 % of
-/// each class held out per repeat.
+/// Closed-world CC identification: the Table 2 harness (the loop behind
+/// [`evaluate`](crate::eval::evaluate)) over the CC-dynamics features,
+/// with 30 % of each class held out per repeat.
 pub fn evaluate_cc_ident(
     dataset: &Dataset,
     n_trees: usize,
