@@ -37,10 +37,7 @@ fn main() {
         for n in [15usize, 45, 0] {
             let cfg = EvalConfig {
                 attack,
-                forest: ForestConfig {
-                    n_trees: trees,
-                    ..ForestConfig::default()
-                },
+                forest: ForestConfig { n_trees: trees },
                 repeats,
                 seed,
                 ..EvalConfig::default()

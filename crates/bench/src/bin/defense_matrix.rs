@@ -58,10 +58,7 @@ fn main() {
     );
 
     let eval_cfg = EvalConfig {
-        forest: ForestConfig {
-            n_trees: trees,
-            ..ForestConfig::default()
-        },
+        forest: ForestConfig { n_trees: trees },
         repeats,
         seed,
         ..EvalConfig::default()

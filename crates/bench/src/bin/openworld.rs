@@ -48,10 +48,7 @@ fn main() {
     );
 
     let ow_cfg = OpenWorldConfig {
-        forest: ForestConfig {
-            n_trees: trees,
-            ..ForestConfig::default()
-        },
+        forest: ForestConfig { n_trees: trees },
         repeats: 4,
         seed,
         ..OpenWorldConfig::default()

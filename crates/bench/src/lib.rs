@@ -320,10 +320,7 @@ pub fn run_table2_timed(
     placement: Placement,
 ) -> (Vec<Table2Cell>, Timings) {
     let eval_cfg = EvalConfig {
-        forest: ForestConfig {
-            n_trees: cfg.trees,
-            ..ForestConfig::default()
-        },
+        forest: ForestConfig { n_trees: cfg.trees },
         repeats: cfg.repeats,
         seed: cfg.seed,
         ..EvalConfig::default()

@@ -521,10 +521,7 @@ pub fn run_multipath(dataset: &Dataset, cfg: &MultipathConfig) -> MultipathRepor
         .collect();
 
     let eval_cfg = EvalConfig {
-        forest: ForestConfig {
-            n_trees: cfg.trees,
-            ..ForestConfig::default()
-        },
+        forest: ForestConfig { n_trees: cfg.trees },
         repeats: cfg.repeats,
         seed: cfg.seed,
         ..EvalConfig::default()
@@ -584,10 +581,7 @@ pub fn run_multipath(dataset: &Dataset, cfg: &MultipathConfig) -> MultipathRepor
     let (mon, bg) = split_pools(&ow_merged);
     let per_path_pools: Vec<(Vec<Trace>, Vec<Trace>)> = legs.iter().map(&split_pools).collect();
     let ow_cfg = OpenWorldConfig {
-        forest: ForestConfig {
-            n_trees: cfg.trees,
-            ..ForestConfig::default()
-        },
+        forest: ForestConfig { n_trees: cfg.trees },
         repeats: cfg.repeats,
         seed: cfg.seed,
         ..OpenWorldConfig::default()

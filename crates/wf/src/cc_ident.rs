@@ -177,10 +177,7 @@ pub fn evaluate_cc_ident(
 ) -> EvalResult {
     let features = dataset.traces.iter().map(cc_features).collect();
     let cfg = EvalConfig {
-        forest: ForestConfig {
-            n_trees,
-            ..ForestConfig::default()
-        },
+        forest: ForestConfig { n_trees },
         repeats,
         seed,
         test_frac: 0.3,

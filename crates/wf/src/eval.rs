@@ -109,25 +109,24 @@ pub(crate) fn evaluate_features(
     let mut scores = Vec::with_capacity(cfg.repeats);
     for rep in 0..cfg.repeats {
         let mut rng = SimRng::new(cfg.seed).fork(rep as u64 + 1);
-        let (train_idx, test_idx) = dataset.stratified_split(cfg.test_frac, &mut rng);
-        let x_train: Vec<Vec<f64>> = train_idx.iter().map(|&i| features[i].clone()).collect();
-        let y_train: Vec<usize> = train_idx.iter().map(|&i| labels[i]).collect();
+        let (train, test_idx) = dataset.stratified_split(cfg.test_frac, &mut rng);
+        let (x, y) = (&features, &labels);
         let pred: Vec<usize> = match cfg.attack {
             AttackKind::RandomForest => {
-                let forest = Forest::fit(&x_train, &y_train, k, &cfg.forest, &mut rng);
+                let forest = Forest::fit_rows(x, y, &train, k, &cfg.forest, &mut rng);
                 let rows: Vec<&[f64]> = test_idx.iter().map(|&i| features[i].as_slice()).collect();
                 forest.predict_rows(&rows)
             }
             AttackKind::KfpLeafKnn => {
-                let forest = Forest::fit(&x_train, &y_train, k, &cfg.forest, &mut rng);
-                let knn = KfpKnn::fit(&forest, &x_train, &y_train, cfg.knn);
+                let forest = Forest::fit_rows(x, y, &train, k, &cfg.forest, &mut rng);
+                let knn = KfpKnn::fit(&forest, x, y, &train, cfg.knn);
                 test_idx
                     .iter()
                     .map(|&i| knn.predict(&forest, &features[i]))
                     .collect()
             }
             AttackKind::FeatureKnn => {
-                let knn = FeatureKnn::fit(&x_train, &y_train, k, cfg.knn);
+                let knn = FeatureKnn::fit(x, y, &train, k, cfg.knn);
                 test_idx
                     .iter()
                     .map(|&i| knn.predict(&features[i]))
@@ -159,10 +158,7 @@ mod tests {
 
     fn quick_cfg() -> EvalConfig {
         EvalConfig {
-            forest: ForestConfig {
-                n_trees: 30,
-                ..ForestConfig::default()
-            },
+            forest: ForestConfig { n_trees: 30 },
             repeats: 3,
             ..EvalConfig::default()
         }

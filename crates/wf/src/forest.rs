@@ -2,25 +2,22 @@
 //! feature subsets. This is the classifier behind Table 2 ("k-FP Random
 //! Forest accuracy rates"); it also emits the per-tree leaf vectors that
 //! k-FP's k-NN stage fingerprints with.
+//!
+//! Every predictor walks the trees' one node array (`tree`'s
+//! `CompactNode`); the attacks train on row indices of the feature
+//! table they hold, never on a copy of its rows.
 
-use crate::tree::{CompactNode, Tree, TreeConfig};
+use crate::tree::{Tree, TreeConfig};
 use netsim::{par, SimRng};
 
 #[derive(Debug, Clone, Copy)]
 pub struct ForestConfig {
     pub n_trees: usize,
-    pub tree: TreeConfig,
-    /// Bootstrap sample size as a fraction of the training set.
-    pub bootstrap_frac: f64,
 }
 
 impl Default for ForestConfig {
     fn default() -> Self {
-        ForestConfig {
-            n_trees: 100,
-            tree: TreeConfig::default(),
-            bootstrap_frac: 1.0,
-        }
+        ForestConfig { n_trees: 100 }
     }
 }
 
@@ -34,9 +31,8 @@ const PREDICT_BLOCK: usize = 128;
 const WALKERS: usize = 16;
 
 /// Index of the maximum vote, preferring the *last* maximum on ties —
-/// exactly `iter().enumerate().max_by_key(...)` semantics, which the
-/// scalar [`Forest::predict`] relies on.
-fn argmax_last(votes: &[u32]) -> usize {
+/// exactly `iter().enumerate().max_by_key(...)` semantics.
+pub(crate) fn argmax_last(votes: &[u32]) -> usize {
     let mut best = 0usize;
     for (i, &v) in votes.iter().enumerate() {
         if v >= votes[best] {
@@ -62,38 +58,45 @@ impl Forest {
         rng: &mut SimRng,
     ) -> Forest {
         assert_eq!(x.len(), y.len());
-        assert!(!x.is_empty());
+        let rows: Vec<usize> = (0..x.len()).collect();
+        Forest::fit_rows(x, y, &rows, n_classes, cfg, rng)
+    }
+
+    /// Train on rows `rows` of (x, y), in that order and with any
+    /// repeats: the same forest [`fit`](Forest::fit) grows on those
+    /// rows copied out. Tree `t` bootstraps `rows.len()` positions of
+    /// `rows` from its own RNG, forked from `rng` by tree index, so the
+    /// result is a pure function of (inputs, seed) at any thread count.
+    pub(crate) fn fit_rows(
+        x: &[Vec<f64>],
+        y: &[usize],
+        rows: &[usize],
+        n_classes: usize,
+        cfg: &ForestConfig,
+        rng: &mut SimRng,
+    ) -> Forest {
+        assert!(!rows.is_empty());
         let _sp = netsim::telemetry::span("wf.forest.fit");
-        let n = x.len();
-        let boot = ((n as f64) * cfg.bootstrap_frac).round().max(1.0) as usize;
-        // Each tree's rng is forked from the parent by tree index, so the
-        // training result is a pure function of (inputs, seed, t) — the
-        // parallel map below is bit-identical to the old sequential loop
-        // at any thread count.
+        let n = rows.len() as u64;
         let rng = &*rng;
         let tree_ids: Vec<usize> = (0..cfg.n_trees).collect();
         let trees = par::par_map(&tree_ids, |_, &t| {
             let mut tree_rng = rng.fork(t as u64 + 1);
-            let idx: Vec<usize> = (0..boot)
-                .map(|_| tree_rng.next_below(n as u64) as usize)
+            let idx: Vec<usize> = (0..n)
+                .map(|_| rows[tree_rng.next_below(n) as usize])
                 .collect();
-            Tree::fit(x, y, &idx, n_classes, &cfg.tree, &mut tree_rng)
+            Tree::fit(x, y, &idx, n_classes, &TreeConfig::default(), &mut tree_rng)
         });
         Forest { trees, n_classes }
     }
 
     /// Majority-vote class prediction.
     pub fn predict(&self, sample: &[f64]) -> usize {
-        let mut votes = vec![0usize; self.n_classes];
+        let mut votes = vec![0u32; self.n_classes];
         for t in &self.trees {
             votes[t.predict(sample)] += 1;
         }
-        votes
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .expect("nonempty votes")
-            .0
+        argmax_last(&votes)
     }
 
     /// The k-FP fingerprint: the vector of leaf ids the sample reaches,
@@ -136,36 +139,35 @@ impl Forest {
     /// Iterates trees-outer / samples-inner within fixed-size sample
     /// blocks: one tree's nodes stay hot in cache while it classifies
     /// the whole block, instead of re-walking every tree's scattered
-    /// node arrays per sample. Each tree is flattened to the 24-byte
-    /// [`CompactNode`] layout once per call, and the inner loop advances
-    /// `WALKERS` samples through the tree in lockstep — a tree walk is
-    /// a chain of dependent loads, so interleaving independent walkers
-    /// is what actually fills the memory pipeline. Blocks are mapped in
-    /// parallel; votes are per-sample totals, so the result is identical
-    /// at any thread count and to the scalar path.
+    /// node arrays per sample. The inner loop walks the tree's own
+    /// node array and advances `WALKERS` samples through it in lockstep
+    /// — a tree walk is a chain of dependent loads, so interleaving
+    /// independent walkers is what actually fills the memory pipeline.
+    /// Blocks are mapped in parallel; votes are per-sample totals, so
+    /// the result is identical at any thread count and to the scalar
+    /// path.
     pub(crate) fn predict_batch_flat(&self, x: &[f64], d: usize) -> Vec<usize> {
         let _sp = netsim::telemetry::span("wf.forest.predict_batch");
         assert!(d > 0 && x.len().is_multiple_of(d), "flat matrix shape");
         let n = x.len() / d;
         let nc = self.n_classes;
-        let compact: Vec<(Vec<CompactNode>, u32)> =
-            self.trees.iter().map(|t| t.compact()).collect();
         let blocks: Vec<usize> = (0..n).step_by(PREDICT_BLOCK).collect();
         let per_block = par::par_map(&blocks, |_, &lo| {
             let hi = (lo + PREDICT_BLOCK).min(n);
             let m = hi - lo;
             let mut votes = vec![0u32; m * nc];
-            for (nodes, depth) in &compact {
-                // Leaves self-loop (see [`CompactNode`]), so running
-                // every walk for exactly `depth` steps parks each lane
-                // at its leaf with a branchless step: the constant
-                // `WALKERS` trip count unrolls, keeping `WALKERS` independent
-                // load chains in flight per cycle of the depth loop.
+            for tree in &self.trees {
+                let (nodes, depth) = (&tree.nodes, tree.depth);
+                // Leaves self-loop, so running every walk for exactly
+                // `depth` steps parks each lane at its leaf with a
+                // branchless step: the constant `WALKERS` trip count
+                // unrolls, keeping `WALKERS` independent load chains in
+                // flight per cycle of the depth loop.
                 let mut s = 0;
                 while s + WALKERS <= m {
                     let mut idx = [0u32; WALKERS];
                     let base: [usize; WALKERS] = std::array::from_fn(|l| (lo + s + l) * d);
-                    for _ in 0..*depth {
+                    for _ in 0..depth {
                         for l in 0..WALKERS {
                             let nd = nodes[idx[l] as usize];
                             idx[l] = if x[base[l] + nd.feature as usize] <= nd.threshold {
@@ -186,7 +188,7 @@ impl Forest {
                 for t in s..m {
                     let base = (lo + t) * d;
                     let mut i = 0u32;
-                    for _ in 0..*depth {
+                    for _ in 0..depth {
                         let nd = nodes[i as usize];
                         i = if x[base + nd.feature as usize] <= nd.threshold {
                             nd.left
@@ -243,10 +245,7 @@ mod tests {
     #[test]
     fn leaf_vector_length_matches_trees() {
         let (x, y) = blobs(100, 2, 0.5, 5);
-        let cfg = ForestConfig {
-            n_trees: 17,
-            ..ForestConfig::default()
-        };
+        let cfg = ForestConfig { n_trees: 17 };
         let mut rng = SimRng::new(6);
         let f = Forest::fit(&x, &y, 2, &cfg, &mut rng);
         assert_eq!(f.leaf_vector(&x[0]).len(), 17);
@@ -304,10 +303,7 @@ mod tests {
         // Overlapping blobs force vote ties, exercising the tie-break.
         for seed in [1u64, 2, 3] {
             let (x, y) = blobs(150, 4, 2.5, seed);
-            let cfg = ForestConfig {
-                n_trees: 24,
-                ..ForestConfig::default()
-            };
+            let cfg = ForestConfig { n_trees: 24 };
             let f = Forest::fit(&x, &y, 4, &cfg, &mut SimRng::new(seed + 50));
             let (xt, _) = blobs(300, 4, 2.5, seed + 100);
             let scalar: Vec<usize> = xt.iter().map(|s| f.predict(s)).collect();
@@ -335,12 +331,31 @@ mod tests {
     }
 
     #[test]
+    fn fitting_on_rows_equals_fitting_on_copied_rows() {
+        let (x, y) = blobs(120, 3, 1.5, 31);
+        let mut draw = SimRng::new(32);
+        let mut permuted: Vec<usize> = (0..x.len()).collect();
+        draw.shuffle(&mut permuted);
+        let with_repeats: Vec<usize> = (0..90)
+            .map(|_| draw.next_below(x.len() as u64) as usize)
+            .collect();
+        let cfg = ForestConfig { n_trees: 12 };
+        for rows in [permuted, with_repeats] {
+            let on_rows = Forest::fit_rows(&x, &y, &rows, 3, &cfg, &mut SimRng::new(33));
+            let xc: Vec<Vec<f64>> = rows.iter().map(|&i| x[i].clone()).collect();
+            let yc: Vec<usize> = rows.iter().map(|&i| y[i]).collect();
+            let copied = Forest::fit(&xc, &yc, 3, &cfg, &mut SimRng::new(33));
+            for s in &x {
+                assert_eq!(on_rows.predict(s), copied.predict(s));
+                assert_eq!(on_rows.leaf_vector(s), copied.leaf_vector(s));
+            }
+        }
+    }
+
+    #[test]
     fn single_tree_forest_works() {
         let (x, y) = blobs(60, 2, 0.3, 11);
-        let cfg = ForestConfig {
-            n_trees: 1,
-            ..ForestConfig::default()
-        };
+        let cfg = ForestConfig { n_trees: 1 };
         let f = Forest::fit(&x, &y, 2, &cfg, &mut SimRng::new(12));
         assert_eq!(f.trees.len(), 1);
         let _ = f.predict(&x[0]);

@@ -4,9 +4,10 @@
 //! forest *leaf vector*; a test instance is classified by the k training
 //! fingerprints with the highest leaf agreement (equivalently, lowest
 //! Hamming distance). A plain Euclidean k-NN on raw features is also
-//! provided as a baseline attack.
+//! provided as a baseline attack. Both fit on row indices of the
+//! caller's feature table.
 
-use crate::forest::Forest;
+use crate::forest::{argmax_last, Forest};
 
 #[derive(Debug, Clone, Copy)]
 pub struct KnnConfig {
@@ -19,6 +20,15 @@ impl Default for KnnConfig {
     }
 }
 
+/// The class most of `labels` carry, the last of tied maxima.
+fn vote(labels: impl Iterator<Item = usize>, n_classes: usize) -> usize {
+    let mut votes = vec![0u32; n_classes];
+    for l in labels {
+        votes[l] += 1;
+    }
+    argmax_last(&votes)
+}
+
 /// k-FP: leaf-vector fingerprints + Hamming k-NN.
 pub(crate) struct KfpKnn {
     fingerprints: Vec<Vec<u32>>,
@@ -28,18 +38,17 @@ pub(crate) struct KfpKnn {
 }
 
 impl KfpKnn {
-    /// Fingerprint the training set through a trained forest.
+    /// Fingerprint rows `rows` of (x, y) through a trained forest.
     pub(crate) fn fit(
         forest: &Forest,
-        x_train: &[Vec<f64>],
-        y_train: &[usize],
+        x: &[Vec<f64>],
+        y: &[usize],
+        rows: &[usize],
         cfg: KnnConfig,
     ) -> Self {
-        assert_eq!(x_train.len(), y_train.len());
-        let fingerprints = x_train.iter().map(|s| forest.leaf_vector(s)).collect();
         KfpKnn {
-            fingerprints,
-            labels: y_train.to_vec(),
+            fingerprints: rows.iter().map(|&i| forest.leaf_vector(&x[i])).collect(),
+            labels: rows.iter().map(|&i| y[i]).collect(),
             n_classes: forest.n_classes,
             cfg,
         }
@@ -49,8 +58,9 @@ impl KfpKnn {
         a.iter().zip(b).filter(|(x, y)| x != y).count()
     }
 
-    /// Classify a test sample's leaf vector.
-    pub(crate) fn predict_from_leaves(&self, leaves: &[u32]) -> usize {
+    /// Labels of the k training fingerprints nearest `leaves`, nearest
+    /// first (ties by training order).
+    fn nearest(&self, leaves: &[u32]) -> impl Iterator<Item = usize> + '_ {
         let mut dists: Vec<(usize, usize)> = self
             .fingerprints
             .iter()
@@ -58,16 +68,13 @@ impl KfpKnn {
             .map(|(i, fp)| (Self::hamming(leaves, fp), i))
             .collect();
         dists.sort_unstable();
-        let mut votes = vec![0usize; self.n_classes];
-        for &(_, i) in dists.iter().take(self.cfg.k) {
-            votes[self.labels[i]] += 1;
-        }
-        votes
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .expect("votes nonempty")
-            .0
+        dists.truncate(self.cfg.k);
+        dists.into_iter().map(|(_, i)| self.labels[i])
+    }
+
+    /// Classify a test sample's leaf vector.
+    pub(crate) fn predict_from_leaves(&self, leaves: &[u32]) -> usize {
+        vote(self.nearest(leaves), self.n_classes)
     }
 
     pub(crate) fn predict(&self, forest: &Forest, sample: &[f64]) -> usize {
@@ -78,14 +85,7 @@ impl KfpKnn {
     /// label only when all k nearest fingerprints agree on it; otherwise
     /// return `fallback` (the unmonitored class).
     pub(crate) fn predict_unanimous(&self, leaves: &[u32], fallback: usize) -> usize {
-        let mut dists: Vec<(usize, usize)> = self
-            .fingerprints
-            .iter()
-            .enumerate()
-            .map(|(i, fp)| (Self::hamming(leaves, fp), i))
-            .collect();
-        dists.sort_unstable();
-        let mut labels = dists.iter().take(self.cfg.k).map(|&(_, i)| self.labels[i]);
+        let mut labels = self.nearest(leaves);
         let Some(first) = labels.next() else {
             return fallback;
         };
@@ -108,33 +108,35 @@ pub(crate) struct FeatureKnn {
 }
 
 impl FeatureKnn {
+    /// z-score rows `rows` of `x` by their own mean and deviation.
     pub(crate) fn fit(
-        x_train: &[Vec<f64>],
-        y_train: &[usize],
+        x: &[Vec<f64>],
+        y: &[usize],
+        rows: &[usize],
         n_classes: usize,
         cfg: KnnConfig,
     ) -> Self {
-        assert!(!x_train.is_empty());
-        let d = x_train[0].len();
-        let n = x_train.len() as f64;
+        assert!(!rows.is_empty());
+        let d = x[rows[0]].len();
+        let n = rows.len() as f64;
         let mut mean = vec![0.0; d];
-        for s in x_train {
-            for (m, v) in mean.iter_mut().zip(s) {
+        for &i in rows {
+            for (m, v) in mean.iter_mut().zip(&x[i]) {
                 *m += v;
             }
         }
         mean.iter_mut().for_each(|m| *m /= n);
         let mut std = vec![0.0; d];
-        for s in x_train {
-            for ((sd, v), m) in std.iter_mut().zip(s).zip(&mean) {
+        for &i in rows {
+            for ((sd, v), m) in std.iter_mut().zip(&x[i]).zip(&mean) {
                 *sd += (v - m) * (v - m);
             }
         }
         std.iter_mut().for_each(|s| *s = (*s / n).sqrt().max(1e-9));
-        let x = x_train
+        let z = rows
             .iter()
-            .map(|s| {
-                s.iter()
+            .map(|&i| {
+                x[i].iter()
                     .zip(&mean)
                     .zip(&std)
                     .map(|((v, m), sd)| (v - m) / sd)
@@ -142,8 +144,8 @@ impl FeatureKnn {
             })
             .collect();
         FeatureKnn {
-            x,
-            labels: y_train.to_vec(),
+            x: z,
+            labels: rows.iter().map(|&i| y[i]).collect(),
             n_classes,
             mean,
             std,
@@ -168,16 +170,8 @@ impl FeatureKnn {
             })
             .collect();
         dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-        let mut votes = vec![0usize; self.n_classes];
-        for &(_, i) in dists.iter().take(self.cfg.k) {
-            votes[self.labels[i]] += 1;
-        }
-        votes
-            .iter()
-            .enumerate()
-            .max_by_key(|(_, &v)| v)
-            .expect("votes nonempty")
-            .0
+        let nearest = dists.iter().take(self.cfg.k).map(|&(_, i)| self.labels[i]);
+        vote(nearest, self.n_classes)
     }
 }
 
@@ -199,6 +193,10 @@ mod tests {
         (x, y)
     }
 
+    fn all(n: usize) -> Vec<usize> {
+        (0..n).collect()
+    }
+
     #[test]
     fn hamming_distance() {
         assert_eq!(KfpKnn::hamming(&[1, 2, 3], &[1, 2, 3]), 0);
@@ -210,7 +208,7 @@ mod tests {
         let (x, y) = blobs(200, 4, 1);
         let mut rng = SimRng::new(2);
         let forest = Forest::fit(&x, &y, 4, &ForestConfig::default(), &mut rng);
-        let knn = KfpKnn::fit(&forest, &x, &y, KnnConfig::default());
+        let knn = KfpKnn::fit(&forest, &x, &y, &all(x.len()), KnnConfig::default());
         let (xt, yt) = blobs(80, 4, 55);
         let acc = xt
             .iter()
@@ -224,7 +222,7 @@ mod tests {
     #[test]
     fn feature_knn_classifies_blobs() {
         let (x, y) = blobs(200, 3, 3);
-        let knn = FeatureKnn::fit(&x, &y, 3, KnnConfig::default());
+        let knn = FeatureKnn::fit(&x, &y, &all(x.len()), 3, KnnConfig::default());
         let (xt, yt) = blobs(60, 3, 77);
         let acc = xt
             .iter()
@@ -243,7 +241,7 @@ mod tests {
         for s in &mut x {
             s[1] *= 1e6; // blow up the noise dimension
         }
-        let knn = FeatureKnn::fit(&x, &y, 2, KnnConfig::default());
+        let knn = FeatureKnn::fit(&x, &y, &all(x.len()), 2, KnnConfig::default());
         let (mut xt, yt) = blobs(60, 2, 88);
         for s in &mut xt {
             s[1] *= 1e6;
@@ -261,7 +259,7 @@ mod tests {
     fn k_one_matches_nearest_training_point() {
         let x = vec![vec![0.0], vec![10.0]];
         let y = vec![0, 1];
-        let knn = FeatureKnn::fit(&x, &y, 2, KnnConfig { k: 1 });
+        let knn = FeatureKnn::fit(&x, &y, &[1, 0], 2, KnnConfig { k: 1 });
         assert_eq!(knn.predict(&[1.0]), 0);
         assert_eq!(knn.predict(&[9.0]), 1);
     }

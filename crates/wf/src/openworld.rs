@@ -10,7 +10,7 @@
 
 use crate::features::{extract_all, FeatureConfig};
 use crate::forest::{Forest, ForestConfig};
-use crate::knn::KnnConfig;
+use crate::knn::{KfpKnn, KnnConfig};
 use crate::metrics::mean_std;
 use netsim::SimRng;
 use traces::Trace;
@@ -71,8 +71,15 @@ pub fn evaluate_open_world(
 ) -> OpenWorldResult {
     assert!(!monitored.is_empty() && !background.is_empty());
     let unmon_label = n_monitored;
-    let feats_mon = extract_all(monitored, &cfg.features);
-    let feats_bg = extract_all(background, &cfg.features);
+    // One table: the monitored rows, then the background rows.
+    let n_mon = monitored.len();
+    let mut x = extract_all(monitored, &cfg.features);
+    x.extend(extract_all(background, &cfg.features));
+    let y: Vec<usize> = monitored
+        .iter()
+        .map(|t| t.label)
+        .chain(std::iter::repeat_n(unmon_label, background.len()))
+        .collect();
     let mut tprs = Vec::new();
     let mut fprs = Vec::new();
     for rep in 0..cfg.repeats {
@@ -85,39 +92,26 @@ pub fn evaluate_open_world(
             let test = idx.split_off(n - n_test.min(n - 1));
             (idx, test)
         };
-        let (mon_train, mon_test) = split(monitored.len(), &mut rng);
+        let (mon_train, mon_test) = split(n_mon, &mut rng);
         let (bg_train, bg_test) = split(background.len(), &mut rng);
 
-        let mut x: Vec<Vec<f64>> = Vec::new();
-        let mut y: Vec<usize> = Vec::new();
-        for &i in &mon_train {
-            x.push(feats_mon[i].clone());
-            y.push(monitored[i].label);
-        }
-        for &i in &bg_train {
-            x.push(feats_bg[i].clone());
-            y.push(unmon_label);
-        }
-        let forest = Forest::fit(&x, &y, n_monitored + 1, &cfg.forest, &mut rng);
-        let knn = crate::knn::KfpKnn::fit(&forest, &x, &y, KnnConfig { k: cfg.k });
+        let train: Vec<usize> = mon_train
+            .iter()
+            .copied()
+            .chain(bg_train.iter().map(|&i| n_mon + i))
+            .collect();
+        let forest = Forest::fit_rows(&x, &y, &train, n_monitored + 1, &cfg.forest, &mut rng);
+        let knn = KfpKnn::fit(&forest, &x, &y, &train, KnnConfig { k: cfg.k });
 
         // Unanimous rule: predict a monitored site only if the k-NN vote
         // is unanimous for it.
-        let classify =
-            |sample: &[f64]| knn.predict_unanimous(&forest.leaf_vector(sample), unmon_label);
+        let classify = |i: usize| knn.predict_unanimous(&forest.leaf_vector(&x[i]), unmon_label);
 
-        let mut tp = 0usize;
-        for &i in &mon_test {
-            if classify(&feats_mon[i]) == monitored[i].label {
-                tp += 1;
-            }
-        }
-        let mut fp = 0usize;
-        for &i in &bg_test {
-            if classify(&feats_bg[i]) != unmon_label {
-                fp += 1;
-            }
-        }
+        let tp = mon_test.iter().filter(|&&i| classify(i) == y[i]).count();
+        let fp = bg_test
+            .iter()
+            .filter(|&&i| classify(n_mon + i) != unmon_label)
+            .count();
         tprs.push(tp as f64 / mon_test.len().max(1) as f64);
         fprs.push(fp as f64 / bg_test.len().max(1) as f64);
     }
@@ -155,10 +149,7 @@ mod tests {
     fn open_world_attack_has_signal_and_bounded_fpr() {
         let (monitored, background) = corpora();
         let cfg = OpenWorldConfig {
-            forest: ForestConfig {
-                n_trees: 40,
-                ..ForestConfig::default()
-            },
+            forest: ForestConfig { n_trees: 40 },
             ..OpenWorldConfig::default()
         };
         let r = evaluate_open_world(&monitored, 5, &background, &cfg);
@@ -194,10 +185,7 @@ mod tests {
         let closed = evaluate(
             &Dataset::new(monitored.clone(), names),
             &EvalConfig {
-                forest: ForestConfig {
-                    n_trees: 40,
-                    ..ForestConfig::default()
-                },
+                forest: ForestConfig { n_trees: 40 },
                 repeats: 3,
                 ..EvalConfig::default()
             },
@@ -207,10 +195,7 @@ mod tests {
             5,
             &background,
             &OpenWorldConfig {
-                forest: ForestConfig {
-                    n_trees: 40,
-                    ..ForestConfig::default()
-                },
+                forest: ForestConfig { n_trees: 40 },
                 ..OpenWorldConfig::default()
             },
         );

@@ -1,11 +1,18 @@
 //! CART decision trees with Gini impurity and per-split random feature
 //! subsets — the building block of the random forest.
+//!
+//! A tree is one preorder array of 24-byte [`CompactNode`]s, grown in
+//! place by [`Tree::fit`] and walked by every predictor: the scalar
+//! [`Tree::predict_with_leaf`] and the forest's batched kernel. Leaves
+//! loop to themselves, so a walk that runs for the tree's
+//! [`depth`](Tree::depth) parks at its leaf without a leaf test; a leaf's
+//! node index is its id, the element of k-FP's fingerprint.
 
 use netsim::SimRng;
 
 /// Tree growth parameters.
 #[derive(Debug, Clone, Copy)]
-pub struct TreeConfig {
+pub(crate) struct TreeConfig {
     /// Features considered per split (0 = sqrt(d), the RF default).
     pub(crate) max_features: usize,
     pub(crate) max_depth: usize,
@@ -22,42 +29,14 @@ impl Default for TreeConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-enum Node {
-    Leaf {
-        /// Majority class at this leaf.
-        class: usize,
-        /// Unique leaf id within the tree (k-FP's fingerprint element).
-        id: u32,
-    },
-    Split {
-        feature: usize,
-        threshold: f64,
-        left: usize,
-        right: usize,
-    },
-}
-
-/// A trained decision tree.
-#[derive(Debug, Clone)]
-pub(crate) struct Tree {
-    nodes: Vec<Node>,
-    pub(crate) n_leaves: u32,
-    /// Gini importance per feature: impurity decrease weighted by the
-    /// fraction of training samples reaching each split.
-    pub(crate) importances: Vec<f64>,
-}
-
-/// A prediction-only node: 24 bytes instead of the 48-byte `Node`
-/// enum variant, so a whole tree stays resident while it classifies a
-/// sample block.
+/// One tree node, split or leaf, in 24 bytes.
 ///
 /// Leaves are encoded as *self-loops*: `left == right == own index`,
-/// `feature == 0`, `threshold == +∞`. A walk that runs for the tree's
-/// max depth therefore parks at its leaf with **zero** leaf-test
-/// branches in the step — `next = if x[f] <= t { left } else { right }`
-/// is the whole kernel, and it takes exactly the branches
-/// [`Tree::predict`] takes (NaN compares false on both encodings, so
+/// `feature == 0`, `threshold == +∞`. A split's children come after it
+/// in preorder, so `left == own index` is the leaf test. The step
+/// `next = if x[f] <= t { left } else { right }` is the whole batched
+/// kernel: it parks a walk at its leaf once it gets there, and takes
+/// exactly the branches the scalar walk takes (NaN compares false, so
 /// even NaN inputs walk identically).
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CompactNode {
@@ -67,6 +46,19 @@ pub(crate) struct CompactNode {
     pub(crate) right: u32,
     /// Majority class (leaves; 0 on split nodes).
     pub(crate) class: u32,
+}
+
+/// A trained decision tree.
+#[derive(Debug, Clone)]
+pub(crate) struct Tree {
+    /// Preorder nodes; the root is node 0.
+    pub(crate) nodes: Vec<CompactNode>,
+    /// Depth of the deepest leaf: the number of steps after which
+    /// every walk has parked at its leaf.
+    pub(crate) depth: u32,
+    /// Gini importance per feature: impurity decrease weighted by the
+    /// fraction of training samples reaching each split.
+    pub(crate) importances: Vec<f64>,
 }
 
 fn gini(counts: &[usize], total: usize) -> f64 {
@@ -102,7 +94,7 @@ impl Tree {
         };
         let mut tree = Tree {
             nodes: Vec::new(),
-            n_leaves: 0,
+            depth: 0,
             importances: vec![0.0; d],
         };
         let n_total = idx.len();
@@ -116,6 +108,7 @@ impl Tree {
         tree
     }
 
+    /// Grow the subtree over `idx` at `depth`; returns its root's index.
     #[allow(clippy::too_many_arguments)]
     fn grow(
         &mut self,
@@ -128,7 +121,7 @@ impl Tree {
         rng: &mut SimRng,
         depth: usize,
         n_total: usize,
-    ) -> usize {
+    ) -> u32 {
         let mut counts = vec![0usize; n_classes];
         for &i in idx.iter() {
             counts[y[i]] += 1;
@@ -142,7 +135,7 @@ impl Tree {
             .0;
         let pure = counts.contains(&total);
         if pure || total < cfg.min_samples_split || depth >= cfg.max_depth {
-            return self.push_leaf(majority);
+            return self.push_leaf(majority, depth);
         }
 
         // Random feature subset; best Gini split among them.
@@ -176,14 +169,14 @@ impl Tree {
             }
         }
         let Some((gain, feat, thr)) = best else {
-            return self.push_leaf(majority);
+            return self.push_leaf(majority, depth);
         };
         if gain <= 1e-12 {
-            return self.push_leaf(majority);
+            return self.push_leaf(majority, depth);
         }
         self.importances[feat] += gain * total as f64 / n_total as f64;
 
-        // Partition in place.
+        // Partition, keeping each side in `idx` order.
         let mut left: Vec<usize> = Vec::new();
         let mut right: Vec<usize> = Vec::new();
         for &i in idx.iter() {
@@ -194,13 +187,17 @@ impl Tree {
             }
         }
         if left.is_empty() || right.is_empty() {
-            return self.push_leaf(majority);
+            return self.push_leaf(majority, depth);
         }
-        let node_pos = self.nodes.len();
-        self.nodes.push(Node::Leaf {
-            class: majority,
-            id: 0,
-        }); // placeholder
+        // The split goes first (preorder); its children fill in below.
+        let pos = self.nodes.len();
+        self.nodes.push(CompactNode {
+            threshold: thr,
+            feature: feat as u32,
+            left: 0,
+            right: 0,
+            class: 0,
+        });
         let l = self.grow(
             x,
             y,
@@ -223,90 +220,44 @@ impl Tree {
             depth + 1,
             n_total,
         );
-        self.nodes[node_pos] = Node::Split {
-            feature: feat,
-            threshold: thr,
-            left: l,
-            right: r,
-        };
-        node_pos
+        self.nodes[pos].left = l;
+        self.nodes[pos].right = r;
+        pos as u32
     }
 
-    fn push_leaf(&mut self, class: usize) -> usize {
-        let id = self.n_leaves;
-        self.n_leaves += 1;
-        self.nodes.push(Node::Leaf { class, id });
-        self.nodes.len() - 1
+    fn push_leaf(&mut self, class: usize, depth: usize) -> u32 {
+        let id = self.nodes.len() as u32;
+        self.nodes.push(CompactNode {
+            threshold: f64::INFINITY,
+            feature: 0,
+            left: id,
+            right: id,
+            class: class as u32,
+        });
+        self.depth = self.depth.max(depth as u32);
+        id
     }
 
     /// Predict the class of a sample; also returns the leaf id reached.
+    /// Tests for a leaf before reading a feature, so a row no split
+    /// reads (a zero-width one, on a single-leaf tree) is never indexed.
     pub(crate) fn predict_with_leaf(&self, sample: &[f64]) -> (usize, u32) {
-        let mut pos = 0usize;
+        let mut i = 0u32;
         loop {
-            match &self.nodes[pos] {
-                Node::Leaf { class, id } => return (*class, *id),
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => {
-                    pos = if sample[*feature] <= *threshold {
-                        *left
-                    } else {
-                        *right
-                    };
-                }
+            let nd = &self.nodes[i as usize];
+            if nd.left == i {
+                return (nd.class as usize, i);
             }
+            i = if sample[nd.feature as usize] <= nd.threshold {
+                nd.left
+            } else {
+                nd.right
+            };
         }
     }
 
     pub(crate) fn predict(&self, sample: &[f64]) -> usize {
         self.predict_with_leaf(sample).0
-    }
-
-    /// Flatten into the prediction-only layout, returning the node
-    /// array and the tree's max leaf depth (the exact number of
-    /// branchless steps after which every walk has parked at its leaf).
-    pub(crate) fn compact(&self) -> (Vec<CompactNode>, u32) {
-        let nodes: Vec<CompactNode> = self
-            .nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| match n {
-                Node::Leaf { class, .. } => CompactNode {
-                    threshold: f64::INFINITY,
-                    feature: 0,
-                    left: i as u32,
-                    right: i as u32,
-                    class: *class as u32,
-                },
-                Node::Split {
-                    feature,
-                    threshold,
-                    left,
-                    right,
-                } => CompactNode {
-                    threshold: *threshold,
-                    feature: *feature as u32,
-                    left: *left as u32,
-                    right: *right as u32,
-                    class: 0,
-                },
-            })
-            .collect();
-        let mut max_depth = 0u32;
-        let mut stack = vec![(0usize, 0u32)];
-        while let Some((i, depth)) = stack.pop() {
-            match &self.nodes[i] {
-                Node::Leaf { .. } => max_depth = max_depth.max(depth),
-                Node::Split { left, right, .. } => {
-                    stack.push((*left, depth + 1));
-                    stack.push((*right, depth + 1));
-                }
-            }
-        }
-        (nodes, max_depth)
     }
 }
 
@@ -368,7 +319,7 @@ mod tests {
         let mut rng = SimRng::new(5);
         let tree = Tree::fit(&x, &y, &idx, 2, &TreeConfig::default(), &mut rng);
         assert_eq!(tree.nodes.len(), 1, "no split possible on constant data");
-        assert_eq!(tree.n_leaves, 1);
+        assert_eq!(tree.depth, 0);
     }
 
     #[test]
@@ -385,18 +336,46 @@ mod tests {
     }
 
     #[test]
-    fn leaf_ids_are_unique_and_dense() {
+    fn leaf_ids_are_leaf_nodes() {
         let (x, y) = blobs(200, 8);
         let idx: Vec<usize> = (0..x.len()).collect();
         let mut rng = SimRng::new(9);
         let tree = Tree::fit(&x, &y, &idx, 2, &TreeConfig::default(), &mut rng);
         let mut seen = std::collections::BTreeSet::new();
         for s in &x {
-            let (_, leaf) = tree.predict_with_leaf(s);
-            assert!(leaf < tree.n_leaves);
+            let (class, leaf) = tree.predict_with_leaf(s);
+            let nd = tree.nodes[leaf as usize];
+            assert!(nd.left == leaf && nd.right == leaf, "node {leaf} is a leaf");
+            assert_eq!(nd.class as usize, class);
             seen.insert(leaf);
         }
-        assert!(!seen.is_empty());
+        assert!(seen.len() > 1, "blobs reach more than one leaf");
+    }
+
+    #[test]
+    fn depth_is_the_deepest_leaf() {
+        let (x, y) = blobs(300, 13);
+        let idx: Vec<usize> = (0..x.len()).collect();
+        for max_depth in [1, 2, 40] {
+            let cfg = TreeConfig {
+                max_depth,
+                ..TreeConfig::default()
+            };
+            let tree = Tree::fit(&x, &y, &idx, 2, &cfg, &mut SimRng::new(14));
+            let mut deepest = 0;
+            let mut stack = vec![(0u32, 0u32)];
+            while let Some((i, d)) = stack.pop() {
+                let nd = tree.nodes[i as usize];
+                if nd.left == i {
+                    deepest = deepest.max(d);
+                } else {
+                    stack.push((nd.left, d + 1));
+                    stack.push((nd.right, d + 1));
+                }
+            }
+            assert_eq!(tree.depth, deepest, "max_depth {max_depth}");
+            assert!(tree.depth as usize <= max_depth);
+        }
     }
 
     #[test]

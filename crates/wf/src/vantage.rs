@@ -129,10 +129,7 @@ mod tests {
 
     fn quick_cfg() -> EvalConfig {
         EvalConfig {
-            forest: ForestConfig {
-                n_trees: 30,
-                ..ForestConfig::default()
-            },
+            forest: ForestConfig { n_trees: 30 },
             repeats: 3,
             ..EvalConfig::default()
         }

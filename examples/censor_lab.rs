@@ -35,10 +35,7 @@ fn main() {
     let dataset = traces::Dataset::new(clean, sites.iter().map(|s| s.name.to_string()).collect());
 
     let eval_cfg = EvalConfig {
-        forest: ForestConfig {
-            n_trees: 60,
-            ..ForestConfig::default()
-        },
+        forest: ForestConfig { n_trees: 60 },
         repeats: 3,
         ..EvalConfig::default()
     };

@@ -69,10 +69,7 @@ fn thread_count_never_changes_results() {
     let corpus = generate_corpus(&sites, 8, 7);
     let x = extract_all(&corpus, &FeatureConfig::paper());
     let y: Vec<usize> = corpus.iter().map(|t| t.label).collect();
-    let fcfg = ForestConfig {
-        n_trees: 24,
-        ..ForestConfig::default()
-    };
+    let fcfg = ForestConfig { n_trees: 24 };
     let em = EmulateConfig::default();
     let root = SimRng::new(0xDE7);
 

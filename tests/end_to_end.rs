@@ -31,10 +31,7 @@ fn small_dataset(visits: usize, seed: u64) -> Dataset {
 
 fn quick_eval() -> EvalConfig {
     EvalConfig {
-        forest: ForestConfig {
-            n_trees: 40,
-            ..ForestConfig::default()
-        },
+        forest: ForestConfig { n_trees: 40 },
         repeats: 3,
         ..EvalConfig::default()
     }

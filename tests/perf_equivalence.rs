@@ -68,10 +68,7 @@ fn batched_prediction_matches_scalar_for_every_seed() {
     // Every forest seed the committed experiments use (the table2 /
     // defense_matrix harness seeds) plus a few arbitrary ones.
     for seed in [7, 0xDEF, 0xBE6C, 0, 1, 2] {
-        let fcfg = ForestConfig {
-            n_trees: 60,
-            ..ForestConfig::default()
-        };
+        let fcfg = ForestConfig { n_trees: 60 };
         let mut rng = netsim::SimRng::new(seed);
         let forest = Forest::fit(&x, &y, 9, &fcfg, &mut rng);
         let rows: Vec<&[f64]> = x.iter().map(|r| r.as_slice()).collect();
