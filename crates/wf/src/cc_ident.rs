@@ -306,15 +306,8 @@ mod tests {
             .sum::<f64>()
             .sqrt();
         assert!(dist > 0.5, "policy barely moved the features: {dist}");
-        // And identification must not become *easier* beyond small-sample
-        // noise.
-        let r_plain = evaluate_cc_ident(&plain, 40, 4, 7);
-        let r_hidden = evaluate_cc_ident(&hidden, 40, 4, 7);
-        assert!(
-            r_hidden.mean <= r_plain.mean + 0.15,
-            "obfuscation must not help the classifier: {} -> {}",
-            r_plain.mean,
-            r_hidden.mean
-        );
+        // Which way the move shifts identification is the gated
+        // `cc_ident` run's reading (tests/extension_claims.rs), not a
+        // claim at 5 flows per CCA.
     }
 }

@@ -2,7 +2,8 @@
 //! held against their goldens (`cc_ident` and `openworld` at their
 //! defaults, byte-compared by `scripts/check-golden.sh`): a passive
 //! observer identifies the sender's congestion controller well above
-//! chance with and without the `cc-hide` shaping, and open-world k-FP
+//! chance with and without the `cc-hide` shaping, and more often with
+//! it (the shaping makes the CCA easier to identify), and open-world k-FP
 //! attributes monitored visits far more often than it flags background
 //! ones, undefended and under split+delay.
 
@@ -22,6 +23,23 @@ fn both_cc_rows_beat_chance() {
         let mean = row.req_f64("mean").expect("mean");
         assert!(mean > 1.0 / 3.0, "{traffic}: accuracy {mean:.3} at chance");
     }
+}
+
+#[test]
+fn cc_hide_shaping_makes_the_cca_easier_to_identify() {
+    let rows = rows(include_str!("golden/cc_ident.json"));
+    let mean = |traffic: &str| {
+        let row = rows
+            .iter()
+            .find(|r| r.req_str("traffic").expect("traffic") == traffic)
+            .expect("row present");
+        row.req_f64("mean").expect("mean")
+    };
+    let (plain, hidden) = (mean("plain"), mean("cc-hide"));
+    assert!(
+        hidden > plain,
+        "cc-hide accuracy {hidden:.3} not above plain {plain:.3}"
+    );
 }
 
 #[test]
