@@ -28,7 +28,6 @@ use stack::{PathConfig, StackConfig};
 use stob::defense::{DefenseCtx, StackParams};
 use stob::policy::{DelaySpec, ObfuscationPolicy};
 use stob::safety::SafetyCap;
-use stob::sockopt::assemble_policy_shaper;
 use stob::strategies::IncrementalReduce;
 use stob_bench::{bulk_goodput, cli};
 
@@ -171,7 +170,7 @@ fn main() {
         par::par_map(&variants, |_, &v| {
             let shaper = match v {
                 0 => None,
-                v => Some(assemble_policy_shaper(&stretch(v == 2), seed, 0).0),
+                v => Some(StackParams::with_seed(seed).shaper(stretch(v == 2))),
             };
             bulk_goodput(
                 bbr_cfg.clone(),

@@ -701,17 +701,26 @@ impl Default for StackParams {
 impl StackParams {
     /// Params with an explicit seed and the conventional Ethernet sizes.
     pub fn with_seed(seed: u64) -> Self {
+        StackParams::for_flow(seed, 0)
+    }
+
+    /// Params for one flow of a policy: `seed` and the flow salt that
+    /// decorrelates flows sharing it, with the conventional sizes.
+    pub fn for_flow(seed: u64, flow_salt: u64) -> Self {
         StackParams {
             seed,
+            flow_salt,
             ..StackParams::default()
         }
     }
 
     /// The one lowering of a validated policy: moved into its
     /// `PolicyShaper`, RNGs seeded from `seed` and `flow_salt`, inside
-    /// the §4.2 [`SafetyCap`]. One heap block, plus whatever the policy
-    /// already owned.
-    pub(crate) fn shaper(&self, policy: ObfuscationPolicy) -> BoxShaper {
+    /// the §4.2 [`SafetyCap`], unaudited. One heap block, plus whatever
+    /// the policy already owned. Harnesses that own their policy lower
+    /// it here; [`assemble_policy_shaper`](crate::sockopt::assemble_policy_shaper)
+    /// copies a borrowed one and adds an audit.
+    pub fn shaper(&self, policy: ObfuscationPolicy) -> BoxShaper {
         Box::new(SafetyCap::new(PolicyShaper::new(
             policy,
             self.seed,

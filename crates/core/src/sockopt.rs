@@ -31,9 +31,10 @@ use std::sync::Arc;
 /// Assemble the enforcement of a borrowed policy, audited: its
 /// `PolicyShaper` (rules, first-N window and slow-start hold) inside the
 /// §4.2 [`SafetyCap`], plus the cap's audit handle. It copies the rules
-/// it lowers (not the name). For harnesses that hold a policy of their
-/// own; an attached flow's policy lowers through
-/// [`Attachment::into_shaper`] instead, moved and unaudited.
+/// it lowers (not the name). A harness that owns its policy and reads
+/// no audit lowers it through [`StackParams::shaper`] instead, moved and
+/// unaudited, as an attached flow's policy does
+/// ([`Attachment::into_shaper`]).
 pub fn assemble_policy_shaper(
     policy: &ObfuscationPolicy,
     seed: u64,
@@ -154,10 +155,7 @@ pub fn attach(
             match defense.policy.validate() {
                 Ok(()) => AttachOutcome::Attached(Attachment {
                     defense,
-                    params: StackParams {
-                        flow_salt: u64::from(flow),
-                        ..StackParams::with_seed(seed)
-                    },
+                    params: StackParams::for_flow(seed, u64::from(flow)),
                 }),
                 Err(reason) => {
                     registry.note_degraded();

@@ -16,8 +16,8 @@ use stack::apps::{BulkSender, ShapedSender, Sink};
 use stack::config::CcKind;
 use stack::net::{Network, CLIENT};
 use stack::{HostConfig, PathConfig, StackConfig};
+use stob::defense::StackParams;
 use stob::policy::ObfuscationPolicy;
-use stob::sockopt::assemble_policy_shaper;
 
 /// Parameters of one bulk-flow sample.
 #[derive(Debug, Clone)]
@@ -60,8 +60,8 @@ pub(crate) fn run_flow(sc: &FlowScenario, label: usize, visit: usize, seed: u64)
     // Flow 1's salt, as an attached connection would carry.
     let shaper = sc
         .policy
-        .as_ref()
-        .map(|p| assemble_policy_shaper(p, seed, 1).0);
+        .clone()
+        .map(|p| StackParams::for_flow(seed, 1).shaper(p));
     let host = HostConfig {
         nic_rate_bps: 10_000_000_000,
         ..HostConfig::default()

@@ -8,8 +8,10 @@
 //! the fleet mix: the built policy's name (and a padding core, or a
 //! histogram's bins, where the defense has them) and one boxed capped
 //! shaper for a policy with a rule. It holds `assemble_policy_shaper`,
-//! which audits, to the boxed capped shaper and its audit handle, and a
-//! bare `SafetyCap` to none.
+//! which audits, to the boxed capped shaper and its audit handle, the
+//! unaudited lowering a harness calls on a policy it owns
+//! (`StackParams::shaper`) to the boxed capped shaper alone, and a bare
+//! `SafetyCap` to none.
 
 use defenses::front::FrontConfig;
 use defenses::FrontDefense;
@@ -17,7 +19,7 @@ use netsim::{Histogram, SimRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
-use stob::defense::{Defense, Placement};
+use stob::defense::{Defense, Placement, StackParams};
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec};
 use stob::registry::{PolicyKey, PolicyRegistry};
 use stob::safety::SafetyCap;
@@ -101,6 +103,18 @@ fn a_delay_only_policy_attaches_in_two_blocks() {
 fn split_and_delay_attaches_in_two_blocks() {
     let p = ObfuscationPolicy::split_and_delay("s3");
     assert_eq!(assemble_allocs(&p), 2);
+}
+
+#[test]
+fn lowering_an_owned_parametric_policy_allocates_one_block() {
+    let params = StackParams::for_flow(12, 1);
+    for p in [
+        delay_only(true, 20),
+        ObfuscationPolicy::split_and_delay("s3"),
+    ] {
+        let name = p.name.clone();
+        assert_eq!(allocs(|| params.shaper(p)), 1, "{name}");
+    }
 }
 
 /// A histogram of `bins` bins with mass in every one.
