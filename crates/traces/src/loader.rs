@@ -15,7 +15,7 @@ use crate::sites::{SiteProfile, VisitPlan};
 use netsim::{AuditReport, FaultSchedule, FaultStats, FlowId, Nanos, SimRng};
 use stack::cpu::CpuModel;
 use stack::net::{Api, App, Network, CLIENT, SERVER};
-use stack::tls::{MAX_RECORD_PLAINTEXT, RECORD_OVERHEAD};
+use stack::tls::framed_bytes;
 use stack::{HostConfig, PathConfig};
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
@@ -28,34 +28,6 @@ use stob::sockopt::{attach, Attachment};
 const CLIENT_HELLO: u64 = 517;
 /// TLS client Finished flight, sent together with the first request.
 const CLIENT_FINISHED: u64 = 80;
-
-/// Bytes on the TCP stream for an `n`-byte HTTP object after TLS record
-/// framing (mirrors `stack::tls::TlsSession::wrap`).
-#[cfg(test)]
-pub(crate) fn tls_wrapped(n: u64) -> u64 {
-    tls_wrapped_padded(n, 0)
-}
-
-/// Like [`tls_wrapped`], with TLS 1.3 record padding to a multiple of
-/// `quantum` plaintext bytes per record (0 = none).
-pub(crate) fn tls_wrapped_padded(n: u64, quantum: u64) -> u64 {
-    if n == 0 {
-        return 0;
-    }
-    let mut remaining = n;
-    let mut out = 0;
-    while remaining > 0 {
-        let frag = remaining.min(MAX_RECORD_PLAINTEXT);
-        let padded = if quantum > 1 {
-            (frag.div_ceil(quantum) * quantum).min(MAX_RECORD_PLAINTEXT)
-        } else {
-            frag
-        };
-        out += padded + RECORD_OVERHEAD;
-        remaining -= frag;
-    }
-    out
-}
 
 /// Outcome of one simulated visit.
 #[derive(Debug)]
@@ -378,7 +350,7 @@ impl Browser {
             if Some(flow) == self.main_flow {
                 let job = Job {
                     object: 0,
-                    stream_bytes: tls_wrapped_padded(self.plan.main_doc, self.pad_quantum),
+                    stream_bytes: framed_bytes(self.plan.main_doc, self.pad_quantum),
                     think: self.plan.thinks[0],
                     attempt: 0,
                     is_main: true,
@@ -390,7 +362,7 @@ impl Browser {
         if let Some((object, obj, think)) = self.queue.pop_front() {
             let job = Job {
                 object,
-                stream_bytes: tls_wrapped_padded(obj, self.pad_quantum),
+                stream_bytes: framed_bytes(obj, self.pad_quantum),
                 think,
                 attempt: 0,
                 is_main: false,
@@ -846,10 +818,10 @@ mod tests {
 
     #[test]
     fn tls_wrapping_math() {
-        assert_eq!(tls_wrapped(0), 0);
-        assert_eq!(tls_wrapped(1000), 1022);
-        assert_eq!(tls_wrapped(16_384), 16_384 + 22);
-        assert_eq!(tls_wrapped(16_385), 16_385 + 44);
+        assert_eq!(framed_bytes(0, 0), 0);
+        assert_eq!(framed_bytes(1000, 0), 1022);
+        assert_eq!(framed_bytes(16_384, 0), 16_384 + 22);
+        assert_eq!(framed_bytes(16_385, 0), 16_385 + 44);
     }
 
     #[test]
@@ -953,8 +925,8 @@ mod tests {
 
     #[test]
     fn record_padding_inflates_downloads() {
-        assert_eq!(tls_wrapped_padded(100, 4096), 4096 + 22);
-        assert_eq!(tls_wrapped_padded(100, 0), 122);
+        assert_eq!(framed_bytes(100, 4096), 4096 + 22);
+        assert_eq!(framed_bytes(100, 0), 122);
         let sites = paper_sites();
         let plain = load_page(&sites[7], 7, 0, 71, &quick_cfg());
         let pcfg = LoaderConfig {
