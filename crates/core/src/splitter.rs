@@ -10,7 +10,7 @@
 //! owns validation.
 
 pub use stack::mux::SplitterSpec;
-use stack::mux::{MAX_PIPES, MAX_WEIGHT};
+use stack::mux::{check_weights, MAX_PIPES};
 
 /// Control-plane validation: a hostile or malformed spec must be
 /// rejected at publish time, never at flow setup on the datapath.
@@ -25,14 +25,7 @@ pub fn validate_splitter(spec: &SplitterSpec) -> Result<(), String> {
                 weights.len()
             ));
         }
-        if weights.contains(&0) {
-            return Err("weighted splitter weights must be positive".to_string());
-        }
-        if weights.iter().any(|&w| w > MAX_WEIGHT) {
-            return Err(format!(
-                "weighted splitter weights must be at most {MAX_WEIGHT}"
-            ));
-        }
+        check_weights(weights)?;
     }
     Ok(())
 }
@@ -69,6 +62,28 @@ mod tests {
         })
         .is_err());
         assert!(validate_splitter(&SplitterSpec::RoundRobin).is_ok());
+    }
+
+    #[test]
+    fn publish_and_bind_checks_share_the_weight_rule() {
+        let cases = [
+            (
+                vec![1, 0],
+                "weighted splitter weights must be positive".to_string(),
+            ),
+            (
+                vec![1, stack::mux::MAX_WEIGHT + 1],
+                format!(
+                    "weighted splitter weights must be at most {}",
+                    stack::mux::MAX_WEIGHT
+                ),
+            ),
+        ];
+        for (weights, want) in cases {
+            let spec = SplitterSpec::Weighted { weights };
+            assert_eq!(validate_splitter(&spec), Err(want.clone()));
+            assert_eq!(spec.validate(2), Err(want));
+        }
     }
 
     #[test]

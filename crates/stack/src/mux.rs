@@ -108,17 +108,25 @@ impl SplitterSpec {
                     n_pipes
                 ));
             }
-            if weights.contains(&0) {
-                return Err("weighted splitter weights must be positive".to_string());
-            }
-            if weights.iter().any(|&w| w > MAX_WEIGHT) {
-                return Err(format!(
-                    "weighted splitter weights must be at most {MAX_WEIGHT}"
-                ));
-            }
+            check_weights(weights)?;
         }
         Ok(())
     }
+}
+
+/// The weight rule every [`SplitterSpec::Weighted`] check shares, after
+/// its own rule on the weight count: each weight positive and at most
+/// [`MAX_WEIGHT`].
+pub fn check_weights(weights: &[u64]) -> Result<(), String> {
+    if weights.contains(&0) {
+        return Err("weighted splitter weights must be positive".to_string());
+    }
+    if weights.iter().any(|&w| w > MAX_WEIGHT) {
+        return Err(format!(
+            "weighted splitter weights must be at most {MAX_WEIGHT}"
+        ));
+    }
+    Ok(())
 }
 
 // The control plane's wire form. Decoding checks shape only; the
