@@ -132,7 +132,7 @@ fn main() {
         deadline,
         loss: 0.0,
         server_policy: Some(bad),
-        breaker: Some(stob::BreakerConfig::default()),
+        breaker: true,
         ..LoaderConfig::default()
     };
     let breaker = soak(sites, 1, seed, &breaker_cfg);

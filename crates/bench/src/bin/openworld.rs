@@ -51,12 +51,11 @@ fn main() {
         forest: ForestConfig { n_trees: trees },
         repeats: 4,
         seed,
-        ..OpenWorldConfig::default()
     };
 
     println!(
         "\nOpen-world k-FP (9 monitored sites, unanimous-kNN rule, k = {})\n",
-        ow_cfg.k
+        wf::openworld::K
     );
     println!("| traffic            | TPR            | FPR            |");
     println!("|--------------------|----------------|----------------|");

@@ -330,10 +330,7 @@ pub fn run_table2_timed(
     for (cm, n) in emulate::section3_grid() {
         // Defense applied to the first n packets (whole trace when 0),
         // then the attacker sees the first n packets of the result.
-        let em = EmulateConfig {
-            first_n: n,
-            ..EmulateConfig::default()
-        };
+        let em = EmulateConfig { first_n: n };
         // Per-cell root rng, forked per trace by `defend_all`, so the
         // cell's emulation is deterministic at any thread count (the
         // seed argument only reaches the stack backend's shaper).

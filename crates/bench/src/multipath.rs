@@ -52,6 +52,12 @@ use netsim::FlowId;
 /// every leg (the recovery-heavy case where failover does real work).
 pub(crate) const SCENARIOS: [&str; 2] = ["baseline", "outage-storm"];
 
+/// Observation prefix: every vantage point keeps only the first 150
+/// packets it captures — the paper's Table 2 convention, and what keeps
+/// the fixed-width k-FP feature windows covering the same page span from
+/// every vantage point.
+const PREFIX_CAP: usize = 150;
+
 /// One (splitter, pipes, scenario, placement) cell of the matrix.
 #[derive(Debug, Clone)]
 pub struct MultipathCell {
@@ -86,11 +92,6 @@ pub struct MultipathConfig {
     pub placements: Vec<Placement>,
     /// XOR-parity group for the stack-placement transport (`None` = off).
     pub fec_group: Option<u32>,
-    /// Observation prefix: every vantage point keeps only the first
-    /// `prefix_cap` packets it captures (0 = unlimited) — the paper's
-    /// Table 2 convention, and what keeps the fixed-width k-FP feature
-    /// windows covering the same page span from every vantage point.
-    pub prefix_cap: usize,
     pub trees: usize,
     pub repeats: usize,
     pub seed: u64,
@@ -104,7 +105,6 @@ impl Default for MultipathConfig {
             scenarios: SCENARIOS.iter().map(|s| s.to_string()).collect(),
             placements: Placement::ALL.to_vec(),
             fec_group: None,
-            prefix_cap: 150,
             trees: 20,
             repeats: 6,
             seed: 0xA117,
@@ -382,7 +382,6 @@ pub fn replay_multipath(
         n_pipes: n,
         splitter: spec.clone(),
         fec_group,
-        ..MuxConfig::default()
     };
     let client = ReplayClient {
         sched: out,
@@ -531,9 +530,7 @@ pub fn run_multipath(dataset: &Dataset, cfg: &MultipathConfig) -> MultipathRepor
     // Every vantage point observes the same page prefix; the replayed
     // stack captures are clipped to the same budget after transport
     // re-segmentation so neither placement sees more page than the other.
-    let cap = cfg.prefix_cap;
-    let clip = move |d: Dataset| if cap == 0 { d } else { d.truncated(cap) };
-    let view = clip(dataset.clone());
+    let view = dataset.truncated(PREFIX_CAP);
 
     let cells: Vec<MultipathCell> = par::par_map(&grid, |ci, (spec, n, scenario, placement)| {
         let cell_root = root.fork(ci as u64 + 1);
@@ -584,7 +581,6 @@ pub fn run_multipath(dataset: &Dataset, cfg: &MultipathConfig) -> MultipathRepor
         forest: ForestConfig { n_trees: cfg.trees },
         repeats: cfg.repeats,
         seed: cfg.seed,
-        ..OpenWorldConfig::default()
     };
     let open_world = evaluate_vantage_open_world(&mon, &bg, &per_path_pools, OW_MONITORED, &ow_cfg);
 
@@ -788,7 +784,6 @@ mod tests {
                         n_pipes: n,
                         splitter: spec.clone(),
                         fec_group,
-                        ..MuxConfig::default()
                     };
                     Multiplex::client(FlowId(1), mux, 1);
                 }

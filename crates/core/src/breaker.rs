@@ -13,6 +13,10 @@
 //! validate) for a cooldown, then lets a single half-open trial probe
 //! whether the key has been fixed.
 //!
+//! The circuit opens after [`THRESHOLD`] (4) consecutive failures and
+//! sheds [`COOLDOWN`] (8) attempts before the first trial; each failed
+//! trial doubles the cooldown, up to [`MAX_COOLDOWN`] (64) attempts.
+//!
 //! Everything is deterministic and count-based — trips, cooldowns, and
 //! trials are functions of the attempt sequence alone, never of wall
 //! time — so breaker behaviour is bit-identical across `STOB_THREADS`
@@ -21,28 +25,12 @@
 use crate::registry::PolicyKey;
 use std::collections::BTreeMap;
 
-/// Tuning knobs for `CircuitBreaker`. The defaults trip after 4
-/// consecutive failures and shed 8 attempts before the first half-open
-/// trial; each failed trial doubles the cooldown up to 64 attempts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerConfig {
-    /// Consecutive failures on one key before the circuit opens.
-    pub threshold: u32,
-    /// Attempts shed while open before the first half-open trial.
-    pub cooldown: u32,
-    /// Upper bound on the doubled cooldown after failed trials.
-    pub max_cooldown: u32,
-}
-
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            threshold: 4,
-            cooldown: 8,
-            max_cooldown: 64,
-        }
-    }
-}
+/// Consecutive failures on one key before its circuit opens.
+const THRESHOLD: u32 = 4;
+/// Attempts shed while open before the first half-open trial.
+const COOLDOWN: u32 = 8;
+/// Upper bound on the cooldown, which each failed trial doubles.
+const MAX_COOLDOWN: u32 = 64;
 
 /// Per-key circuit state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -81,20 +69,11 @@ pub struct BreakerStats {
 /// [`PolicyKey`]. See the module docs for the state machine.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CircuitBreaker {
-    cfg: BreakerConfig,
     circuits: BTreeMap<PolicyKey, Circuit>,
     stats: BreakerStats,
 }
 
 impl CircuitBreaker {
-    pub(crate) fn new(cfg: BreakerConfig) -> Self {
-        CircuitBreaker {
-            cfg,
-            circuits: BTreeMap::new(),
-            stats: BreakerStats::default(),
-        }
-    }
-
     /// Ask whether an attachment attempt on `key` may proceed. Shed
     /// attempts count down the open cooldown; the attempt that exhausts
     /// it becomes the half-open trial.
@@ -147,7 +126,7 @@ impl CircuitBreaker {
     }
 
     /// Report that an admitted attempt failed (policy invalid, defense
-    /// degraded). Trips the circuit at the configured threshold; a
+    /// degraded). Trips the circuit at [`THRESHOLD`]; a
     /// failed half-open trial re-opens with a doubled cooldown.
     pub(crate) fn record_failure(&mut self, key: PolicyKey) {
         let c = self.circuits.entry(key).or_insert(Circuit::Closed {
@@ -158,10 +137,10 @@ impl CircuitBreaker {
                 consecutive_failures,
             } => {
                 let n = consecutive_failures + 1;
-                if n >= self.cfg.threshold {
+                if n >= THRESHOLD {
                     *c = Circuit::Open {
-                        shed_remaining: self.cfg.cooldown,
-                        cooldown: self.cfg.cooldown,
+                        shed_remaining: COOLDOWN,
+                        cooldown: COOLDOWN,
                     };
                     self.stats.trips += 1;
                     netsim::tm_counter!("stob.breaker.trips").inc();
@@ -172,7 +151,7 @@ impl CircuitBreaker {
                 }
             }
             Circuit::HalfOpen { cooldown } => {
-                let doubled = (cooldown * 2).min(self.cfg.max_cooldown);
+                let doubled = (cooldown * 2).min(MAX_COOLDOWN);
                 *c = Circuit::Open {
                     shed_remaining: doubled,
                     cooldown: doubled,
@@ -204,7 +183,7 @@ mod tests {
 
     #[test]
     fn closed_circuit_admits_everything() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::default();
         for _ in 0..100 {
             assert_eq!(b.admit(KEY), Admission::Allow);
             b.record_success(KEY);
@@ -212,93 +191,78 @@ mod tests {
         assert_eq!(b.stats(), BreakerStats::default());
     }
 
+    /// Admit and fail `n` attempts on `KEY`.
+    fn fail(b: &mut CircuitBreaker, n: u32) {
+        for _ in 0..n {
+            b.admit(KEY);
+            b.record_failure(KEY);
+        }
+    }
+
     #[test]
     fn trips_after_threshold_consecutive_failures() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
-        for _ in 0..3 {
+        let mut b = CircuitBreaker::default();
+        for _ in 0..THRESHOLD - 1 {
             assert_eq!(b.admit(KEY), Admission::Allow);
             b.record_failure(KEY);
             assert!(!is_open(&b));
         }
         assert_eq!(b.admit(KEY), Admission::Allow);
-        b.record_failure(KEY); // 4th consecutive: trips
+        b.record_failure(KEY); // the THRESHOLD-th in a row: trips
         assert!(is_open(&b));
         assert_eq!(b.stats().trips, 1);
     }
 
     #[test]
     fn a_success_resets_the_failure_run() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
-        for _ in 0..3 {
-            b.admit(KEY);
-            b.record_failure(KEY);
-        }
+        let mut b = CircuitBreaker::default();
+        fail(&mut b, THRESHOLD - 1);
         b.admit(KEY);
         b.record_success(KEY); // run broken
-        for _ in 0..3 {
-            b.admit(KEY);
-            b.record_failure(KEY);
-        }
+        fail(&mut b, THRESHOLD - 1);
         assert!(!is_open(&b), "run restarted after success");
     }
 
     #[test]
     fn open_circuit_sheds_then_offers_one_trial() {
-        let cfg = BreakerConfig {
-            threshold: 2,
-            cooldown: 3,
-            max_cooldown: 8,
-        };
-        let mut b = CircuitBreaker::new(cfg);
-        for _ in 0..2 {
-            b.admit(KEY);
-            b.record_failure(KEY);
+        let mut b = CircuitBreaker::default();
+        fail(&mut b, THRESHOLD);
+        // COOLDOWN - 1 shed attempts, then the trial.
+        for _ in 1..COOLDOWN {
+            assert_eq!(b.admit(KEY), Admission::Shed);
         }
-        // Cooldown of 3: two shed attempts, then the trial.
-        assert_eq!(b.admit(KEY), Admission::Shed);
-        assert_eq!(b.admit(KEY), Admission::Shed);
         assert_eq!(b.admit(KEY), Admission::Trial);
         // Concurrent attempts during the trial are shed too.
         assert_eq!(b.admit(KEY), Admission::Shed);
         b.record_success(KEY);
         assert_eq!(b.admit(KEY), Admission::Allow);
         let s = b.stats();
-        assert_eq!((s.trips, s.shed, s.trials, s.closes), (1, 3, 1, 1));
+        assert_eq!(
+            (s.trips, s.shed, s.trials, s.closes),
+            (1, u64::from(COOLDOWN), 1, 1)
+        );
     }
 
     #[test]
     fn failed_trial_doubles_the_cooldown_up_to_the_cap() {
-        let cfg = BreakerConfig {
-            threshold: 1,
-            cooldown: 2,
-            max_cooldown: 4,
-        };
-        let mut b = CircuitBreaker::new(cfg);
-        b.admit(KEY);
-        b.record_failure(KEY); // trips; cooldown 2
-        assert_eq!(b.admit(KEY), Admission::Shed);
-        assert_eq!(b.admit(KEY), Admission::Trial);
-        b.record_failure(KEY); // cooldown doubles to 4
-        for _ in 0..3 {
-            assert_eq!(b.admit(KEY), Admission::Shed);
+        let mut b = CircuitBreaker::default();
+        fail(&mut b, THRESHOLD); // trips; cooldown 8
+                                 // Each failed trial doubles the cooldown: 16, 32, 64, then the
+                                 // cap holds it at 64.
+        for cooldown in [COOLDOWN, 16, 32, 64, MAX_COOLDOWN] {
+            for _ in 1..cooldown {
+                assert_eq!(b.admit(KEY), Admission::Shed, "cooldown {cooldown}");
+            }
+            assert_eq!(b.admit(KEY), Admission::Trial, "cooldown {cooldown}");
+            b.record_failure(KEY);
         }
-        assert_eq!(b.admit(KEY), Admission::Trial);
-        b.record_failure(KEY); // would double to 8, capped at 4
-        for _ in 0..3 {
-            assert_eq!(b.admit(KEY), Admission::Shed);
-        }
-        assert_eq!(b.admit(KEY), Admission::Trial);
+        assert_eq!(b.stats().trips, 6);
     }
 
     #[test]
     fn keys_are_independent_circuits() {
-        let cfg = BreakerConfig {
-            threshold: 1,
-            ..BreakerConfig::default()
-        };
-        let mut b = CircuitBreaker::new(cfg);
-        b.admit(KEY);
-        b.record_failure(KEY);
+        let mut b = CircuitBreaker::default();
+        fail(&mut b, THRESHOLD);
         assert!(is_open(&b));
         assert_eq!(b.admit(PolicyKey::Destination(8)), Admission::Allow);
         assert_eq!(b.admit(PolicyKey::Default), Admission::Allow);

@@ -37,7 +37,7 @@
 use crate::policy::{sample_delay, DelaySpec, ObfuscationPolicy, SizeSpec, TsoSpec};
 use crate::safety::SafetyCap;
 use crate::strategies::PolicyShaper;
-use netsim::{Direction, FlowId, Nanos, SimRng};
+use netsim::{Direction, FlowId, Nanos, SimRng, MTU_WIRE};
 use stack::egress::{EgressLabels, EgressPipeline};
 use stack::shaper::BoxShaper;
 use stack::ShapeCtx;
@@ -555,9 +555,6 @@ fn merge_close_out(pkts: &mut Vec<FlowPkt>, mut emits: Vec<Emit>) {
 /// this stop conveying size information and only inflate packet counts.
 const MIN_PIECE: u32 = 64;
 
-/// Conventional Ethernet wire MTU the generic chunkers aim at.
-const MTU_WIRE: u32 = 1514;
-
 /// The app placement's [`Decider`]: the policy's rules interpreted
 /// directly, drawing from the flow's own RNG. `SplitAbove` is the exact
 /// §3 emulation (two halves); the other size specs re-chunk greedily
@@ -672,46 +669,32 @@ fn build_checked(defense: &dyn Defense, ctx: &DefenseCtx, rng: &mut SimRng) -> F
 // Stack backend
 // ---------------------------------------------------------------------
 
-/// Stack parameters for the replay enforcement backend.
-#[derive(Debug, Clone, Copy)]
+/// MSS the replay backend assumes (Ethernet's 1500-byte IP MTU less 52
+/// header bytes) to recover a per-packet pacing rate from recorded
+/// inter-arrival times: `PolicyShaper`'s delay rule keys its nominal
+/// gap on `2 * mss` serialized at the pacing rate.
+const REPLAY_MSS: u32 = 1448;
+
+/// Stack parameters for the replay enforcement backend. The replay
+/// pipeline emits packets of at most [`MTU_WIRE`] bytes.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct StackParams {
     /// Seed feeding the live strategy RNGs (as in `PolicyShaper::new`).
     pub(crate) seed: u64,
     /// Flow salt decorrelating flows that share one policy.
     pub(crate) flow_salt: u64,
-    /// Wire MTU: the largest packet the replay pipeline will emit.
-    pub(crate) mtu_wire: u32,
-    /// MSS used to recover a per-packet pacing rate from recorded
-    /// inter-arrival times (`PolicyShaper`'s delay rule keys its nominal
-    /// gap on `2 * mss` serialized at the pacing rate).
-    pub(crate) mss: u32,
-}
-
-impl Default for StackParams {
-    fn default() -> Self {
-        StackParams {
-            seed: 0,
-            flow_salt: 0,
-            mtu_wire: 1514,
-            mss: 1448,
-        }
-    }
 }
 
 impl StackParams {
-    /// Params with an explicit seed and the conventional Ethernet sizes.
+    /// Params with an explicit seed.
     pub fn with_seed(seed: u64) -> Self {
         StackParams::for_flow(seed, 0)
     }
 
     /// Params for one flow of a policy: `seed` and the flow salt that
-    /// decorrelates flows sharing it, with the conventional sizes.
+    /// decorrelates flows sharing it.
     pub fn for_flow(seed: u64, flow_salt: u64) -> Self {
-        StackParams {
-            seed,
-            flow_salt,
-            ..StackParams::default()
-        }
+        StackParams { seed, flow_salt }
     }
 
     /// The one lowering of a validated policy: moved into its
@@ -730,17 +713,17 @@ impl StackParams {
 }
 
 /// The synthetic pacing rate under which one recorded inter-arrival
-/// time serializes exactly `2 * mss` bytes — the inverse of
+/// time serializes exactly `2 * REPLAY_MSS` bytes — the inverse of
 /// `PolicyShaper`'s nominal-gap rule, so the in-stack jitter stretches
 /// recorded gaps by the same fractions the app decider draws.
-fn rate_for_iat(mss: u32, iat: Nanos) -> u64 {
+fn rate_for_iat(iat: Nanos) -> u64 {
     if iat.is_zero() {
         // Zero gap: infinite rate. `u64::MAX - 1` keeps the delay rule on
         // its `for_bytes_at_rate` path (nominal rounds to zero) while
         // still consuming its draw, mirroring the app decider exactly.
         return u64::MAX - 1;
     }
-    let x = u64::from(mss).max(1) * 2 * 8 * 1_000_000_000;
+    let x = u64::from(REPLAY_MSS) * 2 * 8 * 1_000_000_000;
     (x / iat.0).max(1)
 }
 
@@ -750,8 +733,6 @@ fn rate_for_iat(mss: u32, iat: Nanos) -> u64 {
 /// and departures pass its pacing clock and the shaper's extra delay.
 pub(crate) struct StackDecider {
     pipe: EgressPipeline,
-    mtu_wire: u32,
-    mss: u32,
 }
 
 impl StackDecider {
@@ -768,8 +749,8 @@ impl StackDecider {
             bytes_sent: 0,
             pkts_sent,
             segs_sent: 0,
-            mtu_ip: self.mtu_wire,
-            mss: self.mss,
+            mtu_ip: MTU_WIRE,
+            mss: REPLAY_MSS,
         }
     }
 }
@@ -783,7 +764,7 @@ impl Decider for StackDecider {
         remaining: u32,
         _rng: &mut SimRng,
     ) -> u32 {
-        let proposed = remaining.min(self.mtu_wire);
+        let proposed = remaining.min(MTU_WIRE);
         let sctx = self.ctx(orig_idx, now, None);
         self.pipe
             .packet_ip_size(&sctx, piece, proposed, 1, proposed)
@@ -796,7 +777,7 @@ impl Decider for StackDecider {
         iat: Nanos,
         _rng: &mut SimRng,
     ) -> Nanos {
-        let rate = rate_for_iat(self.mss, iat);
+        let rate = rate_for_iat(iat);
         let sctx = self.ctx(emit_idx, intended, Some(rate));
         self.pipe
             .pace_replay(&sctx, intended)
@@ -815,11 +796,7 @@ impl FlowShaper<StackDecider> {
             if active {
                 pipe.set_shaper(params.shaper(policy));
             }
-            StackDecider {
-                pipe,
-                mtu_wire: params.mtu_wire,
-                mss: params.mss,
-            }
+            StackDecider { pipe }
         })
     }
 }
@@ -1291,10 +1268,7 @@ mod tests {
                     let streamed = stream(FlowShaper::app(fd), &input, &mut rng);
                     assert_eq!(streamed, batch.pkts, "app: {case}");
 
-                    let params = StackParams {
-                        flow_salt: seed,
-                        ..StackParams::with_seed(seed ^ 0xA5)
-                    };
+                    let params = StackParams::for_flow(seed ^ 0xA5, seed);
                     let mut rng = SimRng::new(seed);
                     let batch = enforce_flow(&d, &input, &ctx, &mut rng.clone(), &params);
                     let fd = build_checked(&d, &ctx, &mut rng);

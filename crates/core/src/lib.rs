@@ -61,7 +61,7 @@ pub mod sockopt;
 mod splitter;
 pub mod strategies;
 
-pub use breaker::{BreakerConfig, BreakerStats};
+pub use breaker::BreakerStats;
 pub use fleet::{run_fleet, FleetConfig, FleetReport};
 pub use policy::ObfuscationPolicy;
 pub use registry::{PolicyKey, PolicyRegistry};

@@ -108,7 +108,7 @@
 use crate::defense::{CloseOut, Defense, DefenseCtx, Emit, FlowDefense, FlowPkt, PadderCore};
 use crate::policy::{histogram_ok, ObfuscationPolicy};
 use netsim::json::{fields, Json, JsonError, Wire};
-use netsim::{Direction, Histogram, Nanos, SimRng};
+use netsim::{Direction, Histogram, Nanos, SimRng, MTU_WIRE};
 use std::sync::Arc;
 
 /// Most machines one spec may carry.
@@ -123,8 +123,6 @@ pub(crate) const MAX_BLOCKING_CAP: Nanos = Nanos(60_000_000_000);
 /// timing draw beyond this is hostile or broken, not a schedule.
 pub(crate) const MAX_DRAW_SECS: f64 = 600.0;
 
-/// Wire MTU padding sizes are clamped to.
-const MTU_WIRE: u32 = 1514;
 /// Probability-mass slack accepted when validating a transition row.
 const PROB_EPS: f64 = 1e-9;
 

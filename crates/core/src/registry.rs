@@ -10,7 +10,7 @@
 //! this flow" has one answer. Specs sit behind an `Arc`: a resolved
 //! binding never blocks behind a writer.
 
-use crate::breaker::{BreakerConfig, BreakerStats, CircuitBreaker};
+use crate::breaker::{BreakerStats, CircuitBreaker};
 use crate::defense::{Defense, Placement};
 use crate::machine::{MachineDefense, MachineSpec};
 use crate::policy::ObfuscationPolicy;
@@ -218,9 +218,9 @@ impl PolicyRegistry {
     /// Install a circuit breaker over [`crate::sockopt::attach`] (see
     /// `crate::breaker`). Disabled by default; installing replaces any
     /// previous breaker and clears its state.
-    pub fn set_breaker(&self, cfg: BreakerConfig) {
+    pub fn set_breaker(&self) {
         let slot = self.breaker.get_or_init(Default::default);
-        *slot.lock().unwrap_or_else(|e| e.into_inner()) = CircuitBreaker::new(cfg);
+        *slot.lock().unwrap_or_else(|e| e.into_inner()) = CircuitBreaker::default();
     }
 
     /// Run `f` on the breaker; `None` means none is installed (an attach

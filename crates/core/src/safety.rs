@@ -17,6 +17,10 @@ use stack::{ShapeCtx, Shaper};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Upper bound on a single extra delay: a policy must obfuscate, not
+/// stall.
+const MAX_DELAY: Nanos = Nanos::from_secs(1);
+
 /// Counters of clamped (would-have-been-unsafe) decisions.
 #[derive(Debug, Default)]
 pub struct SafetyAudit {
@@ -24,7 +28,7 @@ pub struct SafetyAudit {
     pub(crate) tso_grow_clamped: AtomicU64,
     /// Inner strategy tried to grow a packet past the proposal.
     pub(crate) pkt_grow_clamped: AtomicU64,
-    /// Inner strategy produced a delay above the configured ceiling.
+    /// Inner strategy produced a delay above the 1 s ceiling.
     pub(crate) delay_clamped: AtomicU64,
     /// Total decisions audited.
     pub decisions: AtomicU64,
@@ -53,9 +57,6 @@ impl SafetyAudit {
 /// Wraps an inner shaper and enforces the §4.2 invariant.
 pub struct SafetyCap<S> {
     inner: S,
-    /// Upper bound on a single extra delay (default 1 s): a policy must
-    /// obfuscate, not stall.
-    pub(crate) max_delay: Nanos,
     /// Made by the first [`audit_handle`](Self::audit_handle) call.
     audit: Option<Arc<SafetyAudit>>,
 }
@@ -64,11 +65,7 @@ impl<S: Shaper> SafetyCap<S> {
     /// Cap `inner`. Allocates nothing: there is no audit until a caller
     /// asks for one.
     pub fn new(inner: S) -> Self {
-        SafetyCap {
-            inner,
-            max_delay: Nanos::from_secs(1),
-            audit: None,
-        }
+        SafetyCap { inner, audit: None }
     }
 
     /// A handle on this cap's audit, made on the first call. It counts
@@ -112,12 +109,8 @@ impl<S: Shaper> Shaper for SafetyCap<S> {
 
     fn extra_delay(&mut self, ctx: &ShapeCtx) -> Nanos {
         let want = self.inner.extra_delay(ctx);
-        self.note(|a| &a.delay_clamped, want > self.max_delay);
-        if want > self.max_delay {
-            self.max_delay
-        } else {
-            want
-        }
+        self.note(|a| &a.delay_clamped, want > MAX_DELAY);
+        want.min(MAX_DELAY)
     }
 }
 
@@ -209,11 +202,23 @@ mod tests {
     }
 
     #[test]
-    fn custom_delay_ceiling() {
-        let mut cap = SafetyCap::new(Hostile);
-        cap.max_delay = Nanos::from_millis(5);
+    fn delay_just_past_the_ceiling_is_clamped() {
         let c = ctx();
-        assert_eq!(cap.extra_delay(&c), Nanos::from_millis(5));
+        for (want, got) in [
+            (MAX_DELAY, MAX_DELAY),
+            (MAX_DELAY + Nanos(1), MAX_DELAY),
+            (MAX_DELAY + Nanos::from_millis(5), MAX_DELAY),
+        ] {
+            let mut cap = SafetyCap::new(Arb {
+                tso: 1,
+                size: 1,
+                delay: want.0,
+            });
+            let audit = cap.audit_handle();
+            assert_eq!(cap.extra_delay(&c), got, "inner {want}");
+            let clamped = u64::from(want > MAX_DELAY);
+            assert_eq!(audit.total_clamped(), clamped, "inner {want}");
+        }
     }
 
     /// A strategy parameterized by arbitrary (possibly absurd) outputs.
@@ -272,7 +277,7 @@ mod tests {
             );
             let got_delay = cap.extra_delay(&c);
             assert!(
-                got_delay <= Nanos::from_secs(1),
+                got_delay <= MAX_DELAY,
                 "delay {got_delay} above ceiling for inner {delay}"
             );
         }

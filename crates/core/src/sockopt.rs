@@ -228,7 +228,6 @@ pub fn publish_json(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::BreakerConfig;
     use crate::policy::DelaySpec;
     use netsim::{FlowId, Nanos};
     use stack::ShapeCtx;
@@ -375,50 +374,47 @@ mod tests {
     #[test]
     fn breaker_sheds_attachments_on_a_repeatedly_failing_key() {
         let reg = PolicyRegistry::new();
-        reg.set_breaker(BreakerConfig {
-            threshold: 3,
-            cooldown: 4,
-            max_cooldown: 16,
-        });
+        reg.set_breaker();
         reg.publish(PolicyKey::Destination(5), invalid("bad"));
-        // First three flows degrade normally and trip the circuit.
-        for flow in 0..3 {
+        // The first four flows degrade normally and trip the circuit.
+        for flow in 0..4 {
             assert!(matches!(att(&reg, flow, 5), AttachOutcome::Degraded { .. }));
         }
-        assert_eq!(reg.degraded_count(), 3);
-        // Cooldown of 4: three shed flows, then the half-open trial —
+        assert_eq!(reg.degraded_count(), 4);
+        // Cooldown of 8: seven shed flows, then the half-open trial —
         // which degrades again (nothing was republished) and re-opens
         // the circuit with a doubled cooldown.
-        for flow in 3..6 {
+        for flow in 4..11 {
             match att(&reg, flow, 5) {
                 AttachOutcome::Shed { key } => assert_eq!(key, PolicyKey::Destination(5)),
                 _ => panic!("open circuit must shed"),
             }
         }
-        assert!(matches!(att(&reg, 6, 5), AttachOutcome::Degraded { .. }));
+        assert!(matches!(att(&reg, 11, 5), AttachOutcome::Degraded { .. }));
         // Shed flows never touched validation: degradations counted
         // only the admitted attempts.
-        assert_eq!(reg.degraded_count(), 4);
+        assert_eq!(reg.degraded_count(), 5);
         let s = reg.breaker_stats().expect("breaker installed");
-        assert_eq!((s.trips, s.shed, s.trials), (2, 3, 1));
+        assert_eq!((s.trips, s.shed, s.trials), (2, 7, 1));
         // Republishing a fixed policy heals the key at the next trial.
         reg.publish(
             PolicyKey::Destination(5),
             ObfuscationPolicy::split_and_delay("fixed"),
         );
-        let healed = (7..30)
+        // The doubled cooldown of 16 sheds flows 12..27; flow 27 is the trial.
+        let healed = (12..40)
             .find_map(|flow| att(&reg, flow, 5).attached())
             .expect("trial with the fixed policy must close the circuit");
         assert_eq!(healed.name(), "fixed");
         assert_eq!(reg.breaker_stats().unwrap().closes, 1);
         // Closed circuit: everything attaches again.
-        attached(&reg, 40, 5);
+        attached(&reg, 50, 5);
         // Other keys were never affected.
         reg.publish(
             PolicyKey::Destination(9),
             ObfuscationPolicy::split_and_delay("ok"),
         );
-        attached(&reg, 41, 9);
+        attached(&reg, 51, 9);
     }
 
     /// Under an installed breaker, successes — attachments and app-layer
@@ -426,11 +422,7 @@ mod tests {
     #[test]
     fn checked_attach_passes_valid_policies_through() {
         let reg = PolicyRegistry::new();
-        reg.set_breaker(BreakerConfig {
-            threshold: 3,
-            cooldown: 4,
-            max_cooldown: 16,
-        });
+        reg.set_breaker();
         reg.publish(
             PolicyKey::Destination(5),
             ObfuscationPolicy::split_and_delay("dest5"),

@@ -80,8 +80,8 @@ pub(crate) fn defend_trace(
 /// given placement.
 ///
 /// Each trace's randomness is forked from `root` by corpus index
-/// (`root.fork(i + 1)`), and the stack backend's shaper seed is derived
-/// from the root seed and the corpus index, so output is a pure function
+/// (`root.fork(i + 1)`), and the stack backend lowers trace `i` as flow
+/// `i` of `seed` ([`StackParams::for_flow`]), so output is a pure function
 /// of (traces, defense, placement, root) at any thread count. This is the
 /// determinism contract every `netsim::par` fan-out relies on.
 pub fn defend_all(
@@ -99,7 +99,7 @@ pub fn defend_all(
             label: t.label,
             bank: bank.map(|b| b as &dyn ReferenceBank),
         };
-        let params = StackParams::with_seed(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+        let params = StackParams::for_flow(seed, i as u64);
         defend_trace(defense, placement, t, &ctx, &mut rng, &params)
     })
 }

@@ -10,6 +10,10 @@
 //! * For the censorship setting they are additionally applied "on the
 //!   first 15, 30, and 45 packets only."
 //!
+//! The threshold, the stretch band and the direction are the constants
+//! [`SPLIT_THRESHOLD`], [`DELAY_LO`], [`DELAY_HI`] and [`DIRECTION`];
+//! [`EmulateConfig`] carries only the first-N window.
+//!
 //! Delays are applied cumulatively: stretching one inter-arrival time
 //! shifts everything after it, as a real in-stack delay would.
 
@@ -53,35 +57,28 @@ impl CounterMeasure {
     }
 }
 
-/// Emulation parameters (§3's values as defaults).
-#[derive(Debug, Clone, Copy)]
+/// Split packets strictly larger than this many wire bytes (§3: "larger
+/// than 1200 bytes").
+pub const SPLIT_THRESHOLD: u32 = 1200;
+/// Lower end of the uniform inter-arrival stretch (§3: 10 %).
+pub const DELAY_LO: f64 = 0.10;
+/// Upper end of the uniform inter-arrival stretch (§3: 30 %).
+pub const DELAY_HI: f64 = 0.30;
+/// The only direction the countermeasures touch (§3: incoming traffic
+/// from the server).
+pub const DIRECTION: Direction = Direction::In;
+
+/// Emulation parameters: the censorship setting's packet window. The
+/// rest of §3's values are the constants above.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct EmulateConfig {
-    /// Split packets strictly larger than this (wire bytes).
-    pub split_threshold: u32,
-    /// Uniform IAT stretch band.
-    pub delay_lo: f64,
-    pub delay_hi: f64,
     /// Apply to the first N packets only (0 = whole trace).
     pub first_n: usize,
-    /// Apply only to this direction (the paper: incoming).
-    pub direction: Option<Direction>,
-}
-
-impl Default for EmulateConfig {
-    fn default() -> Self {
-        EmulateConfig {
-            split_threshold: 1200,
-            delay_lo: 0.10,
-            delay_hi: 0.30,
-            first_n: 0,
-            direction: Some(Direction::In),
-        }
-    }
 }
 
 /// The §3 countermeasures as a placement-agnostic [`Defense`]: the
-/// split/delay rules become an [`ObfuscationPolicy`] scoped to the
-/// configured direction and first-N window, so the *same spec* runs as
+/// split/delay rules become an [`ObfuscationPolicy`] scoped to
+/// [`DIRECTION`] and the configured first-N window, so the *same spec* runs as
 /// trace emulation (`Placement::App`) or through the in-stack shaper
 /// (`Placement::Stack`).
 #[derive(Debug, Clone, Copy)]
@@ -99,14 +96,14 @@ impl Section3Defense {
     pub fn policy(&self) -> ObfuscationPolicy {
         let size = match self.cm {
             CounterMeasure::Split | CounterMeasure::Combined => SizeSpec::SplitAbove {
-                threshold: self.cfg.split_threshold,
+                threshold: SPLIT_THRESHOLD,
             },
             _ => SizeSpec::Unchanged,
         };
         let delay = match self.cm {
             CounterMeasure::Delayed | CounterMeasure::Combined => DelaySpec::UniformFraction {
-                lo_frac: self.cfg.delay_lo,
-                hi_frac: self.cfg.delay_hi,
+                lo_frac: DELAY_LO,
+                hi_frac: DELAY_HI,
             },
             _ => DelaySpec::Unchanged,
         };
@@ -130,7 +127,7 @@ impl Defense for Section3Defense {
         FlowDefense {
             policy: self.policy(),
             padding: None,
-            apply_dir: self.cfg.direction,
+            apply_dir: Some(DIRECTION),
         }
     }
 }
@@ -260,10 +257,7 @@ mod tests {
 
     #[test]
     fn first_n_limits_the_modification() {
-        let cfg = EmulateConfig {
-            first_n: 2,
-            ..EmulateConfig::default()
-        };
+        let cfg = EmulateConfig { first_n: 2 };
         let t = trace();
         let s = split(&t, &cfg);
         // Only packet index 1 qualifies (first 2 packets, incoming,

@@ -43,7 +43,7 @@ pub use fault::{FaultInjector, FaultKind, FaultSchedule, FaultStats};
 pub use json::Json;
 pub use link::Link;
 pub use multilink::{provision, PathLedger, PipeProfile};
-pub use packet::{FlowId, Packet, PacketKind};
+pub use packet::{FlowId, Packet, PacketKind, MTU_WIRE};
 pub use pool::{Arena, ArenaHandle};
 pub use queue::DropTailQueue;
 pub use rng::SimRng;

@@ -104,6 +104,11 @@ pub struct Packet {
 /// TCP (20 + 12 timestamp option) = 66 bytes.
 pub(crate) const TCP_OVERHEAD: u32 = 66;
 
+/// The conventional Ethernet wire MTU: a 1500-byte IP packet plus the
+/// 14-byte Ethernet header. The largest packet the trace generators,
+/// the defenses' re-chunking and padding, and the replay pipeline emit.
+pub const MTU_WIRE: u32 = 1514;
+
 impl Packet {
     /// Build a TCP data segment wire packet.
     pub fn tcp_data(flow: FlowId, seq: u64, ack: u64, payload: u32) -> Packet {

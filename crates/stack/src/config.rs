@@ -10,6 +10,17 @@ pub(crate) const IP_TCP_OVERHEAD: u32 = 52;
 /// chooses its splitting threshold so that split halves never go below the
 /// minimum TCP MSS of 536 bytes.
 pub(crate) const MIN_IP_PACKET: u32 = 588; // 536 payload + 52 headers
+/// Largest TSO segment in packets (Linux: 64 KB => ~44 packets with a
+/// 1448-byte MSS).
+pub(crate) const TSO_MAX_PKTS: u32 = 44;
+/// Delayed ACK: TCP acknowledges every second full-sized segment, QUIC
+/// every second in-order packet (RFC 1122 / RFC 9000 §13.2.2).
+pub(crate) const DELACK_SEGS: u32 = 2;
+/// Floor on the retransmission timeout, TCP's RTO and QUIC's PTO alike
+/// (Linux's `TCP_RTO_MIN`: 200 ms).
+pub(crate) const MIN_RTO: Nanos = Nanos::from_millis(200);
+/// Retransmission timeout before any RTT sample (RFC 6298: 1 s).
+pub(crate) const INIT_RTO: Nanos = Nanos::from_secs(1);
 
 /// Which congestion controller a connection runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -20,7 +31,10 @@ pub enum CcKind {
 }
 
 /// Per-connection / per-stack tunables. Mirrors the knobs a kernel exposes
-/// via sysctl and `setsockopt`.
+/// via sysctl and `setsockopt` that the experiments vary; the Linux
+/// values no experiment changes (TSO segment cap, delayed-ACK rule, RTO
+/// floor and initial RTO, send buffer) are constants beside the
+/// transports that read them.
 #[derive(Debug, Clone)]
 pub struct StackConfig {
     /// Path MTU as an IP packet size (default 1500, i.e. Ethernet).
@@ -29,31 +43,18 @@ pub struct StackConfig {
     pub cc: CcKind,
     /// Initial congestion window in segments (RFC 6928 default).
     pub init_cwnd_segs: u32,
-    /// Send socket buffer in bytes.
-    pub send_buf: u64,
     /// Receive window we advertise (bytes). The HTTPOS-style baseline
     /// shrinks this to force small sender bursts — at large cost (§2.3).
     pub recv_wnd: u64,
     /// Whether TSO/GSO is enabled (off = one packet per segment).
     pub tso: bool,
-    /// Maximum TSO segment size in packets (Linux: 64 KB => ~44 packets
-    /// with a 1448-byte MSS).
-    pub tso_max_pkts: u32,
     /// Enable FQ pacing of data segments (window-based CCAs pace at the
     /// phase gains in `crate::cc`).
     pub pacing: bool,
     /// TCP small queues: per-flow cap on bytes sitting in qdisc + NIC.
     pub tsq_limit: u64,
-    /// Delayed-ACK: ACK every `delack_segs` full-sized segments...
-    pub delack_segs: u32,
-    /// ...or after this timeout, whichever first.
-    pub delack_timeout: Nanos,
     /// Nagle's algorithm (off = TCP_NODELAY, the common case for web).
     pub nagle: bool,
-    /// Minimum retransmission timeout (Linux: 200 ms).
-    pub min_rto: Nanos,
-    /// Initial RTO before any RTT sample (RFC 6298: 1 s).
-    pub init_rto: Nanos,
 }
 
 impl StackConfig {
@@ -69,17 +70,11 @@ impl Default for StackConfig {
             mtu_ip: 1500,
             cc: CcKind::Cubic,
             init_cwnd_segs: 10,
-            send_buf: 32 << 20,
             recv_wnd: 32 << 20,
             tso: true,
-            tso_max_pkts: 44,
             pacing: true,
             tsq_limit: 512 << 10,
-            delack_segs: 2,
-            delack_timeout: Nanos::from_millis(40),
             nagle: false,
-            min_rto: Nanos::from_millis(200),
-            init_rto: Nanos::from_secs(1),
         }
     }
 }

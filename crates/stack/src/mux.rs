@@ -18,7 +18,7 @@
 //!   unreliable legs;
 //! * **liveness scoring + failover** — per-pipe receipt counts echoed in
 //!   [`PacketKind::MuxAck`]; a pipe that stops making progress for
-//!   `liveness_timeout` is declared dead, its unacked datagrams are
+//!   `LIVENESS_TIMEOUT` (200 ms) is declared dead, its unacked datagrams are
 //!   drained back into the send path over the surviving legs, and the
 //!   dead leg is probed with exponential backoff (the recovery runtime's
 //!   watchdog/backoff pattern applied to one leg instead of the whole
@@ -57,6 +57,21 @@ use std::collections::BTreeMap;
 pub(crate) const MUX_HDR_IP: u32 = 54;
 /// Ethernet framing added on the wire.
 const ETH: u32 = 14;
+/// Target IP size of a data datagram, 1200 payload bytes plus
+/// [`MUX_HDR_IP`] (clamped to the path MTU).
+const DGRAM_IP: u32 = 1200 + MUX_HDR_IP;
+/// The receiver acknowledges after this many received data datagrams.
+const ACK_EVERY: u32 = 8;
+/// Most unacknowledged payload bytes in flight.
+const WINDOW: u64 = 256 * 1024;
+/// A pipe with unacked datagrams and no progress for this long is
+/// declared dead and failed over.
+const LIVENESS_TIMEOUT: Nanos = Nanos::from_millis(200);
+/// Probe/retransmit timer tick, and the base of the per-pipe
+/// exponential probe backoff.
+const PROBE_BASE: Nanos = Nanos::from_millis(50);
+/// Cap on the probe backoff interval.
+const PROBE_MAX: Nanos = Nanos::from_millis(1600);
 
 /// Most legs one [`Multiplex`] drives.
 pub const MAX_PIPES: usize = 16;
@@ -227,7 +242,9 @@ impl Splitter {
 }
 
 /// Tuning knobs for a [`Multiplex`] endpoint. Both ends of a flow must
-/// agree on `n_pipes`; the rest is per-endpoint.
+/// agree on `n_pipes`; the rest is per-endpoint. Datagram size, ack
+/// cadence, window and the liveness and probe timers are module
+/// constants.
 #[derive(Debug, Clone)]
 pub struct MuxConfig {
     /// Number of legs (1..=[`MAX_PIPES`]).
@@ -237,20 +254,6 @@ pub struct MuxConfig {
     /// Emit one XOR-parity repair datagram per this many data datagrams
     /// (`None` = FEC off). Must be >= 2 when set.
     pub fec_group: Option<u32>,
-    /// Target IP size of a data datagram (clamped to path MTU).
-    pub dgram_ip: u32,
-    /// Acknowledge after this many received data datagrams.
-    pub ack_every: u32,
-    /// Max unacknowledged payload bytes in flight.
-    pub window: u64,
-    /// A pipe with unacked datagrams and no progress for this long is
-    /// declared dead and failed over.
-    pub liveness_timeout: Nanos,
-    /// Probe/retransmit timer tick, and the base of the per-pipe
-    /// exponential probe backoff.
-    pub probe_base: Nanos,
-    /// Cap on the probe backoff interval.
-    pub probe_max: Nanos,
 }
 
 impl Default for MuxConfig {
@@ -259,12 +262,6 @@ impl Default for MuxConfig {
             n_pipes: 2,
             splitter: SplitterSpec::RoundRobin,
             fec_group: None,
-            dgram_ip: 1254, // 1200 payload + MUX_HDR_IP
-            ack_every: 8,
-            window: 256 * 1024,
-            liveness_timeout: Nanos::from_millis(200),
-            probe_base: Nanos::from_millis(50),
-            probe_max: Nanos::from_millis(1600),
         }
     }
 }
@@ -397,7 +394,7 @@ impl Multiplex {
     }
 
     fn dgram_ip(&self) -> u32 {
-        self.cfg.dgram_ip.min(self.mtu_ip).max(MUX_HDR_IP + 1)
+        DGRAM_IP.min(self.mtu_ip).max(MUX_HDR_IP + 1)
     }
 
     fn ctx(&self, now: Nanos) -> ShapeCtx {
@@ -448,7 +445,7 @@ impl Multiplex {
             || !self.unacked.is_empty()
             || self.health.iter().any(|h| !h.alive);
         if need {
-            out.extend(self.probe.arm(now + self.cfg.probe_base));
+            out.extend(self.probe.arm(now + PROBE_BASE));
         }
     }
 
@@ -604,7 +601,7 @@ impl Multiplex {
 
     /// Process a cumulative ack + per-pipe receipt report.
     fn on_ack(&mut self, pkt: &Packet, now: Nanos, out: &mut Actions) {
-        let was_full = self.outstanding_bytes() + u64::from(self.dgram_ip()) > self.cfg.window;
+        let was_full = self.outstanding_bytes() + u64::from(self.dgram_ip()) > WINDOW;
         // Cumulative ack clears the retransmission ledger.
         let cum = pkt.ack;
         let mut from = 0;
@@ -638,7 +635,7 @@ impl Multiplex {
                 }
             }
         }
-        if was_full && self.outstanding_bytes() + u64::from(self.dgram_ip()) <= self.cfg.window {
+        if was_full && self.outstanding_bytes() + u64::from(self.dgram_ip()) <= WINDOW {
             out.push(TcpAction::Sendable);
         }
     }
@@ -650,7 +647,7 @@ impl Multiplex {
         let h = &mut self.health[i];
         h.alive = false;
         h.backoff_exp = 0;
-        h.next_probe = now + self.cfg.probe_base;
+        h.next_probe = now + PROBE_BASE;
         self.stats.timeouts += 1;
         netsim::tm_counter!("stack.mux.failovers").inc();
         let drained: Vec<(u64, u32)> = self
@@ -712,7 +709,7 @@ impl TransportCore for Multiplex {
                     self.deliver(newly.unwrap_or(0), out);
                 }
                 self.rx_since_ack += 1;
-                if self.rx_since_ack >= self.cfg.ack_every {
+                if self.rx_since_ack >= ACK_EVERY {
                     self.emit_acks(out);
                 }
             }
@@ -751,7 +748,7 @@ impl TransportCore for Multiplex {
         }
         // Fresh data, windowed.
         let mss = u64::from(self.dgram_ip() - MUX_HDR_IP);
-        while self.queued > 0 && self.outstanding_bytes() + mss <= self.cfg.window {
+        while self.queued > 0 && self.outstanding_bytes() + mss <= WINDOW {
             let len = self.queued.min(mss) as u32;
             let seq = self.snd_nxt;
             self.queued -= u64::from(len);
@@ -777,12 +774,12 @@ impl TransportCore for Multiplex {
             out.push(TcpAction::SendCtl(hello));
         }
         // Liveness scoring: a pipe with packets outstanding and no ack
-        // progress for liveness_timeout is failed over.
+        // progress for LIVENESS_TIMEOUT is failed over.
         for i in 0..self.cfg.n_pipes {
             let h = &self.health[i];
             if h.alive
                 && h.sent_pkts > h.acked_pkts
-                && now.saturating_sub(h.last_progress) >= self.cfg.liveness_timeout
+                && now.saturating_sub(h.last_progress) >= LIVENESS_TIMEOUT
                 && self.health.iter().filter(|h| h.alive).count() > 1
             {
                 self.fail_over(i, now);
@@ -801,9 +798,9 @@ impl TransportCore for Multiplex {
                 out.push(TcpAction::SendCtl(p));
                 let h = &mut self.health[i];
                 h.backoff_exp = next_exp;
-                let mut wait = self.cfg.probe_base;
+                let mut wait = PROBE_BASE;
                 for _ in 0..next_exp.min(16) {
-                    wait = (wait * 2).min(self.cfg.probe_max);
+                    wait = (wait * 2).min(PROBE_MAX);
                 }
                 h.next_probe = now + wait;
             }
@@ -811,7 +808,7 @@ impl TransportCore for Multiplex {
         // Tail-loss recovery: if the cumulative ack has stalled, requeue
         // the oldest unacked datagram.
         if !self.unacked.is_empty()
-            && now.saturating_sub(self.last_cum_progress) >= self.cfg.liveness_timeout
+            && now.saturating_sub(self.last_cum_progress) >= LIVENESS_TIMEOUT
         {
             if let Some((&seq, u)) = self.unacked.iter().next() {
                 if !self.retx.iter().any(|&(s, _)| s == seq) {
@@ -844,7 +841,7 @@ impl TransportCore for Multiplex {
     }
 
     fn cwnd(&self) -> u64 {
-        self.cfg.window
+        WINDOW
     }
 
     fn outstanding(&self) -> u64 {
@@ -1095,12 +1092,7 @@ mod tests {
 
     #[test]
     fn dead_pipe_fails_over_and_stream_completes() {
-        let cfg = MuxConfig {
-            n_pipes: 2,
-            liveness_timeout: Nanos::from_millis(100),
-            probe_base: Nanos::from_millis(40),
-            ..MuxConfig::default()
-        };
+        let cfg = MuxConfig::default();
         let mut client = Multiplex::client(FlowId(1), cfg.clone(), 11);
         let mut server = Multiplex::server(FlowId(1), cfg, 12);
         client.write(20_000);
@@ -1118,12 +1110,7 @@ mod tests {
         // Pipe 0 — the leg the first hello is pinned to — is black-holed
         // from t=0. Establishment must race the retry onto pipe 1 and
         // the whole stream must still complete.
-        let cfg = MuxConfig {
-            n_pipes: 2,
-            liveness_timeout: Nanos::from_millis(100),
-            probe_base: Nanos::from_millis(40),
-            ..MuxConfig::default()
-        };
+        let cfg = MuxConfig::default();
         let mut client = Multiplex::client(FlowId(1), cfg.clone(), 11);
         let mut server = Multiplex::server(FlowId(1), cfg, 12);
         client.write(20_000);
@@ -1143,13 +1130,10 @@ mod tests {
 
     #[test]
     fn window_limits_outstanding_bytes() {
-        let cfg = MuxConfig {
-            window: 4 * 1200,
-            ..MuxConfig::default()
-        };
+        let cfg = MuxConfig::default();
         let mut client = Multiplex::client(FlowId(1), cfg.clone(), 11);
         let mut server = Multiplex::server(FlowId(1), cfg, 12);
-        client.write(100_000);
+        client.write(2 * WINDOW);
         let mut c = cpu();
         let now = Nanos::ZERO;
         let hello = client.output_acts(now, &mut c);
@@ -1172,7 +1156,8 @@ mod tests {
             .iter()
             .filter(|a| matches!(a, TcpAction::SendSeg(_)))
             .count();
-        assert_eq!(sent, 4, "window caps the initial burst");
+        let fit = WINDOW / u64::from(DGRAM_IP - MUX_HDR_IP);
+        assert_eq!(sent as u64, fit, "window caps the initial burst");
         assert!(client.outstanding() <= client.cwnd());
     }
 }

@@ -8,6 +8,7 @@
 
 use super::host::Conn;
 use super::{Api, Ev, Network, CLIENT, LANE_ARRIVE, LANE_BN, LANE_NIC, SERVER};
+use crate::config::TSO_MAX_PKTS;
 use crate::cpu::Cpu;
 use crate::egress::{Actions, TransportCore};
 use crate::qdisc::{Poll, SegDesc};
@@ -177,7 +178,7 @@ impl Network {
                     None => (0, u64::MAX),
                 };
                 let s = &self.hosts[host].cfg.stack;
-                let slop = u64::from(s.tso_max_pkts.max(16)) * u64::from(s.mss());
+                let slop = u64::from(TSO_MAX_PKTS.max(16)) * u64::from(s.mss());
                 self.auditor.check_safety(
                     now,
                     u64::from(flow.0),

@@ -672,7 +672,7 @@ fn lone_segment_is_acked_at_its_own_delack_deadline() {
         }
     }
     let (hc, hs) = fast_hosts();
-    let delack = hs.stack.delack_timeout;
+    let delack = crate::tcp::DELACK_TIMEOUT;
     let mut net = Network::new(
         hc,
         hs,
@@ -730,7 +730,7 @@ fn earlier_rearm_supersedes_the_live_timer() {
         }
     }
     let (hc, hs) = fast_hosts();
-    let rto = hc.stack.min_rto;
+    let rto = crate::config::MIN_RTO;
     let mut net = Network::new(
         hc,
         hs,

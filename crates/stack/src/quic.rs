@@ -26,7 +26,7 @@
 //! a two-value stand-in for QUIC's ACK ranges.
 
 use crate::cc::{make_cc, AckInfo, CongestionControl};
-use crate::config::StackConfig;
+use crate::config::{StackConfig, DELACK_SEGS, INIT_RTO, MIN_RTO};
 use crate::cpu::Cpu;
 use crate::egress::{Actions, EgressLabels, EgressPipeline, FlowStats, TransportCore};
 use crate::qdisc::SegDesc;
@@ -155,8 +155,8 @@ impl QuicConn {
         let pto = self
             .srtt
             .map(|s| s * 2 + Nanos::from_millis(10))
-            .unwrap_or(self.cfg.init_rto);
-        self.pto.arm(now + pto.max(self.cfg.min_rto))
+            .unwrap_or(INIT_RTO);
+        self.pto.arm(now + pto.max(MIN_RTO))
     }
 
     fn process_ack(&mut self, largest: u64, contig_floor: u64, now: Nanos, out: &mut Actions) {
@@ -267,7 +267,7 @@ impl TransportCore for QuicConn {
                 // Immediate ACK on reordering (RFC 9000 §13.2.1), else
                 // every second packet.
                 let out_of_order = !self.pns.ooo().is_empty() || num + 1 < self.pns.next();
-                if out_of_order || self.ack_counter >= self.cfg.delack_segs {
+                if out_of_order || self.ack_counter >= DELACK_SEGS {
                     self.ack_counter = 0;
                     out.push(TcpAction::SendCtl(self.make_ack()));
                     self.stats.acks_sent += 1;

@@ -29,7 +29,9 @@
 //! advertised window is constant at `cfg.recv_wnd`.
 
 use crate::cc::{make_cc, AckInfo, CongestionControl};
-use crate::config::{StackConfig, IP_TCP_OVERHEAD, MIN_IP_PACKET};
+use crate::config::{
+    StackConfig, DELACK_SEGS, INIT_RTO, IP_TCP_OVERHEAD, MIN_IP_PACKET, MIN_RTO, TSO_MAX_PKTS,
+};
 use crate::cpu::Cpu;
 use crate::egress::{Actions, EgressLabels, EgressPipeline, FlowStats, TransportCore};
 use crate::qdisc::SegDesc;
@@ -37,6 +39,13 @@ use crate::seq::{Deadline, Due, Reassembly};
 use crate::shaper::{BoxShaper, ShapeCtx};
 use netsim::{FlowId, Nanos, Packet, PacketKind};
 use std::collections::BTreeMap;
+
+/// Send socket buffer in bytes: `write` accepts at most this much
+/// unsent data (Linux's `tcp_wmem` maximum).
+pub(crate) const SEND_BUF: u64 = 32 << 20;
+/// Delayed ACK: acknowledge after this long if the second full-sized
+/// segment has not arrived (Linux's `TCP_DELACK_MIN`).
+pub(crate) const DELACK_TIMEOUT: Nanos = Nanos::from_millis(40);
 
 /// Handshake state. Teardown needs none of its own: `fin_queued` /
 /// `fin_sent` and `peer_fin_at` / `peer_closed_delivered` carry the close
@@ -154,7 +163,7 @@ impl TcpConn {
             fin_sent: false,
             srtt: None,
             rttvar: Nanos::ZERO,
-            rto: cfg.init_rto,
+            rto: INIT_RTO,
             rto_backoff: 0,
             rto_timer: Deadline::new(TimerKind::Rto),
             delack_timer: Deadline::new(TimerKind::DelAck),
@@ -260,7 +269,7 @@ impl TcpConn {
     /// Returns bytes accepted (0 when the buffer is full — the app must
     /// wait for [`TcpAction::Sendable`]).
     pub fn write(&mut self, len: u64) -> u64 {
-        let space = self.cfg.send_buf.saturating_sub(self.send_buffered());
+        let space = SEND_BUF.saturating_sub(self.send_buffered());
         let accepted = len.min(space);
         self.app_written += accepted;
         if accepted < len {
@@ -284,12 +293,12 @@ impl TcpConn {
 
     fn maybe_ack(&mut self, now: Nanos) -> Option<TcpAction> {
         self.delack_count += 1;
-        if self.delack_count >= self.cfg.delack_segs {
+        if self.delack_count >= DELACK_SEGS {
             self.delack_count = 0;
             self.delack_timer.disarm();
             Some(self.ack_now())
         } else {
-            self.delack_timer.arm(now + self.cfg.delack_timeout)
+            self.delack_timer.arm(now + DELACK_TIMEOUT)
         }
     }
 
@@ -314,7 +323,7 @@ impl TcpConn {
             }
         }
         let rto = self.srtt.expect("srtt set above") + self.rttvar * 4;
-        self.rto = rto.max(self.cfg.min_rto).min(Nanos::from_secs(60));
+        self.rto = rto.max(MIN_RTO).min(Nanos::from_secs(60));
     }
 
     fn arm_rto(&mut self, now: Nanos) -> Option<TcpAction> {
@@ -430,7 +439,7 @@ impl TransportCore for TcpConn {
             // TSO autosizing (stage ①), then the shaper's resegment hook
             // (stage ②) via the shared pipeline.
             let proposed_pkts =
-                EgressPipeline::tso_autosize(&ctx, self.cfg.tso, self.cfg.tso_max_pkts, budget);
+                EgressPipeline::tso_autosize(&ctx, self.cfg.tso, TSO_MAX_PKTS, budget);
             let shaped_pkts = self.egress.segment_pkts(&ctx, proposed_pkts);
 
             // Build the segment's packets, consulting the per-packet
@@ -592,7 +601,7 @@ impl TransportCore for TcpConn {
             } else {
                 out.extend(self.arm_rto(now));
             }
-            if self.blocked && self.send_buffered() < self.cfg.send_buf {
+            if self.blocked && self.send_buffered() < SEND_BUF {
                 self.blocked = false;
                 out.push(TcpAction::Sendable);
             }
@@ -832,11 +841,10 @@ mod tests {
     #[test]
     fn write_copies_into_buffer_and_blocks_at_limit() {
         let (mut a, _, _, _) = pair();
-        a.cfg.send_buf = 10_000;
-        assert_eq!(a.write(4_000), 4_000);
+        assert_eq!(a.write(SEND_BUF - 6_000), SEND_BUF - 6_000);
         assert_eq!(a.write(10_000), 6_000);
         assert_eq!(a.write(100), 0); // full: async send path, §2.3
-        assert_eq!(a.send_buffered(), 10_000);
+        assert_eq!(a.send_buffered(), SEND_BUF);
     }
 
     #[test]
@@ -1292,7 +1300,7 @@ mod tests {
         let err = srtt.as_millis_f64() - 20.0;
         assert!(err.abs() < 2.0, "srtt {} off", srtt);
         // RTO respects the floor.
-        assert!(a.rto >= a.cfg.min_rto);
+        assert!(a.rto >= MIN_RTO);
     }
 
     #[test]
@@ -1379,7 +1387,7 @@ mod tests {
         let mut total = 0u64;
         for x in &acts {
             if let TcpAction::SendSeg(s) = x {
-                assert!(s.pkts.len() as u32 <= a.cfg.tso_max_pkts);
+                assert!(s.pkts.len() as u32 <= TSO_MAX_PKTS);
                 for p in &s.pkts {
                     assert!(p.payload + IP_TCP_OVERHEAD <= a.cfg.mtu_ip);
                 }

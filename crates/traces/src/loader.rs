@@ -132,8 +132,9 @@ pub struct LoaderConfig {
     /// `None` (the default) reproduces the historical loader exactly:
     /// no watchdogs are armed and no recovery RNG is ever drawn from.
     pub recovery: Option<RecoveryConfig>,
-    /// Circuit breaker over the server's policy-attach path.
-    pub breaker: Option<stob::BreakerConfig>,
+    /// Install the circuit breaker over the server's policy-attach
+    /// path (`PolicyRegistry::set_breaker`).
+    pub breaker: bool,
 }
 
 impl Default for LoaderConfig {
@@ -146,7 +147,7 @@ impl Default for LoaderConfig {
             record_pad_quantum: 0,
             faults: None,
             recovery: None,
-            breaker: None,
+            breaker: false,
         }
     }
 }
@@ -678,8 +679,8 @@ pub fn load_page(
     if let Some(pol) = &cfg.server_policy {
         registry.publish(PolicyKey::Default, pol.clone());
     }
-    if let Some(bc) = cfg.breaker {
-        registry.set_breaker(bc);
+    if cfg.breaker {
+        registry.set_breaker();
     }
     let server = WebServer::new(
         Rc::clone(&shared),
@@ -812,7 +813,7 @@ mod tests {
             record_pad_quantum: 0,
             faults: None,
             recovery: None,
-            breaker: None,
+            breaker: false,
         }
     }
 
@@ -1159,11 +1160,7 @@ mod tests {
         };
         let cfg = LoaderConfig {
             server_policy: Some(bad),
-            breaker: Some(stob::BreakerConfig {
-                threshold: 2,
-                cooldown: 2,
-                max_cooldown: 8,
-            }),
+            breaker: true,
             ..quick_cfg()
         };
         let out = load_page(&sites[8], 8, 0, 31, &cfg);

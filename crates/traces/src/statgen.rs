@@ -9,9 +9,8 @@
 
 use crate::model::{Trace, TracePacket};
 use crate::sites::SiteProfile;
-use netsim::{Direction, Nanos, SimRng};
+use netsim::{Direction, Nanos, SimRng, MTU_WIRE};
 
-const MTU_WIRE: u32 = 1514;
 const ACK_WIRE: u32 = 66;
 const REQ_WIRE: u32 = 576;
 

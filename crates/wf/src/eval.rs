@@ -4,7 +4,7 @@
 
 use crate::features::{extract_all, FeatureConfig};
 use crate::forest::{Forest, ForestConfig};
-use crate::knn::{FeatureKnn, KfpKnn, KnnConfig};
+use crate::knn::{FeatureKnn, KfpKnn};
 use crate::metrics::{accuracy, mean_std};
 use netsim::SimRng;
 use traces::Dataset;
@@ -26,7 +26,6 @@ pub struct EvalConfig {
     pub features: FeatureConfig,
     pub forest: ForestConfig,
     pub attack: AttackKind,
-    pub knn: KnnConfig,
     /// Independent train/test repetitions.
     pub repeats: usize,
     /// Fraction of each class held out for testing.
@@ -40,7 +39,6 @@ impl Default for EvalConfig {
             features: FeatureConfig::paper(),
             forest: ForestConfig::default(),
             attack: AttackKind::RandomForest,
-            knn: KnnConfig::default(),
             repeats: 5,
             test_frac: 0.25,
             seed: 0xC0FFEE,
@@ -119,14 +117,14 @@ pub(crate) fn evaluate_features(
             }
             AttackKind::KfpLeafKnn => {
                 let forest = Forest::fit_rows(x, y, &train, k, &cfg.forest, &mut rng);
-                let knn = KfpKnn::fit(&forest, x, y, &train, cfg.knn);
+                let knn = KfpKnn::fit(&forest, x, y, &train);
                 test_idx
                     .iter()
                     .map(|&i| knn.predict(&forest, &features[i]))
                     .collect()
             }
             AttackKind::FeatureKnn => {
-                let knn = FeatureKnn::fit(x, y, &train, k, cfg.knn);
+                let knn = FeatureKnn::fit(x, y, &train, k);
                 test_idx
                     .iter()
                     .map(|&i| knn.predict(&features[i]))

@@ -26,8 +26,8 @@ impl Default for ForestConfig {
 /// amortize each tree's node array staying cache-hot across the block.
 const PREDICT_BLOCK: usize = 128;
 
-/// Samples advanced through one tree in lockstep (see
-/// [`Forest::predict_batch_flat`]).
+/// Rows advanced through one tree in lockstep (see
+/// [`Forest::predict_rows`]).
 const WALKERS: usize = 16;
 
 /// Index of the maximum vote, preferring the *last* maximum on ties —
@@ -117,44 +117,27 @@ impl Forest {
         self.predict_rows(&rows)
     }
 
-    /// [`predict_batch`](Forest::predict_batch) over borrowed rows —
-    /// avoids cloning feature vectors just to batch them.
-    pub fn predict_rows(&self, rows: &[&[f64]]) -> Vec<usize> {
-        let d = rows.first().map(|r| r.len()).unwrap_or(0);
-        if d == 0 {
-            // Zero-width rows can't be packed into a matrix; the scalar
-            // path handles them (every tree is necessarily a single leaf).
-            return rows.iter().map(|r| self.predict(r)).collect();
-        }
-        let mut x = Vec::with_capacity(rows.len() * d);
-        for r in rows {
-            assert_eq!(r.len(), d, "ragged feature rows");
-            x.extend_from_slice(r);
-        }
-        self.predict_batch_flat(&x, d)
-    }
-
-    /// Majority vote over a flat row-major `n x d` feature matrix.
+    /// [`predict_batch`](Forest::predict_batch) over borrowed rows.
     ///
     /// Iterates trees-outer / samples-inner within fixed-size sample
     /// blocks: one tree's nodes stay hot in cache while it classifies
     /// the whole block, instead of re-walking every tree's scattered
     /// node arrays per sample. The inner loop walks the tree's own
-    /// node array and advances `WALKERS` samples through it in lockstep
+    /// node array and advances `WALKERS` rows through it in lockstep
     /// — a tree walk is a chain of dependent loads, so interleaving
     /// independent walkers is what actually fills the memory pipeline.
     /// Blocks are mapped in parallel; votes are per-sample totals, so
     /// the result is identical at any thread count and to the scalar
-    /// path.
-    pub(crate) fn predict_batch_flat(&self, x: &[f64], d: usize) -> Vec<usize> {
+    /// path. Rows must share one width; a depth-0 tree reads no
+    /// feature, so zero-width rows need no special case.
+    pub fn predict_rows(&self, rows: &[&[f64]]) -> Vec<usize> {
         let _sp = netsim::telemetry::span("wf.forest.predict_batch");
-        assert!(d > 0 && x.len().is_multiple_of(d), "flat matrix shape");
-        let n = x.len() / d;
+        let d = rows.first().map_or(0, |r| r.len());
+        assert!(rows.iter().all(|r| r.len() == d), "ragged feature rows");
         let nc = self.n_classes;
-        let blocks: Vec<usize> = (0..n).step_by(PREDICT_BLOCK).collect();
-        let per_block = par::par_map(&blocks, |_, &lo| {
-            let hi = (lo + PREDICT_BLOCK).min(n);
-            let m = hi - lo;
+        let blocks: Vec<&[&[f64]]> = rows.chunks(PREDICT_BLOCK).collect();
+        let per_block = par::par_map(&blocks, |_, block| {
+            let m = block.len();
             let mut votes = vec![0u32; m * nc];
             for tree in &self.trees {
                 let (nodes, depth) = (&tree.nodes, tree.depth);
@@ -163,14 +146,13 @@ impl Forest {
                 // branchless step: the constant `WALKERS` trip count
                 // unrolls, keeping `WALKERS` independent load chains in
                 // flight per cycle of the depth loop.
-                let mut s = 0;
-                while s + WALKERS <= m {
+                let mut lanes = block.chunks_exact(WALKERS);
+                for (c, lane) in lanes.by_ref().enumerate() {
                     let mut idx = [0u32; WALKERS];
-                    let base: [usize; WALKERS] = std::array::from_fn(|l| (lo + s + l) * d);
                     for _ in 0..depth {
                         for l in 0..WALKERS {
                             let nd = nodes[idx[l] as usize];
-                            idx[l] = if x[base[l] + nd.feature as usize] <= nd.threshold {
+                            idx[l] = if lane[l][nd.feature as usize] <= nd.threshold {
                                 nd.left
                             } else {
                                 nd.right
@@ -179,18 +161,17 @@ impl Forest {
                     }
                     for l in 0..WALKERS {
                         let class = nodes[idx[l] as usize].class as usize;
-                        votes[(s + l) * nc + class] += 1;
+                        votes[(c * WALKERS + l) * nc + class] += 1;
                     }
-                    s += WALKERS;
                 }
-                // Tail lanes (< WALKERS left): same fixed-depth walk,
-                // one sample at a time.
-                for t in s..m {
-                    let base = (lo + t) * d;
+                // Tail rows (< WALKERS left): same fixed-depth walk,
+                // one row at a time.
+                let tail = lanes.remainder();
+                for (t, row) in (m - tail.len()..).zip(tail) {
                     let mut i = 0u32;
                     for _ in 0..depth {
                         let nd = nodes[i as usize];
-                        i = if x[base + nd.feature as usize] <= nd.threshold {
+                        i = if row[nd.feature as usize] <= nd.threshold {
                             nd.left
                         } else {
                             nd.right
@@ -310,8 +291,6 @@ mod tests {
             assert_eq!(f.predict_batch(&xt), scalar, "seed {seed}");
             let rows: Vec<&[f64]> = xt.iter().map(|v| v.as_slice()).collect();
             assert_eq!(f.predict_rows(&rows), scalar);
-            let flat: Vec<f64> = xt.iter().flatten().copied().collect();
-            assert_eq!(f.predict_batch_flat(&flat, 3), scalar);
         }
     }
 
@@ -327,7 +306,7 @@ mod tests {
         let fz = Forest::fit(&zx, &zy, 2, &ForestConfig::default(), &mut SimRng::new(23));
         let z0: Vec<Vec<f64>> = vec![vec![0.0; 3]; 3];
         assert_eq!(fz.predict_batch(&z0).len(), 3);
-        assert_eq!(fz.predict_batch(&z).len(), 3, "zero-width fallback");
+        assert_eq!(fz.predict_batch(&z), vec![fz.predict(&[]); 3], "zero width");
     }
 
     #[test]

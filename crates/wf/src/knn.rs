@@ -8,16 +8,22 @@
 //! caller's feature table.
 
 use crate::forest::{argmax_last, Forest};
+use std::cmp::Ordering;
 
-#[derive(Debug, Clone, Copy)]
-pub struct KnnConfig {
-    pub(crate) k: usize,
-}
+/// Neighbours each k-NN head votes over (k-FP's k = 3).
+pub const K: usize = 3;
 
-impl Default for KnnConfig {
-    fn default() -> Self {
-        KnnConfig { k: 3 }
+/// The (at most) [`K`] smallest of `keys` under `cmp`, in `cmp` order.
+/// Selects before it sorts, so a query costs O(n), not O(n log n). The
+/// keys carry their row index, so none compare equal and the result is
+/// exactly the first `K` of `keys` fully sorted.
+fn k_smallest<T>(mut keys: Vec<T>, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
+    if keys.len() > K {
+        keys.select_nth_unstable_by(K - 1, &cmp);
+        keys.truncate(K);
     }
+    keys.sort_unstable_by(cmp);
+    keys
 }
 
 /// The class most of `labels` carry, the last of tied maxima.
@@ -34,23 +40,15 @@ pub(crate) struct KfpKnn {
     fingerprints: Vec<Vec<u32>>,
     labels: Vec<usize>,
     n_classes: usize,
-    cfg: KnnConfig,
 }
 
 impl KfpKnn {
     /// Fingerprint rows `rows` of (x, y) through a trained forest.
-    pub(crate) fn fit(
-        forest: &Forest,
-        x: &[Vec<f64>],
-        y: &[usize],
-        rows: &[usize],
-        cfg: KnnConfig,
-    ) -> Self {
+    pub(crate) fn fit(forest: &Forest, x: &[Vec<f64>], y: &[usize], rows: &[usize]) -> Self {
         KfpKnn {
             fingerprints: rows.iter().map(|&i| forest.leaf_vector(&x[i])).collect(),
             labels: rows.iter().map(|&i| y[i]).collect(),
             n_classes: forest.n_classes,
-            cfg,
         }
     }
 
@@ -58,18 +56,18 @@ impl KfpKnn {
         a.iter().zip(b).filter(|(x, y)| x != y).count()
     }
 
-    /// Labels of the k training fingerprints nearest `leaves`, nearest
-    /// first (ties by training order).
+    /// Labels of the [`K`] training fingerprints nearest `leaves`,
+    /// nearest first (ties by training order).
     fn nearest(&self, leaves: &[u32]) -> impl Iterator<Item = usize> + '_ {
-        let mut dists: Vec<(usize, usize)> = self
+        let dists: Vec<(usize, usize)> = self
             .fingerprints
             .iter()
             .enumerate()
             .map(|(i, fp)| (Self::hamming(leaves, fp), i))
             .collect();
-        dists.sort_unstable();
-        dists.truncate(self.cfg.k);
-        dists.into_iter().map(|(_, i)| self.labels[i])
+        k_smallest(dists, Ord::cmp)
+            .into_iter()
+            .map(|(_, i)| self.labels[i])
     }
 
     /// Classify a test sample's leaf vector.
@@ -104,18 +102,11 @@ pub(crate) struct FeatureKnn {
     n_classes: usize,
     mean: Vec<f64>,
     std: Vec<f64>,
-    cfg: KnnConfig,
 }
 
 impl FeatureKnn {
     /// z-score rows `rows` of `x` by their own mean and deviation.
-    pub(crate) fn fit(
-        x: &[Vec<f64>],
-        y: &[usize],
-        rows: &[usize],
-        n_classes: usize,
-        cfg: KnnConfig,
-    ) -> Self {
+    pub(crate) fn fit(x: &[Vec<f64>], y: &[usize], rows: &[usize], n_classes: usize) -> Self {
         assert!(!rows.is_empty());
         let d = x[rows[0]].len();
         let n = rows.len() as f64;
@@ -149,7 +140,6 @@ impl FeatureKnn {
             n_classes,
             mean,
             std,
-            cfg,
         }
     }
 
@@ -160,7 +150,7 @@ impl FeatureKnn {
             .zip(&self.std)
             .map(|((v, m), sd)| (v - m) / sd)
             .collect();
-        let mut dists: Vec<(f64, usize)> = self
+        let dists: Vec<(f64, usize)> = self
             .x
             .iter()
             .enumerate()
@@ -169,9 +159,11 @@ impl FeatureKnn {
                 (d, i)
             })
             .collect();
-        dists.sort_by(|a, b| a.partial_cmp(b).expect("finite distances"));
-        let nearest = dists.iter().take(self.cfg.k).map(|&(_, i)| self.labels[i]);
-        vote(nearest, self.n_classes)
+        let nearest = k_smallest(dists, |a, b| a.partial_cmp(b).expect("finite distances"));
+        vote(
+            nearest.into_iter().map(|(_, i)| self.labels[i]),
+            self.n_classes,
+        )
     }
 }
 
@@ -208,7 +200,7 @@ mod tests {
         let (x, y) = blobs(200, 4, 1);
         let mut rng = SimRng::new(2);
         let forest = Forest::fit(&x, &y, 4, &ForestConfig::default(), &mut rng);
-        let knn = KfpKnn::fit(&forest, &x, &y, &all(x.len()), KnnConfig::default());
+        let knn = KfpKnn::fit(&forest, &x, &y, &all(x.len()));
         let (xt, yt) = blobs(80, 4, 55);
         let acc = xt
             .iter()
@@ -222,7 +214,7 @@ mod tests {
     #[test]
     fn feature_knn_classifies_blobs() {
         let (x, y) = blobs(200, 3, 3);
-        let knn = FeatureKnn::fit(&x, &y, &all(x.len()), 3, KnnConfig::default());
+        let knn = FeatureKnn::fit(&x, &y, &all(x.len()), 3);
         let (xt, yt) = blobs(60, 3, 77);
         let acc = xt
             .iter()
@@ -241,7 +233,7 @@ mod tests {
         for s in &mut x {
             s[1] *= 1e6; // blow up the noise dimension
         }
-        let knn = FeatureKnn::fit(&x, &y, &all(x.len()), 2, KnnConfig::default());
+        let knn = FeatureKnn::fit(&x, &y, &all(x.len()), 2);
         let (mut xt, yt) = blobs(60, 2, 88);
         for s in &mut xt {
             s[1] *= 1e6;
@@ -256,11 +248,76 @@ mod tests {
     }
 
     #[test]
-    fn k_one_matches_nearest_training_point() {
-        let x = vec![vec![0.0], vec![10.0]];
-        let y = vec![0, 1];
-        let knn = FeatureKnn::fit(&x, &y, &[1, 0], 2, KnnConfig { k: 1 });
+    fn nearest_k_outvote_farther_points() {
+        // Two tight clusters of K points each: a query's K nearest are
+        // its own cluster, whichever class sits closer in training order.
+        let x: Vec<Vec<f64>> = [10.0, 10.1, 10.2, 0.0, 0.1, 0.2]
+            .iter()
+            .map(|&v| vec![v])
+            .collect();
+        let y = vec![1, 1, 1, 0, 0, 0];
+        let rows = [3, 0, 4, 1, 5, 2];
+        let knn = FeatureKnn::fit(&x, &y, &rows, 2);
         assert_eq!(knn.predict(&[1.0]), 0);
         assert_eq!(knn.predict(&[9.0]), 1);
+        // Fewer training rows than K: every row votes.
+        let knn = FeatureKnn::fit(&x, &y, &[3, 0], 2);
+        assert_eq!(knn.predict(&[1.0]), 1, "a 1-1 tie goes to the last class");
+    }
+
+    /// The first `K` of `keys` under a full sort: the reference the
+    /// selection must reproduce.
+    fn sort_then_truncate<T: Ord>(mut keys: Vec<T>) -> Vec<T> {
+        keys.sort_unstable();
+        keys.truncate(K);
+        keys
+    }
+
+    #[test]
+    fn selection_matches_sort_then_truncate_on_tie_heavy_keys() {
+        let mut rng = SimRng::new(41);
+        for n in [0usize, 1, 2, K, K + 1, 10, 200] {
+            for spread in [1u64, 2, 4] {
+                // Few distinct distances, so most keys tie on distance
+                // and only the index tells them apart.
+                let keys: Vec<(usize, usize)> = (0..n)
+                    .map(|i| (rng.next_below(spread) as usize, i))
+                    .collect();
+                let want = sort_then_truncate(keys.clone());
+                assert_eq!(k_smallest(keys, Ord::cmp), want, "n {n} spread {spread}");
+            }
+        }
+    }
+
+    #[test]
+    fn kfp_nearest_matches_sort_then_truncate_on_tied_fingerprints() {
+        // Fingerprints over 3 trees with 2 leaves each: at most 8
+        // distinct vectors, so Hamming distances tie heavily.
+        let mut rng = SimRng::new(43);
+        let mut fp = || {
+            (0..3)
+                .map(|_| rng.next_below(2) as u32)
+                .collect::<Vec<u32>>()
+        };
+        let fingerprints: Vec<Vec<u32>> = (0..60).map(|_| fp()).collect();
+        let knn = KfpKnn {
+            labels: (0..60).map(|i| i % 4).collect(),
+            fingerprints,
+            n_classes: 4,
+        };
+        for _ in 0..40 {
+            let q = fp();
+            let keys: Vec<(usize, usize)> = knn
+                .fingerprints
+                .iter()
+                .enumerate()
+                .map(|(i, f)| (KfpKnn::hamming(&q, f), i))
+                .collect();
+            let want: Vec<usize> = sort_then_truncate(keys)
+                .into_iter()
+                .map(|(_, i)| knn.labels[i])
+                .collect();
+            assert_eq!(knn.nearest(&q).collect::<Vec<_>>(), want);
+        }
     }
 }

@@ -5,12 +5,13 @@
 //! bound on attack success"). Real censors face the open world: most
 //! traffic is to sites outside the monitored set, and a block decision on
 //! a false positive has a cost. k-FP's k-NN stage was designed for this:
-//! a test trace is attributed to a monitored site only when all k nearest
+//! a test trace is attributed to a monitored site only when all [`K`] nearest
 //! training fingerprints agree; anything else is "unmonitored".
 
 use crate::features::{extract_all, FeatureConfig};
 use crate::forest::{Forest, ForestConfig};
-use crate::knn::{KfpKnn, KnnConfig};
+use crate::knn::KfpKnn;
+pub use crate::knn::K;
 use crate::metrics::mean_std;
 use netsim::SimRng;
 use traces::Trace;
@@ -34,23 +35,20 @@ pub struct OpenWorldResult {
 /// Configuration for the open-world evaluation.
 #[derive(Debug, Clone, Copy)]
 pub struct OpenWorldConfig {
-    pub features: FeatureConfig,
     pub forest: ForestConfig,
-    /// k for the unanimous-k-NN decision rule.
-    pub k: usize,
     pub repeats: usize,
-    pub test_frac: f64,
     pub seed: u64,
 }
+
+/// Fraction of each pool, monitored and background, held out for
+/// testing.
+const TEST_FRAC: f64 = 0.3;
 
 impl Default for OpenWorldConfig {
     fn default() -> Self {
         OpenWorldConfig {
-            features: FeatureConfig::paper(),
             forest: ForestConfig::default(),
-            k: 3,
             repeats: 3,
-            test_frac: 0.3,
             seed: 0x09E4,
         }
     }
@@ -73,8 +71,9 @@ pub fn evaluate_open_world(
     let unmon_label = n_monitored;
     // One table: the monitored rows, then the background rows.
     let n_mon = monitored.len();
-    let mut x = extract_all(monitored, &cfg.features);
-    x.extend(extract_all(background, &cfg.features));
+    let features = FeatureConfig::paper();
+    let mut x = extract_all(monitored, &features);
+    x.extend(extract_all(background, &features));
     let y: Vec<usize> = monitored
         .iter()
         .map(|t| t.label)
@@ -88,7 +87,7 @@ pub fn evaluate_open_world(
         let split = |n: usize, rng: &mut SimRng| -> (Vec<usize>, Vec<usize>) {
             let mut idx: Vec<usize> = (0..n).collect();
             rng.shuffle(&mut idx);
-            let n_test = ((n as f64) * cfg.test_frac).round().max(1.0) as usize;
+            let n_test = ((n as f64) * TEST_FRAC).round().max(1.0) as usize;
             let test = idx.split_off(n - n_test.min(n - 1));
             (idx, test)
         };
@@ -101,10 +100,10 @@ pub fn evaluate_open_world(
             .chain(bg_train.iter().map(|&i| n_mon + i))
             .collect();
         let forest = Forest::fit_rows(&x, &y, &train, n_monitored + 1, &cfg.forest, &mut rng);
-        let knn = KfpKnn::fit(&forest, &x, &y, &train, KnnConfig { k: cfg.k });
+        let knn = KfpKnn::fit(&forest, &x, &y, &train);
 
-        // Unanimous rule: predict a monitored site only if the k-NN vote
-        // is unanimous for it.
+        // Unanimous rule: predict a monitored site only if the K nearest
+        // fingerprints all carry it.
         let classify = |i: usize| knn.predict_unanimous(&forest.leaf_vector(&x[i]), unmon_label);
 
         let tp = mon_test.iter().filter(|&&i| classify(i) == y[i]).count();

@@ -75,6 +75,26 @@ fn gini(counts: &[usize], total: usize) -> f64 {
         .sum::<f64>()
 }
 
+/// What one fit reads, plus the buffers every node of the tree reuses,
+/// so growing allocates nothing per node but the node itself.
+struct Grower<'a> {
+    x: &'a [Vec<f64>],
+    y: &'a [usize],
+    cfg: &'a TreeConfig,
+    /// Features tried per split.
+    mtry: usize,
+    /// Rows the root sees: the weight denominator of importances.
+    n_total: usize,
+    /// The feature order, reset to `0..d` before each shuffle so every
+    /// node draws as a fresh `0..d` vector would.
+    feats: Vec<usize>,
+    /// `(value, label)` of the node's rows on the feature being tried.
+    vals: Vec<(f64, usize)>,
+    counts: Vec<usize>,
+    left_counts: Vec<usize>,
+    right_counts: Vec<usize>,
+}
+
 impl Tree {
     /// Fit on rows `idx` of `x` (n x d) with labels `y` in 0..n_classes.
     pub(crate) fn fit(
@@ -97,9 +117,19 @@ impl Tree {
             depth: 0,
             importances: vec![0.0; d],
         };
-        let n_total = idx.len();
-        let mut work = idx.to_vec();
-        tree.grow(x, y, &mut work, n_classes, cfg, mtry, rng, 0, n_total);
+        let mut g = Grower {
+            x,
+            y,
+            cfg,
+            mtry,
+            n_total: idx.len(),
+            feats: Vec::with_capacity(d),
+            vals: Vec::with_capacity(idx.len()),
+            counts: vec![0; n_classes],
+            left_counts: vec![0; n_classes],
+            right_counts: vec![0; n_classes],
+        };
+        tree.grow(&mut g, &mut idx.to_vec(), rng, 0);
         // Normalize to sum to 1 (when any split happened).
         let total: f64 = tree.importances.iter().sum();
         if total > 0.0 {
@@ -109,62 +139,57 @@ impl Tree {
     }
 
     /// Grow the subtree over `idx` at `depth`; returns its root's index.
-    #[allow(clippy::too_many_arguments)]
-    fn grow(
-        &mut self,
-        x: &[Vec<f64>],
-        y: &[usize],
-        idx: &mut [usize],
-        n_classes: usize,
-        cfg: &TreeConfig,
-        mtry: usize,
-        rng: &mut SimRng,
-        depth: usize,
-        n_total: usize,
-    ) -> u32 {
-        let mut counts = vec![0usize; n_classes];
+    /// Partitions `idx` in place: nothing a node computes depends on the
+    /// order of its rows (class counts are order-free, and the sorted
+    /// scan only scores thresholds between distinct values).
+    fn grow(&mut self, g: &mut Grower, idx: &mut [usize], rng: &mut SimRng, depth: usize) -> u32 {
+        let (x, y) = (g.x, g.y);
+        g.counts.fill(0);
         for &i in idx.iter() {
-            counts[y[i]] += 1;
+            g.counts[y[i]] += 1;
         }
         let total = idx.len();
-        let majority = counts
+        let majority = g
+            .counts
             .iter()
             .enumerate()
             .max_by_key(|(_, &c)| c)
             .expect("classes nonempty")
             .0;
-        let pure = counts.contains(&total);
-        if pure || total < cfg.min_samples_split || depth >= cfg.max_depth {
+        let pure = g.counts.contains(&total);
+        if pure || total < g.cfg.min_samples_split || depth >= g.cfg.max_depth {
             return self.push_leaf(majority, depth);
         }
 
         // Random feature subset; best Gini split among them.
-        let d = x[0].len();
-        let mut feats: Vec<usize> = (0..d).collect();
-        rng.shuffle(&mut feats);
-        let parent_gini = gini(&counts, total);
+        g.feats.clear();
+        g.feats.extend(0..x[0].len());
+        rng.shuffle(&mut g.feats);
+        let parent_gini = gini(&g.counts, total);
         let mut best: Option<(f64, usize, f64)> = None; // (gain, feat, thr)
-        for &feat in feats.iter().take(mtry) {
-            let mut vals: Vec<(f64, usize)> = idx.iter().map(|&i| (x[i][feat], y[i])).collect();
-            vals.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
-            let mut left_counts = vec![0usize; n_classes];
+        for &feat in g.feats.iter().take(g.mtry) {
+            g.vals.clear();
+            g.vals.extend(idx.iter().map(|&i| (x[i][feat], y[i])));
+            g.vals
+                .sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite features"));
+            g.left_counts.fill(0);
+            g.right_counts.copy_from_slice(&g.counts);
             let mut left_n = 0usize;
-            let mut right_counts = counts.clone();
             for w in 0..total - 1 {
-                let (v, c) = vals[w];
-                left_counts[c] += 1;
-                right_counts[c] -= 1;
+                let (v, c) = g.vals[w];
+                g.left_counts[c] += 1;
+                g.right_counts[c] -= 1;
                 left_n += 1;
-                let next_v = vals[w + 1].0;
+                let next_v = g.vals[w + 1].0;
                 if next_v <= v {
                     continue; // no threshold separates equal values
                 }
                 let right_n = total - left_n;
-                let g = parent_gini
-                    - (left_n as f64 / total as f64) * gini(&left_counts, left_n)
-                    - (right_n as f64 / total as f64) * gini(&right_counts, right_n);
-                if best.is_none_or(|(bg, _, _)| g > bg) {
-                    best = Some((g, feat, (v + next_v) / 2.0));
+                let gain = parent_gini
+                    - (left_n as f64 / total as f64) * gini(&g.left_counts, left_n)
+                    - (right_n as f64 / total as f64) * gini(&g.right_counts, right_n);
+                if best.is_none_or(|(bg, _, _)| gain > bg) {
+                    best = Some((gain, feat, (v + next_v) / 2.0));
                 }
             }
         }
@@ -174,19 +199,17 @@ impl Tree {
         if gain <= 1e-12 {
             return self.push_leaf(majority, depth);
         }
-        self.importances[feat] += gain * total as f64 / n_total as f64;
+        self.importances[feat] += gain * total as f64 / g.n_total as f64;
 
-        // Partition, keeping each side in `idx` order.
-        let mut left: Vec<usize> = Vec::new();
-        let mut right: Vec<usize> = Vec::new();
-        for &i in idx.iter() {
-            if x[i][feat] <= thr {
-                left.push(i);
-            } else {
-                right.push(i);
+        // Partition in place: rows with `x[feat] <= thr` first.
+        let mut n_left = 0;
+        for j in 0..total {
+            if x[idx[j]][feat] <= thr {
+                idx.swap(n_left, j);
+                n_left += 1;
             }
         }
-        if left.is_empty() || right.is_empty() {
+        if n_left == 0 || n_left == total {
             return self.push_leaf(majority, depth);
         }
         // The split goes first (preorder); its children fill in below.
@@ -198,28 +221,9 @@ impl Tree {
             right: 0,
             class: 0,
         });
-        let l = self.grow(
-            x,
-            y,
-            &mut left,
-            n_classes,
-            cfg,
-            mtry,
-            rng,
-            depth + 1,
-            n_total,
-        );
-        let r = self.grow(
-            x,
-            y,
-            &mut right,
-            n_classes,
-            cfg,
-            mtry,
-            rng,
-            depth + 1,
-            n_total,
-        );
+        let (left, right) = idx.split_at_mut(n_left);
+        let l = self.grow(g, left, rng, depth + 1);
+        let r = self.grow(g, right, rng, depth + 1);
         self.nodes[pos].left = l;
         self.nodes[pos].right = r;
         pos as u32

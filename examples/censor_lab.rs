@@ -44,10 +44,7 @@ fn main() {
     println!("packets seen | undefended | split+delay defended");
     for n in [15usize, 30, 45, 0] {
         let plain = evaluate(&dataset.truncated(n), &eval_cfg);
-        let em = EmulateConfig {
-            first_n: n,
-            ..EmulateConfig::default()
-        };
+        let em = EmulateConfig { first_n: n };
         let combined = Section3Defense::new(CounterMeasure::Combined, em);
         let mut rng = SimRng::new(seed).fork(n as u64);
         let defended = dataset

@@ -71,10 +71,7 @@ fn attack_is_strong_on_full_traces_and_weaker_early() {
 fn countermeasures_change_the_attack_surface_without_breaking_it() {
     let d = small_dataset(10, 17);
     let cfg = quick_eval();
-    let em = EmulateConfig {
-        first_n: 30,
-        ..EmulateConfig::default()
-    };
+    let em = EmulateConfig { first_n: 30 };
     let combined = Section3Defense::new(CounterMeasure::Combined, em);
     let mut rng = SimRng::new(5);
     let defended = d

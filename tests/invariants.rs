@@ -4,7 +4,9 @@
 //! `SimRng` generator so the workspace carries no external test deps;
 //! every case is reproducible from the loop index.
 
-use defenses::emulate::{CounterMeasure, EmulateConfig, Section3Defense};
+use defenses::emulate::{
+    CounterMeasure, EmulateConfig, Section3Defense, DELAY_HI, SPLIT_THRESHOLD,
+};
 use defenses::{emulate_trace, TraceBank};
 use netsim::{Direction, Nanos, SimRng};
 use stob::defense::{DefenseCtx, FlowPkt};
@@ -72,7 +74,7 @@ fn split_conserves_bytes_and_bounds_sizes() {
             .map(|p| p.size / 2 + p.size % 2)
             .max()
             .unwrap_or(0);
-        let bound = cfg.split_threshold.max(max_in_half);
+        let bound = SPLIT_THRESHOLD.max(max_in_half);
         assert!(
             s.packets
                 .iter()
@@ -82,16 +84,12 @@ fn split_conserves_bytes_and_bounds_sizes() {
         );
         // And for MTU-sized inputs (the real case), halves are bounded
         // by the threshold itself.
-        if trace
-            .packets
-            .iter()
-            .all(|q| q.size <= 2 * cfg.split_threshold)
-        {
+        if trace.packets.iter().all(|q| q.size <= 2 * SPLIT_THRESHOLD) {
             assert!(
                 s.packets
                     .iter()
                     .filter(|p| p.dir == Direction::In)
-                    .all(|p| p.size <= cfg.split_threshold),
+                    .all(|p| p.size <= SPLIT_THRESHOLD),
                 "case {case}"
             );
         }
@@ -126,7 +124,7 @@ fn delay_preserves_everything_but_time() {
             assert!(b.ts >= a.ts, "case {case}: packet moved earlier");
         }
         // Total stretch is bounded by the configured band.
-        let max_growth = trace.duration().mul_f64(cfg.delay_hi);
+        let max_growth = trace.duration().mul_f64(DELAY_HI);
         assert!(
             d.duration() <= trace.duration() + max_growth + Nanos(2),
             "case {case}"

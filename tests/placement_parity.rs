@@ -37,10 +37,7 @@ fn corpus() -> Vec<Trace> {
 }
 
 fn run_both(cm: CounterMeasure, first_n: usize, t: &Trace, seed: u64) -> (Defended, Defended) {
-    let em = EmulateConfig {
-        first_n,
-        ..EmulateConfig::default()
-    };
+    let em = EmulateConfig { first_n };
     let d = Section3Defense::new(cm, em);
     let ctx = DefenseCtx::default();
     // Aligned randomness: the app backend draws from the caller's rng,
