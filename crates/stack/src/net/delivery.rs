@@ -178,7 +178,7 @@ impl Network {
                     None => (0, u64::MAX),
                 };
                 let s = &self.hosts[host].cfg.stack;
-                let slop = u64::from(TSO_MAX_PKTS.max(16)) * u64::from(s.mss());
+                let slop = u64::from(TSO_MAX_PKTS) * u64::from(s.mss());
                 self.auditor.check_safety(
                     now,
                     u64::from(flow.0),
