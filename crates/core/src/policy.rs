@@ -24,6 +24,14 @@ use crate::machine::MAX_DRAW_SECS;
 use netsim::json::{fields, Json, JsonError, Wire};
 use netsim::{Histogram, Nanos, SimRng};
 
+/// §3's split threshold: packets larger than this many bytes are split
+/// in two halves ("larger than 1200 bytes").
+pub const SPLIT_THRESHOLD: u32 = 1200;
+/// Lower end of §3's uniform inter-arrival stretch (10 %).
+pub const DELAY_LO: f64 = 0.10;
+/// Upper end of §3's uniform inter-arrival stretch (30 %).
+pub const DELAY_HI: f64 = 0.30;
+
 /// How packet sizes should be obfuscated.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SizeSpec {
@@ -109,14 +117,17 @@ impl ObfuscationPolicy {
     }
 
     /// The paper's §3 server-side countermeasure pair, expressed as a
-    /// stack policy: split above 1200 bytes, delay by 10-30%.
+    /// stack policy: split above [`SPLIT_THRESHOLD`], delay by
+    /// [`DELAY_LO`]–[`DELAY_HI`].
     pub fn split_and_delay(name: &str) -> Self {
         ObfuscationPolicy {
             name: name.to_string(),
-            size: SizeSpec::SplitAbove { threshold: 1200 },
+            size: SizeSpec::SplitAbove {
+                threshold: SPLIT_THRESHOLD,
+            },
             delay: DelaySpec::UniformFraction {
-                lo_frac: 0.10,
-                hi_frac: 0.30,
+                lo_frac: DELAY_LO,
+                hi_frac: DELAY_HI,
             },
             tso: TsoSpec::Unchanged,
             first_n_pkts: 0,

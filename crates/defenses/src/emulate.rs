@@ -57,13 +57,7 @@ impl CounterMeasure {
     }
 }
 
-/// Split packets strictly larger than this many wire bytes (§3: "larger
-/// than 1200 bytes").
-pub const SPLIT_THRESHOLD: u32 = 1200;
-/// Lower end of the uniform inter-arrival stretch (§3: 10 %).
-pub const DELAY_LO: f64 = 0.10;
-/// Upper end of the uniform inter-arrival stretch (§3: 30 %).
-pub const DELAY_HI: f64 = 0.30;
+pub use stob::policy::{DELAY_HI, DELAY_LO, SPLIT_THRESHOLD};
 /// The only direction the countermeasures touch (§3: incoming traffic
 /// from the server).
 pub const DIRECTION: Direction = Direction::In;

@@ -1,5 +1,6 @@
-//! The datapath: event dispatch, qdisc→NIC feeding, the bottleneck
-//! queues, fault injection at path entry, and packet arrival (including
+//! The datapath: event dispatch, qdisc→NIC feeding, the departure gate
+//! every leg of the path shares (ledgers, loss, faults), the bottleneck
+//! queues and pipe links behind it, and packet arrival (including
 //! passive open of server-side connections).
 //!
 //! Every connection is driven exclusively through [`TransportCore`] —
@@ -7,7 +8,7 @@
 //! constructor choice (`accept`).
 
 use super::host::Conn;
-use super::{Api, Ev, Network, CLIENT, LANE_ARRIVE, LANE_BN, LANE_NIC, SERVER};
+use super::{Api, Ev, Medium, Network, CLIENT, LANE_ARRIVE, LANE_BN, LANE_NIC, SERVER};
 use crate::config::TSO_MAX_PKTS;
 use crate::cpu::Cpu;
 use crate::egress::{Actions, TransportCore};
@@ -109,7 +110,7 @@ impl Network {
     /// each endpoint). Segments already queued keep their old size;
     /// everything packetized afterwards uses the smaller MTU.
     fn mtu_change(&mut self, new_mtu_ip: u32) {
-        if let Some(f) = self.faults.as_mut() {
+        if let Some(f) = self.legs[0].faults.as_mut() {
             f.stats.mtu_changes += 1;
         }
         netsim::tm_counter!("netsim.fault.mtu_changes").inc();
@@ -386,167 +387,136 @@ impl Network {
     }
 
     /// A packet's last bit left a host NIC: count its bytes and record
-    /// it at the local vantage point, then enter the bottleneck toward
-    /// the other host — or, for a packet tagged with a provisioned pipe,
-    /// route it over that leg instead.
+    /// it at the local vantage point, then send it through the departure
+    /// gate of its leg — the provisioned pipe it is tagged with, or else
+    /// the default path — and onto that leg's medium.
     fn pkt_leave_nic(&mut self, host: usize, pkt: Packet) {
         let now = self.q.now();
         self.hosts[host].wire_bytes_out += u64::from(pkt.wire_len);
         if let Some(cap) = self.vantage(host) {
             cap.observe(now, Direction::Out, &pkt);
         }
-        if let Some(pi) = pkt.meta.pipe {
-            let i = pi as usize;
-            if i < self.pipes.len() {
-                self.route_pipe(host, i, pkt);
-                return;
-            }
-        }
-        self.ledger.injected += 1;
-        self.default_ledger.injected += 1;
-        // Random loss (configured paths only).
-        if self.path.loss > 0.0 && self.rng.chance(self.path.loss) {
-            self.path_stats.random_drops += 1;
-            self.ledger.dropped += 1;
-            self.default_ledger.dropped += 1;
-            netsim::tm_counter!("stack.net.random_drops").inc();
-            return;
-        }
+        let li = self.leg_of(&pkt);
         let dir = host; // direction index = source host
-                        // Fault injection at the path entry: burst loss, duplication,
-                        // then link flaps (a dropped packet cannot duplicate; a held one
-                        // waits out the outage).
-        let mut copies: u64 = 1;
-        if let Some(f) = self.faults.as_mut() {
-            match f.on_departure(dir, now) {
-                Departure::Deliver => {}
-                Departure::Drop => {
-                    self.ledger.dropped += 1;
-                    self.default_ledger.dropped += 1;
-                    netsim::tm_counter!("netsim.fault.drops").inc();
-                    if let Some(tr) = &self.tracer {
-                        tr.rec(
-                            now,
-                            u64::from(pkt.flow.0),
-                            "net",
-                            "fault-drop",
-                            u64::from(pkt.wire_len),
-                            0,
-                            "fault-schedule",
-                        );
-                    }
-                    return;
-                }
-                Departure::Duplicate => {
-                    copies = 2;
-                    self.ledger.injected += 1;
-                    self.default_ledger.injected += 1;
-                    netsim::tm_counter!("netsim.fault.duplicates").inc();
-                }
-            }
-            if let Some(down) = f.link_down(dir, now) {
-                if down.drop {
-                    f.stats.flap_drops += copies;
-                    self.ledger.dropped += copies;
-                    self.default_ledger.dropped += copies;
-                    netsim::tm_counter!("netsim.fault.flap_drops").add(copies);
-                    return;
-                }
-                f.stats.flap_held += copies;
-                netsim::tm_counter!("netsim.fault.flap_held").add(copies);
-                let first = self.flap_held[dir].is_empty();
+        let copies = self.depart(li, dir, &pkt);
+        let leg = &mut self.legs[li];
+        match &mut leg.medium {
+            _ if copies == 0 => {}
+            Medium::Bottleneck(_) => {
                 if copies == 2 {
-                    self.flap_held[dir].push(pkt.clone());
+                    self.enter_bottleneck(dir, pkt.clone());
                 }
-                self.flap_held[dir].push(pkt);
-                if first {
-                    self.q.schedule_at(down.until, Ev::FlapRelease { dir });
+                self.enter_bottleneck(dir, pkt);
+            }
+            Medium::Links(links) => {
+                let extra = match leg.faults.as_mut() {
+                    Some(f) => f.extra_arrival_delay(dir, now),
+                    None => Nanos::ZERO,
+                };
+                for _ in 0..copies {
+                    let (_tx_done, arrival) = links[dir].transmit(now, u64::from(pkt.wire_len));
+                    self.ledger.arrivals_pending += 1;
+                    leg.ledger.arrivals_pending += 1;
+                    let ev = Ev::Arrive {
+                        host: 1 - dir,
+                        pkt: pkt.clone(),
+                    };
+                    self.q.schedule_at(arrival + extra, ev);
                 }
-                return;
             }
         }
-        if copies == 2 {
-            self.enter_bottleneck(dir, pkt.clone());
-        }
-        self.enter_bottleneck(dir, pkt);
     }
 
-    /// Route a tagged packet over provisioned leg `i`: apply the leg's
-    /// own loss and fault schedule, serialize it on the leg's directed
-    /// [`netsim::Link`], and schedule its arrival. Both the flow ledger and the leg's ledger account
-    /// for every outcome, so the auditor's per-pipe conservation and
-    /// multipath-sum invariants can be checked at teardown.
-    fn route_pipe(&mut self, src: usize, i: usize, pkt: Packet) {
+    /// The leg a packet travels: the provisioned pipe it is tagged with,
+    /// or the default path (leg 0).
+    fn leg_of(&self, pkt: &Packet) -> usize {
+        match pkt.meta.pipe {
+            Some(i) if usize::from(i) + 1 < self.legs.len() => usize::from(i) + 1,
+            _ => 0,
+        }
+    }
+
+    /// The departure gate of leg `li`, which every packet leaving a NIC
+    /// passes: count it into the flow and leg ledgers, then draw the
+    /// leg's random loss, the fault verdict (a dropped packet cannot
+    /// duplicate) and the link-down check, in that order. Returns how
+    /// many copies go on to the leg's medium — 0 when the packet was
+    /// dropped, or held until a buffering flap on the bottleneck ends.
+    fn depart(&mut self, li: usize, dir: usize, pkt: &Packet) -> u64 {
         let now = self.q.now();
-        let dir = src; // direction index = source host, like the bottleneck
-        let p = &mut self.pipes[i];
+        let leg = &mut self.legs[li];
         self.ledger.injected += 1;
-        p.ledger.injected += 1;
-        netsim::tm_counter!("stack.net.pipe_pkts").inc();
-        // Leg-local random loss.
-        if p.profile.loss > 0.0 && self.rng.chance(p.profile.loss) {
-            self.path_stats.random_drops += 1;
-            self.ledger.dropped += 1;
-            p.ledger.dropped += 1;
-            netsim::tm_counter!("stack.net.pipe_drops").inc();
-            return;
+        leg.ledger.injected += 1;
+        if matches!(leg.medium, Medium::Links(_)) {
+            netsim::tm_counter!("stack.net.pipe_pkts").inc();
         }
-        // Leg-local faults: burst loss, duplication, outages. Flaps on a
-        // datagram leg always drop (no buffering); the multiplexer's
-        // failover machinery is the recovery path.
-        let mut copies: u64 = 1;
-        let mut extra = Nanos::ZERO;
-        if let Some(f) = p.faults.as_mut() {
-            match f.on_departure(dir, now) {
-                Departure::Deliver => {}
-                Departure::Drop => {
-                    self.ledger.dropped += 1;
-                    p.ledger.dropped += 1;
-                    netsim::tm_counter!("stack.net.pipe_drops").inc();
-                    return;
+        if leg.loss > 0.0 && self.rng.chance(leg.loss) {
+            netsim::tm_counter!("stack.net.random_drops").inc();
+            leg.drop_pkts(&mut self.ledger, 1);
+            return 0;
+        }
+        let Some(f) = leg.faults.as_mut() else {
+            return 1;
+        };
+        let copies = match f.on_departure(dir, now) {
+            Departure::Deliver => 1,
+            Departure::Drop => {
+                netsim::tm_counter!("netsim.fault.drops").inc();
+                if let Some(tr) = &self.tracer {
+                    tr.rec(
+                        now,
+                        u64::from(pkt.flow.0),
+                        "net",
+                        "fault-drop",
+                        u64::from(pkt.wire_len),
+                        0,
+                        "fault-schedule",
+                    );
                 }
-                Departure::Duplicate => {
-                    copies = 2;
-                    self.ledger.injected += 1;
-                    p.ledger.injected += 1;
+                leg.drop_pkts(&mut self.ledger, 1);
+                return 0;
+            }
+            Departure::Duplicate => {
+                netsim::tm_counter!("netsim.fault.duplicates").inc();
+                self.ledger.injected += 1;
+                leg.ledger.injected += 1;
+                2
+            }
+        };
+        let Some(down) = f.link_down(dir, now) else {
+            return copies;
+        };
+        match &mut leg.medium {
+            Medium::Bottleneck(bn) if !down.drop => {
+                f.stats.flap_held += copies;
+                netsim::tm_counter!("netsim.fault.flap_held").add(copies);
+                if bn.held[dir].is_empty() {
+                    self.q.schedule_at(down.until, Ev::FlapRelease { dir });
+                }
+                for _ in 0..copies {
+                    bn.held[dir].push(pkt.clone());
                 }
             }
-            if f.link_down(dir, now).is_some() {
+            _ => {
                 f.stats.flap_drops += copies;
-                self.ledger.dropped += copies;
-                p.ledger.dropped += copies;
-                netsim::tm_counter!("stack.net.pipe_drops").add(copies);
-                return;
+                netsim::tm_counter!("netsim.fault.flap_drops").add(copies);
+                leg.drop_pkts(&mut self.ledger, copies);
             }
-            extra = f.extra_arrival_delay(dir, now);
         }
-        let dst = 1 - src;
-        for _ in 0..copies {
-            let (_tx_done, arrival) = p.links[dir].transmit(now, u64::from(pkt.wire_len));
-            self.ledger.arrivals_pending += 1;
-            p.ledger.arrivals_pending += 1;
-            self.q.schedule_at(
-                arrival + extra,
-                Ev::Arrive {
-                    host: dst,
-                    pkt: pkt.clone(),
-                },
-            );
-        }
+        0
     }
 
     /// Hand a packet to the bottleneck transmitter for direction `dir`.
     fn enter_bottleneck(&mut self, dir: usize, pkt: Packet) {
         let now = self.q.now();
-        if self.bn_inflight[dir].is_none() {
-            let tx = Nanos::for_bytes_at_rate(pkt.wire_len as u64, self.path.bottleneck_bps);
-            self.bn_inflight[dir] = Some(pkt);
+        let leg = &mut self.legs[0];
+        let bn = leg.bottleneck();
+        if bn.inflight[dir].is_none() {
+            let tx = bn.start(dir, pkt);
             self.q
                 .schedule_lane(LANE_BN + dir, now + tx, Ev::BnTxDone { dir });
-        } else if !self.bn_queue[dir].enqueue(pkt) {
-            self.path_stats.overflow_drops += 1;
-            self.ledger.dropped += 1;
-            self.default_ledger.dropped += 1;
+        } else if !bn.queue[dir].enqueue(pkt) {
+            leg.drop_pkts(&mut self.ledger, 1);
         }
     }
 
@@ -555,13 +525,12 @@ impl Network {
     /// packets in order.
     fn flap_release(&mut self, dir: usize) {
         let now = self.q.now();
-        if let Some(f) = self.faults.as_ref() {
-            if let Some(down) = f.link_down(dir, now) {
-                self.q.schedule_at(down.until, Ev::FlapRelease { dir });
-                return;
-            }
+        let leg = &mut self.legs[0];
+        if let Some(down) = leg.faults.as_ref().and_then(|f| f.link_down(dir, now)) {
+            self.q.schedule_at(down.until, Ev::FlapRelease { dir });
+            return;
         }
-        let held = std::mem::take(&mut self.flap_held[dir]);
+        let held = std::mem::take(&mut leg.bottleneck().held[dir]);
         for pkt in held {
             self.enter_bottleneck(dir, pkt);
         }
@@ -569,25 +538,26 @@ impl Network {
 
     fn bn_tx_done(&mut self, dir: usize) {
         let now = self.q.now();
-        let pkt = self.bn_inflight[dir].take().expect("no packet in flight");
         let dst = 1 - dir;
-        self.path_stats.delivered_pkts += 1;
+        let leg = &mut self.legs[0];
+        let bn = leg.bottleneck();
+        let pkt = bn.inflight[dir].take().expect("no packet in flight");
         // Reorder jitter and RTT spikes stretch propagation only:
         // packets may overtake each other, never travel back in time.
-        let mut delay = self.path.one_way_delay;
-        if let Some(f) = self.faults.as_mut() {
+        let mut delay = bn.one_way_delay;
+        if let Some(f) = leg.faults.as_mut() {
             delay += f.extra_arrival_delay(dir, now);
         }
         self.ledger.arrivals_pending += 1;
-        self.default_ledger.arrivals_pending += 1;
+        leg.ledger.arrivals_pending += 1;
         self.q.schedule_lane(
             LANE_ARRIVE + dst,
             now + delay,
             Ev::Arrive { host: dst, pkt },
         );
-        if let Some(next) = self.bn_queue[dir].dequeue() {
-            let tx = Nanos::for_bytes_at_rate(next.wire_len as u64, self.path.bottleneck_bps);
-            self.bn_inflight[dir] = Some(next);
+        let bn = leg.bottleneck();
+        if let Some(next) = bn.queue[dir].dequeue() {
+            let tx = bn.start(dir, next);
             self.q
                 .schedule_lane(LANE_BN + dir, now + tx, Ev::BnTxDone { dir });
         }
@@ -595,28 +565,13 @@ impl Network {
 
     fn arrive(&mut self, host: usize, pkt: Packet) {
         let now = self.q.now();
-        self.ledger.arrivals_pending -= 1;
-        self.ledger.delivered += 1;
-        match pkt.meta.pipe {
-            Some(pi) if (pi as usize) < self.pipes.len() => {
-                let l = &mut self.pipes[pi as usize].ledger;
-                l.arrivals_pending -= 1;
-                l.delivered += 1;
-            }
-            _ => {
-                self.default_ledger.arrivals_pending -= 1;
-                self.default_ledger.delivered += 1;
-            }
+        let li = self.leg_of(&pkt);
+        for l in [&mut self.ledger, &mut self.legs[li].ledger] {
+            l.arrivals_pending -= 1;
+            l.delivered += 1;
         }
         if self.auditor.enabled() {
-            let in_transit = self.in_transit_pkts();
-            self.auditor.check_conservation(
-                now,
-                self.ledger.injected,
-                self.ledger.delivered,
-                self.ledger.dropped,
-                in_transit,
-            );
+            self.audit_conservation();
         }
         if let Some(cap) = self.vantage(host) {
             cap.observe(now, Direction::In, &pkt);

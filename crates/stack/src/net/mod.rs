@@ -17,7 +17,8 @@
 //!   [`TransportCore`] trait, CPU, qdisc,
 //!   NIC);
 //! * `delivery` — event handlers and the path datapath (qdisc→NIC,
-//!   bottleneck, faults, arrival/passive open);
+//!   the legs' departure gate, bottleneck and pipes, arrival/passive
+//!   open);
 //! * `table` — the dense `FlowTable` keying per-flow state (shared
 //!   with the fleet engine's per-shard tables);
 //! * `api` — the application-facing [`Api`] handle.
@@ -123,25 +124,70 @@ enum Ev {
     Watchdog { host: usize, flow: FlowId, gen: u64 },
 }
 
-/// Counters for the path between the hosts.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct PathStats {
-    pub(crate) random_drops: u64,
-    pub(crate) overflow_drops: u64,
-    pub(crate) delivered_pkts: u64,
+/// One leg of the path between the hosts. Leg 0 is the default path, the
+/// shared bottleneck every untagged packet takes; leg `i + 1` is the
+/// multipath pipe `i` that [`Network::provision_pipes`] set up. Every
+/// departure goes through one gate (`delivery::depart`) that applies the
+/// leg's random loss and fault injector and counts the packet in the
+/// leg's conservation ledger; what happens after the gate follows from
+/// the leg's [`Medium`].
+struct Leg {
+    loss: f64,
+    faults: Option<FaultInjector>,
+    ledger: PathLedger,
+    medium: Medium,
 }
 
-/// One provisioned multipath leg: an independent pair of directed links
-/// (client→server, server→client) with its own loss, fault injector and
-/// conservation ledger. Packets whose [`netsim::PacketMeta::pipe`] names
-/// this leg bypass the default bottleneck entirely (see
-/// `delivery::route_pipe`).
-pub(super) struct PipeState {
-    pub(super) profile: PipeProfile,
-    /// Directed links, indexed by source host (like the bottleneck).
-    pub(super) links: [Link; 2],
-    pub(super) faults: Option<FaultInjector>,
-    pub(super) ledger: PathLedger,
+/// What carries a leg's packets. Each holds one transmitter per
+/// direction, indexed by source host.
+enum Medium {
+    /// The default path: a drop-tail queue in front of each transmitter.
+    /// A buffering link flap holds packets rather than dropping them, and
+    /// reorder jitter is drawn as a packet finishes transmitting.
+    Bottleneck(Box<Bottleneck>),
+    /// A provisioned pipe's directed [`Link`]s. Any link flap drops the
+    /// packet (recovery is the multiplexer's job), and jitter is drawn as
+    /// the packet passes the gate.
+    Links([Link; 2]),
+}
+
+struct Bottleneck {
+    rate_bps: u64,
+    one_way_delay: Nanos,
+    queue: [DropTailQueue; 2],
+    inflight: [Option<Packet>; 2],
+    /// Packets held during a buffering link flap.
+    held: [Vec<Packet>; 2],
+}
+
+impl Bottleneck {
+    /// Put `pkt` on direction `dir`'s idle transmitter; returns how long
+    /// it takes to serialize.
+    fn start(&mut self, dir: usize, pkt: Packet) -> Nanos {
+        let tx = Nanos::for_bytes_at_rate(u64::from(pkt.wire_len), self.rate_bps);
+        self.inflight[dir] = Some(pkt);
+        tx
+    }
+}
+
+impl Leg {
+    /// Count `n` packets this leg dropped, in its own ledger and in the
+    /// end-to-end `flow` ledger.
+    fn drop_pkts(&mut self, flow: &mut PathLedger, n: u64) {
+        flow.dropped += n;
+        self.ledger.dropped += n;
+        if matches!(self.medium, Medium::Links(_)) {
+            netsim::tm_counter!("stack.net.pipe_drops").add(n);
+        }
+    }
+
+    /// The default path's bottleneck (leg 0's medium).
+    fn bottleneck(&mut self) -> &mut Bottleneck {
+        match &mut self.medium {
+            Medium::Bottleneck(bn) => bn,
+            Medium::Links(_) => unreachable!("only leg 0 has a bottleneck"),
+        }
+    }
 }
 
 /// Passive-open constructor installed by [`Network::set_custom_acceptor`].
@@ -152,9 +198,6 @@ pub struct Network {
     q: EventQueue<Ev>,
     hosts: [Host; 2],
     apps: [Option<Box<dyn App>>; 2],
-    path: PathConfig,
-    bn_queue: [DropTailQueue; 2],
-    bn_inflight: [Option<Packet>; 2],
     rng: SimRng,
     next_flow: u32,
     started: bool,
@@ -163,30 +206,24 @@ pub struct Network {
     /// `[events, lane events, timer arms, timer events]` already added to
     /// the process-wide telemetry counters (see `publish_counts`).
     published: [u64; 4],
-    /// Fault injector, when a schedule was installed via `set_faults`.
-    faults: Option<FaultInjector>,
-    /// Packets held during a buffering link flap, per direction.
-    flap_held: [Vec<Packet>; 2],
     /// Runtime invariant checker (debug default; `STOB_AUDIT=1` or
     /// `set_audit` elsewhere).
     auditor: Auditor,
     /// Shared flow-trace ring: every shaping decision on either host is
     /// recorded here when installed (`set_tracer`).
     tracer: Option<Tracer>,
-    /// End-to-end flow ledger: every packet, tagged or not.
+    /// End-to-end flow ledger: every packet, on whichever leg. The legs'
+    /// own ledgers must sum to it field by field.
     ledger: PathLedger,
-    /// Ledger for packets on the default (single) path only; together
-    /// with the per-pipe ledgers it must sum to `ledger` field-by-field.
-    default_ledger: PathLedger,
-    /// Provisioned multipath legs (`provision_pipes`); empty = classic
-    /// single-path operation.
-    pub(super) pipes: Vec<PipeState>,
+    /// The default path, then one leg per provisioned pipe
+    /// (`provision_pipes`); just the default path in classic single-path
+    /// operation.
+    legs: Vec<Leg>,
     /// Passive-open constructor for custom transports: a `MuxInit`
     /// arriving at the server for an unknown flow is accepted through
     /// this, mirroring TCP SYN / QUIC Initial handling. No other
     /// multipath datagram opens a flow.
     pub(super) custom_acceptor: Option<CustomAcceptor>,
-    pub(crate) path_stats: PathStats,
     /// Emptied action lists. A transport call writes into one taken from
     /// here and `apply` returns it; `apply` re-enters the transports
     /// through app callbacks, so a call may need one while another is
@@ -217,26 +254,27 @@ impl Network {
             q: EventQueue::with_lanes(LANES),
             hosts: [Host::new(client), Host::new(server)],
             apps: [Some(client_app), Some(server_app)],
-            bn_queue: [
-                DropTailQueue::new(path.queue_bytes),
-                DropTailQueue::new(path.queue_bytes),
-            ],
-            bn_inflight: [None, None],
-            path,
             rng: SimRng::new(seed),
             next_flow: 1,
             started: false,
             events_handled: 0,
             published: [0; 4],
-            faults: None,
-            flap_held: [Vec::new(), Vec::new()],
             auditor: Auditor::new(),
             tracer: None,
             ledger: PathLedger::default(),
-            default_ledger: PathLedger::default(),
-            pipes: Vec::new(),
+            legs: vec![Leg {
+                loss: path.loss,
+                faults: None,
+                ledger: PathLedger::default(),
+                medium: Medium::Bottleneck(Box::new(Bottleneck {
+                    rate_bps: path.bottleneck_bps,
+                    one_way_delay: path.one_way_delay,
+                    queue: std::array::from_fn(|_| DropTailQueue::new(path.queue_bytes)),
+                    inflight: [None, None],
+                    held: [Vec::new(), Vec::new()],
+                })),
+            }],
             custom_acceptor: None,
-            path_stats: PathStats::default(),
             act_bufs: Vec::new(),
             seg_pool: SegPool::default(),
             client_capture: Capture::new(),
@@ -323,44 +361,51 @@ impl Network {
             self.q
                 .schedule_at(at.max(self.q.now()), Ev::MtuChange { new_mtu_ip });
         }
-        self.faults = Some(inj);
+        self.legs[0].faults = Some(inj);
     }
 
     /// Counters of faults that actually fired (`None` without a schedule).
     pub fn fault_stats(&self) -> Option<FaultStats> {
-        self.faults.as_ref().map(|f| f.stats)
+        self.legs[0].faults.as_ref().map(|f| f.stats)
     }
 
     // ------------------------------------------------------------------
     // Multipath provisioning
     // ------------------------------------------------------------------
 
-    /// Provision multipath legs for this network. Packets tagged with
-    /// `meta.pipe = Some(i)` are routed over leg `i` — an independent
-    /// pair of directed [`Link`]s with the profile's rate/delay/loss and
-    /// an independently seeded fault schedule (see
-    /// [`netsim::provision`]) — instead of the default
-    /// bottleneck. Untagged packets are unaffected, so TCP/QUIC flows
-    /// coexist with a multiplexed flow in the same simulation.
+    /// Provision multipath legs for this network, replacing any earlier
+    /// ones. Packets tagged with `meta.pipe = Some(i)` are routed over
+    /// pipe `i` — a pair of directed [`Link`]s with the profile's
+    /// rate/delay/loss and an independently seeded fault schedule (see
+    /// [`netsim::provision`]) — instead of the default bottleneck.
+    /// Untagged packets are unaffected, so TCP/QUIC flows coexist with a
+    /// multiplexed flow in the same simulation.
     ///
-    /// Pipe fault schedules drive per-leg loss/outage/jitter; scheduled
-    /// MTU changes in a pipe scenario are ignored (MTU is an end-host
-    /// property, not a leg property). Link flaps on a leg drop rather
-    /// than buffer: an outage on an unreliable datagram leg loses
-    /// packets, and recovery is the multiplexer's job.
+    /// A pipe is a leg like the default path: a departing packet passes
+    /// the same gate (ledger, random loss, fault verdict, link-down
+    /// check) against the pipe's own loss, injector and ledger. Two
+    /// things differ because a pipe has links where the default path has
+    /// a queue: a link flap on a pipe drops rather than buffers (an
+    /// outage on an unreliable datagram leg loses packets, and recovery
+    /// is the multiplexer's job), and its jitter is drawn as the packet
+    /// leaves rather than as it finishes transmitting. Scheduled MTU
+    /// changes in a pipe scenario are ignored (MTU is an end-host
+    /// property, not a leg property).
     pub fn provision_pipes(&mut self, profiles: &[PipeProfile], seed: u64, horizon: Nanos) {
-        self.pipes = netsim::provision(profiles, seed, horizon)
-            .into_iter()
-            .map(|p| PipeState {
-                links: [
-                    Link::new(p.profile.rate_bps, p.profile.one_way_delay),
-                    Link::new(p.profile.rate_bps, p.profile.one_way_delay),
-                ],
-                faults: p.schedule.as_ref().map(FaultInjector::new),
-                ledger: PathLedger::default(),
-                profile: p.profile,
-            })
-            .collect();
+        self.legs.truncate(1);
+        self.legs.extend(
+            netsim::provision(profiles, seed, horizon)
+                .into_iter()
+                .map(|p| {
+                    let link = || Link::new(p.profile.rate_bps, p.profile.one_way_delay);
+                    Leg {
+                        loss: p.profile.loss,
+                        faults: p.schedule.as_ref().map(FaultInjector::new),
+                        ledger: PathLedger::default(),
+                        medium: Medium::Links([link(), link()]),
+                    }
+                }),
+        );
     }
 
     /// Install the passive-open constructor for custom transports: a
@@ -376,12 +421,12 @@ impl Network {
 
     /// Number of provisioned multipath legs.
     pub fn pipe_count(&self) -> usize {
-        self.pipes.len()
+        self.legs.len() - 1
     }
 
     /// Leg `i`'s conservation ledger.
     pub fn pipe_ledger(&self, i: usize) -> Option<PathLedger> {
-        self.pipes.get(i).map(|p| p.ledger)
+        self.legs.get(i + 1).map(|p| p.ledger)
     }
 
     /// Force the invariant auditor on or off (debug builds default on;
@@ -432,20 +477,13 @@ impl Network {
 
     /// Final invariant report: runs the conservation check over the
     /// end-to-end flow ledger, a per-pipe conservation check over every
-    /// provisioned leg, and the multipath sum rule (default path +
-    /// per-pipe ledgers must account for the flow ledger field by
+    /// provisioned pipe, and, with pipes provisioned, the multipath sum
+    /// rule (the legs' ledgers must account for the flow ledger field by
     /// field), then snapshots all recorded violations.
     pub fn audit_report(&mut self) -> AuditReport {
         let now = self.q.now();
-        let in_transit = self.in_transit_pkts();
-        self.auditor.check_conservation(
-            now,
-            self.ledger.injected,
-            self.ledger.delivered,
-            self.ledger.dropped,
-            in_transit,
-        );
-        for (i, p) in self.pipes.iter().enumerate() {
+        self.audit_conservation();
+        for (i, p) in self.legs[1..].iter().enumerate() {
             self.auditor.check_pipe_conservation(
                 now,
                 i,
@@ -455,38 +493,41 @@ impl Network {
                 p.ledger.arrivals_pending,
             );
         }
-        if !self.pipes.is_empty() {
-            let sum = |f: fn(&PathLedger) -> u64| -> u64 {
-                f(&self.default_ledger) + self.pipes.iter().map(|p| f(&p.ledger)).sum::<u64>()
-            };
-            self.auditor.check_multipath_sum(
-                now,
-                "injected",
-                sum(|l| l.injected),
-                self.ledger.injected,
-            );
-            self.auditor.check_multipath_sum(
-                now,
-                "delivered",
-                sum(|l| l.delivered),
-                self.ledger.delivered,
-            );
-            self.auditor.check_multipath_sum(
-                now,
-                "dropped",
-                sum(|l| l.dropped),
-                self.ledger.dropped,
-            );
+        if self.legs.len() > 1 {
+            let mut sum = PathLedger::default();
+            for l in &self.legs {
+                sum.injected += l.ledger.injected;
+                sum.delivered += l.ledger.delivered;
+                sum.dropped += l.ledger.dropped;
+            }
+            let total = self.ledger;
+            for (name, sum, total) in [
+                ("injected", sum.injected, total.injected),
+                ("delivered", sum.delivered, total.delivered),
+                ("dropped", sum.dropped, total.dropped),
+            ] {
+                self.auditor.check_multipath_sum(now, name, sum, total);
+            }
         }
         self.auditor.report()
     }
 
+    /// Check the end-to-end flow ledger against the packets on the path.
+    fn audit_conservation(&mut self) {
+        let in_transit = self.in_transit_pkts();
+        let l = self.ledger;
+        let now = self.q.now();
+        self.auditor
+            .check_conservation(now, l.injected, l.delivered, l.dropped, in_transit);
+    }
+
     /// Packets currently somewhere on the path (bottleneck queues, the
     /// transmitters, flap-hold buffers, or propagating toward a host).
-    fn in_transit_pkts(&self) -> u64 {
-        let queued: u64 = self.bn_queue.iter().map(|q| q.len() as u64).sum();
-        let inflight = self.bn_inflight.iter().flatten().count() as u64;
-        let held: u64 = self.flap_held.iter().map(|h| h.len() as u64).sum();
+    fn in_transit_pkts(&mut self) -> u64 {
+        let bn = self.legs[0].bottleneck();
+        let queued: u64 = bn.queue.iter().map(|q| q.len() as u64).sum();
+        let inflight = bn.inflight.iter().flatten().count() as u64;
+        let held: u64 = bn.held.iter().map(|h| h.len() as u64).sum();
         queued + inflight + held + self.ledger.arrivals_pending
     }
 

@@ -137,7 +137,7 @@ fn loss_is_recovered_exactly() {
         net.flow_stats(SERVER, FlowId(1)).unwrap().bytes_delivered,
         total
     );
-    assert!(net.path_stats.random_drops > 0, "loss never injected");
+    assert!(net.legs[0].ledger.dropped > 0, "loss never injected");
     let cs = net.flow_stats(CLIENT, FlowId(1)).unwrap();
     assert!(
         cs.retransmits + cs.timeouts > 0,

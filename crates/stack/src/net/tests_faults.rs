@@ -726,12 +726,91 @@ fn bottleneck_overflow_drops_balance_the_multipath_ledgers() {
         net.flow_stats(SERVER, FlowId(1)).unwrap().bytes_delivered,
         total
     );
-    assert!(net.path_stats.overflow_drops > 0, "queue never overflowed");
+    assert!(net.legs[0].ledger.dropped > 0, "queue never overflowed");
     assert_eq!(
         net.pipe_ledger(0).unwrap().injected,
         0,
         "leg must stay idle"
     );
+    let rep = net.audit_report();
+    assert!(rep.clean(), "violations: {:?}", rep.violations);
+}
+
+#[test]
+fn pipe_and_default_legs_keep_their_own_flap_and_loss_rules() {
+    use netsim::{FaultInjector, FaultKind, FaultStats, PipeProfile};
+    // Both legs pass one departure gate; what a flap or a loss draw does
+    // there follows from the leg, and lands in that leg's ledger only.
+    let send = |net: &mut Network, pipe: Option<u8>, n: u64| {
+        for seq in 0..n {
+            let mut pkt = Packet::tcp_data(FlowId(1), seq * 1000, 0, 1000);
+            pkt.meta.pipe = pipe;
+            net.apply(CLIENT, FlowId(1), vec![TcpAction::SendCtl(pkt)]);
+        }
+    };
+    let new_net = |path: PathConfig, pipe: PipeProfile, seed: u64| {
+        let (hc, hs) = fast_hosts();
+        let mut net = Network::new(hc, hs, path, Box::new(NullApp), Box::new(NullApp), seed);
+        net.set_audit(true);
+        net.provision_pipes(&[pipe], seed, Nanos::from_secs(1));
+        net
+    };
+    let clean_pipe = PipeProfile::new(10_000_000, Nanos::from_millis(5));
+
+    // A buffering flap drops on a pipe: the pipe's ledger counts the
+    // drop, nothing is held, and the default path's injector does not
+    // move. The same flap on the default path holds the packet.
+    let mut net = new_net(PathConfig::internet(50, 20), clean_pipe.clone(), 48);
+    let flap = FaultSchedule::new(11).push(FaultKind::LinkFlap {
+        down_at: Nanos::ZERO,
+        up_at: Nanos::from_millis(200),
+        drop: false,
+    });
+    net.set_faults(&flap);
+    net.legs[1].faults = Some(FaultInjector::new(&flap));
+    send(&mut net, Some(0), 1);
+    net.run_until(Nanos::from_millis(50));
+    let pipe = net.pipe_ledger(0).unwrap();
+    assert_eq!(
+        (pipe.injected, pipe.dropped, pipe.arrivals_pending),
+        (1, 1, 0)
+    );
+    assert_eq!(net.legs[1].faults.as_ref().unwrap().stats.flap_drops, 1);
+    assert!(net.legs[0].bottleneck().held.iter().all(Vec::is_empty));
+    assert_eq!(net.fault_stats(), Some(FaultStats::default()));
+    send(&mut net, None, 1);
+    net.run_until(Nanos::from_millis(100));
+    assert_eq!(net.legs[0].bottleneck().held[CLIENT].len(), 1);
+    let stats = net.fault_stats().unwrap();
+    assert_eq!((stats.flap_held, stats.flap_drops), (1, 0));
+    net.run_to_idle();
+    let default = net.legs[0].ledger;
+    assert_eq!(
+        (default.injected, default.delivered, default.dropped),
+        (1, 1, 0)
+    );
+    let rep = net.audit_report();
+    assert!(rep.clean(), "violations: {:?}", rep.violations);
+
+    // Random loss on the default path and on a lossy pipe: each leg's
+    // drops land in its own ledger, and the legs still sum to the flow
+    // ledger.
+    let mut path = PathConfig::internet(50, 20);
+    path.loss = 0.3;
+    let lossy_pipe = PipeProfile {
+        loss: 0.3,
+        ..clean_pipe
+    };
+    let mut net = new_net(path, lossy_pipe, 49);
+    send(&mut net, None, 50);
+    send(&mut net, Some(0), 50);
+    net.run_to_idle();
+    for (i, leg) in net.legs.iter().enumerate() {
+        let l = leg.ledger;
+        assert_eq!(l.injected, 50, "leg {i}: {l:?}");
+        assert!(l.dropped > 0 && l.dropped < 50, "leg {i}: {l:?}");
+        assert_eq!(l.delivered + l.dropped, 50, "leg {i}: {l:?}");
+    }
     let rep = net.audit_report();
     assert!(rep.clean(), "violations: {:?}", rep.violations);
 }

@@ -67,39 +67,18 @@ pub struct VisitProgress {
     pub retries: u64,
     /// Replacement connections opened after backoff.
     pub reconnects: u64,
-    /// Objects abandoned after exhausting `max_retries`.
+    /// Objects abandoned after exhausting their retries.
     pub gave_up: u64,
 }
 
-/// Application-level recovery knobs (all deterministic): how long a
-/// connection may sit without a single arriving packet before the
-/// browser declares it stalled, and how aborted work is retried.
-#[derive(Debug, Clone, Copy)]
-pub struct RecoveryConfig {
-    /// Idle bound for the per-connection stall watchdog.
-    pub(crate) idle_timeout: Nanos,
-    /// First reconnect backoff; doubles per consecutive stall.
-    pub(crate) backoff_base: Nanos,
-    /// Ceiling on the doubled backoff.
-    pub(crate) backoff_max: Nanos,
-    /// Jitter added on top of the backoff, as a fraction of it, drawn
-    /// from a per-stall fork of the visit's recovery RNG.
-    pub(crate) jitter_frac: f64,
-    /// Retries per object before the browser gives up on it.
-    pub(crate) max_retries: u32,
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig {
-            idle_timeout: Nanos::from_millis(750),
-            backoff_base: Nanos::from_millis(250),
-            backoff_max: Nanos::from_secs(2),
-            jitter_frac: 0.5,
-            max_retries: 8,
-        }
-    }
-}
+/// Application-level recovery (all deterministic): stall watchdogs on
+/// the browser's connections and retry with backoff. Turned on by
+/// holding one in [`LoaderConfig::recovery`]. It carries no settings:
+/// they are the loader's constants `IDLE_TIMEOUT`, `BACKOFF_BASE`,
+/// `BACKOFF_MAX`, `JITTER_FRAC` and `MAX_RETRIES`. Braced, not a unit
+/// struct, so callers keep building it with `RecoveryConfig::default()`.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct RecoveryConfig {}
 
 /// Which transport the browser uses (Figure 1's columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -212,6 +191,18 @@ struct ConnState {
 /// collide — the server's tokens start at `1 << 32`).
 const RECONNECT_TOKEN: u64 = 1 << 40;
 
+/// Idle bound for the per-connection stall watchdog.
+const IDLE_TIMEOUT: Nanos = Nanos::from_millis(750);
+/// First reconnect backoff; doubles per consecutive stall.
+const BACKOFF_BASE: Nanos = Nanos::from_millis(250);
+/// Ceiling on the doubled backoff.
+const BACKOFF_MAX: Nanos = Nanos::from_secs(2);
+/// Jitter added on top of the backoff, as a fraction of it, drawn from a
+/// per-stall fork of the visit's recovery RNG.
+const JITTER_FRAC: f64 = 0.5;
+/// Retries per object before the browser gives up on it.
+const MAX_RETRIES: u32 = 8;
+
 struct Browser {
     plan: VisitPlan,
     transport: TransportKind,
@@ -230,7 +221,8 @@ struct Browser {
     need_main: bool,
     outstanding: usize,
     closed: bool,
-    recovery: Option<RecoveryConfig>,
+    /// Stall watchdogs and retry with backoff are on.
+    recovery: bool,
     /// Root of all recovery jitter draws, forked per stall — never the
     /// network RNG (which feeds loss draws) and never consulted unless
     /// recovery is on, so default runs are bit-identical to before.
@@ -248,7 +240,7 @@ impl Browser {
         transport: TransportKind,
         pad_quantum: u64,
         shared: SharedRef,
-        recovery: Option<RecoveryConfig>,
+        recovery: bool,
         recovery_rng: SimRng,
     ) -> Self {
         let mut queue = VecDeque::new();
@@ -293,8 +285,8 @@ impl Browser {
         }
         // Supervise the handshake too: a SYN swallowed by an outage
         // stalls the connection exactly like a dead transfer.
-        if let Some(rec) = &self.recovery {
-            api.watch(flow, rec.idle_timeout);
+        if self.recovery {
+            api.watch(flow, IDLE_TIMEOUT);
         }
         self.conns.insert(
             flow.0,
@@ -333,8 +325,8 @@ impl Browser {
         st.expect = job.stream_bytes;
         st.job = Some(job);
         self.outstanding += 1;
-        if let Some(rec) = &self.recovery {
-            api.watch(FlowId(flow), rec.idle_timeout);
+        if self.recovery {
+            api.watch(FlowId(flow), IDLE_TIMEOUT);
         }
         api.send(FlowId(flow), CLIENT_FINISHED + self.plan.request_size);
     }
@@ -394,7 +386,7 @@ impl Browser {
             p.objects_done += 1;
             p.bytes_remaining.remove(&job.object);
         });
-        if self.recovery.is_some() {
+        if self.recovery {
             api.unwatch(FlowId(flow));
         }
         if job.is_main && !self.main_done {
@@ -436,7 +428,7 @@ impl App for Browser {
                     // The handshake watch served its purpose; transfers
                     // arm their own in `request`. An idle pool member
                     // must not trip the watchdog while a sibling works.
-                    if self.recovery.is_some() {
+                    if self.recovery {
                         api.unwatch(flow);
                     }
                     self.dispatch(api, flow.0);
@@ -460,7 +452,9 @@ impl App for Browser {
     }
 
     fn on_stall(&mut self, api: &mut Api, flow: FlowId, _idle: Nanos) {
-        let Some(rec) = self.recovery else { return };
+        if !self.recovery {
+            return;
+        }
         let Some(st) = self.conns.remove(&flow.0) else {
             return;
         };
@@ -472,7 +466,7 @@ impl App for Browser {
             self.outstanding -= 1;
             job.stream_bytes = st.expect.saturating_sub(st.recv);
             job.attempt += 1;
-            if job.attempt > rec.max_retries {
+            if job.attempt > MAX_RETRIES {
                 self.with_progress(|p| p.gave_up += 1);
             } else {
                 self.with_progress(|p| p.retries += 1);
@@ -487,9 +481,9 @@ impl App for Browser {
         // seed and the stall sequence, never on scheduling.
         let shift = self.streak.min(6);
         self.streak += 1;
-        let backoff = (rec.backoff_base * (1u64 << shift)).min(rec.backoff_max);
+        let backoff = (BACKOFF_BASE * (1u64 << shift)).min(BACKOFF_MAX);
         let jitter = backoff.mul_f64(
-            rec.jitter_frac
+            JITTER_FRAC
                 * self
                     .recovery_rng
                     .fork(u64::from(flow.0))
@@ -672,7 +666,7 @@ pub fn load_page(
         cfg.transport,
         cfg.record_pad_quantum,
         Rc::clone(&shared),
-        cfg.recovery,
+        cfg.recovery.is_some(),
         recovery_rng,
     );
     let registry = PolicyRegistry::new();

@@ -124,7 +124,7 @@ pub(crate) fn evaluate_features(
                     .collect()
             }
             AttackKind::FeatureKnn => {
-                let knn = FeatureKnn::fit(x, y, &train, k);
+                let mut knn = FeatureKnn::fit(x, y, &train, k);
                 test_idx
                     .iter()
                     .map(|&i| knn.predict(&features[i]))

@@ -13,17 +13,27 @@ use std::cmp::Ordering;
 /// Neighbours each k-NN head votes over (k-FP's k = 3).
 pub const K: usize = 3;
 
-/// The (at most) [`K`] smallest of `keys` under `cmp`, in `cmp` order.
-/// Selects before it sorts, so a query costs O(n), not O(n log n). The
-/// keys carry their row index, so none compare equal and the result is
-/// exactly the first `K` of `keys` fully sorted.
-fn k_smallest<T>(mut keys: Vec<T>, cmp: impl Fn(&T, &T) -> Ordering) -> Vec<T> {
-    if keys.len() > K {
-        keys.select_nth_unstable_by(K - 1, &cmp);
-        keys.truncate(K);
+/// The (at most) [`K`] smallest of `keys` under `cmp`, in `cmp` order,
+/// then `None` in any slot left over when there are fewer than `K` keys.
+/// One pass of insertion into a fixed array, so a query costs O(n) and
+/// allocates nothing. The keys carry their row index, so none compare
+/// equal and the result is exactly the first `K` of `keys` fully sorted.
+fn k_smallest<T: Copy>(
+    keys: impl Iterator<Item = T>,
+    cmp: impl Fn(&T, &T) -> Ordering,
+) -> [Option<T>; K] {
+    let mut best: [Option<T>; K] = [None; K];
+    for key in keys {
+        let Some(at) = best
+            .iter()
+            .position(|b| b.as_ref().is_none_or(|b| cmp(&key, b).is_lt()))
+        else {
+            continue;
+        };
+        best[at..].rotate_right(1);
+        best[at] = Some(key);
     }
-    keys.sort_unstable_by(cmp);
-    keys
+    best
 }
 
 /// The class most of `labels` carry, the last of tied maxima.
@@ -59,14 +69,14 @@ impl KfpKnn {
     /// Labels of the [`K`] training fingerprints nearest `leaves`,
     /// nearest first (ties by training order).
     fn nearest(&self, leaves: &[u32]) -> impl Iterator<Item = usize> + '_ {
-        let dists: Vec<(usize, usize)> = self
+        let dists = self
             .fingerprints
             .iter()
             .enumerate()
-            .map(|(i, fp)| (Self::hamming(leaves, fp), i))
-            .collect();
+            .map(|(i, fp)| (Self::hamming(leaves, fp), i));
         k_smallest(dists, Ord::cmp)
             .into_iter()
+            .flatten()
             .map(|(_, i)| self.labels[i])
     }
 
@@ -102,6 +112,8 @@ pub(crate) struct FeatureKnn {
     n_classes: usize,
     mean: Vec<f64>,
     std: Vec<f64>,
+    /// The z-scored query, rewritten by every `predict`.
+    query: Vec<f64>,
 }
 
 impl FeatureKnn {
@@ -138,32 +150,29 @@ impl FeatureKnn {
             x: z,
             labels: rows.iter().map(|&i| y[i]).collect(),
             n_classes,
+            query: Vec::with_capacity(d),
             mean,
             std,
         }
     }
 
-    pub(crate) fn predict(&self, sample: &[f64]) -> usize {
-        let z: Vec<f64> = sample
-            .iter()
-            .zip(&self.mean)
-            .zip(&self.std)
-            .map(|((v, m), sd)| (v - m) / sd)
-            .collect();
-        let dists: Vec<(f64, usize)> = self
-            .x
-            .iter()
-            .enumerate()
-            .map(|(i, t)| {
-                let d: f64 = t.iter().zip(&z).map(|(a, b)| (a - b) * (a - b)).sum();
-                (d, i)
-            })
-            .collect();
+    pub(crate) fn predict(&mut self, sample: &[f64]) -> usize {
+        let z = &mut self.query;
+        z.clear();
+        z.extend(
+            sample
+                .iter()
+                .zip(&self.mean)
+                .zip(&self.std)
+                .map(|((v, m), sd)| (v - m) / sd),
+        );
+        let dists = self.x.iter().enumerate().map(|(i, t)| {
+            let d: f64 = t.iter().zip(&*z).map(|(a, b)| (a - b) * (a - b)).sum();
+            (d, i)
+        });
         let nearest = k_smallest(dists, |a, b| a.partial_cmp(b).expect("finite distances"));
-        vote(
-            nearest.into_iter().map(|(_, i)| self.labels[i]),
-            self.n_classes,
-        )
+        let labels = nearest.into_iter().flatten().map(|(_, i)| self.labels[i]);
+        vote(labels, self.n_classes)
     }
 }
 
@@ -214,7 +223,7 @@ mod tests {
     #[test]
     fn feature_knn_classifies_blobs() {
         let (x, y) = blobs(200, 3, 3);
-        let knn = FeatureKnn::fit(&x, &y, &all(x.len()), 3);
+        let mut knn = FeatureKnn::fit(&x, &y, &all(x.len()), 3);
         let (xt, yt) = blobs(60, 3, 77);
         let acc = xt
             .iter()
@@ -233,7 +242,7 @@ mod tests {
         for s in &mut x {
             s[1] *= 1e6; // blow up the noise dimension
         }
-        let knn = FeatureKnn::fit(&x, &y, &all(x.len()), 2);
+        let mut knn = FeatureKnn::fit(&x, &y, &all(x.len()), 2);
         let (mut xt, yt) = blobs(60, 2, 88);
         for s in &mut xt {
             s[1] *= 1e6;
@@ -257,11 +266,11 @@ mod tests {
             .collect();
         let y = vec![1, 1, 1, 0, 0, 0];
         let rows = [3, 0, 4, 1, 5, 2];
-        let knn = FeatureKnn::fit(&x, &y, &rows, 2);
+        let mut knn = FeatureKnn::fit(&x, &y, &rows, 2);
         assert_eq!(knn.predict(&[1.0]), 0);
         assert_eq!(knn.predict(&[9.0]), 1);
         // Fewer training rows than K: every row votes.
-        let knn = FeatureKnn::fit(&x, &y, &[3, 0], 2);
+        let mut knn = FeatureKnn::fit(&x, &y, &[3, 0], 2);
         assert_eq!(knn.predict(&[1.0]), 1, "a 1-1 tie goes to the last class");
     }
 
@@ -284,7 +293,11 @@ mod tests {
                     .map(|i| (rng.next_below(spread) as usize, i))
                     .collect();
                 let want = sort_then_truncate(keys.clone());
-                assert_eq!(k_smallest(keys, Ord::cmp), want, "n {n} spread {spread}");
+                let got: Vec<_> = k_smallest(keys.into_iter(), Ord::cmp)
+                    .into_iter()
+                    .flatten()
+                    .collect();
+                assert_eq!(got, want, "n {n} spread {spread}");
             }
         }
     }

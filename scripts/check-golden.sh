@@ -13,9 +13,10 @@
 # this is also the fan-out determinism check of every harness:
 #
 # - table2, defense_matrix, multipath, attacks: the k-FP experiments
-#   (table2's pair holds the parallel `collect_dataset` stage at the
-#   CLI; tests/attack_table.rs asserts EXPERIMENTS.md's attack-table
-#   reading on attacks.json);
+#   (table2's pair holds the parallel feature extraction and forest
+#   stages behind the serial `collect_dataset` page loads at the CLI;
+#   tests/attack_table.rs asserts EXPERIMENTS.md's attack-table reading
+#   on attacks.json);
 # - cc_ident, openworld: the extension attacks, CC identification
 #   (§5.2) and open-world k-FP, plain and defended
 #   (tests/extension_claims.rs asserts EXPERIMENTS.md's reading of both);

@@ -132,8 +132,9 @@ fn thread_count_never_changes_results() {
             fleet_snapshot(&fleet_n),
             "fleet report at {threads} threads"
         );
-        // The §3 collection stage fans page loads out over the same
-        // pool; nothing else in this file reaches `traces::loader`.
+        // The §3 collection stage loads its pages in one serial loop:
+        // this checks that the pool's thread count changes nothing it
+        // collects. Nothing else in this file reaches `traces::loader`.
         let collected_n = stob_bench::collect_dataset(1, 7).dataset.traces;
         assert_eq!(
             collected_1.len(),
