@@ -1,43 +1,50 @@
-//! Fleet-scale defended-flow engine: many concurrent flows, sharded
-//! event queues, one shared control plane.
+//! Fleet-scale defended-flow engine: many flows, sharded, one shared
+//! control plane.
 //!
 //! Everything else in the repo simulates one host pair per visit; the
 //! paper's deployment argument (§5) is about *providers* — a network
 //! stack shaping tens of thousands of concurrent flows behind one
 //! policy control plane. This module is that regime's engine:
 //!
-//! * **Sharded simulation.** Flows are partitioned into a fixed number
-//!   of shards (independent of thread count). Each shard owns a
-//!   [`EventQueue`] interleaving all its flows' departure timers, an
-//!   [`Arena`] of its resident flows (one slot per flow from its start
-//!   event to its close, pending packet included; the timer event carries
-//!   the generation-checked handle, so an emission is one lookup of one
-//!   compact record), and its flows' rows of the run's one residency
-//!   table, where a flow's `(start, end)` lands as it closes — 16 B per
-//!   flow, the only memory that follows the population rather than the
-//!   residency. The merge sums reports and copies no intervals. Shards
-//!   run under [`netsim::par`]; each flow forks its RNG from the root seed
-//!   and its stable global index, so results are bit-identical at any
-//!   `STOB_THREADS` *and* any shard count (bar the arena's per-shard
-//!   peak, [`FleetReport::arena_high_water`]).
+//! * **Sharded, flow by flow.** Flows are partitioned into a fixed
+//!   number of shards (independent of thread count), and a shard runs
+//!   its flows in index order, each to completion: attach, then every
+//!   original packet at its departure timer, then the close-out. The
+//!   flows share no simulated resource — a flow's emissions are a
+//!   function of its RNG (forked from the root seed by its stable global
+//!   index), its resolved defense and the registry, which the fleet only
+//!   reads — so no queue interleaves them: the one live flow record is a
+//!   local, and the order flows run in changes no result. What a shard
+//!   keeps per flow is its row of the run's one residency table, where a
+//!   flow's `(start, end)` lands as it closes — 16 B per flow, the only
+//!   memory that follows the population — and, while the shard runs,
+//!   the instant of each flow's last departure timer, swept at the end
+//!   into [`FleetReport::arena_high_water`]. The merge sums reports and
+//!   copies no intervals. Shards run under [`netsim::par`], so results
+//!   are bit-identical at any `STOB_THREADS` *and* any shard count (bar
+//!   that per-shard peak).
 //! * **One shared [`PolicyRegistry`].** Every flow resolves its defense
 //!   through the registry (flow → destination → default precedence)
 //!   concurrently from all shards, exactly like a provider fleet
-//!   hitting one control plane.
+//!   hitting one control plane. The registry must have no circuit
+//!   breaker ([`PolicyRegistry::set_breaker`]): a breaker hears every
+//!   attach outcome and counts attempts, so with one the results would
+//!   follow the order flows attach in, which threads interleave.
 //! * **One shaping kernel per flow.** Each resolved defense becomes a
 //!   `FlowShaper` at stack placement ([`EgressLabels::FLEET`]) — the
 //!   kernel, decider and close-out `enforce_flow` runs over recorded
 //!   traces, here driven one generated packet at a time. Each surviving
 //!   piece is folded as it leaves the kernel and the padding close-out
 //!   at the flow's end, so no per-flow schedule or buffer is ever
-//!   materialized, which is what keeps 100k+ resident flows cheap.
+//!   materialized.
 //!
 //! Workload: flows are synthetic page-load-like packet sequences drawn
 //! lazily from the flow's own RNG (gap, direction, size per packet),
 //! staggered over a start window so a large population is resident at
 //! once. Checksums fold each emission order-independently, so the
 //! aggregate check value is invariant to shard layout; the per-shard
-//! [`Auditor`] checks pop monotonicity and that no emission departs
+//! [`Auditor`] checks that each flow's events (its start, then its
+//! departure timers) never run backwards and that no emission departs
 //! before its intended time.
 //!
 //! Observability: `netsim.fleet.*` counters (flows, egress packets and
@@ -52,14 +59,14 @@
 use crate::defense::{FlowDefense, FlowPkt, FlowShaper, StackDecider, StackParams};
 use crate::registry::PolicyRegistry;
 use crate::sockopt::attach;
-use netsim::{par, Arena, ArenaHandle, AuditReport, Auditor, Direction, EventQueue, Nanos, SimRng};
+use netsim::{par, AuditReport, Auditor, Direction, Nanos, SimRng};
 use stack::egress::EgressLabels;
 use std::sync::Mutex;
 
 /// Fixed shard count the engine defaults to. Chosen comfortably above
 /// any realistic `STOB_THREADS` so thread count only changes which
 /// worker drives a shard, never how flows are grouped. A perf-only
-/// knob: results are invariant to it, bar the per-shard arena peak
+/// knob: results are invariant to it, bar the per-shard residency peak
 /// (see module docs).
 pub const DEFAULT_SHARDS: u64 = 64;
 
@@ -122,12 +129,16 @@ pub struct FleetReport {
     pub sim_end: Nanos,
     /// Order-independent fold of every emission on every flow.
     pub checksum: u64,
-    /// Events popped across all shard queues.
+    /// Flow starts plus original-packet departure timers, over all
+    /// flows.
     pub events: u64,
-    /// Peak resident flows in any one shard (its arena holds one slot
-    /// per resident flow). Changes with the shard count.
+    /// Peak flows any one shard holds at once, a flow counted from its
+    /// start to its last departure timer (ends inclusive): the slots a
+    /// shard-wide store of live flows would need. Changes with the shard
+    /// count.
     pub arena_high_water: u64,
-    /// Merged invariant report (monotone pops, no early departures).
+    /// Merged invariant report (per-flow monotone events, no early
+    /// departures).
     pub audit: AuditReport,
 }
 
@@ -135,6 +146,22 @@ impl FleetReport {
     /// True when the run finished with no invariant violations.
     pub fn clean(&self) -> bool {
         self.audit.violations.is_empty()
+    }
+
+    /// Fold one shard's report in: sums, the checksum and the audit add
+    /// up, the per-shard peak takes the max. `peak_resident` and
+    /// `sim_end` are global and left to the caller.
+    fn absorb(&mut self, r: FleetReport) {
+        self.flows += r.flows;
+        self.egress_pkts += r.egress_pkts;
+        self.egress_bytes += r.egress_bytes;
+        self.dummy_pkts += r.dummy_pkts;
+        self.dummy_bytes += r.dummy_bytes;
+        self.checksum = self.checksum.wrapping_add(r.checksum);
+        self.events += r.events;
+        self.arena_high_water = self.arena_high_water.max(r.arena_high_water);
+        self.audit.checks += r.audit.checks;
+        self.audit.violations.extend(r.audit.violations);
     }
 }
 
@@ -148,36 +175,21 @@ struct Tally {
     end_rel: Nanos,
 }
 
-/// Per-shard event: a flow's start deadline, or the departure timer of
-/// its next original packet — which lives, with the rest of the flow, in
-/// the shard arena behind the generation-checked handle.
-enum Step {
-    Start { local: u32 },
-    Emit { h: ArenaHandle },
-}
-
-/// Live state of one resident flow: one arena slot from the flow's start
-/// event to its close — so a shard's memory tracks its *resident* flow
-/// count, not its total assignment — and the only record an emission
-/// touches. A flow has exactly one emission pending at any time: the
-/// packet its timer is armed for is a field here.
+/// Live state of the flow a shard is running: a local from the flow's
+/// attach to its close, and the only record an emission touches.
 struct FlowState {
     f: u64,
     rng: SimRng,
     start: Nanos,
-    /// The pending original packet (flow-relative timestamp)...
-    pkt: FlowPkt,
-    /// ...and its index in the flow's original sequence.
-    orig_idx: u64,
-    /// Original packets still to draw after the pending one.
-    remaining: u64,
+    /// Original packets in the flow (at least one).
+    npkts: u64,
     /// The shaping kernel, padding core included.
     shaper: FlowShaper<StackDecider>,
     tally: Tally,
 }
 
-/// The per-flow budget: a shard's working set is this times its
-/// resident flows, and every emission reads one.
+/// The per-flow budget: one record per running shard, and every
+/// emission reads it.
 const _: () = assert!(
     std::mem::size_of::<FlowState>() <= 256,
     "FlowState outgrew its 256-byte (four cache line) budget"
@@ -196,7 +208,15 @@ fn mix_emission(ts: Nanos, dir: Direction, size: u32) -> u64 {
 
 /// Drive `cfg.flows` defended flows through `registry` and return the
 /// aggregate report. See the module docs for the execution model.
+///
+/// `registry` must have no circuit breaker installed: a breaker counts
+/// attach attempts, so with one the report would follow the order the
+/// shards' threads happen to attach flows in.
 pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
+    debug_assert!(
+        registry.breaker_stats().is_none(),
+        "run_fleet is order-free only without a circuit breaker"
+    );
     let shards = if cfg.shards == 0 {
         DEFAULT_SHARDS
     } else {
@@ -226,18 +246,7 @@ pub fn run_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
     // Merge. Sums and the checksum are order-independent; the interval
     // sweep for peak residency is global, so shard layout cannot skew it.
     let mut report = FleetReport::default();
-    for r in reports {
-        report.flows += r.flows;
-        report.egress_pkts += r.egress_pkts;
-        report.egress_bytes += r.egress_bytes;
-        report.dummy_pkts += r.dummy_pkts;
-        report.dummy_bytes += r.dummy_bytes;
-        report.checksum = report.checksum.wrapping_add(r.checksum);
-        report.events += r.events;
-        report.arena_high_water = report.arena_high_water.max(r.arena_high_water);
-        report.audit.checks += r.audit.checks;
-        report.audit.violations.extend(r.audit.violations);
-    }
+    reports.into_iter().for_each(|r| report.absorb(r));
     report.peak_resident = peak_resident(&mut starts, &mut ends);
     report.sim_end = Nanos(ends.last().copied().unwrap_or(0));
     netsim::tm_gauge!("netsim.fleet.peak_resident").set_max(report.peak_resident);
@@ -267,9 +276,10 @@ fn peak_resident(starts: &mut [u64], ends: &mut [u64]) -> u64 {
     peak
 }
 
-/// Drive flows `lo..` (one per row of `rows`) and return the report's
-/// sums over them (`peak_resident` and `sim_end` are global and left for
-/// the merge); each flow's interval goes to its row as it closes.
+/// Run flows `lo..` (one per row of `rows`) to completion, in index
+/// order, and return the report's sums over them (`peak_resident` and
+/// `sim_end` are global and left for the merge); each flow's interval
+/// goes to its row as it closes.
 fn run_shard(
     cfg: &FleetConfig,
     registry: &PolicyRegistry,
@@ -277,58 +287,26 @@ fn run_shard(
     lo: u64,
     (starts, ends): &mut (&mut [u64], &mut [u64]),
 ) -> FleetReport {
-    let n = starts.len();
-    let mut q: EventQueue<Step> = EventQueue::new();
-    let mut arena: Arena<FlowState> = Arena::with_capacity(n.min(4096));
     let mut auditor = Auditor::new();
     auditor.set_enabled(true);
     let mut report = FleetReport::default();
-
-    // Seed every assigned flow's start deadline; the flow's RNG is
-    // re-forked at the start event.
-    for local in 0..n as u32 {
-        let (_, start) = flow_start(cfg, root, lo + u64::from(local));
-        q.schedule_at(start, Step::Start { local });
+    // Each flow's last departure timer, for the shard's residency peak.
+    let mut lasts = Vec::with_capacity(starts.len());
+    for (i, (start, end)) in starts.iter_mut().zip(ends.iter_mut()).enumerate() {
+        let mut st = start_flow(cfg, registry, root, lo + i as u64);
+        lasts.push(run_flow(cfg, &mut st, &mut auditor).as_nanos());
+        // The flow's start, then one departure timer per original packet.
+        report.events += 1 + st.npkts;
+        (*start, *end) = close_flow(st, &mut report);
     }
-
-    while let Some((t, step)) = q.pop() {
-        report.events += 1;
-        auditor.check_monotonic(t);
-        match step {
-            Step::Start { local } => {
-                let st = start_flow(cfg, registry, root, lo + u64::from(local));
-                // First original packet departs at flow start.
-                let at = st.start;
-                let h = arena.alloc(st);
-                q.schedule_at(at, Step::Emit { h });
-            }
-            Step::Emit { h } => {
-                let st = arena
-                    .get_mut(h)
-                    .expect("flow state vanished (stale handle)");
-                emit_packet(st, &mut auditor);
-                if st.remaining > 0 {
-                    st.remaining -= 1;
-                    st.pkt = draw_packet(&mut st.rng, st.pkt.ts, cfg, false);
-                    st.orig_idx += 1;
-                    let intended = st.start + st.pkt.ts + st.shaper.shift();
-                    q.schedule_at(intended, Step::Emit { h });
-                } else {
-                    let st = arena.take(h).expect("flow state at close");
-                    let i = (st.f - lo) as usize;
-                    (starts[i], ends[i]) = close_flow(st, &mut report);
-                }
-            }
-        }
-    }
-
-    debug_assert!(arena.is_empty(), "flows left resident after queue drain");
     // Sums are flushed where they already exist: once per shard here,
     // once per flow in `close_flow` — never per packet or per event.
     netsim::tm_counter!("netsim.fleet.events").add(report.events);
     netsim::tm_counter!("netsim.fleet.flows").add(report.flows);
     report.audit = auditor.report();
-    report.arena_high_water = arena.high_water() as u64;
+    // Sorting the shard's rows of starts in place is harmless: the
+    // merge's sweep reads the table as two multisets.
+    report.arena_high_water = peak_resident(starts, &mut lasts);
     report
 }
 
@@ -353,26 +331,19 @@ fn draw_packet(rng: &mut SimRng, prev_ts: Nanos, cfg: &FleetConfig, first: bool)
     }
 }
 
-/// Flow `f`'s RNG, forked from the root by its global index, and its
-/// start instant, that RNG's first draw. Seeding the start deadline and
-/// starting the flow both draw it here, so they agree.
-fn flow_start(cfg: &FleetConfig, root: &SimRng, f: u64) -> (SimRng, Nanos) {
+/// Fork flow `f`'s RNG from the root by its global index, draw its start
+/// instant, attach it through the shared control plane — the fleet is
+/// the stack, so anything but an attachment (unbound, app-placed,
+/// degraded, shed) runs pass-through — and set up its live state: the
+/// stack-placement kernel, handed the attachment's validated defense
+/// (padding core included) and its seed and salt, and the packet count.
+/// The kernel lowers the policy once, and only when its size or delay
+/// stage is active. The draw order (start, defense build, packet count,
+/// then the packets in [`run_flow`]) is part of the flow's identity; the
+/// flow id doubles as the strategy salt, as for any attached connection.
+fn start_flow(cfg: &FleetConfig, registry: &PolicyRegistry, root: &SimRng, f: u64) -> FlowState {
     let mut rng = root.fork(f + 1);
     let start = Nanos(rng.range_u64(0, cfg.window.as_nanos().max(1)));
-    (rng, start)
-}
-
-/// Attach the flow through the shared control plane — the fleet is the
-/// stack, so anything but an attachment (unbound, app-placed, degraded,
-/// shed) runs pass-through — and set up its live state: the
-/// stack-placement kernel, handed the attachment's validated defense
-/// (padding core included) and its seed and salt, and the first original
-/// packet. The kernel lowers the policy once, and only when its size or
-/// delay stage is active. The draw order (start, defense build, packet
-/// count, first packet) is part of the flow's identity; the flow id
-/// doubles as the strategy salt, as for any attached connection.
-fn start_flow(cfg: &FleetConfig, registry: &PolicyRegistry, root: &SimRng, f: u64) -> FlowState {
-    let (mut rng, start) = flow_start(cfg, root, f);
     let dest = (f % u64::from(cfg.sites.max(1))) as u32;
     // One shared control plane, hit concurrently from every shard.
     let (fd, params) = match attach(registry, f as u32, dest, cfg.seed, &mut rng).attached() {
@@ -381,36 +352,50 @@ fn start_flow(cfg: &FleetConfig, registry: &PolicyRegistry, root: &SimRng, f: u6
     };
     let shaper = FlowShaper::stack(fd, EgressLabels::FLEET, &params);
     let npkts = rng.range_u64(cfg.pkts_per_flow.0.max(1), cfg.pkts_per_flow.1.max(1));
-    let pkt = draw_packet(&mut rng, Nanos::ZERO, cfg, true);
     FlowState {
         f,
         rng,
         start,
-        pkt,
-        orig_idx: 0,
-        remaining: npkts.saturating_sub(1),
+        npkts,
         shaper,
         tally: Tally::default(),
     }
 }
 
-/// Shape and emit the flow's pending original packet: one
-/// [`FlowShaper::step`], each piece audited (owned-direction pieces
-/// included) and, if it survives, folded as it leaves the kernel — the
-/// fold is order-independent, so nothing waits for the close.
-fn emit_packet(st: &mut FlowState, auditor: &mut Auditor) {
-    st.shaper.step(
-        st.pkt,
-        st.orig_idx,
-        &mut st.rng,
-        |shaped, intended, survives| {
+/// Emit every original packet of the flow, each at its departure timer:
+/// the first at the flow's start, each later one at its own timestamp
+/// plus the kernel's shift once the previous one has left. The flow's
+/// events — its start, then its timers — are audited against the flow's
+/// own previous event. Returns the last timer's instant.
+fn run_flow(cfg: &FleetConfig, st: &mut FlowState, auditor: &mut Auditor) -> Nanos {
+    // The start event has no event of its flow before it.
+    auditor.check_monotonic_after(Nanos::ZERO, st.start, st.f);
+    let mut pkt = draw_packet(&mut st.rng, Nanos::ZERO, cfg, true);
+    let (mut prev, mut at) = (st.start, st.start);
+    for idx in 0..st.npkts {
+        if idx > 0 {
+            pkt = draw_packet(&mut st.rng, pkt.ts, cfg, false);
+            (prev, at) = (at, st.start + pkt.ts + st.shaper.shift());
+        }
+        auditor.check_monotonic_after(prev, at, st.f);
+        emit_packet(st, pkt, idx, auditor);
+    }
+    at
+}
+
+/// Shape and emit original packet `idx`: one [`FlowShaper::step`], each
+/// piece audited (owned-direction pieces included) and, if it survives,
+/// folded as it leaves the kernel — the fold is order-independent, so
+/// nothing waits for the close.
+fn emit_packet(st: &mut FlowState, pkt: FlowPkt, idx: u64, auditor: &mut Auditor) {
+    st.shaper
+        .step(pkt, idx, &mut st.rng, |shaped, intended, survives| {
             // No emission may depart before its intended time.
             auditor.check_release(shaped.ts, intended, st.f);
             if survives {
                 st.tally.fold(&shaped);
             }
-        },
-    );
+        });
 }
 
 impl Tally {
@@ -451,9 +436,11 @@ fn close_flow(mut st: FlowState, r: &mut FleetReport) -> (u64, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::defense::{CloseOut, DefenseCtx, PadderCore};
+    use crate::defense::{CloseOut, DefenseCtx, PadderCore, Placement};
     use crate::policy::ObfuscationPolicy;
     use crate::registry::PolicyKey;
+    use crate::sockopt::publish_json;
+    use netsim::{Arena, ArenaHandle, EventQueue};
     use std::sync::Arc;
 
     fn small_cfg() -> FleetConfig {
@@ -675,6 +662,126 @@ mod tests {
         assert_eq!(r.flows, 0);
         assert_eq!(r.egress_pkts, 0);
         assert_eq!(r.peak_resident, 0);
+    }
+
+    /// The engine before flows ran to completion, kept as the oracle:
+    /// per shard, one start event per flow seeded up front, one arena
+    /// slot per flow from its start event to its last departure timer,
+    /// and every flow's timers interleaved by `(time, seq)` under one
+    /// shard clock.
+    fn queued_fleet(cfg: &FleetConfig, registry: &PolicyRegistry) -> FleetReport {
+        enum Step {
+            Start(u64),
+            Emit(ArenaHandle),
+        }
+        let shards = match cfg.shards {
+            0 => DEFAULT_SHARDS,
+            s => s,
+        };
+        let per = cfg.flows.div_ceil(shards.min(cfg.flows.max(1))).max(1);
+        let root = SimRng::new(cfg.seed);
+        let (mut starts, mut ends, mut report) = (vec![], vec![], FleetReport::default());
+        for lo in (0..cfg.flows).step_by(per as usize) {
+            let (mut q, mut arena, mut auditor) = (EventQueue::new(), Arena::new(), Auditor::new());
+            auditor.set_enabled(true);
+            let mut shard = FleetReport::default();
+            for f in lo..(lo + per).min(cfg.flows) {
+                let start = root.fork(f + 1).range_u64(0, cfg.window.as_nanos().max(1));
+                q.schedule_at(Nanos(start), Step::Start(f));
+            }
+            while let Some((t, step)) = q.pop() {
+                shard.events += 1;
+                auditor.check_monotonic(t);
+                let h = match step {
+                    Step::Start(f) => {
+                        let mut st = start_flow(cfg, registry, &root, f);
+                        let pkt = draw_packet(&mut st.rng, Nanos::ZERO, cfg, true);
+                        let at = st.start;
+                        q.schedule_at(at, Step::Emit(arena.alloc((st, pkt, 0))));
+                        continue;
+                    }
+                    Step::Emit(h) => h,
+                };
+                let (st, pkt, idx) = arena.get_mut(h).expect("a live flow");
+                emit_packet(st, *pkt, *idx, &mut auditor);
+                *idx += 1;
+                if *idx < st.npkts {
+                    *pkt = draw_packet(&mut st.rng, pkt.ts, cfg, false);
+                    q.schedule_at(st.start + pkt.ts + st.shaper.shift(), Step::Emit(h));
+                } else {
+                    let (st, ..) = arena.take(h).expect("a live flow");
+                    let (s, e) = close_flow(st, &mut shard);
+                    starts.push(s);
+                    ends.push(e);
+                }
+            }
+            shard.audit = auditor.report();
+            shard.arena_high_water = arena.high_water() as u64;
+            report.absorb(shard);
+        }
+        report.peak_resident = peak_resident(&mut starts, &mut ends);
+        report.sim_end = Nanos(ends.last().copied().unwrap_or(0));
+        report
+    }
+
+    /// mFRONT as data: an Out padding state, then an In one, each with
+    /// a `U{1, n}` budget of absolute Rayleigh-timed 1514 B dummies.
+    const FRONT_SPEC: &str = r#"{"name":"test-front","machines":[{"states":[
+        {"action":{"Pad":{"dir":"Out","size":{"Fixed":{"v":1514.0}},
+         "timing":{"Rayleigh":{"w_min":0.5,"w_max":2.0}},"absolute":true}},
+         "limit":{"Uniform":{"lo":1.0,"hi":4.0}},"transitions":[
+         {"on":"PaddingSent","to":[[{"State":0},1.0]]},
+         {"on":"LimitReached","to":[[{"State":1},1.0]]}]},
+        {"action":{"Pad":{"dir":"In","size":{"Fixed":{"v":1514.0}},
+         "timing":{"Rayleigh":{"w_min":0.5,"w_max":2.0}},"absolute":true}},
+         "limit":{"Uniform":{"lo":1.0,"hi":10.0}},"transitions":[
+         {"on":"PaddingSent","to":[[{"State":1},1.0]]},
+         {"on":"LimitReached","to":[["End",1.0]]}]}]}],
+        "max_padding_pkts":14,"max_blocking_ns":0}"#;
+
+    #[test]
+    fn flow_by_flow_matches_the_queued_engine() {
+        // The delay default, FRONT on one destination, split+delay on
+        // another.
+        let reg = registry_with_default();
+        publish_json(
+            &reg,
+            PolicyKey::Destination(1),
+            FRONT_SPEC,
+            Placement::Stack,
+        )
+        .expect("the FRONT spec publishes");
+        reg.publish(
+            PolicyKey::Destination(2),
+            ObfuscationPolicy::split_and_delay("fleet-split"),
+        );
+        // Windows of a few ns and zero gaps, so starts and last
+        // departures tie often.
+        let cases = [
+            (3000, 4, (1, 3), (0, 2), 5),
+            (3000, 1, (1, 1), (0, 0), 3),
+            (5000, 7, (2, 6), (0, 50), 200),
+            (4000, 64, (12, 24), (20_000, 400_000), 6_000_000),
+            (1, 1, (2, 6), (0, 50), 200),
+            (0, 0, (2, 6), (0, 50), 200),
+        ];
+        for (flows, shards, pkts_per_flow, gap_ns, window) in cases {
+            let cfg = FleetConfig {
+                flows,
+                shards,
+                pkts_per_flow,
+                gap_ns,
+                window: Nanos(window),
+                ..small_cfg()
+            };
+            let want = queued_fleet(&cfg, &reg);
+            assert!(want.clean(), "{:?}", want.audit.violations);
+            assert_eq!(want.flows, flows);
+            let got = run_fleet(&cfg, &reg);
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "{cfg:?}");
+            // Flow 1 on is FRONT's, so its close-out is part of the match.
+            assert_eq!(got.dummy_pkts > 0, flows > 1, "{cfg:?}");
+        }
     }
 
     /// Sweep `(start, end)` pairs through [`peak_resident`].

@@ -6,7 +6,8 @@
 //! [`Auditor`] collects those checks behind one switch:
 //!
 //! * **event-time monotonicity** — the simulation clock never runs
-//!   backwards across popped events;
+//!   backwards across popped events (or, where flows keep no shared
+//!   clock, across one flow's events);
 //! * **pacing-release ordering** — no segment departs the qdisc before
 //!   the release time its shaper/pacer assigned;
 //! * **the paper's §4.2 safety rule** — obfuscated departures never
@@ -182,6 +183,24 @@ impl Auditor {
             );
         }
         self.last_pop = now;
+    }
+
+    /// One flow's event times must be non-decreasing: `now` is the
+    /// flow's next event, `prev` the one before it. For runs whose flows
+    /// keep no shared clock, where [`Auditor::check_monotonic`] would
+    /// compare unrelated flows' events.
+    pub fn check_monotonic_after(&mut self, prev: Nanos, now: Nanos, flow: u64) {
+        if !self.enabled {
+            return;
+        }
+        self.checks += 1;
+        if now < prev {
+            self.record(
+                Invariant::TimeMonotonic,
+                now,
+                format!("flow {flow}: event at {now} after the flow reached {prev}"),
+            );
+        }
     }
 
     /// A segment must not depart before its pacer/shaper release time.
@@ -388,6 +407,26 @@ mod tests {
         let r = a.report();
         assert_eq!(r.violations.len(), 1);
         assert_eq!(r.violations[0].invariant, Invariant::TimeMonotonic);
+    }
+
+    #[test]
+    fn per_flow_order_ignores_other_flows() {
+        let mut a = on();
+        // Two flows' events interleave backwards, each in order.
+        a.check_monotonic_after(Nanos::ZERO, Nanos::from_millis(10), 1);
+        a.check_monotonic_after(Nanos::ZERO, Nanos::from_millis(2), 2);
+        a.check_monotonic_after(Nanos::from_millis(2), Nanos::from_millis(2), 2);
+        assert!(a.report().clean());
+        a.check_monotonic_after(Nanos::from_millis(10), Nanos::from_millis(9), 1);
+        let r = a.report();
+        assert_eq!(r.checks, 4);
+        assert_eq!(r.violations.len(), 1);
+        assert_eq!(r.violations[0].invariant, Invariant::TimeMonotonic);
+        assert!(
+            r.violations[0].detail.contains("flow 1"),
+            "{}",
+            r.violations[0].detail
+        );
     }
 
     #[test]

@@ -13,9 +13,11 @@
 //! every sift would move them. The queues are small when their owner
 //! keeps no dead events in them: measured means are ≈ 76 pending in a
 //! page load and ≈ 100–170 in a 100 Gb/s bulk flow (packets in flight
-//! plus one timer per connection and kind; PERF.md, "Dead timers"), a
-//! few thousand per fleet shard — a heap 7–14 levels deep that stays in
-//! cache. [`EventQueue::high_water`] reports the most a queue ever held.
+//! plus one timer per connection and kind; PERF.md, "Dead timers") — a
+//! heap 7–8 levels deep that stays in cache. (The fleet engine keeps no
+//! queue: its flows share no simulated resource, so each runs to
+//! completion on its own.) [`EventQueue::high_water`] reports the most a
+//! queue ever held.
 //!
 //! **Lanes.** Most of a packet simulation's events come from streams
 //! whose times never decrease: one NIC's departures, one transmitter's

@@ -1,9 +1,9 @@
 //! Slot storage for the many-flow hot path.
 //!
-//! At fleet scale the simulator keeps thousands of resident flow
-//! records alive per shard. Allocating each as its own heap object makes
-//! the allocator the bottleneck and scatters the working set; this
-//! module provides one deterministic, single-shard-owned recycler
+//! A simulation that keeps thousands of live records behind timers
+//! (one per resident flow, say) makes the allocator the bottleneck and
+//! scatters the working set if it allocates each as its own heap object;
+//! this module provides one deterministic, single-owner recycler
 //! instead, [`Arena<T>`]: slot-addressed storage with
 //! *generation-checked* handles. Freed slots are recycled in LIFO order,
 //! and every free bumps the slot's generation so a stale [`ArenaHandle`]
@@ -11,11 +11,10 @@
 //! lookups through an outdated handle return `None` rather than someone
 //! else's live packet. `tests/determinism.rs` pins this property.
 //!
-//! An arena is a plain single-threaded value: at fleet scale each shard
-//! owns its own (shared-nothing, like the shard's
-//! [`crate::EventQueue`]), so recycling order is a pure function of the
-//! shard's event sequence and results stay bit-identical at any
-//! `STOB_THREADS`. Telemetry: `netsim.pool.arena_*` and
+//! An arena is a plain single-threaded value: each parallel work item
+//! owns its own (shared-nothing, like its [`crate::EventQueue`]), so
+//! recycling order is a pure function of that item's event sequence and
+//! results stay bit-identical at any `STOB_THREADS`. Telemetry: `netsim.pool.arena_*` and
 //! `netsim.pool.stale_lookups` counters — order-independent sums, see
 //! OBSERVABILITY.md.
 //!

@@ -258,8 +258,9 @@ impl EgressLabels {
     });
 
     /// Labels for the fleet engine (`stob::fleet`): many concurrent
-    /// defended flows each drive their own pipeline, interleaved on a
-    /// per-shard `EventQueue` instead of live transport state.
+    /// defended flows each drive their own pipeline over generated
+    /// packets instead of live transport state, one flow at a time per
+    /// shard.
     pub const FLEET: EgressLabels = EgressLabels(&LabelSet {
         layer: "fleet",
         reseg_event: "fleet-pkts",

@@ -7,7 +7,7 @@
 //! provided as a baseline attack. Both fit on row indices of the
 //! caller's feature table.
 
-use crate::forest::{argmax_last, Forest};
+use crate::forest::Forest;
 use std::cmp::Ordering;
 
 /// Neighbours each k-NN head votes over (k-FP's k = 3).
@@ -36,13 +36,28 @@ fn k_smallest<T: Copy>(
     best
 }
 
-/// The class most of `labels` carry, the last of tied maxima.
+/// The class most of the (at most [`K`]) `labels` carry, the largest of
+/// tied maxima: [`crate::forest::argmax_last`] over the `n_classes` vote counts, so the
+/// last class when there are no labels (0 when there are no classes).
+/// The distinct labels are counted in a fixed array, so a query
+/// allocates nothing.
 fn vote(labels: impl Iterator<Item = usize>, n_classes: usize) -> usize {
-    let mut votes = vec![0u32; n_classes];
+    let mut tally = [(0usize, 0u32); K];
+    let mut seen = 0;
     for l in labels {
-        votes[l] += 1;
+        debug_assert!(l < n_classes, "label {l} of {n_classes} classes");
+        match tally[..seen].iter_mut().find(|(c, _)| *c == l) {
+            Some((_, n)) => *n += 1,
+            None => {
+                tally[seen] = (l, 1);
+                seen += 1;
+            }
+        }
     }
-    argmax_last(&votes)
+    tally[..seen]
+        .iter()
+        .max_by_key(|&&(c, n)| (n, c))
+        .map_or(n_classes.saturating_sub(1), |&(c, _)| c)
 }
 
 /// k-FP: leaf-vector fingerprints + Hamming k-NN.
@@ -179,7 +194,7 @@ impl FeatureKnn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::forest::ForestConfig;
+    use crate::forest::{argmax_last, ForestConfig};
     use netsim::SimRng;
 
     fn blobs(n: usize, k: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<usize>) {
@@ -276,6 +291,51 @@ mod tests {
 
     /// The first `K` of `keys` under a full sort: the reference the
     /// selection must reproduce.
+    /// The vote as it was: one count per class, `argmax_last` over it.
+    fn vote_by_counts(labels: &[usize], n_classes: usize) -> usize {
+        let mut votes = vec![0u32; n_classes];
+        for &l in labels {
+            votes[l] += 1;
+        }
+        argmax_last(&votes)
+    }
+
+    #[test]
+    fn vote_matches_argmax_over_counts() {
+        let mut rng = SimRng::new(0x707E);
+        for round in 0..2_000 {
+            // Few classes make ties common; a 0-class round has no labels.
+            let n_classes = rng.range_u64(0, 6) as usize;
+            let k = if n_classes == 0 {
+                0
+            } else {
+                rng.range_u64(0, K as u64) as usize
+            };
+            let labels: Vec<usize> = (0..k)
+                .map(|_| rng.range_u64(0, n_classes as u64 - 1) as usize)
+                .collect();
+            assert_eq!(
+                vote(labels.iter().copied(), n_classes),
+                vote_by_counts(&labels, n_classes),
+                "round {round}: {labels:?} of {n_classes}"
+            );
+        }
+        // All-distinct, all-equal, no neighbours, no classes.
+        for (labels, n_classes) in [
+            (&[2, 0, 1][..], 3),
+            (&[4, 4, 4][..], 9),
+            (&[1, 3, 1][..], 5),
+            (&[][..], 7),
+            (&[][..], 0),
+        ] {
+            assert_eq!(
+                vote(labels.iter().copied(), n_classes),
+                vote_by_counts(labels, n_classes),
+                "{labels:?} of {n_classes}"
+            );
+        }
+    }
+
     fn sort_then_truncate<T: Ord>(mut keys: Vec<T>) -> Vec<T> {
         keys.sort_unstable();
         keys.truncate(K);

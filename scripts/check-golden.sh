@@ -8,9 +8,9 @@
 # writes its report to the file STOB_JSON_OUT names, and that dump never
 # carries wall-clock fields, so it is deterministic across machines and
 # thread counts. Each golden is run at 1 and 4 threads (the full 1M-flow
-# fleet at 1 only: thread-invariance stays with the quick pair), and two
-# runs that both equal the committed file are equal to each other, so
-# this is also the fan-out determinism check of every harness:
+# fleet included: it takes about a second at 4), and two runs that both
+# equal the committed file are equal to each other, so this is also the
+# fan-out determinism check of every harness:
 #
 # - table2, defense_matrix, multipath, attacks: the k-FP experiments
 #   (table2's pair holds the parallel feature extraction and forest
@@ -55,6 +55,7 @@ rows=(
     "tests/golden/fleet_quick.json     1  fleet           --quick"
     "tests/golden/fleet_quick.json     4  fleet           --quick"
     "tests/golden/fleet_full.json      1  fleet"
+    "tests/golden/fleet_full.json      4  fleet"
     "tests/golden/fault_matrix.json    1  fault_matrix"
     "tests/golden/fault_matrix.json    4  fault_matrix"
     "tests/golden/table1.json          1  table1          6 7"

@@ -30,7 +30,7 @@ run env STOB_THREADS=4 cargo test --workspace -q --locked --test determinism
 # Goldens, the fault suite among them: fault_matrix (every fault
 # scenario x defense, invariant auditor on, exit 1 on any violation) runs
 # there at 1 and 4 threads and both reports must equal the committed one.
-# The fleet runs there too (quick at 1 and 4 threads, full at 1) and
+# The fleet runs there too (quick and full, each at 1 and 4 threads) and
 # fails on any auditor violation or a quick peak below 100k resident, and
 # so does the chaos soak (`chaos --quick`), which fails unless recovery
 # rescues the fault grid while the recovery-off blackout baseline still

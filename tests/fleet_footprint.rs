@@ -1,18 +1,19 @@
 //! What a fleet run keeps per flow of its population.
 //!
-//! `run_fleet`'s memory is its shards' working sets, each of which
-//! tracks that shard's resident flows, plus one residency table of
-//! 16 bytes per flow (a start and an end instant) for the peak-residency
-//! sweep. A second copy of that table, or per-shard tables kept alive
-//! while the merge builds the global one, doubles the per-flow share. A
-//! counting global allocator, per thread, tracks live bytes and their
-//! high-water mark; at one thread every shard runs on the calling
-//! thread, so the mark is the run's peak. Doubling the flows and the
-//! shards together keeps a shard's working set the same, so what the
-//! peak grows by is the per-flow share alone. The shards are small (200
-//! flows each), so that a copy made at the merge, when no shard is
-//! running, is not hidden under one shard's peak: at 8k flows over 8
-//! shards a shard's arena alone outweighs the whole table.
+//! `run_fleet`'s memory is its shards' working sets — a shard runs one
+//! flow at a time to completion, and keeps each of its flows' last
+//! departure instant (8 bytes per flow of the shard) for its residency
+//! peak — plus one residency table of 16 bytes per flow (a start and an
+//! end instant) for the global peak-residency sweep. A second copy of
+//! that table, or per-shard tables kept alive while the merge builds the
+//! global one, doubles the per-flow share. A counting global allocator,
+//! per thread, tracks live bytes and their high-water mark; at one
+//! thread every shard runs on the calling thread, so the mark is the
+//! run's peak. Doubling the flows and the shards together keeps a
+//! shard's working set the same, so what the peak grows by is the
+//! per-flow share alone. The shards are small (200 flows each), so that
+//! a copy made at the merge, when no shard is running, is not hidden
+//! under one shard's peak.
 
 use defenses::front::FrontConfig;
 use defenses::FrontDefense;
