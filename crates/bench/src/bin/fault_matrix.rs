@@ -31,10 +31,7 @@ fn main() {
     let visits = args.count(1, 2);
     let seed = args.uint(2, 0xFA17u64);
 
-    // All named scenarios, plus the mid-flow MTU drop (recognised by
-    // `scenario()` but kept out of the default env-knob list).
-    let mut scenarios: Vec<&'static str> = FaultSchedule::SCENARIOS.to_vec();
-    scenarios.push("mtu-drop");
+    let scenarios = FaultSchedule::SCENARIOS;
 
     // Event times sit at fractions of the horizon; pick one on the scale
     // of a page load so flaps and spikes land mid-transfer.

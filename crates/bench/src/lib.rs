@@ -127,23 +127,27 @@ pub fn write_out(bin: &str, path: &str, contents: &str) {
 /// flags its usage line declares, positional arguments and the `STOB_*`
 /// environment, checked before any work starts.
 pub mod cli {
-    use netsim::env::{flag_value, parse_value};
-    use netsim::{FaultSchedule, Nanos};
+    use netsim::env::parse_value;
     use std::str::FromStr;
 
     /// The environment knobs library code reads under every bin.
-    const ENV_KNOBS: [&str; 4] = ["STOB_THREADS", "STOB_JSON_OUT", "STOB_FAULTS", "STOB_AUDIT"];
+    const ENV_KNOBS: [&str; 2] = ["STOB_THREADS", "STOB_JSON_OUT"];
 
-    /// Retired per-bin knobs and the flag that replaced each.
-    const RETIRED: [(&str, &str); 8] = [
-        ("STOB_PLACEMENT", "table2 --placement=<app|stack>"),
-        ("STOB_MUX_PIPES", "multipath --pipes=<csv>"),
-        ("STOB_MUX_SPLITTER", "multipath --splitter=<spec>"),
-        ("STOB_MUX_FEC", "multipath --fec=<k>"),
-        ("STOB_FLEET_FLOWS", "fleet --flows=<n>"),
-        ("STOB_FLEET_SHARDS", "fleet --shards=<n>"),
-        ("STOB_FLEET_MACHINE", "fleet --machine=<path>"),
-        ("STOB_TRACE_OUT", "figure3 --trace-out=<path>"),
+    /// Retired knobs and where each setting lives now.
+    const RETIRED: [(&str, &str); 10] = [
+        ("STOB_PLACEMENT", "`table2 --placement=<app|stack>`"),
+        ("STOB_MUX_PIPES", "`multipath --pipes=<csv>`"),
+        ("STOB_MUX_SPLITTER", "`multipath --splitter=<spec>`"),
+        ("STOB_MUX_FEC", "`multipath --fec=<k>`"),
+        ("STOB_FLEET_FLOWS", "`fleet --flows=<n>`"),
+        ("STOB_FLEET_SHARDS", "`fleet --shards=<n>`"),
+        ("STOB_FLEET_MACHINE", "`fleet --machine=<path>`"),
+        ("STOB_TRACE_OUT", "`figure3 --trace-out=<path>`"),
+        (
+            "STOB_FAULTS",
+            "`LoaderConfig::faults`, or the `fault_matrix` / `chaos` bins",
+        ),
+        ("STOB_AUDIT", "a debug build, or `Network::set_audit`"),
     ];
 
     /// The deterministic metrics summary on stdout, the wall-clock
@@ -155,9 +159,9 @@ pub mod cli {
 
     /// A bin's command line, read against its usage line. A malformed
     /// or out-of-range value, a flag or an argument the usage line does
-    /// not name, a `STOB_*` variable other than the four env knobs, or an
-    /// env knob set to a value its library reader would fall back from
-    /// prints that line and exits 2 before any work.
+    /// not name, a `STOB_*` variable other than the two env knobs, or
+    /// `STOB_THREADS` set to a value its library reader would fall back
+    /// from prints that line and exits 2 before any work.
     pub struct Positional {
         args: Vec<String>,
         flags: Vec<String>,
@@ -175,22 +179,21 @@ pub mod cli {
                 let key = key.to_string_lossy();
                 if key.starts_with("STOB_") && !ENV_KNOBS.contains(&&*key) {
                     p.refuse(&match RETIRED.iter().find(|(k, _)| *k == key) {
-                        Some((_, flag)) => format!("{key} is no longer read; use `{flag}`"),
+                        Some((_, now)) => format!("{key} is no longer read; use {now}"),
                         None => format!("{key} is not an environment knob: {ENV_KNOBS:?}"),
                     });
                 }
             }
-            // Through the knobs' own parsers: a value library code would
+            // Through the knob's own parser: a value library code would
             // warn about and fall back from is refused here instead.
-            p.knob("STOB_THREADS", "a positive integer", |s| {
-                parse_value::<usize>(Some(s)).filter(|&n| n > 0)
-            });
-            p.knob("STOB_AUDIT", "1/0/true/false/yes/no/on/off", |s| {
-                flag_value(Some(s))
-            });
-            p.knob("STOB_FAULTS", "a known fault scenario", |s| {
-                FaultSchedule::scenario(s, 0, Nanos::from_secs(1))
-            });
+            let threads = netsim::env::string("STOB_THREADS");
+            let positive = |s: &str| parse_value::<usize>(Some(s)).filter(|&n| n > 0);
+            p.read(
+                "STOB_THREADS",
+                threads.as_deref(),
+                "a positive integer",
+                positive,
+            );
             for (i, f) in p.flags.iter().enumerate() {
                 let name = f.split('=').next().unwrap_or_default();
                 let twice = p.flags[..i]
@@ -284,13 +287,8 @@ pub mod cli {
             )
         }
 
-        /// Environment knob `key` on the parse-or-refuse path.
-        fn knob<T>(&self, key: &str, want: &str, parse: impl Fn(&str) -> Option<T>) {
-            self.read(key, netsim::env::string(key).as_deref(), want, parse);
-        }
-
         /// The one parse-or-refuse path, for positionals, flag values and
-        /// environment knobs.
+        /// `STOB_THREADS`.
         fn read<T>(
             &self,
             name: &str,

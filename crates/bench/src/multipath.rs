@@ -744,8 +744,8 @@ mod tests {
         out
     }
 
-    /// Every `STOB_*` knob read and every flag parser, fed hostile
-    /// strings: each knob degrades to something runnable, each flag
+    /// The `STOB_THREADS` parser and every flag parser, fed hostile
+    /// strings: the knob degrades to something runnable, each flag
     /// parser accepts or refuses, and none panics. Every accepted mux
     /// config builds a `Multiplex`.
     #[test]
@@ -760,9 +760,8 @@ mod tests {
         // Values of --pipes, --splitter and --fec accepted.
         let mut accepted = [0; 3];
         for raw in &corpus {
-            // The environment knobs: STOB_THREADS, STOB_AUDIT, STOB_FAULTS.
+            // The environment knob STOB_THREADS; a fault scenario name.
             let _ = netsim::env::parse_value::<usize>(Some(raw));
-            let _ = netsim::env::flag_value(Some(raw));
             let _ = netsim::FaultSchedule::scenario(raw, 1, Nanos::from_secs(3));
             // table2 --placement, fleet --flows / --shards.
             let _ = raw.parse::<Placement>();

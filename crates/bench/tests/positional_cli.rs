@@ -185,66 +185,89 @@ fn malformed_values_are_refused() {
     }
 }
 
-/// A per-bin setting is a flag on that bin's command line. The
-/// environment variables it replaced used to warn and fall back, exit 1,
-/// or apply silently; one left in a shell now stops the bin and names
-/// the flag. Any other `STOB_*` variable that is not one of the four
+/// A per-bin setting is a flag on that bin's command line, and a run's
+/// faults and auditing are set where the run is built. The environment
+/// variables they replaced used to warn and fall back, exit 1, or apply
+/// silently; one left in a shell now stops the bin and names where the
+/// setting lives. Any other `STOB_*` variable that is not one of the two
 /// environment knobs is refused the same way.
 #[test]
 fn retired_env_knobs_are_refused_naming_their_flag() {
-    for (bin, key, flag) in [
-        ("multipath", "STOB_MUX_PIPES", "`multipath --pipes=<csv>`"),
+    for (bin, key, value, now) in [
+        (
+            "multipath",
+            "STOB_MUX_PIPES",
+            "2",
+            "`multipath --pipes=<csv>`",
+        ),
         (
             "multipath",
             "STOB_MUX_SPLITTER",
+            "2",
             "`multipath --splitter=<spec>`",
         ),
-        ("multipath", "STOB_MUX_FEC", "`multipath --fec=<k>`"),
+        ("multipath", "STOB_MUX_FEC", "2", "`multipath --fec=<k>`"),
         (
             "table2",
             "STOB_PLACEMENT",
+            "2",
             "`table2 --placement=<app|stack>`",
         ),
-        ("fleet", "STOB_FLEET_FLOWS", "`fleet --flows=<n>`"),
-        ("fleet", "STOB_FLEET_SHARDS", "`fleet --shards=<n>`"),
-        ("fleet", "STOB_FLEET_MACHINE", "`fleet --machine=<path>`"),
-        ("figure3", "STOB_TRACE_OUT", "`figure3 --trace-out=<path>`"),
+        ("fleet", "STOB_FLEET_FLOWS", "2", "`fleet --flows=<n>`"),
+        ("fleet", "STOB_FLEET_SHARDS", "2", "`fleet --shards=<n>`"),
+        (
+            "fleet",
+            "STOB_FLEET_MACHINE",
+            "2",
+            "`fleet --machine=<path>`",
+        ),
+        (
+            "figure3",
+            "STOB_TRACE_OUT",
+            "2",
+            "`figure3 --trace-out=<path>`",
+        ),
         (
             "table1",
             "STOB_PLACEMENT",
+            "2",
             "`table2 --placement=<app|stack>`",
         ),
+        (
+            "table2",
+            "STOB_FAULTS",
+            "flap",
+            "`LoaderConfig::faults`, or the `fault_matrix` / `chaos` bins",
+        ),
+        (
+            "fault_matrix",
+            "STOB_AUDIT",
+            "1",
+            "a debug build, or `Network::set_audit`",
+        ),
     ] {
-        let out = command(bin).env(key, "2").output();
+        let out = command(bin).env(key, value).output();
         assert_output_refused(
             bin,
             &[],
             out,
-            &format!("{key} is no longer read; use {flag}"),
+            &format!("{key} is no longer read; use {now}"),
         );
     }
     let out = command("table1").env("STOB_THREAD", "2").output();
     assert_output_refused("table1", &[], out, "STOB_THREAD is not an environment knob");
 }
 
-/// The four environment knobs are read by library code, which warns and
-/// falls back on a value it cannot use: `STOB_FAULTS=ge-bust` used to run
-/// un-faulted and `STOB_THREADS=abc` on every core, both exiting 0. A bin
-/// refuses such a value before any work, through the knob's own parser;
-/// an empty one still reads as unset, and valid ones run.
+/// `STOB_THREADS` is read by library code, which warns and falls back on
+/// a value it cannot use: `STOB_THREADS=abc` used to run on every core
+/// and exit 0. A bin refuses such a value before any work, through the
+/// knob's own parser; a valid one runs.
 #[test]
 fn malformed_env_knobs_are_refused() {
     for (bin, args, key, value, why) in [
         (
-            "table2",
-            &["2", "2", "2", "7"][..],
-            "STOB_FAULTS",
-            "ge-bust",
-            "a known fault scenario",
-        ),
-        (
             "table1",
-            &["1", "7"],
+            &["1", "7"][..],
             "STOB_THREADS",
             "abc",
             "a positive integer",
@@ -263,13 +286,6 @@ fn malformed_env_knobs_are_refused() {
             "-3",
             "a positive integer",
         ),
-        (
-            "fault_matrix",
-            &["1"],
-            "STOB_AUDIT",
-            "maybe",
-            "1/0/true/false/yes/no/on/off",
-        ),
     ] {
         let out = command(bin).args(args).env(key, value).output();
         let why = format!("{key} must be {why}, got `{value}`");
@@ -278,8 +294,6 @@ fn malformed_env_knobs_are_refused() {
     let out = command("table1")
         .args(["1", "7"])
         .env("STOB_THREADS", " 2 ")
-        .env("STOB_AUDIT", "off")
-        .env("STOB_FAULTS", "")
         .output()
         .unwrap_or_else(|e| panic!("spawn table1: {e}"));
     let stderr = String::from_utf8_lossy(&out.stderr);

@@ -980,13 +980,13 @@ struct MachineRt {
 }
 
 /// The machine runtime: a [`PadderCore`] running a [`CompiledSpec`]
-/// over one flow. Until it starts it holds only the regulate buffers.
+/// over one flow. Its `Run` is inline, built when the core starts.
 pub(crate) struct MachineCore {
     spec: Arc<CompiledSpec>,
     /// Buffered arrival times for regulated directions.
     reg_in: Vec<Nanos>,
     reg_out: Vec<Nanos>,
-    run: Option<Box<Run>>,
+    run: Option<Run>,
 }
 
 /// A started core's machines and what they have emitted.
@@ -1078,8 +1078,8 @@ fn surge_schedule(
 
 impl Run {
     /// Start `spec`'s machines for one flow, each in its state 0.
-    fn start(spec: &Arc<CompiledSpec>, rng: &mut SimRng) -> Box<Run> {
-        let mut run = Box::new(Run {
+    fn start(spec: &Arc<CompiledSpec>, rng: &mut SimRng) -> Run {
+        let mut run = Run {
             spec: Arc::clone(spec),
             rts: spec.machines.iter().map(|_| MachineRt::default()).collect(),
             out: Vec::new(),
@@ -1090,7 +1090,7 @@ impl Run {
             actions: 0,
             quiet: false,
             transitions: 0,
-        });
+        };
         for m in 0..run.rts.len() {
             run.enter_state(m, 0, rng);
         }

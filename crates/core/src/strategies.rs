@@ -122,8 +122,8 @@ pub(crate) struct PolicyShaper {
     respect_slow_start: bool,
 }
 
-// Every resident fleet flow holds one of these behind its `Box`, so its
-// size is paid per resident flow.
+// Every connection or replayed flow with a policy rule holds one of
+// these behind its `Box`, so its size is paid once per shaped flow.
 const _: () = assert!(std::mem::size_of::<crate::safety::SafetyCap<PolicyShaper>>() <= 160);
 
 impl PolicyShaper {

@@ -20,10 +20,10 @@
 //! "0 violations across N checks" as a first-class experimental result —
 //! and a deliberately broken run can prove the auditor actually fires.
 //!
-//! The auditor is on by default in debug builds; release builds enable it
-//! with the `STOB_AUDIT=1` environment variable or
-//! [`Auditor::set_enabled`]. When disabled every check is a cheap
-//! early-return.
+//! The auditor is on by default in debug builds; a release run turns it
+//! on where the run is built, with [`Auditor::set_enabled`] (or
+//! `Network::set_audit`, which every faulted page load calls). When
+//! disabled every check is a cheap early-return.
 //!
 //! ```
 //! use netsim::{Auditor, Nanos};
@@ -105,11 +105,6 @@ impl AuditReport {
     }
 }
 
-/// Reads the opt-in environment switch for release builds.
-fn env_enabled() -> bool {
-    crate::env::flag("STOB_AUDIT", false)
-}
-
 /// The invariant checker. One per simulation; checks are O(1) and the
 /// caller supplies plain numbers, so `netsim` stays independent of the
 /// stack crate's types.
@@ -133,11 +128,11 @@ impl Default for Auditor {
 }
 
 impl Auditor {
-    /// Debug builds audit by default; release builds only when
-    /// `STOB_AUDIT=1` (or after [`Auditor::set_enabled`]).
+    /// Debug builds audit by default; release builds only after
+    /// [`Auditor::set_enabled`].
     pub fn new() -> Self {
         Auditor {
-            enabled: cfg!(debug_assertions) || env_enabled(),
+            enabled: cfg!(debug_assertions),
             last_pop: Nanos::ZERO,
             checks: 0,
             flushed: Cell::new(0),

@@ -1,22 +1,21 @@
-//! Parsing for the four `STOB_*` environment knobs library code reads
-//! under every bin: `STOB_THREADS`, `STOB_AUDIT`, `STOB_FAULTS` and
-//! `STOB_JSON_OUT` (a bin's own settings are flags, and a bin refuses any
-//! other `STOB_*` variable: `stob_bench::cli::Positional`). A bin
-//! refuses an invalid value before any work, through the same parsers;
-//! anywhere else (tests, the layered benchmark) library code falls back
-//! to the documented default and warns once per knob on stderr, so a
-//! typo surfaces in the log exactly once instead of silently changing
-//! what the experiment does. The parsers ([`parse_value`],
-//! [`flag_value`]) are pure: they neither read the environment nor warn,
-//! so a bin can refuse what they reject and tests can feed them
+//! Parsing for the two `STOB_*` environment knobs read under every bin:
+//! `STOB_THREADS` and `STOB_JSON_OUT` (a bin's own settings are flags, a
+//! run's faults and auditing are set where the run is built, and a bin
+//! refuses any other `STOB_*` variable: `stob_bench::cli::Positional`).
+//! A bin refuses an invalid value before any work, through the same
+//! parser; anywhere else (tests, the layered benchmark) library code
+//! falls back to the documented default and warns once per knob on
+//! stderr, so a typo surfaces in the log exactly once instead of
+//! silently changing what the experiment does. The parser
+//! ([`parse_value`]) is pure: it neither reads the environment nor
+//! warns, so a bin can refuse what it rejects and tests can feed it
 //! malformed input without mutating the process environment.
 //!
 //! ```
-//! use netsim::env::{flag_value, parse_value};
+//! use netsim::env::parse_value;
 //! assert_eq!(parse_value::<usize>(Some("8")), Some(8));
 //! // Invalid, empty and unset values all read as `None`:
 //! assert_eq!(parse_value::<usize>(Some("abc")), None);
-//! assert_eq!(flag_value(Some("on")), Some(true));
 //! ```
 
 use std::collections::BTreeSet;
@@ -45,17 +44,6 @@ pub(crate) fn warn_once(name: &str, msg: &str) -> bool {
 /// `raw` as a `T`: `None` when unset, empty, or invalid.
 pub fn parse_value<T: std::str::FromStr>(raw: Option<&str>) -> Option<T> {
     set(raw)?.parse().ok()
-}
-
-/// `raw` as a boolean switch. Accepted spellings (case-insensitive):
-/// `1/true/yes/on` → `Some(true)`, `0/false/no/off` → `Some(false)`.
-/// Unset, empty or anything else → `None`.
-pub fn flag_value(raw: Option<&str>) -> Option<bool> {
-    match set(raw)?.to_ascii_lowercase().as_str() {
-        "1" | "true" | "yes" | "on" => Some(true),
-        "0" | "false" | "no" | "off" => Some(false),
-        _ => None,
-    }
 }
 
 /// `raw` trimmed; `None` when unset or empty.
@@ -87,14 +75,6 @@ fn read<T>(
 pub(crate) fn parse<T: std::str::FromStr>(name: &str) -> Option<T> {
     let raw = std::env::var(name).ok();
     read(name, raw.as_deref(), "a valid value", parse_value)
-}
-
-/// Read the environment knob `name` as a boolean switch; `default` applies
-/// when the knob is unset, empty, or (after a one-time warning) invalid.
-pub(crate) fn flag(name: &str, default: bool) -> bool {
-    let raw = std::env::var(name).ok();
-    let want = "a recognised boolean (1/0/true/false/yes/no/on/off)";
-    read(name, raw.as_deref(), want, flag_value).unwrap_or(default)
 }
 
 /// Read the environment knob `name` as a non-empty trimmed string.
@@ -132,19 +112,6 @@ mod tests {
         assert_eq!(parse_value::<usize>(None), None);
         assert_eq!(parse_value::<usize>(Some("")), None);
         assert_eq!(parse_value::<usize>(Some("   ")), None);
-    }
-
-    #[test]
-    fn flag_value_spellings() {
-        for yes in ["1", "true", "YES", "On", " on "] {
-            assert_eq!(flag_value(Some(yes)), Some(true), "{yes:?}");
-        }
-        for no in ["0", "false", "NO", "Off"] {
-            assert_eq!(flag_value(Some(no)), Some(false), "{no:?}");
-        }
-        assert_eq!(flag_value(None), None);
-        assert_eq!(flag_value(Some("")), None);
-        assert_eq!(flag_value(Some("maybe")), None);
     }
 
     #[test]

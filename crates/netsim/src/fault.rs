@@ -109,7 +109,7 @@ impl FaultSchedule {
     }
 
     /// Named scenarios used by the fault sweep (`fault_matrix`) and the
-    /// `STOB_FAULTS` environment knob. Event times are placed as
+    /// `chaos` soak. Event times are placed as
     /// fractions of `horizon` (the planned simulation length) so one
     /// scenario name works for any experiment duration. Returns `None`
     /// for an unknown name; `"none"` is the explicit empty schedule.
@@ -238,9 +238,9 @@ impl FaultSchedule {
         s
     }
 
-    /// All scenario names [`FaultSchedule::scenario`] understands, in
-    /// sweep order.
-    pub const SCENARIOS: [&'static str; 7] = [
+    /// Every scenario name [`FaultSchedule::scenario`] understands that
+    /// is not a chaos scenario, in sweep order.
+    pub const SCENARIOS: [&'static str; 8] = [
         "none",
         "ge-burst",
         "reorder",
@@ -248,6 +248,7 @@ impl FaultSchedule {
         "flap",
         "outage",
         "rtt-spike",
+        "mtu-drop",
     ];
 
     /// The outage-heavy scenarios the `chaos` soak sweeps, in sweep order.
@@ -256,24 +257,6 @@ impl FaultSchedule {
     /// under the first two.
     pub const CHAOS_SCENARIOS: [&'static str; 4] =
         ["blackout-early", "outage-storm", "flap-storm", "chaos-mix"];
-
-    /// Build the schedule named by the `STOB_FAULTS` environment variable,
-    /// if set and recognised. An unknown scenario name warns once on
-    /// stderr and runs un-faulted — previously it was silently ignored,
-    /// which is indistinguishable from the faults not firing.
-    pub fn from_env(seed: u64, horizon: Nanos) -> Option<FaultSchedule> {
-        let name = crate::env::string("STOB_FAULTS")?;
-        let sched = FaultSchedule::scenario(&name, seed, horizon);
-        if sched.is_none() {
-            crate::env::warn_once(
-                "STOB_FAULTS",
-                &format!(
-                    "STOB_FAULTS={name:?} is not a known fault scenario; running without faults"
-                ),
-            );
-        }
-        sched
-    }
 }
 
 /// Counters reported alongside experiment results so faulted runs are
@@ -606,8 +589,8 @@ mod tests {
             let s = FaultSchedule::scenario(name, 1, Nanos::from_secs(1))
                 .unwrap_or_else(|| panic!("scenario {name}"));
             assert_eq!(s.items.is_empty(), name == "none", "{name}");
+            assert!(!FaultSchedule::CHAOS_SCENARIOS.contains(&name), "{name}");
         }
-        assert!(FaultSchedule::scenario("mtu-drop", 1, Nanos::from_secs(1)).is_some());
         assert!(FaultSchedule::scenario("bogus", 1, Nanos::from_secs(1)).is_none());
     }
 

@@ -1,15 +1,17 @@
-//! Slot storage for the many-flow hot path.
+//! Slot storage for records that live behind timers.
 //!
 //! A simulation that keeps thousands of live records behind timers
-//! (one per resident flow, say) makes the allocator the bottleneck and
-//! scatters the working set if it allocates each as its own heap object;
-//! this module provides one deterministic, single-owner recycler
-//! instead, [`Arena<T>`]: slot-addressed storage with
-//! *generation-checked* handles. Freed slots are recycled in LIFO order,
-//! and every free bumps the slot's generation so a stale [`ArenaHandle`]
-//! held by a forgotten timer can never alias the slot's next occupant:
-//! lookups through an outdated handle return `None` rather than someone
-//! else's live packet. `tests/determinism.rs` pins this property.
+//! makes the allocator the bottleneck and scatters the working set if
+//! it allocates each as its own heap object; this module provides one
+//! deterministic, single-owner recycler instead, [`Arena<T>`]. No
+//! library path keeps one; the fleet's queued reference engine (a test)
+//! and the layered benchmark's `netsim.pool.arena_ns_per_op` probe do.
+//! An arena is slot-addressed storage with *generation-checked*
+//! handles. Freed slots are recycled in LIFO order, and every free
+//! bumps the slot's generation so a stale [`ArenaHandle`] held by a
+//! forgotten timer can never alias the slot's next occupant: lookups
+//! through an outdated handle return `None` rather than someone else's
+//! live packet. `tests/determinism.rs` pins this property.
 //!
 //! An arena is a plain single-threaded value: each parallel work item
 //! owns its own (shared-nothing, like its [`crate::EventQueue`]), so

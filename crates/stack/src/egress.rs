@@ -294,9 +294,9 @@ pub struct EgressPipeline {
     shaped_segs: u64,
 }
 
-/// One pipeline per connection and per resident fleet flow: it holds
-/// state only; its instruments live in `tm_counter!`/`tm_histo!`
-/// statics.
+/// One pipeline per connection, and one in every stack-placed replay
+/// flow (the fleet's included), read on every segment: it holds state
+/// only; its instruments live in `tm_counter!`/`tm_histo!` statics.
 const _: () = assert!(
     std::mem::size_of::<EgressPipeline>() <= 64,
     "EgressPipeline outgrew its 64-byte (one cache line) budget"

@@ -206,8 +206,7 @@ pub struct Network {
     /// `[events, lane events, timer arms, timer events]` already added to
     /// the process-wide telemetry counters (see `publish_counts`).
     published: [u64; 4],
-    /// Runtime invariant checker (debug default; `STOB_AUDIT=1` or
-    /// `set_audit` elsewhere).
+    /// Runtime invariant checker (debug default; `set_audit` elsewhere).
     auditor: Auditor,
     /// Shared flow-trace ring: every shaping decision on either host is
     /// recorded here when installed (`set_tracer`).
@@ -429,8 +428,9 @@ impl Network {
         self.legs.get(i + 1).map(|p| p.ledger)
     }
 
-    /// Force the invariant auditor on or off (debug builds default on;
-    /// release builds honour `STOB_AUDIT=1`).
+    /// Force the invariant auditor on or off. Debug builds default on,
+    /// release builds off; a faulted page load turns it on, and so does
+    /// any harness that audits a release run.
     pub fn set_audit(&mut self, on: bool) {
         self.auditor.set_enabled(on);
     }

@@ -2,10 +2,10 @@
 //!
 //! Flow ids are allocated densely (a monotone counter starting at 1),
 //! so keying per-flow state on a `BTreeMap<FlowId, T>` pays tree walks
-//! and node allocations for what is really vector indexing. At
-//! fleet scale — tens of thousands of resident flows per shard, every
-//! packet arrival doing at least one lookup — that cost sits directly
-//! on the hottest path in the repo. [`FlowTable`] is the replacement:
+//! and node allocations for what is really vector indexing. Every
+//! packet a `stack::net` host handles does at least one lookup, so that
+//! cost sits directly on the stack's packet path. [`FlowTable`] is the
+//! replacement:
 //! a flat `Vec<Option<T>>` indexed by `FlowId`, O(1) lookup, one cache
 //! line per probe, with deterministic ascending-id iteration (matching
 //! the `BTreeMap` order it replaced, so goldens are unchanged).

@@ -693,14 +693,7 @@ pub fn load_page(
         seed ^ 0x5157_AB1E,
     );
     net.record_capture(CLIENT);
-    // An explicit schedule wins; otherwise STOB_FAULTS can switch any
-    // driver run onto a named scenario without code changes.
-    let env_faults = if cfg.faults.is_none() {
-        FaultSchedule::from_env(seed, cfg.deadline)
-    } else {
-        None
-    };
-    if let Some(faults) = cfg.faults.as_ref().or(env_faults.as_ref()) {
+    if let Some(faults) = &cfg.faults {
         net.set_faults(faults);
         net.set_audit(true);
     }

@@ -9,10 +9,10 @@
 # its machine spec (the `<<'JSON'` heredoc) must bind through
 # `publish_json` and run in `fleet --quick --machine=<path>` (exit 0),
 # and its hostile document must be refused (exit 1). A small `--flows`
-# keeps the debug-build run to a few seconds. Last, check that the
-# environment variable `--flows` replaced is refused (exit 2), not
-# silently ignored, and so is an unknown `STOB_FAULTS` scenario, which
-# used to run un-faulted.
+# keeps the debug-build run to a few seconds. Last, check that two
+# retired environment variables are refused (exit 2), not silently
+# ignored: the one `--flows` replaced, and `STOB_FAULTS`, which a run's
+# `LoaderConfig::faults` replaced.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -59,9 +59,9 @@ if [ "$status" -ne 2 ]; then
 fi
 echo "check-examples: fleet refuses the retired STOB_FLEET_FLOWS"
 status=0
-STOB_FAULTS=ge-bust fleet --flows=2000 2>/dev/null || status=$?
+STOB_FAULTS=ge-burst fleet --flows=2000 2>/dev/null || status=$?
 if [ "$status" -ne 2 ]; then
-    echo "check-examples: STOB_FAULTS=ge-bust fleet --quick exited $status, not 2" >&2
+    echo "check-examples: STOB_FAULTS=ge-burst fleet --quick exited $status, not 2" >&2
     exit 1
 fi
-echo "check-examples: fleet refuses an unknown STOB_FAULTS scenario"
+echo "check-examples: fleet refuses the retired STOB_FAULTS"

@@ -1,7 +1,8 @@
 //! What attaching a policy allocates.
 //!
 //! Every flow a stack shapes holds its policy's shaper for as long as
-//! the flow lives, so a fleet pays each block once per resident flow. A
+//! the flow lives, so every block is paid once per shaped flow: per
+//! connection on a `stack::net` host, per flow the fleet runs. A
 //! counting global allocator, per thread so the tests in this binary do
 //! not see each other's allocations, holds `attach` plus the
 //! attachment's shaper to the blocks the flow keeps for each binding of
@@ -10,16 +11,19 @@
 //! shaper for a policy with a rule. It holds `assemble_policy_shaper`,
 //! which audits, to the boxed capped shaper and its audit handle, the
 //! unaudited lowering a harness calls on a policy it owns
-//! (`StackParams::shaper`) to the boxed capped shaper alone, and a bare
-//! `SafetyCap` to none.
+//! (`StackParams::shaper`) to the boxed capped shaper alone, a bare
+//! `SafetyCap` to none, and starting an mFRONT machine core to its
+//! run's per-machine state and emissions.
 
 use defenses::front::FrontConfig;
+use defenses::machines::front_machine;
 use defenses::FrontDefense;
 use netsim::{Histogram, SimRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
-use stob::defense::{Defense, Placement, StackParams};
+use stob::defense::{Defense, DefenseCtx, Placement, StackParams};
+use stob::machine::MachineDefense;
 use stob::policy::{DelaySpec, ObfuscationPolicy, SizeSpec};
 use stob::registry::{PolicyKey, PolicyRegistry};
 use stob::safety::SafetyCap;
@@ -177,4 +181,24 @@ fn a_safety_cap_allocates_nothing() {
         allocs(|| SafetyCap::new(IncrementalReduce::with_alpha(40))),
         0
     );
+}
+
+/// A machine core holds its run inline, so starting one allocates the
+/// run's per-machine state and the emissions it hands back, and no box
+/// for the run itself. mFRONT's spec has no packet row: its core starts
+/// at close.
+#[test]
+fn starting_an_mfront_core_allocates_two_blocks() {
+    let mfront = MachineDefense::new(front_machine(&FrontConfig::default()));
+    let close = |seed: u64| {
+        let mut rng = SimRng::new(seed);
+        let flow = mfront.build(&DefenseCtx::default(), &mut rng);
+        let mut core = flow.padding.expect("mFRONT pads");
+        allocs(|| core.on_close(&mut rng))
+    };
+    // Warm-up: the first close registers the counters it touches.
+    close(1);
+    for seed in 2..6 {
+        assert_eq!(close(seed), 2, "seed {seed}");
+    }
 }
